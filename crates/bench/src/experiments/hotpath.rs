@@ -20,7 +20,7 @@
 //! must stay exactly one copy of the columnar storage (zero-copy views),
 //! where the old deep-copy partition held a second full copy.
 //!
-//! The `hotpath` binary prints this report and writes the numbers to
+//! `megis-bench hotpath` prints this report and writes the numbers to
 //! `BENCH_hotpath.json` — the repo's performance trajectory. CI runs it in
 //! release mode, greps the verdict lines, and uploads the JSON, so a future
 //! PR that regresses the hot path below the 2× galloping threshold (or
@@ -456,7 +456,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
 
 /// Hot-path analysis: measures the flattened kernels against their
 /// pre-refactor baselines and renders the report (what
-/// `cargo run -p megis-bench --bin hotpath` prints; the binary additionally
+/// `cargo run -p megis-bench -- hotpath` prints; the binary additionally
 /// writes `BENCH_hotpath.json`).
 pub fn hotpath() -> String {
     hotpath_measure().report()

@@ -3,10 +3,14 @@
 //! Each figure and table of the paper's evaluation (§3 and §6) has a
 //! corresponding function in [`experiments`] that evaluates the models of the
 //! workspace at paper scale and renders the same rows/series the paper
-//! reports. One binary per experiment wraps each function (`cargo run -p
-//! megis-bench --bin fig12_presence_speedup`, …), and `all_experiments` runs
-//! the full suite. Criterion micro-benchmarks over the functional kernels and
-//! the figure models live under `benches/`.
+//! reports. The `megis-bench` binary runs one by name (`cargo run -p
+//! megis-bench -- fig12_presence_speedup`), the whole suite (`all`), or lists
+//! the names (`--list`). Criterion micro-benchmarks over the functional
+//! kernels and the figure models live under `benches/`.
+//!
+//! These reports regenerate the paper's *modeled* figures plus one measured
+//! kernel microbenchmark (`hotpath`); measured end-to-end performance lives
+//! in the repository benchmark (`benchmark/README.md`).
 
 // The whole workspace is safe Rust ([workspace.lints] forbids it too);
 // this attribute keeps the guarantee visible at the crate root.
@@ -17,10 +21,9 @@ pub mod report;
 pub use report::Report;
 
 /// Resolves the value of a `--flag <value>` / `--flag=<value>` pair in an
-/// argument list. Used by the bench binaries for `--out` (and
-/// `--trace-out`), so CI and local runs can redirect the JSON records
-/// instead of clobbering the committed `BENCH_*.json` baselines in the
-/// working directory.
+/// argument list. Used by `megis-bench hotpath` for `--out`, so CI and
+/// local runs can redirect the JSON record instead of clobbering the
+/// committed `BENCH_hotpath.json` baseline in the working directory.
 pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
     let mut args = args.iter();
     while let Some(arg) = args.next() {
@@ -34,8 +37,8 @@ pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
     None
 }
 
-/// The output path for a bench binary's JSON record: the `--out` argument
-/// if given, the hardcoded committed-baseline default otherwise.
+/// The output path for the JSON record: the `--out` argument if given, the
+/// hardcoded committed-baseline default otherwise.
 pub fn out_path(default: &str) -> String {
     let args: Vec<String> = std::env::args().skip(1).collect();
     flag_value(&args, "--out").unwrap_or_else(|| default.to_string())

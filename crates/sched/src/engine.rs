@@ -37,13 +37,13 @@ use megis_genomics::sample::Diversity;
 use megis_host::accelerators::SortingAccelerator;
 use megis_host::system::SystemConfig;
 use megis_ssd::config::SsdConfig;
-use megis_ssd::timing::{ByteSize, SimDuration};
+use megis_ssd::timing::ByteSize;
 use megis_tools::workload::WorkloadSpec;
 
 use crate::fault::FaultPlan;
 use crate::job::{JobError, JobId, JobResult, JobSpec};
 use crate::metrics::{BatchReport, LatencyStats, ShardStats};
-use crate::model::{ModeledAccount, QueueModel};
+use crate::model::ModeledAccount;
 use crate::queue::{AdmissionError, JobQueue, SchedPolicy};
 use crate::service::{JobHandle, StreamingEngine};
 use crate::shard::ShardSet;
@@ -67,28 +67,6 @@ pub struct EngineConfig {
     /// overlap of §4.7 — while depth 1 serializes each device against the
     /// host round trip.
     pub queue_depth: usize,
-    /// Simulated host-side cost of issuing one command (doorbell write,
-    /// command build); zero by default so functional tests pay nothing.
-    pub submission_latency: Duration,
-    /// Simulated host-side cost of reaping one completion (interrupt +
-    /// completion-queue processing); zero by default.
-    pub completion_latency: Duration,
-    /// Simulated per-command device service time (the shard streaming its
-    /// database partition for one sample, which at paper scale dwarfs the
-    /// in-memory merge the functional shard worker actually computes); zero
-    /// by default. The shard worker sleeps this long per command, so the
-    /// simulated devices genuinely overlap each other — and overlap the
-    /// host — even on a single-core host.
-    pub device_latency: Duration,
-    /// Simulated *per-candidate* device service time for Step 3 commands, on
-    /// top of [`EngineConfig::device_latency`]: a Step 3 command over `k`
-    /// candidate references sleeps an extra `k ×` this value, modeling the
-    /// per-reference index stream. Zero by default. Unlike the flat
-    /// per-command latency, this makes a device's Step 3 service time
-    /// proportional to its candidate-range size — which is what lets the
-    /// straggler analyzer observe the equal-count partitioning skew the
-    /// 8-device sweep suffers from.
-    pub step3_item_latency: Duration,
     /// Whether idle devices steal queued Step 3 commands from loaded peers'
     /// queues (`true` by default). Step 2 intersections stay pinned — they
     /// need the owner's database slice — but Step 3 commands resolve against
@@ -146,10 +124,6 @@ impl Default for EngineConfig {
             policy: SchedPolicy::Fifo,
             queue_capacity: 1024,
             queue_depth: 4,
-            submission_latency: Duration::ZERO,
-            completion_latency: Duration::ZERO,
-            device_latency: Duration::ZERO,
-            step3_item_latency: Duration::ZERO,
             work_stealing: true,
             trace_capacity: None,
             fault_plan: None,
@@ -226,42 +200,6 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the simulated host-side submission and completion-reaping
-    /// latencies (both default to zero). Nonzero values make queue depth
-    /// matter in wall-clock terms: they are the round trip a deeper queue
-    /// hides (see [`crate::model::QueueModel`]).
-    pub fn with_command_latencies(
-        mut self,
-        submission: Duration,
-        completion: Duration,
-    ) -> EngineConfig {
-        self.submission_latency = submission;
-        self.completion_latency = completion;
-        self
-    }
-
-    /// Sets the simulated per-command device service time (defaults to
-    /// zero). The shard workers sleep it per command, modeling the partition
-    /// stream that dominates real device service; it is the `service` term
-    /// the depth curve of [`crate::model::QueueModel`] divides the round
-    /// trip by.
-    pub fn with_device_latency(mut self, device: Duration) -> EngineConfig {
-        self.device_latency = device;
-        self
-    }
-
-    /// Sets the simulated per-candidate Step 3 service time (defaults to
-    /// zero): each Step 3 command sleeps an extra `stream_units ×` this
-    /// value, where a command's stream units are its cost-normalized
-    /// candidate count (exactly `candidates` under uniform per-candidate
-    /// costs). A device's Step 3 busy time thus scales with the index bytes
-    /// it streams, and the straggler analyzer can attribute partitioning
-    /// skew.
-    pub fn with_step3_item_latency(mut self, per_candidate: Duration) -> EngineConfig {
-        self.step3_item_latency = per_candidate;
-        self
-    }
-
     /// Enables or disables Step 3 work stealing between devices (enabled by
     /// default). Disabling pins every command to its shard-of-record — the
     /// pre-stealing execution model — which tests use to compare stolen and
@@ -324,6 +262,13 @@ impl EngineConfig {
     /// this long is re-issued (counting against the retry budget), so a
     /// stuck device delays its job instead of wedging the reaping loop.
     ///
+    /// The clock runs from each attempt's issue, queue wait included, and an
+    /// attempt superseded by a re-issue is discarded when it answers late.
+    /// A deadline shorter than a command's real service time plus its wait
+    /// behind queued neighbours therefore supersedes every attempt before
+    /// it can answer, and the job fails with
+    /// [`crate::JobError::RetriesExhausted`] on a healthy device.
+    ///
     /// # Panics
     ///
     /// Panics if `deadline` is zero.
@@ -367,23 +312,6 @@ impl EngineConfig {
     pub fn with_system(mut self, system: SystemConfig) -> EngineConfig {
         self.system = system;
         self
-    }
-
-    /// Sets the modeled workload.
-    pub fn with_workload(mut self, workload: WorkloadSpec) -> EngineConfig {
-        self.workload = workload;
-        self
-    }
-
-    /// The [`QueueModel`] matching this configuration's queue depth and
-    /// simulated command latencies (what the engine hands to
-    /// [`ModeledAccount::compute_with_queue`]).
-    pub fn queue_model(&self) -> QueueModel {
-        QueueModel {
-            depth: self.queue_depth,
-            submission_latency: SimDuration::from_secs(self.submission_latency.as_secs_f64()),
-            completion_latency: SimDuration::from_secs(self.completion_latency.as_secs_f64()),
-        }
     }
 }
 
@@ -511,12 +439,11 @@ impl BatchEngine {
                 trace: None,
             };
         }
-        let modeled = ModeledAccount::compute_with_queue(
+        let modeled = ModeledAccount::compute(
             &self.config.system,
             &self.config.workload,
             sample_count,
             shard_count,
-            self.config.queue_model(),
         );
 
         let batch_start = Instant::now();

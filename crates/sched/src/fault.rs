@@ -87,8 +87,12 @@ impl FaultPlan {
         self
     }
 
-    /// Samples each command's first attempt for a latency spike of `extra`
-    /// on top of the configured device latency.
+    /// Samples each command's first attempt for a latency spike: the device
+    /// dwells for `extra` before serving it. This is the engine's only
+    /// simulated device time (everything else it spends is real CPU time),
+    /// which also makes rate `1.0` the way a test holds commands in flight.
+    /// A spike is not a fault: no counter moves and no `Fault` event is
+    /// traced.
     pub fn with_latency_spike(mut self, rate: f64, extra: Duration) -> FaultPlan {
         assert!((0.0..=1.0).contains(&rate), "rate must be in [0, 1]");
         self.spike_rate = rate;

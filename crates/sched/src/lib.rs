@@ -46,8 +46,8 @@
 //! * [`model`] — the paper-scale modeled-time account ([`ModeledAccount`]),
 //!   cross-checking the executed batch shape against
 //!   `MegisTimingModel::multi_sample_breakdown` and the Fig. 15 shard
-//!   scaling series, plus the command-queue model ([`QueueModel`]): how much
-//!   of the host submission/completion round trip a given queue depth hides,
+//!   scaling series. It is the only model of *device* time in the crate:
+//!   the engine itself spends real host CPU time and nothing else,
 //! * [`trace`] — the pipeline tracing subsystem ([`TraceSink`],
 //!   [`StageBreakdown`], [`StragglerReport`]): per-command lifecycle events
 //!   and the analyses built on them (see *Observability* below).
@@ -105,9 +105,9 @@
 //! **Overhead contract:** tracing is disabled by default;
 //! [`trace::TraceSink::disabled`] records through a single inlined branch
 //! (no lock, no clock read, no allocation), so instrumented hot paths cost
-//! nothing when tracing is off. The `trace_overhead` bench experiment
-//! measures and CI gates this (< 2% engine overhead vs. a no-trace
-//! baseline).
+//! nothing when tracing is off. The repository benchmark measures the
+//! enabled-vs-disabled wall clock as its `sched.trace.overhead_frac` row
+//! (`benchmark/README.md`).
 //!
 //! # Machine-checked invariants
 //!
@@ -209,7 +209,7 @@ pub use engine::{BatchEngine, EngineConfig, PartialAdmission};
 pub use fault::{FaultDecision, FaultPlan};
 pub use job::{JobError, JobId, JobResult, JobSpec, Priority};
 pub use metrics::{BatchReport, LatencyStats, RollingWindow, ShardStats};
-pub use model::{ModeledAccount, QueueModel};
+pub use model::ModeledAccount;
 pub use queue::{AdmissionError, JobQueue, SchedPolicy};
 pub use service::{JobHandle, ServiceReport, ServiceSnapshot, StreamingEngine};
 pub use shard::ShardSet;

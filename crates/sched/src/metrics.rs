@@ -351,6 +351,9 @@ impl BatchReport {
             out.push_str(&line);
         }
         out.push_str(&stage_breakdown_line(self.stage_breakdown.as_ref()));
+        if let Some(line) = trace_overflow_line(self.trace.as_ref()) {
+            out.push_str(&line);
+        }
         match &self.modeled {
             Some(modeled) => {
                 let _ = writeln!(
@@ -398,6 +401,19 @@ pub(crate) fn stage_breakdown_line(breakdown: Option<&StageBreakdown>) -> String
         Some(breakdown) => format!("stage breakdown (mean): {}\n", breakdown.summary_line()),
         None => "stage breakdown (mean): n/a (tracing disabled)\n".to_string(),
     }
+}
+
+/// Renders the trace-overflow warning shared by both report summaries —
+/// only when the bounded ring evicted events, because every traced figure
+/// above it (stage breakdown, straggler report) was then computed from a
+/// truncated log. Clean summaries stay byte-identical.
+pub(crate) fn trace_overflow_line(trace: Option<&TraceLog>) -> Option<String> {
+    let trace = trace.filter(|trace| trace.dropped > 0)?;
+    Some(format!(
+        "trace: {} events, {} dropped — breakdown and straggler figures are incomplete\n",
+        trace.events.len(),
+        trace.dropped,
+    ))
 }
 
 /// Renders the resident-database and Step 3 summary lines shared verbatim

@@ -20,101 +20,6 @@ use megis_ssd::timing::SimDuration;
 use megis_tools::timing::Breakdown;
 use megis_tools::workload::WorkloadSpec;
 
-/// NVMe-style command-queue model: per-shard queue depth plus the host-side
-/// submission and completion-reaping latencies a deeper queue hides.
-///
-/// The model prices one device's steady-state command cycle. With queue
-/// depth `d`, while the host spends the round trip `r = submission +
-/// completion` turning one completion into the next submission, the device
-/// has `d - 1` other queued commands to chew through; the per-command idle
-/// bubble is therefore `max(0, r - (d - 1) * service)` and utilization
-/// saturates once `d >= 1 + r / service`. This is the same bounded-queue
-/// framing GenStore/MetaStore use for their per-device command streams, and
-/// what the `queue_depth_sweep` experiment compares measurements against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueueModel {
-    /// The *configured* operating point: commands that may be outstanding
-    /// per device in the run this model describes. The evaluation methods
-    /// ([`QueueModel::cycle_time`] and friends) take an explicit depth
-    /// argument instead of reading this field, so one latency configuration
-    /// can price alternative depths — that is what
-    /// [`ModeledAccount::queue_depth_curve`] and the `queue_depth_sweep`
-    /// experiment do.
-    pub depth: usize,
-    /// Host-side cost of issuing one command.
-    pub submission_latency: SimDuration,
-    /// Host-side cost of reaping one completion.
-    pub completion_latency: SimDuration,
-}
-
-impl Default for QueueModel {
-    /// Depth 1 with zero latencies: the degenerate model under which queue
-    /// depth changes nothing (used when the caller does not model queues).
-    fn default() -> QueueModel {
-        QueueModel {
-            depth: 1,
-            submission_latency: SimDuration::from_secs(0.0),
-            completion_latency: SimDuration::from_secs(0.0),
-        }
-    }
-}
-
-impl QueueModel {
-    /// The host round trip per command: submission plus completion latency.
-    pub fn round_trip(&self) -> SimDuration {
-        self.submission_latency + self.completion_latency
-    }
-
-    /// Steady-state cycle time of one command at `depth` given the device's
-    /// per-command `service` time: service plus the idle bubble left after
-    /// `depth - 1` queued commands have covered what they can of the host
-    /// round trip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `depth` is zero.
-    pub fn cycle_time(&self, depth: usize, service: SimDuration) -> SimDuration {
-        assert!(depth > 0, "queue depth must be positive");
-        let covered = service * (depth - 1) as f64;
-        service + self.round_trip().saturating_sub(covered)
-    }
-
-    /// The per-command idle bubble at `depth`: the slice of the cycle the
-    /// device spends waiting on the host round trip, `cycle_time − service`
-    /// (zero once the queue is deep enough to hide the whole round trip).
-    /// This is the modeled counterpart of the *stall* time the straggler
-    /// analyzer measures per device from the trace.
-    pub fn idle_bubble(&self, depth: usize, service: SimDuration) -> SimDuration {
-        self.cycle_time(depth, service).saturating_sub(service)
-    }
-
-    /// Device utilization at `depth`: `service / cycle_time`, in `(0, 1]`.
-    pub fn utilization(&self, depth: usize, service: SimDuration) -> f64 {
-        if service.is_zero() {
-            return 1.0;
-        }
-        service / self.cycle_time(depth, service)
-    }
-
-    /// Modeled throughput at `depth` relative to depth 1 (≥ 1, saturating
-    /// at `1 + round_trip / service` once the queue hides the whole round
-    /// trip).
-    pub fn throughput_multiplier(&self, depth: usize, service: SimDuration) -> f64 {
-        if service.is_zero() {
-            return 1.0;
-        }
-        self.cycle_time(1, service) / self.cycle_time(depth, service)
-    }
-
-    /// The `(depth, throughput multiplier vs depth 1)` curve for depths
-    /// `1..=max_depth`.
-    pub fn sweep(&self, max_depth: usize, service: SimDuration) -> Vec<(usize, f64)> {
-        (1..=max_depth)
-            .map(|d| (d, self.throughput_multiplier(d, service)))
-            .collect()
-    }
-}
-
 /// Paper-scale account of one batch shape.
 #[derive(Debug, Clone)]
 pub struct ModeledAccount {
@@ -144,16 +49,6 @@ pub struct ModeledAccount {
     /// the max per-device cost, not the ceiling-split average a count-based
     /// partition would suggest.
     pub step3_stream_time: SimDuration,
-    /// The command-queue model the account was evaluated under.
-    pub queue: QueueModel,
-    /// `(depth, modeled throughput multiplier vs depth 1)` for depths up to
-    /// `max(8, queue.depth)`, with the per-command service time taken as
-    /// [`ModeledAccount::shard_stream_time`]. At paper scale the database
-    /// stream dominates NVMe round trips, so this curve is nearly flat —
-    /// the point of reporting it next to a measured sweep is to show *when*
-    /// depth matters (round trip comparable to service time) and when it
-    /// cannot.
-    pub queue_depth_curve: Vec<(usize, f64)>,
 }
 
 impl ModeledAccount {
@@ -175,27 +70,8 @@ impl ModeledAccount {
         samples: usize,
         shards: usize,
     ) -> ModeledAccount {
-        ModeledAccount::compute_with_queue(system, workload, samples, shards, QueueModel::default())
-    }
-
-    /// Evaluates the account under an explicit [`QueueModel`] (per-shard
-    /// command-queue depth plus host submission/completion latencies); the
-    /// engine passes its configured queue parameters here so the modeled
-    /// depth curve matches what the functional run simulates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples`, `shards`, or `queue.depth` is zero.
-    pub fn compute_with_queue(
-        system: &SystemConfig,
-        workload: &WorkloadSpec,
-        samples: usize,
-        shards: usize,
-        queue: QueueModel,
-    ) -> ModeledAccount {
         assert!(samples > 0, "at least one sample is required");
         assert!(shards > 0, "at least one shard is required");
-        assert!(queue.depth > 0, "queue depth must be positive");
         let model = MegisTimingModel::full();
         let single = model.presence_breakdown(system, workload);
         let independent = baseline_multi_sample(&single, samples);
@@ -232,7 +108,6 @@ impl ModeledAccount {
             shards,
         )
         .time_at(shard_view.aggregate_internal_read_bandwidth());
-        let queue_depth_curve = queue.sweep(queue.depth.max(8), shard_stream_time);
 
         ModeledAccount {
             samples,
@@ -242,8 +117,6 @@ impl ModeledAccount {
             shard_speedups,
             shard_stream_time,
             step3_stream_time,
-            queue,
-            queue_depth_curve,
         }
     }
 
@@ -493,87 +366,6 @@ mod tests {
             (acct.shard_stream_time / expected - 1.0).abs() < 1e-12,
             "stream time must price the ceiling-sized shard"
         );
-    }
-
-    #[test]
-    fn queue_model_hides_the_round_trip_with_depth() {
-        let queue = QueueModel {
-            depth: 8,
-            submission_latency: SimDuration::from_micros(30.0),
-            completion_latency: SimDuration::from_micros(70.0),
-        };
-        let service = SimDuration::from_micros(50.0);
-        // Depth 1: every command pays the full 100 µs round trip on top of
-        // 50 µs of service — one third utilization.
-        assert!((queue.utilization(1, service) - 50.0 / 150.0).abs() < 1e-12);
-        // Depth 2 covers 50 µs of the round trip; depth 3 covers it all.
-        assert!((queue.cycle_time(2, service).as_micros() - 100.0).abs() < 1e-9);
-        assert!((queue.cycle_time(3, service).as_micros() - 50.0).abs() < 1e-9);
-        assert!((queue.utilization(3, service) - 1.0).abs() < 1e-12);
-        // The multiplier curve rises monotonically and saturates at
-        // 1 + r/s = 3x.
-        let curve = queue.sweep(8, service);
-        assert_eq!(curve.len(), 8);
-        assert_eq!(curve[0], (1, 1.0));
-        for w in curve.windows(2) {
-            assert!(w[1].1 >= w[0].1, "curve must be monotone: {curve:?}");
-        }
-        assert!((curve[7].1 - 3.0).abs() < 1e-9, "saturates at 1 + r/s");
-    }
-
-    #[test]
-    fn idle_bubble_shrinks_with_depth_and_closes_at_saturation() {
-        let queue = QueueModel {
-            depth: 4,
-            submission_latency: SimDuration::from_micros(30.0),
-            completion_latency: SimDuration::from_micros(70.0),
-        };
-        let service = SimDuration::from_micros(50.0);
-        // Depth 1 exposes the whole 100 µs round trip; each extra queued
-        // command hides 50 µs of it; depth 3 closes the bubble entirely.
-        assert!((queue.idle_bubble(1, service).as_micros() - 100.0).abs() < 1e-9);
-        assert!((queue.idle_bubble(2, service).as_micros() - 50.0).abs() < 1e-9);
-        assert!(queue.idle_bubble(3, service).is_zero());
-        assert!(queue.idle_bubble(8, service).is_zero());
-    }
-
-    #[test]
-    fn zero_round_trip_makes_depth_irrelevant() {
-        let queue = QueueModel::default();
-        let service = SimDuration::from_millis(2.0);
-        for depth in 1..=8 {
-            assert_eq!(queue.throughput_multiplier(depth, service), 1.0);
-        }
-    }
-
-    #[test]
-    fn paper_scale_queue_curve_is_nearly_flat() {
-        // At paper scale the per-shard database stream takes seconds while
-        // NVMe-class round trips take microseconds, so modeled depth gains
-        // are negligible — the account must say so rather than promise
-        // speedups the device cannot deliver.
-        let system = SystemConfig::reference(SsdConfig::ssd_c());
-        let workload = WorkloadSpec::cami(Diversity::Medium);
-        let queue = QueueModel {
-            depth: 4,
-            submission_latency: SimDuration::from_micros(25.0),
-            completion_latency: SimDuration::from_micros(25.0),
-        };
-        let acct = ModeledAccount::compute_with_queue(&system, &workload, 4, 2, queue);
-        assert_eq!(acct.queue, queue);
-        assert_eq!(acct.queue_depth_curve.len(), 8);
-        for (depth, mult) in &acct.queue_depth_curve {
-            assert!(
-                (*mult - 1.0).abs() < 1e-4,
-                "depth {depth} promises {mult:.6}x at paper scale"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "queue depth")]
-    fn zero_depth_cycle_rejected() {
-        QueueModel::default().cycle_time(0, SimDuration::from_micros(1.0));
     }
 
     #[test]

@@ -84,8 +84,7 @@
 //! range no query of a sample falls into is skipped for that sample's
 //! Step 2, and a device whose candidate range is empty (fewer candidates
 //! than devices, or a sample with no candidates at all) is skipped for its
-//! Step 3, rather than shipped no-op work that would burn a queue slot and
-//! simulated device time.
+//! Step 3, rather than shipped no-op work that would burn a queue slot.
 //!
 //! **Memory.** The shard workers hold zero-copy views over the analyzer's
 //! columnar database storage (see [`crate::shard`]): spinning up an N-shard
@@ -122,15 +121,6 @@
 //! single-member command is byte-identical to the uncoalesced dispatch —
 //! the window-off default *is* the old dispatcher. Per-sample results are
 //! byte-identical either way; only the number of database sweeps changes.
-//!
-//! **Modeled latencies.** [`crate::EngineConfig::submission_latency`] and
-//! [`crate::EngineConfig::completion_latency`] (both zero by default)
-//! simulate the host-side cost of issuing a command and of reaping a
-//! completion. They are what make queue depth *matter* in wall-clock terms:
-//! at depth 1 every command's round trip serializes against the device,
-//! while depth `d` lets the device keep computing through `d - 1` queued
-//! commands — the behavior [`crate::model::QueueModel`] prices analytically
-//! and the `queue_depth_sweep` experiment measures.
 //!
 //! **Failure.** Failure handling is layered, mirroring how a real device
 //! array degrades, and every layer is exercised deterministically by an
@@ -182,7 +172,7 @@
 //! in the workers, `CommandIssued` per `(seq, shard)` at the dispatcher's
 //! intersect submission and the completer's Step 3 backlog submission,
 //! `CommandStarted`/`CommandCompleted` in the shard workers (bracketing the
-//! simulated device service), `ReduceStarted`/`ReduceFinished` around the
+//! device service), `ReduceStarted`/`ReduceFinished` around the
 //! completer's reduce, and `Delivered` at handle send. At `finalize` the
 //! completer reconstructs the job's [`crate::trace::StageBreakdown`] from
 //! its own events (attached to [`JobResult::breakdown`] and averaged into
@@ -194,9 +184,8 @@
 //! **Overhead contract:** tracing is off by default and the disabled sink's
 //! record path is a single inlined branch — no lock, no clock read, no
 //! allocation — so the instrumentation points cost the engine nothing when
-//! unused. The `trace_overhead` bench experiment measures the disabled path
-//! per call and whole-engine wall clock against a build-equivalent baseline,
-//! and CI gates the overhead below 2%.
+//! unused. The repository benchmark reports the traced-vs-untraced wall
+//! clock as `sched.trace.overhead_frac` (`benchmark/README.md`).
 //!
 //! [`crate::BatchEngine::run`] is a thin wrapper over this executor
 //! (dispatch the closed batch, drain, shut down), so batch mode inherits the
@@ -693,6 +682,9 @@ impl ServiceReport {
         out.push_str(&crate::metrics::stage_breakdown_line(
             self.stage_breakdown.as_ref(),
         ));
+        if let Some(line) = crate::metrics::trace_overflow_line(self.trace.as_ref()) {
+            out.push_str(&line);
+        }
         out
     }
 }
@@ -836,8 +828,6 @@ impl StreamingEngine {
             let resp_tx = resp_tx.clone();
             let stats_tx = stats_tx.clone();
             let shared = Arc::clone(&shared);
-            let device_latency = config.device_latency;
-            let step3_item_latency = config.step3_item_latency;
             let fault_plan = config.fault_plan.clone();
             let trace = trace.clone();
             shard_handles.push(thread::spawn(move || {
@@ -970,27 +960,13 @@ impl StreamingEngine {
                     // serving (see `record_service_interval`).
                     let trace_started = trace.now();
                     let t0 = Instant::now();
-                    // Simulated device service (the partition stream / the
-                    // candidate-index stream); the sleeps count as busy
-                    // time, so utilization and the measured per-command
-                    // service both reflect them. Step 3 commands pay an
-                    // additional stream cost proportional to their range's
-                    // *modeled bytes* (`stream_units`, cost-normalized so
-                    // uniform candidates reproduce the old per-item sleep),
-                    // so candidate skew the partitioner could not split
-                    // shows up as per-device busy-time skew. An injected
-                    // latency spike stalls the device first — busy time the
-                    // command deadline exists to cut short.
+                    // An injected latency spike stalls the device before it
+                    // serves — busy time the command deadline exists to cut
+                    // short, and the only simulated dwell on the serving
+                    // path: device *time* is priced analytically
+                    // (`crate::model`), the engine spends real CPU time.
                     if !spike.is_zero() {
                         thread::sleep(spike);
-                    }
-                    if !device_latency.is_zero() {
-                        thread::sleep(device_latency);
-                    }
-                    if let ShardCommand::Step3(c) = &command {
-                        if !step3_item_latency.is_zero() && c.stream_units > 0.0 {
-                            thread::sleep(step3_item_latency.mul_f64(c.stream_units));
-                        }
                     }
                     let output = worker.serve(&command);
                     busy += t0.elapsed();
@@ -1086,7 +1062,6 @@ impl StreamingEngine {
             let shared = Arc::clone(&shared);
             let shard_set = shards.clone();
             let queue_depth = config.queue_depth;
-            let submission_latency = config.submission_latency;
             let coalescing_window = config.coalescing_window;
             let trace = trace.clone();
             thread::spawn(move || {
@@ -1097,7 +1072,6 @@ impl StreamingEngine {
                     dispatcher_producer,
                     meta_tx,
                     queue_depth,
-                    submission_latency,
                     coalescing_window,
                     &trace,
                 );
@@ -1107,8 +1081,6 @@ impl StreamingEngine {
             let shared = Arc::clone(&shared);
             let queues = Arc::clone(&queues);
             let queue_depth = config.queue_depth;
-            let submission_latency = config.submission_latency;
-            let completion_latency = config.completion_latency;
             let retry_budget = config.retry_budget;
             let retry_backoff = config.retry_backoff;
             let command_deadline = config.command_deadline;
@@ -1130,8 +1102,6 @@ impl StreamingEngine {
                     command_deadline,
                     next_to_deliver: 0,
                     meta_open: true,
-                    submission_latency,
-                    completion_latency,
                     trace,
                 }
                 .run(meta_rx, resp_rx);
@@ -1443,7 +1413,7 @@ fn step1_worker(
 }
 
 /// Emits the `CommandStarted`/`CommandCompleted` pair(s) bracketing one
-/// served command's simulated device service.
+/// served command's device service.
 ///
 /// A single-owner command gets one pair spanning the whole interval —
 /// exactly the uncoalesced shape. A coalesced command's interval is split
@@ -1527,7 +1497,6 @@ fn isp_dispatcher(
     producer: QueueProducer,
     meta_tx: Sender<DispatchMsg>,
     queue_depth: usize,
-    submission_latency: Duration,
     coalescing_window: Option<Duration>,
     trace: &TraceSink,
 ) {
@@ -1609,7 +1578,6 @@ fn isp_dispatcher(
                 group,
                 &mut dispatched,
                 queue_depth,
-                submission_latency,
                 trace,
             ) {
                 return;
@@ -1644,7 +1612,6 @@ fn dispatch_group(
     group: Vec<PreparedJob>,
     dispatched: &mut usize,
     queue_depth: usize,
-    submission_latency: Duration,
     trace: &TraceSink,
 ) -> bool {
     let isp_start = Instant::now();
@@ -1662,7 +1629,7 @@ fn dispatch_group(
         // A shard whose slice is empty — every padding shard, and any
         // populated shard this sample's queries miss entirely — is skipped:
         // an empty slice can only intersect to nothing, and a no-op member
-        // would waste simulated device service time.
+        // would waste a queue slot.
         let slices = shards.slice_queries(&queries);
         let targets: Vec<(usize, Range<usize>)> = slices
             .into_iter()
@@ -1693,13 +1660,6 @@ fn dispatch_group(
     for (shard, members) in shard_members.into_iter().enumerate() {
         if members.is_empty() {
             continue;
-        }
-        // Host-side submission cost (doorbell write, command build). Modeled
-        // *outside* the lock: it occupies the dispatcher, not the service.
-        // One submission per physical command — the host-side saving of
-        // coalescing is exactly the members that ride along for free.
-        if !submission_latency.is_zero() {
-            thread::sleep(submission_latency);
         }
         // NVMe queue-depth gate: at most `queue_depth` commands outstanding
         // per shard (submitted, completion not yet reaped). A coalesced
@@ -1838,8 +1798,6 @@ struct IspCompleter<'a> {
     /// `false` once the dispatcher exited and its meta channel drained (no
     /// further jobs will ever arrive).
     meta_open: bool,
-    submission_latency: Duration,
-    completion_latency: Duration,
     trace: TraceSink,
 }
 
@@ -1862,10 +1820,6 @@ impl IspCompleter<'_> {
             // re-issues fire promptly.
             match resp_rx.recv_timeout(self.poll_timeout()) {
                 Ok(completion) => {
-                    // Host-side completion handling cost (interrupt + reap).
-                    if !self.completion_latency.is_zero() {
-                        thread::sleep(self.completion_latency);
-                    }
                     // The meta was sent before any of the job's commands, so
                     // after absorbing the meta channel it must be known.
                     self.absorb(&meta_rx);
@@ -2327,12 +2281,6 @@ impl IspCompleter<'_> {
         job.step2 = Some(step2);
         job.step3_dispatched = true;
         let sample = Arc::clone(&job.meta.prepared.sample);
-        // Normalize modeled part costs into candidate units so the
-        // simulated per-item device latency prices a command by the bytes
-        // it streams: the job's units sum to its candidate count, and
-        // uniform per-candidate costs reproduce `range.len()` exactly.
-        let total_cost: u64 = partition.iter().map(|p| p.cost).sum();
-        let n_candidates = candidates.len();
         let mut expected = vec![false; shard_count];
         let mut commands = Vec::new();
         for (shard, part) in partition.into_iter().enumerate() {
@@ -2343,7 +2291,6 @@ impl IspCompleter<'_> {
                 continue;
             }
             expected[shard] = true;
-            let stream_units = part.cost as f64 * n_candidates as f64 / total_cost as f64;
             commands.push((
                 shard,
                 ShardCommand::Step3(Step3Command {
@@ -2352,7 +2299,6 @@ impl IspCompleter<'_> {
                     candidates: Arc::clone(&candidates),
                     range: part.range,
                     base_offset: part.base_offset,
-                    stream_units,
                     record_shard: shard,
                     attempt: 0,
                 }),
@@ -2400,11 +2346,6 @@ impl IspCompleter<'_> {
             self.backlog = kept;
         }
         for (shard, command) in to_send {
-            // Host-side submission cost (doorbell write, command build),
-            // modeled outside the lock.
-            if !self.submission_latency.is_zero() {
-                thread::sleep(self.submission_latency);
-            }
             self.trace.record(
                 command.seq(),
                 TraceEventKind::CommandIssued {
@@ -2564,6 +2505,7 @@ impl IspCompleter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
     use crate::queue::SchedPolicy;
     use megis::config::MegisConfig;
     use megis_genomics::sample::{CommunityConfig, Diversity};
@@ -2577,6 +2519,14 @@ mod tests {
 
     fn analyzer(c: &megis_genomics::sample::Community) -> MegisAnalyzer {
         MegisAnalyzer::build(c.references(), MegisConfig::small())
+    }
+
+    /// A plan that makes every command dwell on its device for `duration`
+    /// before it is served: the one way to hold commands in flight long
+    /// enough for a test to observe an interleaving. A spike is not a
+    /// fault — no counter moves and no `Fault` event is emitted.
+    fn dwell(duration: Duration) -> FaultPlan {
+        FaultPlan::seeded(1).with_latency_spike(1.0, duration)
     }
 
     #[test]
@@ -2679,9 +2629,9 @@ mod tests {
             EngineConfig::new()
                 .with_workers(1)
                 .with_queue_capacity(1)
-                // Slow completion reaping keeps the job in flight long
-                // enough to observe the drained-but-busy window.
-                .with_command_latencies(Duration::ZERO, Duration::from_millis(25)),
+                // Dwelling commands keep the job in flight long enough to
+                // observe the drained-but-busy window.
+                .with_fault_plan(dwell(Duration::from_millis(25))),
         );
         let first = engine
             .submit(JobSpec::new("first", c.sample().clone()))
@@ -2761,8 +2711,9 @@ mod tests {
                 .with_workers(2)
                 .with_shards(2)
                 .with_queue_depth(depth)
-                // Slow reaping so the dispatcher actually hits the gate.
-                .with_command_latencies(Duration::ZERO, Duration::from_millis(2)),
+                // Dwelling commands so the dispatcher actually hits the
+                // gate.
+                .with_fault_plan(dwell(Duration::from_millis(2))),
         );
         let handles: Vec<JobHandle> = (0..12)
             .map(|i| {
@@ -2800,7 +2751,7 @@ mod tests {
         // unified-index generation and read mapping served as per-device
         // commands (not a coordinator call), each candidate merged on
         // exactly one device, results byte-identical to the sequential
-        // analyzer — and with a simulated device service time, some
+        // analyzer — and with commands dwelling on their devices, some
         // sample's Step 3 command must be submitted while another sample's
         // intersect command is outstanding (the per-stage pipeline overlap).
         //
@@ -2822,7 +2773,7 @@ mod tests {
                 .with_workers(2)
                 .with_shards(2)
                 .with_queue_depth(4)
-                .with_device_latency(Duration::from_millis(1))
+                .with_fault_plan(dwell(Duration::from_millis(1)))
                 .with_work_stealing(false),
         );
         let jobs = 6u64;
@@ -2876,10 +2827,14 @@ mod tests {
         use rand::{Rng, SeedableRng};
 
         // Adversarially skewed candidate sizes: one giant genome next to
-        // three small ones. The cost-aware partitioner gives the giant a
-        // device to itself, so that device's modeled stream time dwarfs its
-        // peer's — exactly the regime where the idle peer must steal queued
-        // Step 3 commands instead of waiting out the skew.
+        // three small ones, on an array wider than the candidate list. The
+        // cost-aware partitioner gives the giant a device to itself and
+        // leaves at least four devices with no candidate range at all, so
+        // per sample those devices serve one command (their intersect)
+        // where a Step 3 device serves two — exactly the regime where the
+        // idle peers must steal queued Step 3 commands instead of waiting
+        // out the skew. Every command dwells on its device, so the Step 3
+        // devices (not Step 1) are the bottleneck and their queues fill.
         let mut rng = StdRng::seed_from_u64(97);
         let lengths = [6000usize, 400, 400, 400];
         let taxonomy = Taxonomy::synthetic(1, lengths.len());
@@ -2923,9 +2878,9 @@ mod tests {
                 MegisAnalyzer::build(&references, MegisConfig::small()),
                 EngineConfig::new()
                     .with_workers(2)
-                    .with_shards(2)
+                    .with_shards(8)
                     .with_queue_depth(4)
-                    .with_step3_item_latency(Duration::from_millis(5))
+                    .with_fault_plan(dwell(Duration::from_millis(5)))
                     .with_work_stealing(stealing),
             );
             let handles: Vec<JobHandle> = (0..jobs)

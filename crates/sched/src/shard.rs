@@ -154,14 +154,6 @@ pub(crate) struct Step3Command {
     pub range: Range<usize>,
     /// Concatenated-reference-space offset where the range begins.
     pub base_offset: u64,
-    /// Simulated device stream time for the range, in *normalized candidate
-    /// units*: the part's modeled cost share of the job, rescaled so the
-    /// job's units sum to its candidate count. Uniform candidate costs make
-    /// this exactly `range.len()`, so the engine's per-candidate Step 3
-    /// latency keeps its historical meaning; skewed costs stretch or shrink
-    /// the simulated stream in proportion to the bytes the device actually
-    /// streams.
-    pub stream_units: f64,
 }
 
 /// One NVMe-style command on a device's tagged queue.
@@ -268,8 +260,7 @@ impl ShardWorker {
         ShardWorker { shards, analyzer }
     }
 
-    /// Serves one command functionally (device timing is simulated by the
-    /// caller).
+    /// Serves one command.
     pub(crate) fn serve(&self, command: &ShardCommand) -> CommandOutput {
         match command {
             ShardCommand::Intersect(c) => {

@@ -16,9 +16,9 @@
 //!   `(seq, shard)` command issued/started/completed for both command
 //!   kinds, reduce start/end, delivery. The sink is **zero-cost when
 //!   disabled**: [`TraceSink::disabled`] carries no buffer at all, and
-//!   [`TraceSink::record`] is an inlined `None` check — the `trace_overhead`
-//!   bench measures the disabled path per call and the whole-engine overhead
-//!   and CI gates both.
+//!   [`TraceSink::record`] is an inlined `None` check — the repository
+//!   benchmark's `sched.trace.overhead_frac` row measures the whole-engine
+//!   cost of turning it on.
 //! * [`StageBreakdown`] — the analysis layer's per-job answer: the job's
 //!   submission→delivery wall clock partitioned into consecutive stage
 //!   segments (queue wait, Step 1, per-stage queue wait vs. device service,
@@ -96,8 +96,8 @@ pub enum TraceEventKind {
         /// Target device.
         shard: usize,
     },
-    /// The device began serving the command (simulated stream + functional
-    /// work). `started - issued` is the command's in-queue wait.
+    /// The device began serving the command. `started - issued` is the
+    /// command's in-queue wait.
     CommandStarted {
         /// Command kind.
         stage: TraceStage,
@@ -193,8 +193,7 @@ struct SinkInner {
 /// Clone it into every producer thread; clones share one ring buffer. The
 /// disabled sink ([`TraceSink::disabled`]) holds nothing and records
 /// nothing: [`TraceSink::record`] is then a single inlined branch, so the
-/// engine pays ~zero for the instrumentation points it never uses (the
-/// `trace_overhead` experiment measures exactly this path).
+/// engine pays ~zero for the instrumentation points it never uses.
 #[derive(Debug, Clone, Default)]
 pub struct TraceSink {
     inner: Option<Arc<SinkInner>>,
@@ -629,8 +628,7 @@ pub struct DeviceUsage {
     pub device: usize,
     /// Commands the device served (both kinds).
     pub commands: u64,
-    /// Time the device spent serving commands (simulated stream plus
-    /// functional work), both kinds together.
+    /// Time the device spent serving commands, both kinds together.
     pub busy: Duration,
     /// Busy time attributable to Step 3 commands alone — the quantity whose
     /// per-device skew gates the reduce.

@@ -72,6 +72,6 @@ fn main() {
         println!("{}", format_breakdown(&breakdown));
     }
     println!(
-        "Compare with the baselines via `cargo run -p megis-bench --bin fig12_presence_speedup`."
+        "Compare with the baselines via `cargo run -p megis-bench -- fig12_presence_speedup`."
     );
 }

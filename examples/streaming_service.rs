@@ -9,9 +9,10 @@
 //! policy order, results are delivered incrementally on per-job handles,
 //! and the rolling metrics window reports recent p50/p99 while the service
 //! is up. The in-SSD stage runs NVMe-style per-shard command queues (depth
-//! 4 here, with a simulated per-command device service time), so several
-//! samples' intersections are in flight on every shard at once — the final
-//! per-shard report shows the peak queue occupancy each device reached.
+//! 4 here, with an injected 1 ms dwell per command standing in for a real
+//! device's service time), so several samples' intersections are in flight
+//! on every shard at once — the final per-shard report shows the peak queue
+//! occupancy each device reached.
 //! Pipeline tracing is enabled, so the shutdown report carries each job's
 //! stage-latency breakdown and the straggler analysis of the device array.
 //! The run ends with a graceful drain and shutdown.
@@ -26,7 +27,9 @@ use std::time::Duration;
 use megis::config::MegisConfig;
 use megis::MegisAnalyzer;
 use megis_genomics::sample::{CommunityConfig, Diversity};
-use megis_sched::{EngineConfig, JobHandle, JobSpec, Priority, SchedPolicy, StreamingEngine};
+use megis_sched::{
+    EngineConfig, FaultPlan, JobHandle, JobSpec, Priority, SchedPolicy, StreamingEngine,
+};
 
 fn main() {
     println!("MegIS streaming analysis service");
@@ -47,7 +50,7 @@ fn main() {
             .with_policy(SchedPolicy::Priority)
             .with_queue_capacity(64)
             .with_queue_depth(4)
-            .with_device_latency(Duration::from_millis(1))
+            .with_fault_plan(FaultPlan::seeded(7).with_latency_spike(1.0, Duration::from_millis(1)))
             .with_metrics_window(16)
             .with_tracing(),
     ));

@@ -8,8 +8,8 @@ use megis::{MegisAnalyzer, MegisOutput};
 use megis_genomics::sample::{CommunityConfig, Diversity, Sample};
 use megis_host::system::SystemConfig;
 use megis_sched::{
-    AdmissionError, BatchEngine, EngineConfig, JobSpec, ModeledAccount, Priority, SchedPolicy,
-    ShardSet,
+    AdmissionError, BatchEngine, EngineConfig, FaultPlan, JobSpec, ModeledAccount, Priority,
+    SchedPolicy, ShardSet,
 };
 use megis_ssd::config::SsdConfig;
 use megis_tools::workload::WorkloadSpec;
@@ -86,8 +86,8 @@ fn batch_results_identical_to_sequential_at_any_worker_and_shard_count() {
 fn batch_results_identical_across_queue_depths() {
     // Queue depth changes only how many commands dwell on each simulated
     // SSD, never what is computed: every worker/shard/depth combination
-    // must reproduce the sequential analyzer byte for byte, including a
-    // configuration with simulated command latencies.
+    // must reproduce the sequential analyzer byte for byte, with every
+    // command dwelling briefly on its device.
     let (analyzer, samples) = cohort(8);
     let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
 
@@ -104,9 +104,9 @@ fn batch_results_identical_across_queue_depths() {
                 .with_workers(workers)
                 .with_shards(shards)
                 .with_queue_depth(depth)
-                .with_command_latencies(
-                    std::time::Duration::from_micros(50),
-                    std::time::Duration::from_micros(50),
+                .with_fault_plan(
+                    FaultPlan::seeded(1)
+                        .with_latency_spike(1.0, std::time::Duration::from_micros(100)),
                 ),
         );
         engine.submit_all(specs(&samples)).unwrap();

@@ -9,7 +9,9 @@ use std::time::Duration;
 use megis::config::MegisConfig;
 use megis::{MegisAnalyzer, MegisOutput};
 use megis_genomics::sample::{CommunityConfig, Diversity, Sample};
-use megis_sched::{EngineConfig, FaultPlan, JobError, JobSpec, StreamingEngine, TraceEventKind};
+use megis_sched::{
+    EngineConfig, FaultPlan, JobError, JobHandle, JobSpec, StreamingEngine, TraceEventKind,
+};
 
 fn cohort(n: usize) -> (MegisAnalyzer, Vec<Sample>) {
     let base = CommunityConfig::preset(Diversity::Medium)
@@ -27,6 +29,19 @@ fn cohort(n: usize) -> (MegisAnalyzer, Vec<Sample>) {
     (analyzer, samples)
 }
 
+/// Submits `samples` in order as jobs `s0`, `s1`, ….
+fn submit_all(engine: &StreamingEngine, samples: &[Sample]) -> Vec<JobHandle> {
+    samples
+        .iter()
+        .enumerate()
+        .map(|(i, s)| {
+            engine
+                .submit(JobSpec::new(format!("s{i}"), s.clone()))
+                .expect("admission")
+        })
+        .collect()
+}
+
 /// Runs `samples` through a streaming engine under `config`, asserting
 /// every job succeeds, and returns the outputs in submission order plus
 /// the shutdown report.
@@ -36,16 +51,7 @@ fn run_expecting_success(
     config: EngineConfig,
 ) -> (Vec<MegisOutput>, megis_sched::ServiceReport) {
     let engine = StreamingEngine::new(analyzer, config);
-    let handles: Vec<_> = samples
-        .iter()
-        .enumerate()
-        .map(|(i, s)| {
-            engine
-                .submit(JobSpec::new(format!("s{i}"), s.clone()))
-                .expect("admission")
-        })
-        .collect();
-    let outputs = handles
+    let outputs = submit_all(&engine, samples)
         .into_iter()
         .map(|h| h.wait().expect("job recovered").output)
         .collect();
@@ -269,4 +275,200 @@ fn retry_budget_exhaustion_fails_the_job_not_the_engine() {
     let report = engine.shutdown();
     assert_eq!(report.failed_jobs, 2);
     assert_eq!(report.completed, 0);
+}
+
+/// Device count of the stuck-device fixture.
+const STUCK_SHARDS: usize = 2;
+
+/// The stuck-device fixture: 2 shards × depth 2 under `plan`, traced, with
+/// the command deadline armed, with or without a coalescing window.
+fn stuck_device_engine(
+    analyzer: &MegisAnalyzer,
+    plan: FaultPlan,
+    deadline: Duration,
+    budget: u32,
+    window: Option<Duration>,
+) -> StreamingEngine {
+    let mut config = EngineConfig::new()
+        .with_workers(2)
+        .with_shards(STUCK_SHARDS)
+        .with_queue_depth(2)
+        .with_fault_plan(plan)
+        .with_command_deadline(deadline)
+        .with_retry_budget(budget)
+        .with_tracing();
+    if let Some(window) = window {
+        config = config.with_coalescing_window(window);
+    }
+    StreamingEngine::new(analyzer.clone(), config)
+}
+
+/// The stuck-device path, recoverable pairing: every command's first
+/// attempt stalls on its device for longer than the command deadline but
+/// shorter than `deadline × (retry_budget + 1)`. The completer re-issues the
+/// stuck attempt; the re-issue queues behind its own sleeping device, so the
+/// deadline re-arms per attempt until the device wakes and serves a current
+/// one. The superseded attempts still complete — late, with a stale attempt
+/// counter — and must be discarded without freeing a queue slot twice.
+#[test]
+fn command_deadline_recovers_spiked_commands() {
+    const SAMPLES: usize = 4;
+    // The deadline has to clear a debug build's real per-command service
+    // time plus the wait behind a queued neighbour with room to spare: an
+    // attempt superseded before the device can answer it is discarded.
+    const SPIKE: Duration = Duration::from_millis(200);
+    const DEADLINE: Duration = Duration::from_millis(150);
+    // Spikes stack: at depth 2 a current attempt can wait out the sleep in
+    // progress, its neighbour's first attempt, and its own superseded first
+    // attempt (the owner pops freshest-first), so the budget covers three
+    // spikes, not one.
+    const BUDGET: u32 = 7;
+    let (analyzer, samples) = cohort(SAMPLES);
+    let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
+
+    for window in [None, Some(Duration::from_millis(2))] {
+        let plan = FaultPlan::seeded(29).with_latency_spike(1.0, SPIKE);
+        let engine = stuck_device_engine(&analyzer, plan, DEADLINE, BUDGET, window);
+        let handles = submit_all(&engine, &samples);
+        engine.drain();
+        assert_eq!(
+            engine.snapshot().shard_inflight,
+            vec![0; STUCK_SHARDS],
+            "window {window:?}: every queue slot is freed exactly once"
+        );
+        for (i, handle) in handles.into_iter().enumerate() {
+            let result = handle
+                .try_wait()
+                .expect("drained job delivered")
+                .unwrap_or_else(|e| panic!("window {window:?}: sample {i} failed: {e}"));
+            assert_eq!(
+                result.output, expected[i],
+                "window {window:?}: sample {i} diverged after a deadline re-issue"
+            );
+        }
+        let report = engine.shutdown();
+        assert_eq!(report.failed_jobs, 0, "window {window:?}");
+        assert_eq!(report.completed, SAMPLES as u64, "window {window:?}");
+        let retries: u64 = report.shard_stats.iter().map(|s| s.retries).sum();
+        let faults: u64 = report.shard_stats.iter().map(|s| s.faults).sum();
+        assert!(
+            retries > 0,
+            "window {window:?}: the deadline must have re-issued stuck commands"
+        );
+        assert_eq!(faults, 0, "window {window:?}: a spike is not a fault");
+        // Every attempt is eventually served, superseded or not, and at most
+        // one command exists per (sample, shard, stage): more completions
+        // than that means superseded attempts answered late — and, by the
+        // parity above, were discarded.
+        let trace = report.trace.as_ref().expect("tracing on");
+        assert_eq!(trace.dropped, 0, "window {window:?}");
+        let served_attempts = trace
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::CommandCompleted { .. }))
+            .count();
+        assert!(
+            served_attempts > SAMPLES * STUCK_SHARDS * 2,
+            "window {window:?}: only {served_attempts} attempts were served"
+        );
+    }
+}
+
+/// The stuck-device path, unrecoverable pairing: the spike outlasts
+/// `deadline × (retry_budget + 1)` many times over, so the spiked jobs
+/// exhaust their budget while their devices are still asleep. They must
+/// fail alone: the engine drains, frees their queue slots, and — once the
+/// devices wake — serves a later, unspiked job byte-identically.
+#[test]
+fn command_deadline_fails_hopelessly_stuck_jobs_and_keeps_serving() {
+    use megis_sched::{FaultDecision, TraceStage};
+    const SPIKED_JOBS: usize = 2;
+    const SPIKE: Duration = Duration::from_millis(500);
+    const DEADLINE: Duration = Duration::from_millis(100);
+    const BUDGET: u32 = 1;
+    let (analyzer, samples) = cohort(SPIKED_JOBS + 1);
+    let expected_late = analyzer.analyze(&samples[SPIKED_JOBS]);
+
+    // Decisions are a pure function of (seed, seq, shard, stage), so the
+    // first seed whose schedule has the wanted shape can simply be looked
+    // up: both intersects of every early job spiked (whichever job leads a
+    // coalesced command, it is spiked), nothing of the late job spiked.
+    let spiked_shards = |plan: &FaultPlan, seq: usize, stage: TraceStage| {
+        (0..STUCK_SHARDS)
+            .filter(|&shard| {
+                matches!(
+                    plan.decide(seq, shard, stage, 0),
+                    Some(FaultDecision::Spike(_))
+                )
+            })
+            .count()
+    };
+    let plan = (0u64..)
+        .map(|seed| FaultPlan::seeded(seed).with_latency_spike(0.5, SPIKE))
+        .find(|plan| {
+            (0..SPIKED_JOBS)
+                .all(|seq| spiked_shards(plan, seq, TraceStage::Intersect) == STUCK_SHARDS)
+                && [TraceStage::Intersect, TraceStage::Step3]
+                    .into_iter()
+                    .all(|stage| spiked_shards(plan, SPIKED_JOBS, stage) == 0)
+        })
+        .expect("some seed has the wanted schedule");
+
+    for window in [None, Some(Duration::from_millis(2))] {
+        let engine = stuck_device_engine(&analyzer, plan.clone(), DEADLINE, BUDGET, window);
+        let doomed = submit_all(&engine, &samples[..SPIKED_JOBS]);
+        for (i, handle) in doomed.into_iter().enumerate() {
+            match handle.wait() {
+                Err(JobError::RetriesExhausted { attempts, .. }) => assert_eq!(
+                    attempts,
+                    BUDGET + 1,
+                    "window {window:?}: sample {i} used its whole budget"
+                ),
+                other => panic!(
+                    "window {window:?}: sample {i}: expected RetriesExhausted, got {other:?}"
+                ),
+            }
+        }
+        engine.drain();
+        assert_eq!(
+            engine.snapshot().shard_inflight,
+            vec![0; STUCK_SHARDS],
+            "window {window:?}: the failed jobs' queue slots are freed"
+        );
+
+        // The devices are still asleep on the abandoned attempts. Every
+        // issued attempt is eventually served, so issue and completion
+        // events balance exactly when the array has gone idle again.
+        let unserved_attempts = || {
+            engine
+                .trace()
+                .events()
+                .iter()
+                .fold(0i64, |open, e| match e.kind {
+                    TraceEventKind::CommandIssued { .. } => open + 1,
+                    TraceEventKind::CommandCompleted { .. } => open - 1,
+                    _ => open,
+                })
+        };
+        let patience = std::time::Instant::now();
+        while unserved_attempts() != 0 {
+            assert!(
+                patience.elapsed() < Duration::from_secs(30),
+                "window {window:?}: the spiked devices never woke"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        let late = engine
+            .submit(JobSpec::new("late", samples[SPIKED_JOBS].clone()))
+            .expect("admission after the failures");
+        let result = late
+            .wait()
+            .unwrap_or_else(|e| panic!("window {window:?}: the late job failed: {e}"));
+        assert_eq!(result.output, expected_late, "window {window:?}");
+
+        let report = engine.shutdown();
+        assert_eq!(report.failed_jobs, SPIKED_JOBS as u64, "window {window:?}");
+        assert_eq!(report.completed, 1, "window {window:?}");
+    }
 }

@@ -10,7 +10,7 @@ use megis::config::MegisConfig;
 use megis::{MegisAnalyzer, MegisOutput};
 use megis_genomics::sample::{CommunityConfig, Diversity, Sample};
 use megis_sched::{
-    BatchEngine, EngineConfig, JobHandle, JobResult, JobSpec, Priority, SchedPolicy,
+    BatchEngine, EngineConfig, FaultPlan, JobHandle, JobResult, JobSpec, Priority, SchedPolicy,
     StreamingEngine,
 };
 
@@ -184,9 +184,10 @@ fn several_samples_intersections_are_in_flight_per_shard() {
     // least two samples' intersection commands are concurrently in flight
     // on one shard (peak queue occupancy >= 2), while delivery still
     // respects dispatch order and every result stays byte-identical to the
-    // sequential analyzer. The simulated device latency makes the overlap
-    // deterministic: commands dwell on the device long enough for the
-    // dispatcher to queue the next sample's command behind them.
+    // sequential analyzer. An injected latency spike on every command
+    // makes the overlap deterministic: commands dwell on the device long
+    // enough for the dispatcher to queue the next sample's command behind
+    // them.
     use std::time::Duration;
     let (analyzer, samples) = cohort(10);
     let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
@@ -196,7 +197,9 @@ fn several_samples_intersections_are_in_flight_per_shard() {
             .with_workers(2)
             .with_shards(2)
             .with_queue_depth(4)
-            .with_device_latency(Duration::from_millis(2)),
+            .with_fault_plan(
+                FaultPlan::seeded(1).with_latency_spike(1.0, Duration::from_millis(2)),
+            ),
     );
     let handles: Vec<JobHandle> = samples
         .iter()

@@ -9,8 +9,8 @@ use megis::config::MegisConfig;
 use megis::MegisAnalyzer;
 use megis_genomics::sample::{CommunityConfig, Diversity, Sample};
 use megis_sched::{
-    BatchEngine, BatchReport, EngineConfig, JobSpec, LatencyStats, ServiceReport, ShardStats,
-    StageBreakdown, StreamingEngine,
+    BatchEngine, BatchReport, EngineConfig, FaultPlan, JobSpec, LatencyStats, ServiceReport,
+    ShardStats, StageBreakdown, StreamingEngine,
 };
 
 fn cohort(n: usize) -> (MegisAnalyzer, Vec<Sample>) {
@@ -39,8 +39,7 @@ fn traced_streaming_run_reconstructs_breakdowns_and_stragglers() {
         EngineConfig::new()
             .with_workers(2)
             .with_shards(SHARDS)
-            .with_device_latency(Duration::from_millis(1))
-            .with_step3_item_latency(Duration::from_millis(2))
+            .with_fault_plan(FaultPlan::seeded(1).with_latency_spike(1.0, Duration::from_millis(2)))
             .with_tracing(),
     );
     let handles: Vec<_> = samples
@@ -72,8 +71,8 @@ fn traced_streaming_run_reconstructs_breakdowns_and_stragglers() {
             latency * 1e3,
         );
         // Every job intersects on the array, so Step 2 service is nonzero;
-        // the simulated per-candidate Step 3 latency makes Step 3 service
-        // observable whenever the job had candidates.
+        // the per-command dwell makes Step 3 service observable whenever
+        // the job had candidates.
         assert!(breakdown.step2_service > Duration::ZERO, "{}", result.label);
         assert!(
             breakdown.gating_device.is_some(),
@@ -101,6 +100,25 @@ fn traced_streaming_run_reconstructs_breakdowns_and_stragglers() {
         .filter(|d| d.busy > Duration::ZERO)
         .count();
     assert!(busy_devices > 0, "the array did traced work");
+    // The rendered report names every device and every job's gating device.
+    let rendered = straggler.report();
+    assert!(
+        rendered
+            .starts_with("straggler report: per-device busy/stall/idle and per-job step-3 gating"),
+        "{rendered}"
+    );
+    for device in 0..SHARDS {
+        assert!(
+            rendered.contains(&format!("device {device}:")),
+            "{rendered}"
+        );
+    }
+    assert!(
+        rendered.contains("reduce gated by: [job seq 0 -> device"),
+        "{rendered}"
+    );
+    assert!(rendered.contains("gating-device histogram:"), "{rendered}");
+    assert!(straggler.gating_histogram_flatness() >= 1.0);
 
     let trace = report.trace.as_ref().expect("event log present");
     assert!(!trace.events.is_empty());
@@ -113,6 +131,52 @@ fn traced_streaming_run_reconstructs_breakdowns_and_stragglers() {
         "{summary}"
     );
     assert!(!summary.contains("tracing disabled"), "{summary}");
+    assert!(!summary.contains("dropped"), "{summary}");
+}
+
+#[test]
+fn an_overflowed_trace_ring_is_flagged_in_both_summaries() {
+    // A ring far smaller than the run's event count evicts early events, so
+    // every traced figure is computed from a truncated log; both summaries
+    // must say so (a clean run prints no such line — asserted above).
+    const CAPACITY: usize = 32;
+    let (analyzer, samples) = cohort(4);
+    let specs = |samples: &[Sample]| -> Vec<JobSpec> {
+        samples
+            .iter()
+            .enumerate()
+            .map(|(i, s)| JobSpec::new(format!("s{i}"), s.clone()))
+            .collect()
+    };
+    let config = EngineConfig::new()
+        .with_workers(2)
+        .with_shards(2)
+        .with_trace_capacity(CAPACITY);
+
+    let mut batch = BatchEngine::new(analyzer.clone(), config.clone());
+    batch.submit_all(specs(&samples)).expect("admission");
+    let batch_report = batch.run();
+    let batch_trace = batch_report.trace.as_ref().expect("tracing on");
+
+    let service = StreamingEngine::new(analyzer, config);
+    for spec in specs(&samples) {
+        service.submit(spec).expect("admission");
+    }
+    let service_report = service.shutdown();
+    let service_trace = service_report.trace.as_ref().expect("tracing on");
+
+    for (name, trace, summary) in [
+        ("batch", batch_trace, batch_report.summary()),
+        ("service", service_trace, service_report.summary()),
+    ] {
+        assert_eq!(trace.events.len(), CAPACITY, "{name}: the ring is full");
+        assert!(trace.dropped > 0, "{name}: the run must overflow the ring");
+        let line = format!(
+            "trace: {CAPACITY} events, {} dropped — breakdown and straggler figures are incomplete",
+            trace.dropped
+        );
+        assert!(summary.contains(&line), "{name}:\n{summary}");
+    }
 }
 
 #[test]
