@@ -4,7 +4,7 @@
 //!
 //! MegIS's premise is that Steps 2–3 run at flash-streaming bandwidth on
 //! sorted flat data (§4.3.1); the host-side reproduction must not give that
-//! back in its innermost loops. This experiment measures the three hot
+//! back in its innermost loops. This experiment measures the four hot
 //! kernels after the columnar refactor:
 //!
 //! * **intersection** — the galloping merge of
@@ -15,25 +15,31 @@
 //!   against the old per-occurrence `BTreeMap` insertion,
 //! * **database build** — the columnar pair-sort build against the old
 //!   `BTreeMap<Kmer, Vec<TaxId>>` + `contains` build,
+//! * **taxID retrieval** — the one-pass cursor merge of
+//!   [`KssTables::stream_retrieve`] against the fold of one random-access
+//!   [`KssTables::lookup`] per intersecting k-mer,
 //!
 //! plus **shard residency**: [`ShardSet::resident_bytes`] across 1–8 shards
 //! must stay exactly one copy of the columnar storage (zero-copy views),
 //! where the old deep-copy partition held a second full copy.
 //!
 //! `megis-bench hotpath` prints this report and writes the numbers to
-//! `BENCH_hotpath.json` — the repo's performance trajectory. CI runs it in
-//! release mode, greps the verdict lines, and uploads the JSON, so a future
-//! PR that regresses the hot path below the 2× galloping threshold (or
-//! reintroduces a database copy) fails the smoke test.
+//! `BENCH_hotpath.json`. CI runs it in release mode, greps the exact
+//! verdict lines (kernel parity, KSS stream parity, zero-copy shards) and
+//! uploads the JSON, so a PR that breaks a kernel's equivalence or
+//! reintroduces a database copy fails the smoke test. The galloping
+//! speedup line is wall clock from one run: printed, not gated.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
+use megis::kss::KssTables;
 use megis_genomics::database::SortedKmerDatabase;
 use megis_genomics::kmer::{Kmer, KmerExtractor};
 use megis_genomics::read::ReadSet;
 use megis_genomics::reference::ReferenceCollection;
 use megis_genomics::sample::{CommunityConfig, Diversity};
+use megis_genomics::sketch::{SketchConfig, SketchDatabase};
 use megis_genomics::taxonomy::TaxId;
 use megis_sched::ShardSet;
 use megis_tools::kmc::KmerCounts;
@@ -120,6 +126,18 @@ fn count_btreemap(reads: &ReadSet, k: usize) -> Vec<(Kmer, u32)> {
     map.into_iter().collect()
 }
 
+/// The per-query reference for taxID retrieval: one random-access
+/// [`KssTables::lookup`] per intersecting k-mer, folded into support counts.
+fn retrieve_by_lookup(kss: &KssTables, intersecting: &[Kmer]) -> HashMap<TaxId, u32> {
+    let mut support = HashMap::new();
+    for kmer in intersecting {
+        for taxid in kss.lookup(*kmer) {
+            *support.entry(taxid).or_insert(0) += 1;
+        }
+    }
+    support
+}
+
 /// Everything the hot-path experiment measured; [`hotpath_measure`] fills
 /// it, [`HotpathMeasurement::report`] renders the text report, and
 /// [`HotpathMeasurement::to_json`] serializes the `BENCH_hotpath.json`
@@ -148,6 +166,15 @@ pub struct HotpathMeasurement {
     pub build_btreemap_s: f64,
     /// Seconds per columnar database build (best trial).
     pub build_columnar_s: f64,
+    /// Intersecting k-mers in the taxID-retrieval workload (the build
+    /// fixture's whole database against its own sketches).
+    pub kss_queries: usize,
+    /// Seconds per fold-of-`lookup` retrieval pass (best trial).
+    pub kss_lookup_s: f64,
+    /// Seconds per `stream_retrieve` pass (best trial).
+    pub kss_stream_s: f64,
+    /// Whether the streamed support counts equalled the per-query fold.
+    pub kss_parity: bool,
     /// Heap bytes of one columnar database copy.
     pub db_heap_bytes: u64,
     /// `(shard count, ShardSet::resident_bytes)` for each swept count.
@@ -174,6 +201,11 @@ impl HotpathMeasurement {
         self.build_btreemap_s / self.build_columnar_s
     }
 
+    /// Streaming retrieval speedup over the fold of per-query lookups.
+    pub fn kss_speedup(&self) -> f64 {
+        self.kss_lookup_s / self.kss_stream_s
+    }
+
     /// Shard-set resident bytes relative to one database copy, at the
     /// largest swept shard count. Exactly 1.0 for zero-copy views; ~2.0 was
     /// the deep-copy number this refactor removes.
@@ -182,8 +214,8 @@ impl HotpathMeasurement {
         resident as f64 / self.db_heap_bytes as f64
     }
 
-    /// The CI verdict: galloping beats two-pointer by at least the 2x
-    /// threshold on the skewed workload.
+    /// The printed (ungated) verdict: galloping beats two-pointer by at
+    /// least the 2x threshold on the skewed workload.
     pub fn gallop_confirmed(&self) -> bool {
         self.gallop_speedup() >= GALLOP_THRESHOLD
     }
@@ -249,6 +281,22 @@ impl HotpathMeasurement {
         );
         report.line(&format!("speedup: {:.2}x", self.build_speedup()));
 
+        let per_kmer_ns = 1e9 / self.kss_queries as f64;
+        report.section(&format!(
+            "taxID retrieval through the KSS tables ({} intersecting k-mers)",
+            self.kss_queries
+        ));
+        report.table_header(&["kernel", "ms/pass", "ns/k-mer"]);
+        report.table_row(
+            "fold of lookup",
+            &[self.kss_lookup_s * 1e3, self.kss_lookup_s * per_kmer_ns],
+        );
+        report.table_row(
+            "stream_retrieve",
+            &[self.kss_stream_s * 1e3, self.kss_stream_s * per_kmer_ns],
+        );
+        report.line(&format!("speedup: {:.2}x", self.kss_speedup()));
+
         report.section("shard residency (host heap, shared storage counted once)");
         report.line(&format!(
             "one database copy: {:.2} MB",
@@ -269,6 +317,14 @@ impl HotpathMeasurement {
         report.line(&format!(
             "parity with two-pointer reference: {}",
             if self.parity { "identical" } else { "DIVERGED" }
+        ));
+        report.line(&format!(
+            "kss stream parity with per-query lookup: {}",
+            if self.kss_parity {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
         ));
         report.line(&format!(
             "galloping speedup: {} ({:.2}x vs the {GALLOP_THRESHOLD:.1}x threshold)",
@@ -293,9 +349,11 @@ impl HotpathMeasurement {
         report.line("Galloping advances on the longer (database) side in O(log gap) probes, so");
         report.line("the skewed merge is bounded by |Q| * log(|DB|/|Q|) instead of |DB| + |Q|;");
         report.line("counting and build replace per-item ordered-map insertion with one");
-        report.line("sort_unstable + run-length group over a dense array; and partitioning");
-        report.line("returns range views over one Arc-shared columnar storage, so an N-shard");
-        report.line("deployment keeps a single resident copy of the database.");
+        report.line("sort_unstable + run-length group over a dense array; retrieval walks each");
+        report.line("flat KSS table once with a forward cursor instead of searching it per");
+        report.line("k-mer; and partitioning returns range views over one Arc-shared columnar");
+        report.line("storage, so an N-shard deployment keeps a single resident copy of the");
+        report.line("database.");
         report.finish()
     }
 
@@ -334,6 +392,13 @@ impl HotpathMeasurement {
              \x20   \"columnar_us_per_pass\": {:.3},\n\
              \x20   \"speedup\": {:.3}\n\
              \x20 }},\n\
+             \x20 \"kss\": {{\n\
+             \x20   \"intersecting_kmers\": {},\n\
+             \x20   \"lookup_fold_ns_per_kmer\": {:.3},\n\
+             \x20   \"stream_ns_per_kmer\": {:.3},\n\
+             \x20   \"speedup\": {:.3},\n\
+             \x20   \"parity\": {}\n\
+             \x20 }},\n\
              \x20 \"shards\": {{\n\
              \x20   \"db_heap_bytes\": {},\n\
              \x20   \"resident_bytes\": {{\n{}\n\x20   }},\n\
@@ -357,6 +422,11 @@ impl HotpathMeasurement {
             self.build_btreemap_s * 1e6,
             self.build_columnar_s * 1e6,
             self.build_speedup(),
+            self.kss_queries,
+            self.kss_lookup_s * 1e9 / self.kss_queries as f64,
+            self.kss_stream_s * 1e9 / self.kss_queries as f64,
+            self.kss_speedup(),
+            self.kss_parity,
             self.db_heap_bytes,
             residents.join(",\n"),
             self.resident_ratio(),
@@ -428,6 +498,15 @@ pub fn hotpath_measure() -> HotpathMeasurement {
     let build_btreemap_s = best_seconds(|| build_btreemap(&build_refs, K).len());
     let build_columnar_s = best_seconds(|| SortedKmerDatabase::build(&build_refs, K).len());
 
+    // Retrieval fixture: the build fixture's whole database as the
+    // intersecting k-mers (sorted, distinct, all of length k_max) against
+    // the sketches of the same references.
+    let kss = KssTables::build(&SketchDatabase::build(&build_refs, SketchConfig::small()));
+    let intersecting: Vec<Kmer> = columnar_build.kmers().collect();
+    let kss_parity = kss.stream_retrieve(&intersecting) == retrieve_by_lookup(&kss, &intersecting);
+    let kss_lookup_s = best_seconds(|| retrieve_by_lookup(&kss, &intersecting).len());
+    let kss_stream_s = best_seconds(|| kss.stream_retrieve(&intersecting).len());
+
     // Shard residency: zero-copy views must keep one storage copy at every
     // shard count.
     let db_heap_bytes = database.storage().heap_bytes();
@@ -448,6 +527,10 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         count_sort_s,
         build_btreemap_s,
         build_columnar_s,
+        kss_queries: intersecting.len(),
+        kss_lookup_s,
+        kss_stream_s,
+        kss_parity,
         db_heap_bytes,
         resident_by_shards,
         parity,
@@ -469,6 +552,10 @@ mod tests {
         let m = super::hotpath_measure();
         assert!(m.parity, "refactored kernels must reproduce the baselines");
         assert!(
+            m.kss_parity,
+            "streamed retrieval must equal the lookup fold"
+        );
+        assert!(
             m.zero_copy_confirmed(),
             "sharding must keep one resident database copy: {:?} vs {}",
             m.resident_by_shards,
@@ -476,15 +563,15 @@ mod tests {
         );
         let report = m.report();
         assert!(report.contains("parity with two-pointer reference: identical"));
+        assert!(report.contains("kss stream parity with per-query lookup: identical"));
         assert!(report.contains("zero-copy shards: confirmed"));
         let json = m.to_json();
         assert!(json.contains("\"bench\": \"hotpath\""));
         assert!(json.contains("\"zero_copy_confirmed\": true"));
-        // The wall-clock speedup verdict is deliberately NOT asserted
-        // here: a timing ratio inside the general test suite would flake on
-        // loaded machines. The release-mode CI smoke step runs the `hotpath`
-        // bin as a dedicated step and greps the verdict line, so the >= 2x
-        // property stays enforced where a failure is attributable.
+        assert!(json.contains("\"stream_ns_per_kmer\""));
+        // The wall-clock speedup verdict is deliberately not asserted: a
+        // timing ratio from one run flakes on loaded machines, here and in
+        // CI alike.
         if !m.gallop_confirmed() {
             eprintln!(
                 "warning: galloping speedup {:.2}x below the 2x threshold in \

@@ -10,12 +10,34 @@
 //! * for each smaller k, only the taxID lists are stored, *without* the k-mer
 //!   itself: the prefixes of the sorted k_max-mers regenerate the smaller
 //!   k-mers on the fly (MegIS's Index Generator emits a new entry whenever the
-//!   prefix of consecutive k_max-mers changes).
+//!   prefix of consecutive k_max-mers changes), and a taxID already recorded
+//!   on a k_max-mer sharing the prefix is not stored again.
 //!
 //! The result is larger than the ternary tree but strictly streaming: taxID
 //! retrieval is a single sorted-merge pass over the intersecting k-mers and
 //! the KSS tables, which is exactly what the per-channel Intersect units can
 //! do at flash bandwidth.
+//!
+//! # Layout
+//!
+//! Every table, k_max included, is held flat (`Table`): one sorted column
+//! of k-mer payloads — plain integers, since k is fixed per table and integer
+//! order of equal-length payloads is lexicographic order — plus a CSR
+//! `offsets`/`taxa` arena of taxon indexes into one shared sorted taxID list.
+//! Two things exist in memory only and are not charged by
+//! [`KssTables::size_bytes`], which prices the on-storage format above:
+//!
+//! * the k-mer column of every smaller-k table (on storage it is implied by
+//!   the k_max table), and
+//! * the k_max-attributed taxa of each smaller-k entry, which
+//!   [`KssTables::build`] merges back into the entry's arena slice by one
+//!   forward walk of the k_max table per smaller table (the Index Generator's
+//!   walk, done once instead of per query). Only the count of taxIDs that
+//!   remain on storage is kept beside them.
+//!
+//! [`KssTables::stream_retrieve`] is then one forward pass: a cursor per
+//! table that only advances, O(|queries| + |KSS|) worst case and
+//! O(|queries| · log gap) when the queries are sparse.
 
 use std::collections::HashMap;
 
@@ -24,180 +46,235 @@ use megis_genomics::sketch::SketchDatabase;
 use megis_genomics::taxonomy::TaxId;
 use megis_ssd::timing::ByteSize;
 
-/// One KSS table for a single k size smaller than k_max: the prefix values
-/// (implicit on storage — regenerated from the k_max table) and the taxID
-/// lists that are *not* already attributed to a larger k-mer with the same
-/// prefix.
+/// One flat KSS table for a single k size.
+///
+/// For k = k_max this is the on-storage table itself. For a smaller k the
+/// k-mer column is in-memory only (storage regenerates it from the k_max
+/// table's prefixes) and each entry's arena slice is the *resolved* taxon
+/// list — the taxa stored for the prefix plus the taxa of every k_max-mer
+/// sharing it — so a prefix hit costs one slice read instead of a walk of
+/// the k_max run; `stored_taxa` remembers how many taxIDs the on-storage
+/// format keeps for the table.
 #[derive(Debug, Clone, Default)]
-struct PrefixTable {
+struct Table {
     k: usize,
-    /// Sorted by prefix k-mer. The k-mer column exists only in memory to keep
-    /// the functional implementation simple; [`KssTables::size_bytes`] charges
-    /// only the taxID payload for it, matching the on-storage format.
-    entries: Vec<(Kmer, Vec<TaxId>)>,
+    /// Sorted, distinct k-mer payloads ([`Kmer::bits`]).
+    kmers: Vec<u128>,
+    /// CSR boundaries: entry `i` owns `taxa[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    /// Ascending indexes into [`KssTables::taxa`], per entry.
+    taxa: Vec<u32>,
+    /// TaxIDs the on-storage format holds for this table.
+    stored_taxa: u64,
+}
+
+impl Table {
+    fn with_capacity(k: usize, entries: usize) -> Table {
+        let mut offsets = Vec::with_capacity(entries + 1);
+        offsets.push(0);
+        Table {
+            k,
+            kmers: Vec::with_capacity(entries),
+            offsets,
+            ..Table::default()
+        }
+    }
+
+    fn push(&mut self, kmer: Kmer, taxa: &[u32], stored: usize) {
+        self.kmers.push(kmer.bits());
+        self.taxa.extend_from_slice(taxa);
+        let end = u32::try_from(self.taxa.len()).expect("a KSS table holds under 2^32 taxIDs");
+        self.offsets.push(end);
+        self.stored_taxa += stored as u64;
+    }
+
+    /// The payload of `query`'s prefix of this table's length — what the
+    /// table is searched for — or `None` when the query is shorter than that.
+    fn prefix_of(&self, query: Kmer) -> Option<u128> {
+        (self.k <= query.k()).then(|| query.bits() >> (2 * (query.k() - self.k)))
+    }
+
+    /// The resolved taxon indexes of entry `i`.
+    fn taxa_of(&self, i: usize) -> &[u32] {
+        &self.taxa[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    /// First entry at or after `from` whose k-mer is `>= target`: exponential
+    /// probing forward from the cursor, then a binary search inside the
+    /// bracket — O(log distance), and two comparisons when the cursor
+    /// already sits on the answer (consecutive queries sharing a prefix).
+    fn seek(&self, from: usize, target: u128) -> usize {
+        let n = self.kmers.len();
+        let (mut lo, mut hi, mut step) = (from, from, 1);
+        while hi < n && self.kmers[hi] < target {
+            lo = hi + 1;
+            hi += step;
+            step <<= 1;
+        }
+        let hi = hi.min(n);
+        lo + self.kmers[lo..hi].partition_point(|&k| k < target)
+    }
 }
 
 /// The full KSS structure.
 #[derive(Debug, Clone, Default)]
 pub struct KssTables {
-    k_max: usize,
-    /// Sorted k_max-mer sketch table: (k-mer, taxa).
-    kmax_table: Vec<(Kmer, Vec<TaxId>)>,
-    /// One prefix table per smaller k, largest k first.
-    prefix_tables: Vec<PrefixTable>,
+    /// Every taxon of the sketch, ascending; the tables' arenas index it.
+    taxa: Vec<TaxId>,
+    /// One flat table per k size, largest k (k_max) first.
+    tables: Vec<Table>,
 }
 
 impl KssTables {
     /// Builds the KSS tables from the logical sketch content.
     pub fn build(sketches: &SketchDatabase) -> KssTables {
-        let Some(k_max) = sketches.k_max() else {
-            return KssTables::default();
+        let taxa = sketches.taxa();
+        let index_of = |t: &TaxId| {
+            taxa.binary_search(t)
+                .expect("SketchDatabase::taxa lists every taxon of every table") as u32
         };
-        let kmax_table: Vec<(Kmer, Vec<TaxId>)> = sketches
-            .table(k_max)
-            .map(|t| t.to_vec())
-            .unwrap_or_default();
-
-        let mut prefix_tables = Vec::new();
+        let mut tables: Vec<Table> = Vec::new();
+        // Scratch reused across entries: the taxa attributed to k_max-mers
+        // sharing the entry's prefix, and their union with the entry's own.
+        let (mut attributed, mut resolved) = (Vec::new(), Vec::new());
         for k in sketches.k_sizes() {
-            if k == k_max {
-                continue;
+            let source = sketches.table(k).unwrap_or(&[]);
+            let mut table = Table::with_capacity(k, source.len());
+            // The Index Generator: the length-k prefixes of the sorted
+            // k_max-mers ascend with this table's k-mers, so one forward
+            // cursor over the k_max table finds every entry's run. (The
+            // k_max table itself, built first, has nothing above it.)
+            let kmax = tables.first();
+            let mut cursor = 0;
+            for (kmer, own) in source {
+                attributed.clear();
+                if let Some(kmax) = kmax {
+                    let shift = 2 * (kmax.k - k);
+                    while cursor < kmax.kmers.len() && kmax.kmers[cursor] >> shift < kmer.bits() {
+                        cursor += 1;
+                    }
+                    let mut run = cursor;
+                    while run < kmax.kmers.len() && kmax.kmers[run] >> shift == kmer.bits() {
+                        attributed.extend_from_slice(kmax.taxa_of(run));
+                        run += 1;
+                    }
+                    attributed.sort_unstable();
+                    attributed.dedup();
+                }
+                resolved.clear();
+                resolved.extend(own.iter().map(index_of));
+                resolved.extend_from_slice(&attributed);
+                resolved.sort_unstable();
+                resolved.dedup();
+                // Memory keeps the union; storage keeps only the taxa not
+                // already attributed to a k_max-mer sharing the prefix.
+                let stored = resolved.len() - attributed.len();
+                table.push(*kmer, &resolved, stored);
             }
-            let table = sketches.table(k).unwrap_or(&[]);
-            // Store, for each smaller k-mer, only the taxa not already
-            // attributed to a k_max-mer sharing that prefix.
-            let mut entries = Vec::with_capacity(table.len());
-            for (kmer, taxa) in table {
-                let attributed = KssTables::taxa_of_kmax_with_prefix(&kmax_table, *kmer);
-                let remaining: Vec<TaxId> = taxa
-                    .iter()
-                    .copied()
-                    .filter(|t| !attributed.contains(t))
-                    .collect();
-                entries.push((*kmer, remaining));
-            }
-            prefix_tables.push(PrefixTable { k, entries });
+            tables.push(table);
         }
-        KssTables {
-            k_max,
-            kmax_table,
-            prefix_tables,
-        }
-    }
-
-    fn taxa_of_kmax_with_prefix(kmax_table: &[(Kmer, Vec<TaxId>)], prefix: Kmer) -> Vec<TaxId> {
-        // All k_max-mers whose length-k prefix equals `prefix` form a
-        // contiguous run in the sorted table.
-        let start = kmax_table.partition_point(|(k, _)| k.prefix(prefix.k()) < prefix);
-        let mut taxa = Vec::new();
-        for (k, t) in &kmax_table[start..] {
-            if k.prefix(prefix.k()) != prefix {
-                break;
-            }
-            taxa.extend_from_slice(t);
-        }
-        taxa.sort();
-        taxa.dedup();
-        taxa
+        KssTables { taxa, tables }
     }
 
     /// The largest k size.
     pub fn k_max(&self) -> usize {
-        self.k_max
+        self.tables.first().map_or(0, |t| t.k)
     }
 
     /// Number of entries in the k_max table.
     pub fn kmax_entries(&self) -> usize {
-        self.kmax_table.len()
+        self.tables.first().map_or(0, |t| t.kmers.len())
     }
 
     /// Returns `true` if the structure holds no sketch k-mers.
     pub fn is_empty(&self) -> bool {
-        self.kmax_table.is_empty()
+        self.kmax_entries() == 0
     }
 
     /// On-storage size of the KSS tables: the k_max table stores explicit
     /// 2-bit k-mers plus 4-byte taxIDs; the smaller-k tables store only their
     /// taxID lists plus a 4-byte run-length/offset word per entry.
     pub fn size_bytes(&self) -> ByteSize {
-        let kmax: u64 = self
-            .kmax_table
+        let bytes: u64 = self
+            .tables
             .iter()
-            .map(|(k, taxa)| (k.encoded_bytes() + 4 * taxa.len()) as u64)
-            .sum();
-        let smaller: u64 = self
-            .prefix_tables
-            .iter()
-            .map(|t| {
-                t.entries
-                    .iter()
-                    .map(|(_, taxa)| 4 + 4 * taxa.len() as u64)
-                    .sum::<u64>()
+            .enumerate()
+            .map(|(i, t)| {
+                let per_entry = if i == 0 { (2 * t.k).div_ceil(8) } else { 4 };
+                (per_entry * t.kmers.len()) as u64 + 4 * t.stored_taxa
             })
             .sum();
-        ByteSize::from_bytes(kmax + smaller)
+        ByteSize::from_bytes(bytes)
     }
 
-    /// Retrieves the taxa matched by one query k_max-mer: the exact k_max
+    /// Retrieves the taxa matched by one query k-mer: the exact k_max
     /// match plus prefix matches at every smaller k (deduplicated), exactly
     /// like the flat-table and ternary-tree lookups — which is what makes
-    /// MegIS's accuracy identical to the A-Opt baseline's.
+    /// MegIS's accuracy identical to the A-Opt baseline's. Random access
+    /// (one binary search per table): the single-k-mer API, and the oracle
+    /// [`KssTables::stream_retrieve`] is tested against.
     pub fn lookup(&self, query: Kmer) -> Vec<TaxId> {
-        let mut taxa = Vec::new();
-        if let Ok(i) = self.kmax_table.binary_search_by(|(k, _)| k.cmp(&query)) {
-            taxa.extend_from_slice(&self.kmax_table[i].1);
-        }
-        for table in &self.prefix_tables {
-            if table.k > query.k() {
+        let mut indexes = Vec::new();
+        for table in &self.tables {
+            let Some(prefix) = table.prefix_of(query) else {
                 continue;
-            }
-            let prefix = query.prefix(table.k);
-            if let Ok(i) = table.entries.binary_search_by(|(k, _)| k.cmp(&prefix)) {
-                // The stored entry holds only the taxa *not* attributed to a
-                // k_max-mer sharing this prefix; the attributed ones are
-                // recovered from the k_max table during the same streaming
-                // pass (the Index Generator walks that contiguous run).
-                // Together they reproduce exactly the taxa the baseline's
-                // sketch lookup returns for this prefix.
-                taxa.extend_from_slice(&table.entries[i].1);
-                taxa.extend(KssTables::taxa_of_kmax_with_prefix(
-                    &self.kmax_table,
-                    prefix,
-                ));
+            };
+            if let Ok(i) = table.kmers.binary_search(&prefix) {
+                indexes.extend_from_slice(table.taxa_of(i));
             }
         }
-        taxa.sort();
-        taxa.dedup();
-        taxa
+        indexes.sort_unstable();
+        indexes.dedup();
+        indexes.iter().map(|&i| self.taxa[i as usize]).collect()
     }
 
-    /// Streaming taxID retrieval over a *sorted* list of intersecting query
-    /// k-mers: one merge pass per table, mirroring the in-SSD dataflow
-    /// (consecutive queries sharing a prefix reuse the previous entry instead
-    /// of a new lookup — the Index Generator optimization). Returns per-taxon
-    /// support counts.
+    /// Streaming taxID retrieval over the intersecting query k-mers: one
+    /// forward merge pass with one cursor per table, mirroring the in-SSD
+    /// dataflow. A cursor only advances, by galloping from where the previous
+    /// query left it, so consecutive queries sharing a prefix reuse the entry
+    /// it already rests on (the Index Generator optimization) and a sorted
+    /// input costs O(|queries| + |KSS|) in total. Nothing is allocated per
+    /// query: support is counted in a dense per-taxon array and converted to
+    /// the returned per-taxon map once at the end.
     ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `sorted_queries` is not sorted.
+    /// Sorted input is the fast path, not a precondition. A query that sorts
+    /// before its predecessor rewinds the cursors and the pass carries on, so
+    /// for any input order — mixed k sizes included, since lexicographic
+    /// order keeps every length-j prefix monotone — the result is the sum of
+    /// [`KssTables::lookup`] over the queries.
     pub fn stream_retrieve(&self, sorted_queries: &[Kmer]) -> HashMap<TaxId, u32> {
-        debug_assert!(sorted_queries.windows(2).all(|w| w[0] <= w[1]));
-        let mut support: HashMap<TaxId, u32> = HashMap::new();
-        let mut previous: Option<(Kmer, Vec<TaxId>)> = None;
-        for query in sorted_queries {
-            let taxa = match &previous {
-                Some((prev, taxa)) if prev == query => taxa.clone(),
-                _ => {
-                    let taxa = self.lookup(*query);
-                    previous = Some((*query, taxa.clone()));
-                    taxa
+        let mut counts = vec![0u32; self.taxa.len()];
+        // The ordinal (from 1) of the last query that counted each taxon: a
+        // taxon matched in several tables counts once per query.
+        let mut counted_by = vec![0usize; self.taxa.len()];
+        let mut cursors = vec![0usize; self.tables.len()];
+        for (i, query) in sorted_queries.iter().enumerate() {
+            if i > 0 && *query < sorted_queries[i - 1] {
+                cursors.fill(0);
+            }
+            let ordinal = i + 1;
+            for (table, cursor) in self.tables.iter().zip(&mut cursors) {
+                let Some(prefix) = table.prefix_of(*query) else {
+                    continue;
+                };
+                *cursor = table.seek(*cursor, prefix);
+                if table.kmers.get(*cursor) != Some(&prefix) {
+                    continue;
                 }
-            };
-            for t in taxa {
-                *support.entry(t).or_insert(0) += 1;
+                for &taxon in table.taxa_of(*cursor) {
+                    if counted_by[taxon as usize] != ordinal {
+                        counted_by[taxon as usize] = ordinal;
+                        counts[taxon as usize] += 1;
+                    }
+                }
             }
         }
-        support
+        self.taxa
+            .iter()
+            .zip(counts)
+            .filter(|(_, count)| *count > 0)
+            .map(|(taxid, count)| (*taxid, count))
+            .collect()
     }
 }
 
@@ -261,6 +338,34 @@ mod tests {
         assert!(kss.size_bytes().as_bytes() > 0);
         // The k_max table dominates; smaller tables add only taxID payloads.
         assert!(kss.size_bytes().as_bytes() < db.flat_table_bytes() * 2);
+    }
+
+    #[test]
+    fn on_storage_size_is_the_kss_format_not_the_memory_layout() {
+        // The format: k_max entries hold a 2-bit k-mer and their taxIDs; a
+        // smaller-k entry holds an offset word and only the taxIDs no
+        // k_max-mer sharing its prefix already carries.
+        let db = sketches();
+        let kss = KssTables::build(&db);
+        let kmax = db.k_max().unwrap();
+        let kmax_table = db.table(kmax).unwrap();
+        let mut expected: u64 = kmax_table
+            .iter()
+            .map(|(k, taxa)| (k.encoded_bytes() + 4 * taxa.len()) as u64)
+            .sum();
+        for k in db.k_sizes().into_iter().filter(|k| *k != kmax) {
+            for (prefix, taxa) in db.table(k).unwrap() {
+                let remaining = taxa.iter().filter(|t| {
+                    !kmax_table.iter().any(|(kmer, attributed)| {
+                        kmer.prefix(k) == *prefix && attributed.contains(t)
+                    })
+                });
+                expected += 4 + 4 * remaining.count() as u64;
+            }
+        }
+        assert_eq!(kss.size_bytes(), ByteSize::from_bytes(expected));
+        assert_eq!(kss.kmax_entries(), kmax_table.len());
+        assert_eq!(kss.k_max(), kmax);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //!    intersection of the sorted query k-mers with the sorted k-mer database
 //!    read from all flash channels, followed by taxID retrieval through
 //!    *K-mer Sketch Streaming* ([`kss`]), MegIS's pointer-chase-free sketch
-//!    representation.
+//!    representation: one forward merge pass, O(|intersection| + |KSS|),
+//!    then presence calling in O(supported taxa).
 //! 3. **Step 3 — abundance estimation support (in-SSD + accelerator/host)**
 //!    ([`step3`]): in-SSD generation of a unified reference index over the
 //!    candidate species, handed to a read mapper.

@@ -5,7 +5,11 @@
 //! streaming out of the flash channels, recording the intersection in the
 //! internal DRAM (§4.3.1). The intersecting k-mers are then matched against
 //! the K-mer Sketch Streaming tables to retrieve their taxIDs (§4.3.2), and
-//! the taxIDs of the candidate species are sent to the host.
+//! the taxIDs of the candidate species are sent to the host. Retrieval is
+//! one forward merge pass over the intersection and the flat KSS tables —
+//! O(|intersection| + |KSS|), no search per k-mer — and presence calling
+//! reads each supported taxon's sketch size, counted when the sketch was
+//! built: O(supported taxa).
 //!
 //! This module is the functional implementation; its results are identical to
 //! the S-Qry baseline's by construction (same database, same sketch content,

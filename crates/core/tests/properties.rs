@@ -7,6 +7,8 @@
 //! slice of the input space (the offline equivalent of the original
 //! proptest-based suite).
 
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -17,6 +19,7 @@ use megis_genomics::database::SortedKmerDatabase;
 use megis_genomics::kmer::Kmer;
 use megis_genomics::reference::ReferenceCollection;
 use megis_genomics::sketch::{SketchConfig, SketchDatabase};
+use megis_genomics::taxonomy::TaxId;
 use megis_ssd::config::SsdConfig;
 use megis_ssd::timing::ByteSize;
 use megis_tools::ternary::TernarySketchTree;
@@ -154,6 +157,121 @@ fn kss_tree_and_flat_lookups_agree() {
             assert_eq!(tree.lookup_with_prefixes(query), flat);
         }
     }
+}
+
+/// Sums a per-query lookup into per-taxon support counts — the reference
+/// shape every retrieval structure is folded into below.
+fn fold_support(queries: &[Kmer], lookup: impl Fn(Kmer) -> Vec<TaxId>) -> HashMap<TaxId, u32> {
+    let mut support = HashMap::new();
+    for q in queries {
+        for t in lookup(*q) {
+            *support.entry(t).or_insert(0) += 1;
+        }
+    }
+    support
+}
+
+/// `base` extended on the right by `n` random bases.
+fn extend(rng: &mut StdRng, base: Kmer, n: usize) -> Kmer {
+    let tail = random_kmer(rng, n);
+    Kmer::from_bits((base.bits() << (2 * n)) | tail.bits(), base.k() + n)
+}
+
+/// `base` with its last `n` bases redrawn (its length-`k - n` prefix kept).
+fn mutate_tail(rng: &mut StdRng, base: Kmer, n: usize) -> Kmer {
+    extend(rng, base.prefix(base.k() - n), n)
+}
+
+#[test]
+fn kss_stream_equals_lookup_fold_tree_and_flat_on_any_query_mix() {
+    // 12 sketches × 18 query mixes = 216 cases, each also as a shuffled copy.
+    // The cursor pass must equal the fold of its own random-access `lookup`,
+    // the ternary tree and the flat tables on every shape it can be handed.
+    let mut rng = StdRng::seed_from_u64(207);
+    let mut cases = 0;
+    for fixture in 0..12u64 {
+        let refs = ReferenceCollection::synthetic(9, 400, 7000 + fixture);
+        let config = SketchConfig::small();
+        let sketches = SketchDatabase::build(&refs, config);
+        let kss = KssTables::build(&sketches);
+        let tree = TernarySketchTree::build(&sketches);
+        let (k_max, k_min) = (config.k_max, config.k_min);
+        let table = |k: usize| sketches.table(k).unwrap();
+        let pick = |rng: &mut StdRng, k: usize| table(k)[rng.gen_range(0..table(k).len())].0;
+        for mix in 0..18 {
+            let mut queries: Vec<Kmer> = Vec::new();
+            // Mix 0 stays empty; the others draw a random amount of each shape.
+            if mix > 0 {
+                // Exact hits.
+                for _ in 0..rng.gen_range(0..40usize) {
+                    queries.push(pick(&mut rng, k_max));
+                }
+                // Prefix-only near-misses: a sketch k_max-mer with its last
+                // bases mutated keeps its shorter prefixes.
+                for _ in 0..rng.gen_range(0..40usize) {
+                    let base = pick(&mut rng, k_max);
+                    let n = rng.gen_range(1..=k_max - k_min);
+                    queries.push(mutate_tail(&mut rng, base, n));
+                }
+                // Foreign k-mers.
+                queries.extend(random_kmers(&mut rng, 40, k_max));
+                // Runs sharing one prefix: a smaller-k entry extended to
+                // k_max several ways.
+                for k in config.k_sizes().into_iter().skip(1) {
+                    let base = pick(&mut rng, k);
+                    for _ in 0..rng.gen_range(0..6usize) {
+                        queries.push(extend(&mut rng, base, k_max - k));
+                    }
+                }
+                // Duplicates.
+                let dups: Vec<Kmer> = queries
+                    .iter()
+                    .take(rng.gen_range(0..20usize))
+                    .copied()
+                    .collect();
+                queries.extend(dups);
+            }
+            if mix % 2 == 0 && mix > 0 {
+                // Mixed k: sketch entries of every size as they are, k_max
+                // entries extended past k_max, and k-mers shorter than k_min.
+                for k in config.k_sizes() {
+                    for _ in 0..rng.gen_range(0..8usize) {
+                        queries.push(pick(&mut rng, k));
+                    }
+                }
+                for _ in 0..rng.gen_range(0..8usize) {
+                    let base = pick(&mut rng, k_max);
+                    queries.push(extend(&mut rng, base, 6));
+                }
+                queries.extend(random_kmers(&mut rng, 8, k_min - 4));
+            }
+            queries.sort();
+            let mut shuffled = queries.clone();
+            for i in (1..shuffled.len()).rev() {
+                shuffled.swap(i, rng.gen_range(0..=i));
+            }
+
+            let expected = fold_support(&queries, |q| kss.lookup(q));
+            assert_eq!(kss.stream_retrieve(&queries), expected, "{fixture}/{mix}");
+            assert_eq!(
+                kss.stream_retrieve(&shuffled),
+                expected,
+                "{fixture}/{mix} shuffled"
+            );
+            assert_eq!(
+                fold_support(&queries, |q| tree.lookup_with_prefixes(q)),
+                expected,
+                "{fixture}/{mix} tree"
+            );
+            assert_eq!(
+                fold_support(&queries, |q| sketches.lookup_with_prefixes(q)),
+                expected,
+                "{fixture}/{mix} flat"
+            );
+            cases += 1;
+        }
+    }
+    assert!(cases >= 200);
 }
 
 #[test]

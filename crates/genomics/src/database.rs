@@ -717,6 +717,8 @@ pub struct ReferenceIndex {
     k: usize,
     genome_len: usize,
     entries: Vec<(Kmer, Vec<u32>)>,
+    /// On-storage size of `entries`, summed once at build.
+    encoded_bytes: u64,
 }
 
 impl ReferenceIndex {
@@ -727,11 +729,17 @@ impl ReferenceIndex {
         for (pos, kmer) in KmerExtractor::new(genome.sequence(), k).enumerate() {
             map.entry(kmer.canonical()).or_default().push(pos as u32);
         }
+        let entries: Vec<(Kmer, Vec<u32>)> = map.into_iter().collect();
+        let encoded_bytes = entries
+            .iter()
+            .map(|(k, locs)| (k.encoded_bytes() + 4 * locs.len()) as u64)
+            .sum();
         ReferenceIndex {
             taxid: genome.taxid(),
             k,
             genome_len: genome.len(),
-            entries: map.into_iter().collect(),
+            entries,
+            encoded_bytes,
         }
     }
 
@@ -786,10 +794,7 @@ impl ReferenceIndex {
 
     /// On-storage size in bytes (2-bit k-mers + 4-byte locations).
     pub fn encoded_bytes(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|(k, locs)| (k.encoded_bytes() + 4 * locs.len()) as u64)
-            .sum()
+        self.encoded_bytes
     }
 }
 

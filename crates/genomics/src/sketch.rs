@@ -60,18 +60,19 @@ impl SketchConfig {
         }
     }
 
-    /// The k-mer sizes stored in the sketch, largest first.
+    /// The k-mer sizes stored in the sketch, largest first: `k_max`, then
+    /// every `k_step` below it down to `k_min`. Total over the public fields:
+    /// a size below 1 is never emitted, a zero step yields `k_max` alone, and
+    /// `k_min > k_max` yields nothing.
     pub fn k_sizes(&self) -> Vec<usize> {
-        let mut sizes = Vec::new();
-        let mut k = self.k_max;
-        while k >= self.k_min {
-            sizes.push(k);
-            if k < self.k_min + self.k_step {
-                break;
-            }
-            k -= self.k_step;
+        let floor = self.k_min.max(1);
+        if self.k_max < floor {
+            return Vec::new();
         }
-        sizes
+        if self.k_step == 0 {
+            return vec![self.k_max];
+        }
+        (floor..=self.k_max).rev().step_by(self.k_step).collect()
     }
 }
 
@@ -100,6 +101,9 @@ pub struct SketchDatabase {
     config: Option<SketchConfig>,
     /// One sorted table per k size (largest k first).
     tables: Vec<(usize, SketchTable)>,
+    /// Every taxon of the sketch, ascending, with the number of sketch
+    /// k-mers (across all k sizes) it appears on — counted once at build.
+    sketch_sizes: Vec<(TaxId, usize)>,
 }
 
 impl SketchDatabase {
@@ -111,20 +115,27 @@ impl SketchDatabase {
     pub fn build(references: &ReferenceCollection, config: SketchConfig) -> SketchDatabase {
         let threshold = (config.fraction.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
         let mut tables = Vec::new();
+        let mut sizes: BTreeMap<TaxId, usize> = BTreeMap::new();
         for k in config.k_sizes() {
             let mut map: BTreeMap<Kmer, Vec<TaxId>> = BTreeMap::new();
             for genome in references.genomes() {
                 if genome.len() < k {
                     continue;
                 }
+                // Sketch k-mers of size k this genome's taxon newly appears on.
+                let mut selected = 0;
                 for kmer in KmerExtractor::new(genome.sequence(), k) {
                     let canon = kmer.canonical();
                     if sketch_hash(canon) <= threshold {
                         let taxa = map.entry(canon).or_default();
                         if !taxa.contains(&genome.taxid()) {
                             taxa.push(genome.taxid());
+                            selected += 1;
                         }
                     }
+                }
+                if selected > 0 {
+                    *sizes.entry(genome.taxid()).or_default() += selected;
                 }
             }
             let table: Vec<(Kmer, Vec<TaxId>)> = map
@@ -139,6 +150,7 @@ impl SketchDatabase {
         SketchDatabase {
             config: Some(config),
             tables,
+            sketch_sizes: sizes.into_iter().collect(),
         }
     }
 
@@ -229,11 +241,11 @@ impl SketchDatabase {
 
     /// Number of sketch k-mers (across all k sizes) associated with a taxon —
     /// the denominator of the containment index used for presence calling.
+    /// Fixed at build, so this is a lookup; 0 for a taxon not in the sketch.
     pub fn sketch_size_of(&self, taxid: TaxId) -> usize {
-        self.tables
-            .iter()
-            .map(|(_, t)| t.iter().filter(|(_, taxa)| taxa.contains(&taxid)).count())
-            .sum()
+        self.sketch_sizes
+            .binary_search_by_key(&taxid, |(t, _)| *t)
+            .map_or(0, |i| self.sketch_sizes[i].1)
     }
 
     /// Calls presence from per-taxon sketch-match support counts using a
@@ -245,7 +257,8 @@ impl SketchDatabase {
     /// retrieval) produce the same support counts for the same sample, so
     /// sharing this final step is what makes their accuracy identical — the
     /// property the paper relies on (§5, "MegIS's end-to-end accuracy matches
-    /// the accuracy of A-Opt").
+    /// the accuracy of A-Opt"). Costs one [`SketchDatabase::sketch_size_of`]
+    /// lookup per supported taxon.
     pub fn presence_from_support(
         &self,
         support: &std::collections::HashMap<TaxId, u32>,
@@ -264,14 +277,7 @@ impl SketchDatabase {
 
     /// All taxa that appear anywhere in the sketch database.
     pub fn taxa(&self) -> Vec<TaxId> {
-        let mut taxa: Vec<TaxId> = self
-            .tables
-            .iter()
-            .flat_map(|(_, t)| t.iter().flat_map(|(_, taxa)| taxa.iter().copied()))
-            .collect();
-        taxa.sort();
-        taxa.dedup();
-        taxa
+        self.sketch_sizes.iter().map(|(taxid, _)| *taxid).collect()
     }
 }
 
@@ -292,6 +298,52 @@ mod tests {
             fraction: 0.1,
         };
         assert_eq!(cfg.k_sizes(), vec![45, 35, 25]);
+    }
+
+    #[test]
+    fn k_sizes_is_total_over_the_public_fields() {
+        let cfg = |k_max, k_min, k_step| SketchConfig {
+            k_max,
+            k_min,
+            k_step,
+            fraction: 0.1,
+        };
+        // A zero step cannot descend: k_max alone (it used to loop forever).
+        assert_eq!(cfg(31, 21, 0).k_sizes(), vec![31]);
+        // k = 0 is not a k-mer size (it used to reach KmerExtractor::new).
+        assert_eq!(cfg(4, 0, 2).k_sizes(), vec![4, 2]);
+        assert_eq!(cfg(3, 0, 1).k_sizes(), vec![3, 2, 1]);
+        assert!(cfg(0, 0, 1).k_sizes().is_empty());
+        assert!(cfg(21, 31, 5).k_sizes().is_empty());
+        assert_eq!(cfg(31, 31, 5).k_sizes(), vec![31]);
+        assert_eq!(cfg(31, 22, 5).k_sizes(), vec![31, 26]);
+        // Both degenerate shapes build instead of hanging or panicking.
+        let db = SketchDatabase::build(&refs(), cfg(8, 0, 4));
+        assert_eq!(db.k_sizes(), vec![8, 4]);
+        assert_eq!(
+            SketchDatabase::build(&refs(), cfg(21, 21, 0)).k_sizes(),
+            vec![21]
+        );
+    }
+
+    #[test]
+    fn sketch_sizes_counted_at_build_equal_a_recount() {
+        let db = SketchDatabase::build(&refs(), SketchConfig::small());
+        let taxa = db.taxa();
+        assert!(!taxa.is_empty());
+        for t in &taxa {
+            let recount: usize = db
+                .k_sizes()
+                .into_iter()
+                .map(|k| db.table(k).unwrap())
+                .map(|table| table.iter().filter(|(_, taxa)| taxa.contains(t)).count())
+                .sum();
+            assert!(recount > 0);
+            assert_eq!(db.sketch_size_of(*t), recount, "{t}");
+        }
+        assert_eq!(db.sketch_size_of(TaxId(u32::MAX)), 0);
+        assert_eq!(SketchDatabase::default().sketch_size_of(taxa[0]), 0);
+        assert!(SketchDatabase::default().taxa().is_empty());
     }
 
     #[test]
