@@ -4,7 +4,7 @@
 //!
 //! MegIS's premise is that Steps 2–3 run at flash-streaming bandwidth on
 //! sorted flat data (§4.3.1); the host-side reproduction must not give that
-//! back in its innermost loops. This experiment measures the four hot
+//! back in its innermost loops. This experiment measures the five hot
 //! kernels after the columnar refactor:
 //!
 //! * **intersection** — the galloping merge of
@@ -18,6 +18,9 @@
 //! * **taxID retrieval** — the one-pass cursor merge of
 //!   [`KssTables::stream_retrieve`] against the fold of one random-access
 //!   [`KssTables::lookup`] per intersecting k-mer,
+//! * **Step 3** — the flat unified index (one k-way merge of sorted seed
+//!   columns, dense-counter seed voting) against the old ordered map of
+//!   per-seed location lists with an ordered-map vote table per read,
 //!
 //! plus **shard residency**: [`ShardSet::resident_bytes`] across 1–8 shards
 //! must stay exactly one copy of the columnar storage (zero-copy views),
@@ -25,18 +28,21 @@
 //!
 //! `megis-bench hotpath` prints this report and writes the numbers to
 //! `BENCH_hotpath.json`. CI runs it in release mode, greps the exact
-//! verdict lines (kernel parity, KSS stream parity, zero-copy shards) and
-//! uploads the JSON, so a PR that breaks a kernel's equivalence or
-//! reintroduces a database copy fails the smoke test. The galloping
-//! speedup line is wall clock from one run: printed, not gated.
+//! verdict lines (kernel parity, KSS stream parity, unified-index parity,
+//! zero-copy shards) and uploads the JSON, so a PR that breaks a kernel's
+//! equivalence or reintroduces a database copy fails the smoke test. The
+//! galloping speedup line is wall clock from one run: printed, not gated.
 
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 use megis::kss::KssTables;
-use megis_genomics::database::SortedKmerDatabase;
+use megis_genomics::database::{
+    ReadMapHit, ReferenceIndex, SortedKmerDatabase, UnifiedReferenceIndex,
+};
 use megis_genomics::kmer::{Kmer, KmerExtractor};
-use megis_genomics::read::ReadSet;
+use megis_genomics::read::{Read, ReadSet};
 use megis_genomics::reference::ReferenceCollection;
 use megis_genomics::sample::{CommunityConfig, Diversity};
 use megis_genomics::sketch::{SketchConfig, SketchDatabase};
@@ -65,6 +71,8 @@ const K: usize = 31;
 const SKEW: usize = 64;
 /// Reads in the counting fixture.
 const READS: usize = 400;
+/// Seed length of the Step 3 fixture (the pipeline's default `mapping_k`).
+const SEED_K: usize = 15;
 /// Trials per kernel; the best trial is reported (suppresses scheduler
 /// noise, keeps the structural effect).
 const TRIALS: usize = 3;
@@ -138,6 +146,39 @@ fn retrieve_by_lookup(kss: &KssTables, intersecting: &[Kmer]) -> HashMap<TaxId, 
     support
 }
 
+/// The pre-refactor unified index: an ordered map from seed to its
+/// `(taxid, concatenated-space position)` list, filled per seed in candidate
+/// order. Kept as the measured baseline and parity reference.
+type MapUnifiedIndex = BTreeMap<Kmer, Vec<(TaxId, u64)>>;
+
+fn merge_btreemap(candidates: &[ReferenceIndex]) -> MapUnifiedIndex {
+    let mut merged = MapUnifiedIndex::new();
+    let mut offset = 0u64;
+    for idx in candidates {
+        for (seed, positions) in idx.entries() {
+            let out = merged.entry(seed).or_default();
+            out.extend(positions.iter().map(|p| (idx.taxid(), offset + *p as u64)));
+        }
+        offset += idx.genome_len() as u64;
+    }
+    merged
+}
+
+/// The pre-refactor mapper: an ordered-map vote table per read, winner by
+/// `(votes, smallest taxid)`.
+fn map_btreemap(index: &MapUnifiedIndex, read: &Read) -> Option<ReadMapHit> {
+    let mut votes: BTreeMap<TaxId, u32> = BTreeMap::new();
+    for kmer in read.kmers(SEED_K) {
+        for (taxid, _) in index.get(&kmer.canonical()).into_iter().flatten() {
+            *votes.entry(*taxid).or_insert(0) += 1;
+        }
+    }
+    votes
+        .into_iter()
+        .max_by_key(|(taxid, votes)| (*votes, Reverse(*taxid)))
+        .map(|(taxid, votes)| ReadMapHit { taxid, votes })
+}
+
 /// Everything the hot-path experiment measured; [`hotpath_measure`] fills
 /// it, [`HotpathMeasurement::report`] renders the text report, and
 /// [`HotpathMeasurement::to_json`] serializes the `BENCH_hotpath.json`
@@ -175,6 +216,23 @@ pub struct HotpathMeasurement {
     pub kss_stream_s: f64,
     /// Whether the streamed support counts equalled the per-query fold.
     pub kss_parity: bool,
+    /// Candidate species merged in the Step 3 fixture.
+    pub step3_candidates: usize,
+    /// Distinct seeds of the merged unified index.
+    pub step3_seeds: usize,
+    /// Reads mapped per pass in the Step 3 fixture.
+    pub step3_reads: usize,
+    /// Seconds per ordered-map unified-index merge (best trial).
+    pub merge_btreemap_s: f64,
+    /// Seconds per flat k-way unified-index merge (best trial).
+    pub merge_flat_s: f64,
+    /// Seconds per mapping pass with the ordered-map voter (best trial).
+    pub map_btreemap_s: f64,
+    /// Seconds per mapping pass with `map_read_hit` (best trial).
+    pub map_flat_s: f64,
+    /// Whether the flat index and mapper equalled the map-based reference
+    /// (entries, locations, and every read's best hit).
+    pub step3_parity: bool,
     /// Heap bytes of one columnar database copy.
     pub db_heap_bytes: u64,
     /// `(shard count, ShardSet::resident_bytes)` for each swept count.
@@ -204,6 +262,16 @@ impl HotpathMeasurement {
     /// Streaming retrieval speedup over the fold of per-query lookups.
     pub fn kss_speedup(&self) -> f64 {
         self.kss_lookup_s / self.kss_stream_s
+    }
+
+    /// Flat k-way merge speedup over the ordered-map merge.
+    pub fn merge_speedup(&self) -> f64 {
+        self.merge_btreemap_s / self.merge_flat_s
+    }
+
+    /// Flat mapper speedup over the ordered-map voter.
+    pub fn map_speedup(&self) -> f64 {
+        self.map_btreemap_s / self.map_flat_s
     }
 
     /// Shard-set resident bytes relative to one database copy, at the
@@ -297,6 +365,29 @@ impl HotpathMeasurement {
         );
         report.line(&format!("speedup: {:.2}x", self.kss_speedup()));
 
+        let per_read_ns = 1e9 / self.step3_reads as f64;
+        report.section(&format!(
+            "Step 3 unified index ({} candidates, {} seeds, {} reads, seed k = {SEED_K})",
+            self.step3_candidates, self.step3_seeds, self.step3_reads
+        ));
+        report.table_header(&["kernel", "merge us/pass", "map ns/read"]);
+        report.table_row(
+            "btreemap",
+            &[
+                self.merge_btreemap_s * 1e6,
+                self.map_btreemap_s * per_read_ns,
+            ],
+        );
+        report.table_row(
+            "flat csr",
+            &[self.merge_flat_s * 1e6, self.map_flat_s * per_read_ns],
+        );
+        report.line(&format!(
+            "speedup: merge {:.2}x, map {:.2}x",
+            self.merge_speedup(),
+            self.map_speedup()
+        ));
+
         report.section("shard residency (host heap, shared storage counted once)");
         report.line(&format!(
             "one database copy: {:.2} MB",
@@ -327,6 +418,14 @@ impl HotpathMeasurement {
             }
         ));
         report.line(&format!(
+            "unified index parity with map-based reference: {}",
+            if self.step3_parity {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
+        ));
+        report.line(&format!(
             "galloping speedup: {} ({:.2}x vs the {GALLOP_THRESHOLD:.1}x threshold)",
             if self.gallop_confirmed() {
                 "confirmed"
@@ -351,9 +450,10 @@ impl HotpathMeasurement {
         report.line("counting and build replace per-item ordered-map insertion with one");
         report.line("sort_unstable + run-length group over a dense array; retrieval walks each");
         report.line("flat KSS table once with a forward cursor instead of searching it per");
-        report.line("k-mer; and partitioning returns range views over one Arc-shared columnar");
-        report.line("storage, so an N-shard deployment keeps a single resident copy of the");
-        report.line("database.");
+        report.line("k-mer; the unified index is one k-way merge of sorted seed columns mapped");
+        report.line("with a dense counter per candidate; and partitioning returns range views");
+        report.line("over one Arc-shared columnar storage, so an N-shard deployment keeps a");
+        report.line("single resident copy of the database.");
         report.finish()
     }
 
@@ -399,6 +499,18 @@ impl HotpathMeasurement {
              \x20   \"speedup\": {:.3},\n\
              \x20   \"parity\": {}\n\
              \x20 }},\n\
+             \x20 \"step3\": {{\n\
+             \x20   \"candidates\": {},\n\
+             \x20   \"seeds\": {},\n\
+             \x20   \"reads\": {},\n\
+             \x20   \"btreemap_merge_us_per_pass\": {:.3},\n\
+             \x20   \"flat_merge_us_per_pass\": {:.3},\n\
+             \x20   \"merge_speedup\": {:.3},\n\
+             \x20   \"btreemap_map_ns_per_read\": {:.3},\n\
+             \x20   \"flat_map_ns_per_read\": {:.3},\n\
+             \x20   \"map_speedup\": {:.3},\n\
+             \x20   \"parity\": {}\n\
+             \x20 }},\n\
              \x20 \"shards\": {{\n\
              \x20   \"db_heap_bytes\": {},\n\
              \x20   \"resident_bytes\": {{\n{}\n\x20   }},\n\
@@ -427,6 +539,16 @@ impl HotpathMeasurement {
             self.kss_stream_s * 1e9 / self.kss_queries as f64,
             self.kss_speedup(),
             self.kss_parity,
+            self.step3_candidates,
+            self.step3_seeds,
+            self.step3_reads,
+            self.merge_btreemap_s * 1e6,
+            self.merge_flat_s * 1e6,
+            self.merge_speedup(),
+            self.map_btreemap_s * 1e9 / self.step3_reads as f64,
+            self.map_flat_s * 1e9 / self.step3_reads as f64,
+            self.map_speedup(),
+            self.step3_parity,
             self.db_heap_bytes,
             residents.join(",\n"),
             self.resident_ratio(),
@@ -507,6 +629,45 @@ pub fn hotpath_measure() -> HotpathMeasurement {
     let kss_lookup_s = best_seconds(|| retrieve_by_lookup(&kss, &intersecting).len());
     let kss_stream_s = best_seconds(|| kss.stream_retrieve(&intersecting).len());
 
+    // Step 3 fixture: every reference of the counting community as a
+    // candidate (same-genus species share seeds), its reads as the mapped
+    // sample.
+    let candidates: Vec<ReferenceIndex> = community
+        .references()
+        .genomes()
+        .iter()
+        .map(|g| ReferenceIndex::build(g, SEED_K))
+        .collect();
+    let map_index = merge_btreemap(&candidates);
+    let flat_index = UnifiedReferenceIndex::merge(&candidates);
+    let step3_parity = flat_index.len() == map_index.len()
+        && flat_index.entries().zip(&map_index).all(
+            |((seed, locations), (map_seed, map_locations))| {
+                seed == *map_seed
+                    && locations
+                        .iter()
+                        .map(|l| (l.taxid, l.position))
+                        .eq(map_locations.iter().copied())
+            },
+        )
+        && reads
+            .iter()
+            .all(|r| flat_index.map_read_hit(r, SEED_K) == map_btreemap(&map_index, r));
+    let merge_btreemap_s = best_seconds(|| merge_btreemap(&candidates).len());
+    let merge_flat_s = best_seconds(|| UnifiedReferenceIndex::merge(&candidates).len());
+    let map_btreemap_s = best_seconds(|| {
+        reads
+            .iter()
+            .filter_map(|r| map_btreemap(&map_index, r))
+            .count()
+    });
+    let map_flat_s = best_seconds(|| {
+        reads
+            .iter()
+            .filter_map(|r| flat_index.map_read_hit(r, SEED_K))
+            .count()
+    });
+
     // Shard residency: zero-copy views must keep one storage copy at every
     // shard count.
     let db_heap_bytes = database.storage().heap_bytes();
@@ -531,6 +692,14 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         kss_lookup_s,
         kss_stream_s,
         kss_parity,
+        step3_candidates: candidates.len(),
+        step3_seeds: flat_index.len(),
+        step3_reads: reads.len(),
+        merge_btreemap_s,
+        merge_flat_s,
+        map_btreemap_s,
+        map_flat_s,
+        step3_parity,
         db_heap_bytes,
         resident_by_shards,
         parity,
@@ -556,6 +725,10 @@ mod tests {
             "streamed retrieval must equal the lookup fold"
         );
         assert!(
+            m.step3_parity,
+            "flat unified index and mapper must equal the map-based reference"
+        );
+        assert!(
             m.zero_copy_confirmed(),
             "sharding must keep one resident database copy: {:?} vs {}",
             m.resident_by_shards,
@@ -564,11 +737,13 @@ mod tests {
         let report = m.report();
         assert!(report.contains("parity with two-pointer reference: identical"));
         assert!(report.contains("kss stream parity with per-query lookup: identical"));
+        assert!(report.contains("unified index parity with map-based reference: identical"));
         assert!(report.contains("zero-copy shards: confirmed"));
         let json = m.to_json();
         assert!(json.contains("\"bench\": \"hotpath\""));
         assert!(json.contains("\"zero_copy_confirmed\": true"));
         assert!(json.contains("\"stream_ns_per_kmer\""));
+        assert!(json.contains("\"flat_map_ns_per_read\""));
         // The wall-clock speedup verdict is deliberately not asserted: a
         // timing ratio from one run flakes on loaded machines, here and in
         // CI alike.

@@ -4,38 +4,43 @@
 //! For applications that need relative abundances, MegIS prepares the data a
 //! read mapper needs: a *unified* reference index over the candidate species
 //! identified in Step 2, generated inside the SSD by sequentially merging the
-//! candidate species' per-species indexes (Fig. 9), then handed — together
-//! with the reads — to a mapping accelerator. On a device array the same
-//! stage shards: the candidate list is split into contiguous ranges of
-//! near-equal *modeled work* ([`partition_candidates`], cutting the
-//! ascending-taxid candidate order at the crossings of a per-candidate cost
-//! prefix sum — [`candidate_cost`]: index stream bytes plus expected mapping
-//! work — rather than at equal candidate counts, because candidate index
-//! sizes are skewed and an equal-count split lets one oversized range gate
-//! the whole array), each device merges its range into a
-//! [`PartialUnifiedIndex`] and maps every read against it ([`run_partial`]),
-//! and a reduce step recombines the partial indexes byte-identically,
-//! resolves reads that hit candidates on several devices by the same
-//! best-hit rule as [`UnifiedReferenceIndex::map_read`], and accumulates the
-//! abundance profile. The reduce is *incremental* ([`IncrementalReduce`]):
-//! partials fold in as they arrive — consecutive partial indexes through
-//! [`PartialUnifiedIndex::absorb`], per-read best hits through a commutative
-//! maximum — so a completer never barriers on the full partial set; the
-//! batch-shaped [`reduce`] is the same fold driven in one call.
+//! candidates' sorted per-species indexes (Fig. 9), then handed — together
+//! with the reads — to a mapping accelerator. Every index here is flat
+//! (sorted seed column, `u32` offsets, one location arena) and every merge
+//! is the one forward k-way merge of [`megis_genomics::database`], so the
+//! stage consumes its inputs at streaming cost and a finished
+//! [`Step3Output`] owns a fixed handful of allocations, not one per seed.
+//!
+//! On a device array the stage shards: the candidate list is split into
+//! contiguous ranges of near-equal *modeled work* ([`partition_candidates`],
+//! cutting the ascending-taxid candidate order at the crossings of a
+//! per-candidate cost prefix sum — [`candidate_cost`]: index stream bytes
+//! plus expected mapping work — rather than at equal candidate counts,
+//! because candidate index sizes are skewed and an equal-count split lets
+//! one oversized range gate the whole array), each device merges its range
+//! into a [`PartialUnifiedIndex`] and maps every read against it
+//! ([`run_partial`]), and a reduce step recombines the partial indexes
+//! byte-identically, resolves reads that hit candidates on several devices
+//! by the best-hit rule of [`UnifiedReferenceIndex::map_read`], and
+//! accumulates the abundance profile. The reduce is *incremental*
+//! ([`IncrementalReduce`]): partials fold in as they arrive — consecutive
+//! partial indexes through [`PartialUnifiedIndex::absorb`], best hits
+//! through a commutative maximum into a dense per-read table — so a
+//! completer never barriers on the full partial set; the batch-shaped
+//! [`reduce`] is the same fold driven in one call.
 //!
 //! The decomposition is *exact*, not approximate:
 //!
-//! * the folded unified index equals the one-pass merge
-//!   ([`PartialUnifiedIndex::absorb`] is the pairwise form of
-//!   [`UnifiedReferenceIndex::merge_partials`]; offsets and location orders
-//!   are preserved because the ranges are contiguous and consecutive),
+//! * the folded unified index equals the one-pass merge (`absorb`,
+//!   `merge_partials` and `merge_range` are the same k-way merge; offsets
+//!   and location orders survive because the ranges are consecutive),
 //! * a candidate lives on exactly one device, so per-device vote counts are
 //!   global vote counts and the max-of-maxes under `(votes,
 //!   smallest-taxid)` — an order-insensitive fold — is the global best hit,
 //!   with the [`MIN_MAPPING_VOTES`] threshold applied to the winner when the
 //!   reduce finishes,
 //! * abundance counts group by a deterministic sort + run-length pass
-//!   ([`AbundanceAccumulator`]).
+//!   ([`AbundanceAccumulator`]), fed in read order.
 //!
 //! [`run`] is the sequential oracle (one merge, one mapper): the seeded
 //! property suites assert that partition → [`run_partial`] → [`reduce`] at
@@ -205,12 +210,6 @@ pub fn build_candidate_indexes(
         .collect()
 }
 
-/// Generates the unified reference index over the candidate species
-/// (the in-SSD merge of Fig. 9).
-pub fn generate_unified_index(candidate_indexes: &[ReferenceIndex]) -> UnifiedReferenceIndex {
-    UnifiedReferenceIndex::merge(candidate_indexes)
-}
-
 /// Runs one device's share of partitioned Step 3: merge the candidate range
 /// (starting at `base_offset` in the concatenated reference space) into a
 /// partial unified index, then map every read against it, recording each
@@ -223,15 +222,13 @@ pub fn run_partial(
 ) -> Step3Partial {
     let index = PartialUnifiedIndex::merge_range(candidates, base_offset);
     let mut hits = Vec::new();
-    if !index.index().is_empty() {
-        for (read_index, read) in reads.iter().enumerate() {
-            if let Some(hit) = index.index().map_read_hit(read, mapping_k) {
-                hits.push(PartialReadHit {
-                    read: read_index,
-                    taxid: hit.taxid,
-                    votes: hit.votes,
-                });
-            }
+    for (read_index, read) in reads.iter().enumerate() {
+        if let Some(hit) = index.index().map_read_hit(read, mapping_k) {
+            hits.push(PartialReadHit {
+                read: read_index,
+                taxid: hit.taxid,
+                votes: hit.votes,
+            });
         }
     }
     Step3Partial { index, hits }
@@ -246,11 +243,11 @@ pub fn run_partial(
 ///
 /// * **index fold** — partial indexes must recombine in part order, so the
 ///   reducer holds out-of-order arrivals and absorbs the contiguous ready
-///   prefix through [`PartialUnifiedIndex::absorb`] (the pairwise form of
-///   [`UnifiedReferenceIndex::merge_partials`], byte-identical by the
-///   genomics parity suite);
+///   prefix through [`PartialUnifiedIndex::absorb`] (byte-identical to
+///   [`UnifiedReferenceIndex::merge_partials`] by the genomics parity suite);
 /// * **hit fold** — per-read best hits reduce by a commutative maximum
-///   under `(votes, smallest-taxid)`, so arrival order cannot matter.
+///   under `(votes, smallest-taxid)` into a table indexed by read: arrival
+///   order cannot matter and the completer hashes nothing per hit.
 ///
 /// Positions whose part was empty (never dispatched as a command) are
 /// declared up front via the `expected` mask; the reducer skips over them.
@@ -261,10 +258,11 @@ pub fn run_partial(
 #[derive(Debug, Default)]
 pub struct IncrementalReduce {
     expected: Vec<bool>,
-    held: Vec<Option<Step3Partial>>,
+    held: Vec<Option<PartialUnifiedIndex>>,
     cursor: usize,
     folded: Option<PartialUnifiedIndex>,
-    best: HashMap<usize, (u32, TaxId)>,
+    /// Best `(votes, taxid)` so far per read index; zero votes: no hit yet.
+    best: Vec<(u32, TaxId)>,
 }
 
 impl IncrementalReduce {
@@ -277,7 +275,7 @@ impl IncrementalReduce {
             expected,
             cursor: 0,
             folded: None,
-            best: HashMap::new(),
+            best: Vec::new(),
         };
         reducer.drain_ready();
         reducer
@@ -297,21 +295,16 @@ impl IncrementalReduce {
             "position {position} was not expected"
         );
         for hit in &partial.hits {
-            let candidate = (hit.votes, hit.taxid);
-            match self.best.entry(hit.read) {
-                std::collections::hash_map::Entry::Occupied(mut cur) => {
-                    let (votes, taxid) = *cur.get();
-                    if candidate.0 > votes || (candidate.0 == votes && candidate.1 < taxid) {
-                        cur.insert(candidate);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(slot) => {
-                    slot.insert(candidate);
-                }
+            if hit.read >= self.best.len() {
+                self.best.resize(hit.read + 1, (0, TaxId(u32::MAX)));
+            }
+            let best = &mut self.best[hit.read];
+            if hit.votes > best.0 || (hit.votes == best.0 && hit.taxid < best.1) {
+                *best = (hit.votes, hit.taxid);
             }
         }
         assert!(
-            self.held[position].replace(partial).is_none(),
+            self.held[position].replace(partial.index).is_none(),
             "position {position} offered twice"
         );
         self.drain_ready();
@@ -328,8 +321,8 @@ impl IncrementalReduce {
                 break;
             };
             match self.folded.as_mut() {
-                Some(folded) => folded.absorb(partial.index),
-                None => self.folded = Some(partial.index),
+                Some(folded) => folded.absorb(partial),
+                None => self.folded = Some(partial),
             }
             self.cursor += 1;
         }
@@ -362,7 +355,7 @@ impl IncrementalReduce {
             .unwrap_or_default();
         let mut counts = AbundanceAccumulator::new();
         let mut mapped_reads = 0u64;
-        for (votes, taxid) in self.best.values() {
+        for (votes, taxid) in &self.best {
             if *votes >= MIN_MAPPING_VOTES {
                 counts.record(*taxid);
                 mapped_reads += 1;
@@ -421,7 +414,7 @@ pub fn run_partitioned(
 /// against — it never goes through partition/reduce, so a regression in
 /// either shows up as a divergence.
 pub fn run(reads: &ReadSet, candidate_indexes: &[ReferenceIndex], mapping_k: usize) -> Step3Output {
-    let unified_index = generate_unified_index(candidate_indexes);
+    let unified_index = UnifiedReferenceIndex::merge(candidate_indexes);
     let mut counts = AbundanceAccumulator::new();
     let mut mapped_reads = 0;
     for read in reads.iter() {
@@ -464,7 +457,7 @@ mod tests {
         let truth = c.truth_presence();
         let indexes = build_candidate_indexes(c.references(), &truth, 15);
         assert_eq!(indexes.len(), truth.len());
-        let unified = generate_unified_index(&indexes);
+        let unified = UnifiedReferenceIndex::merge(&indexes);
         assert_eq!(unified.offsets().len(), truth.len());
     }
 
@@ -660,10 +653,10 @@ mod tests {
             for parts in 1..=9usize {
                 let sharded = run_partitioned(&reads, &refs, parts, 15);
                 assert_eq!(sharded, oracle, "seed {seed}, {parts} parts diverged");
-                assert_eq!(
-                    sharded.unified_index.entries(),
-                    oracle.unified_index.entries()
-                );
+                assert!(sharded
+                    .unified_index
+                    .entries()
+                    .eq(oracle.unified_index.entries()));
                 assert_eq!(
                     sharded.unified_index.offsets(),
                     oracle.unified_index.offsets()
@@ -761,10 +754,10 @@ mod tests {
                     sharded, oracle,
                     "seed {seed}, {parts} parts diverged from the oracle"
                 );
-                assert_eq!(
-                    sharded.unified_index.entries(),
-                    oracle.unified_index.entries()
-                );
+                assert!(sharded
+                    .unified_index
+                    .entries()
+                    .eq(oracle.unified_index.entries()));
                 assert_eq!(
                     sharded.unified_index.offsets(),
                     oracle.unified_index.offsets()

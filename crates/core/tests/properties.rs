@@ -7,7 +7,8 @@
 //! slice of the input space (the offline equivalent of the original
 //! proptest-based suite).
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -15,9 +16,13 @@ use rand::{Rng, SeedableRng};
 use megis::config::MegisConfig;
 use megis::ftl::MegisFtl;
 use megis::kss::KssTables;
-use megis_genomics::database::SortedKmerDatabase;
+use megis::step3::{self, IncrementalReduce};
+use megis_genomics::database::{ReferenceIndex, SortedKmerDatabase, MIN_MAPPING_VOTES};
+use megis_genomics::dna::PackedSequence;
 use megis_genomics::kmer::Kmer;
-use megis_genomics::reference::ReferenceCollection;
+use megis_genomics::profile::AbundanceProfile;
+use megis_genomics::read::{Read, ReadSet};
+use megis_genomics::reference::{ReferenceCollection, ReferenceGenome};
 use megis_genomics::sketch::{SketchConfig, SketchDatabase};
 use megis_genomics::taxonomy::TaxId;
 use megis_ssd::config::SsdConfig;
@@ -318,5 +323,125 @@ fn ftl_placement_is_always_balanced() {
         assert!(placement.total_blocks() > 0);
         // Metadata stays tiny regardless of database size.
         assert!(ftl.total_metadata_bytes().as_bytes() < 4_000_000);
+    }
+}
+
+fn random_dna(rng: &mut StdRng, len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|_| b"ACGT"[rng.gen_range(0..4usize)])
+        .collect()
+}
+
+#[test]
+fn incremental_reduce_in_any_arrival_order_equals_the_map_based_step3() {
+    // Random candidate sets whose genomes share a core segment (so seeds are
+    // shared across species and across devices), 1–8 parts, every part's
+    // partial offered in a shuffled order: the delivered output must equal
+    // the sequential oracle and a map-based Step 3 written out here —
+    // ordered-map merge, ordered-map votes, `(votes, smallest taxid)` winner,
+    // threshold, counts.
+    const K: usize = 15;
+    let mut rng = StdRng::seed_from_u64(208);
+    for case in 0..40usize {
+        let core = random_dna(&mut rng, 120);
+        let count = if case == 0 { 0 } else { 1 + case % 8 };
+        let genomes: Vec<ReferenceGenome> = (0..count)
+            .map(|i| {
+                let head = rng.gen_range(0..400usize);
+                let mut ascii = random_dna(&mut rng, head);
+                if rng.gen_range(0..4u32) > 0 {
+                    ascii.extend(&core);
+                }
+                let tail = rng.gen_range(0..200usize);
+                ascii.extend(random_dna(&mut rng, tail));
+                let sequence = PackedSequence::from_ascii(&ascii).unwrap();
+                ReferenceGenome::new(TaxId(100 + 7 * i as u32), format!("g{i}"), sequence)
+            })
+            .collect();
+        let indexes: Vec<ReferenceIndex> = genomes
+            .iter()
+            .map(|g| ReferenceIndex::build(g, K))
+            .collect();
+        let candidates: Vec<&ReferenceIndex> = indexes.iter().collect();
+
+        // Reads: windows of the genomes (both strands), the shared core
+        // itself (a tie between every species carrying it), foreign and
+        // too-short reads.
+        let mut sequences = vec![
+            PackedSequence::from_ascii(&core).unwrap(),
+            PackedSequence::from_ascii(&random_dna(&mut rng, 100)).unwrap(),
+            PackedSequence::from_ascii(&random_dna(&mut rng, K - 1)).unwrap(),
+        ];
+        for genome in genomes.iter().filter(|g| g.len() >= 60) {
+            let start = rng.gen_range(0..=genome.len() - 60);
+            let window = genome.sequence().subsequence(start, 60);
+            sequences.push(window.reverse_complement());
+            sequences.push(window);
+        }
+        let reads = ReadSet::from_reads(
+            sequences
+                .into_iter()
+                .enumerate()
+                .map(|(i, sequence)| Read::new(format!("r{i}"), sequence))
+                .collect(),
+        );
+
+        // The map-based reference.
+        let mut merged: BTreeMap<Kmer, Vec<(TaxId, u64)>> = BTreeMap::new();
+        let mut offsets = Vec::new();
+        let mut running = 0u64;
+        for idx in &indexes {
+            offsets.push((idx.taxid(), running));
+            for (seed, positions) in idx.entries() {
+                let out = merged.entry(seed).or_default();
+                out.extend(positions.iter().map(|p| (idx.taxid(), running + *p as u64)));
+            }
+            running += idx.genome_len() as u64;
+        }
+        let mut counts: BTreeMap<TaxId, u64> = BTreeMap::new();
+        for read in reads.iter() {
+            let mut votes: BTreeMap<TaxId, u32> = BTreeMap::new();
+            for kmer in read.kmers(K) {
+                for (taxid, _) in merged.get(&kmer.canonical()).into_iter().flatten() {
+                    *votes.entry(*taxid).or_insert(0) += 1;
+                }
+            }
+            let best = votes.into_iter().max_by_key(|(t, v)| (*v, Reverse(*t)));
+            if let Some((taxid, _)) = best.filter(|(_, v)| *v >= MIN_MAPPING_VOTES) {
+                *counts.entry(taxid).or_insert(0) += 1;
+            }
+        }
+        let mapped_reads: u64 = counts.values().sum();
+        let abundance = AbundanceProfile::from_counts(counts);
+
+        let oracle = step3::run(&reads, &indexes, K);
+        assert_eq!(oracle.mapped_reads, mapped_reads, "case {case}");
+        assert_eq!(oracle.abundance, abundance, "case {case}");
+        assert_eq!(oracle.unified_index.offsets(), offsets.as_slice());
+        assert_eq!(oracle.unified_index.len(), merged.len());
+        for ((seed, locations), (expected_seed, expected)) in
+            oracle.unified_index.entries().zip(&merged)
+        {
+            assert_eq!(seed, *expected_seed);
+            let got: Vec<(TaxId, u64)> = locations.iter().map(|l| (l.taxid, l.position)).collect();
+            assert_eq!(&got, expected, "case {case}, seed {seed}");
+        }
+
+        let parts = 1 + case % 8;
+        let partition = step3::partition_candidates(&candidates, parts);
+        let expected: Vec<bool> = partition.iter().map(|p| !p.is_empty()).collect();
+        let mut arrivals: Vec<usize> = (0..parts).filter(|p| expected[*p]).collect();
+        for i in (1..arrivals.len()).rev() {
+            arrivals.swap(i, rng.gen_range(0..=i));
+        }
+        let mut reducer = IncrementalReduce::new(expected);
+        for position in arrivals {
+            let part = &partition[position];
+            let partial =
+                step3::run_partial(&reads, &candidates[part.range.clone()], part.base_offset, K);
+            reducer.offer(position, partial);
+        }
+        assert!(reducer.is_complete());
+        assert_eq!(reducer.finish(), oracle, "case {case}, {parts} parts");
     }
 }

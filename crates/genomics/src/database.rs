@@ -44,25 +44,32 @@
 //! oracle for the property tests and the baseline the `hotpath` bench
 //! experiment measures against.
 //!
+//! # Read-mapping indexes
+//!
 //! For read-mapping-based abundance estimation, each species additionally has
-//! a [`ReferenceIndex`] mapping k-mers to their genome locations; MegIS's Step
-//! 3 merges the indexes of the candidate species into a
-//! [`UnifiedReferenceIndex`] inside the SSD (Fig. 9 of the paper). The merge
-//! is *partitionable*: a contiguous range of the candidate list can be merged
-//! into a [`PartialUnifiedIndex`] on one device (given the range's base
-//! offset in the concatenated reference space), and
-//! [`UnifiedReferenceIndex::merge_partials`] recombines per-device partials
-//! into an index byte-identical to merging every candidate in one pass —
-//! what lets Step 3's index generation and read mapping shard across the
-//! same device array that serves Step 2.
+//! a [`ReferenceIndex`] mapping canonical seeds to their genome locations;
+//! MegIS's Step 3 generates a [`UnifiedReferenceIndex`] over the candidate
+//! species inside the SSD *by sequentially merging the sorted per-species
+//! indexes* (§4.4, Fig. 9). Both index types are flat like the database: a
+//! sorted column of raw `u128` seed words (one seed length per index, so
+//! integer order is lexicographic order), `u32` offsets into one location
+//! arena, and a bucket directory over the seeds' leading bits. One routine,
+//! a forward k-way merge of sorted seed tables with seed ties broken by
+//! stream position, backs [`UnifiedReferenceIndex::merge`],
+//! [`PartialUnifiedIndex::merge_range`] (per-species streams),
+//! [`UnifiedReferenceIndex::merge_partials`] and
+//! [`PartialUnifiedIndex::absorb`] (per-device streams), so merging
+//! consecutive candidate ranges on separate devices and recombining them is
+//! byte-identical to one pass over every candidate: Step 3 shards across
+//! the device array that serves Step 2.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::BTreeMap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::kmer::{Kmer, KmerExtractor};
+use crate::kmer::{CanonicalKmerExtractor, Kmer, KmerExtractor};
 use crate::reference::{ReferenceCollection, ReferenceGenome};
 use crate::taxonomy::TaxId;
 
@@ -704,52 +711,186 @@ fn pin_boundary(slice: &[Kmer], target: Kmer, mut lo: usize, mut hi: usize) -> u
     lo + 1
 }
 
-thread_local! {
-    /// Count of [`ReferenceIndex::build`] calls on the current thread; see
-    /// [`ReferenceIndex::builds_on_this_thread`].
-    static REFERENCE_INDEX_BUILDS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// A per-species read-mapping index: k-mer → sorted genome locations.
-#[derive(Debug, Clone, Default)]
-pub struct ReferenceIndex {
-    taxid: TaxId,
+/// A sorted seed column with a CSR payload — the flat layout both
+/// read-mapping indexes store. `seeds` holds the raw words of length-`k`
+/// canonical seeds, so integer order is lexicographic order. Four
+/// allocations however many seeds: a drop frees nothing per seed.
+#[derive(Debug, Clone, PartialEq)]
+struct SeedTable<T> {
     k: usize,
-    genome_len: usize,
-    entries: Vec<(Kmer, Vec<u32>)>,
-    /// On-storage size of `entries`, summed once at build.
-    encoded_bytes: u64,
+    seeds: Vec<u128>,
+    /// `seeds.len() + 1` boundaries into `payload`.
+    offsets: Vec<u32>,
+    payload: Vec<T>,
+    /// `seeds[buckets[b]..buckets[b + 1]]` are the seeds whose value shifted
+    /// right by `bucket_shift` is `b`; empty until [`SeedTable::seal`].
+    buckets: Vec<u32>,
+    bucket_shift: u32,
 }
 
-impl ReferenceIndex {
-    /// Builds the index of one reference genome with seeds of length `k`.
-    pub fn build(genome: &ReferenceGenome, k: usize) -> ReferenceIndex {
-        REFERENCE_INDEX_BUILDS.with(|c| c.set(c.get() + 1));
-        let mut map: BTreeMap<Kmer, Vec<u32>> = BTreeMap::new();
-        for (pos, kmer) in KmerExtractor::new(genome.sequence(), k).enumerate() {
-            map.entry(kmer.canonical()).or_default().push(pos as u32);
-        }
-        let entries: Vec<(Kmer, Vec<u32>)> = map.into_iter().collect();
-        let encoded_bytes = entries
-            .iter()
-            .map(|(k, locs)| (k.encoded_bytes() + 4 * locs.len()) as u64)
-            .sum();
-        ReferenceIndex {
-            taxid: genome.taxid(),
+impl<T> Default for SeedTable<T> {
+    fn default() -> SeedTable<T> {
+        SeedTable::with_capacity(0, 0, 0)
+    }
+}
+
+impl<T> SeedTable<T> {
+    fn with_capacity(k: usize, seeds: usize, items: usize) -> SeedTable<T> {
+        let mut offsets = Vec::with_capacity(seeds + 1);
+        offsets.push(0);
+        SeedTable {
             k,
-            genome_len: genome.len(),
-            entries,
-            encoded_bytes,
+            seeds: Vec::with_capacity(seeds),
+            offsets,
+            payload: Vec::with_capacity(items),
+            buckets: Vec::new(),
+            bucket_shift: 0,
         }
     }
 
-    /// Number of [`ReferenceIndex::build`] calls the *current thread* has
-    /// performed over its lifetime. Index construction is one-time offline
-    /// work (§4.4): analyzers build their per-species indexes once and
-    /// borrow them per sample, and regression tests use this counter to
-    /// assert no per-sample rebuild sneaks back in. Thread-local (rather
-    /// than process-global) so concurrently running tests cannot perturb
-    /// each other's counts.
+    /// Appends `items` under `seed`, which must not sort before any seed
+    /// appended so far; a repeat of the last seed extends its entry.
+    fn append(&mut self, seed: u128, items: impl Iterator<Item = T>) {
+        debug_assert!(self.seeds.last().is_none_or(|last| *last <= seed));
+        if self.seeds.last() != Some(&seed) {
+            self.seeds.push(seed);
+            self.offsets.push(0);
+        }
+        self.payload.extend(items);
+        *self.offsets.last_mut().expect("offsets hold a sentinel") =
+            u32::try_from(self.payload.len()).expect("payload column exceeds u32 offsets");
+    }
+
+    /// Builds the bucket directory once every seed is appended (one
+    /// counting pass, one prefix sum): buckets are the top bits of the
+    /// *largest* seed's width, about four evenly spread seeds to a bucket.
+    fn seal(&mut self) {
+        let Some(max) = self.seeds.last() else { return };
+        let width = 128 - max.leading_zeros();
+        let bits = (usize::BITS - self.seeds.len().leading_zeros())
+            .saturating_sub(2)
+            .min(width);
+        self.bucket_shift = width - bits;
+        self.buckets = vec![0u32; (1usize << bits) + 1];
+        for seed in &self.seeds {
+            self.buckets[(seed >> self.bucket_shift) as usize + 1] += 1;
+        }
+        for b in 1..self.buckets.len() {
+            self.buckets[b] += self.buckets[b - 1];
+        }
+    }
+
+    fn items(&self, index: usize) -> &[T] {
+        &self.payload[self.offsets[index] as usize..self.offsets[index + 1] as usize]
+    }
+
+    /// Items under the raw word of a length-`k` seed: one directory probe,
+    /// then a binary search within the bucket (`O(log n)` under any skew).
+    fn get(&self, seed: u128) -> Option<&[T]> {
+        debug_assert!(self.seeds.is_empty() || !self.buckets.is_empty());
+        let bucket = usize::try_from(seed >> self.bucket_shift).ok()?;
+        let start = *self.buckets.get(bucket)? as usize;
+        let end = *self.buckets.get(bucket + 1)? as usize;
+        let within = self.seeds[start..end].binary_search(&seed).ok()?;
+        Some(self.items(start + within))
+    }
+
+    /// Items under `kmer`; no k-mer of another length is a seed here,
+    /// whatever its raw word.
+    fn locations(&self, kmer: Kmer) -> Option<&[T]> {
+        self.get(kmer.bits()).filter(|_| kmer.k() == self.k)
+    }
+
+    fn entries(&self) -> impl ExactSizeIterator<Item = (Kmer, &[T])> + '_ {
+        (0..self.seeds.len()).map(|i| (Kmer::from_bits(self.seeds[i], self.k), self.items(i)))
+    }
+
+    /// On-storage size: 2-bit seeds plus `item_bytes` per item.
+    fn encoded_bytes(&self, item_bytes: usize) -> u64 {
+        (self.seeds.len() * (2 * self.k).div_ceil(8) + item_bytes * self.payload.len()) as u64
+    }
+}
+
+/// The one merge routine of this module: a forward k-way merge of sorted
+/// seed tables that writes the output columns directly. Stream `s`
+/// contributes `adjust(context_s, item)` per item; on a shared seed the
+/// contributions concatenate in stream order (the head heap breaks seed
+/// ties by stream position) — for streams in candidate order, the order
+/// Fig. 9's sequential merge emits. Panics on mixed seed lengths.
+fn merge_tables<T, C: Copy, U>(
+    streams: &[(&SeedTable<T>, C)],
+    adjust: impl Fn(C, &T) -> U,
+) -> SeedTable<U> {
+    let k = streams.first().map_or(0, |(table, _)| table.k);
+    assert!(
+        streams.iter().all(|(table, _)| table.k == k),
+        "all merged indexes must share the same seed length"
+    );
+    let mut out = SeedTable::with_capacity(
+        k,
+        streams.iter().map(|(t, _)| t.seeds.len()).sum(),
+        streams.iter().map(|(t, _)| t.payload.len()).sum(),
+    );
+    // One head per live stream: (seed, stream, entry within the stream).
+    let mut heads: BinaryHeap<Reverse<(u128, usize, usize)>> = streams
+        .iter()
+        .enumerate()
+        .filter_map(|(s, (table, _))| table.seeds.first().map(|&seed| Reverse((seed, s, 0))))
+        .collect();
+    while let Some(mut head) = heads.peek_mut() {
+        let Reverse((seed, s, entry)) = *head;
+        let (table, context) = streams[s];
+        let items = table.items(entry).iter();
+        out.append(seed, items.map(|item| adjust(context, item)));
+        match table.seeds.get(entry + 1) {
+            Some(&next) => *head = Reverse((next, s, entry + 1)),
+            None => drop(PeekMut::pop(head)),
+        }
+    }
+    out.seal();
+    out
+}
+
+thread_local! {
+    /// See [`ReferenceIndex::builds_on_this_thread`].
+    static REFERENCE_INDEX_BUILDS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// A per-species read-mapping index: canonical seed → ascending locations, stored flat.
+#[derive(Debug, Clone, Default)]
+pub struct ReferenceIndex {
+    taxid: TaxId,
+    genome_len: usize,
+    table: SeedTable<u32>,
+}
+
+impl ReferenceIndex {
+    /// Builds the index of one reference genome with seeds of length `k`:
+    /// collect `(seed, position)` pairs, `sort_unstable`, run-length group.
+    pub fn build(genome: &ReferenceGenome, k: usize) -> ReferenceIndex {
+        REFERENCE_INDEX_BUILDS.with(|c| c.set(c.get() + 1));
+        assert!(u32::try_from(genome.len()).is_ok(), "locations are u32");
+        let mut pairs: Vec<(u128, u32)> = CanonicalKmerExtractor::new(genome.sequence(), k)
+            .zip(0u32..)
+            .map(|(seed, pos)| (seed.bits(), pos))
+            .collect();
+        pairs.sort_unstable();
+        let mut table = SeedTable::with_capacity(k, pairs.len(), pairs.len());
+        for (seed, pos) in pairs {
+            table.append(seed, std::iter::once(pos));
+        }
+        table.seal();
+        ReferenceIndex {
+            taxid: genome.taxid(),
+            genome_len: genome.len(),
+            table,
+        }
+    }
+
+    /// [`ReferenceIndex::build`] calls the *current thread* has performed.
+    /// Building is one-time offline work (§4.4): regression tests assert on
+    /// this that no per-sample rebuild sneaks back in (thread-local, so
+    /// concurrent tests cannot perturb it).
     pub fn builds_on_this_thread() -> u64 {
         REFERENCE_INDEX_BUILDS.with(Cell::get)
     }
@@ -761,7 +902,7 @@ impl ReferenceIndex {
 
     /// The seed length.
     pub fn k(&self) -> usize {
-        self.k
+        self.table.k
     }
 
     /// Length of the indexed genome in bases.
@@ -771,37 +912,36 @@ impl ReferenceIndex {
 
     /// Number of distinct seeds.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.table.seeds.len()
     }
 
     /// Returns `true` if the index has no seeds.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.table.seeds.is_empty()
     }
 
-    /// Sorted `(kmer, locations)` entries.
-    pub fn entries(&self) -> &[(Kmer, Vec<u32>)] {
-        &self.entries
+    /// The sorted `(seed, locations)` entries, borrowed from the columns.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (Kmer, &[u32])> + '_ {
+        self.table.entries()
     }
 
-    /// Locations of a seed, if indexed.
+    /// Locations of a seed, if indexed (`None` for a k-mer of any length
+    /// other than [`ReferenceIndex::k`]).
     pub fn locations(&self, kmer: Kmer) -> Option<&[u32]> {
-        self.entries
-            .binary_search_by(|(k, _)| k.cmp(&kmer))
-            .ok()
-            .map(|i| self.entries[i].1.as_slice())
+        self.table.locations(kmer)
     }
 
     /// On-storage size in bytes (2-bit k-mers + 4-byte locations).
     pub fn encoded_bytes(&self) -> u64 {
-        self.encoded_bytes
+        self.table.encoded_bytes(4)
     }
 }
 
-/// A location in the unified index: which species and what offset-adjusted
-/// position the seed occurs at.
+/// A location in the unified index: a species and an offset-adjusted position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnifiedLocation {
+    /// Position of the species in [`UnifiedReferenceIndex::offsets`].
+    pub candidate: u32,
     /// The species the location belongs to.
     pub taxid: TaxId,
     /// Position within the concatenated (offset-adjusted) reference space.
@@ -826,114 +966,48 @@ pub struct ReadMapHit {
     pub votes: u32,
 }
 
-/// A unified read-mapping index over several candidate species.
-///
-/// MegIS generates this inside the SSD by sequentially merging the per-species
-/// indexes of the candidate species found in Step 2, adjusting locations by
-/// per-species offsets (Fig. 9). A single unified index avoids searching each
-/// per-species index separately during read mapping.
+/// A unified read-mapping index over several candidate species, stored flat
+/// like its inputs. MegIS generates it inside the SSD by sequentially
+/// merging the per-species indexes of Step 2's candidates, adjusting
+/// locations by per-species offsets (Fig. 9), so read mapping searches one
+/// index instead of one per species.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UnifiedReferenceIndex {
-    k: usize,
-    entries: Vec<(Kmer, Vec<UnifiedLocation>)>,
+    table: SeedTable<UnifiedLocation>,
     offsets: Vec<(TaxId, u64)>,
 }
 
 impl UnifiedReferenceIndex {
-    /// Merges per-species indexes into a unified index.
-    ///
-    /// The merge walks all input indexes as sorted streams — the same
-    /// sequential access pattern MegIS's in-SSD index generation uses.
-    /// Implemented as the one-partition case of the partitioned merge
-    /// ([`PartialUnifiedIndex::merge_range`] at base offset 0 followed by
-    /// [`UnifiedReferenceIndex::merge_partials`]), so the sequential and
-    /// sharded paths cannot drift apart.
-    ///
-    /// # Panics
-    ///
+    /// Merges per-species indexes (each species once) into a unified index:
+    /// [`PartialUnifiedIndex::merge_range`] over the whole list at base 0.
     /// Panics if the indexes do not all share the same `k`.
     pub fn merge(indexes: &[ReferenceIndex]) -> UnifiedReferenceIndex {
         let refs: Vec<&ReferenceIndex> = indexes.iter().collect();
-        UnifiedReferenceIndex::merge_partials(vec![PartialUnifiedIndex::merge_range(&refs, 0)])
+        PartialUnifiedIndex::merge_range(&refs, 0).index
     }
 
-    /// Recombines per-device partial indexes — built by
-    /// [`PartialUnifiedIndex::merge_range`] over *consecutive* ranges of one
-    /// candidate list, each at its range's base offset — into the unified
-    /// index, byte-identical to [`UnifiedReferenceIndex::merge`] over the
-    /// whole list. Partials covering an empty range contribute nothing and
-    /// may appear anywhere in the sequence.
-    ///
-    /// Per-species offsets concatenate in partial order, and for a seed
-    /// indexed by several partials the location lists concatenate in partial
-    /// (= candidate) order, which is exactly the order the one-pass merge
-    /// produces.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the non-empty partials do not all share the same seed
-    /// length. Debug builds additionally check that consecutive partials'
-    /// base offsets abut (each base equals the previous base plus its span).
+    /// Recombines per-device partials — [`PartialUnifiedIndex::merge_range`]
+    /// over *consecutive* ranges of one candidate list, each at its range's
+    /// base offset — into the unified index, byte-identical to
+    /// [`UnifiedReferenceIndex::merge`] over the whole list. Panics if the
+    /// non-empty partials disagree on the seed length or leave a gap.
     pub fn merge_partials(partials: Vec<PartialUnifiedIndex>) -> UnifiedReferenceIndex {
-        let k = partials
-            .iter()
-            .find(|p| !p.index.offsets.is_empty())
-            .map(|p| p.index.k)
-            .unwrap_or(0);
-        assert!(
-            partials
-                .iter()
-                .filter(|p| !p.index.offsets.is_empty())
-                .all(|p| p.index.k == k),
-            "all partial indexes must share the same seed length"
-        );
-        #[cfg(debug_assertions)]
-        for w in partials.windows(2) {
-            debug_assert_eq!(
-                w[1].base,
-                w[0].base + w[0].span,
-                "partials must cover consecutive candidate ranges"
-            );
-        }
-        let mut offsets = Vec::new();
-        let mut pieces: Vec<(Kmer, usize, Vec<UnifiedLocation>)> = Vec::new();
-        for (pi, partial) in partials.into_iter().enumerate() {
-            offsets.extend(partial.index.offsets);
-            for (kmer, locs) in partial.index.entries {
-                pieces.push((kmer, pi, locs));
-            }
-        }
-        // Partial indexes are each kmer-sorted; sorting the concatenation by
-        // (kmer, partial) and run-length grouping restores the global sorted
-        // entry list with location lists concatenated in candidate order.
-        pieces.sort_unstable_by_key(|(kmer, pi, _)| (*kmer, *pi));
-        let mut entries: Vec<(Kmer, Vec<UnifiedLocation>)> = Vec::new();
-        for (kmer, _, locs) in pieces {
-            match entries.last_mut() {
-                Some((last, acc)) if *last == kmer => acc.extend(locs),
-                _ => entries.push((kmer, locs)),
-            }
-        }
-        UnifiedReferenceIndex {
-            k,
-            entries,
-            offsets,
-        }
+        PartialUnifiedIndex::concat(partials).index
     }
 
     /// The seed length.
     pub fn k(&self) -> usize {
-        self.k
+        self.table.k
     }
 
     /// Number of distinct seeds in the unified index.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.table.seeds.len()
     }
 
     /// Returns `true` if the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.table.seeds.is_empty()
     }
 
     /// Per-species offsets in the concatenated reference space.
@@ -941,28 +1015,22 @@ impl UnifiedReferenceIndex {
         &self.offsets
     }
 
-    /// The sorted `(seed, locations)` entries — exposed so tests and
-    /// benchmarks can assert a recombined index is byte-identical to the
-    /// one-pass merge.
-    pub fn entries(&self) -> &[(Kmer, Vec<UnifiedLocation>)] {
-        &self.entries
+    /// The sorted `(seed, locations)` entries, borrowed from the columns.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (Kmer, &[UnifiedLocation])> + '_ {
+        self.table.entries()
     }
 
-    /// Locations of a seed across all merged species.
+    /// Locations of a seed across all merged species (`None` for a k-mer of
+    /// any length other than [`UnifiedReferenceIndex::k`]).
     pub fn locations(&self, kmer: Kmer) -> Option<&[UnifiedLocation]> {
-        self.entries
-            .binary_search_by(|(k, _)| k.cmp(&kmer))
-            .ok()
-            .map(|i| self.entries[i].1.as_slice())
+        self.table.locations(kmer)
     }
 
     /// Maps one read against the unified index and returns the species with
     /// the most seed hits (requiring at least [`MIN_MAPPING_VOTES`]
-    /// supporting seeds), or `None` if the read does not map.
-    ///
-    /// This is the seed-voting mapper used for abundance estimation by both
-    /// the S-Qry baseline and MegIS; sharing it keeps their abundance outputs
-    /// identical, as the paper requires.
+    /// supporting seeds), or `None` if the read does not map. The S-Qry
+    /// baseline and MegIS share this seed-voting mapper, which keeps their
+    /// abundance outputs identical, as the paper requires.
     pub fn map_read(&self, read: &crate::read::Read, seed_k: usize) -> Option<TaxId> {
         self.map_read_hit(read, seed_k)
             .filter(|hit| hit.votes >= MIN_MAPPING_VOTES)
@@ -970,34 +1038,32 @@ impl UnifiedReferenceIndex {
     }
 
     /// The best-supported candidate for one read, *without* the
-    /// [`MIN_MAPPING_VOTES`] threshold (`None` only when no seed hits at
-    /// all). Ties on votes go to the smallest taxid.
-    ///
-    /// A per-device mapper over a candidate partition reports this raw hit;
-    /// because each candidate lives on exactly one device, the per-device
-    /// vote count equals the global vote count, so taking the maximum of the
-    /// per-device hits under the same `(votes, smallest-taxid)` order — and
-    /// applying the threshold to the winner — reproduces
-    /// [`UnifiedReferenceIndex::map_read`] over the full candidate set
-    /// exactly.
+    /// [`MIN_MAPPING_VOTES`] threshold; ties on votes go to the smallest
+    /// taxid. `None` when no seed hits at all, which covers reads shorter
+    /// than a seed and any `seed_k` other than [`UnifiedReferenceIndex::k`].
+    /// Outside the lookup the work per seed is constant: a word-parallel
+    /// canonicalization and one bump per location of a dense counter array.
+    /// A per-device mapper reports this raw hit: a candidate lives on one
+    /// device, so per-device votes are global votes, and the maximum of the
+    /// per-device hits under the same order, thresholded, reproduces
+    /// [`UnifiedReferenceIndex::map_read`].
     pub fn map_read_hit(&self, read: &crate::read::Read, seed_k: usize) -> Option<ReadMapHit> {
-        let mut votes: BTreeMap<TaxId, u32> = BTreeMap::new();
+        if seed_k != self.table.k || self.is_empty() {
+            return None;
+        }
+        let mut votes = vec![0u32; self.offsets.len()];
         for kmer in read.kmers(seed_k) {
-            if let Some(locations) = self.locations(kmer.canonical()) {
-                for loc in locations {
-                    *votes.entry(loc.taxid).or_insert(0) += 1;
-                }
+            for loc in self.table.get(kmer.canonical().bits()).unwrap_or_default() {
+                votes[loc.candidate as usize] += 1;
             }
         }
-        votes
-            .into_iter()
-            .max_by_key(|(t, c)| (*c, Reverse(*t)))
-            .map(|(taxid, votes)| ReadMapHit { taxid, votes })
+        let hits = votes.iter().zip(&self.offsets).filter(|(v, _)| **v > 0);
+        hits.max_by_key(|(votes, (taxid, _))| (**votes, Reverse(*taxid)))
+            .map(|(&votes, &(taxid, _))| ReadMapHit { taxid, votes })
     }
 
-    /// Maps a concatenated-space position back to its species, by binary
-    /// search on the (ascending) per-species offsets: the owning species is
-    /// the last one whose offset is `<= position`.
+    /// Maps a concatenated-space position back to its species: the last
+    /// one whose (ascending) offset is `<= position`.
     pub fn taxon_of_position(&self, position: u64) -> Option<TaxId> {
         let idx = self
             .offsets
@@ -1005,149 +1071,92 @@ impl UnifiedReferenceIndex {
         idx.checked_sub(1).map(|i| self.offsets[i].0)
     }
 
-    /// On-storage size in bytes.
+    /// On-storage size in bytes (2-bit seeds + 12 bytes of taxid and position per location).
     pub fn encoded_bytes(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|(k, locs)| (k.encoded_bytes() + 12 * locs.len()) as u64)
-            .sum()
+        self.table.encoded_bytes(12)
     }
 }
 
 /// A unified index over one *contiguous range* of a candidate list — the
-/// per-device output of partitioned Step 3 index generation.
-///
-/// MegIS generates the unified index inside the SSD (Fig. 9); partitioning
-/// the candidate list by species lets each device of the array merge only
-/// its range. A partial records the range's `base` offset in the
-/// concatenated reference space (the sum of all earlier candidates' genome
-/// lengths) and its `span` (the range's own total genome length), so the
-/// locations it stores are already *global*:
-/// [`UnifiedReferenceIndex::merge_partials`] recombines consecutive partials
-/// into the full index byte-identically, and the inner index maps reads
-/// directly (its positions need no post-hoc adjustment).
+/// per-device output of partitioned Step 3 index generation. It records the
+/// range's `base` offset in the concatenated reference space (the sum of
+/// all earlier candidates' genome lengths) and its `span`, so its positions
+/// are *global* and it maps reads directly; only
+/// [`UnifiedLocation::candidate`] is range-local until partials recombine.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PartialUnifiedIndex {
-    /// Concatenated-reference-space offset where this partial's candidate
-    /// range begins.
     base: u64,
-    /// Total genome length of the range's candidates, in bases.
     span: u64,
-    /// The merged index over the range, with globally offset locations.
     index: UnifiedReferenceIndex,
 }
 
 impl PartialUnifiedIndex {
     /// Merges a contiguous candidate range into a partial unified index
-    /// whose locations start at `base` — the same sequential sorted-stream
-    /// merge as [`UnifiedReferenceIndex::merge`], restricted to the range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the candidates do not all share the same seed length.
+    /// whose positions start at `base` (one k-way merge, candidate order on
+    /// shared seeds). Panics if the candidates disagree on the seed length.
     pub fn merge_range(candidates: &[&ReferenceIndex], base: u64) -> PartialUnifiedIndex {
-        if candidates.is_empty() {
-            return PartialUnifiedIndex {
-                base,
-                span: 0,
-                index: UnifiedReferenceIndex::default(),
-            };
-        }
-        let k = candidates[0].k();
-        assert!(
-            candidates.iter().all(|i| i.k() == k),
-            "all indexes must share the same seed length"
-        );
-        let mut offsets = Vec::with_capacity(candidates.len());
+        let mut streams = Vec::with_capacity(candidates.len());
         let mut running = base;
-        for idx in candidates {
-            offsets.push((idx.taxid(), running));
+        for (candidate, idx) in candidates.iter().enumerate() {
+            // A stream's context is the location of its genome's base 0.
+            let origin = UnifiedLocation {
+                candidate: candidate as u32,
+                taxid: idx.taxid(),
+                position: running,
+            };
+            streams.push((&idx.table, origin));
             running += idx.genome_len() as u64;
         }
-        let mut merged: BTreeMap<Kmer, Vec<UnifiedLocation>> = BTreeMap::new();
-        for (idx, (taxid, offset)) in candidates.iter().zip(&offsets) {
-            for (kmer, locs) in idx.entries() {
-                let out = merged.entry(*kmer).or_default();
-                for &pos in locs {
-                    out.push(UnifiedLocation {
-                        taxid: *taxid,
-                        position: *offset + pos as u64,
-                    });
-                }
+        let offsets = streams.iter().map(|(_, o)| (o.taxid, o.position)).collect();
+        let table = merge_tables(&streams, |origin: UnifiedLocation, pos| UnifiedLocation {
+            position: origin.position + u64::from(*pos),
+            ..origin
+        });
+        let span = running - base;
+        let index = UnifiedReferenceIndex { table, offsets };
+        PartialUnifiedIndex { base, span, index }
+    }
+
+    /// Recombines *consecutive* partials: spans add, offsets concatenate, the
+    /// seed tables k-way merge with each part's candidate positions shifted
+    /// past the earlier parts'. A lone non-empty part is moved, not copied.
+    fn concat(parts: Vec<PartialUnifiedIndex>) -> PartialUnifiedIndex {
+        let base = parts.first().map_or(0, |p| p.base);
+        let mut end = base;
+        for part in &parts {
+            assert_eq!(part.base, end, "not the next consecutive candidate range");
+            end += part.span;
+        }
+        let mut live: Vec<_> = parts.into_iter().filter(|p| !p.is_empty()).collect();
+        let index = if live.len() <= 1 {
+            live.pop().map(|p| p.index).unwrap_or_default()
+        } else {
+            let mut offsets = Vec::new();
+            let mut streams = Vec::with_capacity(live.len());
+            for part in &live {
+                streams.push((&part.index.table, offsets.len() as u32));
+                offsets.extend_from_slice(&part.index.offsets);
             }
-        }
-        PartialUnifiedIndex {
-            base,
-            span: running - base,
-            index: UnifiedReferenceIndex {
-                k,
-                entries: merged.into_iter().collect(),
-                offsets,
-            },
-        }
+            let table = merge_tables(&streams, |shift, loc: &UnifiedLocation| UnifiedLocation {
+                candidate: loc.candidate + shift,
+                ..*loc
+            });
+            UnifiedReferenceIndex { table, offsets }
+        };
+        let span = end - base;
+        PartialUnifiedIndex { base, span, index }
     }
 
     /// Folds the *next consecutive* partial into this one, in place — the
-    /// pairwise form of [`UnifiedReferenceIndex::merge_partials`]. Because
-    /// location lists concatenate in candidate order and offsets concatenate
-    /// in partial order, left-folding a sequence of consecutive partials
-    /// through `absorb` is byte-identical to `merge_partials` over the whole
-    /// sequence: this is what lets a completer reduce partials *as they
-    /// arrive* instead of barriering on all of them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `next` does not start where this partial ends
-    /// (`next.base() != self.base() + self.span()`), or if two non-empty
-    /// partials disagree on the seed length.
+    /// pairwise form of [`UnifiedReferenceIndex::merge_partials`], so a left
+    /// fold of `absorb` is byte-identical to it and a completer can reduce
+    /// partials *as they arrive*. Panics if `next.base() != self.base() +
+    /// self.span()`, or if two non-empty partials disagree on seed length.
     pub fn absorb(&mut self, next: PartialUnifiedIndex) {
-        assert_eq!(
-            next.base,
-            self.base + self.span,
-            "absorbed partial must cover the next consecutive candidate range"
-        );
-        self.span += next.span;
-        if next.index.offsets.is_empty() {
-            return;
-        }
-        if self.index.offsets.is_empty() {
-            self.index.k = next.index.k;
-        } else {
-            assert_eq!(
-                self.index.k, next.index.k,
-                "all partial indexes must share the same seed length"
-            );
-        }
-        self.index.offsets.extend(next.index.offsets);
-        // Linear merge of the two sorted entry lists; on a shared seed the
-        // earlier range's locations stay first, exactly as the one-pass
-        // merge orders them.
-        let left = std::mem::take(&mut self.index.entries);
-        let mut merged = Vec::with_capacity(left.len() + next.index.entries.len());
-        let mut li = left.into_iter().peekable();
-        let mut ri = next.index.entries.into_iter().peekable();
-        loop {
-            match (li.peek(), ri.peek()) {
-                (Some((lk, _)), Some((rk, _))) => match lk.cmp(rk) {
-                    std::cmp::Ordering::Less => merged.push(li.next().unwrap()),
-                    std::cmp::Ordering::Greater => merged.push(ri.next().unwrap()),
-                    std::cmp::Ordering::Equal => {
-                        let (kmer, mut locs) = li.next().unwrap();
-                        locs.extend(ri.next().unwrap().1);
-                        merged.push((kmer, locs));
-                    }
-                },
-                (Some(_), None) => merged.push(li.next().unwrap()),
-                (None, Some(_)) => merged.push(ri.next().unwrap()),
-                (None, None) => break,
-            }
-        }
-        self.index.entries = merged;
+        *self = PartialUnifiedIndex::concat(vec![std::mem::take(self), next]);
     }
 
-    /// Consumes the partial and returns the merged index — what a reduce
-    /// step that folded every consecutive partial through
-    /// [`PartialUnifiedIndex::absorb`] hands out as the unified index.
+    /// Consumes the partial and returns the merged index.
     pub fn into_index(self) -> UnifiedReferenceIndex {
         self.index
     }
@@ -1162,9 +1171,7 @@ impl PartialUnifiedIndex {
         self.span
     }
 
-    /// The merged index over the range. Its locations are globally offset,
-    /// so [`UnifiedReferenceIndex::map_read_hit`] on it reports this range's
-    /// best hit directly.
+    /// The merged index over the range (positions globally offset).
     pub fn index(&self) -> &UnifiedReferenceIndex {
         &self.index
     }
@@ -1472,8 +1479,8 @@ mod tests {
         assert_eq!(unified.offsets()[2].1, 1200);
         // Every seed of every merged index must be resolvable.
         for idx in &indexes {
-            for (kmer, _) in idx.entries().iter().take(20) {
-                let locs = unified.locations(*kmer).expect("merged seed present");
+            for (kmer, _) in idx.entries().take(20) {
+                let locs = unified.locations(kmer).expect("merged seed present");
                 assert!(locs.iter().any(|l| l.taxid == idx.taxid()));
             }
         }
@@ -1532,7 +1539,7 @@ mod tests {
             }
             let recombined = UnifiedReferenceIndex::merge_partials(partials);
             assert_eq!(recombined, whole, "cuts {cuts:?} diverged");
-            assert_eq!(recombined.entries(), whole.entries());
+            assert!(recombined.entries().eq(whole.entries()));
             assert_eq!(recombined.offsets(), whole.offsets());
         }
         // No partials at all recombine to the empty index.
@@ -1574,7 +1581,7 @@ mod tests {
             }
             let folded = acc.expect("at least one cut").into_index();
             assert_eq!(folded, whole, "cuts {cuts:?} diverged");
-            assert_eq!(folded.entries(), whole.entries());
+            assert!(folded.entries().eq(whole.entries()));
             assert_eq!(folded.offsets(), whole.offsets());
         }
     }

@@ -134,17 +134,27 @@ impl Kmer {
         }
     }
 
-    /// Returns the reverse complement of this k-mer.
+    /// Returns the reverse complement of this k-mer, word-parallel: with
+    /// `A = 0 … T = 3` the complement of a base is its bitwise NOT, and the
+    /// 64 two-bit groups of the word reverse in three steps (bytes, nibbles
+    /// within bytes, groups within nibbles). The payload then sits in the
+    /// top `2k` bits, and the complemented padding falls off the shift.
+    #[inline]
     pub fn reverse_complement(&self) -> Kmer {
-        let mut bits = 0u128;
-        for i in (0..self.k()).rev() {
-            bits = (bits << 2) | self.base(i).complement().code() as u128;
+        const NIBBLES: u128 = 0x0F0F_0F0F_0F0F_0F0F_0F0F_0F0F_0F0F_0F0F;
+        const GROUPS: u128 = 0x3333_3333_3333_3333_3333_3333_3333_3333;
+        let mut x = (!self.bits).swap_bytes();
+        x = ((x >> 4) & NIBBLES) | ((x & NIBBLES) << 4);
+        x = ((x >> 2) & GROUPS) | ((x & GROUPS) << 2);
+        Kmer {
+            bits: x >> (128 - 2 * self.k()),
+            k: self.k,
         }
-        Kmer { bits, k: self.k }
     }
 
     /// Returns the lexicographically smaller of this k-mer and its reverse
     /// complement (the *canonical* form used when strand is unknown).
+    #[inline]
     pub fn canonical(&self) -> Kmer {
         let rc = self.reverse_complement();
         if rc.bits < self.bits {
@@ -256,8 +266,13 @@ impl Iterator for KmerExtractor<'_> {
         }
         let kmer = match self.current {
             None => {
-                let bases: Vec<Base> = (0..self.k).map(|i| self.seq.get(i)).collect();
-                Kmer::from_bases(&bases)
+                let bits = (0..self.k).fold(0u128, |bits, i| {
+                    (bits << 2) | self.seq.get(i).code() as u128
+                });
+                Kmer {
+                    bits,
+                    k: self.k as u8,
+                }
             }
             Some(prev) => prev.roll(self.seq.get(self.pos + self.k - 1)),
         };

@@ -5,12 +5,20 @@
 //! slice of the input space (the offline equivalent of the original
 //! proptest-based suite).
 
+use std::cmp::Reverse;
+use std::collections::BTreeMap;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use megis_genomics::database::{
+    PartialUnifiedIndex, ReadMapHit, ReferenceIndex, UnifiedReferenceIndex,
+};
 use megis_genomics::dna::{Base, PackedSequence};
-use megis_genomics::kmer::{CanonicalKmerExtractor, Kmer, KmerExtractor};
+use megis_genomics::kmer::{CanonicalKmerExtractor, Kmer, KmerExtractor, MAX_K};
 use megis_genomics::profile::AbundanceProfile;
+use megis_genomics::read::Read;
+use megis_genomics::reference::ReferenceGenome;
 use megis_genomics::taxonomy::{Rank, TaxId, Taxonomy};
 
 const CASES: usize = 48;
@@ -175,4 +183,274 @@ fn base_ascii_roundtrip() {
         assert_eq!(Base::from_ascii(base.to_ascii()), Some(base));
         assert_eq!(base.code(), code);
     }
+}
+
+/// The per-base reverse complement the word-parallel one replaced.
+fn reverse_complement_by_base(kmer: Kmer) -> Kmer {
+    let bases: Vec<Base> = (0..kmer.k())
+        .rev()
+        .map(|i| kmer.base(i).complement())
+        .collect();
+    Kmer::from_bases(&bases)
+}
+
+#[test]
+fn word_parallel_reverse_complement_equals_the_per_base_loop() {
+    let mut rng = StdRng::seed_from_u64(111);
+    for k in 1..=MAX_K {
+        let mut cases: Vec<Kmer> = (0..CASES)
+            .map(|_| Kmer::from_ascii(&dna_string(&mut rng, k)).unwrap())
+            .collect();
+        // The all-A / all-T words exercise the shifted-out padding.
+        cases.push(Kmer::from_ascii(&vec![b'A'; k]).unwrap());
+        cases.push(Kmer::from_ascii(&vec![b'T'; k]).unwrap());
+        for kmer in cases {
+            let rc = kmer.reverse_complement();
+            assert_eq!(rc, reverse_complement_by_base(kmer), "k = {k}, {kmer}");
+            assert_eq!(rc.reverse_complement(), kmer, "involution, k = {k}");
+            let canonical = kmer.canonical();
+            assert_eq!(canonical, kmer.min(rc));
+            assert_eq!(canonical.canonical(), canonical, "idempotent, k = {k}");
+            assert_eq!(rc.canonical(), canonical, "strand-invariant, k = {k}");
+        }
+    }
+}
+
+/// Random candidate genomes that share seeds across species: every genome is
+/// random bases around a copy of one common core segment (some genomes skip
+/// it, some are shorter than a seed, one may be empty). Taxids are distinct
+/// but in no particular order.
+fn shared_seed_genomes(rng: &mut StdRng, count: usize) -> Vec<ReferenceGenome> {
+    let core = dna_string(rng, 90);
+    let mut taxids: Vec<u32> = (0..count as u32).map(|i| 10 + 3 * i).collect();
+    for i in (1..taxids.len()).rev() {
+        taxids.swap(i, rng.gen_range(0..=i));
+    }
+    taxids
+        .into_iter()
+        .map(|taxid| {
+            let mut ascii = match rng.gen_range(0..8u32) {
+                0 => Vec::new(),
+                1 => dna_string(rng, 9),
+                _ => random_len_dna(rng, 300),
+            };
+            if rng.gen_range(0..4u32) > 0 {
+                ascii.extend(&core);
+                ascii.extend(random_len_dna(rng, 120));
+            }
+            ReferenceGenome::new(
+                TaxId(taxid),
+                format!("g{taxid}"),
+                PackedSequence::from_ascii(&ascii).unwrap(),
+            )
+        })
+        .collect()
+}
+
+/// One `(taxid, concatenated-space position)` per seed occurrence, keyed by
+/// seed: the map-based unified index the flat one replaced.
+type MapIndex = BTreeMap<Kmer, Vec<(TaxId, u64)>>;
+
+/// The map-based merge: per-seed insertion in candidate order.
+fn merge_by_map(candidates: &[&ReferenceIndex], base: u64) -> (MapIndex, Vec<(TaxId, u64)>) {
+    let mut merged = MapIndex::new();
+    let mut offsets = Vec::new();
+    let mut running = base;
+    for idx in candidates {
+        offsets.push((idx.taxid(), running));
+        for (seed, positions) in idx.entries() {
+            let out = merged.entry(seed).or_default();
+            out.extend(positions.iter().map(|p| (idx.taxid(), running + *p as u64)));
+        }
+        running += idx.genome_len() as u64;
+    }
+    (merged, offsets)
+}
+
+/// The map-based voter: one ordered-map bump per location.
+fn votes_by_map(index: &MapIndex, read: &Read, seed_k: usize) -> BTreeMap<TaxId, u32> {
+    let mut votes: BTreeMap<TaxId, u32> = BTreeMap::new();
+    for kmer in read.kmers(seed_k) {
+        for (taxid, _) in index.get(&kmer.canonical()).into_iter().flatten() {
+            *votes.entry(*taxid).or_insert(0) += 1;
+        }
+    }
+    votes
+}
+
+/// Its winner: most votes, smallest taxid on a tie.
+fn winner(votes: &BTreeMap<TaxId, u32>) -> Option<ReadMapHit> {
+    votes
+        .iter()
+        .max_by_key(|(taxid, votes)| (**votes, Reverse(**taxid)))
+        .map(|(taxid, votes)| ReadMapHit {
+            taxid: *taxid,
+            votes: *votes,
+        })
+}
+
+fn assert_matches_map(
+    flat: &UnifiedReferenceIndex,
+    (map, offsets): &(MapIndex, Vec<(TaxId, u64)>),
+    what: &str,
+) {
+    assert_eq!(flat.offsets(), offsets.as_slice(), "{what}: offsets");
+    assert_eq!(flat.len(), map.len(), "{what}: seed count");
+    for ((seed, locations), (expected_seed, expected)) in flat.entries().zip(map) {
+        assert_eq!(seed, *expected_seed, "{what}: seed order");
+        let got: Vec<(TaxId, u64)> = locations.iter().map(|l| (l.taxid, l.position)).collect();
+        assert_eq!(&got, expected, "{what}: locations of {seed}");
+        for loc in locations {
+            assert_eq!(flat.offsets()[loc.candidate as usize].0, loc.taxid);
+        }
+    }
+    let encoded: usize = map
+        .iter()
+        .map(|(seed, locations)| seed.encoded_bytes() + 12 * locations.len())
+        .sum();
+    assert_eq!(
+        flat.encoded_bytes(),
+        encoded as u64,
+        "{what}: encoded bytes"
+    );
+}
+
+#[test]
+fn flat_merges_equal_the_map_based_reference_builder() {
+    let mut rng = StdRng::seed_from_u64(112);
+    for case in 0..CASES {
+        let k = [5usize, 11, 15, 32][case % 4];
+        let count = if case == 0 { 0 } else { 1 + case % 9 };
+        let genomes = shared_seed_genomes(&mut rng, count);
+        let indexes: Vec<ReferenceIndex> = genomes
+            .iter()
+            .map(|g| ReferenceIndex::build(g, k))
+            .collect();
+        let candidates: Vec<&ReferenceIndex> = indexes.iter().collect();
+        let reference = merge_by_map(&candidates, 0);
+
+        let whole = UnifiedReferenceIndex::merge(&indexes);
+        assert_matches_map(&whole, &reference, "merge");
+
+        // 1–8 consecutive ranges at random cuts (repeated cuts give empty
+        // ranges), each merged at its base offset, then recombined in one
+        // call and by a left fold of `absorb`.
+        let parts = rng.gen_range(1..=8usize);
+        let mut cuts: Vec<usize> = (1..parts).map(|_| rng.gen_range(0..=count)).collect();
+        cuts.extend([0, count]);
+        cuts.sort();
+        let mut partials = Vec::new();
+        let mut base = 17 * case as u64;
+        let first_base = base;
+        for w in cuts.windows(2) {
+            let range = &candidates[w[0]..w[1]];
+            let partial = PartialUnifiedIndex::merge_range(range, base);
+            assert_matches_map(partial.index(), &merge_by_map(range, base), "merge_range");
+            assert_eq!(partial.is_empty(), range.is_empty());
+            base += partial.span();
+            partials.push(partial);
+        }
+        let shifted = merge_by_map(&candidates, first_base);
+        let mut folded = partials[0].clone();
+        for partial in &partials[1..] {
+            folded.absorb(partial.clone());
+        }
+        assert_eq!(
+            (folded.base(), folded.span()),
+            (first_base, base - first_base)
+        );
+        assert_matches_map(folded.index(), &shifted, "absorb fold");
+        let recombined = UnifiedReferenceIndex::merge_partials(partials);
+        assert_matches_map(&recombined, &shifted, "merge_partials");
+        assert_eq!(recombined, folded.into_index());
+        if first_base == 0 {
+            assert_eq!(recombined, whole);
+        }
+    }
+}
+
+#[test]
+fn flat_mapper_equals_the_map_based_voter() {
+    let mut rng = StdRng::seed_from_u64(113);
+    let (mut mapped, mut ties, mut unmapped) = (0, 0, 0);
+    for case in 0..CASES {
+        let k = [7usize, 11, 15][case % 3];
+        let genomes = shared_seed_genomes(&mut rng, 2 + case % 7);
+        let indexes: Vec<ReferenceIndex> = genomes
+            .iter()
+            .map(|g| ReferenceIndex::build(g, k))
+            .collect();
+        let candidates: Vec<&ReferenceIndex> = indexes.iter().collect();
+        let flat = UnifiedReferenceIndex::merge(&indexes);
+        let (map, _) = merge_by_map(&candidates, 0);
+
+        let mut reads: Vec<PackedSequence> = Vec::new();
+        for genome in genomes.iter().filter(|g| g.len() > k) {
+            // A window of the genome (windows inside the shared core tie
+            // every species that carries it), and the same window from the
+            // reverse strand.
+            let len = rng.gen_range(k..=genome.len().min(4 * k));
+            let start = rng.gen_range(0..=genome.len() - len);
+            let window = genome.sequence().subsequence(start, len);
+            reads.push(window.reverse_complement());
+            reads.push(window);
+        }
+        // Foreign reads, and reads shorter than a seed (one of them empty).
+        reads.push(PackedSequence::from_ascii(&dna_string(&mut rng, 80)).unwrap());
+        reads.push(PackedSequence::from_ascii(&dna_string(&mut rng, k - 1)).unwrap());
+        reads.push(PackedSequence::new());
+
+        for (i, sequence) in reads.into_iter().enumerate() {
+            let read = Read::new(format!("r{i}"), sequence);
+            let votes = votes_by_map(&map, &read, k);
+            let expected = winner(&votes);
+            assert_eq!(
+                flat.map_read_hit(&read, k),
+                expected,
+                "case {case} read {i}"
+            );
+            match expected {
+                Some(hit) => {
+                    mapped += 1;
+                    ties += usize::from(votes.values().filter(|v| **v == hit.votes).count() > 1);
+                }
+                None => unmapped += 1,
+            }
+            // A seed length the index was not built with matches nothing,
+            // exactly as the length-aware k-mer order made the map behave.
+            for other_k in [k - 1, k + 1] {
+                assert!(votes_by_map(&map, &read, other_k).is_empty());
+                assert_eq!(flat.map_read_hit(&read, other_k), None);
+                assert_eq!(flat.map_read(&read, other_k), None);
+            }
+        }
+        // The same totality for single-seed lookups, on both index types.
+        let first_seed = flat.entries().next().map(|(seed, _)| seed);
+        if let Some(seed) = first_seed {
+            let unified = flat.locations(seed).expect("own seed resolves");
+            let longer = Kmer::from_bits(seed.bits() << 2, k + 1);
+            assert!(flat.locations(seed.prefix(k - 1)).is_none());
+            assert!(flat.locations(longer).is_none());
+            for idx in &indexes {
+                assert!(idx.locations(seed.prefix(k - 1)).is_none());
+                assert!(idx.locations(longer).is_none());
+                let own = unified.iter().filter(|l| l.taxid == idx.taxid()).count();
+                assert_eq!(idx.locations(seed).map_or(0, <[u32]>::len), own);
+            }
+        }
+    }
+    // Raw seed words alone cannot tell `A…A` of length 15 from length 14;
+    // the index's seed length must.
+    let poly_a = PackedSequence::from_ascii(&[b'A'; 40]).unwrap();
+    let index = ReferenceIndex::build(&ReferenceGenome::new(TaxId(1), "poly-a", poly_a), 15);
+    let flat = UnifiedReferenceIndex::merge(std::slice::from_ref(&index));
+    let read = Read::new("a", PackedSequence::from_ascii(&[b'A'; 30]).unwrap());
+    assert_eq!(flat.map_read(&read, 15), Some(TaxId(1)));
+    assert_eq!(flat.map_read_hit(&read, 14), None);
+    let short = Kmer::from_ascii(&[b'A'; 14]).unwrap();
+    assert!(flat.locations(short).is_none() && index.locations(short).is_none());
+    assert!(
+        mapped > 100 && ties > 10 && unmapped > 50,
+        "{mapped} {ties} {unmapped}"
+    );
 }

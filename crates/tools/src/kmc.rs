@@ -6,7 +6,7 @@
 //! reuses the same logic on the host (with bucketing added on top, which lives
 //! in the `megis` core crate).
 
-use megis_genomics::kmer::Kmer;
+use megis_genomics::kmer::{CanonicalKmerExtractor, Kmer};
 use megis_genomics::read::ReadSet;
 
 /// Frequency-based exclusion thresholds (§4.2.3).
@@ -53,9 +53,7 @@ impl KmerCounts {
     pub fn count(reads: &ReadSet, k: usize) -> KmerCounts {
         let mut occurrences: Vec<Kmer> = Vec::new();
         for read in reads.iter() {
-            for kmer in read.kmers(k) {
-                occurrences.push(kmer.canonical());
-            }
+            occurrences.extend(CanonicalKmerExtractor::new(read.sequence(), k));
         }
         occurrences.sort_unstable();
         let mut counts: Vec<(Kmer, u32)> = Vec::new();
