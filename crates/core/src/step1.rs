@@ -1,64 +1,34 @@
 //! Step 1 — preparing the input queries on the host (§4.2).
 //!
 //! MegIS extracts k-mers from the sample, partitions them into buckets that
-//! each cover a lexicographic range, sorts each bucket, and (optionally)
-//! excludes k-mers by frequency. Bucketing is what enables the cooperative
-//! pipeline: as soon as bucket *i* is sorted it can be transferred to the SSD
-//! and intersected (Step 2) while bucket *i + 1* is still being sorted —
-//! because the database is also sorted, each bucket only needs the database
-//! range it covers.
+//! each cover a lexicographic range, sorts them, and (optionally) excludes
+//! k-mers by frequency. In the paper bucketing is what enables the
+//! cooperative pipeline: bucket *i* is intersected in the SSD (Step 2) while
+//! bucket *i + 1* is still being sorted.
+//!
+//! What is implemented here is the data layout of that hand-off, not its
+//! overlap: [`run`] counts and sorts the whole sample once into **one
+//! arena** of selected k-mers and records `bucket_count + 1` boundaries over
+//! it, so a bucket is a `&[Kmer]` range ([`Step1Output::buckets`]) and
+//! nothing is copied per bucket. Step 2 walks the ranges; the scheduler
+//! moves the arena itself ([`Step1Output::take_kmers`]) into the allocation
+//! its shard commands share. Issuing each bucket to the devices as it is
+//! produced is ROADMAP "Step 1" item (c).
 
 use megis_genomics::kmer::Kmer;
 use megis_genomics::read::ReadSet;
-use megis_ssd::timing::ByteSize;
 use megis_tools::kmc::{ExclusionPolicy, KmerCounts};
 
 use crate::config::MegisConfig;
 
-/// One lexicographic k-mer bucket produced by Step 1.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Bucket {
-    /// Sorted, deduplicated k-mers in this bucket's range.
-    kmers: Vec<Kmer>,
-}
-
-impl Bucket {
-    /// The sorted k-mers of the bucket.
-    pub fn kmers(&self) -> &[Kmer] {
-        &self.kmers
-    }
-
-    /// Number of k-mers in the bucket.
-    pub fn len(&self) -> usize {
-        self.kmers.len()
-    }
-
-    /// Returns `true` if the bucket is empty.
-    pub fn is_empty(&self) -> bool {
-        self.kmers.is_empty()
-    }
-
-    /// First (smallest) k-mer of the bucket, if any.
-    pub fn first(&self) -> Option<Kmer> {
-        self.kmers.first().copied()
-    }
-
-    /// Last (largest) k-mer of the bucket, if any.
-    pub fn last(&self) -> Option<Kmer> {
-        self.kmers.last().copied()
-    }
-
-    /// Size of the bucket in the 2-bit transfer encoding.
-    pub fn encoded_bytes(&self) -> ByteSize {
-        ByteSize::from_bytes(self.kmers.iter().map(|k| k.encoded_bytes() as u64).sum())
-    }
-}
-
-/// Output of Step 1.
+/// Output of Step 1: the sorted selected k-mers and their bucket ranges.
 #[derive(Debug, Clone, Default)]
 pub struct Step1Output {
-    /// The buckets, in lexicographic order.
-    pub buckets: Vec<Bucket>,
+    /// Every selected k-mer, strictly ascending.
+    kmers: Vec<Kmer>,
+    /// `bucket_count + 1` ascending boundaries into `kmers`; bucket `i` is
+    /// `kmers[bounds[i]..bounds[i + 1]]`.
+    bounds: Vec<usize>,
     /// Number of k-mer occurrences extracted from the sample (before
     /// deduplication/exclusion).
     pub extracted_occurrences: u64,
@@ -67,20 +37,32 @@ pub struct Step1Output {
 }
 
 impl Step1Output {
-    /// All selected k-mers across buckets, in sorted order.
+    /// All selected k-mers, in sorted order.
+    pub fn kmers(&self) -> &[Kmer] {
+        &self.kmers
+    }
+
+    /// The buckets, in lexicographic order: consecutive ranges of
+    /// [`Step1Output::kmers`] that concatenate to it.
+    pub fn buckets(&self) -> impl ExactSizeIterator<Item = &[Kmer]> + '_ {
+        self.bounds.windows(2).map(|w| &self.kmers[w[0]..w[1]])
+    }
+
+    /// A copy of [`Step1Output::kmers`].
     pub fn sorted_kmers(&self) -> Vec<Kmer> {
-        self.buckets
-            .iter()
-            .flat_map(|b| b.kmers().iter().copied())
-            .collect()
+        self.kmers.clone()
+    }
+
+    /// Moves the k-mer arena out (same allocation, no copy), leaving every
+    /// bucket empty; the counters keep describing the sample.
+    pub fn take_kmers(&mut self) -> Vec<Kmer> {
+        self.bounds.fill(0);
+        std::mem::take(&mut self.kmers)
     }
 
     /// Returns `true` if bucket ranges are disjoint and globally sorted.
     pub fn ranges_are_ordered(&self) -> bool {
-        let non_empty: Vec<&Bucket> = self.buckets.iter().filter(|b| !b.is_empty()).collect();
-        non_empty
-            .windows(2)
-            .all(|w| w[0].last().unwrap() < w[1].first().unwrap())
+        self.kmers.windows(2).all(|w| w[0] < w[1])
     }
 }
 
@@ -93,32 +75,25 @@ impl Step1Output {
 pub fn run(reads: &ReadSet, config: &MegisConfig, exclusion: ExclusionPolicy) -> Step1Output {
     let counts = KmerCounts::count(reads, config.k());
     let extracted_occurrences = counts.total_occurrences();
-    let selected = counts.apply_exclusion(exclusion);
-    let selected_kmers = selected.len() as u64;
+    let kmers = counts.apply_exclusion(exclusion);
 
-    // Partition the (already sorted) selected k-mers into `bucket_count`
+    // Cut the (already sorted) selected k-mers into `bucket_count`
     // lexicographic ranges with near-equal population — the same effect as
     // the paper's preliminary-bucket balancing (§4.2.1). The remainder is
     // spread one-per-bucket from the front, so non-empty bucket sizes differ
-    // by at most one (asserted by `bucket_sizes_are_balanced`); a plain
-    // ceiling-sized chunking would instead leave the last bucket arbitrarily
-    // short.
+    // by at most one; a plain ceiling-sized chunking would instead leave the
+    // last bucket arbitrarily short.
     let bucket_count = config.bucket_count.max(1);
-    let base = selected.len() / bucket_count;
-    let extra = selected.len() % bucket_count;
-    let mut buckets: Vec<Bucket> = Vec::with_capacity(bucket_count);
-    let mut start = 0usize;
-    for i in 0..bucket_count {
-        let size = base + usize::from(i < extra);
-        buckets.push(Bucket {
-            kmers: selected[start..start + size].to_vec(),
-        });
-        start += size;
-    }
+    let base = kmers.len() / bucket_count;
+    let extra = kmers.len() % bucket_count;
+    let bounds = (0..=bucket_count)
+        .map(|i| i * base + i.min(extra))
+        .collect();
     Step1Output {
-        buckets,
+        selected_kmers: kmers.len() as u64,
+        kmers,
+        bounds,
         extracted_occurrences,
-        selected_kmers,
     }
 }
 
@@ -139,11 +114,11 @@ mod tests {
         let c = sample();
         let cfg = MegisConfig::small();
         let out = run(c.sample().reads(), &cfg, ExclusionPolicy::default());
-        assert_eq!(out.buckets.len(), cfg.bucket_count);
+        assert_eq!(out.buckets().len(), cfg.bucket_count);
         assert!(out.ranges_are_ordered());
-        let all = out.sorted_kmers();
-        assert_eq!(all.len() as u64, out.selected_kmers);
-        assert!(all.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(out.buckets().collect::<Vec<_>>().concat(), out.kmers());
+        assert_eq!(out.sorted_kmers(), out.kmers());
+        assert_eq!(out.kmers().len() as u64, out.selected_kmers);
     }
 
     #[test]
@@ -177,37 +152,38 @@ mod tests {
     #[test]
     fn bucket_sizes_are_balanced() {
         let c = sample();
-        let cfg = MegisConfig::small();
-        let out = run(c.sample().reads(), &cfg, ExclusionPolicy::default());
-        let sizes: Vec<usize> = out.buckets.iter().map(Bucket::len).collect();
-        let max = *sizes.iter().max().unwrap();
-        let min_nonzero = sizes.iter().filter(|s| **s > 0).min().copied().unwrap_or(0);
-        // Balanced split: the remainder is spread one-per-bucket, so
-        // non-empty bucket sizes differ by at most one. (The old assertion,
-        // `max - min_nonzero <= max`, held for every possible split.)
-        assert!(max <= min_nonzero + 1, "bucket sizes: {sizes:?}");
-        assert_eq!(
-            max,
-            (out.selected_kmers as usize).div_ceil(cfg.bucket_count)
-        );
-        // The buckets cover every selected k-mer exactly once.
-        assert_eq!(sizes.iter().sum::<usize>() as u64, out.selected_kmers);
-        assert!(max <= out.selected_kmers as usize / (cfg.bucket_count / 2).max(1) + 1);
+        // One read's k-mers, so 512 buckets outnumber them.
+        let few: ReadSet = c.sample().reads().iter().take(1).cloned().collect();
+        assert!(few.total_kmers(MegisConfig::small().k()) < 512);
+        for reads in [c.sample().reads(), &few, &ReadSet::default()] {
+            for bucket_count in [1usize, 8, 512] {
+                let cfg = MegisConfig::small().with_bucket_count(bucket_count);
+                let out = run(reads, &cfg, ExclusionPolicy::default());
+                let sizes: Vec<usize> = out.buckets().map(<[Kmer]>::len).collect();
+                assert_eq!(sizes.len(), bucket_count);
+                // The ranges are consecutive and cover the arena exactly once.
+                assert_eq!(out.buckets().collect::<Vec<_>>().concat(), out.kmers());
+                // The remainder is spread one-per-bucket, so non-empty
+                // bucket sizes differ by at most one.
+                let max = *sizes.iter().max().unwrap();
+                let min_nonzero = sizes.iter().filter(|s| **s > 0).min().copied().unwrap_or(0);
+                assert!(max <= min_nonzero + 1, "bucket sizes: {sizes:?}");
+                assert_eq!(max, out.kmers().len().div_ceil(bucket_count));
+            }
+        }
     }
 
     #[test]
-    fn bucket_encoded_bytes_counts_payload() {
+    fn take_kmers_moves_the_arena_and_leaves_empty_buckets() {
         let c = sample();
-        let out = run(
-            c.sample().reads(),
-            &MegisConfig::small(),
-            ExclusionPolicy::default(),
-        );
-        let bytes: u64 = out
-            .buckets
-            .iter()
-            .map(|b| b.encoded_bytes().as_bytes())
-            .sum();
-        assert!(bytes >= out.selected_kmers * 6);
+        let cfg = MegisConfig::small();
+        let mut out = run(c.sample().reads(), &cfg, ExclusionPolicy::default());
+        let (expected, arena) = (out.sorted_kmers(), out.kmers().as_ptr());
+        let taken = out.take_kmers();
+        assert_eq!(taken, expected);
+        assert_eq!(taken.as_ptr(), arena, "moved, not copied");
+        assert_eq!(out.buckets().len(), cfg.bucket_count);
+        assert!(out.buckets().all(<[Kmer]>::is_empty));
+        assert_eq!(out.selected_kmers, expected.len() as u64);
     }
 }

@@ -59,12 +59,9 @@ pub fn run(
     config: &MegisConfig,
 ) -> Step2Output {
     let mut intersecting = Vec::new();
-    for bucket in &step1.buckets {
-        if bucket.is_empty() {
-            continue;
-        }
+    for bucket in step1.buckets().filter(|bucket| !bucket.is_empty()) {
         // Intersection finding on this bucket's lexicographic range.
-        intersecting.extend(database.intersect_sorted(bucket.kmers()));
+        intersecting.extend(database.intersect_sorted(bucket));
     }
     from_intersection(intersecting, kss, sketches, config)
 }
@@ -149,14 +146,17 @@ mod tests {
     #[test]
     fn bucketed_intersection_equals_global_intersection() {
         let f = fixture();
-        let step1 = crate::step1::run(
-            f.community.sample().reads(),
-            &f.config,
-            ExclusionPolicy::default(),
-        );
-        let out = run(&step1, &f.database, &f.kss, &f.sketches, &f.config);
-        let global = f.database.intersect_sorted(&step1.sorted_kmers());
-        assert_eq!(out.intersecting_kmers, global);
+        for bucket_count in [1usize, 8, 512] {
+            let step1 = crate::step1::run(
+                f.community.sample().reads(),
+                &f.config.with_bucket_count(bucket_count),
+                ExclusionPolicy::default(),
+            );
+            let out = run(&step1, &f.database, &f.kss, &f.sketches, &f.config);
+            let global = f.database.intersect_sorted(step1.kmers());
+            assert!(!global.is_empty());
+            assert_eq!(out.intersecting_kmers, global, "{bucket_count} buckets");
+        }
     }
 
     #[test]

@@ -280,6 +280,48 @@ fn kss_stream_equals_lookup_fold_tree_and_flat_on_any_query_mix() {
 }
 
 #[test]
+fn kmer_counts_equal_an_ordered_map_counter() {
+    use megis_genomics::kmer::KmerExtractor;
+    use megis_tools::kmc::KmerCounts;
+    let mut rng = StdRng::seed_from_u64(207);
+    for case in 0..40usize {
+        let k = rng.gen_range(1..=60usize);
+        // Reads are windows of one short genome (either strand), so k-mers
+        // repeat across reads; some windows are shorter than k, case 0 has
+        // no reads at all.
+        let genome: Vec<u8> = (0..150)
+            .map(|_| b"ACGT"[rng.gen_range(0..4usize)])
+            .collect();
+        let reads: Vec<Read> = (0..if case == 0 {
+            0
+        } else {
+            rng.gen_range(1..16usize)
+        })
+            .map(|i| {
+                let start = rng.gen_range(0..genome.len());
+                let len = rng.gen_range(0..=(genome.len() - start).min(k + 40));
+                let window = PackedSequence::from_ascii(&genome[start..start + len]).unwrap();
+                let strand = if rng.gen_range(0..2u32) == 0 {
+                    window
+                } else {
+                    window.reverse_complement()
+                };
+                Read::new(format!("r{i}"), strand)
+            })
+            .collect();
+        let mut expected: BTreeMap<Kmer, u32> = BTreeMap::new();
+        for read in &reads {
+            for kmer in KmerExtractor::new(read.sequence(), k) {
+                *expected.entry(kmer.canonical()).or_default() += 1;
+            }
+        }
+        let counts = KmerCounts::count(&ReadSet::from_reads(reads), k);
+        let expected: Vec<(Kmer, u32)> = expected.into_iter().collect();
+        assert_eq!(counts.entries(), expected, "case {case}, k = {k}");
+    }
+}
+
+#[test]
 fn bucket_count_never_changes_step1_output() {
     use megis_genomics::sample::{CommunityConfig, Diversity};
     use megis_tools::kmc::ExclusionPolicy;
@@ -302,7 +344,7 @@ fn bucket_count_never_changes_step1_output() {
             &config.with_bucket_count(buckets_b),
             ExclusionPolicy::default(),
         );
-        assert_eq!(a.sorted_kmers(), b.sorted_kmers());
+        assert_eq!(a.kmers(), b.kmers());
         assert!(a.ranges_are_ordered());
         assert!(b.ranges_are_ordered());
     }

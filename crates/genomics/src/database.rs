@@ -69,7 +69,7 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::kmer::{CanonicalKmerExtractor, Kmer, KmerExtractor};
+use crate::kmer::{CanonicalKmerExtractor, Kmer};
 use crate::reference::{ReferenceCollection, ReferenceGenome};
 use crate::taxonomy::TaxId;
 
@@ -248,9 +248,9 @@ impl SortedKmerDatabase {
         let mut pairs: Vec<(Kmer, TaxId)> = Vec::new();
         for genome in references.genomes() {
             let taxid = genome.taxid();
-            for kmer in KmerExtractor::new(genome.sequence(), k) {
-                pairs.push((kmer.canonical(), taxid));
-            }
+            pairs.extend(
+                CanonicalKmerExtractor::new(genome.sequence(), k).map(|kmer| (kmer, taxid)),
+            );
         }
         // Sorting by (kmer, taxid) and deduplicating yields, per k-mer, its
         // sorted deduplicated taxa — the same grouping the old per-entry
@@ -270,11 +270,16 @@ impl SortedKmerDatabase {
     ///
     /// # Panics
     ///
-    /// Panics if entries are not strictly sorted by k-mer.
+    /// Panics if entries are not strictly sorted by k-mer, or if any entry's
+    /// k-mer is not of length `k`.
     pub fn from_sorted_entries(k: usize, entries: Vec<KmerEntry>) -> SortedKmerDatabase {
         for w in entries.windows(2) {
             assert!(w[0].kmer < w[1].kmer, "entries must be strictly sorted");
         }
+        assert!(
+            entries.iter().all(|e| e.kmer.k() == k),
+            "every entry's k-mer must have length k = {k}"
+        );
         let associations: usize = entries.iter().map(|e| e.taxa.len()).sum();
         assert!(
             associations < u32::MAX as usize,
@@ -586,12 +591,7 @@ impl SortedKmerDatabase {
     /// (k-mer payloads plus one 4-byte taxid per association). Used by the
     /// SSD placement and timing models.
     pub fn encoded_bytes(&self) -> u64 {
-        let kmer_bytes: u64 = self
-            .kmer_slice()
-            .iter()
-            .map(|k| k.encoded_bytes() as u64)
-            .sum();
-        kmer_bytes + 4 * self.taxa_slice().len() as u64
+        (self.len() * (2 * self.k).div_ceil(8) + 4 * self.taxa_slice().len()) as u64
     }
 
     /// A zero-copy sub-view of this view (indices relative to `self`): the
@@ -1052,8 +1052,8 @@ impl UnifiedReferenceIndex {
             return None;
         }
         let mut votes = vec![0u32; self.offsets.len()];
-        for kmer in read.kmers(seed_k) {
-            for loc in self.table.get(kmer.canonical().bits()).unwrap_or_default() {
+        for seed in CanonicalKmerExtractor::new(read.sequence(), seed_k) {
+            for loc in self.table.get(seed.bits()).unwrap_or_default() {
                 votes[loc.candidate as usize] += 1;
             }
         }
@@ -1185,6 +1185,7 @@ impl PartialUnifiedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kmer::KmerExtractor;
 
     fn refs() -> ReferenceCollection {
         ReferenceCollection::synthetic(6, 600, 42)
@@ -1217,6 +1218,16 @@ mod tests {
             assert_eq!(a, b);
         }
         assert_eq!(rebuilt.encoded_bytes(), db.encoded_bytes());
+    }
+
+    #[test]
+    #[should_panic(expected = "must have length k = 21")]
+    fn from_sorted_entries_rejects_a_kmer_of_another_length() {
+        let db = SortedKmerDatabase::build(&refs(), 21);
+        let mut owned: Vec<KmerEntry> = db.entries().take(3).map(|e| e.to_owned()).collect();
+        // Still strictly sorted (a proper prefix sorts first), wrong length.
+        owned[0].kmer = owned[0].kmer.prefix(20);
+        SortedKmerDatabase::from_sorted_entries(21, owned);
     }
 
     #[test]

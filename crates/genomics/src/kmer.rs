@@ -6,24 +6,31 @@
 //! large k-mers (k = 60) so that a single match is highly specific; Kraken2-style
 //! tools use k ≈ 35, and the sketch databases use variable-sized k-mers.
 //!
-//! A [`Kmer`] packs up to 64 bases into a `u128` (2 bits per base, first base in
-//! the most significant position) so that integer comparison equals
+//! A [`Kmer`] is one `u128`: up to [`MAX_K`] bases at 2 bits each, left-aligned,
+//! with the length in the low byte, so that plain integer comparison *is*
 //! lexicographic comparison — the property MegIS's sorted-stream intersection
-//! and K-mer Sketch Streaming rely on.
+//! and K-mer Sketch Streaming rely on — and a sorted k-mer stream is a sorted
+//! stream of integers.
 
-use std::cmp::Ordering;
 use std::fmt;
 
 use crate::dna::{Base, PackedSequence};
 
-/// Maximum supported k-mer length (bases) for the packed representation.
+/// Maximum supported k-mer length (bases): 120 payload bits above the length
+/// byte.
 pub const MAX_K: usize = 60;
 
-/// A fixed-length DNA substring packed into a `u128`.
+/// A DNA substring of 1 to [`MAX_K`] bases packed into one `u128` word.
 ///
-/// The first base occupies the most significant 2 bits of the `2 * k`-bit
-/// payload, so for k-mers of equal length, numeric order of the payload is
-/// lexicographic order of the sequence.
+/// The first base occupies bits 127..126, the next 125..124, and so on; the
+/// bits between the last base and the low byte are zero; the low byte holds
+/// `k`. The derived order on that word is lexicographic order of the
+/// sequences, *including across lengths*: two k-mers that differ at some
+/// common position differ there first in the word; otherwise the shorter is
+/// a prefix of the longer, its zero padding (`A` = 0 is the smallest base)
+/// makes its payload `<=` the longer one's, and when even the payloads tie
+/// (`ACG` against `ACGA`) the length byte puts the proper prefix first —
+/// the order of the sorted databases MegIS streams through.
 ///
 /// # Example
 ///
@@ -33,28 +40,33 @@ pub const MAX_K: usize = 60;
 /// let b = Kmer::from_ascii(b"ACTT").unwrap();
 /// assert!(a < b);
 /// assert_eq!(a.prefix(2), Kmer::from_ascii(b"AC").unwrap());
+/// assert!(a.prefix(2) < a);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Kmer {
-    bits: u128,
-    k: u8,
-}
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Kmer(u128);
+
+const _: () = assert!(std::mem::size_of::<Kmer>() == 16 && MAX_K <= 60);
 
 impl Kmer {
-    /// Creates a k-mer from a packed payload and length.
+    /// Packs a right-aligned `2 * k`-bit payload; `k` is in `1..=MAX_K`.
+    #[inline]
+    fn pack(bits: u128, k: usize) -> Kmer {
+        Kmer((bits << (128 - 2 * k)) | k as u128)
+    }
+
+    /// Creates a k-mer from a right-aligned 2-bit payload (first base in the
+    /// most significant of its `2 * k` bits) and a length.
     ///
     /// # Panics
     ///
     /// Panics if `k == 0`, `k > MAX_K`, or `bits` has bits set above `2 * k`.
     pub fn from_bits(bits: u128, k: usize) -> Kmer {
         assert!(k > 0 && k <= MAX_K, "k must be in 1..={MAX_K}, got {k}");
-        if k < 64 {
-            assert!(
-                bits < (1u128 << (2 * k)),
-                "payload has bits beyond 2*k ({k})"
-            );
-        }
-        Kmer { bits, k: k as u8 }
+        assert!(
+            bits < (1u128 << (2 * k)),
+            "payload has bits beyond 2*k ({k})"
+        );
+        Kmer::pack(bits, k)
     }
 
     /// Parses a k-mer from ASCII.
@@ -69,10 +81,7 @@ impl Kmer {
         for &c in ascii {
             bits = (bits << 2) | Base::from_ascii(c)?.code() as u128;
         }
-        Some(Kmer {
-            bits,
-            k: ascii.len() as u8,
-        })
+        Some(Kmer::pack(bits, ascii.len()))
     }
 
     /// Builds a k-mer from a slice of bases.
@@ -82,26 +91,23 @@ impl Kmer {
     /// Panics if the slice is empty or longer than [`MAX_K`].
     pub fn from_bases(bases: &[Base]) -> Kmer {
         assert!(!bases.is_empty() && bases.len() <= MAX_K);
-        let mut bits = 0u128;
-        for &b in bases {
-            bits = (bits << 2) | b.code() as u128;
-        }
-        Kmer {
-            bits,
-            k: bases.len() as u8,
-        }
+        let bits = bases
+            .iter()
+            .fold(0u128, |bits, b| (bits << 2) | b.code() as u128);
+        Kmer::pack(bits, bases.len())
     }
 
     /// The k-mer length in bases.
     #[inline]
     pub fn k(&self) -> usize {
-        self.k as usize
+        self.0 as u8 as usize
     }
 
-    /// The packed 2-bit payload (first base in the most significant position).
+    /// The 2-bit payload, right-aligned (first base in the most significant
+    /// of its `2 * k` bits) — the inverse of [`Kmer::from_bits`].
     #[inline]
     pub fn bits(&self) -> u128 {
-        self.bits
+        self.0 >> (128 - 2 * self.k())
     }
 
     /// Returns the base at position `i` (0 = first base).
@@ -112,8 +118,7 @@ impl Kmer {
     #[inline]
     pub fn base(&self, i: usize) -> Base {
         assert!(i < self.k(), "base index out of range");
-        let shift = 2 * (self.k() - 1 - i);
-        Base::from_code(((self.bits >> shift) & 0b11) as u8)
+        Base::from_code(((self.0 >> (126 - 2 * i)) & 0b11) as u8)
     }
 
     /// Returns the length-`j` prefix of this k-mer.
@@ -128,55 +133,39 @@ impl Kmer {
     #[inline]
     pub fn prefix(&self, j: usize) -> Kmer {
         assert!(j > 0 && j <= self.k(), "prefix length out of range");
-        Kmer {
-            bits: self.bits >> (2 * (self.k() - j)),
-            k: j as u8,
-        }
+        Kmer::pack(self.0 >> (128 - 2 * j), j)
     }
 
     /// Returns the reverse complement of this k-mer, word-parallel: with
     /// `A = 0 … T = 3` the complement of a base is its bitwise NOT, and the
     /// 64 two-bit groups of the word reverse in three steps (bytes, nibbles
-    /// within bytes, groups within nibbles). The payload then sits in the
-    /// top `2k` bits, and the complemented padding falls off the shift.
+    /// within bytes, groups within nibbles). That leaves the payload in the
+    /// low `2k` bits; shifting it back to the top drops the complemented
+    /// padding and length byte.
     #[inline]
     pub fn reverse_complement(&self) -> Kmer {
         const NIBBLES: u128 = 0x0F0F_0F0F_0F0F_0F0F_0F0F_0F0F_0F0F_0F0F;
         const GROUPS: u128 = 0x3333_3333_3333_3333_3333_3333_3333_3333;
-        let mut x = (!self.bits).swap_bytes();
+        let mut x = (!self.0).swap_bytes();
         x = ((x >> 4) & NIBBLES) | ((x & NIBBLES) << 4);
         x = ((x >> 2) & GROUPS) | ((x & GROUPS) << 2);
-        Kmer {
-            bits: x >> (128 - 2 * self.k()),
-            k: self.k,
-        }
+        Kmer::pack(x, self.k())
     }
 
     /// Returns the lexicographically smaller of this k-mer and its reverse
     /// complement (the *canonical* form used when strand is unknown).
     #[inline]
     pub fn canonical(&self) -> Kmer {
-        let rc = self.reverse_complement();
-        if rc.bits < self.bits {
-            rc
-        } else {
-            *self
-        }
+        (*self).min(self.reverse_complement())
     }
 
     /// Appends `base` on the right and drops the leftmost base (rolling
-    /// update used by the extractor).
+    /// update used by the extractor). The length byte is masked off before
+    /// the shift so it cannot leak into the payload.
     #[inline]
     pub fn roll(&self, base: Base) -> Kmer {
-        let mask = if self.k() == 64 {
-            u128::MAX
-        } else {
-            (1u128 << (2 * self.k())) - 1
-        };
-        Kmer {
-            bits: ((self.bits << 2) | base.code() as u128) & mask,
-            k: self.k,
-        }
+        let k = self.k();
+        Kmer(((self.0 & !0xFF) << 2) | ((base.code() as u128) << (128 - 2 * k)) | k as u128)
     }
 
     /// Converts the k-mer to a packed sequence.
@@ -191,30 +180,19 @@ impl Kmer {
     }
 }
 
-impl PartialOrd for Kmer {
-    fn partial_cmp(&self, other: &Kmer) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Kmer {
-    /// Lexicographic order: compare base by base; a proper prefix sorts before
-    /// any extension of it (matching the order of the sorted databases MegIS
-    /// streams through).
-    fn cmp(&self, other: &Kmer) -> Ordering {
-        let common = self.k().min(other.k());
-        let a = self.prefix(common).bits;
-        let b = other.prefix(common).bits;
-        a.cmp(&b).then_with(|| self.k().cmp(&other.k()))
-    }
-}
-
 impl fmt::Display for Kmer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for i in 0..self.k() {
             write!(f, "{}", self.base(i))?;
         }
         Ok(())
+    }
+}
+
+/// Prints the bases and the length, not the packed word.
+impl fmt::Debug for Kmer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Kmer({self}, k={})", self.k())
     }
 }
 
@@ -269,10 +247,7 @@ impl Iterator for KmerExtractor<'_> {
                 let bits = (0..self.k).fold(0u128, |bits, i| {
                     (bits << 2) | self.seq.get(i).code() as u128
                 });
-                Kmer {
-                    bits,
-                    k: self.k as u8,
-                }
+                Kmer::pack(bits, self.k)
             }
             Some(prev) => prev.roll(self.seq.get(self.pos + self.k - 1)),
         };
@@ -296,9 +271,20 @@ impl ExactSizeIterator for KmerExtractor<'_> {}
 
 /// Iterator over the canonical k-mers of a sequence (minimum of each k-mer and
 /// its reverse complement), created with [`CanonicalKmerExtractor::new`].
+///
+/// It rolls the forward word and the reverse-complement word together — one
+/// shift and one OR each per base — and emits the smaller, so no k-mer pays
+/// a [`Kmer::reverse_complement`].
 #[derive(Debug, Clone)]
 pub struct CanonicalKmerExtractor<'a> {
-    inner: KmerExtractor<'a>,
+    seq: &'a PackedSequence,
+    k: usize,
+    /// Bases rolled in so far; each further one completes a k-mer.
+    pos: usize,
+    /// Left-aligned payloads (length byte clear) of the last `k` bases and of
+    /// their reverse complement.
+    forward: u128,
+    reverse: u128,
 }
 
 impl<'a> CanonicalKmerExtractor<'a> {
@@ -308,21 +294,48 @@ impl<'a> CanonicalKmerExtractor<'a> {
     ///
     /// Panics if `k == 0` or `k > MAX_K`.
     pub fn new(seq: &'a PackedSequence, k: usize) -> Self {
-        CanonicalKmerExtractor {
-            inner: KmerExtractor::new(seq, k),
+        assert!(k > 0 && k <= MAX_K, "k must be in 1..={MAX_K}");
+        let mut extractor = CanonicalKmerExtractor {
+            seq,
+            k,
+            pos: 0,
+            forward: 0,
+            reverse: 0,
+        };
+        for _ in 0..(k - 1).min(seq.len()) {
+            extractor.roll_in();
         }
+        extractor
+    }
+
+    /// Rolls base `pos` into both words: appended below the forward payload
+    /// (whose first base falls off the top), its complement prepended above
+    /// the reverse one (whose last base is masked off the bottom).
+    #[inline]
+    fn roll_in(&mut self) {
+        let low = 128 - 2 * self.k;
+        let code = self.seq.get(self.pos).code() as u128;
+        self.forward = (self.forward << 2) | (code << low);
+        self.reverse = ((self.reverse >> 2) & (u128::MAX << low)) | ((3 - code) << 126);
+        self.pos += 1;
     }
 }
 
 impl Iterator for CanonicalKmerExtractor<'_> {
     type Item = Kmer;
 
+    #[inline]
     fn next(&mut self) -> Option<Kmer> {
-        self.inner.next().map(|k| k.canonical())
+        if self.pos >= self.seq.len() {
+            return None;
+        }
+        self.roll_in();
+        Some(Kmer(self.forward.min(self.reverse) | self.k as u128))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
+        let remaining = self.seq.len() - self.pos;
+        (remaining, Some(remaining))
     }
 }
 

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::kmer::{Kmer, KmerExtractor};
+use crate::kmer::{CanonicalKmerExtractor, Kmer};
 use crate::reference::ReferenceCollection;
 use crate::taxonomy::TaxId;
 
@@ -124,8 +124,7 @@ impl SketchDatabase {
                 }
                 // Sketch k-mers of size k this genome's taxon newly appears on.
                 let mut selected = 0;
-                for kmer in KmerExtractor::new(genome.sequence(), k) {
-                    let canon = kmer.canonical();
+                for canon in CanonicalKmerExtractor::new(genome.sequence(), k) {
                     if sketch_hash(canon) <= threshold {
                         let taxa = map.entry(canon).or_default();
                         if !taxa.contains(&genome.taxid()) {

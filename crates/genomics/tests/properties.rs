@@ -5,7 +5,7 @@
 //! slice of the input space (the offline equivalent of the original
 //! proptest-based suite).
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
@@ -93,16 +93,118 @@ fn extracted_kmers_match_subsequences() {
     }
 }
 
+/// Lexicographic order written out base by base: the first differing base
+/// decides; with none, the proper prefix sorts first.
+fn cmp_by_base(a: &[u8], b: &[u8]) -> Ordering {
+    let rank = |c: u8| b"ACGT".iter().position(|x| *x == c).unwrap();
+    for (x, y) in a.iter().zip(b) {
+        if x != y {
+            return rank(*x).cmp(&rank(*y));
+        }
+    }
+    a.len().cmp(&b.len())
+}
+
 #[test]
 fn kmer_order_matches_string_order() {
     let mut rng = StdRng::seed_from_u64(106);
-    for _ in 0..CASES {
-        let la = rng.gen_range(1..40usize);
-        let lb = rng.gen_range(1..40usize);
-        let a = dna_string(&mut rng, la);
-        let b = dna_string(&mut rng, lb);
-        let (ka, kb) = (Kmer::from_ascii(&a).unwrap(), Kmer::from_ascii(&b).unwrap());
-        assert_eq!(ka.cmp(&kb), a.cmp(&b));
+    let kmer = |ascii: &[u8]| Kmer::from_ascii(ascii).unwrap();
+    let mut pool: Vec<Vec<u8>> = Vec::new();
+    for k in 1..=MAX_K {
+        pool.push(vec![b'A'; k]);
+        pool.push(vec![b'T'; k]);
+        for _ in 0..4 {
+            // A random k-mer, a proper prefix of it, and extensions of that
+            // prefix by `A`s (equal payload words, told apart by length
+            // alone) and by another base.
+            let ascii = dna_string(&mut rng, k);
+            let mut chain = ascii[..rng.gen_range(1..=k)].to_vec();
+            pool.push(chain.clone());
+            while chain.len() < MAX_K && rng.gen_range(0..3u32) > 0 {
+                chain.push(b'A');
+                pool.push(chain.clone());
+            }
+            if chain.len() < MAX_K {
+                *chain.last_mut().unwrap() = b"CGT"[rng.gen_range(0..3usize)];
+                pool.push(chain);
+            }
+            pool.push(ascii);
+        }
+    }
+    for a in &pool {
+        for _ in 0..8 {
+            let b = &pool[rng.gen_range(0..pool.len())];
+            assert_eq!(
+                kmer(a).cmp(&kmer(b)),
+                cmp_by_base(a, b),
+                "{} vs {}",
+                kmer(a),
+                kmer(b)
+            );
+        }
+    }
+    let chain: Vec<Kmer> = [&b"ACG"[..], b"ACGA", b"ACGAA", b"ACGC"].map(kmer).to_vec();
+    assert!(chain.windows(2).all(|w| w[0] < w[1]), "{chain:?}");
+    assert!(kmer(&[b'A'; 59]) < kmer(&[b'A'; 60]) && kmer(&[b'A'; 60]) < kmer(b"C"));
+    assert_eq!(format!("{:?}", chain[1]), "Kmer(ACGA, k=4)");
+}
+
+#[test]
+fn bits_prefix_and_roll_agree_with_reparsing_the_ascii() {
+    let mut rng = StdRng::seed_from_u64(112);
+    for k in 1..=MAX_K {
+        for case in 0..6 {
+            let ascii = match case {
+                0 => vec![b'A'; k],
+                1 => vec![b'T'; k],
+                _ => dna_string(&mut rng, k),
+            };
+            let kmer = Kmer::from_ascii(&ascii).unwrap();
+            assert_eq!(kmer.k(), k);
+            assert_eq!(kmer.to_string().as_bytes(), ascii);
+            let bits = ascii.iter().fold(0u128, |bits, c| {
+                (bits << 2) | Base::from_ascii(*c).unwrap().code() as u128
+            });
+            assert_eq!(kmer.bits(), bits, "k = {k}");
+            assert_eq!(Kmer::from_bits(bits, k), kmer, "k = {k}");
+            for j in 1..=k {
+                let prefix = Kmer::from_ascii(&ascii[..j]).unwrap();
+                assert_eq!(kmer.prefix(j), prefix, "k = {k}, j = {j}");
+            }
+            for base in b"ACGT" {
+                let mut rolled = ascii[1..].to_vec();
+                rolled.push(*base);
+                assert_eq!(
+                    kmer.roll(Base::from_ascii(*base).unwrap()),
+                    Kmer::from_ascii(&rolled).unwrap(),
+                    "k = {k}, {kmer} + {}",
+                    *base as char
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn rolling_canonical_extractor_equals_canonical_of_every_forward_kmer() {
+    let mut rng = StdRng::seed_from_u64(113);
+    for k in 1..=MAX_K {
+        let random = k + 2 + rng.gen_range(0..80usize);
+        for len in [0, k - 1, k, k + 1, random] {
+            let seq = PackedSequence::from_ascii(&dna_string(&mut rng, len)).unwrap();
+            let expected: Vec<Kmer> = KmerExtractor::new(&seq, k)
+                .map(|kmer| kmer.canonical())
+                .collect();
+            assert_eq!(expected.len(), (len + 1).saturating_sub(k));
+            let mut rolling = CanonicalKmerExtractor::new(&seq, k);
+            for (i, want) in expected.iter().enumerate() {
+                let left = expected.len() - i;
+                assert_eq!(rolling.size_hint(), (left, Some(left)), "k = {k}");
+                assert_eq!(rolling.next(), Some(*want), "k = {k}, len = {len}, at {i}");
+            }
+            assert_eq!(rolling.size_hint(), (0, Some(0)));
+            assert_eq!(rolling.next(), None, "k = {k}, len = {len}");
+        }
     }
 }
 

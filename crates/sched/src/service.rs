@@ -585,6 +585,47 @@ struct Shared {
 }
 
 impl Shared {
+    /// The state of an engine that has served nothing yet.
+    fn new(config: &EngineConfig, shard_count: usize) -> Shared {
+        Shared {
+            state: Mutex::new(ServiceState {
+                queue: JobQueue::new(config.policy, config.queue_capacity),
+                senders: HashMap::new(),
+                next_position: 0,
+                in_flight: 0,
+                isp_served: 0,
+                // Memory bound and depth headroom: each in-flight sample
+                // contributes at most one outstanding command per shard, so
+                // reaching `queue_depth` outstanding commands needs at least
+                // `queue_depth` samples inside the in-SSD stage (plus the
+                // workers' hands). With the default depth the second term is
+                // never larger, so the classic `2 * workers + 2` bound is
+                // unchanged; deep queues widen the gate instead of being
+                // silently capped below the configured depth.
+                lookahead: (2 * config.workers + 2).max(config.queue_depth + config.workers),
+                shard_inflight: vec![0; shard_count],
+                shard_inflight_peak: vec![0; shard_count],
+                intersect_inflight: 0,
+                step3_inflight: 0,
+                stage_overlap_events: 0,
+                shard_retries: vec![0; shard_count],
+                shard_failovers: vec![0; shard_count],
+                failed_jobs: 0,
+                mapped_reads: 0,
+                poisoned: false,
+                accepting: true,
+                stopping: false,
+                completed: 0,
+                window: RollingWindow::new(config.metrics_window),
+                breakdown_sum: StageBreakdown::default(),
+                breakdown_count: 0,
+            }),
+            job_ready: Condvar::new(),
+            idle: Condvar::new(),
+            queue_space: Condvar::new(),
+        }
+    }
+
     /// Locks the state, recovering from std mutex poisoning: the engine's
     /// own `poisoned` flag (set by [`PanicGuard`]) is the real failure
     /// signal, and teardown must keep working while a panic unwinds —
@@ -772,43 +813,7 @@ impl StreamingEngine {
             Some(capacity) => TraceSink::bounded(capacity),
             None => TraceSink::disabled(),
         };
-        let shared = Arc::new(Shared {
-            state: Mutex::new(ServiceState {
-                queue: JobQueue::new(config.policy, config.queue_capacity),
-                senders: HashMap::new(),
-                next_position: 0,
-                in_flight: 0,
-                isp_served: 0,
-                // Memory bound and depth headroom: each in-flight sample
-                // contributes at most one outstanding command per shard, so
-                // reaching `queue_depth` outstanding commands needs at least
-                // `queue_depth` samples inside the in-SSD stage (plus the
-                // workers' hands). With the default depth the second term is
-                // never larger, so the classic `2 * workers + 2` bound is
-                // unchanged; deep queues widen the gate instead of being
-                // silently capped below the configured depth.
-                lookahead: (2 * config.workers + 2).max(config.queue_depth + config.workers),
-                shard_inflight: vec![0; shard_count],
-                shard_inflight_peak: vec![0; shard_count],
-                intersect_inflight: 0,
-                step3_inflight: 0,
-                stage_overlap_events: 0,
-                shard_retries: vec![0; shard_count],
-                shard_failovers: vec![0; shard_count],
-                failed_jobs: 0,
-                mapped_reads: 0,
-                poisoned: false,
-                accepting: true,
-                stopping: false,
-                completed: 0,
-                window: RollingWindow::new(config.metrics_window),
-                breakdown_sum: StageBreakdown::default(),
-                breakdown_count: 0,
-            }),
-            job_ready: Condvar::new(),
-            idle: Condvar::new(),
-            queue_space: Condvar::new(),
-        });
+        let shared = Arc::new(Shared::new(&config, shard_count));
 
         // In-SSD stage, part 1: one worker per database shard, all sharing
         // the deque-per-device [`CommandQueues`] — carrying both Step 2
@@ -1620,9 +1625,12 @@ fn dispatch_group(
     // lead member is the oldest.
     let shard_count = shards.shard_count();
     let mut shard_members: Vec<Vec<IntersectMember>> = vec![Vec::new(); shard_count];
-    for prepared in group {
+    for mut prepared in group {
         let seq = prepared.start_position;
-        let queries = Arc::new(prepared.step1.sorted_kmers());
+        // Step 1's arena itself, moved: the members below share the
+        // allocation the worker sorted, and delivery only reads the counters
+        // `take_kmers` leaves behind.
+        let queries = Arc::new(prepared.step1.take_kmers());
         // Range-partitioned dispatch: each shard sees only the sub-slice of
         // the sorted query list overlapping its key range, so per-device
         // query-side work is proportional to the slice, not the whole list.
@@ -2555,6 +2563,67 @@ mod tests {
         for s in &report.shard_stats {
             assert_eq!(s.jobs, 3);
         }
+    }
+
+    #[test]
+    fn the_dispatcher_shares_step1s_arena_instead_of_copying_it() {
+        let c = community();
+        let a = analyzer(&c);
+        let config = EngineConfig::new().with_workers(1).with_shards(2);
+        let shards = ShardSet::build(a.database(), config.shards);
+        let step1 = a.run_step1(c.sample());
+        let (arena, queries) = (step1.kmers().as_ptr(), step1.sorted_kmers());
+        let prepared = PreparedJob {
+            id: JobId(0),
+            label: "s0".into(),
+            priority: Priority::default(),
+            start_position: 0,
+            sample: Arc::new(c.sample().clone()),
+            submitted_at: Instant::now(),
+            queue_wait: Duration::ZERO,
+            step1_time: Duration::ZERO,
+            step1,
+        };
+        // Workerless queues: the issued commands stay where the test can
+        // read them off the dispatcher → completer channel.
+        let producer = CommandQueues::new(config.shards, false).producer();
+        let (meta_tx, meta_rx) = mpsc::channel();
+        assert!(dispatch_group(
+            &Shared::new(&config, config.shards),
+            &shards,
+            &producer,
+            &meta_tx,
+            vec![prepared],
+            &mut 0,
+            config.queue_depth,
+            &TraceSink::disabled(),
+        ));
+        drop(meta_tx);
+        let mut issued = 0;
+        for msg in meta_rx {
+            match msg {
+                DispatchMsg::Job(meta) => {
+                    assert_eq!(meta.prepared.step1.selected_kmers, queries.len() as u64)
+                }
+                DispatchMsg::Issued { command, .. } => {
+                    let ShardCommand::Intersect(command) = command else {
+                        panic!("the dispatcher issues intersect commands only");
+                    };
+                    for member in &command.members {
+                        assert_eq!(member.queries.as_ptr(), arena, "moved, not copied");
+                        assert_eq!(*member.queries, queries);
+                    }
+                    issued += 1;
+                }
+            }
+        }
+        assert_eq!(issued, config.shards, "both shards hold genome k-mers");
+
+        // And the job delivered through the same path is unchanged.
+        let expected = a.analyze(c.sample());
+        let engine = StreamingEngine::new(a, config);
+        let handle = engine.submit(JobSpec::new("s0", c.sample().clone()));
+        assert_eq!(handle.unwrap().wait().unwrap().output, expected);
     }
 
     #[test]

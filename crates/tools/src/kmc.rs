@@ -46,12 +46,12 @@ impl KmerCounts {
     /// Counts the canonical k-mers of every read in `reads`.
     ///
     /// Counting is flat, like KMC itself: collect every occurrence into one
-    /// dense array, `sort_unstable` it, and run-length group equal runs into
-    /// `(kmer, count)` pairs — no per-k-mer map nodes on the hot path. The
-    /// result is identical to inserting each occurrence into an ordered map
-    /// (sorted distinct k-mers with their multiplicities).
+    /// dense array sized up front, `sort_unstable` it — a [`Kmer`] is one
+    /// word, so this is an integer sort — and run-length group equal runs
+    /// into `(kmer, count)` pairs. The result is identical to inserting each
+    /// occurrence into an ordered map.
     pub fn count(reads: &ReadSet, k: usize) -> KmerCounts {
-        let mut occurrences: Vec<Kmer> = Vec::new();
+        let mut occurrences: Vec<Kmer> = Vec::with_capacity(reads.total_kmers(k));
         for read in reads.iter() {
             occurrences.extend(CanonicalKmerExtractor::new(read.sequence(), k));
         }
