@@ -20,7 +20,9 @@
 //!   [`KssTables::lookup`] per intersecting k-mer,
 //! * **Step 3** — the flat unified index (one k-way merge of sorted seed
 //!   columns, dense-counter seed voting) against the old ordered map of
-//!   per-seed location lists with an ordered-map vote table per read,
+//!   per-seed location lists with an ordered-map vote table per read; and
+//!   the reads mapped as 1, 2 and 8 ranges over the one merged index (the
+//!   scheduler's cut of Step 3) against the sequential `step3::run`,
 //!
 //! plus **shard residency**: [`ShardSet::resident_bytes`] across 1–8 shards
 //! must stay exactly one copy of the columnar storage (zero-copy views),
@@ -29,7 +31,7 @@
 //! `megis-bench hotpath` prints this report and writes the numbers to
 //! `BENCH_hotpath.json`. CI runs it in release mode, greps the exact
 //! verdict lines (kernel parity, KSS stream parity, unified-index parity,
-//! zero-copy shards) and uploads the JSON, so a PR that breaks a kernel's
+//! read-range parity, zero-copy shards) and uploads the JSON, so a PR that breaks a kernel's
 //! equivalence or reintroduces a database copy fails the smoke test. The
 //! galloping speedup line is wall clock from one run: printed, not gated.
 
@@ -38,6 +40,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 use megis::kss::KssTables;
+use megis::step3;
 use megis_genomics::database::{
     ReadMapHit, ReferenceIndex, SortedKmerDatabase, UnifiedReferenceIndex,
 };
@@ -233,6 +236,9 @@ pub struct HotpathMeasurement {
     /// Whether the flat index and mapper equalled the map-based reference
     /// (entries, locations, and every read's best hit).
     pub step3_parity: bool,
+    /// Whether the reads mapped as 1, 2 and 8 ranges over the one merged
+    /// index, counts added up, equalled the sequential `step3::run`.
+    pub read_range_parity: bool,
     /// Heap bytes of one columnar database copy.
     pub db_heap_bytes: u64,
     /// `(shard count, ShardSet::resident_bytes)` for each swept count.
@@ -426,6 +432,14 @@ impl HotpathMeasurement {
             }
         ));
         report.line(&format!(
+            "step 3 read-range parity with sequential run: {}",
+            if self.read_range_parity {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
+        ));
+        report.line(&format!(
             "galloping speedup: {} ({:.2}x vs the {GALLOP_THRESHOLD:.1}x threshold)",
             if self.gallop_confirmed() {
                 "confirmed"
@@ -509,7 +523,8 @@ impl HotpathMeasurement {
              \x20   \"btreemap_map_ns_per_read\": {:.3},\n\
              \x20   \"flat_map_ns_per_read\": {:.3},\n\
              \x20   \"map_speedup\": {:.3},\n\
-             \x20   \"parity\": {}\n\
+             \x20   \"parity\": {},\n\
+             \x20   \"read_range_parity\": {}\n\
              \x20 }},\n\
              \x20 \"shards\": {{\n\
              \x20   \"db_heap_bytes\": {},\n\
@@ -549,6 +564,7 @@ impl HotpathMeasurement {
             self.map_flat_s * 1e9 / self.step3_reads as f64,
             self.map_speedup(),
             self.step3_parity,
+            self.read_range_parity,
             self.db_heap_bytes,
             residents.join(",\n"),
             self.resident_ratio(),
@@ -653,6 +669,14 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         && reads
             .iter()
             .all(|r| flat_index.map_read_hit(r, SEED_K) == map_btreemap(&map_index, r));
+    let sequential = step3::run(reads, &candidates, SEED_K);
+    let read_range_parity = [1usize, 2, 8].iter().all(|&parts| {
+        let mut merged = step3::MappedCounts::default();
+        for range in step3::read_ranges(reads.len(), parts) {
+            merged.merge(step3::map_range(&flat_index, reads, range, SEED_K));
+        }
+        merged.into_output(flat_index.clone()) == sequential
+    });
     let merge_btreemap_s = best_seconds(|| merge_btreemap(&candidates).len());
     let merge_flat_s = best_seconds(|| UnifiedReferenceIndex::merge(&candidates).len());
     let map_btreemap_s = best_seconds(|| {
@@ -700,6 +724,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         map_btreemap_s,
         map_flat_s,
         step3_parity,
+        read_range_parity,
         db_heap_bytes,
         resident_by_shards,
         parity,
@@ -729,6 +754,10 @@ mod tests {
             "flat unified index and mapper must equal the map-based reference"
         );
         assert!(
+            m.read_range_parity,
+            "read ranges over one merged index must equal the sequential run"
+        );
+        assert!(
             m.zero_copy_confirmed(),
             "sharding must keep one resident database copy: {:?} vs {}",
             m.resident_by_shards,
@@ -738,6 +767,7 @@ mod tests {
         assert!(report.contains("parity with two-pointer reference: identical"));
         assert!(report.contains("kss stream parity with per-query lookup: identical"));
         assert!(report.contains("unified index parity with map-based reference: identical"));
+        assert!(report.contains("step 3 read-range parity with sequential run: identical"));
         assert!(report.contains("zero-copy shards: confirmed"));
         let json = m.to_json();
         assert!(json.contains("\"bench\": \"hotpath\""));

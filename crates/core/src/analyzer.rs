@@ -8,7 +8,9 @@
 //! performance side (what runs where, and how long it takes on paper-scale
 //! workloads) is modeled separately in [`crate::pipeline`].
 
-use megis_genomics::database::{ReferenceIndex, SortedKmerDatabase};
+use megis_genomics::database::{
+    PartialUnifiedIndex, ReferenceIndex, SortedKmerDatabase, UnifiedReferenceIndex,
+};
 use megis_genomics::profile::{AbundanceProfile, PresenceResult};
 use megis_genomics::reference::ReferenceCollection;
 use megis_genomics::sample::Sample;
@@ -141,9 +143,9 @@ impl MegisAnalyzer {
     /// Positions (within [`MegisAnalyzer::reference_indexes`]) of the
     /// candidate species reported present, in index order — which is
     /// reference-collection order, i.e. ascending taxid. This is the shared
-    /// definition of "the candidate list" for Step 3: the sequential path,
-    /// the partitioned path, and the scheduler's per-device commands all
-    /// derive from it, so they merge candidates in the same order.
+    /// definition of "the candidate list" for Step 3: the sequential path
+    /// and the scheduler's shared per-job index both derive from it, so
+    /// they merge candidates in the same order.
     pub fn candidate_positions(&self, presence: &PresenceResult) -> Vec<usize> {
         self.reference_indexes
             .iter()
@@ -167,31 +169,26 @@ impl MegisAnalyzer {
             .collect()
     }
 
-    /// Runs Step 3 (unified index generation + read mapping) for the
-    /// candidate species reported present: the single-device case of
-    /// [`MegisAnalyzer::run_step3_partitioned`], composed through the same
-    /// partition → map → reduce path the sharded scheduler drives (the
-    /// sequential [`step3::run`] is the oracle both are verified against).
-    pub fn run_step3(&self, sample: &Sample, presence: &PresenceResult) -> step3::Step3Output {
-        self.run_step3_partitioned(sample, presence, 1)
+    /// Generates the unified index over the candidates at `positions`
+    /// (as [`MegisAnalyzer::candidate_positions`] lists them): Fig. 9's one
+    /// sequential merge of their memoized per-species indexes.
+    pub fn unified_index(&self, positions: &[usize]) -> UnifiedReferenceIndex {
+        let candidates: Vec<&ReferenceIndex> = positions
+            .iter()
+            .map(|&position| &self.reference_indexes[position])
+            .collect();
+        PartialUnifiedIndex::merge_range(&candidates, 0).into_index()
     }
 
-    /// Runs Step 3 partitioned across `parts` devices: the candidate list
-    /// splits into contiguous taxid ranges, each range merges into a
-    /// partial unified index and maps all reads, and the reduce recombines
-    /// — byte-identical to the sequential path for every `parts`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is zero.
-    pub fn run_step3_partitioned(
-        &self,
-        sample: &Sample,
-        presence: &PresenceResult,
-        parts: usize,
-    ) -> step3::Step3Output {
-        let candidates = self.candidate_indexes(presence);
-        step3::run_partitioned(sample.reads(), &candidates, parts, self.config.mapping_k)
+    /// Runs Step 3 (unified index generation + read mapping) for the
+    /// candidate species reported present: one merge over every candidate,
+    /// then one [`step3::map_range`] over all the reads — the single-range
+    /// case of what the sharded scheduler drives (the sequential
+    /// [`step3::run`] is the oracle both are verified against).
+    pub fn run_step3(&self, sample: &Sample, presence: &PresenceResult) -> step3::Step3Output {
+        let index = self.unified_index(&self.candidate_positions(presence));
+        let reads = sample.reads();
+        step3::map_range(&index, reads, 0..reads.len(), self.config.mapping_k).into_output(index)
     }
 
     /// Assembles the end-to-end output from per-step results.
@@ -274,7 +271,7 @@ mod tests {
         // The analyzer builds one index per reference genome at
         // construction; analyzing samples afterwards must neither rebuild
         // nor clone them — the thread-local build counter stays flat across
-        // repeated analyses and partitioned Step 3 runs.
+        // repeated analyses and Step 3 runs.
         let c = community();
         let before = ReferenceIndex::builds_on_this_thread();
         let analyzer = MegisAnalyzer::build(c.references(), MegisConfig::small());
@@ -286,9 +283,7 @@ mod tests {
         );
         let out = analyzer.analyze(c.sample());
         assert!(out.mapped_reads > 0);
-        for parts in [1usize, 2, 5] {
-            let _ = analyzer.run_step3_partitioned(c.sample(), &out.presence, parts);
-        }
+        let _ = analyzer.run_step3(c.sample(), &out.presence);
         let _ = analyzer.analyze(c.sample());
         assert_eq!(
             ReferenceIndex::builds_on_this_thread(),
@@ -304,18 +299,27 @@ mod tests {
 
     #[test]
     fn partitioned_step3_matches_sequential_for_any_part_count() {
+        // Step 3 cut by reads: any number of read ranges mapped against the
+        // one merged index and summed equals the sequential oracle.
         let c = community();
         let analyzer = MegisAnalyzer::build(c.references(), MegisConfig::small());
         let step1 = analyzer.run_step1(c.sample());
         let step2 = analyzer.run_step2(&step1);
         let candidates = analyzer.candidate_indexes(&step2.presence);
         let owned: Vec<ReferenceIndex> = candidates.iter().map(|c| (*c).clone()).collect();
-        let oracle = crate::step3::run(c.sample().reads(), &owned, analyzer.config().mapping_k);
+        let (reads, k) = (c.sample().reads(), analyzer.config().mapping_k);
+        let oracle = crate::step3::run(reads, &owned, k);
+        assert!(oracle.mapped_reads > 0);
+        let whole = analyzer.run_step3(c.sample(), &step2.presence);
+        assert_eq!(whole, oracle);
         for parts in 1..=9usize {
-            let sharded = analyzer.run_step3_partitioned(c.sample(), &step2.presence, parts);
+            let mut merged = step3::MappedCounts::default();
+            for range in step3::read_ranges(reads.len(), parts) {
+                merged.merge(step3::map_range(&whole.unified_index, reads, range, k));
+            }
+            let sharded = merged.into_output(whole.unified_index.clone());
             assert_eq!(sharded, oracle, "{parts} parts diverged");
         }
-        assert_eq!(analyzer.run_step3(c.sample(), &step2.presence), oracle);
     }
 
     #[test]

@@ -1,53 +1,50 @@
-//! Step 3 — abundance estimation support (§4.4), as cost-aware partition →
-//! map → incremental reduce over the candidate species.
+//! Step 3 — abundance estimation support (§4.4): one unified-index merge,
+//! then read mapping cut by *reads*.
 //!
 //! For applications that need relative abundances, MegIS prepares the data a
 //! read mapper needs: a *unified* reference index over the candidate species
 //! identified in Step 2, generated inside the SSD by sequentially merging the
 //! candidates' sorted per-species indexes (Fig. 9), then handed — together
 //! with the reads — to a mapping accelerator. Every index here is flat
-//! (sorted seed column, `u32` offsets, one location arena) and every merge
-//! is the one forward k-way merge of [`megis_genomics::database`], so the
-//! stage consumes its inputs at streaming cost and a finished
-//! [`Step3Output`] owns a fixed handful of allocations, not one per seed.
+//! (sorted seed column, `u32` offsets, one location arena) and the merge is
+//! the one forward k-way merge of [`megis_genomics::database`], so the stage
+//! consumes its inputs at streaming cost.
 //!
-//! On a device array the stage shards: the candidate list is split into
-//! contiguous ranges of near-equal *modeled work* ([`partition_candidates`],
-//! cutting the ascending-taxid candidate order at the crossings of a
-//! per-candidate cost prefix sum — [`candidate_cost`]: index stream bytes
-//! plus expected mapping work — rather than at equal candidate counts,
-//! because candidate index sizes are skewed and an equal-count split lets
-//! one oversized range gate the whole array), each device merges its range
-//! into a [`PartialUnifiedIndex`] and maps every read against it
-//! ([`run_partial`]), and a reduce step recombines the partial indexes
-//! byte-identically, resolves reads that hit candidates on several devices
-//! by the best-hit rule of [`UnifiedReferenceIndex::map_read`], and
-//! accumulates the abundance profile. The reduce is *incremental*
-//! ([`IncrementalReduce`]): partials fold in as they arrive — consecutive
-//! partial indexes through [`PartialUnifiedIndex::absorb`], best hits
-//! through a commutative maximum into a dense per-read table — so a
-//! completer never barriers on the full partial set; the batch-shaped
-//! [`reduce`] is the same fold driven in one call.
+//! On a device array the stage shards the way the paper's mapper does: the
+//! index is merged **once** per sample over *all* candidates
+//! ([`crate::MegisAnalyzer::unified_index`]) and the sample's reads are cut
+//! into disjoint ranges ([`read_ranges`]), each mapped against that one
+//! index ([`map_range`]) into [`MappedCounts`] — how many reads each
+//! candidate won. The cut is *exact*, not approximate:
 //!
-//! The decomposition is *exact*, not approximate:
+//! * ranges are disjoint and cover the sample, so every read is mapped
+//!   exactly once;
+//! * every range sees every candidate, so a read's winner under the
+//!   `(votes, smallest-taxid)` rule with the [`MIN_MAPPING_VOTES`] threshold
+//!   is decided where the read is mapped — there is nothing to resolve
+//!   across ranges;
+//! * what is left to reduce are counts, and counts add
+//!   ([`MappedCounts::merge`]): commutative and associative, so ranges fold
+//!   in whatever order devices complete them, and the abundance profile
+//!   groups by a deterministic sort + run-length pass
+//!   ([`AbundanceAccumulator`]). The fold is *not* idempotent — a range
+//!   folded twice counts its reads twice — so whoever folds must fold each
+//!   range once (the scheduler asserts it per job).
 //!
-//! * the folded unified index equals the one-pass merge (`absorb`,
-//!   `merge_partials` and `merge_range` are the same k-way merge; offsets
-//!   and location orders survive because the ranges are consecutive),
-//! * a candidate lives on exactly one device, so per-device vote counts are
-//!   global vote counts and the max-of-maxes under `(votes,
-//!   smallest-taxid)` — an order-insensitive fold — is the global best hit,
-//!   with the [`MIN_MAPPING_VOTES`] threshold applied to the winner when the
-//!   reduce finishes,
-//! * abundance counts group by a deterministic sort + run-length pass
-//!   ([`AbundanceAccumulator`]), fed in read order.
+//! [`run`] is the sequential oracle (one merge, one per-read mapper):
+//! the seeded property suites assert that any cut of the reads, merged in
+//! any order, reproduces it byte for byte. Lightweight statistical
+//! estimators ([`statistical_abundance`]) can instead run directly on
+//! Step 2's output.
 //!
-//! [`run`] is the sequential oracle (one merge, one mapper): the seeded
-//! property suites assert that partition → [`run_partial`] → [`reduce`] at
-//! any shard count reproduces it byte for byte, and that the cost-aware cuts
-//! bound every part's modeled cost by `total/parts` plus one candidate.
-//! Lightweight statistical estimators ([`statistical_abundance`]) can
-//! instead run directly on Step 2's output.
+//! **Kept only for the frozen benchmark replay** (`benchmark/src/replay.rs`
+//! still walks the retired composition that cut Step 3 by *candidates* and
+//! mapped every read once per part): [`partition_candidates`] with
+//! [`CandidatePart`] and [`candidate_cost`], [`Step3Partial`] with
+//! [`PartialReadHit`], and the batch [`reduce`] that recombines partial
+//! indexes and resolves each read's winner across parts. Outside tests,
+//! nothing in the workspace maps against a partial index any more; these
+//! go when the benchmark is re-walked.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -63,7 +60,8 @@ use megis_genomics::taxonomy::TaxId;
 /// Output of Step 3.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Step3Output {
-    /// The unified index generated for the candidate species.
+    /// The unified index generated for the candidate species (left empty by
+    /// the scheduler, whose devices share the index and never hand it back).
     pub unified_index: UnifiedReferenceIndex,
     /// Mapping-based abundance estimate.
     pub abundance: AbundanceProfile,
@@ -71,8 +69,71 @@ pub struct Step3Output {
     pub mapped_reads: u64,
 }
 
-/// One contiguous range of the candidate list assigned to a device for
-/// partitioned Step 3.
+/// Step 3's result over one range of a sample's reads: how many reads each
+/// candidate species won. Results over disjoint ranges [`merge`] into the
+/// result over their union.
+///
+/// [`merge`]: MappedCounts::merge
+#[derive(Debug, Clone, Default)]
+pub struct MappedCounts {
+    counts: AbundanceAccumulator,
+    mapped_reads: u64,
+}
+
+impl MappedCounts {
+    /// Adds the counts of a *disjoint* read range. Commutative and
+    /// associative, not idempotent.
+    pub fn merge(&mut self, other: MappedCounts) {
+        self.counts.merge(other.counts);
+        self.mapped_reads += other.mapped_reads;
+    }
+
+    /// Number of reads that mapped to some candidate species.
+    pub fn mapped_reads(&self) -> u64 {
+        self.mapped_reads
+    }
+
+    /// Normalizes the counts into the stage's output, next to the index
+    /// they were mapped against.
+    pub fn into_output(self, unified_index: UnifiedReferenceIndex) -> Step3Output {
+        Step3Output {
+            unified_index,
+            abundance: self.counts.finish(),
+            mapped_reads: self.mapped_reads,
+        }
+    }
+}
+
+/// Cuts `reads` reads into `parts` contiguous ranges of near-equal length,
+/// in order: disjoint, covering `0..reads`, empty ones when `parts > reads`.
+/// The one definition of Step 3's cut by reads.
+pub fn read_ranges(reads: usize, parts: usize) -> impl Iterator<Item = Range<usize>> {
+    (0..parts).map(move |part| part * reads / parts..(part + 1) * reads / parts)
+}
+
+/// Maps `reads[range]` against the sample's unified index: one device's
+/// share of Step 3's mapping.
+///
+/// # Panics
+///
+/// Panics if `range` reaches past the read set.
+pub fn map_range(
+    index: &UnifiedReferenceIndex,
+    reads: &ReadSet,
+    range: Range<usize>,
+    mapping_k: usize,
+) -> MappedCounts {
+    let mut out = MappedCounts::default();
+    let won = index.count_mapped_reads(&reads.reads()[range], mapping_k);
+    for (&(taxid, _), count) in index.offsets().iter().zip(won) {
+        out.counts.add(taxid, count);
+        out.mapped_reads += count;
+    }
+    out
+}
+
+/// One contiguous range of the candidate list, as the retired candidate cut
+/// of Step 3 assigned it to a device (kept for the benchmark replay).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CandidatePart {
     /// The range of candidate positions (indices into the candidate list).
@@ -81,9 +142,7 @@ pub struct CandidatePart {
     /// of the genome lengths of every earlier candidate.
     pub base_offset: u64,
     /// Modeled work of the range: the sum of [`candidate_cost`] over its
-    /// candidates. The scheduler uses it to make simulated device service
-    /// time proportional to assigned work, and tests bound the spread
-    /// across parts.
+    /// candidates; tests bound the spread across parts.
     pub cost: u64,
 }
 
@@ -108,14 +167,14 @@ pub struct PartialReadHit {
     pub votes: u32,
 }
 
-/// Per-device output of partitioned Step 3: the partial unified index over
-/// the device's candidate range plus the best hit of every read that hit
-/// the range at all.
+/// One part's output under the candidate cut: the partial unified index over
+/// the part's candidate range plus the best hit of every read that hit the
+/// range at all.
 #[derive(Debug, Clone, Default)]
 pub struct Step3Partial {
-    /// The partial unified index merged on this device.
+    /// The partial unified index merged for this part.
     pub index: PartialUnifiedIndex,
-    /// Per-read best hits against this device's candidates, in read order.
+    /// Per-read best hits against this part's candidates, in read order.
     pub hits: Vec<PartialReadHit>,
 }
 
@@ -130,7 +189,7 @@ pub fn candidate_cost(index: &ReferenceIndex) -> u64 {
 }
 
 /// Splits a candidate list into `parts` contiguous ranges of near-equal
-/// *modeled work* — the deterministic device assignment of partitioned
+/// *modeled work* — the device assignment of the retired candidate cut of
 /// Step 3. Cut `i` (for `i = 1..parts`) falls on the candidate boundary
 /// whose [`candidate_cost`] prefix sum is nearest `i·total/parts`, so every
 /// part's cost is at most `total/parts` plus one candidate's cost — unlike
@@ -210,209 +269,42 @@ pub fn build_candidate_indexes(
         .collect()
 }
 
-/// Runs one device's share of partitioned Step 3: merge the candidate range
-/// (starting at `base_offset` in the concatenated reference space) into a
-/// partial unified index, then map every read against it, recording each
-/// read's best pre-threshold hit.
-pub fn run_partial(
-    reads: &ReadSet,
-    candidates: &[&ReferenceIndex],
-    base_offset: u64,
-    mapping_k: usize,
-) -> Step3Partial {
-    let index = PartialUnifiedIndex::merge_range(candidates, base_offset);
-    let mut hits = Vec::new();
-    for (read_index, read) in reads.iter().enumerate() {
-        if let Some(hit) = index.index().map_read_hit(read, mapping_k) {
-            hits.push(PartialReadHit {
-                read: read_index,
-                taxid: hit.taxid,
-                votes: hit.votes,
-            });
-        }
-    }
-    Step3Partial { index, hits }
-}
-
-/// Incremental Step 3 reduce: folds per-device partials in *as they
-/// arrive*, in any arrival order, instead of barriering on the full set.
-///
-/// A completer reaping out-of-order device completions calls
-/// [`IncrementalReduce::offer`] with each partial's *part position* (its
-/// index in the [`partition_candidates`] output). Two folds run eagerly:
-///
-/// * **index fold** — partial indexes must recombine in part order, so the
-///   reducer holds out-of-order arrivals and absorbs the contiguous ready
-///   prefix through [`PartialUnifiedIndex::absorb`] (byte-identical to
-///   [`UnifiedReferenceIndex::merge_partials`] by the genomics parity suite);
-/// * **hit fold** — per-read best hits reduce by a commutative maximum
-///   under `(votes, smallest-taxid)` into a table indexed by read: arrival
-///   order cannot matter and the completer hashes nothing per hit.
-///
-/// Positions whose part was empty (never dispatched as a command) are
-/// declared up front via the `expected` mask; the reducer skips over them.
-/// [`IncrementalReduce::finish`] applies the [`MIN_MAPPING_VOTES`]
-/// threshold to each read's winner and accumulates the abundance profile —
-/// the only work left after the last partial arrives, which is what pulls
-/// the traced `reduce_barrier` segment toward zero.
-#[derive(Debug, Default)]
-pub struct IncrementalReduce {
-    expected: Vec<bool>,
-    held: Vec<Option<PartialUnifiedIndex>>,
-    cursor: usize,
-    folded: Option<PartialUnifiedIndex>,
-    /// Best `(votes, taxid)` so far per read index; zero votes: no hit yet.
-    best: Vec<(u32, TaxId)>,
-}
-
-impl IncrementalReduce {
-    /// Creates a reducer over `expected.len()` part positions; position `i`
-    /// is awaited iff `expected[i]` (empty parts are never dispatched, so a
-    /// completer marks them unexpected).
-    pub fn new(expected: Vec<bool>) -> IncrementalReduce {
-        let mut reducer = IncrementalReduce {
-            held: vec![None; expected.len()],
-            expected,
-            cursor: 0,
-            folded: None,
-            best: Vec::new(),
-        };
-        reducer.drain_ready();
-        reducer
-    }
-
-    /// Offers the partial produced by part `position`. Hits fold
-    /// immediately; the partial index folds as soon as every earlier
-    /// expected position has arrived.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `position` is out of range, was not expected, or was
-    /// already offered.
-    pub fn offer(&mut self, position: usize, partial: Step3Partial) {
-        assert!(
-            self.expected.get(position).copied().unwrap_or(false),
-            "position {position} was not expected"
-        );
+/// Recombines the parts of a candidate cut (in candidate-range order) into
+/// the full Step 3 output: merge the partial indexes byte-identically,
+/// resolve each read's winner across parts by the same `(votes,
+/// smallest-taxid)` best-hit rule as [`UnifiedReferenceIndex::map_read`],
+/// apply the mapping-vote threshold to the winner, and accumulate the
+/// abundance profile. Kept for the benchmark replay.
+pub fn reduce(partials: Vec<Step3Partial>) -> Step3Output {
+    // Best `(votes, taxid)` so far per read index; zero votes: no hit yet.
+    let mut best: Vec<(u32, TaxId)> = Vec::new();
+    let mut indexes = Vec::with_capacity(partials.len());
+    for partial in partials {
         for hit in &partial.hits {
-            if hit.read >= self.best.len() {
-                self.best.resize(hit.read + 1, (0, TaxId(u32::MAX)));
+            if hit.read >= best.len() {
+                best.resize(hit.read + 1, (0, TaxId(u32::MAX)));
             }
-            let best = &mut self.best[hit.read];
+            let best = &mut best[hit.read];
             if hit.votes > best.0 || (hit.votes == best.0 && hit.taxid < best.1) {
                 *best = (hit.votes, hit.taxid);
             }
         }
-        assert!(
-            self.held[position].replace(partial.index).is_none(),
-            "position {position} offered twice"
-        );
-        self.drain_ready();
+        indexes.push(partial.index);
     }
-
-    /// Absorbs the contiguous ready prefix of held partial indexes.
-    fn drain_ready(&mut self) {
-        while self.cursor < self.expected.len() {
-            if !self.expected[self.cursor] {
-                self.cursor += 1;
-                continue;
-            }
-            let Some(partial) = self.held[self.cursor].take() else {
-                break;
-            };
-            match self.folded.as_mut() {
-                Some(folded) => folded.absorb(partial),
-                None => self.folded = Some(partial),
-            }
-            self.cursor += 1;
+    let mut out = MappedCounts::default();
+    for (votes, taxid) in best {
+        if votes >= MIN_MAPPING_VOTES {
+            out.counts.record(taxid);
+            out.mapped_reads += 1;
         }
     }
-
-    /// `true` once every expected partial has arrived and folded.
-    pub fn is_complete(&self) -> bool {
-        self.cursor == self.expected.len()
-    }
-
-    /// Number of part positions whose index has folded in so far.
-    pub fn folded_parts(&self) -> usize {
-        self.cursor
-    }
-
-    /// Finishes the reduce: threshold each read's winner, accumulate the
-    /// abundance profile, and hand out the recombined unified index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an expected partial has not been offered.
-    pub fn finish(self) -> Step3Output {
-        assert!(
-            self.is_complete(),
-            "finish called with partials outstanding"
-        );
-        let unified_index = self
-            .folded
-            .map(PartialUnifiedIndex::into_index)
-            .unwrap_or_default();
-        let mut counts = AbundanceAccumulator::new();
-        let mut mapped_reads = 0u64;
-        for (votes, taxid) in &self.best {
-            if *votes >= MIN_MAPPING_VOTES {
-                counts.record(*taxid);
-                mapped_reads += 1;
-            }
-        }
-        Step3Output {
-            unified_index,
-            abundance: counts.finish(),
-            mapped_reads,
-        }
-    }
-}
-
-/// Recombines per-device partials (in candidate-range order) into the full
-/// Step 3 output: merge the partial indexes byte-identically, resolve each
-/// read's winner across devices by the same `(votes, smallest-taxid)`
-/// best-hit rule as [`UnifiedReferenceIndex::map_read`], apply the
-/// mapping-vote threshold to the winner, and accumulate the abundance
-/// profile with a deterministic sort + run-length group.
-///
-/// This is the batch-shaped entry point: it drives the same
-/// [`IncrementalReduce`] fold the streaming completer uses, so the two
-/// paths cannot drift apart.
-pub fn reduce(partials: Vec<Step3Partial>) -> Step3Output {
-    let mut reducer = IncrementalReduce::new(vec![true; partials.len()]);
-    for (position, partial) in partials.into_iter().enumerate() {
-        reducer.offer(position, partial);
-    }
-    reducer.finish()
-}
-
-/// Runs partitioned Step 3 end to end: [`partition_candidates`] →
-/// [`run_partial`] per part → [`reduce`]. With `parts == 1` this is the
-/// composition the analyzer's sequential path uses; the output is
-/// byte-identical to [`run`] for every `parts` (asserted by the seeded
-/// property suite).
-///
-/// # Panics
-///
-/// Panics if `parts` is zero.
-pub fn run_partitioned(
-    reads: &ReadSet,
-    candidates: &[&ReferenceIndex],
-    parts: usize,
-    mapping_k: usize,
-) -> Step3Output {
-    let partials = partition_candidates(candidates, parts)
-        .into_iter()
-        .map(|part| run_partial(reads, &candidates[part.range], part.base_offset, mapping_k))
-        .collect();
-    reduce(partials)
+    out.into_output(UnifiedReferenceIndex::merge_partials(indexes))
 }
 
 /// Runs Step 3 sequentially: one unified-index merge followed by one
-/// mapping pass. This is the *oracle* the partitioned path is verified
-/// against — it never goes through partition/reduce, so a regression in
-/// either shows up as a divergence.
+/// per-read mapping pass. This is the *oracle* every cut of the reads is
+/// verified against — it never goes through [`map_range`] or a merge of
+/// counts, so a regression in either shows up as a divergence.
 pub fn run(reads: &ReadSet, candidate_indexes: &[ReferenceIndex], mapping_k: usize) -> Step3Output {
     let unified_index = UnifiedReferenceIndex::merge(candidate_indexes);
     let mut counts = AbundanceAccumulator::new();
@@ -451,6 +343,31 @@ mod tests {
             .build(55)
     }
 
+    /// The retired candidate cut, composed the way the benchmark replay
+    /// still walks it: partition → merge + map every read per non-empty
+    /// part → [`reduce`].
+    fn candidate_cut(reads: &ReadSet, candidates: &[&ReferenceIndex], parts: usize) -> Step3Output {
+        let partials = partition_candidates(candidates, parts)
+            .into_iter()
+            .filter(|part| !part.is_empty())
+            .map(|part| {
+                let index =
+                    PartialUnifiedIndex::merge_range(&candidates[part.range], part.base_offset);
+                let hits = reads.iter().enumerate().filter_map(|(read, r)| {
+                    let hit = index.index().map_read_hit(r, 15)?;
+                    Some(PartialReadHit {
+                        read,
+                        taxid: hit.taxid,
+                        votes: hit.votes,
+                    })
+                });
+                let hits = hits.collect();
+                Step3Partial { index, hits }
+            })
+            .collect();
+        reduce(partials)
+    }
+
     #[test]
     fn unified_index_covers_all_candidates() {
         let c = community();
@@ -487,9 +404,16 @@ mod tests {
         let out = run(c.sample().reads(), &[], 15);
         assert!(out.abundance.is_empty());
         assert_eq!(out.mapped_reads, 0);
-        // The partitioned path degrades identically: padding-only parts.
+        // Both cuts degrade identically: nothing to map against.
+        let reads = c.sample().reads();
+        let empty = UnifiedReferenceIndex::default();
         for parts in [1usize, 3, 8] {
-            assert_eq!(run_partitioned(c.sample().reads(), &[], parts, 15), out);
+            assert_eq!(candidate_cut(reads, &[], parts), out);
+            let mut merged = MappedCounts::default();
+            for range in read_ranges(reads.len(), parts) {
+                merged.merge(map_range(&empty, reads, range, 15));
+            }
+            assert_eq!(merged.into_output(empty.clone()), out);
         }
     }
 
@@ -651,7 +575,7 @@ mod tests {
             let oracle = run(&reads, &indexes, 15);
             assert!(oracle.mapped_reads > 0, "seed {seed}: fixture maps nothing");
             for parts in 1..=9usize {
-                let sharded = run_partitioned(&reads, &refs, parts, 15);
+                let sharded = candidate_cut(&reads, &refs, parts);
                 assert_eq!(sharded, oracle, "seed {seed}, {parts} parts diverged");
                 assert!(sharded
                     .unified_index
@@ -667,66 +591,53 @@ mod tests {
 
     #[test]
     fn incremental_reduce_is_arrival_order_insensitive() {
-        // The streaming completer folds partials as devices complete, in
-        // whatever order stealing and queue depth produce. Every arrival
-        // permutation must finish byte-identical to the batch reduce and
-        // the sequential oracle, including when empty parts were never
-        // dispatched (the `expected` mask skips them).
+        // The completer folds a job's read ranges as devices complete them,
+        // in whatever order stealing and queue depth produce. Every arrival
+        // rotation, and the reverse order, must finish byte-identical to
+        // the sequential oracle — on the skewed candidates too, since every
+        // range maps against all of them.
         let c = community();
         let truth = c.truth_presence();
-        let indexes = build_candidate_indexes(c.references(), &truth, 15);
-        let refs: Vec<&ReferenceIndex> = indexes.iter().collect();
-        let oracle = run(c.sample().reads(), &indexes, 15);
-        for parts in [2usize, 3, 5, 8] {
-            let partition = partition_candidates(&refs, parts);
-            let partials: Vec<(usize, Step3Partial)> = partition
-                .iter()
-                .enumerate()
-                .filter(|(_, part)| !part.is_empty())
-                .map(|(position, part)| {
-                    (
-                        position,
-                        run_partial(
-                            c.sample().reads(),
-                            &refs[part.range.clone()],
-                            part.base_offset,
-                            15,
-                        ),
-                    )
-                })
-                .collect();
-            let expected: Vec<bool> = partition.iter().map(|p| !p.is_empty()).collect();
-            // Forward, reverse, and a rotated arrival order.
-            for rotation in 0..partials.len().max(1) {
-                let mut reducer = IncrementalReduce::new(expected.clone());
-                let n = partials.len();
-                for i in 0..n {
-                    let (position, partial) = partials[(i + rotation) % n].clone();
-                    assert!(!reducer.is_complete());
-                    reducer.offer(position, partial);
+        let (skewed, skewed_reads) = skewed_fixture(&[3000, 90, 110, 100, 2800, 120], 5);
+        for (indexes, reads) in [
+            (
+                build_candidate_indexes(c.references(), &truth, 15),
+                c.sample().reads(),
+            ),
+            (skewed, &skewed_reads),
+        ] {
+            let oracle = run(reads, &indexes, 15);
+            assert!(oracle.mapped_reads > 0, "fixture maps nothing");
+            let index = UnifiedReferenceIndex::merge(&indexes);
+            assert_eq!(index, oracle.unified_index);
+            for parts in [1usize, 2, 3, 5, 8] {
+                let ranges: Vec<MappedCounts> = read_ranges(reads.len(), parts)
+                    .map(|range| map_range(&index, reads, range, 15))
+                    .collect();
+                let mapped: u64 = ranges.iter().map(MappedCounts::mapped_reads).sum();
+                assert_eq!(mapped, oracle.mapped_reads);
+                for rotation in 0..parts {
+                    let mut merged = MappedCounts::default();
+                    for i in 0..parts {
+                        merged.merge(ranges[(i + rotation) % parts].clone());
+                    }
+                    assert_eq!(
+                        merged.into_output(index.clone()),
+                        oracle,
+                        "{parts} parts, rotation {rotation}"
+                    );
                 }
-                assert!(reducer.is_complete());
-                assert_eq!(reducer.folded_parts(), parts);
+                let mut reversed = MappedCounts::default();
+                for range in ranges.into_iter().rev() {
+                    reversed.merge(range);
+                }
                 assert_eq!(
-                    reducer.finish(),
+                    reversed.into_output(index.clone()),
                     oracle,
-                    "{parts} parts, rotation {rotation}"
+                    "{parts} parts reversed"
                 );
             }
-            let mut reversed = IncrementalReduce::new(expected);
-            for (position, partial) in partials.iter().rev() {
-                reversed.offer(*position, partial.clone());
-            }
-            assert_eq!(reversed.finish(), oracle, "{parts} parts reversed");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "offered twice")]
-    fn incremental_reduce_rejects_duplicate_positions() {
-        let mut reducer = IncrementalReduce::new(vec![true, true]);
-        reducer.offer(1, Step3Partial::default());
-        reducer.offer(1, Step3Partial::default());
     }
 
     #[test]
@@ -749,7 +660,7 @@ mod tests {
             let oracle = run(c.sample().reads(), &indexes, 15);
             assert!(oracle.mapped_reads > 0, "seed {seed}: fixture maps nothing");
             for parts in 1..=9usize {
-                let sharded = run_partitioned(c.sample().reads(), &refs, parts, 15);
+                let sharded = candidate_cut(c.sample().reads(), &refs, parts);
                 assert_eq!(
                     sharded, oracle,
                     "seed {seed}, {parts} parts diverged from the oracle"

@@ -16,13 +16,15 @@ use rand::{Rng, SeedableRng};
 use megis::config::MegisConfig;
 use megis::ftl::MegisFtl;
 use megis::kss::KssTables;
-use megis::step3::{self, IncrementalReduce};
+use megis::step3::{self, MappedCounts, Step3Output};
+use megis::MegisAnalyzer;
 use megis_genomics::database::{ReferenceIndex, SortedKmerDatabase, MIN_MAPPING_VOTES};
 use megis_genomics::dna::PackedSequence;
 use megis_genomics::kmer::Kmer;
 use megis_genomics::profile::AbundanceProfile;
 use megis_genomics::read::{Read, ReadSet};
 use megis_genomics::reference::{ReferenceCollection, ReferenceGenome};
+use megis_genomics::sample::{CommunityConfig, Diversity};
 use megis_genomics::sketch::{SketchConfig, SketchDatabase};
 use megis_genomics::taxonomy::TaxId;
 use megis_ssd::config::SsdConfig;
@@ -377,9 +379,9 @@ fn random_dna(rng: &mut StdRng, len: usize) -> Vec<u8> {
 #[test]
 fn incremental_reduce_in_any_arrival_order_equals_the_map_based_step3() {
     // Random candidate sets whose genomes share a core segment (so seeds are
-    // shared across species and across devices), 1–8 parts, every part's
-    // partial offered in a shuffled order: the delivered output must equal
-    // the sequential oracle and a map-based Step 3 written out here —
+    // shared across species), the reads cut into 1–9 ranges whose counts
+    // arrive in a shuffled order: the folded output must equal the
+    // sequential oracle and a map-based Step 3 written out here —
     // ordered-map merge, ordered-map votes, `(votes, smallest taxid)` winner,
     // threshold, counts.
     const K: usize = 15;
@@ -404,7 +406,6 @@ fn incremental_reduce_in_any_arrival_order_equals_the_map_based_step3() {
             .iter()
             .map(|g| ReferenceIndex::build(g, K))
             .collect();
-        let candidates: Vec<&ReferenceIndex> = indexes.iter().collect();
 
         // Reads: windows of the genomes (both strands), the shared core
         // itself (a tie between every species carrying it), foreign and
@@ -469,21 +470,74 @@ fn incremental_reduce_in_any_arrival_order_equals_the_map_based_step3() {
             assert_eq!(&got, expected, "case {case}, seed {seed}");
         }
 
-        let parts = 1 + case % 8;
-        let partition = step3::partition_candidates(&candidates, parts);
-        let expected: Vec<bool> = partition.iter().map(|p| !p.is_empty()).collect();
-        let mut arrivals: Vec<usize> = (0..parts).filter(|p| expected[*p]).collect();
+        assert_every_read_cut_equals(&mut rng, &reads, &oracle, K);
+        // One read (more ranges than reads at every cut but the first), and
+        // none at all.
+        for few in [1usize, 0] {
+            let few = ReadSet::from_reads(reads.reads()[..few].to_vec());
+            assert_every_read_cut_equals(&mut rng, &few, &step3::run(&few, &indexes, K), K);
+        }
+    }
+}
+
+/// Every cut of `reads` into 1..=9 contiguous ranges at random boundaries
+/// (repeated boundaries give empty ranges), each range mapped against the
+/// oracle's index, the counts merged in a shuffled order: equal to `oracle`.
+fn assert_every_read_cut_equals(rng: &mut StdRng, reads: &ReadSet, oracle: &Step3Output, k: usize) {
+    let n = reads.len();
+    for parts in 1..=9usize {
+        let mut cuts: Vec<usize> = (1..parts).map(|_| rng.gen_range(0..=n)).collect();
+        cuts.extend([0, n]);
+        cuts.sort_unstable();
+        let mut arrivals: Vec<_> = cuts.windows(2).map(|w| w[0]..w[1]).collect();
         for i in (1..arrivals.len()).rev() {
             arrivals.swap(i, rng.gen_range(0..=i));
         }
-        let mut reducer = IncrementalReduce::new(expected);
-        for position in arrivals {
-            let part = &partition[position];
-            let partial =
-                step3::run_partial(&reads, &candidates[part.range.clone()], part.base_offset, K);
-            reducer.offer(position, partial);
+        let mut merged = MappedCounts::default();
+        for range in arrivals {
+            merged.merge(step3::map_range(&oracle.unified_index, reads, range, k));
         }
-        assert!(reducer.is_complete());
-        assert_eq!(reducer.finish(), oracle, "case {case}, {parts} parts");
+        assert_eq!(merged.mapped_reads(), oracle.mapped_reads, "{cuts:?}");
+        assert_eq!(
+            merged.into_output(oracle.unified_index.clone()),
+            *oracle,
+            "{n} reads cut at {cuts:?}"
+        );
     }
+}
+
+#[test]
+fn analyze_equals_steps_1_and_2_plus_the_sequential_step3() {
+    // Random cohorts: the analyzer's own Step 3 (one merge, one range over
+    // every read) must agree with the per-read oracle on each of them, and
+    // so must every cut of the reads.
+    let mut rng = StdRng::seed_from_u64(209);
+    let mut mapped = 0;
+    for seed in [3u64, 58, 141, 977] {
+        let community = CommunityConfig::preset(Diversity::Medium)
+            .with_reads(rng.gen_range(40..160))
+            .with_species(rng.gen_range(2..7))
+            .with_database_species(12)
+            .build(seed);
+        let analyzer = MegisAnalyzer::build(community.references(), MegisConfig::small());
+        let sample = community.sample();
+        let step1 = analyzer.run_step1(sample);
+        let step2 = analyzer.run_step2(&step1);
+        let candidates: Vec<ReferenceIndex> = analyzer
+            .candidate_indexes(&step2.presence)
+            .into_iter()
+            .cloned()
+            .collect();
+        let k = analyzer.config().mapping_k;
+        let oracle = step3::run(sample.reads(), &candidates, k);
+        mapped += oracle.mapped_reads;
+        assert_every_read_cut_equals(&mut rng, sample.reads(), &oracle, k);
+        assert_eq!(analyzer.run_step3(sample, &step2.presence), oracle);
+        assert_eq!(
+            analyzer.analyze(sample),
+            MegisAnalyzer::assemble_output(&step1, &step2, oracle),
+            "seed {seed}"
+        );
+    }
+    assert!(mapped > 100, "the cohorts must exercise mapping: {mapped}");
 }

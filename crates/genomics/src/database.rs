@@ -56,12 +56,14 @@
 //! arena, and a bucket directory over the seeds' leading bits. One routine,
 //! a forward k-way merge of sorted seed tables with seed ties broken by
 //! stream position, backs [`UnifiedReferenceIndex::merge`],
-//! [`PartialUnifiedIndex::merge_range`] (per-species streams),
-//! [`UnifiedReferenceIndex::merge_partials`] and
-//! [`PartialUnifiedIndex::absorb`] (per-device streams), so merging
-//! consecutive candidate ranges on separate devices and recombining them is
-//! byte-identical to one pass over every candidate: Step 3 shards across
-//! the device array that serves Step 2.
+//! [`PartialUnifiedIndex::merge_range`] (per-species streams) and
+//! [`UnifiedReferenceIndex::merge_partials`] (per-range streams), so merging
+//! consecutive candidate ranges separately and recombining them is
+//! byte-identical to one pass over every candidate. Mapping is cut the other
+//! way: the index is merged once and
+//! [`UnifiedReferenceIndex::count_mapped_reads`] maps any slice of the
+//! sample's reads against it, so Step 3 shards across the device array that
+//! serves Step 2 with every read mapped exactly once.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -691,6 +693,10 @@ fn gallop(slice: &[Kmer], target: Kmer, hint: usize) -> usize {
 /// cheaper than the same span's worth of dependent binary probes.
 const LINEAR_TAIL: usize = 16;
 
+/// Width at which [`SeedTable::get`] stops halving and counts: two buckets'
+/// worth of evenly spread seeds, eight 16-byte words.
+const SEED_TAIL: usize = 8;
+
 /// Pins the boundary (first index `>= target`) inside the bracket
 /// `(lo, hi]`, where `slice[lo] < target` and `slice[hi] >= target` (or
 /// `hi == n`): binary steps while the bracket is wide, one sequential scan
@@ -785,14 +791,27 @@ impl<T> SeedTable<T> {
     }
 
     /// Items under the raw word of a length-`k` seed: one directory probe,
-    /// then a binary search within the bucket (`O(log n)` under any skew).
+    /// binary steps while the bucket is wide (`O(log n)` under any skew),
+    /// then a branchless count of the smaller seeds in the narrow tail —
+    /// the usual four-seed bucket is one pass of predictable compares, no
+    /// dependent probes.
     fn get(&self, seed: u128) -> Option<&[T]> {
         debug_assert!(self.seeds.is_empty() || !self.buckets.is_empty());
         let bucket = usize::try_from(seed >> self.bucket_shift).ok()?;
-        let start = *self.buckets.get(bucket)? as usize;
-        let end = *self.buckets.get(bucket + 1)? as usize;
-        let within = self.seeds[start..end].binary_search(&seed).ok()?;
-        Some(self.items(start + within))
+        let mut lo = *self.buckets.get(bucket)? as usize;
+        let mut hi = *self.buckets.get(bucket + 1)? as usize;
+        // Invariant: the first seed `>= seed` lies in `lo..=hi`.
+        while hi - lo > SEED_TAIL {
+            let mid = lo + (hi - lo) / 2;
+            if self.seeds[mid] < seed {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        let smaller = self.seeds[lo..hi].iter().filter(|s| **s < seed).count();
+        let at = lo + smaller;
+        (self.seeds.get(at) == Some(&seed)).then(|| self.items(at))
     }
 
     /// Items under `kmer`; no k-mer of another length is a seed here,
@@ -949,14 +968,13 @@ pub struct UnifiedLocation {
 }
 
 /// Minimum seed votes for a read to be considered mapped by
-/// [`UnifiedReferenceIndex::map_read`]. Shared with the partitioned Step 3
-/// reduce step, which applies the same threshold after resolving per-device
-/// best hits.
+/// [`UnifiedReferenceIndex::map_read`]. A reduce over candidate ranges
+/// applies the same threshold after resolving per-range best hits.
 pub const MIN_MAPPING_VOTES: u32 = 2;
 
 /// The best-supported candidate for one read, *before* the
-/// [`MIN_MAPPING_VOTES`] threshold: what a per-device mapper reports so a
-/// reduce step can resolve reads that hit candidates on several devices.
+/// [`MIN_MAPPING_VOTES`] threshold: what a mapper over one candidate range
+/// reports so a reduce step can resolve reads that hit several ranges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadMapHit {
     /// The candidate with the most seed votes (ties go to the smallest
@@ -986,7 +1004,7 @@ impl UnifiedReferenceIndex {
         PartialUnifiedIndex::merge_range(&refs, 0).index
     }
 
-    /// Recombines per-device partials — [`PartialUnifiedIndex::merge_range`]
+    /// Recombines partials — [`PartialUnifiedIndex::merge_range`]
     /// over *consecutive* ranges of one candidate list, each at its range's
     /// base offset — into the unified index, byte-identical to
     /// [`UnifiedReferenceIndex::merge`] over the whole list. Panics if the
@@ -1043,23 +1061,57 @@ impl UnifiedReferenceIndex {
     /// than a seed and any `seed_k` other than [`UnifiedReferenceIndex::k`].
     /// Outside the lookup the work per seed is constant: a word-parallel
     /// canonicalization and one bump per location of a dense counter array.
-    /// A per-device mapper reports this raw hit: a candidate lives on one
-    /// device, so per-device votes are global votes, and the maximum of the
-    /// per-device hits under the same order, thresholded, reproduces
-    /// [`UnifiedReferenceIndex::map_read`].
+    /// Against a [`PartialUnifiedIndex`] this is the range's best hit: a
+    /// candidate lives in one range, so per-range votes are global votes,
+    /// and the maximum of the per-range hits under the same order,
+    /// thresholded, reproduces [`UnifiedReferenceIndex::map_read`].
     pub fn map_read_hit(&self, read: &crate::read::Read, seed_k: usize) -> Option<ReadMapHit> {
+        let (candidate, votes) = self.best_hit(read, seed_k, &mut vec![0; self.offsets.len()])?;
+        let taxid = self.offsets[candidate].0;
+        Some(ReadMapHit { taxid, votes })
+    }
+
+    /// Maps every read of `reads` and returns, per candidate (in
+    /// [`UnifiedReferenceIndex::offsets`] order), how many of them it wins
+    /// under [`UnifiedReferenceIndex::map_read`]'s rule. This is Step 3's
+    /// mapping unit: counts over disjoint slices of a sample's reads add up
+    /// to the counts over the whole sample, and one vote scratch serves the
+    /// whole slice.
+    pub fn count_mapped_reads(&self, reads: &[crate::read::Read], seed_k: usize) -> Vec<u64> {
+        let mut votes = vec![0u32; self.offsets.len()];
+        let mut mapped = vec![0u64; self.offsets.len()];
+        for read in reads {
+            match self.best_hit(read, seed_k, &mut votes) {
+                Some((candidate, n)) if n >= MIN_MAPPING_VOTES => mapped[candidate] += 1,
+                _ => {}
+            }
+        }
+        mapped
+    }
+
+    /// The winning candidate's position and votes for one read. `votes`
+    /// holds one zero per candidate and is handed back zeroed.
+    fn best_hit(
+        &self,
+        read: &crate::read::Read,
+        seed_k: usize,
+        votes: &mut [u32],
+    ) -> Option<(usize, u32)> {
         if seed_k != self.table.k || self.is_empty() {
             return None;
         }
-        let mut votes = vec![0u32; self.offsets.len()];
         for seed in CanonicalKmerExtractor::new(read.sequence(), seed_k) {
             for loc in self.table.get(seed.bits()).unwrap_or_default() {
                 votes[loc.candidate as usize] += 1;
             }
         }
-        let hits = votes.iter().zip(&self.offsets).filter(|(v, _)| **v > 0);
-        hits.max_by_key(|(votes, (taxid, _))| (**votes, Reverse(*taxid)))
-            .map(|(&votes, &(taxid, _))| ReadMapHit { taxid, votes })
+        let hits = votes.iter().zip(&self.offsets).enumerate();
+        let best = hits
+            .filter(|(_, (votes, _))| **votes > 0)
+            .max_by_key(|(_, (votes, (taxid, _)))| (**votes, Reverse(*taxid)))
+            .map(|(candidate, (votes, _))| (candidate, *votes));
+        votes.fill(0);
+        best
     }
 
     /// Maps a concatenated-space position back to its species: the last
@@ -1077,8 +1129,8 @@ impl UnifiedReferenceIndex {
     }
 }
 
-/// A unified index over one *contiguous range* of a candidate list — the
-/// per-device output of partitioned Step 3 index generation. It records the
+/// A unified index over one *contiguous range* of a candidate list (the
+/// whole list, for the index Step 3 maps against). It records the
 /// range's `base` offset in the concatenated reference space (the sum of
 /// all earlier candidates' genome lengths) and its `span`, so its positions
 /// are *global* and it maps reads directly; only
@@ -1145,15 +1197,6 @@ impl PartialUnifiedIndex {
         };
         let span = end - base;
         PartialUnifiedIndex { base, span, index }
-    }
-
-    /// Folds the *next consecutive* partial into this one, in place — the
-    /// pairwise form of [`UnifiedReferenceIndex::merge_partials`], so a left
-    /// fold of `absorb` is byte-identical to it and a completer can reduce
-    /// partials *as they arrive*. Panics if `next.base() != self.base() +
-    /// self.span()`, or if two non-empty partials disagree on seed length.
-    pub fn absorb(&mut self, next: PartialUnifiedIndex) {
-        *self = PartialUnifiedIndex::concat(vec![std::mem::take(self), next]);
     }
 
     /// Consumes the partial and returns the merged index.
@@ -1535,6 +1578,7 @@ mod tests {
             vec![2, 4, 6],
             vec![1, 2, 3, 4, 5, 6],
             vec![3, 3, 6, 6],
+            vec![0, 6],
         ] {
             let mut partials = Vec::new();
             let mut start = 0usize;
@@ -1558,48 +1602,8 @@ mod tests {
     }
 
     #[test]
-    fn absorb_left_fold_matches_merge_partials() {
-        // Incremental-reduce contract: folding consecutive partials through
-        // `absorb` one at a time must be byte-identical to the one-shot
-        // `merge_partials` recombination (and therefore to the one-pass
-        // merge), for every cut pattern including empty ranges.
-        let r = refs();
-        let indexes: Vec<ReferenceIndex> = r
-            .genomes()
-            .iter()
-            .map(|g| ReferenceIndex::build(g, 15))
-            .collect();
-        let whole = UnifiedReferenceIndex::merge(&indexes);
-        let index_refs: Vec<&ReferenceIndex> = indexes.iter().collect();
-        for cuts in [
-            vec![6],
-            vec![2, 4, 6],
-            vec![1, 2, 3, 4, 5, 6],
-            vec![3, 3, 6, 6],
-            vec![0, 6],
-        ] {
-            let mut acc: Option<PartialUnifiedIndex> = None;
-            let mut start = 0usize;
-            let mut base = 0u64;
-            for end in cuts.clone() {
-                let partial = PartialUnifiedIndex::merge_range(&index_refs[start..end], base);
-                base += partial.span();
-                start = end;
-                match acc.as_mut() {
-                    Some(folded) => folded.absorb(partial),
-                    None => acc = Some(partial),
-                }
-            }
-            let folded = acc.expect("at least one cut").into_index();
-            assert_eq!(folded, whole, "cuts {cuts:?} diverged");
-            assert!(folded.entries().eq(whole.entries()));
-            assert_eq!(folded.offsets(), whole.offsets());
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "consecutive candidate range")]
-    fn absorb_rejects_non_consecutive_partials() {
+    fn merge_partials_rejects_non_consecutive_partials() {
         let r = refs();
         let indexes: Vec<ReferenceIndex> = r
             .genomes()
@@ -1607,9 +1611,10 @@ mod tests {
             .map(|g| ReferenceIndex::build(g, 15))
             .collect();
         let index_refs: Vec<&ReferenceIndex> = indexes.iter().collect();
-        let mut first = PartialUnifiedIndex::merge_range(&index_refs[..2], 0);
+        let first = PartialUnifiedIndex::merge_range(&index_refs[..2], 0);
         let gap = first.span() + 7;
-        first.absorb(PartialUnifiedIndex::merge_range(&index_refs[2..4], gap));
+        let second = PartialUnifiedIndex::merge_range(&index_refs[2..4], gap);
+        UnifiedReferenceIndex::merge_partials(vec![first, second]);
     }
 
     #[test]
@@ -1762,6 +1767,66 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    #[test]
+    fn seed_table_lookup_equals_an_ordered_map_under_any_skew() {
+        use std::collections::BTreeMap;
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            u128::from(state)
+        };
+        // Evenly spread seeds; seeds that all share their leading bits (one
+        // far outlier sets the directory's width, so bucket 0 holds every
+        // other seed and the lookup has to halve); dense runs, where a
+        // probe's neighbours are seeds too; one seed; none.
+        let spread: Vec<u128> = (0..3000).map(|_| next() >> 34).collect();
+        let mut one_bucket: Vec<u128> = (0..1500).map(|_| 10 + (next() >> 40)).collect();
+        one_bucket.push(1 << 100);
+        let dense: Vec<u128> = (0..700u128).map(|i| 1000 + i + i / 9).collect();
+        for (label, mut seeds) in [
+            ("spread", spread),
+            ("one bucket", one_bucket),
+            ("dense", dense),
+            ("single", vec![5]),
+            ("empty", Vec::new()),
+        ] {
+            seeds.sort_unstable();
+            seeds.dedup();
+            let mut table = SeedTable::with_capacity(15, seeds.len(), 2 * seeds.len());
+            let mut map: BTreeMap<u128, Vec<u32>> = BTreeMap::new();
+            for (i, &seed) in seeds.iter().enumerate() {
+                let items: Vec<u32> = (0..1 + i as u32 % 3).map(|j| 7 * i as u32 + j).collect();
+                table.append(seed, items.iter().copied());
+                map.insert(seed, items);
+            }
+            table.seal();
+            if label == "one bucket" {
+                let widest = table.buckets.windows(2).map(|w| w[1] - w[0]).max();
+                assert_eq!(widest, Some(seeds.len() as u32 - 1), "fixture skew");
+            }
+            // All-hit, all-miss (both neighbours of every seed, unless they
+            // are seeds themselves), below the first seed, above the last.
+            let mut probes = seeds.clone();
+            probes.extend(seeds.iter().map(|s| s + 1));
+            probes.extend(seeds.iter().filter_map(|s| s.checked_sub(1)));
+            let (first, last) = (seeds.first().copied(), seeds.last().copied());
+            probes.extend([0, first.unwrap_or(9) / 2, u128::MAX, u128::MAX >> 1]);
+            probes.extend(last.map(|l| l + 2));
+            let (mut hits, mut misses) = (0, 0);
+            for probe in probes {
+                let expected = map.get(&probe).map(Vec::as_slice);
+                assert_eq!(table.get(probe), expected, "{label}: probe {probe:#x}");
+                match expected {
+                    Some(_) => hits += 1,
+                    None => misses += 1,
+                }
+            }
+            assert!(hits >= seeds.len() && misses >= 4, "{label}");
         }
     }
 

@@ -71,9 +71,9 @@ pub struct EngineConfig {
     /// queues (`true` by default). Step 2 intersections stay pinned — they
     /// need the owner's database slice — but Step 3 commands resolve against
     /// the shared analyzer and can run anywhere; stealing keeps the whole
-    /// array busy when the cost-aware partition is forced to hand one device
-    /// a dominant candidate. Results stay tagged with the shard-of-record,
-    /// so outputs are byte-identical with stealing on or off.
+    /// array busy when a sample has fewer read ranges than there are
+    /// devices. Results stay tagged with the shard-of-record, so outputs
+    /// are byte-identical with stealing on or off.
     pub work_stealing: bool,
     /// Capacity of the pipeline trace ring buffer; `None` (the default)
     /// disables tracing entirely — the zero-cost

@@ -18,17 +18,18 @@
 //!   dispatch ([`ShardSet::slice_queries`]): each device only ever sees the
 //!   sub-slice of a sample's sorted query list overlapping its key range —
 //!   plus the per-device workers, which serve both command kinds: Step 2
-//!   intersections and Step 3 partial unified-index generation + read
-//!   mapping over a contiguous range of the sample's candidate species,
+//!   intersections and Step 3 read mapping over a contiguous range of the
+//!   sample's reads, against a unified index the job's commands share and
+//!   the first one served generates,
 //! * [`service`] — the streaming executor ([`StreamingEngine`]): a pool of
 //!   host Step 1 worker threads live-popping a shared queue and feeding an
 //!   in-SSD stage of NVMe-style bounded per-shard command queues (tagged
 //!   commands, configurable [`EngineConfig::queue_depth`], out-of-order
 //!   completion with in-dispatch-order delivery), built on std threads and
 //!   channels. Steps 2 *and* 3 both flow through the queues: the completer
-//!   partitions each sample's candidates across the device array and
-//!   reduces the per-device partials, so one sample's read mapping
-//!   overlaps the next sample's intersection
+//!   cuts each sample's reads across the device array and adds up the
+//!   per-range mapped-read counts, so one sample's read mapping overlaps
+//!   the next sample's intersection
 //!   ([`ServiceReport::stage_overlap_events`] counts the observations),
 //! * [`engine`] — the closed-batch front end ([`BatchEngine`]), a thin
 //!   wrapper that hands each batch to the same executor,
@@ -99,8 +100,7 @@
 //!   the segments sum to the job's end-to-end latency;
 //! * [`StragglerReport`] — per-device busy/stall/idle fractions, per-device
 //!   Step 3 busy time with the max/min skew, and the device whose last
-//!   Step 3 completion gated each job's reduce — the measurement the
-//!   cost-aware-partitioning roadmap item consumes.
+//!   Step 3 completion gated each job's reduce.
 //!
 //! **Overhead contract:** tracing is disabled by default;
 //! [`trace::TraceSink::disabled`] records through a single inlined branch

@@ -180,20 +180,20 @@ pub struct ShardStats {
     /// occupancy; `coalesced_members - coalesced_commands` is the number of
     /// database sweeps coalescing saved on this shard.
     pub coalesced_members: u64,
-    /// Number of Step 3 commands served: one per job whose candidate
-    /// partition assigned this device a non-empty range (zero when the job
-    /// had fewer candidates than this device's rank, or none at all).
+    /// Number of Step 3 commands served: one per read range of a job with
+    /// candidates (a job cuts its reads into at most one range per device,
+    /// fewer when it has few reads, none when it has no candidates).
     pub step3_jobs: u64,
-    /// Total candidate reference indexes this device merged into partial
-    /// unified indexes across its Step 3 commands. With the contiguous
-    /// candidate partition the per-job sum across shards equals the job's
-    /// candidate count — each candidate is merged on exactly one device.
+    /// Total reads this device mapped across its Step 3 commands (the sum
+    /// of the served read-range lengths). A job's ranges are disjoint and
+    /// cover its sample, so the per-job sum across shards equals the job's
+    /// read count — each read is mapped on exactly one device.
     pub step3_items: u64,
-    /// Of [`ShardStats::step3_items`], the candidate items this device
-    /// served from a *peer's* queue via work stealing (zero when stealing is
-    /// disabled or the load was balanced). Stealing moves only the physical
-    /// service: the result stays tagged with the shard-of-record, so merge
-    /// accounting and reducer part positions are unchanged.
+    /// Of [`ShardStats::step3_items`], the reads this device mapped for a
+    /// command taken off a *peer's* queue via work stealing or dead-shard
+    /// adoption (zero when stealing is disabled or the load was balanced).
+    /// Stealing moves only the physical service: the result stays tagged
+    /// with the shard-of-record, so the completer's fold is unchanged.
     pub stolen_items: u64,
     /// High-water mark of commands concurrently outstanding on this shard's
     /// NVMe-style queue (submitted, completion not yet reaped); bounded by
@@ -441,7 +441,7 @@ pub(crate) fn residency_and_step3_lines(
         .collect();
     let _ = writeln!(
         out,
-        "step 3: {mapped_reads} reads mapped; per-shard candidate items: [{}]; \
+        "step 3: {mapped_reads} reads mapped; per-shard reads served: [{}]; \
          stage overlap events: {stage_overlap_events}",
         step3_items.join(", "),
     );
@@ -452,8 +452,8 @@ pub(crate) fn residency_and_step3_lines(
     let total_stolen: u64 = shard_stats.iter().map(|s| s.stolen_items).sum();
     let _ = writeln!(
         out,
-        "work stealing: {total_stolen} candidate items served for peers; \
-         per-device stolen items: [{}]",
+        "work stealing: {total_stolen} reads served for peers; \
+         per-device stolen reads: [{}]",
         stolen_items.join(", "),
     );
     out

@@ -47,7 +47,9 @@ pub struct ModeledAccount {
     /// device holds at most `total / shards` plus one candidate's worth of
     /// overshoot (modeled at the workload's mean candidate granularity) —
     /// the max per-device cost, not the ceiling-split average a count-based
-    /// partition would suggest.
+    /// partition would suggest. This prices the candidate indexes' SSD
+    /// *stream* spread over the array; the engine's CPU-side Step 3 merges
+    /// the index once per job and cuts the mapping by reads instead.
     pub step3_stream_time: SimDuration,
 }
 

@@ -14,9 +14,9 @@
 //! both Steps 2 and 3.** The stage runs as two threads around one
 //! `ShardWorker` (see [`crate::shard`]) per database shard; each worker's queue
 //! carries commands of *two kinds* — Step 2 intersections and Step 3
-//! partial unified-index generation plus read mapping — so the whole
-//! pipeline after Step 1 is per-device work and the coordinator never
-//! serializes a stage:
+//! unified-index generation plus read mapping — so the whole pipeline
+//! after Step 1 is per-device work and the coordinator never serializes a
+//! stage:
 //!
 //! * The *dispatcher* serves prepared samples strictly in dispatch order
 //!   (reorder buffer, below). For each sample it slices the sorted query
@@ -35,27 +35,27 @@
 //!   may finish sample 3 before shard B finishes sample 1 — and keeps
 //!   per-job merge accounting per stage. Once a job's intersections are all
 //!   in, the completer merges them in shard order, runs taxID retrieval
-//!   (Step 2's presence call), partitions the resulting candidate list into
-//!   contiguous taxid ranges of near-equal *modeled cost*
-//!   (`step3::partition_candidates` weighs each candidate by its index
-//!   stream bytes plus expected mapping work, so one dominant genome no
-//!   longer gates the array the way an equal-count split did), and issues
-//!   one Step 3 command per non-empty range back onto the *same* tagged,
-//!   depth-bounded queues: each device merges its candidate range into a
-//!   partial unified index and maps all reads against it (§4.4, Fig. 9,
-//!   partitioned across the array). The completer submits Step 3 commands
-//!   without ever blocking on queue space — commands wait in a backlog and
-//!   take slots as reaping frees them, so reaping (the only thing that frees
-//!   slots) can never deadlock behind submission. Step 3 partials are
-//!   **reduced incrementally** (`step3::IncrementalReduce`): each reaped
-//!   partial is folded the moment it arrives — contiguous partial-index
-//!   absorption, per-read best-hit maxima — instead of barriering on the
-//!   full set, so by the time the last device reports, only the cheap
-//!   threshold + abundance finish remains and the traced `reduce` /
-//!   `reduce_barrier` segments collapse toward zero. The fold is
-//!   commutative, so arrival order cannot change the output. When a job's
-//!   partials are all in — and every earlier sequence number has been
-//!   delivered — the completer finishes the reduction and delivers.
+//!   (Step 2's presence call), cuts the sample's *reads* into contiguous
+//!   ranges — one per device, fewer when a range would fall under about a
+//!   millisecond of mapping — and issues one Step 3 command per
+//!   range back onto the *same* tagged, depth-bounded queues, starting at
+//!   shard `seq % shards` so single-command samples rotate over the array.
+//!   The commands share the job's candidate list and one `OnceLock` slot:
+//!   the first device to serve one generates the unified index by a single
+//!   sequential merge (§4.4, Fig. 9), every command maps only its own reads
+//!   against it, so the index is merged once and every read mapped once
+//!   however wide the array. The completer submits Step 3 commands without
+//!   ever blocking on queue space — commands wait in a backlog and take
+//!   slots as reaping frees them, so reaping (the only thing that frees
+//!   slots) can never deadlock behind submission. Each reaped range is
+//!   per-candidate mapped-read counts, **folded the moment it arrives**
+//!   (`step3::MappedCounts::merge`): ranges are disjoint and every range
+//!   saw every candidate, so counts simply add — commutative, no part
+//!   order, nothing held back — and only the normalization into an
+//!   abundance profile is left when the last device reports. The fold is
+//!   not idempotent, so each job asserts that no range is folded twice.
+//!   When a job's ranges are all in — and every earlier sequence number has
+//!   been delivered — the completer normalizes and delivers.
 //!   Delivery order equals dispatch order equals policy order no matter how
 //!   completions interleave.
 //!
@@ -68,23 +68,21 @@
 //! device that drains its own queue steals queued `Step3Command`s from
 //! loaded peers (`CommandQueues`, owner-LIFO / thief-FIFO ends). Step 2
 //! intersections stay pinned — they need the owner's zero-copy database
-//! slice — but Step 3 commands resolve their candidate range against the
-//! shared analyzer's memoized reference indexes, so any worker can serve
-//! one. Stolen results stay tagged with the *shard-of-record* (the queue
-//! the command was issued to), which keeps the completer's depth accounting
-//! and the reducer's part positions unchanged; trace events and
-//! [`ShardStats`] credit the *physical* serving device, so the straggler
-//! analyzer sees real per-device busy time and
-//! [`ShardStats::stolen_items`] counts the candidate items each device
-//! served on a peer's behalf. Outputs are byte-identical with stealing on
-//! or off ([`crate::EngineConfig::work_stealing`]); stealing changes only
-//! *where* a range is merged, never *what* is merged.
+//! slice — but Step 3 commands resolve their candidates against the shared
+//! analyzer's memoized reference indexes, so any worker can serve one.
+//! Stolen results stay tagged with the *shard-of-record* (the queue the
+//! command was issued to), which keeps the completer's depth accounting
+//! and exactly-once fold unchanged; trace events and [`ShardStats`] credit
+//! the *physical* serving device, so the straggler analyzer sees real
+//! per-device busy time and [`ShardStats::stolen_items`] counts the reads
+//! each device mapped on a peer's behalf. Outputs are byte-identical with
+//! stealing on or off ([`crate::EngineConfig::work_stealing`]); stealing
+//! changes only *where* a read range is mapped, never *what* is mapped.
 //!
 //! Commands are only issued to shards with work to do: a device whose key
 //! range no query of a sample falls into is skipped for that sample's
-//! Step 2, and a device whose candidate range is empty (fewer candidates
-//! than devices, or a sample with no candidates at all) is skipped for its
-//! Step 3, rather than shipped no-op work that would burn a queue slot.
+//! Step 2, and a sample with no candidates (or no reads) issues no Step 3
+//! command at all, rather than no-op work that would burn a queue slot.
 //!
 //! **Memory.** The shard workers hold zero-copy views over the analyzer's
 //! columnar database storage (see [`crate::shard`]): spinning up an N-shard
@@ -195,7 +193,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -203,6 +201,7 @@ use megis::step1::Step1Output;
 use megis::step2::Step2Output;
 use megis::step3;
 use megis::MegisAnalyzer;
+use megis_genomics::database::UnifiedReferenceIndex;
 use megis_genomics::kmer::Kmer;
 use megis_genomics::sample::Sample;
 
@@ -242,7 +241,7 @@ struct ShardCompletion {
     /// The *shard-of-record*: the queue the command was issued to, not
     /// necessarily the device that served it (an idle peer may have stolen
     /// a Step 3 command, or adopted anything from a dead peer). Depth
-    /// accounting and the reducer's part positions key on this, so stealing
+    /// accounting and the exactly-once Step 3 fold key on this, so stealing
     /// and failover are invisible to the completer's merge bookkeeping.
     shard: usize,
     seq: usize,
@@ -465,8 +464,13 @@ enum DispatchMsg {
     },
 }
 
+/// Fewest reads worth a Step 3 command of their own (about a millisecond
+/// of mapping): cutting an 80-read sample eight ways instead costs ~10 %
+/// more CPU per sample in issuing, reaping and folding the extra commands.
+const MIN_READS_PER_COMMAND: usize = 128;
+
 /// Per-job state machine at the completer: Step 2 merge accounting, then
-/// Step 3 dispatch and merge accounting, then (in delivery order) reduce.
+/// Step 3 dispatch and count folding, then (in delivery order) delivery.
 struct MergeState {
     meta: IspMeta,
     /// Per-shard intersections, indexed by shard, in shard (= key range)
@@ -478,13 +482,13 @@ struct MergeState {
     /// Step 2's output (taxID retrieval + presence call), computed the
     /// moment the last intersection is reaped.
     step2: Option<Step2Output>,
-    /// The incremental Step 3 reducer, created at Step 3 dispatch with one
-    /// expected position per shard-of-record that got a non-empty candidate
-    /// range. Each reaped partial is folded into it immediately —
-    /// partial-index absorption plus per-read best-hit maxima — so the
-    /// barrier-time work left at delivery is only the cheap
-    /// [`step3::IncrementalReduce::finish`].
-    reduce: Option<step3::IncrementalReduce>,
+    /// The Step 3 counts of every read range reaped so far, merged the
+    /// moment each arrives; the work left at delivery is the normalization.
+    step3: step3::MappedCounts,
+    /// Shards-of-record whose read range has been folded into `step3`. The
+    /// count merge is not idempotent, so a second fold of one range must be
+    /// a crash, not a silently doubled abundance.
+    step3_folded: Vec<bool>,
     /// Step 3 completions still outstanding.
     step3_remaining: usize,
     /// Set once Step 2 ran and the job's Step 3 commands were handed to the
@@ -503,6 +507,21 @@ impl MergeState {
     fn is_complete(&self) -> bool {
         self.failed.is_some()
             || (self.remaining == 0 && self.step3_dispatched && self.step3_remaining == 0)
+    }
+
+    /// Folds the reaped counts of the read range issued under
+    /// `record_shard`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that range was already folded.
+    fn fold_step3(&mut self, record_shard: usize, counts: step3::MappedCounts) {
+        assert!(
+            !std::mem::replace(&mut self.step3_folded[record_shard], true),
+            "step 3 range of shard-of-record {record_shard} folded twice"
+        );
+        self.step3.merge(counts);
+        self.step3_remaining -= 1;
     }
 }
 
@@ -856,7 +875,7 @@ impl StreamingEngine {
                     // The command's *own* record shard, not the queue it was
                     // popped from: after a failover re-issue the two differ,
                     // and completions must carry the identity the completer
-                    // keyed the outstanding entry (and the Step 3 reduce
+                    // keyed the outstanding entry (and the Step 3 fold
                     // slot) on.
                     let record = command.record_shard();
                     let attempt = command.attempt();
@@ -993,9 +1012,9 @@ impl StreamingEngine {
                         }
                         ShardCommand::Step3(c) => {
                             step3_served += 1;
-                            step3_items += c.range.len() as u64;
+                            step3_items += c.reads.len() as u64;
                             if popped.stolen {
-                                stolen_items += c.range.len() as u64;
+                                stolen_items += c.reads.len() as u64;
                             }
                         }
                     }
@@ -1442,7 +1461,7 @@ fn record_service_interval(
     let completed_at = trace.now();
     let members: Vec<(usize, usize)> = match command {
         ShardCommand::Intersect(c) => c.members.iter().map(|m| (m.seq, m.range.len())).collect(),
-        ShardCommand::Step3(c) => vec![(c.seq, c.range.len())],
+        ShardCommand::Step3(c) => vec![(c.seq, c.reads.len())],
     };
     let span = completed_at.saturating_sub(started_at);
     let total: usize = members.iter().map(|(_, weight)| *weight).sum();
@@ -1748,12 +1767,11 @@ fn backoff_delay(base: Duration, attempt: u32) -> Duration {
 
 /// The in-SSD completer: reaps per-shard completions of *both* stages out
 /// of order, keeps a per-job state machine (intersections → Step 2 taxID
-/// retrieval → incrementally folded per-device Step 3 partials), submits
+/// retrieval → per-read-range Step 3 counts folded as they arrive), submits
 /// Step 3 commands onto the same tagged shard queues through a
-/// non-blocking depth-bounded backlog, and once a job's partials are all
-/// in — and every earlier sequence number has been delivered — finishes
-/// the incremental reduction and delivers the result strictly in dispatch
-/// order.
+/// non-blocking depth-bounded backlog, and once a job's ranges are all in —
+/// and every earlier sequence number has been delivered — normalizes the
+/// counts and delivers the result strictly in dispatch order.
 /// Identity of one outstanding command: `(seq, shard-of-record, stage)`.
 /// Stable across retries and failover — re-issues keep the key and bump
 /// only the attempt counter, so a completion always finds the entry for
@@ -1898,7 +1916,8 @@ impl IspCompleter<'_> {
                             remaining: meta.expected,
                             parts: (0..self.shard_count).map(|_| None).collect(),
                             step2: None,
-                            reduce: None,
+                            step3: step3::MappedCounts::default(),
+                            step3_folded: Vec::new(),
                             step3_remaining: 0,
                             step3_dispatched: false,
                             failed: None,
@@ -1977,21 +1996,11 @@ impl IspCompleter<'_> {
                     job.remaining -= 1;
                 }
             }
-            CommandOutput::Step3(partial) => {
-                // Incremental reduce: fold the partial the moment it is
-                // reaped — the expensive merge work overlaps the devices
-                // still streaming — keyed by the shard-of-record, which is
-                // the part's position in candidate-range order.
-                let job = self
-                    .pending
-                    .get_mut(&completion.seq)
-                    .expect("completion for a dispatched job");
-                job.reduce
-                    .as_mut()
-                    .expect("step 3 completion implies the reducer exists")
-                    .offer(completion.shard, partial);
-                job.step3_remaining -= 1;
-            }
+            CommandOutput::Step3(counts) => self
+                .pending
+                .get_mut(&completion.seq)
+                .expect("completion for a dispatched job")
+                .fold_step3(completion.shard, counts),
         }
     }
 
@@ -2263,11 +2272,10 @@ impl IspCompleter<'_> {
     }
 
     /// Merges one job's intersections in shard order, runs taxID retrieval
-    /// (Step 2's presence call), partitions the candidate list into
-    /// contiguous taxid ranges, and issues one Step 3 command per non-empty
-    /// range onto the submission backlog.
+    /// (Step 2's presence call), cuts the sample's reads into contiguous
+    /// ranges, and issues one Step 3 command per range onto the submission
+    /// backlog, all sharing the job's candidate list and index slot.
     fn start_step3(&mut self, seq: usize) {
-        let analyzer = self.analyzer;
         let shard_count = self.shard_count;
         let job = self.pending.get_mut(&seq).expect("ready job is pending");
         // Shard order is key-range order, so the concatenation equals the
@@ -2277,48 +2285,38 @@ impl IspCompleter<'_> {
             .flatten()
             .flatten()
             .collect();
-        let step2 = analyzer.step2_from_intersection(merged);
-        // The candidate positions are shared across the job's per-device
-        // commands; each device resolves its contiguous sub-range against
-        // the analyzer's memoized per-species indexes.
-        let candidates = Arc::new(analyzer.candidate_positions(&step2.presence));
-        let indexes = analyzer.reference_indexes();
-        let candidate_refs: Vec<&megis_genomics::database::ReferenceIndex> =
-            candidates.iter().map(|&p| &indexes[p]).collect();
-        let partition = step3::partition_candidates(&candidate_refs, shard_count);
+        let step2 = self.analyzer.step2_from_intersection(merged);
+        let candidates = Arc::new(self.analyzer.candidate_positions(&step2.presence));
         job.step2 = Some(step2);
         job.step3_dispatched = true;
+        job.step3_folded = vec![false; shard_count];
         let sample = Arc::clone(&job.meta.prepared.sample);
-        let mut expected = vec![false; shard_count];
-        let mut commands = Vec::new();
-        for (shard, part) in partition.into_iter().enumerate() {
-            // Devices whose candidate range is empty (fewer candidates than
-            // devices, or none at all) are skipped, like query-less shards
-            // in Step 2.
-            if part.is_empty() {
-                continue;
-            }
-            expected[shard] = true;
-            commands.push((
-                shard,
-                ShardCommand::Step3(Step3Command {
-                    seq,
-                    sample: Arc::clone(&sample),
-                    candidates: Arc::clone(&candidates),
-                    range: part.range,
-                    base_offset: part.base_offset,
-                    record_shard: shard,
-                    attempt: 0,
-                }),
-            ));
-        }
-        // The reducer folds partials as they are reaped; a job with no
-        // candidates expects none and is complete immediately (its finish
-        // yields the same default output the batch reduce gives an empty
-        // partial list).
-        job.reduce = Some(step3::IncrementalReduce::new(expected));
-        job.step3_remaining = commands.len();
-        self.backlog.extend(commands);
+        let reads = sample.len();
+        // A job with no candidates (or no reads) maps nothing: no command,
+        // complete immediately, default abundance.
+        let parts = if candidates.is_empty() {
+            0
+        } else {
+            shard_count.min(reads.div_ceil(MIN_READS_PER_COMMAND))
+        };
+        let index = Arc::new(OnceLock::new());
+        job.step3_remaining = parts;
+        let ranges = step3::read_ranges(reads, parts).enumerate();
+        self.backlog.extend(ranges.map(|(part, reads)| {
+            // One range per shard-of-record, so `(seq, shard, Step3)` still
+            // names the command in the ledger and the fold.
+            let shard = (seq + part) % shard_count;
+            let command = ShardCommand::Step3(Step3Command {
+                seq,
+                record_shard: shard,
+                attempt: 0,
+                sample: Arc::clone(&sample),
+                candidates: Arc::clone(&candidates),
+                index: Arc::clone(&index),
+                reads,
+            });
+            (shard, command)
+        }));
     }
 
     /// Submits backlogged Step 3 commands to every shard with a free queue
@@ -2409,25 +2407,23 @@ impl IspCompleter<'_> {
         }
     }
 
-    /// Finishes one job's incremental Step 3 reduction — the partials were
-    /// already folded at reap time, so only the vote threshold and
-    /// abundance accumulation run here — and delivers the result. A failed
-    /// job skips the reduction and delivers its error instead.
+    /// Finishes one job's Step 3 — the ranges' counts were already folded at
+    /// reap time, so only their normalization into an abundance profile
+    /// runs here — and delivers the result. A failed job delivers its error
+    /// instead.
     fn finalize(&self, job: MergeState) {
         if let Some(error) = job.failed.clone() {
             self.finalize_failed(job.meta, error);
             return;
         }
         let MergeState {
-            meta,
-            step2,
-            reduce,
-            ..
+            meta, step2, step3, ..
         } = job;
         let step2 = step2.expect("complete job ran step 2");
         let seq = meta.prepared.start_position;
         self.trace.record(seq, TraceEventKind::ReduceStarted);
-        let step3 = reduce.expect("complete job dispatched step 3").finish();
+        // The devices shared the unified index and never hand it back.
+        let step3 = step3.into_output(UnifiedReferenceIndex::default());
         let output = MegisAnalyzer::assemble_output(&meta.prepared.step1, &step2, step3);
         self.trace.record(seq, TraceEventKind::ReduceFinished);
         // Reconstruct the job's stage timeline from its own events, stamped
@@ -2818,24 +2814,24 @@ mod tests {
     fn step3_flows_through_the_shard_queues_and_overlaps_step2() {
         // Sharded Step 3: every sample with candidates must have its
         // unified-index generation and read mapping served as per-device
-        // commands (not a coordinator call), each candidate merged on
-        // exactly one device, results byte-identical to the sequential
-        // analyzer — and with commands dwelling on their devices, some
-        // sample's Step 3 command must be submitted while another sample's
-        // intersect command is outstanding (the per-stage pipeline overlap).
+        // commands (not a coordinator call), every read mapped on exactly
+        // one device, results byte-identical to the sequential analyzer —
+        // and with commands dwelling on their devices, some sample's Step 3
+        // command must be submitted while another sample's intersect
+        // command is outstanding (the per-stage pipeline overlap).
         //
         // Work stealing is off so the per-shard `step3_jobs` assertions are
         // deterministic (with it on, an idle device may serve a peer's
         // command); the stealing path has its own dedicated test below.
-        let c = community();
+        let reads = 2 * MIN_READS_PER_COMMAND as u64 + 44;
+        let c = CommunityConfig::preset(Diversity::Medium)
+            .with_reads(reads as usize)
+            .with_database_species(10)
+            .build(23);
         let a = analyzer(&c);
         let expected = a.analyze(c.sample());
         assert!(expected.mapped_reads > 0, "fixture must exercise mapping");
-        let candidates = expected.presence.len() as u64;
-        assert!(
-            candidates >= 2,
-            "fixture needs a partitionable candidate set"
-        );
+        assert!(!expected.presence.is_empty(), "fixture needs candidates");
         let engine = StreamingEngine::new(
             a,
             EngineConfig::new()
@@ -2861,13 +2857,16 @@ mod tests {
         assert_eq!(report.mapped_reads, jobs * expected.mapped_reads);
         let step3_jobs: u64 = report.shard_stats.iter().map(|s| s.step3_jobs).sum();
         let step3_items: u64 = report.shard_stats.iter().map(|s| s.step3_items).sum();
-        assert!(step3_jobs > 0, "step 3 must run as device commands");
+        assert_eq!(
+            step3_jobs,
+            jobs * 2,
+            "enough reads for both devices: one read range each per job"
+        );
         assert_eq!(
             step3_items,
-            jobs * candidates,
-            "each candidate must be merged on exactly one device per job"
+            jobs * reads,
+            "each read must be mapped on exactly one device per job"
         );
-        // With 2 devices and >= 2 candidates, both devices serve Step 3.
         for stats in &report.shard_stats {
             assert!(
                 stats.step3_jobs == jobs,
@@ -2886,6 +2885,73 @@ mod tests {
     }
 
     #[test]
+    fn a_job_without_candidates_issues_no_step3_command() {
+        // Reads from another seed's references intersect nothing: Step 2
+        // reports no candidate, so there is nothing to merge or map against.
+        let c = community();
+        let foreign = CommunityConfig::preset(Diversity::Medium)
+            .with_reads(2 * MIN_READS_PER_COMMAND)
+            .with_database_species(10)
+            .build(4242);
+        let a = analyzer(&c);
+        let expected = a.analyze(foreign.sample());
+        assert!(
+            expected.presence.is_empty(),
+            "fixture must miss the database"
+        );
+        let engine = StreamingEngine::new(a, EngineConfig::new().with_workers(1).with_shards(2));
+        let handle = engine
+            .submit(JobSpec::new("foreign", foreign.sample().clone()))
+            .unwrap();
+        let output = handle.wait().expect("job served").output;
+        assert_eq!(output, expected);
+        assert!(output.abundance.is_empty() && output.mapped_reads == 0);
+        let report = engine.shutdown();
+        for stats in &report.shard_stats {
+            assert_eq!((stats.step3_jobs, stats.step3_items), (0, 0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "shard-of-record 1 folded twice")]
+    fn a_step3_range_folded_twice_panics() {
+        // Counts add, so a range folded twice would silently double its
+        // reads: the per-job fold refuses. (The ledger discards duplicate
+        // and stale completions before they get here; this is the backstop.)
+        let c = community();
+        let mut job = MergeState {
+            meta: IspMeta {
+                seq: 0,
+                isp_position: 0,
+                expected: 0,
+                isp_start: Instant::now(),
+                prepared: PreparedJob {
+                    id: JobId(0),
+                    label: "s0".into(),
+                    priority: Priority::default(),
+                    start_position: 0,
+                    sample: Arc::new(c.sample().clone()),
+                    submitted_at: Instant::now(),
+                    queue_wait: Duration::ZERO,
+                    step1_time: Duration::ZERO,
+                    step1: Step1Output::default(),
+                },
+            },
+            parts: Vec::new(),
+            remaining: 0,
+            step2: None,
+            step3: step3::MappedCounts::default(),
+            step3_folded: vec![false; 2],
+            step3_remaining: 2,
+            step3_dispatched: true,
+            failed: None,
+        };
+        job.fold_step3(1, step3::MappedCounts::default());
+        assert_eq!(job.step3_remaining, 1);
+        job.fold_step3(1, step3::MappedCounts::default());
+    }
+
+    #[test]
     fn work_stealing_engages_on_skewed_candidates_and_stays_byte_identical() {
         use megis_genomics::dna::{Base, PackedSequence};
         use megis_genomics::read::{Read, ReadSet};
@@ -2895,15 +2961,15 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        // Adversarially skewed candidate sizes: one giant genome next to
-        // three small ones, on an array wider than the candidate list. The
-        // cost-aware partitioner gives the giant a device to itself and
-        // leaves at least four devices with no candidate range at all, so
-        // per sample those devices serve one command (their intersect)
-        // where a Step 3 device serves two — exactly the regime where the
-        // idle peers must steal queued Step 3 commands instead of waiting
-        // out the skew. Every command dwells on its device, so the Step 3
-        // devices (not Step 1) are the bottleneck and their queues fill.
+        // Skewed candidate sizes (one giant genome next to three small
+        // ones) no longer skew Step 3 — every read range maps against all
+        // four — but the array is wider than the sample's read ranges: its
+        // reads fill two commands, so per sample two of the eight devices
+        // serve a Step 3 command on top of their intersect while six serve
+        // the intersect alone — exactly the regime where the idle peers
+        // must steal queued Step 3 commands instead of waiting out the
+        // skew. Every command dwells on its device, so the devices (not
+        // Step 1) are the bottleneck and their queues fill.
         let mut rng = StdRng::seed_from_u64(97);
         let lengths = [6000usize, 400, 400, 400];
         let taxonomy = Taxonomy::synthetic(1, lengths.len());
@@ -2933,6 +2999,8 @@ mod tests {
         }
         let references = ReferenceCollection::new(genomes, taxonomy);
         let sample = Sample::from_reads(reads);
+        let read_count = sample.len() as u64;
+        assert_eq!(read_count.div_ceil(MIN_READS_PER_COMMAND as u64), 2);
         let expected = MegisAnalyzer::build(&references, MegisConfig::small()).analyze(&sample);
         assert_eq!(
             expected.presence.len(),
@@ -2974,10 +3042,12 @@ mod tests {
         for output in stolen_outputs.iter().chain(pinned_outputs.iter()) {
             assert_eq!(*output, expected);
         }
-        // One merge per candidate regardless of which device served it.
+        // Every read mapped once regardless of which device served it.
         for report in [&stolen_report, &pinned_report] {
             let items: u64 = report.shard_stats.iter().map(|s| s.step3_items).sum();
-            assert_eq!(items, jobs * lengths.len() as u64);
+            assert_eq!(items, jobs * read_count);
+            let commands: u64 = report.shard_stats.iter().map(|s| s.step3_jobs).sum();
+            assert_eq!(commands, jobs * 2);
         }
         let stolen: u64 = stolen_report
             .shard_stats

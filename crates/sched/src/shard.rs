@@ -33,12 +33,16 @@
 //! `ShardWorker` consuming one tagged command queue. A worker serves both
 //! pipeline stages of the in-SSD side: Step 2 `IntersectCommand`s
 //! (intersect the device's database slice with the sample's overlapping
-//! query sub-range) and Step 3 `Step3Command`s (merge the device's
-//! contiguous range of the sample's candidate species into a partial
-//! unified index and map all reads against it — §4.4's in-SSD index
-//! generation plus mapping, partitioned by candidate). Because both kinds
-//! flow through the same queue, one sample's Step 3 mapping overlaps the
-//! next sample's Step 2 intersection on every device.
+//! query sub-range) and Step 3 `Step3Command`s (map one contiguous range of
+//! the sample's *reads* against the sample's unified index — §4.4's in-SSD
+//! index generation plus mapping, partitioned by reads). A job's Step 3
+//! commands share one `OnceLock` slot for that index: the first device to
+//! serve any of them runs the single sequential merge over all of the
+//! job's candidates, a peer arriving meanwhile waits for it (at most one
+//! merge), and every later command finds it ready — so the index is merged
+//! once per job and every read is mapped once. Because both kinds flow
+//! through the same queue, one sample's Step 3 mapping overlaps the next
+//! sample's Step 2 intersection on every device.
 //!
 //! **Step 3 commands are stealable.** An `IntersectCommand` is pinned to
 //! its device — it intersects *that* shard's zero-copy database slice — but
@@ -75,12 +79,11 @@
 //! sequence number.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use megis::step3::{self, Step3Partial};
+use megis::step3::{self, MappedCounts};
 use megis::MegisAnalyzer;
-use megis_genomics::database::ReferenceIndex;
-use megis_genomics::database::SortedKmerDatabase;
+use megis_genomics::database::{SortedKmerDatabase, UnifiedReferenceIndex};
 use megis_genomics::kmer::Kmer;
 use megis_genomics::sample::Sample;
 
@@ -133,27 +136,29 @@ impl IntersectCommand {
     }
 }
 
-/// A Step 3 command: merge this device's contiguous candidate range into a
-/// partial unified index and map the sample's reads against it.
+/// A Step 3 command: map one contiguous range of the sample's reads against
+/// the job's unified index, merging that index first if no peer has.
 #[derive(Debug, Clone)]
 pub(crate) struct Step3Command {
     /// Dense in-SSD dispatch sequence number the command belongs to.
     pub seq: usize,
-    /// The shard-of-record the partial is merged under (partition/merge
-    /// accounting slot; unchanged by stealing or failover).
+    /// The shard-of-record the counts are folded under (the queue the
+    /// command was issued to; unchanged by stealing or failover).
     pub record_shard: usize,
     /// 0-based service attempt; bumped on every retry re-issue.
     pub attempt: u32,
     /// The sample whose reads are mapped (shared across the job's commands).
     pub sample: Arc<Sample>,
-    /// Positions of *all* the job's candidate species within the analyzer's
+    /// Positions of the job's candidate species within the analyzer's
     /// per-species reference indexes, in merge (ascending-taxid) order;
-    /// shared across the job's per-device commands.
+    /// shared across the job's commands.
     pub candidates: Arc<Vec<usize>>,
-    /// This device's sub-range of `candidates`.
-    pub range: Range<usize>,
-    /// Concatenated-reference-space offset where the range begins.
-    pub base_offset: u64,
+    /// The job's unified index over `candidates`, shared across the job's
+    /// commands and filled by whichever is served first.
+    pub index: Arc<OnceLock<UnifiedReferenceIndex>>,
+    /// This command's range of the sample's reads; the job's ranges are
+    /// disjoint and cover the sample.
+    pub reads: Range<usize>,
 }
 
 /// One NVMe-style command on a device's tagged queue.
@@ -161,7 +166,8 @@ pub(crate) struct Step3Command {
 pub(crate) enum ShardCommand {
     /// Step 2 intersection finding.
     Intersect(IntersectCommand),
-    /// Step 3 partial unified-index generation plus read mapping.
+    /// Step 3 read mapping over one read range (plus the job's one
+    /// unified-index merge, on the first command served).
     Step3(Step3Command),
 }
 
@@ -226,8 +232,8 @@ pub(crate) enum CommandOutput {
     /// member, in member order, for the completer to demultiplex. A
     /// single-member (uncoalesced) command carries exactly one list.
     Intersection(Vec<Vec<Kmer>>),
-    /// The partial index plus per-read hits of a [`Step3Command`].
-    Step3(Step3Partial),
+    /// The per-candidate mapped-read counts of a [`Step3Command`]'s range.
+    Step3(MappedCounts),
 }
 
 /// Why a command's service failed (fault injection, see `fault.rs`): the
@@ -247,8 +253,8 @@ pub(crate) enum CommandFailure {
 /// One simulated device: the full shard set's zero-copy database views
 /// (Step 2 intersects the command's shard-of-record range — its own in
 /// normal operation, a dead peer's range under failover) plus a handle on
-/// the analyzer whose memoized per-species reference indexes back Step 3
-/// partials. Consumes commands of either kind from its queue.
+/// the analyzer whose memoized per-species reference indexes back Step 3's
+/// unified-index merge. Consumes commands of either kind from its queue.
 #[derive(Debug)]
 pub(crate) struct ShardWorker {
     shards: ShardSet,
@@ -287,15 +293,16 @@ impl ShardWorker {
                 CommandOutput::Intersection(hits)
             }
             ShardCommand::Step3(c) => {
-                let indexes = self.analyzer.reference_indexes();
-                let candidates: Vec<&ReferenceIndex> = c.candidates[c.range.clone()]
-                    .iter()
-                    .map(|&position| &indexes[position])
-                    .collect();
-                CommandOutput::Step3(step3::run_partial(
+                // Index generation stays device work (§4.4): the first
+                // device to get here merges, a peer arriving meanwhile
+                // blocks in `get_or_init` for at most that one merge.
+                let index = c
+                    .index
+                    .get_or_init(|| self.analyzer.unified_index(&c.candidates));
+                CommandOutput::Step3(step3::map_range(
+                    index,
                     c.sample.reads(),
-                    &candidates,
-                    c.base_offset,
+                    c.reads.clone(),
                     self.analyzer.config().mapping_k,
                 ))
             }
@@ -611,6 +618,84 @@ mod tests {
             mixed.resident_bytes(),
             a.storage().heap_bytes() + b.storage().heap_bytes()
         );
+    }
+
+    #[test]
+    fn a_jobs_step3_commands_share_one_merged_index() {
+        use megis::config::MegisConfig;
+        use megis_genomics::database::ReferenceIndex;
+        use megis_genomics::sample::{CommunityConfig, Diversity};
+        let c = CommunityConfig::preset(Diversity::Medium)
+            .with_reads(120)
+            .with_database_species(10)
+            .build(23);
+        let analyzer = Arc::new(MegisAnalyzer::build(c.references(), MegisConfig::small()));
+        let presence = analyzer.analyze(c.sample()).presence;
+        let owned: Vec<ReferenceIndex> = analyzer
+            .candidate_indexes(&presence)
+            .into_iter()
+            .cloned()
+            .collect();
+        let mapping_k = analyzer.config().mapping_k;
+        let oracle = step3::run(c.sample().reads(), &owned, mapping_k);
+        assert!(oracle.mapped_reads > 0, "fixture must exercise mapping");
+
+        let shards = ShardSet::build(analyzer.database(), 2);
+        let sample = Arc::new(c.sample().clone());
+        let candidates = Arc::new(analyzer.candidate_positions(&presence));
+        let command = |index: &Arc<OnceLock<UnifiedReferenceIndex>>, reads: Range<usize>| {
+            ShardCommand::Step3(Step3Command {
+                seq: 0,
+                record_shard: 0,
+                attempt: 0,
+                sample: Arc::clone(&sample),
+                candidates: Arc::clone(&candidates),
+                index: Arc::clone(index),
+                reads,
+            })
+        };
+        // Two devices get one half of the reads each and start together:
+        // one of them merges, both map against that one index.
+        let index = Arc::new(OnceLock::new());
+        let halves = [command(&index, 0..50), command(&index, 50..120)];
+        let start = std::sync::Barrier::new(2);
+        let served: Vec<(MappedCounts, usize)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = halves
+                .iter()
+                .map(|half| {
+                    let worker = ShardWorker::new(shards.clone(), Arc::clone(&analyzer));
+                    let (start, index) = (&start, &index);
+                    scope.spawn(move || {
+                        start.wait();
+                        let CommandOutput::Step3(counts) = worker.serve(half) else {
+                            panic!("a step 3 command yields counts");
+                        };
+                        let seen = index.get().expect("serving fills the shared slot");
+                        (counts, std::ptr::from_ref(seen) as usize)
+                    })
+                })
+                .collect();
+            let joined = handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread"));
+            joined.collect()
+        });
+        assert_eq!(served[0].1, served[1].1, "both devices saw one index");
+        assert_eq!(index.get(), Some(&oracle.unified_index));
+        let mut merged = MappedCounts::default();
+        for (counts, _) in served {
+            merged.merge(counts);
+        }
+        assert_eq!(merged.into_output(oracle.unified_index.clone()), oracle);
+
+        // A command that finds the slot filled maps against what is there:
+        // it never merges again.
+        let filled = Arc::new(OnceLock::from(UnifiedReferenceIndex::default()));
+        let worker = ShardWorker::new(shards, analyzer);
+        let CommandOutput::Step3(counts) = worker.serve(&command(&filled, 0..120)) else {
+            panic!("a step 3 command yields counts");
+        };
+        assert_eq!(counts.mapped_reads(), 0);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! The engine's aggregate metrics ([`crate::metrics::ShardStats`],
 //! end-to-end latency) say *that* the 8-device Step 3 sweep regresses, not
 //! *why*: they cannot distinguish a command waiting in a queue from a device
-//! streaming its candidate range from a reduce barriering on one slow
-//! partial. This module records what GenStore-style in-storage accounting
+//! mapping its read range from a delivery barriering on one slow range.
+//! This module records what GenStore-style in-storage accounting
 //! records inside the device — the lifecycle of every command — and turns it
 //! back into answers:
 //!
@@ -30,8 +30,8 @@
 //! * [`StragglerReport`] — the analysis layer's per-device answer: busy /
 //!   stall / idle fractions per device over the run, per-device Step 3 busy
 //!   time with the max/min skew, and, per job, the device whose last Step 3
-//!   completion gated the reduce — the direct input to the cost-aware
-//!   partitioning item on the roadmap.
+//!   completion gated the reduce — the direct evidence of how evenly the
+//!   read ranges (and steals) spread Step 3 over the array.
 //!
 //! Events are stamped as [`Duration`]s since the sink's epoch (the engine's
 //! start), so a whole trace serializes losslessly with
@@ -55,7 +55,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 pub enum TraceStage {
     /// Step 2 intersection finding.
     Intersect,
-    /// Step 3 partial unified-index generation plus read mapping.
+    /// Step 3 read mapping over one read range (and the job's one
+    /// unified-index merge, on the first command served).
     Step3,
 }
 
@@ -111,9 +112,9 @@ pub enum TraceEventKind {
         /// Serving device.
         shard: usize,
     },
-    /// The completer began reducing the job's Step 3 partials (all partials
-    /// reaped *and* every earlier sequence delivered — the in-order
-    /// barrier).
+    /// The completer began finishing the job's Step 3 (all read ranges
+    /// reaped and folded *and* every earlier sequence delivered — the
+    /// in-order barrier).
     ReduceStarted,
     /// The reduce finished and the output was assembled.
     ReduceFinished,
@@ -455,13 +456,13 @@ pub struct StageBreakdown {
     /// taxID retrieval plus backlog and queue wait for the Step 3 commands.
     pub step3_wait: Duration,
     /// First Step 3 started → last Step 3 completed: the window the device
-    /// array spent generating partial unified indexes and mapping reads.
+    /// array spent generating the unified index and mapping reads.
     pub step3_service: Duration,
     /// Last Step 3 completed → reduce start: the in-order delivery barrier
     /// (waiting on earlier sequences still in flight).
     pub reduce_barrier: Duration,
-    /// Reduce start → delivery: partial recombination, best-hit resolution,
-    /// output assembly, handle send.
+    /// Reduce start → delivery: count normalization, output assembly,
+    /// handle send.
     pub reduce: Duration,
     /// The device whose Step 3 completion arrived last — the straggler that
     /// gated this job's reduce (`None` when the job had no Step 3 commands).
@@ -648,8 +649,7 @@ pub struct DeviceUsage {
 /// Built by [`StragglerReport::from_events`] from a whole-run event
 /// snapshot. Identifies, for every job that ran Step 3 on the array, the
 /// device whose last Step 3 completion gated the job's reduce, and accounts
-/// each device's busy/stall/idle split over the run — the observability the
-/// roadmap's cost-aware-partitioning item needs as its input.
+/// each device's busy/stall/idle split over the run.
 #[derive(Debug, Clone)]
 pub struct StragglerReport {
     /// Wall-clock span the events cover (first to last event).

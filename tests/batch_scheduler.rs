@@ -15,8 +15,13 @@ use megis_ssd::config::SsdConfig;
 use megis_tools::workload::WorkloadSpec;
 
 fn cohort(n: usize) -> (MegisAnalyzer, Vec<Sample>) {
+    cohort_of(n, 100)
+}
+
+/// `n` samples of `reads` reads each over one shared database.
+fn cohort_of(n: usize, reads: usize) -> (MegisAnalyzer, Vec<Sample>) {
     let base = CommunityConfig::preset(Diversity::Medium)
-        .with_reads(100)
+        .with_reads(reads)
         .with_database_species(12);
     let reference_community = base.build(512);
     let analyzer = MegisAnalyzer::build(reference_community.references(), MegisConfig::small());
@@ -191,14 +196,20 @@ fn zero_copy_shard_views_share_one_storage_and_stay_byte_identical() {
 #[test]
 fn sharded_step3_accounts_every_candidate_once_and_stays_byte_identical() {
     // Step 3 runs as per-device commands through the same queues as the
-    // intersections: across a worker/shard/depth matrix, every job's
-    // candidate species must be merged on exactly one device (the per-job
-    // sum of per-shard step3 items equals the job's candidate count), the
-    // mapped-read totals must surface in the report, and every output must
-    // stay byte-identical to the sequential analyzer.
-    let (analyzer, samples) = cohort(8);
+    // intersections, cut by reads: across a worker/shard/depth matrix,
+    // every read of every job with candidates must be mapped on exactly one
+    // device (the per-shard step3 items sum to those jobs' reads), the
+    // command count must be the deterministic one, the mapped-read totals
+    // must surface in the report, and every output must stay byte-identical
+    // to the sequential analyzer. 300 reads is three commands' worth, so
+    // the matrix covers one range per job (1 shard), one per device (2)
+    // and fewer ranges than devices (4, 8).
+    const READS: usize = 300;
+    // The engine's private floor on reads per Step 3 command.
+    const MIN_READS_PER_COMMAND: usize = 128;
+    let (analyzer, samples) = cohort_of(8, READS);
     let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
-    let expected_candidates: u64 = expected.iter().map(|e| e.presence.len() as u64).sum();
+    let with_candidates = expected.iter().filter(|e| !e.presence.is_empty()).count() as u64;
     let expected_mapped: u64 = expected.iter().map(|e| e.mapped_reads).sum();
     assert!(expected_mapped > 0, "fixture must exercise read mapping");
 
@@ -226,13 +237,16 @@ fn sharded_step3_accounts_every_candidate_once_and_stays_byte_identical() {
         );
         let step3_items: u64 = report.shard_stats.iter().map(|s| s.step3_items).sum();
         assert_eq!(
-            step3_items, expected_candidates,
-            "each candidate merged on exactly one device at {workers}w/{shards}s/qd{depth}"
+            step3_items,
+            with_candidates * READS as u64,
+            "each read mapped on exactly one device at {workers}w/{shards}s/qd{depth}"
         );
         let step3_jobs: u64 = report.shard_stats.iter().map(|s| s.step3_jobs).sum();
-        assert!(
-            step3_jobs >= samples.len() as u64,
-            "every job ran step 3 on some device"
+        let ranges = shards.min(READS.div_ceil(MIN_READS_PER_COMMAND)) as u64;
+        assert_eq!(
+            step3_jobs,
+            with_candidates * ranges,
+            "one command per read range at {workers}w/{shards}s/qd{depth}"
         );
         // With work stealing an idle device may serve commands issued to a
         // peer, so its served count is bounded by the total that can be
@@ -290,12 +304,12 @@ fn more_shards_than_database_entries_stays_correct() {
     assert_eq!(report.shard_stats.len(), shards);
     // Entry-holding shards serve every job's intersection; entry-less
     // padding shards are never *intersect*-commanded (their key range is
-    // empty). They may still serve Step 3: cost-aware candidate
-    // partitioning places parts by cumulative cost over the whole device
-    // array — Step 3 resolves candidates against the analyzer's memoized
-    // indexes, not the shard's database range — and work stealing can move
-    // that Step 3 work to any idle device. So `busy` is only pinned to
-    // zero for shards that served neither command kind.
+    // empty). They may still serve Step 3: its read ranges rotate over the
+    // whole device array — Step 3 resolves candidates against the
+    // analyzer's memoized indexes, not the shard's database range — and
+    // work stealing can move that Step 3 work to any idle device. So
+    // `busy` is only pinned to zero for shards that served neither
+    // command kind.
     for stats in &report.shard_stats {
         if stats.shard < entries {
             assert_eq!(stats.jobs, 3, "shard {} holds entries", stats.shard);

@@ -14,8 +14,13 @@ use megis_sched::{
 };
 
 fn cohort(n: usize) -> (MegisAnalyzer, Vec<Sample>) {
+    cohort_of(n, 100)
+}
+
+/// `n` samples of `reads` reads each over one shared database.
+fn cohort_of(n: usize, reads: usize) -> (MegisAnalyzer, Vec<Sample>) {
     let base = CommunityConfig::preset(Diversity::Medium)
-        .with_reads(100)
+        .with_reads(reads)
         .with_database_species(12);
     let reference_community = base.build(512);
     let analyzer = MegisAnalyzer::build(reference_community.references(), MegisConfig::small());
@@ -177,6 +182,53 @@ fn dead_shard_fails_over_without_losing_a_job() {
     assert!(failovers > 0, "commands rerouted off the dead shard");
     assert_eq!(report.failed_jobs, 0);
     assert_eq!(report.completed, SAMPLES as u64);
+}
+
+/// Step 3 is cut by reads and its reduce adds counts, so a read range
+/// folded twice would double its reads and a lost one would drop them.
+/// With enough reads for three ranges per job: every range's first attempt
+/// faults and is retried in place; then a shard dies holding a command and
+/// its ranges are re-served by the survivors. Either way every range is
+/// folded exactly once — outputs equal the oracle, every read is served
+/// once, and the completer's double-fold assert never poisons the engine.
+#[test]
+fn step3_read_ranges_are_folded_exactly_once_under_retry_and_failover() {
+    const SAMPLES: usize = 6;
+    const READS: usize = 300;
+    let (analyzer, samples) = cohort_of(SAMPLES, READS);
+    let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
+    assert!(expected.iter().all(|e| e.mapped_reads > 0));
+
+    for (label, plan) in [
+        ("retry", FaultPlan::seeded(31).with_transient_rate(1.0)),
+        ("failover", FaultPlan::seeded(32).with_shard_death(1, 3)),
+    ] {
+        let (outputs, report) = run_expecting_success(
+            analyzer.clone(),
+            &samples,
+            EngineConfig::new()
+                .with_workers(2)
+                .with_shards(3)
+                .with_fault_plan(plan),
+        );
+        assert_eq!(outputs, expected, "{label}: a range was lost or doubled");
+        let served = |f: fn(&megis_sched::ShardStats) -> u64| -> u64 {
+            report.shard_stats.iter().map(f).sum()
+        };
+        assert_eq!(served(|s| s.step3_jobs), 3 * SAMPLES as u64, "{label}");
+        assert_eq!(served(|s| s.step3_items), (READS * SAMPLES) as u64);
+        assert!(
+            served(|s| s.retries) > 0,
+            "{label}: the plan injected nothing"
+        );
+        assert_eq!(report.failed_jobs, 0, "{label}");
+        assert_eq!(report.shard_stats[1].dead, label == "failover");
+        if label == "failover" {
+            // Ranges issued under the dead shard-of-record kept arriving
+            // (one per job) and were mapped by the survivors.
+            assert!(served(|s| s.stolen_items) > 0);
+        }
+    }
 }
 
 /// An injected worker panic fails only the targeted job: the affected

@@ -218,8 +218,8 @@ fn observability_fixture() -> (Vec<ShardStats>, LatencyStats, StageBreakdown) {
             coalesced_commands: 0,
             coalesced_members: 0,
             step3_jobs: 4,
-            step3_items: 8 - shard as u64,
-            stolen_items: shard as u64 * 2,
+            step3_items: 80 - shard as u64 * 10,
+            stolen_items: shard as u64 * 20,
             peak_inflight: 2,
             faults: 0,
             retries: 0,
@@ -289,19 +289,19 @@ fn batch_and_service_summaries_share_the_observability_lines() {
         // here empty — results; the fixture's service counts 64).
         assert!(summary.contains("reads mapped"), "{name}:\n{summary}");
         assert!(
-            summary.contains("per-shard candidate items: [8, 7, 6]"),
+            summary.contains("per-shard reads served: [80, 70, 60]"),
             "{name}:\n{summary}"
         );
         assert!(
             summary.contains("stage overlap events: 17"),
             "{name}:\n{summary}"
         );
-        // The work-stealing line: total stolen items plus the per-device
+        // The work-stealing line: total stolen reads plus the per-device
         // split, rendered identically by both summaries.
         assert!(
             summary.contains(
-                "work stealing: 6 candidate items served for peers; \
-                 per-device stolen items: [0, 2, 4]"
+                "work stealing: 60 reads served for peers; \
+                 per-device stolen reads: [0, 20, 40]"
             ),
             "{name}:\n{summary}"
         );
