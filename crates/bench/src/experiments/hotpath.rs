@@ -20,9 +20,12 @@
 //!   [`KssTables::lookup`] per intersecting k-mer,
 //! * **Step 3** — the flat unified index (one k-way merge of sorted seed
 //!   columns, dense-counter seed voting) against the old ordered map of
-//!   per-seed location lists with an ordered-map vote table per read; and
-//!   the reads mapped as 1, 2 and 8 ranges over the one merged index (the
-//!   scheduler's cut of Step 3) against the sequential `step3::run`,
+//!   per-seed location lists with an ordered-map vote table per read; the
+//!   reads mapped as 1, 2 and 8 ranges over the one merged index (the
+//!   scheduler's cut of Step 3) against the sequential `step3::run`; and
+//!   the mapper's batched seed probe (full batches of a read's seeds)
+//!   against the same seeds resolved one by one through
+//!   [`UnifiedReferenceIndex::locations`], its batch of one,
 //!
 //! plus **shard residency**: [`ShardSet::resident_bytes`] across 1–8 shards
 //! must stay exactly one copy of the columnar storage (zero-copy views),
@@ -31,7 +34,8 @@
 //! `megis-bench hotpath` prints this report and writes the numbers to
 //! `BENCH_hotpath.json`. CI runs it in release mode, greps the exact
 //! verdict lines (kernel parity, KSS stream parity, unified-index parity,
-//! read-range parity, zero-copy shards) and uploads the JSON, so a PR that breaks a kernel's
+//! read-range parity, batched-probe parity, zero-copy shards) and uploads
+//! the JSON, so a PR that breaks a kernel's
 //! equivalence or reintroduces a database copy fails the smoke test. The
 //! galloping speedup line is wall clock from one run: printed, not gated.
 
@@ -44,7 +48,7 @@ use megis::step3;
 use megis_genomics::database::{
     ReadMapHit, ReferenceIndex, SortedKmerDatabase, UnifiedReferenceIndex,
 };
-use megis_genomics::kmer::{Kmer, KmerExtractor};
+use megis_genomics::kmer::{CanonicalKmerExtractor, Kmer, KmerExtractor};
 use megis_genomics::read::{Read, ReadSet};
 use megis_genomics::reference::ReferenceCollection;
 use megis_genomics::sample::{CommunityConfig, Diversity};
@@ -239,6 +243,10 @@ pub struct HotpathMeasurement {
     /// Whether the reads mapped as 1, 2 and 8 ranges over the one merged
     /// index, counts added up, equalled the sequential `step3::run`.
     pub read_range_parity: bool,
+    /// Whether the per-candidate vote totals of the reads' seeds resolved
+    /// one by one (`locations`, the probe's batch of one) equalled those of
+    /// the mapper's full batches.
+    pub probe_parity: bool,
     /// Heap bytes of one columnar database copy.
     pub db_heap_bytes: u64,
     /// `(shard count, ShardSet::resident_bytes)` for each swept count.
@@ -440,6 +448,14 @@ impl HotpathMeasurement {
             }
         ));
         report.line(&format!(
+            "batched seed probe parity with per-seed lookup: {}",
+            if self.probe_parity {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
+        ));
+        report.line(&format!(
             "galloping speedup: {} ({:.2}x vs the {GALLOP_THRESHOLD:.1}x threshold)",
             if self.gallop_confirmed() {
                 "confirmed"
@@ -464,10 +480,11 @@ impl HotpathMeasurement {
         report.line("counting and build replace per-item ordered-map insertion with one");
         report.line("sort_unstable + run-length group over a dense array; retrieval walks each");
         report.line("flat KSS table once with a forward cursor instead of searching it per");
-        report.line("k-mer; the unified index is one k-way merge of sorted seed columns mapped");
-        report.line("with a dense counter per candidate; and partitioning returns range views");
-        report.line("over one Arc-shared columnar storage, so an N-shard deployment keeps a");
-        report.line("single resident copy of the database.");
+        report.line("k-mer; the unified index is one k-way merge of sorted seed columns, probed");
+        report.line("a batch of a read's seeds at a time and mapped with a dense counter per");
+        report.line("candidate; and partitioning returns range views over one Arc-shared");
+        report.line("columnar storage, so an N-shard deployment keeps a single resident copy of");
+        report.line("the database.");
         report.finish()
     }
 
@@ -524,7 +541,8 @@ impl HotpathMeasurement {
              \x20   \"flat_map_ns_per_read\": {:.3},\n\
              \x20   \"map_speedup\": {:.3},\n\
              \x20   \"parity\": {},\n\
-             \x20   \"read_range_parity\": {}\n\
+             \x20   \"read_range_parity\": {},\n\
+             \x20   \"batched_probe_parity\": {}\n\
              \x20 }},\n\
              \x20 \"shards\": {{\n\
              \x20   \"db_heap_bytes\": {},\n\
@@ -565,6 +583,7 @@ impl HotpathMeasurement {
             self.map_speedup(),
             self.step3_parity,
             self.read_range_parity,
+            self.probe_parity,
             self.db_heap_bytes,
             residents.join(",\n"),
             self.resident_ratio(),
@@ -613,10 +632,10 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         .build(7);
     let reads = community.sample().reads();
     let counted = KmerCounts::count(reads, K);
-    parity &= counted.entries() == count_btreemap(reads, K).as_slice();
+    parity &= counted.entries().eq(count_btreemap(reads, K));
     let count_occurrences = counted.total_occurrences();
     let count_btreemap_s = best_seconds(|| count_btreemap(reads, K).len());
-    let count_sort_s = best_seconds(|| KmerCounts::count(reads, K).len());
+    let count_sort_s = best_seconds(|| KmerCounts::count(reads, K).entries().len());
 
     // Build fixture: small enough to iterate the whole build per trial
     // (the intersection fixture is deliberately oversized for that).
@@ -677,6 +696,21 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         }
         merged.into_output(flat_index.clone()) == sequential
     });
+    // Every seed of every read, once through the batch of one and once
+    // through the mapper's full batches: per-candidate vote totals.
+    let mut per_seed = vec![0u64; candidates.len()];
+    let mut batched = vec![0u64; candidates.len()];
+    for read in reads.iter() {
+        for seed in CanonicalKmerExtractor::new(read.sequence(), SEED_K) {
+            for location in flat_index.locations(seed).unwrap_or_default() {
+                per_seed[location.candidate as usize] += 1;
+            }
+        }
+        for (total, votes) in batched.iter_mut().zip(flat_index.read_votes(read, SEED_K)) {
+            *total += u64::from(votes);
+        }
+    }
+    let probe_parity = per_seed == batched && per_seed.iter().sum::<u64>() > 0;
     let merge_btreemap_s = best_seconds(|| merge_btreemap(&candidates).len());
     let merge_flat_s = best_seconds(|| UnifiedReferenceIndex::merge(&candidates).len());
     let map_btreemap_s = best_seconds(|| {
@@ -725,6 +759,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         map_flat_s,
         step3_parity,
         read_range_parity,
+        probe_parity,
         db_heap_bytes,
         resident_by_shards,
         parity,
@@ -758,6 +793,10 @@ mod tests {
             "read ranges over one merged index must equal the sequential run"
         );
         assert!(
+            m.probe_parity,
+            "full probe batches must vote like per-seed lookups"
+        );
+        assert!(
             m.zero_copy_confirmed(),
             "sharding must keep one resident database copy: {:?} vs {}",
             m.resident_by_shards,
@@ -768,6 +807,7 @@ mod tests {
         assert!(report.contains("kss stream parity with per-query lookup: identical"));
         assert!(report.contains("unified index parity with map-based reference: identical"));
         assert!(report.contains("step 3 read-range parity with sequential run: identical"));
+        assert!(report.contains("batched seed probe parity with per-seed lookup: identical"));
         assert!(report.contains("zero-copy shards: confirmed"));
         let json = m.to_json();
         assert!(json.contains("\"bench\": \"hotpath\""));

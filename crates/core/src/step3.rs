@@ -8,7 +8,11 @@
 //! with the reads — to a mapping accelerator. Every index here is flat
 //! (sorted seed column, `u32` offsets, one location arena) and the merge is
 //! the one forward k-way merge of [`megis_genomics::database`], so the stage
-//! consumes its inputs at streaming cost.
+//! consumes its inputs at streaming cost. What is left per read is the seed
+//! lookups — latency-bound random accesses that only go fast with many in
+//! flight — so the mapper resolves a read's seeds a batch at a time (three
+//! passes of independent loads over 16 seeds) instead of one dependent
+//! chain per seed; the oracle and every range go through that one mapper.
 //!
 //! On a device array the stage shards the way the paper's mapper does: the
 //! index is merged **once** per sample over *all* candidates
@@ -112,7 +116,8 @@ pub fn read_ranges(reads: usize, parts: usize) -> impl Iterator<Item = Range<usi
 }
 
 /// Maps `reads[range]` against the sample's unified index: one device's
-/// share of Step 3's mapping.
+/// share of Step 3's mapping, each read's seeds probed in batches
+/// ([`UnifiedReferenceIndex::count_mapped_reads`]).
 ///
 /// # Panics
 ///

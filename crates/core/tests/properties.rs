@@ -284,7 +284,7 @@ fn kss_stream_equals_lookup_fold_tree_and_flat_on_any_query_mix() {
 #[test]
 fn kmer_counts_equal_an_ordered_map_counter() {
     use megis_genomics::kmer::KmerExtractor;
-    use megis_tools::kmc::KmerCounts;
+    use megis_tools::kmc::{ExclusionPolicy, KmerCounts};
     let mut rng = StdRng::seed_from_u64(207);
     for case in 0..40usize {
         let k = rng.gen_range(1..=60usize);
@@ -319,7 +319,19 @@ fn kmer_counts_equal_an_ordered_map_counter() {
         }
         let counts = KmerCounts::count(&ReadSet::from_reads(reads), k);
         let expected: Vec<(Kmer, u32)> = expected.into_iter().collect();
-        assert_eq!(counts.entries(), expected, "case {case}, k = {k}");
+        let entries: Vec<(Kmer, u32)> = counts.entries().collect();
+        assert_eq!(entries, expected, "case {case}, k = {k}");
+        // The occurrence total is the arena's length before compaction,
+        // and the in-place selection keeps what the policy keeps.
+        let total: u64 = expected.iter().map(|(_, c)| u64::from(*c)).sum();
+        assert_eq!(counts.total_occurrences(), total, "case {case}");
+        let policy = ExclusionPolicy {
+            min_count: rng.gen_range(1..=3u32),
+            max_count: [None, Some(rng.gen_range(1..=4u32))][case % 2],
+        };
+        let kept = expected.iter().filter(|(_, c)| policy.keeps(*c));
+        let kept: Vec<Kmer> = kept.map(|(kmer, _)| *kmer).collect();
+        assert_eq!(counts.apply_exclusion(policy), kept, "case {case}");
     }
 }
 

@@ -64,6 +64,12 @@
 //! [`UnifiedReferenceIndex::count_mapped_reads`] maps any slice of the
 //! sample's reads against it, so Step 3 shards across the device array that
 //! serves Step 2 with every read mapped exactly once.
+//!
+//! Seeds are looked up a *batch* at a time, in three passes over the batch
+//! — bucket bounds from the directory, position inside the bucket, equality
+//! check and payload range — each a loop of independent loads, so the cache
+//! misses of a read's seeds overlap instead of chaining seed after seed. A
+//! single lookup is the batch of one: no per-seed routine exists beside it.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -72,6 +78,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::kmer::{CanonicalKmerExtractor, Kmer};
+use crate::read::Read;
 use crate::reference::{ReferenceCollection, ReferenceGenome};
 use crate::taxonomy::TaxId;
 
@@ -693,9 +700,13 @@ fn gallop(slice: &[Kmer], target: Kmer, hint: usize) -> usize {
 /// cheaper than the same span's worth of dependent binary probes.
 const LINEAR_TAIL: usize = 16;
 
-/// Width at which [`SeedTable::get`] stops halving and counts: two buckets'
-/// worth of evenly spread seeds, eight 16-byte words.
-const SEED_TAIL: usize = 8;
+/// Width at which [`SeedTable::probe`] stops halving and counts — the fixed
+/// window of its position pass: two buckets' worth of evenly spread seeds,
+/// four 16-byte words, one cache line.
+const SEED_TAIL: usize = 4;
+
+/// Seeds one [`SeedTable::probe`] call resolves together.
+const PROBE_BATCH: usize = 16;
 
 /// Pins the boundary (first index `>= target`) inside the bracket
 /// `(lo, hi]`, where `slice[lo] < target` and `slice[hi] >= target` (or
@@ -769,12 +780,12 @@ impl<T> SeedTable<T> {
 
     /// Builds the bucket directory once every seed is appended (one
     /// counting pass, one prefix sum): buckets are the top bits of the
-    /// *largest* seed's width, about four evenly spread seeds to a bucket.
+    /// *largest* seed's width, about two evenly spread seeds to a bucket.
     fn seal(&mut self) {
         let Some(max) = self.seeds.last() else { return };
         let width = 128 - max.leading_zeros();
         let bits = (usize::BITS - self.seeds.len().leading_zeros())
-            .saturating_sub(2)
+            .saturating_sub(1)
             .min(width);
         self.bucket_shift = width - bits;
         self.buckets = vec![0u32; (1usize << bits) + 1];
@@ -790,28 +801,61 @@ impl<T> SeedTable<T> {
         &self.payload[self.offsets[index] as usize..self.offsets[index + 1] as usize]
     }
 
-    /// Items under the raw word of a length-`k` seed: one directory probe,
-    /// binary steps while the bucket is wide (`O(log n)` under any skew),
-    /// then a branchless count of the smaller seeds in the narrow tail —
-    /// the usual four-seed bucket is one pass of predictable compares, no
-    /// dependent probes.
-    fn get(&self, seed: u128) -> Option<&[T]> {
+    /// Items under each of up to [`PROBE_BATCH`] raw words of length-`k`
+    /// seeds (`None`: no seed here), slot for slot — the table's one lookup
+    /// routine. Each pass is a loop of independent loads with no exit the
+    /// data decides, so a seed's dependent loads (directory, seed window,
+    /// offsets) never wait behind a branch the previous seed mispredicted:
+    /// the safe-code stand-in for prefetching.
+    fn probe(&self, seeds: &[u128]) -> [Option<&[T]>; PROBE_BATCH] {
+        assert!(seeds.len() <= PROBE_BATCH, "one batch per probe");
         debug_assert!(self.seeds.is_empty() || !self.buckets.is_empty());
-        let bucket = usize::try_from(seed >> self.bucket_shift).ok()?;
-        let mut lo = *self.buckets.get(bucket)? as usize;
-        let mut hi = *self.buckets.get(bucket + 1)? as usize;
-        // Invariant: the first seed `>= seed` lies in `lo..=hi`.
-        while hi - lo > SEED_TAIL {
-            let mid = lo + (hi - lo) / 2;
-            if self.seeds[mid] < seed {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+        let len = self.seeds.len();
+        // Pass 1, directory: both bounds of each seed's bucket. A seed past
+        // the directory keeps the empty range at the column's end: absent.
+        let mut spans = [(len, len); PROBE_BATCH];
+        for (span, seed) in spans.iter_mut().zip(seeds) {
+            let bucket = usize::try_from(seed >> self.bucket_shift).unwrap_or(usize::MAX);
+            if let Some(&[lo, hi]) = self.buckets.get(bucket..bucket.saturating_add(2)) {
+                *span = (lo as usize, hi as usize);
             }
         }
-        let smaller = self.seeds[lo..hi].iter().filter(|s| **s < seed).count();
-        let at = lo + smaller;
-        (self.seeds.get(at) == Some(&seed)).then(|| self.items(at))
+        // Pass 2, position. Invariant: the first seed `>= seed` lies in
+        // `lo..=hi`. Halve while the bucket is wide (`O(log n)` under any
+        // skew, rarely taken), then count the smaller seeds of a *fixed*
+        // window: exact although it reads past `hi`, because the column is
+        // sorted and every seed from `hi` on is `>= seed`.
+        let mut at = [len; PROBE_BATCH];
+        for ((at, &(mut lo, mut hi)), &seed) in at.iter_mut().zip(&spans).zip(seeds) {
+            while hi - lo > SEED_TAIL {
+                let mid = lo + (hi - lo) / 2;
+                if self.seeds[mid] < seed {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let smaller = |window: &[u128]| window.iter().filter(|s| **s < seed).count();
+            *at = match self.seeds[lo..].first_chunk::<SEED_TAIL>() {
+                Some(window) => lo + smaller(window),
+                // The column ends inside the window.
+                None => lo + smaller(&self.seeds[lo..hi]),
+            };
+        }
+        // Pass 3: equality check and payload range.
+        let mut found = [None; PROBE_BATCH];
+        for ((found, &at), seed) in found.iter_mut().zip(&at).zip(seeds) {
+            if self.seeds.get(at) == Some(seed) {
+                *found = Some(self.items(at));
+            }
+        }
+        found
+    }
+
+    /// Items under the raw word of a length-`k` seed: the batch of one.
+    /// There is no per-seed routine beside [`SeedTable::probe`].
+    fn get(&self, seed: u128) -> Option<&[T]> {
+        self.probe(&[seed])[0]
     }
 
     /// Items under `kmer`; no k-mer of another length is a seed here,
@@ -1049,7 +1093,7 @@ impl UnifiedReferenceIndex {
     /// supporting seeds), or `None` if the read does not map. The S-Qry
     /// baseline and MegIS share this seed-voting mapper, which keeps their
     /// abundance outputs identical, as the paper requires.
-    pub fn map_read(&self, read: &crate::read::Read, seed_k: usize) -> Option<TaxId> {
+    pub fn map_read(&self, read: &Read, seed_k: usize) -> Option<TaxId> {
         self.map_read_hit(read, seed_k)
             .filter(|hit| hit.votes >= MIN_MAPPING_VOTES)
             .map(|hit| hit.taxid)
@@ -1059,13 +1103,13 @@ impl UnifiedReferenceIndex {
     /// [`MIN_MAPPING_VOTES`] threshold; ties on votes go to the smallest
     /// taxid. `None` when no seed hits at all, which covers reads shorter
     /// than a seed and any `seed_k` other than [`UnifiedReferenceIndex::k`].
-    /// Outside the lookup the work per seed is constant: a word-parallel
-    /// canonicalization and one bump per location of a dense counter array.
+    /// The read's seeds are canonicalized word-parallel and looked up a
+    /// batch at a time; each location bumps a dense counter array.
     /// Against a [`PartialUnifiedIndex`] this is the range's best hit: a
     /// candidate lives in one range, so per-range votes are global votes,
     /// and the maximum of the per-range hits under the same order,
     /// thresholded, reproduces [`UnifiedReferenceIndex::map_read`].
-    pub fn map_read_hit(&self, read: &crate::read::Read, seed_k: usize) -> Option<ReadMapHit> {
+    pub fn map_read_hit(&self, read: &Read, seed_k: usize) -> Option<ReadMapHit> {
         let (candidate, votes) = self.best_hit(read, seed_k, &mut vec![0; self.offsets.len()])?;
         let taxid = self.offsets[candidate].0;
         Some(ReadMapHit { taxid, votes })
@@ -1089,22 +1133,37 @@ impl UnifiedReferenceIndex {
         mapped
     }
 
-    /// The winning candidate's position and votes for one read. `votes`
-    /// holds one zero per candidate and is handed back zeroed.
-    fn best_hit(
-        &self,
-        read: &crate::read::Read,
-        seed_k: usize,
-        votes: &mut [u32],
-    ) -> Option<(usize, u32)> {
+    /// One read's seed votes per candidate ([`UnifiedReferenceIndex::offsets`]
+    /// order): [`UnifiedReferenceIndex::map_read_hit`] reports their maximum.
+    pub fn read_votes(&self, read: &Read, seed_k: usize) -> Vec<u32> {
+        let mut votes = vec![0; self.offsets.len()];
+        self.tally(read, seed_k, &mut votes);
+        votes
+    }
+
+    /// Adds one read's seed votes to `votes` (one slot per candidate), a
+    /// batch of seeds at a time: fill it from the extractor, probe it, bump.
+    fn tally(&self, read: &Read, seed_k: usize, votes: &mut [u32]) {
         if seed_k != self.table.k || self.is_empty() {
-            return None;
+            return;
         }
-        for seed in CanonicalKmerExtractor::new(read.sequence(), seed_k) {
-            for loc in self.table.get(seed.bits()).unwrap_or_default() {
-                votes[loc.candidate as usize] += 1;
+        let mut seeds = CanonicalKmerExtractor::new(read.sequence(), seed_k);
+        let mut words = [0u128; PROBE_BATCH];
+        while seeds.len() > 0 {
+            let batch = &mut words[..seeds.len().min(PROBE_BATCH)];
+            batch.fill_with(|| seeds.next().expect("sized exactly").bits());
+            for locations in self.table.probe(batch).into_iter().flatten() {
+                for loc in locations {
+                    votes[loc.candidate as usize] += 1;
+                }
             }
         }
+    }
+
+    /// The winning candidate's position and votes for one read. `votes`
+    /// holds one zero per candidate and is handed back zeroed.
+    fn best_hit(&self, read: &Read, seed_k: usize, votes: &mut [u32]) -> Option<(usize, u32)> {
+        self.tally(read, seed_k, votes);
         let hits = votes.iter().zip(&self.offsets).enumerate();
         let best = hits
             .filter(|(_, (votes, _))| **votes > 0)
@@ -1783,15 +1842,18 @@ mod tests {
         // Evenly spread seeds; seeds that all share their leading bits (one
         // far outlier sets the directory's width, so bucket 0 holds every
         // other seed and the lookup has to halve); dense runs, where a
-        // probe's neighbours are seeds too; one seed; none.
+        // probe's neighbours are seeds too; fewer seeds than the fixed
+        // window is wide; one seed; none.
         let spread: Vec<u128> = (0..3000).map(|_| next() >> 34).collect();
         let mut one_bucket: Vec<u128> = (0..1500).map(|_| 10 + (next() >> 40)).collect();
         one_bucket.push(1 << 100);
         let dense: Vec<u128> = (0..700u128).map(|i| 1000 + i + i / 9).collect();
+        let few: Vec<u128> = (1..SEED_TAIL as u128).map(|i| 77 * i * i).collect();
         for (label, mut seeds) in [
             ("spread", spread),
             ("one bucket", one_bucket),
             ("dense", dense),
+            ("few", few),
             ("single", vec![5]),
             ("empty", Vec::new()),
         ] {
@@ -1818,7 +1880,7 @@ mod tests {
             probes.extend([0, first.unwrap_or(9) / 2, u128::MAX, u128::MAX >> 1]);
             probes.extend(last.map(|l| l + 2));
             let (mut hits, mut misses) = (0, 0);
-            for probe in probes {
+            for &probe in &probes {
                 let expected = map.get(&probe).map(Vec::as_slice);
                 assert_eq!(table.get(probe), expected, "{label}: probe {probe:#x}");
                 match expected {
@@ -1827,7 +1889,33 @@ mod tests {
                 }
             }
             assert!(hits >= seeds.len() && misses >= 4, "{label}");
+            // The same probes in batches of every length: shuffled, so a
+            // batch mixes hits with misses, runs unsorted and (a tenth of
+            // the list drawn twice) repeats itself; the seeds that sort
+            // last — where the fixed window would run off the column — fall
+            // into every slot. Each slot answers as its own lookup would,
+            // and the slots past a short batch stay empty.
+            probes.extend_from_within(..probes.len() / 10);
+            for i in (1..probes.len()).rev() {
+                probes.swap(i, (next() % (i as u128 + 1)) as usize);
+            }
+            assert_eq!(table.probe(&[]), [None; PROBE_BATCH], "{label}");
+            for len in 1..=PROBE_BATCH {
+                for batch in probes.chunks(len) {
+                    let found = table.probe(batch);
+                    for (slot, items) in found.iter().enumerate() {
+                        let expected = batch.get(slot).and_then(|probe| map.get(probe));
+                        assert_eq!(*items, expected.map(Vec::as_slice), "{label}: {len}/{slot}");
+                    }
+                }
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one batch per probe")]
+    fn probe_rejects_more_than_one_batch() {
+        SeedTable::<u32>::default().probe(&[0; PROBE_BATCH + 1]);
     }
 
     #[test]

@@ -23,6 +23,10 @@ use megis_genomics::taxonomy::{Rank, TaxId, Taxonomy};
 
 const CASES: usize = 48;
 
+/// Seeds the mapper resolves per probe: `database.rs`'s private
+/// `PROBE_BATCH`, restated here to aim reads at its seams.
+const PROBE_BATCH: usize = 16;
+
 fn dna_string(rng: &mut StdRng, len: usize) -> Vec<u8> {
     (0..len)
         .map(|_| b"ACGT"[rng.gen_range(0..4usize)])
@@ -463,10 +467,18 @@ fn flat_merges_equal_the_map_based_reference_builder() {
 #[test]
 fn flat_mapper_equals_the_map_based_voter() {
     let mut rng = StdRng::seed_from_u64(113);
-    let (mut mapped, mut ties, mut unmapped) = (0, 0, 0);
+    let (mut mapped, mut ties, mut unmapped, mut seams) = (0, 0, 0, 0);
     for case in 0..CASES {
         let k = [7usize, 11, 15][case % 3];
-        let genomes = shared_seed_genomes(&mut rng, 2 + case % 7);
+        let mut genomes = shared_seed_genomes(&mut rng, 2 + case % 7);
+        // A tandem repeat: a handful of distinct seeds, each at dozens of
+        // locations of this one candidate, so a read drawn from it holds the
+        // same seed several times in one batch and carries seeds with
+        // several locations across every batch boundary.
+        let unit = dna_string(&mut rng, 3 + case % 5);
+        let repeat: Vec<u8> = unit.iter().copied().cycle().take(240).collect();
+        let repeat = PackedSequence::from_ascii(&repeat).unwrap();
+        genomes.push(ReferenceGenome::new(TaxId(11), "repeat", repeat));
         let indexes: Vec<ReferenceIndex> = genomes
             .iter()
             .map(|g| ReferenceIndex::build(g, k))
@@ -485,6 +497,24 @@ fn flat_mapper_equals_the_map_based_voter() {
             let window = genome.sequence().subsequence(start, len);
             reads.push(window.reverse_complement());
             reads.push(window);
+        }
+        // The batch seams: reads of exactly 1, one batch less one, one
+        // batch, one batch and one, and two batches of seeds (none at all:
+        // the reads shorter than a seed below), drawn from every genome
+        // that is long enough — the repeat always is.
+        let seam_seeds = [
+            1,
+            PROBE_BATCH - 1,
+            PROBE_BATCH,
+            PROBE_BATCH + 1,
+            2 * PROBE_BATCH,
+        ];
+        for genome in genomes.iter().filter(|g| g.len() >= k + 2 * PROBE_BATCH) {
+            for len in seam_seeds.map(|seeds| k + seeds - 1) {
+                let start = rng.gen_range(0..=genome.len() - len);
+                reads.push(genome.sequence().subsequence(start, len));
+                seams += 1;
+            }
         }
         // Foreign reads, and reads shorter than a seed (one of them empty).
         reads.push(PackedSequence::from_ascii(&dna_string(&mut rng, 80)).unwrap());
@@ -526,6 +556,14 @@ fn flat_mapper_equals_the_map_based_voter() {
                 expected,
                 "case {case} read {i}"
             );
+            // Not the winner alone: every candidate's votes, seed for seed.
+            let per_candidate = flat.offsets().iter().map(|(taxid, _)| votes.get(taxid));
+            let per_candidate: Vec<u32> = per_candidate.map(|v| v.copied().unwrap_or(0)).collect();
+            assert_eq!(
+                flat.read_votes(&read, k),
+                per_candidate,
+                "case {case} read {i}"
+            );
             match expected {
                 Some(hit) => {
                     mapped += 1;
@@ -539,6 +577,7 @@ fn flat_mapper_equals_the_map_based_voter() {
                 assert!(votes_by_map(&map, &read, other_k).is_empty());
                 assert_eq!(flat.map_read_hit(&read, other_k), None);
                 assert_eq!(flat.map_read(&read, other_k), None);
+                assert_eq!(flat.read_votes(&read, other_k), vec![0; indexes.len()]);
             }
         }
         // The same totality for single-seed lookups, on both index types.
@@ -567,7 +606,7 @@ fn flat_mapper_equals_the_map_based_voter() {
     let short = Kmer::from_ascii(&[b'A'; 14]).unwrap();
     assert!(flat.locations(short).is_none() && index.locations(short).is_none());
     assert!(
-        mapped > 100 && ties > 10 && unmapped > 50,
-        "{mapped} {ties} {unmapped}"
+        mapped > 100 && ties > 10 && unmapped > 50 && seams > 10 * CASES,
+        "{mapped} {ties} {unmapped} {seams}"
     );
 }

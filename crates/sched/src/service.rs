@@ -525,6 +525,19 @@ impl MergeState {
     }
 }
 
+/// Concatenates a job's per-shard hit lists in shard order, skipping shards
+/// that were never commanded, into one list sized by the parts' total: every
+/// job passes through this on the completer's one thread, and a flattening
+/// `collect` (size hint 0) would grow the list by doubling instead.
+fn concat_parts(parts: Vec<Option<Vec<Kmer>>>) -> Vec<Kmer> {
+    let total = parts.iter().flatten().map(Vec::len).sum();
+    let mut merged = Vec::with_capacity(total);
+    for part in parts.iter().flatten() {
+        merged.extend_from_slice(part);
+    }
+    merged
+}
+
 /// State shared by submitters, Step 1 workers, and the in-SSD stage.
 #[derive(Debug)]
 struct ServiceState {
@@ -2280,11 +2293,7 @@ impl IspCompleter<'_> {
         let job = self.pending.get_mut(&seq).expect("ready job is pending");
         // Shard order is key-range order, so the concatenation equals the
         // unsharded intersection of the full query list.
-        let merged: Vec<Kmer> = std::mem::take(&mut job.parts)
-            .into_iter()
-            .flatten()
-            .flatten()
-            .collect();
+        let merged = concat_parts(std::mem::take(&mut job.parts));
         let step2 = self.analyzer.step2_from_intersection(merged);
         let candidates = Arc::new(self.analyzer.candidate_positions(&step2.presence));
         job.step2 = Some(step2);
@@ -2909,6 +2918,38 @@ mod tests {
         let report = engine.shutdown();
         for stats in &report.shard_stats {
             assert_eq!((stats.step3_jobs, stats.step3_items), (0, 0));
+        }
+    }
+
+    #[test]
+    fn concat_parts_equals_the_flattened_parts_in_one_allocation() {
+        let kmer = |bits: u128| Kmer::from_bits(bits, 31);
+        let run = |from: u128, len: u128| Some((from..from + len).map(kmer).collect::<Vec<_>>());
+        // 1, 2 and 8 shards; empty lists and never-commanded shards at the
+        // front, in between and at the end; no shards and no hits at all.
+        for parts in [
+            vec![run(0, 700)],
+            vec![None],
+            vec![run(0, 3), run(3, 900)],
+            vec![None, run(5, 1)],
+            vec![
+                None,
+                run(0, 0),
+                run(0, 40),
+                None,
+                run(40, 0),
+                run(40, 1300),
+                run(2000, 7),
+                None,
+            ],
+            vec![run(0, 0), None, run(0, 0)],
+            Vec::new(),
+        ] {
+            let flattened: Vec<Kmer> = parts.iter().flatten().flatten().copied().collect();
+            let merged = concat_parts(parts);
+            assert_eq!(merged, flattened);
+            // Reserved once, for exactly the total: no growth step ran.
+            assert_eq!(merged.capacity(), flattened.len());
         }
     }
 

@@ -36,10 +36,15 @@ impl ExclusionPolicy {
     }
 }
 
-/// The outcome of counting: sorted distinct k-mers with their multiplicities.
+/// The outcome of counting, as two columns: the sorted distinct k-mers (the
+/// occurrence arena, compacted in place) and their multiplicities.
 #[derive(Debug, Clone, Default)]
 pub struct KmerCounts {
-    counts: Vec<(Kmer, u32)>,
+    kmers: Vec<Kmer>,
+    /// `counts[i]` is the length of `kmers[i]`'s run in the sorted arena.
+    counts: Vec<u32>,
+    /// The arena's length before compaction.
+    occurrences: u64,
 }
 
 impl KmerCounts {
@@ -47,58 +52,53 @@ impl KmerCounts {
     ///
     /// Counting is flat, like KMC itself: collect every occurrence into one
     /// dense array sized up front, `sort_unstable` it — a [`Kmer`] is one
-    /// word, so this is an integer sort — and run-length group equal runs
-    /// into `(kmer, count)` pairs. The result is identical to inserting each
-    /// occurrence into an ordered map.
+    /// word, so this is an integer sort — and compact each run of equal
+    /// k-mers in place to its first element, recording the run's length. The
+    /// result is identical to inserting each occurrence into an ordered map.
     pub fn count(reads: &ReadSet, k: usize) -> KmerCounts {
-        let mut occurrences: Vec<Kmer> = Vec::with_capacity(reads.total_kmers(k));
+        let mut kmers: Vec<Kmer> = Vec::with_capacity(reads.total_kmers(k));
         for read in reads.iter() {
-            occurrences.extend(CanonicalKmerExtractor::new(read.sequence(), k));
+            kmers.extend(CanonicalKmerExtractor::new(read.sequence(), k));
         }
-        occurrences.sort_unstable();
-        let mut counts: Vec<(Kmer, u32)> = Vec::new();
-        for kmer in occurrences {
-            match counts.last_mut() {
-                Some((last, count)) if *last == kmer => *count += 1,
-                _ => counts.push((kmer, 1)),
+        kmers.sort_unstable();
+        let occurrences = kmers.len() as u64;
+        let mut counts = Vec::with_capacity(kmers.len());
+        counts.extend(kmers.first().map(|_| 1u32));
+        kmers.dedup_by(|later, kept| {
+            if later != kept {
+                counts.push(0);
             }
+            *counts.last_mut().expect("the first run is open") += 1;
+            later == kept
+        });
+        KmerCounts {
+            kmers,
+            counts,
+            occurrences,
         }
-        KmerCounts { counts }
     }
 
-    /// Number of distinct k-mers.
-    pub fn len(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Returns `true` if no k-mers were counted.
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// The sorted `(kmer, count)` pairs.
-    pub fn entries(&self) -> &[(Kmer, u32)] {
-        &self.counts
+    /// The sorted `(kmer, count)` pairs, read off the two columns; its length
+    /// is the number of distinct k-mers.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = (Kmer, u32)> + '_ {
+        std::iter::zip(self.kmers.iter().copied(), self.counts.iter().copied())
     }
 
     /// Total k-mer occurrences (sum of counts).
     pub fn total_occurrences(&self) -> u64 {
-        self.counts.iter().map(|(_, c)| *c as u64).sum()
+        self.occurrences
     }
 
-    /// Applies an exclusion policy, returning the sorted distinct k-mers that
-    /// survive.
-    pub fn apply_exclusion(&self, policy: ExclusionPolicy) -> Vec<Kmer> {
-        self.counts
-            .iter()
-            .filter(|(_, c)| policy.keeps(*c))
-            .map(|(k, _)| *k)
-            .collect()
-    }
-
-    /// All sorted distinct k-mers (no exclusion).
-    pub fn distinct_kmers(&self) -> Vec<Kmer> {
-        self.counts.iter().map(|(k, _)| *k).collect()
+    /// Applies an exclusion policy to the k-mer column in place and returns
+    /// it: the sorted distinct k-mers that survive (all of them under the
+    /// default policy), in the arena they were counted in.
+    pub fn apply_exclusion(self, policy: ExclusionPolicy) -> Vec<Kmer> {
+        let (mut kmers, mut counts) = (self.kmers, self.counts.into_iter());
+        kmers.retain(|_| policy.keeps(counts.next().expect("one count per k-mer")));
+        // Step 2 holds this arena for the life of the job: give the slack of
+        // the repeated and the excluded occurrences back now.
+        kmers.shrink_to_fit();
+        kmers
     }
 }
 
@@ -119,48 +119,53 @@ mod tests {
     #[test]
     fn counts_are_sorted_and_complete() {
         let counts = KmerCounts::count(&reads(), 5);
-        assert!(!counts.is_empty());
-        assert!(counts.entries().windows(2).all(|w| w[0].0 < w[1].0));
-        // 3 reads × 6 k-mers each.
+        let kmers: Vec<Kmer> = counts.entries().map(|(kmer, _)| kmer).collect();
+        assert!(!kmers.is_empty());
+        assert!(kmers.windows(2).all(|w| w[0] < w[1]));
+        // 3 reads × 6 k-mers each: the arena's length is the sum of counts.
         assert_eq!(counts.total_occurrences(), 18);
+        assert_eq!(counts.entries().map(|(_, c)| u64::from(c)).sum::<u64>(), 18);
     }
 
     #[test]
     fn duplicate_reads_double_counts() {
         let counts = KmerCounts::count(&reads(), 5);
         // k-mers from the duplicated read appear at least twice.
-        let dup = counts.entries().iter().filter(|(_, c)| *c >= 2).count();
+        let dup = counts.entries().filter(|(_, c)| *c >= 2).count();
         assert!(dup > 0);
     }
 
     #[test]
     fn exclusion_policy_filters_both_ends() {
         let counts = KmerCounts::count(&reads(), 5);
-        let all = counts.distinct_kmers().len();
-        let no_rare = counts
-            .apply_exclusion(ExclusionPolicy {
-                min_count: 2,
-                max_count: None,
-            })
-            .len();
-        let no_common = counts
-            .apply_exclusion(ExclusionPolicy {
-                min_count: 1,
-                max_count: Some(2),
-            })
-            .len();
-        assert!(no_rare < all);
-        assert!(no_common <= all);
-        assert!(no_rare > 0);
+        let all = counts.entries().len();
+        // The in-place selection keeps exactly the k-mers whose count the
+        // policy keeps, in order.
+        let select = |policy: ExclusionPolicy| {
+            let kept = counts.clone().apply_exclusion(policy);
+            let expected = counts.entries().filter(|(_, c)| policy.keeps(*c));
+            assert_eq!(kept, expected.map(|(kmer, _)| kmer).collect::<Vec<_>>());
+            assert_eq!(kept.capacity(), kept.len(), "slack handed on to Step 2");
+            kept.len()
+        };
+        let no_rare = select(ExclusionPolicy {
+            min_count: 2,
+            max_count: None,
+        });
+        let no_common = select(ExclusionPolicy {
+            min_count: 1,
+            max_count: Some(1),
+        });
+        assert!(0 < no_rare && no_rare < all);
+        assert!(0 < no_common && no_common < all);
+        assert_eq!(no_rare + no_common, all);
     }
 
     #[test]
     fn default_policy_keeps_everything() {
         let counts = KmerCounts::count(&reads(), 5);
-        assert_eq!(
-            counts.apply_exclusion(ExclusionPolicy::default()).len(),
-            counts.len()
-        );
+        let all: Vec<Kmer> = counts.entries().map(|(kmer, _)| kmer).collect();
+        assert_eq!(counts.apply_exclusion(ExclusionPolicy::default()), all);
     }
 
     #[test]
