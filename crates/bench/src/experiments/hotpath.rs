@@ -4,7 +4,7 @@
 //!
 //! MegIS's premise is that Steps 2–3 run at flash-streaming bandwidth on
 //! sorted flat data (§4.3.1); the host-side reproduction must not give that
-//! back in its innermost loops. This experiment measures the five hot
+//! back in its innermost loops. This experiment measures the six hot
 //! kernels after the columnar refactor:
 //!
 //! * **intersection** — the galloping merge of
@@ -18,6 +18,11 @@
 //! * **taxID retrieval** — the one-pass cursor merge of
 //!   [`KssTables::stream_retrieve`] against the fold of one random-access
 //!   [`KssTables::lookup`] per intersecting k-mer,
+//! * **Step 2** — the device pass the engine runs, [`step2::sweep`] (one
+//!   galloping sweep counting each hit's taxa through the database-joined
+//!   KSS, a bit test and a rank per table), against the two passes it
+//!   fuses, `stream_retrieve ∘ intersect_sorted`, on the intersection
+//!   fixture,
 //! * **Step 3** — the flat unified index (one k-way merge of sorted seed
 //!   columns, dense-counter seed voting) against the old ordered map of
 //!   per-seed location lists with an ordered-map vote table per read; the
@@ -33,8 +38,9 @@
 //!
 //! `megis-bench hotpath` prints this report and writes the numbers to
 //! `BENCH_hotpath.json`. CI runs it in release mode, greps the exact
-//! verdict lines (kernel parity, KSS stream parity, unified-index parity,
-//! read-range parity, batched-probe parity, zero-copy shards) and uploads
+//! verdict lines (kernel parity, KSS stream parity, fused Step 2 parity,
+//! unified-index parity, read-range parity, batched-probe parity, zero-copy
+//! shards) and uploads
 //! the JSON, so a PR that breaks a kernel's
 //! equivalence or reintroduces a database copy fails the smoke test. The
 //! galloping speedup line is wall clock from one run: printed, not gated.
@@ -44,7 +50,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
 use megis::kss::KssTables;
-use megis::step3;
+use megis::{step2, step3};
 use megis_genomics::database::{
     ReadMapHit, ReferenceIndex, SortedKmerDatabase, UnifiedReferenceIndex,
 };
@@ -223,6 +229,16 @@ pub struct HotpathMeasurement {
     pub kss_stream_s: f64,
     /// Whether the streamed support counts equalled the per-query fold.
     pub kss_parity: bool,
+    /// Heap bytes of the KSS join over the intersection fixture's database.
+    pub step2_join_bytes: u64,
+    /// Seconds per `stream_retrieve(intersect_sorted(queries))` (best trial).
+    pub step2_two_pass_s: f64,
+    /// Seconds per fused `step2::sweep` over the same queries (best trial).
+    pub step2_fused_s: f64,
+    /// Whether the fused sweep's hit count and per-taxon support equalled
+    /// `stream_retrieve` over `intersect_sorted`, on the skewed and the
+    /// mixed query list.
+    pub step2_parity: bool,
     /// Candidate species merged in the Step 3 fixture.
     pub step3_candidates: usize,
     /// Distinct seeds of the merged unified index.
@@ -276,6 +292,11 @@ impl HotpathMeasurement {
     /// Streaming retrieval speedup over the fold of per-query lookups.
     pub fn kss_speedup(&self) -> f64 {
         self.kss_lookup_s / self.kss_stream_s
+    }
+
+    /// Fused Step 2 speedup over intersecting, then retrieving.
+    pub fn step2_speedup(&self) -> f64 {
+        self.step2_two_pass_s / self.step2_fused_s
     }
 
     /// Flat k-way merge speedup over the ordered-map merge.
@@ -379,6 +400,28 @@ impl HotpathMeasurement {
         );
         report.line(&format!("speedup: {:.2}x", self.kss_speedup()));
 
+        let per_query_ns = 1e9 / self.queries as f64;
+        report.section(&format!(
+            "Step 2 device pass ({} queries over the {}-entry database, join {:.2} MB)",
+            self.queries,
+            self.db_entries,
+            self.step2_join_bytes as f64 / 1e6
+        ));
+        report.line("two passes = intersect_sorted, then stream_retrieve over its hit list");
+        report.table_header(&["kernel", "ms/pass", "ns/query"]);
+        report.table_row(
+            "two passes",
+            &[
+                self.step2_two_pass_s * 1e3,
+                self.step2_two_pass_s * per_query_ns,
+            ],
+        );
+        report.table_row(
+            "fused sweep",
+            &[self.step2_fused_s * 1e3, self.step2_fused_s * per_query_ns],
+        );
+        report.line(&format!("speedup: {:.2}x", self.step2_speedup()));
+
         let per_read_ns = 1e9 / self.step3_reads as f64;
         report.section(&format!(
             "Step 3 unified index ({} candidates, {} seeds, {} reads, seed k = {SEED_K})",
@@ -426,6 +469,14 @@ impl HotpathMeasurement {
         report.line(&format!(
             "kss stream parity with per-query lookup: {}",
             if self.kss_parity {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
+        ));
+        report.line(&format!(
+            "step 2 fused sweep parity with retrieval of the intersection: {}",
+            if self.step2_parity {
                 "identical"
             } else {
                 "DIVERGED"
@@ -480,7 +531,10 @@ impl HotpathMeasurement {
         report.line("counting and build replace per-item ordered-map insertion with one");
         report.line("sort_unstable + run-length group over a dense array; retrieval walks each");
         report.line("flat KSS table once with a forward cursor instead of searching it per");
-        report.line("k-mer; the unified index is one k-way merge of sorted seed columns, probed");
+        report.line("k-mer, and the engine's Step 2 skips even that: the tables are joined");
+        report.line("against the database once, so the sweep that finds a hit counts its taxa");
+        report.line("with a bit test and a rank per table and returns support, not k-mers;");
+        report.line("the unified index is one k-way merge of sorted seed columns, probed");
         report.line("a batch of a read's seeds at a time and mapped with a dense counter per");
         report.line("candidate; and partitioning returns range views over one Arc-shared");
         report.line("columnar storage, so an N-shard deployment keeps a single resident copy of");
@@ -530,6 +584,13 @@ impl HotpathMeasurement {
              \x20   \"speedup\": {:.3},\n\
              \x20   \"parity\": {}\n\
              \x20 }},\n\
+             \x20 \"step2\": {{\n\
+             \x20   \"join_bytes\": {},\n\
+             \x20   \"intersect_then_retrieve_us_per_pass\": {:.3},\n\
+             \x20   \"fused_sweep_us_per_pass\": {:.3},\n\
+             \x20   \"speedup\": {:.3},\n\
+             \x20   \"parity\": {}\n\
+             \x20 }},\n\
              \x20 \"step3\": {{\n\
              \x20   \"candidates\": {},\n\
              \x20   \"seeds\": {},\n\
@@ -572,6 +633,11 @@ impl HotpathMeasurement {
             self.kss_stream_s * 1e9 / self.kss_queries as f64,
             self.kss_speedup(),
             self.kss_parity,
+            self.step2_join_bytes,
+            self.step2_two_pass_s * 1e6,
+            self.step2_fused_s * 1e6,
+            self.step2_speedup(),
+            self.step2_parity,
             self.step3_candidates,
             self.step3_seeds,
             self.step3_reads,
@@ -664,6 +730,27 @@ pub fn hotpath_measure() -> HotpathMeasurement {
     let kss_lookup_s = best_seconds(|| retrieve_by_lookup(&kss, &intersecting).len());
     let kss_stream_s = best_seconds(|| kss.stream_retrieve(&intersecting).len());
 
+    // Step 2 fixture: the intersection fixture's database and queries
+    // against the sketches of its own references — the device pass as the
+    // engine runs it, against the two passes it fuses.
+    let big_kss = KssTables::build(&SketchDatabase::build(&references, SketchConfig::small()));
+    let join = big_kss.join(&database);
+    let fused = |list: &[Kmer]| step2::sweep(&database, &join, &[list], |_, _| {}).remove(0);
+    let step2_parity = [&queries, &mixed].into_iter().all(|list| {
+        let hits = database.intersect_sorted(list);
+        let support = fused(list);
+        let expected = big_kss.stream_retrieve(&hits);
+        !expected.is_empty()
+            && support.hits == hits.len() as u64
+            && join.support_map(&support) == expected
+    });
+    let step2_two_pass_s = best_seconds(|| {
+        big_kss
+            .stream_retrieve(&database.intersect_sorted(&queries))
+            .len()
+    });
+    let step2_fused_s = best_seconds(|| fused(&queries).hits);
+
     // Step 3 fixture: every reference of the counting community as a
     // candidate (same-genus species share seeds), its reads as the mapped
     // sample.
@@ -750,6 +837,10 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         kss_lookup_s,
         kss_stream_s,
         kss_parity,
+        step2_join_bytes: join.heap_bytes(),
+        step2_two_pass_s,
+        step2_fused_s,
+        step2_parity,
         step3_candidates: candidates.len(),
         step3_seeds: flat_index.len(),
         step3_reads: reads.len(),
@@ -785,6 +876,10 @@ mod tests {
             "streamed retrieval must equal the lookup fold"
         );
         assert!(
+            m.step2_parity,
+            "the fused sweep must equal retrieval of the intersection"
+        );
+        assert!(
             m.step3_parity,
             "flat unified index and mapper must equal the map-based reference"
         );
@@ -805,6 +900,8 @@ mod tests {
         let report = m.report();
         assert!(report.contains("parity with two-pointer reference: identical"));
         assert!(report.contains("kss stream parity with per-query lookup: identical"));
+        assert!(report
+            .contains("step 2 fused sweep parity with retrieval of the intersection: identical"));
         assert!(report.contains("unified index parity with map-based reference: identical"));
         assert!(report.contains("step 3 read-range parity with sequential run: identical"));
         assert!(report.contains("batched seed probe parity with per-seed lookup: identical"));
@@ -813,6 +910,7 @@ mod tests {
         assert!(json.contains("\"bench\": \"hotpath\""));
         assert!(json.contains("\"zero_copy_confirmed\": true"));
         assert!(json.contains("\"stream_ns_per_kmer\""));
+        assert!(json.contains("\"fused_sweep_us_per_pass\""));
         assert!(json.contains("\"flat_map_ns_per_read\""));
         // The wall-clock speedup verdict is deliberately not asserted: a
         // timing ratio from one run flakes on loaded machines, here and in

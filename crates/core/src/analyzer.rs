@@ -18,7 +18,7 @@ use megis_genomics::sketch::SketchDatabase;
 use megis_tools::kmc::ExclusionPolicy;
 
 use crate::config::MegisConfig;
-use crate::kss::KssTables;
+use crate::kss::{KssJoin, KssTables, Support};
 use crate::{step1, step2, step3};
 
 /// Result of one end-to-end functional analysis.
@@ -43,17 +43,21 @@ pub struct MegisAnalyzer {
     database: SortedKmerDatabase,
     sketches: SketchDatabase,
     kss: KssTables,
+    /// `kss` joined against `database`: what Step 2 retrieves taxIDs through.
+    join: KssJoin,
     reference_indexes: Vec<ReferenceIndex>,
     exclusion: ExclusionPolicy,
 }
 
 impl MegisAnalyzer {
-    /// Builds all databases (sorted k-mer database, sketches, KSS tables, and
-    /// per-species mapping indexes) from a reference collection.
+    /// Builds all databases (sorted k-mer database, sketches, KSS tables and
+    /// their join against the database, and per-species mapping indexes) from
+    /// a reference collection.
     pub fn build(references: &ReferenceCollection, config: MegisConfig) -> MegisAnalyzer {
         let database = SortedKmerDatabase::build(references, config.k());
         let sketches = SketchDatabase::build(references, config.sketch);
         let kss = KssTables::build(&sketches);
+        let join = kss.join(&database);
         let reference_indexes = references
             .genomes()
             .iter()
@@ -64,6 +68,7 @@ impl MegisAnalyzer {
             database,
             sketches,
             kss,
+            join,
             reference_indexes,
             exclusion: ExclusionPolicy::default(),
         }
@@ -82,6 +87,12 @@ impl MegisAnalyzer {
     /// The KSS tables.
     pub fn kss(&self) -> &KssTables {
         &self.kss
+    }
+
+    /// The KSS tables joined against the database: Step 2's retrieval
+    /// structure, indexed by database position.
+    pub fn join(&self) -> &KssJoin {
+        &self.join
     }
 
     /// The logical sketch content.
@@ -120,24 +131,27 @@ impl MegisAnalyzer {
     }
 
     /// Runs Step 2 (in-SSD candidate finding) over a Step 1 output, against
-    /// the analyzer's own (unsharded) database.
+    /// the analyzer's own (unsharded) database: the one-shard case of the
+    /// device pass [`step2::sweep`] the sharded scheduler runs per shard.
     pub fn run_step2(&self, step1: &step1::Step1Output) -> step2::Step2Output {
         step2::run(
             step1,
             &self.database,
-            &self.kss,
+            &self.join,
             &self.sketches,
             &self.config,
         )
     }
 
-    /// Completes Step 2 from an intersection computed out-of-band (e.g. the
-    /// shard-order merge of per-SSD intersections).
-    pub fn step2_from_intersection(
-        &self,
-        intersecting_kmers: Vec<megis_genomics::kmer::Kmer>,
-    ) -> step2::Step2Output {
-        step2::from_intersection(intersecting_kmers, &self.kss, &self.sketches, &self.config)
+    /// Calls presence from a sample's Step 2 support, folded over every
+    /// shard's [`step2::sweep`] — what is left of Step 2 once the devices
+    /// have reported.
+    pub fn call_presence(&self, support: &Support) -> PresenceResult {
+        self.sketches.presence_from_support(
+            &self.join.support_map(support),
+            self.config.min_containment,
+            self.config.min_support,
+        )
     }
 
     /// Positions (within [`MegisAnalyzer::reference_indexes`]) of the

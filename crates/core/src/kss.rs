@@ -24,7 +24,7 @@
 //! of k-mer payloads — plain integers, since k is fixed per table and integer
 //! order of equal-length payloads is lexicographic order — plus a CSR
 //! `offsets`/`taxa` arena of taxon indexes into one shared sorted taxID list.
-//! Two things exist in memory only and are not charged by
+//! Two things of the tables exist in memory only and are not charged by
 //! [`KssTables::size_bytes`], which prices the on-storage format above:
 //!
 //! * the k-mer column of every smaller-k table (on storage it is implied by
@@ -38,9 +38,27 @@
 //! [`KssTables::stream_retrieve`] is then one forward pass: a cursor per
 //! table that only advances, O(|queries| + |KSS|) worst case and
 //! O(|queries| · log gap) when the queries are sparse.
+//!
+//! # The database join
+//!
+//! Step 2 only ever retrieves taxIDs for *intersecting* k-mers, and those
+//! are database entries: which table keys their prefixes match is a
+//! property of the database, not of the sample. [`KssTables::join`] settles
+//! it once ([`KssJoin`]: per table two bits per database position with a
+//! rank directory, plus the resolved taxa of the keys reached), after which
+//! retrieval for a hit is a bit test and a rank per table inside the very
+//! sweep that found the hit ([`crate::step2::sweep`]) — no cursor, no
+//! search, no hit list. The join is a third memory-only structure:
+//! [`KssTables::size_bytes`] does not charge it because it is derived data
+//! a device recomputes from the two sorted streams it reads anyway (the
+//! database and the KSS tables, whose on-storage format is what
+//! `size_bytes` prices). `stream_retrieve` and `lookup` remain, as the
+//! independent oracles the join is tested against and the retrieval for
+//! k-mers that are not database positions.
 
 use std::collections::HashMap;
 
+use megis_genomics::database::SortedKmerDatabase;
 use megis_genomics::kmer::Kmer;
 use megis_genomics::sketch::SketchDatabase;
 use megis_genomics::taxonomy::TaxId;
@@ -269,12 +287,255 @@ impl KssTables {
                 }
             }
         }
-        self.taxa
+        support_map(&self.taxa, &counts)
+    }
+
+    /// Joins the tables against `database` (see [`KssJoin`]): one forward
+    /// walk of the database per table, done once when the databases are
+    /// built so that no retrieval ever searches a key column again.
+    pub fn join(&self, database: &SortedKmerDatabase) -> KssJoin {
+        let kmers = database.kmer_slice();
+        let tables = self
+            .tables
             .iter()
-            .zip(counts)
-            .filter(|(_, count)| *count > 0)
-            .map(|(taxid, count)| (*taxid, count))
-            .collect()
+            // A table of longer k-mers than the database holds has no prefix
+            // to match: `lookup` skips it for every entry, so the join does.
+            .filter(|table| table.k <= database.k())
+            .map(|table| {
+                let mut joined = JoinedTable {
+                    words: vec![JoinWord::default(); kmers.len().div_ceil(64)],
+                    offsets: vec![0],
+                    taxa: Vec::new(),
+                };
+                // The entries' length-k prefixes ascend with the table's
+                // keys, so one cursor that only advances finds every match.
+                let mut cursor = 0;
+                let mut run_key = None;
+                for (position, kmer) in kmers.iter().enumerate() {
+                    let (word, bit) = (position / 64, 1u64 << (position % 64));
+                    if position % 64 == 0 {
+                        joined.words[word].rank = joined.rows() as u32;
+                    }
+                    let Some(prefix) = table.prefix_of(*kmer) else {
+                        continue;
+                    };
+                    while table.kmers.get(cursor).is_some_and(|key| *key < prefix) {
+                        cursor += 1;
+                    }
+                    if table.kmers.get(cursor) != Some(&prefix) {
+                        continue;
+                    }
+                    joined.words[word].member |= bit;
+                    if run_key != Some(prefix) {
+                        run_key = Some(prefix);
+                        joined.words[word].first |= bit;
+                        joined.taxa.extend_from_slice(table.taxa_of(cursor));
+                        let end = u32::try_from(joined.taxa.len())
+                            .expect("a KSS table holds under 2^32 taxIDs");
+                        joined.offsets.push(end);
+                    }
+                }
+                joined
+            })
+            .collect();
+        KssJoin {
+            database: database.clone(),
+            taxa: self.taxa.clone(),
+            tables,
+        }
+    }
+}
+
+/// Per-taxon support counts as the map Step 2 reports: the taxa with a
+/// nonzero count.
+fn support_map(taxa: &[TaxId], counts: &[u32]) -> HashMap<TaxId, u32> {
+    taxa.iter()
+        .zip(counts)
+        .filter(|(_, count)| **count > 0)
+        .map(|(taxid, count)| (*taxid, *count))
+        .collect()
+}
+
+/// 64 database positions of one [`JoinedTable`], kept together so a hit
+/// touches one cache line per table.
+#[derive(Debug, Clone, Copy, Default)]
+struct JoinWord {
+    /// Bit `i`: the entry's length-k prefix is a key of the table.
+    member: u64,
+    /// Bit `i`: a member, and the first entry of the run sharing its key.
+    first: u64,
+    /// `first` bits set in all earlier words (the rank directory).
+    rank: u32,
+}
+
+/// One KSS table joined against the database.
+#[derive(Debug, Clone, Default)]
+struct JoinedTable {
+    /// One word per 64 database positions.
+    words: Vec<JoinWord>,
+    /// The table's resolved-taxa CSR compacted to the keys some database
+    /// entry reaches, in key order: row `r` is the `r`-th `first` bit's.
+    offsets: Vec<u32>,
+    taxa: Vec<u32>,
+}
+
+impl JoinedTable {
+    fn rows(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The resolved taxon indexes the entry at `position` matches in this
+    /// table: one bit test, and for a member one rank into the CSR.
+    #[inline]
+    fn taxa_at(&self, position: usize) -> &[u32] {
+        let word = &self.words[position / 64];
+        let bit = 1u64 << (position % 64);
+        if word.member & bit == 0 {
+            return &[];
+        }
+        // The run's first entry is at or before `position`, so the rank is
+        // at least 1.
+        let row = (word.rank + (word.first & (bit | (bit - 1))).count_ones() - 1) as usize;
+        &self.taxa[self.offsets[row] as usize..self.offsets[row + 1] as usize]
+    }
+}
+
+/// The KSS tables joined against the sorted k-mer database.
+///
+/// Every intersecting k-mer is by definition a database entry, so which
+/// table keys an entry's prefixes match can be settled when the databases
+/// are built instead of searched for per hit. Per table the join keeps two
+/// bits per database position — *member* (the entry's length-k prefix is a
+/// key of the table) and *first* (first entry of the run sharing that key) —
+/// with a per-word rank directory, plus the table's resolved taxa compacted
+/// to the keys some entry reaches. TaxID retrieval for the hit at position
+/// `p` is then, per table, one bit test and, for a member,
+/// `rank(first, p) - 1` into that CSR: no key column is searched or loaded.
+///
+/// The join exists in memory only (about 2 bits plus the rank words per
+/// database entry per table) and is not charged by
+/// [`KssTables::size_bytes`], which prices the on-storage KSS format: a
+/// device derives the same bits from the two sorted streams it already
+/// reads. [`KssTables::stream_retrieve`] and [`KssTables::lookup`] stay the
+/// independent oracles it is tested against.
+#[derive(Debug, Clone)]
+pub struct KssJoin {
+    /// The view the bit positions index (a handle on its shared storage).
+    database: SortedKmerDatabase,
+    /// Every taxon of the sketch, ascending; what [`Support::counts`] and
+    /// the tables' taxon indexes index.
+    taxa: Vec<TaxId>,
+    /// One joined table per k size the database's k-mers have a prefix of.
+    tables: Vec<JoinedTable>,
+}
+
+impl KssJoin {
+    /// Heap bytes the join holds (bit words, rank directory, compacted taxa).
+    pub fn heap_bytes(&self) -> u64 {
+        let table_bytes = |t: &JoinedTable| {
+            t.words.len() * std::mem::size_of::<JoinWord>() + 4 * (t.offsets.len() + t.taxa.len())
+        };
+        self.tables.iter().map(table_bytes).sum::<usize>() as u64
+    }
+
+    /// A zeroed counter over positions of `view`, which must be a view of
+    /// the joined database's storage inside the joined range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `view` is not such a view: positions of another database
+    /// would index the join's bits without meaning anything.
+    pub(crate) fn counter(&self, view: &SortedKmerDatabase) -> SupportCounter<'_> {
+        let joined =
+            self.database.storage_offset()..self.database.storage_offset() + self.database.len();
+        assert!(
+            view.shares_storage_with(&self.database)
+                && joined.start <= view.storage_offset()
+                && view.storage_offset() + view.len() <= joined.end,
+            "the view is not a range of the database the KSS tables were joined against"
+        );
+        SupportCounter {
+            join: self,
+            base: view.storage_offset() - joined.start,
+            support: Support {
+                hits: 0,
+                counts: vec![0; self.taxa.len()],
+            },
+            counted_by: vec![0; self.taxa.len()],
+        }
+    }
+
+    /// The support as the per-taxon map [`KssTables::stream_retrieve`]
+    /// returns for the same hits.
+    pub fn support_map(&self, support: &Support) -> HashMap<TaxId, u32> {
+        support_map(&self.taxa, &support.counts)
+    }
+}
+
+/// What Step 2 reports for one query slice against one database range: how
+/// many of the queries intersected, and the sketch-match support they lend
+/// each taxon. Supports over disjoint query slices add.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Support {
+    /// Intersecting k-mers.
+    pub hits: u64,
+    /// Support per taxon of the sketch, in ascending taxID order
+    /// ([`KssJoin::support_map`] names them); empty while nothing has been
+    /// folded in.
+    pub counts: Vec<u32>,
+}
+
+impl Support {
+    /// Adds the support of a disjoint query slice.
+    pub fn fold(&mut self, other: Support) {
+        self.hits += other.hits;
+        if self.counts.is_empty() {
+            self.counts = other.counts;
+        } else {
+            assert_eq!(
+                self.counts.len(),
+                other.counts.len(),
+                "supports of different sketches"
+            );
+            for (sum, count) in self.counts.iter_mut().zip(other.counts) {
+                *sum += count;
+            }
+        }
+    }
+}
+
+/// Counts the support of hits reported by position, one
+/// [`SupportCounter::count`] per distinct hit.
+#[derive(Debug)]
+pub(crate) struct SupportCounter<'a> {
+    join: &'a KssJoin,
+    /// Offset of the counted view inside the joined database.
+    base: usize,
+    support: Support,
+    /// The ordinal (from 1) of the last hit that counted each taxon: a taxon
+    /// matched in several tables counts once per hit.
+    counted_by: Vec<u64>,
+}
+
+impl SupportCounter<'_> {
+    /// Counts the hit at `position` of the counted view.
+    #[inline]
+    pub(crate) fn count(&mut self, position: usize) {
+        self.support.hits += 1;
+        let ordinal = self.support.hits;
+        for table in &self.join.tables {
+            for &taxon in table.taxa_at(self.base + position) {
+                if self.counted_by[taxon as usize] != ordinal {
+                    self.counted_by[taxon as usize] = ordinal;
+                    self.support.counts[taxon as usize] += 1;
+                }
+            }
+        }
+    }
+
+    /// The support counted so far.
+    pub(crate) fn finish(self) -> Support {
+        self.support
     }
 }
 

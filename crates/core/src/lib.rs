@@ -17,8 +17,9 @@
 //!    intersection of the sorted query k-mers with the sorted k-mer database
 //!    read from all flash channels, followed by taxID retrieval through
 //!    *K-mer Sketch Streaming* ([`kss`]), MegIS's pointer-chase-free sketch
-//!    representation: one forward merge pass, O(|intersection| + |KSS|),
-//!    then presence calling in O(supported taxa).
+//!    representation, joined against the database once so that retrieval is
+//!    a bit test and a rank per hit inside the same sweep; then presence
+//!    calling in O(supported taxa).
 //! 3. **Step 3 — abundance estimation support (in-SSD + accelerator/host)**
 //!    ([`step3`]): in-SSD generation of a unified reference index over the
 //!    candidate species, handed to a read mapper.
@@ -63,11 +64,12 @@
 //!
 //! The `megis-sched` crate turns both ideas into a running engine: a
 //! `BatchEngine` accepts many samples (FIFO or priority admission), executes
-//! Step 1 on a pool of host worker threads, shards intersection finding
-//! across per-SSD workers, and completes Steps 2–3 through the step-level
-//! entry points on [`MegisAnalyzer`] ([`MegisAnalyzer::run_step1`],
-//! [`MegisAnalyzer::step2_from_intersection`],
-//! [`MegisAnalyzer::run_step3`]). Results are byte-identical to calling
+//! Step 1 on a pool of host worker threads, runs Step 2's device pass
+//! ([`step2::sweep`]: intersection finding fused with taxID retrieval) per
+//! database shard on per-SSD workers, and maps Step 3's reads on the same
+//! devices — the step-level entry points on [`MegisAnalyzer`]
+//! ([`MegisAnalyzer::run_step1`], [`MegisAnalyzer::call_presence`],
+//! [`MegisAnalyzer::unified_index`]). Results are byte-identical to calling
 //! [`MegisAnalyzer::analyze`] per sample — at any worker or shard count —
 //! while the engine reports per-job latency percentiles, batch throughput,
 //! per-shard utilization, and a modeled-time account cross-checked against
@@ -91,6 +93,6 @@ pub mod variants;
 
 pub use analyzer::{MegisAnalyzer, MegisOutput};
 pub use config::MegisConfig;
-pub use kss::KssTables;
+pub use kss::{KssJoin, KssTables};
 pub use pipeline::MegisTimingModel;
 pub use variants::MegisVariant;

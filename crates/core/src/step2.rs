@@ -2,14 +2,20 @@
 //!
 //! For every query bucket arriving from the host, the per-channel Intersect
 //! units compare the sorted query k-mers against the sorted database k-mers
-//! streaming out of the flash channels, recording the intersection in the
-//! internal DRAM (§4.3.1). The intersecting k-mers are then matched against
-//! the K-mer Sketch Streaming tables to retrieve their taxIDs (§4.3.2), and
-//! the taxIDs of the candidate species are sent to the host. Retrieval is
-//! one forward merge pass over the intersection and the flat KSS tables —
-//! O(|intersection| + |KSS|), no search per k-mer — and presence calling
-//! reads each supported taxon's sketch size, counted when the sketch was
-//! built: O(supported taxa).
+//! streaming out of the flash channels (§4.3.1). The intersecting k-mers are
+//! then matched against the K-mer Sketch Streaming tables to retrieve their
+//! taxIDs (§4.3.2), and only the taxIDs of the candidate species are sent to
+//! the host: the step is in-SSD from end to end.
+//!
+//! [`sweep`] is that device pass, and the only Step 2 path: one galloping
+//! sweep of a database range that, per hit, counts the taxa the hit supports
+//! through the database-joined KSS ([`crate::kss::KssJoin`]: a bit test and
+//! a rank per table, no search) and returns per-taxon [`Support`] — never
+//! the intersecting k-mers. Supports over disjoint query slices add, so the
+//! sharded scheduler in `megis-sched` runs [`sweep`] per shard and sums,
+//! and [`run`] is the one-shard case. Presence calling then reads each
+//! supported taxon's sketch size, counted when the sketch was built:
+//! O(supported taxa).
 //!
 //! This module is the functional implementation; its results are identical to
 //! the S-Qry baseline's by construction (same database, same sketch content,
@@ -25,7 +31,7 @@ use megis_genomics::sketch::SketchDatabase;
 use megis_genomics::taxonomy::TaxId;
 
 use crate::config::MegisConfig;
-use crate::kss::KssTables;
+use crate::kss::{KssJoin, Support, SupportCounter};
 use crate::step1::Step1Output;
 
 /// Output of Step 2.
@@ -46,46 +52,54 @@ impl Step2Output {
     }
 }
 
-/// Runs Step 2 over the buckets produced by Step 1.
+/// The device pass of Step 2 over one database range: intersects every
+/// member's sorted query slice with `view` in a single sweep and counts,
+/// per member, the support its hits lend each taxon — intersection finding
+/// and taxID retrieval fused, so nothing per hit outlives the pass.
+/// `on_hit(member, position in view)` additionally sees each hit, for a
+/// caller that wants the k-mers themselves.
 ///
-/// Buckets are processed in order; because both the queries and the database
-/// are sorted, each bucket's intersection is independent and the final result
-/// equals a single global intersection.
-pub fn run(
-    step1: &Step1Output,
-    database: &SortedKmerDatabase,
-    kss: &KssTables,
-    sketches: &SketchDatabase,
-    config: &MegisConfig,
-) -> Step2Output {
-    let mut intersecting = Vec::new();
-    for bucket in step1.buckets().filter(|bucket| !bucket.is_empty()) {
-        // Intersection finding on this bucket's lexicographic range.
-        intersecting.extend(database.intersect_sorted(bucket));
-    }
-    from_intersection(intersecting, kss, sketches, config)
-}
-
-/// Completes Step 2 from a precomputed (sorted, deduplicated) intersection:
-/// taxID retrieval through the KSS tables followed by presence calling.
-///
-/// This is the entry point used when intersection finding ran out-of-band —
-/// e.g. per database shard across several SSDs, as the batch scheduler in
-/// `megis-sched` does. Because retrieval support counts are additive over
-/// disjoint sorted query subsets, the result is identical to [`run`] on the
-/// unsharded database.
+/// Returns one [`Support`] per member, in member order; each equals
+/// `join`'s map of `KssTables::stream_retrieve(view.intersect_sorted(member))`
+/// (the property suite asserts it).
 ///
 /// # Panics
 ///
-/// Panics (in debug builds) if `intersecting_kmers` is not strictly sorted.
-pub fn from_intersection(
-    intersecting_kmers: Vec<Kmer>,
-    kss: &KssTables,
+/// Panics if `view` is not a range of the database `join` was built over,
+/// and (in debug builds) if a member slice is not sorted.
+pub fn sweep(
+    view: &SortedKmerDatabase,
+    join: &KssJoin,
+    members: &[&[Kmer]],
+    mut on_hit: impl FnMut(usize, usize),
+) -> Vec<Support> {
+    let mut counters: Vec<SupportCounter<'_>> =
+        members.iter().map(|_| join.counter(view)).collect();
+    view.hit_positions_multi(members, |member, position| {
+        counters[member].count(position);
+        on_hit(member, position);
+    });
+    counters.into_iter().map(SupportCounter::finish).collect()
+}
+
+/// Runs Step 2 over the buckets produced by Step 1: the one-shard case of
+/// [`sweep`], over the whole database.
+///
+/// Step 1's buckets are consecutive ranges of one sorted arena, so sweeping
+/// the arena once equals intersecting bucket after bucket and concatenating.
+pub fn run(
+    step1: &Step1Output,
+    database: &SortedKmerDatabase,
+    join: &KssJoin,
     sketches: &SketchDatabase,
     config: &MegisConfig,
 ) -> Step2Output {
-    debug_assert!(intersecting_kmers.windows(2).all(|w| w[0] < w[1]));
-    let support: HashMap<TaxId, u32> = kss.stream_retrieve(&intersecting_kmers);
+    let entries = database.kmer_slice();
+    let mut intersecting_kmers = Vec::new();
+    let mut supports = sweep(database, join, &[step1.kmers()], |_, position| {
+        intersecting_kmers.push(entries[position]);
+    });
+    let support = join.support_map(&supports.pop().expect("one member, one support"));
     let presence =
         sketches.presence_from_support(&support, config.min_containment, config.min_support);
     Step2Output {
@@ -98,6 +112,7 @@ pub fn from_intersection(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kss::KssTables;
     use megis_genomics::reference::ReferenceCollection;
     use megis_genomics::sample::{CommunityConfig, Diversity};
     use megis_tools::kmc::ExclusionPolicy;
@@ -107,6 +122,7 @@ mod tests {
         database: SortedKmerDatabase,
         sketches: SketchDatabase,
         kss: KssTables,
+        join: KssJoin,
         config: MegisConfig,
     }
 
@@ -119,11 +135,13 @@ mod tests {
         let database = SortedKmerDatabase::build(community.references(), config.k());
         let sketches = SketchDatabase::build(community.references(), config.sketch);
         let kss = KssTables::build(&sketches);
+        let join = kss.join(&database);
         Fixture {
             community,
             database,
             sketches,
             kss,
+            join,
             config,
         }
     }
@@ -136,7 +154,7 @@ mod tests {
             &f.config,
             ExclusionPolicy::default(),
         );
-        let out = run(&step1, &f.database, &f.kss, &f.sketches, &f.config);
+        let out = run(&step1, &f.database, &f.join, &f.sketches, &f.config);
         assert!(!out.intersecting_kmers.is_empty());
         for t in f.community.truth_presence().taxa() {
             assert!(out.presence.contains(*t), "true species {t} not recovered");
@@ -152,10 +170,18 @@ mod tests {
                 &f.config.with_bucket_count(bucket_count),
                 ExclusionPolicy::default(),
             );
-            let out = run(&step1, &f.database, &f.kss, &f.sketches, &f.config);
+            let out = run(&step1, &f.database, &f.join, &f.sketches, &f.config);
             let global = f.database.intersect_sorted(step1.kmers());
             assert!(!global.is_empty());
             assert_eq!(out.intersecting_kmers, global, "{bucket_count} buckets");
+            // The one sweep of the arena is the bucket-by-bucket pass.
+            let bucketed: Vec<Kmer> = step1
+                .buckets()
+                .flat_map(|bucket| f.database.intersect_sorted(bucket))
+                .collect();
+            assert_eq!(out.intersecting_kmers, bucketed, "{bucket_count} buckets");
+            // And the fused support is the streaming oracle's over those hits.
+            assert_eq!(out.support, f.kss.stream_retrieve(&global));
         }
     }
 
@@ -173,8 +199,8 @@ mod tests {
             &f.config.with_bucket_count(64),
             ExclusionPolicy::default(),
         );
-        let out_few = run(&few, &f.database, &f.kss, &f.sketches, &f.config);
-        let out_many = run(&many, &f.database, &f.kss, &f.sketches, &f.config);
+        let out_few = run(&few, &f.database, &f.join, &f.sketches, &f.config);
+        let out_many = run(&many, &f.database, &f.join, &f.sketches, &f.config);
         assert_eq!(out_few.presence, out_many.presence);
         assert_eq!(out_few.support, out_many.support);
     }
@@ -194,7 +220,7 @@ mod tests {
             &f.config,
             ExclusionPolicy::default(),
         );
-        let out = run(&step1, &f.database, &f.kss, &f.sketches, &f.config);
+        let out = run(&step1, &f.database, &f.join, &f.sketches, &f.config);
         // The foreign genomes share no backbone with the fixture references,
         // so no species should be confidently reported.
         assert!(

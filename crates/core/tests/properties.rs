@@ -282,6 +282,139 @@ fn kss_stream_equals_lookup_fold_tree_and_flat_on_any_query_mix() {
 }
 
 #[test]
+fn fused_sweep_equals_stream_retrieve_of_the_intersection_on_any_sketch_shape() {
+    // The database-joined KSS against its oracle: for every sketch shape and
+    // query mix, the support the fused sweep counts by position equals
+    // `stream_retrieve` over the intersecting k-mers, per taxon, and the
+    // positions it reports are those k-mers.
+    let sketch = |k_max, k_min, k_step, fraction| SketchConfig {
+        k_max,
+        k_min,
+        k_step,
+        fraction,
+    };
+    let shapes = [
+        ("small", 31, SketchConfig::small()),
+        ("k_max alone (zero step)", 31, sketch(31, 21, 0, 0.3)),
+        ("no table (k_min > k_max)", 31, sketch(21, 31, 5, 0.3)),
+        ("nothing selected", 31, sketch(31, 21, 5, 0.0)),
+        ("everything selected", 31, sketch(31, 21, 5, 1.0)),
+        (
+            "tables longer than the database's k-mers",
+            26,
+            sketch(31, 21, 5, 0.5),
+        ),
+        ("dense steps", 24, sketch(24, 1, 4, 0.4)),
+    ];
+    let mut rng = StdRng::seed_from_u64(211);
+    let (mut supported, mut members) = (0u64, 0u64);
+    for (shape, (label, db_k, config)) in shapes.into_iter().enumerate() {
+        // One genome shorter than every k: it contributes to no structure.
+        let mut refs = ReferenceCollection::synthetic(9, 400, 7100 + shape as u64);
+        let stub = ReferenceGenome::new(
+            TaxId(999_999),
+            "stub",
+            PackedSequence::from_ascii(b"ACGTTGCA").unwrap(),
+        );
+        refs = ReferenceCollection::new(
+            refs.genomes().iter().cloned().chain([stub]).collect(),
+            refs.taxonomy().clone(),
+        );
+        let database = SortedKmerDatabase::build(&refs, db_k);
+        let sketches = SketchDatabase::build(&refs, config);
+        let kss = KssTables::build(&sketches);
+        let join = kss.join(&database);
+        assert!(
+            join.heap_bytes() > 0 || sketches.k_sizes().is_empty(),
+            "{label}"
+        );
+        let entries = database.kmer_slice();
+        for mix in 0..10 {
+            let mut queries: Vec<Kmer> = Vec::new();
+            if mix > 0 {
+                // Hits (most of them in no table), misses, and repeats.
+                for _ in 0..rng.gen_range(0..300usize) {
+                    queries.push(entries[rng.gen_range(0..entries.len())]);
+                }
+                queries.extend(random_kmers(&mut rng, 120, db_k));
+                let repeats: Vec<Kmer> = queries
+                    .iter()
+                    .take(rng.gen_range(0..40usize))
+                    .copied()
+                    .collect();
+                queries.extend(repeats);
+            }
+            if mix == 9 {
+                queries = entries.to_vec();
+            }
+            queries.sort();
+            let intersection = database.intersect_sorted(&queries);
+            let expected = kss.stream_retrieve(&intersection);
+            let mut seen = Vec::new();
+            let supports = megis::step2::sweep(&database, &join, &[&queries], |member, p| {
+                assert_eq!(member, 0);
+                seen.push(entries[p]);
+            });
+            assert_eq!(supports.len(), 1);
+            assert_eq!(seen, intersection, "{label}/{mix}");
+            assert_eq!(supports[0].hits, intersection.len() as u64, "{label}/{mix}");
+            assert_eq!(join.support_map(&supports[0]), expected, "{label}/{mix}");
+            assert_eq!(expected, fold_support(&intersection, |q| kss.lookup(q)));
+            supported += expected.values().map(|c| u64::from(*c)).sum::<u64>();
+
+            // Cut anywhere, the slices' supports add up to the whole: in one
+            // multi-member sweep, and as separate sweeps of sub-views.
+            let cut = rng.gen_range(0..=queries.len());
+            let halves = [&queries[..cut], &queries[cut..]];
+            let mut folded = megis::kss::Support::default();
+            for (half, support) in
+                halves
+                    .iter()
+                    .zip(megis::step2::sweep(&database, &join, &halves, |_, _| {}))
+            {
+                // A repeat straddling the cut hits once on each side.
+                let alone = kss.stream_retrieve(&database.intersect_sorted(half));
+                assert_eq!(join.support_map(&support), alone, "{label}/{mix} member");
+                members += support.hits;
+                folded.fold(support);
+            }
+            if cut == 0 || cut == queries.len() || queries[cut - 1] != queries[cut] {
+                assert_eq!(
+                    join.support_map(&folded),
+                    expected,
+                    "{label}/{mix} cut {cut}"
+                );
+                assert_eq!(folded.hits, intersection.len() as u64);
+            }
+            let parts = rng.gen_range(1..=9usize);
+            let mut folded = megis::kss::Support::default();
+            for view in database.partition(parts) {
+                let slice = &queries[view.overlapping_query_range(&queries)];
+                folded.fold(megis::step2::sweep(&view, &join, &[slice], |_, _| {}).remove(0));
+            }
+            assert_eq!(
+                join.support_map(&folded),
+                expected,
+                "{label}/{mix} {parts} views"
+            );
+            assert_eq!(folded.hits, intersection.len() as u64);
+        }
+    }
+    assert!(supported > 1000 && members > 1000, "{supported} {members}");
+}
+
+#[test]
+#[should_panic(expected = "not a range of the database")]
+fn a_view_of_another_database_cannot_be_counted_through_the_join() {
+    let refs = ReferenceCollection::synthetic(4, 300, 1);
+    let sketches = SketchDatabase::build(&refs, SketchConfig::small());
+    let join = KssTables::build(&sketches).join(&SortedKmerDatabase::build(&refs, 31));
+    // Same content, another allocation: its positions mean nothing here.
+    let other = SortedKmerDatabase::build(&refs, 31);
+    megis::step2::sweep(&other, &join, &[other.kmer_slice()], |_, _| {});
+}
+
+#[test]
 fn kmer_counts_equal_an_ordered_map_counter() {
     use megis_genomics::kmer::KmerExtractor;
     use megis_tools::kmc::{ExclusionPolicy, KmerCounts};

@@ -344,6 +344,13 @@ impl SortedKmerDatabase {
         Arc::ptr_eq(&self.storage, &other.storage)
     }
 
+    /// Position of this view's first entry within the shared storage: what
+    /// turns a view-relative position into one that means the same entry in
+    /// every view of the storage.
+    pub fn storage_offset(&self) -> usize {
+        self.range.start
+    }
+
     /// Borrowed view of entry `index` (relative to this view).
     ///
     /// # Panics
@@ -458,11 +465,31 @@ impl SortedKmerDatabase {
     ///
     /// Panics (in debug builds) if `sorted_queries` is not sorted.
     pub fn intersect_sorted(&self, sorted_queries: &[Kmer]) -> Vec<Kmer> {
-        debug_assert!(sorted_queries.windows(2).all(|w| w[0] <= w[1]));
         let db = self.kmer_slice();
         let mut out = Vec::new();
+        self.hit_positions(sorted_queries, |position| out.push(db[position]));
+        out
+    }
+
+    /// The sweep behind [`SortedKmerDatabase::intersect_sorted`], reporting
+    /// each intersecting k-mer's *position* in this view (ascending, once
+    /// per distinct k-mer however often the queries repeat it) instead of
+    /// collecting the k-mers: what a caller holding per-position side data —
+    /// the KSS join of the `megis` crate — consumes without ever
+    /// materializing the hit list. Add
+    /// [`SortedKmerDatabase::storage_offset`] for the position in the shared
+    /// storage.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if `sorted_queries` is not sorted.
+    pub fn hit_positions(&self, sorted_queries: &[Kmer], mut on_hit: impl FnMut(usize)) {
+        debug_assert!(sorted_queries.windows(2).all(|w| w[0] <= w[1]));
+        let db = self.kmer_slice();
         let mut qi = 0;
         let mut di = 0;
+        // The last position reported: a repeated query hits it again.
+        let mut reported = usize::MAX;
         // Hints: the previous advance distance on each side. Skip distances
         // are locally similar (a query stream hitting every ~g-th database
         // entry produces gaps around g), so probing the hinted offset first
@@ -475,8 +502,9 @@ impl SortedKmerDatabase {
             let d = db[di];
             match q.cmp(&d) {
                 std::cmp::Ordering::Equal => {
-                    if out.last() != Some(&q) {
-                        out.push(q);
+                    if reported != di {
+                        reported = di;
+                        on_hit(di);
                     }
                     qi += 1;
                 }
@@ -492,7 +520,6 @@ impl SortedKmerDatabase {
                 }
             }
         }
-        out
     }
 
     /// One galloping sweep over this database serving several sorted query
@@ -517,11 +544,29 @@ impl SortedKmerDatabase {
     ///
     /// Panics (in debug builds) if any member slice is not sorted.
     pub fn intersect_sorted_multi(&self, members: &[&[Kmer]]) -> Vec<Vec<Kmer>> {
+        let db = self.kmer_slice();
+        let mut outs: Vec<Vec<Kmer>> = members.iter().map(|_| Vec::new()).collect();
+        self.hit_positions_multi(members, |member, position| outs[member].push(db[position]));
+        outs
+    }
+
+    /// The sweep behind [`SortedKmerDatabase::intersect_sorted_multi`],
+    /// reporting `(member, position in this view)` per hit — for each member
+    /// exactly the positions [`SortedKmerDatabase::hit_positions`] reports
+    /// for it alone, interleaved across members in ascending position order.
+    /// A single member *is* that plain sweep.
+    ///
+    /// # Panics
+    ///
+    /// Panics (in debug builds) if any member slice is not sorted.
+    pub fn hit_positions_multi(&self, members: &[&[Kmer]], mut on_hit: impl FnMut(usize, usize)) {
+        if let [only] = members {
+            return self.hit_positions(only, |position| on_hit(0, position));
+        }
         for m in members {
             debug_assert!(m.windows(2).all(|w| w[0] <= w[1]));
         }
         let db = self.kmer_slice();
-        let mut outs: Vec<Vec<Kmer>> = members.iter().map(|_| Vec::new()).collect();
         let mut cursors = vec![0usize; members.len()];
         let mut di = 0usize;
         let mut db_hint = 1usize;
@@ -549,18 +594,17 @@ impl SortedKmerDatabase {
             let present = di < db.len() && db[di] == q;
             // Demultiplex: every member sitting on q consumes it (and any
             // duplicates) and records the hit if the database holds it.
-            for ((c, m), out) in cursors.iter_mut().zip(members).zip(&mut outs) {
+            for (member, (c, m)) in cursors.iter_mut().zip(members).enumerate() {
                 if m.get(*c) == Some(&q) {
                     while m.get(*c) == Some(&q) {
                         *c += 1;
                     }
                     if present {
-                        out.push(q);
+                        on_hit(member, di);
                     }
                 }
             }
         }
-        outs
     }
 
     /// The element-at-a-time two-pointer merge — exactly the access pattern

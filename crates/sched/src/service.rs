@@ -13,10 +13,11 @@
 //! **The in-SSD stage: tagged command queues with bounded depth, serving
 //! both Steps 2 and 3.** The stage runs as two threads around one
 //! `ShardWorker` (see [`crate::shard`]) per database shard; each worker's queue
-//! carries commands of *two kinds* — Step 2 intersections and Step 3
-//! unified-index generation plus read mapping — so the whole pipeline
-//! after Step 1 is per-device work and the coordinator never serializes a
-//! stage:
+//! carries commands of *two kinds* — Step 2 (intersection finding fused
+//! with taxID retrieval, §4.3) and Step 3 (unified-index generation plus
+//! read mapping, §4.4) — so the whole pipeline after Step 1 is per-device
+//! work, only counts cross back to the host side, and the coordinator never
+//! serializes a stage:
 //!
 //! * The *dispatcher* serves prepared samples strictly in dispatch order
 //!   (reorder buffer, below). For each sample it slices the sorted query
@@ -33,13 +34,19 @@
 //!   backpressure still bounds memory.
 //! * The *completer* reaps per-shard completions **out of order** — shard A
 //!   may finish sample 3 before shard B finishes sample 1 — and keeps
-//!   per-job merge accounting per stage. Once a job's intersections are all
-//!   in, the completer merges them in shard order, runs taxID retrieval
-//!   (Step 2's presence call), cuts the sample's *reads* into contiguous
-//!   ranges — one per device, fewer when a range would fall under about a
-//!   millisecond of mapping — and issues one Step 3 command per
-//!   range back onto the *same* tagged, depth-bounded queues, starting at
-//!   shard `seq % shards` so single-command samples rotate over the array.
+//!   per-job accounting per stage. A Step 2 completion carries, per member
+//!   sample, the slice's hit count and per-taxon sketch support — the
+//!   device already retrieved the taxIDs through the database-joined KSS
+//!   (`megis::step2::sweep`), so no k-mer list ever crosses the completion
+//!   channel — and supports over disjoint query slices add, so each is
+//!   **folded the moment it arrives** behind a hard folded-twice check per
+//!   `(seq, shard)`. Once a job's shards have all reported, what is left of
+//!   Step 2 is the presence call over the sum; the completer then cuts the
+//!   sample's *reads* into contiguous ranges — one per device, fewer when a
+//!   range would fall under about a millisecond of mapping — and issues one
+//!   Step 3 command per range back onto the *same* tagged, depth-bounded
+//!   queues, starting at shard `seq % shards` so single-command samples
+//!   rotate over the array.
 //!   The commands share the job's candidate list and one `OnceLock` slot:
 //!   the first device to serve one generates the unified index by a single
 //!   sequential merge (§4.4, Fig. 9), every command maps only its own reads
@@ -84,6 +91,16 @@
 //! Step 2, and a sample with no candidates (or no reads) issues no Step 3
 //! command at all, rather than no-op work that would burn a queue slot.
 //!
+//! **One event channel.** Job records, issued-command registrations,
+//! completions and the dispatcher's exit all reach the completer on one
+//! channel, and the completer blocks on it: whatever happens wakes it. A
+//! sample that commands no device at all (no query k-mer, or none inside
+//! any shard's key range) is therefore delivered by its own job record, not
+//! by a poll interval running out. A timeout is armed only while commands
+//! are outstanding — to notice a panicked worker, a blown deadline or a due
+//! retry — and [`ServiceSnapshot::completer_timeouts`] counts the waits
+//! that ended on it.
+//!
 //! **Memory.** The shard workers hold zero-copy views over the analyzer's
 //! columnar database storage (see [`crate::shard`]): spinning up an N-shard
 //! service does not duplicate the database, and [`ServiceReport`] records
@@ -109,8 +126,8 @@
 //! dispatch order, then issues **one** multi-member intersect command per
 //! shard carrying every admitted sample's query slice for that shard. The
 //! device serves the shared command as a single galloping sweep over its
-//! database range ([`megis_genomics::SortedKmerDatabase::intersect_sorted_multi`])
-//! and the completer demultiplexes the per-member hit lists back to their
+//! database range ([`megis_genomics::SortedKmerDatabase::hit_positions_multi`])
+//! and the completer demultiplexes the per-member supports back to their
 //! owning jobs by `(seq, shard)`. Batch size is bounded by the queue depth
 //! (a larger group could never hold all its slots at once) and upstream by
 //! the dispatch lookahead gate (only samples Step 1 may run ahead to can
@@ -192,17 +209,17 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+use megis::kss::Support;
 use megis::step1::Step1Output;
-use megis::step2::Step2Output;
 use megis::step3;
-use megis::MegisAnalyzer;
+use megis::{MegisAnalyzer, MegisOutput};
 use megis_genomics::database::UnifiedReferenceIndex;
-use megis_genomics::kmer::Kmer;
+use megis_genomics::profile::PresenceResult;
 use megis_genomics::sample::Sample;
 
 use crate::engine::EngineConfig;
@@ -442,14 +459,16 @@ struct IspMeta {
     prepared: PreparedJob,
 }
 
-/// Dispatcher → completer stream. `Issued` records travel on the same
-/// ordered channel as the job metas and are sent *before* the command is
-/// pushed onto a shard queue, so by the time any completion of a command
-/// can exist, its registration is already queued ahead of it — the
-/// completer absorbs this channel before reaping and therefore always
-/// knows the command it is settling (the invariant the retry machinery
-/// keys on).
-enum DispatchMsg {
+/// Everything the completer reacts to, on **one** channel: whatever arrives
+/// wakes it, so a sample that issues no command at all (no query k-mer, or
+/// none inside any shard's key range) is delivered the moment its `Job`
+/// record lands instead of when a poll interval runs out. The channel keeps
+/// the order things happened in across senders: the dispatcher sends a
+/// sample's `Job` before any of its commands, and each `Issued` record
+/// *before* the command is pushed onto a shard queue, so a command's
+/// registration is always received ahead of any completion of it — the
+/// invariant the retry machinery keys on.
+enum CompleterMsg {
     /// A sample entered the in-SSD stage.
     Job(IspMeta),
     /// An intersect command was issued to `shard`'s queue; the command
@@ -462,6 +481,20 @@ enum DispatchMsg {
         shard: usize,
         command: ShardCommand,
     },
+    /// A shard worker finished (or failed) one command.
+    Completed(ShardCompletion),
+    /// The dispatcher exited: no further job will ever arrive.
+    DispatcherExited,
+}
+
+/// The dispatcher's end of the completer channel; dropping it — on a clean
+/// exit or while a panic unwinds — tells the completer no job will follow.
+struct DispatcherTx(Sender<CompleterMsg>);
+
+impl Drop for DispatcherTx {
+    fn drop(&mut self) {
+        let _ = self.0.send(CompleterMsg::DispatcherExited);
+    }
 }
 
 /// Fewest reads worth a Step 3 command of their own (about a millisecond
@@ -469,19 +502,24 @@ enum DispatchMsg {
 /// more CPU per sample in issuing, reaping and folding the extra commands.
 const MIN_READS_PER_COMMAND: usize = 128;
 
-/// Per-job state machine at the completer: Step 2 merge accounting, then
+/// Per-job state machine at the completer: Step 2 support folding, then
 /// Step 3 dispatch and count folding, then (in delivery order) delivery.
+/// Neither stage leaves a list here — the devices return counts, and counts
+/// add.
 struct MergeState {
     meta: IspMeta,
-    /// Per-shard intersections, indexed by shard, in shard (= key range)
-    /// order; `None` until that shard's completion is reaped (and forever
-    /// for shards that were never commanded).
-    parts: Vec<Option<Vec<Kmer>>>,
+    /// The job's Step 2 result so far: the hit count and per-taxon support
+    /// of every shard reaped, summed the moment each arrives.
+    step2: Support,
+    /// Shards-of-record whose support has been folded into `step2`.
+    /// Addition is not idempotent, so a second fold of one `(seq, shard)`
+    /// must be a crash, not a silently doubled support.
+    step2_folded: Vec<bool>,
     /// Intersect completions still outstanding.
     remaining: usize,
-    /// Step 2's output (taxID retrieval + presence call), computed the
-    /// moment the last intersection is reaped.
-    step2: Option<Step2Output>,
+    /// Step 2's presence call over the folded support, made the moment the
+    /// last shard's support is in.
+    presence: Option<PresenceResult>,
     /// The Step 3 counts of every read range reaped so far, merged the
     /// moment each arrives; the work left at delivery is the normalization.
     step3: step3::MappedCounts,
@@ -491,9 +529,9 @@ struct MergeState {
     step3_folded: Vec<bool>,
     /// Step 3 completions still outstanding.
     step3_remaining: usize,
-    /// Set once Step 2 ran and the job's Step 3 commands were handed to the
-    /// submission backlog (also set for jobs with no candidates, whose
-    /// Step 3 is trivially complete).
+    /// Set once presence was called and the job's Step 3 commands were
+    /// handed to the submission backlog (also set for jobs with no
+    /// candidates, whose Step 3 is trivially complete).
     step3_dispatched: bool,
     /// Set when the job failed (worker panic, exhausted retry budget, no
     /// live shard): the job is delivered as `Err` at its turn in dispatch
@@ -502,11 +540,41 @@ struct MergeState {
 }
 
 impl MergeState {
+    /// The state of a job entering the in-SSD stage on `shard_count` shards.
+    fn new(meta: IspMeta, shard_count: usize) -> MergeState {
+        MergeState {
+            step2: Support::default(),
+            step2_folded: vec![false; shard_count],
+            remaining: meta.expected,
+            presence: None,
+            step3: step3::MappedCounts::default(),
+            step3_folded: vec![false; shard_count],
+            step3_remaining: 0,
+            step3_dispatched: false,
+            failed: None,
+            meta,
+        }
+    }
+
     /// Every expected completion of both stages has been reaped — or the
     /// job failed and is ready to deliver its error at its ordered turn.
     fn is_complete(&self) -> bool {
         self.failed.is_some()
             || (self.remaining == 0 && self.step3_dispatched && self.step3_remaining == 0)
+    }
+
+    /// Folds the support `shard` reported for this job's query slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that shard's support was already folded.
+    fn fold_step2(&mut self, shard: usize, support: Support) {
+        assert!(
+            !std::mem::replace(&mut self.step2_folded[shard], true),
+            "step 2 support of shard {shard} folded twice"
+        );
+        self.step2.fold(support);
+        self.remaining -= 1;
     }
 
     /// Folds the reaped counts of the read range issued under
@@ -523,19 +591,6 @@ impl MergeState {
         self.step3.merge(counts);
         self.step3_remaining -= 1;
     }
-}
-
-/// Concatenates a job's per-shard hit lists in shard order, skipping shards
-/// that were never commanded, into one list sized by the parts' total: every
-/// job passes through this on the completer's one thread, and a flattening
-/// `collect` (size hint 0) would grow the list by doubling instead.
-fn concat_parts(parts: Vec<Option<Vec<Kmer>>>) -> Vec<Kmer> {
-    let total = parts.iter().flatten().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    for part in parts.iter().flatten() {
-        merged.extend_from_slice(part);
-    }
-    merged
 }
 
 /// State shared by submitters, Step 1 workers, and the in-SSD stage.
@@ -584,6 +639,9 @@ struct ServiceState {
     shard_failovers: Vec<u64>,
     /// Jobs that failed with a [`JobError`] while the engine kept serving.
     failed_jobs: u64,
+    /// Times the completer's wait ended on its poll timeout instead of an
+    /// event; reported as [`ServiceSnapshot::completer_timeouts`].
+    completer_timeouts: u64,
     /// Reads mapped during Step 3 across all delivered jobs.
     mapped_reads: u64,
     /// Set when a pipeline thread panics; drain/shutdown propagate it as a
@@ -643,6 +701,7 @@ impl Shared {
                 shard_retries: vec![0; shard_count],
                 shard_failovers: vec![0; shard_count],
                 failed_jobs: 0,
+                completer_timeouts: 0,
                 mapped_reads: 0,
                 poisoned: false,
                 accepting: true,
@@ -686,6 +745,13 @@ pub struct ServiceSnapshot {
     pub window: LatencyStats,
     /// Completions per second over the rolling window.
     pub window_throughput: f64,
+    /// Times the completer woke because its poll interval ran out rather
+    /// than because something happened. Jobs, issued commands and
+    /// completions all wake it as events; a timeout is armed only while
+    /// commands are outstanding (to notice a dead worker, a blown deadline
+    /// or a due retry), so an idle or healthy engine reads 0 and no sample
+    /// ever waits one out.
+    pub completer_timeouts: u64,
 }
 
 /// Final accounting returned by [`StreamingEngine::shutdown`].
@@ -850,14 +916,15 @@ impl StreamingEngine {
         // In-SSD stage, part 1: one worker per database shard, all sharing
         // the deque-per-device [`CommandQueues`] — carrying both Step 2
         // intersect commands and Step 3 index-generation/mapping commands —
-        // and reporting completions out of order on the shared completion
-        // channel. The producer guards are taken *before* any worker spawns
-        // so no worker can observe a producerless instant and exit early.
+        // and reporting completions out of order on the completer's one
+        // event channel. The producer guards are taken *before* any worker
+        // spawns so no worker can observe a producerless instant and exit
+        // early.
         let queues = CommandQueues::new(shard_count, config.work_stealing);
         let dispatcher_producer = queues.producer();
         let completer_producer = queues.producer();
         let (stats_tx, stats_rx) = mpsc::channel::<ShardStats>();
-        let (resp_tx, resp_rx) = mpsc::channel::<ShardCompletion>();
+        let (resp_tx, events) = mpsc::channel::<CompleterMsg>();
         let mut shard_handles = Vec::with_capacity(shard_count);
         for index in 0..shard_count {
             let queues = Arc::clone(&queues);
@@ -910,13 +977,13 @@ impl StreamingEngine {
                                 shard: record,
                             },
                         );
-                        let _ = resp_tx.send(ShardCompletion {
+                        let _ = resp_tx.send(CompleterMsg::Completed(ShardCompletion {
                             shard: record,
                             seq,
                             attempt,
                             stage,
                             result: Err(CommandFailure::ShardDead),
-                        });
+                        }));
                         break;
                     }
                     // Fault decisions key on the command identity — the
@@ -945,7 +1012,7 @@ impl StreamingEngine {
                                 stage,
                                 result: Err(CommandFailure::Transient),
                             };
-                            if resp_tx.send(failed).is_err() {
+                            if resp_tx.send(CompleterMsg::Completed(failed)).is_err() {
                                 break;
                             }
                             continue;
@@ -980,7 +1047,7 @@ impl StreamingEngine {
                                 stage,
                                 result: Err(CommandFailure::Panicked),
                             };
-                            if resp_tx.send(failed).is_err() {
+                            if resp_tx.send(CompleterMsg::Completed(failed)).is_err() {
                                 break;
                             }
                             continue;
@@ -1039,7 +1106,7 @@ impl StreamingEngine {
                         stage,
                         result: Ok(output),
                     };
-                    if resp_tx.send(completion).is_err() {
+                    if resp_tx.send(CompleterMsg::Completed(completion)).is_err() {
                         break;
                     }
                 }
@@ -1061,7 +1128,10 @@ impl StreamingEngine {
                 });
             }));
         }
-        drop(resp_tx);
+        // The dispatcher takes the last sender: with the workers' clones it
+        // is every sender there is, so the channel closes exactly when the
+        // in-SSD stage has wound down.
+        let meta_tx = DispatcherTx(resp_tx);
         drop(stats_tx);
 
         // Bounded hand-off between the stages (§4.7 lookahead): together
@@ -1094,7 +1164,6 @@ impl StreamingEngine {
         // guards on the shard queues; the completer releases its guard once
         // no more Step 3 commands can ever be issued, which is what lets
         // the shard workers (and then the completer itself) wind down.
-        let (meta_tx, meta_rx) = mpsc::channel::<DispatchMsg>();
         let dispatcher = {
             let shared = Arc::clone(&shared);
             let shard_set = shards.clone();
@@ -1141,7 +1210,7 @@ impl StreamingEngine {
                     meta_open: true,
                     trace,
                 }
-                .run(meta_rx, resp_rx);
+                .run(events);
             })
         };
 
@@ -1271,6 +1340,7 @@ impl StreamingEngine {
             shard_inflight: state.shard_inflight.clone(),
             window: state.window.stats(),
             window_throughput: state.window.throughput(),
+            completer_timeouts: state.completer_timeouts,
         }
     }
 
@@ -1532,7 +1602,7 @@ fn isp_dispatcher(
     shards: &ShardSet,
     s1_rx: Receiver<PreparedJob>,
     producer: QueueProducer,
-    meta_tx: Sender<DispatchMsg>,
+    meta_tx: DispatcherTx,
     queue_depth: usize,
     coalescing_window: Option<Duration>,
     trace: &TraceSink,
@@ -1611,7 +1681,7 @@ fn isp_dispatcher(
                 shared,
                 shards,
                 &producer,
-                &meta_tx,
+                &meta_tx.0,
                 group,
                 &mut dispatched,
                 queue_depth,
@@ -1626,8 +1696,9 @@ fn isp_dispatcher(
     // arrives and later arrivals stay buffered here — the poison flag, not
     // this loop, reports that failure.
     //
-    // Dropping the producer guard here releases the dispatcher's claim on
-    // the shard queues; the completer holds its own guard for Step 3
+    // Returning drops `meta_tx`, which tells the completer no further job
+    // will arrive, and the producer guard, which releases the dispatcher's
+    // claim on the shard queues; the completer holds its own guard for Step 3
     // commands and releases it once every pending job's Step 3 is
     // dispatched. Only then do the shard workers exit (reporting their
     // lifetime stats), and the completer ends after the last completion.
@@ -1645,7 +1716,7 @@ fn dispatch_group(
     shared: &Shared,
     shards: &ShardSet,
     producer: &QueueProducer,
-    meta_tx: &Sender<DispatchMsg>,
+    meta_tx: &Sender<CompleterMsg>,
     group: Vec<PreparedJob>,
     dispatched: &mut usize,
     queue_depth: usize,
@@ -1686,7 +1757,7 @@ fn dispatch_group(
         *dispatched += 1;
         // Register the job with the completer before any command that could
         // complete for it is built.
-        if meta_tx.send(DispatchMsg::Job(meta)).is_err() {
+        if meta_tx.send(CompleterMsg::Job(meta)).is_err() {
             return false;
         }
         for (shard, range) in targets {
@@ -1738,11 +1809,12 @@ fn dispatch_group(
             members,
         });
         // Register the issued command with the completer *before* it can
-        // reach a shard queue: the completer absorbs this channel before
-        // reaping, so every completion finds its command outstanding. One
-        // ledger entry per physical command, keyed by the lead member.
+        // reach a shard queue: the workers' completions travel the same
+        // channel, so the registration is received ahead of any of them and
+        // every completion finds its command outstanding. One ledger entry
+        // per physical command, keyed by the lead member.
         if meta_tx
-            .send(DispatchMsg::Issued {
+            .send(CompleterMsg::Issued {
                 shard,
                 command: command.clone(),
             })
@@ -1779,8 +1851,9 @@ fn backoff_delay(base: Duration, attempt: u32) -> Duration {
 }
 
 /// The in-SSD completer: reaps per-shard completions of *both* stages out
-/// of order, keeps a per-job state machine (intersections → Step 2 taxID
-/// retrieval → per-read-range Step 3 counts folded as they arrive), submits
+/// of order, keeps a per-job state machine (per-shard Step 2 supports folded
+/// as they arrive → presence call → per-read-range Step 3 counts folded as
+/// they arrive), submits
 /// Step 3 commands onto the same tagged shard queues through a
 /// non-blocking depth-bounded backlog, and once a job's ranges are all in —
 /// and every earlier sequence number has been delivered — normalizes the
@@ -1834,53 +1907,62 @@ struct IspCompleter<'a> {
     retry_backoff: Duration,
     command_deadline: Option<Duration>,
     next_to_deliver: usize,
-    /// `false` once the dispatcher exited and its meta channel drained (no
-    /// further jobs will ever arrive).
+    /// `false` once the dispatcher exited (no further jobs will ever
+    /// arrive).
     meta_open: bool,
     trace: TraceSink,
 }
 
 impl IspCompleter<'_> {
-    fn run(mut self, meta_rx: Receiver<DispatchMsg>, resp_rx: Receiver<ShardCompletion>) {
+    fn run(mut self, events: Receiver<CompleterMsg>) {
         let _guard = PanicGuard(self.shared);
         loop {
-            self.absorb(&meta_rx);
             self.advance_ready_jobs();
             self.submit_backlog();
             self.fire_due_retries();
             self.expire_stuck_commands();
             self.deliver_ready();
             self.maybe_release_txs();
-            // A panicked shard worker can never respond (its siblings keep
-            // the channel open), so poll the poison flag while completions
-            // are outstanding: the completer then panics — poisoning
-            // teardown cleanly — instead of blocking forever. The poll
-            // shortens while retries are pending or a deadline is armed so
-            // re-issues fire promptly.
-            match resp_rx.recv_timeout(self.poll_timeout()) {
-                Ok(completion) => {
-                    // The meta was sent before any of the job's commands, so
-                    // after absorbing the meta channel it must be known.
-                    self.absorb(&meta_rx);
-                    self.reap(completion);
+            // Everything that can give the completer work arrives as an
+            // event, so with nothing outstanding it simply blocks. A
+            // panicked shard worker can never respond (its siblings keep
+            // the channel open), so while commands are outstanding the wait
+            // is a poll of the poison flag: the completer then panics —
+            // poisoning teardown cleanly — instead of blocking forever.
+            let event = match self.poll_timeout() {
+                Some(timeout) => events.recv_timeout(timeout),
+                None => events.recv().map_err(|_| RecvTimeoutError::Disconnected),
+            };
+            match event {
+                Ok(msg) => {
+                    self.handle(msg);
+                    // Whatever else is already queued rides the same round
+                    // of bookkeeping.
+                    while let Ok(msg) = events.try_recv() {
+                        self.handle(msg);
+                    }
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
+                Err(RecvTimeoutError::Timeout) => {
+                    let poisoned = {
+                        let mut state = self.shared.lock();
+                        state.completer_timeouts += 1;
+                        state.poisoned
+                    };
                     if self.pending.values().any(|j| !j.is_complete()) {
                         assert!(
-                            !self.shared.lock().poisoned,
+                            !poisoned,
                             "shard worker panicked while commands were outstanding"
                         );
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    // Shard workers exited, which implies both the
-                    // dispatcher and this completer released their queue
-                    // senders: every *servable* command was served and every
-                    // buffered completion has been consumed above. Jobs
-                    // still incomplete here lost their last live shard —
-                    // every worker died before their commands could be
-                    // re-issued — so they fail rather than hang.
-                    self.absorb(&meta_rx);
+                Err(RecvTimeoutError::Disconnected) => {
+                    // The dispatcher and every shard worker exited, which
+                    // implies both the dispatcher and this completer
+                    // released their queue producers: every *servable*
+                    // command was served and every event has been consumed
+                    // above. Jobs still incomplete here lost their last live
+                    // shard — every worker died before their commands could
+                    // be re-issued — so they fail rather than hang.
                     self.advance_ready_jobs();
                     let stuck: Vec<usize> = self
                         .pending
@@ -1900,59 +1982,44 @@ impl IspCompleter<'_> {
         }
     }
 
-    /// How long to block on the completion channel: short while a retry is
-    /// waiting out its backoff or a deadline is armed over outstanding
-    /// commands, relaxed otherwise.
-    fn poll_timeout(&self) -> Duration {
+    /// How long to wait for the next event: without limit (`None`) while no
+    /// command is outstanding and no retry is waiting (only an event can
+    /// create work then), short while a retry is waiting out its backoff or
+    /// a deadline is armed over outstanding commands, relaxed otherwise.
+    fn poll_timeout(&self) -> Option<Duration> {
         if !self.retry_due.is_empty() {
-            Duration::from_millis(1)
-        } else if self.command_deadline.is_some() && !self.outstanding.is_empty() {
-            Duration::from_millis(5)
+            Some(Duration::from_millis(1))
+        } else if self.outstanding.is_empty() {
+            None
+        } else if self.command_deadline.is_some() {
+            Some(Duration::from_millis(5))
         } else {
-            Duration::from_millis(50)
+            Some(Duration::from_millis(50))
         }
     }
 
-    /// Pulls every queued dispatcher record — new-job metas and
-    /// issued-command registrations; marks the meta stream closed once the
-    /// dispatcher has exited. The dispatcher sends `Issued` *before* the
-    /// command reaches a shard queue (and Step 3 issues register on this
-    /// thread), so every completion's command is in `outstanding` by the
-    /// time it is reaped.
-    fn absorb(&mut self, meta_rx: &Receiver<DispatchMsg>) {
-        loop {
-            match meta_rx.try_recv() {
-                Ok(DispatchMsg::Job(meta)) => {
-                    self.pending.insert(
-                        meta.seq,
-                        MergeState {
-                            remaining: meta.expected,
-                            parts: (0..self.shard_count).map(|_| None).collect(),
-                            step2: None,
-                            step3: step3::MappedCounts::default(),
-                            step3_folded: Vec::new(),
-                            step3_remaining: 0,
-                            step3_dispatched: false,
-                            failed: None,
-                            meta,
-                        },
-                    );
-                }
-                Ok(DispatchMsg::Issued { shard, command }) => {
-                    self.outstanding.insert(
-                        (command.seq(), shard, command.stage()),
-                        OutstandingCommand {
-                            command,
-                            issued_at: Instant::now(),
-                        },
-                    );
-                }
-                Err(TryRecvError::Empty) => return,
-                Err(TryRecvError::Disconnected) => {
-                    self.meta_open = false;
-                    return;
-                }
+    /// Books one event: a new job's meta, an issued command's registration
+    /// (the dispatcher sends it *before* the command reaches a shard queue,
+    /// and Step 3 issues register on this thread, so every completion's
+    /// command is in `outstanding` by the time it is reaped), a completion,
+    /// or the end of the job stream.
+    fn handle(&mut self, msg: CompleterMsg) {
+        match msg {
+            CompleterMsg::Job(meta) => {
+                self.pending
+                    .insert(meta.seq, MergeState::new(meta, self.shard_count));
             }
+            CompleterMsg::Issued { shard, command } => {
+                self.outstanding.insert(
+                    (command.seq(), shard, command.stage()),
+                    OutstandingCommand {
+                        command,
+                        issued_at: Instant::now(),
+                    },
+                );
+            }
+            CompleterMsg::Completed(completion) => self.reap(completion),
+            CompleterMsg::DispatcherExited => self.meta_open = false,
         }
     }
 
@@ -1975,8 +2042,8 @@ impl IspCompleter<'_> {
             return;
         }
         // A coalesced command completes for every member at once: capture
-        // the member list before retiring the ledger entry so the single
-        // output can be demultiplexed per `(seq, shard)` below.
+        // the member list before retiring the ledger entry so the per-member
+        // supports can be demultiplexed per `(seq, shard)` below.
         let member_seqs = entry.command.member_seqs();
         let output = completion.result.expect("failure handled above");
         self.outstanding.remove(&key);
@@ -1992,9 +2059,9 @@ impl IspCompleter<'_> {
         // however many members shared the command.
         self.shared.queue_space.notify_all();
         match output {
-            CommandOutput::Intersection(hit_lists) => {
-                debug_assert_eq!(hit_lists.len(), member_seqs.len());
-                for (member_seq, hits) in member_seqs.into_iter().zip(hit_lists) {
+            CommandOutput::Intersection(supports) => {
+                debug_assert_eq!(supports.len(), member_seqs.len());
+                for (member_seq, support) in member_seqs.into_iter().zip(supports) {
                     // A co-member may have failed (and possibly already
                     // been delivered) while the shared command was in
                     // flight; its share of the sweep is simply dropped.
@@ -2004,9 +2071,7 @@ impl IspCompleter<'_> {
                     if job.failed.is_some() {
                         continue;
                     }
-                    debug_assert!(job.parts[completion.shard].is_none());
-                    job.parts[completion.shard] = Some(hits);
-                    job.remaining -= 1;
+                    job.fold_step2(completion.shard, support);
                 }
             }
             CommandOutput::Step3(counts) => self
@@ -2269,8 +2334,8 @@ impl IspCompleter<'_> {
             .retain(|(_, key)| outstanding.contains_key(key));
     }
 
-    /// Runs Step 2 and hands Step 3 to the backlog for every job whose
-    /// intersections are all in — including jobs that never had an
+    /// Calls presence and hands Step 3 to the backlog for every job whose
+    /// shards have all reported — including jobs that never had an
     /// intersect command (empty query lists).
     fn advance_ready_jobs(&mut self) {
         let ready: Vec<usize> = self
@@ -2284,21 +2349,19 @@ impl IspCompleter<'_> {
         }
     }
 
-    /// Merges one job's intersections in shard order, runs taxID retrieval
-    /// (Step 2's presence call), cuts the sample's reads into contiguous
-    /// ranges, and issues one Step 3 command per range onto the submission
-    /// backlog, all sharing the job's candidate list and index slot.
+    /// Finishes one job's Step 2 — the devices already intersected and
+    /// retrieved, and their supports were summed at reap time, so only the
+    /// presence call over the sum is left — then cuts the sample's reads
+    /// into contiguous ranges and issues one Step 3 command per range onto
+    /// the submission backlog, all sharing the job's candidate list and
+    /// index slot.
     fn start_step3(&mut self, seq: usize) {
         let shard_count = self.shard_count;
         let job = self.pending.get_mut(&seq).expect("ready job is pending");
-        // Shard order is key-range order, so the concatenation equals the
-        // unsharded intersection of the full query list.
-        let merged = concat_parts(std::mem::take(&mut job.parts));
-        let step2 = self.analyzer.step2_from_intersection(merged);
-        let candidates = Arc::new(self.analyzer.candidate_positions(&step2.presence));
-        job.step2 = Some(step2);
+        let presence = self.analyzer.call_presence(&job.step2);
+        let candidates = Arc::new(self.analyzer.candidate_positions(&presence));
+        job.presence = Some(presence);
         job.step3_dispatched = true;
-        job.step3_folded = vec![false; shard_count];
         let sample = Arc::clone(&job.meta.prepared.sample);
         let reads = sample.len();
         // A job with no candidates (or no reads) maps nothing: no command,
@@ -2426,14 +2489,23 @@ impl IspCompleter<'_> {
             return;
         }
         let MergeState {
-            meta, step2, step3, ..
+            meta,
+            step2,
+            presence,
+            step3,
+            ..
         } = job;
-        let step2 = step2.expect("complete job ran step 2");
         let seq = meta.prepared.start_position;
         self.trace.record(seq, TraceEventKind::ReduceStarted);
         // The devices shared the unified index and never hand it back.
         let step3 = step3.into_output(UnifiedReferenceIndex::default());
-        let output = MegisAnalyzer::assemble_output(&meta.prepared.step1, &step2, step3);
+        let output = MegisOutput {
+            presence: presence.expect("complete job called presence"),
+            abundance: step3.abundance,
+            intersecting_kmers: step2.hits,
+            selected_kmers: meta.prepared.step1.selected_kmers,
+            mapped_reads: step3.mapped_reads,
+        };
         self.trace.record(seq, TraceEventKind::ReduceFinished);
         // Reconstruct the job's stage timeline from its own events, stamped
         // with the same instant the Delivered event gets, so the breakdown's
@@ -2607,10 +2679,10 @@ mod tests {
         let mut issued = 0;
         for msg in meta_rx {
             match msg {
-                DispatchMsg::Job(meta) => {
+                CompleterMsg::Job(meta) => {
                     assert_eq!(meta.prepared.step1.selected_kmers, queries.len() as u64)
                 }
-                DispatchMsg::Issued { command, .. } => {
+                CompleterMsg::Issued { command, .. } => {
                     let ShardCommand::Intersect(command) = command else {
                         panic!("the dispatcher issues intersect commands only");
                     };
@@ -2619,6 +2691,9 @@ mod tests {
                         assert_eq!(*member.queries, queries);
                     }
                     issued += 1;
+                }
+                CompleterMsg::Completed(_) | CompleterMsg::DispatcherExited => {
+                    panic!("issuing a group sends job and command records only")
                 }
             }
         }
@@ -2921,36 +2996,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn concat_parts_equals_the_flattened_parts_in_one_allocation() {
-        let kmer = |bits: u128| Kmer::from_bits(bits, 31);
-        let run = |from: u128, len: u128| Some((from..from + len).map(kmer).collect::<Vec<_>>());
-        // 1, 2 and 8 shards; empty lists and never-commanded shards at the
-        // front, in between and at the end; no shards and no hits at all.
-        for parts in [
-            vec![run(0, 700)],
-            vec![None],
-            vec![run(0, 3), run(3, 900)],
-            vec![None, run(5, 1)],
-            vec![
-                None,
-                run(0, 0),
-                run(0, 40),
-                None,
-                run(40, 0),
-                run(40, 1300),
-                run(2000, 7),
-                None,
-            ],
-            vec![run(0, 0), None, run(0, 0)],
-            Vec::new(),
-        ] {
-            let flattened: Vec<Kmer> = parts.iter().flatten().flatten().copied().collect();
-            let merged = concat_parts(parts);
-            assert_eq!(merged, flattened);
-            // Reserved once, for exactly the total: no growth step ran.
-            assert_eq!(merged.capacity(), flattened.len());
-        }
+    /// A job on two shards with both stages' completions outstanding.
+    fn two_shard_job(c: &megis_genomics::sample::Community) -> MergeState {
+        let meta = IspMeta {
+            seq: 0,
+            isp_position: 0,
+            expected: 2,
+            isp_start: Instant::now(),
+            prepared: PreparedJob {
+                id: JobId(0),
+                label: "s0".into(),
+                priority: Priority::default(),
+                start_position: 0,
+                sample: Arc::new(c.sample().clone()),
+                submitted_at: Instant::now(),
+                queue_wait: Duration::ZERO,
+                step1_time: Duration::ZERO,
+                step1: Step1Output::default(),
+            },
+        };
+        MergeState::new(meta, 2)
     }
 
     #[test]
@@ -2959,37 +3024,60 @@ mod tests {
         // Counts add, so a range folded twice would silently double its
         // reads: the per-job fold refuses. (The ledger discards duplicate
         // and stale completions before they get here; this is the backstop.)
-        let c = community();
-        let mut job = MergeState {
-            meta: IspMeta {
-                seq: 0,
-                isp_position: 0,
-                expected: 0,
-                isp_start: Instant::now(),
-                prepared: PreparedJob {
-                    id: JobId(0),
-                    label: "s0".into(),
-                    priority: Priority::default(),
-                    start_position: 0,
-                    sample: Arc::new(c.sample().clone()),
-                    submitted_at: Instant::now(),
-                    queue_wait: Duration::ZERO,
-                    step1_time: Duration::ZERO,
-                    step1: Step1Output::default(),
-                },
-            },
-            parts: Vec::new(),
-            remaining: 0,
-            step2: None,
-            step3: step3::MappedCounts::default(),
-            step3_folded: vec![false; 2],
-            step3_remaining: 2,
-            step3_dispatched: true,
-            failed: None,
-        };
+        let mut job = two_shard_job(&community());
+        job.step3_remaining = 2;
         job.fold_step3(1, step3::MappedCounts::default());
         assert_eq!(job.step3_remaining, 1);
         job.fold_step3(1, step3::MappedCounts::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "step 2 support of shard 1 folded twice")]
+    fn a_step2_support_folded_twice_panics() {
+        // Supports add too: the same backstop, per `(seq, shard)`.
+        let mut job = two_shard_job(&community());
+        let support = || Support {
+            hits: 3,
+            counts: vec![1, 0, 2],
+        };
+        job.fold_step2(1, support());
+        assert_eq!((job.remaining, job.step2.hits), (1, 3));
+        job.fold_step2(0, support());
+        assert_eq!((job.remaining, job.step2.hits), (0, 6));
+        assert_eq!(job.step2.counts, vec![2, 0, 4]);
+        job.fold_step2(1, support());
+    }
+
+    #[test]
+    fn a_sample_without_commands_is_delivered_by_its_own_event() {
+        // Regression: a sample that issues no intersect command — Step 1
+        // selected nothing — reaches the completer as a bare job record.
+        // That record used to sit on a channel the completer was not
+        // waiting on, until its 50 ms completion poll ran out; now every
+        // record is an event on the one channel it blocks on. Counted, not
+        // timed: delivery on an idle engine must not consume a poll timeout.
+        let c = community();
+        let a = analyzer(&c);
+        let empty = Sample::from_reads(megis_genomics::read::ReadSet::new());
+        let expected = a.analyze(&empty);
+        assert_eq!(expected.selected_kmers, 0, "nothing to intersect");
+        let engine = StreamingEngine::new(a, EngineConfig::new().with_workers(1).with_shards(2));
+        let before = engine.snapshot().completer_timeouts;
+        let handle = engine.submit(JobSpec::new("empty", empty)).unwrap();
+        let result = handle.wait().expect("job served");
+        assert_eq!(result.output, expected);
+        assert_eq!(
+            engine.snapshot().completer_timeouts,
+            before,
+            "the job record itself must wake the completer"
+        );
+        let report = engine.shutdown();
+        let commands: u64 = report
+            .shard_stats
+            .iter()
+            .map(|s| s.jobs + s.step3_jobs)
+            .sum();
+        assert_eq!(commands, 0, "an empty sample commands no device");
     }
 
     #[test]

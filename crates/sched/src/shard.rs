@@ -31,9 +31,13 @@
 //!
 //! **Two command kinds per device.** Each simulated SSD runs a
 //! `ShardWorker` consuming one tagged command queue. A worker serves both
-//! pipeline stages of the in-SSD side: Step 2 `IntersectCommand`s
-//! (intersect the device's database slice with the sample's overlapping
-//! query sub-range) and Step 3 `Step3Command`s (map one contiguous range of
+//! pipeline stages of the in-SSD side: Step 2 `IntersectCommand`s — all of
+//! Step 2, as in the paper (§4.3): one sweep of the device's database slice
+//! against the sample's overlapping query sub-range that counts each hit's
+//! taxa through the database-joined KSS as it finds it
+//! (`megis::step2::sweep`), so the completion carries a hit count and
+//! per-taxon support, never the intersecting k-mers — and Step 3
+//! `Step3Command`s (map one contiguous range of
 //! the sample's *reads* against the sample's unified index — §4.4's in-SSD
 //! index generation plus mapping, partitioned by reads). A job's Step 3
 //! commands share one `OnceLock` slot for that index: the first device to
@@ -70,9 +74,9 @@
 //! sharing the sweep. When the dispatcher's batching window is open (see
 //! `service.rs`), several in-flight samples' slices for the same shard are
 //! merged into one command served by a single galloping pass over that
-//! shard's CSR range (`intersect_sorted_multi`), and the output carries one
-//! hit list per member for the completer to demultiplex back to each
-//! sample's merge state. A single-member command is byte-identical to the
+//! shard's CSR range (`hit_positions_multi`), and the output carries one
+//! support per member for the completer to demultiplex and fold into each
+//! sample's job. A single-member command is byte-identical to the
 //! uncoalesced path — same kernel, same output shape — so the window-off
 //! default changes nothing, and the fault path's retry/failover machinery
 //! treats a coalesced command as one unit keyed by its lead member's
@@ -81,6 +85,8 @@
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
+use megis::kss::Support;
+use megis::step2;
 use megis::step3::{self, MappedCounts};
 use megis::MegisAnalyzer;
 use megis_genomics::database::{SortedKmerDatabase, UnifiedReferenceIndex};
@@ -104,7 +110,8 @@ pub(crate) struct IntersectMember {
 }
 
 /// A Step 2 command: intersect one or more samples' query sub-ranges
-/// against the device's database slice in a single sweep.
+/// against the device's database slice in a single sweep, retrieving the
+/// hits' taxIDs on the way.
 #[derive(Debug, Clone)]
 pub(crate) struct IntersectCommand {
     /// The shard-of-record whose database range this command intersects.
@@ -228,10 +235,12 @@ impl ShardCommand {
 /// Result payload of one served command.
 #[derive(Debug)]
 pub(crate) enum CommandOutput {
-    /// The intersecting k-mers of an [`IntersectCommand`]: one hit list per
-    /// member, in member order, for the completer to demultiplex. A
-    /// single-member (uncoalesced) command carries exactly one list.
-    Intersection(Vec<Vec<Kmer>>),
+    /// Step 2's result for an [`IntersectCommand`]: per member, in member
+    /// order, how many of its queries intersected the shard and the per-taxon
+    /// support they lend — never the k-mers. The completer demultiplexes the
+    /// members and folds each into its job by addition. A single-member
+    /// (uncoalesced) command carries exactly one.
+    Intersection(Vec<Support>),
     /// The per-candidate mapped-read counts of a [`Step3Command`]'s range.
     Step3(MappedCounts),
 }
@@ -251,10 +260,12 @@ pub(crate) enum CommandFailure {
 }
 
 /// One simulated device: the full shard set's zero-copy database views
-/// (Step 2 intersects the command's shard-of-record range — its own in
+/// (Step 2 sweeps the command's shard-of-record range — its own in
 /// normal operation, a dead peer's range under failover) plus a handle on
-/// the analyzer whose memoized per-species reference indexes back Step 3's
-/// unified-index merge. Consumes commands of either kind from its queue.
+/// the analyzer, whose KSS join (indexed by storage position, so valid for
+/// every view) backs Step 2's retrieval and whose memoized per-species
+/// reference indexes back Step 3's unified-index merge. Consumes commands
+/// of either kind from its queue.
 #[derive(Debug)]
 pub(crate) struct ShardWorker {
     shards: ShardSet,
@@ -266,7 +277,12 @@ impl ShardWorker {
         ShardWorker { shards, analyzer }
     }
 
-    /// Serves one command.
+    /// Serves one command: a whole Step 2 device pass, or one read range of
+    /// Step 3.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shard set does not view the analyzer's database.
     pub(crate) fn serve(&self, command: &ShardCommand) -> CommandOutput {
         match command {
             ShardCommand::Intersect(c) => {
@@ -275,7 +291,7 @@ impl ShardWorker {
                 // partition charges gap queries (values between shard key
                 // ranges) to the preceding shard, but nothing below this
                 // shard's first key or above its last can match, so the
-                // merge runs only over each overlapping sub-range.
+                // sweep runs only over each overlapping sub-range.
                 let overlaps: Vec<&[Kmer]> = c
                     .members
                     .iter()
@@ -284,13 +300,11 @@ impl ShardWorker {
                         &slice[shard.overlapping_query_range(slice)]
                     })
                     .collect();
-                // One member takes the plain galloping merge; several share
-                // a single coalesced sweep over the same database range.
-                let hits = match overlaps.as_slice() {
-                    [only] => vec![shard.intersect_sorted(only)],
-                    many => shard.intersect_sorted_multi(many),
-                };
-                CommandOutput::Intersection(hits)
+                // All of Step 2 in one device pass (§4.3): the sweep counts
+                // each hit's taxa through the joined KSS as it finds it, so
+                // only per-taxon support leaves the device.
+                let supports = step2::sweep(shard, self.analyzer.join(), &overlaps, |_, _| {});
+                CommandOutput::Intersection(supports)
             }
             ShardCommand::Step3(c) => {
                 // Index generation stays device work (§4.4): the first
@@ -696,6 +710,130 @@ mod tests {
             panic!("a step 3 command yields counts");
         };
         assert_eq!(counts.mapped_reads(), 0);
+    }
+
+    /// Seeded sorted query lists over `analyzer`'s database: hits, foreign
+    /// misses and repeats in random proportion.
+    fn query_mixes(analyzer: &MegisAnalyzer, seed: u64, n: usize) -> Vec<Arc<Vec<Kmer>>> {
+        let entries = analyzer.database().kmer_slice();
+        let foreign = SortedKmerDatabase::build(&ReferenceCollection::synthetic(3, 500, 4040), 31);
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..n)
+            .map(|_| {
+                let mut queries: Vec<Kmer> = Vec::new();
+                for _ in 0..rng.gen_range(0..600usize) {
+                    queries.push(entries[rng.gen_range(0..entries.len())]);
+                }
+                for _ in 0..rng.gen_range(0..200usize) {
+                    queries.push(foreign.kmer_slice()[rng.gen_range(0..foreign.len())]);
+                }
+                let repeats: Vec<Kmer> = queries.iter().step_by(7).copied().collect();
+                queries.extend(repeats);
+                queries.sort();
+                Arc::new(queries)
+            })
+            .collect()
+    }
+
+    /// Serves one intersect command for `members` on `shard` and returns the
+    /// per-member supports.
+    fn serve_intersect(
+        worker: &ShardWorker,
+        shard: usize,
+        members: Vec<IntersectMember>,
+    ) -> Vec<Support> {
+        let command = ShardCommand::Intersect(IntersectCommand {
+            shard,
+            attempt: 0,
+            members,
+        });
+        let CommandOutput::Intersection(supports) = worker.serve(&command) else {
+            panic!("an intersect command yields supports");
+        };
+        supports
+    }
+
+    #[test]
+    fn per_shard_supports_add_up_to_the_unsharded_support_at_any_shard_count() {
+        // What the completer relies on when it folds by addition: over the
+        // dispatcher's query slices, the supports the devices return sum to
+        // Step 2 of the unsharded database — hit count and every taxon —
+        // for 1..=9 shards, padding shards (more shards than entries)
+        // included.
+        use megis::config::MegisConfig;
+        let refs = ReferenceCollection::synthetic(10, 600, 77);
+        let analyzer = Arc::new(MegisAnalyzer::build(&refs, MegisConfig::small()));
+        let whole = analyzer.database();
+        let mixes = query_mixes(&analyzer, 3141, 6);
+        let mut supported = 0u64;
+        for database in [whole.clone(), whole.view(100..105)] {
+            for shards in 1..=9usize {
+                let set = ShardSet::build(&database, shards);
+                assert_eq!(set.shard_count(), shards);
+                let worker = ShardWorker::new(set.clone(), Arc::clone(&analyzer));
+                for queries in &mixes {
+                    let mut folded = Support::default();
+                    for (shard, range) in set.slice_queries(queries).into_iter().enumerate() {
+                        if range.is_empty() {
+                            continue;
+                        }
+                        let member = IntersectMember {
+                            seq: 0,
+                            queries: Arc::clone(queries),
+                            range,
+                        };
+                        folded.fold(serve_intersect(&worker, shard, vec![member]).remove(0));
+                    }
+                    let hits = database.intersect_sorted(queries);
+                    assert_eq!(folded.hits, hits.len() as u64, "{shards} shards");
+                    assert_eq!(
+                        analyzer.join().support_map(&folded),
+                        analyzer.kss().stream_retrieve(&hits),
+                        "{shards} shards over {} entries",
+                        database.len()
+                    );
+                    supported += u64::from(folded.counts.iter().sum::<u32>());
+                }
+            }
+        }
+        assert!(
+            supported > 1000,
+            "the mixes must reach the sketch: {supported}"
+        );
+    }
+
+    #[test]
+    fn a_coalesced_command_yields_each_members_singleton_support() {
+        // The completer demultiplexes a coalesced command's supports by
+        // member: each must be what that member's own command would return.
+        use megis::config::MegisConfig;
+        let refs = ReferenceCollection::synthetic(10, 600, 78);
+        let analyzer = Arc::new(MegisAnalyzer::build(&refs, MegisConfig::small()));
+        let mut rng = StdRng::seed_from_u64(2719);
+        for shards in [1usize, 2, 5] {
+            let set = ShardSet::build(analyzer.database(), shards);
+            let worker = ShardWorker::new(set.clone(), Arc::clone(&analyzer));
+            for round in 0..6 {
+                let mixes = query_mixes(&analyzer, 500 + round, rng.gen_range(2..=5));
+                for shard in 0..shards {
+                    let members: Vec<IntersectMember> = mixes
+                        .iter()
+                        .enumerate()
+                        .map(|(seq, queries)| IntersectMember {
+                            seq,
+                            queries: Arc::clone(queries),
+                            range: set.slice_queries(queries)[shard].clone(),
+                        })
+                        .collect();
+                    let alone: Vec<Support> = members
+                        .iter()
+                        .map(|m| serve_intersect(&worker, shard, vec![m.clone()]).remove(0))
+                        .collect();
+                    assert!(alone.iter().any(|s| s.hits > 0));
+                    assert_eq!(serve_intersect(&worker, shard, members), alone);
+                }
+            }
+        }
     }
 
     #[test]

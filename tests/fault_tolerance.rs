@@ -231,6 +231,78 @@ fn step3_read_ranges_are_folded_exactly_once_under_retry_and_failover() {
     }
 }
 
+/// Step 2's reduce adds too: each shard returns the hit count and per-taxon
+/// support of its query slice and the completer sums them, so a
+/// `(seq, shard)` support folded twice would inflate the hit count and the
+/// support (and with them, possibly, the presence call) and a lost one
+/// would deflate them. Under transient faults on every command, under
+/// deadline re-issues whose superseded attempts still answer late, under a
+/// shard death, and under all three at once, every support is folded
+/// exactly once: outputs equal the oracle — `intersecting_kmers` is the
+/// folded hit count itself — and the completer's folded-twice assert never
+/// poisons the engine.
+#[test]
+fn step2_supports_are_folded_exactly_once_under_retry_deadline_and_failover() {
+    const SAMPLES: usize = 5;
+    const SPIKE: Duration = Duration::from_millis(200);
+    const DEADLINE: Duration = Duration::from_millis(150);
+    let (analyzer, samples) = cohort(SAMPLES);
+    let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
+    assert!(expected
+        .iter()
+        .all(|e| e.intersecting_kmers > 0 && !e.presence.is_empty()));
+
+    let plans = [
+        (
+            "retry",
+            FaultPlan::seeded(41).with_transient_rate(1.0),
+            None,
+        ),
+        (
+            "deadline",
+            FaultPlan::seeded(42).with_latency_spike(0.5, SPIKE),
+            Some(DEADLINE),
+        ),
+        (
+            "failover",
+            FaultPlan::seeded(43).with_shard_death(1, 2),
+            None,
+        ),
+        (
+            "all three",
+            FaultPlan::seeded(44)
+                .with_transient_rate(0.5)
+                .with_latency_spike(0.25, SPIKE)
+                .with_shard_death(2, 4),
+            Some(DEADLINE),
+        ),
+    ];
+    for (label, plan, deadline) in plans {
+        for window in [None, Some(Duration::from_millis(2))] {
+            let mut config = EngineConfig::new()
+                .with_workers(2)
+                .with_shards(3)
+                .with_fault_plan(plan.clone())
+                .with_retry_budget(8);
+            if let Some(deadline) = deadline {
+                config = config.with_command_deadline(deadline);
+            }
+            if let Some(window) = window {
+                config = config.with_coalescing_window(window);
+            }
+            let (outputs, report) = run_expecting_success(analyzer.clone(), &samples, config);
+            assert_eq!(
+                outputs, expected,
+                "{label}, window {window:?}: a support was lost or doubled"
+            );
+            let retries: u64 = report.shard_stats.iter().map(|s| s.retries).sum();
+            assert!(retries > 0, "{label}: the plan injected nothing");
+            assert_eq!(report.failed_jobs, 0, "{label}");
+            assert_eq!(report.completed, SAMPLES as u64, "{label}");
+        }
+    }
+}
+
 /// An injected worker panic fails only the targeted job: the affected
 /// handle resolves to `Err(WorkerPanicked)`, sibling jobs complete with
 /// oracle-identical output, and the engine keeps accepting work afterward.
