@@ -11,8 +11,10 @@
 //!   [`SortedKmerDatabase::intersect_sorted`] against the retained
 //!   two-pointer reference, on a skewed workload (`|DB| = 64 · |Q|`, the
 //!   realistic per-shard regime where galloping wins),
-//! * **KMC counting** — `collect → sort_unstable → run-length group`
-//!   against the old per-occurrence `BTreeMap` insertion,
+//! * **KMC counting** — `extract payload words → lexicographic-range
+//!   buckets → sort each → run-length group` against the old per-occurrence
+//!   `BTreeMap` insertion, at k = 31 (half-width words) and k = 45
+//!   (full-width words),
 //! * **database build** — the columnar pair-sort build against the old
 //!   `BTreeMap<Kmer, Vec<TaxId>>` + `contains` build,
 //! * **taxID retrieval** — the one-pass cursor merge of
@@ -38,9 +40,9 @@
 //!
 //! `megis-bench hotpath` prints this report and writes the numbers to
 //! `BENCH_hotpath.json`. CI runs it in release mode, greps the exact
-//! verdict lines (kernel parity, KSS stream parity, fused Step 2 parity,
-//! unified-index parity, read-range parity, batched-probe parity, zero-copy
-//! shards) and uploads
+//! verdict lines (kernel parity, counting parity, KSS stream parity, fused
+//! Step 2 parity, unified-index parity, read-range parity, batched-probe
+//! parity, zero-copy shards) and uploads
 //! the JSON, so a PR that breaks a kernel's
 //! equivalence or reintroduces a database copy fails the smoke test. The
 //! galloping speedup line is wall clock from one run: printed, not gated.
@@ -54,7 +56,7 @@ use megis::{step2, step3};
 use megis_genomics::database::{
     ReadMapHit, ReferenceIndex, SortedKmerDatabase, UnifiedReferenceIndex,
 };
-use megis_genomics::kmer::{CanonicalKmerExtractor, Kmer, KmerExtractor};
+use megis_genomics::kmer::{fits_half_word, CanonicalKmerExtractor, Kmer, KmerExtractor};
 use megis_genomics::read::{Read, ReadSet};
 use megis_genomics::reference::ReferenceCollection;
 use megis_genomics::sample::{CommunityConfig, Diversity};
@@ -80,6 +82,9 @@ const BUILD_GENOMES: usize = 16;
 const BUILD_GENOME_LEN: usize = 8_000;
 /// k-mer length of the database and queries.
 const K: usize = 31;
+/// k-mer lengths of the counting rows: the benchmark's (half-width payload
+/// words) and the default sketch shape's `k_max` (full-width words).
+const COUNT_KS: [usize; 2] = [K, 45];
 /// Query skew: one query per this many database entries (`|DB| = SKEW·|Q|`).
 const SKEW: usize = 64;
 /// Reads in the counting fixture.
@@ -192,6 +197,26 @@ fn map_btreemap(index: &MapUnifiedIndex, read: &Read) -> Option<ReadMapHit> {
         .map(|(taxid, votes)| ReadMapHit { taxid, votes })
 }
 
+/// One KMC counting row: the read set counted at one k-mer length.
+#[derive(Debug, Clone, Copy)]
+pub struct CountRow {
+    /// k-mer length.
+    pub k: usize,
+    /// k-mer occurrences counted per pass.
+    pub occurrences: u64,
+    /// Seconds per `BTreeMap` counting pass (best trial).
+    pub btreemap_s: f64,
+    /// Seconds per bucketed counting pass (best trial).
+    pub bucketed_s: f64,
+}
+
+impl CountRow {
+    /// Bucketed counting speedup over the `BTreeMap` baseline.
+    pub fn speedup(&self) -> f64 {
+        self.btreemap_s / self.bucketed_s
+    }
+}
+
 /// Everything the hot-path experiment measured; [`hotpath_measure`] fills
 /// it, [`HotpathMeasurement::report`] renders the text report, and
 /// [`HotpathMeasurement::to_json`] serializes the `BENCH_hotpath.json`
@@ -204,18 +229,17 @@ pub struct HotpathMeasurement {
     pub db_associations: usize,
     /// Query k-mers in the skewed intersection workload.
     pub queries: usize,
-    /// k-mer occurrences in the counting workload.
-    pub count_occurrences: u64,
+    /// The counting workload at k = 31 and at k = 45.
+    pub count_rows: Vec<CountRow>,
+    /// Whether `KmerCounts::count` equalled the ordered-map count (k-mers,
+    /// multiplicities, occurrence total) at every counted k.
+    pub count_parity: bool,
     /// k-mer occurrences the build consumes.
     pub build_inputs: u64,
     /// Seconds per two-pointer intersection pass (best trial).
     pub two_pointer_s: f64,
     /// Seconds per galloping intersection pass (best trial).
     pub gallop_s: f64,
-    /// Seconds per `BTreeMap` counting pass (best trial).
-    pub count_btreemap_s: f64,
-    /// Seconds per sort-and-group counting pass (best trial).
-    pub count_sort_s: f64,
     /// Seconds per `BTreeMap` database build (best trial).
     pub build_btreemap_s: f64,
     /// Seconds per columnar database build (best trial).
@@ -245,6 +269,8 @@ pub struct HotpathMeasurement {
     pub step3_seeds: usize,
     /// Reads mapped per pass in the Step 3 fixture.
     pub step3_reads: usize,
+    /// Host bytes of the merged index's seed column (one word per seed).
+    pub step3_seed_column_bytes: u64,
     /// Seconds per ordered-map unified-index merge (best trial).
     pub merge_btreemap_s: f64,
     /// Seconds per flat k-way unified-index merge (best trial).
@@ -267,9 +293,8 @@ pub struct HotpathMeasurement {
     pub db_heap_bytes: u64,
     /// `(shard count, ShardSet::resident_bytes)` for each swept count.
     pub resident_by_shards: Vec<(usize, u64)>,
-    /// Whether every refactored kernel reproduced its baseline exactly
-    /// (galloping vs two-pointer, sort-count vs map-count, columnar build
-    /// vs map build).
+    /// Whether the galloping intersect and the columnar build reproduced
+    /// their baselines exactly (two-pointer merge, map build).
     pub parity: bool,
 }
 
@@ -277,11 +302,6 @@ impl HotpathMeasurement {
     /// Galloping speedup over the two-pointer reference.
     pub fn gallop_speedup(&self) -> f64 {
         self.two_pointer_s / self.gallop_s
-    }
-
-    /// Sort-and-group counting speedup over the `BTreeMap` baseline.
-    pub fn count_speedup(&self) -> f64 {
-        self.count_btreemap_s / self.count_sort_s
     }
 
     /// Columnar build speedup over the `BTreeMap` baseline.
@@ -352,21 +372,19 @@ impl HotpathMeasurement {
         report.table_row("galloping", &[self.gallop_s * 1e3, melems / self.gallop_s]);
         report.line(&format!("speedup: {:.2}x", self.gallop_speedup()));
 
-        let mkmers = self.count_occurrences as f64 / 1e6;
-        report.section(&format!(
-            "KMC counting ({} k-mer occurrences)",
-            self.count_occurrences
-        ));
-        report.table_header(&["kernel", "ms/pass", "Mkmer/s"]);
-        report.table_row(
-            "btreemap",
-            &[self.count_btreemap_s * 1e3, mkmers / self.count_btreemap_s],
-        );
-        report.table_row(
-            "sort+group",
-            &[self.count_sort_s * 1e3, mkmers / self.count_sort_s],
-        );
-        report.line(&format!("speedup: {:.2}x", self.count_speedup()));
+        for row in &self.count_rows {
+            let mkmers = row.occurrences as f64 / 1e6;
+            report.section(&format!(
+                "KMC counting, k = {} ({} k-mer occurrences, {}-byte words)",
+                row.k,
+                row.occurrences,
+                if fits_half_word(row.k) { 8 } else { 16 }
+            ));
+            report.table_header(&["kernel", "ms/pass", "Mkmer/s"]);
+            report.table_row("btreemap", &[row.btreemap_s * 1e3, mkmers / row.btreemap_s]);
+            report.table_row("bucketed", &[row.bucketed_s * 1e3, mkmers / row.bucketed_s]);
+            report.line(&format!("speedup: {:.2}x", row.speedup()));
+        }
 
         let minputs = self.build_inputs as f64 / 1e6;
         report.section(&format!(
@@ -424,8 +442,9 @@ impl HotpathMeasurement {
 
         let per_read_ns = 1e9 / self.step3_reads as f64;
         report.section(&format!(
-            "Step 3 unified index ({} candidates, {} seeds, {} reads, seed k = {SEED_K})",
-            self.step3_candidates, self.step3_seeds, self.step3_reads
+            "Step 3 unified index ({} candidates, {} seeds in a {}-byte seed column, \
+             {} reads, seed k = {SEED_K})",
+            self.step3_candidates, self.step3_seeds, self.step3_seed_column_bytes, self.step3_reads
         ));
         report.table_header(&["kernel", "merge us/pass", "map ns/read"]);
         report.table_row(
@@ -465,6 +484,14 @@ impl HotpathMeasurement {
         report.line(&format!(
             "parity with two-pointer reference: {}",
             if self.parity { "identical" } else { "DIVERGED" }
+        ));
+        report.line(&format!(
+            "kmc counting parity with ordered-map reference: {}",
+            if self.count_parity {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
         ));
         report.line(&format!(
             "kss stream parity with per-query lookup: {}",
@@ -528,22 +555,42 @@ impl HotpathMeasurement {
         report.line("");
         report.line("Galloping advances on the longer (database) side in O(log gap) probes, so");
         report.line("the skewed merge is bounded by |Q| * log(|DB|/|Q|) instead of |DB| + |Q|;");
-        report.line("counting and build replace per-item ordered-map insertion with one");
-        report.line("sort_unstable + run-length group over a dense array; retrieval walks each");
-        report.line("flat KSS table once with a forward cursor instead of searching it per");
-        report.line("k-mer, and the engine's Step 2 skips even that: the tables are joined");
-        report.line("against the database once, so the sweep that finds a hit counts its taxa");
-        report.line("with a bit test and a rank per table and returns support, not k-mers;");
-        report.line("the unified index is one k-way merge of sorted seed columns, probed");
-        report.line("a batch of a read's seeds at a time and mapped with a dense counter per");
-        report.line("candidate; and partitioning returns range views over one Arc-shared");
-        report.line("columnar storage, so an N-shard deployment keeps a single resident copy of");
-        report.line("the database.");
+        report.line("the build replaces per-item ordered-map insertion with one sort_unstable +");
+        report.line("run-length group over a dense array, and counting does the same on bare");
+        report.line("payload words sized to k, bucketed by their leading bits so each sort is");
+        report.line("cache-resident; retrieval walks each flat KSS table once with a forward");
+        report.line("cursor instead of searching it per k-mer, and the engine's Step 2 skips even");
+        report.line("that: the tables are joined against the database once, so the sweep that");
+        report.line("finds a hit counts its taxa with a bit test and a rank per table and returns");
+        report.line("support, not k-mers; the unified index is one k-way merge of sorted seed");
+        report.line("columns, probed a batch of a read's seeds at a time and mapped with a dense");
+        report.line("counter per candidate; and partitioning returns range views over one Arc-");
+        report.line("shared columnar storage, so an N-shard deployment keeps a single resident");
+        report.line("copy of the database.");
         report.finish()
     }
 
     /// Serializes the measurement as the `BENCH_hotpath.json` record.
     pub fn to_json(&self) -> String {
+        let count_rows: Vec<String> = self
+            .count_rows
+            .iter()
+            .map(|row| {
+                format!(
+                    "    \"k{}\": {{\n\
+                     \x20     \"occurrences\": {},\n\
+                     \x20     \"btreemap_us_per_pass\": {:.3},\n\
+                     \x20     \"bucketed_us_per_pass\": {:.3},\n\
+                     \x20     \"speedup\": {:.3}\n\
+                     \x20   }}",
+                    row.k,
+                    row.occurrences,
+                    row.btreemap_s * 1e6,
+                    row.bucketed_s * 1e6,
+                    row.speedup()
+                )
+            })
+            .collect();
         let residents: Vec<String> = self
             .resident_by_shards
             .iter()
@@ -566,10 +613,7 @@ impl HotpathMeasurement {
              \x20   \"confirmed\": {}\n\
              \x20 }},\n\
              \x20 \"count\": {{\n\
-             \x20   \"occurrences\": {},\n\
-             \x20   \"btreemap_us_per_pass\": {:.3},\n\
-             \x20   \"sort_group_us_per_pass\": {:.3},\n\
-             \x20   \"speedup\": {:.3}\n\
+             \x20   \"parity\": {},\n{}\n\
              \x20 }},\n\
              \x20 \"build\": {{\n\
              \x20   \"occurrences\": {},\n\
@@ -594,6 +638,7 @@ impl HotpathMeasurement {
              \x20 \"step3\": {{\n\
              \x20   \"candidates\": {},\n\
              \x20   \"seeds\": {},\n\
+             \x20   \"seed_column_bytes\": {},\n\
              \x20   \"reads\": {},\n\
              \x20   \"btreemap_merge_us_per_pass\": {:.3},\n\
              \x20   \"flat_merge_us_per_pass\": {:.3},\n\
@@ -620,10 +665,8 @@ impl HotpathMeasurement {
             self.gallop_s * 1e6,
             self.gallop_speedup(),
             self.gallop_confirmed(),
-            self.count_occurrences,
-            self.count_btreemap_s * 1e6,
-            self.count_sort_s * 1e6,
-            self.count_speedup(),
+            self.count_parity,
+            count_rows.join(",\n"),
             self.build_inputs,
             self.build_btreemap_s * 1e6,
             self.build_columnar_s * 1e6,
@@ -640,6 +683,7 @@ impl HotpathMeasurement {
             self.step2_parity,
             self.step3_candidates,
             self.step3_seeds,
+            self.step3_seed_column_bytes,
             self.step3_reads,
             self.merge_btreemap_s * 1e6,
             self.merge_flat_s * 1e6,
@@ -684,7 +728,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
     mixed.extend(queries.iter().step_by(7).copied());
     mixed.sort();
 
-    let mut parity = database.intersect_sorted(&queries)
+    let parity = database.intersect_sorted(&queries)
         == database.intersect_sorted_two_pointer(&queries)
         && database.intersect_sorted(&mixed) == database.intersect_sorted_two_pointer(&mixed);
 
@@ -697,11 +741,24 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         .with_database_species(12)
         .build(7);
     let reads = community.sample().reads();
-    let counted = KmerCounts::count(reads, K);
-    parity &= counted.entries().eq(count_btreemap(reads, K));
-    let count_occurrences = counted.total_occurrences();
-    let count_btreemap_s = best_seconds(|| count_btreemap(reads, K).len());
-    let count_sort_s = best_seconds(|| KmerCounts::count(reads, K).entries().len());
+    let mut count_parity = true;
+    let count_rows = COUNT_KS
+        .iter()
+        .map(|&k| {
+            let counted = KmerCounts::count(reads, k);
+            let reference = count_btreemap(reads, k);
+            let total: u64 = reference.iter().map(|(_, n)| u64::from(*n)).sum();
+            count_parity &= !reference.is_empty()
+                && counted.total_occurrences() == total
+                && counted.entries().eq(reference);
+            CountRow {
+                k,
+                occurrences: total,
+                btreemap_s: best_seconds(|| count_btreemap(reads, k).len()),
+                bucketed_s: best_seconds(|| KmerCounts::count(reads, k).entries().len()),
+            }
+        })
+        .collect();
 
     // Build fixture: small enough to iterate the whole build per trial
     // (the intersection fixture is deliberately oversized for that).
@@ -713,7 +770,8 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         .sum();
     let reference_build = build_btreemap(&build_refs, K);
     let columnar_build = SortedKmerDatabase::build(&build_refs, K);
-    parity &= reference_build.len() == columnar_build.len()
+    let parity = parity
+        && reference_build.len() == columnar_build.len()
         && columnar_build
             .entries()
             .zip(&reference_build)
@@ -825,12 +883,11 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         db_entries: database.len(),
         db_associations: database.storage().association_count(),
         queries: queries.len(),
-        count_occurrences,
+        count_rows,
+        count_parity,
         build_inputs,
         two_pointer_s,
         gallop_s,
-        count_btreemap_s,
-        count_sort_s,
         build_btreemap_s,
         build_columnar_s,
         kss_queries: intersecting.len(),
@@ -844,6 +901,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         step3_candidates: candidates.len(),
         step3_seeds: flat_index.len(),
         step3_reads: reads.len(),
+        step3_seed_column_bytes: flat_index.seed_column_bytes(),
         merge_btreemap_s,
         merge_flat_s,
         map_btreemap_s,
@@ -872,6 +930,10 @@ mod tests {
         let m = super::hotpath_measure();
         assert!(m.parity, "refactored kernels must reproduce the baselines");
         assert!(
+            m.count_parity && m.count_rows.len() == 2,
+            "bucketed counting must equal the ordered-map count at both widths"
+        );
+        assert!(
             m.kss_parity,
             "streamed retrieval must equal the lookup fold"
         );
@@ -899,6 +961,7 @@ mod tests {
         );
         let report = m.report();
         assert!(report.contains("parity with two-pointer reference: identical"));
+        assert!(report.contains("kmc counting parity with ordered-map reference: identical"));
         assert!(report.contains("kss stream parity with per-query lookup: identical"));
         assert!(report
             .contains("step 2 fused sweep parity with retrieval of the intersection: identical"));
@@ -909,6 +972,9 @@ mod tests {
         let json = m.to_json();
         assert!(json.contains("\"bench\": \"hotpath\""));
         assert!(json.contains("\"zero_copy_confirmed\": true"));
+        assert!(json.contains("\"k31\": {") && json.contains("\"k45\": {"));
+        assert!(json.contains("\"bucketed_us_per_pass\""));
+        assert!(json.contains("\"seed_column_bytes\""));
         assert!(json.contains("\"stream_ns_per_kmer\""));
         assert!(json.contains("\"fused_sweep_us_per_pass\""));
         assert!(json.contains("\"flat_map_ns_per_read\""));

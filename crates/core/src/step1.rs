@@ -1,19 +1,23 @@
 //! Step 1 — preparing the input queries on the host (§4.2).
 //!
 //! MegIS extracts k-mers from the sample, partitions them into buckets that
-//! each cover a lexicographic range, sorts them, and (optionally) excludes
-//! k-mers by frequency. In the paper bucketing is what enables the
+//! each cover a lexicographic range, sorts each bucket, and (optionally)
+//! excludes k-mers by frequency. In the paper bucketing is what enables the
 //! cooperative pipeline: bucket *i* is intersected in the SSD (Step 2) while
 //! bucket *i + 1* is still being sorted.
 //!
-//! What is implemented here is the data layout of that hand-off, not its
-//! overlap: [`run`] counts and sorts the whole sample once into **one
-//! arena** of selected k-mers and records `bucket_count + 1` boundaries over
-//! it, so a bucket is a `&[Kmer]` range ([`Step1Output::buckets`]) and
+//! The bucketing is what [`run`] does: [`KmerCounts::count`] scatters the
+//! sample's k-mers — bare payload words sized to `k`, 8 bytes for every
+//! `k <= 32` — into lexicographic-range buckets by their leading bits and
+//! sorts each while it is cache-resident, so no sort ever spans the sample.
+//! The overlap is what it does not do: the sorted buckets are concatenated
+//! into **one arena** of selected k-mers before anything is handed on, and
+//! `bucket_count + 1` equal-population boundaries are recorded over it, so a
+//! hand-off bucket is a `&[Kmer]` range ([`Step1Output::buckets`]) and
 //! nothing is copied per bucket. Step 2 walks the ranges; the scheduler
 //! moves the arena itself ([`Step1Output::take_kmers`]) into the allocation
-//! its shard commands share. Issuing each bucket to the devices as it is
-//! produced is ROADMAP "Step 1" item (c).
+//! its shard commands share. Issuing each sorted bucket to the devices as it
+//! is produced is ROADMAP "Step 1" item (c).
 
 use megis_genomics::kmer::Kmer;
 use megis_genomics::read::ReadSet;
@@ -70,8 +74,8 @@ impl Step1Output {
 ///
 /// Extraction and sorting reuse the same KMC-style counting as the S-Qry
 /// baseline, so MegIS's query k-mer set is identical to the baseline's — the
-/// bucketing only changes *when* each range becomes available, not *what* is
-/// produced.
+/// bucketing only changes how the sorted list is produced (and, once ranges
+/// are issued early, *when* each becomes available), not *what* is produced.
 pub fn run(reads: &ReadSet, config: &MegisConfig, exclusion: ExclusionPolicy) -> Step1Output {
     let counts = KmerCounts::count(reads, config.k());
     let extracted_occurrences = counts.total_occurrences();

@@ -51,9 +51,10 @@
 //! MegIS's Step 3 generates a [`UnifiedReferenceIndex`] over the candidate
 //! species inside the SSD *by sequentially merging the sorted per-species
 //! indexes* (§4.4, Fig. 9). Both index types are flat like the database: a
-//! sorted column of raw `u128` seed words (one seed length per index, so
-//! integer order is lexicographic order), `u32` offsets into one location
-//! arena, and a bucket directory over the seeds' leading bits. One routine,
+//! sorted column of raw `u64` seed words — eight bytes a seed, which caps a
+//! seed at [`MAX_SEED_K`] bases (one seed length per index, so integer order
+//! is lexicographic order) — `u32` offsets into one location arena, and a
+//! bucket directory over the seeds' leading bits. One routine,
 //! a forward k-way merge of sorted seed tables with seed ties broken by
 //! stream position, backs [`UnifiedReferenceIndex::merge`],
 //! [`PartialUnifiedIndex::merge_range`] (per-species streams) and
@@ -77,7 +78,8 @@ use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::kmer::{CanonicalKmerExtractor, Kmer};
+use crate::dna::PackedSequence;
+use crate::kmer::{CanonicalKmerExtractor, CanonicalWords, Kmer};
 use crate::read::Read;
 use crate::reference::{ReferenceCollection, ReferenceGenome};
 use crate::taxonomy::TaxId;
@@ -746,8 +748,19 @@ const LINEAR_TAIL: usize = 16;
 
 /// Width at which [`SeedTable::probe`] stops halving and counts — the fixed
 /// window of its position pass: two buckets' worth of evenly spread seeds,
-/// four 16-byte words, one cache line.
+/// four 8-byte words, half a cache line.
 const SEED_TAIL: usize = 4;
+
+/// Longest seed a read-mapping index holds: the seed column stores one
+/// `u64` per seed, 2 bits a base.
+pub const MAX_SEED_K: usize = 32;
+
+/// The canonical length-`k` seeds of `seq` as the raw (right-aligned) words
+/// a [`SeedTable`] stores, in sequence order; `k` is in `1..=MAX_SEED_K`.
+fn seed_words(seq: &PackedSequence, k: usize) -> impl ExactSizeIterator<Item = u64> + '_ {
+    let low = u64::BITS - 2 * k as u32;
+    CanonicalWords::<u64>::new(seq, k).map(move |word| word >> low)
+}
 
 /// Seeds one [`SeedTable::probe`] call resolves together.
 const PROBE_BATCH: usize = 16;
@@ -772,14 +785,24 @@ fn pin_boundary(slice: &[Kmer], target: Kmer, mut lo: usize, mut hi: usize) -> u
     lo + 1
 }
 
+/// The directory slot of `seed` under a [`SeedTable`]'s `bucket_shift` (past
+/// the directory for a seed wider than the largest stored one). A lone
+/// full-width seed has a directory of one bucket and a shift of the whole
+/// word, which a plain `>>` would reject.
+#[inline]
+fn seed_bucket(seed: u64, shift: u32) -> usize {
+    usize::try_from(seed.checked_shr(shift).unwrap_or(0)).unwrap_or(usize::MAX)
+}
+
 /// A sorted seed column with a CSR payload — the flat layout both
-/// read-mapping indexes store. `seeds` holds the raw words of length-`k`
-/// canonical seeds, so integer order is lexicographic order. Four
-/// allocations however many seeds: a drop frees nothing per seed.
+/// read-mapping indexes store. `seeds` holds the raw `u64` words of
+/// length-`k` canonical seeds (`k <= MAX_SEED_K`; a cache line holds eight),
+/// so integer order is lexicographic order. Four allocations however many
+/// seeds: a drop frees nothing per seed.
 #[derive(Debug, Clone, PartialEq)]
 struct SeedTable<T> {
     k: usize,
-    seeds: Vec<u128>,
+    seeds: Vec<u64>,
     /// `seeds.len() + 1` boundaries into `payload`.
     offsets: Vec<u32>,
     payload: Vec<T>,
@@ -811,7 +834,7 @@ impl<T> SeedTable<T> {
 
     /// Appends `items` under `seed`, which must not sort before any seed
     /// appended so far; a repeat of the last seed extends its entry.
-    fn append(&mut self, seed: u128, items: impl Iterator<Item = T>) {
+    fn append(&mut self, seed: u64, items: impl Iterator<Item = T>) {
         debug_assert!(self.seeds.last().is_none_or(|last| *last <= seed));
         if self.seeds.last() != Some(&seed) {
             self.seeds.push(seed);
@@ -827,14 +850,14 @@ impl<T> SeedTable<T> {
     /// *largest* seed's width, about two evenly spread seeds to a bucket.
     fn seal(&mut self) {
         let Some(max) = self.seeds.last() else { return };
-        let width = 128 - max.leading_zeros();
+        let width = u64::BITS - max.leading_zeros();
         let bits = (usize::BITS - self.seeds.len().leading_zeros())
             .saturating_sub(1)
             .min(width);
         self.bucket_shift = width - bits;
         self.buckets = vec![0u32; (1usize << bits) + 1];
-        for seed in &self.seeds {
-            self.buckets[(seed >> self.bucket_shift) as usize + 1] += 1;
+        for &seed in &self.seeds {
+            self.buckets[seed_bucket(seed, self.bucket_shift) + 1] += 1;
         }
         for b in 1..self.buckets.len() {
             self.buckets[b] += self.buckets[b - 1];
@@ -851,15 +874,15 @@ impl<T> SeedTable<T> {
     /// data decides, so a seed's dependent loads (directory, seed window,
     /// offsets) never wait behind a branch the previous seed mispredicted:
     /// the safe-code stand-in for prefetching.
-    fn probe(&self, seeds: &[u128]) -> [Option<&[T]>; PROBE_BATCH] {
+    fn probe(&self, seeds: &[u64]) -> [Option<&[T]>; PROBE_BATCH] {
         assert!(seeds.len() <= PROBE_BATCH, "one batch per probe");
         debug_assert!(self.seeds.is_empty() || !self.buckets.is_empty());
         let len = self.seeds.len();
         // Pass 1, directory: both bounds of each seed's bucket. A seed past
         // the directory keeps the empty range at the column's end: absent.
         let mut spans = [(len, len); PROBE_BATCH];
-        for (span, seed) in spans.iter_mut().zip(seeds) {
-            let bucket = usize::try_from(seed >> self.bucket_shift).unwrap_or(usize::MAX);
+        for (span, &seed) in spans.iter_mut().zip(seeds) {
+            let bucket = seed_bucket(seed, self.bucket_shift);
             if let Some(&[lo, hi]) = self.buckets.get(bucket..bucket.saturating_add(2)) {
                 *span = (lo as usize, hi as usize);
             }
@@ -879,7 +902,7 @@ impl<T> SeedTable<T> {
                     hi = mid;
                 }
             }
-            let smaller = |window: &[u128]| window.iter().filter(|s| **s < seed).count();
+            let smaller = |window: &[u64]| window.iter().filter(|s| **s < seed).count();
             *at = match self.seeds[lo..].first_chunk::<SEED_TAIL>() {
                 Some(window) => lo + smaller(window),
                 // The column ends inside the window.
@@ -898,18 +921,28 @@ impl<T> SeedTable<T> {
 
     /// Items under the raw word of a length-`k` seed: the batch of one.
     /// There is no per-seed routine beside [`SeedTable::probe`].
-    fn get(&self, seed: u128) -> Option<&[T]> {
+    fn get(&self, seed: u64) -> Option<&[T]> {
         self.probe(&[seed])[0]
     }
 
     /// Items under `kmer`; no k-mer of another length is a seed here,
     /// whatever its raw word.
     fn locations(&self, kmer: Kmer) -> Option<&[T]> {
-        self.get(kmer.bits()).filter(|_| kmer.k() == self.k)
+        if kmer.k() != self.k {
+            return None;
+        }
+        // A seed of this table's length: its payload fits the seed word.
+        self.get(kmer.bits() as u64)
     }
 
     fn entries(&self) -> impl ExactSizeIterator<Item = (Kmer, &[T])> + '_ {
-        (0..self.seeds.len()).map(|i| (Kmer::from_bits(self.seeds[i], self.k), self.items(i)))
+        let kmer = |seed: u64| Kmer::from_bits(u128::from(seed), self.k);
+        (0..self.seeds.len()).map(move |i| (kmer(self.seeds[i]), self.items(i)))
+    }
+
+    /// Host bytes of the seed column.
+    fn seed_column_bytes(&self) -> u64 {
+        std::mem::size_of_val(self.seeds.as_slice()) as u64
     }
 
     /// On-storage size: 2-bit seeds plus `item_bytes` per item.
@@ -939,7 +972,7 @@ fn merge_tables<T, C: Copy, U>(
         streams.iter().map(|(t, _)| t.payload.len()).sum(),
     );
     // One head per live stream: (seed, stream, entry within the stream).
-    let mut heads: BinaryHeap<Reverse<(u128, usize, usize)>> = streams
+    let mut heads: BinaryHeap<Reverse<(u64, usize, usize)>> = streams
         .iter()
         .enumerate()
         .filter_map(|(s, (table, _))| table.seeds.first().map(|&seed| Reverse((seed, s, 0))))
@@ -974,13 +1007,18 @@ pub struct ReferenceIndex {
 impl ReferenceIndex {
     /// Builds the index of one reference genome with seeds of length `k`:
     /// collect `(seed, position)` pairs, `sort_unstable`, run-length group.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` or `k > MAX_SEED_K`.
     pub fn build(genome: &ReferenceGenome, k: usize) -> ReferenceIndex {
         REFERENCE_INDEX_BUILDS.with(|c| c.set(c.get() + 1));
+        assert!(
+            k <= MAX_SEED_K,
+            "seed length {k} exceeds MAX_SEED_K ({MAX_SEED_K}): the seed column holds one u64 per seed"
+        );
         assert!(u32::try_from(genome.len()).is_ok(), "locations are u32");
-        let mut pairs: Vec<(u128, u32)> = CanonicalKmerExtractor::new(genome.sequence(), k)
-            .zip(0u32..)
-            .map(|(seed, pos)| (seed.bits(), pos))
-            .collect();
+        let mut pairs: Vec<(u64, u32)> = seed_words(genome.sequence(), k).zip(0u32..).collect();
         pairs.sort_unstable();
         let mut table = SeedTable::with_capacity(k, pairs.len(), pairs.len());
         for (seed, pos) in pairs {
@@ -1191,11 +1229,11 @@ impl UnifiedReferenceIndex {
         if seed_k != self.table.k || self.is_empty() {
             return;
         }
-        let mut seeds = CanonicalKmerExtractor::new(read.sequence(), seed_k);
-        let mut words = [0u128; PROBE_BATCH];
+        let mut seeds = seed_words(read.sequence(), seed_k);
+        let mut words = [0u64; PROBE_BATCH];
         while seeds.len() > 0 {
             let batch = &mut words[..seeds.len().min(PROBE_BATCH)];
-            batch.fill_with(|| seeds.next().expect("sized exactly").bits());
+            batch.fill_with(|| seeds.next().expect("sized exactly"));
             for locations in self.table.probe(batch).into_iter().flatten() {
                 for loc in locations {
                     votes[loc.candidate as usize] += 1;
@@ -1224,6 +1262,12 @@ impl UnifiedReferenceIndex {
             .offsets
             .partition_point(|(_, offset)| *offset <= position);
         idx.checked_sub(1).map(|i| self.offsets[i].0)
+    }
+
+    /// Host-memory bytes of the seed column: one `u64` word per distinct
+    /// seed, whatever the seed length.
+    pub fn seed_column_bytes(&self) -> u64 {
+        self.table.seed_column_bytes()
     }
 
     /// On-storage size in bytes (2-bit seeds + 12 bytes of taxid and position per location).
@@ -1881,18 +1925,21 @@ mod tests {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            u128::from(state)
+            state
         };
         // Evenly spread seeds; seeds that all share their leading bits (one
         // far outlier sets the directory's width, so bucket 0 holds every
         // other seed and the lookup has to halve); dense runs, where a
         // probe's neighbours are seeds too; fewer seeds than the fixed
-        // window is wide; one seed; none.
-        let spread: Vec<u128> = (0..3000).map(|_| next() >> 34).collect();
-        let mut one_bucket: Vec<u128> = (0..1500).map(|_| 10 + (next() >> 40)).collect();
-        one_bucket.push(1 << 100);
-        let dense: Vec<u128> = (0..700u128).map(|i| 1000 + i + i / 9).collect();
-        let few: Vec<u128> = (1..SEED_TAIL as u128).map(|i| 77 * i * i).collect();
+        // window is wide; one seed; none. The outlier and the seeds of the
+        // full-width shapes use all 64 bits of the word, as a 32-base seed
+        // starting with `T` does.
+        let spread: Vec<u64> = (0..3000).map(|_| next() >> 34).collect();
+        let mut one_bucket: Vec<u64> = (0..1500).map(|_| 10 + (next() >> 40)).collect();
+        one_bucket.push(u64::MAX - 3);
+        let dense: Vec<u64> = (0..700u64).map(|i| 1000 + i + i / 9).collect();
+        let few: Vec<u64> = (1..SEED_TAIL as u64).map(|i| 77 * i * i).collect();
+        let full_width: Vec<u64> = (0..900).map(|_| next()).collect();
         for (label, mut seeds) in [
             ("spread", spread),
             ("one bucket", one_bucket),
@@ -1900,11 +1947,13 @@ mod tests {
             ("few", few),
             ("single", vec![5]),
             ("empty", Vec::new()),
+            ("full width", full_width),
+            ("single full width", vec![1 << 63]),
         ] {
             seeds.sort_unstable();
             seeds.dedup();
             let mut table = SeedTable::with_capacity(15, seeds.len(), 2 * seeds.len());
-            let mut map: BTreeMap<u128, Vec<u32>> = BTreeMap::new();
+            let mut map: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
             for (i, &seed) in seeds.iter().enumerate() {
                 let items: Vec<u32> = (0..1 + i as u32 % 3).map(|j| 7 * i as u32 + j).collect();
                 table.append(seed, items.iter().copied());
@@ -1918,11 +1967,11 @@ mod tests {
             // All-hit, all-miss (both neighbours of every seed, unless they
             // are seeds themselves), below the first seed, above the last.
             let mut probes = seeds.clone();
-            probes.extend(seeds.iter().map(|s| s + 1));
+            probes.extend(seeds.iter().filter_map(|s| s.checked_add(1)));
             probes.extend(seeds.iter().filter_map(|s| s.checked_sub(1)));
             let (first, last) = (seeds.first().copied(), seeds.last().copied());
-            probes.extend([0, first.unwrap_or(9) / 2, u128::MAX, u128::MAX >> 1]);
-            probes.extend(last.map(|l| l + 2));
+            probes.extend([0, first.unwrap_or(9) / 2, u64::MAX, u64::MAX >> 1]);
+            probes.extend(last.and_then(|l| l.checked_add(2)));
             let (mut hits, mut misses) = (0, 0);
             for &probe in &probes {
                 let expected = map.get(&probe).map(Vec::as_slice);
@@ -1941,7 +1990,7 @@ mod tests {
             // and the slots past a short batch stay empty.
             probes.extend_from_within(..probes.len() / 10);
             for i in (1..probes.len()).rev() {
-                probes.swap(i, (next() % (i as u128 + 1)) as usize);
+                probes.swap(i, (next() % (i as u64 + 1)) as usize);
             }
             assert_eq!(table.probe(&[]), [None; PROBE_BATCH], "{label}");
             for len in 1..=PROBE_BATCH {
@@ -1960,6 +2009,41 @@ mod tests {
     #[should_panic(expected = "one batch per probe")]
     fn probe_rejects_more_than_one_batch() {
         SeedTable::<u32>::default().probe(&[0; PROBE_BATCH + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_SEED_K (32)")]
+    fn reference_index_rejects_a_seed_wider_than_the_seed_word() {
+        let _ = ReferenceIndex::build(&refs().genomes()[0], MAX_SEED_K + 1);
+    }
+
+    #[test]
+    fn reference_index_holds_full_width_seeds() {
+        // 32-base seeds use every bit of the seed word; a genome of exactly
+        // one such seed starting with `T` on both strands has a one-bucket
+        // directory shifted by the whole word.
+        let lone = PackedSequence::from_ascii(b"TGCATGCATGCATGCATGCATGCATGCATGCA").unwrap();
+        let genome = ReferenceGenome::new(TaxId(3), "lone", lone.clone());
+        let index = ReferenceIndex::build(&genome, MAX_SEED_K);
+        let (seed, positions) = index.entries().next().expect("one seed");
+        assert_eq!((index.len(), positions), (1, &[0u32][..]));
+        assert_eq!(
+            seed,
+            Kmer::from_bases(&lone.iter().collect::<Vec<_>>()).canonical()
+        );
+        assert!(seed.bits() >> 63 == 1, "fixture: top bit of the word set");
+        assert_eq!(index.locations(seed), Some(&[0u32][..]));
+        assert_eq!(index.locations(seed.prefix(31)), None);
+        let r = refs();
+        for genome in r.genomes() {
+            let index = ReferenceIndex::build(genome, MAX_SEED_K);
+            for (pos, kmer) in KmerExtractor::new(genome.sequence(), MAX_SEED_K).enumerate() {
+                let at = index
+                    .locations(kmer.canonical())
+                    .expect("every seed indexed");
+                assert!(at.contains(&(pos as u32)));
+            }
+        }
     }
 
     #[test]

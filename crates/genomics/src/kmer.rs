@@ -11,8 +11,21 @@
 //! lexicographic comparison — the property MegIS's sorted-stream intersection
 //! and K-mer Sketch Streaming rely on — and a sorted k-mer stream is a sorted
 //! stream of integers.
+//!
+//! # The word rule
+//!
+//! Within one stream `k` is a constant, so the length byte carries nothing
+//! and the payload alone — `2k` bits, left-aligned in a [`KmerWord`] — orders
+//! the stream. The word is sized to the payload: `u64` when `2k <= 64`
+//! ([`fits_half_word`]), `u128` otherwise. [`CanonicalWords`] is the one
+//! rolling canonical extractor, generic over that word; the host's Step 1
+//! sorts its words and the read mapper's seed column stores them, at half the
+//! bytes of a [`Kmer`] for every `k <= 32`. [`CanonicalKmerExtractor`] is its
+//! `u128` adapter, and [`Kmer::from_word`] / [`Kmer::word`] are the two
+//! conversions.
 
 use std::fmt;
+use std::ops::{BitAnd, BitOr, Shl, Shr};
 
 use crate::dna::{Base, PackedSequence};
 
@@ -95,6 +108,23 @@ impl Kmer {
             .iter()
             .fold(0u128, |bits, b| (bits << 2) | b.code() as u128);
         Kmer::pack(bits, bases.len())
+    }
+
+    /// The k-mer of length `k` whose left-aligned payload is `word` (bits
+    /// below the payload clear), as [`CanonicalWords`] yields it; `k` is in
+    /// `1..=MAX_K` and fits the word.
+    #[inline]
+    pub fn from_word<W: KmerWord>(word: W, k: usize) -> Kmer {
+        debug_assert!(k > 0 && k <= MAX_K && 2 * k <= W::BITS as usize);
+        Kmer(word.widen() | k as u128)
+    }
+
+    /// The left-aligned payload without the length byte — the inverse of
+    /// [`Kmer::from_word`], for a word that fits `2 * k` bits.
+    #[inline]
+    pub fn word<W: KmerWord>(&self) -> W {
+        debug_assert!(2 * self.k() <= W::BITS as usize);
+        W::narrow(self.0 & !0xFF)
     }
 
     /// The k-mer length in bases.
@@ -269,38 +299,109 @@ impl Iterator for KmerExtractor<'_> {
 
 impl ExactSizeIterator for KmerExtractor<'_> {}
 
-/// Iterator over the canonical k-mers of a sequence (minimum of each k-mer and
-/// its reverse complement), created with [`CanonicalKmerExtractor::new`].
+/// Returns `true` when a length-`k` payload fits the half-width word
+/// (`2k <= 64`): the width rule, stated once. Step 1 and the seed column run
+/// on `u64` words exactly when it holds.
+#[inline]
+pub const fn fits_half_word(k: usize) -> bool {
+    2 * k <= u64::BITS as usize
+}
+
+/// An unsigned machine word holding a k-mer's 2-bit payload left-aligned
+/// (first base in the top two bits, zeros below the last base), so integer
+/// order is lexicographic order among words of one `k`. Implemented for
+/// `u64` and `u128`, the two widths of the [word rule](self#the-word-rule).
+pub trait KmerWord:
+    Copy
+    + Ord
+    + Default
+    + From<u8>
+    + Shl<u32, Output = Self>
+    + Shr<u32, Output = Self>
+    + BitOr<Output = Self>
+    + BitAnd<Output = Self>
+{
+    /// Width of the word in bits.
+    const BITS: u32;
+    /// The word with every bit set.
+    const MAX: Self;
+
+    /// The word's top `bits` bits as an index (`0` for `bits == 0`) — the
+    /// lexicographic-range bucket of a radix pass.
+    fn top_bits(self, bits: u32) -> usize;
+
+    /// The same payload left-aligned in a `u128`.
+    fn widen(self) -> u128;
+
+    /// The top `Self::BITS` bits of a left-aligned `u128` payload.
+    fn narrow(wide: u128) -> Self;
+}
+
+macro_rules! impl_kmer_word {
+    ($($word:ty),*) => {$(
+        impl KmerWord for $word {
+            const BITS: u32 = <$word>::BITS;
+            const MAX: $word = <$word>::MAX;
+
+            #[inline]
+            fn top_bits(self, bits: u32) -> usize {
+                self.checked_shr(<$word>::BITS - bits).unwrap_or(0) as usize
+            }
+
+            #[inline]
+            fn widen(self) -> u128 {
+                u128::from(self) << (u128::BITS - <$word>::BITS)
+            }
+
+            #[inline]
+            fn narrow(wide: u128) -> $word {
+                (wide >> (u128::BITS - <$word>::BITS)) as $word
+            }
+        }
+    )*};
+}
+
+impl_kmer_word!(u64, u128);
+
+/// Iterator over the canonical k-mers of a sequence (minimum of each k-mer
+/// and its reverse complement) as left-aligned payload words — the one
+/// rolling extractor, generic over the [`KmerWord`] the payload is sized to.
 ///
 /// It rolls the forward word and the reverse-complement word together — one
 /// shift and one OR each per base — and emits the smaller, so no k-mer pays
 /// a [`Kmer::reverse_complement`].
 #[derive(Debug, Clone)]
-pub struct CanonicalKmerExtractor<'a> {
+pub struct CanonicalWords<'a, W> {
     seq: &'a PackedSequence,
-    k: usize,
+    /// Bits below the payload: `W::BITS - 2 * k`.
+    low: u32,
     /// Bases rolled in so far; each further one completes a k-mer.
     pos: usize,
-    /// Left-aligned payloads (length byte clear) of the last `k` bases and of
-    /// their reverse complement.
-    forward: u128,
-    reverse: u128,
+    /// Left-aligned payloads of the last `k` bases and of their reverse
+    /// complement.
+    forward: W,
+    reverse: W,
 }
 
-impl<'a> CanonicalKmerExtractor<'a> {
-    /// Creates a canonical-k-mer extractor over `seq`.
+impl<'a, W: KmerWord> CanonicalWords<'a, W> {
+    /// Creates a canonical-word extractor over `seq`.
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `k > MAX_K`.
+    /// Panics if `k == 0`, `k > MAX_K`, or `2 * k` bits do not fit `W`.
     pub fn new(seq: &'a PackedSequence, k: usize) -> Self {
         assert!(k > 0 && k <= MAX_K, "k must be in 1..={MAX_K}");
-        let mut extractor = CanonicalKmerExtractor {
+        assert!(
+            2 * k <= W::BITS as usize,
+            "a {k}-mer does not fit a {}-bit word",
+            W::BITS
+        );
+        let mut extractor = CanonicalWords {
             seq,
-            k,
+            low: W::BITS - 2 * k as u32,
             pos: 0,
-            forward: 0,
-            reverse: 0,
+            forward: W::default(),
+            reverse: W::default(),
         };
         for _ in 0..(k - 1).min(seq.len()) {
             extractor.roll_in();
@@ -313,24 +414,24 @@ impl<'a> CanonicalKmerExtractor<'a> {
     /// the reverse one (whose last base is masked off the bottom).
     #[inline]
     fn roll_in(&mut self) {
-        let low = 128 - 2 * self.k;
-        let code = self.seq.get(self.pos).code() as u128;
-        self.forward = (self.forward << 2) | (code << low);
-        self.reverse = ((self.reverse >> 2) & (u128::MAX << low)) | ((3 - code) << 126);
+        let code = self.seq.get(self.pos).code();
+        self.forward = (self.forward << 2) | (W::from(code) << self.low);
+        self.reverse =
+            ((self.reverse >> 2) & (W::MAX << self.low)) | (W::from(3 - code) << (W::BITS - 2));
         self.pos += 1;
     }
 }
 
-impl Iterator for CanonicalKmerExtractor<'_> {
-    type Item = Kmer;
+impl<W: KmerWord> Iterator for CanonicalWords<'_, W> {
+    type Item = W;
 
     #[inline]
-    fn next(&mut self) -> Option<Kmer> {
+    fn next(&mut self) -> Option<W> {
         if self.pos >= self.seq.len() {
             return None;
         }
         self.roll_in();
-        Some(Kmer(self.forward.min(self.reverse) | self.k as u128))
+        Some(self.forward.min(self.reverse))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -339,15 +440,58 @@ impl Iterator for CanonicalKmerExtractor<'_> {
     }
 }
 
+impl<W: KmerWord> ExactSizeIterator for CanonicalWords<'_, W> {}
+
+/// Iterator over the canonical k-mers of a sequence as [`Kmer`]s, created
+/// with [`CanonicalKmerExtractor::new`]: the full-width [`CanonicalWords`]
+/// with the length byte put back — what every database, sketch and index
+/// build consumes.
+#[derive(Debug, Clone)]
+pub struct CanonicalKmerExtractor<'a> {
+    words: CanonicalWords<'a, u128>,
+    k: usize,
+}
+
+impl<'a> CanonicalKmerExtractor<'a> {
+    /// Creates a canonical-k-mer extractor over `seq`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0` or `k > MAX_K`.
+    pub fn new(seq: &'a PackedSequence, k: usize) -> Self {
+        CanonicalKmerExtractor {
+            words: CanonicalWords::new(seq, k),
+            k,
+        }
+    }
+}
+
+impl Iterator for CanonicalKmerExtractor<'_> {
+    type Item = Kmer;
+
+    #[inline]
+    fn next(&mut self) -> Option<Kmer> {
+        let word = self.words.next()?;
+        Some(Kmer::from_word(word, self.k))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.words.size_hint()
+    }
+}
+
 impl ExactSizeIterator for CanonicalKmerExtractor<'_> {}
 
 /// Number of k-mers a read of `read_len` bases yields for a given `k`
-/// (zero if the read is shorter than `k`).
+/// (zero if the read is shorter than `k`, and for `k == 0`, which no
+/// extractor accepts).
 #[inline]
 pub fn kmers_per_read(read_len: usize, k: usize) -> usize {
-    read_len
-        .saturating_sub(k)
-        .saturating_add(if read_len >= k { 1 } else { 0 })
+    if k == 0 || read_len < k {
+        0
+    } else {
+        read_len - k + 1
+    }
 }
 
 #[cfg(test)]
@@ -438,6 +582,25 @@ mod tests {
         assert_eq!(kmers_per_read(150, 60), 91);
         assert_eq!(kmers_per_read(30, 31), 0);
         assert_eq!(kmers_per_read(31, 31), 1);
+        assert_eq!(kmers_per_read(31, 0), 0);
+        assert_eq!(kmers_per_read(0, 0), 0);
+    }
+
+    #[test]
+    fn word_rule_and_bucket_index() {
+        assert!(fits_half_word(1) && fits_half_word(32) && !fits_half_word(33));
+        // Zero radix bits index the one bucket; otherwise the leading bits.
+        assert_eq!(u64::MAX.top_bits(0), 0);
+        assert_eq!((0b101u64 << 61).top_bits(3), 0b101);
+        assert_eq!((1u128 << 127).top_bits(3), 0b100);
+        assert_eq!(u64::narrow(7u64.widen()), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a 64-bit word")]
+    fn half_width_extractor_rejects_a_33_mer() {
+        let seq = PackedSequence::from_ascii(b"ACGT").unwrap();
+        let _ = CanonicalWords::<u64>::new(&seq, 33);
     }
 
     #[test]

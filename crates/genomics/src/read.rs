@@ -8,7 +8,7 @@
 use std::fmt;
 
 use crate::dna::PackedSequence;
-use crate::kmer::{Kmer, KmerExtractor};
+use crate::kmer::{kmers_per_read, Kmer, KmerExtractor};
 use crate::taxonomy::TaxId;
 
 /// A single sequencing read.
@@ -122,13 +122,10 @@ impl ReadSet {
         self.reads.iter().map(Read::len).sum()
     }
 
-    /// Total number of k-mers all reads yield for the given `k`.
+    /// Total number of k-mers all reads yield for the given `k`: the sum of
+    /// [`kmers_per_read`] (zero for `k == 0`). Step 1 sizes its buffers by it.
     pub fn total_kmers(&self, k: usize) -> usize {
-        self.reads
-            .iter()
-            .map(|r| r.len().saturating_sub(k - 1).min(r.len()))
-            .map(|n| if n > 0 && k < n + k { n } else { 0 })
-            .sum()
+        self.reads.iter().map(|r| kmers_per_read(r.len(), k)).sum()
     }
 
     /// Extracts every k-mer from every read (unsorted, duplicates preserved).
@@ -267,6 +264,31 @@ mod tests {
         assert_eq!(rs.total_bases(), 12);
         assert_eq!(rs.extract_kmers(4).len(), 5 + 1);
         assert_eq!(rs.encoded_bytes(), 2 + 1);
+    }
+
+    #[test]
+    fn total_kmers_is_the_extractors_own_count() {
+        use crate::kmer::CanonicalKmerExtractor;
+        let rs = ReadSet::from_reads(vec![
+            read("a", "ACGTACGT"),
+            read("b", "ACGT"),
+            read("c", ""),
+        ]);
+        // k = 0 yields nothing (and must not underflow); then k = 1, each
+        // read's length, and one past it, against both extractors.
+        assert_eq!(rs.total_kmers(0), 0);
+        for k in [1, 4, 5, 8, 9] {
+            let forward: usize = rs.iter().map(|r| r.kmers(k).count()).sum();
+            let canonical: usize = rs
+                .iter()
+                .map(|r| CanonicalKmerExtractor::new(r.sequence(), k).count())
+                .sum();
+            assert_eq!(rs.total_kmers(k), forward, "k = {k}");
+            assert_eq!(rs.total_kmers(k), canonical, "k = {k}");
+            assert_eq!(rs.total_kmers(k), rs.extract_kmers(k).len(), "k = {k}");
+        }
+        assert_eq!(rs.total_kmers(9), 0);
+        assert_eq!(rs.total_kmers(usize::MAX), 0);
     }
 
     #[test]

@@ -15,7 +15,9 @@ use megis_genomics::database::{
     PartialUnifiedIndex, ReadMapHit, ReferenceIndex, UnifiedReferenceIndex, MIN_MAPPING_VOTES,
 };
 use megis_genomics::dna::{Base, PackedSequence};
-use megis_genomics::kmer::{CanonicalKmerExtractor, Kmer, KmerExtractor, MAX_K};
+use megis_genomics::kmer::{
+    fits_half_word, CanonicalKmerExtractor, CanonicalWords, Kmer, KmerExtractor, KmerWord, MAX_K,
+};
 use megis_genomics::profile::AbundanceProfile;
 use megis_genomics::read::Read;
 use megis_genomics::reference::ReferenceGenome;
@@ -210,6 +212,47 @@ fn rolling_canonical_extractor_equals_canonical_of_every_forward_kmer() {
             assert_eq!(rolling.next(), None, "k = {k}, len = {len}");
         }
     }
+}
+
+#[test]
+fn half_width_extractor_equals_the_full_width_extractor_narrowed() {
+    let mut rng = StdRng::seed_from_u64(114);
+    for k in (1..=MAX_K).filter(|k| fits_half_word(*k)) {
+        let random = k + 2 + rng.gen_range(0..80usize);
+        for len in [0, k - 1, k, k + 1, random] {
+            let mut ascii = dna_string(&mut rng, len);
+            for case in 0..3 {
+                // Random bases, then the all-T and all-A words: every payload
+                // bit set (the whole word, at k = 32) and none.
+                match case {
+                    0 => {}
+                    1 => ascii.fill(b'T'),
+                    _ => ascii.fill(b'A'),
+                }
+                let seq = PackedSequence::from_ascii(&ascii).unwrap();
+                let wide: Vec<u128> = CanonicalWords::<u128>::new(&seq, k).collect();
+                let half: Vec<u64> = CanonicalWords::<u64>::new(&seq, k).collect();
+                assert_eq!(
+                    half.len(),
+                    (len + 1).saturating_sub(k),
+                    "k = {k}, len = {len}"
+                );
+                let narrowed: Vec<u64> = wide.iter().map(|w| u64::narrow(*w)).collect();
+                assert_eq!(half, narrowed, "k = {k}, len = {len}");
+                // Nothing lives below the top 64 bits, so narrowing lost nothing
+                // and both words name the k-mer the `Kmer` extractor yields.
+                let kmers: Vec<Kmer> = CanonicalKmerExtractor::new(&seq, k).collect();
+                for ((half, wide), kmer) in half.iter().zip(&wide).zip(&kmers) {
+                    assert_eq!(half.widen(), *wide, "k = {k}");
+                    assert_eq!(Kmer::from_word(*half, k), *kmer, "k = {k}");
+                    assert_eq!(kmer.word::<u64>(), *half, "k = {k}");
+                    assert_eq!(kmer.word::<u128>(), *wide, "k = {k}");
+                    assert_eq!(u128::from(*half >> (64 - 2 * k)), kmer.bits(), "k = {k}");
+                }
+            }
+        }
+    }
+    assert!(fits_half_word(32) && !fits_half_word(33));
 }
 
 #[test]

@@ -3,10 +3,11 @@
 //! The S-Qry baseline (Metalign) prepares its queries with KMC: extract all
 //! k-mers from the sample, sort them, count duplicates, and optionally exclude
 //! overly common and extremely rare k-mers (§2.1.1, §4.2.3). MegIS's Step 1
-//! reuses the same logic on the host (with bucketing added on top, which lives
-//! in the `megis` core crate).
+//! reuses the same logic on the host, and sorts the way §4.2.1 describes:
+//! the k-mers are partitioned into buckets that each cover a lexicographic
+//! range, and each bucket is sorted on its own.
 
-use megis_genomics::kmer::{CanonicalKmerExtractor, Kmer};
+use megis_genomics::kmer::{fits_half_word, CanonicalWords, Kmer, KmerWord};
 use megis_genomics::read::ReadSet;
 
 /// Frequency-based exclusion thresholds (§4.2.3).
@@ -36,45 +37,43 @@ impl ExclusionPolicy {
     }
 }
 
-/// The outcome of counting, as two columns: the sorted distinct k-mers (the
-/// occurrence arena, compacted in place) and their multiplicities.
+/// Occurrences a lexicographic-range bucket of [`KmerCounts::count`] holds
+/// at most, on evenly spread k-mers (at least half as many): few enough
+/// that a bucket sorts inside the L1 cache, many enough that the histogram
+/// stays a small fraction of the occurrences.
+const BUCKET_OCCURRENCES: usize = 64;
+
+/// Most leading bits [`KmerCounts::count`] buckets by: a 256 KiB histogram,
+/// the largest that stays cache-resident while the scatter strides it.
+const MAX_RADIX_BITS: u32 = 16;
+
+/// The outcome of counting, as two columns: the sorted distinct k-mers and
+/// their multiplicities, each allocated at its final size.
 #[derive(Debug, Clone, Default)]
 pub struct KmerCounts {
     kmers: Vec<Kmer>,
-    /// `counts[i]` is the length of `kmers[i]`'s run in the sorted arena.
+    /// `counts[i]` is the number of occurrences of `kmers[i]`.
     counts: Vec<u32>,
-    /// The arena's length before compaction.
+    /// Occurrences counted: the sum of `counts`.
     occurrences: u64,
 }
 
 impl KmerCounts {
     /// Counts the canonical k-mers of every read in `reads`.
     ///
-    /// Counting is flat, like KMC itself: collect every occurrence into one
-    /// dense array sized up front, `sort_unstable` it — a [`Kmer`] is one
-    /// word, so this is an integer sort — and compact each run of equal
-    /// k-mers in place to its first element, recording the run's length. The
-    /// result is identical to inserting each occurrence into an ordered map.
+    /// Counting is flat, like KMC itself, and bucketed, like §4.2.1: extract
+    /// every occurrence as a bare payload word sized to `k` (8 bytes when
+    /// `2k <= 64`, 16 otherwise — the width is a function of `k`, nothing
+    /// else), histogram the words' leading bits, scatter them into buckets
+    /// that each cover a lexicographic range, `sort_unstable` each bucket
+    /// while it is cache-resident, and run-length group the concatenation.
+    /// Only the distinct words are widened into [`Kmer`]s. The result is
+    /// identical to inserting each occurrence into an ordered map.
     pub fn count(reads: &ReadSet, k: usize) -> KmerCounts {
-        let mut kmers: Vec<Kmer> = Vec::with_capacity(reads.total_kmers(k));
-        for read in reads.iter() {
-            kmers.extend(CanonicalKmerExtractor::new(read.sequence(), k));
-        }
-        kmers.sort_unstable();
-        let occurrences = kmers.len() as u64;
-        let mut counts = Vec::with_capacity(kmers.len());
-        counts.extend(kmers.first().map(|_| 1u32));
-        kmers.dedup_by(|later, kept| {
-            if later != kept {
-                counts.push(0);
-            }
-            *counts.last_mut().expect("the first run is open") += 1;
-            later == kept
-        });
-        KmerCounts {
-            kmers,
-            counts,
-            occurrences,
+        if fits_half_word(k) {
+            count_words::<u64>(reads, k)
+        } else {
+            count_words::<u128>(reads, k)
         }
     }
 
@@ -91,14 +90,71 @@ impl KmerCounts {
 
     /// Applies an exclusion policy to the k-mer column in place and returns
     /// it: the sorted distinct k-mers that survive (all of them under the
-    /// default policy), in the arena they were counted in.
+    /// default policy, which leaves the allocation as counted).
     pub fn apply_exclusion(self, policy: ExclusionPolicy) -> Vec<Kmer> {
         let (mut kmers, mut counts) = (self.kmers, self.counts.into_iter());
         kmers.retain(|_| policy.keeps(counts.next().expect("one count per k-mer")));
         // Step 2 holds this arena for the life of the job: give the slack of
-        // the repeated and the excluded occurrences back now.
+        // the excluded k-mers back now (none, when nothing was excluded).
         kmers.shrink_to_fit();
         kmers
+    }
+}
+
+/// [`KmerCounts::count`] over payload words of type `W`, which `2 * k` bits
+/// fit: the one counting routine, instantiated at the two word widths.
+fn count_words<W: KmerWord>(reads: &ReadSet, k: usize) -> KmerCounts {
+    let total = reads.total_kmers(k);
+    // About BUCKET_OCCURRENCES / 2 .. BUCKET_OCCURRENCES per bucket; a
+    // sample that fits one bucket is sorted whole (zero radix bits).
+    let radix_bits = (usize::BITS - (total.saturating_sub(1) / BUCKET_OCCURRENCES).leading_zeros())
+        .min(MAX_RADIX_BITS);
+
+    // Extract, counting each bucket's population on the way.
+    let mut words: Vec<W> = Vec::with_capacity(total);
+    let mut ends = vec![0usize; 1 << radix_bits];
+    for read in reads.iter() {
+        for word in CanonicalWords::<W>::new(read.sequence(), k) {
+            ends[word.top_bits(radix_bits)] += 1;
+            words.push(word);
+        }
+    }
+    debug_assert_eq!(words.len(), total);
+
+    // Scatter: `ends[b]` runs from bucket `b`'s start to its end.
+    let mut start = 0;
+    for end in &mut ends {
+        start += std::mem::replace(end, start);
+    }
+    let mut sorted = vec![W::default(); words.len()];
+    for &word in &words {
+        let at = &mut ends[word.top_bits(radix_bits)];
+        sorted[*at] = word;
+        *at += 1;
+    }
+    drop(words);
+
+    // Sort each bucket; buckets are ascending ranges, so the whole is sorted.
+    let (mut start, mut distinct) = (0, 0);
+    for &end in &ends {
+        let bucket = &mut sorted[start..end];
+        bucket.sort_unstable();
+        let steps = bucket.windows(2).filter(|w| w[0] != w[1]).count();
+        distinct += steps + usize::from(!bucket.is_empty());
+        start = end;
+    }
+
+    // Run-length group into columns of exactly the distinct count.
+    let mut kmers = Vec::with_capacity(distinct);
+    let mut counts = Vec::with_capacity(distinct);
+    for run in sorted.chunk_by(|a, b| a == b) {
+        kmers.push(Kmer::from_word(run[0], k));
+        counts.push(u32::try_from(run.len()).expect("a multiplicity fits u32"));
+    }
+    KmerCounts {
+        kmers,
+        counts,
+        occurrences: sorted.len() as u64,
     }
 }
 
@@ -166,6 +222,24 @@ mod tests {
         let counts = KmerCounts::count(&reads(), 5);
         let all: Vec<Kmer> = counts.entries().map(|(kmer, _)| kmer).collect();
         assert_eq!(counts.apply_exclusion(ExclusionPolicy::default()), all);
+    }
+
+    #[test]
+    fn columns_are_counted_at_their_final_size_and_handed_on_as_they_are() {
+        for k in [5, 33] {
+            let long = b"ACGGCTAAGTCCGATTACAGGCATTTGACCAGTACGGATCCATGCA";
+            let mut set = reads();
+            set.push(Read::new("d", PackedSequence::from_ascii(long).unwrap()));
+            let counts = KmerCounts::count(&set, k);
+            let distinct = counts.entries().len();
+            assert!(distinct > 0, "k = {k}");
+            assert_eq!(counts.kmers.capacity(), distinct, "k = {k}");
+            assert_eq!(counts.counts.capacity(), distinct, "k = {k}");
+            // Nothing excluded: the same allocation, not a shrunk copy.
+            let arena = counts.kmers.as_ptr();
+            let kept = counts.apply_exclusion(ExclusionPolicy::default());
+            assert_eq!((kept.as_ptr(), kept.capacity()), (arena, distinct));
+        }
     }
 
     #[test]

@@ -11,6 +11,7 @@ use megis::config::MegisConfig;
 use megis::MegisAnalyzer;
 use megis_genomics::metrics::{AbundanceError, ClassificationMetrics};
 use megis_genomics::sample::{CommunityConfig, Diversity};
+use megis_genomics::sketch::SketchConfig;
 use megis_tools::kraken::KrakenClassifier;
 use megis_tools::metalign::MetalignClassifier;
 
@@ -40,6 +41,49 @@ fn megis_presence_matches_accuracy_optimized_baseline_exactly() {
             megis_out.intersecting_kmers as usize,
             metalign_out.intersecting_kmers.len(),
             "{diversity:?}: intersection sizes differ"
+        );
+    }
+}
+
+#[test]
+fn megis_presence_matches_the_baseline_at_full_width_sketch_shapes() {
+    // k_max = 45 is the shape whose k-mers need the full-width word; 33 and
+    // 32 are the first k that does and the last that does not. The baseline
+    // retrieves taxIDs through the ternary sketch tree, not the KSS join.
+    for (k_max, seed) in [(45usize, 61u64), (33, 62), (32, 63)] {
+        let community = CommunityConfig::preset(Diversity::Medium)
+            .with_reads(300)
+            .with_database_species(16)
+            .build(seed);
+        let sketch = SketchConfig {
+            k_max,
+            k_min: k_max - 10,
+            k_step: 5,
+            fraction: 0.2,
+        };
+        let config = MegisConfig {
+            sketch,
+            ..MegisConfig::small()
+        };
+        let megis = MegisAnalyzer::build(community.references(), config);
+        let metalign = MetalignClassifier::build(community.references(), config.sketch);
+
+        let megis_out = megis.identify_presence(community.sample());
+        let metalign_out = metalign.identify_presence(community.sample().reads());
+        assert!(!megis_out.presence.is_empty(), "k_max {k_max}: no species");
+        assert_eq!(
+            megis_out.presence, metalign_out.presence,
+            "k_max {k_max}: MegIS and the A-Opt baseline disagree on presence"
+        );
+        assert_eq!(
+            megis_out.intersecting_kmers as usize,
+            metalign_out.intersecting_kmers.len(),
+            "k_max {k_max}: intersection sizes differ"
+        );
+        assert_eq!(
+            megis.analyze(community.sample()).abundance,
+            metalign.analyze(community.sample().reads()).abundance,
+            "k_max {k_max}: abundance"
         );
     }
 }

@@ -3,12 +3,14 @@
 //! results versus the sequential analyzer, and the in-SSD ordering
 //! guarantee.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::thread;
 
 use megis::config::MegisConfig;
 use megis::{MegisAnalyzer, MegisOutput};
 use megis_genomics::sample::{CommunityConfig, Diversity, Sample};
+use megis_genomics::sketch::SketchConfig;
 use megis_sched::{
     BatchEngine, EngineConfig, FaultPlan, JobHandle, JobResult, JobSpec, Priority, SchedPolicy,
     StreamingEngine,
@@ -132,6 +134,79 @@ fn streaming_and_batch_results_are_identical() {
         let streamed = handle.wait().expect("job succeeded");
         assert_eq!(streamed.id, batch_result.id);
         assert_eq!(streamed.output, batch_result.output);
+    }
+}
+
+#[test]
+fn full_width_sketch_shapes_stay_byte_identical_to_sequential_analyze() {
+    // Every other suite runs `MegisConfig::small()`, k = 31: Step 1 on
+    // half-width words. k_max = 45 counts on full-width words, and 32 / 33
+    // sit on either side of the width rule; the engine must agree with
+    // `analyze` on each, and `analyze` must still find the sample's species.
+    for (k_max, seed) in [(45usize, 2345u64), (33, 2333), (32, 2332)] {
+        let sketch = SketchConfig {
+            k_max,
+            k_min: k_max - 10,
+            k_step: 5,
+            fraction: 0.2,
+        };
+        let config = MegisConfig {
+            sketch,
+            ..MegisConfig::small()
+        };
+        let base = CommunityConfig::preset(Diversity::Medium)
+            .with_reads(120)
+            .with_database_species(12);
+        let analyzer = MegisAnalyzer::build(base.build(seed).references(), config);
+        let samples: Vec<Sample> = (0..5)
+            .map(|i| base.build_cohort_sample(seed, 77 + i).sample().clone())
+            .collect();
+        let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
+        for (sample, output) in samples.iter().zip(&expected) {
+            // `analyze` and the engine share Step 1's counting routine, so an
+            // ordered set built k-mer by k-mer is the witness that this
+            // width's instantiation sorts: the query list is that set, and
+            // the hits are its members the database holds.
+            let mut queries = BTreeSet::new();
+            for read in sample.reads().iter() {
+                queries.extend(read.kmers(k_max).map(|kmer| kmer.canonical()));
+            }
+            let step1 = analyzer.run_step1(sample);
+            assert!(step1.kmers().iter().eq(&queries), "k_max {k_max}: Step 1");
+            assert_eq!(output.selected_kmers, queries.len() as u64);
+            let hits = queries
+                .iter()
+                .filter(|q| analyzer.database().lookup(**q).is_some());
+            assert_eq!(
+                output.intersecting_kmers,
+                hits.count() as u64,
+                "k_max {k_max}"
+            );
+            assert!(output.intersecting_kmers > 0, "k_max {k_max}: nothing hit");
+            assert!(!output.presence.is_empty(), "k_max {k_max}: no species");
+            assert!(output.mapped_reads > 0, "k_max {k_max}: nothing mapped");
+        }
+
+        let engine =
+            StreamingEngine::new(analyzer, EngineConfig::new().with_workers(2).with_shards(2));
+        let handles: Vec<JobHandle> = samples
+            .iter()
+            .enumerate()
+            .map(|(i, sample)| {
+                engine
+                    .submit(JobSpec::new(format!("k{k_max}-s{i}"), sample.clone()))
+                    .expect("admission while running")
+            })
+            .collect();
+        for (handle, expected) in handles.into_iter().zip(&expected) {
+            let result = handle.wait().expect("job succeeded");
+            assert_eq!(
+                &result.output, expected,
+                "{} diverged from sequential analyze",
+                result.label
+            );
+        }
+        engine.shutdown();
     }
 }
 
