@@ -1,7 +1,7 @@
 //! Engine-driven counterparts of the scaling figures: Fig. 15 (multi-SSD
 //! sharding) and Fig. 21 (multi-sample batching) executed by the real
-//! `megis-sched` batch engine instead of the analytic models alone, plus a
-//! service-mode analysis sweeping offered load against latency.
+//! `megis-sched` engine instead of the analytic models alone, plus an
+//! analysis sweeping offered load against latency.
 //!
 //! Each experiment runs a functional batch on synthetic data — checking that
 //! the engine's results stay byte-identical to the sequential analyzer — and
@@ -11,12 +11,12 @@
 use std::time::{Duration, Instant};
 
 use megis::config::MegisConfig;
-use megis::MegisAnalyzer;
+use megis::{MegisAnalyzer, MegisOutput};
 use megis_genomics::sample::{CommunityConfig, Diversity, Sample};
 use megis_host::accelerators::SortingAccelerator;
 use megis_host::system::SystemConfig;
 use megis_sched::{
-    BatchEngine, EngineConfig, JobSpec, ModeledAccount, SchedPolicy, StreamingEngine,
+    EngineConfig, JobSpec, ModeledAccount, SchedPolicy, ServiceReport, StreamingEngine,
 };
 use megis_ssd::config::SsdConfig;
 use megis_ssd::timing::ByteSize;
@@ -50,7 +50,30 @@ fn specs(samples: &[Sample]) -> Vec<JobSpec> {
         .collect()
 }
 
-/// Fig. 15 (engine path): the batch engine with the database sharded across
+/// Runs `samples` as one closed batch (admitted whole, drained by
+/// `shutdown`): whether every output equals `expected`, and the report.
+fn run_batch(
+    analyzer: MegisAnalyzer,
+    config: EngineConfig,
+    samples: &[Sample],
+    expected: &[MegisOutput],
+) -> (bool, ServiceReport) {
+    let engine = StreamingEngine::new(analyzer, config);
+    let handles = engine.submit_all(specs(samples)).expect("admission");
+    let report = engine.shutdown();
+    let parity = handles
+        .into_iter()
+        .zip(expected)
+        .all(|(handle, e)| handle.wait().is_ok_and(|r| r.output == *e));
+    (parity, report)
+}
+
+/// Completed samples per second of service uptime.
+fn throughput(report: &ServiceReport) -> f64 {
+    report.completed as f64 / report.uptime.as_secs_f64().max(1e-9)
+}
+
+/// Fig. 15 (engine path): the engine with the database sharded across
 /// 1/2/4/8 simulated SSDs — functional parity against the sequential
 /// analyzer, measured shard utilization, and the modeled intersection-phase
 /// scaling.
@@ -63,31 +86,20 @@ pub fn fig15_sharded_engine() -> String {
     report.table_header(&["shards", "parity", "modeled x", "util avg", "samples/s"]);
     let mut all_parity = true;
     for shards in [1usize, 2, 4, 8] {
-        let mut engine = BatchEngine::new(
-            analyzer.clone(),
-            EngineConfig::new().with_workers(2).with_shards(shards),
-        );
-        engine.submit_all(specs(&samples)).expect("admission");
-        let run = engine.run();
-        let parity = run
-            .results
-            .iter()
-            .zip(&expected)
-            .all(|(r, e)| r.output == *e);
+        let config = EngineConfig::new().with_workers(2).with_shards(shards);
+        let modeled =
+            ModeledAccount::compute(&config.system, &config.workload, samples.len(), shards);
+        let (parity, run) = run_batch(analyzer.clone(), config, &samples, &expected);
         all_parity &= parity;
         let util = run.shard_utilization();
         let util_avg = util.iter().sum::<f64>() / util.len() as f64;
-        let modeled = run
-            .modeled
-            .as_ref()
-            .expect("non-empty batch has an account");
         report.table_row(
             &shards.to_string(),
             &[
                 if parity { 1.0 } else { 0.0 },
                 modeled.shard_speedup(),
                 util_avg,
-                run.throughput,
+                throughput(&run),
             ],
         );
     }
@@ -131,30 +143,20 @@ pub fn fig21_batch_engine() -> String {
     report.section("functional batch (16 samples, 2 workers, 2 shards, priority policy)");
     let (analyzer, samples) = cohort(16);
     let expected: Vec<_> = samples.iter().map(|s| analyzer.analyze(s)).collect();
-    let mut engine = BatchEngine::new(
-        analyzer,
-        EngineConfig::new()
-            .with_workers(2)
-            .with_shards(2)
-            .with_policy(SchedPolicy::Priority)
-            .with_system(fig21_system),
-    );
-    engine.submit_all(specs(&samples)).expect("admission");
-    let run = engine.run();
-    let parity = run
-        .results
-        .iter()
-        .zip(&expected)
-        .all(|(r, e)| r.output == *e);
+    let config = EngineConfig::new()
+        .with_workers(2)
+        .with_shards(2)
+        .with_policy(SchedPolicy::Priority);
+    let (parity, run) = run_batch(analyzer, config, &samples, &expected);
     report.line(&format!(
         "parity with sequential analyzer: {}",
         if parity { "identical" } else { "DIVERGED" }
     ));
     report.line(&format!(
         "throughput {:.2} samples/s; latency p50 {:.1} ms, p99 {:.1} ms",
-        run.throughput,
-        run.latency.p50.as_secs_f64() * 1e3,
-        run.latency.p99.as_secs_f64() * 1e3,
+        throughput(&run),
+        run.window.p50.as_secs_f64() * 1e3,
+        run.window.p99.as_secs_f64() * 1e3,
     ));
     report.line("");
     report.line("Paper: buffering k-mers across samples streams the database once per group,");
@@ -162,8 +164,8 @@ pub fn fig21_batch_engine() -> String {
     report.finish()
 }
 
-/// Streaming-load analysis (service mode): the `megis-sched` streaming
-/// engine under paced open-loop arrivals. The sweep calibrates the mean
+/// Streaming-load analysis: the `megis-sched` engine under paced open-loop
+/// arrivals. The sweep calibrates the mean
 /// per-sample service time, then offers load at a fraction/multiple of the
 /// single-worker service capacity and reports the rolling-window latency
 /// distribution. Below saturation the p99 tracks the service time; at and

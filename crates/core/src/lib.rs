@@ -62,8 +62,9 @@
 //! and Fig. 15 partitions the sorted k-mer database disjointly across
 //! several SSDs for near-linear in-SSD speedup.
 //!
-//! The `megis-sched` crate turns both ideas into a running engine: a
-//! `BatchEngine` accepts many samples (FIFO or priority admission), executes
+//! The `megis-sched` crate turns both ideas into a running engine: its
+//! `StreamingEngine` accepts many samples — one at a time while it runs, or
+//! a closed batch at once (FIFO or priority admission) — executes
 //! Step 1 on a pool of host worker threads, runs Step 2's device pass
 //! ([`step2::sweep`]: intersection finding fused with taxID retrieval) per
 //! database shard on per-SSD workers, and maps Step 3's reads on the same
@@ -71,8 +72,8 @@
 //! ([`MegisAnalyzer::run_step1`], [`MegisAnalyzer::call_presence`],
 //! [`MegisAnalyzer::unified_index`]). Results are byte-identical to calling
 //! [`MegisAnalyzer::analyze`] per sample — at any worker or shard count —
-//! while the engine reports per-job latency percentiles, batch throughput,
-//! per-shard utilization, and a modeled-time account cross-checked against
+//! while the engine reports per-job latency percentiles and per-shard
+//! utilization, next to a modeled-time account cross-checked against
 //! [`pipeline::MegisTimingModel::multi_sample_breakdown`].
 
 // The whole workspace is safe Rust ([workspace.lints] forbids it too);

@@ -597,7 +597,7 @@ mod tests {
     #[test]
     fn incremental_reduce_is_arrival_order_insensitive() {
         // The completer folds a job's read ranges as devices complete them,
-        // in whatever order stealing and queue depth produce. Every arrival
+        // in whatever order failover and queue depth produce. Every arrival
         // rotation, and the reverse order, must finish byte-identical to
         // the sequential oracle — on the skewed candidates too, since every
         // range maps against all of them.

@@ -10,9 +10,9 @@
 //!   forbidden. Pipeline threads must survive std mutex poisoning (the
 //!   engine reports failures through its own poison flag), so guards are
 //!   recovered with `.lock().unwrap_or_else(PoisonError::into_inner)` or a
-//!   named lock accessor. The incident: a shutdown-path
-//!   `stats_rx.lock().unwrap()` that would panic-within-panic (and abort)
-//!   when shutdown ran during an unwind.
+//!   named lock accessor. The incident: a shutdown-path `.lock().unwrap()`
+//!   that would panic-within-panic (and abort) when shutdown ran during an
+//!   unwind.
 //!
 //! * **guard-across-blocking** — a `let`-bound `MutexGuard` must not be
 //!   live across `.send(..)`, `.recv(..)`, `.recv_timeout(..)`, `.join(..)`

@@ -210,25 +210,22 @@ fn workspace_walk_skips_fixtures_and_target() {
     }
 }
 
-/// Acceptance criterion from the issue: reintroducing the historical
-/// `stats_rx.lock().unwrap()` in the scheduler's shutdown path must fail
-/// the lint step. Simulated by linting the live service.rs with the fix
-/// reverted textually.
+/// Acceptance criterion from the issue: reintroducing a `.lock().unwrap()`
+/// on the scheduler's shutdown path must fail the lint step. Teardown takes
+/// the state lock through `Shared::lock` while a panic may be unwinding;
+/// simulated by linting the live service.rs with that accessor's poison
+/// recovery reverted textually.
 #[test]
 fn reintroducing_the_service_shutdown_bug_is_caught() {
     let root = workspace_root();
     let service = root.join("crates/sched/src/service.rs");
     let source = std::fs::read_to_string(&service).expect("read service.rs");
-    let fixed =
-        ".lock()\n            .unwrap_or_else(PoisonError::into_inner)\n            .try_iter()";
+    let fixed = "self.state.lock().unwrap_or_else(PoisonError::into_inner)";
     assert!(
         source.contains(fixed),
         "service.rs shutdown path no longer matches the poison-safe idiom this test reverts"
     );
-    let reverted = source.replace(
-        fixed,
-        ".lock()\n            .unwrap()\n            .try_iter()",
-    );
+    let reverted = source.replace(fixed, "self.state.lock().unwrap()");
 
     let clean = lint_source("crates/sched/src/service.rs", &source);
     assert!(clean.diagnostics.is_empty(), "{:?}", clean.diagnostics);

@@ -1,38 +1,17 @@
-//! The batch engine: admission → host Step 1 workers → sharded in-SSD stage.
+//! The engine's configuration.
 //!
-//! Execution follows the paper's inter-sample pipeline (§4.7): a pool of
-//! host worker threads runs Step 1 (k-mer extraction, bucketed sorting,
-//! exclusion) on upcoming samples while the in-SSD stage — one intersect
-//! worker per database shard behind an NVMe-style bounded command queue,
-//! plus a dispatcher/completer pair for slicing, merge accounting, taxID
-//! retrieval, and Step 3 — processes the current ones (plural: with
-//! [`EngineConfig::queue_depth`] ≥ 2, several samples' intersections are in
-//! flight per device at once). Each shard sees only the sub-range of the
-//! sorted query list overlapping its disjoint key range
-//! ([`ShardSet::slice_queries`]), and the per-shard intersections merge back
-//! in shard order (Fig. 15's disjoint multi-SSD partitioning), so the
-//! merged intersection is identical to streaming the unsharded database
-//! while per-shard query-side work stays O(|Q|/N) on average instead of the
-//! O(|Q|) a broadcast would cost every device.
-//!
-//! [`BatchEngine::run`] is a thin wrapper over the service-mode executor in
-//! [`crate::service`]: it hands the closed batch to a fresh
-//! [`StreamingEngine`], drains it, and assembles the [`BatchReport`]. Batch
-//! mode therefore inherits the executor's guarantees by construction — live
-//! policy-order dispatch, and the in-SSD stage serving samples in dispatch
-//! order even when many Step 1 workers complete out of order (the reorder
-//! buffer described in the [service docs](crate::service)).
-//!
-//! Every per-job computation routes through the step-level entry points of
-//! [`MegisAnalyzer`], which makes the engine's output byte-identical to
-//! calling [`MegisAnalyzer::analyze`] per sample — for any worker count,
-//! shard count, or admission policy. Scheduling changes only *when* work
-//! happens, never *what* is computed.
+//! [`EngineConfig`] is everything a [`crate::StreamingEngine`] is built
+//! from: how many host Step 1 workers and database shards the §4.7
+//! inter-sample pipeline runs on, the admission policy and bounds, the
+//! per-shard NVMe-style queue depth, and the optional mechanisms — tracing,
+//! fault injection with its retry policy, cross-sample coalescing — each of
+//! which is off by default and leaves every output byte-identical to
+//! [`megis::MegisAnalyzer::analyze`] when on. Scheduling changes only *when*
+//! work happens, never *what* is computed.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use megis::MegisAnalyzer;
 use megis_genomics::sample::Diversity;
 use megis_host::accelerators::SortingAccelerator;
 use megis_host::system::SystemConfig;
@@ -41,14 +20,9 @@ use megis_ssd::timing::ByteSize;
 use megis_tools::workload::WorkloadSpec;
 
 use crate::fault::FaultPlan;
-use crate::job::{JobError, JobId, JobResult, JobSpec};
-use crate::metrics::{BatchReport, LatencyStats, ShardStats};
-use crate::model::ModeledAccount;
-use crate::queue::{AdmissionError, JobQueue, SchedPolicy};
-use crate::service::{JobHandle, StreamingEngine};
-use crate::shard::ShardSet;
+use crate::queue::SchedPolicy;
 
-/// Configuration of a [`BatchEngine`].
+/// Configuration of a [`crate::StreamingEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Host-side Step 1 worker threads.
@@ -57,8 +31,8 @@ pub struct EngineConfig {
     pub shards: usize,
     /// Admission/service-order policy.
     pub policy: SchedPolicy,
-    /// Maximum jobs waiting for service before admission rejects. In
-    /// service mode the bound counts queued *plus* in-flight jobs.
+    /// Maximum jobs inside the service — queued *plus* in flight — before
+    /// admission rejects.
     pub queue_capacity: usize,
     /// NVMe-style command-queue depth per shard: how many intersection
     /// commands may be outstanding on one simulated SSD (submitted by the
@@ -67,14 +41,6 @@ pub struct EngineConfig {
     /// overlap of §4.7 — while depth 1 serializes each device against the
     /// host round trip.
     pub queue_depth: usize,
-    /// Whether idle devices steal queued Step 3 commands from loaded peers'
-    /// queues (`true` by default). Step 2 intersections stay pinned — they
-    /// need the owner's database slice — but Step 3 commands resolve against
-    /// the shared analyzer and can run anywhere; stealing keeps the whole
-    /// array busy when a sample has fewer read ranges than there are
-    /// devices. Results stay tagged with the shard-of-record, so outputs
-    /// are byte-identical with stealing on or off.
-    pub work_stealing: bool,
     /// Capacity of the pipeline trace ring buffer; `None` (the default)
     /// disables tracing entirely — the zero-cost
     /// [`crate::trace::TraceSink::disabled`] path.
@@ -106,7 +72,7 @@ pub struct EngineConfig {
     /// bounded by the queue depth and, upstream, by the Step 1 dispatch
     /// lookahead gate.
     pub coalescing_window: Option<Duration>,
-    /// Completions covered by the service-mode rolling metrics window.
+    /// Completions covered by the rolling metrics window.
     pub metrics_window: usize,
     /// Base system for the modeled-time account: the pipelining comparison
     /// runs on it as given, and the shard-scaling series replicates its
@@ -124,7 +90,6 @@ impl Default for EngineConfig {
             policy: SchedPolicy::Fifo,
             queue_capacity: 1024,
             queue_depth: 4,
-            work_stealing: true,
             trace_capacity: None,
             fault_plan: None,
             retry_budget: 3,
@@ -197,15 +162,6 @@ impl EngineConfig {
     pub fn with_queue_depth(mut self, depth: usize) -> EngineConfig {
         assert!(depth > 0, "queue depth must be positive");
         self.queue_depth = depth;
-        self
-    }
-
-    /// Enables or disables Step 3 work stealing between devices (enabled by
-    /// default). Disabling pins every command to its shard-of-record — the
-    /// pre-stealing execution model — which tests use to compare stolen and
-    /// pinned runs byte-for-byte.
-    pub fn with_work_stealing(mut self, enabled: bool) -> EngineConfig {
-        self.work_stealing = enabled;
         self
     }
 
@@ -295,8 +251,7 @@ impl EngineConfig {
         self
     }
 
-    /// Sets the number of completions the service-mode rolling metrics
-    /// window covers.
+    /// Sets the number of completions the rolling metrics window covers.
     ///
     /// # Panics
     ///
@@ -306,193 +261,20 @@ impl EngineConfig {
         self.metrics_window = window;
         self
     }
-
-    /// Sets the modeled system template (its first SSD is replicated per
-    /// shard).
-    pub fn with_system(mut self, system: SystemConfig) -> EngineConfig {
-        self.system = system;
-        self
-    }
-}
-
-/// Error from [`BatchEngine::submit_all`]: a submission was rejected after
-/// some jobs had already been admitted. The admitted jobs remain queued.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartialAdmission {
-    /// Jobs admitted before the rejection, in submission order.
-    pub admitted: Vec<JobId>,
-    /// The rejection that stopped the batch.
-    pub error: AdmissionError,
-}
-
-impl std::fmt::Display for PartialAdmission {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} after {} jobs were admitted",
-            self.error,
-            self.admitted.len()
-        )
-    }
-}
-
-impl std::error::Error for PartialAdmission {}
-
-/// The multi-sample batch engine.
-#[derive(Debug)]
-pub struct BatchEngine {
-    analyzer: Arc<MegisAnalyzer>,
-    shards: ShardSet,
-    queue: JobQueue,
-    config: EngineConfig,
-}
-
-impl BatchEngine {
-    /// Builds an engine around an analyzer, sharding its database across the
-    /// configured number of simulated SSDs.
-    pub fn new(analyzer: MegisAnalyzer, config: EngineConfig) -> BatchEngine {
-        assert!(config.workers > 0, "at least one worker is required");
-        assert!(config.shards > 0, "at least one shard is required");
-        let shards = ShardSet::build(analyzer.database(), config.shards);
-        BatchEngine {
-            analyzer: Arc::new(analyzer),
-            shards,
-            queue: JobQueue::new(config.policy, config.queue_capacity),
-            config,
-        }
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
-    /// The sharded database layout.
-    pub fn shards(&self) -> &ShardSet {
-        &self.shards
-    }
-
-    /// Number of jobs waiting for service.
-    pub fn pending(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Submits one job for the next batch run.
-    pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, AdmissionError> {
-        self.queue.submit(spec)
-    }
-
-    /// Submits many jobs; stops at the first admission rejection.
-    ///
-    /// On rejection the error carries the ids of the jobs admitted before
-    /// it — those jobs stay queued and will run, so callers must not treat
-    /// the error as "nothing was submitted".
-    pub fn submit_all<I: IntoIterator<Item = JobSpec>>(
-        &mut self,
-        specs: I,
-    ) -> Result<Vec<JobId>, PartialAdmission> {
-        let mut admitted = Vec::new();
-        for spec in specs {
-            match self.submit(spec) {
-                Ok(id) => admitted.push(id),
-                Err(error) => return Err(PartialAdmission { admitted, error }),
-            }
-        }
-        Ok(admitted)
-    }
-
-    /// Runs every queued job through the pipelined executor and reports.
-    ///
-    /// This is a thin batch-mode wrapper over [`StreamingEngine`]: the
-    /// already-admitted jobs are handed to a fresh service executor in
-    /// service order (ids and submission times preserved), the service is
-    /// drained and shut down, and the per-job results are collected from
-    /// their handles. Because jobs enter the executor's queue in policy
-    /// order before any dispatch race can matter, the assigned service
-    /// positions follow the policy exactly, and the executor's reorder
-    /// buffer guarantees the in-SSD stage serves them in that same order.
-    ///
-    /// Returns an empty report (zero throughput, no results) if nothing is
-    /// queued.
-    pub fn run(&mut self) -> BatchReport {
-        let jobs = self.queue.drain_ordered();
-        let sample_count = jobs.len();
-        let shard_count = self.shards.shard_count();
-        if jobs.is_empty() {
-            return BatchReport {
-                results: Vec::new(),
-                failed: Vec::new(),
-                wall_time: Duration::ZERO,
-                latency: LatencyStats::default(),
-                throughput: 0.0,
-                shard_stats: (0..shard_count)
-                    .map(|shard| ShardStats {
-                        shard,
-                        ..ShardStats::default()
-                    })
-                    .collect(),
-                resident_database_bytes: self.shards.resident_bytes(),
-                stage_overlap_events: 0,
-                modeled: None,
-                stage_breakdown: None,
-                straggler: None,
-                trace: None,
-            };
-        }
-        let modeled = ModeledAccount::compute(
-            &self.config.system,
-            &self.config.workload,
-            sample_count,
-            shard_count,
-        );
-
-        let batch_start = Instant::now();
-        let service = StreamingEngine::from_parts(
-            Arc::clone(&self.analyzer),
-            self.shards.clone(),
-            self.config.clone(),
-        );
-        let handles: Vec<JobHandle> = jobs
-            .into_iter()
-            .map(|job| service.dispatch_admitted(job))
-            .collect();
-        // shutdown() performs the graceful drain itself.
-        let service_report = service.shutdown();
-        let wall_time = batch_start.elapsed();
-
-        let mut results: Vec<JobResult> = Vec::new();
-        let mut failed: Vec<JobError> = Vec::new();
-        for handle in handles {
-            match handle.wait() {
-                Ok(result) => results.push(result),
-                Err(error) => failed.push(error),
-            }
-        }
-        results.sort_by_key(|r| r.id);
-        failed.sort_by_key(JobError::job);
-        let latencies: Vec<Duration> = results.iter().map(|r| r.latency).collect();
-        BatchReport {
-            latency: LatencyStats::from_latencies(&latencies),
-            throughput: sample_count as f64 / wall_time.as_secs_f64().max(1e-9),
-            results,
-            failed,
-            wall_time,
-            shard_stats: service_report.shard_stats,
-            resident_database_bytes: service_report.resident_database_bytes,
-            stage_overlap_events: service_report.stage_overlap_events,
-            modeled: Some(modeled),
-            stage_breakdown: service_report.stage_breakdown,
-            straggler: service_report.straggler,
-            trace: service_report.trace,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    //! What a configuration means for a closed batch: `submit_all` +
+    //! `shutdown` on the one engine, under each knob that shapes a batch.
+
     use super::*;
-    use crate::job::Priority;
+    use crate::job::{JobId, JobResult, JobSpec, Priority};
+    use crate::model::ModeledAccount;
+    use crate::queue::AdmissionError;
+    use crate::{ServiceReport, StreamingEngine};
     use megis::config::MegisConfig;
+    use megis::MegisAnalyzer;
     use megis_genomics::sample::CommunityConfig;
 
     fn community() -> megis_genomics::sample::Community {
@@ -512,16 +294,32 @@ mod tests {
             .collect()
     }
 
+    /// Runs `jobs` as one closed batch; results come back in submission
+    /// order.
+    fn run_batch(
+        analyzer: MegisAnalyzer,
+        config: EngineConfig,
+        jobs: Vec<JobSpec>,
+    ) -> (Vec<JobResult>, ServiceReport) {
+        let engine = StreamingEngine::new(analyzer, config);
+        let handles = engine.submit_all(jobs).unwrap();
+        let report = engine.shutdown();
+        let results = handles
+            .into_iter()
+            .map(|h| h.wait().expect("job served"))
+            .collect();
+        (results, report)
+    }
+
     #[test]
     fn engine_matches_sequential_analyzer() {
         let c = community();
         let a = analyzer(&c);
         let expected = a.analyze(c.sample());
-        let mut engine = BatchEngine::new(a, EngineConfig::new().with_workers(2).with_shards(3));
-        engine.submit_all(specs(&c, 4)).unwrap();
-        let report = engine.run();
-        assert_eq!(report.results.len(), 4);
-        for r in &report.results {
+        let config = EngineConfig::new().with_workers(2).with_shards(3);
+        let (results, report) = run_batch(a, config, specs(&c, 4));
+        assert_eq!((results.len(), report.completed), (4, 4));
+        for r in &results {
             assert_eq!(r.output, expected, "{} diverged", r.label);
         }
     }
@@ -529,54 +327,45 @@ mod tests {
     #[test]
     fn empty_run_reports_nothing() {
         let c = community();
-        let mut engine = BatchEngine::new(analyzer(&c), EngineConfig::new());
-        let report = engine.run();
-        assert!(report.results.is_empty());
-        assert_eq!(report.throughput, 0.0);
-        assert_eq!(report.shard_stats.len(), 2);
-        assert!(
-            report.modeled.is_none(),
-            "empty batch has no modeled account"
-        );
+        let (results, report) = run_batch(analyzer(&c), EngineConfig::new(), Vec::new());
+        assert!(results.is_empty(), "no job, no handle");
+        assert_eq!((report.completed, report.failed_jobs), (0, 0));
+        let shards: Vec<usize> = report.shard_stats.iter().map(|s| s.shard).collect();
+        assert_eq!(shards, [0, 1], "one `ShardStats` per shard");
     }
 
     #[test]
     fn results_are_sorted_by_job_id() {
         let c = community();
-        let mut engine = BatchEngine::new(
-            analyzer(&c),
-            EngineConfig::new().with_workers(4).with_shards(2),
+        let config = EngineConfig::new().with_workers(4).with_shards(2);
+        let (results, _) = run_batch(analyzer(&c), config, specs(&c, 8));
+        let ids: Vec<u64> = results.iter().map(|r| r.id.0).collect();
+        assert_eq!(
+            ids,
+            (0..8).collect::<Vec<_>>(),
+            "dense, in submission order"
         );
-        engine.submit_all(specs(&c, 8)).unwrap();
-        let report = engine.run();
-        let ids: Vec<u64> = report.results.iter().map(|r| r.id.0).collect();
-        assert_eq!(ids, (0..8).collect::<Vec<_>>());
     }
 
     #[test]
     fn priority_jobs_start_first() {
         let c = community();
-        let mut engine = BatchEngine::new(
-            analyzer(&c),
-            EngineConfig::new()
-                .with_workers(1)
-                .with_policy(SchedPolicy::Priority),
-        );
+        let config = EngineConfig::new()
+            .with_workers(1)
+            .with_policy(SchedPolicy::Priority);
         let mut jobs = specs(&c, 6);
         jobs[4] = jobs[4].clone().with_priority(Priority::High);
         jobs[1] = jobs[1].clone().with_priority(Priority::Low);
-        engine.submit_all(jobs).unwrap();
-        let report = engine.run();
-        let by_id = |id: u64| {
-            report
-                .results
-                .iter()
-                .find(|r| r.id.0 == id)
-                .unwrap()
-                .start_position
-        };
-        assert_eq!(by_id(4), 0, "high priority enters service first");
-        assert_eq!(by_id(1), 5, "low priority enters service last");
+        let (results, _) = run_batch(analyzer(&c), config, jobs);
+        assert_eq!(results[4].id, JobId(4));
+        assert_eq!(
+            results[4].start_position, 0,
+            "high priority enters service first"
+        );
+        assert_eq!(
+            results[1].start_position, 5,
+            "low priority enters service last"
+        );
     }
 
     #[test]
@@ -587,13 +376,10 @@ mod tests {
         // The reorder buffer must keep in-SSD service in dispatch (= policy)
         // order for every worker count.
         let c = community();
-        let mut engine = BatchEngine::new(
-            analyzer(&c),
-            EngineConfig::new()
-                .with_workers(4)
-                .with_shards(2)
-                .with_policy(SchedPolicy::Priority),
-        );
+        let config = EngineConfig::new()
+            .with_workers(4)
+            .with_shards(2)
+            .with_policy(SchedPolicy::Priority);
         let mut jobs = specs(&c, 10);
         for i in [2usize, 7, 9] {
             jobs[i] = jobs[i].clone().with_priority(Priority::High);
@@ -606,17 +392,16 @@ mod tests {
             0 | 5 => Priority::Low,
             _ => Priority::Normal,
         };
-        engine.submit_all(jobs).unwrap();
-        let report = engine.run();
+        let (results, _) = run_batch(analyzer(&c), config, jobs);
 
-        for r in &report.results {
+        for r in &results {
             assert_eq!(
                 r.isp_position, r.start_position,
                 "{}: in-SSD service must follow dispatch order",
                 r.label
             );
         }
-        let mut served: Vec<&JobResult> = report.results.iter().collect();
+        let mut served: Vec<&JobResult> = results.iter().collect();
         served.sort_by_key(|r| r.isp_position);
         let served_ids: Vec<u64> = served.iter().map(|r| r.id.0).collect();
         let mut policy_order: Vec<u64> = (0..10).collect();
@@ -630,46 +415,43 @@ mod tests {
     #[test]
     fn shard_workers_all_serve_every_job() {
         let c = community();
-        let mut engine = BatchEngine::new(analyzer(&c), EngineConfig::new().with_shards(4));
-        engine.submit_all(specs(&c, 3)).unwrap();
-        let report = engine.run();
+        let config = EngineConfig::new().with_shards(4);
+        let (_, report) = run_batch(analyzer(&c), config, specs(&c, 3));
         assert_eq!(report.shard_stats.len(), 4);
         for s in &report.shard_stats {
             assert_eq!(s.jobs, 3);
         }
         assert_eq!(report.shard_utilization().len(), 4);
-    }
-
-    #[test]
-    fn modeled_account_is_attached_and_consistent() {
-        let c = community();
-        let mut engine = BatchEngine::new(analyzer(&c), EngineConfig::new().with_shards(4));
-        engine.submit_all(specs(&c, 8)).unwrap();
-        let report = engine.run();
-        let modeled = report
-            .modeled
-            .as_ref()
-            .expect("non-empty batch has an account");
-        assert_eq!(modeled.samples, 8);
-        assert_eq!(modeled.shards, 4);
-        assert!(modeled.is_consistent(0.9));
         assert!(!report.summary().is_empty());
     }
 
     #[test]
+    fn modeled_account_is_attached_and_consistent() {
+        // The configuration carries the paper-scale system and workload;
+        // callers that print a modeled account compute it from them.
+        let config = EngineConfig::new().with_shards(4);
+        let modeled = ModeledAccount::compute(&config.system, &config.workload, 8, config.shards);
+        assert_eq!((modeled.samples, modeled.shards), (8, 4));
+        assert!(modeled.is_consistent(0.9));
+        assert!(modeled.pipelining_speedup() > 1.0);
+    }
+
+    #[test]
     fn admission_limit_is_enforced() {
+        // Admission of a set is all-or-nothing: a set that does not fit
+        // leaves nothing behind, and the engine keeps serving.
         let c = community();
-        let mut engine = BatchEngine::new(analyzer(&c), EngineConfig::new().with_queue_capacity(2));
+        let a = analyzer(&c);
+        let expected = a.analyze(c.sample());
+        let engine = StreamingEngine::new(a, EngineConfig::new().with_queue_capacity(2));
         let err = engine.submit_all(specs(&c, 3)).unwrap_err();
-        assert_eq!(err.error, AdmissionError::QueueFull { capacity: 2 });
-        assert_eq!(
-            err.admitted,
-            vec![JobId(0), JobId(1)],
-            "rejection reports the jobs that did get in"
-        );
-        assert_eq!(engine.pending(), 2);
-        // The admitted jobs still run.
-        let report = engine.run();
-        assert_eq!(report.results.len(), 2);
+        assert_eq!(err, AdmissionError::QueueFull { capacity: 2 });
+        assert_eq!(engine.pending(), 0, "nothing was admitted");
+        let late = engine.submit_all(specs(&c, 2)).expect("a set that fits");
+        assert_eq!(late[0].id(), JobId(0), "the rejected set consumed no id");
+        for handle in late {
+            assert_eq!(handle.wait().expect("job served").output, expected);
+        }
+        assert_eq!(engine.shutdown().completed, 2);
     }
 }

@@ -1,4 +1,4 @@
-//! Jobs: what clients submit to the batch engine and what they get back.
+//! Jobs: what clients submit to the engine and what they get back.
 
 use std::time::Duration;
 

@@ -1,6 +1,6 @@
 //! `megis-sched`: a multi-sample scheduler with sharded multi-SSD execution
-//! for the MegIS reproduction — closed batches or a continuously scheduled
-//! streaming service.
+//! for the MegIS reproduction — one continuously scheduled streaming engine,
+//! fed job by job or a closed batch at a time.
 //!
 //! The MegIS paper gets its largest end-to-end wins from two scheduling
 //! ideas: overlapping host-side Step 1 of sample *i + 1* with the in-SSD
@@ -31,8 +31,7 @@
 //!   per-range mapped-read counts, so one sample's read mapping overlaps
 //!   the next sample's intersection
 //!   ([`ServiceReport::stage_overlap_events`] counts the observations),
-//! * [`engine`] — the closed-batch front end ([`BatchEngine`]), a thin
-//!   wrapper that hands each batch to the same executor,
+//! * [`engine`] — the engine's configuration ([`EngineConfig`]),
 //! * [`fault`] — deterministic seeded fault injection ([`FaultPlan`]):
 //!   transient command failures, latency spikes, permanent shard death, and
 //!   targeted worker panics, decided purely from `(seed, command identity)`
@@ -41,11 +40,11 @@
 //!   failover, per-job failure isolation ([`JobError`]) — lives in
 //!   [`service`] and is exercised by the seeded chaos suite
 //!   (`tests/fault_tolerance.rs`),
-//! * [`metrics`] — operational metrics ([`BatchReport`]: latency p50/p99,
-//!   throughput in samples/sec, per-shard utilization; [`RollingWindow`]
-//!   for live service-mode metrics),
+//! * [`metrics`] — operational metrics ([`ServiceReport`]: latency
+//!   percentiles, per-shard utilization and busy accounting, degraded-mode
+//!   counters; [`RollingWindow`] for the live view),
 //! * [`model`] — the paper-scale modeled-time account ([`ModeledAccount`]),
-//!   cross-checking the executed batch shape against
+//!   cross-checking a batch shape against
 //!   `MegisTimingModel::multi_sample_breakdown` and the Fig. 15 shard
 //!   scaling series. It is the only model of *device* time in the crate:
 //!   the engine itself spends real host CPU time and nothing else,
@@ -53,22 +52,23 @@
 //!   [`StageBreakdown`], [`StragglerReport`]): per-command lifecycle events
 //!   and the analyses built on them (see *Observability* below).
 //!
-//! # Batch mode vs. service mode
+//! # One engine
 //!
-//! [`BatchEngine`] is the drain-once front end: submit a closed set of
-//! jobs, call [`BatchEngine::run`], get a [`BatchReport`]. Use it for
-//! cohort studies and experiments where the workload is known up front.
+//! [`StreamingEngine`] is a long-running service: `submit` from any thread
+//! **while it runs** (it takes `&self`; share it behind an `Arc`), get a
+//! [`JobHandle`] that delivers the result the moment the job completes,
+//! watch live behavior through [`ServiceSnapshot`]'s rolling window, and
+//! stop with a graceful [`StreamingEngine::drain`] /
+//! [`StreamingEngine::shutdown`], which returns the [`ServiceReport`].
+//! Scheduling decisions happen at dispatch time with a live `pop_next` on
+//! the shared queue, so a high-priority job submitted mid-stream overtakes
+//! everything still queued.
 //!
-//! [`StreamingEngine`] is the long-running service: `submit` from any
-//! thread **while it runs** (it takes `&self`; share it behind an `Arc`),
-//! get a [`JobHandle`] that delivers the result the moment the job
-//! completes, watch live behavior through [`ServiceSnapshot`]'s rolling
-//! window, and stop with a graceful [`StreamingEngine::drain`] /
-//! [`StreamingEngine::shutdown`]. Scheduling decisions happen at dispatch
-//! time with a live `pop_next` on the shared queue, so a high-priority job
-//! submitted mid-stream overtakes everything still queued. Both modes run
-//! the exact same executor: `BatchEngine::run` is submit-all + drain over a
-//! fresh [`StreamingEngine`].
+//! A closed batch — a cohort study, an experiment whose workload is known up
+//! front — is the same engine fed once: [`StreamingEngine::submit_all`]
+//! admits the whole set atomically (all or none, so its service order is
+//! the policy order over the whole set), `shutdown` drains it, and every
+//! handle's [`JobHandle::wait`] then returns at once.
 //!
 //! **Ordering guarantee:** the in-SSD stage serves samples in dispatch
 //! order — which is policy order over the queue at each dispatch instant —
@@ -91,8 +91,7 @@
 //! bounded, multi-producer [`TraceSink`]: job admission, Step 1 start/end,
 //! per-`(seq, shard)` command issued/started/completed for both in-SSD
 //! command kinds, reduce start/end, delivery. Two analyses are built on the
-//! event log and surfaced on [`JobResult`], [`BatchReport`], and
-//! [`ServiceReport`]:
+//! event log and surfaced on [`JobResult`] and [`ServiceReport`]:
 //!
 //! * [`StageBreakdown`] — each job's submission→delivery wall clock,
 //!   partitioned into telescoping stage segments (queue wait, Step 1,
@@ -124,9 +123,7 @@
 //!   process instead of delivering the failure report. Locks here recover
 //!   with `.lock().unwrap_or_else(PoisonError::into_inner)` or go through
 //!   the named accessors (`Shared::lock`, `CommandQueues::lock`). The
-//!   incident: the shutdown path's stats reap did exactly this on
-//!   `stats_rx` — see `shutdown_reaps_stats_through_a_poisoned_stats_mutex`
-//!   in `service.rs` for the regression test.
+//!   incident: the shutdown path's stats reap did exactly this (PR 8).
 //!
 //! * **guard-across-blocking** — never hold a `MutexGuard` across
 //!   `send`/`recv`/`recv_timeout`/`join`/`thread::sleep`. Blocking while
@@ -168,7 +165,7 @@
 //! use megis::config::MegisConfig;
 //! use megis::MegisAnalyzer;
 //! use megis_genomics::sample::{CommunityConfig, Diversity};
-//! use megis_sched::{BatchEngine, EngineConfig, JobSpec};
+//! use megis_sched::{EngineConfig, JobSpec, StreamingEngine};
 //!
 //! let community = CommunityConfig::preset(Diversity::Low)
 //!     .with_reads(80)
@@ -177,19 +174,19 @@
 //! let analyzer = MegisAnalyzer::build(community.references(), MegisConfig::small());
 //! let expected = analyzer.analyze(community.sample());
 //!
-//! let mut engine = BatchEngine::new(
+//! let engine = StreamingEngine::new(
 //!     analyzer,
 //!     EngineConfig::new().with_workers(2).with_shards(2),
 //! );
-//! for i in 0..4 {
-//!     engine
-//!         .submit(JobSpec::new(format!("sample-{i}"), community.sample().clone()))
-//!         .unwrap();
+//! // A closed batch: admit it whole, drain, collect.
+//! let handles = engine
+//!     .submit_all((0..4).map(|i| JobSpec::new(format!("sample-{i}"), community.sample().clone())))
+//!     .unwrap();
+//! let report = engine.shutdown();
+//! assert_eq!(report.completed, 4);
+//! for handle in handles {
+//!     assert_eq!(handle.wait().unwrap().output, expected);
 //! }
-//! let report = engine.run();
-//! assert_eq!(report.results.len(), 4);
-//! assert!(report.results.iter().all(|r| r.output == expected));
-//! assert!(report.modeled.unwrap().pipelining_speedup() > 1.0);
 //! ```
 
 // The whole workspace is safe Rust ([workspace.lints] forbids it too);
@@ -205,13 +202,13 @@ pub mod service;
 pub mod shard;
 pub mod trace;
 
-pub use engine::{BatchEngine, EngineConfig, PartialAdmission};
+pub use engine::EngineConfig;
 pub use fault::{FaultDecision, FaultPlan};
 pub use job::{JobError, JobId, JobResult, JobSpec, Priority};
-pub use metrics::{BatchReport, LatencyStats, RollingWindow, ShardStats};
+pub use metrics::{LatencyStats, RollingWindow, ServiceReport, ShardStats};
 pub use model::ModeledAccount;
-pub use queue::{AdmissionError, JobQueue, SchedPolicy};
-pub use service::{JobHandle, ServiceReport, ServiceSnapshot, StreamingEngine};
+pub use queue::{AdmissionError, SchedPolicy};
+pub use service::{JobHandle, ServiceSnapshot, StreamingEngine};
 pub use shard::ShardSet;
 pub use trace::{
     DeviceUsage, StageBreakdown, StragglerReport, TraceEvent, TraceEventKind, TraceLog, TraceSink,

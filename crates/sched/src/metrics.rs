@@ -1,15 +1,13 @@
-//! Operational metrics: latency percentiles, throughput, and per-shard
-//! utilization for one batch run, plus the rolling window the streaming
-//! service reports while it is live.
+//! Operational metrics: latency percentiles, per-shard busy accounting, the
+//! rolling window the service reports while it is live, and the
+//! [`ServiceReport`] it returns at shutdown.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-use crate::job::{JobError, JobResult};
-use crate::model::ModeledAccount;
 use crate::trace::{StageBreakdown, StragglerReport, TraceLog};
 
-/// Latency distribution over the completed jobs of a batch.
+/// Latency distribution over a set of completed jobs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct LatencyStats {
     /// Number of samples the statistics cover.
@@ -190,10 +188,10 @@ pub struct ShardStats {
     /// read count — each read is mapped on exactly one device.
     pub step3_items: u64,
     /// Of [`ShardStats::step3_items`], the reads this device mapped for a
-    /// command taken off a *peer's* queue via work stealing or dead-shard
-    /// adoption (zero when stealing is disabled or the load was balanced).
-    /// Stealing moves only the physical service: the result stays tagged
-    /// with the shard-of-record, so the completer's fold is unchanged.
+    /// command it adopted off a *dead* peer's queue (failover: live workers
+    /// serve what a dead shard left queued); 0 on a healthy array. Adoption
+    /// moves only the physical service: the result stays tagged with the
+    /// shard-of-record, so the completer's fold is unchanged.
     pub stolen_items: u64,
     /// High-water mark of commands concurrently outstanding on this shard's
     /// NVMe-style queue (submitted, completion not yet reaped); bounded by
@@ -244,41 +242,36 @@ impl ShardStats {
     }
 }
 
-/// Everything a batch run reports.
+/// Final accounting returned by [`crate::StreamingEngine::shutdown`].
 #[derive(Debug, Clone)]
-pub struct BatchReport {
-    /// Per-job results, sorted by [`crate::job::JobId`].
-    pub results: Vec<JobResult>,
-    /// Jobs that failed in isolation (retry budget exhausted, worker panic,
-    /// no live shard), sorted by job id; empty on a clean run. The engine
-    /// kept serving the jobs in [`BatchReport::results`].
-    pub failed: Vec<JobError>,
-    /// Wall-clock time of the whole batch (first dispatch to last
-    /// completion).
-    pub wall_time: Duration,
-    /// Latency distribution (submission to completion).
-    pub latency: LatencyStats,
-    /// Completed samples per wall-clock second.
-    pub throughput: f64,
-    /// Per-shard busy accounting.
+pub struct ServiceReport {
+    /// Jobs completed over the service lifetime.
+    pub completed: u64,
+    /// Wall-clock time from service start to shutdown.
+    pub uptime: Duration,
+    /// Per-shard busy accounting over the service lifetime.
     pub shard_stats: Vec<ShardStats>,
-    /// Host heap bytes the engine's shard set keeps resident, counting the
-    /// shared columnar storage once ([`crate::ShardSet::resident_bytes`]).
-    /// With zero-copy shard views this is ≈ 1× the database regardless of
-    /// the shard count — not the 2× a deep-copy partition would pin.
+    /// Host heap bytes the shard set kept resident, counting the shared
+    /// columnar storage once ([`crate::ShardSet::resident_bytes`]): the
+    /// shards are zero-copy views, so this stays ≈ 1× the database at any
+    /// shard count.
     pub resident_database_bytes: u64,
+    /// Reads mapped during Step 3 across all delivered jobs.
+    pub mapped_reads: u64,
     /// Times a command of one in-SSD stage was submitted while a command of
-    /// the *other* stage was outstanding somewhere on the device array —
-    /// direct evidence that one sample's Step 3 mapping overlapped another
-    /// sample's Step 2 intersection in the command queues.
+    /// the other stage was outstanding on the device array — evidence that
+    /// one sample's Step 3 mapping overlapped another sample's Step 2
+    /// intersection in the command queues.
     pub stage_overlap_events: u64,
-    /// Modeled-time account at paper scale for this batch shape
-    /// (cross-checks `MegisTimingModel::multi_sample_breakdown`); `None`
-    /// when the batch was empty and there is no shape to model.
-    pub modeled: Option<ModeledAccount>,
+    /// Jobs that failed with a [`crate::JobError`] while the engine kept
+    /// serving (per-job failure isolation); their handles resolved to `Err`
+    /// and they are not counted in [`ServiceReport::completed`].
+    pub failed_jobs: u64,
+    /// Latency distribution over the final rolling window.
+    pub window: LatencyStats,
     /// Mean per-job stage breakdown over the jobs whose timelines the trace
-    /// captured; `None` when tracing was disabled (the default) or no job's
-    /// breakdown could be reconstructed.
+    /// captured; `None` when tracing was disabled or no breakdown could be
+    /// reconstructed.
     pub stage_breakdown: Option<StageBreakdown>,
     /// Per-device straggler analysis of the traced run; `None` when tracing
     /// was disabled.
@@ -288,16 +281,16 @@ pub struct BatchReport {
     pub trace: Option<TraceLog>,
 }
 
-impl BatchReport {
-    /// Fraction of the batch wall time each shard's intersect worker was
-    /// busy, in shard order.
+impl ServiceReport {
+    /// Fraction of the service uptime each shard's worker was busy, in
+    /// shard order.
     pub fn shard_utilization(&self) -> Vec<f64> {
-        let wall = self.wall_time.as_secs_f64();
+        let uptime = self.uptime.as_secs_f64();
         self.shard_stats
             .iter()
             .map(|s| {
-                if wall > 0.0 {
-                    s.busy.as_secs_f64() / wall
+                if uptime > 0.0 {
+                    s.busy.as_secs_f64() / uptime
                 } else {
                     0.0
                 }
@@ -305,210 +298,118 @@ impl BatchReport {
             .collect()
     }
 
-    /// Total reads mapped during Step 3 across the batch's results.
-    pub fn mapped_reads(&self) -> u64 {
-        self.results.iter().map(|r| r.output.mapped_reads).sum()
-    }
-
-    /// Renders a compact plain-text summary.
+    /// Renders a compact plain-text summary. The coalescing, degraded-mode
+    /// and trace-overflow lines appear only when there is something to
+    /// report, so a clean default run always prints the same seven lines.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
+        let stats = &self.shard_stats;
+        let sum = |f: fn(&ShardStats) -> u64| -> u64 { stats.iter().map(f).sum() };
+        let per_shard = |f: fn(&ShardStats) -> String| -> String {
+            stats.iter().map(f).collect::<Vec<_>>().join(", ")
+        };
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "batch: {} jobs in {:.3} s ({:.2} samples/s)",
-            self.results.len(),
-            self.wall_time.as_secs_f64(),
-            self.throughput,
+            "service: {} jobs over {:.3} s uptime (rolling window of {})",
+            self.completed,
+            self.uptime.as_secs_f64(),
+            self.window.count,
         );
-        out.push_str(&latency_line(&self.latency));
-        let utils: Vec<String> = self
+        let _ = writeln!(
+            out,
+            "latency: mean {:.1} ms, p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms, \
+             p999 {:.1} ms, max {:.1} ms",
+            ms(self.window.mean),
+            ms(self.window.p50),
+            ms(self.window.p90),
+            ms(self.window.p99),
+            ms(self.window.p999),
+            ms(self.window.max),
+        );
+        let utilization: Vec<String> = self
             .shard_utilization()
             .iter()
             .map(|u| format!("{:.0}%", u * 100.0))
             .collect();
-        let _ = writeln!(out, "shard utilization: [{}]", utils.join(", "));
-        let peaks: Vec<String> = self
-            .shard_stats
-            .iter()
-            .map(|s| s.peak_inflight.to_string())
-            .collect();
+        let _ = writeln!(out, "shard utilization: [{}]", utilization.join(", "));
         let _ = writeln!(
             out,
             "peak commands in flight per shard: [{}]",
-            peaks.join(", ")
+            per_shard(|s| s.peak_inflight.to_string()),
         );
-        out.push_str(&residency_and_step3_lines(
-            self.resident_database_bytes,
-            &self.shard_stats,
-            self.mapped_reads(),
+        let _ = writeln!(
+            out,
+            "host-resident database: {:.2} MB across {} shard views (shared storage, \
+             counted once)",
+            self.resident_database_bytes as f64 / 1e6,
+            stats.len(),
+        );
+        let _ = writeln!(
+            out,
+            "step 3: {} reads mapped; per-shard reads served: [{}]; \
+             stage overlap events: {}",
+            self.mapped_reads,
+            per_shard(|s| s.step3_items.to_string()),
             self.stage_overlap_events,
-        ));
-        if let Some(line) = coalescing_line(&self.shard_stats) {
-            out.push_str(&line);
+        );
+        // Mean batch occupancy counts every intersect command (singletons
+        // included): the average number of samples one database sweep
+        // served. Sweeps saved are the members that rode along on someone
+        // else's pass.
+        let coalesced = sum(|s| s.coalesced_commands);
+        if coalesced > 0 {
+            let sweeps = sum(|s| s.jobs);
+            let coalesced_members = sum(|s| s.coalesced_members);
+            let member_slices = (sweeps - coalesced) + coalesced_members;
+            let _ = writeln!(
+                out,
+                "query coalescing: {coalesced} shared sweeps served {coalesced_members} member \
+                 slices; mean batch occupancy {:.2}, {} sweeps saved",
+                member_slices as f64 / sweeps.max(1) as f64,
+                member_slices - sweeps,
+            );
         }
-        if let Some(line) = degraded_line(&self.shard_stats, self.failed.len() as u64) {
-            out.push_str(&line);
+        let (faults, retries) = (sum(|s| s.faults), sum(|s| s.retries));
+        let dead: Vec<String> = stats
+            .iter()
+            .filter(|s| s.dead)
+            .map(|s| s.shard.to_string())
+            .collect();
+        if faults + retries + self.failed_jobs > 0 || !dead.is_empty() {
+            let dead = if dead.is_empty() {
+                "none".to_string()
+            } else {
+                format!("[{}]", dead.join(", "))
+            };
+            let _ = writeln!(
+                out,
+                "degraded mode: {faults} command faults, {retries} retries ({} failovers), \
+                 dead shards: {dead}, failed jobs: {}; {} reads served off dead peers' queues",
+                sum(|s| s.failovers),
+                self.failed_jobs,
+                sum(|s| s.stolen_items),
+            );
         }
-        out.push_str(&stage_breakdown_line(self.stage_breakdown.as_ref()));
-        if let Some(line) = trace_overflow_line(self.trace.as_ref()) {
-            out.push_str(&line);
-        }
-        match &self.modeled {
-            Some(modeled) => {
-                let _ = writeln!(
-                    out,
-                    "modeled ({} samples, {} shards): independent {:.1} s, pipelined {:.1} s \
-                     ({:.2}x); per-shard db stream {:.1} s, step3 index stream {:.1} s",
-                    modeled.samples,
-                    modeled.shards,
-                    modeled.independent_total().as_secs(),
-                    modeled.pipelined_total().as_secs(),
-                    modeled.pipelining_speedup(),
-                    modeled.shard_stream_time.as_secs(),
-                    modeled.step3_stream_time.as_secs(),
-                );
+        match &self.stage_breakdown {
+            Some(breakdown) => {
+                let _ = writeln!(out, "stage breakdown (mean): {}", breakdown.summary_line());
             }
-            None => {
-                let _ = writeln!(out, "modeled: n/a (empty batch)");
-            }
+            None => out.push_str("stage breakdown (mean): n/a (tracing disabled)\n"),
+        }
+        // Every traced figure above was computed from a truncated log if the
+        // bounded ring evicted events.
+        if let Some(trace) = self.trace.as_ref().filter(|trace| trace.dropped > 0) {
+            let _ = writeln!(
+                out,
+                "trace: {} events, {} dropped — breakdown and straggler figures are incomplete",
+                trace.events.len(),
+                trace.dropped,
+            );
         }
         out
     }
-}
-
-/// Renders the latency line shared verbatim by [`BatchReport::summary`] and
-/// [`crate::service::ServiceReport::summary`].
-pub(crate) fn latency_line(latency: &LatencyStats) -> String {
-    let ms = |d: Duration| d.as_secs_f64() * 1e3;
-    format!(
-        "latency: mean {:.1} ms, p50 {:.1} ms, p90 {:.1} ms, p99 {:.1} ms, \
-         p999 {:.1} ms, max {:.1} ms\n",
-        ms(latency.mean),
-        ms(latency.p50),
-        ms(latency.p90),
-        ms(latency.p99),
-        ms(latency.p999),
-        ms(latency.max),
-    )
-}
-
-/// Renders the mean stage-breakdown line shared verbatim by both report
-/// summaries ("n/a" when tracing was disabled, so the line — and its golden
-/// tests — exist in both modes).
-pub(crate) fn stage_breakdown_line(breakdown: Option<&StageBreakdown>) -> String {
-    match breakdown {
-        Some(breakdown) => format!("stage breakdown (mean): {}\n", breakdown.summary_line()),
-        None => "stage breakdown (mean): n/a (tracing disabled)\n".to_string(),
-    }
-}
-
-/// Renders the trace-overflow warning shared by both report summaries —
-/// only when the bounded ring evicted events, because every traced figure
-/// above it (stage breakdown, straggler report) was then computed from a
-/// truncated log. Clean summaries stay byte-identical.
-pub(crate) fn trace_overflow_line(trace: Option<&TraceLog>) -> Option<String> {
-    let trace = trace.filter(|trace| trace.dropped > 0)?;
-    Some(format!(
-        "trace: {} events, {} dropped — breakdown and straggler figures are incomplete\n",
-        trace.events.len(),
-        trace.dropped,
-    ))
-}
-
-/// Renders the resident-database and Step 3 summary lines shared verbatim
-/// by [`BatchReport::summary`] and
-/// [`crate::service::ServiceReport::summary`], so the two reports cannot
-/// drift apart.
-pub(crate) fn residency_and_step3_lines(
-    resident_database_bytes: u64,
-    shard_stats: &[ShardStats],
-    mapped_reads: u64,
-    stage_overlap_events: u64,
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "host-resident database: {:.2} MB across {} shard views (shared storage, \
-         counted once)",
-        resident_database_bytes as f64 / 1e6,
-        shard_stats.len(),
-    );
-    let step3_items: Vec<String> = shard_stats
-        .iter()
-        .map(|s| s.step3_items.to_string())
-        .collect();
-    let _ = writeln!(
-        out,
-        "step 3: {mapped_reads} reads mapped; per-shard reads served: [{}]; \
-         stage overlap events: {stage_overlap_events}",
-        step3_items.join(", "),
-    );
-    let stolen_items: Vec<String> = shard_stats
-        .iter()
-        .map(|s| s.stolen_items.to_string())
-        .collect();
-    let total_stolen: u64 = shard_stats.iter().map(|s| s.stolen_items).sum();
-    let _ = writeln!(
-        out,
-        "work stealing: {total_stolen} reads served for peers; \
-         per-device stolen reads: [{}]",
-        stolen_items.join(", "),
-    );
-    out
-}
-
-/// Renders the cross-sample coalescing summary line shared by both report
-/// summaries — only when at least one shared sweep was formed, so runs with
-/// the window off (the default) keep their summaries byte-identical to the
-/// pre-coalescing format.
-///
-/// Mean batch occupancy counts every intersect command (singletons
-/// included): it is the average number of samples one database sweep
-/// served. Sweeps saved is the number of per-sample sweeps coalescing
-/// avoided — the members that rode along on someone else's pass.
-pub(crate) fn coalescing_line(shard_stats: &[ShardStats]) -> Option<String> {
-    let coalesced: u64 = shard_stats.iter().map(|s| s.coalesced_commands).sum();
-    if coalesced == 0 {
-        return None;
-    }
-    let sweeps: u64 = shard_stats.iter().map(|s| s.jobs).sum();
-    let coalesced_members: u64 = shard_stats.iter().map(|s| s.coalesced_members).sum();
-    let member_slices = (sweeps - coalesced) + coalesced_members;
-    let occupancy = member_slices as f64 / sweeps.max(1) as f64;
-    let saved = member_slices - sweeps;
-    Some(format!(
-        "query coalescing: {coalesced} shared sweeps served {coalesced_members} member \
-         slices; mean batch occupancy {occupancy:.2}, {saved} sweeps saved\n"
-    ))
-}
-
-/// Renders the degraded-mode summary line shared by both report summaries —
-/// only when there was fault activity (injected faults, retries, failovers,
-/// dead shards, or failed jobs), so clean-run summaries are byte-identical
-/// to the pre-fault-tolerance format.
-pub(crate) fn degraded_line(shard_stats: &[ShardStats], failed_jobs: u64) -> Option<String> {
-    let faults: u64 = shard_stats.iter().map(|s| s.faults).sum();
-    let retries: u64 = shard_stats.iter().map(|s| s.retries).sum();
-    let failovers: u64 = shard_stats.iter().map(|s| s.failovers).sum();
-    let dead: Vec<String> = shard_stats
-        .iter()
-        .filter(|s| s.dead)
-        .map(|s| s.shard.to_string())
-        .collect();
-    if faults == 0 && retries == 0 && failovers == 0 && dead.is_empty() && failed_jobs == 0 {
-        return None;
-    }
-    let dead_text = if dead.is_empty() {
-        "none".to_string()
-    } else {
-        format!("[{}]", dead.join(", "))
-    };
-    Some(format!(
-        "degraded mode: {faults} command faults, {retries} retries ({failovers} failovers), \
-         dead shards: {dead_text}, failed jobs: {failed_jobs}\n"
-    ))
 }
 
 #[cfg(test)]
@@ -519,10 +420,29 @@ mod tests {
         Duration::from_millis(v)
     }
 
+    /// A report over `shard_stats` with nothing else to say.
+    fn report(shard_stats: Vec<ShardStats>, failed_jobs: u64) -> ServiceReport {
+        ServiceReport {
+            completed: 0,
+            uptime: ms(100),
+            shard_stats,
+            resident_database_bytes: 0,
+            mapped_reads: 0,
+            stage_overlap_events: 0,
+            failed_jobs,
+            window: LatencyStats::default(),
+            stage_breakdown: None,
+            straggler: None,
+            trace: None,
+        }
+    }
+
     #[test]
     fn degraded_line_appears_only_under_fault_activity() {
         let clean = vec![ShardStats::default(), ShardStats::default()];
-        assert_eq!(degraded_line(&clean, 0), None);
+        let summary = report(clean.clone(), 0).summary();
+        assert!(!summary.contains("degraded mode"), "{summary}");
+        assert_eq!(summary.lines().count(), 7, "{summary}");
 
         let mut stats = clean.clone();
         stats[1].shard = 1;
@@ -530,13 +450,17 @@ mod tests {
         stats[1].retries = 3;
         stats[1].failovers = 1;
         stats[1].dead = true;
-        let line = degraded_line(&stats, 2).expect("fault activity renders the line");
-        assert!(line.contains("3 command faults"), "{line}");
-        assert!(line.contains("3 retries (1 failovers)"), "{line}");
-        assert!(line.contains("dead shards: [1]"), "{line}");
-        assert!(line.contains("failed jobs: 2"), "{line}");
+        stats[0].stolen_items = 40;
+        let summary = report(stats, 2).summary();
+        assert!(
+            summary.contains(
+                "degraded mode: 3 command faults, 3 retries (1 failovers), dead shards: [1], \
+                 failed jobs: 2; 40 reads served off dead peers' queues\n"
+            ),
+            "{summary}"
+        );
 
-        let failed_only = degraded_line(&clean, 1).expect("failed jobs alone render the line");
+        let failed_only = report(clean, 1).summary();
         assert!(failed_only.contains("dead shards: none"), "{failed_only}");
     }
 
@@ -546,10 +470,10 @@ mod tests {
         stats[0].jobs = 4;
         stats[1].shard = 1;
         stats[1].jobs = 4;
-        assert_eq!(
-            coalescing_line(&stats),
-            None,
-            "window off: no coalesced commands, no line"
+        let summary = report(stats.clone(), 0).summary();
+        assert!(
+            !summary.contains("query coalescing"),
+            "window off: no coalesced commands, no line\n{summary}"
         );
 
         // Shard 0: 2 singleton sweeps + 2 coalesced sweeps carrying 3
@@ -557,13 +481,14 @@ mod tests {
         // slices: occupancy 12/8 = 1.50, 4 sweeps saved.
         stats[0].coalesced_commands = 2;
         stats[0].coalesced_members = 6;
-        let line = coalescing_line(&stats).expect("shared sweeps render the line");
+        let summary = report(stats, 0).summary();
         assert!(
-            line.contains("2 shared sweeps served 6 member slices"),
-            "{line}"
+            summary.contains(
+                "query coalescing: 2 shared sweeps served 6 member slices; \
+                 mean batch occupancy 1.50, 4 sweeps saved\n"
+            ),
+            "{summary}"
         );
-        assert!(line.contains("mean batch occupancy 1.50"), "{line}");
-        assert!(line.contains("4 sweeps saved"), "{line}");
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Modeled-time account: what the batch the engine just executed would cost
-//! at paper scale, cross-checked against the analytic models.
+//! Modeled-time account: what a batch of the shape the engine executes
+//! would cost at paper scale, cross-checked against the analytic models.
 //!
 //! The engine runs functionally on synthetic in-memory data, so its wall
 //! clock says nothing about terabyte-scale behavior. This module evaluates

@@ -124,8 +124,7 @@ impl Pending {
 
 /// The admission queue.
 #[derive(Debug)]
-pub struct JobQueue {
-    policy: SchedPolicy,
+pub(crate) struct JobQueue {
     capacity: usize,
     next_id: u64,
     pending: Pending,
@@ -140,7 +139,6 @@ impl JobQueue {
     pub fn new(policy: SchedPolicy, capacity: usize) -> JobQueue {
         assert!(capacity > 0, "queue capacity must be positive");
         JobQueue {
-            policy,
             capacity,
             next_id: 0,
             pending: match policy {
@@ -148,11 +146,6 @@ impl JobQueue {
                 SchedPolicy::Priority => Pending::Priority(BinaryHeap::new()),
             },
         }
-    }
-
-    /// The scheduling policy.
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
     }
 
     /// The configured admission capacity.
@@ -192,42 +185,17 @@ impl JobQueue {
         Ok(id)
     }
 
-    /// Re-enqueues a job that was already admitted elsewhere (its id and
-    /// submission time are preserved), bypassing the capacity check. Used by
-    /// the batch wrapper to hand admitted jobs to the service executor.
-    pub(crate) fn enqueue_admitted(&mut self, job: QueuedJob) {
-        self.next_id = self.next_id.max(job.id.0 + 1);
-        self.pending.push(job);
-    }
-
     /// Removes and returns the next job to serve under the policy.
     ///
     /// This is the live dispatch path of the service executor: the decision
     /// is taken at pop time over whatever is queued *now*, so jobs submitted
     /// while the engine runs compete under the policy immediately. O(1) for
-    /// FIFO, O(log n) under the priority policy.
-    /// [`JobQueue::drain_ordered`] must produce the same sequence for a
-    /// closed queue (asserted by the unit tests).
+    /// FIFO, O(log n) under the priority policy (the heap's explicit id
+    /// tie-break keeps submission order within each priority).
     pub(crate) fn pop_next(&mut self) -> Option<QueuedJob> {
         match &mut self.pending {
             Pending::Fifo(queue) => queue.pop_front(),
             Pending::Priority(heap) => heap.pop().map(|entry| entry.0),
-        }
-    }
-
-    /// Removes all waiting jobs in service order. Equivalent to repeated
-    /// [`JobQueue::pop_next`] calls (the heap's explicit id tie-break keeps
-    /// submission order within each priority).
-    pub(crate) fn drain_ordered(&mut self) -> Vec<QueuedJob> {
-        match &mut self.pending {
-            Pending::Fifo(queue) => std::mem::take(queue).into(),
-            Pending::Priority(heap) => {
-                // `into_sorted_vec` is ascending under `Ord` (service order
-                // reversed); flip it to get highest priority first.
-                let mut entries = std::mem::take(heap).into_sorted_vec();
-                entries.reverse();
-                entries.into_iter().map(|entry| entry.0).collect()
-            }
         }
     }
 }
@@ -243,6 +211,13 @@ mod tests {
         JobSpec::new(label, Sample::from_reads(ReadSet::new())).with_priority(priority)
     }
 
+    /// The labels in the order `pop_next` serves them.
+    fn served(q: &mut JobQueue) -> Vec<String> {
+        std::iter::from_fn(|| q.pop_next())
+            .map(|j| j.spec.label)
+            .collect()
+    }
+
     #[test]
     fn fifo_preserves_submission_order() {
         let mut q = JobQueue::new(SchedPolicy::Fifo, 8);
@@ -253,11 +228,7 @@ mod tests {
         ] {
             q.submit(spec(label, p)).unwrap();
         }
-        let order: Vec<String> = q
-            .drain_ordered()
-            .into_iter()
-            .map(|j| j.spec.label)
-            .collect();
+        let order: Vec<String> = served(&mut q);
         assert_eq!(order, ["a", "b", "c"]);
     }
 
@@ -273,11 +244,7 @@ mod tests {
         ] {
             q.submit(spec(label, p)).unwrap();
         }
-        let order: Vec<String> = q
-            .drain_ordered()
-            .into_iter()
-            .map(|j| j.spec.label)
-            .collect();
+        let order: Vec<String> = served(&mut q);
         assert_eq!(order, ["c", "e", "b", "d", "a"]);
     }
 
@@ -291,32 +258,6 @@ mod tests {
         // Draining frees capacity again.
         q.pop_next().unwrap();
         assert!(q.submit(spec("c", Priority::Normal)).is_ok());
-    }
-
-    #[test]
-    fn drain_matches_repeated_pop_next() {
-        let jobs = [
-            ("a", Priority::Low),
-            ("b", Priority::High),
-            ("c", Priority::Normal),
-            ("d", Priority::High),
-            ("e", Priority::Low),
-            ("f", Priority::Normal),
-        ];
-        for policy in [SchedPolicy::Fifo, SchedPolicy::Priority] {
-            let mut drained = JobQueue::new(policy, 16);
-            let mut popped = JobQueue::new(policy, 16);
-            for (label, p) in jobs {
-                drained.submit(spec(label, p)).unwrap();
-                popped.submit(spec(label, p)).unwrap();
-            }
-            let via_drain: Vec<JobId> = drained.drain_ordered().iter().map(|j| j.id).collect();
-            let mut via_pop = Vec::new();
-            while let Some(job) = popped.pop_next() {
-                via_pop.push(job.id);
-            }
-            assert_eq!(via_drain, via_pop, "{policy:?}");
-        }
     }
 
     #[test]

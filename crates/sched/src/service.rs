@@ -1,14 +1,21 @@
 //! Service mode: the continuously scheduled streaming executor.
 //!
-//! [`StreamingEngine`] keeps the whole pipeline of the batch engine — a pool
-//! of host Step 1 workers feeding a sharded in-SSD stage (§4.7 of the paper)
-//! — running as a long-lived service. Jobs can be submitted from any thread
-//! *while the engine runs*: admission goes through the shared [`JobQueue`],
-//! and each Step 1 worker picks its next job with a live `pop_next` at
-//! dispatch time, so a high-priority sample submitted mid-stream competes
-//! under the policy immediately instead of waiting for a batch boundary.
-//! MetaStore and GenStore frame in-storage genomics accelerators the same
-//! way: continuously fed, not drained once.
+//! [`StreamingEngine`] keeps the paper's multi-sample pipeline — a pool of
+//! host Step 1 workers feeding a sharded in-SSD stage (§4.7) — running as a
+//! long-lived service. Jobs can be submitted from any thread *while the
+//! engine runs*: admission goes through one shared queue, and each Step 1
+//! worker picks its next job with a live `pop_next` at dispatch time, so a
+//! high-priority sample submitted mid-stream competes under the policy
+//! immediately instead of waiting for a batch boundary. MetaStore and
+//! GenStore frame in-storage genomics accelerators the same way:
+//! continuously fed, not drained once.
+//!
+//! **A closed batch** is the same engine fed once:
+//! [`StreamingEngine::submit_all`] admits the whole set in one critical
+//! section — all of it or none — so no worker can pop between two
+//! admissions and the assigned service positions follow the policy over the
+//! whole set exactly; [`StreamingEngine::shutdown`] drains it and reports,
+//! and each [`JobHandle::wait`] then returns at once.
 //!
 //! **The in-SSD stage: tagged command queues with bounded depth, serving
 //! both Steps 2 and 3.** The stage runs as two threads around one
@@ -71,20 +78,16 @@
 //! on the same device — [`ServiceReport::stage_overlap_events`] counts the
 //! submissions that observed a command of the other stage outstanding.
 //!
-//! **Work stealing.** The per-device queues are deques, not channels: a
-//! device that drains its own queue steals queued `Step3Command`s from
-//! loaded peers (`CommandQueues`, owner-LIFO / thief-FIFO ends). Step 2
-//! intersections stay pinned — they need the owner's zero-copy database
-//! slice — but Step 3 commands resolve their candidates against the shared
-//! analyzer's memoized reference indexes, so any worker can serve one.
-//! Stolen results stay tagged with the *shard-of-record* (the queue the
-//! command was issued to), which keeps the completer's depth accounting
-//! and exactly-once fold unchanged; trace events and [`ShardStats`] credit
-//! the *physical* serving device, so the straggler analyzer sees real
-//! per-device busy time and [`ShardStats::stolen_items`] counts the reads
-//! each device mapped on a peer's behalf. Outputs are byte-identical with
-//! stealing on or off ([`crate::EngineConfig::work_stealing`]); stealing
-//! changes only *where* a read range is mapped, never *what* is mapped.
+//! **Shard-of-record.** The per-device queues are deques, not channels
+//! (`CommandQueues`): a device serves the back of its own queue, and when a
+//! peer's worker has died the survivors serve what it left queued (failover,
+//! below). A result therefore stays tagged with the *shard-of-record* (the
+//! queue the command was issued to), which keeps the completer's depth
+//! accounting and exactly-once fold independent of who served it; trace
+//! events and [`ShardStats`] credit the *physical* serving device, so the
+//! straggler analyzer sees real per-device busy time and
+//! [`ShardStats::stolen_items`] counts the reads a device mapped off a dead
+//! peer's queue — 0 on a healthy array.
 //!
 //! Commands are only issued to shards with work to do: a device whose key
 //! range no query of a sample falls into is skipped for that sample's
@@ -165,8 +168,11 @@
 //! 4. *Poison.* Only unrecoverable pipeline failures — a Step 1 worker, the
 //!    dispatcher, or the completer panicking — poison the whole service:
 //!    [`StreamingEngine::drain`] and [`StreamingEngine::shutdown`] propagate
-//!    the failure as a panic instead of blocking forever, and outstanding
-//!    [`JobHandle`]s resolve to `Err(JobError::EngineStopped)`.
+//!    the failure as a panic instead of blocking forever, every outstanding
+//!    [`JobHandle`] resolves to `Err(JobError::EngineStopped)` the moment
+//!    the poison is set — while the engine is still alive — later
+//!    submissions are rejected with [`AdmissionError::ShuttingDown`], and
+//!    dropping the engine joins its threads without panicking.
 //!
 //! **Delivery.** Each submission returns a [`JobHandle`]; the result is sent
 //! on the handle's channel the moment the job completes, so clients consume
@@ -201,11 +207,6 @@
 //! allocation — so the instrumentation points cost the engine nothing when
 //! unused. The repository benchmark reports the traced-vs-untraced wall
 //! clock as `sched.trace.overhead_frac` (`benchmark/README.md`).
-//!
-//! [`crate::BatchEngine::run`] is a thin wrapper over this executor
-//! (dispatch the closed batch, drain, shut down), so batch mode inherits the
-//! ordering fix and the byte-identical-to-`analyze` contract by
-//! construction.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::ops::Range;
@@ -225,8 +226,8 @@ use megis_genomics::sample::Sample;
 use crate::engine::EngineConfig;
 use crate::fault::FaultDecision;
 use crate::job::{JobError, JobId, JobResult, JobSpec, Priority};
-use crate::metrics::{LatencyStats, RollingWindow, ShardStats};
-use crate::queue::{AdmissionError, JobQueue, QueuedJob};
+use crate::metrics::{LatencyStats, RollingWindow, ServiceReport, ShardStats};
+use crate::queue::{AdmissionError, JobQueue};
 use crate::shard::{
     CommandFailure, CommandOutput, IntersectCommand, IntersectMember, ShardCommand, ShardSet,
     ShardWorker, Step3Command,
@@ -256,10 +257,10 @@ struct PreparedJob {
 /// failover, and per-job failure.
 struct ShardCompletion {
     /// The *shard-of-record*: the queue the command was issued to, not
-    /// necessarily the device that served it (an idle peer may have stolen
-    /// a Step 3 command, or adopted anything from a dead peer). Depth
-    /// accounting and the exactly-once Step 3 fold key on this, so stealing
-    /// and failover are invisible to the completer's merge bookkeeping.
+    /// necessarily the device that served it (a live peer may have adopted
+    /// it from a dead shard's queue). Depth accounting and the exactly-once
+    /// folds key on this, so failover is invisible to the completer's merge
+    /// bookkeeping.
     shard: usize,
     seq: usize,
     /// The attempt this completion settles; stale completions of superseded
@@ -272,21 +273,18 @@ struct ShardCompletion {
     result: Result<CommandOutput, CommandFailure>,
 }
 
-/// The per-device command queues, restructured from N private channels into
-/// one shared deque array so idle devices can steal Step 3 work.
+/// The per-device command queues: one shared deque array rather than N
+/// private channels, so a dead shard's queue stays reachable by its peers.
 ///
 /// Discipline per queue: producers push at the back; the owner pops from
-/// the back (LIFO — the freshest command, whose sample data is hottest),
-/// and a thief removes the oldest *stealable* command scanning from the
-/// front (FIFO — the command that has waited longest behind the loaded
-/// owner). `IntersectCommand`s are never stolen: they intersect the owner's
-/// database slice. `Step3Command`s resolve against the shared analyzer, so
-/// any device can serve them.
+/// the back (the freshest command, whose sample data is hottest); live
+/// peers adopt a *dead* shard's queue from the front (the command that has
+/// waited longest). A live shard's queue is served by its owner only.
 ///
 /// Producer accounting replaces channel disconnection for shutdown: each
 /// producing side (dispatcher, completer) holds a [`QueueProducer`] guard,
-/// and a worker exits when its own queue is empty, nothing is stealable,
-/// and no producer guard remains.
+/// and a worker exits when its own queue is empty, no dead peer has
+/// anything queued, and no producer guard remains.
 #[derive(Debug)]
 struct CommandQueues {
     inner: Mutex<QueuesInner>,
@@ -299,13 +297,10 @@ struct QueuesInner {
     queues: Vec<VecDeque<ShardCommand>>,
     /// Outstanding [`QueueProducer`] guards.
     producers: usize,
-    /// Whether idle devices may steal Step 3 commands from peers
-    /// ([`crate::EngineConfig::work_stealing`]).
-    work_stealing: bool,
     /// Shards whose worker died permanently (an injected shard death).
     /// Commands left on a dead shard's queue are adopted by live peers —
-    /// *any* command kind, independent of the work-stealing setting — and
-    /// retries of its failed commands are re-issued elsewhere.
+    /// *any* command kind — and retries of its failed commands are
+    /// re-issued elsewhere.
     dead: Vec<bool>,
 }
 
@@ -315,17 +310,17 @@ struct QueuesInner {
 /// index is deliberately not carried here.
 struct PoppedCommand {
     command: ShardCommand,
-    /// `true` when the serving device took the command off a peer's queue.
+    /// `true` when the serving device adopted the command off a dead
+    /// peer's queue.
     stolen: bool,
 }
 
 impl CommandQueues {
-    fn new(shard_count: usize, work_stealing: bool) -> Arc<CommandQueues> {
+    fn new(shard_count: usize) -> Arc<CommandQueues> {
         Arc::new(CommandQueues {
             inner: Mutex::new(QueuesInner {
                 queues: (0..shard_count).map(|_| VecDeque::new()).collect(),
                 producers: 0,
-                work_stealing,
                 dead: vec![false; shard_count],
             }),
             ready: Condvar::new(),
@@ -361,9 +356,9 @@ impl CommandQueues {
     }
 
     /// Blocks until device `index` has a command to serve — its own queue's
-    /// back, a dead peer's abandoned queue, or (with stealing on) the oldest
-    /// Step 3 command of some live peer — or returns `None` when no command
-    /// can ever arrive again (queues drained, producers gone).
+    /// back, or the front of a dead peer's abandoned queue — or returns
+    /// `None` when no command can ever arrive again (queues drained,
+    /// producers gone).
     fn pop(&self, index: usize) -> Option<PoppedCommand> {
         let mut inner = self.lock();
         loop {
@@ -374,10 +369,9 @@ impl CommandQueues {
                 });
             }
             // A dead peer's queue can never be served by its owner again:
-            // adopt its oldest command unconditionally — *any* kind, not
-            // just the stealable Step 3 ones, since every worker holds the
-            // whole shard set and an [`IntersectCommand`] names its
-            // database range explicitly.
+            // adopt its oldest command — *any* kind, since every worker
+            // holds the whole shard set and an [`IntersectCommand`] names
+            // its database range explicitly.
             {
                 let n = inner.queues.len();
                 for offset in 1..n {
@@ -389,22 +383,6 @@ impl CommandQueues {
                                 stolen: true,
                             });
                         }
-                    }
-                }
-            }
-            if inner.work_stealing {
-                let n = inner.queues.len();
-                for offset in 1..n {
-                    let peer = (index + offset) % n;
-                    if let Some(pos) = inner.queues[peer]
-                        .iter()
-                        .position(|c| matches!(c, ShardCommand::Step3(_)))
-                    {
-                        let command = inner.queues[peer].remove(pos).expect("position just found");
-                        return Some(PoppedCommand {
-                            command,
-                            stolen: true,
-                        });
                     }
                 }
             }
@@ -754,80 +732,6 @@ pub struct ServiceSnapshot {
     pub completer_timeouts: u64,
 }
 
-/// Final accounting returned by [`StreamingEngine::shutdown`].
-#[derive(Debug, Clone)]
-pub struct ServiceReport {
-    /// Jobs completed over the service lifetime.
-    pub completed: u64,
-    /// Wall-clock time from service start to shutdown.
-    pub uptime: Duration,
-    /// Per-shard busy accounting over the service lifetime.
-    pub shard_stats: Vec<ShardStats>,
-    /// Host heap bytes the shard set kept resident, counting the shared
-    /// columnar storage once ([`crate::ShardSet::resident_bytes`]): the
-    /// shards are zero-copy views, so this stays ≈ 1× the database at any
-    /// shard count.
-    pub resident_database_bytes: u64,
-    /// Reads mapped during Step 3 across all delivered jobs.
-    pub mapped_reads: u64,
-    /// Times a command of one in-SSD stage was submitted while a command of
-    /// the other stage was outstanding on the device array — evidence that
-    /// one sample's Step 3 mapping overlapped another sample's Step 2
-    /// intersection in the command queues.
-    pub stage_overlap_events: u64,
-    /// Jobs that failed with a [`JobError`] while the engine kept serving
-    /// (per-job failure isolation); their handles resolved to `Err` and
-    /// they are not counted in [`ServiceReport::completed`].
-    pub failed_jobs: u64,
-    /// Latency distribution over the final rolling window.
-    pub window: LatencyStats,
-    /// Mean per-job stage breakdown over the jobs whose timelines the trace
-    /// captured; `None` when tracing was disabled or no breakdown could be
-    /// reconstructed.
-    pub stage_breakdown: Option<StageBreakdown>,
-    /// Per-device straggler analysis of the traced run; `None` when tracing
-    /// was disabled.
-    pub straggler: Option<StragglerReport>,
-    /// The raw event log ([`TraceLog::to_json`] exports it); `None` when
-    /// tracing was disabled.
-    pub trace: Option<TraceLog>,
-}
-
-impl ServiceReport {
-    /// Renders a compact plain-text summary.
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "service: {} jobs over {:.3} s uptime (rolling window of {})",
-            self.completed,
-            self.uptime.as_secs_f64(),
-            self.window.count,
-        );
-        out.push_str(&crate::metrics::latency_line(&self.window));
-        out.push_str(&crate::metrics::residency_and_step3_lines(
-            self.resident_database_bytes,
-            &self.shard_stats,
-            self.mapped_reads,
-            self.stage_overlap_events,
-        ));
-        if let Some(line) = crate::metrics::coalescing_line(&self.shard_stats) {
-            out.push_str(&line);
-        }
-        if let Some(line) = crate::metrics::degraded_line(&self.shard_stats, self.failed_jobs) {
-            out.push_str(&line);
-        }
-        out.push_str(&crate::metrics::stage_breakdown_line(
-            self.stage_breakdown.as_ref(),
-        ));
-        if let Some(line) = crate::metrics::trace_overflow_line(self.trace.as_ref()) {
-            out.push_str(&line);
-        }
-        out
-    }
-}
-
 /// Claim on one submitted job's result.
 ///
 /// The outcome is sent the moment the job settles; [`JobHandle::wait`]
@@ -879,10 +783,8 @@ pub struct StreamingEngine {
     workers: Vec<JoinHandle<()>>,
     dispatcher: Option<JoinHandle<()>>,
     completer: Option<JoinHandle<()>>,
-    shard_handles: Vec<JoinHandle<()>>,
-    // Mutex-wrapped only so the engine is `Sync` (shareable behind an
-    // `Arc`); the receiver is drained once, at shutdown.
-    stats_rx: Mutex<Receiver<ShardStats>>,
+    /// Each shard worker returns its lifetime [`ShardStats`] when it exits.
+    shard_handles: Vec<JoinHandle<ShardStats>>,
     shards: ShardSet,
     config: EngineConfig,
     started_at: Instant,
@@ -894,18 +796,11 @@ impl StreamingEngine {
     /// across the configured number of simulated SSDs. Worker, shard, and
     /// in-SSD stage threads are running when this returns.
     pub fn new(analyzer: MegisAnalyzer, config: EngineConfig) -> StreamingEngine {
-        let shards = ShardSet::build(analyzer.database(), config.shards);
-        StreamingEngine::from_parts(Arc::new(analyzer), shards, config)
-    }
-
-    pub(crate) fn from_parts(
-        analyzer: Arc<MegisAnalyzer>,
-        shards: ShardSet,
-        config: EngineConfig,
-    ) -> StreamingEngine {
         assert!(config.workers > 0, "at least one worker is required");
         assert!(config.shards > 0, "at least one shard is required");
         assert!(config.queue_depth > 0, "queue depth must be positive");
+        let shards = ShardSet::build(analyzer.database(), config.shards);
+        let analyzer = Arc::new(analyzer);
         let shard_count = shards.shard_count();
         let trace = match config.trace_capacity {
             Some(capacity) => TraceSink::bounded(capacity),
@@ -920,17 +815,15 @@ impl StreamingEngine {
         // event channel. The producer guards are taken *before* any worker
         // spawns so no worker can observe a producerless instant and exit
         // early.
-        let queues = CommandQueues::new(shard_count, config.work_stealing);
+        let queues = CommandQueues::new(shard_count);
         let dispatcher_producer = queues.producer();
         let completer_producer = queues.producer();
-        let (stats_tx, stats_rx) = mpsc::channel::<ShardStats>();
         let (resp_tx, events) = mpsc::channel::<CompleterMsg>();
         let mut shard_handles = Vec::with_capacity(shard_count);
         for index in 0..shard_count {
             let queues = Arc::clone(&queues);
             let worker = ShardWorker::new(shards.clone(), Arc::clone(&analyzer));
             let resp_tx = resp_tx.clone();
-            let stats_tx = stats_tx.clone();
             let shared = Arc::clone(&shared);
             let fault_plan = config.fault_plan.clone();
             let trace = trace.clone();
@@ -960,6 +853,28 @@ impl StreamingEngine {
                     let record = command.record_shard();
                     let attempt = command.attempt();
                     popped_total += 1;
+                    // Every injected failure is reported the same way: count
+                    // it, trace it, and answer the command with the failure
+                    // so the completer can retry, fail over, or fail the
+                    // job. `false` once the completer is gone.
+                    let mut fail = |failure: CommandFailure| {
+                        faults += 1;
+                        trace.record(
+                            seq,
+                            TraceEventKind::Fault {
+                                stage,
+                                shard: record,
+                            },
+                        );
+                        let failed = ShardCompletion {
+                            shard: record,
+                            seq,
+                            attempt,
+                            stage,
+                            result: Err(failure),
+                        };
+                        resp_tx.send(CompleterMsg::Completed(failed)).is_ok()
+                    };
                     // Injected permanent shard death: after serving
                     // `death_after` commands the worker dies with the next
                     // command in hand. That command fails with a dead-shard
@@ -968,64 +883,26 @@ impl StreamingEngine {
                     // via `CommandQueues::pop`.
                     if death_after.is_some_and(|after| popped_total > after) {
                         queues.mark_dead(index);
-                        faults += 1;
                         dead = true;
-                        trace.record(
-                            seq,
-                            TraceEventKind::Fault {
-                                stage,
-                                shard: record,
-                            },
-                        );
-                        let _ = resp_tx.send(CompleterMsg::Completed(ShardCompletion {
-                            shard: record,
-                            seq,
-                            attempt,
-                            stage,
-                            result: Err(CommandFailure::ShardDead),
-                        }));
+                        fail(CommandFailure::ShardDead);
                         break;
                     }
                     // Fault decisions key on the command identity — the
                     // *record* shard, never the physical server — so a
-                    // plan's schedule is independent of stealing and
-                    // failover routing. The fault-free hot path pays one
-                    // `Option` check.
+                    // plan's schedule is independent of failover routing.
+                    // The fault-free hot path pays one `Option` check.
                     let mut spike = Duration::ZERO;
                     match fault_plan
                         .as_ref()
                         .and_then(|p| p.decide(seq, record, stage, attempt))
                     {
                         Some(FaultDecision::Transient) => {
-                            faults += 1;
-                            trace.record(
-                                seq,
-                                TraceEventKind::Fault {
-                                    stage,
-                                    shard: record,
-                                },
-                            );
-                            let failed = ShardCompletion {
-                                shard: record,
-                                seq,
-                                attempt,
-                                stage,
-                                result: Err(CommandFailure::Transient),
-                            };
-                            if resp_tx.send(CompleterMsg::Completed(failed)).is_err() {
-                                break;
+                            if fail(CommandFailure::Transient) {
+                                continue;
                             }
-                            continue;
+                            break;
                         }
                         Some(FaultDecision::Panic) => {
-                            faults += 1;
-                            trace.record(
-                                seq,
-                                TraceEventKind::Fault {
-                                    stage,
-                                    shard: record,
-                                },
-                            );
                             // Caught right here at the serving seam: the
                             // injected panic must fail only the owning job,
                             // never unwind the worker (the `PanicGuard`
@@ -1040,24 +917,17 @@ impl StreamingEngine {
                                 panic!("injected worker panic");
                             });
                             debug_assert!(caught.is_err());
-                            let failed = ShardCompletion {
-                                shard: record,
-                                seq,
-                                attempt,
-                                stage,
-                                result: Err(CommandFailure::Panicked),
-                            };
-                            if resp_tx.send(CompleterMsg::Completed(failed)).is_err() {
-                                break;
+                            if fail(CommandFailure::Panicked) {
+                                continue;
                             }
-                            continue;
+                            break;
                         }
                         Some(FaultDecision::Spike(extra)) => spike = extra,
                         None => {}
                     }
                     // Trace events and stats credit the *physical* serving
                     // device (`index`): the straggler analyzer sums real
-                    // per-device service intervals, which under stealing
+                    // per-device service intervals, which under failover
                     // differ from the shard-of-record's queue. The service
                     // interval's start stamp is taken here and the
                     // per-member Started/Completed pairs are emitted after
@@ -1110,7 +980,7 @@ impl StreamingEngine {
                         break;
                     }
                 }
-                let _ = stats_tx.send(ShardStats {
+                ShardStats {
                     shard: index,
                     busy,
                     jobs: served,
@@ -1125,14 +995,13 @@ impl StreamingEngine {
                     retries: 0,
                     failovers: 0,
                     dead,
-                });
+                }
             }));
         }
         // The dispatcher takes the last sender: with the workers' clones it
         // is every sender there is, so the channel closes exactly when the
         // in-SSD stage has wound down.
         let meta_tx = DispatcherTx(resp_tx);
-        drop(stats_tx);
 
         // Bounded hand-off between the stages (§4.7 lookahead): together
         // with the dispatch lookahead gate in `step1_worker`, at most
@@ -1220,7 +1089,6 @@ impl StreamingEngine {
             dispatcher: Some(dispatcher),
             completer: Some(completer),
             shard_handles,
-            stats_rx: Mutex::new(stats_rx),
             shards,
             config,
             started_at: Instant::now(),
@@ -1251,52 +1119,70 @@ impl StreamingEngine {
         self.shared.lock().queue.len()
     }
 
-    /// Submits one job to the running service, from any thread.
+    /// Submits one job to the running service, from any thread: the
+    /// one-job case of [`StreamingEngine::submit_all`]. On success the
+    /// returned [`JobHandle`] delivers the result as soon as the job
+    /// completes.
+    pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, AdmissionError> {
+        let mut handles = self.submit_all([spec])?;
+        Ok(handles.pop().expect("one job admitted, one handle"))
+    }
+
+    /// Admits a closed set of jobs, from any thread: all of them or none,
+    /// in **one** critical section. No worker can pop between two of the
+    /// admissions, so the service positions the set is assigned follow the
+    /// policy over the whole set exactly — (priority desc, submission asc)
+    /// under [`crate::SchedPolicy::Priority`] — whatever the worker count.
+    /// Ids are dense and in submission order; the handles come back in that
+    /// order too.
     ///
     /// Admission is bounded by the configured queue capacity **counting
     /// in-flight work**: a job occupies its slot from admission until its
-    /// result is delivered, so a drained-but-busy service cannot admit past
-    /// the documented bound (at most `queue_capacity` jobs are ever inside
-    /// the service). Admission closes once a graceful shutdown begins. On
-    /// success the returned [`JobHandle`] delivers the result as soon as the
-    /// job completes.
-    pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, AdmissionError> {
-        let (id, rx) = {
+    /// result is delivered, so at most `queue_capacity` jobs are ever
+    /// inside the service, and a set that does not fit as a whole is
+    /// rejected as a whole with [`AdmissionError::QueueFull`]. Admission
+    /// closes once a graceful shutdown begins — or the engine is poisoned —
+    /// and then rejects with [`AdmissionError::ShuttingDown`].
+    pub fn submit_all<I: IntoIterator<Item = JobSpec>>(
+        &self,
+        specs: I,
+    ) -> Result<Vec<JobHandle>, AdmissionError> {
+        let specs: Vec<JobSpec> = specs.into_iter().collect();
+        let handles: Vec<JobHandle> = {
             let mut state = self.shared.lock();
             if !state.accepting {
                 return Err(AdmissionError::ShuttingDown);
             }
             let capacity = state.queue.capacity();
-            if state.queue.len() + state.in_flight >= capacity {
+            if state.queue.len() + state.in_flight + specs.len() > capacity {
                 return Err(AdmissionError::QueueFull { capacity });
             }
-            let id = state.queue.submit(spec)?;
-            let (tx, rx) = mpsc::channel();
-            state.senders.insert(id.0, tx);
-            (id, rx)
+            specs
+                .into_iter()
+                .map(|spec| {
+                    let id = state
+                        .queue
+                        .submit(spec)
+                        .expect("the whole set fits: checked against the capacity above");
+                    let (tx, rx) = mpsc::channel();
+                    state.senders.insert(id.0, tx);
+                    JobHandle { id, rx }
+                })
+                .collect()
         };
-        self.trace
-            .record(NO_SEQ, TraceEventKind::Admitted { job: id.0 });
-        self.shared.job_ready.notify_one();
-        Ok(JobHandle { id, rx })
-    }
-
-    /// Hands an already-admitted job (id and submission time preserved) to
-    /// the executor, bypassing the capacity check. Batch-mode entry point.
-    pub(crate) fn dispatch_admitted(&self, job: QueuedJob) -> JobHandle {
-        let id = job.id;
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut state = self.shared.lock();
-            state.senders.insert(id.0, tx);
-            state.queue.enqueue_admitted(job);
+        // Stamp every admission before waking anyone: the traced span of
+        // the set's last job must not start late by the wake-ups of the
+        // jobs before it.
+        for handle in &handles {
+            self.trace
+                .record(NO_SEQ, TraceEventKind::Admitted { job: handle.id.0 });
         }
-        // The job's original submission predates this engine (and the trace
-        // epoch), so the traced timeline starts here, at the hand-off.
-        self.trace
-            .record(NO_SEQ, TraceEventKind::Admitted { job: id.0 });
-        self.shared.job_ready.notify_one();
-        JobHandle { id, rx }
+        if handles.len() == 1 {
+            self.shared.job_ready.notify_one();
+        } else {
+            self.shared.job_ready.notify_all();
+        }
+        Ok(handles)
     }
 
     /// Blocks until the service is quiescent: no job queued and none in
@@ -1309,16 +1195,22 @@ impl StreamingEngine {
     /// a dispatched job that can never complete would otherwise block the
     /// drain forever.
     pub fn drain(&self) {
+        assert!(
+            self.wait_quiescent(),
+            "streaming engine poisoned: a pipeline thread panicked"
+        );
+    }
+
+    /// Blocks until no job is queued and none is in flight; `false` — at
+    /// once — if the service is poisoned, whose jobs can never all complete.
+    fn wait_quiescent(&self) -> bool {
         let mut state = self.shared.lock();
         loop {
             if state.poisoned {
-                // Release the lock before unwinding so teardown (which must
-                // re-lock) proceeds cleanly.
-                drop(state);
-                panic!("streaming engine poisoned: a pipeline thread panicked");
+                return false;
             }
             if state.queue.is_empty() && state.in_flight == 0 {
-                return;
+                return true;
             }
             state = self
                 .shared
@@ -1346,20 +1238,20 @@ impl StreamingEngine {
 
     /// Graceful shutdown: closes admission, drains every queued and
     /// in-flight job, joins all threads, and reports.
+    ///
+    /// # Panics
+    ///
+    /// Panics like [`StreamingEngine::drain`] if the service is poisoned
+    /// (the engine's threads are still joined, by its destructor).
     pub fn shutdown(mut self) -> ServiceReport {
-        self.stop_and_join()
+        self.shared.lock().accepting = false;
+        self.drain();
+        self.join_and_report()
     }
 
-    fn stop_and_join(&mut self) -> ServiceReport {
-        self.shared.lock().accepting = false;
-        // When already unwinding (Drop during a panic — including the drop
-        // of `self` after drain() below propagated a poisoned pipeline),
-        // skip the drain: asserting again would panic-within-panic and
-        // abort. Workers still exit (poison flag or stopping + empty
-        // queue), so the joins below complete.
-        if !thread::panicking() {
-            self.drain();
-        }
+    /// Stops and joins every pipeline thread of a drained (or poisoned)
+    /// service and assembles the report.
+    fn join_and_report(&mut self) -> ServiceReport {
         self.shared.lock().stopping = true;
         self.shared.job_ready.notify_all();
         for handle in self.workers.drain(..) {
@@ -1368,23 +1260,15 @@ impl StreamingEngine {
         if let Some(dispatcher) = self.dispatcher.take() {
             let _ = dispatcher.join();
         }
-        for handle in self.shard_handles.drain(..) {
-            let _ = handle.join();
-        }
+        // A shard worker that panicked yields no stats.
+        let mut shard_stats: Vec<ShardStats> = self
+            .shard_handles
+            .drain(..)
+            .filter_map(|handle| handle.join().ok())
+            .collect();
         if let Some(completer) = self.completer.take() {
             let _ = completer.join();
         }
-        // Poison-safe like every other pipeline lock: this runs during
-        // unwinding when `drain` propagated a poisoned service (Drop →
-        // stop_and_join while panicking), and a `lock().unwrap()` here
-        // would panic-within-panic and abort instead of reporting.
-        let mut shard_stats: Vec<ShardStats> = self
-            .stats_rx
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .try_iter()
-            .collect();
-        shard_stats.sort_by_key(|s| s.shard);
         let state = self.shared.lock();
         for stats in &mut shard_stats {
             stats.set_peak_inflight(state.shard_inflight_peak[stats.shard]);
@@ -1423,16 +1307,24 @@ impl StreamingEngine {
 impl Drop for StreamingEngine {
     fn drop(&mut self) {
         // Dropping without an explicit shutdown still tears down gracefully
-        // (drain, then join), so no thread outlives the engine.
+        // (drain, then join), so no thread outlives the engine. A poisoned
+        // service — this is also the drop of `self` after `shutdown`'s drain
+        // propagated the poison — skips the drain and only joins: its
+        // threads exit on the poison flag, and a destructor must not panic.
         if !self.workers.is_empty() || self.dispatcher.is_some() {
-            let _ = self.stop_and_join();
+            self.shared.lock().accepting = false;
+            let _ = self.wait_quiescent();
+            let _ = self.join_and_report();
         }
     }
 }
 
-/// Sets the shared poison flag if its thread unwinds: a dispatched position
-/// that will never complete must turn `drain`/`shutdown` into a propagated
-/// panic rather than a deadlock.
+/// Poisons the service if its thread unwinds: a dispatched position that
+/// will never complete must turn `drain`/`shutdown` into a propagated panic
+/// rather than a deadlock. In the same critical section admission closes
+/// and every undelivered job's result sender is dropped, so waiting
+/// [`JobHandle`]s resolve to `EngineStopped` now, not when the engine is
+/// eventually dropped.
 struct PanicGuard<'a>(&'a Shared);
 
 impl Drop for PanicGuard<'_> {
@@ -1440,6 +1332,8 @@ impl Drop for PanicGuard<'_> {
         if thread::panicking() {
             let mut state = self.0.lock();
             state.poisoned = true;
+            state.accepting = false;
+            state.senders.clear();
             drop(state);
             self.0.job_ready.notify_all();
             self.0.idle.notify_all();
@@ -1923,6 +1817,15 @@ impl IspCompleter<'_> {
             self.expire_stuck_commands();
             self.deliver_ready();
             self.maybe_release_txs();
+            // A poisoned service's dispatcher may have exited between
+            // registering a job and issuing its commands. Such a job can
+            // never complete, and no result can be delivered any more (the
+            // poison dropped every sender), so the completer lets go rather
+            // than wait for it: dropping its producer releases the shard
+            // workers, and teardown's joins return.
+            if !self.meta_open && self.shared.lock().poisoned {
+                return;
+            }
             // Everything that can give the completer work arrives as an
             // event, so with nothing outstanding it simply blocks. A
             // panicked shard worker can never respond (its siblings keep
@@ -2663,7 +2566,7 @@ mod tests {
         };
         // Workerless queues: the issued commands stay where the test can
         // read them off the dispatcher → completer channel.
-        let producer = CommandQueues::new(config.shards, false).producer();
+        let producer = CommandQueues::new(config.shards).producer();
         let (meta_tx, meta_rx) = mpsc::channel();
         assert!(dispatch_group(
             &Shared::new(&config, config.shards),
@@ -2903,10 +2806,6 @@ mod tests {
         // and with commands dwelling on their devices, some sample's Step 3
         // command must be submitted while another sample's intersect
         // command is outstanding (the per-stage pipeline overlap).
-        //
-        // Work stealing is off so the per-shard `step3_jobs` assertions are
-        // deterministic (with it on, an idle device may serve a peer's
-        // command); the stealing path has its own dedicated test below.
         let reads = 2 * MIN_READS_PER_COMMAND as u64 + 44;
         let c = CommunityConfig::preset(Diversity::Medium)
             .with_reads(reads as usize)
@@ -2922,8 +2821,7 @@ mod tests {
                 .with_workers(2)
                 .with_shards(2)
                 .with_queue_depth(4)
-                .with_fault_plan(dwell(Duration::from_millis(1)))
-                .with_work_stealing(false),
+                .with_fault_plan(dwell(Duration::from_millis(1))),
         );
         let jobs = 6u64;
         let handles: Vec<JobHandle> = (0..jobs)
@@ -3081,24 +2979,21 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_engages_on_skewed_candidates_and_stays_byte_identical() {
+    fn an_array_wider_than_the_read_ranges_maps_every_read_once() {
         use megis_genomics::dna::{Base, PackedSequence};
         use megis_genomics::read::{Read, ReadSet};
         use megis_genomics::reference::{ReferenceCollection, ReferenceGenome};
-        use megis_genomics::sample::Sample;
         use megis_genomics::taxonomy::{TaxId, Taxonomy};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
         // Skewed candidate sizes (one giant genome next to three small
-        // ones) no longer skew Step 3 — every read range maps against all
-        // four — but the array is wider than the sample's read ranges: its
+        // ones) do not skew Step 3 — every read range maps against all
+        // four — and the array is wider than the sample's read ranges: its
         // reads fill two commands, so per sample two of the eight devices
         // serve a Step 3 command on top of their intersect while six serve
-        // the intersect alone — exactly the regime where the idle peers
-        // must steal queued Step 3 commands instead of waiting out the
-        // skew. Every command dwells on its device, so the devices (not
-        // Step 1) are the bottleneck and their queues fill.
+        // the intersect alone. Every command stays on the queue it was
+        // issued to.
         let mut rng = StdRng::seed_from_u64(97);
         let lengths = [6000usize, 400, 400, 400];
         let taxonomy = Taxonomy::synthetic(1, lengths.len());
@@ -3130,7 +3025,8 @@ mod tests {
         let sample = Sample::from_reads(reads);
         let read_count = sample.len() as u64;
         assert_eq!(read_count.div_ceil(MIN_READS_PER_COMMAND as u64), 2);
-        let expected = MegisAnalyzer::build(&references, MegisConfig::small()).analyze(&sample);
+        let analyzer = MegisAnalyzer::build(&references, MegisConfig::small());
+        let expected = analyzer.analyze(&sample);
         assert_eq!(
             expected.presence.len(),
             lengths.len(),
@@ -3139,98 +3035,28 @@ mod tests {
         assert!(expected.mapped_reads > 0, "fixture must exercise mapping");
 
         let jobs = 8u64;
-        let run = |stealing: bool| {
-            let engine = StreamingEngine::new(
-                MegisAnalyzer::build(&references, MegisConfig::small()),
-                EngineConfig::new()
-                    .with_workers(2)
-                    .with_shards(8)
-                    .with_queue_depth(4)
-                    .with_fault_plan(dwell(Duration::from_millis(5)))
-                    .with_work_stealing(stealing),
-            );
-            let handles: Vec<JobHandle> = (0..jobs)
-                .map(|i| {
-                    engine
-                        .submit(JobSpec::new(format!("s{i}"), sample.clone()))
-                        .unwrap()
-                })
-                .collect();
-            let outputs: Vec<megis::analyzer::MegisOutput> = handles
-                .into_iter()
-                .map(|h| h.wait().expect("job served").output)
-                .collect();
-            (outputs, engine.shutdown())
-        };
-
-        let (stolen_outputs, stolen_report) = run(true);
-        let (pinned_outputs, pinned_report) = run(false);
-
-        // Byte-parity: stolen and pinned runs both match the sequential
-        // oracle exactly, job for job.
-        for output in stolen_outputs.iter().chain(pinned_outputs.iter()) {
-            assert_eq!(*output, expected);
-        }
-        // Every read mapped once regardless of which device served it.
-        for report in [&stolen_report, &pinned_report] {
-            let items: u64 = report.shard_stats.iter().map(|s| s.step3_items).sum();
-            assert_eq!(items, jobs * read_count);
-            let commands: u64 = report.shard_stats.iter().map(|s| s.step3_jobs).sum();
-            assert_eq!(commands, jobs * 2);
-        }
-        let stolen: u64 = stolen_report
-            .shard_stats
-            .iter()
-            .map(|s| s.stolen_items)
-            .sum();
-        assert!(
-            stolen > 0,
-            "the idle device must steal from the loaded one on this skew"
+        let engine = StreamingEngine::new(
+            analyzer,
+            EngineConfig::new()
+                .with_workers(2)
+                .with_shards(8)
+                .with_queue_depth(4),
         );
-        let pinned: u64 = pinned_report
-            .shard_stats
-            .iter()
-            .map(|s| s.stolen_items)
-            .sum();
-        assert_eq!(pinned, 0, "stealing disabled must mean zero stolen items");
-    }
-
-    #[test]
-    fn shutdown_reaps_stats_through_a_poisoned_stats_mutex() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        // Regression: `stop_and_join` used to call `.lock().unwrap()` on the
-        // stats receiver — the only pipeline lock without the
-        // `PoisonError::into_inner` recovery. That mutex is poisoned exactly
-        // when a panic is already unwinding, which is the one moment a
-        // second panic aborts the process instead of reporting. Poison it
-        // the way an unwinding thread would (panic while holding the guard)
-        // and assert shutdown still reaps the per-shard stats.
-        let c = community();
-        let a = analyzer(&c);
-        let engine = StreamingEngine::new(a, EngineConfig::new().with_workers(2).with_shards(2));
-        let handle = engine
-            .submit(JobSpec::new("job", c.sample().clone()))
+        let handles = engine
+            .submit_all((0..jobs).map(|i| JobSpec::new(format!("s{i}"), sample.clone())))
             .unwrap();
-        assert!(handle.wait().is_ok());
-        let poisoner = catch_unwind(AssertUnwindSafe(|| {
-            // lint:allow(poison-safety, deliberately panicking while holding
-            // the guard is the only way to poison the mutex under test)
-            let _guard = engine.stats_rx.lock().unwrap();
-            panic!("simulated pipeline panic while holding the stats mutex");
-        }));
-        assert!(poisoner.is_err(), "the poisoning closure must panic");
-        // With the old `.lock().unwrap()` this shutdown panics again; with
-        // `PoisonError::into_inner` it must deliver both shards' stats.
         let report = engine.shutdown();
-        assert_eq!(report.completed, 1);
-        assert_eq!(
-            report.shard_stats.len(),
-            2,
-            "stats must be reaped through the poisoned mutex"
-        );
-        for stats in &report.shard_stats {
-            assert_eq!(stats.jobs, 1, "shard {} served the job", stats.shard);
+        for handle in handles {
+            assert_eq!(handle.wait().expect("job served").output, expected);
         }
+        let served = |f: fn(&ShardStats) -> u64| -> u64 { report.shard_stats.iter().map(f).sum() };
+        assert_eq!(served(|s| s.step3_items), jobs * read_count);
+        assert_eq!(served(|s| s.step3_jobs), jobs * 2);
+        assert_eq!(
+            served(|s| s.stolen_items),
+            0,
+            "a healthy array adopts nothing"
+        );
     }
 
     #[test]
@@ -3303,5 +3129,147 @@ mod tests {
             normal_positions
         );
         assert_eq!(stat_result.isp_position, stat_result.start_position);
+    }
+
+    #[test]
+    fn submit_all_assigns_policy_order_over_the_whole_set() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Four idle workers race to pop the instant a job is queued. Were
+        // the set admitted job by job under separate lock holds, a worker
+        // would take the first job — whatever its priority — before a later
+        // high-priority one was queued; admitted in one critical section,
+        // the set's positions are exactly (priority desc, submission asc).
+        // Empty samples keep Step 1 out of the way of the race.
+        const JOBS: u64 = 12;
+        let c = community();
+        let engine = StreamingEngine::new(
+            analyzer(&c),
+            EngineConfig::new()
+                .with_workers(4)
+                .with_policy(SchedPolicy::Priority),
+        );
+        let mut rng = StdRng::seed_from_u64(2407);
+        for trial in 0..24u64 {
+            let priorities: Vec<Priority> = (0..JOBS)
+                .map(|_| {
+                    [Priority::Low, Priority::Normal, Priority::High][rng.gen_range(0..3usize)]
+                })
+                .collect();
+            let empty = || Sample::from_reads(megis_genomics::read::ReadSet::new());
+            let handles = engine
+                .submit_all(
+                    priorities
+                        .iter()
+                        .map(|p| JobSpec::new("job", empty()).with_priority(*p)),
+                )
+                .unwrap();
+            let ids: Vec<u64> = handles.iter().map(|h| h.id().0).collect();
+            let first = trial * JOBS;
+            assert_eq!(ids, (first..first + JOBS).collect::<Vec<_>>(), "dense ids");
+            let mut served: Vec<(usize, u64)> = handles
+                .into_iter()
+                .map(|h| h.wait().expect("job served"))
+                .map(|r| (r.start_position, r.id.0))
+                .collect();
+            served.sort_unstable();
+            let served: Vec<u64> = served.into_iter().map(|(_, id)| id).collect();
+            let mut policy_order = ids;
+            policy_order.sort_by_key(|id| std::cmp::Reverse(priorities[(id - first) as usize]));
+            assert_eq!(served, policy_order, "trial {trial}: {priorities:?}");
+        }
+    }
+
+    #[test]
+    fn submit_all_is_rejected_whole_once_shutdown_began() {
+        // `shutdown` consumes the engine, so only its own first step —
+        // closing admission — can be observed by a submitter; take it here
+        // from another thread.
+        let c = community();
+        let engine = StreamingEngine::new(analyzer(&c), EngineConfig::new());
+        thread::scope(|scope| {
+            scope.spawn(|| engine.shared.lock().accepting = false);
+        });
+        let jobs = (0..3).map(|i| JobSpec::new(format!("s{i}"), c.sample().clone()));
+        assert_eq!(
+            engine.submit_all(jobs).unwrap_err(),
+            AdmissionError::ShuttingDown
+        );
+        assert_eq!(engine.pending(), 0, "nothing was admitted");
+        assert_eq!(engine.shutdown().completed, 0);
+    }
+
+    #[test]
+    fn wait_timeout_is_none_until_the_job_settles() {
+        let c = community();
+        let a = analyzer(&c);
+        let expected = a.analyze(c.sample());
+        let engine = StreamingEngine::new(
+            a,
+            EngineConfig::new().with_fault_plan(dwell(Duration::from_millis(100))),
+        );
+        let handle = engine
+            .submit(JobSpec::new("held", c.sample().clone()))
+            .unwrap();
+        assert!(
+            handle.wait_timeout(Duration::from_millis(5)).is_none(),
+            "its first command is still dwelling"
+        );
+        let settled = handle.wait_timeout(Duration::from_secs(60));
+        assert_eq!(settled.expect("settled").expect("served").output, expected);
+    }
+
+    /// Poisons `engine` the way a panicking pipeline thread does: by
+    /// unwinding through a `PanicGuard`.
+    fn poison(engine: &StreamingEngine) {
+        let tripped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = PanicGuard(&engine.shared);
+            panic!("simulated pipeline panic");
+        }));
+        assert!(tripped.is_err());
+    }
+
+    #[test]
+    fn a_poisoned_engine_releases_its_clients_and_drops_cleanly() {
+        // Failure layer 4. Regression: the result senders used to sit in the
+        // shared state until the engine was dropped, so a client waiting on
+        // a poisoned engine hung for as long as it lived — and dropping it
+        // panicked out of the destructor's drain.
+        let c = community();
+        let engine = StreamingEngine::new(
+            analyzer(&c),
+            EngineConfig::new()
+                .with_workers(1)
+                .with_shards(1)
+                // Keeps the early job unsettled until the poison lands.
+                .with_fault_plan(dwell(Duration::from_millis(50))),
+        );
+        let spec = || JobSpec::new("job", c.sample().clone());
+        let early = engine.submit(spec()).unwrap();
+        poison(&engine);
+        assert!(
+            matches!(early.wait(), Err(JobError::EngineStopped { job: JobId(0) })),
+            "a handle taken before the poison resolves while the engine lives"
+        );
+        assert_eq!(
+            engine.submit(spec()).unwrap_err(),
+            AdmissionError::ShuttingDown
+        );
+        assert_eq!(
+            engine.submit_all([spec(), spec()]).unwrap_err(),
+            AdmissionError::ShuttingDown
+        );
+        assert!(!engine.snapshot().accepting);
+        drop(engine);
+    }
+
+    #[test]
+    #[should_panic(expected = "streaming engine poisoned")]
+    fn draining_a_poisoned_engine_panics() {
+        let c = community();
+        let engine = StreamingEngine::new(analyzer(&c), EngineConfig::new());
+        poison(&engine);
+        // The unwind then drops the engine, which must not panic again.
+        engine.drain();
     }
 }

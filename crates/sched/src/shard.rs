@@ -48,14 +48,15 @@
 //! through the same queue, one sample's Step 3 mapping overlaps the next
 //! sample's Step 2 intersection on every device.
 //!
-//! **Step 3 commands are stealable.** An `IntersectCommand` is pinned to
-//! its device — it intersects *that* shard's zero-copy database slice — but
-//! a `Step3Command` resolves its candidate positions against the shared
-//! analyzer's memoized per-species reference indexes, so *any* worker can
-//! serve it. The engine exploits this: an idle device steals queued Step 3
-//! commands from a loaded peer's queue (owner-LIFO / thief-FIFO deque
-//! discipline, see `service.rs`), and the result stays tagged with the
-//! shard-of-record so merge accounting is unchanged.
+//! **Commands stay where they were issued.** An `IntersectCommand` is
+//! pinned to its device — it intersects *that* shard's zero-copy database
+//! slice — and a `Step3Command`, though it resolves its candidate positions
+//! against the shared analyzer's memoized per-species reference indexes and
+//! could run anywhere, is served by the device it was issued to as well:
+//! read ranges are equal-sized and rotate over the array from
+//! `seq % shards`, so there is no skew for a peer to take up. Only a *dead*
+//! device's queue is served by others (next paragraph), and the result
+//! stays tagged with the shard-of-record so merge accounting is unchanged.
 //!
 //! **Failover serving.** Because the shards are zero-copy views over one
 //! `Arc`-shared columnar storage, every worker holds the *whole*
@@ -150,7 +151,7 @@ pub(crate) struct Step3Command {
     /// Dense in-SSD dispatch sequence number the command belongs to.
     pub seq: usize,
     /// The shard-of-record the counts are folded under (the queue the
-    /// command was issued to; unchanged by stealing or failover).
+    /// command was issued to; unchanged by failover).
     pub record_shard: usize,
     /// 0-based service attempt; bumped on every retry re-issue.
     pub attempt: u32,

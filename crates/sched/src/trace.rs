@@ -26,12 +26,12 @@
 //!   timeline points reconstructed from the job's events, so they
 //!   **telescope**: their sum is exactly the traced admission→delivery span,
 //!   which matches the independently measured [`crate::JobResult::latency`]
-//!   to well under 1% whenever admission was traced (streaming submissions).
+//!   to well under 1% whenever the ring still holds the admission.
 //! * [`StragglerReport`] — the analysis layer's per-device answer: busy /
 //!   stall / idle fractions per device over the run, per-device Step 3 busy
 //!   time with the max/min skew, and, per job, the device whose last Step 3
 //!   completion gated the reduce — the direct evidence of how evenly the
-//!   read ranges (and steals) spread Step 3 over the array.
+//!   read ranges spread Step 3 over the array.
 //!
 //! Events are stamped as [`Duration`]s since the sink's epoch (the engine's
 //! start), so a whole trace serializes losslessly with
@@ -74,8 +74,8 @@ impl TraceStage {
 /// payloads carry exactly what that producer knows at that instant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
-    /// A job was admitted ([`crate::StreamingEngine::submit`] or the batch
-    /// hand-off). Keyed by job id: no dispatch position exists yet.
+    /// A job was admitted ([`crate::StreamingEngine::submit_all`]). Keyed by
+    /// job id: no dispatch position exists yet.
     Admitted {
         /// The admitted job's id ([`crate::JobId`] payload).
         job: u64,
@@ -436,10 +436,7 @@ impl TraceLog {
 /// The segments are differences of consecutive timeline points, so they
 /// telescope: [`StageBreakdown::total`] equals the traced
 /// admission→delivery span exactly, and matches the independently measured
-/// [`crate::JobResult::latency`] to well under 1% for streaming submissions
-/// (batch mode preserves submission times from *before* the engine — and
-/// its trace epoch — existed, so there the traced span starts at the batch
-/// hand-off instead).
+/// [`crate::JobResult::latency`] to well under 1%.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
     /// Admission → Step 1 start: time queued under the admission policy.
@@ -521,9 +518,8 @@ impl StageBreakdown {
                 | TraceEventKind::CoalescedSweep { .. } => {}
             }
         }
-        // Batch-mode hand-offs may never trace an admission (submitted
-        // before the engine existed); anchor on Step 1 with a zero queue
-        // wait in that case.
+        // The bounded ring may have evicted the admission by now; anchor on
+        // Step 1 with a zero queue wait in that case.
         let start = admitted.or(step1_start)?;
         let step1_start = step1_start?;
         // Walk a monotone cursor through the timeline; stages the job never
@@ -689,9 +685,9 @@ impl StragglerReport {
         // Per-device interval sets. The devices serve serially, so service
         // intervals never overlap and sum directly; pending intervals
         // (issued→completed) do overlap and need a union. Commands are
-        // matched FIFO per `(seq, stage)` rather than per device: with work
-        // stealing a Step 3 command can complete on a different device than
-        // it was issued to, so a per-device pairing would orphan the
+        // matched FIFO per `(seq, stage)` rather than per device: under
+        // failover a command can complete on a different device than it
+        // was issued to, so a per-device pairing would orphan the
         // issue timestamp. A job's same-stage commands are issued together,
         // so the within-key FIFO mismatch is negligible, and the
         // `.min(started)` clamp keeps every pending interval covering its
@@ -1209,8 +1205,8 @@ mod tests {
 
     #[test]
     fn breakdown_without_admission_anchors_on_step1() {
-        // Batch hand-offs trace no admission; the breakdown starts at Step 1
-        // with zero queue wait rather than returning None.
+        // With the admission evicted from the ring, the breakdown starts at
+        // Step 1 with zero queue wait rather than returning None.
         let events: Vec<TraceEvent> = fixture_events()
             .into_iter()
             .filter(|e| !matches!(e.kind, TraceEventKind::Admitted { .. }))

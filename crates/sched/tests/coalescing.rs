@@ -15,7 +15,9 @@ use std::time::Duration;
 use megis::config::MegisConfig;
 use megis::MegisAnalyzer;
 use megis_genomics::sample::{Community, CommunityConfig, Diversity};
-use megis_sched::{BatchEngine, BatchReport, EngineConfig, FaultPlan, JobSpec, ShardStats};
+use megis_sched::{
+    EngineConfig, FaultPlan, JobResult, JobSpec, ServiceReport, ShardStats, StreamingEngine,
+};
 
 fn community() -> Community {
     CommunityConfig::preset(Diversity::Medium)
@@ -34,10 +36,17 @@ fn specs(c: &Community, n: usize) -> Vec<JobSpec> {
         .collect()
 }
 
-fn run(c: &Community, config: EngineConfig, jobs: usize) -> BatchReport {
-    let mut engine = BatchEngine::new(analyzer(c), config);
-    engine.submit_all(specs(c, jobs)).unwrap();
-    engine.run()
+/// Runs `jobs` copies of the sample as one closed batch; every job must be
+/// served, and the results come back in submission order.
+fn run(c: &Community, config: EngineConfig, jobs: usize) -> (Vec<JobResult>, ServiceReport) {
+    let engine = StreamingEngine::new(analyzer(c), config);
+    let handles = engine.submit_all(specs(c, jobs)).unwrap();
+    let report = engine.shutdown();
+    let results = handles
+        .into_iter()
+        .map(|h| h.wait().expect("job served"))
+        .collect();
+    (results, report)
 }
 
 /// A generous window: it only delays dispatch while the group is still
@@ -87,12 +96,11 @@ fn window_matrix_is_byte_identical_to_uncoalesced_runs() {
                     .with_workers(workers)
                     .with_shards(shards)
                     .with_queue_depth(depth);
-                let off = run(&c, base.clone(), jobs);
-                let on = run(&c, base.with_coalescing_window(WINDOW), jobs);
+                let (off_results, off) = run(&c, base.clone(), jobs);
+                let (on_results, on) = run(&c, base.with_coalescing_window(WINDOW), jobs);
                 let corner = format!("workers={workers} shards={shards} depth={depth}");
-                assert!(off.failed.is_empty() && on.failed.is_empty(), "{corner}");
-                assert_eq!(on.results.len(), jobs, "{corner}");
-                for (a, b) in off.results.iter().zip(&on.results) {
+                assert_eq!(on_results.len(), jobs, "{corner}");
+                for (a, b) in off_results.iter().zip(&on_results) {
                     assert_eq!(a.id, b.id, "{corner}");
                     assert_eq!(a.output, expected, "{corner}: uncoalesced diverged");
                     assert_eq!(b.output, expected, "{corner}: coalesced diverged");
@@ -129,8 +137,7 @@ fn co_resident_samples_share_sweeps() {
         .with_shards(2)
         .with_queue_depth(jobs)
         .with_coalescing_window(WINDOW);
-    let report = run(&c, config, jobs);
-    assert!(report.failed.is_empty());
+    let (_, report) = run(&c, config, jobs);
     let stats = &report.shard_stats;
     assert!(
         coalesced_commands(stats) >= 1,
@@ -163,10 +170,9 @@ fn transient_fault_retries_a_shared_command_whole() {
         .with_queue_depth(jobs)
         .with_coalescing_window(WINDOW)
         .with_fault_plan(FaultPlan::seeded(7).with_transient_rate(1.0));
-    let report = run(&c, config, jobs);
-    assert!(report.failed.is_empty(), "{:?}", report.failed);
-    assert_eq!(report.results.len(), jobs);
-    for r in &report.results {
+    let (results, report) = run(&c, config, jobs);
+    assert_eq!((results.len(), report.failed_jobs), (jobs, 0));
+    for r in &results {
         assert_eq!(r.output, expected, "{} diverged after retry", r.label);
     }
     let stats = &report.shard_stats;
@@ -200,9 +206,9 @@ fn dead_shard_failover_adopts_shared_commands_whole() {
         .with_queue_depth(jobs)
         .with_coalescing_window(WINDOW)
         .with_fault_plan(FaultPlan::seeded(11).with_shard_death(0, 0));
-    let report = run(&c, config, jobs);
-    assert!(report.failed.is_empty(), "{:?}", report.failed);
-    for r in &report.results {
+    let (results, report) = run(&c, config, jobs);
+    assert_eq!((results.len(), report.failed_jobs), (jobs, 0));
+    for r in &results {
         assert_eq!(r.output, expected, "{} diverged after failover", r.label);
     }
     let stats = &report.shard_stats;

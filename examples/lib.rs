@@ -10,11 +10,12 @@
 //!   (the use case of §4.7 / Fig. 21),
 //! * `cost_efficiency_sweep` — system-design exploration across SSD types,
 //!   DRAM sizes, and SSD counts (Figs. 15–18),
-//! * `batch_service` — a many-client batch service on the `megis-sched`
-//!   engine: priority admission, sharded multi-SSD execution, and the §4.7
-//!   inter-sample pipeline,
-//! * `streaming_service` — the same engine in service mode: clients submit
-//!   from several threads while it runs, clinical cases overtake queued
+//! * `batch_service` — a many-client closed batch on the `megis-sched`
+//!   engine (`submit_all` + `shutdown`): priority admission, sharded
+//!   multi-SSD execution, the §4.7 inter-sample pipeline, and a parity check
+//!   of every result against the sequential analyzer,
+//! * `streaming_service` — the same engine fed live: clients submit from
+//!   several threads while it runs, clinical cases overtake queued
 //!   work mid-stream, results stream back incrementally, and the service
 //!   drains gracefully.
 

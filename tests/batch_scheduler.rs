@@ -1,6 +1,7 @@
-//! Integration tests for the `megis-sched` batch engine: determinism across
-//! worker/shard counts, scheduling-policy ordering, and agreement of the
-//! modeled-time account with the analytic multi-sample models.
+//! Integration tests for closed batches on the `megis-sched` engine
+//! (`submit_all` + `shutdown`): determinism across worker/shard counts,
+//! scheduling-policy ordering, and agreement of the modeled-time account
+//! with the analytic multi-sample models.
 
 use megis::config::MegisConfig;
 use megis::pipeline::{baseline_multi_sample, MegisTimingModel};
@@ -8,8 +9,8 @@ use megis::{MegisAnalyzer, MegisOutput};
 use megis_genomics::sample::{CommunityConfig, Diversity, Sample};
 use megis_host::system::SystemConfig;
 use megis_sched::{
-    AdmissionError, BatchEngine, EngineConfig, FaultPlan, JobSpec, ModeledAccount, Priority,
-    SchedPolicy, ShardSet,
+    AdmissionError, EngineConfig, FaultPlan, JobResult, JobSpec, ModeledAccount, Priority,
+    SchedPolicy, ServiceReport, ShardSet, StreamingEngine,
 };
 use megis_ssd::config::SsdConfig;
 use megis_tools::workload::WorkloadSpec;
@@ -44,6 +45,23 @@ fn specs(samples: &[Sample]) -> Vec<JobSpec> {
         .collect()
 }
 
+/// Runs `jobs` as one closed batch — admitted whole, drained by `shutdown` —
+/// and returns the results in submission (= job id) order with the report.
+fn run_batch(
+    analyzer: MegisAnalyzer,
+    config: EngineConfig,
+    jobs: impl IntoIterator<Item = JobSpec>,
+) -> (Vec<JobResult>, ServiceReport) {
+    let engine = StreamingEngine::new(analyzer, config);
+    let handles = engine.submit_all(jobs).expect("admission");
+    let report = engine.shutdown();
+    let results = handles
+        .into_iter()
+        .map(|h| h.wait().expect("job served"))
+        .collect();
+    (results, report)
+}
+
 #[test]
 fn batch_results_identical_to_sequential_at_any_worker_and_shard_count() {
     // The headline determinism contract: a 16-sample batch yields
@@ -54,16 +72,12 @@ fn batch_results_identical_to_sequential_at_any_worker_and_shard_count() {
     let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
 
     for (workers, shards) in [(1usize, 1usize), (2, 2), (4, 4), (8, 8), (1, 8), (8, 1)] {
-        let mut engine = BatchEngine::new(
-            analyzer.clone(),
-            EngineConfig::new()
-                .with_workers(workers)
-                .with_shards(shards),
-        );
-        engine.submit_all(specs(&samples)).unwrap();
-        let report = engine.run();
-        assert_eq!(report.results.len(), 16);
-        for (result, expected) in report.results.iter().zip(&expected) {
+        let config = EngineConfig::new()
+            .with_workers(workers)
+            .with_shards(shards);
+        let (results, _) = run_batch(analyzer.clone(), config.clone(), specs(&samples));
+        assert_eq!(results.len(), 16);
+        for (result, expected) in results.iter().zip(&expected) {
             assert_eq!(
                 result.output, *expected,
                 "{} diverged with {workers} workers / {shards} shards",
@@ -75,10 +89,7 @@ fn batch_results_identical_to_sequential_at_any_worker_and_shard_count() {
         // The modeled account for the batch shape upholds the paper's
         // claims: pipelined strictly below independent runs, and
         // intersection scaling within 90% of linear in the shard count.
-        let modeled = report
-            .modeled
-            .as_ref()
-            .expect("non-empty batch has an account");
+        let modeled = ModeledAccount::compute(&config.system, &config.workload, 16, shards);
         assert!(
             modeled.pipelined_total() < modeled.independent_total(),
             "pipelined model must beat independent runs"
@@ -103,21 +114,16 @@ fn batch_results_identical_across_queue_depths() {
         (4, 2, 4),
         (2, 3, 8),
     ] {
-        let mut engine = BatchEngine::new(
-            analyzer.clone(),
-            EngineConfig::new()
-                .with_workers(workers)
-                .with_shards(shards)
-                .with_queue_depth(depth)
-                .with_fault_plan(
-                    FaultPlan::seeded(1)
-                        .with_latency_spike(1.0, std::time::Duration::from_micros(100)),
-                ),
-        );
-        engine.submit_all(specs(&samples)).unwrap();
-        let report = engine.run();
-        assert_eq!(report.results.len(), 8);
-        for (result, expected) in report.results.iter().zip(&expected) {
+        let config = EngineConfig::new()
+            .with_workers(workers)
+            .with_shards(shards)
+            .with_queue_depth(depth)
+            .with_fault_plan(
+                FaultPlan::seeded(1).with_latency_spike(1.0, std::time::Duration::from_micros(100)),
+            );
+        let (results, report) = run_batch(analyzer.clone(), config, specs(&samples));
+        assert_eq!(results.len(), 8);
+        for (result, expected) in results.iter().zip(&expected) {
             assert_eq!(
                 result.output, *expected,
                 "{} diverged at {workers} workers / {shards} shards / depth {depth}",
@@ -169,21 +175,17 @@ fn zero_copy_shard_views_share_one_storage_and_stay_byte_identical() {
     }
 
     for (workers, shards, depth) in [(1usize, 2usize, 2usize), (2, 4, 1), (4, 8, 4), (2, 3, 8)] {
-        let mut engine = BatchEngine::new(
-            analyzer.clone(),
-            EngineConfig::new()
-                .with_workers(workers)
-                .with_shards(shards)
-                .with_queue_depth(depth),
-        );
-        engine.submit_all(specs(&samples)).unwrap();
-        let report = engine.run();
+        let config = EngineConfig::new()
+            .with_workers(workers)
+            .with_shards(shards)
+            .with_queue_depth(depth);
+        let (results, report) = run_batch(analyzer.clone(), config, specs(&samples));
         assert_eq!(
             report.resident_database_bytes, one_copy,
             "engine at {workers}w/{shards}s/qd{depth} must hold one database copy"
         );
-        assert_eq!(report.results.len(), 8);
-        for (result, expected) in report.results.iter().zip(&expected) {
+        assert_eq!(results.len(), 8);
+        for (result, expected) in results.iter().zip(&expected) {
             assert_eq!(
                 result.output, *expected,
                 "{} diverged through zero-copy views at {workers}w/{shards}s/qd{depth}",
@@ -214,16 +216,12 @@ fn sharded_step3_accounts_every_candidate_once_and_stays_byte_identical() {
     assert!(expected_mapped > 0, "fixture must exercise read mapping");
 
     for (workers, shards, depth) in [(1usize, 1usize, 1usize), (2, 4, 2), (4, 2, 4), (2, 8, 8)] {
-        let mut engine = BatchEngine::new(
-            analyzer.clone(),
-            EngineConfig::new()
-                .with_workers(workers)
-                .with_shards(shards)
-                .with_queue_depth(depth),
-        );
-        engine.submit_all(specs(&samples)).unwrap();
-        let report = engine.run();
-        for (result, expected) in report.results.iter().zip(&expected) {
+        let config = EngineConfig::new()
+            .with_workers(workers)
+            .with_shards(shards)
+            .with_queue_depth(depth);
+        let (results, report) = run_batch(analyzer.clone(), config, specs(&samples));
+        for (result, expected) in results.iter().zip(&expected) {
             assert_eq!(
                 result.output, *expected,
                 "{} diverged at {workers}w/{shards}s/qd{depth}",
@@ -231,8 +229,7 @@ fn sharded_step3_accounts_every_candidate_once_and_stays_byte_identical() {
             );
         }
         assert_eq!(
-            report.mapped_reads(),
-            expected_mapped,
+            report.mapped_reads, expected_mapped,
             "mapped-read total at {workers}w/{shards}s/qd{depth}"
         );
         let step3_items: u64 = report.shard_stats.iter().map(|s| s.step3_items).sum();
@@ -248,22 +245,18 @@ fn sharded_step3_accounts_every_candidate_once_and_stays_byte_identical() {
             with_candidates * ranges,
             "one command per read range at {workers}w/{shards}s/qd{depth}"
         );
-        // With work stealing an idle device may serve commands issued to a
-        // peer, so its served count is bounded by the total that can be
-        // issued (one command per job per device at most), not by the job
-        // count — and every command is still served exactly once.
-        let issued_bound = samples.len() as u64 * shards as u64;
+        // Every command stays on the queue it was issued to: a device
+        // serves at most one range per job, and a healthy array adopts
+        // nothing.
         for stats in &report.shard_stats {
             assert!(
-                stats.step3_jobs <= issued_bound,
-                "device {} served {} step-3 commands, issue bound {issued_bound}",
+                stats.step3_jobs <= samples.len() as u64,
+                "device {} served {} step-3 commands of {} jobs",
                 stats.shard,
-                stats.step3_jobs
+                stats.step3_jobs,
+                samples.len()
             );
-            assert!(
-                stats.stolen_items <= stats.step3_items,
-                "stolen items are a subset of served items"
-            );
+            assert_eq!(stats.stolen_items, 0, "no shard died");
         }
         let summary = report.summary();
         assert!(summary.contains("reads mapped"));
@@ -289,16 +282,13 @@ fn more_shards_than_database_entries_stays_correct() {
     assert!(entries > 0, "tiny community still indexes something");
 
     let expected = analyzer.analyze(community.sample());
-    let mut engine = BatchEngine::new(
+    let (results, report) = run_batch(
         analyzer,
         EngineConfig::new().with_workers(2).with_shards(shards),
+        (0..3).map(|i| JobSpec::new(format!("s{i}"), community.sample().clone())),
     );
-    engine
-        .submit_all((0..3).map(|i| JobSpec::new(format!("s{i}"), community.sample().clone())))
-        .unwrap();
-    let report = engine.run();
-    assert_eq!(report.results.len(), 3);
-    for result in &report.results {
+    assert_eq!(results.len(), 3);
+    for result in &results {
         assert_eq!(result.output, expected, "{} diverged", result.label);
     }
     assert_eq!(report.shard_stats.len(), shards);
@@ -306,8 +296,7 @@ fn more_shards_than_database_entries_stays_correct() {
     // padding shards are never *intersect*-commanded (their key range is
     // empty). They may still serve Step 3: its read ranges rotate over the
     // whole device array — Step 3 resolves candidates against the
-    // analyzer's memoized indexes, not the shard's database range — and
-    // work stealing can move that Step 3 work to any idle device. So
+    // analyzer's memoized indexes, not the shard's database range. So
     // `busy` is only pinned to zero for shards that served neither
     // command kind.
     for stats in &report.shard_stats {
@@ -343,36 +332,19 @@ fn fifo_and_priority_policies_order_service_differently() {
         jobs
     };
 
-    let mut fifo = BatchEngine::new(
-        analyzer.clone(),
-        EngineConfig::new()
-            .with_workers(1)
-            .with_policy(SchedPolicy::Fifo),
-    );
-    fifo.submit_all(build_jobs()).unwrap();
-    let fifo_run = fifo.run();
-    let fifo_order: Vec<usize> = fifo_run.results.iter().map(|r| r.start_position).collect();
+    let policy = |policy| EngineConfig::new().with_workers(1).with_policy(policy);
+    let (fifo_run, _) = run_batch(analyzer.clone(), policy(SchedPolicy::Fifo), build_jobs());
+    let fifo_order: Vec<usize> = fifo_run.iter().map(|r| r.start_position).collect();
     assert_eq!(
         fifo_order,
         [0, 1, 2, 3, 4, 5],
         "FIFO serves submission order"
     );
 
-    let mut prio = BatchEngine::new(
-        analyzer,
-        EngineConfig::new()
-            .with_workers(1)
-            .with_policy(SchedPolicy::Priority),
-    );
-    prio.submit_all(build_jobs()).unwrap();
-    let prio_run = prio.run();
-    let pos = |id: u64| {
-        prio_run
-            .results
-            .iter()
-            .find(|r| r.id.0 == id)
-            .unwrap()
-            .start_position
+    let (prio_run, _) = run_batch(analyzer, policy(SchedPolicy::Priority), build_jobs());
+    let pos = |id: usize| {
+        assert_eq!(prio_run[id].id.0, id as u64, "results are in job id order");
+        prio_run[id].start_position
     };
     // High before normal before low; ties by submission order.
     assert_eq!(pos(3), 0);
@@ -380,7 +352,7 @@ fn fifo_and_priority_policies_order_service_differently() {
     assert_eq!(pos(1), 2);
     assert_eq!(pos(0), 5, "low priority runs last");
     // Policies change order only — outputs stay identical.
-    for (a, b) in fifo_run.results.iter().zip(&prio_run.results) {
+    for (a, b) in fifo_run.iter().zip(&prio_run) {
         assert_eq!(a.output, b.output);
     }
 }
@@ -421,13 +393,13 @@ fn modeled_shard_scaling_is_near_linear_to_eight() {
 }
 
 #[test]
-fn admitted_jobs_still_run_after_mid_batch_rejection() {
-    // PartialAdmission is not "nothing was submitted": the jobs admitted
-    // before the rejection stay queued, run to completion, and their
-    // results stay byte-identical to the sequential analyzer.
+fn a_batch_that_does_not_fit_admits_nothing_and_the_engine_keeps_serving() {
+    // Admission of a set is all-or-nothing: six jobs against a capacity of
+    // four leave nothing queued — not the first four — and the same engine
+    // then serves sets that fit, byte-identical to the sequential analyzer.
     let (analyzer, samples) = cohort(6);
     let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
-    let mut engine = BatchEngine::new(
+    let engine = StreamingEngine::new(
         analyzer,
         EngineConfig::new()
             .with_workers(2)
@@ -435,39 +407,34 @@ fn admitted_jobs_still_run_after_mid_batch_rejection() {
             .with_queue_capacity(4),
     );
     let err = engine.submit_all(specs(&samples)).unwrap_err();
-    assert_eq!(err.error, AdmissionError::QueueFull { capacity: 4 });
-    assert_eq!(err.admitted.len(), 4, "four jobs got in before the wall");
-    assert_eq!(engine.pending(), 4);
+    assert_eq!(err, AdmissionError::QueueFull { capacity: 4 });
+    assert_eq!(engine.pending(), 0, "nothing got in before the wall");
 
-    let report = engine.run();
-    assert_eq!(report.results.len(), 4);
-    for (result, expected) in report.results.iter().zip(&expected) {
+    let first = engine.submit_all(specs(&samples[..4])).expect("four fit");
+    engine.drain();
+    let retry = engine
+        .submit(JobSpec::new("retry", samples[4].clone()))
+        .expect("capacity freed by the drain");
+    for (handle, expected) in first.into_iter().chain([retry]).zip(&expected) {
+        let result = handle.wait().expect("job served");
         assert_eq!(
             result.output, *expected,
-            "{} diverged after partial admission",
+            "{} diverged after the rejection",
             result.label
         );
     }
-    // The rejection was transient: the drained queue admits again.
-    engine
-        .submit(JobSpec::new("retry", samples[4].clone()))
-        .expect("capacity freed by the run");
-    let retry = engine.run();
-    assert_eq!(retry.results.len(), 1);
-    assert_eq!(retry.results[0].output, expected[4]);
+    assert_eq!(engine.shutdown().completed, 5);
 }
 
 #[test]
 fn per_job_metrics_are_populated() {
     let (analyzer, samples) = cohort(4);
-    let mut engine = BatchEngine::new(analyzer, EngineConfig::new().with_workers(2).with_shards(2));
-    engine.submit_all(specs(&samples)).unwrap();
-    let report = engine.run();
-    assert!(report.wall_time.as_nanos() > 0);
-    assert!(report.throughput > 0.0);
-    assert_eq!(report.latency.count, 4);
-    assert!(report.latency.p99 >= report.latency.p50);
-    for result in &report.results {
+    let config = EngineConfig::new().with_workers(2).with_shards(2);
+    let (results, report) = run_batch(analyzer, config, specs(&samples));
+    assert!(report.uptime.as_nanos() > 0);
+    assert_eq!((report.completed, report.window.count), (4, 4));
+    assert!(report.window.p99 >= report.window.p50);
+    for result in &results {
         assert!(result.latency >= result.step1_time);
         assert!(result.latency >= result.isp_time);
         assert!(result.output.selected_kmers > 0);

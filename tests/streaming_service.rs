@@ -12,8 +12,7 @@ use megis::{MegisAnalyzer, MegisOutput};
 use megis_genomics::sample::{CommunityConfig, Diversity, Sample};
 use megis_genomics::sketch::SketchConfig;
 use megis_sched::{
-    BatchEngine, EngineConfig, FaultPlan, JobHandle, JobResult, JobSpec, Priority, SchedPolicy,
-    StreamingEngine,
+    EngineConfig, FaultPlan, JobHandle, JobResult, JobSpec, Priority, SchedPolicy, StreamingEngine,
 };
 
 fn cohort(n: usize) -> (MegisAnalyzer, Vec<Sample>) {
@@ -105,36 +104,49 @@ fn concurrent_submitters_get_results_identical_to_sequential_analyze() {
 }
 
 #[test]
-fn streaming_and_batch_results_are_identical() {
-    // The two modes share one executor; the outputs must match bit for bit.
-    let (analyzer, samples) = cohort(6);
-    let mut batch = BatchEngine::new(
-        analyzer.clone(),
-        EngineConfig::new().with_workers(2).with_shards(2),
-    );
-    for (i, sample) in samples.iter().enumerate() {
-        batch
-            .submit(JobSpec::new(format!("s{i}"), sample.clone()))
-            .unwrap();
+fn interleaved_submit_and_submit_all_keep_ids_and_positions_dense() {
+    // One thread submits job by job while another admits closed sets of
+    // three: both go through the one admission path, so whatever the
+    // interleaving, ids and service positions are each exactly 0..N, a set's
+    // ids are consecutive, and every result matches `analyze`.
+    const SINGLES: usize = 6;
+    const SETS: usize = 4;
+    let (analyzer, samples) = cohort(SINGLES + 3 * SETS);
+    let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
+    let engine = StreamingEngine::new(analyzer, EngineConfig::new().with_workers(3).with_shards(2));
+    let spec = |i: usize| JobSpec::new(format!("s{i}"), samples[i].clone());
+    let (singles, sets) = thread::scope(|scope| {
+        let singles = scope.spawn(|| -> Vec<(usize, JobHandle)> {
+            (0..SINGLES)
+                .map(|i| (i, engine.submit(spec(i)).expect("admission")))
+                .collect()
+        });
+        let sets = scope.spawn(|| -> Vec<(usize, JobHandle)> {
+            let mut admitted = Vec::new();
+            for first in (SINGLES..SINGLES + 3 * SETS).step_by(3) {
+                let set = engine
+                    .submit_all((first..first + 3).map(spec))
+                    .expect("admission");
+                let ids: Vec<u64> = set.iter().map(|h| h.id().0).collect();
+                assert_eq!(ids, [ids[0], ids[0] + 1, ids[0] + 2], "a set's ids");
+                admitted.extend((first..first + 3).zip(set));
+            }
+            admitted
+        });
+        (singles.join().unwrap(), sets.join().unwrap())
+    });
+    let (mut ids, mut positions) = (Vec::new(), Vec::new());
+    for (i, handle) in singles.into_iter().chain(sets) {
+        let result = handle.wait().expect("job served");
+        assert_eq!(result.output, expected[i], "{} diverged", result.label);
+        assert_eq!(result.isp_position, result.start_position);
+        ids.push(result.id.0 as usize);
+        positions.push(result.start_position);
     }
-    let batch_report = batch.run();
-
-    let service =
-        StreamingEngine::new(analyzer, EngineConfig::new().with_workers(2).with_shards(2));
-    let handles: Vec<JobHandle> = samples
-        .iter()
-        .enumerate()
-        .map(|(i, sample)| {
-            service
-                .submit(JobSpec::new(format!("s{i}"), sample.clone()))
-                .unwrap()
-        })
-        .collect();
-    for (handle, batch_result) in handles.into_iter().zip(&batch_report.results) {
-        let streamed = handle.wait().expect("job succeeded");
-        assert_eq!(streamed.id, batch_result.id);
-        assert_eq!(streamed.output, batch_result.output);
-    }
+    ids.sort_unstable();
+    positions.sort_unstable();
+    let dense: Vec<usize> = (0..SINGLES + 3 * SETS).collect();
+    assert_eq!((ids, positions), (dense.clone(), dense));
 }
 
 #[test]
@@ -214,11 +226,11 @@ fn full_width_sketch_shapes_stay_byte_identical_to_sequential_analyze() {
 fn isp_service_order_follows_priority_policy_with_four_workers() {
     // Acceptance: with `SchedPolicy::Priority` and `workers = 4`, in-SSD
     // service order follows (priority desc, submission asc) exactly. The
-    // batch is closed before dispatch so the policy order is fully
+    // batch is admitted whole (`submit_all`) so the policy order is fully
     // determined; four workers race Step 1 completion, and the reorder
     // buffer must still hand samples to the in-SSD stage in policy order.
     let (analyzer, samples) = cohort(12);
-    let mut engine = BatchEngine::new(
+    let engine = StreamingEngine::new(
         analyzer,
         EngineConfig::new()
             .with_workers(4)
@@ -230,16 +242,14 @@ fn isp_service_order_follows_priority_policy_with_four_workers() {
         0 | 4 | 8 => Priority::Low,
         _ => Priority::Normal,
     };
-    for (i, sample) in samples.iter().enumerate() {
-        engine
-            .submit(
-                JobSpec::new(format!("s{i}"), sample.clone()).with_priority(priority_of(i as u64)),
-            )
-            .unwrap();
-    }
-    let report = engine.run();
+    let handles = engine
+        .submit_all(samples.iter().enumerate().map(|(i, sample)| {
+            JobSpec::new(format!("s{i}"), sample.clone()).with_priority(priority_of(i as u64))
+        }))
+        .unwrap();
+    let results: Vec<JobResult> = handles.into_iter().map(|h| h.wait().unwrap()).collect();
 
-    let mut served: Vec<&JobResult> = report.results.iter().collect();
+    let mut served: Vec<&JobResult> = results.iter().collect();
     served.sort_by_key(|r| r.isp_position);
     let served_ids: Vec<u64> = served.iter().map(|r| r.id.0).collect();
     let mut expected: Vec<u64> = (0..12).collect();
@@ -248,7 +258,7 @@ fn isp_service_order_follows_priority_policy_with_four_workers() {
         served_ids, expected,
         "in-SSD service order must be (priority desc, submission asc)"
     );
-    for r in &report.results {
+    for r in &results {
         assert_eq!(r.isp_position, r.start_position);
     }
 }

@@ -1,7 +1,7 @@
 //! Integration tests for the `megis-sched` pipeline tracing subsystem:
 //! end-to-end stage breakdowns that telescope to the measured latency,
 //! straggler analysis over the device array, the disabled-by-default
-//! contract, and the shared observability lines of both report summaries.
+//! contract, and the report summary pinned line by line.
 
 use std::time::Duration;
 
@@ -9,8 +9,8 @@ use megis::config::MegisConfig;
 use megis::MegisAnalyzer;
 use megis_genomics::sample::{CommunityConfig, Diversity, Sample};
 use megis_sched::{
-    BatchEngine, BatchReport, EngineConfig, FaultPlan, JobSpec, LatencyStats, ServiceReport,
-    ShardStats, StageBreakdown, StreamingEngine,
+    EngineConfig, FaultPlan, JobSpec, LatencyStats, ServiceReport, ShardStats, StageBreakdown,
+    StreamingEngine,
 };
 
 fn cohort(n: usize) -> (MegisAnalyzer, Vec<Sample>) {
@@ -135,80 +135,61 @@ fn traced_streaming_run_reconstructs_breakdowns_and_stragglers() {
 }
 
 #[test]
-fn an_overflowed_trace_ring_is_flagged_in_both_summaries() {
+fn an_overflowed_trace_ring_is_flagged_in_the_summary() {
     // A ring far smaller than the run's event count evicts early events, so
-    // every traced figure is computed from a truncated log; both summaries
-    // must say so (a clean run prints no such line — asserted above).
+    // every traced figure is computed from a truncated log; the summary must
+    // say so (a clean run prints no such line — asserted above).
     const CAPACITY: usize = 32;
     let (analyzer, samples) = cohort(4);
-    let specs = |samples: &[Sample]| -> Vec<JobSpec> {
-        samples
-            .iter()
-            .enumerate()
-            .map(|(i, s)| JobSpec::new(format!("s{i}"), s.clone()))
-            .collect()
-    };
     let config = EngineConfig::new()
         .with_workers(2)
         .with_shards(2)
         .with_trace_capacity(CAPACITY);
-
-    let mut batch = BatchEngine::new(analyzer.clone(), config.clone());
-    batch.submit_all(specs(&samples)).expect("admission");
-    let batch_report = batch.run();
-    let batch_trace = batch_report.trace.as_ref().expect("tracing on");
-
-    let service = StreamingEngine::new(analyzer, config);
-    for spec in specs(&samples) {
-        service.submit(spec).expect("admission");
-    }
-    let service_report = service.shutdown();
-    let service_trace = service_report.trace.as_ref().expect("tracing on");
-
-    for (name, trace, summary) in [
-        ("batch", batch_trace, batch_report.summary()),
-        ("service", service_trace, service_report.summary()),
-    ] {
-        assert_eq!(trace.events.len(), CAPACITY, "{name}: the ring is full");
-        assert!(trace.dropped > 0, "{name}: the run must overflow the ring");
-        let line = format!(
-            "trace: {CAPACITY} events, {} dropped — breakdown and straggler figures are incomplete",
-            trace.dropped
-        );
-        assert!(summary.contains(&line), "{name}:\n{summary}");
-    }
+    let engine = StreamingEngine::new(analyzer, config);
+    let jobs = samples.iter().enumerate();
+    engine
+        .submit_all(jobs.map(|(i, s)| JobSpec::new(format!("s{i}"), s.clone())))
+        .expect("admission");
+    let report = engine.shutdown();
+    let trace = report.trace.as_ref().expect("tracing on");
+    assert_eq!(trace.events.len(), CAPACITY, "the ring is full");
+    assert!(trace.dropped > 0, "the run must overflow the ring");
+    let line = format!(
+        "trace: {CAPACITY} events, {} dropped — breakdown and straggler figures are incomplete\n",
+        trace.dropped
+    );
+    let summary = report.summary();
+    assert!(summary.ends_with(&line), "{summary}");
 }
 
 #[test]
 fn tracing_is_disabled_by_default() {
     let (analyzer, samples) = cohort(3);
-    let mut engine = BatchEngine::new(analyzer, EngineConfig::new().with_workers(2).with_shards(2));
-    engine
-        .submit_all(
-            samples
-                .iter()
-                .enumerate()
-                .map(|(i, s)| JobSpec::new(format!("s{i}"), s.clone())),
-        )
+    let engine = StreamingEngine::new(analyzer, EngineConfig::new().with_workers(2).with_shards(2));
+    let jobs = samples.iter().enumerate();
+    let handles = engine
+        .submit_all(jobs.map(|(i, s)| JobSpec::new(format!("s{i}"), s.clone())))
         .expect("admission");
-    let report = engine.run();
-    assert!(report.results.iter().all(|r| r.breakdown.is_none()));
+    let report = engine.shutdown();
+    for handle in handles {
+        assert!(handle.wait().expect("job served").breakdown.is_none());
+    }
     assert!(report.stage_breakdown.is_none());
     assert!(report.straggler.is_none());
     assert!(report.trace.is_none());
     assert!(
         report
             .summary()
-            .contains("stage breakdown (mean): n/a (tracing disabled)"),
+            .ends_with("stage breakdown (mean): n/a (tracing disabled)\n"),
         "{}",
         report.summary()
     );
 }
 
-/// One fixture drives both renderers, so the shared observability lines —
-/// residency, step 3, stage overlap, latency tail, stage breakdown —
-/// cannot drift apart between batch and service summaries.
-fn observability_fixture() -> (Vec<ShardStats>, LatencyStats, StageBreakdown) {
+/// A three-shard report; `degraded` adds a dead third shard whose one
+/// failed command was failed over and whose queue its peers served.
+fn summary_fixture(degraded: bool) -> ServiceReport {
+    let hit = u64::from(degraded);
     let shard_stats = (0..3)
         .map(|shard| ShardStats {
             shard,
@@ -219,48 +200,20 @@ fn observability_fixture() -> (Vec<ShardStats>, LatencyStats, StageBreakdown) {
             coalesced_members: 0,
             step3_jobs: 4,
             step3_items: 80 - shard as u64 * 10,
-            stolen_items: shard as u64 * 20,
-            peak_inflight: 2,
-            faults: 0,
-            retries: 0,
-            failovers: 0,
-            dead: false,
+            stolen_items: if shard < 2 {
+                hit * 20 * (shard as u64 + 1)
+            } else {
+                0
+            },
+            peak_inflight: 2 + shard,
+            faults: if shard == 2 { hit } else { 0 },
+            retries: if shard == 2 { hit } else { 0 },
+            failovers: if shard == 2 { hit } else { 0 },
+            dead: degraded && shard == 2,
         })
         .collect();
     let latencies: Vec<Duration> = (1..=20).map(|i| Duration::from_millis(i * 5)).collect();
-    let latency = LatencyStats::from_latencies(&latencies);
-    let breakdown = StageBreakdown {
-        queue_wait: Duration::from_millis(4),
-        step1: Duration::from_millis(6),
-        step2_wait: Duration::from_millis(2),
-        step2_service: Duration::from_millis(9),
-        step3_wait: Duration::from_millis(1),
-        step3_service: Duration::from_millis(12),
-        reduce_barrier: Duration::from_millis(3),
-        reduce: Duration::from_millis(5),
-        gating_device: Some(1),
-    };
-    (shard_stats, latency, breakdown)
-}
-
-#[test]
-fn batch_and_service_summaries_share_the_observability_lines() {
-    let (shard_stats, latency, breakdown) = observability_fixture();
-    let batch = BatchReport {
-        results: Vec::new(),
-        failed: Vec::new(),
-        wall_time: Duration::from_millis(500),
-        latency,
-        throughput: 8.0,
-        shard_stats: shard_stats.clone(),
-        resident_database_bytes: 2_000_000,
-        stage_overlap_events: 17,
-        modeled: None,
-        stage_breakdown: Some(breakdown),
-        straggler: None,
-        trace: None,
-    };
-    let service = ServiceReport {
+    ServiceReport {
         completed: 20,
         uptime: Duration::from_millis(500),
         shard_stats,
@@ -268,51 +221,53 @@ fn batch_and_service_summaries_share_the_observability_lines() {
         mapped_reads: 64,
         stage_overlap_events: 17,
         failed_jobs: 0,
-        window: latency,
-        stage_breakdown: Some(breakdown),
+        window: LatencyStats::from_latencies(&latencies),
+        stage_breakdown: Some(StageBreakdown {
+            queue_wait: Duration::from_millis(4),
+            step1: Duration::from_millis(6),
+            step2_wait: Duration::from_millis(2),
+            step2_service: Duration::from_millis(9),
+            step3_wait: Duration::from_millis(1),
+            step3_service: Duration::from_millis(12),
+            reduce_barrier: Duration::from_millis(3),
+            reduce: Duration::from_millis(5),
+            gating_device: Some(1),
+        }),
         straggler: None,
         trace: None,
-    };
-
-    for (name, summary) in [("batch", batch.summary()), ("service", service.summary())] {
-        // Latency tail, including the new p90/p999 percentiles.
-        assert!(summary.contains("p50 50.0 ms"), "{name}:\n{summary}");
-        assert!(summary.contains("p90 90.0 ms"), "{name}:\n{summary}");
-        assert!(summary.contains("p99 100.0 ms"), "{name}:\n{summary}");
-        assert!(summary.contains("p999 100.0 ms"), "{name}:\n{summary}");
-        // Zero-copy residency line.
-        assert!(
-            summary.contains("host-resident database: 2.00 MB across 3 shard views"),
-            "{name}:\n{summary}"
-        );
-        // Step 3 and overlap lines (batch sums mapped reads over its —
-        // here empty — results; the fixture's service counts 64).
-        assert!(summary.contains("reads mapped"), "{name}:\n{summary}");
-        assert!(
-            summary.contains("per-shard reads served: [80, 70, 60]"),
-            "{name}:\n{summary}"
-        );
-        assert!(
-            summary.contains("stage overlap events: 17"),
-            "{name}:\n{summary}"
-        );
-        // The work-stealing line: total stolen reads plus the per-device
-        // split, rendered identically by both summaries.
-        assert!(
-            summary.contains(
-                "work stealing: 60 reads served for peers; \
-                 per-device stolen reads: [0, 20, 40]"
-            ),
-            "{name}:\n{summary}"
-        );
-        // The traced stage breakdown, rendered by the shared line.
-        assert!(
-            summary.contains(
-                "stage breakdown (mean): queue 4.0 ms | step1 6.0 ms | \
-                 step2 wait 2.0 + svc 9.0 ms | step3 wait 1.0 + svc 12.0 ms | \
-                 reduce barrier 3.0 + reduce 5.0 ms"
-            ),
-            "{name}:\n{summary}"
-        );
     }
+}
+
+#[test]
+fn the_service_summary_is_pinned_line_by_line() {
+    let healthy = summary_fixture(false);
+    assert_eq!(healthy.shard_utilization(), [0.08, 0.1, 0.12]);
+    // Seven lines, no degraded-mode, coalescing or overflow line.
+    assert_eq!(
+        healthy.summary(),
+        "service: 20 jobs over 0.500 s uptime (rolling window of 20)\n\
+         latency: mean 52.5 ms, p50 50.0 ms, p90 90.0 ms, p99 100.0 ms, \
+         p999 100.0 ms, max 100.0 ms\n\
+         shard utilization: [8%, 10%, 12%]\n\
+         peak commands in flight per shard: [2, 3, 4]\n\
+         host-resident database: 2.00 MB across 3 shard views (shared storage, \
+         counted once)\n\
+         step 3: 64 reads mapped; per-shard reads served: [80, 70, 60]; \
+         stage overlap events: 17\n\
+         stage breakdown (mean): queue 4.0 ms | step1 6.0 ms | \
+         step2 wait 2.0 + svc 9.0 ms | step3 wait 1.0 + svc 12.0 ms | \
+         reduce barrier 3.0 + reduce 5.0 ms\n"
+    );
+    // Reads served off a dead shard's queue show up in the degraded-mode
+    // line, which only fault activity prints.
+    let degraded = summary_fixture(true).summary();
+    assert!(
+        degraded.contains(
+            "stage overlap events: 17\n\
+             degraded mode: 1 command faults, 1 retries (1 failovers), dead shards: [2], \
+             failed jobs: 0; 60 reads served off dead peers' queues\n\
+             stage breakdown (mean): queue 4.0 ms"
+        ),
+        "{degraded}"
+    );
 }
