@@ -793,7 +793,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
     // engine runs it, against the two passes it fuses.
     let big_kss = KssTables::build(&SketchDatabase::build(&references, SketchConfig::small()));
     let join = big_kss.join(&database);
-    let fused = |list: &[Kmer]| step2::sweep(&database, &join, &[list], |_, _| {}).remove(0);
+    let fused = |list: &[Kmer]| step2::sweep(&database, &join, list, |_| {});
     let step2_parity = [&queries, &mixed].into_iter().all(|list| {
         let hits = database.intersect_sorted(list);
         let support = fused(list);

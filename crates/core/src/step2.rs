@@ -31,7 +31,7 @@ use megis_genomics::sketch::SketchDatabase;
 use megis_genomics::taxonomy::TaxId;
 
 use crate::config::MegisConfig;
-use crate::kss::{KssJoin, Support, SupportCounter};
+use crate::kss::{KssJoin, Support};
 use crate::step1::Step1Output;
 
 /// Output of Step 2.
@@ -52,34 +52,33 @@ impl Step2Output {
     }
 }
 
-/// The device pass of Step 2 over one database range: intersects every
-/// member's sorted query slice with `view` in a single sweep and counts,
-/// per member, the support its hits lend each taxon — intersection finding
-/// and taxID retrieval fused, so nothing per hit outlives the pass.
-/// `on_hit(member, position in view)` additionally sees each hit, for a
-/// caller that wants the k-mers themselves.
+/// The device pass of Step 2 over one database range: intersects the
+/// sorted query slice with `view` in a single sweep and counts the support
+/// its hits lend each taxon — intersection finding and taxID retrieval
+/// fused, so nothing per hit outlives the pass. `on_hit(position in view)`
+/// additionally sees each hit, for a caller that wants the k-mers
+/// themselves.
 ///
-/// Returns one [`Support`] per member, in member order; each equals
-/// `join`'s map of `KssTables::stream_retrieve(view.intersect_sorted(member))`
-/// (the property suite asserts it).
+/// The returned [`Support`] equals `join`'s map of
+/// `KssTables::stream_retrieve(view.intersect_sorted(queries))` (the
+/// property suite asserts it).
 ///
 /// # Panics
 ///
 /// Panics if `view` is not a range of the database `join` was built over,
-/// and (in debug builds) if a member slice is not sorted.
+/// and (in debug builds) if `queries` is not sorted.
 pub fn sweep(
     view: &SortedKmerDatabase,
     join: &KssJoin,
-    members: &[&[Kmer]],
-    mut on_hit: impl FnMut(usize, usize),
-) -> Vec<Support> {
-    let mut counters: Vec<SupportCounter<'_>> =
-        members.iter().map(|_| join.counter(view)).collect();
-    view.hit_positions_multi(members, |member, position| {
-        counters[member].count(position);
-        on_hit(member, position);
+    queries: &[Kmer],
+    mut on_hit: impl FnMut(usize),
+) -> Support {
+    let mut counter = join.counter(view);
+    view.hit_positions(queries, |position| {
+        counter.count(position);
+        on_hit(position);
     });
-    counters.into_iter().map(SupportCounter::finish).collect()
+    counter.finish()
 }
 
 /// Runs Step 2 over the buckets produced by Step 1: the one-shard case of
@@ -96,10 +95,10 @@ pub fn run(
 ) -> Step2Output {
     let entries = database.kmer_slice();
     let mut intersecting_kmers = Vec::new();
-    let mut supports = sweep(database, join, &[step1.kmers()], |_, position| {
+    let swept = sweep(database, join, step1.kmers(), |position| {
         intersecting_kmers.push(entries[position]);
     });
-    let support = join.support_map(&supports.pop().expect("one member, one support"));
+    let support = join.support_map(&swept);
     let presence =
         sketches.presence_from_support(&support, config.min_containment, config.min_support);
     Step2Output {

@@ -307,7 +307,7 @@ fn fused_sweep_equals_stream_retrieve_of_the_intersection_on_any_sketch_shape() 
         ("dense steps", 24, sketch(24, 1, 4, 0.4)),
     ];
     let mut rng = StdRng::seed_from_u64(211);
-    let (mut supported, mut members) = (0u64, 0u64);
+    let (mut supported, mut halved) = (0u64, 0u64);
     for (shape, (label, db_k, config)) in shapes.into_iter().enumerate() {
         // One genome shorter than every k: it contributes to no structure.
         let mut refs = ReferenceCollection::synthetic(9, 400, 7100 + shape as u64);
@@ -351,31 +351,25 @@ fn fused_sweep_equals_stream_retrieve_of_the_intersection_on_any_sketch_shape() 
             let intersection = database.intersect_sorted(&queries);
             let expected = kss.stream_retrieve(&intersection);
             let mut seen = Vec::new();
-            let supports = megis::step2::sweep(&database, &join, &[&queries], |member, p| {
-                assert_eq!(member, 0);
+            let support = megis::step2::sweep(&database, &join, &queries, |p| {
                 seen.push(entries[p]);
             });
-            assert_eq!(supports.len(), 1);
             assert_eq!(seen, intersection, "{label}/{mix}");
-            assert_eq!(supports[0].hits, intersection.len() as u64, "{label}/{mix}");
-            assert_eq!(join.support_map(&supports[0]), expected, "{label}/{mix}");
+            assert_eq!(support.hits, intersection.len() as u64, "{label}/{mix}");
+            assert_eq!(join.support_map(&support), expected, "{label}/{mix}");
             assert_eq!(expected, fold_support(&intersection, |q| kss.lookup(q)));
             supported += expected.values().map(|c| u64::from(*c)).sum::<u64>();
 
-            // Cut anywhere, the slices' supports add up to the whole: in one
-            // multi-member sweep, and as separate sweeps of sub-views.
+            // Cut anywhere, the slices' supports add up to the whole: as
+            // separate sweeps of the two halves, and of sub-views.
             let cut = rng.gen_range(0..=queries.len());
-            let halves = [&queries[..cut], &queries[cut..]];
             let mut folded = megis::kss::Support::default();
-            for (half, support) in
-                halves
-                    .iter()
-                    .zip(megis::step2::sweep(&database, &join, &halves, |_, _| {}))
-            {
+            for half in [&queries[..cut], &queries[cut..]] {
+                let support = megis::step2::sweep(&database, &join, half, |_| {});
                 // A repeat straddling the cut hits once on each side.
                 let alone = kss.stream_retrieve(&database.intersect_sorted(half));
-                assert_eq!(join.support_map(&support), alone, "{label}/{mix} member");
-                members += support.hits;
+                assert_eq!(join.support_map(&support), alone, "{label}/{mix} half");
+                halved += support.hits;
                 folded.fold(support);
             }
             if cut == 0 || cut == queries.len() || queries[cut - 1] != queries[cut] {
@@ -390,7 +384,7 @@ fn fused_sweep_equals_stream_retrieve_of_the_intersection_on_any_sketch_shape() 
             let mut folded = megis::kss::Support::default();
             for view in database.partition(parts) {
                 let slice = &queries[view.overlapping_query_range(&queries)];
-                folded.fold(megis::step2::sweep(&view, &join, &[slice], |_, _| {}).remove(0));
+                folded.fold(megis::step2::sweep(&view, &join, slice, |_| {}));
             }
             assert_eq!(
                 join.support_map(&folded),
@@ -400,7 +394,7 @@ fn fused_sweep_equals_stream_retrieve_of_the_intersection_on_any_sketch_shape() 
             assert_eq!(folded.hits, intersection.len() as u64);
         }
     }
-    assert!(supported > 1000 && members > 1000, "{supported} {members}");
+    assert!(supported > 1000 && halved > 1000, "{supported} {halved}");
 }
 
 #[test]
@@ -411,7 +405,7 @@ fn a_view_of_another_database_cannot_be_counted_through_the_join() {
     let join = KssTables::build(&sketches).join(&SortedKmerDatabase::build(&refs, 31));
     // Same content, another allocation: its positions mean nothing here.
     let other = SortedKmerDatabase::build(&refs, 31);
-    megis::step2::sweep(&other, &join, &[other.kmer_slice()], |_, _| {});
+    megis::step2::sweep(&other, &join, other.kmer_slice(), |_| {});
 }
 
 #[test]

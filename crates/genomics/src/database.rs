@@ -525,17 +525,16 @@ impl SortedKmerDatabase {
     }
 
     /// One galloping sweep over this database serving several sorted query
-    /// lists at once — the coalesced form of
-    /// [`SortedKmerDatabase::intersect_sorted`].
+    /// lists at once. No pipeline path runs it — the engine issues one
+    /// intersect command per sample and shard — it is kept only for the
+    /// `genomics.intersect_multi` row of the repository benchmark, which
+    /// times it against [`SortedKmerDatabase::intersect_sorted`].
     ///
     /// The member lists are consumed through a k-way merged query cursor:
     /// each iteration picks the smallest current query value across all
     /// members, gallops the database column to it **once** (carrying the
     /// same advance-distance hint as the single-sample merge), and then
-    /// demultiplexes the hit to every member whose cursor sits on that
-    /// value. The database column is therefore walked a single time no
-    /// matter how many members share the sweep, which is what amortizes one
-    /// CSR range scan over N co-resident samples.
+    /// hands the hit to every member whose cursor sits on that value.
     ///
     /// Returns one hit list per member, in member order; each list is
     /// byte-identical to `self.intersect_sorted(member)` run independently
@@ -546,36 +545,20 @@ impl SortedKmerDatabase {
     ///
     /// Panics (in debug builds) if any member slice is not sorted.
     pub fn intersect_sorted_multi(&self, members: &[&[Kmer]]) -> Vec<Vec<Kmer>> {
-        let db = self.kmer_slice();
-        let mut outs: Vec<Vec<Kmer>> = members.iter().map(|_| Vec::new()).collect();
-        self.hit_positions_multi(members, |member, position| outs[member].push(db[position]));
-        outs
-    }
-
-    /// The sweep behind [`SortedKmerDatabase::intersect_sorted_multi`],
-    /// reporting `(member, position in this view)` per hit — for each member
-    /// exactly the positions [`SortedKmerDatabase::hit_positions`] reports
-    /// for it alone, interleaved across members in ascending position order.
-    /// A single member *is* that plain sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if any member slice is not sorted.
-    pub fn hit_positions_multi(&self, members: &[&[Kmer]], mut on_hit: impl FnMut(usize, usize)) {
         if let [only] = members {
-            return self.hit_positions(only, |position| on_hit(0, position));
+            return vec![self.intersect_sorted(only)];
         }
         for m in members {
             debug_assert!(m.windows(2).all(|w| w[0] <= w[1]));
         }
         let db = self.kmer_slice();
+        let mut outs: Vec<Vec<Kmer>> = members.iter().map(|_| Vec::new()).collect();
         let mut cursors = vec![0usize; members.len()];
         let mut di = 0usize;
         let mut db_hint = 1usize;
         while di < db.len() {
             // The merged cursor's head: the smallest un-consumed query value
-            // across all members (a linear scan — member counts are small,
-            // bounded by the dispatcher's batching cap).
+            // across all members (a linear scan — member counts are small).
             let mut head: Option<Kmer> = None;
             for (c, m) in cursors.iter().zip(members) {
                 if let Some(v) = m.get(*c) {
@@ -594,19 +577,20 @@ impl SortedKmerDatabase {
                 di += advance;
             }
             let present = di < db.len() && db[di] == q;
-            // Demultiplex: every member sitting on q consumes it (and any
-            // duplicates) and records the hit if the database holds it.
-            for (member, (c, m)) in cursors.iter_mut().zip(members).enumerate() {
+            // Every member sitting on q consumes it (and any duplicates) and
+            // records the hit if the database holds it.
+            for ((c, m), out) in cursors.iter_mut().zip(members).zip(&mut outs) {
                 if m.get(*c) == Some(&q) {
                     while m.get(*c) == Some(&q) {
                         *c += 1;
                     }
                     if present {
-                        on_hit(member, di);
+                        out.push(q);
                     }
                 }
             }
         }
+        outs
     }
 
     /// The element-at-a-time two-pointer merge — exactly the access pattern
@@ -1885,13 +1869,13 @@ mod tests {
                 assert_eq!(
                     got,
                     &db.intersect_sorted(member),
-                    "trial {trial} member {i}: coalesced sweep diverged from \
+                    "trial {trial} member {i}: shared sweep diverged from \
                      the independent galloping merge"
                 );
                 assert_eq!(
                     got,
                     &db.intersect_sorted_two_pointer(member),
-                    "trial {trial} member {i}: coalesced sweep diverged from \
+                    "trial {trial} member {i}: shared sweep diverged from \
                      the two-pointer oracle"
                 );
             }

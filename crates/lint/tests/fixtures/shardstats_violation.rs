@@ -9,5 +9,5 @@ fn aggregate_teardown(stats: &mut ShardStats, state: &SharedState) {
 }
 
 fn bump_indexed(shard_stats: &mut [ShardStats], shard: usize) {
-    shard_stats[shard].coalesced_members += 2;
+    shard_stats[shard].query_items += 2;
 }

@@ -4,8 +4,8 @@
 //! from: how many host Step 1 workers and database shards the §4.7
 //! inter-sample pipeline runs on, the admission policy and bounds, the
 //! per-shard NVMe-style queue depth, and the optional mechanisms — tracing,
-//! fault injection with its retry policy, cross-sample coalescing — each of
-//! which is off by default and leaves every output byte-identical to
+//! fault injection with its retry policy — each of which is off by default
+//! and leaves every output byte-identical to
 //! [`megis::MegisAnalyzer::analyze`] when on. Scheduling changes only *when*
 //! work happens, never *what* is computed.
 
@@ -62,16 +62,6 @@ pub struct EngineConfig {
     /// never re-issues on time. Protects the reaping loop against a
     /// latency-spiked or wedged device.
     pub command_deadline: Option<Duration>,
-    /// Cross-sample query coalescing window; `None` (the default) disables
-    /// coalescing — every sample dispatches its own per-shard commands,
-    /// byte-identical to the uncoalesced engine. `Some(window)` lets the
-    /// dispatcher hold a ready sample's commands up to this long to admit
-    /// co-resident samples' query slices into one shared
-    /// multi-member intersect command per shard (one galloping sweep over
-    /// the shard's database range serves every member). Batch size is
-    /// bounded by the queue depth and, upstream, by the Step 1 dispatch
-    /// lookahead gate.
-    pub coalescing_window: Option<Duration>,
     /// Completions covered by the rolling metrics window.
     pub metrics_window: usize,
     /// Base system for the modeled-time account: the pipelining comparison
@@ -95,7 +85,6 @@ impl Default for EngineConfig {
             retry_budget: 3,
             retry_backoff: Duration::ZERO,
             command_deadline: None,
-            coalescing_window: None,
             metrics_window: 256,
             // The paper's multi-sample configuration (Fig. 21): without the
             // sorting accelerator, host-side sorting dominates and hides the
@@ -231,23 +220,6 @@ impl EngineConfig {
     pub fn with_command_deadline(mut self, deadline: Duration) -> EngineConfig {
         assert!(!deadline.is_zero(), "command deadline must be positive");
         self.command_deadline = Some(deadline);
-        self
-    }
-
-    /// Enables cross-sample query coalescing: the dispatcher may hold a
-    /// ready sample's per-shard commands up to `window` to merge
-    /// co-resident samples' sorted query slices into one multi-member
-    /// intersect command per shard — a single galloping sweep over the
-    /// shard's database range serving every member, with per-`(seq, shard)`
-    /// result demultiplexing at the completer. Off by default; results are
-    /// byte-identical either way, only the sweep count changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero (use the default to disable coalescing).
-    pub fn with_coalescing_window(mut self, window: Duration) -> EngineConfig {
-        assert!(!window.is_zero(), "coalescing window must be positive");
-        self.coalescing_window = Some(window);
         self
     }
 

@@ -148,15 +148,6 @@ impl FaultPlan {
             .map(|(_, after)| *after)
     }
 
-    /// Whether the plan injects anything at all (used to keep the
-    /// fault-free hot path to a single branch).
-    pub fn is_active(&self) -> bool {
-        self.transient_rate > 0.0
-            || self.spike_rate > 0.0
-            || !self.dead_shards.is_empty()
-            || !self.panic_faults.is_empty()
-    }
-
     /// A uniform draw in `[0, 1)` keyed on the command identity and a
     /// per-fault-kind salt (never the attempt — see the module docs).
     fn sample(&self, seq: usize, shard: usize, stage: TraceStage, salt: u64) -> f64 {
@@ -235,11 +226,9 @@ mod tests {
     #[test]
     fn rate_zero_injects_nothing_and_is_inactive() {
         let plan = FaultPlan::seeded(9);
-        assert!(!plan.is_active());
         for seq in 0..100 {
             assert_eq!(plan.decide(seq, 0, TraceStage::Intersect, 0), None);
         }
-        assert!(FaultPlan::seeded(9).with_transient_rate(0.01).is_active());
     }
 
     #[test]
@@ -264,7 +253,6 @@ mod tests {
         let plan = FaultPlan::seeded(0).with_shard_death(2, 5);
         assert_eq!(plan.death_after(2), Some(5));
         assert_eq!(plan.death_after(0), None);
-        assert!(plan.is_active());
     }
 
     #[test]

@@ -165,19 +165,7 @@ pub struct ShardStats {
     /// Total query k-mers this shard scanned across all commands. With
     /// range-partitioned dispatch the per-job sum across shards equals the
     /// job's query count |Q| — not the N·|Q| a broadcast would cost.
-    /// Coalescing does not change this: a shared command is charged every
-    /// member's slice length, same as the commands it replaced.
     pub query_items: u64,
-    /// Of [`ShardStats::jobs`], the intersect commands that carried more
-    /// than one member sample — shared sweeps the cross-sample coalescing
-    /// window formed. Zero with the window off (the default).
-    pub coalesced_commands: u64,
-    /// Total member samples across this shard's coalesced commands (each
-    /// such command contributes its member count, ≥ 2). Together with
-    /// [`ShardStats::coalesced_commands`] this gives the mean batch
-    /// occupancy; `coalesced_members - coalesced_commands` is the number of
-    /// database sweeps coalescing saved on this shard.
-    pub coalesced_members: u64,
     /// Number of Step 3 commands served: one per read range of a job with
     /// candidates (a job cuts its reads into at most one range per device,
     /// fewer when it has few reads, none when it has no candidates).
@@ -298,9 +286,9 @@ impl ServiceReport {
             .collect()
     }
 
-    /// Renders a compact plain-text summary. The coalescing, degraded-mode
-    /// and trace-overflow lines appear only when there is something to
-    /// report, so a clean default run always prints the same seven lines.
+    /// Renders a compact plain-text summary. The degraded-mode and
+    /// trace-overflow lines appear only when there is something to report,
+    /// so a clean default run always prints the same seven lines.
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let stats = &self.shard_stats;
@@ -354,23 +342,6 @@ impl ServiceReport {
             per_shard(|s| s.step3_items.to_string()),
             self.stage_overlap_events,
         );
-        // Mean batch occupancy counts every intersect command (singletons
-        // included): the average number of samples one database sweep
-        // served. Sweeps saved are the members that rode along on someone
-        // else's pass.
-        let coalesced = sum(|s| s.coalesced_commands);
-        if coalesced > 0 {
-            let sweeps = sum(|s| s.jobs);
-            let coalesced_members = sum(|s| s.coalesced_members);
-            let member_slices = (sweeps - coalesced) + coalesced_members;
-            let _ = writeln!(
-                out,
-                "query coalescing: {coalesced} shared sweeps served {coalesced_members} member \
-                 slices; mean batch occupancy {:.2}, {} sweeps saved",
-                member_slices as f64 / sweeps.max(1) as f64,
-                member_slices - sweeps,
-            );
-        }
         let (faults, retries) = (sum(|s| s.faults), sum(|s| s.retries));
         let dead: Vec<String> = stats
             .iter()
@@ -462,33 +433,6 @@ mod tests {
 
         let failed_only = report(clean, 1).summary();
         assert!(failed_only.contains("dead shards: none"), "{failed_only}");
-    }
-
-    #[test]
-    fn coalescing_line_appears_only_when_sweeps_were_shared() {
-        let mut stats = vec![ShardStats::default(), ShardStats::default()];
-        stats[0].jobs = 4;
-        stats[1].shard = 1;
-        stats[1].jobs = 4;
-        let summary = report(stats.clone(), 0).summary();
-        assert!(
-            !summary.contains("query coalescing"),
-            "window off: no coalesced commands, no line\n{summary}"
-        );
-
-        // Shard 0: 2 singleton sweeps + 2 coalesced sweeps carrying 3
-        // members each; shard 1: 4 singletons. 8 sweeps served 12 member
-        // slices: occupancy 12/8 = 1.50, 4 sweeps saved.
-        stats[0].coalesced_commands = 2;
-        stats[0].coalesced_members = 6;
-        let summary = report(stats, 0).summary();
-        assert!(
-            summary.contains(
-                "query coalescing: 2 shared sweeps served 6 member slices; \
-                 mean batch occupancy 1.50, 4 sweeps saved\n"
-            ),
-            "{summary}"
-        );
     }
 
     #[test]

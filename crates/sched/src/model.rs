@@ -138,24 +138,6 @@ impl ModeledAccount {
         self.independent_total() / self.pipelined_total()
     }
 
-    /// Modeled per-sample Step 2 device time when `members` co-resident
-    /// samples share one coalesced sweep: the device streams its database
-    /// partition **once** per command regardless of how many samples'
-    /// query slices ride on it (the query cursors are negligible against
-    /// the flash-resident range scan), so the per-member cost is the full
-    /// range scan amortized over the batch —
-    /// `shard_stream_time / members`. `members == 1` is exactly
-    /// [`ModeledAccount::shard_stream_time`]: an uncoalesced command is a
-    /// batch of one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is zero.
-    pub fn coalesced_step2_time(&self, members: usize) -> SimDuration {
-        assert!(members > 0, "a sweep amortizes over at least one member");
-        self.shard_stream_time / members as f64
-    }
-
     /// Modeled intersection-phase speedup at the account's shard count,
     /// relative to one SSD.
     pub fn shard_speedup(&self) -> f64 {
@@ -250,32 +232,6 @@ mod tests {
             );
         }
         assert!(acct.shard_speedup() >= 7.0);
-    }
-
-    #[test]
-    fn coalesced_step2_time_amortizes_monotonically() {
-        let acct = account(4, 4);
-        // A batch of one is the uncoalesced command.
-        assert_eq!(acct.coalesced_step2_time(1), acct.shard_stream_time);
-        // Per-member device time strictly decreases as co-residents share
-        // the sweep, and N members cost exactly 1/N of the scan each.
-        for members in 2..=8usize {
-            assert!(
-                acct.coalesced_step2_time(members) < acct.coalesced_step2_time(members - 1),
-                "amortization must be strictly monotone at {members} members"
-            );
-            let ratio = acct.shard_stream_time / acct.coalesced_step2_time(members);
-            assert!(
-                (ratio - members as f64).abs() < 1e-12,
-                "expected exactly {members}x amortization, got {ratio:.3}x"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one member")]
-    fn coalesced_step2_time_rejects_zero_members() {
-        account(1, 1).coalesced_step2_time(0);
     }
 
     #[test]

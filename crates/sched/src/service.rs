@@ -41,9 +41,9 @@
 //!   backpressure still bounds memory.
 //! * The *completer* reaps per-shard completions **out of order** — shard A
 //!   may finish sample 3 before shard B finishes sample 1 — and keeps
-//!   per-job accounting per stage. A Step 2 completion carries, per member
-//!   sample, the slice's hit count and per-taxon sketch support — the
-//!   device already retrieved the taxIDs through the database-joined KSS
+//!   per-job accounting per stage. A Step 2 completion carries the slice's
+//!   hit count and per-taxon sketch support — the device already retrieved
+//!   the taxIDs through the database-joined KSS
 //!   (`megis::step2::sweep`), so no k-mer list ever crosses the completion
 //!   channel — and supports over disjoint query slices add, so each is
 //!   **folded the moment it arrives** behind a hard folded-twice check per
@@ -122,23 +122,10 @@
 //! sample's Step 1 is far slower than the rest — while still admitting
 //! enough samples into the stage to actually fill a deep queue.
 //!
-//! **Cross-sample query coalescing.** With
-//! [`crate::EngineConfig::with_coalescing_window`] set, the dispatcher does
-//! not issue a ready sample's commands immediately: it holds the sample up
-//! to the window to admit co-resident samples arriving right behind it in
-//! dispatch order, then issues **one** multi-member intersect command per
-//! shard carrying every admitted sample's query slice for that shard. The
-//! device serves the shared command as a single galloping sweep over its
-//! database range ([`megis_genomics::SortedKmerDatabase::hit_positions_multi`])
-//! and the completer demultiplexes the per-member supports back to their
-//! owning jobs by `(seq, shard)`. Batch size is bounded by the queue depth
-//! (a larger group could never hold all its slots at once) and upstream by
-//! the dispatch lookahead gate (only samples Step 1 may run ahead to can
-//! co-reside). A shared command occupies one queue-depth slot, is retried
-//! and failed over as one unit keyed by its lead member's sequence, and a
-//! single-member command is byte-identical to the uncoalesced dispatch —
-//! the window-off default *is* the old dispatcher. Per-sample results are
-//! byte-identical either way; only the number of database sweeps changes.
+//! **One owner per command.** Every command serves exactly one sample: the
+//! dispatcher issues a sample's intersect commands the moment the sample is
+//! next in dispatch order, and a completion, a retry or a failure settles
+//! only the job that owns the command.
 //!
 //! **Failure.** Failure handling is layered, mirroring how a real device
 //! array degrades, and every layer is exercised deterministically by an
@@ -229,8 +216,8 @@ use crate::job::{JobError, JobId, JobResult, JobSpec, Priority};
 use crate::metrics::{LatencyStats, RollingWindow, ServiceReport, ShardStats};
 use crate::queue::{AdmissionError, JobQueue};
 use crate::shard::{
-    CommandFailure, CommandOutput, IntersectCommand, IntersectMember, ShardCommand, ShardSet,
-    ShardWorker, Step3Command,
+    CommandFailure, CommandOutput, IntersectCommand, ShardCommand, ShardSet, ShardWorker,
+    Step3Command,
 };
 use crate::trace::{
     StageBreakdown, StragglerReport, TraceEventKind, TraceLog, TraceSink, TraceStage, NO_SEQ,
@@ -705,6 +692,35 @@ impl Shared {
     }
 }
 
+impl ServiceState {
+    /// Books one `stage` command onto `shard`'s queue: takes a depth slot,
+    /// raises the shard's high-water mark, and counts a stage overlap if a
+    /// command of the other stage is outstanding.
+    fn occupy(&mut self, shard: usize, stage: TraceStage) {
+        self.shard_inflight[shard] += 1;
+        self.shard_inflight_peak[shard] =
+            self.shard_inflight_peak[shard].max(self.shard_inflight[shard]);
+        let (own, other) = match stage {
+            TraceStage::Intersect => (&mut self.intersect_inflight, self.step3_inflight),
+            TraceStage::Step3 => (&mut self.step3_inflight, self.intersect_inflight),
+        };
+        *own += 1;
+        if other > 0 {
+            self.stage_overlap_events += 1;
+        }
+    }
+
+    /// Frees the slot [`ServiceState::occupy`] took, exactly once per
+    /// command: at its final reap or when its job fails.
+    fn release(&mut self, shard: usize, stage: TraceStage) {
+        self.shard_inflight[shard] -= 1;
+        match stage {
+            TraceStage::Intersect => self.intersect_inflight -= 1,
+            TraceStage::Step3 => self.step3_inflight -= 1,
+        }
+    }
+}
+
 /// Live snapshot of a running service.
 #[derive(Debug, Clone)]
 pub struct ServiceSnapshot {
@@ -832,8 +848,6 @@ impl StreamingEngine {
                 let mut busy = Duration::ZERO;
                 let mut served = 0u64;
                 let mut query_items = 0u64;
-                let mut coalesced_commands = 0u64;
-                let mut coalesced_members = 0u64;
                 let mut step3_served = 0u64;
                 let mut step3_items = 0u64;
                 let mut stolen_items = 0u64;
@@ -929,9 +943,8 @@ impl StreamingEngine {
                     // device (`index`): the straggler analyzer sums real
                     // per-device service intervals, which under failover
                     // differ from the shard-of-record's queue. The service
-                    // interval's start stamp is taken here and the
-                    // per-member Started/Completed pairs are emitted after
-                    // serving (see `record_service_interval`).
+                    // interval's start stamp is taken here and its
+                    // Started/Completed pair is emitted after serving.
                     let trace_started = trace.now();
                     let t0 = Instant::now();
                     // An injected latency spike stalls the device before it
@@ -947,18 +960,7 @@ impl StreamingEngine {
                     match &command {
                         ShardCommand::Intersect(c) => {
                             served += 1;
-                            query_items += c.query_items() as u64;
-                            if c.members.len() > 1 {
-                                coalesced_commands += 1;
-                                coalesced_members += c.members.len() as u64;
-                                trace.record(
-                                    command.seq(),
-                                    TraceEventKind::CoalescedSweep {
-                                        shard: index,
-                                        members: c.members.len(),
-                                    },
-                                );
-                            }
+                            query_items += c.range.len() as u64;
                         }
                         ShardCommand::Step3(c) => {
                             step3_served += 1;
@@ -968,7 +970,21 @@ impl StreamingEngine {
                             }
                         }
                     }
-                    record_service_interval(&trace, &command, index, trace_started);
+                    trace.record_at(
+                        trace_started,
+                        seq,
+                        TraceEventKind::CommandStarted {
+                            stage,
+                            shard: index,
+                        },
+                    );
+                    trace.record(
+                        seq,
+                        TraceEventKind::CommandCompleted {
+                            stage,
+                            shard: index,
+                        },
+                    );
                     let completion = ShardCompletion {
                         shard: record,
                         seq,
@@ -985,8 +1001,6 @@ impl StreamingEngine {
                     busy,
                     jobs: served,
                     query_items,
-                    coalesced_commands,
-                    coalesced_members,
                     step3_jobs: step3_served,
                     step3_items,
                     stolen_items,
@@ -1037,7 +1051,6 @@ impl StreamingEngine {
             let shared = Arc::clone(&shared);
             let shard_set = shards.clone();
             let queue_depth = config.queue_depth;
-            let coalescing_window = config.coalescing_window;
             let trace = trace.clone();
             thread::spawn(move || {
                 isp_dispatcher(
@@ -1047,7 +1060,6 @@ impl StreamingEngine {
                     dispatcher_producer,
                     meta_tx,
                     queue_depth,
-                    coalescing_window,
                     &trace,
                 );
             })
@@ -1413,84 +1425,10 @@ fn step1_worker(
     }
 }
 
-/// Emits the `CommandStarted`/`CommandCompleted` pair(s) bracketing one
-/// served command's device service.
-///
-/// A single-owner command gets one pair spanning the whole interval —
-/// exactly the uncoalesced shape. A coalesced command's interval is split
-/// into per-member sub-intervals proportional to each member's dispatched
-/// query items (equal shares when every slice is empty), emitted
-/// *interleaved* — member `i`'s completion stamp is member `i + 1`'s start
-/// stamp — so the straggler analyzer's per-device busy time still sums to
-/// the real service interval, and each member's stage breakdown is charged
-/// its share of the shared sweep (the per-member cost attribution the
-/// fairness accounting keys on).
-fn record_service_interval(
-    trace: &TraceSink,
-    command: &ShardCommand,
-    device: usize,
-    started_at: Duration,
-) {
-    if !trace.is_enabled() {
-        return;
-    }
-    let stage = command.stage();
-    let completed_at = trace.now();
-    let members: Vec<(usize, usize)> = match command {
-        ShardCommand::Intersect(c) => c.members.iter().map(|m| (m.seq, m.range.len())).collect(),
-        ShardCommand::Step3(c) => vec![(c.seq, c.reads.len())],
-    };
-    let span = completed_at.saturating_sub(started_at);
-    let total: usize = members.iter().map(|(_, weight)| *weight).sum();
-    let denom = if total == 0 {
-        members.len() as f64
-    } else {
-        total as f64
-    };
-    let mut acc = 0.0f64;
-    let mut cursor = started_at;
-    for (i, (seq, weight)) in members.iter().enumerate() {
-        acc += if total == 0 { 1.0 } else { *weight as f64 };
-        let end = if i + 1 == members.len() {
-            completed_at
-        } else {
-            started_at + span.mul_f64(acc / denom)
-        };
-        trace.record_at(
-            cursor,
-            *seq,
-            TraceEventKind::CommandStarted {
-                stage,
-                shard: device,
-            },
-        );
-        trace.record_at(
-            end,
-            *seq,
-            TraceEventKind::CommandCompleted {
-                stage,
-                shard: device,
-            },
-        );
-        cursor = end;
-    }
-}
-
 /// The in-SSD dispatcher: reorders Step 1 completions back into dispatch
 /// order, slices each sample's sorted query list into per-shard sub-ranges,
-/// and issues tagged commands onto the bounded per-shard queues.
-///
-/// With a coalescing window configured
-/// ([`EngineConfig::with_coalescing_window`]) the dispatcher batches
-/// consecutive ready positions into one *group*: an under-filled group
-/// briefly blocks on the Step 1 hand-off (up to the window) to admit
-/// co-resident samples, bounded above by the queue depth (a group larger
-/// than the depth could never have all its members' slots anyway) and
-/// below by the dispatch lookahead gate (only samples Step 1 may run ahead
-/// to can ever join). With the window off — the default — every ready
-/// position flushes immediately as a singleton group, byte-identical to
-/// the uncoalesced dispatcher.
-#[allow(clippy::too_many_arguments)]
+/// and issues tagged commands onto the bounded per-shard queues — every
+/// sample the moment it is next in dispatch order.
 fn isp_dispatcher(
     shared: &Shared,
     shards: &ShardSet,
@@ -1498,7 +1436,6 @@ fn isp_dispatcher(
     producer: QueueProducer,
     meta_tx: DispatcherTx,
     queue_depth: usize,
-    coalescing_window: Option<Duration>,
     trace: &TraceSink,
 ) {
     let _guard = PanicGuard(shared);
@@ -1514,75 +1451,24 @@ fn isp_dispatcher(
     // the stamp would record arrival rank, so the ordering regression tests
     // genuinely fail if the buffer is ever bypassed.
     let mut dispatched = 0usize;
-    // Group size cap: 1 with the window off (singleton groups — the
-    // uncoalesced dispatch), the queue depth with it on.
-    let group_cap = match coalescing_window {
-        Some(_) => queue_depth.max(1),
-        None => 1,
-    };
-    let mut open = true;
-    while open {
-        match s1_rx.recv() {
-            Ok(prepared) => {
-                reorder.insert(prepared.start_position, prepared);
-            }
-            Err(_) => break,
-        }
-        loop {
-            let mut group: Vec<PreparedJob> = Vec::new();
-            while group.len() < group_cap {
-                match reorder.remove(&next_to_dispatch) {
-                    Some(prepared) => {
-                        next_to_dispatch += 1;
-                        group.push(prepared);
-                    }
-                    None => break,
-                }
-            }
-            if group.is_empty() {
-                break;
-            }
-            // Batching window: hold an under-filled group briefly so
-            // co-resident samples finishing Step 1 right behind it can
-            // share its sweeps. Bounded by the window deadline, the group
-            // cap, and the hand-off channel closing.
-            if let Some(window) = coalescing_window {
-                let deadline = Instant::now() + window;
-                while open && group.len() < group_cap {
-                    let now = Instant::now();
-                    let Some(remaining) = deadline.checked_duration_since(now) else {
-                        break;
-                    };
-                    match s1_rx.recv_timeout(remaining) {
-                        Ok(prepared) => {
-                            reorder.insert(prepared.start_position, prepared);
-                            while group.len() < group_cap {
-                                match reorder.remove(&next_to_dispatch) {
-                                    Some(prepared) => {
-                                        next_to_dispatch += 1;
-                                        group.push(prepared);
-                                    }
-                                    None => break,
-                                }
-                            }
-                        }
-                        Err(mpsc::RecvTimeoutError::Timeout) => break,
-                        Err(mpsc::RecvTimeoutError::Disconnected) => open = false,
-                    }
-                }
-            }
-            if !dispatch_group(
+    for prepared in s1_rx {
+        reorder.insert(prepared.start_position, prepared);
+        while let Some(prepared) = reorder.remove(&next_to_dispatch) {
+            next_to_dispatch += 1;
+            let issued = dispatch_sample(
                 shared,
                 shards,
                 &producer,
                 &meta_tx.0,
-                group,
-                &mut dispatched,
+                prepared,
+                dispatched,
                 queue_depth,
                 trace,
-            ) {
+            );
+            if !issued {
                 return;
             }
+            dispatched += 1;
         }
     }
     // On a clean shutdown every dispatched position was issued and the
@@ -1598,81 +1484,58 @@ fn isp_dispatcher(
     // lifetime stats), and the completer ends after the last completion.
 }
 
-/// Issues one group of consecutive prepared samples' per-shard commands —
-/// a singleton group with the coalescing window off, up to queue-depth
-/// co-resident samples with it on. Every member's job meta is registered
-/// first; then each shard with at least one non-empty slice gets **one**
-/// intersect command carrying every member's slice for that shard, under a
-/// single queue-depth slot. Returns `false` if the service is tearing down
-/// (poisoned or receivers gone).
+/// Issues one prepared sample's per-shard intersect commands: its job
+/// record first, then one command per shard whose slice of the sample's
+/// query list is non-empty, each under one queue-depth slot. Returns
+/// `false` if the service is tearing down (poisoned or receivers gone).
 #[allow(clippy::too_many_arguments)]
-fn dispatch_group(
+fn dispatch_sample(
     shared: &Shared,
     shards: &ShardSet,
     producer: &QueueProducer,
     meta_tx: &Sender<CompleterMsg>,
-    group: Vec<PreparedJob>,
-    dispatched: &mut usize,
+    mut prepared: PreparedJob,
+    isp_position: usize,
     queue_depth: usize,
     trace: &TraceSink,
 ) -> bool {
     let isp_start = Instant::now();
-    // Per-shard member lists, built in group (= dispatch) order so a
-    // coalesced command's members are sorted by sequence number and its
-    // lead member is the oldest.
-    let shard_count = shards.shard_count();
-    let mut shard_members: Vec<Vec<IntersectMember>> = vec![Vec::new(); shard_count];
-    for mut prepared in group {
-        let seq = prepared.start_position;
-        // Step 1's arena itself, moved: the members below share the
-        // allocation the worker sorted, and delivery only reads the counters
-        // `take_kmers` leaves behind.
-        let queries = Arc::new(prepared.step1.take_kmers());
-        // Range-partitioned dispatch: each shard sees only the sub-slice of
-        // the sorted query list overlapping its key range, so per-device
-        // query-side work is proportional to the slice, not the whole list.
-        // A shard whose slice is empty — every padding shard, and any
-        // populated shard this sample's queries miss entirely — is skipped:
-        // an empty slice can only intersect to nothing, and a no-op member
-        // would waste a queue slot.
-        let slices = shards.slice_queries(&queries);
-        let targets: Vec<(usize, Range<usize>)> = slices
-            .into_iter()
-            .enumerate()
-            .filter(|(_, range)| !range.is_empty())
-            .collect();
-        let meta = IspMeta {
-            seq,
-            isp_position: *dispatched,
-            expected: targets.len(),
-            isp_start,
-            prepared,
-        };
-        *dispatched += 1;
-        // Register the job with the completer before any command that could
-        // complete for it is built.
-        if meta_tx.send(CompleterMsg::Job(meta)).is_err() {
-            return false;
-        }
-        for (shard, range) in targets {
-            shard_members[shard].push(IntersectMember {
-                seq,
-                queries: Arc::clone(&queries),
-                range,
-            });
-        }
+    let seq = prepared.start_position;
+    // Step 1's arena itself, moved: the commands below share the allocation
+    // the worker sorted, and delivery only reads the counters `take_kmers`
+    // leaves behind.
+    let queries = Arc::new(prepared.step1.take_kmers());
+    // Range-partitioned dispatch: each shard sees only the sub-slice of the
+    // sorted query list overlapping its key range, so per-device query-side
+    // work is proportional to the slice, not the whole list. A shard whose
+    // slice is empty — every padding shard, and any populated shard this
+    // sample's queries miss entirely — is skipped: an empty slice can only
+    // intersect to nothing, and a no-op command would waste a queue slot.
+    let targets: Vec<(usize, Range<usize>)> = shards
+        .slice_queries(&queries)
+        .into_iter()
+        .enumerate()
+        .filter(|(_, range)| !range.is_empty())
+        .collect();
+    let meta = IspMeta {
+        seq,
+        isp_position,
+        expected: targets.len(),
+        isp_start,
+        prepared,
+    };
+    // Register the job with the completer before any command that could
+    // complete for it is built.
+    if meta_tx.send(CompleterMsg::Job(meta)).is_err() {
+        return false;
     }
-    for (shard, members) in shard_members.into_iter().enumerate() {
-        if members.is_empty() {
-            continue;
-        }
+    for (shard, range) in targets {
         // NVMe queue-depth gate: at most `queue_depth` commands outstanding
-        // per shard (submitted, completion not yet reaped). A coalesced
-        // command occupies **one** slot however many members share it.
-        // Blocking here is the backpressure that bounds per-device memory;
-        // the completer frees slots as it reaps. (Only the dispatcher ever
-        // blocks here — the completer's Step 3 submissions go through a
-        // non-blocking backlog, so reaping can always proceed.)
+        // per shard (submitted, completion not yet reaped). Blocking here is
+        // the backpressure that bounds per-device memory; the completer
+        // frees slots as it reaps. (Only the dispatcher ever blocks here —
+        // the completer's Step 3 submissions go through a non-blocking
+        // backlog, so reaping can always proceed.)
         {
             let mut state = shared.lock();
             loop {
@@ -1687,26 +1550,19 @@ fn dispatch_group(
                     .wait(state)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            state.shard_inflight[shard] += 1;
-            if state.shard_inflight[shard] > state.shard_inflight_peak[shard] {
-                state.shard_inflight_peak[shard] = state.shard_inflight[shard];
-            }
-            state.intersect_inflight += 1;
-            if state.step3_inflight > 0 {
-                state.stage_overlap_events += 1;
-            }
+            state.occupy(shard, TraceStage::Intersect);
         }
-        let member_seqs: Vec<usize> = members.iter().map(|m| m.seq).collect();
         let command = ShardCommand::Intersect(IntersectCommand {
             shard,
             attempt: 0,
-            members,
+            seq,
+            queries: Arc::clone(&queries),
+            range,
         });
         // Register the issued command with the completer *before* it can
         // reach a shard queue: the workers' completions travel the same
         // channel, so the registration is received ahead of any of them and
-        // every completion finds its command outstanding. One ledger entry
-        // per physical command, keyed by the lead member.
+        // every completion finds its command outstanding.
         if meta_tx
             .send(CompleterMsg::Issued {
                 shard,
@@ -1716,18 +1572,13 @@ fn dispatch_group(
         {
             return false;
         }
-        // One issue event per member: the straggler analyzer pairs issue
-        // stamps with the per-member service sub-intervals the worker
-        // emits, so a shared command needs one stamp per sharing sample.
-        for seq in member_seqs {
-            trace.record(
-                seq,
-                TraceEventKind::CommandIssued {
-                    stage: TraceStage::Intersect,
-                    shard,
-                },
-            );
-        }
+        trace.record(
+            seq,
+            TraceEventKind::CommandIssued {
+                stage: TraceStage::Intersect,
+                shard,
+            },
+        );
         producer.send(shard, command);
     }
     true
@@ -1744,14 +1595,6 @@ fn backoff_delay(base: Duration, attempt: u32) -> Duration {
     }
 }
 
-/// The in-SSD completer: reaps per-shard completions of *both* stages out
-/// of order, keeps a per-job state machine (per-shard Step 2 supports folded
-/// as they arrive → presence call → per-read-range Step 3 counts folded as
-/// they arrive), submits
-/// Step 3 commands onto the same tagged shard queues through a
-/// non-blocking depth-bounded backlog, and once a job's ranges are all in —
-/// and every earlier sequence number has been delivered — normalizes the
-/// counts and delivers the result strictly in dispatch order.
 /// Identity of one outstanding command: `(seq, shard-of-record, stage)`.
 /// Stable across retries and failover — re-issues keep the key and bump
 /// only the attempt counter, so a completion always finds the entry for
@@ -1770,6 +1613,13 @@ struct OutstandingCommand {
     issued_at: Instant,
 }
 
+/// The in-SSD completer: reaps per-shard completions of *both* stages out
+/// of order, keeps a per-job state machine (per-shard Step 2 supports folded
+/// as they arrive → presence call → per-read-range Step 3 counts folded as
+/// they arrive), submits Step 3 commands onto the same tagged shard queues
+/// through a non-blocking depth-bounded backlog, and once a job's ranges are
+/// all in — and every earlier sequence number has been delivered —
+/// normalizes the counts and delivers the result strictly in dispatch order.
 struct IspCompleter<'a> {
     shared: &'a Shared,
     analyzer: &'a Arc<MegisAnalyzer>,
@@ -1874,10 +1724,8 @@ impl IspCompleter<'_> {
                         .map(|(seq, _)| *seq)
                         .collect();
                     for seq in stuck {
-                        let job = self.pending[&seq].meta.prepared.id;
-                        self.fail_member(seq, JobError::NoLiveShards { job });
+                        self.fail_job(seq, |job| JobError::NoLiveShards { job });
                     }
-                    self.purge_abandoned_commands();
                     self.deliver_ready();
                     return;
                 }
@@ -1944,103 +1792,50 @@ impl IspCompleter<'_> {
             self.handle_failure(key, *failure);
             return;
         }
-        // A coalesced command completes for every member at once: capture
-        // the member list before retiring the ledger entry so the per-member
-        // supports can be demultiplexed per `(seq, shard)` below.
-        let member_seqs = entry.command.member_seqs();
         let output = completion.result.expect("failure handled above");
         self.outstanding.remove(&key);
-        {
-            let mut state = self.shared.lock();
-            state.shard_inflight[completion.shard] -= 1;
-            match &output {
-                CommandOutput::Intersection(_) => state.intersect_inflight -= 1,
-                CommandOutput::Step3(_) => state.step3_inflight -= 1,
-            }
-        }
-        // Reaping freed a slot in the shard's command queue — one slot
-        // however many members shared the command.
+        self.shared
+            .lock()
+            .release(completion.shard, completion.stage);
+        // Reaping freed a slot in the shard's command queue.
         self.shared.queue_space.notify_all();
+        // An outstanding command's job is pending and unfailed: failing a
+        // job retires its commands from the ledger.
+        let job = self
+            .pending
+            .get_mut(&completion.seq)
+            .expect("completion for a dispatched job");
         match output {
-            CommandOutput::Intersection(supports) => {
-                debug_assert_eq!(supports.len(), member_seqs.len());
-                for (member_seq, support) in member_seqs.into_iter().zip(supports) {
-                    // A co-member may have failed (and possibly already
-                    // been delivered) while the shared command was in
-                    // flight; its share of the sweep is simply dropped.
-                    let Some(job) = self.pending.get_mut(&member_seq) else {
-                        continue;
-                    };
-                    if job.failed.is_some() {
-                        continue;
-                    }
-                    job.fold_step2(completion.shard, support);
-                }
-            }
-            CommandOutput::Step3(counts) => self
-                .pending
-                .get_mut(&completion.seq)
-                .expect("completion for a dispatched job")
-                .fold_step3(completion.shard, counts),
+            CommandOutput::Intersection(support) => job.fold_step2(completion.shard, support),
+            CommandOutput::Step3(counts) => job.fold_step3(completion.shard, counts),
         }
     }
 
     /// One command attempt failed: schedule a retry within the budget, or
-    /// fail the owning job(s) (panics are non-recoverable by design — the
-    /// worker state after a caught panic is not trusted for a replay). A
-    /// coalesced command fails atomically: a terminal failure fails every
-    /// still-live member, and a retry replays the whole command for all of
-    /// them — members are never split across attempts.
+    /// fail the owning job (panics are non-recoverable by design — the
+    /// worker state after a caught panic is not trusted for a replay).
     fn handle_failure(&mut self, key: CommandKey, failure: CommandFailure) {
+        let (seq, shard, stage) = key;
         let Some(entry) = self.outstanding.get(&key) else {
             return;
         };
         let attempt = entry.command.attempt();
-        // Every member still pending and unfailed. The *lead* member may be
-        // gone (failed and delivered) while co-members are live, so absence
-        // of `key.0` alone must not drop the command.
-        let live: Vec<(usize, JobId)> = entry
-            .command
-            .member_seqs()
-            .into_iter()
-            .filter_map(|seq| {
-                self.pending
-                    .get(&seq)
-                    .filter(|job| job.failed.is_none())
-                    .map(|job| (seq, job.meta.prepared.id))
-            })
-            .collect();
-        if live.is_empty() {
-            self.purge_abandoned_commands();
-            return;
-        }
         if failure == CommandFailure::Panicked {
-            for (seq, job) in live {
-                self.fail_member(seq, JobError::WorkerPanicked { job, shard: key.1 });
-            }
-            self.purge_abandoned_commands();
-            return;
-        }
-        if attempt >= self.retry_budget {
-            for (seq, job) in live {
-                self.fail_member(
-                    seq,
-                    JobError::RetriesExhausted {
-                        job,
-                        stage: key.2.label(),
-                        shard: key.1,
-                        attempts: attempt + 1,
-                    },
-                );
-            }
-            self.purge_abandoned_commands();
-            return;
-        }
-        let delay = backoff_delay(self.retry_backoff, attempt);
-        if delay.is_zero() {
-            self.reissue(key);
+            self.fail_job(seq, |job| JobError::WorkerPanicked { job, shard });
+        } else if attempt >= self.retry_budget {
+            self.fail_job(seq, |job| JobError::RetriesExhausted {
+                job,
+                stage: stage.label(),
+                shard,
+                attempts: attempt + 1,
+            });
         } else {
-            self.retry_due.push((Instant::now() + delay, key));
+            let delay = backoff_delay(self.retry_backoff, attempt);
+            if delay.is_zero() {
+                self.reissue(key);
+            } else {
+                self.retry_due.push((Instant::now() + delay, key));
+            }
         }
     }
 
@@ -2050,36 +1845,14 @@ impl IspCompleter<'_> {
     /// survivor serves the command identically).
     fn reissue(&mut self, key: CommandKey) {
         let (seq, shard, stage) = key;
-        let Some(entry) = self.outstanding.get(&key) else {
-            return;
-        };
-        // A re-issue replays the command for every still-live member at
-        // once; with none left, the command is abandoned instead.
-        let live: Vec<usize> = entry
-            .command
-            .member_seqs()
-            .into_iter()
-            .filter(|seq| {
-                self.pending
-                    .get(seq)
-                    .is_some_and(|job| job.failed.is_none())
-            })
-            .collect();
-        if live.is_empty() {
-            self.purge_abandoned_commands();
+        if !self.outstanding.contains_key(&key) {
             return;
         }
         let Some(target) = self.pick_target(shard) else {
-            for member_seq in live {
-                let job = self.pending[&member_seq].meta.prepared.id;
-                self.fail_member(member_seq, JobError::NoLiveShards { job });
-            }
-            self.purge_abandoned_commands();
+            self.fail_job(seq, |job| JobError::NoLiveShards { job });
             return;
         };
-        let Some(entry) = self.outstanding.get_mut(&key) else {
-            return;
-        };
+        let entry = self.outstanding.get_mut(&key).expect("checked above");
         entry.command.bump_attempt();
         entry.issued_at = Instant::now();
         let attempt = entry.command.attempt();
@@ -2091,10 +1864,6 @@ impl IspCompleter<'_> {
                 state.shard_failovers[shard] += 1;
             }
         }
-        // Retry/failover accounting and events stay once per *physical*
-        // command — keyed on the lead member, matching the retry ledger —
-        // while the per-member issue stamps keep the straggler pairing
-        // whole for every sharing sample.
         self.trace.record(
             seq,
             TraceEventKind::Retry {
@@ -2113,15 +1882,13 @@ impl IspCompleter<'_> {
                 },
             );
         }
-        for member_seq in command.member_seqs() {
-            self.trace.record(
-                member_seq,
-                TraceEventKind::CommandIssued {
-                    stage,
-                    shard: target,
-                },
-            );
-        }
+        self.trace.record(
+            seq,
+            TraceEventKind::CommandIssued {
+                stage,
+                shard: target,
+            },
+        );
         if let Some(producer) = &self.producer {
             producer.send(target, command);
         }
@@ -2181,60 +1948,35 @@ impl IspCompleter<'_> {
         }
     }
 
-    /// Marks one job failed in place, recording the error for
-    /// `deliver_ready` to surface in dispatch order. The commands the job
-    /// shares with still-live members stay in flight (their results are
-    /// dropped at the demux); call [`Self::purge_abandoned_commands`] after
-    /// the last member of a failure to retire commands nobody wants.
-    fn fail_member(&mut self, seq: usize, error: JobError) {
-        if let Some(job) = self.pending.get_mut(&seq) {
-            if job.failed.is_none() {
-                job.failed = Some(error);
-            }
+    /// Marks job `seq` failed in place — the first error sticks, and
+    /// `deliver_ready` surfaces it at the job's turn in dispatch order — and
+    /// retires every command of the job still ledgered, backlogged or
+    /// waiting out a backoff: ledgered ones free their queue-depth slots
+    /// exactly once, and a late completion of one finds nothing to settle.
+    fn fail_job(&mut self, seq: usize, error: impl FnOnce(JobId) -> JobError) {
+        let Some(job) = self.pending.get_mut(&seq) else {
+            return;
+        };
+        if job.failed.is_none() {
+            job.failed = Some(error(job.meta.prepared.id));
         }
-    }
-
-    /// True when no member of `command` is still a live (pending, unfailed)
-    /// job — its result could only be dropped.
-    fn is_abandoned(pending: &BTreeMap<usize, MergeState>, command: &ShardCommand) -> bool {
-        command
-            .member_seqs()
-            .into_iter()
-            .all(|seq| pending.get(&seq).is_none_or(|job| job.failed.is_some()))
-    }
-
-    /// Retires every ledgered, backlogged, or backoff-delayed command whose
-    /// members have all failed: outstanding entries free their queue-depth
-    /// slots exactly once, the unsubmitted backlog is pruned, and orphaned
-    /// retry timers are dropped. For a single-member command this is
-    /// exactly the old whole-job purge; a coalesced command outlives any
-    /// one member's failure until its last live member is gone.
-    fn purge_abandoned_commands(&mut self) {
         let keys: Vec<CommandKey> = self
             .outstanding
-            .iter()
-            .filter(|(_, entry)| Self::is_abandoned(&self.pending, &entry.command))
-            .map(|(key, _)| *key)
+            .keys()
+            .filter(|key| key.0 == seq)
+            .copied()
             .collect();
         if !keys.is_empty() {
             let mut state = self.shared.lock();
-            for key in &keys {
-                let entry = self.outstanding.remove(key).expect("key just listed");
-                state.shard_inflight[key.1] -= 1;
-                match entry.command {
-                    ShardCommand::Intersect(_) => state.intersect_inflight -= 1,
-                    ShardCommand::Step3(_) => state.step3_inflight -= 1,
-                }
+            for (_, shard, stage) in keys {
+                self.outstanding.remove(&(seq, shard, stage));
+                state.release(shard, stage);
             }
             drop(state);
             self.shared.queue_space.notify_all();
         }
-        let pending = &self.pending;
-        self.backlog
-            .retain(|(_, command)| !Self::is_abandoned(pending, command));
-        let outstanding = &self.outstanding;
-        self.retry_due
-            .retain(|(_, key)| outstanding.contains_key(key));
+        self.backlog.retain(|(_, command)| command.seq() != seq);
+        self.retry_due.retain(|(_, key)| key.0 != seq);
     }
 
     /// Calls presence and hands Step 3 to the backlog for every job whose
@@ -2311,14 +2053,7 @@ impl IspCompleter<'_> {
             let mut kept = VecDeque::with_capacity(self.backlog.len());
             for (shard, command) in self.backlog.drain(..) {
                 if state.shard_inflight[shard] < self.queue_depth {
-                    state.shard_inflight[shard] += 1;
-                    if state.shard_inflight[shard] > state.shard_inflight_peak[shard] {
-                        state.shard_inflight_peak[shard] = state.shard_inflight[shard];
-                    }
-                    state.step3_inflight += 1;
-                    if state.intersect_inflight > 0 {
-                        state.stage_overlap_events += 1;
-                    }
+                    state.occupy(shard, TraceStage::Step3);
                     to_send.push((shard, command));
                 } else {
                     kept.push_back((shard, command));
@@ -2568,13 +2303,13 @@ mod tests {
         // read them off the dispatcher → completer channel.
         let producer = CommandQueues::new(config.shards).producer();
         let (meta_tx, meta_rx) = mpsc::channel();
-        assert!(dispatch_group(
+        assert!(dispatch_sample(
             &Shared::new(&config, config.shards),
             &shards,
             &producer,
             &meta_tx,
-            vec![prepared],
-            &mut 0,
+            prepared,
+            0,
             config.queue_depth,
             &TraceSink::disabled(),
         ));
@@ -2589,14 +2324,13 @@ mod tests {
                     let ShardCommand::Intersect(command) = command else {
                         panic!("the dispatcher issues intersect commands only");
                     };
-                    for member in &command.members {
-                        assert_eq!(member.queries.as_ptr(), arena, "moved, not copied");
-                        assert_eq!(*member.queries, queries);
-                    }
+                    assert_eq!(command.queries.as_ptr(), arena, "moved, not copied");
+                    assert_eq!(*command.queries, queries);
+                    assert_eq!(command.seq, 0);
                     issued += 1;
                 }
                 CompleterMsg::Completed(_) | CompleterMsg::DispatcherExited => {
-                    panic!("issuing a group sends job and command records only")
+                    panic!("issuing a sample sends job and command records only")
                 }
             }
         }

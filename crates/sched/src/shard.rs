@@ -70,18 +70,9 @@
 //! ones, and a served command can fail with a `CommandFailure` instead of
 //! an output when a fault plan is active.
 //!
-//! **Cross-sample query coalescing.** An `IntersectCommand` carries a
-//! *member list*: one `(seq, query sub-range)` entry per co-resident sample
-//! sharing the sweep. When the dispatcher's batching window is open (see
-//! `service.rs`), several in-flight samples' slices for the same shard are
-//! merged into one command served by a single galloping pass over that
-//! shard's CSR range (`hit_positions_multi`), and the output carries one
-//! support per member for the completer to demultiplex and fold into each
-//! sample's job. A single-member command is byte-identical to the
-//! uncoalesced path — same kernel, same output shape — so the window-off
-//! default changes nothing, and the fault path's retry/failover machinery
-//! treats a coalesced command as one unit keyed by its lead member's
-//! sequence number.
+//! Every command belongs to exactly one sample: an `IntersectCommand`
+//! carries one sample's query sub-range for one shard, so a completion
+//! settles one `(seq, shard)` of one job.
 
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -96,23 +87,9 @@ use megis_genomics::sample::Sample;
 
 use crate::trace::TraceStage;
 
-/// One co-resident sample's share of a (possibly coalesced) Step 2 command:
-/// the sample's dispatch sequence number plus its query sub-range for the
-/// command's shard.
-#[derive(Debug, Clone)]
-pub(crate) struct IntersectMember {
-    /// Dense in-SSD dispatch sequence number of the owning sample.
-    pub seq: usize,
-    /// The sample's full sorted query list (shared, not copied, across
-    /// shards).
-    pub queries: Arc<Vec<Kmer>>,
-    /// The sub-range of `queries` overlapping this shard's key range.
-    pub range: Range<usize>,
-}
-
-/// A Step 2 command: intersect one or more samples' query sub-ranges
-/// against the device's database slice in a single sweep, retrieving the
-/// hits' taxIDs on the way.
+/// A Step 2 command: intersect one sample's query sub-range against the
+/// device's database slice in a single sweep, retrieving the hits' taxIDs
+/// on the way.
 #[derive(Debug, Clone)]
 pub(crate) struct IntersectCommand {
     /// The shard-of-record whose database range this command intersects.
@@ -122,26 +99,14 @@ pub(crate) struct IntersectCommand {
     /// 0-based service attempt; bumped on every retry/failover re-issue so
     /// stale completions of superseded attempts are recognizable.
     pub attempt: u32,
-    /// The samples sharing this sweep, in dispatch-sequence order. Always
-    /// non-empty; a single entry is the uncoalesced (window-off) shape. The
-    /// first entry is the *lead* member whose sequence number keys the
-    /// command in the completer's ledger and the fault plan.
-    pub members: Vec<IntersectMember>,
-}
-
-impl IntersectCommand {
-    /// The dispatch sequence numbers of every member sample, in member
-    /// order.
-    pub(crate) fn member_seqs(&self) -> Vec<usize> {
-        self.members.iter().map(|m| m.seq).collect()
-    }
-
-    /// Total query items dispatched with this command (sum of the member
-    /// sub-range lengths) — the `ShardStats::query_items` contribution,
-    /// unchanged by coalescing.
-    pub(crate) fn query_items(&self) -> usize {
-        self.members.iter().map(|m| m.range.len()).sum()
-    }
+    /// Dense in-SSD dispatch sequence number of the owning sample.
+    pub seq: usize,
+    /// The sample's full sorted query list (shared, not copied, across
+    /// shards).
+    pub queries: Arc<Vec<Kmer>>,
+    /// The sub-range of `queries` overlapping this shard's key range; its
+    /// length is the command's `ShardStats::query_items` contribution.
+    pub range: Range<usize>,
 }
 
 /// A Step 3 command: map one contiguous range of the sample's reads against
@@ -180,22 +145,11 @@ pub(crate) enum ShardCommand {
 }
 
 impl ShardCommand {
-    /// The dispatch sequence number the command is tagged with: the lead
-    /// (first) member's for a coalesced intersection.
+    /// The dispatch sequence number of the sample the command serves.
     pub(crate) fn seq(&self) -> usize {
         match self {
-            ShardCommand::Intersect(c) => c.members[0].seq,
+            ShardCommand::Intersect(c) => c.seq,
             ShardCommand::Step3(c) => c.seq,
-        }
-    }
-
-    /// Every sample sequence number the command serves: all members of a
-    /// (possibly coalesced) intersection, the single owner of a Step 3
-    /// command.
-    pub(crate) fn member_seqs(&self) -> Vec<usize> {
-        match self {
-            ShardCommand::Intersect(c) => c.member_seqs(),
-            ShardCommand::Step3(c) => vec![c.seq],
         }
     }
 
@@ -236,12 +190,10 @@ impl ShardCommand {
 /// Result payload of one served command.
 #[derive(Debug)]
 pub(crate) enum CommandOutput {
-    /// Step 2's result for an [`IntersectCommand`]: per member, in member
-    /// order, how many of its queries intersected the shard and the per-taxon
-    /// support they lend — never the k-mers. The completer demultiplexes the
-    /// members and folds each into its job by addition. A single-member
-    /// (uncoalesced) command carries exactly one.
-    Intersection(Vec<Support>),
+    /// Step 2's result for an [`IntersectCommand`]: how many of the slice's
+    /// queries intersected the shard and the per-taxon support they lend —
+    /// never the k-mers. The completer folds it into the job by addition.
+    Intersection(Support),
     /// The per-candidate mapped-read counts of a [`Step3Command`]'s range.
     Step3(MappedCounts),
 }
@@ -288,24 +240,18 @@ impl ShardWorker {
         match command {
             ShardCommand::Intersect(c) => {
                 let shard = &self.shards.shards()[c.shard];
-                // Device-side bound check, per member: the dispatcher's
-                // partition charges gap queries (values between shard key
-                // ranges) to the preceding shard, but nothing below this
-                // shard's first key or above its last can match, so the
-                // sweep runs only over each overlapping sub-range.
-                let overlaps: Vec<&[Kmer]> = c
-                    .members
-                    .iter()
-                    .map(|m| {
-                        let slice = &m.queries[m.range.clone()];
-                        &slice[shard.overlapping_query_range(slice)]
-                    })
-                    .collect();
+                // Device-side bound check: the dispatcher's partition
+                // charges gap queries (values between shard key ranges) to
+                // the preceding shard, but nothing below this shard's first
+                // key or above its last can match, so the sweep runs only
+                // over the overlapping sub-range.
+                let slice = &c.queries[c.range.clone()];
+                let overlap = &slice[shard.overlapping_query_range(slice)];
                 // All of Step 2 in one device pass (§4.3): the sweep counts
                 // each hit's taxa through the joined KSS as it finds it, so
                 // only per-taxon support leaves the device.
-                let supports = step2::sweep(shard, self.analyzer.join(), &overlaps, |_, _| {});
-                CommandOutput::Intersection(supports)
+                let support = step2::sweep(shard, self.analyzer.join(), overlap, |_| {});
+                CommandOutput::Intersection(support)
             }
             ShardCommand::Step3(c) => {
                 // Index generation stays device work (§4.4): the first
@@ -736,22 +682,25 @@ mod tests {
             .collect()
     }
 
-    /// Serves one intersect command for `members` on `shard` and returns the
-    /// per-member supports.
+    /// Serves one intersect command for `queries[range]` on `shard` and
+    /// returns its support.
     fn serve_intersect(
         worker: &ShardWorker,
         shard: usize,
-        members: Vec<IntersectMember>,
-    ) -> Vec<Support> {
+        queries: &Arc<Vec<Kmer>>,
+        range: Range<usize>,
+    ) -> Support {
         let command = ShardCommand::Intersect(IntersectCommand {
             shard,
             attempt: 0,
-            members,
+            seq: 0,
+            queries: Arc::clone(queries),
+            range,
         });
-        let CommandOutput::Intersection(supports) = worker.serve(&command) else {
-            panic!("an intersect command yields supports");
+        let CommandOutput::Intersection(support) = worker.serve(&command) else {
+            panic!("an intersect command yields a support");
         };
-        supports
+        support
     }
 
     #[test]
@@ -778,12 +727,7 @@ mod tests {
                         if range.is_empty() {
                             continue;
                         }
-                        let member = IntersectMember {
-                            seq: 0,
-                            queries: Arc::clone(queries),
-                            range,
-                        };
-                        folded.fold(serve_intersect(&worker, shard, vec![member]).remove(0));
+                        folded.fold(serve_intersect(&worker, shard, queries, range));
                     }
                     let hits = database.intersect_sorted(queries);
                     assert_eq!(folded.hits, hits.len() as u64, "{shards} shards");
@@ -801,40 +745,6 @@ mod tests {
             supported > 1000,
             "the mixes must reach the sketch: {supported}"
         );
-    }
-
-    #[test]
-    fn a_coalesced_command_yields_each_members_singleton_support() {
-        // The completer demultiplexes a coalesced command's supports by
-        // member: each must be what that member's own command would return.
-        use megis::config::MegisConfig;
-        let refs = ReferenceCollection::synthetic(10, 600, 78);
-        let analyzer = Arc::new(MegisAnalyzer::build(&refs, MegisConfig::small()));
-        let mut rng = StdRng::seed_from_u64(2719);
-        for shards in [1usize, 2, 5] {
-            let set = ShardSet::build(analyzer.database(), shards);
-            let worker = ShardWorker::new(set.clone(), Arc::clone(&analyzer));
-            for round in 0..6 {
-                let mixes = query_mixes(&analyzer, 500 + round, rng.gen_range(2..=5));
-                for shard in 0..shards {
-                    let members: Vec<IntersectMember> = mixes
-                        .iter()
-                        .enumerate()
-                        .map(|(seq, queries)| IntersectMember {
-                            seq,
-                            queries: Arc::clone(queries),
-                            range: set.slice_queries(queries)[shard].clone(),
-                        })
-                        .collect();
-                    let alone: Vec<Support> = members
-                        .iter()
-                        .map(|m| serve_intersect(&worker, shard, vec![m.clone()]).remove(0))
-                        .collect();
-                    assert!(alone.iter().any(|s| s.hits > 0));
-                    assert_eq!(serve_intersect(&worker, shard, members), alone);
-                }
-            }
-        }
     }
 
     #[test]

@@ -150,17 +150,6 @@ pub enum TraceEventKind {
         /// The surviving device the command was re-issued to.
         to: usize,
     },
-    /// A device served one *coalesced* intersect command: a single galloping
-    /// sweep over its database range shared by several co-resident samples'
-    /// query slices ([`crate::EngineConfig::with_coalescing_window`]). Keyed
-    /// by the lead member's sequence; singleton commands record nothing, so
-    /// runs with the window off carry no such events.
-    CoalescedSweep {
-        /// Serving device.
-        shard: usize,
-        /// Member samples the one sweep served (always ≥ 2).
-        members: usize,
-    },
 }
 
 /// One timestamped lifecycle event.
@@ -411,9 +400,6 @@ impl TraceLog {
                     "\"kind\": \"failover\", \"stage\": \"{}\", \"from\": {from}, \"to\": {to}",
                     stage.label()
                 ),
-                TraceEventKind::CoalescedSweep { shard, members } => format!(
-                    "\"kind\": \"coalesced_sweep\", \"shard\": {shard}, \"members\": {members}"
-                ),
             };
             let _ = write!(
                 out,
@@ -514,8 +500,7 @@ impl StageBreakdown {
                 | TraceEventKind::Delivered { .. }
                 | TraceEventKind::Fault { .. }
                 | TraceEventKind::Retry { .. }
-                | TraceEventKind::Failover { .. }
-                | TraceEventKind::CoalescedSweep { .. } => {}
+                | TraceEventKind::Failover { .. } => {}
             }
         }
         // The bounded ring may have evicted the admission by now; anchor on
@@ -665,14 +650,6 @@ pub struct StragglerReport {
     /// Retries routed away from a dead shard-of-record, per (dead) device,
     /// in device order.
     pub failovers: Vec<u64>,
-    /// Coalesced intersect sweeps served per device — physical commands
-    /// whose single database pass was shared by ≥ 2 samples — in device
-    /// order. All zero with the coalescing window off.
-    pub coalesced_sweeps: Vec<u64>,
-    /// Total member samples across each device's coalesced sweeps, in
-    /// device order; `coalesced_members[d] / coalesced_sweeps[d]` is device
-    /// `d`'s mean batch occupancy over its shared sweeps.
-    pub coalesced_members: Vec<u64>,
 }
 
 impl StragglerReport {
@@ -707,8 +684,6 @@ impl StragglerReport {
         let mut faults = vec![0u64; devices];
         let mut retries = vec![0u64; devices];
         let mut failovers = vec![0u64; devices];
-        let mut coalesced_sweeps = vec![0u64; devices];
-        let mut coalesced_members = vec![0u64; devices];
         for event in events {
             match event.kind {
                 TraceEventKind::Fault { shard, .. } if shard < devices => {
@@ -719,10 +694,6 @@ impl StragglerReport {
                 }
                 TraceEventKind::Failover { from, .. } if from < devices => {
                     failovers[from] += 1;
-                }
-                TraceEventKind::CoalescedSweep { shard, members } if shard < devices => {
-                    coalesced_sweeps[shard] += 1;
-                    coalesced_members[shard] += members as u64;
                 }
                 TraceEventKind::CommandIssued { stage, shard } if shard < devices => {
                     issued_fifo
@@ -793,21 +764,7 @@ impl StragglerReport {
             faults,
             retries,
             failovers,
-            coalesced_sweeps,
-            coalesced_members,
         }
-    }
-
-    /// Mean member samples per coalesced sweep across the array (`None`
-    /// when no sweep was shared — the coalescing window was off or no
-    /// samples were co-resident).
-    pub fn mean_batch_occupancy(&self) -> Option<f64> {
-        let sweeps: u64 = self.coalesced_sweeps.iter().sum();
-        if sweeps == 0 {
-            return None;
-        }
-        let members: u64 = self.coalesced_members.iter().sum();
-        Some(members as f64 / sweeps as f64)
     }
 
     /// Max over min per-device Step 3 busy time, across devices that served
@@ -926,20 +883,6 @@ impl StragglerReport {
                 out,
                 "  failovers away from dead shards: [{}]",
                 self.failovers
-                    .iter()
-                    .map(u64::to_string)
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            );
-        }
-        // The coalescing line appears only when a sweep was actually
-        // shared, keeping window-off reports byte-identical.
-        if let Some(occupancy) = self.mean_batch_occupancy() {
-            let _ = writeln!(
-                out,
-                "  coalesced sweeps per device: [{}]; mean members per shared sweep: \
-                 {occupancy:.2}",
-                self.coalesced_sweeps
                     .iter()
                     .map(u64::to_string)
                     .collect::<Vec<_>>()

@@ -278,28 +278,20 @@ fn step2_supports_are_folded_exactly_once_under_retry_deadline_and_failover() {
         ),
     ];
     for (label, plan, deadline) in plans {
-        for window in [None, Some(Duration::from_millis(2))] {
-            let mut config = EngineConfig::new()
-                .with_workers(2)
-                .with_shards(3)
-                .with_fault_plan(plan.clone())
-                .with_retry_budget(8);
-            if let Some(deadline) = deadline {
-                config = config.with_command_deadline(deadline);
-            }
-            if let Some(window) = window {
-                config = config.with_coalescing_window(window);
-            }
-            let (outputs, report) = run_expecting_success(analyzer.clone(), &samples, config);
-            assert_eq!(
-                outputs, expected,
-                "{label}, window {window:?}: a support was lost or doubled"
-            );
-            let retries: u64 = report.shard_stats.iter().map(|s| s.retries).sum();
-            assert!(retries > 0, "{label}: the plan injected nothing");
-            assert_eq!(report.failed_jobs, 0, "{label}");
-            assert_eq!(report.completed, SAMPLES as u64, "{label}");
+        let mut config = EngineConfig::new()
+            .with_workers(2)
+            .with_shards(3)
+            .with_fault_plan(plan)
+            .with_retry_budget(8);
+        if let Some(deadline) = deadline {
+            config = config.with_command_deadline(deadline);
         }
+        let (outputs, report) = run_expecting_success(analyzer.clone(), &samples, config);
+        assert_eq!(outputs, expected, "{label}: a support was lost or doubled");
+        let retries: u64 = report.shard_stats.iter().map(|s| s.retries).sum();
+        assert!(retries > 0, "{label}: the plan injected nothing");
+        assert_eq!(report.failed_jobs, 0, "{label}");
+        assert_eq!(report.completed, SAMPLES as u64, "{label}");
     }
 }
 
@@ -405,15 +397,14 @@ fn retry_budget_exhaustion_fails_the_job_not_the_engine() {
 const STUCK_SHARDS: usize = 2;
 
 /// The stuck-device fixture: 2 shards × depth 2 under `plan`, traced, with
-/// the command deadline armed, with or without a coalescing window.
+/// the command deadline armed.
 fn stuck_device_engine(
     analyzer: &MegisAnalyzer,
     plan: FaultPlan,
     deadline: Duration,
     budget: u32,
-    window: Option<Duration>,
 ) -> StreamingEngine {
-    let mut config = EngineConfig::new()
+    let config = EngineConfig::new()
         .with_workers(2)
         .with_shards(STUCK_SHARDS)
         .with_queue_depth(2)
@@ -421,9 +412,6 @@ fn stuck_device_engine(
         .with_command_deadline(deadline)
         .with_retry_budget(budget)
         .with_tracing();
-    if let Some(window) = window {
-        config = config.with_coalescing_window(window);
-    }
     StreamingEngine::new(analyzer.clone(), config)
 }
 
@@ -450,52 +438,50 @@ fn command_deadline_recovers_spiked_commands() {
     let (analyzer, samples) = cohort(SAMPLES);
     let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
 
-    for window in [None, Some(Duration::from_millis(2))] {
-        let plan = FaultPlan::seeded(29).with_latency_spike(1.0, SPIKE);
-        let engine = stuck_device_engine(&analyzer, plan, DEADLINE, BUDGET, window);
-        let handles = submit_all(&engine, &samples);
-        engine.drain();
+    let plan = FaultPlan::seeded(29).with_latency_spike(1.0, SPIKE);
+    let engine = stuck_device_engine(&analyzer, plan, DEADLINE, BUDGET);
+    let handles = submit_all(&engine, &samples);
+    engine.drain();
+    assert_eq!(
+        engine.snapshot().shard_inflight,
+        vec![0; STUCK_SHARDS],
+        "every queue slot is freed exactly once"
+    );
+    for (i, handle) in handles.into_iter().enumerate() {
+        let result = handle
+            .try_wait()
+            .expect("drained job delivered")
+            .unwrap_or_else(|e| panic!("sample {i} failed: {e}"));
         assert_eq!(
-            engine.snapshot().shard_inflight,
-            vec![0; STUCK_SHARDS],
-            "window {window:?}: every queue slot is freed exactly once"
-        );
-        for (i, handle) in handles.into_iter().enumerate() {
-            let result = handle
-                .try_wait()
-                .expect("drained job delivered")
-                .unwrap_or_else(|e| panic!("window {window:?}: sample {i} failed: {e}"));
-            assert_eq!(
-                result.output, expected[i],
-                "window {window:?}: sample {i} diverged after a deadline re-issue"
-            );
-        }
-        let report = engine.shutdown();
-        assert_eq!(report.failed_jobs, 0, "window {window:?}");
-        assert_eq!(report.completed, SAMPLES as u64, "window {window:?}");
-        let retries: u64 = report.shard_stats.iter().map(|s| s.retries).sum();
-        let faults: u64 = report.shard_stats.iter().map(|s| s.faults).sum();
-        assert!(
-            retries > 0,
-            "window {window:?}: the deadline must have re-issued stuck commands"
-        );
-        assert_eq!(faults, 0, "window {window:?}: a spike is not a fault");
-        // Every attempt is eventually served, superseded or not, and at most
-        // one command exists per (sample, shard, stage): more completions
-        // than that means superseded attempts answered late — and, by the
-        // parity above, were discarded.
-        let trace = report.trace.as_ref().expect("tracing on");
-        assert_eq!(trace.dropped, 0, "window {window:?}");
-        let served_attempts = trace
-            .events
-            .iter()
-            .filter(|e| matches!(e.kind, TraceEventKind::CommandCompleted { .. }))
-            .count();
-        assert!(
-            served_attempts > SAMPLES * STUCK_SHARDS * 2,
-            "window {window:?}: only {served_attempts} attempts were served"
+            result.output, expected[i],
+            "sample {i} diverged after a deadline re-issue"
         );
     }
+    let report = engine.shutdown();
+    assert_eq!(report.failed_jobs, 0);
+    assert_eq!(report.completed, SAMPLES as u64);
+    let retries: u64 = report.shard_stats.iter().map(|s| s.retries).sum();
+    let faults: u64 = report.shard_stats.iter().map(|s| s.faults).sum();
+    assert!(
+        retries > 0,
+        "the deadline must have re-issued stuck commands"
+    );
+    assert_eq!(faults, 0, "a spike is not a fault");
+    // Every attempt is eventually served, superseded or not, and at most
+    // one command exists per (sample, shard, stage): more completions than
+    // that means superseded attempts answered late — and, by the parity
+    // above, were discarded.
+    let trace = report.trace.as_ref().expect("tracing on");
+    assert_eq!(trace.dropped, 0);
+    let served_attempts = trace
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, TraceEventKind::CommandCompleted { .. }))
+        .count();
+    assert!(
+        served_attempts > SAMPLES * STUCK_SHARDS * 2,
+        "only {served_attempts} attempts were served"
+    );
 }
 
 /// The stuck-device path, unrecoverable pairing: the spike outlasts
@@ -515,8 +501,8 @@ fn command_deadline_fails_hopelessly_stuck_jobs_and_keeps_serving() {
 
     // Decisions are a pure function of (seed, seq, shard, stage), so the
     // first seed whose schedule has the wanted shape can simply be looked
-    // up: both intersects of every early job spiked (whichever job leads a
-    // coalesced command, it is spiked), nothing of the late job spiked.
+    // up: both intersects of every early job spiked, nothing of the late
+    // job spiked.
     let spiked_shards = |plan: &FaultPlan, seq: usize, stage: TraceStage| {
         (0..STUCK_SHARDS)
             .filter(|&shard| {
@@ -538,61 +524,55 @@ fn command_deadline_fails_hopelessly_stuck_jobs_and_keeps_serving() {
         })
         .expect("some seed has the wanted schedule");
 
-    for window in [None, Some(Duration::from_millis(2))] {
-        let engine = stuck_device_engine(&analyzer, plan.clone(), DEADLINE, BUDGET, window);
-        let doomed = submit_all(&engine, &samples[..SPIKED_JOBS]);
-        for (i, handle) in doomed.into_iter().enumerate() {
-            match handle.wait() {
-                Err(JobError::RetriesExhausted { attempts, .. }) => assert_eq!(
-                    attempts,
-                    BUDGET + 1,
-                    "window {window:?}: sample {i} used its whole budget"
-                ),
-                other => panic!(
-                    "window {window:?}: sample {i}: expected RetriesExhausted, got {other:?}"
-                ),
+    let engine = stuck_device_engine(&analyzer, plan, DEADLINE, BUDGET);
+    let doomed = submit_all(&engine, &samples[..SPIKED_JOBS]);
+    for (i, handle) in doomed.into_iter().enumerate() {
+        match handle.wait() {
+            Err(JobError::RetriesExhausted { attempts, .. }) => {
+                assert_eq!(attempts, BUDGET + 1, "sample {i} used its whole budget")
             }
+            other => panic!("sample {i}: expected RetriesExhausted, got {other:?}"),
         }
-        engine.drain();
-        assert_eq!(
-            engine.snapshot().shard_inflight,
-            vec![0; STUCK_SHARDS],
-            "window {window:?}: the failed jobs' queue slots are freed"
-        );
-
-        // The devices are still asleep on the abandoned attempts. Every
-        // issued attempt is eventually served, so issue and completion
-        // events balance exactly when the array has gone idle again.
-        let unserved_attempts = || {
-            engine
-                .trace()
-                .events()
-                .iter()
-                .fold(0i64, |open, e| match e.kind {
-                    TraceEventKind::CommandIssued { .. } => open + 1,
-                    TraceEventKind::CommandCompleted { .. } => open - 1,
-                    _ => open,
-                })
-        };
-        let patience = std::time::Instant::now();
-        while unserved_attempts() != 0 {
-            assert!(
-                patience.elapsed() < Duration::from_secs(30),
-                "window {window:?}: the spiked devices never woke"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-
-        let late = engine
-            .submit(JobSpec::new("late", samples[SPIKED_JOBS].clone()))
-            .expect("admission after the failures");
-        let result = late
-            .wait()
-            .unwrap_or_else(|e| panic!("window {window:?}: the late job failed: {e}"));
-        assert_eq!(result.output, expected_late, "window {window:?}");
-
-        let report = engine.shutdown();
-        assert_eq!(report.failed_jobs, SPIKED_JOBS as u64, "window {window:?}");
-        assert_eq!(report.completed, 1, "window {window:?}");
     }
+    engine.drain();
+    assert_eq!(
+        engine.snapshot().shard_inflight,
+        vec![0; STUCK_SHARDS],
+        "the failed jobs' queue slots are freed"
+    );
+
+    // The devices are still asleep on the abandoned attempts. Every issued
+    // attempt is eventually served, so issue and completion events balance
+    // exactly when the array has gone idle again.
+    let unserved_attempts = || {
+        engine
+            .trace()
+            .events()
+            .iter()
+            .fold(0i64, |open, e| match e.kind {
+                TraceEventKind::CommandIssued { .. } => open + 1,
+                TraceEventKind::CommandCompleted { .. } => open - 1,
+                _ => open,
+            })
+    };
+    let patience = std::time::Instant::now();
+    while unserved_attempts() != 0 {
+        assert!(
+            patience.elapsed() < Duration::from_secs(30),
+            "the spiked devices never woke"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let late = engine
+        .submit(JobSpec::new("late", samples[SPIKED_JOBS].clone()))
+        .expect("admission after the failures");
+    let result = late
+        .wait()
+        .unwrap_or_else(|e| panic!("the late job failed: {e}"));
+    assert_eq!(result.output, expected_late);
+
+    let report = engine.shutdown();
+    assert_eq!(report.failed_jobs, SPIKED_JOBS as u64);
+    assert_eq!(report.completed, 1);
 }

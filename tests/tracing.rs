@@ -196,8 +196,6 @@ fn summary_fixture(degraded: bool) -> ServiceReport {
             busy: Duration::from_millis(40 + shard as u64 * 10),
             jobs: 5,
             query_items: 1000,
-            coalesced_commands: 0,
-            coalesced_members: 0,
             step3_jobs: 4,
             step3_items: 80 - shard as u64 * 10,
             stolen_items: if shard < 2 {
@@ -242,7 +240,7 @@ fn summary_fixture(degraded: bool) -> ServiceReport {
 fn the_service_summary_is_pinned_line_by_line() {
     let healthy = summary_fixture(false);
     assert_eq!(healthy.shard_utilization(), [0.08, 0.1, 0.12]);
-    // Seven lines, no degraded-mode, coalescing or overflow line.
+    // Seven lines, no degraded-mode or overflow line.
     assert_eq!(
         healthy.summary(),
         "service: 20 jobs over 0.500 s uptime (rolling window of 20)\n\
