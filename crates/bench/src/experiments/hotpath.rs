@@ -4,8 +4,8 @@
 //!
 //! MegIS's premise is that Steps 2–3 run at flash-streaming bandwidth on
 //! sorted flat data (§4.3.1); the host-side reproduction must not give that
-//! back in its innermost loops. This experiment measures the six hot
-//! kernels after the columnar refactor:
+//! back in its innermost loops. This experiment measures the hot kernels
+//! after the columnar refactor:
 //!
 //! * **intersection** — the galloping merge of
 //!   [`SortedKmerDatabase::intersect_sorted`] against the retained
@@ -17,6 +17,9 @@
 //!   (full-width words),
 //! * **database build** — the columnar pair-sort build against the old
 //!   `BTreeMap<Kmer, Vec<TaxId>>` + `contains` build,
+//! * **sketch build** — [`SketchDatabase::build`], the same pair-sort build
+//!   per k size over the hash-selected k-mers, against the old per-k
+//!   `BTreeMap` + `contains` build with its per-taxon size count,
 //! * **taxID retrieval** — the one-pass cursor merge of
 //!   [`KssTables::stream_retrieve`] against the fold of one random-access
 //!   [`KssTables::lookup`] per intersecting k-mer,
@@ -40,9 +43,9 @@
 //!
 //! `megis-bench hotpath` prints this report and writes the numbers to
 //! `BENCH_hotpath.json`. CI runs it in release mode, greps the exact
-//! verdict lines (kernel parity, counting parity, KSS stream parity, fused
-//! Step 2 parity, unified-index parity, read-range parity, batched-probe
-//! parity, zero-copy shards) and uploads
+//! verdict lines (kernel parity, counting parity, sketch-build parity, KSS
+//! stream parity, fused Step 2 parity, unified-index parity, read-range
+//! parity, batched-probe parity, zero-copy shards) and uploads
 //! the JSON, so a PR that breaks a kernel's
 //! equivalence or reintroduces a database copy fails the smoke test. The
 //! galloping speedup line is wall clock from one run: printed, not gated.
@@ -60,7 +63,7 @@ use megis_genomics::kmer::{fits_half_word, CanonicalKmerExtractor, Kmer, KmerExt
 use megis_genomics::read::{Read, ReadSet};
 use megis_genomics::reference::ReferenceCollection;
 use megis_genomics::sample::{CommunityConfig, Diversity};
-use megis_genomics::sketch::{SketchConfig, SketchDatabase};
+use megis_genomics::sketch::{sketch_hash, SketchConfig, SketchDatabase};
 use megis_genomics::taxonomy::TaxId;
 use megis_sched::ShardSet;
 use megis_tools::kmc::KmerCounts;
@@ -138,6 +141,44 @@ fn build_btreemap(references: &ReferenceCollection, k: usize) -> Vec<(Kmer, Vec<
             (kmer, taxa)
         })
         .collect()
+}
+
+/// One sketch table of the ordered-map build: `(k, sorted entries)`.
+type MapSketchTable = (usize, Vec<(Kmer, Vec<TaxId>)>);
+
+/// The pre-refactor sketch build (per k size, a `BTreeMap` insert plus an
+/// `O(t)` `contains` scan per selected occurrence, each taxon's sketch size
+/// counted as its associations are inserted), kept as the measured baseline.
+fn sketch_btreemap(
+    references: &ReferenceCollection,
+    config: SketchConfig,
+) -> (Vec<MapSketchTable>, BTreeMap<TaxId, usize>) {
+    let threshold = (config.fraction.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
+    let mut tables = Vec::new();
+    let mut sizes: BTreeMap<TaxId, usize> = BTreeMap::new();
+    for k in config.k_sizes() {
+        let mut map: BTreeMap<Kmer, Vec<TaxId>> = BTreeMap::new();
+        for genome in references.genomes() {
+            for kmer in CanonicalKmerExtractor::new(genome.sequence(), k) {
+                if sketch_hash(kmer) <= threshold {
+                    let taxa = map.entry(kmer).or_default();
+                    if !taxa.contains(&genome.taxid()) {
+                        taxa.push(genome.taxid());
+                        *sizes.entry(genome.taxid()).or_default() += 1;
+                    }
+                }
+            }
+        }
+        let table = map
+            .into_iter()
+            .map(|(kmer, mut taxa)| {
+                taxa.sort();
+                (kmer, taxa)
+            })
+            .collect();
+        tables.push((k, table));
+    }
+    (tables, sizes)
 }
 
 /// The pre-refactor KMC counting (per-occurrence ordered-map insertion),
@@ -244,6 +285,15 @@ pub struct HotpathMeasurement {
     pub build_btreemap_s: f64,
     /// Seconds per columnar database build (best trial).
     pub build_columnar_s: f64,
+    /// Sketch k-mers (across all k sizes) of the build fixture's sketch.
+    pub sketch_kmers: usize,
+    /// Seconds per ordered-map sketch build (best trial).
+    pub sketch_btreemap_s: f64,
+    /// Seconds per sort-built [`SketchDatabase::build`] (best trial).
+    pub sketch_sorted_s: f64,
+    /// Whether the sort-built sketch equalled the ordered-map build: every
+    /// table's entries and every taxon's sketch size.
+    pub sketch_parity: bool,
     /// Intersecting k-mers in the taxID-retrieval workload (the build
     /// fixture's whole database against its own sketches).
     pub kss_queries: usize,
@@ -307,6 +357,11 @@ impl HotpathMeasurement {
     /// Columnar build speedup over the `BTreeMap` baseline.
     pub fn build_speedup(&self) -> f64 {
         self.build_btreemap_s / self.build_columnar_s
+    }
+
+    /// Sort-built sketch speedup over the ordered-map build.
+    pub fn sketch_speedup(&self) -> f64 {
+        self.sketch_btreemap_s / self.sketch_sorted_s
     }
 
     /// Streaming retrieval speedup over the fold of per-query lookups.
@@ -402,6 +457,16 @@ impl HotpathMeasurement {
         );
         report.line(&format!("speedup: {:.2}x", self.build_speedup()));
 
+        report.section(&format!(
+            "sketch build ({} sketch k-mers, k = {:?}, same references)",
+            self.sketch_kmers,
+            SketchConfig::small().k_sizes()
+        ));
+        report.table_header(&["kernel", "ms/pass"]);
+        report.table_row("btreemap", &[self.sketch_btreemap_s * 1e3]);
+        report.table_row("sort-built", &[self.sketch_sorted_s * 1e3]);
+        report.line(&format!("speedup: {:.2}x", self.sketch_speedup()));
+
         let per_kmer_ns = 1e9 / self.kss_queries as f64;
         report.section(&format!(
             "taxID retrieval through the KSS tables ({} intersecting k-mers)",
@@ -494,6 +559,14 @@ impl HotpathMeasurement {
             }
         ));
         report.line(&format!(
+            "sketch build parity with ordered-map reference: {}",
+            if self.sketch_parity {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
+        ));
+        report.line(&format!(
             "kss stream parity with per-query lookup: {}",
             if self.kss_parity {
                 "identical"
@@ -556,7 +629,8 @@ impl HotpathMeasurement {
         report.line("Galloping advances on the longer (database) side in O(log gap) probes, so");
         report.line("the skewed merge is bounded by |Q| * log(|DB|/|Q|) instead of |DB| + |Q|;");
         report.line("the build replaces per-item ordered-map insertion with one sort_unstable +");
-        report.line("run-length group over a dense array, and counting does the same on bare");
+        report.line("run-length group over a dense array (each sketch table is that same build");
+        report.line("over the hash-selected k-mers), and counting does the same on bare");
         report.line("payload words sized to k, bucketed by their leading bits so each sort is");
         report.line("cache-resident; retrieval walks each flat KSS table once with a forward");
         report.line("cursor instead of searching it per k-mer, and the engine's Step 2 skips even");
@@ -621,6 +695,13 @@ impl HotpathMeasurement {
              \x20   \"columnar_us_per_pass\": {:.3},\n\
              \x20   \"speedup\": {:.3}\n\
              \x20 }},\n\
+             \x20 \"sketch_build\": {{\n\
+             \x20   \"sketch_kmers\": {},\n\
+             \x20   \"btreemap_us_per_pass\": {:.3},\n\
+             \x20   \"sort_built_us_per_pass\": {:.3},\n\
+             \x20   \"speedup\": {:.3},\n\
+             \x20   \"parity\": {}\n\
+             \x20 }},\n\
              \x20 \"kss\": {{\n\
              \x20   \"intersecting_kmers\": {},\n\
              \x20   \"lookup_fold_ns_per_kmer\": {:.3},\n\
@@ -671,6 +752,11 @@ impl HotpathMeasurement {
             self.build_btreemap_s * 1e6,
             self.build_columnar_s * 1e6,
             self.build_speedup(),
+            self.sketch_kmers,
+            self.sketch_btreemap_s * 1e6,
+            self.sketch_sorted_s * 1e6,
+            self.sketch_speedup(),
+            self.sketch_parity,
             self.kss_queries,
             self.kss_lookup_s * 1e9 / self.kss_queries as f64,
             self.kss_stream_s * 1e9 / self.kss_queries as f64,
@@ -779,10 +865,36 @@ pub fn hotpath_measure() -> HotpathMeasurement {
     let build_btreemap_s = best_seconds(|| build_btreemap(&build_refs, K).len());
     let build_columnar_s = best_seconds(|| SortedKmerDatabase::build(&build_refs, K).len());
 
+    // Sketch fixture: the build fixture's references, the pipeline's sketch
+    // shape.
+    let sketch_config = SketchConfig::small();
+    let sketches = SketchDatabase::build(&build_refs, sketch_config);
+    let (reference_tables, reference_sizes) = sketch_btreemap(&build_refs, sketch_config);
+    let sketch_parity = sketches.total_kmers() > 0
+        && sketches.k_sizes() == sketch_config.k_sizes()
+        && reference_tables.iter().all(|(k, table)| {
+            sketches.table(*k).is_some_and(|sorted| {
+                sorted.len() == table.len()
+                    && sorted.entries().zip(table).all(|(entry, (kmer, taxa))| {
+                        entry.kmer == *kmer && entry.taxa == taxa.as_slice()
+                    })
+            })
+        })
+        && sketches
+            .taxa()
+            .into_iter()
+            .eq(reference_sizes.keys().copied())
+        && reference_sizes
+            .iter()
+            .all(|(taxid, size)| sketches.sketch_size_of(*taxid) == *size);
+    let sketch_btreemap_s = best_seconds(|| sketch_btreemap(&build_refs, sketch_config).1.len());
+    let sketch_sorted_s =
+        best_seconds(|| SketchDatabase::build(&build_refs, sketch_config).total_kmers());
+
     // Retrieval fixture: the build fixture's whole database as the
     // intersecting k-mers (sorted, distinct, all of length k_max) against
     // the sketches of the same references.
-    let kss = KssTables::build(&SketchDatabase::build(&build_refs, SketchConfig::small()));
+    let kss = KssTables::build(&sketches);
     let intersecting: Vec<Kmer> = columnar_build.kmers().collect();
     let kss_parity = kss.stream_retrieve(&intersecting) == retrieve_by_lookup(&kss, &intersecting);
     let kss_lookup_s = best_seconds(|| retrieve_by_lookup(&kss, &intersecting).len());
@@ -890,6 +1002,10 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         gallop_s,
         build_btreemap_s,
         build_columnar_s,
+        sketch_kmers: sketches.total_kmers(),
+        sketch_btreemap_s,
+        sketch_sorted_s,
+        sketch_parity,
         kss_queries: intersecting.len(),
         kss_lookup_s,
         kss_stream_s,
@@ -934,6 +1050,10 @@ mod tests {
             "bucketed counting must equal the ordered-map count at both widths"
         );
         assert!(
+            m.sketch_parity,
+            "the sort-built sketch must equal the ordered-map build"
+        );
+        assert!(
             m.kss_parity,
             "streamed retrieval must equal the lookup fold"
         );
@@ -962,6 +1082,7 @@ mod tests {
         let report = m.report();
         assert!(report.contains("parity with two-pointer reference: identical"));
         assert!(report.contains("kmc counting parity with ordered-map reference: identical"));
+        assert!(report.contains("sketch build parity with ordered-map reference: identical"));
         assert!(report.contains("kss stream parity with per-query lookup: identical"));
         assert!(report
             .contains("step 2 fused sweep parity with retrieval of the intersection: identical"));
@@ -976,6 +1097,7 @@ mod tests {
         assert!(json.contains("\"bucketed_us_per_pass\""));
         assert!(json.contains("\"seed_column_bytes\""));
         assert!(json.contains("\"stream_ns_per_kmer\""));
+        assert!(json.contains("\"sort_built_us_per_pass\""));
         assert!(json.contains("\"fused_sweep_us_per_pass\""));
         assert!(json.contains("\"flat_map_ns_per_read\""));
         // The wall-clock speedup verdict is deliberately not asserted: a

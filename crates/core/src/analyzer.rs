@@ -7,6 +7,13 @@
 //! thresholds) — the property the paper's accuracy claim rests on. The
 //! performance side (what runs where, and how long it takes on paper-scale
 //! workloads) is modeled separately in [`crate::pipeline`].
+//!
+//! The databases are built once and never change, so they sit behind one
+//! [`Arc`]: cloning an analyzer — which is how an engine takes its own
+//! copy — shares them and copies only the configuration and the exclusion
+//! policy.
+
+use std::sync::Arc;
 
 use megis_genomics::database::{
     PartialUnifiedIndex, ReferenceIndex, SortedKmerDatabase, UnifiedReferenceIndex,
@@ -40,13 +47,19 @@ pub struct MegisOutput {
 #[derive(Debug, Clone)]
 pub struct MegisAnalyzer {
     config: MegisConfig,
+    databases: Arc<Databases>,
+    exclusion: ExclusionPolicy,
+}
+
+/// The analyzer's immutable databases, shared by every clone.
+#[derive(Debug)]
+struct Databases {
     database: SortedKmerDatabase,
     sketches: SketchDatabase,
     kss: KssTables,
     /// `kss` joined against `database`: what Step 2 retrieves taxIDs through.
     join: KssJoin,
     reference_indexes: Vec<ReferenceIndex>,
-    exclusion: ExclusionPolicy,
 }
 
 impl MegisAnalyzer {
@@ -65,11 +78,13 @@ impl MegisAnalyzer {
             .collect();
         MegisAnalyzer {
             config,
-            database,
-            sketches,
-            kss,
-            join,
-            reference_indexes,
+            databases: Arc::new(Databases {
+                database,
+                sketches,
+                kss,
+                join,
+                reference_indexes,
+            }),
             exclusion: ExclusionPolicy::default(),
         }
     }
@@ -81,29 +96,29 @@ impl MegisAnalyzer {
 
     /// The sorted k-mer database.
     pub fn database(&self) -> &SortedKmerDatabase {
-        &self.database
+        &self.databases.database
     }
 
     /// The KSS tables.
     pub fn kss(&self) -> &KssTables {
-        &self.kss
+        &self.databases.kss
     }
 
     /// The KSS tables joined against the database: Step 2's retrieval
     /// structure, indexed by database position.
     pub fn join(&self) -> &KssJoin {
-        &self.join
+        &self.databases.join
     }
 
     /// The logical sketch content.
     pub fn sketches(&self) -> &SketchDatabase {
-        &self.sketches
+        &self.databases.sketches
     }
 
     /// The per-species read-mapping indexes (one per reference genome, in
     /// reference-collection order).
     pub fn reference_indexes(&self) -> &[ReferenceIndex] {
-        &self.reference_indexes
+        &self.databases.reference_indexes
     }
 
     /// The k-mer exclusion policy applied in Step 1.
@@ -136,9 +151,9 @@ impl MegisAnalyzer {
     pub fn run_step2(&self, step1: &step1::Step1Output) -> step2::Step2Output {
         step2::run(
             step1,
-            &self.database,
-            &self.join,
-            &self.sketches,
+            self.database(),
+            self.join(),
+            self.sketches(),
             &self.config,
         )
     }
@@ -147,8 +162,8 @@ impl MegisAnalyzer {
     /// shard's [`step2::sweep`] — what is left of Step 2 once the devices
     /// have reported.
     pub fn call_presence(&self, support: &Support) -> PresenceResult {
-        self.sketches.presence_from_support(
-            &self.join.support_map(support),
+        self.sketches().presence_from_support(
+            &self.join().support_map(support),
             self.config.min_containment,
             self.config.min_support,
         )
@@ -161,7 +176,7 @@ impl MegisAnalyzer {
     /// and the scheduler's shared per-job index both derive from it, so
     /// they merge candidates in the same order.
     pub fn candidate_positions(&self, presence: &PresenceResult) -> Vec<usize> {
-        self.reference_indexes
+        self.reference_indexes()
             .iter()
             .enumerate()
             .filter(|(_, idx)| presence.contains(idx.taxid()))
@@ -179,7 +194,7 @@ impl MegisAnalyzer {
     pub fn candidate_indexes(&self, presence: &PresenceResult) -> Vec<&ReferenceIndex> {
         self.candidate_positions(presence)
             .into_iter()
-            .map(|position| &self.reference_indexes[position])
+            .map(|position| &self.reference_indexes()[position])
             .collect()
     }
 
@@ -189,7 +204,7 @@ impl MegisAnalyzer {
     pub fn unified_index(&self, positions: &[usize]) -> UnifiedReferenceIndex {
         let candidates: Vec<&ReferenceIndex> = positions
             .iter()
-            .map(|&position| &self.reference_indexes[position])
+            .map(|&position| &self.reference_indexes()[position])
             .collect();
         PartialUnifiedIndex::merge_range(&candidates, 0).into_index()
     }
@@ -299,6 +314,18 @@ mod tests {
         assert!(out.mapped_reads > 0);
         let _ = analyzer.run_step3(c.sample(), &out.presence);
         let _ = analyzer.analyze(c.sample());
+        // A clone (an engine's copy) shares every database instead of
+        // copying it, and analyzes through them just the same.
+        let clone = analyzer.clone();
+        assert!(std::ptr::eq(
+            analyzer.reference_indexes(),
+            clone.reference_indexes()
+        ));
+        assert!(std::ptr::eq(analyzer.sketches(), clone.sketches()));
+        assert!(std::ptr::eq(analyzer.kss(), clone.kss()));
+        assert!(std::ptr::eq(analyzer.join(), clone.join()));
+        assert!(analyzer.database().shares_storage_with(clone.database()));
+        assert_eq!(clone.analyze(c.sample()), out);
         assert_eq!(
             ReferenceIndex::builds_on_this_thread(),
             after_build,

@@ -156,7 +156,7 @@ impl KssTables {
         // sharing the entry's prefix, and their union with the entry's own.
         let (mut attributed, mut resolved) = (Vec::new(), Vec::new());
         for k in sketches.k_sizes() {
-            let source = sketches.table(k).unwrap_or(&[]);
+            let source = sketches.table(k).expect("k_sizes lists the tables");
             let mut table = Table::with_capacity(k, source.len());
             // The Index Generator: the length-k prefixes of the sorted
             // k_max-mers ascend with this table's k-mers, so one forward
@@ -164,7 +164,8 @@ impl KssTables {
             // k_max table itself, built first, has nothing above it.)
             let kmax = tables.first();
             let mut cursor = 0;
-            for (kmer, own) in source {
+            for entry in source.entries() {
+                let kmer = entry.kmer;
                 attributed.clear();
                 if let Some(kmax) = kmax {
                     let shift = 2 * (kmax.k - k);
@@ -180,14 +181,14 @@ impl KssTables {
                     attributed.dedup();
                 }
                 resolved.clear();
-                resolved.extend(own.iter().map(index_of));
+                resolved.extend(entry.taxa.iter().map(index_of));
                 resolved.extend_from_slice(&attributed);
                 resolved.sort_unstable();
                 resolved.dedup();
                 // Memory keeps the union; storage keeps only the taxa not
                 // already attributed to a k_max-mer sharing the prefix.
                 let stored = resolved.len() - attributed.len();
-                table.push(*kmer, &resolved, stored);
+                table.push(kmer, &resolved, stored);
             }
             tables.push(table);
         }
@@ -556,10 +557,10 @@ mod tests {
         let kss = KssTables::build(&db);
         assert!(!kss.is_empty());
         let kmax = db.k_max().unwrap();
-        for (kmer, _) in db.table(kmax).unwrap().iter().take(60) {
+        for kmer in db.table(kmax).unwrap().kmers().take(60) {
             assert_eq!(
-                kss.lookup(*kmer),
-                db.lookup_with_prefixes(*kmer),
+                kss.lookup(kmer),
+                db.lookup_with_prefixes(kmer),
                 "KSS and flat lookups disagree for {kmer}"
             );
         }
@@ -572,7 +573,7 @@ mod tests {
         let kss = KssTables::build(&db);
         let tree = TernarySketchTree::build(&db);
         let kmax = db.k_max().unwrap();
-        let queries: Vec<Kmer> = db.table(kmax).unwrap().iter().map(|(k, _)| *k).collect();
+        let queries: Vec<Kmer> = db.table(kmax).unwrap().kmers().collect();
         let kss_support = kss.stream_retrieve(&queries);
         let mut tree_support: HashMap<TaxId, u32> = HashMap::new();
         for q in &queries {
@@ -611,14 +612,14 @@ mod tests {
         let kmax = db.k_max().unwrap();
         let kmax_table = db.table(kmax).unwrap();
         let mut expected: u64 = kmax_table
-            .iter()
-            .map(|(k, taxa)| (k.encoded_bytes() + 4 * taxa.len()) as u64)
+            .entries()
+            .map(|e| (e.kmer.encoded_bytes() + 4 * e.taxa.len()) as u64)
             .sum();
         for k in db.k_sizes().into_iter().filter(|k| *k != kmax) {
-            for (prefix, taxa) in db.table(k).unwrap() {
-                let remaining = taxa.iter().filter(|t| {
-                    !kmax_table.iter().any(|(kmer, attributed)| {
-                        kmer.prefix(k) == *prefix && attributed.contains(t)
+            for entry in db.table(k).unwrap().entries() {
+                let remaining = entry.taxa.iter().filter(|t| {
+                    !kmax_table.entries().any(|attributed| {
+                        attributed.kmer.prefix(k) == entry.kmer && attributed.taxa.contains(t)
                     })
                 });
                 expected += 4 + 4 * remaining.count() as u64;
@@ -630,13 +631,52 @@ mod tests {
     }
 
     #[test]
+    fn fig7_sizes_are_pinned() {
+        // Fig. 7's size comparison on fixed collections: the benchmark's
+        // 32 x 10 kbp database and the `megis-bench` size experiment's
+        // fixture. Any change to how the sketch, the KSS or the tree is built
+        // must leave every number here as it is.
+        use megis_tools::ternary::TernarySketchTree;
+        // (species, genome length, seed) -> (flat table bytes, KSS bytes,
+        // tree bytes, tree nodes, sketch k-mers, associations, k_max entries)
+        let pins = [
+            (
+                (32, 10_000, 2024),
+                [
+                    1_777_642, 1_479_804, 72_413_677, 2_171_189, 143_473, 191_110, 52_088,
+                ],
+            ),
+            (
+                (16, 1_500, 7),
+                [130_810, 108_820, 5_693_066, 170_806, 10_515, 14_117, 3_865],
+            ),
+        ];
+        for ((species, len, seed), expected) in pins {
+            let refs = ReferenceCollection::synthetic(species, len, seed);
+            let db = SketchDatabase::build(&refs, SketchConfig::small());
+            let kss = KssTables::build(&db);
+            let tree = TernarySketchTree::build(&db);
+            let measured = [
+                db.flat_table_bytes(),
+                kss.size_bytes().as_bytes(),
+                tree.size_bytes(),
+                tree.node_count() as u64,
+                db.total_kmers() as u64,
+                db.total_associations() as u64,
+                kss.kmax_entries() as u64,
+            ];
+            assert_eq!(measured, expected, "synthetic({species}, {len}, {seed})");
+        }
+    }
+
+    #[test]
     fn stream_retrieve_counts_duplicates() {
         let db = sketches();
         let kss = KssTables::build(&db);
         let kmax = db.k_max().unwrap();
-        let (kmer, taxa) = &db.table(kmax).unwrap()[0];
-        let support = kss.stream_retrieve(&[*kmer, *kmer, *kmer]);
-        for t in taxa {
+        let entry = db.table(kmax).unwrap().entry(0);
+        let support = kss.stream_retrieve(&[entry.kmer, entry.kmer, entry.kmer]);
+        for t in entry.taxa {
             assert_eq!(support.get(t), Some(&3));
         }
     }

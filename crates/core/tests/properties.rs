@@ -204,7 +204,8 @@ fn kss_stream_equals_lookup_fold_tree_and_flat_on_any_query_mix() {
         let tree = TernarySketchTree::build(&sketches);
         let (k_max, k_min) = (config.k_max, config.k_min);
         let table = |k: usize| sketches.table(k).unwrap();
-        let pick = |rng: &mut StdRng, k: usize| table(k)[rng.gen_range(0..table(k).len())].0;
+        let pick =
+            |rng: &mut StdRng, k: usize| table(k).entry(rng.gen_range(0..table(k).len())).kmer;
         for mix in 0..18 {
             let mut queries: Vec<Kmer> = Vec::new();
             // Mix 0 stays empty; the others draw a random amount of each shape.

@@ -23,6 +23,13 @@
 //! `&[Kmer]` exactly like MegIS's per-channel Intersect units walk the flash
 //! stream (§4.3.1).
 //!
+//! One builder fills the columns: [`SortedKmerDatabase::build_selected`]
+//! sorts the `(payload word, taxid)` pairs of the k-mers a predicate selects
+//! and groups them. It has two callers — the k-mer database
+//! ([`SortedKmerDatabase::build`], every k-mer) and each k size's table of
+//! the sketch ([`crate::sketch::SketchDatabase`], the hash-selected k-mers)
+//! — so Fig. 7(a)'s flat sketch tables are this layout too.
+//!
 //! A [`SortedKmerDatabase`] is a *view*: an [`Arc`]-shared handle on one
 //! [`DatabaseStorage`] plus a contiguous entry range. Cloning a database or
 //! [partitioning](SortedKmerDatabase::partition) it across simulated SSDs
@@ -79,7 +86,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::dna::PackedSequence;
-use crate::kmer::{CanonicalKmerExtractor, CanonicalWords, Kmer};
+use crate::kmer::{fits_half_word, CanonicalWords, Kmer, KmerWord};
 use crate::read::Read;
 use crate::reference::{ReferenceCollection, ReferenceGenome};
 use crate::taxonomy::TaxId;
@@ -144,10 +151,28 @@ impl Default for DatabaseStorage {
 }
 
 impl DatabaseStorage {
-    /// Builds the CSR arrays from sorted, deduplicated `(kmer, taxid)`
-    /// association pairs (grouped by k-mer; taxa of one k-mer already
-    /// sorted).
-    fn from_grouped_pairs(pairs: Vec<(Kmer, TaxId)>) -> DatabaseStorage {
+    /// [`SortedKmerDatabase::build_selected`] over payload words of type
+    /// `W`, which `2 * k` bits fit: the one CSR build, instantiated at the
+    /// two word widths. Collects every selected `(word, taxid)` association;
+    /// `sort_unstable` + `dedup` leaves, per k-mer, its sorted distinct taxa
+    /// (word order is k-mer order within one k), and one run-length pass
+    /// groups them. Only the distinct words are widened into [`Kmer`]s.
+    fn build<W: KmerWord>(
+        references: &ReferenceCollection,
+        k: usize,
+        keep: impl Fn(Kmer) -> bool,
+    ) -> DatabaseStorage {
+        let mut pairs: Vec<(W, TaxId)> = Vec::new();
+        for genome in references.genomes() {
+            let taxid = genome.taxid();
+            pairs.extend(
+                CanonicalWords::<W>::new(genome.sequence(), k)
+                    .filter(|word| keep(Kmer::from_word(*word, k)))
+                    .map(|word| (word, taxid)),
+            );
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
         assert!(
             pairs.len() < u32::MAX as usize,
             "taxa column exceeds u32 offsets"
@@ -155,16 +180,9 @@ impl DatabaseStorage {
         let mut kmers: Vec<Kmer> = Vec::new();
         let mut taxa_offsets: Vec<u32> = vec![0];
         let mut taxa: Vec<TaxId> = Vec::with_capacity(pairs.len());
-        for (kmer, taxid) in pairs {
-            if kmers.last() != Some(&kmer) {
-                if !kmers.is_empty() {
-                    taxa_offsets.push(taxa.len() as u32);
-                }
-                kmers.push(kmer);
-            }
-            taxa.push(taxid);
-        }
-        if !kmers.is_empty() {
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            kmers.push(Kmer::from_word(run[0].0, k));
+            taxa.extend(run.iter().map(|(_, taxid)| *taxid));
             taxa_offsets.push(taxa.len() as u32);
         }
         // The distinct-k-mer count is unknown up front, so `kmers` and
@@ -245,30 +263,40 @@ impl Default for SortedKmerDatabase {
 
 impl SortedKmerDatabase {
     /// Builds the database from a reference collection using k-mers of length
-    /// `k` (canonical form).
-    ///
-    /// The build is flat end to end: collect every `(canonical k-mer, taxid)`
-    /// association, `sort_unstable` + `dedup` the pair list, and run-length
-    /// group it into the CSR columns — no per-entry map nodes, no `O(t)`
-    /// membership scans per occurrence.
+    /// `k` (canonical form): [`SortedKmerDatabase::build_selected`] keeping
+    /// every k-mer.
     ///
     /// # Panics
     ///
     /// Panics if `k` is zero or exceeds [`crate::kmer::MAX_K`].
     pub fn build(references: &ReferenceCollection, k: usize) -> SortedKmerDatabase {
-        let mut pairs: Vec<(Kmer, TaxId)> = Vec::new();
-        for genome in references.genomes() {
-            let taxid = genome.taxid();
-            pairs.extend(
-                CanonicalKmerExtractor::new(genome.sequence(), k).map(|kmer| (kmer, taxid)),
-            );
-        }
-        // Sorting by (kmer, taxid) and deduplicating yields, per k-mer, its
-        // sorted deduplicated taxa — the same grouping the old per-entry
-        // `BTreeMap` + `contains` path produced, without either.
-        pairs.sort_unstable();
-        pairs.dedup();
-        let storage = DatabaseStorage::from_grouped_pairs(pairs);
+        SortedKmerDatabase::build_selected(references, k, |_| true)
+    }
+
+    /// Builds the database of the canonical k-mers of length `k` that `keep`
+    /// selects — every k-mer for the k-mer database, a hash-selected subset
+    /// for each sketch table ([`crate::sketch::SketchDatabase::build`]).
+    ///
+    /// The build is flat end to end: collect every selected `(payload word,
+    /// taxid)` association on words sized to `k` (8 bytes when `2k <= 64`,
+    /// 16 otherwise — [`fits_half_word`]), `sort_unstable` + `dedup` the pair
+    /// list, and run-length group it into the CSR columns — no per-entry map
+    /// nodes, no `O(t)` membership scans per occurrence. The result is
+    /// identical to inserting each association into an ordered map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero or exceeds [`crate::kmer::MAX_K`].
+    pub fn build_selected(
+        references: &ReferenceCollection,
+        k: usize,
+        keep: impl Fn(Kmer) -> bool,
+    ) -> SortedKmerDatabase {
+        let storage = if fits_half_word(k) {
+            DatabaseStorage::build::<u64>(references, k, keep)
+        } else {
+            DatabaseStorage::build::<u128>(references, k, keep)
+        };
         let range = 0..storage.entry_count();
         SortedKmerDatabase {
             k,
@@ -380,7 +408,7 @@ impl SortedKmerDatabase {
 
     /// The concatenated taxa column of this view (CSR payload), as a
     /// contiguous slice.
-    fn taxa_slice(&self) -> &[TaxId] {
+    pub(crate) fn taxa_slice(&self) -> &[TaxId] {
         let start = self.storage.taxa_offsets[self.range.start] as usize;
         let end = self.storage.taxa_offsets[self.range.end] as usize;
         &self.storage.taxa[start..end]

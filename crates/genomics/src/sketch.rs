@@ -10,16 +10,18 @@
 //!
 //! This module provides the logical sketch content ([`SketchDatabase`]) in the
 //! "flat table" representation of Fig. 7(a): one sorted table per k-mer size,
-//! with explicit k-mers and taxID lists. The baselines' ternary-search-tree
-//! representation (Fig. 7(b)) lives in `megis-tools`, and MegIS's K-mer Sketch
-//! Streaming representation (Fig. 7(c)) lives in the `megis` core crate; both
-//! are built from this logical content, which is what makes the paper's size
-//! comparison (KSS ≈ 7.5× smaller than flat tables, ≈ 2.1× larger than the
-//! tree) reproducible.
+//! each k-mer stored explicitly and followed by its taxID list — the layout
+//! of the k-mer database itself. So each table *is* a
+//! [`SortedKmerDatabase`]: the database's CSR columns, built by the same
+//! sort-and-group builder with a hash selection in place of "every k-mer".
+//! The baselines' ternary-search-tree representation (Fig. 7(b)) lives in
+//! `megis-tools`, and MegIS's K-mer Sketch Streaming representation
+//! (Fig. 7(c)) lives in the `megis` core crate; both are built from these
+//! tables, which is what makes the paper's size comparison (KSS ≈ 7.5×
+//! smaller than flat tables, ≈ 2.1× larger than the tree) reproducible.
 
-use std::collections::BTreeMap;
-
-use crate::kmer::{CanonicalKmerExtractor, Kmer};
+use crate::database::SortedKmerDatabase;
+use crate::kmer::Kmer;
 use crate::reference::ReferenceCollection;
 use crate::taxonomy::TaxId;
 
@@ -92,15 +94,13 @@ pub fn sketch_hash(kmer: Kmer) -> u64 {
     mix64((bits as u64) ^ mix64((bits >> 64) as u64) ^ (kmer.k() as u64).wrapping_mul(0x9e37_79b9))
 }
 
-/// One sorted sketch table: kmer → sorted taxa.
-type SketchTable = Vec<(Kmer, Vec<TaxId>)>;
-
-/// The sketch database in its flat-table (Fig. 7(a)) representation.
+/// The sketch database in its flat-table (Fig. 7(a)) representation: one
+/// columnar [`SortedKmerDatabase`] per k size.
 #[derive(Debug, Clone, Default)]
 pub struct SketchDatabase {
     config: Option<SketchConfig>,
     /// One sorted table per k size (largest k first).
-    tables: Vec<(usize, SketchTable)>,
+    tables: Vec<SortedKmerDatabase>,
     /// Every taxon of the sketch, ascending, with the number of sketch
     /// k-mers (across all k sizes) it appears on — counted once at build.
     sketch_sizes: Vec<(TaxId, usize)>,
@@ -111,45 +111,33 @@ impl SketchDatabase {
     ///
     /// For every taxon and every configured k size, the k-mers whose
     /// [`sketch_hash`] falls in the bottom `fraction` of the hash space are
-    /// selected as that taxon's sketch.
+    /// selected as that taxon's sketch: each table is
+    /// [`SortedKmerDatabase::build_selected`] with that selection.
     pub fn build(references: &ReferenceCollection, config: SketchConfig) -> SketchDatabase {
         let threshold = (config.fraction.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
-        let mut tables = Vec::new();
-        let mut sizes: BTreeMap<TaxId, usize> = BTreeMap::new();
-        for k in config.k_sizes() {
-            let mut map: BTreeMap<Kmer, Vec<TaxId>> = BTreeMap::new();
-            for genome in references.genomes() {
-                if genome.len() < k {
-                    continue;
-                }
-                // Sketch k-mers of size k this genome's taxon newly appears on.
-                let mut selected = 0;
-                for canon in CanonicalKmerExtractor::new(genome.sequence(), k) {
-                    if sketch_hash(canon) <= threshold {
-                        let taxa = map.entry(canon).or_default();
-                        if !taxa.contains(&genome.taxid()) {
-                            taxa.push(genome.taxid());
-                            selected += 1;
-                        }
-                    }
-                }
-                if selected > 0 {
-                    *sizes.entry(genome.taxid()).or_default() += selected;
-                }
-            }
-            let table: Vec<(Kmer, Vec<TaxId>)> = map
-                .into_iter()
-                .map(|(kmer, mut taxa)| {
-                    taxa.sort();
-                    (kmer, taxa)
+        let tables: Vec<SortedKmerDatabase> = config
+            .k_sizes()
+            .into_iter()
+            .map(|k| {
+                SortedKmerDatabase::build_selected(references, k, |kmer| {
+                    sketch_hash(kmer) <= threshold
                 })
-                .collect();
-            tables.push((k, table));
-        }
+            })
+            .collect();
+        let mut associations: Vec<TaxId> = tables
+            .iter()
+            .flat_map(|table| table.taxa_slice())
+            .copied()
+            .collect();
+        associations.sort_unstable();
+        let sketch_sizes = associations
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len()))
+            .collect();
         SketchDatabase {
             config: Some(config),
             tables,
-            sketch_sizes: sizes.into_iter().collect(),
+            sketch_sizes,
         }
     }
 
@@ -161,47 +149,32 @@ impl SketchDatabase {
 
     /// The k sizes present, largest first.
     pub fn k_sizes(&self) -> Vec<usize> {
-        self.tables.iter().map(|(k, _)| *k).collect()
+        self.tables.iter().map(SortedKmerDatabase::k).collect()
     }
 
     /// The largest k size in the database.
     pub fn k_max(&self) -> Option<usize> {
-        self.tables.first().map(|(k, _)| *k)
+        self.tables.first().map(SortedKmerDatabase::k)
     }
 
     /// The sorted table for a given k size.
-    pub fn table(&self, k: usize) -> Option<&[(Kmer, Vec<TaxId>)]> {
-        self.tables
-            .iter()
-            .find(|(tk, _)| *tk == k)
-            .map(|(_, t)| t.as_slice())
+    pub fn table(&self, k: usize) -> Option<&SortedKmerDatabase> {
+        self.tables.iter().find(|table| table.k() == k)
     }
 
     /// Total number of (k-mer, taxon) associations across all tables.
     pub fn total_associations(&self) -> usize {
-        self.tables
-            .iter()
-            .map(|(_, t)| t.iter().map(|(_, taxa)| taxa.len()).sum::<usize>())
-            .sum()
+        self.tables.iter().map(|t| t.taxa_slice().len()).sum()
     }
 
     /// Total number of sketch k-mers across all tables.
     pub fn total_kmers(&self) -> usize {
-        self.tables.iter().map(|(_, t)| t.len()).sum()
+        self.tables.iter().map(SortedKmerDatabase::len).sum()
     }
 
     /// Returns `true` if no sketch k-mers were selected.
     pub fn is_empty(&self) -> bool {
         self.total_kmers() == 0
-    }
-
-    /// Taxa of an exact sketch k-mer of size `kmer.k()`, if present.
-    pub fn lookup_exact(&self, kmer: Kmer) -> Option<&[TaxId]> {
-        let table = self.table(kmer.k())?;
-        table
-            .binary_search_by(|(k, _)| k.cmp(&kmer))
-            .ok()
-            .map(|i| table[i].1.as_slice())
     }
 
     /// Retrieves the taxa matched by a query k-mer of size `k_max`:
@@ -210,13 +183,12 @@ impl SketchDatabase {
     /// deduplicated list; empty if nothing matches.
     pub fn lookup_with_prefixes(&self, query: Kmer) -> Vec<TaxId> {
         let mut taxa = Vec::new();
-        for (k, _) in &self.tables {
-            if *k > query.k() {
+        for table in &self.tables {
+            if table.k() > query.k() {
                 continue;
             }
-            let prefix = query.prefix(*k);
-            if let Some(t) = self.lookup_exact(prefix) {
-                taxa.extend_from_slice(t);
+            if let Some(entry) = table.lookup(query.prefix(table.k())) {
+                taxa.extend_from_slice(entry.taxa);
             }
         }
         taxa.sort();
@@ -230,11 +202,7 @@ impl SketchDatabase {
     pub fn flat_table_bytes(&self) -> u64 {
         self.tables
             .iter()
-            .map(|(_, t)| {
-                t.iter()
-                    .map(|(kmer, taxa)| (kmer.encoded_bytes() + 4 * taxa.len()) as u64)
-                    .sum::<u64>()
-            })
+            .map(SortedKmerDatabase::encoded_bytes)
             .sum()
     }
 
@@ -335,7 +303,7 @@ mod tests {
                 .k_sizes()
                 .into_iter()
                 .map(|k| db.table(k).unwrap())
-                .map(|table| table.iter().filter(|(_, taxa)| taxa.contains(t)).count())
+                .map(|table| table.entries().filter(|e| e.taxa.contains(t)).count())
                 .sum();
             assert!(recount > 0);
             assert_eq!(db.sketch_size_of(*t), recount, "{t}");
@@ -376,10 +344,10 @@ mod tests {
     fn exact_lookup_finds_selected_kmers() {
         let r = refs();
         let db = SketchDatabase::build(&r, SketchConfig::small());
-        let (k, table) = (&db.tables[0].0, &db.tables[0].1);
-        let (kmer, taxa) = &table[table.len() / 2];
-        assert_eq!(kmer.k(), *k);
-        assert_eq!(db.lookup_exact(*kmer), Some(taxa.as_slice()));
+        let table = &db.tables[0];
+        let entry = table.entry(table.len() / 2);
+        assert_eq!(entry.kmer.k(), table.k());
+        assert_eq!(table.lookup(entry.kmer), Some(entry));
     }
 
     #[test]
@@ -390,9 +358,9 @@ mod tests {
         // prefixes, and check the exact-match taxa are included.
         let kmax = db.k_max().unwrap();
         let table = db.table(kmax).unwrap();
-        let (kmer, taxa) = &table[0];
-        let with_prefixes = db.lookup_with_prefixes(*kmer);
-        for t in taxa {
+        let entry = table.entry(0);
+        let with_prefixes = db.lookup_with_prefixes(entry.kmer);
+        for t in entry.taxa {
             assert!(with_prefixes.contains(t));
         }
     }

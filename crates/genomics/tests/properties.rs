@@ -12,7 +12,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use megis_genomics::database::{
-    PartialUnifiedIndex, ReadMapHit, ReferenceIndex, UnifiedReferenceIndex, MIN_MAPPING_VOTES,
+    PartialUnifiedIndex, ReadMapHit, ReferenceIndex, SortedKmerDatabase, UnifiedReferenceIndex,
+    MIN_MAPPING_VOTES,
 };
 use megis_genomics::dna::{Base, PackedSequence};
 use megis_genomics::kmer::{
@@ -20,7 +21,8 @@ use megis_genomics::kmer::{
 };
 use megis_genomics::profile::AbundanceProfile;
 use megis_genomics::read::Read;
-use megis_genomics::reference::ReferenceGenome;
+use megis_genomics::reference::{ReferenceCollection, ReferenceGenome};
+use megis_genomics::sketch::{sketch_hash, SketchConfig, SketchDatabase};
 use megis_genomics::taxonomy::{Rank, TaxId, Taxonomy};
 
 const CASES: usize = 48;
@@ -652,4 +654,202 @@ fn flat_mapper_equals_the_map_based_voter() {
         mapped > 100 && ties > 10 && unmapped > 50 && seams > 10 * CASES,
         "{mapped} {ties} {unmapped} {seams}"
     );
+}
+
+/// Sorted `(k-mer, sorted taxa)` entries, as the ordered-map builds below
+/// produce them.
+type MapTable = Vec<(Kmer, Vec<TaxId>)>;
+
+/// The ordered-map database build the sort-built one replaced: a `BTreeMap`
+/// insert plus an `O(t)` `contains` scan per occurrence of a k-mer `keep`
+/// selects, over the forward extractor's k-mers made canonical one by one
+/// (no rolling canonical words, no payload words).
+fn database_by_map(
+    references: &ReferenceCollection,
+    k: usize,
+    keep: impl Fn(Kmer) -> bool,
+) -> MapTable {
+    let mut map: BTreeMap<Kmer, Vec<TaxId>> = BTreeMap::new();
+    for genome in references.genomes() {
+        for kmer in KmerExtractor::new(genome.sequence(), k).map(|kmer| kmer.canonical()) {
+            if keep(kmer) {
+                let taxa = map.entry(kmer).or_default();
+                if !taxa.contains(&genome.taxid()) {
+                    taxa.push(genome.taxid());
+                }
+            }
+        }
+    }
+    map.into_iter()
+        .map(|(kmer, mut taxa)| {
+            taxa.sort();
+            (kmer, taxa)
+        })
+        .collect()
+}
+
+/// The ordered-map sketch build the sort-built one replaced: per k size, a
+/// `BTreeMap` insert plus a `contains` scan per hash-selected occurrence,
+/// each taxon's sketch size counted as its associations are inserted.
+fn sketch_by_map(
+    references: &ReferenceCollection,
+    config: SketchConfig,
+) -> (Vec<(usize, MapTable)>, BTreeMap<TaxId, usize>) {
+    let threshold = (config.fraction.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
+    let mut tables = Vec::new();
+    let mut sizes: BTreeMap<TaxId, usize> = BTreeMap::new();
+    for k in config.k_sizes() {
+        let mut map: BTreeMap<Kmer, Vec<TaxId>> = BTreeMap::new();
+        for genome in references.genomes() {
+            if genome.len() < k {
+                continue;
+            }
+            for kmer in KmerExtractor::new(genome.sequence(), k).map(|kmer| kmer.canonical()) {
+                if sketch_hash(kmer) <= threshold {
+                    let taxa = map.entry(kmer).or_default();
+                    if !taxa.contains(&genome.taxid()) {
+                        taxa.push(genome.taxid());
+                        *sizes.entry(genome.taxid()).or_default() += 1;
+                    }
+                }
+            }
+        }
+        let table = map
+            .into_iter()
+            .map(|(kmer, mut taxa)| {
+                taxa.sort();
+                (kmer, taxa)
+            })
+            .collect();
+        tables.push((k, table));
+    }
+    (tables, sizes)
+}
+
+/// A database's entries as owned `(k-mer, taxa)` pairs.
+fn owned_entries(db: &SortedKmerDatabase) -> MapTable {
+    db.entries().map(|e| (e.kmer, e.taxa.to_vec())).collect()
+}
+
+/// Genomes for the builder properties: [`shared_seed_genomes`] (taxa sharing
+/// k-mers, genomes shorter than a seed, an empty one), a tandem repeat (one
+/// genome holding the same k-mers many times) and a second genome under an
+/// existing taxid (the same association from two genomes).
+fn builder_collection(rng: &mut StdRng, count: usize) -> ReferenceCollection {
+    let mut genomes = shared_seed_genomes(rng, count);
+    let unit = dna_string(rng, 5);
+    let repeat: Vec<u8> = unit.iter().copied().cycle().take(150).collect();
+    genomes.push(ReferenceGenome::new(
+        TaxId(7),
+        "repeat",
+        PackedSequence::from_ascii(&repeat).unwrap(),
+    ));
+    if let Some(first) = genomes.first().cloned() {
+        let mut twin = first.sequence().to_ascii();
+        twin.extend(dna_string(rng, 40));
+        genomes.push(ReferenceGenome::new(
+            first.taxid(),
+            "twin",
+            PackedSequence::from_ascii(&twin).unwrap(),
+        ));
+    }
+    ReferenceCollection::new(genomes, Taxonomy::new())
+}
+
+#[test]
+fn sort_built_database_equals_the_ordered_map_reference() {
+    let mut rng = StdRng::seed_from_u64(115);
+    let mut shared = 0;
+    for case in 0..CASES / 4 {
+        let references = builder_collection(&mut rng, 1 + case % 8);
+        for k in [1usize, 2, 15, 21, 31, 32, 33, 45, 60] {
+            let db = SortedKmerDatabase::build(&references, k);
+            let expected = database_by_map(&references, k, |_| true);
+            assert_eq!(owned_entries(&db), expected, "case {case}, k = {k}");
+            let associations: usize = expected.iter().map(|(_, taxa)| taxa.len()).sum();
+            assert_eq!(db.k(), k);
+            assert_eq!(db.storage().association_count(), associations);
+            // The columns are exactly their length: no growth slack is
+            // charged to the resident accounting.
+            let heap = 16 * expected.len() + 4 * (expected.len() + 1) + 4 * associations;
+            assert_eq!(
+                db.storage().heap_bytes(),
+                heap as u64,
+                "case {case}, k = {k}"
+            );
+            shared += expected.iter().filter(|(_, taxa)| taxa.len() > 1).count();
+
+            // Any selection: the same build restricted to the kept k-mers.
+            let keep = |kmer: Kmer| kmer.bits().is_multiple_of(3);
+            let selected = SortedKmerDatabase::build_selected(&references, k, keep);
+            assert_eq!(
+                owned_entries(&selected),
+                database_by_map(&references, k, keep),
+                "case {case}, k = {k}, selected"
+            );
+        }
+    }
+    assert!(shared > 100, "{shared} shared k-mers");
+}
+
+#[test]
+fn sort_built_sketch_equals_the_ordered_map_reference() {
+    let mut rng = StdRng::seed_from_u64(116);
+    let shape = |k_max, k_min, k_step, fraction| SketchConfig {
+        k_max,
+        k_min,
+        k_step,
+        fraction,
+    };
+    let configs = [
+        SketchConfig::small(),
+        SketchConfig::default(),
+        // Zero step, k_min above k_max, nothing selected, everything selected.
+        shape(31, 21, 0, 0.2),
+        shape(21, 31, 5, 0.2),
+        shape(31, 21, 5, 0.0),
+        shape(31, 21, 5, 1.0),
+        // Across the word widths, and down to one base.
+        shape(33, 31, 1, 0.3),
+        shape(4, 1, 1, 0.5),
+    ];
+    let mut nonempty = 0;
+    for case in 0..CASES / 4 {
+        let collections = [
+            builder_collection(&mut rng, 2 + case),
+            ReferenceCollection::synthetic(4, 300, case as u64),
+        ];
+        for references in &collections {
+            for config in configs {
+                let what = format!("case {case}, {config:?}");
+                let db = SketchDatabase::build(references, config);
+                let (tables, sizes) = sketch_by_map(references, config);
+                assert_eq!(db.config(), Some(config));
+                assert_eq!(db.k_sizes(), config.k_sizes(), "{what}");
+                let mut flat_bytes = 0;
+                for (k, expected) in &tables {
+                    let table = db.table(*k).expect("one table per k size");
+                    assert_eq!(owned_entries(table), *expected, "{what}, k = {k}");
+                    flat_bytes += expected
+                        .iter()
+                        .map(|(kmer, taxa)| (kmer.encoded_bytes() + 4 * taxa.len()) as u64)
+                        .sum::<u64>();
+                }
+                assert_eq!(db.flat_table_bytes(), flat_bytes, "{what}");
+                let associations: usize = sizes.values().sum();
+                assert_eq!(db.total_associations(), associations, "{what}");
+                let kmers: usize = tables.iter().map(|(_, table)| table.len()).sum();
+                assert_eq!(db.total_kmers(), kmers, "{what}");
+                assert_eq!(db.is_empty(), kmers == 0, "{what}");
+                assert_eq!(db.taxa(), sizes.keys().copied().collect::<Vec<_>>());
+                for genome in references.genomes() {
+                    let taxid = genome.taxid();
+                    let expected = sizes.get(&taxid).copied().unwrap_or(0);
+                    assert_eq!(db.sketch_size_of(taxid), expected, "{what}, {taxid}");
+                }
+                nonempty += usize::from(kmers > 0);
+            }
+        }
+    }
+    assert!(nonempty > 100, "{nonempty} nonempty sketches");
 }

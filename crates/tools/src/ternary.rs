@@ -48,8 +48,8 @@ impl TernarySketchTree {
         let mut tree = TernarySketchTree::default();
         for k in sketches.k_sizes() {
             if let Some(table) = sketches.table(k) {
-                for (kmer, taxa) in table {
-                    tree.insert(*kmer, taxa);
+                for entry in table.entries() {
+                    tree.insert(entry.kmer, entry.taxa);
                 }
             }
         }
@@ -228,10 +228,10 @@ mod tests {
         let db = sketches();
         let tree = TernarySketchTree::build(&db);
         let kmax = db.k_max().unwrap();
-        for (kmer, _) in db.table(kmax).unwrap().iter().take(50) {
+        for kmer in db.table(kmax).unwrap().kmers().take(50) {
             assert_eq!(
-                tree.lookup_with_prefixes(*kmer),
-                db.lookup_with_prefixes(*kmer),
+                tree.lookup_with_prefixes(kmer),
+                db.lookup_with_prefixes(kmer),
                 "tree and flat lookups disagree for {kmer}"
             );
         }
@@ -254,8 +254,8 @@ mod tests {
         let tree = TernarySketchTree::build(&db);
         let kmax = db.k_max().unwrap();
         let before = tree.pointer_chases();
-        for (kmer, _) in db.table(kmax).unwrap().iter().take(10) {
-            tree.lookup_with_prefixes(*kmer);
+        for kmer in db.table(kmax).unwrap().kmers().take(10) {
+            tree.lookup_with_prefixes(kmer);
         }
         let chased = tree.pointer_chases() - before;
         assert!(
