@@ -27,7 +27,9 @@
 //!   galloping sweep counting each hit's taxa through the database-joined
 //!   KSS, a bit test and a rank per table), against the two passes it
 //!   fuses, `stream_retrieve ∘ intersect_sorted`, on the intersection
-//!   fixture,
+//!   fixture; the join is [`KssJoin::build`] straight from the sketch, and
+//!   every database position must retrieve through it what
+//!   [`KssTables::lookup`] retrieves for the position's k-mer,
 //! * **Step 3** — the flat unified index (one k-way merge of sorted seed
 //!   columns, dense-counter seed voting) against the old ordered map of
 //!   per-seed location lists with an ordered-map vote table per read; the
@@ -44,8 +46,8 @@
 //! `megis-bench hotpath` prints this report and writes the numbers to
 //! `BENCH_hotpath.json`. CI runs it in release mode, greps the exact
 //! verdict lines (kernel parity, counting parity, sketch-build parity, KSS
-//! stream parity, fused Step 2 parity, unified-index parity, read-range
-//! parity, batched-probe parity, zero-copy shards) and uploads
+//! stream parity, fused Step 2 parity, join parity, unified-index parity,
+//! read-range parity, batched-probe parity, zero-copy shards) and uploads
 //! the JSON, so a PR that breaks a kernel's
 //! equivalence or reintroduces a database copy fails the smoke test. The
 //! galloping speedup line is wall clock from one run: printed, not gated.
@@ -54,7 +56,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
-use megis::kss::KssTables;
+use megis::kss::{KssJoin, KssTables};
 use megis::{step2, step3};
 use megis_genomics::database::{
     ReadMapHit, ReferenceIndex, SortedKmerDatabase, UnifiedReferenceIndex,
@@ -313,6 +315,10 @@ pub struct HotpathMeasurement {
     /// `stream_retrieve` over `intersect_sorted`, on the skewed and the
     /// mixed query list.
     pub step2_parity: bool,
+    /// Whether the join built straight from the sketch retrieved, at every
+    /// database position, what `KssTables::lookup` retrieves for the
+    /// position's k-mer.
+    pub join_parity: bool,
     /// Candidate species merged in the Step 3 fixture.
     pub step3_candidates: usize,
     /// Distinct seeds of the merged unified index.
@@ -577,6 +583,14 @@ impl HotpathMeasurement {
         report.line(&format!(
             "step 2 fused sweep parity with retrieval of the intersection: {}",
             if self.step2_parity {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
+        ));
+        report.line(&format!(
+            "kss join parity with per-entry lookup: {}",
+            if self.join_parity {
                 "identical"
             } else {
                 "DIVERGED"
@@ -886,7 +900,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
             .eq(reference_sizes.keys().copied())
         && reference_sizes
             .iter()
-            .all(|(taxid, size)| sketches.sketch_size_of(*taxid) == *size);
+            .all(|(taxid, size)| sketches.sizes().sketch_size_of(*taxid) == *size);
     let sketch_btreemap_s = best_seconds(|| sketch_btreemap(&build_refs, sketch_config).1.len());
     let sketch_sorted_s =
         best_seconds(|| SketchDatabase::build(&build_refs, sketch_config).total_kmers());
@@ -903,8 +917,18 @@ pub fn hotpath_measure() -> HotpathMeasurement {
     // Step 2 fixture: the intersection fixture's database and queries
     // against the sketches of its own references — the device pass as the
     // engine runs it, against the two passes it fuses.
-    let big_kss = KssTables::build(&SketchDatabase::build(&references, SketchConfig::small()));
-    let join = big_kss.join(&database);
+    let big_sketches = SketchDatabase::build(&references, SketchConfig::small());
+    let join = KssJoin::build(&big_sketches, &database);
+    let big_kss = KssTables::build(&big_sketches);
+    // The join built straight from the sketch against its oracle: every
+    // database position retrieves what a per-entry lookup in the KSS tables
+    // retrieves for its k-mer.
+    let mut joined_positions = 0usize;
+    let join_parity = database.kmers().enumerate().all(|(position, kmer)| {
+        let taxa = join.taxa_at(position);
+        joined_positions += usize::from(!taxa.is_empty());
+        taxa == big_kss.lookup(kmer)
+    }) && joined_positions > 0;
     let fused = |list: &[Kmer]| step2::sweep(&database, &join, list, |_| {});
     let step2_parity = [&queries, &mixed].into_iter().all(|list| {
         let hits = database.intersect_sorted(list);
@@ -1014,6 +1038,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         step2_two_pass_s,
         step2_fused_s,
         step2_parity,
+        join_parity,
         step3_candidates: candidates.len(),
         step3_seeds: flat_index.len(),
         step3_reads: reads.len(),
@@ -1062,6 +1087,10 @@ mod tests {
             "the fused sweep must equal retrieval of the intersection"
         );
         assert!(
+            m.join_parity,
+            "the join must retrieve what a per-entry lookup retrieves"
+        );
+        assert!(
             m.step3_parity,
             "flat unified index and mapper must equal the map-based reference"
         );
@@ -1086,6 +1115,7 @@ mod tests {
         assert!(report.contains("kss stream parity with per-query lookup: identical"));
         assert!(report
             .contains("step 2 fused sweep parity with retrieval of the intersection: identical"));
+        assert!(report.contains("kss join parity with per-entry lookup: identical"));
         assert!(report.contains("unified index parity with map-based reference: identical"));
         assert!(report.contains("step 3 read-range parity with sequential run: identical"));
         assert!(report.contains("batched seed probe parity with per-seed lookup: identical"));

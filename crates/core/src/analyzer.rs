@@ -1,19 +1,26 @@
 //! The functional end-to-end MegIS analyzer.
 //!
-//! [`MegisAnalyzer`] wires Steps 1–3 together over in-memory synthetic data:
-//! it owns the sorted k-mer database, the sketch content, the KSS tables, and
-//! the per-species mapping indexes, and analyzes samples with exactly the same
-//! results as the accuracy-optimized baseline (same databases, same
-//! thresholds) — the property the paper's accuracy claim rests on. The
-//! performance side (what runs where, and how long it takes on paper-scale
-//! workloads) is modeled separately in [`crate::pipeline`].
+//! [`MegisAnalyzer`] wires Steps 1–3 together over in-memory synthetic data
+//! and analyzes samples with exactly the same results as the
+//! accuracy-optimized baseline (same databases, same thresholds) — the
+//! property the paper's accuracy claim rests on. The performance side (what
+//! runs where, and how long it takes on paper-scale workloads) is modeled
+//! separately in [`crate::pipeline`].
+//!
+//! What stays resident is only what Steps 1–3 read: the sorted k-mer
+//! database, the sketch's KSS joined against it, each taxon's sketch size
+//! (presence calling), and the per-species mapping indexes. The sketch's
+//! flat tables are dropped once joined, and the KSS tables are never built
+//! on the analysis path; [`MegisAnalyzer::sketches`] and
+//! [`MegisAnalyzer::kss`] rebuild them on first call from a kept copy of the
+//! (small) reference collection, for callers that want the oracles.
 //!
 //! The databases are built once and never change, so they sit behind one
 //! [`Arc`]: cloning an analyzer — which is how an engine takes its own
-//! copy — shares them and copies only the configuration and the exclusion
-//! policy.
+//! copy — shares them, the on-demand ones included, and copies only the
+//! configuration and the exclusion policy.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use megis_genomics::database::{
     PartialUnifiedIndex, ReferenceIndex, SortedKmerDatabase, UnifiedReferenceIndex,
@@ -21,7 +28,7 @@ use megis_genomics::database::{
 use megis_genomics::profile::{AbundanceProfile, PresenceResult};
 use megis_genomics::reference::ReferenceCollection;
 use megis_genomics::sample::Sample;
-use megis_genomics::sketch::SketchDatabase;
+use megis_genomics::sketch::{SketchDatabase, SketchSizes};
 use megis_tools::kmc::ExclusionPolicy;
 
 use crate::config::MegisConfig;
@@ -55,22 +62,29 @@ pub struct MegisAnalyzer {
 #[derive(Debug)]
 struct Databases {
     database: SortedKmerDatabase,
-    sketches: SketchDatabase,
-    kss: KssTables,
-    /// `kss` joined against `database`: what Step 2 retrieves taxIDs through.
+    /// The sketch's KSS joined against `database`: what Step 2 retrieves
+    /// taxIDs through.
     join: KssJoin,
+    /// What presence calling reads of the sketch.
+    sizes: SketchSizes,
     reference_indexes: Vec<ReferenceIndex>,
+    /// What `sketches` and `kss` are built from, on first call.
+    references: ReferenceCollection,
+    sketches: OnceLock<SketchDatabase>,
+    kss: OnceLock<KssTables>,
 }
 
 impl MegisAnalyzer {
-    /// Builds all databases (sorted k-mer database, sketches, KSS tables and
-    /// their join against the database, and per-species mapping indexes) from
-    /// a reference collection.
+    /// Builds the databases Steps 1–3 read from a reference collection:
+    /// the sorted k-mer database, the sketch's KSS joined against it (the
+    /// sketch itself is dropped once joined, keeping each taxon's sketch
+    /// size), and the per-species mapping indexes.
     pub fn build(references: &ReferenceCollection, config: MegisConfig) -> MegisAnalyzer {
         let database = SortedKmerDatabase::build(references, config.k());
         let sketches = SketchDatabase::build(references, config.sketch);
-        let kss = KssTables::build(&sketches);
-        let join = kss.join(&database);
+        let join = KssJoin::build(&sketches, &database);
+        let sizes = sketches.sizes().clone();
+        drop(sketches);
         let reference_indexes = references
             .genomes()
             .iter()
@@ -80,10 +94,12 @@ impl MegisAnalyzer {
             config,
             databases: Arc::new(Databases {
                 database,
-                sketches,
-                kss,
                 join,
+                sizes,
                 reference_indexes,
+                references: references.clone(),
+                sketches: OnceLock::new(),
+                kss: OnceLock::new(),
             }),
             exclusion: ExclusionPolicy::default(),
         }
@@ -99,20 +115,34 @@ impl MegisAnalyzer {
         &self.databases.database
     }
 
-    /// The KSS tables.
+    /// The KSS tables: the on-storage format and the retrieval oracle. Built
+    /// from [`MegisAnalyzer::sketches`] on first call and shared by every
+    /// clone; no analysis path calls this.
     pub fn kss(&self) -> &KssTables {
-        &self.databases.kss
+        self.databases
+            .kss
+            .get_or_init(|| KssTables::build(self.sketches()))
     }
 
-    /// The KSS tables joined against the database: Step 2's retrieval
+    /// The sketch's KSS joined against the database: Step 2's retrieval
     /// structure, indexed by database position.
     pub fn join(&self) -> &KssJoin {
         &self.databases.join
     }
 
-    /// The logical sketch content.
+    /// The logical sketch content. Rebuilt from the reference collection on
+    /// first call and shared by every clone; no analysis path calls this.
     pub fn sketches(&self) -> &SketchDatabase {
-        &self.databases.sketches
+        self.databases
+            .sketches
+            .get_or_init(|| SketchDatabase::build(&self.databases.references, self.config.sketch))
+    }
+
+    /// Whether [`MegisAnalyzer::sketches`] or [`MegisAnalyzer::kss`] has
+    /// been built on this analyzer or a clone — a resident-set probe:
+    /// building and analyzing never do.
+    pub fn oracle_tables_built(&self) -> bool {
+        self.databases.sketches.get().is_some() || self.databases.kss.get().is_some()
     }
 
     /// The per-species read-mapping indexes (one per reference genome, in
@@ -153,7 +183,7 @@ impl MegisAnalyzer {
             step1,
             self.database(),
             self.join(),
-            self.sketches(),
+            &self.databases.sizes,
             &self.config,
         )
     }
@@ -162,7 +192,7 @@ impl MegisAnalyzer {
     /// shard's [`step2::sweep`] — what is left of Step 2 once the devices
     /// have reported.
     pub fn call_presence(&self, support: &Support) -> PresenceResult {
-        self.sketches().presence_from_support(
+        self.databases.sizes.presence_from_support(
             &self.join().support_map(support),
             self.config.min_containment,
             self.config.min_support,
@@ -321,9 +351,14 @@ mod tests {
             analyzer.reference_indexes(),
             clone.reference_indexes()
         ));
-        assert!(std::ptr::eq(analyzer.sketches(), clone.sketches()));
-        assert!(std::ptr::eq(analyzer.kss(), clone.kss()));
         assert!(std::ptr::eq(analyzer.join(), clone.join()));
+        // The on-demand tables too: whichever copy builds them first, the
+        // other reads the same ones.
+        assert!(!clone.oracle_tables_built());
+        let kss: *const KssTables = clone.kss();
+        assert!(analyzer.oracle_tables_built());
+        assert!(std::ptr::eq(analyzer.kss(), kss));
+        assert!(std::ptr::eq(analyzer.sketches(), clone.sketches()));
         assert!(analyzer.database().shares_storage_with(clone.database()));
         assert_eq!(clone.analyze(c.sample()), out);
         assert_eq!(
@@ -336,6 +371,46 @@ mod tests {
         let candidates = analyzer.candidate_indexes(&out.presence);
         assert_eq!(candidates.len(), out.presence.len());
         assert!(candidates.windows(2).all(|w| w[0].taxid() < w[1].taxid()));
+    }
+
+    #[test]
+    fn analysis_never_builds_the_oracle_tables_and_they_equal_fresh_builds() {
+        // The resident set: building and analyzing keep neither the sketch
+        // tables nor the KSS tables; asked for, they equal fresh builds.
+        let c = community();
+        let config = MegisConfig::small();
+        let analyzer = MegisAnalyzer::build(c.references(), config);
+        assert!(!analyzer.oracle_tables_built());
+        let out = analyzer.analyze(c.sample());
+        assert!(out.mapped_reads > 0 && !out.presence.is_empty());
+        let step1 = analyzer.run_step1(c.sample());
+        let support = step2::sweep(analyzer.database(), analyzer.join(), step1.kmers(), |_| {});
+        assert_eq!(analyzer.call_presence(&support), out.presence);
+        assert!(
+            !analyzer.oracle_tables_built(),
+            "the analysis path built an oracle table"
+        );
+
+        let fresh = SketchDatabase::build(c.references(), config.sketch);
+        let fresh_kss = KssTables::build(&fresh);
+        let (sketches, kss) = (analyzer.sketches(), analyzer.kss());
+        assert_eq!(sketches.taxa(), fresh.taxa());
+        for taxid in fresh.taxa() {
+            let size = fresh.sizes().sketch_size_of(taxid);
+            assert!(size > 0);
+            assert_eq!(sketches.sizes().sketch_size_of(taxid), size, "{taxid}");
+        }
+        assert_eq!(sketches.flat_table_bytes(), fresh.flat_table_bytes());
+        assert_eq!(kss.size_bytes(), fresh_kss.size_bytes());
+        assert_eq!(kss.kmax_entries(), fresh_kss.kmax_entries());
+        let mut matched = 0;
+        for (position, kmer) in analyzer.database().kmers().enumerate().step_by(3) {
+            let taxa = kss.lookup(kmer);
+            assert_eq!(taxa, fresh_kss.lookup(kmer), "{kmer}");
+            assert_eq!(taxa, analyzer.join().taxa_at(position), "{kmer}");
+            matched += usize::from(!taxa.is_empty());
+        }
+        assert!(matched > 100, "{matched} database k-mers reach the sketch");
     }
 
     #[test]

@@ -43,18 +43,22 @@
 //!
 //! Step 2 only ever retrieves taxIDs for *intersecting* k-mers, and those
 //! are database entries: which table keys their prefixes match is a
-//! property of the database, not of the sample. [`KssTables::join`] settles
-//! it once ([`KssJoin`]: per table two bits per database position with a
-//! rank directory, plus the resolved taxa of the keys reached), after which
-//! retrieval for a hit is a bit test and a rank per table inside the very
-//! sweep that found the hit ([`crate::step2::sweep`]) — no cursor, no
-//! search, no hit list. The join is a third memory-only structure:
-//! [`KssTables::size_bytes`] does not charge it because it is derived data
-//! a device recomputes from the two sorted streams it reads anyway (the
-//! database and the KSS tables, whose on-storage format is what
-//! `size_bytes` prices). `stream_retrieve` and `lookup` remain, as the
-//! independent oracles the join is tested against and the retrieval for
-//! k-mers that are not database positions.
+//! property of the database, not of the sample. [`KssJoin::build`] settles
+//! it once, straight from the sketch's flat tables and the database (per
+//! table two bits per database position with a rank directory, plus the
+//! taxa of the keys some database entry reaches), after which retrieval for
+//! a hit is a bit test and a rank per table inside the very sweep that
+//! found the hit ([`crate::step2::sweep`]) — no cursor, no search, no hit
+//! list.
+//!
+//! The join is the one KSS form an analyzer keeps in memory; it is not
+//! what storage holds. A device derives the same bits from the two sorted
+//! streams it reads anyway: the database and the KSS tables, whose
+//! on-storage format is what [`KssTables::size_bytes`] prices. So
+//! [`KssTables`] remains as that format and as the independent oracle the
+//! join is tested against (`stream_retrieve`, `lookup`, which also serve
+//! k-mers that are not database positions), built on demand, never on the
+//! analysis path.
 
 use std::collections::HashMap;
 
@@ -290,61 +294,6 @@ impl KssTables {
         }
         support_map(&self.taxa, &counts)
     }
-
-    /// Joins the tables against `database` (see [`KssJoin`]): one forward
-    /// walk of the database per table, done once when the databases are
-    /// built so that no retrieval ever searches a key column again.
-    pub fn join(&self, database: &SortedKmerDatabase) -> KssJoin {
-        let kmers = database.kmer_slice();
-        let tables = self
-            .tables
-            .iter()
-            // A table of longer k-mers than the database holds has no prefix
-            // to match: `lookup` skips it for every entry, so the join does.
-            .filter(|table| table.k <= database.k())
-            .map(|table| {
-                let mut joined = JoinedTable {
-                    words: vec![JoinWord::default(); kmers.len().div_ceil(64)],
-                    offsets: vec![0],
-                    taxa: Vec::new(),
-                };
-                // The entries' length-k prefixes ascend with the table's
-                // keys, so one cursor that only advances finds every match.
-                let mut cursor = 0;
-                let mut run_key = None;
-                for (position, kmer) in kmers.iter().enumerate() {
-                    let (word, bit) = (position / 64, 1u64 << (position % 64));
-                    if position % 64 == 0 {
-                        joined.words[word].rank = joined.rows() as u32;
-                    }
-                    let Some(prefix) = table.prefix_of(*kmer) else {
-                        continue;
-                    };
-                    while table.kmers.get(cursor).is_some_and(|key| *key < prefix) {
-                        cursor += 1;
-                    }
-                    if table.kmers.get(cursor) != Some(&prefix) {
-                        continue;
-                    }
-                    joined.words[word].member |= bit;
-                    if run_key != Some(prefix) {
-                        run_key = Some(prefix);
-                        joined.words[word].first |= bit;
-                        joined.taxa.extend_from_slice(table.taxa_of(cursor));
-                        let end = u32::try_from(joined.taxa.len())
-                            .expect("a KSS table holds under 2^32 taxIDs");
-                        joined.offsets.push(end);
-                    }
-                }
-                joined
-            })
-            .collect();
-        KssJoin {
-            database: database.clone(),
-            taxa: self.taxa.clone(),
-            tables,
-        }
-    }
 }
 
 /// Per-taxon support counts as the map Step 2 reports: the taxa with a
@@ -401,7 +350,7 @@ impl JoinedTable {
     }
 }
 
-/// The KSS tables joined against the sorted k-mer database.
+/// The sketch's KSS joined against the sorted k-mer database.
 ///
 /// Every intersecting k-mer is by definition a database entry, so which
 /// table keys an entry's prefixes match can be settled when the databases
@@ -431,6 +380,91 @@ pub struct KssJoin {
 }
 
 impl KssJoin {
+    /// Joins the sketch's tables against `database`: per table, one forward
+    /// walk of the database whose entries' length-k prefixes ascend with the
+    /// table's keys, so a cursor that only advances finds every match. Done
+    /// once when the databases are built, without materialising
+    /// [`KssTables`], so that no retrieval ever searches a key column again.
+    ///
+    /// A reached key's row is its own taxa. That is its resolved list: the
+    /// k_max-mers sharing the key as a prefix add no taxon to it, since a
+    /// genome holding a k_max-mer (or its reverse complement) holds the
+    /// prefix (or its reverse complement), and a key is a canonical,
+    /// selected k-mer, so that genome is already on the key's list. What
+    /// [`KssTables::build`] attributes from the k_max table decides only
+    /// which taxIDs storage may leave out.
+    pub fn build(sketches: &SketchDatabase, database: &SortedKmerDatabase) -> KssJoin {
+        let taxa = sketches.taxa();
+        let index_of = |t: &TaxId| {
+            taxa.binary_search(t)
+                .expect("SketchDatabase::taxa lists every taxon of every table") as u32
+        };
+        let kmers = database.kmer_slice();
+        let tables = sketches
+            .k_sizes()
+            .into_iter()
+            // A table of longer k-mers than the database holds has no prefix
+            // to match: `lookup` skips it for every entry, so the join does.
+            .filter(|&k| k <= database.k())
+            .map(|k| {
+                let table = sketches.table(k).expect("k_sizes lists the tables");
+                let keys = table.kmer_slice();
+                let shift = 2 * (database.k() - k);
+                let mut joined = JoinedTable {
+                    words: vec![JoinWord::default(); kmers.len().div_ceil(64)],
+                    offsets: vec![0],
+                    taxa: Vec::new(),
+                };
+                let (mut cursor, mut run_key) = (0, None);
+                for (position, kmer) in kmers.iter().enumerate() {
+                    let (word, bit) = (position / 64, 1u64 << (position % 64));
+                    if position % 64 == 0 {
+                        joined.words[word].rank = joined.rows() as u32;
+                    }
+                    let prefix = kmer.bits() >> shift;
+                    while keys.get(cursor).is_some_and(|key| key.bits() < prefix) {
+                        cursor += 1;
+                    }
+                    if keys.get(cursor).map(Kmer::bits) != Some(prefix) {
+                        continue;
+                    }
+                    joined.words[word].member |= bit;
+                    if run_key != Some(cursor) {
+                        run_key = Some(cursor);
+                        joined.words[word].first |= bit;
+                        joined
+                            .taxa
+                            .extend(table.entry(cursor).taxa.iter().map(index_of));
+                        let end = u32::try_from(joined.taxa.len())
+                            .expect("a KSS table holds under 2^32 taxIDs");
+                        joined.offsets.push(end);
+                    }
+                }
+                joined
+            })
+            .collect();
+        KssJoin {
+            database: database.clone(),
+            taxa,
+            tables,
+        }
+    }
+
+    /// The taxa the database entry at `position` (of the joined database)
+    /// retrieves: the union of its matches in every table, ascending —
+    /// what [`KssTables::lookup`] returns for the entry's k-mer.
+    pub fn taxa_at(&self, position: usize) -> Vec<TaxId> {
+        let mut indexes: Vec<u32> = self
+            .tables
+            .iter()
+            .flat_map(|table| table.taxa_at(position))
+            .copied()
+            .collect();
+        indexes.sort_unstable();
+        indexes.dedup();
+        indexes.iter().map(|&i| self.taxa[i as usize]).collect()
+    }
+
     /// Heap bytes the join holds (bit words, rank directory, compacted taxa).
     pub fn heap_bytes(&self) -> u64 {
         let table_bytes = |t: &JoinedTable| {
@@ -666,6 +700,25 @@ mod tests {
                 kss.kmax_entries() as u64,
             ];
             assert_eq!(measured, expected, "synthetic({species}, {len}, {seed})");
+        }
+    }
+
+    #[test]
+    fn fig7_join_bytes_are_pinned() {
+        // The join of the same two sketches against their k = 31 databases,
+        // measured when it was still built from the KSS tables: building it
+        // straight from the sketch must not move a byte.
+        let pins = [((32, 10_000, 2024), 1_350_512), ((16, 1_500, 7), 99_616)];
+        for ((species, len, seed), expected) in pins {
+            let refs = ReferenceCollection::synthetic(species, len, seed);
+            let sketches = SketchDatabase::build(&refs, SketchConfig::small());
+            let database = SortedKmerDatabase::build(&refs, 31);
+            let join = KssJoin::build(&sketches, &database);
+            assert_eq!(
+                join.heap_bytes(),
+                expected,
+                "synthetic({species}, {len}, {seed})"
+            );
         }
     }
 

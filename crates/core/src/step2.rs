@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use megis_genomics::database::SortedKmerDatabase;
 use megis_genomics::kmer::Kmer;
 use megis_genomics::profile::PresenceResult;
-use megis_genomics::sketch::SketchDatabase;
+use megis_genomics::sketch::SketchSizes;
 use megis_genomics::taxonomy::TaxId;
 
 use crate::config::MegisConfig;
@@ -90,7 +90,7 @@ pub fn run(
     step1: &Step1Output,
     database: &SortedKmerDatabase,
     join: &KssJoin,
-    sketches: &SketchDatabase,
+    sizes: &SketchSizes,
     config: &MegisConfig,
 ) -> Step2Output {
     let entries = database.kmer_slice();
@@ -100,7 +100,7 @@ pub fn run(
     });
     let support = join.support_map(&swept);
     let presence =
-        sketches.presence_from_support(&support, config.min_containment, config.min_support);
+        sizes.presence_from_support(&support, config.min_containment, config.min_support);
     Step2Output {
         intersecting_kmers,
         support,
@@ -114,12 +114,13 @@ mod tests {
     use crate::kss::KssTables;
     use megis_genomics::reference::ReferenceCollection;
     use megis_genomics::sample::{CommunityConfig, Diversity};
+    use megis_genomics::sketch::SketchDatabase;
     use megis_tools::kmc::ExclusionPolicy;
 
     struct Fixture {
         community: megis_genomics::sample::Community,
         database: SortedKmerDatabase,
-        sketches: SketchDatabase,
+        sizes: SketchSizes,
         kss: KssTables,
         join: KssJoin,
         config: MegisConfig,
@@ -133,13 +134,12 @@ mod tests {
         let config = MegisConfig::small();
         let database = SortedKmerDatabase::build(community.references(), config.k());
         let sketches = SketchDatabase::build(community.references(), config.sketch);
-        let kss = KssTables::build(&sketches);
-        let join = kss.join(&database);
+        let join = KssJoin::build(&sketches, &database);
         Fixture {
             community,
             database,
-            sketches,
-            kss,
+            sizes: sketches.sizes().clone(),
+            kss: KssTables::build(&sketches),
             join,
             config,
         }
@@ -153,7 +153,7 @@ mod tests {
             &f.config,
             ExclusionPolicy::default(),
         );
-        let out = run(&step1, &f.database, &f.join, &f.sketches, &f.config);
+        let out = run(&step1, &f.database, &f.join, &f.sizes, &f.config);
         assert!(!out.intersecting_kmers.is_empty());
         for t in f.community.truth_presence().taxa() {
             assert!(out.presence.contains(*t), "true species {t} not recovered");
@@ -169,7 +169,7 @@ mod tests {
                 &f.config.with_bucket_count(bucket_count),
                 ExclusionPolicy::default(),
             );
-            let out = run(&step1, &f.database, &f.join, &f.sketches, &f.config);
+            let out = run(&step1, &f.database, &f.join, &f.sizes, &f.config);
             let global = f.database.intersect_sorted(step1.kmers());
             assert!(!global.is_empty());
             assert_eq!(out.intersecting_kmers, global, "{bucket_count} buckets");
@@ -198,8 +198,8 @@ mod tests {
             &f.config.with_bucket_count(64),
             ExclusionPolicy::default(),
         );
-        let out_few = run(&few, &f.database, &f.join, &f.sketches, &f.config);
-        let out_many = run(&many, &f.database, &f.join, &f.sketches, &f.config);
+        let out_few = run(&few, &f.database, &f.join, &f.sizes, &f.config);
+        let out_many = run(&many, &f.database, &f.join, &f.sizes, &f.config);
         assert_eq!(out_few.presence, out_many.presence);
         assert_eq!(out_few.support, out_many.support);
     }
@@ -219,7 +219,7 @@ mod tests {
             &f.config,
             ExclusionPolicy::default(),
         );
-        let out = run(&step1, &f.database, &f.join, &f.sketches, &f.config);
+        let out = run(&step1, &f.database, &f.join, &f.sizes, &f.config);
         // The foreign genomes share no backbone with the fixture references,
         // so no species should be confidently reported.
         assert!(

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 
 use megis::config::MegisConfig;
 use megis::ftl::MegisFtl;
-use megis::kss::KssTables;
+use megis::kss::{KssJoin, KssTables};
 use megis::step3::{self, MappedCounts, Step3Output};
 use megis::MegisAnalyzer;
 use megis_genomics::database::{ReferenceIndex, SortedKmerDatabase, MIN_MAPPING_VOTES};
@@ -324,7 +324,7 @@ fn fused_sweep_equals_stream_retrieve_of_the_intersection_on_any_sketch_shape() 
         let database = SortedKmerDatabase::build(&refs, db_k);
         let sketches = SketchDatabase::build(&refs, config);
         let kss = KssTables::build(&sketches);
-        let join = kss.join(&database);
+        let join = KssJoin::build(&sketches, &database);
         assert!(
             join.heap_bytes() > 0 || sketches.k_sizes().is_empty(),
             "{label}"
@@ -399,11 +399,68 @@ fn fused_sweep_equals_stream_retrieve_of_the_intersection_on_any_sketch_shape() 
 }
 
 #[test]
+fn the_join_built_from_the_sketch_retrieves_what_a_per_entry_lookup_does() {
+    // The direct join against its oracle, position by position: for every
+    // database entry, the union of the taxa it reaches through the joined
+    // tables equals `KssTables::lookup` of its k-mer — on every sketch shape,
+    // tables longer than the database's k-mers and empty references
+    // included, over seeded random collections.
+    let sketch = |k_max, k_min, k_step, fraction| SketchConfig {
+        k_max,
+        k_min,
+        k_step,
+        fraction,
+    };
+    let shapes = [
+        ("small", 31, SketchConfig::small()),
+        ("default", 45, SketchConfig::default()),
+        ("k_max alone (zero step)", 31, sketch(31, 21, 0, 0.3)),
+        ("no table (k_min > k_max)", 31, sketch(21, 31, 5, 0.3)),
+        ("nothing selected", 31, sketch(31, 21, 5, 0.0)),
+        ("everything selected", 31, sketch(31, 21, 5, 1.0)),
+        ("k_max above the database's k", 31, SketchConfig::default()),
+        (
+            "k_max just above the database's k",
+            26,
+            sketch(31, 21, 5, 0.5),
+        ),
+    ];
+    let mut rng = StdRng::seed_from_u64(212);
+    let mut reached = 0usize;
+    for (shape, (label, db_k, config)) in shapes.into_iter().enumerate() {
+        for case in 0..3u64 {
+            let seed = 7200 + 10 * shape as u64 + case;
+            let refs = ReferenceCollection::synthetic(
+                rng.gen_range(2..10usize),
+                rng.gen_range(200..700usize),
+                seed,
+            );
+            // The last case of each shape has no references at all.
+            let refs = if case == 2 {
+                ReferenceCollection::new(Vec::new(), refs.taxonomy().clone())
+            } else {
+                refs
+            };
+            let database = SortedKmerDatabase::build(&refs, db_k);
+            let sketches = SketchDatabase::build(&refs, config);
+            let join = KssJoin::build(&sketches, &database);
+            let kss = KssTables::build(&sketches);
+            for (position, kmer) in database.kmers().enumerate() {
+                let taxa = join.taxa_at(position);
+                assert_eq!(taxa, kss.lookup(kmer), "{label}/{case}: {kmer}");
+                reached += usize::from(!taxa.is_empty());
+            }
+        }
+    }
+    assert!(reached > 5_000, "{reached} positions reach the sketch");
+}
+
+#[test]
 #[should_panic(expected = "not a range of the database")]
 fn a_view_of_another_database_cannot_be_counted_through_the_join() {
     let refs = ReferenceCollection::synthetic(4, 300, 1);
     let sketches = SketchDatabase::build(&refs, SketchConfig::small());
-    let join = KssTables::build(&sketches).join(&SortedKmerDatabase::build(&refs, 31));
+    let join = KssJoin::build(&sketches, &SortedKmerDatabase::build(&refs, 31));
     // Same content, another allocation: its positions mean nothing here.
     let other = SortedKmerDatabase::build(&refs, 31);
     megis::step2::sweep(&other, &join, other.kmer_slice(), |_| {});

@@ -65,5 +65,5 @@ pub use profile::{AbundanceAccumulator, AbundanceProfile, PresenceResult};
 pub use read::{Read, ReadSet};
 pub use reference::{ReferenceCollection, ReferenceGenome};
 pub use sample::{Community, CommunityConfig, Diversity, Sample};
-pub use sketch::{SketchConfig, SketchDatabase};
+pub use sketch::{SketchConfig, SketchDatabase, SketchSizes};
 pub use taxonomy::{TaxId, Taxonomy};

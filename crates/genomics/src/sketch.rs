@@ -19,6 +19,10 @@
 //! (Fig. 7(c)) lives in the `megis` core crate; both are built from these
 //! tables, which is what makes the paper's size comparison (KSS ≈ 7.5×
 //! smaller than flat tables, ≈ 2.1× larger than the tree) reproducible.
+//!
+//! Of the whole sketch, presence calling reads only each taxon's sketch
+//! size ([`SketchSizes`]): once the tables have been joined into the
+//! retrieval structure, an analyzer keeps the sizes and drops the tables.
 
 use crate::database::SortedKmerDatabase;
 use crate::kmer::Kmer;
@@ -94,6 +98,72 @@ pub fn sketch_hash(kmer: Kmer) -> u64 {
     mix64((bits as u64) ^ mix64((bits >> 64) as u64) ^ (kmer.k() as u64).wrapping_mul(0x9e37_79b9))
 }
 
+/// Every taxon of a sketch, ascending, with the number of sketch k-mers
+/// (across all k sizes) it appears on — all that presence calling reads of
+/// the sketch, so it outlives the tables it was counted from.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct SketchSizes {
+    sizes: Vec<(TaxId, usize)>,
+}
+
+impl SketchSizes {
+    /// Counts each taxon's sketch k-mers over `tables`.
+    fn count(tables: &[SortedKmerDatabase]) -> SketchSizes {
+        let mut associations: Vec<TaxId> = tables
+            .iter()
+            .flat_map(|table| table.taxa_slice())
+            .copied()
+            .collect();
+        associations.sort_unstable();
+        let sizes = associations
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run[0], run.len()))
+            .collect();
+        SketchSizes { sizes }
+    }
+
+    /// Number of sketch k-mers (across all k sizes) associated with a taxon —
+    /// the denominator of the containment index used for presence calling.
+    /// Fixed at build, so this is a lookup; 0 for a taxon not in the sketch.
+    pub fn sketch_size_of(&self, taxid: TaxId) -> usize {
+        self.sizes
+            .binary_search_by_key(&taxid, |(t, _)| *t)
+            .map_or(0, |i| self.sizes[i].1)
+    }
+
+    /// All taxa that appear anywhere in the sketch, ascending.
+    pub fn taxa(&self) -> Vec<TaxId> {
+        self.sizes.iter().map(|(taxid, _)| *taxid).collect()
+    }
+
+    /// Calls presence from per-taxon sketch-match support counts using a
+    /// containment-index threshold: a taxon is reported present when at least
+    /// `min_containment` of its sketch k-mers were matched (and at least
+    /// `min_support` matches were seen).
+    ///
+    /// Both the S-Qry baseline (ternary-tree retrieval) and MegIS (KSS
+    /// retrieval) produce the same support counts for the same sample, so
+    /// sharing this final step is what makes their accuracy identical — the
+    /// property the paper relies on (§5, "MegIS's end-to-end accuracy matches
+    /// the accuracy of A-Opt"). Costs one [`SketchSizes::sketch_size_of`]
+    /// lookup per supported taxon.
+    pub fn presence_from_support(
+        &self,
+        support: &std::collections::HashMap<TaxId, u32>,
+        min_containment: f64,
+        min_support: u32,
+    ) -> crate::profile::PresenceResult {
+        crate::profile::PresenceResult::from_taxa(support.iter().filter_map(|(taxid, count)| {
+            let sketch_size = self.sketch_size_of(*taxid);
+            if sketch_size == 0 {
+                return None;
+            }
+            let containment = *count as f64 / sketch_size as f64;
+            (containment >= min_containment && *count >= min_support).then_some(*taxid)
+        }))
+    }
+}
+
 /// The sketch database in its flat-table (Fig. 7(a)) representation: one
 /// columnar [`SortedKmerDatabase`] per k size.
 #[derive(Debug, Clone, Default)]
@@ -101,9 +171,8 @@ pub struct SketchDatabase {
     config: Option<SketchConfig>,
     /// One sorted table per k size (largest k first).
     tables: Vec<SortedKmerDatabase>,
-    /// Every taxon of the sketch, ascending, with the number of sketch
-    /// k-mers (across all k sizes) it appears on — counted once at build.
-    sketch_sizes: Vec<(TaxId, usize)>,
+    /// Each taxon's sketch size, counted once at build.
+    sizes: SketchSizes,
 }
 
 impl SketchDatabase {
@@ -124,20 +193,10 @@ impl SketchDatabase {
                 })
             })
             .collect();
-        let mut associations: Vec<TaxId> = tables
-            .iter()
-            .flat_map(|table| table.taxa_slice())
-            .copied()
-            .collect();
-        associations.sort_unstable();
-        let sketch_sizes = associations
-            .chunk_by(|a, b| a == b)
-            .map(|run| (run[0], run.len()))
-            .collect();
         SketchDatabase {
             config: Some(config),
+            sizes: SketchSizes::count(&tables),
             tables,
-            sketch_sizes,
         }
     }
 
@@ -206,45 +265,27 @@ impl SketchDatabase {
             .sum()
     }
 
-    /// Number of sketch k-mers (across all k sizes) associated with a taxon —
-    /// the denominator of the containment index used for presence calling.
-    /// Fixed at build, so this is a lookup; 0 for a taxon not in the sketch.
-    pub fn sketch_size_of(&self, taxid: TaxId) -> usize {
-        self.sketch_sizes
-            .binary_search_by_key(&taxid, |(t, _)| *t)
-            .map_or(0, |i| self.sketch_sizes[i].1)
+    /// Each taxon's sketch size: what presence calling keeps of the sketch
+    /// once its tables are no longer needed.
+    pub fn sizes(&self) -> &SketchSizes {
+        &self.sizes
     }
 
-    /// Calls presence from per-taxon sketch-match support counts using a
-    /// containment-index threshold: a taxon is reported present when at least
-    /// `min_containment` of its sketch k-mers were matched (and at least
-    /// `min_support` matches were seen).
-    ///
-    /// Both the S-Qry baseline (ternary-tree retrieval) and MegIS (KSS
-    /// retrieval) produce the same support counts for the same sample, so
-    /// sharing this final step is what makes their accuracy identical — the
-    /// property the paper relies on (§5, "MegIS's end-to-end accuracy matches
-    /// the accuracy of A-Opt"). Costs one [`SketchDatabase::sketch_size_of`]
-    /// lookup per supported taxon.
+    /// Calls presence from per-taxon support counts:
+    /// [`SketchSizes::presence_from_support`] over this sketch's sizes.
     pub fn presence_from_support(
         &self,
         support: &std::collections::HashMap<TaxId, u32>,
         min_containment: f64,
         min_support: u32,
     ) -> crate::profile::PresenceResult {
-        crate::profile::PresenceResult::from_taxa(support.iter().filter_map(|(taxid, count)| {
-            let sketch_size = self.sketch_size_of(*taxid);
-            if sketch_size == 0 {
-                return None;
-            }
-            let containment = *count as f64 / sketch_size as f64;
-            (containment >= min_containment && *count >= min_support).then_some(*taxid)
-        }))
+        self.sizes
+            .presence_from_support(support, min_containment, min_support)
     }
 
-    /// All taxa that appear anywhere in the sketch database.
+    /// All taxa that appear anywhere in the sketch database, ascending.
     pub fn taxa(&self) -> Vec<TaxId> {
-        self.sketch_sizes.iter().map(|(taxid, _)| *taxid).collect()
+        self.sizes.taxa()
     }
 }
 
@@ -306,11 +347,23 @@ mod tests {
                 .map(|table| table.entries().filter(|e| e.taxa.contains(t)).count())
                 .sum();
             assert!(recount > 0);
-            assert_eq!(db.sketch_size_of(*t), recount, "{t}");
+            assert_eq!(db.sizes().sketch_size_of(*t), recount, "{t}");
         }
-        assert_eq!(db.sketch_size_of(TaxId(u32::MAX)), 0);
-        assert_eq!(SketchDatabase::default().sketch_size_of(taxa[0]), 0);
-        assert!(SketchDatabase::default().taxa().is_empty());
+        assert_eq!(db.sizes().sketch_size_of(TaxId(u32::MAX)), 0);
+        let empty = SketchDatabase::default();
+        assert_eq!(empty.sizes().sketch_size_of(taxa[0]), 0);
+        assert!(empty.taxa().is_empty());
+        // The sizes alone call presence exactly as the whole sketch does:
+        // every other taxon fully contained, the rest matched once.
+        let sizes = db.sizes().clone();
+        let support: std::collections::HashMap<TaxId, u32> = taxa
+            .iter()
+            .enumerate()
+            .map(|(i, t)| (*t, [sizes.sketch_size_of(*t) as u32, 1][i % 2]))
+            .collect();
+        let presence = sizes.presence_from_support(&support, 0.1, 3);
+        assert_eq!(presence, db.presence_from_support(&support, 0.1, 3));
+        assert_eq!(presence.len(), taxa.len().div_ceil(2));
     }
 
     #[test]

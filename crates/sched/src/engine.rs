@@ -288,12 +288,16 @@ mod tests {
         let c = community();
         let a = analyzer(&c);
         let expected = a.analyze(c.sample());
+        let probe = a.clone();
         let config = EngineConfig::new().with_workers(2).with_shards(3);
         let (results, report) = run_batch(a, config, specs(&c, 4));
         assert_eq!((results.len(), report.completed), (4, 4));
         for r in &results {
             assert_eq!(r.output, expected, "{} diverged", r.label);
         }
+        // The engine's copy shares the analyzer's databases; serving the
+        // batch built neither the sketch tables nor the KSS tables.
+        assert!(!probe.oracle_tables_built());
     }
 
     #[test]
