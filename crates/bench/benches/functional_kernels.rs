@@ -71,16 +71,16 @@ fn bench_intersection(c: &mut Criterion) {
     let queries = counts.apply_exclusion(ExclusionPolicy::default());
     let mut group = c.benchmark_group("sorted_stream_intersection");
     group.throughput(Throughput::Elements((queries.len() + database.len()) as u64));
-    group.bench_function("galloping", |b| {
+    group.bench_function("directory_probe", |b| {
         b.iter(|| database.intersect_sorted(&queries).len())
     });
     group.bench_function("two_pointer", |b| {
         b.iter(|| database.intersect_sorted_two_pointer(&queries).len())
     });
-    // The skewed regime galloping targets: one query per 64 database
+    // The skewed regime of a shard: one query per 64 database
     // entries.
     let sparse: Vec<Kmer> = database.kmers().step_by(64).collect();
-    group.bench_function("galloping_skewed", |b| {
+    group.bench_function("directory_probe_skewed", |b| {
         b.iter(|| database.intersect_sorted(&sparse).len())
     });
     group.bench_function("two_pointer_skewed", |b| {

@@ -7,10 +7,14 @@
 //! back in its innermost loops. This experiment measures the hot kernels
 //! after the columnar refactor:
 //!
-//! * **intersection** — the galloping merge of
-//!   [`SortedKmerDatabase::intersect_sorted`] against the retained
-//!   two-pointer reference, on a skewed workload (`|DB| = 64 · |Q|`, the
-//!   realistic per-shard regime where galloping wins),
+//! * **intersection** — the directory probe of
+//!   [`SortedKmerDatabase::intersect_sorted`] (sorted queries looked up a
+//!   batch at a time through the storage's bucket directory) against the
+//!   retained two-pointer reference, on a skewed workload
+//!   (`|DB| = 64 · |Q|`, the realistic per-shard regime), and the probe cut
+//!   per shard — each shard's `hit_positions` over its overlapping query
+//!   range, shifted to storage positions — against the whole database's,
+//!   for 1–8 shards,
 //! * **KMC counting** — `extract payload words → lexicographic-range
 //!   buckets → sort each → run-length group` against the old per-occurrence
 //!   `BTreeMap` insertion, at k = 31 (half-width words) and k = 45
@@ -24,8 +28,8 @@
 //!   [`KssTables::stream_retrieve`] against the fold of one random-access
 //!   [`KssTables::lookup`] per intersecting k-mer,
 //! * **Step 2** — the device pass the engine runs, [`step2::sweep`] (one
-//!   galloping sweep counting each hit's taxa through the database-joined
-//!   KSS, a bit test and a rank per table), against the two passes it
+//!   directory-probe sweep counting each hit's taxa through the
+//!   database-joined KSS, a bit test and a rank per table), against the two passes it
 //!   fuses, `stream_retrieve ∘ intersect_sorted`, on the intersection
 //!   fixture; the join is [`KssJoin::build`] straight from the sketch, and
 //!   every database position must retrieve through it what
@@ -45,12 +49,13 @@
 //!
 //! `megis-bench hotpath` prints this report and writes the numbers to
 //! `BENCH_hotpath.json`. CI runs it in release mode, greps the exact
-//! verdict lines (kernel parity, counting parity, sketch-build parity, KSS
-//! stream parity, fused Step 2 parity, join parity, unified-index parity,
-//! read-range parity, batched-probe parity, zero-copy shards) and uploads
-//! the JSON, so a PR that breaks a kernel's
+//! verdict lines (kernel parity, sharded-sweep parity, counting parity,
+//! sketch-build parity, KSS stream parity, fused Step 2 parity, join
+//! parity, unified-index parity, read-range parity, batched-probe parity,
+//! zero-copy shards) and uploads the JSON, so a PR that breaks a kernel's
 //! equivalence or reintroduces a database copy fails the smoke test. The
-//! galloping speedup line is wall clock from one run: printed, not gated.
+//! directory probe speedup line is wall clock from one run: printed, not
+//! gated.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
@@ -75,7 +80,7 @@ use crate::report::Report;
 /// Reference genomes in the intersection-fixture database. The database
 /// must be far larger than the last-level cache for the measurement to be
 /// honest: a cache-resident k-mer column makes the two-pointer scan nearly
-/// free and hides the galloping win that exists at paper scale, where the
+/// free and hides the probe's win that exists at paper scale, where the
 /// database always streams from memory (or flash).
 const INTERSECT_GENOMES: usize = 64;
 /// Bases per intersection-fixture genome (~2M database entries, ~64 MB of
@@ -101,9 +106,9 @@ const SEED_K: usize = 15;
 const TRIALS: usize = 3;
 /// Minimum measured span per trial; kernels faster than this are iterated.
 const MIN_MEASURE: Duration = Duration::from_millis(10);
-/// The CI verdict threshold: galloping must beat two-pointer by at least
-/// this factor on the skewed workload.
-const GALLOP_THRESHOLD: f64 = 2.0;
+/// The printed verdict's threshold: the directory probe beats two-pointer
+/// by at least this factor on the skewed workload.
+const PROBE_THRESHOLD: f64 = 2.0;
 
 /// Best-of-[`TRIALS`] seconds per invocation of `f`, each trial iterating
 /// until at least [`MIN_MEASURE`] has elapsed.
@@ -281,8 +286,8 @@ pub struct HotpathMeasurement {
     pub build_inputs: u64,
     /// Seconds per two-pointer intersection pass (best trial).
     pub two_pointer_s: f64,
-    /// Seconds per galloping intersection pass (best trial).
-    pub gallop_s: f64,
+    /// Seconds per directory-probe intersection pass (best trial).
+    pub probe_s: f64,
     /// Seconds per `BTreeMap` database build (best trial).
     pub build_btreemap_s: f64,
     /// Seconds per columnar database build (best trial).
@@ -349,15 +354,19 @@ pub struct HotpathMeasurement {
     pub db_heap_bytes: u64,
     /// `(shard count, ShardSet::resident_bytes)` for each swept count.
     pub resident_by_shards: Vec<(usize, u64)>,
-    /// Whether the galloping intersect and the columnar build reproduced
+    /// Whether the probed intersect and the columnar build reproduced
     /// their baselines exactly (two-pointer merge, map build).
     pub parity: bool,
+    /// Whether per-shard `hit_positions` over each shard's overlapping
+    /// query range, shifted by its storage offset, reproduced the whole
+    /// database's positions at 1–8 shards on both query lists.
+    pub shard_sweep_parity: bool,
 }
 
 impl HotpathMeasurement {
-    /// Galloping speedup over the two-pointer reference.
-    pub fn gallop_speedup(&self) -> f64 {
-        self.two_pointer_s / self.gallop_s
+    /// Directory probe speedup over the two-pointer reference.
+    pub fn probe_speedup(&self) -> f64 {
+        self.two_pointer_s / self.probe_s
     }
 
     /// Columnar build speedup over the `BTreeMap` baseline.
@@ -398,10 +407,10 @@ impl HotpathMeasurement {
         resident as f64 / self.db_heap_bytes as f64
     }
 
-    /// The printed (ungated) verdict: galloping beats two-pointer by at
+    /// The printed (ungated) verdict: the probe beats two-pointer by at
     /// least the 2x threshold on the skewed workload.
-    pub fn gallop_confirmed(&self) -> bool {
-        self.gallop_speedup() >= GALLOP_THRESHOLD
+    pub fn probe_confirmed(&self) -> bool {
+        self.probe_speedup() >= PROBE_THRESHOLD
     }
 
     /// The CI verdict: sharding kept one resident database copy.
@@ -415,7 +424,7 @@ impl HotpathMeasurement {
     pub fn report(&self) -> String {
         let mut report = Report::new();
         report.title(
-            "Hot-path analysis: columnar k-mer database, galloping intersection, zero-copy shards",
+            "Hot-path analysis: columnar k-mer database, directory-probe intersection, zero-copy shards",
         );
         report.line(&format!(
             "database: {} entries, {} associations (k = {K}); queries: {} \
@@ -430,8 +439,11 @@ impl HotpathMeasurement {
             "two-pointer",
             &[self.two_pointer_s * 1e3, melems / self.two_pointer_s],
         );
-        report.table_row("galloping", &[self.gallop_s * 1e3, melems / self.gallop_s]);
-        report.line(&format!("speedup: {:.2}x", self.gallop_speedup()));
+        report.table_row(
+            "directory probe",
+            &[self.probe_s * 1e3, melems / self.probe_s],
+        );
+        report.line(&format!("speedup: {:.2}x", self.probe_speedup()));
 
         for row in &self.count_rows {
             let mkmers = row.occurrences as f64 / 1e6;
@@ -557,6 +569,14 @@ impl HotpathMeasurement {
             if self.parity { "identical" } else { "DIVERGED" }
         ));
         report.line(&format!(
+            "sharded sweep parity with whole-database sweep: {}",
+            if self.shard_sweep_parity {
+                "identical"
+            } else {
+                "DIVERGED"
+            }
+        ));
+        report.line(&format!(
             "kmc counting parity with ordered-map reference: {}",
             if self.count_parity {
                 "identical"
@@ -621,13 +641,13 @@ impl HotpathMeasurement {
             }
         ));
         report.line(&format!(
-            "galloping speedup: {} ({:.2}x vs the {GALLOP_THRESHOLD:.1}x threshold)",
-            if self.gallop_confirmed() {
+            "directory probe speedup: {} ({:.2}x vs the {PROBE_THRESHOLD:.1}x threshold)",
+            if self.probe_confirmed() {
                 "confirmed"
             } else {
                 "NOT OBSERVED"
             },
-            self.gallop_speedup(),
+            self.probe_speedup(),
         ));
         report.line(&format!(
             "zero-copy shards: {} ({:.2}x of one database copy at {} shards)",
@@ -640,8 +660,9 @@ impl HotpathMeasurement {
             self.resident_by_shards.last().map(|(s, _)| *s).unwrap_or(0),
         ));
         report.line("");
-        report.line("Galloping advances on the longer (database) side in O(log gap) probes, so");
-        report.line("the skewed merge is bounded by |Q| * log(|DB|/|Q|) instead of |DB| + |Q|;");
+        report.line("The probe looks each query up through a bucket directory over the k-mers'");
+        report.line("top bits, a batch of independent loads at a time, so the skewed intersect");
+        report.line("costs a few overlapping cache misses per query instead of |DB| + |Q| steps;");
         report.line("the build replaces per-item ordered-map insertion with one sort_unstable +");
         report.line("run-length group over a dense array (each sketch table is that same build");
         report.line("over the hash-selected k-mers), and counting does the same on bare");
@@ -695,10 +716,11 @@ impl HotpathMeasurement {
              \x20 \"parity\": {},\n\
              \x20 \"intersect\": {{\n\
              \x20   \"two_pointer_us_per_pass\": {:.3},\n\
-             \x20   \"gallop_us_per_pass\": {:.3},\n\
+             \x20   \"probe_us_per_pass\": {:.3},\n\
              \x20   \"speedup\": {:.3},\n\
-             \x20   \"threshold\": {GALLOP_THRESHOLD:.1},\n\
-             \x20   \"confirmed\": {}\n\
+             \x20   \"threshold\": {PROBE_THRESHOLD:.1},\n\
+             \x20   \"confirmed\": {},\n\
+             \x20   \"sharded_parity\": {}\n\
              \x20 }},\n\
              \x20 \"count\": {{\n\
              \x20   \"parity\": {},\n{}\n\
@@ -757,9 +779,10 @@ impl HotpathMeasurement {
             self.queries,
             self.parity,
             self.two_pointer_s * 1e6,
-            self.gallop_s * 1e6,
-            self.gallop_speedup(),
-            self.gallop_confirmed(),
+            self.probe_s * 1e6,
+            self.probe_speedup(),
+            self.probe_confirmed(),
+            self.shard_sweep_parity,
             self.count_parity,
             count_rows.join(",\n"),
             self.build_inputs,
@@ -808,9 +831,8 @@ pub fn hotpath_measure() -> HotpathMeasurement {
     // list (and than the last-level cache), queries drawn from the database
     // so both merges do full matching work (every query is a hit). Entries
     // are kept with probability 1/SKEW by a seeded hash rather than a fixed
-    // stride, so the gaps are irregular (geometric-ish around SKEW) — a
-    // fixed stride would hand the galloping hint its best case and
-    // overstate the win.
+    // stride, so the gaps are irregular (geometric-ish around SKEW), as a
+    // sample's hits are.
     let references = ReferenceCollection::synthetic(INTERSECT_GENOMES, INTERSECT_GENOME_LEN, 4242);
     let database = SortedKmerDatabase::build(&references, K);
     let queries: Vec<Kmer> = database
@@ -832,8 +854,29 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         == database.intersect_sorted_two_pointer(&queries)
         && database.intersect_sorted(&mixed) == database.intersect_sorted_two_pointer(&mixed);
 
+    // The probe cut as the engine cuts it: per shard, the overlapping query
+    // range only, positions shifted to the storage's.
+    let storage_positions = |view: &SortedKmerDatabase, list: &[Kmer]| {
+        let mut positions = Vec::new();
+        let offset = view.storage_offset();
+        view.hit_positions(list, |p| positions.push(offset + p));
+        positions
+    };
+    let shard_sweep_parity = [&queries, &mixed].into_iter().all(|list| {
+        let whole = storage_positions(&database, list);
+        !whole.is_empty()
+            && (1..=8).all(|shards| {
+                let mut cut = Vec::new();
+                for shard in database.partition(shards) {
+                    let overlap = &list[shard.overlapping_query_range(list)];
+                    cut.extend(storage_positions(&shard, overlap));
+                }
+                cut == whole
+            })
+    });
+
     let two_pointer_s = best_seconds(|| database.intersect_sorted_two_pointer(&queries).len());
-    let gallop_s = best_seconds(|| database.intersect_sorted(&queries).len());
+    let probe_s = best_seconds(|| database.intersect_sorted(&queries).len());
 
     // Counting fixture: a synthetic community's read set.
     let community = CommunityConfig::preset(Diversity::Medium)
@@ -1023,7 +1066,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         count_parity,
         build_inputs,
         two_pointer_s,
-        gallop_s,
+        probe_s,
         build_btreemap_s,
         build_columnar_s,
         sketch_kmers: sketches.total_kmers(),
@@ -1053,6 +1096,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         db_heap_bytes,
         resident_by_shards,
         parity,
+        shard_sweep_parity,
     }
 }
 
@@ -1070,6 +1114,10 @@ mod tests {
     fn hotpath_confirms_parity_and_zero_copy() {
         let m = super::hotpath_measure();
         assert!(m.parity, "refactored kernels must reproduce the baselines");
+        assert!(
+            m.shard_sweep_parity,
+            "per-shard probes must reproduce the whole database's hit positions"
+        );
         assert!(
             m.count_parity && m.count_rows.len() == 2,
             "bucketed counting must equal the ordered-map count at both widths"
@@ -1102,6 +1150,9 @@ mod tests {
             m.probe_parity,
             "full probe batches must vote like per-seed lookups"
         );
+        // 1 652 023 entries × 16 B + their offsets + 2 046 080 taxa × 4 B,
+        // plus the directory's (2^20 + 1) × 4 B.
+        assert_eq!(m.db_heap_bytes, 45_419_092, "resident bytes of one copy");
         assert!(
             m.zero_copy_confirmed(),
             "sharding must keep one resident database copy: {:?} vs {}",
@@ -1110,6 +1161,7 @@ mod tests {
         );
         let report = m.report();
         assert!(report.contains("parity with two-pointer reference: identical"));
+        assert!(report.contains("sharded sweep parity with whole-database sweep: identical"));
         assert!(report.contains("kmc counting parity with ordered-map reference: identical"));
         assert!(report.contains("sketch build parity with ordered-map reference: identical"));
         assert!(report.contains("kss stream parity with per-query lookup: identical"));
@@ -1125,6 +1177,7 @@ mod tests {
         assert!(json.contains("\"zero_copy_confirmed\": true"));
         assert!(json.contains("\"k31\": {") && json.contains("\"k45\": {"));
         assert!(json.contains("\"bucketed_us_per_pass\""));
+        assert!(json.contains("\"probe_us_per_pass\""));
         assert!(json.contains("\"seed_column_bytes\""));
         assert!(json.contains("\"stream_ns_per_kmer\""));
         assert!(json.contains("\"sort_built_us_per_pass\""));
@@ -1133,11 +1186,11 @@ mod tests {
         // The wall-clock speedup verdict is deliberately not asserted: a
         // timing ratio from one run flakes on loaded machines, here and in
         // CI alike.
-        if !m.gallop_confirmed() {
+        if !m.probe_confirmed() {
             eprintln!(
-                "warning: galloping speedup {:.2}x below the 2x threshold in \
+                "warning: directory probe speedup {:.2}x below the 2x threshold in \
                  this (possibly debug/loaded) run",
-                m.gallop_speedup()
+                m.probe_speedup()
             );
         }
     }

@@ -253,7 +253,7 @@ impl KssTables {
 
     /// Streaming taxID retrieval over the intersecting query k-mers: one
     /// forward merge pass with one cursor per table, mirroring the in-SSD
-    /// dataflow. A cursor only advances, by galloping from where the previous
+    /// dataflow. A cursor only advances, by exponential probing from where the previous
     /// query left it, so consecutive queries sharing a prefix reuse the entry
     /// it already rests on (the Index Generator optimization) and a sorted
     /// input costs O(|queries| + |KSS|) in total. Nothing is allocated per

@@ -7,8 +7,10 @@
 //! taxIDs (§4.3.2), and only the taxIDs of the candidate species are sent to
 //! the host: the step is in-SSD from end to end.
 //!
-//! [`sweep`] is that device pass, and the only Step 2 path: one galloping
-//! sweep of a database range that, per hit, counts the taxa the hit supports
+//! [`sweep`] is that device pass, and the only Step 2 path: one sweep of a
+//! database range — the sorted queries probed a batch at a time through
+//! the database's bucket directory ([`SortedKmerDatabase::hit_positions`])
+//! — that, per hit, counts the taxa the hit supports
 //! through the database-joined KSS ([`crate::kss::KssJoin`]: a bit test and
 //! a rank per table, no search) and returns per-taxon [`Support`] — never
 //! the intersecting k-mers. Supports over disjoint query slices add, so the
@@ -53,7 +55,9 @@ impl Step2Output {
 }
 
 /// The device pass of Step 2 over one database range: intersects the
-/// sorted query slice with `view` in a single sweep and counts the support
+/// sorted query slice with `view` in a single sweep — one directory probe
+/// per batch of queries, each hit reported once, in ascending position
+/// ([`SortedKmerDatabase::hit_positions`]) — and counts the support
 /// its hits lend each taxon — intersection finding and taxID retrieval
 /// fused, so nothing per hit outlives the pass. `on_hit(position in view)`
 /// additionally sees each hit, for a caller that wants the k-mers

@@ -18,7 +18,7 @@ use megis::ftl::MegisFtl;
 use megis::kss::{KssJoin, KssTables};
 use megis::step3::{self, MappedCounts, Step3Output};
 use megis::MegisAnalyzer;
-use megis_genomics::database::{ReferenceIndex, SortedKmerDatabase, MIN_MAPPING_VOTES};
+use megis_genomics::database::{KmerEntry, ReferenceIndex, SortedKmerDatabase, MIN_MAPPING_VOTES};
 use megis_genomics::dna::PackedSequence;
 use megis_genomics::kmer::Kmer;
 use megis_genomics::profile::AbundanceProfile;
@@ -62,12 +62,33 @@ fn intersection_equals_set_intersection() {
     }
 }
 
+/// `view`'s hit positions for `queries`, as the k-mers they name, after
+/// checking that they ascend strictly (each distinct hit reported once).
+fn probed_hits(view: &SortedKmerDatabase, queries: &[Kmer]) -> Vec<Kmer> {
+    let mut positions = Vec::new();
+    view.hit_positions(queries, |p| positions.push(p));
+    assert!(positions.windows(2).all(|w| w[0] < w[1]), "{positions:?}");
+    positions.iter().map(|&p| view.entry(p).kmer).collect()
+}
+
+/// `view.lookup` against a binary search of the view's column.
+fn assert_lookup_is_a_binary_search(view: &SortedKmerDatabase, query: Kmer) {
+    let expected = view
+        .kmer_slice()
+        .binary_search(&query)
+        .ok()
+        .map(|i| view.entry(i));
+    assert_eq!(view.lookup(query), expected, "{query:?}");
+}
+
 #[test]
-fn galloping_intersection_equals_two_pointer_reference() {
-    // Seeded property sweep: the galloping merge must be byte-identical to
+fn directory_probe_intersection_equals_two_pointer_reference() {
+    // Seeded property sweep: the directory probe must be byte-identical to
     // the retained two-pointer oracle on every input shape — random
     // hit/miss mixtures, duplicate queries, empty inputs, disjoint sets,
-    // full subsets, and the skewed sparse regime galloping is built for.
+    // full subsets, the skewed sparse regime of a shard, views that cut
+    // the storage anywhere, a bucket far wider than the probe's window,
+    // directories of 0–4 bits, and queries of another k.
     let mut rng = StdRng::seed_from_u64(206);
     for case in 0..24u64 {
         let refs = ReferenceCollection::synthetic(3, 300, case);
@@ -110,13 +131,120 @@ fn galloping_intersection_equals_two_pointer_reference() {
         let all: Vec<Kmer> = db.kmers().collect();
         assert_eq!(db.intersect_sorted(&all), all);
 
-        // Skewed sparse subset (|DB| >> |Q|), the galloping regime.
+        // Skewed sparse subset (|DB| >> |Q|), a shard's regime.
         let sparse: Vec<Kmer> = all.iter().step_by(64).copied().collect();
         assert_eq!(
             db.intersect_sorted(&sparse),
             db.intersect_sorted_two_pointer(&sparse),
             "sparse case {case}"
         );
+
+        // Views: the probe runs on the whole storage column, so a bound
+        // outside the view must not count. Every shard of 1..=9 parts and
+        // random sub-views (empty, single-entry, the last entry), each
+        // handed the *whole* query list — every database k-mer is queried,
+        // so the entries just outside each view are too.
+        let mut views: Vec<SortedKmerDatabase> = (1..=9).flat_map(|p| db.partition(p)).collect();
+        let n = db.len();
+        for _ in 0..6 {
+            let a = rng.gen_range(0..=n);
+            let b = rng.gen_range(a..=n);
+            views.extend([db.view(a..b), db.view(a..a), db.view(a..(a + 1).min(n))]);
+        }
+        views.push(db.view(n - 1..n));
+        let mut whole = queries.clone();
+        whole.extend(all.iter().copied());
+        whole.sort();
+        for (i, view) in views.iter().enumerate() {
+            assert_eq!(
+                probed_hits(view, &whole),
+                view.intersect_sorted_two_pointer(&whole),
+                "case {case}, view {i} ({} entries at {})",
+                view.len(),
+                view.storage_offset()
+            );
+        }
+
+        // `lookup` is the batch of one: a binary search of the column, on
+        // every entry and on misses, of the database and of a middle view.
+        let middle = db.view(n / 3..2 * n / 3);
+        for &q in all.iter().chain(&queries).chain(&misses) {
+            assert_lookup_is_a_binary_search(&db, q);
+            assert_lookup_is_a_binary_search(&middle, q);
+        }
+
+        // Queries of another k never hit, even where their top 64 payload
+        // bits (the directory word) equal a database k-mer's: prefixes,
+        // extensions by an `A`, and random 22-mers, mixed with hits.
+        let mut other_k: Vec<Kmer> = all.iter().map(|kmer| kmer.prefix(20)).collect();
+        other_k.extend(all.iter().map(|kmer| Kmer::from_bits(kmer.bits() << 2, 22)));
+        other_k.extend(random_kmers(&mut rng, 100, 22));
+        other_k.sort();
+        assert!(db.intersect_sorted(&other_k).is_empty(), "case {case}");
+        for &q in other_k.iter().step_by(5) {
+            assert!(db.lookup(q).is_none(), "case {case}: {q:?}");
+        }
+        other_k.extend(sparse.iter().copied());
+        other_k.sort();
+        assert_eq!(db.intersect_sorted(&other_k), sparse, "case {case}");
+    }
+
+    // A skewed storage: most k-mers share their first 14 bases, so one
+    // directory bucket holds nearly all of them — far wider than the
+    // probe's fixed window, so its halving loop runs — while a few outliers
+    // spread the directory's width over the whole word.
+    let taxa = |i: usize| vec![TaxId(1 + i as u32 % 3)];
+    for case in 0..4 {
+        let prefix = random_kmer(&mut rng, 14);
+        let mut kmers: Vec<Kmer> = (0..1500).map(|_| extend(&mut rng, prefix, 17)).collect();
+        kmers.extend((0..20).map(|_| random_kmer(&mut rng, 31)));
+        kmers.sort();
+        kmers.dedup();
+        let entries = kmers.iter().enumerate().map(|(i, kmer)| KmerEntry {
+            kmer: *kmer,
+            taxa: taxa(i),
+        });
+        let db = SortedKmerDatabase::from_sorted_entries(31, entries.collect());
+        let mut queries: Vec<Kmer> = kmers.iter().step_by(3).copied().collect();
+        queries.extend((0..1500).map(|_| extend(&mut rng, prefix, 17)));
+        queries.extend(kmers.iter().map(|kmer| mutate_tail(&mut rng, *kmer, 1)));
+        queries.sort();
+        for view in [db.clone(), db.view(100..900), db.view(5..6)] {
+            assert_eq!(
+                probed_hits(&view, &queries),
+                view.intersect_sorted_two_pointer(&queries),
+                "skewed case {case}"
+            );
+        }
+        for &q in queries.iter().step_by(7) {
+            assert_lookup_is_a_binary_search(&db, q);
+        }
+    }
+
+    // Storages of 0..=17 entries: directories of 0 to 4 bits, columns
+    // shorter than the fixed window, and the last entry's window running
+    // off the column.
+    let refs = ReferenceCollection::synthetic(3, 300, 4242);
+    let source = SortedKmerDatabase::build(&refs, 21);
+    let mut queries: Vec<Kmer> = source.kmers().collect();
+    queries.extend(random_kmers(&mut rng, 200, 21));
+    queries.sort();
+    for n in 0..=17 {
+        let start = rng.gen_range(0..source.len() - n);
+        let picked = source.view(start..start + n);
+        let db = SortedKmerDatabase::from_sorted_entries(
+            21,
+            picked.entries().map(|e| e.to_owned()).collect(),
+        );
+        assert_eq!(
+            probed_hits(&db, &queries),
+            db.intersect_sorted_two_pointer(&queries),
+            "{n} entries"
+        );
+        assert_eq!(db.intersect_sorted(&queries), picked.kmer_slice(), "{n}");
+        for &q in &queries {
+            assert_lookup_is_a_binary_search(&db, q);
+        }
     }
 }
 

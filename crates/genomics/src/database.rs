@@ -41,15 +41,20 @@
 //!
 //! # Intersection
 //!
-//! [`SortedKmerDatabase::intersect_sorted`] runs a galloping
-//! (exponential-search) merge that advances on whichever stream is behind —
-//! in the realistic regime one shard's database slice is far longer than the
-//! query slice that overlaps it, so the merge skips database runs in
-//! `O(log gap)` instead of touching every element. The element-at-a-time
-//! two-pointer merge is kept as
+//! [`SortedKmerDatabase::intersect_sorted`] does not merge: it *probes*.
+//! Every storage carries a bucket directory over the top bits of its k-mers
+//! (about two entries to a bucket, built with the columns), and the sorted
+//! queries are looked up a batch at a time — directory bracket, halving
+//! while a bracket is wide, a fixed-window count — each pass a loop of
+//! independent loads. In the realistic regime one shard's database slice is
+//! far longer than the query slice that overlaps it, so a query costs a
+//! few cache misses that overlap with its batch's, instead of a chain of
+//! data-dependent branches through the gap to the next hit. The
+//! element-at-a-time two-pointer merge is kept as
 //! [`SortedKmerDatabase::intersect_sorted_two_pointer`], the reference
-//! oracle for the property tests and the baseline the `hotpath` bench
-//! experiment measures against.
+//! oracle for the property tests, the baseline the `hotpath` bench
+//! experiment measures against, and the literal access pattern of the
+//! paper's Intersect units.
 //!
 //! # Read-mapping indexes
 //!
@@ -78,6 +83,8 @@
 //! check and payload range — each a loop of independent loads, so the cache
 //! misses of a read's seeds overlap instead of chaining seed after seed. A
 //! single lookup is the batch of one: no per-seed routine exists beside it.
+//! The first two passes are the k-mer database's probe too: one directory
+//! type and one batched lower-bound routine serve both sorted columns.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
@@ -127,7 +134,8 @@ impl KmerEntryRef<'_> {
 /// The shared columnar (CSR) backing store of a [`SortedKmerDatabase`].
 ///
 /// Three dense arrays: the sorted k-mer column, the per-entry taxa
-/// boundaries, and the concatenated taxa column. All views produced by
+/// boundaries, and the concatenated taxa column — plus the bucket directory
+/// the k-mer column is probed through. All views produced by
 /// [`SortedKmerDatabase::partition`] / [`SortedKmerDatabase::view`] share
 /// one `Arc<DatabaseStorage>`; [`DatabaseStorage::heap_bytes`] is the
 /// resident cost that sharing amortizes.
@@ -138,19 +146,27 @@ pub struct DatabaseStorage {
     /// `taxa[taxa_offsets[i] as usize..taxa_offsets[i + 1] as usize]`.
     taxa_offsets: Vec<u32>,
     taxa: Vec<TaxId>,
+    directory: Directory,
 }
 
 impl Default for DatabaseStorage {
     fn default() -> DatabaseStorage {
-        DatabaseStorage {
-            kmers: Vec::new(),
-            taxa_offsets: vec![0],
-            taxa: Vec::new(),
-        }
+        DatabaseStorage::new(Vec::new(), vec![0], Vec::new())
     }
 }
 
 impl DatabaseStorage {
+    /// The storage over finished columns; builds the directory, so no
+    /// storage exists without one.
+    fn new(kmers: Vec<Kmer>, taxa_offsets: Vec<u32>, taxa: Vec<TaxId>) -> DatabaseStorage {
+        DatabaseStorage {
+            directory: Directory::build(&kmers),
+            kmers,
+            taxa_offsets,
+            taxa,
+        }
+    }
+
     /// [`SortedKmerDatabase::build_selected`] over payload words of type
     /// `W`, which `2 * k` bits fit: the one CSR build, instantiated at the
     /// two word widths. Collects every selected `(word, taxid)` association;
@@ -192,11 +208,7 @@ impl DatabaseStorage {
         // accounting).
         kmers.shrink_to_fit();
         taxa_offsets.shrink_to_fit();
-        DatabaseStorage {
-            kmers,
-            taxa_offsets,
-            taxa,
-        }
+        DatabaseStorage::new(kmers, taxa_offsets, taxa)
     }
 
     /// Number of entries (distinct k-mers) in the storage.
@@ -209,15 +221,17 @@ impl DatabaseStorage {
         self.taxa.len()
     }
 
-    /// Host-resident heap footprint of the three columnar arrays, in bytes.
-    /// This is the quantity [`SortedKmerDatabase::partition`] shares rather
-    /// than copies. Charged on *capacity*, not length, so growth slack
-    /// (were any to survive construction) cannot hide from the resident
-    /// accounting the `hotpath` bench asserts on.
+    /// Host-resident heap footprint of the three columnar arrays and the
+    /// bucket directory, in bytes. This is the quantity
+    /// [`SortedKmerDatabase::partition`] shares rather than copies. Charged
+    /// on *capacity*, not length, so growth slack (were any to survive
+    /// construction) cannot hide from the resident accounting the `hotpath`
+    /// bench asserts on.
     pub fn heap_bytes(&self) -> u64 {
         (self.kmers.capacity() * std::mem::size_of::<Kmer>()
             + self.taxa_offsets.capacity() * std::mem::size_of::<u32>()
-            + self.taxa.capacity() * std::mem::size_of::<TaxId>()) as u64
+            + self.taxa.capacity() * std::mem::size_of::<TaxId>()
+            + self.directory.bounds.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Taxa slice of global entry `index`.
@@ -333,11 +347,7 @@ impl SortedKmerDatabase {
             taxa.extend(entry.taxa);
             taxa_offsets.push(taxa.len() as u32);
         }
-        let storage = DatabaseStorage {
-            kmers,
-            taxa_offsets,
-            taxa,
-        };
+        let storage = DatabaseStorage::new(kmers, taxa_offsets, taxa);
         let range = 0..storage.entry_count();
         SortedKmerDatabase {
             k,
@@ -460,12 +470,12 @@ impl SortedKmerDatabase {
         start..end
     }
 
-    /// Looks up a single k-mer (binary search).
+    /// Looks up a single k-mer: [`SortedKmerDatabase::hit_positions`] over
+    /// the batch of one. There is no per-k-mer routine beside the probe.
     pub fn lookup(&self, kmer: Kmer) -> Option<KmerEntryRef<'_>> {
-        self.kmer_slice()
-            .binary_search(&kmer)
-            .ok()
-            .map(|i| self.entry(i))
+        let mut found = None;
+        self.hit_positions(&[kmer], |position| found = Some(position));
+        found.map(|position| self.entry(position))
     }
 
     /// All taxa indexed by this view, sorted and deduplicated.
@@ -476,18 +486,15 @@ impl SortedKmerDatabase {
         taxa
     }
 
-    /// Streaming intersection with a sorted list of query k-mers, via a
-    /// galloping (exponential-search) merge.
+    /// Intersection with a sorted list of query k-mers: the k-mers of the
+    /// view that some query equals, in sorted order, each once.
     ///
-    /// Both inputs are consumed as sorted streams, but instead of comparing
-    /// element by element the merge *gallops* on whichever side is behind:
-    /// exponential probing (1, 2, 4, … steps) brackets the first element
-    /// `>=` the other stream's head, then a binary search pins it. Skipping
-    /// a run of `g` elements costs `O(log g)` comparisons, so in the
-    /// realistic regime — a database slice far longer than the query slice
-    /// overlapping it — the merge is bounded by `O(|Q| · log(|DB| / |Q|))`
-    /// rather than `O(|DB| + |Q|)`. Returns the intersecting k-mers in
-    /// sorted order, byte-identical to
+    /// The queries are probed through the storage's bucket directory a
+    /// batch at a time ([`SortedKmerDatabase::hit_positions`]) rather than
+    /// merged: a query costs a directory load and a few column loads that
+    /// overlap with the rest of its batch, whatever the gap to the next hit,
+    /// so the realistic regime — a database slice far longer than the query
+    /// slice overlapping it — never walks the gap. Byte-identical to
     /// [`SortedKmerDatabase::intersect_sorted_two_pointer`] (the property
     /// suite asserts the equivalence).
     ///
@@ -501,7 +508,7 @@ impl SortedKmerDatabase {
         out
     }
 
-    /// The sweep behind [`SortedKmerDatabase::intersect_sorted`], reporting
+    /// The probe behind [`SortedKmerDatabase::intersect_sorted`], reporting
     /// each intersecting k-mer's *position* in this view (ascending, once
     /// per distinct k-mer however often the queries repeat it) instead of
     /// collecting the k-mers: what a caller holding per-position side data —
@@ -510,115 +517,43 @@ impl SortedKmerDatabase {
     /// [`SortedKmerDatabase::storage_offset`] for the position in the shared
     /// storage.
     ///
+    /// Each batch of 16 queries takes its lower bounds in the whole storage
+    /// column through the storage's directory (the seed tables' routine); a
+    /// bound counts only if it lies inside this view and its entry equals
+    /// the query. Queries outside the view's key range are
+    /// allowed and never hit, so a caller need not cut the list first
+    /// ([`SortedKmerDatabase::overlapping_query_range`] only saves work).
+    ///
     /// # Panics
     ///
     /// Panics (in debug builds) if `sorted_queries` is not sorted.
     pub fn hit_positions(&self, sorted_queries: &[Kmer], mut on_hit: impl FnMut(usize)) {
         debug_assert!(sorted_queries.windows(2).all(|w| w[0] <= w[1]));
-        let db = self.kmer_slice();
-        let mut qi = 0;
-        let mut di = 0;
+        let storage = &*self.storage;
         // The last position reported: a repeated query hits it again.
         let mut reported = usize::MAX;
-        // Hints: the previous advance distance on each side. Skip distances
-        // are locally similar (a query stream hitting every ~g-th database
-        // entry produces gaps around g), so probing the hinted offset first
-        // usually resolves the boundary in two adjacent comparisons instead
-        // of a full exponential-plus-binary chain of cache misses.
-        let mut db_hint = 1usize;
-        let mut query_hint = 1usize;
-        while qi < sorted_queries.len() && di < db.len() {
-            let q = sorted_queries[qi];
-            let d = db[di];
-            match q.cmp(&d) {
-                std::cmp::Ordering::Equal => {
-                    if reported != di {
-                        reported = di;
-                        on_hit(di);
-                    }
-                    qi += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    let advance = gallop(&sorted_queries[qi..], d, query_hint);
-                    query_hint = advance;
-                    qi += advance;
-                }
-                std::cmp::Ordering::Greater => {
-                    let advance = gallop(&db[di..], q, db_hint);
-                    db_hint = advance;
-                    di += advance;
+        for batch in sorted_queries.chunks(PROBE_BATCH) {
+            let bounds = storage.directory.lower_bounds(&storage.kmers, batch);
+            for (&at, query) in bounds.iter().zip(batch) {
+                if self.range.contains(&at) && storage.kmers[at] == *query && at != reported {
+                    reported = at;
+                    on_hit(at - self.range.start);
                 }
             }
         }
     }
 
-    /// One galloping sweep over this database serving several sorted query
-    /// lists at once. No pipeline path runs it — the engine issues one
-    /// intersect command per sample and shard — it is kept only for the
-    /// `genomics.intersect_multi` row of the repository benchmark, which
-    /// times it against [`SortedKmerDatabase::intersect_sorted`].
-    ///
-    /// The member lists are consumed through a k-way merged query cursor:
-    /// each iteration picks the smallest current query value across all
-    /// members, gallops the database column to it **once** (carrying the
-    /// same advance-distance hint as the single-sample merge), and then
-    /// hands the hit to every member whose cursor sits on that value.
-    ///
-    /// Returns one hit list per member, in member order; each list is
-    /// byte-identical to `self.intersect_sorted(member)` run independently
-    /// (the seeded property suite asserts the equivalence for random member
-    /// counts and duplicate/disjoint/subset/empty slices).
+    /// Several sorted query lists against this database: one
+    /// [`SortedKmerDatabase::intersect_sorted`] per member, in member order.
+    /// No pipeline path runs it — the engine issues one intersect command
+    /// per sample and shard — it is kept only for the
+    /// `genomics.intersect_multi` row of the repository benchmark.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if any member slice is not sorted.
     pub fn intersect_sorted_multi(&self, members: &[&[Kmer]]) -> Vec<Vec<Kmer>> {
-        if let [only] = members {
-            return vec![self.intersect_sorted(only)];
-        }
-        for m in members {
-            debug_assert!(m.windows(2).all(|w| w[0] <= w[1]));
-        }
-        let db = self.kmer_slice();
-        let mut outs: Vec<Vec<Kmer>> = members.iter().map(|_| Vec::new()).collect();
-        let mut cursors = vec![0usize; members.len()];
-        let mut di = 0usize;
-        let mut db_hint = 1usize;
-        while di < db.len() {
-            // The merged cursor's head: the smallest un-consumed query value
-            // across all members (a linear scan — member counts are small).
-            let mut head: Option<Kmer> = None;
-            for (c, m) in cursors.iter().zip(members) {
-                if let Some(v) = m.get(*c) {
-                    head = Some(match head {
-                        Some(h) if h <= *v => h,
-                        _ => *v,
-                    });
-                }
-            }
-            let Some(q) = head else { break };
-            // One hinted gallop positions the shared database cursor at the
-            // first entry >= q — the only database walk this value pays.
-            if db[di] < q {
-                let advance = gallop(&db[di..], q, db_hint);
-                db_hint = advance;
-                di += advance;
-            }
-            let present = di < db.len() && db[di] == q;
-            // Every member sitting on q consumes it (and any duplicates) and
-            // records the hit if the database holds it.
-            for ((c, m), out) in cursors.iter_mut().zip(members).zip(&mut outs) {
-                if m.get(*c) == Some(&q) {
-                    while m.get(*c) == Some(&q) {
-                        *c += 1;
-                    }
-                    if present {
-                        out.push(q);
-                    }
-                }
-            }
-        }
-        outs
+        members.iter().map(|m| self.intersect_sorted(m)).collect()
     }
 
     /// The element-at-a-time two-pointer merge — exactly the access pattern
@@ -626,7 +561,7 @@ impl SortedKmerDatabase {
     /// flash channels and the internal DRAM (§4.3.1). Kept as the reference
     /// oracle for [`SortedKmerDatabase::intersect_sorted`] in the property
     /// tests, and as the baseline the `hotpath` bench experiment measures
-    /// the galloping merge against.
+    /// the directory probe against.
     ///
     /// # Panics
     ///
@@ -710,57 +645,10 @@ impl SortedKmerDatabase {
     }
 }
 
-/// First index in `slice` whose element is `>= target`, found by galloping
-/// around a caller-provided `hint` (typically the previous advance
-/// distance, TimSort-style). The hinted offset is probed first; depending
-/// on the outcome the boundary is bracketed by exponential probing forward
-/// from the hint or backward toward it, then pinned by a binary search
-/// inside the bracket. `O(log d)` comparisons for a returned distance `d`
-/// (and only ~2 adjacent probes when the hint is exact); the result is a
-/// pure function of `(slice, target)` — the hint changes the probe path,
-/// never the answer.
-fn gallop(slice: &[Kmer], target: Kmer, hint: usize) -> usize {
-    match slice.first() {
-        Some(first) if *first < target => {}
-        _ => return 0,
-    }
-    let n = slice.len();
-    let h = hint.clamp(1, n);
-    if h < n && slice[h] < target {
-        // Boundary beyond the hint: exponential probing forward from it.
-        // Invariant: slice[lo] < target.
-        let mut lo = h;
-        let mut step = 1usize;
-        while lo + step < n && slice[lo + step] < target {
-            lo += step;
-            step <<= 1;
-        }
-        // The boundary lies in (lo, min(lo + step, n)].
-        pin_boundary(slice, target, lo, (lo + step).min(n))
-    } else {
-        // Boundary within (0, h]: exponential probing backward from the
-        // hint. Invariant: slice[hi] >= target (or hi == n).
-        let mut hi = h;
-        let mut step = 1usize;
-        while step < hi && slice[hi - step] >= target {
-            hi -= step;
-            step <<= 1;
-        }
-        // slice[lo] < target: the probed element when one exists, else the
-        // front (which the caller's guard established is < target).
-        let lo = hi.saturating_sub(step);
-        pin_boundary(slice, target, lo, hi)
-    }
-}
-
-/// Width below which the boundary search finishes with a forward scan: a
-/// few cache lines of k-mers — sequential touches the prefetcher covers,
-/// cheaper than the same span's worth of dependent binary probes.
-const LINEAR_TAIL: usize = 16;
-
-/// Width at which [`SeedTable::probe`] stops halving and counts — the fixed
-/// window of its position pass: two buckets' worth of evenly spread seeds,
-/// four 8-byte words, half a cache line.
+/// Width at which [`Directory::lower_bounds`] stops halving and counts —
+/// the fixed window of its position pass: two buckets' worth of evenly
+/// spread entries: four 8-byte seeds (half a cache line) or four 16-byte
+/// k-mers (one).
 const SEED_TAIL: usize = 4;
 
 /// Longest seed a read-mapping index holds: the seed column stores one
@@ -774,36 +662,131 @@ fn seed_words(seq: &PackedSequence, k: usize) -> impl ExactSizeIterator<Item = u
     CanonicalWords::<u64>::new(seq, k).map(move |word| word >> low)
 }
 
-/// Seeds one [`SeedTable::probe`] call resolves together.
+/// Keys one [`Directory::lower_bounds`] call resolves together: a read's
+/// seeds per [`SeedTable::probe`], sorted queries per
+/// [`SortedKmerDatabase::hit_positions`] batch.
 const PROBE_BATCH: usize = 16;
 
-/// Pins the boundary (first index `>= target`) inside the bracket
-/// `(lo, hi]`, where `slice[lo] < target` and `slice[hi] >= target` (or
-/// `hi == n`): binary steps while the bracket is wide, one sequential scan
-/// once it is narrow. The scan trades a few predictable comparisons for the
-/// tail of the binary search's serially dependent cache misses.
-fn pin_boundary(slice: &[Kmer], target: Kmer, mut lo: usize, mut hi: usize) -> usize {
-    while hi - lo > LINEAR_TAIL {
-        let mid = lo + (hi - lo) / 2;
-        if slice[mid] < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    while lo + 1 < hi && slice[lo + 1] < target {
-        lo += 1;
-    }
-    lo + 1
+/// A key of a sorted column a [`Directory`] indexes: its `u64` directory
+/// word must be monotone in the key's order (`a <= b` implies
+/// `word(a) <= word(b)`), so a bucket of words is a range of keys.
+trait DirectoryKey: Ord + Copy {
+    fn directory_word(self) -> u64;
 }
 
-/// The directory slot of `seed` under a [`SeedTable`]'s `bucket_shift` (past
-/// the directory for a seed wider than the largest stored one). A lone
-/// full-width seed has a directory of one bucket and a shift of the whole
-/// word, which a plain `>>` would reject.
-#[inline]
-fn seed_bucket(seed: u64, shift: u32) -> usize {
-    usize::try_from(seed.checked_shr(shift).unwrap_or(0)).unwrap_or(usize::MAX)
+/// A seed is its own word.
+impl DirectoryKey for u64 {
+    #[inline]
+    fn directory_word(self) -> u64 {
+        self
+    }
+}
+
+/// A k-mer's word is its top 64 payload bits: the whole left-aligned payload
+/// up to 32 bases, the first 32 bases beyond.
+impl DirectoryKey for Kmer {
+    #[inline]
+    fn directory_word(self) -> u64 {
+        (self.word::<u128>() >> 64) as u64
+    }
+}
+
+/// Bucket bounds over the top bits of a sorted column's directory words —
+/// the index both sorted columns of this module are probed through (the
+/// k-mer database's and each seed table's). Built in one counting pass and
+/// one prefix sum; 4 bytes a bucket.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Directory {
+    /// `column[bounds[b]..bounds[b + 1]]` are the keys whose directory word
+    /// shifted right by `shift` is `b`; empty for an empty column.
+    bounds: Vec<u32>,
+    shift: u32,
+}
+
+impl Directory {
+    /// The directory of a sorted column: buckets are the top `⌊log₂ n⌋`
+    /// bits of the *largest* word's width (capped at that width), about two
+    /// evenly spread keys to a bucket.
+    fn build<K: DirectoryKey>(column: &[K]) -> Directory {
+        let Some(max) = column.last() else {
+            return Directory::default();
+        };
+        assert!(
+            u32::try_from(column.len()).is_ok(),
+            "column exceeds u32 directory bounds"
+        );
+        let width = u64::BITS - max.directory_word().leading_zeros();
+        let bits = (usize::BITS - column.len().leading_zeros())
+            .saturating_sub(1)
+            .min(width);
+        let mut directory = Directory {
+            bounds: vec![0u32; (1usize << bits) + 1],
+            shift: width - bits,
+        };
+        for key in column {
+            let bucket = directory.bucket(*key);
+            directory.bounds[bucket + 1] += 1;
+        }
+        for b in 1..directory.bounds.len() {
+            directory.bounds[b] += directory.bounds[b - 1];
+        }
+        directory
+    }
+
+    /// The slot of `key` (past the directory for a key wider than the
+    /// largest indexed one). A lone full-width key has a directory of one
+    /// bucket and a shift of the whole word, which a plain `>>` would
+    /// reject.
+    #[inline]
+    fn bucket<K: DirectoryKey>(&self, key: K) -> usize {
+        let word = key.directory_word().checked_shr(self.shift).unwrap_or(0);
+        usize::try_from(word).unwrap_or(usize::MAX)
+    }
+
+    /// The lower bound in `column` (the column this directory was built
+    /// over) of each of up to [`PROBE_BATCH`] keys, slot for slot: the first
+    /// position whose key is `>= key`, `column.len()` when there is none.
+    /// Each pass is a loop of independent loads with no exit the data
+    /// decides, so a key's dependent loads (directory, then column window)
+    /// never wait behind a branch the previous key mispredicted: the
+    /// safe-code stand-in for prefetching.
+    fn lower_bounds<K: DirectoryKey>(&self, column: &[K], keys: &[K]) -> [usize; PROBE_BATCH] {
+        assert!(keys.len() <= PROBE_BATCH, "one batch per probe");
+        debug_assert!(column.is_empty() || !self.bounds.is_empty());
+        let len = column.len();
+        // Pass 1, directory: both bounds of each key's bucket. A key past
+        // the directory keeps the empty range at the column's end.
+        let mut spans = [(len, len); PROBE_BATCH];
+        for (span, &key) in spans.iter_mut().zip(keys) {
+            let bucket = self.bucket(key);
+            if let Some(&[lo, hi]) = self.bounds.get(bucket..bucket.saturating_add(2)) {
+                *span = (lo as usize, hi as usize);
+            }
+        }
+        // Pass 2, position. Invariant: the first key `>= key` lies in
+        // `lo..=hi`. Halve while the bucket is wide (`O(log n)` under any
+        // skew, rarely taken), then count the smaller keys of a *fixed*
+        // window: exact although it reads past `hi`, because the column is
+        // sorted and every key from `hi` on is `>= key`.
+        let mut at = [len; PROBE_BATCH];
+        for ((at, &(mut lo, mut hi)), &key) in at.iter_mut().zip(&spans).zip(keys) {
+            while hi - lo > SEED_TAIL {
+                let mid = lo + (hi - lo) / 2;
+                if column[mid] < key {
+                    lo = mid + 1;
+                } else {
+                    hi = mid;
+                }
+            }
+            let smaller = |window: &[K]| window.iter().filter(|k| **k < key).count();
+            *at = match column[lo..].first_chunk::<SEED_TAIL>() {
+                Some(window) => lo + smaller(window),
+                // The column ends inside the window.
+                None => lo + smaller(&column[lo..hi]),
+            };
+        }
+        at
+    }
 }
 
 /// A sorted seed column with a CSR payload — the flat layout both
@@ -818,10 +801,8 @@ struct SeedTable<T> {
     /// `seeds.len() + 1` boundaries into `payload`.
     offsets: Vec<u32>,
     payload: Vec<T>,
-    /// `seeds[buckets[b]..buckets[b + 1]]` are the seeds whose value shifted
-    /// right by `bucket_shift` is `b`; empty until [`SeedTable::seal`].
-    buckets: Vec<u32>,
-    bucket_shift: u32,
+    /// The seed column's directory; empty until [`SeedTable::seal`].
+    directory: Directory,
 }
 
 impl<T> Default for SeedTable<T> {
@@ -839,8 +820,7 @@ impl<T> SeedTable<T> {
             seeds: Vec::with_capacity(seeds),
             offsets,
             payload: Vec::with_capacity(items),
-            buckets: Vec::new(),
-            bucket_shift: 0,
+            directory: Directory::default(),
         }
     }
 
@@ -857,23 +837,9 @@ impl<T> SeedTable<T> {
             u32::try_from(self.payload.len()).expect("payload column exceeds u32 offsets");
     }
 
-    /// Builds the bucket directory once every seed is appended (one
-    /// counting pass, one prefix sum): buckets are the top bits of the
-    /// *largest* seed's width, about two evenly spread seeds to a bucket.
+    /// Builds the seed column's directory once every seed is appended.
     fn seal(&mut self) {
-        let Some(max) = self.seeds.last() else { return };
-        let width = u64::BITS - max.leading_zeros();
-        let bits = (usize::BITS - self.seeds.len().leading_zeros())
-            .saturating_sub(1)
-            .min(width);
-        self.bucket_shift = width - bits;
-        self.buckets = vec![0u32; (1usize << bits) + 1];
-        for &seed in &self.seeds {
-            self.buckets[seed_bucket(seed, self.bucket_shift) + 1] += 1;
-        }
-        for b in 1..self.buckets.len() {
-            self.buckets[b] += self.buckets[b - 1];
-        }
+        self.directory = Directory::build(&self.seeds);
     }
 
     fn items(&self, index: usize) -> &[T] {
@@ -882,45 +848,10 @@ impl<T> SeedTable<T> {
 
     /// Items under each of up to [`PROBE_BATCH`] raw words of length-`k`
     /// seeds (`None`: no seed here), slot for slot — the table's one lookup
-    /// routine. Each pass is a loop of independent loads with no exit the
-    /// data decides, so a seed's dependent loads (directory, seed window,
-    /// offsets) never wait behind a branch the previous seed mispredicted:
-    /// the safe-code stand-in for prefetching.
+    /// routine: the directory's lower bounds (passes 1–2), then a third
+    /// pass of independent loads of its own.
     fn probe(&self, seeds: &[u64]) -> [Option<&[T]>; PROBE_BATCH] {
-        assert!(seeds.len() <= PROBE_BATCH, "one batch per probe");
-        debug_assert!(self.seeds.is_empty() || !self.buckets.is_empty());
-        let len = self.seeds.len();
-        // Pass 1, directory: both bounds of each seed's bucket. A seed past
-        // the directory keeps the empty range at the column's end: absent.
-        let mut spans = [(len, len); PROBE_BATCH];
-        for (span, &seed) in spans.iter_mut().zip(seeds) {
-            let bucket = seed_bucket(seed, self.bucket_shift);
-            if let Some(&[lo, hi]) = self.buckets.get(bucket..bucket.saturating_add(2)) {
-                *span = (lo as usize, hi as usize);
-            }
-        }
-        // Pass 2, position. Invariant: the first seed `>= seed` lies in
-        // `lo..=hi`. Halve while the bucket is wide (`O(log n)` under any
-        // skew, rarely taken), then count the smaller seeds of a *fixed*
-        // window: exact although it reads past `hi`, because the column is
-        // sorted and every seed from `hi` on is `>= seed`.
-        let mut at = [len; PROBE_BATCH];
-        for ((at, &(mut lo, mut hi)), &seed) in at.iter_mut().zip(&spans).zip(seeds) {
-            while hi - lo > SEED_TAIL {
-                let mid = lo + (hi - lo) / 2;
-                if self.seeds[mid] < seed {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
-            let smaller = |window: &[u64]| window.iter().filter(|s| **s < seed).count();
-            *at = match self.seeds[lo..].first_chunk::<SEED_TAIL>() {
-                Some(window) => lo + smaller(window),
-                // The column ends inside the window.
-                None => lo + smaller(&self.seeds[lo..hi]),
-            };
-        }
+        let at = self.directory.lower_bounds(&self.seeds, seeds);
         // Pass 3: equality check and payload range.
         let mut found = [None; PROBE_BATCH];
         for ((found, &at), seed) in found.iter_mut().zip(&at).zip(seeds) {
@@ -1498,7 +1429,7 @@ mod tests {
     }
 
     #[test]
-    fn galloping_equals_two_pointer_on_edge_shapes() {
+    fn directory_probe_equals_two_pointer_on_edge_shapes() {
         let r = refs();
         let db = SortedKmerDatabase::build(&r, 21);
         let all: Vec<Kmer> = db.kmers().collect();
@@ -1532,11 +1463,11 @@ mod tests {
         let mut dups: Vec<Kmer> = all.iter().step_by(11).copied().collect();
         dups.extend(all.iter().step_by(11).copied());
         dups.sort();
-        let gallop_out = db.intersect_sorted(&dups);
-        assert_eq!(gallop_out, db.intersect_sorted_two_pointer(&dups));
-        assert!(gallop_out.windows(2).all(|w| w[0] < w[1]));
+        let probed = db.intersect_sorted(&dups);
+        assert_eq!(probed, db.intersect_sorted_two_pointer(&dups));
+        assert!(probed.windows(2).all(|w| w[0] < w[1]));
 
-        // Sparse skewed queries (|DB| >> |Q|) — the galloping regime.
+        // Sparse skewed queries (|DB| >> |Q|) — the per-shard regime.
         let sparse: Vec<Kmer> = all.iter().step_by(64).copied().collect();
         assert_eq!(
             db.intersect_sorted(&sparse),
@@ -1897,8 +1828,8 @@ mod tests {
                 assert_eq!(
                     got,
                     &db.intersect_sorted(member),
-                    "trial {trial} member {i}: shared sweep diverged from \
-                     the independent galloping merge"
+                    "trial {trial} member {i}: multi sweep diverged from \
+                     the independent probe"
                 );
                 assert_eq!(
                     got,
@@ -1973,7 +1904,7 @@ mod tests {
             }
             table.seal();
             if label == "one bucket" {
-                let widest = table.buckets.windows(2).map(|w| w[1] - w[0]).max();
+                let widest = table.directory.bounds.windows(2).map(|w| w[1] - w[0]).max();
                 assert_eq!(widest, Some(seeds.len() as u32 - 1), "fixture skew");
             }
             // All-hit, all-miss (both neighbours of every seed, unless they

@@ -770,8 +770,15 @@ fn sort_built_database_equals_the_ordered_map_reference() {
             assert_eq!(db.k(), k);
             assert_eq!(db.storage().association_count(), associations);
             // The columns are exactly their length: no growth slack is
-            // charged to the resident accounting.
-            let heap = 16 * expected.len() + 4 * (expected.len() + 1) + 4 * associations;
+            // charged to the resident accounting. The directory has
+            // 2^⌊log₂ n⌋ buckets (capped at the width of the largest k-mer's
+            // top 64 payload bits) plus a sentinel, 4 bytes each.
+            let buckets = expected.last().map_or(0, |(max, _)| {
+                let width = 64 - ((max.word::<u128>() >> 64) as u64).leading_zeros();
+                (1usize << expected.len().ilog2().min(width)) + 1
+            });
+            let heap =
+                16 * expected.len() + 4 * (expected.len() + 1) + 4 * associations + 4 * buckets;
             assert_eq!(
                 db.storage().heap_bytes(),
                 heap as u64,
