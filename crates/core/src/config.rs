@@ -7,10 +7,6 @@ use megis_ssd::timing::ByteSize;
 /// performance model).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MegisConfig {
-    /// Number of lexicographic k-mer buckets Step 1 partitions the query
-    /// k-mers into (default 512, §4.2.1). Bucketing enables overlapping
-    /// host-side sorting with in-SSD intersection.
-    pub bucket_count: usize,
     /// Sketch construction parameters (k_max is also the database k).
     pub sketch: SketchConfig,
     /// Batch size used when moving query k-mers from the host into the SSD's
@@ -29,7 +25,6 @@ pub struct MegisConfig {
 impl Default for MegisConfig {
     fn default() -> Self {
         MegisConfig {
-            bucket_count: 512,
             sketch: SketchConfig::default(),
             dram_batch: ByteSize::from_mib(1),
             min_containment: 0.4,
@@ -41,24 +36,12 @@ impl Default for MegisConfig {
 
 impl MegisConfig {
     /// A small configuration for unit tests and examples on synthetic data
-    /// (short genomes, few buckets, small sketch k-mers).
+    /// (short genomes, small sketch k-mers).
     pub fn small() -> MegisConfig {
         MegisConfig {
-            bucket_count: 8,
             sketch: SketchConfig::small(),
             ..MegisConfig::default()
         }
-    }
-
-    /// Returns a copy with a different bucket count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_count` is zero.
-    pub fn with_bucket_count(mut self, bucket_count: usize) -> MegisConfig {
-        assert!(bucket_count > 0, "bucket count must be positive");
-        self.bucket_count = bucket_count;
-        self
     }
 
     /// The database/query k-mer size (the sketch's k_max).
@@ -74,14 +57,12 @@ mod tests {
     #[test]
     fn default_matches_paper_parameters() {
         let cfg = MegisConfig::default();
-        assert_eq!(cfg.bucket_count, 512);
         assert_eq!(cfg.dram_batch.as_bytes(), 1024 * 1024);
     }
 
     #[test]
     fn small_config_is_test_friendly() {
         let cfg = MegisConfig::small();
-        assert!(cfg.bucket_count <= 16);
         assert!(cfg.k() <= 31);
     }
 
@@ -92,11 +73,5 @@ mod tests {
         let cfg = MegisConfig::default();
         assert_eq!(cfg.min_support, 3);
         assert!((cfg.min_containment - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_buckets_rejected() {
-        MegisConfig::default().with_bucket_count(0);
     }
 }

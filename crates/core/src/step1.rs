@@ -11,13 +11,11 @@
 //! `k <= 32` — into lexicographic-range buckets by their leading bits and
 //! sorts each while it is cache-resident, so no sort ever spans the sample.
 //! The overlap is what it does not do: the sorted buckets are concatenated
-//! into **one arena** of selected k-mers before anything is handed on, and
-//! `bucket_count + 1` equal-population boundaries are recorded over it, so a
-//! hand-off bucket is a `&[Kmer]` range ([`Step1Output::buckets`]) and
-//! nothing is copied per bucket. Step 2 walks the ranges; the scheduler
-//! moves the arena itself ([`Step1Output::take_kmers`]) into the allocation
-//! its shard commands share. Issuing each sorted bucket to the devices as it
-//! is produced is ROADMAP "Step 1" item (c).
+//! into **one arena** of selected k-mers before anything is handed on.
+//! Step 2 sweeps the whole arena; the scheduler moves the arena itself
+//! ([`Step1Output::take_kmers`]) into the allocation its shard commands
+//! share. Issuing each sorted bucket to the devices as it is produced is
+//! ROADMAP "Step 1" item (c).
 
 use megis_genomics::kmer::Kmer;
 use megis_genomics::read::ReadSet;
@@ -25,14 +23,11 @@ use megis_tools::kmc::{ExclusionPolicy, KmerCounts};
 
 use crate::config::MegisConfig;
 
-/// Output of Step 1: the sorted selected k-mers and their bucket ranges.
+/// Output of Step 1: the sorted selected k-mers.
 #[derive(Debug, Clone, Default)]
 pub struct Step1Output {
     /// Every selected k-mer, strictly ascending.
     kmers: Vec<Kmer>,
-    /// `bucket_count + 1` ascending boundaries into `kmers`; bucket `i` is
-    /// `kmers[bounds[i]..bounds[i + 1]]`.
-    bounds: Vec<usize>,
     /// Number of k-mer occurrences extracted from the sample (before
     /// deduplication/exclusion).
     pub extracted_occurrences: u64,
@@ -46,27 +41,15 @@ impl Step1Output {
         &self.kmers
     }
 
-    /// The buckets, in lexicographic order: consecutive ranges of
-    /// [`Step1Output::kmers`] that concatenate to it.
-    pub fn buckets(&self) -> impl ExactSizeIterator<Item = &[Kmer]> + '_ {
-        self.bounds.windows(2).map(|w| &self.kmers[w[0]..w[1]])
-    }
-
     /// A copy of [`Step1Output::kmers`].
     pub fn sorted_kmers(&self) -> Vec<Kmer> {
         self.kmers.clone()
     }
 
-    /// Moves the k-mer arena out (same allocation, no copy), leaving every
-    /// bucket empty; the counters keep describing the sample.
+    /// Moves the k-mer arena out (same allocation, no copy); the counters
+    /// keep describing the sample.
     pub fn take_kmers(&mut self) -> Vec<Kmer> {
-        self.bounds.fill(0);
         std::mem::take(&mut self.kmers)
-    }
-
-    /// Returns `true` if bucket ranges are disjoint and globally sorted.
-    pub fn ranges_are_ordered(&self) -> bool {
-        self.kmers.windows(2).all(|w| w[0] < w[1])
     }
 }
 
@@ -74,29 +57,15 @@ impl Step1Output {
 ///
 /// Extraction and sorting reuse the same KMC-style counting as the S-Qry
 /// baseline, so MegIS's query k-mer set is identical to the baseline's — the
-/// bucketing only changes how the sorted list is produced (and, once ranges
-/// are issued early, *when* each becomes available), not *what* is produced.
+/// bucketing only changes how the sorted list is produced, not *what* is
+/// produced.
 pub fn run(reads: &ReadSet, config: &MegisConfig, exclusion: ExclusionPolicy) -> Step1Output {
     let counts = KmerCounts::count(reads, config.k());
     let extracted_occurrences = counts.total_occurrences();
     let kmers = counts.apply_exclusion(exclusion);
-
-    // Cut the (already sorted) selected k-mers into `bucket_count`
-    // lexicographic ranges with near-equal population — the same effect as
-    // the paper's preliminary-bucket balancing (§4.2.1). The remainder is
-    // spread one-per-bucket from the front, so non-empty bucket sizes differ
-    // by at most one; a plain ceiling-sized chunking would instead leave the
-    // last bucket arbitrarily short.
-    let bucket_count = config.bucket_count.max(1);
-    let base = kmers.len() / bucket_count;
-    let extra = kmers.len() % bucket_count;
-    let bounds = (0..=bucket_count)
-        .map(|i| i * base + i.min(extra))
-        .collect();
     Step1Output {
         selected_kmers: kmers.len() as u64,
         kmers,
-        bounds,
         extracted_occurrences,
     }
 }
@@ -118,9 +87,10 @@ mod tests {
         let c = sample();
         let cfg = MegisConfig::small();
         let out = run(c.sample().reads(), &cfg, ExclusionPolicy::default());
-        assert_eq!(out.buckets().len(), cfg.bucket_count);
-        assert!(out.ranges_are_ordered());
-        assert_eq!(out.buckets().collect::<Vec<_>>().concat(), out.kmers());
+        assert!(
+            out.kmers().windows(2).all(|w| w[0] < w[1]),
+            "strictly ascending"
+        );
         assert_eq!(out.sorted_kmers(), out.kmers());
         assert_eq!(out.kmers().len() as u64, out.selected_kmers);
     }
@@ -154,30 +124,6 @@ mod tests {
     }
 
     #[test]
-    fn bucket_sizes_are_balanced() {
-        let c = sample();
-        // One read's k-mers, so 512 buckets outnumber them.
-        let few: ReadSet = c.sample().reads().iter().take(1).cloned().collect();
-        assert!(few.total_kmers(MegisConfig::small().k()) < 512);
-        for reads in [c.sample().reads(), &few, &ReadSet::default()] {
-            for bucket_count in [1usize, 8, 512] {
-                let cfg = MegisConfig::small().with_bucket_count(bucket_count);
-                let out = run(reads, &cfg, ExclusionPolicy::default());
-                let sizes: Vec<usize> = out.buckets().map(<[Kmer]>::len).collect();
-                assert_eq!(sizes.len(), bucket_count);
-                // The ranges are consecutive and cover the arena exactly once.
-                assert_eq!(out.buckets().collect::<Vec<_>>().concat(), out.kmers());
-                // The remainder is spread one-per-bucket, so non-empty
-                // bucket sizes differ by at most one.
-                let max = *sizes.iter().max().unwrap();
-                let min_nonzero = sizes.iter().filter(|s| **s > 0).min().copied().unwrap_or(0);
-                assert!(max <= min_nonzero + 1, "bucket sizes: {sizes:?}");
-                assert_eq!(max, out.kmers().len().div_ceil(bucket_count));
-            }
-        }
-    }
-
-    #[test]
     fn take_kmers_moves_the_arena_and_leaves_empty_buckets() {
         let c = sample();
         let cfg = MegisConfig::small();
@@ -186,8 +132,7 @@ mod tests {
         let taken = out.take_kmers();
         assert_eq!(taken, expected);
         assert_eq!(taken.as_ptr(), arena, "moved, not copied");
-        assert_eq!(out.buckets().len(), cfg.bucket_count);
-        assert!(out.buckets().all(<[Kmer]>::is_empty));
+        assert!(out.kmers().is_empty());
         assert_eq!(out.selected_kmers, expected.len() as u64);
     }
 }

@@ -167,45 +167,19 @@ mod tests {
     #[test]
     fn bucketed_intersection_equals_global_intersection() {
         let f = fixture();
-        for bucket_count in [1usize, 8, 512] {
-            let step1 = crate::step1::run(
-                f.community.sample().reads(),
-                &f.config.with_bucket_count(bucket_count),
-                ExclusionPolicy::default(),
-            );
-            let out = run(&step1, &f.database, &f.join, &f.sizes, &f.config);
-            let global = f.database.intersect_sorted(step1.kmers());
-            assert!(!global.is_empty());
-            assert_eq!(out.intersecting_kmers, global, "{bucket_count} buckets");
-            // The one sweep of the arena is the bucket-by-bucket pass.
-            let bucketed: Vec<Kmer> = step1
-                .buckets()
-                .flat_map(|bucket| f.database.intersect_sorted(bucket))
-                .collect();
-            assert_eq!(out.intersecting_kmers, bucketed, "{bucket_count} buckets");
-            // And the fused support is the streaming oracle's over those hits.
-            assert_eq!(out.support, f.kss.stream_retrieve(&global));
-        }
-    }
-
-    #[test]
-    fn bucket_count_does_not_change_results() {
-        let f = fixture();
-        let reads = f.community.sample().reads();
-        let few = crate::step1::run(
-            reads,
-            &f.config.with_bucket_count(2),
+        let step1 = crate::step1::run(
+            f.community.sample().reads(),
+            &f.config,
             ExclusionPolicy::default(),
         );
-        let many = crate::step1::run(
-            reads,
-            &f.config.with_bucket_count(64),
-            ExclusionPolicy::default(),
-        );
-        let out_few = run(&few, &f.database, &f.join, &f.sizes, &f.config);
-        let out_many = run(&many, &f.database, &f.join, &f.sizes, &f.config);
-        assert_eq!(out_few.presence, out_many.presence);
-        assert_eq!(out_few.support, out_many.support);
+        let out = run(&step1, &f.database, &f.join, &f.sizes, &f.config);
+        // The one sweep of Step 1's arena — its radix buckets concatenated —
+        // is the intersection of the whole query list.
+        let global = f.database.intersect_sorted(step1.kmers());
+        assert!(!global.is_empty());
+        assert_eq!(out.intersecting_kmers, global);
+        // And the fused support is the streaming oracle's over those hits.
+        assert_eq!(out.support, f.kss.stream_retrieve(&global));
     }
 
     #[test]

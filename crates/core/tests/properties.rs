@@ -649,35 +649,6 @@ fn kmer_counts_equal_an_ordered_map_counter() {
 }
 
 #[test]
-fn bucket_count_never_changes_step1_output() {
-    use megis_genomics::sample::{CommunityConfig, Diversity};
-    use megis_tools::kmc::ExclusionPolicy;
-    let mut rng = StdRng::seed_from_u64(204);
-    for case in 0..12u64 {
-        let community = CommunityConfig::preset(Diversity::Low)
-            .with_reads(60)
-            .with_database_species(8)
-            .build(case);
-        let config = MegisConfig::small();
-        let buckets_a = rng.gen_range(1..32usize);
-        let buckets_b = rng.gen_range(1..32usize);
-        let a = megis::step1::run(
-            community.sample().reads(),
-            &config.with_bucket_count(buckets_a),
-            ExclusionPolicy::default(),
-        );
-        let b = megis::step1::run(
-            community.sample().reads(),
-            &config.with_bucket_count(buckets_b),
-            ExclusionPolicy::default(),
-        );
-        assert_eq!(a.kmers(), b.kmers());
-        assert!(a.ranges_are_ordered());
-        assert!(b.ranges_are_ordered());
-    }
-}
-
-#[test]
 fn ftl_placement_is_always_balanced() {
     let mut rng = StdRng::seed_from_u64(205);
     let mut sizes = vec![1u64, 2, 13, 64, 512, 1024, 1999];

@@ -1080,7 +1080,7 @@ mod tests {
 
     #[test]
     fn bounded_send_allow_with_reason_suppresses() {
-        let src = "fn f(s1_tx: &SyncSender<Job>) {\n    // lint:allow(bounded-send, the dispatcher drains until teardown)\n    s1_tx.send(job);\n}";
+        let src = "fn f(s1_tx: &SyncSender<Job>) {\n    // lint:allow(bounded-send, the receiver drains until teardown)\n    s1_tx.send(job);\n}";
         let out = lint_source("test.rs", src);
         assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
         assert_eq!(out.suppressed.len(), 1);

@@ -34,9 +34,9 @@ pub struct EngineConfig {
     /// Maximum jobs inside the service — queued *plus* in flight — before
     /// admission rejects.
     pub queue_capacity: usize,
-    /// NVMe-style command-queue depth per shard: how many intersection
-    /// commands may be outstanding on one simulated SSD (submitted by the
-    /// dispatcher, completion not yet reaped). Depth ≥ 2 lets several
+    /// NVMe-style command-queue depth per shard: how many commands of
+    /// either kind may be outstanding on one simulated SSD (issued by the
+    /// completer, completion not yet reaped). Depth ≥ 2 lets several
     /// samples' intersections be in flight per device — the inter-sample
     /// overlap of §4.7 — while depth 1 serializes each device against the
     /// host round trip.

@@ -26,11 +26,13 @@
 //!   in-SSD stage of NVMe-style bounded per-shard command queues (tagged
 //!   commands, configurable [`EngineConfig::queue_depth`], out-of-order
 //!   completion with in-dispatch-order delivery), built on std threads and
-//!   channels. Steps 2 *and* 3 both flow through the queues: the completer
-//!   cuts each sample's reads across the device array and adds up the
-//!   per-range mapped-read counts, so one sample's read mapping overlaps
-//!   the next sample's intersection
-//!   ([`ServiceReport::stage_overlap_events`] counts the observations),
+//!   channels. One thread, the completer, is the only issuer: it reorders
+//!   prepared samples, slices their query lists, and puts Step 2 *and*
+//!   Step 3 commands on the queues through one backlog; it cuts each
+//!   sample's reads across the device array and adds up the per-range
+//!   mapped-read counts, so one sample's read mapping overlaps the next
+//!   sample's intersection ([`ServiceReport::stage_overlap_events`] counts
+//!   the observations),
 //! * [`engine`] — the engine's configuration ([`EngineConfig`]),
 //! * [`fault`] — deterministic seeded fault injection ([`FaultPlan`]):
 //!   transient command failures, latency spikes, permanent shard death, and
@@ -152,8 +154,11 @@
 //!   non-blocking/timeout variants or carry a reasoned
 //!   `lint:allow(bounded-send, ..)`: a bounded send that blocks forever is
 //!   the stuck-pipeline class the command-deadline machinery exists for,
-//!   and every such block must argue its drain story in-source (see the
-//!   Step 1 hand-off in `service.rs` for the canonical annotation).
+//!   and every such block must argue its drain story in-source (the lint's
+//!   own fixture, `bounded_send_allow_with_reason_suppresses` in
+//!   `crates/lint/src/rules.rs`, shows the annotation). No bounded channel
+//!   is left in the engine: every pipeline channel is unbounded, and the
+//!   lookahead gate and the queue depth bound what travels on them.
 //!
 //! Suppressions are never silent: each needs a
 //! `// lint:allow(rule, reason)` with a mandatory reason, and the lint

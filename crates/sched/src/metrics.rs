@@ -210,7 +210,7 @@ pub struct ShardStats {
 impl ShardStats {
     /// Records the high-water mark of commands concurrently outstanding on
     /// this shard's queue ([`ShardStats::peak_inflight`]), taken from the
-    /// dispatcher's shared gate state at teardown.
+    /// service's shared depth accounting at teardown.
     pub fn set_peak_inflight(&mut self, peak: usize) {
         self.peak_inflight = peak;
     }

@@ -18,51 +18,54 @@
 //! and each [`JobHandle::wait`] then returns at once.
 //!
 //! **The in-SSD stage: tagged command queues with bounded depth, serving
-//! both Steps 2 and 3.** The stage runs as two threads around one
-//! `ShardWorker` (see [`crate::shard`]) per database shard; each worker's queue
+//! both Steps 2 and 3.** The stage is one `ShardWorker` thread (see
+//! [`crate::shard`]) per database shard plus one *completer* thread, the
+//! only code that puts commands on the shard queues. Each worker's queue
 //! carries commands of *two kinds* — Step 2 (intersection finding fused
 //! with taxID retrieval, §4.3) and Step 3 (unified-index generation plus
 //! read mapping, §4.4) — so the whole pipeline after Step 1 is per-device
 //! work, only counts cross back to the host side, and the coordinator never
-//! serializes a stage:
+//! serializes a stage. The completer:
 //!
-//! * The *dispatcher* serves prepared samples strictly in dispatch order
-//!   (reorder buffer, below). For each sample it slices the sorted query
-//!   list into per-shard sub-ranges with [`ShardSet::slice_queries`] —
-//!   binary search on the shard key bounds, so each simulated SSD only ever
-//!   sees the slice of the query list overlapping its disjoint database
-//!   range, and total query-side work stays O(|Q|) across shards instead of
-//!   the O(N·|Q|) a broadcast would cost. Each sub-range becomes one
-//!   intersect command tagged `(sequence, shard)` on that shard's command
-//!   queue. Queues are NVMe-style bounded: at most
+//! * *opens* prepared samples strictly in dispatch order (reorder buffer,
+//!   below). For each sample it slices the sorted query list into per-shard
+//!   sub-ranges with [`ShardSet::slice_queries`] — binary search on the
+//!   shard key bounds, so each simulated SSD only ever sees the slice of
+//!   the query list overlapping its disjoint database range, and total
+//!   query-side work stays O(|Q|) across shards instead of the O(N·|Q|) a
+//!   broadcast would cost. Each sub-range becomes one intersect command
+//!   tagged `(sequence, shard)` for that shard's queue.
+//! * *issues* every command through **one backlog**: a command takes a
+//!   queue slot when its shard has one and waits in the backlog otherwise.
+//!   Queues are NVMe-style bounded: at most
 //!   [`crate::EngineConfig::queue_depth`] commands may be outstanding per
-//!   shard (submitted but not yet reaped by the completer), so several
-//!   samples' commands are in flight on every device at once while
-//!   backpressure still bounds memory.
-//! * The *completer* reaps per-shard completions **out of order** — shard A
-//!   may finish sample 3 before shard B finishes sample 1 — and keeps
-//!   per-job accounting per stage. A Step 2 completion carries the slice's
-//!   hit count and per-taxon sketch support — the device already retrieved
-//!   the taxIDs through the database-joined KSS
-//!   (`megis::step2::sweep`), so no k-mer list ever crosses the completion
-//!   channel — and supports over disjoint query slices add, so each is
-//!   **folded the moment it arrives** behind a hard folded-twice check per
-//!   `(seq, shard)`. Once a job's shards have all reported, what is left of
-//!   Step 2 is the presence call over the sum; the completer then cuts the
-//!   sample's *reads* into contiguous ranges — one per device, fewer when a
-//!   range would fall under about a millisecond of mapping — and issues one
-//!   Step 3 command per range back onto the *same* tagged, depth-bounded
-//!   queues, starting at shard `seq % shards` so single-command samples
-//!   rotate over the array.
+//!   shard (issued but not yet reaped), so several samples' commands are in
+//!   flight on every device at once while backpressure still bounds memory.
+//!   Reaping is the only thing that frees a slot, and the thread that reaps
+//!   is the thread that issues, so it never waits for one. Issuing takes
+//!   the slot, records `CommandIssued` and enters the command in the retry
+//!   ledger on that same thread: every command is registered before any
+//!   completion of it can arrive, by construction.
+//! * *reaps* per-shard completions **out of order** — shard A may finish
+//!   sample 3 before shard B finishes sample 1 — and keeps per-job
+//!   accounting per stage. A Step 2 completion carries the slice's hit
+//!   count and per-taxon sketch support — the device already retrieved the
+//!   taxIDs through the database-joined KSS (`megis::step2::sweep`), so no
+//!   k-mer list ever crosses the completion channel — and supports over
+//!   disjoint query slices add, so each is **folded the moment it
+//!   arrives** behind a hard folded-twice check per `(seq, shard)`. Once a
+//!   job's shards have all reported, what is left of Step 2 is the presence
+//!   call over the sum; the completer then cuts the sample's *reads* into
+//!   contiguous ranges — one per device, fewer when a range would fall
+//!   under about a millisecond of mapping — and appends one Step 3 command
+//!   per range to the same backlog, starting at shard `seq % shards` so
+//!   single-command samples rotate over the array.
 //!   The commands share the job's candidate list and one `OnceLock` slot:
 //!   the first device to serve one generates the unified index by a single
 //!   sequential merge (§4.4, Fig. 9), every command maps only its own reads
 //!   against it, so the index is merged once and every read mapped once
-//!   however wide the array. The completer submits Step 3 commands without
-//!   ever blocking on queue space — commands wait in a backlog and take
-//!   slots as reaping frees them, so reaping (the only thing that frees
-//!   slots) can never deadlock behind submission. Each reaped range is
-//!   per-candidate mapped-read counts, **folded the moment it arrives**
+//!   however wide the array. Each reaped range is per-candidate mapped-read
+//!   counts, **folded the moment it arrives**
 //!   (`step3::MappedCounts::merge`): ranges are disjoint and every range
 //!   saw every candidate, so counts simply add — commutative, no part
 //!   order, nothing held back — and only the normalization into an
@@ -94,15 +97,16 @@
 //! Step 2, and a sample with no candidates (or no reads) issues no Step 3
 //! command at all, rather than no-op work that would burn a queue slot.
 //!
-//! **One event channel.** Job records, issued-command registrations,
-//! completions and the dispatcher's exit all reach the completer on one
-//! channel, and the completer blocks on it: whatever happens wakes it. A
-//! sample that commands no device at all (no query k-mer, or none inside
-//! any shard's key range) is therefore delivered by its own job record, not
-//! by a poll interval running out. A timeout is armed only while commands
-//! are outstanding — to notice a panicked worker, a blown deadline or a due
-//! retry — and [`ServiceSnapshot::completer_timeouts`] counts the waits
-//! that ended on it.
+//! **One event channel.** Prepared samples from the Step 1 workers,
+//! completions from the shard workers and each Step 1 worker's exit all
+//! reach the completer on one channel, and the completer blocks on it:
+//! whatever happens wakes it. A sample that commands no device at all (no
+//! query k-mer, or none inside any shard's key range) is therefore
+//! delivered by its own arrival, not by a poll interval running out. A
+//! timeout is armed only while commands are outstanding — to notice a
+//! panicked worker, a blown deadline or a due retry — and
+//! [`ServiceSnapshot::completer_timeouts`] counts the waits that ended on
+//! it.
 //!
 //! **Memory.** The shard workers hold zero-copy views over the analyzer's
 //! columnar database storage (see [`crate::shard`]): spinning up an N-shard
@@ -111,19 +115,19 @@
 //!
 //! **Ordering guarantee.** Dispatch order (the `start_position` assigned in
 //! the same critical section as the pop) *is* policy order at dispatch time.
-//! Step 1 workers may finish out of that order, so the dispatcher holds
-//! early arrivals in a reorder buffer keyed on `start_position` and issues
-//! commands strictly in dispatch order — and the completer's in-order
-//! delivery extends the guarantee through Steps 2–3. A dispatch lookahead
-//! gate keeps workers from running more than
-//! `max(2 * workers + 2, queue_depth + workers)` positions ahead of in-SSD
-//! delivery, so the reorder buffer, the per-job merge table, and peak
-//! prepared-sample memory all stay O(workers + depth) even when one
-//! sample's Step 1 is far slower than the rest — while still admitting
-//! enough samples into the stage to actually fill a deep queue.
+//! Step 1 workers may finish out of that order, so the completer holds
+//! early arrivals in a reorder buffer keyed on `start_position` and opens
+//! samples strictly in dispatch order — and its in-order delivery extends
+//! the guarantee through Steps 2–3. A dispatch lookahead gate keeps workers
+//! from running more than `max(2 * workers + 2, queue_depth + workers)`
+//! positions ahead of in-SSD delivery, so the completer's reorder buffer,
+//! its per-job merge table and command backlog, and peak prepared-sample
+//! memory all stay O(workers + depth) even when one sample's Step 1 is far
+//! slower than the rest — while still admitting enough samples into the
+//! stage to actually fill a deep queue.
 //!
 //! **One owner per command.** Every command serves exactly one sample: the
-//! dispatcher issues a sample's intersect commands the moment the sample is
+//! completer builds a sample's intersect commands the moment the sample is
 //! next in dispatch order, and a completion, a retry or a failure settles
 //! only the job that owns the command.
 //!
@@ -152,8 +156,8 @@
 //!    exhausted retry budget fails only the owning job: its [`JobHandle`]
 //!    resolves to `Err(`[`JobError`]`)`, delivered in dispatch order like
 //!    any result, and the engine keeps serving every other job.
-//! 4. *Poison.* Only unrecoverable pipeline failures — a Step 1 worker, the
-//!    dispatcher, or the completer panicking — poison the whole service:
+//! 4. *Poison.* Only unrecoverable pipeline failures — a Step 1 worker or
+//!    the completer panicking — poison the whole service:
 //!    [`StreamingEngine::drain`] and [`StreamingEngine::shutdown`] propagate
 //!    the failure as a panic instead of blocking forever, every outstanding
 //!    [`JobHandle`] resolves to `Err(JobError::EngineStopped)` the moment
@@ -177,8 +181,8 @@
 //! With [`crate::EngineConfig::with_tracing`] the engine records every
 //! pipeline lifecycle event into a shared [`crate::trace::TraceSink`]
 //! (bounded ring, multi-producer): admission at `submit`, Step 1 start/end
-//! in the workers, `CommandIssued` per `(seq, shard)` at the dispatcher's
-//! intersect submission and the completer's Step 3 backlog submission,
+//! in the workers, `CommandIssued` per `(seq, shard)` when the completer's
+//! backlog puts a command of either kind on a queue,
 //! `CommandStarted`/`CommandCompleted` in the shard workers (bracketing the
 //! device service), `ReduceStarted`/`ReduceFinished` around the
 //! completer's reduce, and `Delivered` at handle send. At `finalize` the
@@ -196,8 +200,7 @@
 //! clock as `sched.trace.overhead_frac` (`benchmark/README.md`).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::ops::Range;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -272,10 +275,10 @@ struct ShardCompletion {
 /// on `cohort_foreign` (up to −24 % throughput, +1–2 MB resident; 2 vCPUs,
 /// results byte-equal).
 ///
-/// Producer accounting replaces channel disconnection for shutdown: each
-/// producing side (dispatcher, completer) holds a [`QueueProducer`] guard,
-/// and a worker exits when its own queue is empty, no dead peer has
-/// anything queued, and no producer guard remains.
+/// Producer accounting replaces channel disconnection for shutdown: the one
+/// producing side, the completer, holds a [`QueueProducer`] guard, and a
+/// worker exits when its own queue is empty, no dead peer has anything
+/// queued, and no producer guard remains.
 #[derive(Debug)]
 struct CommandQueues {
     inner: Mutex<QueuesInner>,
@@ -413,16 +416,15 @@ impl Drop for QueueProducer {
     }
 }
 
-/// Dispatcher → completer record for one sample entering the in-SSD stage;
-/// sent *before* any of the sample's commands, so the completer always knows
-/// a sequence number before its first completion can arrive.
+/// The completer's record of one sample in the in-SSD stage, made when the
+/// sample is next in dispatch order and before any of its commands is built.
 struct IspMeta {
     seq: usize,
     /// Observed hand-off rank, stamped independently of `start_position` so
     /// the ordering regression tests genuinely fail if the reorder buffer is
     /// ever bypassed.
     isp_position: usize,
-    /// Number of per-shard commands the dispatcher will issue for this job.
+    /// Number of per-shard intersect commands built for this job.
     expected: usize,
     isp_start: Instant,
     prepared: PreparedJob,
@@ -430,39 +432,27 @@ struct IspMeta {
 
 /// Everything the completer reacts to, on **one** channel: whatever arrives
 /// wakes it, so a sample that issues no command at all (no query k-mer, or
-/// none inside any shard's key range) is delivered the moment its `Job`
-/// record lands instead of when a poll interval runs out. The channel keeps
-/// the order things happened in across senders: the dispatcher sends a
-/// sample's `Job` before any of its commands, and each `Issued` record
-/// *before* the command is pushed onto a shard queue, so a command's
-/// registration is always received ahead of any completion of it — the
-/// invariant the retry machinery keys on.
+/// none inside any shard's key range) is delivered the moment it arrives
+/// instead of when a poll interval runs out. Only completions come from
+/// another thread than the one that issued their commands, and the
+/// completer registers each command before it puts it on a queue.
 enum CompleterMsg {
-    /// A sample entered the in-SSD stage.
-    Job(IspMeta),
-    /// An intersect command was issued to `shard`'s queue; the command
-    /// itself is carried (cheap: `Arc`-shared payloads) so the completer
-    /// can re-issue it on failure. Step 3 commands register directly in
-    /// `submit_backlog` — same thread as the reaping — and don't pass
-    /// through here.
-    Issued {
-        /// The target queue (= shard-of-record).
-        shard: usize,
-        command: ShardCommand,
-    },
+    /// A Step 1 worker prepared a sample for the in-SSD stage.
+    Prepared(PreparedJob),
     /// A shard worker finished (or failed) one command.
     Completed(ShardCompletion),
-    /// The dispatcher exited: no further job will ever arrive.
-    DispatcherExited,
+    /// A Step 1 worker exited: it will send no further sample.
+    WorkerExited,
 }
 
-/// The dispatcher's end of the completer channel; dropping it — on a clean
-/// exit or while a panic unwinds — tells the completer no job will follow.
-struct DispatcherTx(Sender<CompleterMsg>);
+/// A Step 1 worker's end of the completer channel; dropping it — on a clean
+/// exit or while a panic unwinds — tells the completer one fewer worker can
+/// send a sample. A worker's samples all precede its exit on the channel.
+struct WorkerTx(Sender<CompleterMsg>);
 
-impl Drop for DispatcherTx {
+impl Drop for WorkerTx {
     fn drop(&mut self) {
-        let _ = self.0.send(CompleterMsg::DispatcherExited);
+        let _ = self.0.send(CompleterMsg::WorkerExited);
     }
 }
 
@@ -582,11 +572,10 @@ struct ServiceState {
     /// bounds the reorder buffer and prepared-sample memory at
     /// O(workers + queue depth).
     lookahead: usize,
-    /// Commands outstanding per shard (both kinds): submitted, not yet
-    /// reaped by the completer. The dispatcher blocks while a shard sits at
-    /// [`EngineConfig::queue_depth`] — the NVMe queue-depth bound. (The
-    /// completer never blocks on it; its Step 3 submissions wait in a
-    /// backlog instead.)
+    /// Commands outstanding per shard (both kinds): issued, not yet reaped
+    /// by the completer. While a shard sits at [`EngineConfig::queue_depth`]
+    /// — the NVMe queue-depth bound — the completer keeps its further
+    /// commands in its backlog; nothing ever blocks on a slot.
     shard_inflight: Vec<usize>,
     /// High-water mark of `shard_inflight`, per shard, over the service
     /// lifetime; reported as [`ShardStats::peak_inflight`].
@@ -631,16 +620,17 @@ struct ServiceState {
     breakdown_count: usize,
 }
 
+/// The state behind one lock, and the two things a thread waits for on it.
+/// Shard queue slots have no condvar: the completer, the only issuer, is
+/// also the only thread that frees them.
 #[derive(Debug)]
 struct Shared {
     state: Mutex<ServiceState>,
-    /// Signaled on submission (workers wait here when the queue is empty).
+    /// Signaled on submission and on delivery (Step 1 workers wait here for
+    /// a job and for the lookahead gate to open).
     job_ready: Condvar,
     /// Signaled on completion (drain waits here for quiescence).
     idle: Condvar,
-    /// Signaled when a shard queue slot frees up (the dispatcher waits here
-    /// when a shard is at its configured queue depth).
-    queue_space: Condvar,
 }
 
 impl Shared {
@@ -682,7 +672,6 @@ impl Shared {
             }),
             job_ready: Condvar::new(),
             idle: Condvar::new(),
-            queue_space: Condvar::new(),
         }
     }
 
@@ -744,8 +733,8 @@ pub struct ServiceSnapshot {
     /// Completions per second over the rolling window.
     pub window_throughput: f64,
     /// Times the completer woke because its poll interval ran out rather
-    /// than because something happened. Jobs, issued commands and
-    /// completions all wake it as events; a timeout is armed only while
+    /// than because something happened. Prepared samples, completions and
+    /// worker exits all wake it as events; a timeout is armed only while
     /// commands are outstanding (to notice a dead worker, a blown deadline
     /// or a due retry), so an idle or healthy engine reads 0 and no sample
     /// ever waits one out.
@@ -801,7 +790,6 @@ impl JobHandle {
 pub struct StreamingEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
     completer: Option<JoinHandle<()>>,
     /// Each shard worker returns its lifetime [`ShardStats`] when it exits.
     shard_handles: Vec<JoinHandle<ShardStats>>,
@@ -832,12 +820,11 @@ impl StreamingEngine {
         // the deque-per-device [`CommandQueues`] — carrying both Step 2
         // intersect commands and Step 3 index-generation/mapping commands —
         // and reporting completions out of order on the completer's one
-        // event channel. The producer guards are taken *before* any worker
-        // spawns so no worker can observe a producerless instant and exit
-        // early.
+        // event channel. The completer's producer guard is taken *before*
+        // any worker spawns so no worker can observe a producerless instant
+        // and exit early.
         let queues = CommandQueues::new(shard_count);
-        let dispatcher_producer = queues.producer();
-        let completer_producer = queues.producer();
+        let producer = queues.producer();
         let (resp_tx, events) = mpsc::channel::<CompleterMsg>();
         let mut shard_handles = Vec::with_capacity(shard_count);
         for index in 0..shard_count {
@@ -1016,61 +1003,37 @@ impl StreamingEngine {
                 }
             }));
         }
-        // The dispatcher takes the last sender: with the workers' clones it
-        // is every sender there is, so the channel closes exactly when the
-        // in-SSD stage has wound down.
-        let meta_tx = DispatcherTx(resp_tx);
-
-        // Bounded hand-off between the stages (§4.7 lookahead): together
-        // with the dispatch lookahead gate in `step1_worker`, at most
-        // `lookahead` prepared samples exist at once — in workers' hands,
-        // in this channel, in the dispatcher's reorder buffer, or in the
-        // completer's merge table — so peak memory stays O(workers + depth)
-        // while the in-SSD stage stays fed.
-        let (s1_tx, s1_rx) = mpsc::sync_channel::<PreparedJob>(config.workers + 1);
-
-        // Host stage: Step 1 worker pool. Only the workers hold senders, so
-        // the dispatcher's receiver closes exactly when the last worker
-        // exits.
+        // Host stage: Step 1 worker pool, handing prepared samples to the
+        // completer on the same channel. With the shard workers' clones the
+        // Step 1 workers' senders are every sender there is, so the channel
+        // closes exactly when both stages have wound down.
         let mut workers = Vec::with_capacity(config.workers);
         for _ in 0..config.workers {
             let shared = Arc::clone(&shared);
             let analyzer = Arc::clone(&analyzer);
-            let s1_tx = s1_tx.clone();
+            let tx = WorkerTx(resp_tx.clone());
             let trace = trace.clone();
             workers.push(thread::spawn(move || {
-                step1_worker(&shared, &analyzer, &s1_tx, &trace);
+                // `tx` outlives the worker's `PanicGuard`: a panicking
+                // worker has poisoned the engine by the time its exit
+                // reaches the completer.
+                step1_worker(&shared, &analyzer, &tx, &trace);
             }));
         }
-        drop(s1_tx);
+        drop(resp_tx);
 
-        // In-SSD stage, part 2: dispatcher (reorder + slice + bounded-depth
-        // intersect submission) and completer (out-of-order reaping, per-job
-        // two-stage merge accounting, backlogged Step 3 submission onto the
-        // same queues, in-dispatch-order delivery). Both hold producer
-        // guards on the shard queues; the completer releases its guard once
-        // no more Step 3 commands can ever be issued, which is what lets
-        // the shard workers (and then the completer itself) wind down.
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            let shard_set = shards.clone();
-            let queue_depth = config.queue_depth;
-            let trace = trace.clone();
-            thread::spawn(move || {
-                isp_dispatcher(
-                    &shared,
-                    &shard_set,
-                    s1_rx,
-                    dispatcher_producer,
-                    meta_tx,
-                    queue_depth,
-                    &trace,
-                );
-            })
-        };
+        // In-SSD stage, part 2: the completer (reorder + slice, one backlog
+        // issuing both command kinds under the depth bound, out-of-order
+        // reaping, per-job two-stage merge accounting, in-dispatch-order
+        // delivery). It holds the only producer guard on the shard queues
+        // and releases it once no Step 1 worker is left and every job is
+        // delivered, which is what lets the shard workers (and then the
+        // completer itself) wind down.
         let completer = {
             let shared = Arc::clone(&shared);
+            let shard_set = shards.clone();
             let queues = Arc::clone(&queues);
+            let live_workers = config.workers;
             let queue_depth = config.queue_depth;
             let retry_budget = config.retry_budget;
             let retry_backoff = config.retry_backoff;
@@ -1080,10 +1043,12 @@ impl StreamingEngine {
                 IspCompleter {
                     shared: &shared,
                     analyzer: &analyzer,
-                    producer: Some(completer_producer),
+                    shards: shard_set,
+                    producer: Some(producer),
                     queues,
-                    shard_count,
                     queue_depth,
+                    reorder: BTreeMap::new(),
+                    opened: 0,
                     pending: BTreeMap::new(),
                     backlog: VecDeque::new(),
                     outstanding: HashMap::new(),
@@ -1092,7 +1057,7 @@ impl StreamingEngine {
                     retry_backoff,
                     command_deadline,
                     next_to_deliver: 0,
-                    meta_open: true,
+                    live_workers,
                     trace,
                 }
                 .run(events);
@@ -1102,7 +1067,6 @@ impl StreamingEngine {
         StreamingEngine {
             shared,
             workers,
-            dispatcher: Some(dispatcher),
             completer: Some(completer),
             shard_handles,
             shards,
@@ -1273,9 +1237,6 @@ impl StreamingEngine {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = dispatcher.join();
-        }
         // A shard worker that panicked yields no stats.
         let mut shard_stats: Vec<ShardStats> = self
             .shard_handles
@@ -1327,7 +1288,7 @@ impl Drop for StreamingEngine {
         // service — this is also the drop of `self` after `shutdown`'s drain
         // propagated the poison — skips the drain and only joins: its
         // threads exit on the poison flag, and a destructor must not panic.
-        if !self.workers.is_empty() || self.dispatcher.is_some() {
+        if self.completer.is_some() {
             self.shared.lock().accepting = false;
             let _ = self.wait_quiescent();
             let _ = self.join_and_report();
@@ -1353,26 +1314,20 @@ impl Drop for PanicGuard<'_> {
             drop(state);
             self.0.job_ready.notify_all();
             self.0.idle.notify_all();
-            self.0.queue_space.notify_all();
         }
     }
 }
 
 /// One Step 1 worker: live-pops the shared queue, runs Step 1, and hands the
-/// prepared sample to the in-SSD dispatcher.
-fn step1_worker(
-    shared: &Shared,
-    analyzer: &MegisAnalyzer,
-    s1_tx: &SyncSender<PreparedJob>,
-    trace: &TraceSink,
-) {
+/// prepared sample to the completer.
+fn step1_worker(shared: &Shared, analyzer: &MegisAnalyzer, tx: &WorkerTx, trace: &TraceSink) {
     let _guard = PanicGuard(shared);
     loop {
         // The policy decision and the service-position assignment happen in
         // one critical section, so dispatch order is exactly policy order
         // over the jobs queued at this instant. The lookahead gate refuses
         // to dispatch more than `lookahead` positions ahead of the in-SSD
-        // stage, bounding the dispatcher's reorder buffer even when one
+        // stage, bounding the completer's reorder buffer even when one
         // sample's Step 1 is far slower than the rest.
         let (job, start_position) = {
             let mut state = shared.lock();
@@ -1419,90 +1374,23 @@ fn step1_worker(
             step1_time: started.elapsed(),
             step1,
         };
-        // lint:allow(bounded-send, the hand-off channel is bounded by
-        // workers + 1 and the dispatcher drains it unconditionally until
-        // its receiver closes; a closed receiver (teardown) returns Err
-        // here and exits the worker, so this send cannot wedge a shutdown)
-        if s1_tx.send(prepared).is_err() {
+        // Unbounded: the lookahead gate above already bounds the prepared
+        // samples in existence. A gone receiver (the completer panicked)
+        // ends the worker.
+        if tx.0.send(CompleterMsg::Prepared(prepared)).is_err() {
             return;
         }
     }
 }
 
-/// The in-SSD dispatcher: reorders Step 1 completions back into dispatch
-/// order, slices each sample's sorted query list into per-shard sub-ranges,
-/// and issues tagged commands onto the bounded per-shard queues — every
-/// sample the moment it is next in dispatch order.
-fn isp_dispatcher(
-    shared: &Shared,
+/// Opens one prepared sample for the in-SSD stage: its completer record,
+/// stamped with `isp_position`, and one intersect command per shard whose
+/// slice of the sample's query list is non-empty.
+fn intersect_commands(
     shards: &ShardSet,
-    s1_rx: Receiver<PreparedJob>,
-    producer: QueueProducer,
-    meta_tx: DispatcherTx,
-    queue_depth: usize,
-    trace: &TraceSink,
-) {
-    let _guard = PanicGuard(shared);
-    // The reorder buffer behind the ordering guarantee: positions are dense
-    // (assigned at pop time), so dispatching strictly ascending positions
-    // makes in-SSD dispatch order equal policy order no matter how Step 1
-    // completions interleave across the worker pool.
-    let mut next_to_dispatch = 0usize;
-    let mut reorder: BTreeMap<usize, PreparedJob> = BTreeMap::new();
-    // Counts actual hand-offs to the in-SSD stage, independently of the
-    // positions used for reordering: the stamp recorded as `isp_position`.
-    // With the reorder buffer it always equals `start_position`; without it
-    // the stamp would record arrival rank, so the ordering regression tests
-    // genuinely fail if the buffer is ever bypassed.
-    let mut dispatched = 0usize;
-    for prepared in s1_rx {
-        reorder.insert(prepared.start_position, prepared);
-        while let Some(prepared) = reorder.remove(&next_to_dispatch) {
-            next_to_dispatch += 1;
-            let issued = dispatch_sample(
-                shared,
-                shards,
-                &producer,
-                &meta_tx.0,
-                prepared,
-                dispatched,
-                queue_depth,
-                trace,
-            );
-            if !issued {
-                return;
-            }
-            dispatched += 1;
-        }
-    }
-    // On a clean shutdown every dispatched position was issued and the
-    // buffer is empty; if a Step 1 worker panicked, its position never
-    // arrives and later arrivals stay buffered here — the poison flag, not
-    // this loop, reports that failure.
-    //
-    // Returning drops `meta_tx`, which tells the completer no further job
-    // will arrive, and the producer guard, which releases the dispatcher's
-    // claim on the shard queues; the completer holds its own guard for Step 3
-    // commands and releases it once every pending job's Step 3 is
-    // dispatched. Only then do the shard workers exit (reporting their
-    // lifetime stats), and the completer ends after the last completion.
-}
-
-/// Issues one prepared sample's per-shard intersect commands: its job
-/// record first, then one command per shard whose slice of the sample's
-/// query list is non-empty, each under one queue-depth slot. Returns
-/// `false` if the service is tearing down (poisoned or receivers gone).
-#[allow(clippy::too_many_arguments)]
-fn dispatch_sample(
-    shared: &Shared,
-    shards: &ShardSet,
-    producer: &QueueProducer,
-    meta_tx: &Sender<CompleterMsg>,
     mut prepared: PreparedJob,
     isp_position: usize,
-    queue_depth: usize,
-    trace: &TraceSink,
-) -> bool {
+) -> (IspMeta, Vec<ShardCommand>) {
     let isp_start = Instant::now();
     let seq = prepared.start_position;
     // Step 1's arena itself, moved: the commands below share the allocation
@@ -1515,77 +1403,29 @@ fn dispatch_sample(
     // slice is empty — every padding shard, and any populated shard this
     // sample's queries miss entirely — is skipped: an empty slice can only
     // intersect to nothing, and a no-op command would waste a queue slot.
-    let targets: Vec<(usize, Range<usize>)> = shards
+    let commands: Vec<ShardCommand> = shards
         .slice_queries(&queries)
         .into_iter()
         .enumerate()
         .filter(|(_, range)| !range.is_empty())
+        .map(|(shard, range)| {
+            ShardCommand::Intersect(IntersectCommand {
+                shard,
+                attempt: 0,
+                seq,
+                queries: Arc::clone(&queries),
+                range,
+            })
+        })
         .collect();
     let meta = IspMeta {
         seq,
         isp_position,
-        expected: targets.len(),
+        expected: commands.len(),
         isp_start,
         prepared,
     };
-    // Register the job with the completer before any command that could
-    // complete for it is built.
-    if meta_tx.send(CompleterMsg::Job(meta)).is_err() {
-        return false;
-    }
-    for (shard, range) in targets {
-        // NVMe queue-depth gate: at most `queue_depth` commands outstanding
-        // per shard (submitted, completion not yet reaped). Blocking here is
-        // the backpressure that bounds per-device memory; the completer
-        // frees slots as it reaps. (Only the dispatcher ever blocks here —
-        // the completer's Step 3 submissions go through a non-blocking
-        // backlog, so reaping can always proceed.)
-        {
-            let mut state = shared.lock();
-            loop {
-                if state.poisoned {
-                    return false;
-                }
-                if state.shard_inflight[shard] < queue_depth {
-                    break;
-                }
-                state = shared
-                    .queue_space
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
-            }
-            state.occupy(shard, TraceStage::Intersect);
-        }
-        let command = ShardCommand::Intersect(IntersectCommand {
-            shard,
-            attempt: 0,
-            seq,
-            queries: Arc::clone(&queries),
-            range,
-        });
-        // Register the issued command with the completer *before* it can
-        // reach a shard queue: the workers' completions travel the same
-        // channel, so the registration is received ahead of any of them and
-        // every completion finds its command outstanding.
-        if meta_tx
-            .send(CompleterMsg::Issued {
-                shard,
-                command: command.clone(),
-            })
-            .is_err()
-        {
-            return false;
-        }
-        trace.record(
-            seq,
-            TraceEventKind::CommandIssued {
-                stage: TraceStage::Intersect,
-                shard,
-            },
-        );
-        producer.send(shard, command);
-    }
-    true
+    (meta, commands)
 }
 
 /// Deterministic capped exponential backoff for retry attempt `attempt`
@@ -1617,32 +1457,46 @@ struct OutstandingCommand {
     issued_at: Instant,
 }
 
-/// The in-SSD completer: reaps per-shard completions of *both* stages out
-/// of order, keeps a per-job state machine (per-shard Step 2 supports folded
-/// as they arrive → presence call → per-read-range Step 3 counts folded as
-/// they arrive), submits Step 3 commands onto the same tagged shard queues
-/// through a non-blocking depth-bounded backlog, and once a job's ranges are
-/// all in — and every earlier sequence number has been delivered —
-/// normalizes the counts and delivers the result strictly in dispatch order.
+/// The in-SSD completer, the only issuer of shard commands: reorders
+/// prepared samples back into dispatch order and opens each (query slices →
+/// intersect commands), issues both command kinds onto the tagged shard
+/// queues through one non-blocking depth-bounded backlog, reaps per-shard
+/// completions of *both* stages out of order, keeps a per-job state machine
+/// (per-shard Step 2 supports folded as they arrive → presence call →
+/// per-read-range Step 3 counts folded as they arrive), and once a job's
+/// ranges are all in — and every earlier sequence number has been
+/// delivered — normalizes the counts and delivers the result strictly in
+/// dispatch order.
 struct IspCompleter<'a> {
     shared: &'a Shared,
     analyzer: &'a Arc<MegisAnalyzer>,
-    /// Producer guard on the per-shard command queues; set to `None` once
-    /// no further command — Step 3 *or* a retry of either stage — can ever
-    /// be issued, releasing the shard workers (and then this completer) to
-    /// wind down.
+    /// The sharded database layout the query lists are sliced against.
+    shards: ShardSet,
+    /// The only producer guard on the per-shard command queues; set to
+    /// `None` once no further command — intersect, Step 3 *or* a retry of
+    /// either — can ever be issued, releasing the shard workers (and then
+    /// this completer) to wind down.
     producer: Option<QueueProducer>,
     /// The shard queues themselves, for failure routing: `is_dead` picks a
     /// live target for re-issues away from a dead shard.
     queues: Arc<CommandQueues>,
-    shard_count: usize,
     queue_depth: usize,
+    /// The reorder buffer behind the ordering guarantee: prepared samples
+    /// that arrived ahead of an earlier dispatch position, keyed on
+    /// `start_position`.
+    reorder: BTreeMap<usize, PreparedJob>,
+    /// Samples opened so far — the next dispatch position to open, and the
+    /// `isp_position` stamp. Counted at the hand-off rather than read off
+    /// `start_position`, so the ordering tests genuinely fail if the reorder
+    /// buffer is ever bypassed.
+    opened: usize,
     pending: BTreeMap<usize, MergeState>,
-    /// `(shard, command)` Step 3 submissions awaiting a free queue slot, in
-    /// issue order. The completer drains it opportunistically instead of
-    /// blocking on the depth gate: reaping is the only thing that frees
-    /// slots, so the thread that reaps must never wait for one.
-    backlog: VecDeque<(usize, ShardCommand)>,
+    /// Commands of both kinds awaiting a free slot on their
+    /// shard-of-record's queue, in the order they were built. The completer
+    /// drains it opportunistically instead of blocking on the depth gate:
+    /// reaping is the only thing that frees slots, so the thread that reaps
+    /// must never wait for one.
+    backlog: VecDeque<ShardCommand>,
     /// Every issued command awaiting its final completion — the retry and
     /// failover ledger. A command's queue-depth slot is held from its
     /// *first* issue to its final resolution, so re-issues never re-gate
@@ -1655,9 +1509,9 @@ struct IspCompleter<'a> {
     retry_backoff: Duration,
     command_deadline: Option<Duration>,
     next_to_deliver: usize,
-    /// `false` once the dispatcher exited (no further jobs will ever
-    /// arrive).
-    meta_open: bool,
+    /// Step 1 workers that have not exited; at 0 no further sample can
+    /// arrive.
+    live_workers: usize,
     trace: TraceSink,
 }
 
@@ -1671,13 +1525,13 @@ impl IspCompleter<'_> {
             self.expire_stuck_commands();
             self.deliver_ready();
             self.maybe_release_txs();
-            // A poisoned service's dispatcher may have exited between
-            // registering a job and issuing its commands. Such a job can
-            // never complete, and no result can be delivered any more (the
-            // poison dropped every sender), so the completer lets go rather
-            // than wait for it: dropping its producer releases the shard
-            // workers, and teardown's joins return.
-            if !self.meta_open && self.shared.lock().poisoned {
+            // Once no Step 1 worker is left on a poisoned service, a
+            // position that never arrived holds every later job back, and no
+            // result can be delivered any more (the poison dropped every
+            // sender), so the completer lets go rather than wait: dropping
+            // its producer releases the shard workers, and teardown's joins
+            // return.
+            if self.live_workers == 0 && self.shared.lock().poisoned {
                 return;
             }
             // Everything that can give the completer work arrives as an
@@ -1713,13 +1567,14 @@ impl IspCompleter<'_> {
                     }
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    // The dispatcher and every shard worker exited, which
-                    // implies both the dispatcher and this completer
-                    // released their queue producers: every *servable*
-                    // command was served and every event has been consumed
-                    // above. Jobs still incomplete here lost their last live
-                    // shard — every worker died before their commands could
-                    // be re-issued — so they fail rather than hang.
+                    // Every Step 1 worker and every shard worker exited, and
+                    // every event has been consumed above: no sample or
+                    // completion can arrive any more. Shard workers exit
+                    // either because this completer released its producer
+                    // — every *servable* command was served — or because
+                    // they died; jobs still incomplete here lost their last
+                    // live shard before their commands could be re-issued,
+                    // so they fail rather than hang.
                     self.advance_ready_jobs();
                     let stuck: Vec<usize> = self
                         .pending
@@ -1753,28 +1608,23 @@ impl IspCompleter<'_> {
         }
     }
 
-    /// Books one event: a new job's meta, an issued command's registration
-    /// (the dispatcher sends it *before* the command reaches a shard queue,
-    /// and Step 3 issues register on this thread, so every completion's
-    /// command is in `outstanding` by the time it is reaped), a completion,
-    /// or the end of the job stream.
+    /// Books one event: a prepared sample (opened at once if it is next in
+    /// dispatch order, together with every buffered sample it unblocks), a
+    /// completion, or a Step 1 worker's exit.
     fn handle(&mut self, msg: CompleterMsg) {
         match msg {
-            CompleterMsg::Job(meta) => {
-                self.pending
-                    .insert(meta.seq, MergeState::new(meta, self.shard_count));
-            }
-            CompleterMsg::Issued { shard, command } => {
-                self.outstanding.insert(
-                    (command.seq(), shard, command.stage()),
-                    OutstandingCommand {
-                        command,
-                        issued_at: Instant::now(),
-                    },
-                );
+            CompleterMsg::Prepared(prepared) => {
+                self.reorder.insert(prepared.start_position, prepared);
+                while let Some(prepared) = self.reorder.remove(&self.opened) {
+                    let (meta, commands) = intersect_commands(&self.shards, prepared, self.opened);
+                    self.opened += 1;
+                    self.pending
+                        .insert(meta.seq, MergeState::new(meta, self.shards.shard_count()));
+                    self.backlog.extend(commands);
+                }
             }
             CompleterMsg::Completed(completion) => self.reap(completion),
-            CompleterMsg::DispatcherExited => self.meta_open = false,
+            CompleterMsg::WorkerExited => self.live_workers -= 1,
         }
     }
 
@@ -1801,8 +1651,6 @@ impl IspCompleter<'_> {
         self.shared
             .lock()
             .release(completion.shard, completion.stage);
-        // Reaping freed a slot in the shard's command queue.
-        self.shared.queue_space.notify_all();
         // An outstanding command's job is pending and unfailed: failing a
         // job retires its commands from the ledger.
         let job = self
@@ -1904,8 +1752,9 @@ impl IspCompleter<'_> {
         if !self.queues.is_dead(record) {
             return Some(record);
         }
-        (1..self.shard_count)
-            .map(|offset| (record + offset) % self.shard_count)
+        let shard_count = self.shards.shard_count();
+        (1..shard_count)
+            .map(|offset| (record + offset) % shard_count)
             .find(|&shard| !self.queues.is_dead(shard))
     }
 
@@ -1976,10 +1825,8 @@ impl IspCompleter<'_> {
                 self.outstanding.remove(&(seq, shard, stage));
                 state.release(shard, stage);
             }
-            drop(state);
-            self.shared.queue_space.notify_all();
         }
-        self.backlog.retain(|(_, command)| command.seq() != seq);
+        self.backlog.retain(|command| command.seq() != seq);
         self.retry_due.retain(|(_, key)| key.0 != seq);
     }
 
@@ -2005,7 +1852,7 @@ impl IspCompleter<'_> {
     /// the submission backlog, all sharing the job's candidate list and
     /// index slot.
     fn start_step3(&mut self, seq: usize) {
-        let shard_count = self.shard_count;
+        let shard_count = self.shards.shard_count();
         let job = self.pending.get_mut(&seq).expect("ready job is pending");
         let presence = self.analyzer.call_presence(&job.step2);
         let candidates = Arc::new(self.analyzer.candidate_positions(&presence));
@@ -2026,24 +1873,24 @@ impl IspCompleter<'_> {
         self.backlog.extend(ranges.map(|(part, reads)| {
             // One range per shard-of-record, so `(seq, shard, Step3)` still
             // names the command in the ledger and the fold.
-            let shard = (seq + part) % shard_count;
-            let command = ShardCommand::Step3(Step3Command {
+            ShardCommand::Step3(Step3Command {
                 seq,
-                record_shard: shard,
+                record_shard: (seq + part) % shard_count,
                 attempt: 0,
                 sample: Arc::clone(&sample),
                 candidates: Arc::clone(&candidates),
                 index: Arc::clone(&index),
                 reads,
-            });
-            (shard, command)
+            })
         }));
     }
 
-    /// Submits backlogged Step 3 commands to every shard with a free queue
-    /// slot — the same `(sequence, shard)` tagging and depth bound as the
-    /// dispatcher's intersect path, but never blocking: commands left over
-    /// take slots as future reaps free them.
+    /// Issues backlogged commands of both kinds to every shard with a free
+    /// queue slot, in backlog order per shard, never blocking: commands left
+    /// over take slots as future reaps free them. Each issue occupies the
+    /// slot, records `CommandIssued` and enters the retry ledger before the
+    /// command reaches its queue — on the thread that reaps, so no
+    /// completion can be observed before its command is registered.
     fn submit_backlog(&mut self) {
         if self.backlog.is_empty() {
             return;
@@ -2055,28 +1902,23 @@ impl IspCompleter<'_> {
         {
             let mut state = self.shared.lock();
             let mut kept = VecDeque::with_capacity(self.backlog.len());
-            for (shard, command) in self.backlog.drain(..) {
+            for command in self.backlog.drain(..) {
+                let shard = command.record_shard();
                 if state.shard_inflight[shard] < self.queue_depth {
-                    state.occupy(shard, TraceStage::Step3);
-                    to_send.push((shard, command));
+                    state.occupy(shard, command.stage());
+                    to_send.push(command);
                 } else {
-                    kept.push_back((shard, command));
+                    kept.push_back(command);
                 }
             }
             self.backlog = kept;
         }
-        for (shard, command) in to_send {
-            self.trace.record(
-                command.seq(),
-                TraceEventKind::CommandIssued {
-                    stage: TraceStage::Step3,
-                    shard,
-                },
-            );
-            // Register before the send — same thread as the reap loop, so
-            // the completion cannot be observed before this insert.
+        for command in to_send {
+            let (seq, shard, stage) = (command.seq(), command.record_shard(), command.stage());
+            self.trace
+                .record(seq, TraceEventKind::CommandIssued { stage, shard });
             self.outstanding.insert(
-                (command.seq(), shard, TraceStage::Step3),
+                (seq, shard, stage),
                 OutstandingCommand {
                     command: command.clone(),
                     issued_at: Instant::now(),
@@ -2086,16 +1928,16 @@ impl IspCompleter<'_> {
         }
     }
 
-    /// Drops the completer's producer guard once no further Step 3 command
-    /// can ever be issued: the dispatcher has exited (so no new jobs), every
-    /// pending job's Step 3 is dispatched, and the backlog is drained. The
-    /// shard workers then wind down as their queues empty, which closes the
+    /// Drops the completer's producer guard once no further command can
+    /// ever be issued: no Step 1 worker is left (so no new sample), every
+    /// pending job is delivered, and the backlog is drained. The shard
+    /// workers then wind down as their queues empty, which closes the
     /// completion channel and ends the completer — the hand-over that
     /// breaks the shutdown cycle between workers waiting for producers and
     /// the completer waiting for completions.
     fn maybe_release_txs(&mut self) {
         if self.producer.is_some()
-            && !self.meta_open
+            && self.live_workers == 0
             && self.backlog.is_empty()
             && self.pending.is_empty()
         {
@@ -2303,40 +2145,19 @@ mod tests {
             step1_time: Duration::ZERO,
             step1,
         };
-        // Workerless queues: the issued commands stay where the test can
-        // read them off the dispatcher → completer channel.
-        let producer = CommandQueues::new(config.shards).producer();
-        let (meta_tx, meta_rx) = mpsc::channel();
-        assert!(dispatch_sample(
-            &Shared::new(&config, config.shards),
-            &shards,
-            &producer,
-            &meta_tx,
-            prepared,
-            0,
-            config.queue_depth,
-            &TraceSink::disabled(),
-        ));
-        drop(meta_tx);
+        let (meta, commands) = intersect_commands(&shards, prepared, 0);
+        assert_eq!((meta.seq, meta.isp_position), (0, 0));
+        assert_eq!(meta.prepared.step1.selected_kmers, queries.len() as u64);
+        assert_eq!(meta.expected, commands.len());
         let mut issued = 0;
-        for msg in meta_rx {
-            match msg {
-                CompleterMsg::Job(meta) => {
-                    assert_eq!(meta.prepared.step1.selected_kmers, queries.len() as u64)
-                }
-                CompleterMsg::Issued { command, .. } => {
-                    let ShardCommand::Intersect(command) = command else {
-                        panic!("the dispatcher issues intersect commands only");
-                    };
-                    assert_eq!(command.queries.as_ptr(), arena, "moved, not copied");
-                    assert_eq!(*command.queries, queries);
-                    assert_eq!(command.seq, 0);
-                    issued += 1;
-                }
-                CompleterMsg::Completed(_) | CompleterMsg::DispatcherExited => {
-                    panic!("issuing a sample sends job and command records only")
-                }
-            }
+        for command in commands {
+            let ShardCommand::Intersect(command) = command else {
+                panic!("a sample opens with intersect commands only");
+            };
+            assert_eq!(command.queries.as_ptr(), arena, "moved, not copied");
+            assert_eq!(*command.queries, queries);
+            assert_eq!(command.seq, 0);
+            issued += 1;
         }
         assert_eq!(issued, config.shards, "both shards hold genome k-mers");
 
@@ -2501,8 +2322,7 @@ mod tests {
                 .with_workers(2)
                 .with_shards(2)
                 .with_queue_depth(depth)
-                // Dwelling commands so the dispatcher actually hits the
-                // gate.
+                // Dwelling commands so the backlog actually hits the gate.
                 .with_fault_plan(dwell(Duration::from_millis(2))),
         );
         let handles: Vec<JobHandle> = (0..12)
@@ -2532,6 +2352,63 @@ mod tests {
         }
         for handle in handles {
             assert!(handle.wait().is_ok());
+        }
+    }
+
+    #[test]
+    fn the_one_issuer_keeps_dispatch_order_behind_depth_one_queues() {
+        // The riskiest path of the single issuer. Sample 0 carries 20x the
+        // reads of the rest, so later positions finish Step 1 first and
+        // wait in the completer's reorder buffer; seeded latency spikes
+        // hold commands on their devices, so intersect and Step 3 commands
+        // of several jobs wait together in the backlog behind depth-1
+        // slots.
+        let big = CommunityConfig::preset(Diversity::Medium)
+            .with_reads(20 * 64)
+            .with_database_species(10)
+            .build(23);
+        let small = Sample::from_reads(big.sample().reads().iter().take(64).cloned().collect());
+        let a = analyzer(&big);
+        let expected = [a.analyze(big.sample()), a.analyze(&small)];
+        assert!(expected[1].mapped_reads > 0, "every sample reaches Step 3");
+        let engine = StreamingEngine::new(
+            a,
+            EngineConfig::new()
+                .with_workers(3)
+                .with_shards(3)
+                .with_queue_depth(1)
+                .with_tracing()
+                .with_fault_plan(
+                    FaultPlan::seeded(5).with_latency_spike(0.3, Duration::from_millis(3)),
+                ),
+        );
+        let jobs = 12;
+        let handles = engine
+            .submit_all((0..jobs).map(|i| {
+                let sample = if i == 0 { big.sample() } else { &small };
+                JobSpec::new(format!("s{i}"), sample.clone())
+            }))
+            .unwrap();
+        let report = engine.shutdown();
+        for (i, handle) in handles.into_iter().enumerate() {
+            let result = handle.wait().expect("job served");
+            assert_eq!(result.start_position, i, "FIFO serves in submission order");
+            assert_eq!(result.isp_position, result.start_position);
+            assert_eq!(result.output, expected[usize::from(i > 0)]);
+        }
+        let delivered: Vec<u64> = report
+            .trace
+            .expect("tracing is on")
+            .events
+            .iter()
+            .filter_map(|event| match event.kind {
+                TraceEventKind::Delivered { job } => Some(job),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, (0..jobs).collect::<Vec<u64>>(), "delivery order");
+        for stats in &report.shard_stats {
+            assert!(stats.peak_inflight <= 1, "shard {}", stats.shard);
         }
     }
 

@@ -240,7 +240,7 @@ impl ShardWorker {
         match command {
             ShardCommand::Intersect(c) => {
                 let shard = &self.shards.shards()[c.shard];
-                // Device-side bound check: the dispatcher's partition
+                // Device-side bound check: `slice_queries`' partition
                 // charges gap queries (values between shard key ranges) to
                 // the preceding shard, but nothing below this shard's first
                 // key or above its last can match, so the sweep runs only
@@ -706,7 +706,7 @@ mod tests {
     #[test]
     fn per_shard_supports_add_up_to_the_unsharded_support_at_any_shard_count() {
         // What the completer relies on when it folds by addition: over the
-        // dispatcher's query slices, the supports the devices return sum to
+        // query slices `slice_queries` cuts, the supports the devices return sum to
         // Step 2 of the unsharded database — hit count and every taxon —
         // for 1..=9 shards, padding shards (more shards than entries)
         // included.

@@ -11,7 +11,7 @@
 //!
 //! * [`TraceSink`] — a cheap, bounded, multi-producer ring buffer of
 //!   timestamped [`TraceEvent`]s. Every pipeline thread (submitters, Step 1
-//!   workers, the dispatcher, the shard workers, the completer) holds a
+//!   workers, the shard workers, the completer) holds a
 //!   clone and records the events it owns: admission, Step 1 start/end, per
 //!   `(seq, shard)` command issued/started/completed for both command
 //!   kinds, reduce start/end, delivery. The sink is **zero-cost when
@@ -86,11 +86,11 @@ pub enum TraceEventKind {
         /// The job's id.
         job: u64,
     },
-    /// Host-side Step 1 finished; the prepared sample heads to the in-SSD
-    /// dispatcher.
+    /// Host-side Step 1 finished; the prepared sample heads to the
+    /// completer, which opens it for the in-SSD stage in dispatch order.
     Step1Finished,
-    /// A command was issued onto a shard's NVMe-style queue (dispatcher for
-    /// intersections, completer backlog for Step 3).
+    /// A command was issued onto a shard's NVMe-style queue: the
+    /// completer's backlog issues both kinds, and a retry re-issues one.
     CommandIssued {
         /// Command kind.
         stage: TraceStage,

@@ -271,7 +271,7 @@ fn several_samples_intersections_are_in_flight_per_shard() {
     // respects dispatch order and every result stays byte-identical to the
     // sequential analyzer. An injected latency spike on every command
     // makes the overlap deterministic: commands dwell on the device long
-    // enough for the dispatcher to queue the next sample's command behind
+    // enough for the completer to queue the next sample's command behind
     // them.
     use std::time::Duration;
     let (analyzer, samples) = cohort(10);
