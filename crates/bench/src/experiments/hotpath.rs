@@ -37,8 +37,9 @@
 //! * **Step 3** — the flat unified index (one k-way merge of sorted seed
 //!   columns, dense-counter seed voting) against the old ordered map of
 //!   per-seed location lists with an ordered-map vote table per read; the
-//!   reads mapped as 1, 2 and 8 ranges over the one merged index (the
-//!   scheduler's cut of Step 3) against the sequential `step3::run`; and
+//!   reads mapped as 1, 2 and 8 ranges over the one merged index, counts
+//!   added (the mapper's additivity over reads), against the sequential
+//!   `step3::run`; and
 //!   the mapper's batched seed probe (full batches of a read's seeds)
 //!   against the same seeds resolved one by one through
 //!   [`UnifiedReferenceIndex::locations`], its batch of one,

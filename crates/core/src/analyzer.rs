@@ -202,9 +202,8 @@ impl MegisAnalyzer {
     /// Positions (within [`MegisAnalyzer::reference_indexes`]) of the
     /// candidate species reported present, in index order — which is
     /// reference-collection order, i.e. ascending taxid. This is the shared
-    /// definition of "the candidate list" for Step 3: the sequential path
-    /// and the scheduler's shared per-job index both derive from it, so
-    /// they merge candidates in the same order.
+    /// definition of "the candidate list" for Step 3, which merges the
+    /// candidates in this order.
     pub fn candidate_positions(&self, presence: &PresenceResult) -> Vec<usize> {
         self.reference_indexes()
             .iter()
@@ -241,9 +240,9 @@ impl MegisAnalyzer {
 
     /// Runs Step 3 (unified index generation + read mapping) for the
     /// candidate species reported present: one merge over every candidate,
-    /// then one [`step3::map_range`] over all the reads — the single-range
-    /// case of what the sharded scheduler drives (the sequential
-    /// [`step3::run`] is the oracle both are verified against).
+    /// then one [`step3::map_range`] over all the reads. `analyze` runs it,
+    /// and so does the scheduler's Step 3 device command; the sequential
+    /// [`step3::run`] is the oracle it is verified against.
     pub fn run_step3(&self, sample: &Sample, presence: &PresenceResult) -> step3::Step3Output {
         let index = self.unified_index(&self.candidate_positions(presence));
         let reads = sample.reads();

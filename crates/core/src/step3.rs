@@ -1,5 +1,5 @@
 //! Step 3 — abundance estimation support (§4.4): one unified-index merge,
-//! then read mapping cut by *reads*.
+//! then one mapping pass over the reads.
 //!
 //! For applications that need relative abundances, MegIS prepares the data a
 //! read mapper needs: a *unified* reference index over the candidate species
@@ -12,34 +12,30 @@
 //! lookups — latency-bound random accesses that only go fast with many in
 //! flight — so the mapper resolves a read's seeds a batch at a time (three
 //! passes of independent loads over 16 seeds) instead of one dependent
-//! chain per seed; the oracle and every range go through that one mapper.
+//! chain per seed; the oracle and [`map_range`] go through that one mapper.
 //!
-//! On a device array the stage shards the way the paper's mapper does: the
-//! index is merged **once** per sample over *all* candidates
-//! ([`crate::MegisAnalyzer::unified_index`]) and the sample's reads are cut
-//! into disjoint ranges ([`read_ranges`]), each mapped against that one
-//! index ([`map_range`]) into [`MappedCounts`] — how many reads each
-//! candidate won. The cut is *exact*, not approximate:
+//! [`crate::MegisAnalyzer::run_step3`] is the stage as both the sequential
+//! `analyze` and the scheduler's device command run it: the index merged
+//! **once** per sample over *all* candidates
+//! ([`crate::MegisAnalyzer::unified_index`]) and every read mapped against
+//! it ([`map_range`]) into [`MappedCounts`] — how many reads each candidate
+//! won — normalized into an abundance profile by a deterministic sort +
+//! run-length pass ([`AbundanceAccumulator`]).
 //!
-//! * ranges are disjoint and cover the sample, so every read is mapped
-//!   exactly once;
-//! * every range sees every candidate, so a read's winner under the
-//!   `(votes, smallest-taxid)` rule with the [`MIN_MAPPING_VOTES`] threshold
-//!   is decided where the read is mapped — there is nothing to resolve
-//!   across ranges;
-//! * what is left to reduce are counts, and counts add
-//!   ([`MappedCounts::merge`]): commutative and associative, so ranges fold
-//!   in whatever order devices complete them, and the abundance profile
-//!   groups by a deterministic sort + run-length pass
-//!   ([`AbundanceAccumulator`]). The fold is *not* idempotent — a range
-//!   folded twice counts its reads twice — so whoever folds must fold each
-//!   range once (the scheduler asserts it per job).
+//! The mapper is *additive* over reads: a read's winner under the
+//! `(votes, smallest-taxid)` rule with the [`MIN_MAPPING_VOTES`] threshold
+//! depends on that read and the index alone, so the reads cut into
+//! disjoint ranges ([`read_ranges`]), each mapped against the one index and
+//! the counts added ([`MappedCounts::merge`]: commutative and associative,
+//! not idempotent), give the same result as one pass. The property suites
+//! and the `hotpath` bench check that property; no engine path cuts the
+//! reads.
 //!
 //! [`run`] is the sequential oracle (one merge, one per-read mapper):
-//! the seeded property suites assert that any cut of the reads, merged in
-//! any order, reproduces it byte for byte. Lightweight statistical
-//! estimators ([`statistical_abundance`]) can instead run directly on
-//! Step 2's output.
+//! the seeded property suites assert that [`map_range`] over any cut of
+//! the reads, merged in any order, reproduces it byte for byte.
+//! Lightweight statistical estimators ([`statistical_abundance`]) can
+//! instead run directly on Step 2's output.
 //!
 //! **Kept only for the frozen benchmark replay** (`benchmark/src/replay.rs`
 //! still walks the retired composition that cut Step 3 by *candidates* and
@@ -64,8 +60,9 @@ use megis_genomics::taxonomy::TaxId;
 /// Output of Step 3.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Step3Output {
-    /// The unified index generated for the candidate species (left empty by
-    /// the scheduler, whose devices share the index and never hand it back).
+    /// The unified index generated for the candidate species (left empty in
+    /// the scheduler's Step 3 completions: the index stays on the device
+    /// that merged it, and only the counts cross back).
     pub unified_index: UnifiedReferenceIndex,
     /// Mapping-based abundance estimate.
     pub abundance: AbundanceProfile,
@@ -73,9 +70,9 @@ pub struct Step3Output {
     pub mapped_reads: u64,
 }
 
-/// Step 3's result over one range of a sample's reads: how many reads each
+/// Step 3's result over a range of a sample's reads: how many reads each
 /// candidate species won. Results over disjoint ranges [`merge`] into the
-/// result over their union.
+/// result over their union — the mapper's additivity.
 ///
 /// [`merge`]: MappedCounts::merge
 #[derive(Debug, Clone, Default)]
@@ -110,14 +107,13 @@ impl MappedCounts {
 
 /// Cuts `reads` reads into `parts` contiguous ranges of near-equal length,
 /// in order: disjoint, covering `0..reads`, empty ones when `parts > reads`.
-/// The one definition of Step 3's cut by reads.
+/// The cut over which the mapper's additivity is checked.
 pub fn read_ranges(reads: usize, parts: usize) -> impl Iterator<Item = Range<usize>> {
     (0..parts).map(move |part| part * reads / parts..(part + 1) * reads / parts)
 }
 
-/// Maps `reads[range]` against the sample's unified index: one device's
-/// share of Step 3's mapping, each read's seeds probed in batches
-/// ([`UnifiedReferenceIndex::count_mapped_reads`]).
+/// Maps `reads[range]` against the sample's unified index, each read's
+/// seeds probed in batches ([`UnifiedReferenceIndex::count_mapped_reads`]).
 ///
 /// # Panics
 ///
@@ -596,8 +592,7 @@ mod tests {
 
     #[test]
     fn incremental_reduce_is_arrival_order_insensitive() {
-        // The completer folds a job's read ranges as devices complete them,
-        // in whatever order failover and queue depth produce. Every arrival
+        // Read ranges' counts merge in any arrival order. Every arrival
         // rotation, and the reverse order, must finish byte-identical to
         // the sequential oracle — on the skewed candidates too, since every
         // range maps against all of them.

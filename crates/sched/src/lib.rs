@@ -18,9 +18,9 @@
 //!   dispatch ([`ShardSet::slice_queries`]): each device only ever sees the
 //!   sub-slice of a sample's sorted query list overlapping its key range —
 //!   plus the per-device workers, which serve both command kinds: Step 2
-//!   intersections and Step 3 read mapping over a contiguous range of the
-//!   sample's reads, against a unified index the job's commands share and
-//!   the first one served generates,
+//!   intersections and Step 3 — one command per job, which generates the
+//!   job's unified index and maps every read through the same
+//!   `MegisAnalyzer::run_step3` the sequential path runs,
 //! * [`service`] — the streaming executor ([`StreamingEngine`]): a pool of
 //!   host Step 1 worker threads live-popping a shared queue and feeding an
 //!   in-SSD stage of NVMe-style bounded per-shard command queues (tagged
@@ -28,11 +28,10 @@
 //!   completion with in-dispatch-order delivery), built on std threads and
 //!   channels. One thread, the completer, is the only issuer: it reorders
 //!   prepared samples, slices their query lists, and puts Step 2 *and*
-//!   Step 3 commands on the queues through one backlog; it cuts each
-//!   sample's reads across the device array and adds up the per-range
-//!   mapped-read counts, so one sample's read mapping overlaps the next
-//!   sample's intersection ([`ServiceReport::stage_overlap_events`] counts
-//!   the observations),
+//!   Step 3 commands on the queues through one backlog, one Step 3 command
+//!   per sample rotating over the device array, so one sample's read
+//!   mapping overlaps the next sample's intersection
+//!   ([`ServiceReport::stage_overlap_events`] counts the observations),
 //! * [`engine`] — the engine's configuration ([`EngineConfig`]),
 //! * [`fault`] — deterministic seeded fault injection ([`FaultPlan`]):
 //!   transient command failures, latency spikes, permanent shard death, and

@@ -166,14 +166,13 @@ pub struct ShardStats {
     /// range-partitioned dispatch the per-job sum across shards equals the
     /// job's query count |Q| — not the N·|Q| a broadcast would cost.
     pub query_items: u64,
-    /// Number of Step 3 commands served: one per read range of a job with
-    /// candidates (a job cuts its reads into at most one range per device,
-    /// fewer when it has few reads, none when it has no candidates).
+    /// Number of Step 3 commands served: a job with candidates issues one,
+    /// a job without none.
     pub step3_jobs: u64,
     /// Total reads this device mapped across its Step 3 commands (the sum
-    /// of the served read-range lengths). A job's ranges are disjoint and
-    /// cover its sample, so the per-job sum across shards equals the job's
-    /// read count — each read is mapped on exactly one device.
+    /// of the served samples' read counts). A job's one command maps its
+    /// whole sample, so the per-job sum across shards equals the job's
+    /// read count — each read is mapped exactly once.
     pub step3_items: u64,
     /// Of [`ShardStats::step3_items`], the reads this device mapped for a
     /// command it adopted off a *dead* peer's queue (failover: live workers

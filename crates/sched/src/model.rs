@@ -49,7 +49,7 @@ pub struct ModeledAccount {
     /// the max per-device cost, not the ceiling-split average a count-based
     /// partition would suggest. This prices the candidate indexes' SSD
     /// *stream* spread over the array; the engine's CPU-side Step 3 merges
-    /// the index once per job and cuts the mapping by reads instead.
+    /// the index and maps the reads in one command per job instead.
     pub step3_stream_time: SimDuration,
 }
 

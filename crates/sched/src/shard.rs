@@ -37,26 +37,24 @@
 //! taxa through the database-joined KSS as it finds it
 //! (`megis::step2::sweep`), so the completion carries a hit count and
 //! per-taxon support, never the intersecting k-mers — and Step 3
-//! `Step3Command`s (map one contiguous range of
-//! the sample's *reads* against the sample's unified index — §4.4's in-SSD
-//! index generation plus mapping, partitioned by reads). A job's Step 3
-//! commands share one `OnceLock` slot for that index: the first device to
-//! serve any of them runs the single sequential merge over all of the
-//! job's candidates, a peer arriving meanwhile waits for it (at most one
-//! merge), and every later command finds it ready — so the index is merged
-//! once per job and every read is mapped once. Because both kinds flow
-//! through the same queue, one sample's Step 3 mapping overlaps the next
-//! sample's Step 2 intersection on every device.
+//! `Step3Command`s: one per job with candidates, which generates the job's
+//! unified index by one sequential merge of its candidates' per-species
+//! indexes and maps every read of the sample against it (§4.4, Fig. 9),
+//! through [`MegisAnalyzer::run_step3`] — the very function the sequential
+//! `analyze` runs. The command is self-contained: it waits on no other
+//! command and shares nothing mutable with one. Because both kinds flow
+//! through the same queue, one sample's Step 3 overlaps the next sample's
+//! Step 2 intersection on every device.
 //!
 //! **Commands stay where they were issued.** An `IntersectCommand` is
 //! pinned to its device — it intersects *that* shard's zero-copy database
-//! slice — and a `Step3Command`, though it resolves its candidate positions
-//! against the shared analyzer's memoized per-species reference indexes and
-//! could run anywhere, is served by the device it was issued to as well:
-//! read ranges are equal-sized and rotate over the array from
-//! `seq % shards`, so there is no skew for a peer to take up. Only a *dead*
-//! device's queue is served by others (next paragraph), and the result
-//! stays tagged with the shard-of-record so merge accounting is unchanged.
+//! slice — and a `Step3Command`, though it resolves its candidates against
+//! the shared analyzer's memoized per-species reference indexes and could
+//! run anywhere, is served by the device it was issued to as well: a job's
+//! one Step 3 command goes to shard `seq % shards`, so consecutive samples
+//! rotate over the array. Only a *dead* device's queue is served by others
+//! (next paragraph), and the result stays tagged with the shard-of-record
+//! so merge accounting is unchanged.
 //!
 //! **Failover serving.** Because the shards are zero-copy views over one
 //! `Arc`-shared columnar storage, every worker holds the *whole*
@@ -71,18 +69,20 @@
 //! an output when a fault plan is active.
 //!
 //! Every command belongs to exactly one sample: an `IntersectCommand`
-//! carries one sample's query sub-range for one shard, so a completion
-//! settles one `(seq, shard)` of one job.
+//! carries one sample's query sub-range for one shard and a `Step3Command`
+//! one sample's whole Step 3, so a completion settles one `(seq, shard)` of
+//! one job.
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use megis::kss::Support;
 use megis::step2;
-use megis::step3::{self, MappedCounts};
+use megis::step3::Step3Output;
 use megis::MegisAnalyzer;
 use megis_genomics::database::{SortedKmerDatabase, UnifiedReferenceIndex};
 use megis_genomics::kmer::Kmer;
+use megis_genomics::profile::PresenceResult;
 use megis_genomics::sample::Sample;
 
 use crate::trace::TraceStage;
@@ -109,29 +109,23 @@ pub(crate) struct IntersectCommand {
     pub range: Range<usize>,
 }
 
-/// A Step 3 command: map one contiguous range of the sample's reads against
-/// the job's unified index, merging that index first if no peer has.
+/// A Step 3 command: one job's whole Step 3 — generate the unified index
+/// over the job's candidates, then map every read of the sample against it
+/// — carrying exactly what [`MegisAnalyzer::run_step3`] takes.
 #[derive(Debug, Clone)]
 pub(crate) struct Step3Command {
     /// Dense in-SSD dispatch sequence number the command belongs to.
     pub seq: usize,
-    /// The shard-of-record the counts are folded under (the queue the
+    /// The shard-of-record the result is folded under (the queue the
     /// command was issued to; unchanged by failover).
     pub record_shard: usize,
     /// 0-based service attempt; bumped on every retry re-issue.
     pub attempt: u32,
-    /// The sample whose reads are mapped (shared across the job's commands).
+    /// The sample whose reads are mapped (shared with the job, not copied).
     pub sample: Arc<Sample>,
-    /// Positions of the job's candidate species within the analyzer's
-    /// per-species reference indexes, in merge (ascending-taxid) order;
-    /// shared across the job's commands.
-    pub candidates: Arc<Vec<usize>>,
-    /// The job's unified index over `candidates`, shared across the job's
-    /// commands and filled by whichever is served first.
-    pub index: Arc<OnceLock<UnifiedReferenceIndex>>,
-    /// This command's range of the sample's reads; the job's ranges are
-    /// disjoint and cover the sample.
-    pub reads: Range<usize>,
+    /// Step 2's presence call: the candidate species the index is merged
+    /// over.
+    pub presence: Arc<PresenceResult>,
 }
 
 /// One NVMe-style command on a device's tagged queue.
@@ -139,8 +133,7 @@ pub(crate) struct Step3Command {
 pub(crate) enum ShardCommand {
     /// Step 2 intersection finding.
     Intersect(IntersectCommand),
-    /// Step 3 read mapping over one read range (plus the job's one
-    /// unified-index merge, on the first command served).
+    /// Step 3 unified-index generation plus read mapping of one job.
     Step3(Step3Command),
 }
 
@@ -194,8 +187,10 @@ pub(crate) enum CommandOutput {
     /// queries intersected the shard and the per-taxon support they lend —
     /// never the k-mers. The completer folds it into the job by addition.
     Intersection(Support),
-    /// The per-candidate mapped-read counts of a [`Step3Command`]'s range.
-    Step3(MappedCounts),
+    /// A [`Step3Command`]'s result: the job's abundance estimate and
+    /// mapped-read count. Its unified index stays on the device, so the
+    /// output's index is empty.
+    Step3(Step3Output),
 }
 
 /// Why a command's service failed (fault injection, see `fault.rs`): the
@@ -230,7 +225,7 @@ impl ShardWorker {
         ShardWorker { shards, analyzer }
     }
 
-    /// Serves one command: a whole Step 2 device pass, or one read range of
+    /// Serves one command: a whole Step 2 device pass, or a whole job's
     /// Step 3.
     ///
     /// # Panics
@@ -254,18 +249,13 @@ impl ShardWorker {
                 CommandOutput::Intersection(support)
             }
             ShardCommand::Step3(c) => {
-                // Index generation stays device work (§4.4): the first
-                // device to get here merges, a peer arriving meanwhile
-                // blocks in `get_or_init` for at most that one merge.
-                let index = c
-                    .index
-                    .get_or_init(|| self.analyzer.unified_index(&c.candidates));
-                CommandOutput::Step3(step3::map_range(
-                    index,
-                    c.sample.reads(),
-                    c.reads.clone(),
-                    self.analyzer.config().mapping_k,
-                ))
+                // Index generation and mapping stay device work (§4.4), on
+                // the code path `analyze` runs. The index is dropped here:
+                // a finished job may wait behind earlier ones for delivery,
+                // and holding its index there would only grow memory.
+                let mut output = self.analyzer.run_step3(&c.sample, &c.presence);
+                output.unified_index = UnifiedReferenceIndex::default();
+                CommandOutput::Step3(output)
             }
         }
     }
@@ -582,8 +572,9 @@ mod tests {
     }
 
     #[test]
-    fn a_jobs_step3_commands_share_one_merged_index() {
+    fn a_served_step3_command_equals_the_sequential_step3_over_its_candidates() {
         use megis::config::MegisConfig;
+        use megis::step3;
         use megis_genomics::database::ReferenceIndex;
         use megis_genomics::sample::{CommunityConfig, Diversity};
         let c = CommunityConfig::preset(Diversity::Medium)
@@ -597,66 +588,29 @@ mod tests {
             .into_iter()
             .cloned()
             .collect();
-        let mapping_k = analyzer.config().mapping_k;
-        let oracle = step3::run(c.sample().reads(), &owned, mapping_k);
+        let oracle = step3::run(c.sample().reads(), &owned, analyzer.config().mapping_k);
         assert!(oracle.mapped_reads > 0, "fixture must exercise mapping");
 
-        let shards = ShardSet::build(analyzer.database(), 2);
-        let sample = Arc::new(c.sample().clone());
-        let candidates = Arc::new(analyzer.candidate_positions(&presence));
-        let command = |index: &Arc<OnceLock<UnifiedReferenceIndex>>, reads: Range<usize>| {
-            ShardCommand::Step3(Step3Command {
-                seq: 0,
-                record_shard: 0,
-                attempt: 0,
-                sample: Arc::clone(&sample),
-                candidates: Arc::clone(&candidates),
-                index: Arc::clone(index),
-                reads,
-            })
-        };
-        // Two devices get one half of the reads each and start together:
-        // one of them merges, both map against that one index.
-        let index = Arc::new(OnceLock::new());
-        let halves = [command(&index, 0..50), command(&index, 50..120)];
-        let start = std::sync::Barrier::new(2);
-        let served: Vec<(MappedCounts, usize)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = halves
-                .iter()
-                .map(|half| {
-                    let worker = ShardWorker::new(shards.clone(), Arc::clone(&analyzer));
-                    let (start, index) = (&start, &index);
-                    scope.spawn(move || {
-                        start.wait();
-                        let CommandOutput::Step3(counts) = worker.serve(half) else {
-                            panic!("a step 3 command yields counts");
-                        };
-                        let seen = index.get().expect("serving fills the shared slot");
-                        (counts, std::ptr::from_ref(seen) as usize)
-                    })
-                })
-                .collect();
-            let joined = handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread"));
-            joined.collect()
+        // The job's one command maps every read against every candidate;
+        // the index it merged stays on the device.
+        let command = ShardCommand::Step3(Step3Command {
+            seq: 0,
+            record_shard: 1,
+            attempt: 0,
+            sample: Arc::new(c.sample().clone()),
+            presence: Arc::new(presence),
         });
-        assert_eq!(served[0].1, served[1].1, "both devices saw one index");
-        assert_eq!(index.get(), Some(&oracle.unified_index));
-        let mut merged = MappedCounts::default();
-        for (counts, _) in served {
-            merged.merge(counts);
-        }
-        assert_eq!(merged.into_output(oracle.unified_index.clone()), oracle);
-
-        // A command that finds the slot filled maps against what is there:
-        // it never merges again.
-        let filled = Arc::new(OnceLock::from(UnifiedReferenceIndex::default()));
-        let worker = ShardWorker::new(shards, analyzer);
-        let CommandOutput::Step3(counts) = worker.serve(&command(&filled, 0..120)) else {
-            panic!("a step 3 command yields counts");
+        let worker = ShardWorker::new(ShardSet::build(analyzer.database(), 2), analyzer);
+        let CommandOutput::Step3(output) = worker.serve(&command) else {
+            panic!("a step 3 command yields a step 3 output");
         };
-        assert_eq!(counts.mapped_reads(), 0);
+        assert_eq!(
+            output,
+            Step3Output {
+                unified_index: UnifiedReferenceIndex::default(),
+                ..oracle
+            }
+        );
     }
 
     /// Seeded sorted query lists over `analyzer`'s database: hits, foreign

@@ -4,7 +4,7 @@
 //! The engine's aggregate metrics ([`crate::metrics::ShardStats`],
 //! end-to-end latency) say *that* the 8-device Step 3 sweep regresses, not
 //! *why*: they cannot distinguish a command waiting in a queue from a device
-//! mapping its read range from a delivery barriering on one slow range.
+//! mapping a sample's reads from a delivery barriering on one slow command.
 //! This module records what GenStore-style in-storage accounting
 //! records inside the device — the lifecycle of every command — and turns it
 //! back into answers:
@@ -31,7 +31,7 @@
 //!   stall / idle fractions per device over the run, per-device Step 3 busy
 //!   time with the max/min skew, and, per job, the device whose last Step 3
 //!   completion gated the reduce — the direct evidence of how evenly the
-//!   read ranges spread Step 3 over the array.
+//!   per-job Step 3 commands spread over the array.
 //!
 //! Events are stamped as [`Duration`]s since the sink's epoch (the engine's
 //! start), so a whole trace serializes losslessly with
@@ -55,8 +55,8 @@ pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 pub enum TraceStage {
     /// Step 2 intersection finding.
     Intersect,
-    /// Step 3 read mapping over one read range (and the job's one
-    /// unified-index merge, on the first command served).
+    /// Step 3 of one job: its unified-index merge plus the mapping of
+    /// every read.
     Step3,
 }
 
@@ -112,9 +112,8 @@ pub enum TraceEventKind {
         /// Serving device.
         shard: usize,
     },
-    /// The completer began finishing the job's Step 3 (all read ranges
-    /// reaped and folded *and* every earlier sequence delivered — the
-    /// in-order barrier).
+    /// The completer began finishing the job (its Step 3 result reaped
+    /// *and* every earlier sequence delivered — the in-order barrier).
     ReduceStarted,
     /// The reduce finished and the output was assembled.
     ReduceFinished,

@@ -197,18 +197,14 @@ fn zero_copy_shard_views_share_one_storage_and_stay_byte_identical() {
 
 #[test]
 fn sharded_step3_accounts_every_candidate_once_and_stays_byte_identical() {
-    // Step 3 runs as per-device commands through the same queues as the
-    // intersections, cut by reads: across a worker/shard/depth matrix,
-    // every read of every job with candidates must be mapped on exactly one
-    // device (the per-shard step3 items sum to those jobs' reads), the
-    // command count must be the deterministic one, the mapped-read totals
-    // must surface in the report, and every output must stay byte-identical
-    // to the sequential analyzer. 300 reads is three commands' worth, so
-    // the matrix covers one range per job (1 shard), one per device (2)
-    // and fewer ranges than devices (4, 8).
+    // Step 3 runs as one device command per job with candidates, through
+    // the same queues as the intersections: across a worker/shard/depth
+    // matrix, every read of every such job must be mapped exactly once
+    // (the per-shard step3 items sum to those jobs' reads), the command
+    // count must be one per such job on one shard or eight, the mapped-read
+    // totals must surface in the report, and every output must stay
+    // byte-identical to the sequential analyzer.
     const READS: usize = 300;
-    // The engine's private floor on reads per Step 3 command.
-    const MIN_READS_PER_COMMAND: usize = 128;
     let (analyzer, samples) = cohort_of(8, READS);
     let expected: Vec<MegisOutput> = samples.iter().map(|s| analyzer.analyze(s)).collect();
     let with_candidates = expected.iter().filter(|e| !e.presence.is_empty()).count() as u64;
@@ -239,14 +235,12 @@ fn sharded_step3_accounts_every_candidate_once_and_stays_byte_identical() {
             "each read mapped on exactly one device at {workers}w/{shards}s/qd{depth}"
         );
         let step3_jobs: u64 = report.shard_stats.iter().map(|s| s.step3_jobs).sum();
-        let ranges = shards.min(READS.div_ceil(MIN_READS_PER_COMMAND)) as u64;
         assert_eq!(
-            step3_jobs,
-            with_candidates * ranges,
-            "one command per read range at {workers}w/{shards}s/qd{depth}"
+            step3_jobs, with_candidates,
+            "one command per job with candidates at {workers}w/{shards}s/qd{depth}"
         );
         // Every command stays on the queue it was issued to: a device
-        // serves at most one range per job, and a healthy array adopts
+        // serves at most one command per job, and a healthy array adopts
         // nothing.
         for stats in &report.shard_stats {
             assert!(
@@ -294,7 +288,7 @@ fn more_shards_than_database_entries_stays_correct() {
     assert_eq!(report.shard_stats.len(), shards);
     // Entry-holding shards serve every job's intersection; entry-less
     // padding shards are never *intersect*-commanded (their key range is
-    // empty). They may still serve Step 3: its read ranges rotate over the
+    // empty). They may still serve Step 3: its commands rotate over the
     // whole device array — Step 3 resolves candidates against the
     // analyzer's memoized indexes, not the shard's database range. So
     // `busy` is only pinned to zero for shards that served neither

@@ -184,15 +184,16 @@ fn dead_shard_fails_over_without_losing_a_job() {
     assert_eq!(report.completed, SAMPLES as u64);
 }
 
-/// Step 3 is cut by reads and its reduce adds counts, so a read range
-/// folded twice would double its reads and a lost one would drop them.
-/// With enough reads for three ranges per job: every range's first attempt
-/// faults and is retried in place; then a shard dies holding a command and
-/// its ranges are re-served by the survivors. Either way every range is
-/// folded exactly once — outputs equal the oracle, every read is served
-/// once, and the completer's double-fold assert never poisons the engine.
+/// Each job's Step 3 is one command whose result fills the job's one
+/// Step 3 slot, so a command whose result is lost would hang or drop the
+/// job and one folded twice would trip the completer's double-fill assert.
+/// Every command's first attempt faults and is retried in place; then a
+/// shard dies holding a command and the commands issued under it are
+/// re-served by the survivors. Either way every command is folded exactly
+/// once — outputs equal the oracle, every read is served once, and the
+/// double-fill assert never poisons the engine.
 #[test]
-fn step3_read_ranges_are_folded_exactly_once_under_retry_and_failover() {
+fn step3_commands_are_folded_exactly_once_under_retry_and_failover() {
     const SAMPLES: usize = 6;
     const READS: usize = 300;
     let (analyzer, samples) = cohort_of(SAMPLES, READS);
@@ -211,11 +212,11 @@ fn step3_read_ranges_are_folded_exactly_once_under_retry_and_failover() {
                 .with_shards(3)
                 .with_fault_plan(plan),
         );
-        assert_eq!(outputs, expected, "{label}: a range was lost or doubled");
+        assert_eq!(outputs, expected, "{label}: a result was lost or doubled");
         let served = |f: fn(&megis_sched::ShardStats) -> u64| -> u64 {
             report.shard_stats.iter().map(f).sum()
         };
-        assert_eq!(served(|s| s.step3_jobs), 3 * SAMPLES as u64, "{label}");
+        assert_eq!(served(|s| s.step3_jobs), SAMPLES as u64, "{label}");
         assert_eq!(served(|s| s.step3_items), (READS * SAMPLES) as u64);
         assert!(
             served(|s| s.retries) > 0,
@@ -224,8 +225,8 @@ fn step3_read_ranges_are_folded_exactly_once_under_retry_and_failover() {
         assert_eq!(report.failed_jobs, 0, "{label}");
         assert_eq!(report.shard_stats[1].dead, label == "failover");
         if label == "failover" {
-            // Ranges issued under the dead shard-of-record kept arriving
-            // (one per job) and were mapped by the survivors.
+            // Step 3 commands issued under the dead shard-of-record kept
+            // arriving and were mapped by the survivors.
             assert!(served(|s| s.stolen_items) > 0);
         }
     }
