@@ -188,8 +188,11 @@ impl EngineConfig {
     }
 
     /// Sets the per-command retry budget (re-issues after the initial
-    /// attempt; default 3). A budget of zero fails a job on its first
-    /// transient fault.
+    /// attempt; default 3). Every failed attempt a re-issue answers counts
+    /// against it: transient faults, blown deadlines, and dead-shard
+    /// rejections — each command a dying shard held in hand *or* still
+    /// queued is re-issued to a survivor as a retry. A budget of zero fails
+    /// a job on its first transient fault or dead-shard rejection.
     pub fn with_retry_budget(mut self, budget: u32) -> EngineConfig {
         self.retry_budget = budget;
         self

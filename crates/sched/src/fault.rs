@@ -101,8 +101,11 @@ impl FaultPlan {
     }
 
     /// Kills the given shard's worker permanently after it has popped
-    /// `after_commands` commands; the command in hand fails with a
-    /// dead-shard error and the completer fails over to survivors.
+    /// `after_commands` commands: from then on it rejects every command it
+    /// pops with a dead-shard error. The completer re-issues each rejected
+    /// command to a survivor against its retry budget — so a command
+    /// already queued on the shard when it dies costs a retry too — and
+    /// routes the shard's later commands to the survivor directly.
     pub fn with_shard_death(mut self, shard: usize, after_commands: u64) -> FaultPlan {
         self.dead_shards.push((shard, after_commands));
         self

@@ -98,9 +98,8 @@
 //!   partitioned into telescoping stage segments (queue wait, Step 1,
 //!   per-stage queue wait vs. device service, reduce barrier, reduce), so
 //!   the segments sum to the job's end-to-end latency;
-//! * [`StragglerReport`] — per-device busy/stall/idle fractions, per-device
-//!   Step 3 busy time with the max/min skew, and the device whose last
-//!   Step 3 completion gated each job's reduce.
+//! * [`StragglerReport`] — per-device busy/stall/idle fractions and
+//!   per-device Step 3 busy time with the max/min skew.
 //!
 //! **Overhead contract:** tracing is disabled by default;
 //! [`trace::TraceSink::disabled`] records through a single inlined branch

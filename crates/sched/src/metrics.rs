@@ -175,10 +175,11 @@ pub struct ShardStats {
     /// read count — each read is mapped exactly once.
     pub step3_items: u64,
     /// Of [`ShardStats::step3_items`], the reads this device mapped for a
-    /// command it adopted off a *dead* peer's queue (failover: live workers
-    /// serve what a dead shard left queued); 0 on a healthy array. Adoption
-    /// moves only the physical service: the result stays tagged with the
-    /// shard-of-record, so the completer's fold is unchanged.
+    /// Step 3 command whose shard-of-record is another shard — one the
+    /// completer routed here because that shard is dead (failover); 0 on a
+    /// healthy array. Failover moves only the physical service: the result
+    /// stays tagged with the shard-of-record, so the completer's fold is
+    /// unchanged.
     pub stolen_items: u64,
     /// High-water mark of commands concurrently outstanding on this shard's
     /// NVMe-style queue (submitted, completion not yet reaped); bounded by
@@ -189,9 +190,10 @@ pub struct ShardStats {
     /// errors plus dead-shard rejections; zero without a
     /// [`crate::fault::FaultPlan`]).
     pub faults: u64,
-    /// Commands re-issued after a transient failure or deadline expiry,
-    /// charged to the command's shard-of-record. With a fully recoverable
-    /// plan, `sum(retries) == sum(faults)` across shards.
+    /// Commands re-issued after a transient failure, a dead-shard rejection
+    /// or a deadline expiry, charged to the command's shard-of-record. With
+    /// a fully recoverable plan, `sum(retries) == sum(faults)` across
+    /// shards.
     pub retries: u64,
     /// Re-issues routed to a *different* (surviving) shard because this
     /// shard-of-record was dead; a subset of [`ShardStats::retries`].
@@ -356,7 +358,7 @@ impl ServiceReport {
             let _ = writeln!(
                 out,
                 "degraded mode: {faults} command faults, {retries} retries ({} failovers), \
-                 dead shards: {dead}, failed jobs: {}; {} reads served off dead peers' queues",
+                 dead shards: {dead}, failed jobs: {}; {} reads served for dead shards",
                 sum(|s| s.failovers),
                 self.failed_jobs,
                 sum(|s| s.stolen_items),
@@ -425,7 +427,7 @@ mod tests {
         assert!(
             summary.contains(
                 "degraded mode: 3 command faults, 3 retries (1 failovers), dead shards: [1], \
-                 failed jobs: 2; 40 reads served off dead peers' queues\n"
+                 failed jobs: 2; 40 reads served for dead shards\n"
             ),
             "{summary}"
         );

@@ -74,16 +74,17 @@
 //! on the same device — [`ServiceReport::stage_overlap_events`] counts the
 //! submissions that observed a command of the other stage outstanding.
 //!
-//! **Shard-of-record.** The per-device queues are deques, not channels
-//! (`CommandQueues`): a device serves the back of its own queue, and when a
-//! peer's worker has died the survivors serve what it left queued (failover,
-//! below). A result therefore stays tagged with the *shard-of-record* (the
-//! queue the command was issued to), which keeps the completer's depth
-//! accounting and exactly-once fold independent of who served it; trace
-//! events and [`ShardStats`] credit the *physical* serving device, so the
-//! straggler analyzer sees real per-device busy time and
-//! [`ShardStats::stolen_items`] counts the reads a device mapped off a dead
-//! peer's queue — 0 on a healthy array.
+//! **Shard-of-record.** A device serves only the back of its own queue
+//! (`CommandQueues`), and the completer alone decides which queue a command
+//! goes on: `IspCompleter::pick_target` picks the command's
+//! *shard-of-record* while that device lives and the next live shard once it
+//! has died (failover, below). A result stays tagged with the
+//! shard-of-record, which keeps the completer's depth accounting and
+//! exactly-once fold independent of who served it; trace events and
+//! [`ShardStats`] credit the *physical* serving device, so the straggler
+//! analyzer sees real per-device busy time and [`ShardStats::stolen_items`]
+//! counts the reads a device mapped for another shard-of-record — 0 on a
+//! healthy array.
 //!
 //! Commands are only issued to shards with work to do: a device whose key
 //! range no query of a sample falls into is skipped for that sample's
@@ -139,13 +140,16 @@
 //!    queue-depth slot from first issue to final resolution — retries never
 //!    double-count against the depth gate, and stale completions of
 //!    superseded attempts are ignored.
-//! 2. *Failover.* When a shard's worker dies permanently, surviving workers
-//!    adopt the commands still queued on the dead shard's deque, and retries
-//!    of its failed commands are re-issued to a surviving queue. Every
+//! 2. *Failover.* A shard whose worker dies permanently keeps popping its
+//!    own queue and rejects every command with a dead-shard error. The
+//!    completer marks the device dead on the first rejection it reads and
+//!    re-issues each rejected command — against its retry budget, like any
+//!    retry — to a surviving device, where every later command of that
+//!    shard-of-record goes too; failover is this one re-issue path. Every
 //!    worker holds the zero-copy [`ShardSet`], so any device can serve any
 //!    shard's database range and outputs stay byte-identical; results stay
 //!    keyed on the *shard-of-record*, so failover is invisible to the merge
-//!    bookkeeping.
+//!    bookkeeping. With every device dead, the re-issue fails the job.
 //! 3. *Per-job failure.* A worker panic (caught at the serving seam) or an
 //!    exhausted retry budget fails only the owning job: its [`JobHandle`]
 //!    resolves to `Err(`[`JobError`]`)`, delivered in dispatch order like
@@ -183,9 +187,8 @@
 //! completer reconstructs the job's [`crate::trace::StageBreakdown`] from
 //! its own events (attached to [`JobResult::breakdown`] and averaged into
 //! the report summaries), and at shutdown the whole event log yields the
-//! [`crate::trace::StragglerReport`] — per-device busy/stall/idle and the
-//! device that gated each job's Step 3 reduce — plus the exportable
-//! [`crate::trace::TraceLog`].
+//! [`crate::trace::StragglerReport`] — per-device busy/stall/idle — plus
+//! the exportable [`crate::trace::TraceLog`].
 //!
 //! **Overhead contract:** tracing is off by default and the disabled sink's
 //! record path is a single inlined branch — no lock, no clock read, no
@@ -239,11 +242,10 @@ struct PreparedJob {
 /// reports `Err(failure)` and the completer decides between retry,
 /// failover, and per-job failure.
 struct ShardCompletion {
-    /// The *shard-of-record*: the queue the command was issued to, not
-    /// necessarily the device that served it (a live peer may have adopted
-    /// it from a dead shard's queue). Depth accounting and the exactly-once
-    /// folds key on this, so failover is invisible to the completer's merge
-    /// bookkeeping.
+    /// The *shard-of-record* the command names, not necessarily the device
+    /// that served it (the completer re-issues a dead shard's commands to a
+    /// live one). Depth accounting and the exactly-once folds key on this,
+    /// so failover is invisible to the completer's merge bookkeeping.
     shard: usize,
     seq: usize,
     /// The attempt this completion settles; stale completions of superseded
@@ -256,22 +258,21 @@ struct ShardCompletion {
     result: Result<CommandOutput, CommandFailure>,
 }
 
-/// The per-device command queues: one shared deque array rather than N
-/// private channels, so a dead shard's queue stays reachable by its peers.
+/// The per-device command queues: one shared deque array under one lock and
+/// one condvar, so a worker wakes on a push to its queue and on the producer
+/// release alike.
 ///
-/// Discipline per queue: producers push at the back; the owner pops from
-/// the back (the freshest command); live peers adopt a *dead* shard's queue
-/// from the front (the command that has waited longest). A live shard's
-/// queue is served by its owner only. The back pop is measured, not
-/// assumed: popping the oldest sequence first instead was ahead by ≈ 2 %
-/// in 3 of 4 paired benchmark runs on `stream_closed2` but behind in 4 of 5
-/// on `cohort_foreign` (up to −24 % throughput, +1–2 MB resident; 2 vCPUs,
+/// Discipline per queue: the producer pushes at the back and the owner pops
+/// from the back (the freshest command); no device ever serves another
+/// device's queue. The back pop is measured, not assumed: popping the
+/// oldest sequence first instead was ahead by ≈ 2 % in 3 of 4 paired
+/// benchmark runs on `stream_closed2` but behind in 4 of 5 on
+/// `cohort_foreign` (up to −24 % throughput, +1–2 MB resident; 2 vCPUs,
 /// results byte-equal).
 ///
 /// Producer accounting replaces channel disconnection for shutdown: the one
 /// producing side, the completer, holds a [`QueueProducer`] guard, and a
-/// worker exits when its own queue is empty, no dead peer has anything
-/// queued, and no producer guard remains.
+/// worker exits when its own queue is empty and no producer guard remains.
 #[derive(Debug)]
 struct CommandQueues {
     inner: Mutex<QueuesInner>,
@@ -284,22 +285,6 @@ struct QueuesInner {
     queues: Vec<VecDeque<ShardCommand>>,
     /// Outstanding [`QueueProducer`] guards.
     producers: usize,
-    /// Shards whose worker died permanently (an injected shard death).
-    /// Commands left on a dead shard's queue are adopted by live peers —
-    /// *any* command kind — and retries of its failed commands are
-    /// re-issued elsewhere.
-    dead: Vec<bool>,
-}
-
-/// One command handed to a worker, with its provenance. The command itself
-/// names its shard-of-record ([`ShardCommand::record_shard`]) — under
-/// failover re-issue that can differ from the queue it sat on, so the queue
-/// index is deliberately not carried here.
-struct PoppedCommand {
-    command: ShardCommand,
-    /// `true` when the serving device adopted the command off a dead
-    /// peer's queue.
-    stolen: bool,
 }
 
 impl CommandQueues {
@@ -308,7 +293,6 @@ impl CommandQueues {
             inner: Mutex::new(QueuesInner {
                 queues: (0..shard_count).map(|_| VecDeque::new()).collect(),
                 producers: 0,
-                dead: vec![false; shard_count],
             }),
             ready: Condvar::new(),
         })
@@ -330,48 +314,14 @@ impl CommandQueues {
         }
     }
 
-    /// Marks a shard's worker permanently dead (injected shard death) and
-    /// wakes every waiting peer so its queue can be adopted immediately.
-    fn mark_dead(&self, index: usize) {
-        self.lock().dead[index] = true;
-        self.ready.notify_all();
-    }
-
-    /// Whether a shard's worker died permanently.
-    fn is_dead(&self, index: usize) -> bool {
-        self.lock().dead[index]
-    }
-
-    /// Blocks until device `index` has a command to serve — its own queue's
-    /// back, or the front of a dead peer's abandoned queue — or returns
-    /// `None` when no command can ever arrive again (queues drained,
-    /// producers gone).
-    fn pop(&self, index: usize) -> Option<PoppedCommand> {
+    /// Blocks until device `index`'s own queue has a command, and returns
+    /// its back; `None` when no command can ever arrive again (queue
+    /// drained, producers gone).
+    fn pop(&self, index: usize) -> Option<ShardCommand> {
         let mut inner = self.lock();
         loop {
             if let Some(command) = inner.queues[index].pop_back() {
-                return Some(PoppedCommand {
-                    command,
-                    stolen: false,
-                });
-            }
-            // A dead peer's queue can never be served by its owner again:
-            // adopt its oldest command — *any* kind, since every worker
-            // holds the whole shard set and an [`IntersectCommand`] names
-            // its database range explicitly.
-            {
-                let n = inner.queues.len();
-                for offset in 1..n {
-                    let peer = (index + offset) % n;
-                    if inner.dead[peer] {
-                        if let Some(command) = inner.queues[peer].pop_front() {
-                            return Some(PoppedCommand {
-                                command,
-                                stolen: true,
-                            });
-                        }
-                    }
-                }
+                return Some(command);
             }
             if inner.producers == 0 {
                 return None;
@@ -818,13 +768,12 @@ impl StreamingEngine {
                 let mut dead = false;
                 let mut popped_total = 0u64;
                 let death_after = fault_plan.as_ref().and_then(|p| p.death_after(index));
-                while let Some(popped) = queues.pop(index) {
-                    let command = popped.command;
+                while let Some(command) = queues.pop(index) {
                     let stage = command.stage();
                     let seq = command.seq();
-                    // The command's *own* record shard, not the queue it was
-                    // popped from: after a failover re-issue the two differ,
-                    // and completions must carry the identity the completer
+                    // The command's *own* record shard, not this device:
+                    // after a failover re-issue the two differ, and
+                    // completions must carry the identity the completer
                     // keyed the outstanding entry (and the Step 3 fold
                     // slot) on.
                     let record = command.record_shard();
@@ -853,15 +802,17 @@ impl StreamingEngine {
                         resp_tx.send(CompleterMsg::Completed(failed)).is_ok()
                     };
                     // Injected permanent shard death: after serving
-                    // `death_after` commands the worker dies with the next
-                    // command in hand. That command fails with a dead-shard
-                    // error (the completer fails it over to a survivor) and
-                    // everything still queued here is adopted by live peers
-                    // via `CommandQueues::pop`.
-                    if death_after.is_some_and(|after| popped_total > after) {
-                        queues.mark_dead(index);
-                        dead = true;
-                        fail(CommandFailure::ShardDead);
+                    // `death_after` commands the device stops serving, not
+                    // popping. It rejects every command it pops from then
+                    // on with a dead-shard error until the queues close;
+                    // the completer marks it dead on the first rejection it
+                    // reads and re-issues each rejected command to a
+                    // survivor.
+                    dead = death_after.is_some_and(|after| popped_total > after);
+                    if dead {
+                        if fail(CommandFailure::ShardDead) {
+                            continue;
+                        }
                         break;
                     }
                     // Fault decisions key on the command identity — the
@@ -905,7 +856,7 @@ impl StreamingEngine {
                     // Trace events and stats credit the *physical* serving
                     // device (`index`): the straggler analyzer sums real
                     // per-device service intervals, which under failover
-                    // differ from the shard-of-record's queue. The service
+                    // differ from the shard-of-record. The service
                     // interval's start stamp is taken here and its
                     // Started/Completed pair is emitted after serving.
                     let trace_started = trace.now();
@@ -928,7 +879,7 @@ impl StreamingEngine {
                         ShardCommand::Step3(c) => {
                             step3_served += 1;
                             step3_items += c.sample.len() as u64;
-                            if popped.stolen {
+                            if c.record_shard != index {
                                 stolen_items += c.sample.len() as u64;
                             }
                         }
@@ -1004,7 +955,6 @@ impl StreamingEngine {
         let completer = {
             let shared = Arc::clone(&shared);
             let shard_set = shards.clone();
-            let queues = Arc::clone(&queues);
             let live_workers = config.workers;
             let queue_depth = config.queue_depth;
             let retry_budget = config.retry_budget;
@@ -1017,7 +967,7 @@ impl StreamingEngine {
                     analyzer: &analyzer,
                     shards: shard_set,
                     producer: Some(producer),
-                    queues,
+                    dead: vec![false; shard_count],
                     queue_depth,
                     reorder: BTreeMap::new(),
                     opened: 0,
@@ -1424,6 +1374,9 @@ type CommandKey = (usize, usize, TraceStage);
 /// `Arc`s.
 struct OutstandingCommand {
     command: ShardCommand,
+    /// The device the current attempt was put on; a dead-shard rejection
+    /// of that attempt marks this device dead.
+    device: usize,
     /// When the current attempt was issued; the command deadline measures
     /// from here.
     issued_at: Instant,
@@ -1448,9 +1401,10 @@ struct IspCompleter<'a> {
     /// either — can ever be issued, releasing the shard workers (and then
     /// this completer) to wind down.
     producer: Option<QueueProducer>,
-    /// The shard queues themselves, for failure routing: `is_dead` picks a
-    /// live target for re-issues away from a dead shard.
-    queues: Arc<CommandQueues>,
+    /// Devices that answered a command with a dead-shard rejection, per
+    /// device. [`IspCompleter::pick_target`] routes every issue and
+    /// re-issue away from them.
+    dead: Vec<bool>,
     queue_depth: usize,
     /// The reorder buffer behind the ordering guarantee: prepared samples
     /// that arrived ahead of an earlier dispatch position, keyed on
@@ -1462,8 +1416,8 @@ struct IspCompleter<'a> {
     /// buffer is ever bypassed.
     opened: usize,
     pending: BTreeMap<usize, MergeState>,
-    /// Commands of both kinds awaiting a free slot on their
-    /// shard-of-record's queue, in the order they were built. The completer
+    /// Commands of both kinds awaiting a free depth slot on their
+    /// shard-of-record, in the order they were built. The completer
     /// drains it opportunistically instead of blocking on the depth gate:
     /// reaping is the only thing that frees slots, so the thread that reaps
     /// must never wait for one.
@@ -1539,24 +1493,12 @@ impl IspCompleter<'_> {
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     // Every Step 1 worker and every shard worker exited, and
-                    // every event has been consumed above: no sample or
-                    // completion can arrive any more. Shard workers exit
-                    // either because this completer released its producer
-                    // — every *servable* command was served — or because
-                    // they died; jobs still incomplete here lost their last
-                    // live shard before their commands could be re-issued,
-                    // so they fail rather than hang.
-                    self.advance_ready_jobs();
-                    let stuck: Vec<usize> = self
-                        .pending
-                        .iter()
-                        .filter(|(_, job)| !job.is_complete())
-                        .map(|(seq, _)| *seq)
-                        .collect();
-                    for seq in stuck {
-                        self.fail_job(seq, |job| JobError::NoLiveShards { job });
-                    }
-                    self.deliver_ready();
+                    // every event has been consumed above. A shard worker —
+                    // a dead one too — exits only once this completer has
+                    // released its producer, which it does with nothing
+                    // pending, or by panicking, which poisoned the engine
+                    // and dropped every result sender: nothing is left to
+                    // deliver.
                     return;
                 }
             }
@@ -1643,6 +1585,9 @@ impl IspCompleter<'_> {
             return;
         };
         let attempt = entry.command.attempt();
+        if failure == CommandFailure::ShardDead {
+            self.dead[entry.device] = true;
+        }
         if failure == CommandFailure::Panicked {
             self.fail_job(seq, |job| JobError::WorkerPanicked { job, shard });
         } else if attempt >= self.retry_budget {
@@ -1662,10 +1607,10 @@ impl IspCompleter<'_> {
         }
     }
 
-    /// Re-issues one outstanding command with a bumped attempt counter,
-    /// routed to its record shard if alive and failed over to the next live
-    /// shard otherwise (every worker holds the whole `ShardSet`, so any
-    /// survivor serves the command identically).
+    /// Re-issues one outstanding command with a bumped attempt counter to
+    /// [`IspCompleter::pick_target`]'s device (every worker holds the whole
+    /// `ShardSet`, so any survivor serves the command identically), or
+    /// fails its job when every device is dead.
     fn reissue(&mut self, key: CommandKey) {
         let (seq, shard, stage) = key;
         if !self.outstanding.contains_key(&key) {
@@ -1677,6 +1622,7 @@ impl IspCompleter<'_> {
         };
         let entry = self.outstanding.get_mut(&key).expect("checked above");
         entry.command.bump_attempt();
+        entry.device = target;
         entry.issued_at = Instant::now();
         let attempt = entry.command.attempt();
         let command = entry.command.clone();
@@ -1717,16 +1663,15 @@ impl IspCompleter<'_> {
         }
     }
 
-    /// The shard a re-issue should go to: the record shard while it lives,
-    /// else the nearest live shard by index; `None` when every shard died.
+    /// The device a command of shard-of-record `record` is put on — the
+    /// one place a device is chosen, for first issues and re-issues alike:
+    /// the record shard while it lives, else the next live shard by index;
+    /// `None` when every device is dead.
     fn pick_target(&self, record: usize) -> Option<usize> {
-        if !self.queues.is_dead(record) {
-            return Some(record);
-        }
-        let shard_count = self.shards.shard_count();
-        (1..shard_count)
+        let shard_count = self.dead.len();
+        (0..shard_count)
             .map(|offset| (record + offset) % shard_count)
-            .find(|&shard| !self.queues.is_dead(shard))
+            .find(|&shard| !self.dead[shard])
     }
 
     /// Re-issues every backoff-delayed retry whose due time has passed.
@@ -1839,12 +1784,15 @@ impl IspCompleter<'_> {
         }));
     }
 
-    /// Issues backlogged commands of both kinds to every shard with a free
-    /// queue slot, in backlog order per shard, never blocking: commands left
-    /// over take slots as future reaps free them. Each issue occupies the
-    /// slot, records `CommandIssued` and enters the retry ledger before the
-    /// command reaches its queue — on the thread that reaps, so no
-    /// completion can be observed before its command is registered.
+    /// Issues backlogged commands of both kinds whose shard-of-record has a
+    /// free depth slot, in backlog order per shard, never blocking: commands
+    /// left over take slots as future reaps free them. Each issue occupies
+    /// the record shard's slot, records `CommandIssued` for the device
+    /// [`IspCompleter::pick_target`] chose and enters the retry ledger
+    /// before the command reaches that device's queue — on the thread that
+    /// reaps, so no completion can be observed before its command is
+    /// registered. With every device dead the command goes to its record
+    /// shard, which rejects it, and the re-issue fails the job.
     fn submit_backlog(&mut self) {
         if self.backlog.is_empty() {
             return;
@@ -1868,17 +1816,24 @@ impl IspCompleter<'_> {
             self.backlog = kept;
         }
         for command in to_send {
-            let (seq, shard, stage) = (command.seq(), command.record_shard(), command.stage());
-            self.trace
-                .record(seq, TraceEventKind::CommandIssued { stage, shard });
+            let (seq, record, stage) = (command.seq(), command.record_shard(), command.stage());
+            let device = self.pick_target(record).unwrap_or(record);
+            self.trace.record(
+                seq,
+                TraceEventKind::CommandIssued {
+                    stage,
+                    shard: device,
+                },
+            );
             self.outstanding.insert(
-                (seq, shard, stage),
+                (seq, record, stage),
                 OutstandingCommand {
                     command: command.clone(),
+                    device,
                     issued_at: Instant::now(),
                 },
             );
-            producer.send(shard, command);
+            producer.send(device, command);
         }
     }
 

@@ -46,27 +46,28 @@
 //! through the same queue, one sample's Step 3 overlaps the next sample's
 //! Step 2 intersection on every device.
 //!
-//! **Commands stay where they were issued.** An `IntersectCommand` is
-//! pinned to its device — it intersects *that* shard's zero-copy database
-//! slice — and a `Step3Command`, though it resolves its candidates against
-//! the shared analyzer's memoized per-species reference indexes and could
-//! run anywhere, is served by the device it was issued to as well: a job's
-//! one Step 3 command goes to shard `seq % shards`, so consecutive samples
-//! rotate over the array. Only a *dead* device's queue is served by others
-//! (next paragraph), and the result stays tagged with the shard-of-record
-//! so merge accounting is unchanged.
+//! **Commands stay where they were issued.** A device serves only its own
+//! queue, and the completer alone decides which queue a command goes on.
+//! An `IntersectCommand` is pinned to its shard — it intersects *that*
+//! shard's zero-copy database slice — and a `Step3Command`, though it
+//! resolves its candidates against the shared analyzer's memoized
+//! per-species reference indexes and could run anywhere, goes to its shard
+//! as well: a job's one Step 3 command goes to shard `seq % shards`, so
+//! consecutive samples rotate over the array. Only a *dead* shard's
+//! commands are put on another device (next paragraph), and the result
+//! stays tagged with the shard-of-record so merge accounting is unchanged.
 //!
 //! **Failover serving.** Because the shards are zero-copy views over one
 //! `Arc`-shared columnar storage, every worker holds the *whole*
 //! [`ShardSet`] and an `IntersectCommand` names the shard range it must
-//! intersect (its `shard` field). In normal operation a command
-//! is only ever queued on its own shard, so the pinning discipline above is
-//! unchanged — but when a device dies permanently (fault injection, see
-//! `fault.rs`), a surviving worker can re-serve the dead shard's pinned
-//! intersections against the still-resident range. Commands also carry an
-//! `attempt` counter so retried completions are distinguishable from stale
-//! ones, and a served command can fail with a `CommandFailure` instead of
-//! an output when a fault plan is active.
+//! intersect (its `shard` field). A device that dies permanently (fault
+//! injection, see `fault.rs`) rejects every command it pops from then on;
+//! the completer re-issues each rejected command, and routes the dead
+//! shard's later commands, to a surviving device, which serves the dead
+//! shard's pinned intersections against the still-resident range. Commands
+//! also carry an `attempt` counter so retried completions are
+//! distinguishable from stale ones, and a served command can fail with a
+//! `CommandFailure` instead of an output when a fault plan is active.
 //!
 //! Every command belongs to exactly one sample: an `IntersectCommand`
 //! carries one sample's query sub-range for one shard and a `Step3Command`
@@ -116,8 +117,8 @@ pub(crate) struct IntersectCommand {
 pub(crate) struct Step3Command {
     /// Dense in-SSD dispatch sequence number the command belongs to.
     pub seq: usize,
-    /// The shard-of-record the result is folded under (the queue the
-    /// command was issued to; unchanged by failover).
+    /// The shard-of-record the result is folded under (`seq % shards`;
+    /// unchanged when failover puts the command on another device).
     pub record_shard: usize,
     /// 0-based service attempt; bumped on every retry re-issue.
     pub attempt: u32,
@@ -203,7 +204,8 @@ pub(crate) enum CommandFailure {
     /// The worker panicked serving the command (caught at the seam): fails
     /// the owning job, never retried.
     Panicked,
-    /// The serving shard died permanently: fail over to a survivor.
+    /// The serving device died permanently and rejects every command it
+    /// pops: the completer marks it dead and re-issues to a survivor.
     ShardDead,
 }
 
