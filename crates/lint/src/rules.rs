@@ -320,6 +320,18 @@ impl<'a> Ctx<'a> {
         self.enclosing_fn[i].map(|idx| self.fn_names[idx].as_str())
     }
 
+    /// The token range inside the braces of the first `fn name` defined in
+    /// the file; `None` when there is none (or only a bodyless declaration).
+    fn fn_body(&self, name: &str) -> Option<(usize, usize)> {
+        let n = self.tokens.len();
+        let at = (0..n).find(|&i| self.is_i(i, "fn") && self.is_i(i + 1, name))?;
+        let open = (at + 2..n).find(|&i| {
+            self.group_depth[i] == self.group_depth[at] && (self.is_p(i, "{") || self.is_p(i, ";"))
+        })?;
+        self.is_p(open, "{")
+            .then(|| (open + 1, self.close_of_group(open)))
+    }
+
     /// Index just past the bracket group opened at `open` (`(`, `[` or `{`).
     fn close_of_group(&self, open: usize) -> usize {
         let (o, c) = match self.tokens[open].text.as_str() {
@@ -620,11 +632,16 @@ fn is_clock_seam(name: Option<&str>) -> bool {
 /// pipeline thread is how the engine's poison propagation starts, so every
 /// potential panic site must be visibly deliberate.
 ///
-/// The rule is syntactically local: it inspects the spawn closure's own
-/// body, not the functions it calls (those run under the same
-/// `PanicGuard`, but their panics are owned by their own modules).
+/// The rule follows the thread across function boundaries within the file:
+/// besides the spawn closure's own body it inspects every function *of the
+/// same file* that the body calls by bare name (`shard_worker(..)`, not
+/// `x.method(..)` or `Type::f(..)`), transitively, each one once — moving a
+/// thread body out of its closure keeps it under the rule. Functions of
+/// other files run on the thread too, but their panics are owned by their
+/// own modules.
 fn panic_hygiene(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
+    let mut followed: Vec<&str> = Vec::new();
     let n = ctx.tokens.len();
     for i in 0..n {
         if !(ctx.is_i(i, "thread")
@@ -658,7 +675,24 @@ fn panic_hygiene(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
         } else {
             (i + 5, call_close)
         };
-        scan_spawn_body(ctx, start, end, &mut out);
+        let mut bodies = vec![(start, end)];
+        while let Some((start, end)) = bodies.pop() {
+            scan_spawn_body(ctx, start, end, &mut out);
+            for k in start..end {
+                let bare = !ctx.is_p(k.wrapping_sub(1), ".")
+                    && !ctx.is_p(k.wrapping_sub(1), ":")
+                    && !ctx.is_i(k.wrapping_sub(1), "fn");
+                match ctx.ident(k) {
+                    Some(name) if bare && ctx.is_p(k + 1, "(") && !followed.contains(&name) => {
+                        if let Some(body) = ctx.fn_body(name) {
+                            followed.push(name);
+                            bodies.push(body);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
     }
     out
 }

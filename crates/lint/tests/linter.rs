@@ -97,6 +97,14 @@ fn hygiene_fixtures() {
 }
 
 #[test]
+fn hygiene_follows_a_thread_body_into_the_functions_it_calls() {
+    let bad = fixture("hygiene_called_fn_violation.rs");
+    let lines: Vec<u32> = bad.diagnostics.iter().map(|d| d.line).collect();
+    assert_eq!(lines, [13, 18], "{:?}", bad.diagnostics);
+    assert!(bad.diagnostics.iter().all(|d| d.rule == PANIC_HYGIENE));
+}
+
+#[test]
 fn bounded_send_fixtures() {
     let bad = fixture("bounded_send_violation.rs");
     assert_eq!(rule_counts(&bad, BOUNDED_SEND), 2, "{:?}", bad.diagnostics);

@@ -1,0 +1,1279 @@
+//! The completer's decisions as a pure state machine, with the clock
+//! passed in.
+//!
+//! [`Completer`] holds everything the in-SSD stage decides: it reorders
+//! prepared samples into dispatch order, opens each one (its query list
+//! sliced into per-shard intersect commands), issues both command kinds
+//! through one depth-bounded backlog, folds completions as they arrive,
+//! retries, fails over, fails a job, and delivers in dispatch order.
+//! [`Completer::on`] books one [`Event`]; [`Completer::settle`] returns the
+//! [`Action`]s that are now due — commands to put on a device queue and
+//! outcomes to deliver. The clock is an argument of both: the completer
+//! spawns nothing, owns no channel or lock and never reads the time, so a
+//! test drives any schedule step by step with a fake clock.
+//! `crate::service` runs it inside a thin shell that moves events in and
+//! actions out.
+//!
+//! **One ledger.** Every issued command stays in one ordered map, keyed on
+//! `(seq, shard-of-record, stage)`, from its first issue to its final
+//! resolution. The entry records the device of its current attempt, when
+//! that attempt was issued, and — while it waits out a retry backoff — when
+//! it is due again. Both timers are read off this map: a blown command
+//! deadline is a transient failure of the current attempt, a due retry is a
+//! re-issue, and [`Completer::next_wake`] is the earliest of either. The
+//! map is ordered, so timers fire in key order and one schedule always
+//! yields the same actions. A command holds its queue-depth slot on its
+//! shard-of-record for as long as it is in the ledger, so re-issues never
+//! re-gate and a slot is freed exactly once.
+//!
+//! **Per-job progress.** A job's Step 2 supports are folded the moment each
+//! arrives; the fold that brings its outstanding intersect count to zero
+//! (or the opening of a job with no intersect command) calls presence and
+//! appends the job's one Step 3 command to the backlog. A job is delivered
+//! once its Step 3 slot is filled — or it failed — and every earlier
+//! dispatch position has been delivered.
+
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use megis::kss::Support;
+use megis::step1::Step1Output;
+use megis::step3::Step3Output;
+use megis::{MegisAnalyzer, MegisOutput};
+use megis_genomics::profile::PresenceResult;
+use megis_genomics::sample::Sample;
+
+use crate::engine::EngineConfig;
+use crate::job::{JobError, JobId, JobResult, Priority};
+use crate::shard::{
+    CommandFailure, CommandOutput, IntersectCommand, ShardCommand, ShardSet, Step3Command,
+};
+use crate::trace::{StageBreakdown, TraceEventKind, TraceSink, TraceStage};
+
+/// A Step 1 output in flight between the host stage and the in-SSD stage.
+pub(crate) struct PreparedJob {
+    pub(crate) id: JobId,
+    pub(crate) label: String,
+    pub(crate) priority: Priority,
+    pub(crate) start_position: usize,
+    /// Shared so the job's Step 3 command can map the reads without copying
+    /// the sample.
+    pub(crate) sample: Arc<Sample>,
+    pub(crate) submitted_at: Instant,
+    pub(crate) queue_wait: Duration,
+    pub(crate) step1_time: Duration,
+    pub(crate) step1: Step1Output,
+}
+
+/// One completion reaped from a shard, tagged with its origin. Completions
+/// are Result-shaped: a served command reports `Ok(output)`, a faulted one
+/// reports `Err(failure)` and the completer decides between retry,
+/// failover, and per-job failure.
+pub(crate) struct ShardCompletion {
+    /// The *shard-of-record* the command names, not necessarily the device
+    /// that served it (the completer re-issues a dead shard's commands to a
+    /// live one). Depth accounting and the exactly-once folds key on this,
+    /// so failover is invisible to the completer's merge bookkeeping.
+    pub(crate) shard: usize,
+    pub(crate) seq: usize,
+    /// The attempt this completion settles; stale completions of superseded
+    /// attempts (a deadline re-issue overtook them) are ignored.
+    pub(crate) attempt: u32,
+    /// The command kind, carried explicitly so failed completions (which
+    /// have no output to infer it from) still settle the right stage
+    /// counter.
+    pub(crate) stage: TraceStage,
+    pub(crate) result: Result<CommandOutput, CommandFailure>,
+}
+
+/// Everything the completer reacts to.
+pub(crate) enum Event {
+    /// A Step 1 worker prepared a sample for the in-SSD stage.
+    Prepared(PreparedJob),
+    /// A device finished (or failed) one command.
+    Completed(ShardCompletion),
+    /// A Step 1 worker exited: it will send no further sample.
+    WorkerExited,
+}
+
+/// Everything the completer asks of the world.
+pub(crate) enum Action {
+    /// Put the command on this device's queue. The command is already in
+    /// the ledger, so its completion can never arrive unregistered.
+    Issue(usize, ShardCommand),
+    /// The job left the in-SSD stage: send its outcome to its handle.
+    Deliver(JobId, Box<Result<JobResult, JobError>>),
+}
+
+/// The counters only the completer writes, returned when it exits and
+/// merged into the [`crate::ServiceReport`] at shutdown.
+#[derive(Debug)]
+pub(crate) struct CompleterTally {
+    /// High-water mark of each shard's occupied depth slots.
+    pub(crate) peak_inflight: Vec<usize>,
+    /// Re-issues per shard-of-record.
+    pub(crate) retries: Vec<u64>,
+    /// Re-issues routed away from a dead shard-of-record.
+    pub(crate) failovers: Vec<u64>,
+    /// Issues that found a command of the *other* stage outstanding.
+    pub(crate) stage_overlap_events: u64,
+}
+
+impl CompleterTally {
+    /// The tally of a completer that has counted nothing on `shards`.
+    pub(crate) fn new(shards: usize) -> CompleterTally {
+        CompleterTally {
+            peak_inflight: vec![0; shards],
+            retries: vec![0; shards],
+            failovers: vec![0; shards],
+            stage_overlap_events: 0,
+        }
+    }
+}
+
+/// Deterministic capped exponential backoff for retry attempt `attempt`
+/// (0-based): `base × 2^min(attempt, 3)`. A zero base means immediate
+/// re-issue — the default, and what keeps the chaos tests fast.
+fn backoff_delay(base: Duration, attempt: u32) -> Duration {
+    base * (1u32 << attempt.min(3))
+}
+
+/// Identity of one outstanding command: `(seq, shard-of-record, stage)`.
+/// Stable across retries and failover — re-issues keep the key and bump
+/// only the attempt counter, so a completion always finds the entry for
+/// the command it answers (or finds a newer attempt and is discarded as
+/// stale).
+type CommandKey = (usize, usize, TraceStage);
+
+/// One issued-but-unresolved command, retained so it can be re-issued on a
+/// transient failure, a dead shard, or a blown deadline. Cheap to keep:
+/// commands share their sample/query payloads through `Arc`s.
+struct OutstandingCommand {
+    command: ShardCommand,
+    /// The device the current attempt was put on; a dead-shard rejection
+    /// of that attempt marks this device dead.
+    device: usize,
+    /// When the current attempt was issued; the command deadline measures
+    /// from here.
+    issued_at: Instant,
+    /// When the command is re-issued after a failure, once its backoff has
+    /// run out. A command waiting here has no deadline (its entry ages by
+    /// design).
+    retry_at: Option<Instant>,
+}
+
+/// One sample in the in-SSD stage, from its opening to its delivery.
+/// Neither stage leaves a list here — the devices return counts.
+struct Job {
+    prepared: PreparedJob,
+    /// Observed hand-off rank, stamped independently of `start_position` so
+    /// the ordering regression tests genuinely fail if the reorder buffer is
+    /// ever bypassed.
+    isp_position: usize,
+    isp_start: Instant,
+    /// The job's Step 2 result so far: the hit count and per-taxon support
+    /// of every shard reaped, summed the moment each arrives.
+    step2: Support,
+    /// Shards-of-record whose support has been folded into `step2`.
+    /// Addition is not idempotent, so a second fold of one `(seq, shard)`
+    /// must be a crash, not a silently doubled support.
+    step2_folded: Vec<bool>,
+    /// Intersect completions still outstanding.
+    remaining: usize,
+    /// Step 2's presence call over the folded support, made the moment the
+    /// last shard's support is in. Shared with the Step 3 command.
+    presence: Option<Arc<PresenceResult>>,
+    /// The job's Step 3 result: what its one Step 3 command reported, or
+    /// the empty result of a job with no candidates. Filled once.
+    step3: Option<Step3Output>,
+    /// Set when the job failed (worker panic, exhausted retry budget, no
+    /// live shard): the job is delivered as `Err` at its turn in dispatch
+    /// order, isolated from every other job.
+    failed: Option<JobError>,
+}
+
+impl Job {
+    /// A job opened at `isp_start` with `expected` intersect commands on
+    /// `shards` shards.
+    fn new(
+        prepared: PreparedJob,
+        isp_position: usize,
+        expected: usize,
+        isp_start: Instant,
+        shards: usize,
+    ) -> Job {
+        Job {
+            prepared,
+            isp_position,
+            isp_start,
+            step2: Support::default(),
+            step2_folded: vec![false; shards],
+            remaining: expected,
+            presence: None,
+            step3: None,
+            failed: None,
+        }
+    }
+
+    /// Every expected completion of both stages has been reaped — or the
+    /// job failed and is ready to deliver its error at its ordered turn.
+    fn is_complete(&self) -> bool {
+        self.failed.is_some() || (self.remaining == 0 && self.step3.is_some())
+    }
+
+    /// Folds the support `shard` reported for this job's query slice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if that shard's support was already folded.
+    fn fold_step2(&mut self, shard: usize, support: Support) {
+        assert!(
+            !std::mem::replace(&mut self.step2_folded[shard], true),
+            "step 2 support of shard {shard} folded twice"
+        );
+        self.step2.fold(support);
+        self.remaining -= 1;
+    }
+
+    /// Fills the job's Step 3 slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is already filled.
+    fn fold_step3(&mut self, output: Step3Output) {
+        assert!(
+            self.step3.replace(output).is_none(),
+            "step 3 result folded twice"
+        );
+    }
+}
+
+/// The in-SSD completer, the only issuer of shard commands (see the module
+/// docs).
+pub(crate) struct Completer {
+    analyzer: Arc<MegisAnalyzer>,
+    /// The sharded database layout the query lists are sliced against.
+    shards: ShardSet,
+    trace: TraceSink,
+    queue_depth: usize,
+    retry_budget: u32,
+    retry_backoff: Duration,
+    command_deadline: Option<Duration>,
+    /// The reorder buffer behind the ordering guarantee: prepared samples
+    /// that arrived ahead of an earlier dispatch position, keyed on
+    /// `start_position`.
+    reorder: BTreeMap<usize, PreparedJob>,
+    /// Samples opened so far — the next dispatch position to open, and the
+    /// `isp_position` stamp.
+    opened: usize,
+    /// Opened jobs not yet delivered, keyed on dispatch position.
+    jobs: BTreeMap<usize, Job>,
+    next_to_deliver: usize,
+    /// Commands of both kinds awaiting a free depth slot on their
+    /// shard-of-record, in the order they were built.
+    backlog: VecDeque<ShardCommand>,
+    /// Every issued command awaiting its final resolution: the retry,
+    /// failover and timer ledger.
+    outstanding: BTreeMap<CommandKey, OutstandingCommand>,
+    /// Occupied depth slots per shard-of-record: its ledger entries.
+    inflight: Vec<usize>,
+    /// Ledger entries per stage, for stage-overlap observation.
+    intersect_inflight: usize,
+    step3_inflight: usize,
+    /// Devices that answered a command with a dead-shard rejection;
+    /// [`Completer::pick_target`] routes every issue and re-issue away from
+    /// them.
+    dead: Vec<bool>,
+    /// Step 1 workers that have not exited; at 0 no further sample can
+    /// arrive.
+    live_workers: usize,
+    tally: CompleterTally,
+}
+
+impl Completer {
+    /// A completer for an engine built from `config` over `shards`, with no
+    /// job yet.
+    pub(crate) fn new(
+        analyzer: Arc<MegisAnalyzer>,
+        shards: ShardSet,
+        config: &EngineConfig,
+        trace: TraceSink,
+    ) -> Completer {
+        let shard_count = shards.shard_count();
+        Completer {
+            analyzer,
+            shards,
+            trace,
+            queue_depth: config.queue_depth,
+            retry_budget: config.retry_budget,
+            retry_backoff: config.retry_backoff,
+            command_deadline: config.command_deadline,
+            reorder: BTreeMap::new(),
+            opened: 0,
+            jobs: BTreeMap::new(),
+            next_to_deliver: 0,
+            backlog: VecDeque::new(),
+            outstanding: BTreeMap::new(),
+            inflight: vec![0; shard_count],
+            intersect_inflight: 0,
+            step3_inflight: 0,
+            dead: vec![false; shard_count],
+            live_workers: config.workers,
+            tally: CompleterTally::new(shard_count),
+        }
+    }
+
+    /// Books one event at `now`: a prepared sample (opened at once if it is
+    /// next in dispatch order, together with every buffered sample it
+    /// unblocks), a completion, or a Step 1 worker's exit.
+    pub(crate) fn on(&mut self, event: Event, now: Instant) {
+        match event {
+            Event::Prepared(prepared) => {
+                self.reorder.insert(prepared.start_position, prepared);
+                while let Some(prepared) = self.reorder.remove(&self.opened) {
+                    self.open(prepared, now);
+                }
+            }
+            Event::Completed(completion) => self.reap(completion, now),
+            Event::WorkerExited => self.live_workers -= 1,
+        }
+    }
+
+    /// Everything due at `now`: fires the ledger's timers, issues the
+    /// backlogged commands that have a free slot, and delivers every
+    /// finished job at the head of the dispatch order.
+    pub(crate) fn settle(&mut self, now: Instant) -> Vec<Action> {
+        let mut actions = Vec::new();
+        self.fire_timers(now, &mut actions);
+        self.submit_backlog(now, &mut actions);
+        while self
+            .jobs
+            .get(&self.next_to_deliver)
+            .is_some_and(Job::is_complete)
+        {
+            let job = self
+                .jobs
+                .remove(&self.next_to_deliver)
+                .expect("checked above");
+            self.next_to_deliver += 1;
+            let id = job.prepared.id;
+            actions.push(Action::Deliver(id, Box::new(self.finalize(job, now))));
+        }
+        actions
+    }
+
+    /// The earliest instant a timer of the ledger is due: a retry's backoff
+    /// running out or a command's deadline passing. `None` while no timer is
+    /// armed — then only an event can give the completer work.
+    pub(crate) fn next_wake(&self) -> Option<Instant> {
+        self.outstanding
+            .values()
+            .filter_map(|entry| {
+                entry
+                    .retry_at
+                    .or_else(|| Some(entry.issued_at + self.command_deadline?))
+            })
+            .min()
+    }
+
+    /// No further command can ever be issued: no Step 1 worker is left, and
+    /// every opened job is delivered.
+    pub(crate) fn is_done(&self) -> bool {
+        self.live_workers == 0 && self.backlog.is_empty() && self.jobs.is_empty()
+    }
+
+    /// Some Step 1 worker may still send a sample.
+    pub(crate) fn expects_samples(&self) -> bool {
+        self.live_workers > 0
+    }
+
+    /// Some issued command has not been resolved.
+    pub(crate) fn has_outstanding(&self) -> bool {
+        !self.outstanding.is_empty()
+    }
+
+    /// Occupied depth slots per shard.
+    pub(crate) fn inflight(&self) -> &[usize] {
+        &self.inflight
+    }
+
+    /// The counters the completer kept over its lifetime.
+    pub(crate) fn into_tally(self) -> CompleterTally {
+        self.tally
+    }
+
+    /// Opens one prepared sample: its job record, stamped with the next
+    /// `isp_position`, and one intersect command per shard whose slice of
+    /// the sample's query list is non-empty, appended to the backlog. A
+    /// sample with no such command goes straight to its presence call.
+    fn open(&mut self, mut prepared: PreparedJob, now: Instant) {
+        let seq = prepared.start_position;
+        // Step 1's arena itself, moved: the commands below share the
+        // allocation the worker sorted, and delivery only reads the counters
+        // `take_kmers` leaves behind.
+        let queries = Arc::new(prepared.step1.take_kmers());
+        // Range-partitioned dispatch: each shard sees only the sub-slice of
+        // the sorted query list overlapping its key range. A shard whose
+        // slice is empty — every padding shard, and any populated shard this
+        // sample's queries miss entirely — is skipped: an empty slice can
+        // only intersect to nothing, and a no-op command would waste a slot.
+        let before = self.backlog.len();
+        for (shard, range) in self.shards.slice_queries(&queries).into_iter().enumerate() {
+            if !range.is_empty() {
+                self.backlog
+                    .push_back(ShardCommand::Intersect(IntersectCommand {
+                        shard,
+                        attempt: 0,
+                        seq,
+                        queries: Arc::clone(&queries),
+                        range,
+                    }));
+            }
+        }
+        let expected = self.backlog.len() - before;
+        let job = Job::new(
+            prepared,
+            self.opened,
+            expected,
+            now,
+            self.shards.shard_count(),
+        );
+        self.opened += 1;
+        self.jobs.insert(seq, job);
+        if expected == 0 {
+            self.start_step3(seq);
+        }
+    }
+
+    /// Books one completion into its job and frees the command's slot — or,
+    /// for a failed attempt, schedules a retry or fails the owning job.
+    /// Completions whose command is no longer in the ledger (the job already
+    /// failed) or whose attempt counter is stale (the command was already
+    /// re-issued after a blown deadline) are discarded entirely: their slot
+    /// was already freed exactly once.
+    fn reap(&mut self, completion: ShardCompletion, now: Instant) {
+        let key: CommandKey = (completion.seq, completion.shard, completion.stage);
+        let Some(entry) = self.outstanding.get(&key) else {
+            return;
+        };
+        if entry.command.attempt() != completion.attempt {
+            return;
+        }
+        let output = match completion.result {
+            Ok(output) => output,
+            Err(failure) => return self.handle_failure(key, failure, now),
+        };
+        self.outstanding.remove(&key);
+        self.release(completion.shard, completion.stage);
+        // A ledgered command's job is open and unfailed: failing a job
+        // retires its commands from the ledger.
+        let job = self
+            .jobs
+            .get_mut(&completion.seq)
+            .expect("completion for an open job");
+        match output {
+            CommandOutput::Intersection(support) => {
+                job.fold_step2(completion.shard, support);
+                if job.remaining == 0 {
+                    self.start_step3(completion.seq);
+                }
+            }
+            CommandOutput::Step3(output) => job.fold_step3(output),
+        }
+    }
+
+    /// One command attempt failed: arm a retry within the budget, or fail
+    /// the owning job (panics are non-recoverable by design — the worker
+    /// state after a caught panic is not trusted for a replay).
+    fn handle_failure(&mut self, key: CommandKey, failure: CommandFailure, now: Instant) {
+        let (seq, shard, stage) = key;
+        let Some(entry) = self.outstanding.get_mut(&key) else {
+            return;
+        };
+        let attempt = entry.command.attempt();
+        if failure == CommandFailure::ShardDead {
+            self.dead[entry.device] = true;
+        }
+        if failure == CommandFailure::Panicked {
+            self.fail_job(seq, |job| JobError::WorkerPanicked { job, shard });
+        } else if attempt >= self.retry_budget {
+            self.fail_job(seq, |job| JobError::RetriesExhausted {
+                job,
+                stage: stage.label(),
+                shard,
+                attempts: attempt + 1,
+            });
+        } else {
+            entry.retry_at = Some(now + backoff_delay(self.retry_backoff, attempt));
+        }
+    }
+
+    /// Fires every timer due at `now`, in key order: a command past its
+    /// deadline fails its current attempt transiently, then every command
+    /// whose retry is due — one that just failed with a zero backoff
+    /// included — is re-issued.
+    fn fire_timers(&mut self, now: Instant, actions: &mut Vec<Action>) {
+        if let Some(deadline) = self.command_deadline {
+            let expired: Vec<CommandKey> = self
+                .outstanding
+                .iter()
+                .filter(|(_, entry)| entry.retry_at.is_none() && entry.issued_at + deadline <= now)
+                .map(|(key, _)| *key)
+                .collect();
+            for key in expired {
+                self.handle_failure(key, CommandFailure::Transient, now);
+            }
+        }
+        let due: Vec<CommandKey> = self
+            .outstanding
+            .iter()
+            .filter(|(_, entry)| entry.retry_at.is_some_and(|at| at <= now))
+            .map(|(key, _)| *key)
+            .collect();
+        for key in due {
+            self.reissue(key, now, actions);
+        }
+    }
+
+    /// Re-issues one ledgered command with a bumped attempt counter to
+    /// [`Completer::pick_target`]'s device (every worker holds the whole
+    /// `ShardSet`, so any survivor serves the command identically), or
+    /// fails its job when every device is dead.
+    fn reissue(&mut self, key: CommandKey, now: Instant, actions: &mut Vec<Action>) {
+        let (seq, shard, stage) = key;
+        if !self.outstanding.contains_key(&key) {
+            return;
+        }
+        let Some(target) = self.pick_target(shard) else {
+            self.fail_job(seq, |job| JobError::NoLiveShards { job });
+            return;
+        };
+        let entry = self.outstanding.get_mut(&key).expect("checked above");
+        entry.command.bump_attempt();
+        entry.device = target;
+        entry.issued_at = now;
+        entry.retry_at = None;
+        let attempt = entry.command.attempt();
+        let command = entry.command.clone();
+        self.tally.retries[shard] += 1;
+        self.trace.record(
+            seq,
+            TraceEventKind::Retry {
+                stage,
+                shard,
+                attempt,
+            },
+        );
+        if target != shard {
+            self.tally.failovers[shard] += 1;
+            self.trace.record(
+                seq,
+                TraceEventKind::Failover {
+                    stage,
+                    from: shard,
+                    to: target,
+                },
+            );
+        }
+        self.trace.record(
+            seq,
+            TraceEventKind::CommandIssued {
+                stage,
+                shard: target,
+            },
+        );
+        actions.push(Action::Issue(target, command));
+    }
+
+    /// The device a command of shard-of-record `record` is put on — the
+    /// one place a device is chosen, for first issues and re-issues alike:
+    /// the record shard while it lives, else the next live shard by index;
+    /// `None` when every device is dead.
+    fn pick_target(&self, record: usize) -> Option<usize> {
+        let shard_count = self.dead.len();
+        (0..shard_count)
+            .map(|offset| (record + offset) % shard_count)
+            .find(|&shard| !self.dead[shard])
+    }
+
+    /// Marks job `seq` failed in place — the first error sticks, and the job
+    /// is delivered at its turn in dispatch order — and retires every
+    /// command of the job still ledgered or backlogged: ledgered ones free
+    /// their depth slots exactly once, and a late completion of one finds
+    /// nothing to settle.
+    fn fail_job(&mut self, seq: usize, error: impl FnOnce(JobId) -> JobError) {
+        let Some(job) = self.jobs.get_mut(&seq) else {
+            return;
+        };
+        let id = job.prepared.id;
+        job.failed.get_or_insert_with(|| error(id));
+        let keys: Vec<CommandKey> = self
+            .outstanding
+            .range((seq, 0, TraceStage::Intersect)..=(seq, usize::MAX, TraceStage::Step3))
+            .map(|(key, _)| *key)
+            .collect();
+        for (_, shard, stage) in keys {
+            self.outstanding.remove(&(seq, shard, stage));
+            self.release(shard, stage);
+        }
+        self.backlog.retain(|command| command.seq() != seq);
+    }
+
+    /// Finishes one job's Step 2 — the devices already intersected and
+    /// retrieved, and their supports were summed as they arrived, so only
+    /// the presence call over the sum is left — then hands the job's whole
+    /// Step 3 to the backlog as one command on shard `seq % shards`. A job
+    /// with no candidates maps nothing: no command, and its Step 3 result is
+    /// the empty one.
+    fn start_step3(&mut self, seq: usize) {
+        let job = self.jobs.get_mut(&seq).expect("an open job");
+        let presence = Arc::new(self.analyzer.call_presence(&job.step2));
+        job.presence = Some(Arc::clone(&presence));
+        if presence.is_empty() {
+            job.fold_step3(Step3Output::default());
+            return;
+        }
+        self.backlog.push_back(ShardCommand::Step3(Step3Command {
+            seq,
+            record_shard: seq % self.shards.shard_count(),
+            attempt: 0,
+            sample: Arc::clone(&job.prepared.sample),
+            presence,
+        }));
+    }
+
+    /// Issues backlogged commands of both kinds whose shard-of-record has a
+    /// free depth slot, in backlog order per shard; the rest take slots as
+    /// later completions free them. Each issue occupies the record shard's
+    /// slot, records `CommandIssued` for the device
+    /// [`Completer::pick_target`] chose and enters the ledger before the
+    /// command leaves as an action. With every device dead the command goes
+    /// to its record shard, which rejects it, and the re-issue fails the
+    /// job.
+    fn submit_backlog(&mut self, now: Instant, actions: &mut Vec<Action>) {
+        for command in std::mem::take(&mut self.backlog) {
+            let (seq, record, stage) = (command.seq(), command.record_shard(), command.stage());
+            if self.inflight[record] >= self.queue_depth {
+                self.backlog.push_back(command);
+                continue;
+            }
+            self.occupy(record, stage);
+            let device = self.pick_target(record).unwrap_or(record);
+            self.trace.record(
+                seq,
+                TraceEventKind::CommandIssued {
+                    stage,
+                    shard: device,
+                },
+            );
+            self.outstanding.insert(
+                (seq, record, stage),
+                OutstandingCommand {
+                    command: command.clone(),
+                    device,
+                    issued_at: now,
+                    retry_at: None,
+                },
+            );
+            actions.push(Action::Issue(device, command));
+        }
+    }
+
+    /// Takes one depth slot of `shard` for a `stage` command: raises the
+    /// shard's high-water mark, and counts a stage overlap if a command of
+    /// the other stage is outstanding.
+    fn occupy(&mut self, shard: usize, stage: TraceStage) {
+        self.inflight[shard] += 1;
+        let peak = &mut self.tally.peak_inflight[shard];
+        *peak = (*peak).max(self.inflight[shard]);
+        let (own, other) = match stage {
+            TraceStage::Intersect => (&mut self.intersect_inflight, self.step3_inflight),
+            TraceStage::Step3 => (&mut self.step3_inflight, self.intersect_inflight),
+        };
+        *own += 1;
+        if other > 0 {
+            self.tally.stage_overlap_events += 1;
+        }
+    }
+
+    /// Frees the slot [`Completer::occupy`] took, exactly once per command:
+    /// when it leaves the ledger.
+    fn release(&mut self, shard: usize, stage: TraceStage) {
+        self.inflight[shard] -= 1;
+        match stage {
+            TraceStage::Intersect => self.intersect_inflight -= 1,
+            TraceStage::Step3 => self.step3_inflight -= 1,
+        }
+    }
+
+    /// Assembles one job's output from its folded Step 2 support, presence
+    /// call and Step 3 result; a failed job yields its error.
+    fn finalize(&self, job: Job, now: Instant) -> Result<JobResult, JobError> {
+        let seq = job.prepared.start_position;
+        let job_id = job.prepared.id.0;
+        if let Some(error) = job.failed {
+            self.trace
+                .record(seq, TraceEventKind::Delivered { job: job_id });
+            return Err(error);
+        }
+        self.trace.record(seq, TraceEventKind::ReduceStarted);
+        let step3 = job.step3.expect("complete job has its step 3 result");
+        let output = MegisOutput {
+            presence: Arc::unwrap_or_clone(job.presence.expect("complete job called presence")),
+            abundance: step3.abundance,
+            intersecting_kmers: job.step2.hits,
+            selected_kmers: job.prepared.step1.selected_kmers,
+            mapped_reads: step3.mapped_reads,
+        };
+        self.trace.record(seq, TraceEventKind::ReduceFinished);
+        // Reconstruct the job's stage timeline from its own events, stamped
+        // with the same instant the Delivered event gets, so the breakdown's
+        // telescoping total spans exactly admission→delivery.
+        let breakdown = if self.trace.is_enabled() {
+            let delivered_at = self.trace.now();
+            let events = self.trace.events_for(seq, job_id);
+            self.trace
+                .record_at(delivered_at, seq, TraceEventKind::Delivered { job: job_id });
+            StageBreakdown::from_events(&events, delivered_at)
+        } else {
+            None
+        };
+        let prepared = job.prepared;
+        Ok(JobResult {
+            id: prepared.id,
+            label: prepared.label,
+            priority: prepared.priority,
+            start_position: prepared.start_position,
+            isp_position: job.isp_position,
+            output,
+            queue_wait: prepared.queue_wait,
+            step1_time: prepared.step1_time,
+            isp_time: now.saturating_duration_since(job.isp_start),
+            latency: now.saturating_duration_since(prepared.submitted_at),
+            breakdown,
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashSet;
+    use std::sync::OnceLock;
+
+    use megis::config::MegisConfig;
+    use megis_genomics::read::ReadSet;
+    use megis_genomics::sample::{CommunityConfig, Diversity};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+    use crate::fault::{FaultDecision, FaultPlan};
+    use crate::shard::ShardWorker;
+
+    /// The analyzer, the samples the schedules draw from, their Step 1
+    /// outputs and the sequential oracle's answers: built once.
+    struct Fixture {
+        analyzer: Arc<MegisAnalyzer>,
+        samples: Vec<Arc<Sample>>,
+        step1: Vec<Step1Output>,
+        expected: Vec<MegisOutput>,
+    }
+
+    /// The fixture's first sample, mapped against the database. The others
+    /// are a smaller mapped one, an empty one (no command at all) and one
+    /// from another seed's references (no candidate, so no Step 3 command).
+    const MAPPED: usize = 0;
+
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: OnceLock<Fixture> = OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let community = CommunityConfig::preset(Diversity::Medium)
+                .with_reads(100)
+                .with_database_species(10)
+                .build(23);
+            let foreign = CommunityConfig::preset(Diversity::Medium)
+                .with_reads(60)
+                .with_database_species(10)
+                .build(4242);
+            let analyzer = MegisAnalyzer::build(community.references(), MegisConfig::small());
+            let reads = community
+                .sample()
+                .reads()
+                .iter()
+                .take(30)
+                .cloned()
+                .collect();
+            let samples: Vec<Arc<Sample>> = [
+                community.sample().clone(),
+                Sample::from_reads(reads),
+                Sample::from_reads(ReadSet::new()),
+                foreign.sample().clone(),
+            ]
+            .into_iter()
+            .map(Arc::new)
+            .collect();
+            let step1 = samples.iter().map(|s| analyzer.run_step1(s)).collect();
+            let expected = samples.iter().map(|s| analyzer.analyze(s)).collect();
+            Fixture {
+                analyzer: Arc::new(analyzer),
+                samples,
+                step1,
+                expected,
+            }
+        })
+    }
+
+    fn prepared(position: usize, sample: usize, now: Instant) -> PreparedJob {
+        let f = fixture();
+        PreparedJob {
+            id: JobId(position as u64),
+            label: format!("s{position}"),
+            priority: Priority::default(),
+            start_position: position,
+            sample: Arc::clone(&f.samples[sample]),
+            submitted_at: now,
+            queue_wait: Duration::ZERO,
+            step1_time: Duration::ZERO,
+            step1: f.step1[sample].clone(),
+        }
+    }
+
+    /// A completer on `config.shards` shards and a device that serves any
+    /// of them.
+    fn core(config: &EngineConfig) -> (Completer, ShardWorker) {
+        let f = fixture();
+        let shards = ShardSet::build(f.analyzer.database(), config.shards);
+        let device = ShardWorker::new(shards.clone(), Arc::clone(&f.analyzer));
+        let core = Completer::new(
+            Arc::clone(&f.analyzer),
+            shards,
+            config,
+            TraceSink::disabled(),
+        );
+        (core, device)
+    }
+
+    /// The completion answering `command` with `result`.
+    fn answer(command: &ShardCommand, result: Result<CommandOutput, CommandFailure>) -> Event {
+        Event::Completed(ShardCompletion {
+            shard: command.record_shard(),
+            seq: command.seq(),
+            attempt: command.attempt(),
+            stage: command.stage(),
+            result,
+        })
+    }
+
+    /// Splits settled actions into issued commands and delivered outcomes.
+    fn split(actions: Vec<Action>) -> (Vec<ShardCommand>, Vec<Result<JobResult, JobError>>) {
+        let (mut issued, mut delivered) = (Vec::new(), Vec::new());
+        for action in actions {
+            match action {
+                Action::Issue(_, command) => issued.push(command),
+                Action::Deliver(_, outcome) => delivered.push(*outcome),
+            }
+        }
+        (issued, delivered)
+    }
+
+    /// Serves every issued command, and every command that issues in turn,
+    /// until the core delivers; returns the delivered outcomes.
+    fn serve_until_delivered(
+        core: &mut Completer,
+        device: &ShardWorker,
+        mut issued: Vec<ShardCommand>,
+        now: Instant,
+    ) -> Vec<Result<JobResult, JobError>> {
+        let mut delivered = Vec::new();
+        while let Some(command) = issued.pop() {
+            core.on(answer(&command, Ok(device.serve(&command))), now);
+            let (more, outcomes) = split(core.settle(now));
+            issued.extend(more);
+            delivered.extend(outcomes);
+        }
+        delivered
+    }
+
+    /// A job on two shards with both stages' completions outstanding.
+    fn two_shard_job() -> Job {
+        let now = Instant::now();
+        Job::new(prepared(0, MAPPED, now), 0, 2, now, 2)
+    }
+
+    #[test]
+    #[should_panic(expected = "step 3 result folded twice")]
+    fn a_step3_result_folded_twice_panics() {
+        // A job has one Step 3 slot: a second result would silently replace
+        // the first, so the fold refuses. (The ledger discards duplicate and
+        // stale completions before they get here; this is the backstop.)
+        let mut job = two_shard_job();
+        assert!(!job.is_complete());
+        job.remaining = 0;
+        job.fold_step3(Step3Output::default());
+        assert!(job.is_complete());
+        job.fold_step3(Step3Output::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "step 2 support of shard 1 folded twice")]
+    fn a_step2_support_folded_twice_panics() {
+        // Supports add too: the same backstop, per `(seq, shard)`.
+        let mut job = two_shard_job();
+        let support = || Support {
+            hits: 3,
+            counts: vec![1, 0, 2],
+        };
+        job.fold_step2(1, support());
+        assert_eq!((job.remaining, job.step2.hits), (1, 3));
+        job.fold_step2(0, support());
+        assert_eq!((job.remaining, job.step2.hits), (0, 6));
+        assert_eq!(job.step2.counts, vec![2, 0, 4]);
+        job.fold_step2(1, support());
+    }
+
+    #[test]
+    fn opening_a_sample_shares_step1s_arena_instead_of_copying_it() {
+        let f = fixture();
+        let config = EngineConfig::new().with_workers(1).with_shards(2);
+        let (mut core, device) = core(&config);
+        let now = Instant::now();
+        let job = prepared(0, MAPPED, now);
+        let (arena, queries) = (job.step1.kmers().as_ptr(), job.step1.sorted_kmers());
+        core.on(Event::Prepared(job), now);
+        let opened = &core.jobs[&0];
+        assert_eq!(
+            (opened.prepared.start_position, opened.isp_position),
+            (0, 0)
+        );
+        assert_eq!(opened.prepared.step1.selected_kmers, queries.len() as u64);
+        assert_eq!(opened.remaining, core.backlog.len());
+        for command in &core.backlog {
+            let ShardCommand::Intersect(command) = command else {
+                panic!("a sample opens with intersect commands only");
+            };
+            assert_eq!(command.queries.as_ptr(), arena, "moved, not copied");
+            assert_eq!(*command.queries, queries);
+            assert_eq!(command.seq, 0);
+        }
+        assert_eq!(
+            core.backlog.len(),
+            config.shards,
+            "both shards hold genome k-mers"
+        );
+
+        // And the job delivered through the same core is unchanged.
+        let (issued, _) = split(core.settle(now));
+        let delivered = serve_until_delivered(&mut core, &device, issued, now);
+        let [Ok(result)] = &delivered[..] else {
+            panic!("one job served: {delivered:?}");
+        };
+        assert_eq!(result.output, f.expected[MAPPED]);
+        assert!(!core.has_outstanding());
+    }
+
+    #[test]
+    fn backoff_timers_fire_at_their_instant_and_not_before() {
+        // Base backoff b doubles per failed attempt and caps at 8b: the
+        // core asks to be woken exactly then, and a settle a microsecond
+        // early issues nothing.
+        let b = Duration::from_millis(10);
+        let config = EngineConfig::new()
+            .with_shards(1)
+            .with_retry_budget(8)
+            .with_retry_backoff(b);
+        let (mut core, device) = core(&config);
+        let mut now = Instant::now();
+        core.on(Event::Prepared(prepared(0, MAPPED, now)), now);
+        let (mut issued, _) = split(core.settle(now));
+        assert_eq!(core.next_wake(), None, "no timer without a deadline");
+        for (attempt, factor) in [1u32, 2, 4, 8, 8].into_iter().enumerate() {
+            let command = issued.pop().expect("one command in flight");
+            assert_eq!(command.attempt(), attempt as u32);
+            now += Duration::from_micros(300);
+            core.on(answer(&command, Err(CommandFailure::Transient)), now);
+            let due = now + b * factor;
+            assert_eq!(core.next_wake(), Some(due), "attempt {attempt}");
+            assert!(core.settle(due - Duration::from_micros(1)).is_empty());
+            assert_eq!(core.inflight(), [1], "a retry keeps its slot");
+            now = due;
+            (issued, _) = split(core.settle(now));
+            assert_eq!(issued.len(), 1, "attempt {attempt} re-issued when due");
+        }
+        let delivered = serve_until_delivered(&mut core, &device, issued, now);
+        let [Ok(result)] = &delivered[..] else {
+            panic!("the job survives its retries: {delivered:?}");
+        };
+        assert_eq!(result.output, fixture().expected[MAPPED]);
+        assert_eq!(core.tally.retries, [5]);
+    }
+
+    #[test]
+    fn a_blown_deadline_reissues_and_the_late_answer_is_ignored() {
+        let deadline = Duration::from_millis(5);
+        let config = EngineConfig::new()
+            .with_shards(1)
+            .with_command_deadline(deadline);
+        let (mut core, device) = core(&config);
+        let start = Instant::now();
+        core.on(Event::Prepared(prepared(0, MAPPED, start)), start);
+        let (mut issued, _) = split(core.settle(start));
+        let stuck = issued.pop().expect("one intersect command");
+        assert_eq!(core.next_wake(), Some(start + deadline));
+        assert!(core
+            .settle(start + deadline - Duration::from_micros(1))
+            .is_empty());
+        let now = start + deadline;
+        let (mut issued, _) = split(core.settle(now));
+        let retry = issued.pop().expect("re-issued at the deadline");
+        assert_eq!(retry.attempt(), stuck.attempt() + 1);
+        assert_eq!(
+            core.next_wake(),
+            Some(now + deadline),
+            "the deadline re-arms"
+        );
+        // The stuck attempt answers late: stale, so nothing is folded and
+        // the slot is not freed a second time.
+        core.on(answer(&stuck, Ok(device.serve(&stuck))), now);
+        assert_eq!(core.inflight(), [1]);
+        assert_eq!(core.jobs[&0].remaining, 1);
+        core.on(answer(&retry, Ok(device.serve(&retry))), now);
+        assert_eq!(core.inflight(), [0], "freed once, by the current attempt");
+        let (issued, _) = split(core.settle(now));
+        let delivered = serve_until_delivered(&mut core, &device, issued, now);
+        let [Ok(result)] = &delivered[..] else {
+            panic!("the job survives its deadline: {delivered:?}");
+        };
+        assert_eq!(result.output, fixture().expected[MAPPED]);
+        assert_eq!(core.tally.retries, [1]);
+    }
+
+    /// One seeded schedule over the core: the devices are
+    /// [`ShardWorker::serve`] on queues this test keeps, the clock is fake,
+    /// and every choice — arrival order, which device answers which queued
+    /// command when, faults, a shard's death — comes from the seed.
+    struct Schedule {
+        seed: u64,
+        core: Completer,
+        device: ShardWorker,
+        depth: usize,
+        plan: FaultPlan,
+        /// Per device, the commands it answers before it dies, if it does.
+        death_after: Vec<Option<u64>>,
+        queues: Vec<Vec<ShardCommand>>,
+        popped: Vec<u64>,
+        faults: u64,
+        failed_attempts: HashSet<(CommandKey, u32)>,
+        deadline_expired: bool,
+        delivered: Vec<(JobId, Result<JobResult, JobError>)>,
+    }
+
+    impl Schedule {
+        fn key(command: &ShardCommand) -> CommandKey {
+            (command.seq(), command.record_shard(), command.stage())
+        }
+
+        fn settle(&mut self, now: Instant) {
+            for action in self.core.settle(now) {
+                match action {
+                    Action::Issue(device, command) => {
+                        let attempt = command.attempt();
+                        if attempt > 0
+                            && !self
+                                .failed_attempts
+                                .contains(&(Self::key(&command), attempt - 1))
+                        {
+                            self.deadline_expired = true;
+                        }
+                        self.queues[device].push(command);
+                    }
+                    Action::Deliver(id, outcome) => self.delivered.push((id, *outcome)),
+                }
+            }
+            for (shard, &inflight) in self.core.inflight().iter().enumerate() {
+                let ledgered = self.core.outstanding.keys().filter(|k| k.1 == shard);
+                assert_eq!(
+                    inflight,
+                    ledgered.count(),
+                    "seed {}: shard {shard}",
+                    self.seed
+                );
+                assert!(inflight <= self.depth, "seed {}: shard {shard}", self.seed);
+            }
+        }
+
+        /// Device `device` answers the `index`-th command of its queue.
+        fn answer(&mut self, device: usize, index: usize) -> Event {
+            let command = self.queues[device].swap_remove(index);
+            self.popped[device] += 1;
+            let dead = self.death_after[device].is_some_and(|after| self.popped[device] > after);
+            let (seq, record, stage) = Self::key(&command);
+            let result = if dead {
+                Err(CommandFailure::ShardDead)
+            } else if self.plan.decide(seq, record, stage, command.attempt())
+                == Some(FaultDecision::Transient)
+            {
+                Err(CommandFailure::Transient)
+            } else {
+                Ok(self.device.serve(&command))
+            };
+            if result.is_err() {
+                self.faults += 1;
+                self.failed_attempts
+                    .insert((Self::key(&command), command.attempt()));
+            }
+            answer(&command, result)
+        }
+    }
+
+    /// Runs one schedule of `jobs` (sample indices, in dispatch order) to
+    /// the end and checks the invariants after every step; returns it for
+    /// the caller's end-state assertions.
+    fn explore(
+        seed: u64,
+        config: &EngineConfig,
+        death_after: Vec<Option<u64>>,
+        jobs: &[usize],
+    ) -> Schedule {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (core, device) = core(config);
+        let mut s = Schedule {
+            seed,
+            core,
+            device,
+            depth: config.queue_depth,
+            plan: config.fault_plan.as_deref().cloned().unwrap_or_default(),
+            death_after,
+            queues: vec![Vec::new(); config.shards],
+            popped: vec![0; config.shards],
+            faults: 0,
+            failed_attempts: HashSet::new(),
+            deadline_expired: false,
+            delivered: Vec::new(),
+        };
+        let mut now = Instant::now();
+        // Step 1 finishes out of dispatch order; every worker exits last.
+        let mut arrivals: Vec<Event> = jobs
+            .iter()
+            .enumerate()
+            .map(|(position, &sample)| Event::Prepared(prepared(position, sample, now)))
+            .collect();
+        for i in (1..arrivals.len()).rev() {
+            arrivals.swap(i, rng.gen_range(0..=i));
+        }
+        arrivals.extend((0..config.workers).map(|_| Event::WorkerExited));
+        let mut arrivals = arrivals.into_iter().peekable();
+        for step in 0.. {
+            assert!(step < 100_000, "seed {seed}: the schedule does not end");
+            let busy: Vec<usize> = (0..config.shards)
+                .filter(|&d| !s.queues[d].is_empty())
+                .collect();
+            if arrivals.peek().is_none() && busy.is_empty() {
+                // Nothing can happen but a timer.
+                match s.core.next_wake() {
+                    Some(at) => now = now.max(at),
+                    None => break,
+                }
+            } else {
+                now += Duration::from_micros(rng.gen_range(0..=2000));
+                let event = if busy.is_empty() || (arrivals.peek().is_some() && rng.gen_bool(0.3)) {
+                    arrivals.next().expect("an arrival is left")
+                } else {
+                    let device = busy[rng.gen_range(0..busy.len())];
+                    let index = rng.gen_range(0..s.queues[device].len());
+                    s.answer(device, index)
+                };
+                s.core.on(event, now);
+            }
+            s.settle(now);
+        }
+        assert!(
+            s.core.is_done(),
+            "seed {seed}: stopped before every job was delivered"
+        );
+        let ids: Vec<u64> = s.delivered.iter().map(|(id, _)| id.0).collect();
+        assert_eq!(
+            ids,
+            (0..jobs.len() as u64).collect::<Vec<_>>(),
+            "seed {seed}: delivery order"
+        );
+        s
+    }
+
+    /// Runs `check` for `seed`, naming the seed if it fails.
+    fn with_seed(seed: u64, check: impl FnOnce()) {
+        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(check)).is_err() {
+            panic!("schedule seed {seed} failed; rerun that seed to replay it");
+        }
+    }
+
+    #[test]
+    fn seeded_schedules_deliver_the_oracle_in_dispatch_order() {
+        let f = fixture();
+        for seed in 0..64u64 {
+            with_seed(seed, || {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+                let shards = 1 + (seed % 3) as usize;
+                let mut config = EngineConfig::new()
+                    .with_shards(shards)
+                    .with_queue_depth(1 + (seed / 3 % 2) as usize)
+                    .with_fault_plan(FaultPlan::seeded(seed).with_transient_rate(0.15));
+                if seed % 5 == 1 {
+                    config = config.with_retry_backoff(Duration::from_millis(1));
+                }
+                if seed % 7 == 2 {
+                    // Well above a step (0–2 ms), yet reachable while a
+                    // command waits its turn.
+                    config = config.with_command_deadline(Duration::from_millis(40));
+                }
+                // Every 4th schedule kills one device of several.
+                let mut death_after = vec![None; shards];
+                if seed % 4 == 3 && shards > 1 {
+                    death_after[rng.gen_range(0..shards)] = Some(rng.gen_range(0..6u64));
+                }
+                let jobs: Vec<usize> = (0..rng.gen_range(3..=6usize))
+                    .map(|_| rng.gen_range(0..f.samples.len()))
+                    .collect();
+                let s = explore(seed, &config, death_after, &jobs);
+                for ((_, outcome), &sample) in s.delivered.iter().zip(&jobs) {
+                    match outcome {
+                        Ok(result) => {
+                            assert_eq!(result.output, f.expected[sample]);
+                            assert_eq!(result.isp_position, result.start_position);
+                        }
+                        // The documented cost of a deadline: a command that
+                        // keeps missing it exhausts its retry budget.
+                        Err(JobError::RetriesExhausted { .. }) if s.deadline_expired => {}
+                        Err(error) => panic!("unexpected failure: {error}"),
+                    }
+                }
+                if !s.deadline_expired {
+                    let retries: u64 = s.core.tally.retries.iter().sum();
+                    assert_eq!(retries, s.faults, "every fault is retried once");
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn with_every_device_dead_every_job_fails_and_none_hangs() {
+        for seed in 0..16u64 {
+            with_seed(seed, || {
+                let shards = 1 + (seed % 3) as usize;
+                let config = EngineConfig::new()
+                    .with_shards(shards)
+                    .with_queue_depth(1 + (seed % 2) as usize);
+                // Every sample commands a device; every device rejects its
+                // first command and all that follow.
+                let s = explore(seed, &config, vec![Some(0); shards], &[0, 1, 3, 0]);
+                for (id, outcome) in &s.delivered {
+                    assert!(
+                        matches!(outcome, Err(JobError::NoLiveShards { job }) if job == id),
+                        "job {id:?}: {outcome:?}"
+                    );
+                }
+                assert!(s.core.dead.iter().all(|&dead| dead));
+            });
+        }
+    }
+}

@@ -211,21 +211,21 @@ pub struct ShardStats {
 impl ShardStats {
     /// Records the high-water mark of commands concurrently outstanding on
     /// this shard's queue ([`ShardStats::peak_inflight`]), taken from the
-    /// service's shared depth accounting at teardown.
+    /// tally the completer returns at teardown.
     pub fn set_peak_inflight(&mut self, peak: usize) {
         self.peak_inflight = peak;
     }
 
     /// Records the re-issues charged to this shard-of-record
-    /// ([`ShardStats::retries`]), taken from the completer's shared ledger
-    /// counters at teardown.
+    /// ([`ShardStats::retries`]), taken from the tally the completer
+    /// returns at teardown.
     pub fn set_retries(&mut self, retries: u64) {
         self.retries = retries;
     }
 
     /// Records the re-issues routed away from this dead shard-of-record
-    /// ([`ShardStats::failovers`]), taken from the completer's shared
-    /// ledger counters at teardown.
+    /// ([`ShardStats::failovers`]), taken from the tally the completer
+    /// returns at teardown.
     pub fn set_failovers(&mut self, failovers: u64) {
         self.failovers = failovers;
     }

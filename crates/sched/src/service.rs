@@ -24,50 +24,46 @@
 //! carries commands of *two kinds* — Step 2 (intersection finding fused
 //! with taxID retrieval, §4.3) and Step 3 (unified-index generation plus
 //! read mapping, §4.4) — so the whole pipeline after Step 1 is per-device
-//! work, only counts cross back to the host side, and the coordinator never
-//! serializes a stage. The completer:
+//! work and only counts cross back to the host side. Every decision of the
+//! completer lives in a thread-free core, `crate::complete::Completer`;
+//! the completer thread is a shell around it (below). The core:
 //!
 //! * *opens* prepared samples strictly in dispatch order (reorder buffer,
-//!   below). For each sample it slices the sorted query list into per-shard
-//!   sub-ranges with [`ShardSet::slice_queries`] — binary search on the
-//!   shard key bounds, so each simulated SSD only ever sees the slice of
-//!   the query list overlapping its disjoint database range, and total
-//!   query-side work stays O(|Q|) across shards instead of the O(N·|Q|) a
-//!   broadcast would cost. Each sub-range becomes one intersect command
-//!   tagged `(sequence, shard)` for that shard's queue.
+//!   below), slicing each sorted query list into per-shard sub-ranges with
+//!   [`ShardSet::slice_queries`] — binary search on the shard key bounds, so
+//!   each simulated SSD only ever sees the slice overlapping its disjoint
+//!   database range, and total query-side work stays O(|Q|) across shards
+//!   instead of the O(N·|Q|) a broadcast would cost. Each non-empty
+//!   sub-range becomes one intersect command tagged `(sequence, shard)`.
 //! * *issues* every command through **one backlog**: a command takes a
 //!   queue slot when its shard has one and waits in the backlog otherwise.
 //!   Queues are NVMe-style bounded: at most
 //!   [`crate::EngineConfig::queue_depth`] commands may be outstanding per
-//!   shard (issued but not yet reaped), so several samples' commands are in
-//!   flight on every device at once while backpressure still bounds memory.
-//!   Reaping is the only thing that frees a slot, and the thread that reaps
-//!   is the thread that issues, so it never waits for one. Issuing takes
-//!   the slot, records `CommandIssued` and enters the command in the retry
-//!   ledger on that same thread: every command is registered before any
-//!   completion of it can arrive, by construction.
-//! * *reaps* per-shard completions **out of order** — shard A may finish
-//!   sample 3 before shard B finishes sample 1 — and keeps per-job
-//!   accounting per stage. A Step 2 completion carries the slice's hit
-//!   count and per-taxon sketch support — the device already retrieved the
-//!   taxIDs through the database-joined KSS (`megis::step2::sweep`), so no
-//!   k-mer list ever crosses the completion channel — and supports over
-//!   disjoint query slices add, so each is **folded the moment it
-//!   arrives** behind a hard folded-twice check per `(seq, shard)`. Once a
-//!   job's shards have all reported, what is left of Step 2 is the presence
-//!   call over the sum; the completer then appends the job's **one**
-//!   Step 3 command to the same backlog, on shard `seq % shards` so
-//!   consecutive samples rotate over the array. The device that serves it
-//!   generates the job's unified index by a single sequential merge of the
-//!   candidates' per-species indexes (§4.4, Fig. 9) and maps every read
-//!   against it through `MegisAnalyzer::run_step3` — the function the
-//!   sequential `analyze` runs — so it waits on no other command. Only the
-//!   abundance estimate and the mapped-read count come back, into the job's
-//!   one Step 3 slot, which refuses a second fill. When a job's Step 3
-//!   result is in — and every earlier sequence number has been delivered —
-//!   the completer assembles the output and delivers.
-//!   Delivery order equals dispatch order equals policy order no matter how
-//!   completions interleave.
+//!   shard, so several samples' commands are in flight on every device at
+//!   once while backpressure still bounds memory. Only a resolved command
+//!   frees a slot, and the core that resolves commands is the core that
+//!   issues them, so nothing ever waits for one. A command enters the retry
+//!   ledger before it leaves the core: its completion can never arrive
+//!   unregistered.
+//! * *folds* per-shard completions **out of order** — shard A may finish
+//!   sample 3 before shard B finishes sample 1. A Step 2 completion carries
+//!   the slice's hit count and per-taxon sketch support — the device
+//!   already retrieved the taxIDs through the database-joined KSS
+//!   (`megis::step2::sweep`), so no k-mer list crosses the completion
+//!   channel — and supports over disjoint slices add, so each is folded the
+//!   moment it arrives behind a hard folded-twice check per `(seq, shard)`.
+//!   The fold of a job's last shard calls presence over the sum and appends
+//!   the job's **one** Step 3 command to the backlog, on shard
+//!   `seq % shards` so consecutive samples rotate over the array. The
+//!   device that serves it merges the candidates' per-species indexes into
+//!   the job's unified index (§4.4, Fig. 9) and maps every read through
+//!   `MegisAnalyzer::run_step3` — the function the sequential `analyze`
+//!   runs — so it waits on no other command. Only the abundance estimate
+//!   and the mapped-read count come back, into the job's one Step 3 slot,
+//!   which refuses a second fill.
+//! * *delivers* a job once its Step 3 result is in and every earlier
+//!   sequence number has been delivered: delivery order equals dispatch
+//!   order equals policy order no matter how completions interleave.
 //!
 //! Because both command kinds share the per-device queues, one sample's
 //! Step 3 mapping genuinely overlaps the next sample's Step 2 intersection
@@ -76,7 +72,7 @@
 //!
 //! **Shard-of-record.** A device serves only the back of its own queue
 //! (`CommandQueues`), and the completer alone decides which queue a command
-//! goes on: `IspCompleter::pick_target` picks the command's
+//! goes on: `Completer::pick_target` picks the command's
 //! *shard-of-record* while that device lives and the next live shard once it
 //! has died (failover, below). A result stays tagged with the
 //! shard-of-record, which keeps the completer's depth accounting and
@@ -91,16 +87,19 @@
 //! Step 2, and a sample with no candidates issues no Step 3 command at all,
 //! rather than no-op work that would burn a queue slot.
 //!
-//! **One event channel.** Prepared samples from the Step 1 workers,
-//! completions from the shard workers and each Step 1 worker's exit all
-//! reach the completer on one channel, and the completer blocks on it:
-//! whatever happens wakes it. A sample that commands no device at all (no
-//! query k-mer, or none inside any shard's key range) is therefore
-//! delivered by its own arrival, not by a poll interval running out. A
-//! timeout is armed only while commands are outstanding — to notice a
-//! panicked worker, a blown deadline or a due retry — and
-//! [`ServiceSnapshot::completer_timeouts`] counts the waits that ended on
-//! it.
+//! **The shell.** Prepared samples from the Step 1 workers, completions
+//! from the shard workers and each Step 1 worker's exit all reach the
+//! completer thread on one channel. Each round it books whatever arrived
+//! into the core, settles the core at the current instant, puts the
+//! commands it settled on onto the queues, and — under one lock — mirrors
+//! the core's queue occupancy and sends every delivery. Then it blocks until
+//! the next event or the core's next timer (a retry backoff running out, a
+//! command deadline passing), so a sample that commands no device is
+//! delivered by its own arrival and a retry fires at its due instant. While
+//! commands are outstanding the wait is also capped at a 50 ms poison poll,
+//! because a panicked shard worker never answers;
+//! [`ServiceSnapshot::completer_timeouts`] counts the waits that ended on a
+//! timer or on that poll.
 //!
 //! **Memory.** The shard workers hold zero-copy views over the analyzer's
 //! columnar database storage (see [`crate::shard`]): spinning up an N-shard
@@ -115,7 +114,7 @@
 //! the guarantee through Steps 2–3. A dispatch lookahead gate keeps workers
 //! from running more than `max(2 * workers + 2, queue_depth + workers)`
 //! positions ahead of in-SSD delivery, so the completer's reorder buffer,
-//! its per-job merge table and command backlog, and peak prepared-sample
+//! its job table and command backlog, and peak prepared-sample
 //! memory all stay O(workers + depth) even when one sample's Step 1 is far
 //! slower than the rest — while still admitting enough samples into the
 //! stage to actually fill a deep queue.
@@ -196,67 +195,22 @@
 //! unused. The repository benchmark reports the traced-vs-untraced wall
 //! clock as `sched.trace.overhead_frac` (`benchmark/README.md`).
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use megis::kss::Support;
-use megis::step1::Step1Output;
-use megis::step3::Step3Output;
-use megis::{MegisAnalyzer, MegisOutput};
-use megis_genomics::profile::PresenceResult;
-use megis_genomics::sample::Sample;
+use megis::MegisAnalyzer;
 
+use crate::complete::{Action, Completer, CompleterTally, Event, PreparedJob, ShardCompletion};
 use crate::engine::EngineConfig;
-use crate::fault::FaultDecision;
-use crate::job::{JobError, JobId, JobResult, JobSpec, Priority};
+use crate::fault::{FaultDecision, FaultPlan};
+use crate::job::{JobError, JobId, JobResult, JobSpec};
 use crate::metrics::{LatencyStats, RollingWindow, ServiceReport, ShardStats};
 use crate::queue::{AdmissionError, JobQueue};
-use crate::shard::{
-    CommandFailure, CommandOutput, IntersectCommand, ShardCommand, ShardSet, ShardWorker,
-    Step3Command,
-};
-use crate::trace::{
-    StageBreakdown, StragglerReport, TraceEventKind, TraceLog, TraceSink, TraceStage, NO_SEQ,
-};
-
-/// A Step 1 output in flight between the host stage and the in-SSD stage.
-struct PreparedJob {
-    id: JobId,
-    label: String,
-    priority: Priority,
-    start_position: usize,
-    /// Shared so the job's Step 3 command can map the reads without copying
-    /// the sample.
-    sample: Arc<Sample>,
-    submitted_at: Instant,
-    queue_wait: Duration,
-    step1_time: Duration,
-    step1: Step1Output,
-}
-
-/// One completion reaped from a shard, tagged with its origin. Completions
-/// are Result-shaped: a served command reports `Ok(output)`, a faulted one
-/// reports `Err(failure)` and the completer decides between retry,
-/// failover, and per-job failure.
-struct ShardCompletion {
-    /// The *shard-of-record* the command names, not necessarily the device
-    /// that served it (the completer re-issues a dead shard's commands to a
-    /// live one). Depth accounting and the exactly-once folds key on this,
-    /// so failover is invisible to the completer's merge bookkeeping.
-    shard: usize,
-    seq: usize,
-    /// The attempt this completion settles; stale completions of superseded
-    /// attempts (a deadline re-issue overtook them) are ignored.
-    attempt: u32,
-    /// The command kind, carried explicitly so failed completions (which
-    /// have no output to infer it from) still settle the right stage
-    /// counter.
-    stage: TraceStage,
-    result: Result<CommandOutput, CommandFailure>,
-}
+use crate::shard::{CommandFailure, CommandOutput, ShardCommand, ShardSet, ShardWorker};
+use crate::trace::{StageBreakdown, StragglerReport, TraceEventKind, TraceLog, TraceSink, NO_SEQ};
 
 /// The per-device command queues: one shared deque array under one lock and
 /// one condvar, so a worker wakes on a push to its queue and on the producer
@@ -359,118 +313,14 @@ impl Drop for QueueProducer {
     }
 }
 
-/// The completer's record of one sample in the in-SSD stage, made when the
-/// sample is next in dispatch order and before any of its commands is built.
-struct IspMeta {
-    seq: usize,
-    /// Observed hand-off rank, stamped independently of `start_position` so
-    /// the ordering regression tests genuinely fail if the reorder buffer is
-    /// ever bypassed.
-    isp_position: usize,
-    /// Number of per-shard intersect commands built for this job.
-    expected: usize,
-    isp_start: Instant,
-    prepared: PreparedJob,
-}
-
-/// Everything the completer reacts to, on **one** channel: whatever arrives
-/// wakes it, so a sample that issues no command at all (no query k-mer, or
-/// none inside any shard's key range) is delivered the moment it arrives
-/// instead of when a poll interval runs out. Only completions come from
-/// another thread than the one that issued their commands, and the
-/// completer registers each command before it puts it on a queue.
-enum CompleterMsg {
-    /// A Step 1 worker prepared a sample for the in-SSD stage.
-    Prepared(PreparedJob),
-    /// A shard worker finished (or failed) one command.
-    Completed(ShardCompletion),
-    /// A Step 1 worker exited: it will send no further sample.
-    WorkerExited,
-}
-
 /// A Step 1 worker's end of the completer channel; dropping it — on a clean
 /// exit or while a panic unwinds — tells the completer one fewer worker can
 /// send a sample. A worker's samples all precede its exit on the channel.
-struct WorkerTx(Sender<CompleterMsg>);
+struct WorkerTx(Sender<Event>);
 
 impl Drop for WorkerTx {
     fn drop(&mut self) {
-        let _ = self.0.send(CompleterMsg::WorkerExited);
-    }
-}
-
-/// Per-job state machine at the completer: Step 2 support folding, then
-/// the presence call and Step 3 dispatch, then the one Step 3 result, then
-/// (in delivery order) delivery. Neither stage leaves a list here — the
-/// devices return counts.
-struct MergeState {
-    meta: IspMeta,
-    /// The job's Step 2 result so far: the hit count and per-taxon support
-    /// of every shard reaped, summed the moment each arrives.
-    step2: Support,
-    /// Shards-of-record whose support has been folded into `step2`.
-    /// Addition is not idempotent, so a second fold of one `(seq, shard)`
-    /// must be a crash, not a silently doubled support.
-    step2_folded: Vec<bool>,
-    /// Intersect completions still outstanding.
-    remaining: usize,
-    /// Step 2's presence call over the folded support, made the moment the
-    /// last shard's support is in — and with it the job's Step 3 handed to
-    /// the submission backlog. Shared with the Step 3 command.
-    presence: Option<Arc<PresenceResult>>,
-    /// The job's Step 3 result: what its one Step 3 command reported, or
-    /// the empty result of a job with no candidates. Filled once.
-    step3: Option<Step3Output>,
-    /// Set when the job failed (worker panic, exhausted retry budget, no
-    /// live shard): the job is delivered as `Err` at its turn in dispatch
-    /// order, isolated from every other job.
-    failed: Option<JobError>,
-}
-
-impl MergeState {
-    /// The state of a job entering the in-SSD stage on `shard_count` shards.
-    fn new(meta: IspMeta, shard_count: usize) -> MergeState {
-        MergeState {
-            step2: Support::default(),
-            step2_folded: vec![false; shard_count],
-            remaining: meta.expected,
-            presence: None,
-            step3: None,
-            failed: None,
-            meta,
-        }
-    }
-
-    /// Every expected completion of both stages has been reaped — or the
-    /// job failed and is ready to deliver its error at its ordered turn.
-    fn is_complete(&self) -> bool {
-        self.failed.is_some() || (self.remaining == 0 && self.step3.is_some())
-    }
-
-    /// Folds the support `shard` reported for this job's query slice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if that shard's support was already folded.
-    fn fold_step2(&mut self, shard: usize, support: Support) {
-        assert!(
-            !std::mem::replace(&mut self.step2_folded[shard], true),
-            "step 2 support of shard {shard} folded twice"
-        );
-        self.step2.fold(support);
-        self.remaining -= 1;
-    }
-
-    /// Fills the job's Step 3 slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot is already filled.
-    fn fold_step3(&mut self, output: Step3Output) {
-        assert!(
-            self.step3.replace(output).is_none(),
-            "step 3 result folded twice"
-        );
+        let _ = self.0.send(Event::WorkerExited);
     }
 }
 
@@ -494,33 +344,14 @@ struct ServiceState {
     /// bounds the reorder buffer and prepared-sample memory at
     /// O(workers + queue depth).
     lookahead: usize,
-    /// Commands outstanding per shard (both kinds): issued, not yet reaped
-    /// by the completer. While a shard sits at [`EngineConfig::queue_depth`]
-    /// — the NVMe queue-depth bound — the completer keeps its further
-    /// commands in its backlog; nothing ever blocks on a slot.
+    /// Commands outstanding per shard (both kinds), mirrored from the
+    /// completer's core once per round for [`StreamingEngine::snapshot`].
     shard_inflight: Vec<usize>,
-    /// High-water mark of `shard_inflight`, per shard, over the service
-    /// lifetime; reported as [`ShardStats::peak_inflight`].
-    shard_inflight_peak: Vec<usize>,
-    /// Intersect commands outstanding across all shards (subset of
-    /// `shard_inflight` sums), for stage-overlap observation.
-    intersect_inflight: usize,
-    /// Step 3 commands outstanding across all shards.
-    step3_inflight: usize,
-    /// Submissions that observed a command of the *other* stage
-    /// outstanding; reported as [`ServiceReport::stage_overlap_events`].
-    stage_overlap_events: u64,
-    /// Commands re-issued after a failure, per shard-of-record; merged into
-    /// [`ShardStats::retries`] at shutdown.
-    shard_retries: Vec<u64>,
-    /// Retries routed to a different device because the shard-of-record is
-    /// dead, per (dead) shard-of-record; merged into
-    /// [`ShardStats::failovers`] at shutdown.
-    shard_failovers: Vec<u64>,
     /// Jobs that failed with a [`JobError`] while the engine kept serving.
     failed_jobs: u64,
-    /// Times the completer's wait ended on its poll timeout instead of an
-    /// event; reported as [`ServiceSnapshot::completer_timeouts`].
+    /// Times the completer's wait ended on a timer or the poison poll
+    /// instead of an event; reported as
+    /// [`ServiceSnapshot::completer_timeouts`].
     completer_timeouts: u64,
     /// Reads mapped during Step 3 across all delivered jobs.
     mapped_reads: u64,
@@ -575,12 +406,6 @@ impl Shared {
                 // silently capped below the configured depth.
                 lookahead: (2 * config.workers + 2).max(config.queue_depth + config.workers),
                 shard_inflight: vec![0; shard_count],
-                shard_inflight_peak: vec![0; shard_count],
-                intersect_inflight: 0,
-                step3_inflight: 0,
-                stage_overlap_events: 0,
-                shard_retries: vec![0; shard_count],
-                shard_failovers: vec![0; shard_count],
                 failed_jobs: 0,
                 completer_timeouts: 0,
                 mapped_reads: 0,
@@ -607,35 +432,6 @@ impl Shared {
     }
 }
 
-impl ServiceState {
-    /// Books one `stage` command onto `shard`'s queue: takes a depth slot,
-    /// raises the shard's high-water mark, and counts a stage overlap if a
-    /// command of the other stage is outstanding.
-    fn occupy(&mut self, shard: usize, stage: TraceStage) {
-        self.shard_inflight[shard] += 1;
-        self.shard_inflight_peak[shard] =
-            self.shard_inflight_peak[shard].max(self.shard_inflight[shard]);
-        let (own, other) = match stage {
-            TraceStage::Intersect => (&mut self.intersect_inflight, self.step3_inflight),
-            TraceStage::Step3 => (&mut self.step3_inflight, self.intersect_inflight),
-        };
-        *own += 1;
-        if other > 0 {
-            self.stage_overlap_events += 1;
-        }
-    }
-
-    /// Frees the slot [`ServiceState::occupy`] took, exactly once per
-    /// command: at its final reap or when its job fails.
-    fn release(&mut self, shard: usize, stage: TraceStage) {
-        self.shard_inflight[shard] -= 1;
-        match stage {
-            TraceStage::Intersect => self.intersect_inflight -= 1,
-            TraceStage::Step3 => self.step3_inflight -= 1,
-        }
-    }
-}
-
 /// Live snapshot of a running service.
 #[derive(Debug, Clone)]
 pub struct ServiceSnapshot {
@@ -654,12 +450,12 @@ pub struct ServiceSnapshot {
     pub window: LatencyStats,
     /// Completions per second over the rolling window.
     pub window_throughput: f64,
-    /// Times the completer woke because its poll interval ran out rather
-    /// than because something happened. Prepared samples, completions and
-    /// worker exits all wake it as events; a timeout is armed only while
-    /// commands are outstanding (to notice a dead worker, a blown deadline
-    /// or a due retry), so an idle or healthy engine reads 0 and no sample
-    /// ever waits one out.
+    /// Times the completer woke without an event: on one of its timers (a
+    /// retry backoff running out, a command deadline passing) or on the
+    /// poison poll it arms while commands are outstanding (a panicked shard
+    /// worker never answers). Prepared samples, completions and worker
+    /// exits all wake it as events, so a healthy engine without deadlines
+    /// or backoffs reads 0 and no sample ever waits on a poll.
     pub completer_timeouts: u64,
 }
 
@@ -712,7 +508,8 @@ impl JobHandle {
 pub struct StreamingEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    completer: Option<JoinHandle<()>>,
+    /// The completer returns the counters only it writes when it exits.
+    completer: Option<JoinHandle<CompleterTally>>,
     /// Each shard worker returns its lifetime [`ShardStats`] when it exits.
     shard_handles: Vec<JoinHandle<ShardStats>>,
     shards: ShardSet,
@@ -731,261 +528,48 @@ impl StreamingEngine {
         assert!(config.queue_depth > 0, "queue depth must be positive");
         let shards = ShardSet::build(analyzer.database(), config.shards);
         let analyzer = Arc::new(analyzer);
-        let shard_count = shards.shard_count();
         let trace = match config.trace_capacity {
             Some(capacity) => TraceSink::bounded(capacity),
             None => TraceSink::disabled(),
         };
-        let shared = Arc::new(Shared::new(&config, shard_count));
-
-        // In-SSD stage, part 1: one worker per database shard, all sharing
-        // the deque-per-device [`CommandQueues`] — carrying both Step 2
-        // intersect commands and Step 3 index-generation/mapping commands —
-        // and reporting completions out of order on the completer's one
-        // event channel. The completer's producer guard is taken *before*
-        // any worker spawns so no worker can observe a producerless instant
-        // and exit early.
-        let queues = CommandQueues::new(shard_count);
+        let shared = Arc::new(Shared::new(&config, shards.shard_count()));
+        // The completer's producer guard is taken *before* any shard worker
+        // spawns, so no worker can observe a producerless instant and exit
+        // early. Every other thread reports to the completer on one event
+        // channel, whose senders they alone hold: it closes exactly when
+        // both stages have wound down.
+        let queues = CommandQueues::new(shards.shard_count());
         let producer = queues.producer();
-        let (resp_tx, events) = mpsc::channel::<CompleterMsg>();
-        let mut shard_handles = Vec::with_capacity(shard_count);
-        for index in 0..shard_count {
-            let queues = Arc::clone(&queues);
-            let worker = ShardWorker::new(shards.clone(), Arc::clone(&analyzer));
-            let resp_tx = resp_tx.clone();
-            let shared = Arc::clone(&shared);
-            let fault_plan = config.fault_plan.clone();
-            let trace = trace.clone();
-            shard_handles.push(thread::spawn(move || {
-                let _guard = PanicGuard(&shared);
-                let mut busy = Duration::ZERO;
-                let mut served = 0u64;
-                let mut query_items = 0u64;
-                let mut step3_served = 0u64;
-                let mut step3_items = 0u64;
-                let mut stolen_items = 0u64;
-                let mut faults = 0u64;
-                let mut dead = false;
-                let mut popped_total = 0u64;
-                let death_after = fault_plan.as_ref().and_then(|p| p.death_after(index));
-                while let Some(command) = queues.pop(index) {
-                    let stage = command.stage();
-                    let seq = command.seq();
-                    // The command's *own* record shard, not this device:
-                    // after a failover re-issue the two differ, and
-                    // completions must carry the identity the completer
-                    // keyed the outstanding entry (and the Step 3 fold
-                    // slot) on.
-                    let record = command.record_shard();
-                    let attempt = command.attempt();
-                    popped_total += 1;
-                    // Every injected failure is reported the same way: count
-                    // it, trace it, and answer the command with the failure
-                    // so the completer can retry, fail over, or fail the
-                    // job. `false` once the completer is gone.
-                    let mut fail = |failure: CommandFailure| {
-                        faults += 1;
-                        trace.record(
-                            seq,
-                            TraceEventKind::Fault {
-                                stage,
-                                shard: record,
-                            },
-                        );
-                        let failed = ShardCompletion {
-                            shard: record,
-                            seq,
-                            attempt,
-                            stage,
-                            result: Err(failure),
-                        };
-                        resp_tx.send(CompleterMsg::Completed(failed)).is_ok()
-                    };
-                    // Injected permanent shard death: after serving
-                    // `death_after` commands the device stops serving, not
-                    // popping. It rejects every command it pops from then
-                    // on with a dead-shard error until the queues close;
-                    // the completer marks it dead on the first rejection it
-                    // reads and re-issues each rejected command to a
-                    // survivor.
-                    dead = death_after.is_some_and(|after| popped_total > after);
-                    if dead {
-                        if fail(CommandFailure::ShardDead) {
-                            continue;
-                        }
-                        break;
-                    }
-                    // Fault decisions key on the command identity — the
-                    // *record* shard, never the physical server — so a
-                    // plan's schedule is independent of failover routing.
-                    // The fault-free hot path pays one `Option` check.
-                    let mut spike = Duration::ZERO;
-                    match fault_plan
-                        .as_ref()
-                        .and_then(|p| p.decide(seq, record, stage, attempt))
-                    {
-                        Some(FaultDecision::Transient) => {
-                            if fail(CommandFailure::Transient) {
-                                continue;
-                            }
-                            break;
-                        }
-                        Some(FaultDecision::Panic) => {
-                            // Caught right here at the serving seam: the
-                            // injected panic must fail only the owning job,
-                            // never unwind the worker (the `PanicGuard`
-                            // stays un-tripped and the engine keeps
-                            // serving).
-                            let caught = std::panic::catch_unwind(|| {
-                                // lint:allow(panic-hygiene, the injected
-                                // worker panic is caught by the enclosing
-                                // catch_unwind at the serving seam and
-                                // surfaces as a per-job error, not a thread
-                                // death)
-                                panic!("injected worker panic");
-                            });
-                            debug_assert!(caught.is_err());
-                            if fail(CommandFailure::Panicked) {
-                                continue;
-                            }
-                            break;
-                        }
-                        Some(FaultDecision::Spike(extra)) => spike = extra,
-                        None => {}
-                    }
-                    // Trace events and stats credit the *physical* serving
-                    // device (`index`): the straggler analyzer sums real
-                    // per-device service intervals, which under failover
-                    // differ from the shard-of-record. The service
-                    // interval's start stamp is taken here and its
-                    // Started/Completed pair is emitted after serving.
-                    let trace_started = trace.now();
-                    let t0 = Instant::now();
-                    // An injected latency spike stalls the device before it
-                    // serves — busy time the command deadline exists to cut
-                    // short, and the only simulated dwell on the serving
-                    // path: device *time* is priced analytically
-                    // (`crate::model`), the engine spends real CPU time.
-                    if !spike.is_zero() {
-                        thread::sleep(spike);
-                    }
-                    let output = worker.serve(&command);
-                    busy += t0.elapsed();
-                    match &command {
-                        ShardCommand::Intersect(c) => {
-                            served += 1;
-                            query_items += c.range.len() as u64;
-                        }
-                        ShardCommand::Step3(c) => {
-                            step3_served += 1;
-                            step3_items += c.sample.len() as u64;
-                            if c.record_shard != index {
-                                stolen_items += c.sample.len() as u64;
-                            }
-                        }
-                    }
-                    trace.record_at(
-                        trace_started,
-                        seq,
-                        TraceEventKind::CommandStarted {
-                            stage,
-                            shard: index,
-                        },
-                    );
-                    trace.record(
-                        seq,
-                        TraceEventKind::CommandCompleted {
-                            stage,
-                            shard: index,
-                        },
-                    );
-                    let completion = ShardCompletion {
-                        shard: record,
-                        seq,
-                        attempt,
-                        stage,
-                        result: Ok(output),
-                    };
-                    if resp_tx.send(CompleterMsg::Completed(completion)).is_err() {
-                        break;
-                    }
-                }
-                ShardStats {
-                    shard: index,
-                    busy,
-                    jobs: served,
-                    query_items,
-                    step3_jobs: step3_served,
-                    step3_items,
-                    stolen_items,
-                    peak_inflight: 0,
-                    faults,
-                    retries: 0,
-                    failovers: 0,
-                    dead,
-                }
-            }));
-        }
-        // Host stage: Step 1 worker pool, handing prepared samples to the
-        // completer on the same channel. With the shard workers' clones the
-        // Step 1 workers' senders are every sender there is, so the channel
-        // closes exactly when both stages have wound down.
-        let mut workers = Vec::with_capacity(config.workers);
-        for _ in 0..config.workers {
-            let shared = Arc::clone(&shared);
-            let analyzer = Arc::clone(&analyzer);
-            let tx = WorkerTx(resp_tx.clone());
-            let trace = trace.clone();
-            workers.push(thread::spawn(move || {
+        let (events_tx, events) = mpsc::channel::<Event>();
+        let shard_handles = (0..shards.shard_count())
+            .map(|index| {
+                let (queues, shared, trace) =
+                    (Arc::clone(&queues), Arc::clone(&shared), trace.clone());
+                let worker = ShardWorker::new(shards.clone(), Arc::clone(&analyzer));
+                let (events, plan) = (events_tx.clone(), config.fault_plan.clone());
+                thread::spawn(move || {
+                    let _guard = PanicGuard(&shared);
+                    shard_worker(index, &queues, &worker, &events, plan.as_deref(), &trace)
+                })
+            })
+            .collect();
+        let workers = (0..config.workers)
+            .map(|_| {
+                let (shared, analyzer, trace) =
+                    (Arc::clone(&shared), Arc::clone(&analyzer), trace.clone());
                 // `tx` outlives the worker's `PanicGuard`: a panicking
                 // worker has poisoned the engine by the time its exit
                 // reaches the completer.
-                step1_worker(&shared, &analyzer, &tx, &trace);
-            }));
-        }
-        drop(resp_tx);
-
-        // In-SSD stage, part 2: the completer (reorder + slice, one backlog
-        // issuing both command kinds under the depth bound, out-of-order
-        // reaping, per-job two-stage merge accounting, in-dispatch-order
-        // delivery). It holds the only producer guard on the shard queues
-        // and releases it once no Step 1 worker is left and every job is
-        // delivered, which is what lets the shard workers (and then the
-        // completer itself) wind down.
+                let tx = WorkerTx(events_tx.clone());
+                thread::spawn(move || step1_worker(&shared, &analyzer, &tx, &trace))
+            })
+            .collect();
+        drop(events_tx);
+        let core = Completer::new(analyzer, shards.clone(), &config, trace.clone());
         let completer = {
             let shared = Arc::clone(&shared);
-            let shard_set = shards.clone();
-            let live_workers = config.workers;
-            let queue_depth = config.queue_depth;
-            let retry_budget = config.retry_budget;
-            let retry_backoff = config.retry_backoff;
-            let command_deadline = config.command_deadline;
-            let trace = trace.clone();
-            thread::spawn(move || {
-                IspCompleter {
-                    shared: &shared,
-                    analyzer: &analyzer,
-                    shards: shard_set,
-                    producer: Some(producer),
-                    dead: vec![false; shard_count],
-                    queue_depth,
-                    reorder: BTreeMap::new(),
-                    opened: 0,
-                    pending: BTreeMap::new(),
-                    backlog: VecDeque::new(),
-                    outstanding: HashMap::new(),
-                    retry_due: Vec::new(),
-                    retry_budget,
-                    retry_backoff,
-                    command_deadline,
-                    next_to_deliver: 0,
-                    live_workers,
-                    trace,
-                }
-                .run(events);
-            })
+            thread::spawn(move || run_completer(core, &events, &shared, producer))
         };
-
         StreamingEngine {
             shared,
             workers,
@@ -1165,14 +749,17 @@ impl StreamingEngine {
             .drain(..)
             .filter_map(|handle| handle.join().ok())
             .collect();
-        if let Some(completer) = self.completer.take() {
-            let _ = completer.join();
-        }
+        // A panicked completer yields no tally.
+        let tally = self
+            .completer
+            .take()
+            .and_then(|completer| completer.join().ok())
+            .unwrap_or_else(|| CompleterTally::new(self.shards.shard_count()));
         let state = self.shared.lock();
         for stats in &mut shard_stats {
-            stats.set_peak_inflight(state.shard_inflight_peak[stats.shard]);
-            stats.set_retries(state.shard_retries[stats.shard]);
-            stats.set_failovers(state.shard_failovers[stats.shard]);
+            stats.set_peak_inflight(tally.peak_inflight[stats.shard]);
+            stats.set_retries(tally.retries[stats.shard]);
+            stats.set_failovers(tally.failovers[stats.shard]);
         }
         let (stage_breakdown, straggler, trace) = if self.trace.is_enabled() {
             let events = self.trace.events();
@@ -1193,7 +780,7 @@ impl StreamingEngine {
             shard_stats,
             resident_database_bytes: self.shards.resident_bytes(),
             mapped_reads: state.mapped_reads,
-            stage_overlap_events: state.stage_overlap_events,
+            stage_overlap_events: tally.stage_overlap_events,
             failed_jobs: state.failed_jobs,
             window: state.window.stats(),
             stage_breakdown,
@@ -1299,692 +886,304 @@ fn step1_worker(shared: &Shared, analyzer: &MegisAnalyzer, tx: &WorkerTx, trace:
         // Unbounded: the lookahead gate above already bounds the prepared
         // samples in existence. A gone receiver (the completer panicked)
         // ends the worker.
-        if tx.0.send(CompleterMsg::Prepared(prepared)).is_err() {
+        if tx.0.send(Event::Prepared(prepared)).is_err() {
             return;
         }
     }
 }
 
-/// Opens one prepared sample for the in-SSD stage: its completer record,
-/// stamped with `isp_position`, and one intersect command per shard whose
-/// slice of the sample's query list is non-empty.
-fn intersect_commands(
-    shards: &ShardSet,
-    mut prepared: PreparedJob,
-    isp_position: usize,
-) -> (IspMeta, Vec<ShardCommand>) {
-    let isp_start = Instant::now();
-    let seq = prepared.start_position;
-    // Step 1's arena itself, moved: the commands below share the allocation
-    // the worker sorted, and delivery only reads the counters `take_kmers`
-    // leaves behind.
-    let queries = Arc::new(prepared.step1.take_kmers());
-    // Range-partitioned dispatch: each shard sees only the sub-slice of the
-    // sorted query list overlapping its key range, so per-device query-side
-    // work is proportional to the slice, not the whole list. A shard whose
-    // slice is empty — every padding shard, and any populated shard this
-    // sample's queries miss entirely — is skipped: an empty slice can only
-    // intersect to nothing, and a no-op command would waste a queue slot.
-    let commands: Vec<ShardCommand> = shards
-        .slice_queries(&queries)
-        .into_iter()
-        .enumerate()
-        .filter(|(_, range)| !range.is_empty())
-        .map(|(shard, range)| {
-            ShardCommand::Intersect(IntersectCommand {
-                shard,
-                attempt: 0,
-                seq,
-                queries: Arc::clone(&queries),
-                range,
-            })
-        })
-        .collect();
-    let meta = IspMeta {
+/// One device: pops its own queue until the queues close, serves each
+/// command — or answers it with the failure the fault plan injects, or with
+/// a dead-shard rejection once the plan has killed the device — and reports
+/// every completion to the completer. Returns the device's lifetime stats.
+fn shard_worker(
+    index: usize,
+    queues: &CommandQueues,
+    worker: &ShardWorker,
+    events: &Sender<Event>,
+    plan: Option<&FaultPlan>,
+    trace: &TraceSink,
+) -> ShardStats {
+    let (mut busy, mut served, mut query_items, mut faults) = (Duration::ZERO, 0u64, 0u64, 0u64);
+    let (mut step3_served, mut step3_items, mut stolen_items) = (0u64, 0u64, 0u64);
+    let (mut dead, mut popped) = (false, 0u64);
+    let death_after = plan.and_then(|p| p.death_after(index));
+    while let Some(command) = queues.pop(index) {
+        let (seq, stage) = (command.seq(), command.stage());
+        // The command's *own* record shard, not this device: after a
+        // failover re-issue the two differ, and completions must carry the
+        // identity the completer keyed the ledger entry (and the fold slot)
+        // on.
+        let record = command.record_shard();
+        popped += 1;
+        // Injected permanent shard death: after serving `death_after`
+        // commands the device stops serving, not popping. It rejects every
+        // command it pops from then on until the queues close; the completer
+        // marks it dead on the first rejection it reads and re-issues each
+        // rejected command to a survivor.
+        dead = death_after.is_some_and(|after| popped > after);
+        let verdict = if dead {
+            Err(CommandFailure::ShardDead)
+        } else {
+            injected(plan, &command)
+        };
+        let result = match verdict {
+            // Every injected failure is reported the same way: count it,
+            // trace it, and answer the command with it so the completer can
+            // retry, fail over, or fail the job.
+            Err(failure) => {
+                faults += 1;
+                trace.record(
+                    seq,
+                    TraceEventKind::Fault {
+                        stage,
+                        shard: record,
+                    },
+                );
+                Err(failure)
+            }
+            Ok(spike) => {
+                let (output, took) = serve_timed(index, worker, &command, spike, trace);
+                busy += took;
+                // Stats credit the *physical* serving device (`index`), like
+                // the trace: under failover it differs from the record shard.
+                match &command {
+                    ShardCommand::Intersect(c) => {
+                        served += 1;
+                        query_items += c.range.len() as u64;
+                    }
+                    ShardCommand::Step3(c) => {
+                        step3_served += 1;
+                        step3_items += c.sample.len() as u64;
+                        if c.record_shard != index {
+                            stolen_items += c.sample.len() as u64;
+                        }
+                    }
+                }
+                Ok(output)
+            }
+        };
+        let completion = ShardCompletion {
+            shard: record,
+            seq,
+            attempt: command.attempt(),
+            stage,
+            result,
+        };
+        // A gone receiver (the completer is gone) ends the worker.
+        if events.send(Event::Completed(completion)).is_err() {
+            break;
+        }
+    }
+    ShardStats {
+        shard: index,
+        busy,
+        jobs: served,
+        query_items,
+        step3_jobs: step3_served,
+        step3_items,
+        stolen_items,
+        peak_inflight: 0,
+        faults,
+        retries: 0,
+        failovers: 0,
+        dead,
+    }
+}
+
+/// Serves `command` on device `index` after dwelling for `spike`, inside
+/// its traced service interval; returns the output and the busy time.
+/// Trace events credit the *physical* serving device: the straggler
+/// analyzer sums real per-device service intervals.
+fn serve_timed(
+    index: usize,
+    worker: &ShardWorker,
+    command: &ShardCommand,
+    spike: Duration,
+    trace: &TraceSink,
+) -> (CommandOutput, Duration) {
+    let (seq, stage) = (command.seq(), command.stage());
+    let trace_started = trace.now();
+    let t0 = Instant::now();
+    // An injected latency spike stalls the device before it serves — busy
+    // time the command deadline exists to cut short, and the only simulated
+    // dwell on the serving path: device *time* is priced analytically
+    // (`crate::model`), the engine spends real CPU time.
+    if !spike.is_zero() {
+        thread::sleep(spike);
+    }
+    let output = worker.serve(command);
+    let busy = t0.elapsed();
+    trace.record_at(
+        trace_started,
         seq,
-        isp_position,
-        expected: commands.len(),
-        isp_start,
-        prepared,
-    };
-    (meta, commands)
+        TraceEventKind::CommandStarted {
+            stage,
+            shard: index,
+        },
+    );
+    trace.record(
+        seq,
+        TraceEventKind::CommandCompleted {
+            stage,
+            shard: index,
+        },
+    );
+    (output, busy)
 }
 
-/// Deterministic capped exponential backoff for retry attempt `attempt`
-/// (0-based): `base × 2^min(attempt, 3)`. A zero base means immediate
-/// re-issue — the default, and what keeps the chaos tests fast.
-fn backoff_delay(base: Duration, attempt: u32) -> Duration {
-    if base.is_zero() {
-        Duration::ZERO
-    } else {
-        base * (1u32 << attempt.min(3))
-    }
-}
-
-/// Identity of one outstanding command: `(seq, shard-of-record, stage)`.
-/// Stable across retries and failover — re-issues keep the key and bump
-/// only the attempt counter, so a completion always finds the entry for
-/// the command it answers (or finds a newer attempt and is discarded as
-/// stale).
-type CommandKey = (usize, usize, TraceStage);
-
-/// One issued-but-unreaped command, retained by the completer so it can be
-/// re-issued on a transient failure, a dead shard, or a blown deadline.
-/// Cheap to keep: commands share their sample/query payloads through
-/// `Arc`s.
-struct OutstandingCommand {
-    command: ShardCommand,
-    /// The device the current attempt was put on; a dead-shard rejection
-    /// of that attempt marks this device dead.
-    device: usize,
-    /// When the current attempt was issued; the command deadline measures
-    /// from here.
-    issued_at: Instant,
-}
-
-/// The in-SSD completer, the only issuer of shard commands: reorders
-/// prepared samples back into dispatch order and opens each (query slices →
-/// intersect commands), issues both command kinds onto the tagged shard
-/// queues through one non-blocking depth-bounded backlog, reaps per-shard
-/// completions of *both* stages out of order, keeps a per-job state machine
-/// (per-shard Step 2 supports folded as they arrive → presence call → the
-/// one Step 3 result), and once a job's Step 3 result is in — and every
-/// earlier sequence number has been delivered — delivers the result
-/// strictly in dispatch order.
-struct IspCompleter<'a> {
-    shared: &'a Shared,
-    analyzer: &'a Arc<MegisAnalyzer>,
-    /// The sharded database layout the query lists are sliced against.
-    shards: ShardSet,
-    /// The only producer guard on the per-shard command queues; set to
-    /// `None` once no further command — intersect, Step 3 *or* a retry of
-    /// either — can ever be issued, releasing the shard workers (and then
-    /// this completer) to wind down.
-    producer: Option<QueueProducer>,
-    /// Devices that answered a command with a dead-shard rejection, per
-    /// device. [`IspCompleter::pick_target`] routes every issue and
-    /// re-issue away from them.
-    dead: Vec<bool>,
-    queue_depth: usize,
-    /// The reorder buffer behind the ordering guarantee: prepared samples
-    /// that arrived ahead of an earlier dispatch position, keyed on
-    /// `start_position`.
-    reorder: BTreeMap<usize, PreparedJob>,
-    /// Samples opened so far — the next dispatch position to open, and the
-    /// `isp_position` stamp. Counted at the hand-off rather than read off
-    /// `start_position`, so the ordering tests genuinely fail if the reorder
-    /// buffer is ever bypassed.
-    opened: usize,
-    pending: BTreeMap<usize, MergeState>,
-    /// Commands of both kinds awaiting a free depth slot on their
-    /// shard-of-record, in the order they were built. The completer
-    /// drains it opportunistically instead of blocking on the depth gate:
-    /// reaping is the only thing that frees slots, so the thread that reaps
-    /// must never wait for one.
-    backlog: VecDeque<ShardCommand>,
-    /// Every issued command awaiting its final completion — the retry and
-    /// failover ledger. A command's queue-depth slot is held from its
-    /// *first* issue to its final resolution, so re-issues never re-gate
-    /// (see the failure model in the module docs).
-    outstanding: HashMap<CommandKey, OutstandingCommand>,
-    /// Commands waiting out a retry backoff: `(due, key)` pairs, fired by
-    /// `fire_due_retries` once due.
-    retry_due: Vec<(Instant, CommandKey)>,
-    retry_budget: u32,
-    retry_backoff: Duration,
-    command_deadline: Option<Duration>,
-    next_to_deliver: usize,
-    /// Step 1 workers that have not exited; at 0 no further sample can
-    /// arrive.
-    live_workers: usize,
-    trace: TraceSink,
-}
-
-impl IspCompleter<'_> {
-    fn run(mut self, events: Receiver<CompleterMsg>) {
-        let _guard = PanicGuard(self.shared);
-        loop {
-            self.advance_ready_jobs();
-            self.submit_backlog();
-            self.fire_due_retries();
-            self.expire_stuck_commands();
-            self.deliver_ready();
-            self.maybe_release_txs();
-            // Once no Step 1 worker is left on a poisoned service, a
-            // position that never arrived holds every later job back, and no
-            // result can be delivered any more (the poison dropped every
-            // sender), so the completer lets go rather than wait: dropping
-            // its producer releases the shard workers, and teardown's joins
-            // return.
-            if self.live_workers == 0 && self.shared.lock().poisoned {
-                return;
-            }
-            // Everything that can give the completer work arrives as an
-            // event, so with nothing outstanding it simply blocks. A
-            // panicked shard worker can never respond (its siblings keep
-            // the channel open), so while commands are outstanding the wait
-            // is a poll of the poison flag: the completer then panics —
-            // poisoning teardown cleanly — instead of blocking forever.
-            let event = match self.poll_timeout() {
-                Some(timeout) => events.recv_timeout(timeout),
-                None => events.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            };
-            match event {
-                Ok(msg) => {
-                    self.handle(msg);
-                    // Whatever else is already queued rides the same round
-                    // of bookkeeping.
-                    while let Ok(msg) = events.try_recv() {
-                        self.handle(msg);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    let poisoned = {
-                        let mut state = self.shared.lock();
-                        state.completer_timeouts += 1;
-                        state.poisoned
-                    };
-                    if self.pending.values().any(|j| !j.is_complete()) {
-                        assert!(
-                            !poisoned,
-                            "shard worker panicked while commands were outstanding"
-                        );
-                    }
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Every Step 1 worker and every shard worker exited, and
-                    // every event has been consumed above. A shard worker —
-                    // a dead one too — exits only once this completer has
-                    // released its producer, which it does with nothing
-                    // pending, or by panicking, which poisoned the engine
-                    // and dropped every result sender: nothing is left to
-                    // deliver.
-                    return;
-                }
-            }
-        }
-    }
-
-    /// How long to wait for the next event: without limit (`None`) while no
-    /// command is outstanding and no retry is waiting (only an event can
-    /// create work then), short while a retry is waiting out its backoff or
-    /// a deadline is armed over outstanding commands, relaxed otherwise.
-    fn poll_timeout(&self) -> Option<Duration> {
-        if !self.retry_due.is_empty() {
-            Some(Duration::from_millis(1))
-        } else if self.outstanding.is_empty() {
-            None
-        } else if self.command_deadline.is_some() {
-            Some(Duration::from_millis(5))
-        } else {
-            Some(Duration::from_millis(50))
-        }
-    }
-
-    /// Books one event: a prepared sample (opened at once if it is next in
-    /// dispatch order, together with every buffered sample it unblocks), a
-    /// completion, or a Step 1 worker's exit.
-    fn handle(&mut self, msg: CompleterMsg) {
-        match msg {
-            CompleterMsg::Prepared(prepared) => {
-                self.reorder.insert(prepared.start_position, prepared);
-                while let Some(prepared) = self.reorder.remove(&self.opened) {
-                    let (meta, commands) = intersect_commands(&self.shards, prepared, self.opened);
-                    self.opened += 1;
-                    self.pending
-                        .insert(meta.seq, MergeState::new(meta, self.shards.shard_count()));
-                    self.backlog.extend(commands);
-                }
-            }
-            CompleterMsg::Completed(completion) => self.reap(completion),
-            CompleterMsg::WorkerExited => self.live_workers -= 1,
-        }
-    }
-
-    /// Books one reaped completion into its job's state machine and frees
-    /// the command's queue slot — or, for a failed attempt, retries, fails
-    /// over, or fails the owning job. Completions whose command is no
-    /// longer outstanding (the job already failed) or whose attempt counter
-    /// is stale (the command was already re-issued after a blown deadline)
-    /// are discarded entirely: their slot was already freed exactly once.
-    fn reap(&mut self, completion: ShardCompletion) {
-        let key: CommandKey = (completion.seq, completion.shard, completion.stage);
-        let Some(entry) = self.outstanding.get(&key) else {
-            return;
-        };
-        if entry.command.attempt() != completion.attempt {
-            return;
-        }
-        if let Err(failure) = completion.result.as_ref() {
-            self.handle_failure(key, *failure);
-            return;
-        }
-        let output = completion.result.expect("failure handled above");
-        self.outstanding.remove(&key);
-        self.shared
-            .lock()
-            .release(completion.shard, completion.stage);
-        // An outstanding command's job is pending and unfailed: failing a
-        // job retires its commands from the ledger.
-        let job = self
-            .pending
-            .get_mut(&completion.seq)
-            .expect("completion for a dispatched job");
-        match output {
-            CommandOutput::Intersection(support) => job.fold_step2(completion.shard, support),
-            CommandOutput::Step3(output) => job.fold_step3(output),
-        }
-    }
-
-    /// One command attempt failed: schedule a retry within the budget, or
-    /// fail the owning job (panics are non-recoverable by design — the
-    /// worker state after a caught panic is not trusted for a replay).
-    fn handle_failure(&mut self, key: CommandKey, failure: CommandFailure) {
-        let (seq, shard, stage) = key;
-        let Some(entry) = self.outstanding.get(&key) else {
-            return;
-        };
-        let attempt = entry.command.attempt();
-        if failure == CommandFailure::ShardDead {
-            self.dead[entry.device] = true;
-        }
-        if failure == CommandFailure::Panicked {
-            self.fail_job(seq, |job| JobError::WorkerPanicked { job, shard });
-        } else if attempt >= self.retry_budget {
-            self.fail_job(seq, |job| JobError::RetriesExhausted {
-                job,
-                stage: stage.label(),
-                shard,
-                attempts: attempt + 1,
+/// The fault plan's verdict on serving `command`: `Ok(spike)` to serve it
+/// after dwelling for `spike` (zero without a plan), or the failure to
+/// answer it with. Decisions key on the command identity — the *record*
+/// shard, never the physical server — so a plan's schedule is independent
+/// of failover routing; the fault-free hot path pays one `Option` check.
+fn injected(plan: Option<&FaultPlan>, command: &ShardCommand) -> Result<Duration, CommandFailure> {
+    let decision = plan.and_then(|p| {
+        p.decide(
+            command.seq(),
+            command.record_shard(),
+            command.stage(),
+            command.attempt(),
+        )
+    });
+    match decision {
+        None => Ok(Duration::ZERO),
+        Some(FaultDecision::Spike(extra)) => Ok(extra),
+        Some(FaultDecision::Transient) => Err(CommandFailure::Transient),
+        Some(FaultDecision::Panic) => {
+            // Caught right here at the serving seam: the injected panic must
+            // fail only the owning job, never unwind the worker (the
+            // `PanicGuard` stays un-tripped and the engine keeps serving).
+            let caught = std::panic::catch_unwind(|| {
+                // lint:allow(panic-hygiene, the injected worker panic is
+                // caught by the enclosing catch_unwind at the serving seam
+                // and surfaces as a per-job error, not a thread death)
+                panic!("injected worker panic");
             });
-        } else {
-            let delay = backoff_delay(self.retry_backoff, attempt);
-            if delay.is_zero() {
-                self.reissue(key);
-            } else {
-                self.retry_due.push((Instant::now() + delay, key));
+            debug_assert!(caught.is_err());
+            Err(CommandFailure::Panicked)
+        }
+    }
+}
+
+/// Upper bound on the completer's wait while commands are outstanding: a
+/// panicked shard worker never answers, so the completer looks at the
+/// poison flag at least this often.
+const POISON_POLL: Duration = Duration::from_millis(50);
+
+/// The completer thread: a shell around the [`Completer`] core that moves
+/// events in and actions out. Each round it puts the commands the core
+/// settled on onto the device queues (outside the lock); under one lock it
+/// mirrors the core's queue occupancy for [`StreamingEngine::snapshot`] and
+/// books and sends every delivery; it drops the queue producer once the
+/// core is done; and it waits for the next event, the core's next timer, or
+/// a [`POISON_POLL`], whichever comes first.
+fn run_completer(
+    mut core: Completer,
+    events: &Receiver<Event>,
+    shared: &Shared,
+    producer: QueueProducer,
+) -> CompleterTally {
+    let _guard = PanicGuard(shared);
+    let mut producer = Some(producer);
+    loop {
+        let mut delivered = Vec::new();
+        for action in core.settle(Instant::now()) {
+            match action {
+                Action::Issue(device, command) => {
+                    if let Some(producer) = &producer {
+                        producer.send(device, command);
+                    }
+                }
+                Action::Deliver(id, outcome) => delivered.push((id, outcome)),
             }
         }
-    }
-
-    /// Re-issues one outstanding command with a bumped attempt counter to
-    /// [`IspCompleter::pick_target`]'s device (every worker holds the whole
-    /// `ShardSet`, so any survivor serves the command identically), or
-    /// fails its job when every device is dead.
-    fn reissue(&mut self, key: CommandKey) {
-        let (seq, shard, stage) = key;
-        if !self.outstanding.contains_key(&key) {
-            return;
-        }
-        let Some(target) = self.pick_target(shard) else {
-            self.fail_job(seq, |job| JobError::NoLiveShards { job });
-            return;
-        };
-        let entry = self.outstanding.get_mut(&key).expect("checked above");
-        entry.command.bump_attempt();
-        entry.device = target;
-        entry.issued_at = Instant::now();
-        let attempt = entry.command.attempt();
-        let command = entry.command.clone();
-        {
-            let mut state = self.shared.lock();
-            state.shard_retries[shard] += 1;
-            if target != shard {
-                state.shard_failovers[shard] += 1;
+        let any_delivered = !delivered.is_empty();
+        let mut state = shared.lock();
+        state.shard_inflight.copy_from_slice(core.inflight());
+        let poisoned = state.poisoned;
+        for (id, outcome) in delivered {
+            // A failed job still advances `isp_served`, so the dispatch
+            // lookahead gate keeps opening behind it; the rolling window and
+            // the completion counter record only successes.
+            state.in_flight -= 1;
+            state.isp_served += 1;
+            match outcome.as_ref() {
+                Ok(result) => {
+                    if let Some(breakdown) = &result.breakdown {
+                        state.breakdown_sum.accumulate(breakdown);
+                        state.breakdown_count += 1;
+                    }
+                    state.window.record(result.latency);
+                    state.completed += 1;
+                    state.mapped_reads += result.output.mapped_reads;
+                }
+                Err(_) => state.failed_jobs += 1,
+            }
+            if let Some(tx) = state.senders.remove(&id.0) {
+                // lint:allow(guard-across-blocking, std mpsc Sender::send never
+                // blocks on an unbounded channel, and delivery must happen under
+                // the lock so a quiescent drain implies every outcome has
+                // already reached its handle)
+                let _ = tx.send(*outcome);
             }
         }
-        self.trace.record(
-            seq,
-            TraceEventKind::Retry {
-                stage,
-                shard,
-                attempt,
-            },
-        );
-        if target != shard {
-            self.trace.record(
-                seq,
-                TraceEventKind::Failover {
-                    stage,
-                    from: shard,
-                    to: target,
-                },
-            );
+        drop(state);
+        if any_delivered {
+            shared.idle.notify_all();
+            // Advancing isp_served reopens the dispatch lookahead gate.
+            shared.job_ready.notify_all();
         }
-        self.trace.record(
-            seq,
-            TraceEventKind::CommandIssued {
-                stage,
-                shard: target,
-            },
-        );
-        if let Some(producer) = &self.producer {
-            producer.send(target, command);
+        // With no Step 1 worker left and every job delivered, no command can
+        // ever be issued again: releasing the producer lets the shard
+        // workers wind down as their queues empty, which closes the event
+        // channel and ends this loop.
+        if core.is_done() {
+            producer = None;
         }
-    }
-
-    /// The device a command of shard-of-record `record` is put on — the
-    /// one place a device is chosen, for first issues and re-issues alike:
-    /// the record shard while it lives, else the next live shard by index;
-    /// `None` when every device is dead.
-    fn pick_target(&self, record: usize) -> Option<usize> {
-        let shard_count = self.dead.len();
-        (0..shard_count)
-            .map(|offset| (record + offset) % shard_count)
-            .find(|&shard| !self.dead[shard])
-    }
-
-    /// Re-issues every backoff-delayed retry whose due time has passed.
-    fn fire_due_retries(&mut self) {
-        if self.retry_due.is_empty() {
-            return;
+        // Once no Step 1 worker is left on a poisoned service, a position
+        // that never arrived holds every later job back, and no outcome can
+        // be delivered any more (the poison dropped every sender), so the
+        // completer lets go rather than wait: dropping its producer releases
+        // the shard workers, and teardown's joins return.
+        if poisoned && !core.expects_samples() {
+            return core.into_tally();
         }
-        let now = Instant::now();
-        let mut due = Vec::new();
-        self.retry_due.retain(|&(at, key)| {
-            if at <= now {
-                due.push(key);
-                false
-            } else {
-                true
-            }
-        });
-        for key in due {
-            self.reissue(key);
-        }
-    }
-
-    /// Treats any outstanding command older than the configured deadline as
-    /// a transient failure — the guard against a stuck device. Commands
-    /// already waiting out a retry backoff are exempt (their entry is aging
-    /// by design); if the stuck attempt completes later anyway, its stale
-    /// attempt counter gets it discarded.
-    fn expire_stuck_commands(&mut self) {
-        let Some(deadline) = self.command_deadline else {
-            return;
-        };
-        let expired: Vec<CommandKey> = self
-            .outstanding
-            .iter()
-            .filter(|(key, entry)| {
-                entry.issued_at.elapsed() > deadline
-                    && !self.retry_due.iter().any(|(_, k)| k == *key)
+        let wait = core.has_outstanding().then(|| {
+            core.next_wake().map_or(POISON_POLL, |at| {
+                at.saturating_duration_since(Instant::now())
+                    .min(POISON_POLL)
             })
-            .map(|(key, _)| *key)
-            .collect();
-        for key in expired {
-            self.handle_failure(key, CommandFailure::Transient);
-        }
-    }
-
-    /// Marks job `seq` failed in place — the first error sticks, and
-    /// `deliver_ready` surfaces it at the job's turn in dispatch order — and
-    /// retires every command of the job still ledgered, backlogged or
-    /// waiting out a backoff: ledgered ones free their queue-depth slots
-    /// exactly once, and a late completion of one finds nothing to settle.
-    fn fail_job(&mut self, seq: usize, error: impl FnOnce(JobId) -> JobError) {
-        let Some(job) = self.pending.get_mut(&seq) else {
-            return;
+        });
+        let event = match wait {
+            Some(timeout) => events.recv_timeout(timeout),
+            None => events.recv().map_err(|_| RecvTimeoutError::Disconnected),
         };
-        if job.failed.is_none() {
-            job.failed = Some(error(job.meta.prepared.id));
-        }
-        let keys: Vec<CommandKey> = self
-            .outstanding
-            .keys()
-            .filter(|key| key.0 == seq)
-            .copied()
-            .collect();
-        if !keys.is_empty() {
-            let mut state = self.shared.lock();
-            for (_, shard, stage) in keys {
-                self.outstanding.remove(&(seq, shard, stage));
-                state.release(shard, stage);
-            }
-        }
-        self.backlog.retain(|command| command.seq() != seq);
-        self.retry_due.retain(|(_, key)| key.0 != seq);
-    }
-
-    /// Calls presence and hands Step 3 to the backlog for every job whose
-    /// shards have all reported — including jobs that never had an
-    /// intersect command (empty query lists).
-    fn advance_ready_jobs(&mut self) {
-        let ready: Vec<usize> = self
-            .pending
-            .iter()
-            .filter(|(_, job)| job.remaining == 0 && job.presence.is_none() && job.failed.is_none())
-            .map(|(seq, _)| *seq)
-            .collect();
-        for seq in ready {
-            self.start_step3(seq);
-        }
-    }
-
-    /// Finishes one job's Step 2 — the devices already intersected and
-    /// retrieved, and their supports were summed at reap time, so only the
-    /// presence call over the sum is left — then hands the job's whole
-    /// Step 3 to the backlog as one command on shard `seq % shards`. A job
-    /// with no candidates maps nothing: no command, and its Step 3 result is
-    /// the empty one.
-    fn start_step3(&mut self, seq: usize) {
-        let job = self.pending.get_mut(&seq).expect("ready job is pending");
-        let presence = Arc::new(self.analyzer.call_presence(&job.step2));
-        job.presence = Some(Arc::clone(&presence));
-        if presence.is_empty() {
-            job.fold_step3(Step3Output::default());
-            return;
-        }
-        self.backlog.push_back(ShardCommand::Step3(Step3Command {
-            seq,
-            record_shard: seq % self.shards.shard_count(),
-            attempt: 0,
-            sample: Arc::clone(&job.meta.prepared.sample),
-            presence,
-        }));
-    }
-
-    /// Issues backlogged commands of both kinds whose shard-of-record has a
-    /// free depth slot, in backlog order per shard, never blocking: commands
-    /// left over take slots as future reaps free them. Each issue occupies
-    /// the record shard's slot, records `CommandIssued` for the device
-    /// [`IspCompleter::pick_target`] chose and enters the retry ledger
-    /// before the command reaches that device's queue — on the thread that
-    /// reaps, so no completion can be observed before its command is
-    /// registered. With every device dead the command goes to its record
-    /// shard, which rejects it, and the re-issue fails the job.
-    fn submit_backlog(&mut self) {
-        if self.backlog.is_empty() {
-            return;
-        }
-        let Some(producer) = &self.producer else {
-            return;
-        };
-        let mut to_send = Vec::new();
-        {
-            let mut state = self.shared.lock();
-            let mut kept = VecDeque::with_capacity(self.backlog.len());
-            for command in self.backlog.drain(..) {
-                let shard = command.record_shard();
-                if state.shard_inflight[shard] < self.queue_depth {
-                    state.occupy(shard, command.stage());
-                    to_send.push(command);
-                } else {
-                    kept.push_back(command);
+        match event {
+            Ok(event) => {
+                core.on(event, Instant::now());
+                // Whatever else is already queued rides the same round.
+                while let Ok(event) = events.try_recv() {
+                    core.on(event, Instant::now());
                 }
             }
-            self.backlog = kept;
+            Err(RecvTimeoutError::Timeout) => shared.lock().completer_timeouts += 1,
+            // Every Step 1 worker and every shard worker exited. A shard
+            // worker exits only once the producer is released, which
+            // happens with nothing pending, or on a poison that dropped
+            // every outcome sender: nothing is left to deliver.
+            Err(RecvTimeoutError::Disconnected) => return core.into_tally(),
         }
-        for command in to_send {
-            let (seq, record, stage) = (command.seq(), command.record_shard(), command.stage());
-            let device = self.pick_target(record).unwrap_or(record);
-            self.trace.record(
-                seq,
-                TraceEventKind::CommandIssued {
-                    stage,
-                    shard: device,
-                },
-            );
-            self.outstanding.insert(
-                (seq, record, stage),
-                OutstandingCommand {
-                    command: command.clone(),
-                    device,
-                    issued_at: Instant::now(),
-                },
-            );
-            producer.send(device, command);
-        }
-    }
-
-    /// Drops the completer's producer guard once no further command can
-    /// ever be issued: no Step 1 worker is left (so no new sample), every
-    /// pending job is delivered, and the backlog is drained. The shard
-    /// workers then wind down as their queues empty, which closes the
-    /// completion channel and ends the completer — the hand-over that
-    /// breaks the shutdown cycle between workers waiting for producers and
-    /// the completer waiting for completions.
-    fn maybe_release_txs(&mut self) {
-        if self.producer.is_some()
-            && self.live_workers == 0
-            && self.backlog.is_empty()
-            && self.pending.is_empty()
-        {
-            self.producer = None;
-        }
-    }
-
-    /// Delivers every fully reduced job at the head of the sequence:
-    /// completions are collected out of order, but results leave in
-    /// dispatch order.
-    fn deliver_ready(&mut self) {
-        loop {
-            match self.pending.get(&self.next_to_deliver) {
-                Some(job) if job.is_complete() => {}
-                _ => return,
-            }
-            let job = self
-                .pending
-                .remove(&self.next_to_deliver)
-                .expect("checked above");
-            self.next_to_deliver += 1;
-            self.finalize(job);
-        }
-    }
-
-    /// Assembles one job's output from its folded Step 2 support, presence
-    /// call and Step 3 result, and delivers it. A failed job delivers its
-    /// error instead.
-    fn finalize(&self, job: MergeState) {
-        if let Some(error) = job.failed.clone() {
-            self.finalize_failed(job.meta, error);
-            return;
-        }
-        let MergeState {
-            meta,
-            step2,
-            presence,
-            step3,
-            ..
-        } = job;
-        let seq = meta.prepared.start_position;
-        self.trace.record(seq, TraceEventKind::ReduceStarted);
-        let step3 = step3.expect("complete job has its step 3 result");
-        let output = MegisOutput {
-            presence: Arc::unwrap_or_clone(presence.expect("complete job called presence")),
-            abundance: step3.abundance,
-            intersecting_kmers: step2.hits,
-            selected_kmers: meta.prepared.step1.selected_kmers,
-            mapped_reads: step3.mapped_reads,
-        };
-        self.trace.record(seq, TraceEventKind::ReduceFinished);
-        // Reconstruct the job's stage timeline from its own events, stamped
-        // with the same instant the Delivered event gets, so the breakdown's
-        // telescoping total spans exactly admission→delivery.
-        let job_id = meta.prepared.id.0;
-        let breakdown = if self.trace.is_enabled() {
-            let delivered_at = self.trace.now();
-            let events = self.trace.events_for(seq, job_id);
-            self.trace
-                .record_at(delivered_at, seq, TraceEventKind::Delivered { job: job_id });
-            StageBreakdown::from_events(&events, delivered_at)
-        } else {
-            None
-        };
-        let result = JobResult {
-            id: meta.prepared.id,
-            label: meta.prepared.label,
-            priority: meta.prepared.priority,
-            start_position: meta.prepared.start_position,
-            isp_position: meta.isp_position,
-            output,
-            queue_wait: meta.prepared.queue_wait,
-            step1_time: meta.prepared.step1_time,
-            isp_time: meta.isp_start.elapsed(),
-            latency: meta.prepared.submitted_at.elapsed(),
-            breakdown,
-        };
-        // Deliver before signaling idle, all under the lock: a drain()
-        // returning quiescent must imply every result has already reached
-        // its handle.
-        let mut state = self.shared.lock();
-        if let Some(breakdown) = &result.breakdown {
-            state.breakdown_sum.accumulate(breakdown);
-            state.breakdown_count += 1;
-        }
-        state.window.record(result.latency);
-        state.completed += 1;
-        state.in_flight -= 1;
-        state.isp_served += 1;
-        state.mapped_reads += result.output.mapped_reads;
-        if let Some(tx) = state.senders.remove(&result.id.0) {
-            // lint:allow(guard-across-blocking, std mpsc Sender::send never
-            // blocks on an unbounded channel, and delivery must happen under
-            // the lock so a quiescent drain implies every result has already
-            // reached its handle)
-            let _ = tx.send(Ok(result));
-        }
-        drop(state);
-        self.shared.idle.notify_all();
-        // Advancing isp_served reopens the dispatch lookahead gate.
-        self.shared.job_ready.notify_all();
-    }
-
-    /// Delivers one failed job's error in dispatch order. The failure is
-    /// isolated: the job's slot leaves `in_flight` and — critically — its
-    /// sequence still advances `isp_served`, so the dispatch lookahead gate
-    /// keeps opening for the jobs behind it. The rolling latency window and
-    /// the completion counter record only successes.
-    fn finalize_failed(&self, meta: IspMeta, error: JobError) {
-        let seq = meta.prepared.start_position;
-        let job_id = meta.prepared.id.0;
-        self.trace
-            .record(seq, TraceEventKind::Delivered { job: job_id });
-        let mut state = self.shared.lock();
-        state.failed_jobs += 1;
-        state.in_flight -= 1;
-        state.isp_served += 1;
-        if let Some(tx) = state.senders.remove(&job_id) {
-            // lint:allow(guard-across-blocking, std mpsc Sender::send never
-            // blocks on an unbounded channel, and the error is delivered
-            // under the lock for the same drain-implies-delivered guarantee
-            // successful results get)
-            let _ = tx.send(Err(error));
-        }
-        drop(state);
-        self.shared.idle.notify_all();
-        // Advancing isp_served reopens the dispatch lookahead gate.
-        self.shared.job_ready.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
+    use crate::job::Priority;
     use crate::queue::SchedPolicy;
     use megis::config::MegisConfig;
-    use megis_genomics::sample::{CommunityConfig, Diversity};
+    use megis_genomics::sample::{CommunityConfig, Diversity, Sample};
 
     fn community() -> megis_genomics::sample::Community {
         CommunityConfig::preset(Diversity::Medium)
@@ -2031,48 +1230,6 @@ mod tests {
         for s in &report.shard_stats {
             assert_eq!(s.jobs, 3);
         }
-    }
-
-    #[test]
-    fn the_dispatcher_shares_step1s_arena_instead_of_copying_it() {
-        let c = community();
-        let a = analyzer(&c);
-        let config = EngineConfig::new().with_workers(1).with_shards(2);
-        let shards = ShardSet::build(a.database(), config.shards);
-        let step1 = a.run_step1(c.sample());
-        let (arena, queries) = (step1.kmers().as_ptr(), step1.sorted_kmers());
-        let prepared = PreparedJob {
-            id: JobId(0),
-            label: "s0".into(),
-            priority: Priority::default(),
-            start_position: 0,
-            sample: Arc::new(c.sample().clone()),
-            submitted_at: Instant::now(),
-            queue_wait: Duration::ZERO,
-            step1_time: Duration::ZERO,
-            step1,
-        };
-        let (meta, commands) = intersect_commands(&shards, prepared, 0);
-        assert_eq!((meta.seq, meta.isp_position), (0, 0));
-        assert_eq!(meta.prepared.step1.selected_kmers, queries.len() as u64);
-        assert_eq!(meta.expected, commands.len());
-        let mut issued = 0;
-        for command in commands {
-            let ShardCommand::Intersect(command) = command else {
-                panic!("a sample opens with intersect commands only");
-            };
-            assert_eq!(command.queries.as_ptr(), arena, "moved, not copied");
-            assert_eq!(*command.queries, queries);
-            assert_eq!(command.seq, 0);
-            issued += 1;
-        }
-        assert_eq!(issued, config.shards, "both shards hold genome k-mers");
-
-        // And the job delivered through the same path is unchanged.
-        let expected = a.analyze(c.sample());
-        let engine = StreamingEngine::new(a, config);
-        let handle = engine.submit(JobSpec::new("s0", c.sample().clone()));
-        assert_eq!(handle.unwrap().wait().unwrap().output, expected);
     }
 
     #[test]
@@ -2410,59 +1567,6 @@ mod tests {
         for stats in &report.shard_stats {
             assert_eq!((stats.step3_jobs, stats.step3_items), (0, 0));
         }
-    }
-
-    /// A job on two shards with both stages' completions outstanding.
-    fn two_shard_job(c: &megis_genomics::sample::Community) -> MergeState {
-        let meta = IspMeta {
-            seq: 0,
-            isp_position: 0,
-            expected: 2,
-            isp_start: Instant::now(),
-            prepared: PreparedJob {
-                id: JobId(0),
-                label: "s0".into(),
-                priority: Priority::default(),
-                start_position: 0,
-                sample: Arc::new(c.sample().clone()),
-                submitted_at: Instant::now(),
-                queue_wait: Duration::ZERO,
-                step1_time: Duration::ZERO,
-                step1: Step1Output::default(),
-            },
-        };
-        MergeState::new(meta, 2)
-    }
-
-    #[test]
-    #[should_panic(expected = "step 3 result folded twice")]
-    fn a_step3_result_folded_twice_panics() {
-        // A job has one Step 3 slot: a second result would silently replace
-        // the first, so the fold refuses. (The ledger discards duplicate and
-        // stale completions before they get here; this is the backstop.)
-        let mut job = two_shard_job(&community());
-        assert!(!job.is_complete());
-        job.remaining = 0;
-        job.fold_step3(Step3Output::default());
-        assert!(job.is_complete());
-        job.fold_step3(Step3Output::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "step 2 support of shard 1 folded twice")]
-    fn a_step2_support_folded_twice_panics() {
-        // Supports add too: the same backstop, per `(seq, shard)`.
-        let mut job = two_shard_job(&community());
-        let support = || Support {
-            hits: 3,
-            counts: vec![1, 0, 2],
-        };
-        job.fold_step2(1, support());
-        assert_eq!((job.remaining, job.step2.hits), (1, 3));
-        job.fold_step2(0, support());
-        assert_eq!((job.remaining, job.step2.hits), (0, 6));
-        assert_eq!(job.step2.counts, vec![2, 0, 4]);
-        job.fold_step2(1, support());
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub const NO_SEQ: usize = usize::MAX;
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// Which in-SSD command kind a device-side event belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceStage {
     /// Step 2 intersection finding.
     Intersect,
