@@ -1,18 +1,10 @@
 //! `megis-lint` — a dependency-free static-analysis pass enforcing the
 //! pipeline's concurrency invariants.
 //!
-//! Rustc and clippy cannot express the repo-specific rules the scheduler's
-//! incident history produced, so this crate hand-rolls a small Rust token
-//! scanner ([`scan`]) and a rule engine ([`rules`]) that walks every
-//! workspace source file. Four rules:
-//!
-//! * **poison-safety** — `.lock().unwrap()` / `.lock().expect(..)` is
-//!   forbidden. Pipeline threads must survive std mutex poisoning (the
-//!   engine reports failures through its own poison flag), so guards are
-//!   recovered with `.lock().unwrap_or_else(PoisonError::into_inner)` or a
-//!   named lock accessor. The incident: a shutdown-path `.lock().unwrap()`
-//!   that would panic-within-panic (and abort) when shutdown ran during an
-//!   unwind.
+//! An invariant rustc or clippy can check is checked there; this crate
+//! keeps only the repo-specific rules neither can express. It hand-rolls a
+//! small Rust token scanner ([`scan`]) and a rule engine ([`rules`]) that
+//! walks every workspace source file. Three rules:
 //!
 //! * **guard-across-blocking** — a `let`-bound `MutexGuard` must not be
 //!   live across `.send(..)`, `.recv(..)`, `.recv_timeout(..)`, `.join(..)`
@@ -20,16 +12,27 @@
 //!   completer-deadlock class from the PR 5 sharding work.
 //!   `Condvar::wait` releases the lock while parked and is allow-listed.
 //!
-//! * **clock-injection** — the tracing subsystem promises < 2% overhead
-//!   when disabled, which requires no clock reads on behalf of tracing
-//!   unless the sink is enabled. `Instant::now()` in `trace.rs` outside the
-//!   designated seams, or inline clock reads in `record_at(..)` arguments
-//!   anywhere, break that contract.
-//!
 //! * **panic-hygiene** — `unwrap`/`expect`/panicking macros/indexing of
 //!   channel results inside `thread::spawn` bodies must carry an inline
 //!   annotation: a panic on a pipeline thread starts poison propagation,
 //!   so it has to be visibly deliberate.
+//!
+//! * **shardstats-accessor** — a `ShardStats` counter field is never
+//!   assigned outside `metrics.rs`: the value is built once, in one struct
+//!   expression, so each counter has one writer.
+//!
+//! Three earlier rules are now checked by the compiler instead:
+//!
+//! * *poison-safety* (no `.lock().unwrap()`) — `megis-sched`'s `Lock<T>`
+//!   is the only mutex, and its `lock` returns the guard already recovered
+//!   from poisoning; clippy's `disallowed_types` (`clippy.toml`, denied in
+//!   the root `Cargo.toml`) rejects `std::sync::Mutex` and `RwLock`
+//!   everywhere else.
+//! * *clock-injection* (no inline clock read stamping a trace event) —
+//!   `TraceSink::record_at` takes a `TraceStamp`, which only
+//!   `TraceSink::now` makes.
+//! * *bounded-send* (no blocking send on a bounded channel) — clippy's
+//!   `disallowed_methods` rejects `std::sync::mpsc::sync_channel`.
 //!
 //! Deliberate exceptions are annotated at the offending line (or the
 //! comment block directly above it):

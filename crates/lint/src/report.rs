@@ -147,7 +147,7 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::POISON_SAFETY;
+    use crate::rules::GUARD_ACROSS_BLOCKING;
 
     fn dirty_report() -> LintReport {
         LintReport {
@@ -155,9 +155,9 @@ mod tests {
             diagnostics: vec![Diagnostic {
                 file: "crates/sched/src/service.rs".to_string(),
                 line: 1017,
-                rule: POISON_SAFETY,
+                rule: GUARD_ACROSS_BLOCKING,
                 message: "say \"why\"".to_string(),
-                hint: "use into_inner".to_string(),
+                hint: "drop the guard".to_string(),
             }],
             suppressed: Vec::new(),
         }
@@ -179,8 +179,8 @@ mod tests {
     #[test]
     fn text_listing_carries_location_rule_and_hint() {
         let text = dirty_report().render_text();
-        assert!(text.contains("crates/sched/src/service.rs:1017: [poison-safety]"));
-        assert!(text.contains("hint: use into_inner"));
+        assert!(text.contains("crates/sched/src/service.rs:1017: [guard-across-blocking]"));
+        assert!(text.contains("hint: drop the guard"));
     }
 
     #[test]

@@ -18,19 +18,11 @@
 
 use crate::scan::{scan, Comment, ScannedFile, Token, TokenKind};
 
-/// The poison-safety rule: `.lock().unwrap()` / `.lock().expect(..)`.
-pub const POISON_SAFETY: &str = "poison-safety";
 /// The guard-across-blocking rule: a `MutexGuard` live across
 /// `send`/`recv`/`join`/`thread::sleep`.
 pub const GUARD_ACROSS_BLOCKING: &str = "guard-across-blocking";
-/// The clock-injection rule: `Instant::now()` outside the trace module's
-/// clock seams, or inline clock reads in `record_at` arguments.
-pub const CLOCK_INJECTION: &str = "clock-injection";
 /// The panic-hygiene rule: unannotated panics inside `thread::spawn` bodies.
 pub const PANIC_HYGIENE: &str = "panic-hygiene";
-/// The bounded-send rule: a plain `.send(..)` on a bounded-channel sender
-/// (`mpsc::sync_channel` / `SyncSender`) without a reasoned annotation.
-pub const BOUNDED_SEND: &str = "bounded-send";
 /// The shardstats-accessor rule: a `ShardStats` counter field mutated
 /// directly (`stats.retries = n`, `stats.jobs += 1`) outside `metrics.rs`.
 pub const SHARDSTATS_ACCESSOR: &str = "shardstats-accessor";
@@ -38,14 +30,7 @@ pub const SHARDSTATS_ACCESSOR: &str = "shardstats-accessor";
 pub const ALLOW_HYGIENE: &str = "allow-hygiene";
 
 /// Every suppressible rule, in report order.
-pub const RULES: [&str; 6] = [
-    POISON_SAFETY,
-    GUARD_ACROSS_BLOCKING,
-    CLOCK_INJECTION,
-    PANIC_HYGIENE,
-    BOUNDED_SEND,
-    SHARDSTATS_ACCESSOR,
-];
+pub const RULES: [&str; 3] = [GUARD_ACROSS_BLOCKING, PANIC_HYGIENE, SHARDSTATS_ACCESSOR];
 
 /// One violation: file, line, the invariant violated, and the fix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,16 +71,13 @@ pub struct LintOutcome {
 }
 
 /// Lints one source file. `file` is the display path; its basename selects
-/// file-scoped rules (the clock-seam rule applies to `trace.rs`).
+/// file-scoped rules (`shardstats-accessor` exempts `metrics.rs`).
 pub fn lint_source(file: &str, source: &str) -> LintOutcome {
     let scanned = scan(source);
     let ctx = Ctx::new(file, &scanned);
     let mut raw = Vec::new();
-    raw.extend(poison_safety(&ctx));
     raw.extend(guard_across_blocking(&ctx));
-    raw.extend(clock_injection(&ctx));
     raw.extend(panic_hygiene(&ctx));
-    raw.extend(bounded_send(&ctx));
     raw.extend(shardstats_accessor(&ctx));
     raw.sort_by_key(|d| (d.line, d.rule));
 
@@ -207,8 +189,8 @@ fn allow_hygiene(file: &str, line: u32, message: &str) -> Diagnostic {
     }
 }
 
-/// Token-stream context shared by the rules: nesting depths and enclosing
-/// function names, precomputed in one pass.
+/// Token-stream context shared by the rules: nesting depths, precomputed in
+/// one pass.
 struct Ctx<'a> {
     file: &'a str,
     basename: &'a str,
@@ -218,9 +200,6 @@ struct Ctx<'a> {
     brace_depth: Vec<u32>,
     /// Combined `(`/`[` nesting level containing each token.
     group_depth: Vec<u32>,
-    /// Name of the innermost `fn` whose body contains each token.
-    enclosing_fn: Vec<Option<usize>>,
-    fn_names: Vec<String>,
 }
 
 impl<'a> Ctx<'a> {
@@ -228,15 +207,8 @@ impl<'a> Ctx<'a> {
         let tokens = &scanned.tokens;
         let mut brace_depth = Vec::with_capacity(tokens.len());
         let mut group_depth = Vec::with_capacity(tokens.len());
-        let mut enclosing_fn = Vec::with_capacity(tokens.len());
-        let mut fn_names: Vec<String> = Vec::new();
-        // (brace level the body's `{` sits at, fn_names index)
-        let mut fn_stack: Vec<(u32, usize)> = Vec::new();
-        // Set after `fn name`, consumed by the body's `{` (or dropped by a
-        // `;` — a bodyless trait/extern declaration).
-        let mut pending_fn: Option<usize> = None;
         let (mut braces, mut groups) = (0u32, 0u32);
-        for (i, tok) in tokens.iter().enumerate() {
+        for tok in tokens {
             let (mut b, mut g) = (braces, groups);
             if tok.kind == TokenKind::Punct {
                 match tok.text.as_str() {
@@ -255,36 +227,6 @@ impl<'a> Ctx<'a> {
             }
             brace_depth.push(b);
             group_depth.push(g);
-            enclosing_fn.push(fn_stack.last().map(|&(_, name)| name));
-            if tok.kind == TokenKind::Ident && tok.text == "fn" {
-                if let Some(next) = tokens.get(i + 1) {
-                    if next.kind == TokenKind::Ident {
-                        fn_names.push(next.text.clone());
-                        pending_fn = Some(fn_names.len() - 1);
-                    }
-                }
-            } else if tok.kind == TokenKind::Punct {
-                match tok.text.as_str() {
-                    "{" if groups == 0 => {
-                        if let Some(name) = pending_fn.take() {
-                            fn_stack.push((b, name));
-                            // The body itself is attributed to the fn.
-                            *enclosing_fn.last_mut().expect("just pushed") = Some(name);
-                        }
-                    }
-                    ";" if groups == 0 => {
-                        pending_fn = None;
-                    }
-                    "}" => {
-                        if let Some(&(open_depth, _)) = fn_stack.last() {
-                            if open_depth == b {
-                                fn_stack.pop();
-                            }
-                        }
-                    }
-                    _ => {}
-                }
-            }
         }
         Ctx {
             file,
@@ -292,8 +234,6 @@ impl<'a> Ctx<'a> {
             tokens,
             brace_depth,
             group_depth,
-            enclosing_fn,
-            fn_names,
         }
     }
 
@@ -314,10 +254,6 @@ impl<'a> Ctx<'a> {
 
     fn line(&self, i: usize) -> u32 {
         self.tokens[i].line
-    }
-
-    fn fn_name_at(&self, i: usize) -> Option<&str> {
-        self.enclosing_fn[i].map(|idx| self.fn_names[idx].as_str())
     }
 
     /// The token range inside the braces of the first `fn name` defined in
@@ -361,14 +297,6 @@ impl<'a> Ctx<'a> {
             && self.is_p(i + 3, ")")
     }
 
-    /// Matches `Instant::now` starting at the `Instant` token.
-    fn is_instant_now(&self, i: usize) -> bool {
-        self.is_i(i, "Instant")
-            && self.is_p(i + 1, ":")
-            && self.is_p(i + 2, ":")
-            && self.is_i(i + 3, "now")
-    }
-
     fn diag(&self, i: usize, rule: &'static str, message: String, hint: &str) -> Diagnostic {
         Diagnostic {
             file: self.file.to_string(),
@@ -378,38 +306,6 @@ impl<'a> Ctx<'a> {
             hint: hint.to_string(),
         }
     }
-}
-
-/// **poison-safety** — `.lock().unwrap()` / `.lock().expect(..)` is
-/// forbidden: pipeline threads must survive std mutex poisoning (the
-/// engine's own `poisoned` flag is the failure signal), and an `unwrap`
-/// reached while another panic is unwinding panics-within-panic and aborts
-/// the process. Required idiom: `.lock().unwrap_or_else(PoisonError::
-/// into_inner)` or the module's named lock accessor.
-fn poison_safety(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for i in 0..ctx.tokens.len() {
-        if !ctx.is_lock_call(i) || !ctx.is_p(i + 4, ".") {
-            continue;
-        }
-        let Some(method) = ctx.ident(i + 5) else {
-            continue;
-        };
-        if (method == "unwrap" || method == "expect") && ctx.is_p(i + 6, "(") {
-            out.push(ctx.diag(
-                i + 5,
-                POISON_SAFETY,
-                format!(
-                    "`.lock().{method}(..)` on a pipeline mutex: it panics again if the mutex \
-                     was poisoned — during an unwind that is a panic-within-panic, which aborts \
-                     the process instead of letting the engine's poison flag report the failure"
-                ),
-                "recover the guard with `.lock().unwrap_or_else(PoisonError::into_inner)` or \
-                 route through the module's named lock accessor",
-            ));
-        }
-    }
-    out
 }
 
 /// A tracked `MutexGuard` binding for the guard-across-blocking rule.
@@ -559,71 +455,6 @@ fn report_blocking(
              block through `Condvar::wait`, which releases the lock while parked",
         ));
     }
-}
-
-/// Functions allowed to read the clock directly: the trace epoch
-/// constructor and the `record`/`now` convenience seams that wrap the
-/// injectable `record_at` form.
-const CLOCK_SEAMS: [&str; 3] = ["bounded", "now", "record"];
-
-/// **clock-injection** — the tracing subsystem's "< 2% overhead when
-/// disabled" contract requires that no clock is read on behalf of tracing
-/// unless the sink is enabled. Two patterns break it:
-///
-/// 1. in `trace.rs`, an `Instant::now()` outside the designated seams
-///    (every timestamp must derive from the shared epoch inside the
-///    enabled branch), and
-/// 2. anywhere, an inline `Instant::now()` / `.elapsed()` in the argument
-///    list of a `.record_at(..)` call — the read then happens even when the
-///    sink is disabled; the stamp must come through the injectable seam.
-fn clock_injection(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    if ctx.basename == "trace.rs" {
-        for i in 0..ctx.tokens.len() {
-            if ctx.is_instant_now(i) && !is_clock_seam(ctx.fn_name_at(i)) {
-                out.push(ctx.diag(
-                    i,
-                    CLOCK_INJECTION,
-                    "`Instant::now()` outside the trace module's clock seams: timestamps must \
-                     derive from the sink's shared epoch behind the enabled check, or disabled \
-                     tracing pays a clock read on the hot path"
-                        .to_string(),
-                    "derive the stamp from the epoch inside the enabled branch (`TraceSink::now`),\
-                     or add this fn to the seam set with a `lint:allow(clock-injection, ..)`",
-                ));
-            }
-        }
-    }
-    for i in 0..ctx.tokens.len() {
-        if !(ctx.is_p(i, ".") && ctx.is_i(i + 1, "record_at") && ctx.is_p(i + 2, "(")) {
-            continue;
-        }
-        if is_clock_seam(ctx.fn_name_at(i)) {
-            continue;
-        }
-        let close = ctx.close_of_group(i + 2);
-        for k in i + 3..close {
-            let inline_clock = ctx.is_instant_now(k)
-                || (ctx.is_p(k, ".") && ctx.is_i(k + 1, "elapsed") && ctx.is_p(k + 2, "("));
-            if inline_clock {
-                out.push(ctx.diag(
-                    k,
-                    CLOCK_INJECTION,
-                    "inline clock read in a `record_at(..)` argument: the read happens even \
-                     when the trace sink is disabled, breaking the zero-cost-when-disabled \
-                     contract"
-                        .to_string(),
-                    "take the stamp through the injectable seam (e.g. a caller-held `trace.now()`\
-                     value) or hoist the read behind an `is_enabled()` check",
-                ));
-            }
-        }
-    }
-    out
-}
-
-fn is_clock_seam(name: Option<&str>) -> bool {
-    matches!(name, Some(n) if CLOCK_SEAMS.contains(&n))
 }
 
 /// **panic-hygiene** — inside a `thread::spawn` closure body, `unwrap`,
@@ -782,94 +613,8 @@ fn scan_spawn_body(ctx: &Ctx<'_>, start: usize, end: usize, out: &mut Vec<Diagno
     }
 }
 
-/// **bounded-send** — a plain `.send(..)` on a *bounded* channel sender
-/// blocks forever when the receiver stops draining, which on a pipeline
-/// thread is the stuck-shutdown class the command-deadline machinery exists
-/// for. Senders are recognized lexically: the first binding of a
-/// `let (tx, rx) = mpsc::sync_channel(..)` destructuring, and any binding
-/// annotated with a `SyncSender` type (fn params, struct fields). Each
-/// plain `.send(..)` through such a name needs either the non-blocking
-/// variants (`try_send`, `send_timeout` — exempt by construction) or a
-/// reasoned `lint:allow(bounded-send, ..)` arguing its drain story.
-fn bounded_send(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
-    let mut bounded: Vec<String> = Vec::new();
-    let n = ctx.tokens.len();
-    for i in 0..n {
-        // `let (tx, rx) = mpsc::sync_channel(..)`: walk back from the call
-        // to the destructuring `let (` and take the tuple's first binding.
-        if ctx.is_i(i, "sync_channel") {
-            let mut j = i;
-            while j > 0 {
-                if ctx.is_i(j, "let") && ctx.is_p(j + 1, "(") {
-                    if let Some(name) = ctx.ident(j + 2) {
-                        bounded.push(name.to_string());
-                    }
-                    break;
-                }
-                if ctx.is_p(j, ";") || ctx.is_p(j, "{") || ctx.is_p(j, "}") {
-                    break;
-                }
-                j -= 1;
-            }
-        }
-        // `name: SyncSender<..>` / `name: &SyncSender<..>`: walk back over
-        // the type path to the annotated binding.
-        if ctx.is_i(i, "SyncSender") {
-            let mut j = i;
-            while j > 0 {
-                let prev = j - 1;
-                let skip = match ctx.tokens.get(prev) {
-                    Some(t) if t.kind == TokenKind::Punct => {
-                        matches!(t.text.as_str(), ":" | "&" | "<" | "'")
-                    }
-                    Some(t) if t.kind == TokenKind::Ident => {
-                        matches!(t.text.as_str(), "mpsc" | "std" | "sync" | "Option" | "Arc")
-                            || ctx.is_p(prev.wrapping_sub(1), "'")
-                    }
-                    _ => false,
-                };
-                if !skip {
-                    break;
-                }
-                j = prev;
-            }
-            let Some(j) = j.checked_sub(1) else {
-                continue;
-            };
-            if ctx.is_p(j + 1, ":") {
-                if let Some(name) = ctx.ident(j) {
-                    bounded.push(name.to_string());
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for i in 0..n {
-        if ctx.is_p(i + 1, ".") && ctx.is_i(i + 2, "send") && ctx.is_p(i + 3, "(") {
-            if let Some(name) = ctx.ident(i) {
-                if bounded.iter().any(|b| b == name) {
-                    out.push(ctx.diag(
-                        i + 2,
-                        BOUNDED_SEND,
-                        format!(
-                            "plain `.send(..)` on bounded sender `{name}`: when the receiver \
-                             stops draining, this blocks the pipeline thread forever — the \
-                             stuck-shutdown class the retry/deadline machinery exists for"
-                        ),
-                        "use `try_send`/`send_timeout` with explicit failure handling, or \
-                         annotate with `// lint:allow(bounded-send, why the receiver always \
-                         drains)` stating the drain story",
-                    ));
-                }
-            }
-        }
-    }
-    out
-}
-
-/// The `ShardStats` counter fields whose writes must go through named
-/// accessors. Identity fields (`shard`, `dead`) are not counters and are
-/// out of scope.
+/// The `ShardStats` counter fields a mutation may not write. Identity
+/// fields (`shard`, `dead`) are not counters and are out of scope.
 const SHARDSTATS_COUNTERS: [&str; 10] = [
     "busy",
     "jobs",
@@ -883,12 +628,12 @@ const SHARDSTATS_COUNTERS: [&str; 10] = [
     "failovers",
 ];
 
-/// **shardstats-accessor** — `ShardStats` counter fields may only be
-/// mutated through their named accessors; a direct `=`/`+=` (or any other
-/// compound assignment) outside `metrics.rs` is a diagnostic. Funneling
-/// every write through a named method keeps the accounting invariants —
-/// which counter means what, who owns it, and when it is written — in one
-/// reviewable place, so a new code path cannot silently skew the
+/// **shardstats-accessor** — a `ShardStats` is built, never mutated: its
+/// counters are written in the struct expression that makes the value
+/// (the device's own counters when its worker exits, the completer's tally
+/// merged in by struct update at teardown). A direct `=`/`+=` (or any
+/// other compound assignment) on a counter field outside `metrics.rs` is a
+/// diagnostic, so a new code path cannot silently skew the
 /// `faults == retries` style cross-checks the fault suite asserts.
 ///
 /// Receivers are recognized lexically: the identifier (or `[..]`-indexed
@@ -897,8 +642,7 @@ const SHARDSTATS_COUNTERS: [&str; 10] = [
 /// does not fire. Reads (`stats.jobs == 3`, `s.retries`) are untouched.
 fn shardstats_accessor(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    // metrics.rs *is* the accessor module: the named methods' own field
-    // writes (and the module's tests) live there by design.
+    // metrics.rs owns the type; its tests build fixtures field by field.
     if ctx.basename == "metrics.rs" {
         return out;
     }
@@ -954,12 +698,12 @@ fn shardstats_accessor(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
             SHARDSTATS_ACCESSOR,
             format!(
                 "direct `{op}` write to `ShardStats` counter field `{field}` (receiver \
-                 `{receiver}`) outside `metrics.rs`: counter writes must go through the named \
-                 accessors so the accounting invariants stay reviewable in one place"
+                 `{receiver}`) outside `metrics.rs`: a `ShardStats` is built once, so each \
+                 counter has one writer and the accounting stays reviewable where it is built"
             ),
-            "route the write through the field's named accessor on `ShardStats` (adding one in \
-             `metrics.rs` if missing), or annotate a deliberate exception with \
-             `// lint:allow(shardstats-accessor, why this direct write is sound)`",
+            "set the counter in the struct expression that builds the value (a literal, or a \
+             struct update `ShardStats { retries, ..stats }`), or annotate a deliberate \
+             exception with `// lint:allow(shardstats-accessor, why this direct write is sound)`",
         ));
     }
     out
@@ -975,30 +719,6 @@ mod tests {
 
     fn rules_of(src: &str) -> Vec<&'static str> {
         diags(src).into_iter().map(|d| d.rule).collect()
-    }
-
-    #[test]
-    fn poison_safety_fires_on_unwrap_and_expect() {
-        let src = "fn f() { let g = m.lock().unwrap(); }";
-        assert_eq!(rules_of(src), vec![POISON_SAFETY]);
-        let src = "fn f() { let g = m.lock().expect(\"poisoned\"); }";
-        assert_eq!(rules_of(src), vec![POISON_SAFETY]);
-    }
-
-    #[test]
-    fn poison_safety_accepts_the_into_inner_idiom() {
-        let src = "fn f() { let g = m.lock().unwrap_or_else(PoisonError::into_inner); }";
-        assert!(diags(src).is_empty(), "{:?}", diags(src));
-    }
-
-    #[test]
-    fn poison_safety_spans_lines_and_ignores_strings() {
-        let src = "fn f() {\n    let g = m\n        .lock()\n        .unwrap();\n}";
-        let d = diags(src);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 4, "diag lands on the unwrap line");
-        let src = "fn f() { let s = \".lock().unwrap()\"; }";
-        assert!(diags(src).is_empty());
     }
 
     #[test]
@@ -1036,31 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_injection_guards_trace_rs_seams() {
-        let src = "impl S { fn bounded() { let e = Instant::now(); } fn hot(&self) { let t = Instant::now(); } }";
-        let out = lint_source("crates/sched/src/trace.rs", src);
-        assert_eq!(out.diagnostics.len(), 1);
-        assert_eq!(out.diagnostics[0].rule, CLOCK_INJECTION);
-        // Same source under any other basename: no seam restriction.
-        assert!(lint_source("other.rs", src).diagnostics.is_empty());
-    }
-
-    #[test]
-    fn clock_injection_rejects_inline_reads_in_record_at() {
-        let src = "fn hot(&self) { self.sink.record_at(Instant::now(), seq, kind); }";
-        assert_eq!(rules_of(src), vec![CLOCK_INJECTION]);
-        let src = "fn hot(&self) { self.sink.record_at(t0.elapsed(), seq, kind); }";
-        assert_eq!(rules_of(src), vec![CLOCK_INJECTION]);
-        // The convenience `record` seam wrapping `record_at` is the one
-        // place an inline read is the design.
-        let src = "fn record(&mut self) { self.record_at(Instant::now(), latency); }";
-        assert!(diags(src).is_empty(), "{:?}", diags(src));
-        // A caller-held stamp through the seam is the required idiom.
-        let src = "fn hot(&self) { let at = self.sink.now(); self.sink.record_at(at, seq, kind); }";
-        assert!(diags(src).is_empty(), "{:?}", diags(src));
-    }
-
-    #[test]
     fn panic_hygiene_fires_inside_spawn_bodies_only() {
         let src = "fn f() { thread::spawn(move || { let x = rx.recv().unwrap(); }); }";
         assert_eq!(rules_of(src), vec![PANIC_HYGIENE]);
@@ -1085,43 +780,6 @@ mod tests {
     }
 
     #[test]
-    fn bounded_send_fires_on_sync_channel_tuple_binding() {
-        let src = "fn f() { let (tx, rx) = mpsc::sync_channel::<u32>(4); tx.send(1); }";
-        assert_eq!(rules_of(src), vec![BOUNDED_SEND]);
-    }
-
-    #[test]
-    fn bounded_send_fires_on_sync_sender_typed_params_and_fields() {
-        let src = "fn f(s1_tx: &SyncSender<Job>) { s1_tx.send(job); }";
-        assert_eq!(rules_of(src), vec![BOUNDED_SEND]);
-        let src = "struct S { tx: std::sync::mpsc::SyncSender<u32> }\nfn f(s: &S) { tx.send(1); }";
-        assert_eq!(rules_of(src), vec![BOUNDED_SEND]);
-    }
-
-    #[test]
-    fn bounded_send_exempts_nonblocking_variants_and_unbounded_senders() {
-        let src = "fn f() { let (tx, rx) = mpsc::sync_channel::<u32>(4); tx.try_send(1); }";
-        assert!(diags(src).is_empty(), "{:?}", diags(src));
-        let src = "fn f() { let (tx, rx) = mpsc::sync_channel::<u32>(4); tx.send_timeout(1, t); }";
-        assert!(diags(src).is_empty(), "{:?}", diags(src));
-        // Unbounded `mpsc::channel` senders never block: out of scope.
-        let src = "fn f() { let (tx, rx) = mpsc::channel::<u32>(); tx.send(1); }";
-        assert!(diags(src).is_empty(), "{:?}", diags(src));
-        // A `use` import of the type is not a binding.
-        let src = "use std::sync::mpsc::SyncSender;\nfn f() { other.send(1); }";
-        assert!(diags(src).is_empty(), "{:?}", diags(src));
-    }
-
-    #[test]
-    fn bounded_send_allow_with_reason_suppresses() {
-        let src = "fn f(s1_tx: &SyncSender<Job>) {\n    // lint:allow(bounded-send, the receiver drains until teardown)\n    s1_tx.send(job);\n}";
-        let out = lint_source("test.rs", src);
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
-        assert_eq!(out.suppressed.len(), 1);
-        assert_eq!(out.suppressed[0].rule, BOUNDED_SEND);
-    }
-
-    #[test]
     fn shardstats_accessor_fires_on_direct_counter_writes() {
         let src = "fn f(stats: &mut ShardStats) { stats.retries = 3; }";
         assert_eq!(rules_of(src), vec![SHARDSTATS_ACCESSOR]);
@@ -1136,8 +794,8 @@ mod tests {
         // Comparisons and reads are not writes.
         let src = "fn f(stats: &ShardStats) { assert!(stats.retries == 3); let j = stats.jobs; }";
         assert!(diags(src).is_empty(), "{:?}", diags(src));
-        // The named accessor is the required idiom.
-        let src = "fn f(stats: &mut ShardStats) { stats.set_retries(3); }";
+        // A struct update at the build site is the required idiom.
+        let src = "fn f(stats: ShardStats) -> ShardStats { ShardStats { retries: 3, ..stats } }";
         assert!(diags(src).is_empty(), "{:?}", diags(src));
         // Same field name on a non-stats receiver (e.g. `DeviceUsage`).
         let src = "fn f(usage: &mut [DeviceUsage]) { usage[shard].busy += width; }";
@@ -1149,16 +807,18 @@ mod tests {
 
     #[test]
     fn shardstats_accessor_exempts_metrics_rs_and_honors_allow() {
-        let src = "impl ShardStats { pub fn set_retries(&mut self, n: u64) { self.retries = n; } }";
+        let src = "fn fixture() -> ShardStats { let mut stats = ShardStats::default(); stats.retries = 3; stats }";
         assert!(
             lint_source("crates/sched/src/metrics.rs", src)
                 .diagnostics
                 .is_empty(),
-            "the accessor module owns the field writes"
+            "the module that owns the type may write its fields"
         );
-        // `self` does not contain `stats`, so accessor bodies outside
-        // metrics.rs are also out of reach of the lexical heuristic —
-        // but a stats-named receiver elsewhere is not.
+        assert_eq!(
+            rules_of(src),
+            vec![SHARDSTATS_ACCESSOR],
+            "elsewhere it may not"
+        );
         let src = "fn f() {\n    // lint:allow(shardstats-accessor, teardown aggregation owns these counters)\n    stats.failovers = n;\n}";
         let out = lint_source("other.rs", src);
         assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
@@ -1168,17 +828,17 @@ mod tests {
 
     #[test]
     fn allow_with_reason_suppresses_and_is_recorded() {
-        let src = "fn f() {\n    // lint:allow(poison-safety, the mutex under test is poisoned\n    // deliberately)\n    let g = m.lock().unwrap();\n}";
+        let src = "fn f() {\n    // lint:allow(shardstats-accessor, the counter under test is written\n    // deliberately)\n    stats.retries = 3;\n}";
         let out = lint_source("test.rs", src);
         assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
         assert_eq!(out.suppressed.len(), 1);
-        assert_eq!(out.suppressed[0].rule, POISON_SAFETY);
+        assert_eq!(out.suppressed[0].rule, SHARDSTATS_ACCESSOR);
         assert!(out.suppressed[0].reason.contains("deliberately"));
     }
 
     #[test]
     fn allow_same_line_suppresses() {
-        let src = "fn f() { let g = m.lock().unwrap(); } // lint:allow(poison-safety, test-only)";
+        let src = "fn f() { stats.retries = 3; } // lint:allow(shardstats-accessor, test-only)";
         let out = lint_source("test.rs", src);
         assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
         assert_eq!(out.suppressed.len(), 1);
@@ -1186,12 +846,12 @@ mod tests {
 
     #[test]
     fn allow_without_reason_is_a_diagnostic() {
-        let src = "fn f() {\n    // lint:allow(poison-safety)\n    let g = m.lock().unwrap();\n}";
+        let src = "fn f() {\n    // lint:allow(shardstats-accessor)\n    stats.retries = 3;\n}";
         let out = lint_source("test.rs", src);
         let rules: Vec<&str> = out.diagnostics.iter().map(|d| d.rule).collect();
         assert!(rules.contains(&ALLOW_HYGIENE), "{rules:?}");
         assert!(
-            rules.contains(&POISON_SAFETY),
+            rules.contains(&SHARDSTATS_ACCESSOR),
             "a reasonless allow must not suppress: {rules:?}"
         );
     }
@@ -1206,11 +866,12 @@ mod tests {
 
     #[test]
     fn allow_does_not_cover_other_rules_or_far_lines() {
-        let src = "fn f() {\n    // lint:allow(panic-hygiene, wrong rule)\n    let g = m.lock().unwrap();\n}";
+        let src =
+            "fn f() {\n    // lint:allow(panic-hygiene, wrong rule)\n    stats.retries = 3;\n}";
         let out = lint_source("test.rs", src);
         assert_eq!(out.diagnostics.len(), 1);
-        assert_eq!(out.diagnostics[0].rule, POISON_SAFETY);
-        let src = "// lint:allow(poison-safety, too far away)\nfn a() {}\nfn f() { let g = m.lock().unwrap(); }";
+        assert_eq!(out.diagnostics[0].rule, SHARDSTATS_ACCESSOR);
+        let src = "// lint:allow(shardstats-accessor, too far away)\nfn a() {}\nfn f() { stats.retries = 3; }";
         let out = lint_source("test.rs", src);
         assert_eq!(out.diagnostics.len(), 1);
     }
@@ -1221,10 +882,10 @@ mod tests {
         let src = "//! Write `lint:allow(rule-name, reason)` above the line.\nfn f() {}";
         assert!(diags(src).is_empty(), "{:?}", diags(src));
         // …and must not suppress a real diagnostic either.
-        let src = "fn f() {\n    /// lint:allow(poison-safety, docs are not annotations)\n    let g = m.lock().unwrap();\n}";
+        let src = "fn f() {\n    /// lint:allow(shardstats-accessor, docs are not annotations)\n    stats.retries = 3;\n}";
         let out = lint_source("test.rs", src);
         assert_eq!(out.diagnostics.len(), 1);
-        assert_eq!(out.diagnostics[0].rule, POISON_SAFETY);
+        assert_eq!(out.diagnostics[0].rule, SHARDSTATS_ACCESSOR);
         assert!(out.suppressed.is_empty());
     }
 

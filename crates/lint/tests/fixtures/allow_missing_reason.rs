@@ -1,12 +1,10 @@
 // Fixture: malformed allow annotations. A reasonless or unknown-rule
 // annotation is an `allow-hygiene` diagnostic and suppresses nothing, so
-// the underlying poison-safety violation still fires too.
+// the underlying shardstats-accessor violation still fires too.
 
-use std::sync::Mutex;
-
-fn reasonless(m: &Mutex<u32>) -> u32 {
-    // lint:allow(poison-safety)
-    *m.lock().unwrap()
+fn reasonless(stats: &mut ShardStats) {
+    // lint:allow(shardstats-accessor)
+    stats.retries = 3;
 }
 
 // lint:allow(not-a-rule, the rule name does not exist)

@@ -2,17 +2,16 @@
 // deliberately suppressed with a reason, so the file has no diagnostics but
 // three recorded suppressions.
 
-use std::sync::{Mutex, PoisonError};
 use std::thread;
 
-fn poison_test_helper(m: &Mutex<u32>) -> u32 {
-    // lint:allow(poison-safety, this helper only runs in tests that never
-    // poison the mutex, and a panic here is the desired test failure)
-    *m.lock().unwrap()
+fn reviewed_direct_write(stats: &mut ShardStats) {
+    // lint:allow(shardstats-accessor, this helper only builds test fixtures,
+    // whose counters no cross-check reads)
+    stats.retries = 3;
 }
 
-fn delivery_under_lock(m: &Mutex<u32>, tx: &std::sync::mpsc::Sender<u32>) {
-    let guard = m.lock().unwrap_or_else(PoisonError::into_inner);
+fn delivery_under_lock(m: &Lock<u32>, tx: &std::sync::mpsc::Sender<u32>) {
+    let guard = m.lock();
     // lint:allow(guard-across-blocking, unbounded std mpsc send never blocks)
     tx.send(*guard).ok();
 }

@@ -1,11 +1,14 @@
-// Fixture: shardstats-accessor negative cases — accessor calls, reads,
-// comparisons, struct-literal construction, same-named fields on other
-// structs, and a reasoned suppression all stay clean.
+// Fixture: shardstats-accessor negative cases — reads, comparisons,
+// struct-literal and struct-update construction, same-named fields on
+// other structs, and a reasoned suppression all stay clean.
 
-fn accessors_are_the_idiom(stats: &mut ShardStats, state: &SharedState) {
-    stats.set_peak_inflight(state.shard_inflight_peak[stats.shard]);
-    stats.set_retries(state.shard_retries[stats.shard]);
-    stats.set_failovers(state.shard_failovers[stats.shard]);
+fn merge_the_tally_at_teardown(stats: ShardStats, tally: &CompleterTally) -> ShardStats {
+    ShardStats {
+        peak_inflight: tally.peak_inflight[stats.shard],
+        retries: tally.retries[stats.shard],
+        failovers: tally.failovers[stats.shard],
+        ..stats
+    }
 }
 
 fn reads_and_comparisons(stats: &ShardStats) -> u64 {

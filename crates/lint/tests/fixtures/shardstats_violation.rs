@@ -1,10 +1,10 @@
 // Fixture: shardstats-accessor violations — `ShardStats` counter fields
-// mutated directly outside `metrics.rs` instead of through their named
-// accessors: a plain assignment, a compound `+=`, and an `[..]`-indexed
-// receiver (the teardown-aggregation shape).
+// mutated after the value is built, outside `metrics.rs`: a plain
+// assignment, a compound `+=`, and an `[..]`-indexed receiver (the
+// teardown-aggregation shape).
 
-fn aggregate_teardown(stats: &mut ShardStats, state: &SharedState) {
-    stats.retries = state.shard_retries[stats.shard];
+fn aggregate_teardown(stats: &mut ShardStats, tally: &CompleterTally) {
+    stats.retries = tally.retries[stats.shard];
     stats.faults += 1;
 }
 

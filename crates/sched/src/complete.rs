@@ -735,7 +735,7 @@ impl Completer {
             let events = self.trace.events_for(seq, job_id);
             self.trace
                 .record_at(delivered_at, seq, TraceEventKind::Delivered { job: job_id });
-            StageBreakdown::from_events(&events, delivered_at)
+            StageBreakdown::from_events(&events, delivered_at.since_epoch())
         } else {
             None
         };

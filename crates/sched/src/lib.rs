@@ -116,20 +116,32 @@
 //!
 //! # Machine-checked invariants
 //!
-//! The concurrency rules this crate lives by are enforced by the in-tree
-//! `megis-lint` pass (`crates/lint`), which CI runs over every workspace
-//! source file. Each rule encodes an incident class from this crate's own
-//! history:
+//! The concurrency rules this crate lives by are checked by machine, each
+//! by the cheapest checker that can express it. Each encodes an incident
+//! class from this crate's own history.
 //!
-//! * **poison-safety** — never `.lock().unwrap()` / `.lock().expect(..)` on
-//!   a pipeline mutex. A worker panic poisons the mutexes it held; the
-//!   engine reports that through its own poison flag and keeps shutting
-//!   down. An `unwrap` on a poisoned lock reached *during that unwind*
-//!   (e.g. `Drop` → `stop_and_join`) panics-within-panic and aborts the
-//!   process instead of delivering the failure report. Locks here recover
-//!   with `.lock().unwrap_or_else(PoisonError::into_inner)` or go through
-//!   the named accessors (`Shared::lock`, `CommandQueues::lock`). The
-//!   incident: the shutdown path's stats reap did exactly this (PR 8).
+//! Types and clippy (`cargo clippy --all-targets -- -D warnings` in CI):
+//!
+//! * **Poison-safe locking** — every mutex is a crate-private `Lock<T>`
+//!   whose `lock` (and condvar `wait`) returns the guard recovered from
+//!   poisoning; there is no `Result` to unwrap. A worker panic poisons the
+//!   locks it held; the engine reports that through its own poison flag and
+//!   keeps shutting down, and an `unwrap` on a poisoned lock reached
+//!   *during that unwind* (e.g. `Drop` → teardown) would panic within the
+//!   panic and abort the process instead, as the shutdown path once did.
+//!   Clippy's `disallowed_types` (`clippy.toml`) rejects a bare
+//!   `std::sync::Mutex` or `RwLock` outside `Lock`.
+//! * **Unbounded pipeline channels** — clippy's `disallowed_methods`
+//!   rejects `mpsc::sync_channel`: a bounded send that blocks forever is
+//!   the stuck-pipeline class; the lookahead gate and the queue depth bound
+//!   what travels on the unbounded channels instead.
+//! * **Trace stamps from the sink's clock** — [`TraceSink::record_at`]
+//!   takes a [`TraceStamp`], which only [`TraceSink::now`] makes, so a
+//!   caller cannot stamp an event with an inline `Instant::now()` that
+//!   disabled tracing would still pay for (the overhead contract above).
+//!
+//! The in-tree `megis-lint` pass (`crates/lint`), which CI runs over every
+//! workspace source file, keeps what no type here can say:
 //!
 //! * **guard-across-blocking** — never hold a `MutexGuard` across
 //!   `send`/`recv`/`recv_timeout`/`join`/`thread::sleep`. Blocking while
@@ -141,12 +153,6 @@
 //!   (`run_completer`): delivery sends under the state lock, annotated
 //!   in-source with why an unbounded-channel send cannot block.
 //!
-//! * **clock-injection** — `trace.rs` reads the clock only in its
-//!   designated seams, and no `record_at(..)` call site passes an inline
-//!   `Instant::now()`/`.elapsed()`; stamps flow through the injectable
-//!   seam so disabled tracing never pays a clock read (the overhead
-//!   contract above).
-//!
 //! * **panic-hygiene** — any panic site inside a `thread::spawn` body
 //!   (`unwrap`, `expect`, panicking macros, indexing channel results) must
 //!   carry an inline `lint:allow(panic-hygiene, reason)` annotation: a
@@ -155,16 +161,10 @@
 //!   function the spawn body calls by bare name, transitively, so a thread
 //!   body moved into a named function (`shard_worker`) stays covered.
 //!
-//! * **bounded-send** — a plain `.send(..)` on a *bounded* channel sender
-//!   (`mpsc::sync_channel` / `SyncSender`) must either use the
-//!   non-blocking/timeout variants or carry a reasoned
-//!   `lint:allow(bounded-send, ..)`: a bounded send that blocks forever is
-//!   the stuck-pipeline class the command-deadline machinery exists for,
-//!   and every such block must argue its drain story in-source (the lint's
-//!   own fixture, `bounded_send_allow_with_reason_suppresses` in
-//!   `crates/lint/src/rules.rs`, shows the annotation). No bounded channel
-//!   is left in the engine: every pipeline channel is unbounded, and the
-//!   lookahead gate and the queue depth bound what travels on them.
+//! * **shardstats-accessor** — a [`ShardStats`] counter is never assigned
+//!   outside `metrics.rs`: a device's worker builds its own counters when it
+//!   exits and teardown merges in the completer's tally by struct update,
+//!   so the `faults == retries` cross-checks have one writer per counter.
 //!
 //! Suppressions are never silent: each needs a
 //! `// lint:allow(rule, reason)` with a mandatory reason, and the lint
@@ -207,6 +207,7 @@ mod complete;
 pub mod engine;
 pub mod fault;
 pub mod job;
+mod lock;
 pub mod metrics;
 pub mod model;
 pub mod queue;
@@ -224,5 +225,5 @@ pub use service::{JobHandle, ServiceSnapshot, StreamingEngine};
 pub use shard::ShardSet;
 pub use trace::{
     DeviceUsage, StageBreakdown, StragglerReport, TraceEvent, TraceEventKind, TraceLog, TraceSink,
-    TraceStage,
+    TraceStage, TraceStamp,
 };

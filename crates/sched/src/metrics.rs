@@ -203,34 +203,6 @@ pub struct ShardStats {
     pub dead: bool,
 }
 
-/// Named accessors for the counters other modules report into a
-/// [`ShardStats`]. Mutating the counter fields directly outside this module
-/// is a `megis-lint` diagnostic (`shardstats-accessor`): funneling every
-/// write through a named method keeps the accounting invariants — which
-/// counter means what, and who owns it — reviewable in one place.
-impl ShardStats {
-    /// Records the high-water mark of commands concurrently outstanding on
-    /// this shard's queue ([`ShardStats::peak_inflight`]), taken from the
-    /// tally the completer returns at teardown.
-    pub fn set_peak_inflight(&mut self, peak: usize) {
-        self.peak_inflight = peak;
-    }
-
-    /// Records the re-issues charged to this shard-of-record
-    /// ([`ShardStats::retries`]), taken from the tally the completer
-    /// returns at teardown.
-    pub fn set_retries(&mut self, retries: u64) {
-        self.retries = retries;
-    }
-
-    /// Records the re-issues routed away from this dead shard-of-record
-    /// ([`ShardStats::failovers`]), taken from the tally the completer
-    /// returns at teardown.
-    pub fn set_failovers(&mut self, failovers: u64) {
-        self.failovers = failovers;
-    }
-}
-
 /// Final accounting returned by [`crate::StreamingEngine::shutdown`].
 #[derive(Debug, Clone)]
 pub struct ServiceReport {

@@ -38,18 +38,10 @@ pub struct ModeledAccount {
     /// partition at internal bandwidth — the per-device Step 2 cost that the
     /// Fig. 15 partitioning divides across SSDs.
     pub shard_stream_time: SimDuration,
-    /// Modeled time for the *critical-path* device to stream-merge its
-    /// contiguous partition of the candidate reference indexes into a
-    /// partial unified index — the gating share of Step 3's in-SSD index
-    /// generation (Fig. 9) once the candidate list is partitioned across
-    /// the array. `step3::partition_candidates` cuts the list by modeled
-    /// cost, but a contiguous cut cannot split a candidate, so the loaded
-    /// device holds at most `total / shards` plus one candidate's worth of
-    /// overshoot (modeled at the workload's mean candidate granularity) —
-    /// the max per-device cost, not the ceiling-split average a count-based
-    /// partition would suggest. This prices the candidate indexes' SSD
-    /// *stream* spread over the array; the engine's CPU-side Step 3 merges
-    /// the index and maps the reads in one command per job instead.
+    /// Modeled time for one device to stream a job's whole candidate
+    /// reference-index volume — Step 3's in-SSD index generation (Fig. 9)
+    /// as the engine runs it: one self-contained command per job, served by
+    /// one device, so the shard count does not divide it.
     pub step3_stream_time: SimDuration,
 }
 
@@ -104,12 +96,9 @@ impl ModeledAccount {
             .expect("sharded system has at least one device");
         let shard_stream_time = per_shard_bytes(workload.metalign_db, shards)
             .time_at(shard_view.aggregate_internal_read_bandwidth());
-        let step3_stream_time = step3_max_device_bytes(
-            workload.candidate_reference_indexes,
-            workload.candidate_species,
-            shards,
-        )
-        .time_at(shard_view.aggregate_internal_read_bandwidth());
+        let step3_stream_time = workload
+            .candidate_reference_indexes
+            .time_at(shard_view.aggregate_internal_read_bandwidth());
 
         ModeledAccount {
             samples,
@@ -175,31 +164,6 @@ fn per_shard_bytes(
     megis_ssd::timing::ByteSize::from_bytes(database.as_bytes().div_ceil(shards as u64))
 }
 
-/// Bytes streamed by the critical-path device under the cost-aware
-/// contiguous candidate partition: `total / shards` plus at most one
-/// candidate's overshoot — the partitioner's worst case, because a
-/// contiguous prefix cut can overshoot the ideal boundary by less than one
-/// candidate but never more — capped at the whole volume. The overshoot
-/// granule is modeled at the workload's mean candidate index size
-/// (`total / candidates`); with paper-scale candidate counts it is
-/// negligible and scaling stays near-linear, while a coarse candidate set
-/// (few, large indexes) visibly saturates — the modeled form of the
-/// 8-device cliff the count-based split suffered everywhere.
-fn step3_max_device_bytes(
-    total: megis_ssd::timing::ByteSize,
-    candidates: u64,
-    shards: usize,
-) -> megis_ssd::timing::ByteSize {
-    let total_bytes = total.as_bytes();
-    if shards <= 1 || candidates == 0 {
-        return total;
-    }
-    let granule = total_bytes.div_ceil(candidates);
-    megis_ssd::timing::ByteSize::from_bytes(
-        (total_bytes.div_ceil(shards as u64) + granule).min(total_bytes),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -246,45 +210,12 @@ mod tests {
     }
 
     #[test]
-    fn step3_stream_time_divides_near_linearly_at_paper_granularity() {
-        // Partitioning the candidate indexes across devices divides the
-        // critical-path unified-index generation stream near-linearly: the
-        // max per-device cost is total/shards plus at most one candidate's
-        // overshoot, and at paper scale (thousands of candidates) that
-        // granule is negligible — but the ratio is strictly *below* an
-        // exact split, which only a count-based average would claim.
+    fn step3_stream_time_is_one_device_at_any_shard_count() {
+        // One Step 3 command per job, on one device: adding devices does
+        // not divide it.
         let one = account(4, 1).step3_stream_time;
-        let four = account(4, 4).step3_stream_time;
         assert!(one > SimDuration::from_secs(0.0));
-        let ratio = one / four;
-        assert!(
-            ratio > 3.95 && ratio <= 4.0,
-            "4-way split should nearly quarter the step 3 critical path, got {ratio:.3}x"
-        );
-    }
-
-    #[test]
-    fn step3_max_device_bytes_saturates_on_coarse_candidates() {
-        // 4 candidates over 8 devices: the critical-path device still holds
-        // a whole candidate (total/8 + granule = 1/8 + 1/4 of the volume),
-        // so doubling the device count past the candidate count cannot
-        // help — the modeled form of the 8-device cliff.
-        let total = ByteSize::from_bytes(4096);
-        let fine = step3_max_device_bytes(total, 4096, 8);
-        assert_eq!(fine.as_bytes(), 4096 / 8 + 1, "fine granule: near-exact");
-        let coarse = step3_max_device_bytes(total, 4, 8);
-        assert_eq!(coarse.as_bytes(), 4096 / 8 + 4096 / 4);
-        assert_eq!(
-            step3_max_device_bytes(total, 4, 16).as_bytes(),
-            4096 / 16 + 4096 / 4,
-            "past the candidate count the granule term dominates"
-        );
-        // Degenerate shapes stay total: one device, or an empty candidate
-        // set (nothing to overshoot on).
-        assert_eq!(step3_max_device_bytes(total, 4, 1), total);
-        assert_eq!(step3_max_device_bytes(total, 0, 8), total);
-        // The cap: a single candidate on many devices is just the volume.
-        assert_eq!(step3_max_device_bytes(total, 1, 8), total);
+        assert_eq!(account(4, 8).step3_stream_time, one);
     }
 
     #[test]

@@ -197,7 +197,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -207,6 +207,7 @@ use crate::complete::{Action, Completer, CompleterTally, Event, PreparedJob, Sha
 use crate::engine::EngineConfig;
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::job::{JobError, JobId, JobResult, JobSpec};
+use crate::lock::Lock;
 use crate::metrics::{LatencyStats, RollingWindow, ServiceReport, ShardStats};
 use crate::queue::{AdmissionError, JobQueue};
 use crate::shard::{CommandFailure, CommandOutput, ShardCommand, ShardSet, ShardWorker};
@@ -229,7 +230,7 @@ use crate::trace::{StageBreakdown, StragglerReport, TraceEventKind, TraceLog, Tr
 /// worker exits when its own queue is empty and no producer guard remains.
 #[derive(Debug)]
 struct CommandQueues {
-    inner: Mutex<QueuesInner>,
+    inner: Lock<QueuesInner>,
     /// Signaled on push and on producer release.
     ready: Condvar,
 }
@@ -244,7 +245,7 @@ struct QueuesInner {
 impl CommandQueues {
     fn new(shard_count: usize) -> Arc<CommandQueues> {
         Arc::new(CommandQueues {
-            inner: Mutex::new(QueuesInner {
+            inner: Lock::new(QueuesInner {
                 queues: (0..shard_count).map(|_| VecDeque::new()).collect(),
                 producers: 0,
             }),
@@ -252,17 +253,10 @@ impl CommandQueues {
         })
     }
 
-    fn lock(&self) -> MutexGuard<'_, QueuesInner> {
-        // Same poison recovery as `Shared::lock`: the engine's own poison
-        // flag is the failure signal, and teardown must keep draining while
-        // a panic unwinds.
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Registers a producing side; commands can be pushed while the guard
     /// lives, and workers only wind down once every guard is dropped.
     fn producer(self: &Arc<Self>) -> QueueProducer {
-        self.lock().producers += 1;
+        self.inner.lock().producers += 1;
         QueueProducer {
             queues: Arc::clone(self),
         }
@@ -272,7 +266,7 @@ impl CommandQueues {
     /// its back; `None` when no command can ever arrive again (queue
     /// drained, producers gone).
     fn pop(&self, index: usize) -> Option<ShardCommand> {
-        let mut inner = self.lock();
+        let mut inner = self.inner.lock();
         loop {
             if let Some(command) = inner.queues[index].pop_back() {
                 return Some(command);
@@ -280,10 +274,7 @@ impl CommandQueues {
             if inner.producers == 0 {
                 return None;
             }
-            inner = self
-                .ready
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner);
+            inner = self.inner.wait(&self.ready, inner);
         }
     }
 }
@@ -300,14 +291,14 @@ impl QueueProducer {
     /// is reported through the engine's poison flag, not through send
     /// errors.
     fn send(&self, shard: usize, command: ShardCommand) {
-        self.queues.lock().queues[shard].push_back(command);
+        self.queues.inner.lock().queues[shard].push_back(command);
         self.queues.ready.notify_all();
     }
 }
 
 impl Drop for QueueProducer {
     fn drop(&mut self) {
-        self.queues.lock().producers -= 1;
+        self.queues.inner.lock().producers -= 1;
         // Wake every waiting worker so it can re-check the exit condition.
         self.queues.ready.notify_all();
     }
@@ -378,7 +369,7 @@ struct ServiceState {
 /// also the only thread that frees them.
 #[derive(Debug)]
 struct Shared {
-    state: Mutex<ServiceState>,
+    state: Lock<ServiceState>,
     /// Signaled on submission and on delivery (Step 1 workers wait here for
     /// a job and for the lookahead gate to open).
     job_ready: Condvar,
@@ -390,7 +381,7 @@ impl Shared {
     /// The state of an engine that has served nothing yet.
     fn new(config: &EngineConfig, shard_count: usize) -> Shared {
         Shared {
-            state: Mutex::new(ServiceState {
+            state: Lock::new(ServiceState {
                 queue: JobQueue::new(config.policy, config.queue_capacity),
                 senders: HashMap::new(),
                 next_position: 0,
@@ -420,15 +411,6 @@ impl Shared {
             job_ready: Condvar::new(),
             idle: Condvar::new(),
         }
-    }
-
-    /// Locks the state, recovering from std mutex poisoning: the engine's
-    /// own `poisoned` flag (set by [`PanicGuard`]) is the real failure
-    /// signal, and teardown must keep working while a panic unwinds —
-    /// a `lock().unwrap()` during unwind would panic-within-panic and
-    /// abort the process.
-    fn lock(&self) -> MutexGuard<'_, ServiceState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -602,7 +584,7 @@ impl StreamingEngine {
 
     /// Jobs admitted but not yet dispatched to Step 1.
     pub fn pending(&self) -> usize {
-        self.shared.lock().queue.len()
+        self.shared.state.lock().queue.len()
     }
 
     /// Submits one job to the running service, from any thread: the
@@ -635,7 +617,7 @@ impl StreamingEngine {
     ) -> Result<Vec<JobHandle>, AdmissionError> {
         let specs: Vec<JobSpec> = specs.into_iter().collect();
         let handles: Vec<JobHandle> = {
-            let mut state = self.shared.lock();
+            let mut state = self.shared.state.lock();
             if !state.accepting {
                 return Err(AdmissionError::ShuttingDown);
             }
@@ -690,7 +672,7 @@ impl StreamingEngine {
     /// Blocks until no job is queued and none is in flight; `false` — at
     /// once — if the service is poisoned, whose jobs can never all complete.
     fn wait_quiescent(&self) -> bool {
-        let mut state = self.shared.lock();
+        let mut state = self.shared.state.lock();
         loop {
             if state.poisoned {
                 return false;
@@ -698,18 +680,14 @@ impl StreamingEngine {
             if state.queue.is_empty() && state.in_flight == 0 {
                 return true;
             }
-            state = self
-                .shared
-                .idle
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
+            state = self.shared.state.wait(&self.shared.idle, state);
         }
     }
 
     /// A live snapshot: queue depths, lifetime completions, per-shard
     /// command-queue occupancy, and the rolling latency/throughput window.
     pub fn snapshot(&self) -> ServiceSnapshot {
-        let state = self.shared.lock();
+        let state = self.shared.state.lock();
         ServiceSnapshot {
             pending: state.queue.len(),
             in_flight: state.in_flight,
@@ -730,7 +708,7 @@ impl StreamingEngine {
     /// Panics like [`StreamingEngine::drain`] if the service is poisoned
     /// (the engine's threads are still joined, by its destructor).
     pub fn shutdown(mut self) -> ServiceReport {
-        self.shared.lock().accepting = false;
+        self.shared.state.lock().accepting = false;
         self.drain();
         self.join_and_report()
     }
@@ -738,29 +716,32 @@ impl StreamingEngine {
     /// Stops and joins every pipeline thread of a drained (or poisoned)
     /// service and assembles the report.
     fn join_and_report(&mut self) -> ServiceReport {
-        self.shared.lock().stopping = true;
+        self.shared.state.lock().stopping = true;
         self.shared.job_ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // A shard worker that panicked yields no stats.
-        let mut shard_stats: Vec<ShardStats> = self
-            .shard_handles
-            .drain(..)
-            .filter_map(|handle| handle.join().ok())
-            .collect();
-        // A panicked completer yields no tally.
+        // A panicked completer yields no tally. The completer holds the
+        // queues' producer guard, so the shard workers exit after it does.
         let tally = self
             .completer
             .take()
             .and_then(|completer| completer.join().ok())
             .unwrap_or_else(|| CompleterTally::new(self.shards.shard_count()));
-        let state = self.shared.lock();
-        for stats in &mut shard_stats {
-            stats.set_peak_inflight(tally.peak_inflight[stats.shard]);
-            stats.set_retries(tally.retries[stats.shard]);
-            stats.set_failovers(tally.failovers[stats.shard]);
-        }
+        // A shard worker that panicked yields no stats. The completer's
+        // tally owns the queue and re-issue counters.
+        let shard_stats: Vec<ShardStats> = self
+            .shard_handles
+            .drain(..)
+            .filter_map(|handle| handle.join().ok())
+            .map(|stats| ShardStats {
+                peak_inflight: tally.peak_inflight[stats.shard],
+                retries: tally.retries[stats.shard],
+                failovers: tally.failovers[stats.shard],
+                ..stats
+            })
+            .collect();
+        let state = self.shared.state.lock();
         let (stage_breakdown, straggler, trace) = if self.trace.is_enabled() {
             let events = self.trace.events();
             let straggler = StragglerReport::from_events(&events, self.shards.shard_count());
@@ -798,7 +779,7 @@ impl Drop for StreamingEngine {
         // propagated the poison — skips the drain and only joins: its
         // threads exit on the poison flag, and a destructor must not panic.
         if self.completer.is_some() {
-            self.shared.lock().accepting = false;
+            self.shared.state.lock().accepting = false;
             let _ = self.wait_quiescent();
             let _ = self.join_and_report();
         }
@@ -816,7 +797,7 @@ struct PanicGuard<'a>(&'a Shared);
 impl Drop for PanicGuard<'_> {
     fn drop(&mut self) {
         if thread::panicking() {
-            let mut state = self.0.lock();
+            let mut state = self.0.state.lock();
             state.poisoned = true;
             state.accepting = false;
             state.senders.clear();
@@ -839,7 +820,7 @@ fn step1_worker(shared: &Shared, analyzer: &MegisAnalyzer, tx: &WorkerTx, trace:
         // stage, bounding the completer's reorder buffer even when one
         // sample's Step 1 is far slower than the rest.
         let (job, start_position) = {
-            let mut state = shared.lock();
+            let mut state = shared.state.lock();
             loop {
                 if state.poisoned {
                     return;
@@ -857,10 +838,7 @@ fn step1_worker(shared: &Shared, analyzer: &MegisAnalyzer, tx: &WorkerTx, trace:
                 }
                 // Woken by a submission, by the completer advancing the
                 // gate, or by shutdown/poison.
-                state = shared
-                    .job_ready
-                    .wait(state)
-                    .unwrap_or_else(PoisonError::into_inner);
+                state = shared.state.wait(&shared.job_ready, state);
             }
         };
         // Step1Started binds the job id to its dispatch sequence — the join
@@ -1099,7 +1077,7 @@ fn run_completer(
             }
         }
         let any_delivered = !delivered.is_empty();
-        let mut state = shared.lock();
+        let mut state = shared.state.lock();
         state.shard_inflight.copy_from_slice(core.inflight());
         let poisoned = state.poisoned;
         for (id, outcome) in delivered {
@@ -1167,7 +1145,7 @@ fn run_completer(
                     core.on(event, Instant::now());
                 }
             }
-            Err(RecvTimeoutError::Timeout) => shared.lock().completer_timeouts += 1,
+            Err(RecvTimeoutError::Timeout) => shared.state.lock().completer_timeouts += 1,
             // Every Step 1 worker and every shard worker exited. A shard
             // worker exits only once the producer is released, which
             // happens with nothing pending, or on a poison that dropped
@@ -1808,7 +1786,7 @@ mod tests {
         let c = community();
         let engine = StreamingEngine::new(analyzer(&c), EngineConfig::new());
         thread::scope(|scope| {
-            scope.spawn(|| engine.shared.lock().accepting = false);
+            scope.spawn(|| engine.shared.state.lock().accepting = false);
         });
         let jobs = (0..3).map(|i| JobSpec::new(format!("s{i}"), c.sample().clone()));
         assert_eq!(

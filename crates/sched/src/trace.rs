@@ -36,12 +36,16 @@
 //!
 //! Events are stamped as [`Duration`]s since the sink's epoch (the engine's
 //! start), so a whole trace serializes losslessly with
-//! [`TraceLog::to_json`].
+//! [`TraceLog::to_json`]. A caller that stamps an event itself passes a
+//! [`TraceStamp`], which only [`TraceSink::now`] makes: the sink's epoch is
+//! the one clock an event can be stamped with.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crate::lock::Lock;
 
 /// Sequence key used for events recorded before the job has an in-SSD
 /// dispatch position (admission happens before the scheduler assigns one).
@@ -166,6 +170,22 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
+/// A time since a sink's epoch, as [`TraceSink::now`] read it.
+///
+/// Only this module makes one, so [`TraceSink::record_at`] cannot be handed
+/// a clock read of the caller's own (`Instant::now()`, `.elapsed()`): that
+/// read would run even with tracing disabled, against the zero-cost
+/// contract of [`TraceSink::disabled`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceStamp(Duration);
+
+impl TraceStamp {
+    /// The time since the sink's epoch.
+    pub fn since_epoch(self) -> Duration {
+        self.0
+    }
+}
+
 /// Bounded ring of recorded events plus the count evicted once full.
 #[derive(Debug)]
 struct Ring {
@@ -177,7 +197,14 @@ struct Ring {
 #[derive(Debug)]
 struct SinkInner {
     epoch: Instant,
-    ring: Mutex<Ring>,
+    ring: Lock<Ring>,
+}
+
+impl SinkInner {
+    /// The sink's one clock read.
+    fn stamp(&self) -> TraceStamp {
+        TraceStamp(self.epoch.elapsed())
+    }
 }
 
 /// A cheap, bounded, multi-producer trace sink.
@@ -208,7 +235,7 @@ impl TraceSink {
         TraceSink {
             inner: Some(Arc::new(SinkInner {
                 epoch: Instant::now(),
-                ring: Mutex::new(Ring {
+                ring: Lock::new(Ring {
                     events: VecDeque::with_capacity(capacity.min(4096)),
                     capacity,
                     dropped: 0,
@@ -223,11 +250,10 @@ impl TraceSink {
     }
 
     /// Time since the sink's epoch (zero for a disabled sink).
-    pub fn now(&self) -> Duration {
+    pub fn now(&self) -> TraceStamp {
         self.inner
             .as_ref()
-            .map(|inner| inner.epoch.elapsed())
-            .unwrap_or(Duration::ZERO)
+            .map_or(TraceStamp(Duration::ZERO), |inner| inner.stamp())
     }
 
     /// Records one event stamped now. On a disabled sink this is a single
@@ -235,7 +261,7 @@ impl TraceSink {
     #[inline]
     pub fn record(&self, seq: usize, kind: TraceEventKind) {
         if let Some(inner) = &self.inner {
-            let at = inner.epoch.elapsed();
+            let at = inner.stamp().0;
             Self::push(inner, TraceEvent { at, seq, kind });
         }
     }
@@ -243,15 +269,42 @@ impl TraceSink {
     /// Records one event with an explicit timestamp (a [`TraceSink::now`]
     /// the caller already took, so a derived computation and its event agree
     /// on the instant).
+    ///
+    /// ```
+    /// use megis_sched::{TraceEventKind, TraceSink};
+    ///
+    /// let sink = TraceSink::bounded(16);
+    /// let at = sink.now();
+    /// sink.record_at(at, 0, TraceEventKind::ReduceStarted);
+    /// assert_eq!(sink.events()[0].at, at.since_epoch());
+    /// ```
+    ///
+    /// A stamp comes only from the sink: a clock read of the caller's own
+    /// does not compile.
+    ///
+    /// ```compile_fail,E0308
+    /// use megis_sched::{TraceEventKind, TraceSink};
+    /// use std::time::Instant;
+    ///
+    /// let sink = TraceSink::bounded(16);
+    /// sink.record_at(Instant::now().elapsed(), 0, TraceEventKind::ReduceStarted);
+    /// ```
     #[inline]
-    pub fn record_at(&self, at: Duration, seq: usize, kind: TraceEventKind) {
+    pub fn record_at(&self, at: TraceStamp, seq: usize, kind: TraceEventKind) {
         if let Some(inner) = &self.inner {
-            Self::push(inner, TraceEvent { at, seq, kind });
+            Self::push(
+                inner,
+                TraceEvent {
+                    at: at.0,
+                    seq,
+                    kind,
+                },
+            );
         }
     }
 
     fn push(inner: &SinkInner, event: TraceEvent) {
-        let mut ring = inner.ring.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut ring = inner.ring.lock();
         if ring.events.len() == ring.capacity {
             ring.events.pop_front();
             ring.dropped += 1;
@@ -263,13 +316,7 @@ impl TraceSink {
     pub fn dropped(&self) -> u64 {
         self.inner
             .as_ref()
-            .map(|inner| {
-                inner
-                    .ring
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .dropped
-            })
+            .map(|inner| inner.ring.lock().dropped)
             .unwrap_or(0)
     }
 
@@ -277,14 +324,7 @@ impl TraceSink {
     pub fn len(&self) -> usize {
         self.inner
             .as_ref()
-            .map(|inner| {
-                inner
-                    .ring
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .events
-                    .len()
-            })
+            .map(|inner| inner.ring.lock().events.len())
             .unwrap_or(0)
     }
 
@@ -297,16 +337,7 @@ impl TraceSink {
     pub fn events(&self) -> Vec<TraceEvent> {
         self.inner
             .as_ref()
-            .map(|inner| {
-                inner
-                    .ring
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .events
-                    .iter()
-                    .copied()
-                    .collect()
-            })
+            .map(|inner| inner.ring.lock().events.iter().copied().collect())
             .unwrap_or_default()
     }
 
@@ -320,7 +351,6 @@ impl TraceSink {
         inner
             .ring
             .lock()
-            .unwrap_or_else(PoisonError::into_inner)
             .events
             .iter()
             .filter(|e| {
@@ -778,6 +808,10 @@ mod tests {
         Duration::from_millis(v)
     }
 
+    fn stamp(v: u64) -> TraceStamp {
+        TraceStamp(ms(v))
+    }
+
     #[test]
     fn disabled_sink_records_nothing_and_reports_empty() {
         let sink = TraceSink::disabled();
@@ -789,14 +823,14 @@ mod tests {
         assert_eq!(sink.dropped(), 0);
         assert!(sink.events().is_empty());
         assert!(sink.events_for(3, 3).is_empty());
-        assert_eq!(sink.now(), Duration::ZERO);
+        assert_eq!(sink.now().since_epoch(), Duration::ZERO);
     }
 
     #[test]
     fn bounded_ring_evicts_oldest_and_counts_drops() {
         let sink = TraceSink::bounded(4);
         for seq in 0..6 {
-            sink.record_at(ms(seq as u64), seq, TraceEventKind::ReduceStarted);
+            sink.record_at(stamp(seq as u64), seq, TraceEventKind::ReduceStarted);
         }
         assert_eq!(sink.len(), 4);
         assert_eq!(sink.dropped(), 2);
@@ -814,10 +848,10 @@ mod tests {
     #[test]
     fn events_for_joins_seq_events_with_the_admission_by_job_id() {
         let sink = TraceSink::bounded(64);
-        sink.record_at(ms(0), NO_SEQ, TraceEventKind::Admitted { job: 7 });
-        sink.record_at(ms(1), NO_SEQ, TraceEventKind::Admitted { job: 8 });
-        sink.record_at(ms(2), 0, TraceEventKind::Step1Started { job: 7 });
-        sink.record_at(ms(3), 1, TraceEventKind::Step1Started { job: 8 });
+        sink.record_at(stamp(0), NO_SEQ, TraceEventKind::Admitted { job: 7 });
+        sink.record_at(stamp(1), NO_SEQ, TraceEventKind::Admitted { job: 8 });
+        sink.record_at(stamp(2), 0, TraceEventKind::Step1Started { job: 7 });
+        sink.record_at(stamp(3), 1, TraceEventKind::Step1Started { job: 8 });
         let events = sink.events_for(0, 7);
         assert_eq!(events.len(), 2);
         assert!(matches!(

@@ -100,7 +100,7 @@ fn main() -> ExitCode {
     );
     println!(
         "modeled ({} samples, {} shards): independent {:.1} s, pipelined {:.1} s ({:.2}x); \
-         per-shard db stream {:.1} s, step3 index stream {:.1} s",
+         per-shard db stream {:.1} s, one-device step3 index stream {:.1} s per job",
         modeled.samples,
         modeled.shards,
         modeled.independent_total().as_secs(),
