@@ -18,8 +18,8 @@
 //!   so it has to be visibly deliberate.
 //!
 //! * **shardstats-accessor** — a `ShardStats` counter field is never
-//!   assigned outside `metrics.rs`: the value is built once, in one struct
-//!   expression, so each counter has one writer.
+//!   assigned outside `metrics.rs`: the completer's tally fold there is
+//!   each counter's one writer, so a new count is a fact added to the fold.
 //!
 //! Three earlier rules are now checked by the compiler instead:
 //!

@@ -24,7 +24,8 @@ pub const GUARD_ACROSS_BLOCKING: &str = "guard-across-blocking";
 /// The panic-hygiene rule: unannotated panics inside `thread::spawn` bodies.
 pub const PANIC_HYGIENE: &str = "panic-hygiene";
 /// The shardstats-accessor rule: a `ShardStats` counter field mutated
-/// directly (`stats.retries = n`, `stats.jobs += 1`) outside `metrics.rs`.
+/// directly (`stats.retries = n`, `stats.jobs += 1`) outside the tally fold
+/// in `metrics.rs`.
 pub const SHARDSTATS_ACCESSOR: &str = "shardstats-accessor";
 /// Meta-rule for malformed `lint:allow` annotations; not suppressible.
 pub const ALLOW_HYGIENE: &str = "allow-hygiene";
@@ -628,13 +629,13 @@ const SHARDSTATS_COUNTERS: [&str; 10] = [
     "failovers",
 ];
 
-/// **shardstats-accessor** — a `ShardStats` is built, never mutated: its
-/// counters are written in the struct expression that makes the value
-/// (the device's own counters when its worker exits, the completer's tally
-/// merged in by struct update at teardown). A direct `=`/`+=` (or any
-/// other compound assignment) on a counter field outside `metrics.rs` is a
-/// diagnostic, so a new code path cannot silently skew the
-/// `faults == retries` style cross-checks the fault suite asserts.
+/// **shardstats-accessor** — a `ShardStats` counter is written only by the
+/// completer's tally fold in `metrics.rs`: the completer folds every
+/// completion, issue, re-issue and delivery there, so each counter has one
+/// writer. A direct `=`/`+=` (or any other compound assignment) on a
+/// counter field outside `metrics.rs` is a diagnostic, so a new code path
+/// cannot silently skew the `faults == retries` style cross-checks the
+/// fault suite asserts; a new count is a new fact added to the fold.
 ///
 /// Receivers are recognized lexically: the identifier (or `[..]`-indexed
 /// identifier) before the field access must contain `stats`
@@ -698,12 +699,12 @@ fn shardstats_accessor(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
             SHARDSTATS_ACCESSOR,
             format!(
                 "direct `{op}` write to `ShardStats` counter field `{field}` (receiver \
-                 `{receiver}`) outside `metrics.rs`: a `ShardStats` is built once, so each \
-                 counter has one writer and the accounting stays reviewable where it is built"
+                 `{receiver}`) outside `metrics.rs`: the completer's tally fold there is each \
+                 counter's one writer, so the accounting stays reviewable in one place"
             ),
-            "set the counter in the struct expression that builds the value (a literal, or a \
-             struct update `ShardStats { retries, ..stats }`), or annotate a deliberate \
-             exception with `// lint:allow(shardstats-accessor, why this direct write is sound)`",
+            "add the fact to the fold in `metrics.rs` (a tally method the completer calls), or \
+             annotate a deliberate exception with \
+             `// lint:allow(shardstats-accessor, why this direct write is sound)`",
         ));
     }
     out

@@ -1,10 +1,9 @@
 // Fixture: shardstats-accessor violations — `ShardStats` counter fields
-// mutated after the value is built, outside `metrics.rs`: a plain
-// assignment, a compound `+=`, and an `[..]`-indexed receiver (the
-// teardown-aggregation shape).
+// mutated outside the tally fold in `metrics.rs`: a plain assignment, a
+// compound `+=`, and an `[..]`-indexed receiver (the per-shard table shape).
 
-fn aggregate_teardown(stats: &mut ShardStats, tally: &CompleterTally) {
-    stats.retries = tally.retries[stats.shard];
+fn count_outside_the_fold(stats: &mut ShardStats, retries: u64) {
+    stats.retries = retries;
     stats.faults += 1;
 }
 

@@ -31,7 +31,12 @@
 //! (or the opening of a job with no intersect command) calls presence and
 //! appends the job's one Step 3 command to the backlog. A job is delivered
 //! once its Step 3 slot is filled — or it failed — and every earlier
-//! dispatch position has been delivered.
+//! dispatch position has been delivered, with the stage breakdown folded
+//! from the device stamps its accepted completions carried.
+//!
+//! **One tally.** Every completion reaped — stale ones too: the device did
+//! the work — and every issue, re-issue and delivery is folded into the
+//! [`Tally`] that becomes the [`crate::ServiceReport`]'s counters.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
@@ -46,10 +51,11 @@ use megis_genomics::sample::Sample;
 
 use crate::engine::EngineConfig;
 use crate::job::{JobError, JobId, JobResult, Priority};
+use crate::metrics::Tally;
 use crate::shard::{
     CommandFailure, CommandOutput, IntersectCommand, ShardCommand, ShardSet, Step3Command,
 };
-use crate::trace::{StageBreakdown, TraceEventKind, TraceSink, TraceStage};
+use crate::trace::{JobTimeline, TraceEventKind, TraceSink, TraceStage, TraceStamp};
 
 /// A Step 1 output in flight between the host stage and the in-SSD stage.
 pub(crate) struct PreparedJob {
@@ -63,27 +69,24 @@ pub(crate) struct PreparedJob {
     pub(crate) submitted_at: Instant,
     pub(crate) queue_wait: Duration,
     pub(crate) step1_time: Duration,
+    /// When Step 1 finished, on the trace clock.
+    pub(crate) step1_done: TraceStamp,
     pub(crate) step1: Step1Output,
 }
 
-/// One completion reaped from a shard, tagged with its origin. Completions
-/// are Result-shaped: a served command reports `Ok(output)`, a faulted one
-/// reports `Err(failure)` and the completer decides between retry,
-/// failover, and per-job failure.
+/// One answer from a device: `Ok(output)` for a served command, or the
+/// `Err(failure)` the completer retries, fails over, or fails the job on.
 pub(crate) struct ShardCompletion {
-    /// The *shard-of-record* the command names, not necessarily the device
-    /// that served it (the completer re-issues a dead shard's commands to a
-    /// live one). Depth accounting and the exactly-once folds key on this,
-    /// so failover is invisible to the completer's merge bookkeeping.
-    pub(crate) shard: usize,
-    pub(crate) seq: usize,
-    /// The attempt this completion settles; stale completions of superseded
-    /// attempts (a deadline re-issue overtook them) are ignored.
-    pub(crate) attempt: u32,
-    /// The command kind, carried explicitly so failed completions (which
-    /// have no output to infer it from) still settle the right stage
-    /// counter.
-    pub(crate) stage: TraceStage,
+    /// The command as popped: its key and attempt find the ledger entry it
+    /// settles, and its size is what the tally credits.
+    pub(crate) command: ShardCommand,
+    /// The device that answered — under failover not the shard-of-record.
+    pub(crate) device: usize,
+    /// Service time; a failure's is not counted.
+    pub(crate) busy: Duration,
+    /// Service start and finish on the trace clock (zero with tracing off).
+    pub(crate) started: TraceStamp,
+    pub(crate) done: TraceStamp,
     pub(crate) result: Result<CommandOutput, CommandFailure>,
 }
 
@@ -106,32 +109,6 @@ pub(crate) enum Action {
     Deliver(JobId, Box<Result<JobResult, JobError>>),
 }
 
-/// The counters only the completer writes, returned when it exits and
-/// merged into the [`crate::ServiceReport`] at shutdown.
-#[derive(Debug)]
-pub(crate) struct CompleterTally {
-    /// High-water mark of each shard's occupied depth slots.
-    pub(crate) peak_inflight: Vec<usize>,
-    /// Re-issues per shard-of-record.
-    pub(crate) retries: Vec<u64>,
-    /// Re-issues routed away from a dead shard-of-record.
-    pub(crate) failovers: Vec<u64>,
-    /// Issues that found a command of the *other* stage outstanding.
-    pub(crate) stage_overlap_events: u64,
-}
-
-impl CompleterTally {
-    /// The tally of a completer that has counted nothing on `shards`.
-    pub(crate) fn new(shards: usize) -> CompleterTally {
-        CompleterTally {
-            peak_inflight: vec![0; shards],
-            retries: vec![0; shards],
-            failovers: vec![0; shards],
-            stage_overlap_events: 0,
-        }
-    }
-}
-
 /// Deterministic capped exponential backoff for retry attempt `attempt`
 /// (0-based): `base × 2^min(attempt, 3)`. A zero base means immediate
 /// re-issue — the default, and what keeps the chaos tests fast.
@@ -146,14 +123,16 @@ fn backoff_delay(base: Duration, attempt: u32) -> Duration {
 /// stale).
 type CommandKey = (usize, usize, TraceStage);
 
+/// The ledger key of `command`.
+fn key(command: &ShardCommand) -> CommandKey {
+    (command.seq(), command.record_shard(), command.stage())
+}
+
 /// One issued-but-unresolved command, retained so it can be re-issued on a
 /// transient failure, a dead shard, or a blown deadline. Cheap to keep:
 /// commands share their sample/query payloads through `Arc`s.
 struct OutstandingCommand {
     command: ShardCommand,
-    /// The device the current attempt was put on; a dead-shard rejection
-    /// of that attempt marks this device dead.
-    device: usize,
     /// When the current attempt was issued; the command deadline measures
     /// from here.
     issued_at: Instant,
@@ -179,6 +158,8 @@ struct Job {
     /// Addition is not idempotent, so a second fold of one `(seq, shard)`
     /// must be a crash, not a silently doubled support.
     step2_folded: Vec<bool>,
+    /// When the devices served the job's accepted commands.
+    timeline: JobTimeline,
     /// Intersect completions still outstanding.
     remaining: usize,
     /// Step 2's presence call over the folded support, made the moment the
@@ -209,6 +190,7 @@ impl Job {
             isp_start,
             step2: Support::default(),
             step2_folded: vec![false; shards],
+            timeline: JobTimeline::default(),
             remaining: expected,
             presence: None,
             step3: None,
@@ -278,17 +260,16 @@ pub(crate) struct Completer {
     outstanding: BTreeMap<CommandKey, OutstandingCommand>,
     /// Occupied depth slots per shard-of-record: its ledger entries.
     inflight: Vec<usize>,
-    /// Ledger entries per stage, for stage-overlap observation.
-    intersect_inflight: usize,
-    step3_inflight: usize,
-    /// Devices that answered a command with a dead-shard rejection;
-    /// [`Completer::pick_target`] routes every issue and re-issue away from
-    /// them.
-    dead: Vec<bool>,
+    /// Ledger entries per stage (indexed by `TraceStage as usize`), for
+    /// stage-overlap observation.
+    stage_inflight: [usize; 2],
     /// Step 1 workers that have not exited; at 0 no further sample can
     /// arrive.
     live_workers: usize,
-    tally: CompleterTally,
+    /// Every count the report carries. Its dead flags — set by a device's
+    /// dead-shard rejection — are what [`Completer::pick_target`] routes
+    /// every issue and re-issue away from.
+    tally: Tally,
 }
 
 impl Completer {
@@ -316,11 +297,9 @@ impl Completer {
             backlog: VecDeque::new(),
             outstanding: BTreeMap::new(),
             inflight: vec![0; shard_count],
-            intersect_inflight: 0,
-            step3_inflight: 0,
-            dead: vec![false; shard_count],
+            stage_inflight: [0; 2],
             live_workers: config.workers,
-            tally: CompleterTally::new(shard_count),
+            tally: Tally::new(shard_count),
         }
     }
 
@@ -358,7 +337,9 @@ impl Completer {
                 .expect("checked above");
             self.next_to_deliver += 1;
             let id = job.prepared.id;
-            actions.push(Action::Deliver(id, Box::new(self.finalize(job, now))));
+            let outcome = self.finalize(job, now);
+            self.tally.delivered(&outcome);
+            actions.push(Action::Deliver(id, Box::new(outcome)));
         }
         actions
     }
@@ -398,8 +379,8 @@ impl Completer {
         &self.inflight
     }
 
-    /// The counters the completer kept over its lifetime.
-    pub(crate) fn into_tally(self) -> CompleterTally {
+    /// The counts the completer folded over its lifetime.
+    pub(crate) fn into_tally(self) -> Tally {
         self.tally
     }
 
@@ -446,37 +427,38 @@ impl Completer {
         }
     }
 
-    /// Books one completion into its job and frees the command's slot — or,
-    /// for a failed attempt, schedules a retry or fails the owning job.
-    /// Completions whose command is no longer in the ledger (the job already
-    /// failed) or whose attempt counter is stale (the command was already
-    /// re-issued after a blown deadline) are discarded entirely: their slot
-    /// was already freed exactly once.
+    /// Counts one completion against the device that answered — whatever
+    /// it settles, the device did the work — then books it into its job and
+    /// frees the command's slot, or, for a failed attempt, schedules a retry
+    /// or fails the owning job. A completion whose command left the ledger
+    /// (its job failed) or whose attempt is stale (a blown deadline already
+    /// re-issued it) settles nothing: its slot was freed exactly once.
     fn reap(&mut self, completion: ShardCompletion, now: Instant) {
-        let key: CommandKey = (completion.seq, completion.shard, completion.stage);
+        self.tally.answered(&completion);
+        let key = key(&completion.command);
         let Some(entry) = self.outstanding.get(&key) else {
             return;
         };
-        if entry.command.attempt() != completion.attempt {
+        if entry.command.attempt() != completion.command.attempt() {
             return;
         }
         let output = match completion.result {
             Ok(output) => output,
             Err(failure) => return self.handle_failure(key, failure, now),
         };
+        let (seq, shard, stage) = key;
         self.outstanding.remove(&key);
-        self.release(completion.shard, completion.stage);
+        self.release(shard, stage);
         // A ledgered command's job is open and unfailed: failing a job
         // retires its commands from the ledger.
-        let job = self
-            .jobs
-            .get_mut(&completion.seq)
-            .expect("completion for an open job");
+        let job = self.jobs.get_mut(&seq).expect("completion for an open job");
+        job.timeline
+            .fold(stage, completion.started, completion.done);
         match output {
             CommandOutput::Intersection(support) => {
-                job.fold_step2(completion.shard, support);
+                job.fold_step2(shard, support);
                 if job.remaining == 0 {
-                    self.start_step3(completion.seq);
+                    self.start_step3(seq);
                 }
             }
             CommandOutput::Step3(output) => job.fold_step3(output),
@@ -492,9 +474,6 @@ impl Completer {
             return;
         };
         let attempt = entry.command.attempt();
-        if failure == CommandFailure::ShardDead {
-            self.dead[entry.device] = true;
-        }
         if failure == CommandFailure::Panicked {
             self.fail_job(seq, |job| JobError::WorkerPanicked { job, shard });
         } else if attempt >= self.retry_budget {
@@ -551,12 +530,11 @@ impl Completer {
         };
         let entry = self.outstanding.get_mut(&key).expect("checked above");
         entry.command.bump_attempt();
-        entry.device = target;
         entry.issued_at = now;
         entry.retry_at = None;
         let attempt = entry.command.attempt();
         let command = entry.command.clone();
-        self.tally.retries[shard] += 1;
+        self.tally.retried(shard, target != shard);
         self.trace.record(
             seq,
             TraceEventKind::Retry {
@@ -566,7 +544,6 @@ impl Completer {
             },
         );
         if target != shard {
-            self.tally.failovers[shard] += 1;
             self.trace.record(
                 seq,
                 TraceEventKind::Failover {
@@ -591,10 +568,10 @@ impl Completer {
     /// the record shard while it lives, else the next live shard by index;
     /// `None` when every device is dead.
     fn pick_target(&self, record: usize) -> Option<usize> {
-        let shard_count = self.dead.len();
+        let shard_count = self.shards.shard_count();
         (0..shard_count)
             .map(|offset| (record + offset) % shard_count)
-            .find(|&shard| !self.dead[shard])
+            .find(|&shard| !self.tally.is_dead(shard))
     }
 
     /// Marks job `seq` failed in place — the first error sticks, and the job
@@ -653,7 +630,7 @@ impl Completer {
     /// job.
     fn submit_backlog(&mut self, now: Instant, actions: &mut Vec<Action>) {
         for command in std::mem::take(&mut self.backlog) {
-            let (seq, record, stage) = (command.seq(), command.record_shard(), command.stage());
+            let (seq, record, stage) = key(&command);
             if self.inflight[record] >= self.queue_depth {
                 self.backlog.push_back(command);
                 continue;
@@ -671,7 +648,6 @@ impl Completer {
                 (seq, record, stage),
                 OutstandingCommand {
                     command: command.clone(),
-                    device,
                     issued_at: now,
                     retry_at: None,
                 },
@@ -680,35 +656,26 @@ impl Completer {
         }
     }
 
-    /// Takes one depth slot of `shard` for a `stage` command: raises the
-    /// shard's high-water mark, and counts a stage overlap if a command of
-    /// the other stage is outstanding.
+    /// Takes one depth slot of `shard` for a `stage` command and tallies
+    /// the shard's occupancy and whether a command of the other stage is
+    /// outstanding.
     fn occupy(&mut self, shard: usize, stage: TraceStage) {
         self.inflight[shard] += 1;
-        let peak = &mut self.tally.peak_inflight[shard];
-        *peak = (*peak).max(self.inflight[shard]);
-        let (own, other) = match stage {
-            TraceStage::Intersect => (&mut self.intersect_inflight, self.step3_inflight),
-            TraceStage::Step3 => (&mut self.step3_inflight, self.intersect_inflight),
-        };
-        *own += 1;
-        if other > 0 {
-            self.tally.stage_overlap_events += 1;
-        }
+        self.stage_inflight[stage as usize] += 1;
+        let overlaps = self.stage_inflight[1 - stage as usize] > 0;
+        self.tally.issued(shard, self.inflight[shard], overlaps);
     }
 
     /// Frees the slot [`Completer::occupy`] took, exactly once per command:
     /// when it leaves the ledger.
     fn release(&mut self, shard: usize, stage: TraceStage) {
         self.inflight[shard] -= 1;
-        match stage {
-            TraceStage::Intersect => self.intersect_inflight -= 1,
-            TraceStage::Step3 => self.step3_inflight -= 1,
-        }
+        self.stage_inflight[stage as usize] -= 1;
     }
 
     /// Assembles one job's output from its folded Step 2 support, presence
-    /// call and Step 3 result; a failed job yields its error.
+    /// call and Step 3 result, and — with tracing on — its stage breakdown
+    /// from its folded timeline; a failed job yields its error.
     fn finalize(&self, job: Job, now: Instant) -> Result<JobResult, JobError> {
         let seq = job.prepared.start_position;
         let job_id = job.prepared.id.0;
@@ -717,7 +684,9 @@ impl Completer {
                 .record(seq, TraceEventKind::Delivered { job: job_id });
             return Err(error);
         }
-        self.trace.record(seq, TraceEventKind::ReduceStarted);
+        let reduce_started = self.trace.now();
+        self.trace
+            .record_at(reduce_started, seq, TraceEventKind::ReduceStarted);
         let step3 = job.step3.expect("complete job has its step 3 result");
         let output = MegisOutput {
             presence: Arc::unwrap_or_clone(job.presence.expect("complete job called presence")),
@@ -727,19 +696,20 @@ impl Completer {
             mapped_reads: step3.mapped_reads,
         };
         self.trace.record(seq, TraceEventKind::ReduceFinished);
-        // Reconstruct the job's stage timeline from its own events, stamped
-        // with the same instant the Delivered event gets, so the breakdown's
-        // telescoping total spans exactly admission→delivery.
-        let breakdown = if self.trace.is_enabled() {
-            let delivered_at = self.trace.now();
-            let events = self.trace.events_for(seq, job_id);
-            self.trace
-                .record_at(delivered_at, seq, TraceEventKind::Delivered { job: job_id });
-            StageBreakdown::from_events(&events, delivered_at.since_epoch())
-        } else {
-            None
-        };
         let prepared = job.prepared;
+        // The breakdown ends at the instant the Delivered event gets.
+        let breakdown = self.trace.is_enabled().then(|| {
+            let delivered = self.trace.now();
+            self.trace
+                .record_at(delivered, seq, TraceEventKind::Delivered { job: job_id });
+            job.timeline.breakdown(
+                prepared.queue_wait,
+                prepared.step1_time,
+                prepared.step1_done,
+                reduce_started,
+                delivered,
+            )
+        });
         Ok(JobResult {
             id: prepared.id,
             label: prepared.label,
@@ -835,34 +805,52 @@ mod tests {
             submitted_at: now,
             queue_wait: Duration::ZERO,
             step1_time: Duration::ZERO,
+            step1_done: TraceSink::disabled().now(),
             step1: f.step1[sample].clone(),
         }
     }
 
-    /// A completer on `config.shards` shards and a device that serves any
-    /// of them.
-    fn core(config: &EngineConfig) -> (Completer, ShardWorker) {
+    /// A completer on `config.shards` shards recording into `trace`, and a
+    /// device that serves any of the shards.
+    fn traced_core(config: &EngineConfig, trace: TraceSink) -> (Completer, ShardWorker) {
         let f = fixture();
         let shards = ShardSet::build(f.analyzer.database(), config.shards);
         let device = ShardWorker::new(shards.clone(), Arc::clone(&f.analyzer));
-        let core = Completer::new(
-            Arc::clone(&f.analyzer),
-            shards,
-            config,
-            TraceSink::disabled(),
-        );
+        let core = Completer::new(Arc::clone(&f.analyzer), shards, config, trace);
         (core, device)
     }
 
-    /// The completion answering `command` with `result`.
-    fn answer(command: &ShardCommand, result: Result<CommandOutput, CommandFailure>) -> Event {
-        Event::Completed(ShardCompletion {
-            shard: command.record_shard(),
-            seq: command.seq(),
-            attempt: command.attempt(),
-            stage: command.stage(),
+    /// [`traced_core`] with tracing off.
+    fn core(config: &EngineConfig) -> (Completer, ShardWorker) {
+        traced_core(config, TraceSink::disabled())
+    }
+
+    /// `device`'s answer to `command`: `result`, with no busy time and
+    /// untraced stamps.
+    fn completion(
+        command: &ShardCommand,
+        device: usize,
+        result: Result<CommandOutput, CommandFailure>,
+    ) -> ShardCompletion {
+        let at = TraceSink::disabled().now();
+        ShardCompletion {
+            command: command.clone(),
+            device,
+            busy: Duration::ZERO,
+            started: at,
+            done: at,
             result,
-        })
+        }
+    }
+
+    /// The shard-of-record's answer to `command` with `result`.
+    fn answer(command: &ShardCommand, result: Result<CommandOutput, CommandFailure>) -> Event {
+        Event::Completed(completion(command, command.record_shard(), result))
+    }
+
+    /// Per-shard `f` of the core's tally.
+    fn per_shard<T>(core: &Completer, f: impl Fn(&crate::ShardStats) -> T) -> Vec<T> {
+        core.tally.shards.iter().map(f).collect()
     }
 
     /// Splits settled actions into issued commands and delivered outcomes.
@@ -1005,7 +993,7 @@ mod tests {
             panic!("the job survives its retries: {delivered:?}");
         };
         assert_eq!(result.output, fixture().expected[MAPPED]);
-        assert_eq!(core.tally.retries, [5]);
+        assert_eq!(per_shard(&core, |s| s.retries), [5]);
     }
 
     #[test]
@@ -1033,19 +1021,140 @@ mod tests {
             "the deadline re-arms"
         );
         // The stuck attempt answers late: stale, so nothing is folded and
-        // the slot is not freed a second time.
-        core.on(answer(&stuck, Ok(device.serve(&stuck))), now);
+        // the slot is not freed a second time — yet the device did the
+        // work, and the tally credits it.
+        let busy = |ms| Duration::from_millis(ms);
+        let late = ShardCompletion {
+            busy: busy(3),
+            ..completion(&stuck, 0, Ok(device.serve(&stuck)))
+        };
+        core.on(Event::Completed(late), now);
         assert_eq!(core.inflight(), [1]);
         assert_eq!(core.jobs[&0].remaining, 1);
-        core.on(answer(&retry, Ok(device.serve(&retry))), now);
+        let ShardCommand::Intersect(intersect) = &stuck else {
+            panic!("a sample opens with an intersect command");
+        };
+        let items = intersect.range.len() as u64;
+        assert_eq!(per_shard(&core, |s| (s.jobs, s.query_items)), [(1, items)]);
+        assert_eq!(per_shard(&core, |s| s.busy), [busy(3)]);
+        let current = ShardCompletion {
+            busy: busy(2),
+            ..completion(&retry, 0, Ok(device.serve(&retry)))
+        };
+        core.on(Event::Completed(current), now);
         assert_eq!(core.inflight(), [0], "freed once, by the current attempt");
+        assert_eq!(
+            per_shard(&core, |s| (s.jobs, s.query_items, s.busy)),
+            [(2, 2 * items, busy(5))],
+            "the late answer and the current one both count"
+        );
         let (issued, _) = split(core.settle(now));
         let delivered = serve_until_delivered(&mut core, &device, issued, now);
         let [Ok(result)] = &delivered[..] else {
             panic!("the job survives its deadline: {delivered:?}");
         };
         assert_eq!(result.output, fixture().expected[MAPPED]);
-        assert_eq!(core.tally.retries, [1]);
+        assert_eq!(per_shard(&core, |s| s.retries), [1]);
+    }
+
+    /// Serves `command` on its shard-of-record as a device that started at
+    /// `started` and finished at `done`.
+    fn served_at(
+        device: &ShardWorker,
+        command: &ShardCommand,
+        started: TraceStamp,
+        done: TraceStamp,
+    ) -> Event {
+        Event::Completed(ShardCompletion {
+            started,
+            done,
+            ..completion(command, command.record_shard(), Ok(device.serve(command)))
+        })
+    }
+
+    /// A traced sink and a clock on it that moves by at least a millisecond
+    /// per reading.
+    fn ticking_trace() -> (TraceSink, impl Fn() -> TraceStamp) {
+        let trace = TraceSink::bounded(1024);
+        let clock = trace.clone();
+        let tick = move || {
+            std::thread::sleep(Duration::from_millis(1));
+            clock.now()
+        };
+        (trace, tick)
+    }
+
+    #[test]
+    fn step2_wait_runs_to_the_earliest_device_start_whatever_the_completion_order() {
+        // The job's two intersect commands overlap on two devices, and the
+        // later-started one finishes first, so its completion arrives first.
+        // Step 2's window still opens at the earlier start and closes at the
+        // later finish.
+        let (trace, tick) = ticking_trace();
+        let (mut core, device) = traced_core(&EngineConfig::new().with_shards(2), trace);
+        let now = Instant::now();
+        let step1_done = tick();
+        let job = PreparedJob {
+            step1_done,
+            ..prepared(0, MAPPED, now)
+        };
+        core.on(Event::Prepared(job), now);
+        let (issued, _) = split(core.settle(now));
+        let [early, late] = &issued[..] else {
+            panic!("one intersect command per shard: {}", issued.len());
+        };
+        let (early_start, late_start, late_done, early_done) = (tick(), tick(), tick(), tick());
+        core.on(served_at(&device, late, late_start, late_done), now);
+        core.on(served_at(&device, early, early_start, early_done), now);
+        let (issued, _) = split(core.settle(now));
+        let delivered = serve_until_delivered(&mut core, &device, issued, now);
+        let [Ok(result)] = &delivered[..] else {
+            panic!("one job served: {delivered:?}");
+        };
+        let b = result.breakdown.expect("tracing is on");
+        let span = |from: TraceStamp, to: TraceStamp| to.since_epoch() - from.since_epoch();
+        assert_eq!(b.step2_wait, span(step1_done, early_start));
+        assert_eq!(b.step2_service, span(early_start, early_done));
+    }
+
+    #[test]
+    fn a_faulted_attempt_leaves_the_job_timeline_alone() {
+        // The first attempt fails at an early instant; only the retry that
+        // served the command opens the job's Step 2 window.
+        let (trace, tick) = ticking_trace();
+        let (mut core, device) = traced_core(&EngineConfig::new().with_shards(1), trace);
+        let now = Instant::now();
+        let step1_done = tick();
+        let job = PreparedJob {
+            step1_done,
+            ..prepared(0, MAPPED, now)
+        };
+        core.on(Event::Prepared(job), now);
+        let (mut issued, _) = split(core.settle(now));
+        let first = issued.pop().expect("one intersect command");
+        let failed_at = tick();
+        core.on(
+            Event::Completed(ShardCompletion {
+                started: failed_at,
+                done: failed_at,
+                ..completion(&first, 0, Err(CommandFailure::Transient))
+            }),
+            now,
+        );
+        let (mut issued, _) = split(core.settle(now));
+        let retry = issued.pop().expect("re-issued at once");
+        let (started, done) = (tick(), tick());
+        core.on(served_at(&device, &retry, started, done), now);
+        let (issued, _) = split(core.settle(now));
+        let delivered = serve_until_delivered(&mut core, &device, issued, now);
+        let [Ok(result)] = &delivered[..] else {
+            panic!("the job survives its fault: {delivered:?}");
+        };
+        let b = result.breakdown.expect("tracing is on");
+        let span = |from: TraceStamp, to: TraceStamp| to.since_epoch() - from.since_epoch();
+        assert_eq!(b.step2_wait, span(step1_done, started));
+        assert_eq!(b.step2_service, span(started, done));
+        assert_eq!(per_shard(&core, |s| s.faults), [1]);
     }
 
     /// One seeded schedule over the core: the devices are
@@ -1063,25 +1172,23 @@ mod tests {
         queues: Vec<Vec<ShardCommand>>,
         popped: Vec<u64>,
         faults: u64,
+        /// Answers that served their command.
+        served: u64,
+        /// Per device, whether it answered a command after its death.
+        answered_dead: Vec<bool>,
         failed_attempts: HashSet<(CommandKey, u32)>,
         deadline_expired: bool,
         delivered: Vec<(JobId, Result<JobResult, JobError>)>,
     }
 
     impl Schedule {
-        fn key(command: &ShardCommand) -> CommandKey {
-            (command.seq(), command.record_shard(), command.stage())
-        }
-
         fn settle(&mut self, now: Instant) {
             for action in self.core.settle(now) {
                 match action {
                     Action::Issue(device, command) => {
                         let attempt = command.attempt();
                         if attempt > 0
-                            && !self
-                                .failed_attempts
-                                .contains(&(Self::key(&command), attempt - 1))
+                            && !self.failed_attempts.contains(&(key(&command), attempt - 1))
                         {
                             self.deadline_expired = true;
                         }
@@ -1107,7 +1214,8 @@ mod tests {
             let command = self.queues[device].swap_remove(index);
             self.popped[device] += 1;
             let dead = self.death_after[device].is_some_and(|after| self.popped[device] > after);
-            let (seq, record, stage) = Self::key(&command);
+            let (seq, record, stage) = key(&command);
+            self.answered_dead[device] |= dead;
             let result = if dead {
                 Err(CommandFailure::ShardDead)
             } else if self.plan.decide(seq, record, stage, command.attempt())
@@ -1120,9 +1228,11 @@ mod tests {
             if result.is_err() {
                 self.faults += 1;
                 self.failed_attempts
-                    .insert((Self::key(&command), command.attempt()));
+                    .insert((key(&command), command.attempt()));
+            } else {
+                self.served += 1;
             }
-            answer(&command, result)
+            Event::Completed(completion(&command, device, result))
         }
     }
 
@@ -1147,6 +1257,8 @@ mod tests {
             queues: vec![Vec::new(); config.shards],
             popped: vec![0; config.shards],
             faults: 0,
+            served: 0,
+            answered_dead: vec![false; config.shards],
             failed_attempts: HashSet::new(),
             deadline_expired: false,
             delivered: Vec::new(),
@@ -1196,6 +1308,19 @@ mod tests {
             ids,
             (0..jobs.len() as u64).collect::<Vec<_>>(),
             "seed {seed}: delivery order"
+        );
+        // The tally counted exactly what the devices answered.
+        let sum = |f: fn(&crate::ShardStats) -> u64| -> u64 { per_shard(&s.core, f).iter().sum() };
+        assert_eq!(sum(|st| st.faults), s.faults, "seed {seed}: faults");
+        assert_eq!(
+            sum(|st| st.jobs + st.step3_jobs),
+            s.served,
+            "seed {seed}: served commands"
+        );
+        assert_eq!(
+            per_shard(&s.core, |st| st.dead),
+            s.answered_dead,
+            "seed {seed}: dead devices"
         );
         s
     }
@@ -1248,7 +1373,7 @@ mod tests {
                     }
                 }
                 if !s.deadline_expired {
-                    let retries: u64 = s.core.tally.retries.iter().sum();
+                    let retries: u64 = per_shard(&s.core, |st| st.retries).iter().sum();
                     assert_eq!(retries, s.faults, "every fault is retried once");
                 }
             });
@@ -1272,7 +1397,7 @@ mod tests {
                         "job {id:?}: {outcome:?}"
                     );
                 }
-                assert!(s.core.dead.iter().all(|&dead| dead));
+                assert!(per_shard(&s.core, |st| st.dead).iter().all(|&dead| dead));
             });
         }
     }

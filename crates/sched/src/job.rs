@@ -105,12 +105,12 @@ pub struct JobResult {
     pub isp_time: Duration,
     /// Total latency from submission to completion.
     pub latency: Duration,
-    /// Per-stage decomposition of the job's latency, reconstructed from the
-    /// pipeline trace: `None` when tracing was disabled
-    /// ([`crate::EngineConfig::trace_capacity`]) or the trace ring evicted
-    /// the job's early events. For streaming submissions
-    /// [`StageBreakdown::total`] matches [`JobResult::latency`] to well
-    /// under 1% (the two are measured independently).
+    /// Per-stage decomposition of the job's latency, folded by the completer
+    /// from the job's own timeline: `None` when tracing was disabled
+    /// ([`crate::EngineConfig::trace_capacity`]); however small the trace
+    /// ring, it never reads it. [`StageBreakdown::total`] matches
+    /// [`JobResult::latency`] to well under 1% (the two are measured
+    /// independently).
     pub breakdown: Option<StageBreakdown>,
 }
 

@@ -49,7 +49,7 @@
 //!   chaos suite (`tests/fault_tolerance.rs`),
 //! * [`metrics`] — operational metrics ([`ServiceReport`]: latency
 //!   percentiles, per-shard utilization and busy accounting, degraded-mode
-//!   counters; [`RollingWindow`] for the live view),
+//!   counters, folded by the completer; [`RollingWindow`] for the live view),
 //! * [`model`] — the paper-scale modeled-time account ([`ModeledAccount`]),
 //!   cross-checking a batch shape against
 //!   `MegisTimingModel::multi_sample_breakdown` and the Fig. 15 shard
@@ -97,13 +97,14 @@
 //! pipeline thread then records timestamped lifecycle events into one
 //! bounded, multi-producer [`TraceSink`]: job admission, Step 1 start/end,
 //! per-`(seq, shard)` command issued/started/completed for both in-SSD
-//! command kinds, reduce start/end, delivery. Two analyses are built on the
-//! event log and surfaced on [`JobResult`] and [`ServiceReport`]:
+//! command kinds, reduce start/end, delivery. Two analyses are surfaced on
+//! [`JobResult`] and [`ServiceReport`]:
 //!
 //! * [`StageBreakdown`] — each job's submission→delivery wall clock,
 //!   partitioned into telescoping stage segments (queue wait, Step 1,
 //!   per-stage queue wait vs. device service, reduce barrier, reduce), so
-//!   the segments sum to the job's end-to-end latency;
+//!   the segments sum to the job's end-to-end latency. The completer folds
+//!   it from the job's own timeline, never from the ring;
 //! * [`StragglerReport`] — per-device busy/stall/idle fractions and
 //!   per-device Step 3 busy time with the max/min skew.
 //!
@@ -162,9 +163,8 @@
 //!   body moved into a named function (`shard_worker`) stays covered.
 //!
 //! * **shardstats-accessor** — a [`ShardStats`] counter is never assigned
-//!   outside `metrics.rs`: a device's worker builds its own counters when it
-//!   exits and teardown merges in the completer's tally by struct update,
-//!   so the `faults == retries` cross-checks have one writer per counter.
+//!   outside `metrics.rs`: the completer's tally fold there is each
+//!   counter's one writer, so the `faults == retries` cross-checks hold.
 //!
 //! Suppressions are never silent: each needs a
 //! `// lint:allow(rule, reason)` with a mandatory reason, and the lint

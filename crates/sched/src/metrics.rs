@@ -1,10 +1,14 @@
 //! Operational metrics: latency percentiles, per-shard busy accounting, the
 //! rolling window the service reports while it is live, and the
-//! [`ServiceReport`] it returns at shutdown.
+//! [`ServiceReport`] it returns at shutdown, whose counts the completer
+//! folds into one `Tally` as it reaps, issues and delivers.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+use crate::complete::ShardCompletion;
+use crate::job::{JobError, JobResult};
+use crate::shard::{CommandFailure, ShardCommand};
 use crate::trace::{StageBreakdown, StragglerReport, TraceLog};
 
 /// Latency distribution over a set of completed jobs.
@@ -93,16 +97,12 @@ impl RollingWindow {
         }
     }
 
-    /// Records one completion (now) with the given end-to-end latency,
-    /// evicting the oldest entry once the window is full.
-    pub fn record(&mut self, latency: Duration) {
-        self.record_at(Instant::now(), latency);
-    }
-
-    /// Records one completion at an explicit instant — the injectable form
-    /// [`RollingWindow::record`] wraps, so [`RollingWindow::throughput`] is
-    /// deterministically testable. Entries are expected in non-decreasing
-    /// instant order (the engine records completions as they happen).
+    /// Records one completion at instant `at` with the given end-to-end
+    /// latency, evicting the oldest entry once the window is full. The
+    /// instant is passed in, so [`RollingWindow::throughput`] is
+    /// deterministically testable and the engine books a delivery at the
+    /// instant its completer round already read. Entries are expected in
+    /// non-decreasing instant order.
     pub fn record_at(&mut self, at: Instant, latency: Duration) {
         if self.entries.len() == self.capacity {
             self.entries.pop_front();
@@ -151,12 +151,13 @@ impl RollingWindow {
     }
 }
 
-/// Busy-time accounting for one shard (simulated SSD) worker.
+/// Busy-time accounting for one shard (simulated SSD), folded by the
+/// completer from the device's answers and the issues on its queue.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShardStats {
     /// Shard index (lexicographic range order).
     pub shard: usize,
-    /// Total time the shard's worker spent computing (both command kinds).
+    /// Total time the device spent serving commands (both kinds).
     pub busy: Duration,
     /// Number of intersection commands served (one per job whose query
     /// slice was dispatched to this shard; zero for empty padding shards,
@@ -186,8 +187,8 @@ pub struct ShardStats {
     /// [`crate::EngineConfig::queue_depth`]. A value ≥ 2 means several
     /// samples' commands were genuinely in flight on the device at once.
     pub peak_inflight: usize,
-    /// Injected command faults this shard's worker reported (transient
-    /// errors plus dead-shard rejections; zero without a
+    /// Commands this device answered with an injected failure (transient
+    /// errors, dead-shard rejections and caught panics; zero without a
     /// [`crate::fault::FaultPlan`]).
     pub faults: u64,
     /// Commands re-issued after a transient failure, a dead-shard rejection
@@ -198,9 +199,106 @@ pub struct ShardStats {
     /// Re-issues routed to a *different* (surviving) shard because this
     /// shard-of-record was dead; a subset of [`ShardStats::retries`].
     pub failovers: u64,
-    /// Whether the shard's worker died permanently during the run (fault
-    /// plan shard death).
+    /// Whether the device answered any command with a dead-shard rejection
+    /// (fault plan shard death) — the flag the completer routes by.
     pub dead: bool,
+}
+
+/// The counts a [`ServiceReport`] carries beyond the live ones. The
+/// completer owns the one tally; its folds are the only [`ShardStats`]
+/// writers.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tally {
+    /// One per shard, in shard order.
+    pub(crate) shards: Vec<ShardStats>,
+    pub(crate) stage_overlap_events: u64,
+    pub(crate) mapped_reads: u64,
+    pub(crate) failed_jobs: u64,
+    /// Sum and count of the delivered jobs' stage breakdowns.
+    breakdown_sum: StageBreakdown,
+    breakdown_count: usize,
+}
+
+impl Tally {
+    /// The tally of an engine on `shards` shards that has counted nothing.
+    pub(crate) fn new(shards: usize) -> Tally {
+        let shards = (0..shards).map(|shard| ShardStats {
+            shard,
+            ..ShardStats::default()
+        });
+        Tally {
+            shards: shards.collect(),
+            ..Tally::default()
+        }
+    }
+
+    /// One answer, credited to the device that gave it: a fault (a dead-shard
+    /// rejection marks the device dead for good), or the command's busy time
+    /// and items — query k-mers, or Step 3 reads, stolen when mapped for
+    /// another shard-of-record.
+    pub(crate) fn answered(&mut self, answer: &ShardCompletion) {
+        let device = answer.device;
+        let stats = &mut self.shards[device];
+        if let Err(failure) = answer.result {
+            stats.faults += 1;
+            stats.dead |= failure == CommandFailure::ShardDead;
+            return;
+        }
+        stats.busy += answer.busy;
+        match &answer.command {
+            ShardCommand::Intersect(c) => {
+                stats.jobs += 1;
+                stats.query_items += c.range.len() as u64;
+            }
+            ShardCommand::Step3(c) => {
+                let reads = c.sample.len() as u64;
+                stats.step3_jobs += 1;
+                stats.step3_items += reads;
+                if c.record_shard != device {
+                    stats.stolen_items += reads;
+                }
+            }
+        }
+    }
+
+    pub(crate) fn is_dead(&self, device: usize) -> bool {
+        self.shards[device].dead
+    }
+
+    /// A command took a depth slot of `shard`, now at `inflight`; `overlaps`
+    /// when a command of the other stage was outstanding.
+    pub(crate) fn issued(&mut self, shard: usize, inflight: usize, overlaps: bool) {
+        let stats = &mut self.shards[shard];
+        stats.peak_inflight = stats.peak_inflight.max(inflight);
+        self.stage_overlap_events += u64::from(overlaps);
+    }
+
+    /// A command of shard-of-record `shard` was re-issued, to another
+    /// device when `failover`.
+    pub(crate) fn retried(&mut self, shard: usize, failover: bool) {
+        let stats = &mut self.shards[shard];
+        stats.retries += 1;
+        stats.failovers += u64::from(failover);
+    }
+
+    /// A job left the in-SSD stage with `outcome`.
+    pub(crate) fn delivered(&mut self, outcome: &Result<JobResult, JobError>) {
+        match outcome {
+            Ok(result) => {
+                self.mapped_reads += result.output.mapped_reads;
+                if let Some(breakdown) = &result.breakdown {
+                    self.breakdown_sum.accumulate(breakdown);
+                    self.breakdown_count += 1;
+                }
+            }
+            Err(_) => self.failed_jobs += 1,
+        }
+    }
+
+    /// The mean breakdown over the delivered jobs that carried one.
+    pub(crate) fn stage_breakdown(&self) -> Option<StageBreakdown> {
+        (self.breakdown_count > 0).then(|| self.breakdown_sum.mean_of(self.breakdown_count))
+    }
 }
 
 /// Final accounting returned by [`crate::StreamingEngine::shutdown`].
@@ -230,9 +328,9 @@ pub struct ServiceReport {
     pub failed_jobs: u64,
     /// Latency distribution over the final rolling window.
     pub window: LatencyStats,
-    /// Mean per-job stage breakdown over the jobs whose timelines the trace
-    /// captured; `None` when tracing was disabled or no breakdown could be
-    /// reconstructed.
+    /// Mean per-job stage breakdown over the delivered jobs, each folded by
+    /// the completer from the job's own timeline; `None` when tracing was
+    /// disabled or no job was delivered.
     pub stage_breakdown: Option<StageBreakdown>,
     /// Per-device straggler analysis of the traced run; `None` when tracing
     /// was disabled.
@@ -342,12 +440,13 @@ impl ServiceReport {
             }
             None => out.push_str("stage breakdown (mean): n/a (tracing disabled)\n"),
         }
-        // Every traced figure above was computed from a truncated log if the
-        // bounded ring evicted events.
+        // The straggler analysis reads the ring, so it is computed from a
+        // truncated log if the ring evicted events; the breakdowns above are
+        // folded by the completer and never read it.
         if let Some(trace) = self.trace.as_ref().filter(|trace| trace.dropped > 0) {
             let _ = writeln!(
                 out,
-                "trace: {} events, {} dropped — breakdown and straggler figures are incomplete",
+                "trace: {} events, {} dropped — straggler figures are incomplete",
                 trace.events.len(),
                 trace.dropped,
             );
@@ -465,12 +564,13 @@ mod tests {
     #[test]
     fn rolling_window_evicts_oldest_and_counts_lifetime() {
         let mut w = RollingWindow::new(3);
+        let epoch = Instant::now();
         assert!(w.is_empty());
         assert_eq!(w.throughput(), 0.0);
-        w.record(ms(10));
+        w.record_at(epoch, ms(10));
         assert_eq!(w.throughput(), 0.0, "one completion spans no interval");
         for v in [20, 30, 40] {
-            w.record(ms(v));
+            w.record_at(epoch + ms(v), ms(v));
         }
         assert_eq!(w.len(), 3, "window holds only the newest 3");
         assert_eq!(w.total_recorded(), 4);

@@ -76,11 +76,11 @@
 //! *shard-of-record* while that device lives and the next live shard once it
 //! has died (failover, below). A result stays tagged with the
 //! shard-of-record, which keeps the completer's depth accounting and
-//! exactly-once fold independent of who served it; trace events and
-//! [`ShardStats`] credit the *physical* serving device, so the straggler
-//! analyzer sees real per-device busy time and [`ShardStats::stolen_items`]
-//! counts the reads a device mapped for another shard-of-record — 0 on a
-//! healthy array.
+//! exactly-once fold independent of who served it; a completion also names
+//! the *physical* device that answered, which trace events and
+//! [`crate::ShardStats`] credit, so the straggler analyzer sees real
+//! per-device busy time and `stolen_items` counts the reads a device mapped
+//! for another shard-of-record — 0 on a healthy array.
 //!
 //! Commands are only issued to shards with work to do: a device whose key
 //! range no query of a sample falls into is skipped for that sample's
@@ -175,19 +175,24 @@
 //!
 //! # Observability
 //!
-//! With [`crate::EngineConfig::with_tracing`] the engine records every
+//! The completer is the one place that counts: each completion carries the
+//! device that answered, its busy time and its start and finish stamps, and
+//! the completer folds those — with every issue, re-issue and delivery —
+//! into one tally that becomes the [`ServiceReport`]'s counters. Shard
+//! workers keep none.
+//!
+//! With [`crate::EngineConfig::with_tracing`] the engine also records every
 //! pipeline lifecycle event into a shared [`crate::trace::TraceSink`]
 //! (bounded ring, multi-producer): admission at `submit`, Step 1 start/end
 //! in the workers, `CommandIssued` per `(seq, shard)` when the completer's
 //! backlog puts a command of either kind on a queue,
 //! `CommandStarted`/`CommandCompleted` in the shard workers (bracketing the
 //! device service), `ReduceStarted`/`ReduceFinished` around the
-//! completer's reduce, and `Delivered` at handle send. At `finalize` the
-//! completer reconstructs the job's [`crate::trace::StageBreakdown`] from
-//! its own events (attached to [`JobResult::breakdown`] and averaged into
-//! the report summaries), and at shutdown the whole event log yields the
-//! [`crate::trace::StragglerReport`] — per-device busy/stall/idle — plus
-//! the exportable [`crate::trace::TraceLog`].
+//! completer's reduce, and `Delivered` at handle send. Each job's
+//! [`crate::trace::StageBreakdown`] is folded from its own timeline and
+//! built at delivery ([`JobResult::breakdown`]); the ring is read only at
+//! shutdown, for the [`crate::trace::StragglerReport`] — per-device
+//! busy/stall/idle — and the exportable [`crate::trace::TraceLog`].
 //!
 //! **Overhead contract:** tracing is off by default and the disabled sink's
 //! record path is a single inlined branch — no lock, no clock read, no
@@ -203,15 +208,15 @@ use std::time::{Duration, Instant};
 
 use megis::MegisAnalyzer;
 
-use crate::complete::{Action, Completer, CompleterTally, Event, PreparedJob, ShardCompletion};
+use crate::complete::{Action, Completer, Event, PreparedJob, ShardCompletion};
 use crate::engine::EngineConfig;
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::job::{JobError, JobId, JobResult, JobSpec};
 use crate::lock::Lock;
-use crate::metrics::{LatencyStats, RollingWindow, ServiceReport, ShardStats};
+use crate::metrics::{LatencyStats, RollingWindow, ServiceReport, Tally};
 use crate::queue::{AdmissionError, JobQueue};
-use crate::shard::{CommandFailure, CommandOutput, ShardCommand, ShardSet, ShardWorker};
-use crate::trace::{StageBreakdown, StragglerReport, TraceEventKind, TraceLog, TraceSink, NO_SEQ};
+use crate::shard::{CommandFailure, ShardCommand, ShardSet, ShardWorker};
+use crate::trace::{StragglerReport, TraceEventKind, TraceLog, TraceSink, NO_SEQ};
 
 /// The per-device command queues: one shared deque array under one lock and
 /// one condvar, so a worker wakes on a push to its queue and on the producer
@@ -338,14 +343,10 @@ struct ServiceState {
     /// Commands outstanding per shard (both kinds), mirrored from the
     /// completer's core once per round for [`StreamingEngine::snapshot`].
     shard_inflight: Vec<usize>,
-    /// Jobs that failed with a [`JobError`] while the engine kept serving.
-    failed_jobs: u64,
     /// Times the completer's wait ended on a timer or the poison poll
     /// instead of an event; reported as
     /// [`ServiceSnapshot::completer_timeouts`].
     completer_timeouts: u64,
-    /// Reads mapped during Step 3 across all delivered jobs.
-    mapped_reads: u64,
     /// Set when a pipeline thread panics; drain/shutdown propagate it as a
     /// panic instead of waiting forever on work that can never complete.
     poisoned: bool,
@@ -357,11 +358,6 @@ struct ServiceState {
     completed: u64,
     /// Rolling latency/throughput window over recent completions.
     window: RollingWindow,
-    /// Segment-wise sum of every delivered job's traced stage breakdown
-    /// (zero while tracing is disabled).
-    breakdown_sum: StageBreakdown,
-    /// Jobs whose breakdown was reconstructed and accumulated.
-    breakdown_count: usize,
 }
 
 /// The state behind one lock, and the two things a thread waits for on it.
@@ -397,16 +393,12 @@ impl Shared {
                 // silently capped below the configured depth.
                 lookahead: (2 * config.workers + 2).max(config.queue_depth + config.workers),
                 shard_inflight: vec![0; shard_count],
-                failed_jobs: 0,
                 completer_timeouts: 0,
-                mapped_reads: 0,
                 poisoned: false,
                 accepting: true,
                 stopping: false,
                 completed: 0,
                 window: RollingWindow::new(config.metrics_window),
-                breakdown_sum: StageBreakdown::default(),
-                breakdown_count: 0,
             }),
             job_ready: Condvar::new(),
             idle: Condvar::new(),
@@ -490,10 +482,9 @@ impl JobHandle {
 pub struct StreamingEngine {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    /// The completer returns the counters only it writes when it exits.
-    completer: Option<JoinHandle<CompleterTally>>,
-    /// Each shard worker returns its lifetime [`ShardStats`] when it exits.
-    shard_handles: Vec<JoinHandle<ShardStats>>,
+    /// The completer returns the report's counts when it exits.
+    completer: Option<JoinHandle<Tally>>,
+    shard_handles: Vec<JoinHandle<()>>,
     shards: ShardSet,
     config: EngineConfig,
     started_at: Instant,
@@ -721,48 +712,33 @@ impl StreamingEngine {
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // A panicked completer yields no tally. The completer holds the
+        // A panicked completer yields an empty tally. The completer holds the
         // queues' producer guard, so the shard workers exit after it does.
         let tally = self
             .completer
             .take()
             .and_then(|completer| completer.join().ok())
-            .unwrap_or_else(|| CompleterTally::new(self.shards.shard_count()));
-        // A shard worker that panicked yields no stats. The completer's
-        // tally owns the queue and re-issue counters.
-        let shard_stats: Vec<ShardStats> = self
-            .shard_handles
-            .drain(..)
-            .filter_map(|handle| handle.join().ok())
-            .map(|stats| ShardStats {
-                peak_inflight: tally.peak_inflight[stats.shard],
-                retries: tally.retries[stats.shard],
-                failovers: tally.failovers[stats.shard],
-                ..stats
-            })
-            .collect();
+            .unwrap_or_else(|| Tally::new(self.shards.shard_count()));
+        for handle in self.shard_handles.drain(..) {
+            let _ = handle.join();
+        }
+        let trace = self.trace.is_enabled().then(|| TraceLog {
+            events: self.trace.events(),
+            dropped: self.trace.dropped(),
+        });
+        let straggler = trace
+            .as_ref()
+            .map(|trace| StragglerReport::from_events(&trace.events, self.shards.shard_count()));
         let state = self.shared.state.lock();
-        let (stage_breakdown, straggler, trace) = if self.trace.is_enabled() {
-            let events = self.trace.events();
-            let straggler = StragglerReport::from_events(&events, self.shards.shard_count());
-            let trace = TraceLog {
-                events,
-                dropped: self.trace.dropped(),
-            };
-            let stage_breakdown = (state.breakdown_count > 0)
-                .then(|| state.breakdown_sum.mean_of(state.breakdown_count));
-            (stage_breakdown, Some(straggler), Some(trace))
-        } else {
-            (None, None, None)
-        };
+        let stage_breakdown = tally.stage_breakdown();
         ServiceReport {
             completed: state.completed,
             uptime: self.started_at.elapsed(),
-            shard_stats,
+            shard_stats: tally.shards,
             resident_database_bytes: self.shards.resident_bytes(),
-            mapped_reads: state.mapped_reads,
+            mapped_reads: tally.mapped_reads,
             stage_overlap_events: tally.stage_overlap_events,
-            failed_jobs: state.failed_jobs,
+            failed_jobs: tally.failed_jobs,
             window: state.window.stats(),
             stage_breakdown,
             straggler,
@@ -849,7 +825,8 @@ fn step1_worker(shared: &Shared, analyzer: &MegisAnalyzer, tx: &WorkerTx, trace:
         );
         let started = Instant::now();
         let step1 = analyzer.run_step1(&job.spec.sample);
-        trace.record(start_position, TraceEventKind::Step1Finished);
+        let step1_done = trace.now();
+        trace.record_at(step1_done, start_position, TraceEventKind::Step1Finished);
         let prepared = PreparedJob {
             id: job.id,
             label: job.spec.label,
@@ -859,6 +836,7 @@ fn step1_worker(shared: &Shared, analyzer: &MegisAnalyzer, tx: &WorkerTx, trace:
             submitted_at: job.submitted_at,
             queue_wait: started.duration_since(job.submitted_at),
             step1_time: started.elapsed(),
+            step1_done,
             step1,
         };
         // Unbounded: the lookahead gate above already bounds the prepared
@@ -873,7 +851,8 @@ fn step1_worker(shared: &Shared, analyzer: &MegisAnalyzer, tx: &WorkerTx, trace:
 /// One device: pops its own queue until the queues close, serves each
 /// command — or answers it with the failure the fault plan injects, or with
 /// a dead-shard rejection once the plan has killed the device — and reports
-/// every completion to the completer. Returns the device's lifetime stats.
+/// every answer, tagged with this device, to the completer, which counts
+/// it. The worker keeps no counter.
 fn shard_worker(
     index: usize,
     queues: &CommandQueues,
@@ -881,71 +860,55 @@ fn shard_worker(
     events: &Sender<Event>,
     plan: Option<&FaultPlan>,
     trace: &TraceSink,
-) -> ShardStats {
-    let (mut busy, mut served, mut query_items, mut faults) = (Duration::ZERO, 0u64, 0u64, 0u64);
-    let (mut step3_served, mut step3_items, mut stolen_items) = (0u64, 0u64, 0u64);
-    let (mut dead, mut popped) = (false, 0u64);
+) {
+    use TraceEventKind::{CommandCompleted, CommandStarted, Fault};
     let death_after = plan.and_then(|p| p.death_after(index));
+    let mut popped = 0u64;
     while let Some(command) = queues.pop(index) {
         let (seq, stage) = (command.seq(), command.stage());
-        // The command's *own* record shard, not this device: after a
-        // failover re-issue the two differ, and completions must carry the
-        // identity the completer keyed the ledger entry (and the fold slot)
-        // on.
-        let record = command.record_shard();
         popped += 1;
         // Injected permanent shard death: after serving `death_after`
         // commands the device stops serving, not popping. It rejects every
         // command it pops from then on until the queues close; the completer
         // marks it dead on the first rejection it reads and re-issues each
         // rejected command to a survivor.
-        dead = death_after.is_some_and(|after| popped > after);
-        let verdict = if dead {
+        let verdict = if death_after.is_some_and(|after| popped > after) {
             Err(CommandFailure::ShardDead)
         } else {
             injected(plan, &command)
         };
-        let result = match verdict {
-            // Every injected failure is reported the same way: count it,
-            // trace it, and answer the command with it so the completer can
-            // retry, fail over, or fail the job.
-            Err(failure) => {
-                faults += 1;
-                trace.record(
-                    seq,
-                    TraceEventKind::Fault {
-                        stage,
-                        shard: record,
-                    },
-                );
-                Err(failure)
+        let started = trace.now();
+        let t0 = Instant::now();
+        // An injected latency spike stalls the device before it serves —
+        // busy time the command deadline exists to cut short, and the only
+        // simulated dwell on the serving path: device *time* is priced
+        // analytically (`crate::model`), the engine spends real CPU time.
+        let result = verdict.map(|spike| {
+            if !spike.is_zero() {
+                thread::sleep(spike);
             }
-            Ok(spike) => {
-                let (output, took) = serve_timed(index, worker, &command, spike, trace);
-                busy += took;
-                // Stats credit the *physical* serving device (`index`), like
-                // the trace: under failover it differs from the record shard.
-                match &command {
-                    ShardCommand::Intersect(c) => {
-                        served += 1;
-                        query_items += c.range.len() as u64;
-                    }
-                    ShardCommand::Step3(c) => {
-                        step3_served += 1;
-                        step3_items += c.sample.len() as u64;
-                        if c.record_shard != index {
-                            stolen_items += c.sample.len() as u64;
-                        }
-                    }
-                }
-                Ok(output)
-            }
-        };
+            worker.serve(&command)
+        });
+        let busy = t0.elapsed();
+        let done = trace.now();
+        // The service interval credits the *physical* serving device, so
+        // the straggler analyzer sums real per-device intervals; a failure
+        // names the command's shard-of-record, and the completer decides
+        // between retry, failover and failing the job.
+        if result.is_ok() {
+            let shard = index;
+            trace.record_at(started, seq, CommandStarted { stage, shard });
+            trace.record_at(done, seq, CommandCompleted { stage, shard });
+        } else {
+            let shard = command.record_shard();
+            trace.record_at(started, seq, Fault { stage, shard });
+        }
         let completion = ShardCompletion {
-            shard: record,
-            seq,
-            attempt: command.attempt(),
-            stage,
+            command,
+            device: index,
+            busy,
+            started,
+            done,
             result,
         };
         // A gone receiver (the completer is gone) ends the worker.
@@ -953,61 +916,6 @@ fn shard_worker(
             break;
         }
     }
-    ShardStats {
-        shard: index,
-        busy,
-        jobs: served,
-        query_items,
-        step3_jobs: step3_served,
-        step3_items,
-        stolen_items,
-        peak_inflight: 0,
-        faults,
-        retries: 0,
-        failovers: 0,
-        dead,
-    }
-}
-
-/// Serves `command` on device `index` after dwelling for `spike`, inside
-/// its traced service interval; returns the output and the busy time.
-/// Trace events credit the *physical* serving device: the straggler
-/// analyzer sums real per-device service intervals.
-fn serve_timed(
-    index: usize,
-    worker: &ShardWorker,
-    command: &ShardCommand,
-    spike: Duration,
-    trace: &TraceSink,
-) -> (CommandOutput, Duration) {
-    let (seq, stage) = (command.seq(), command.stage());
-    let trace_started = trace.now();
-    let t0 = Instant::now();
-    // An injected latency spike stalls the device before it serves — busy
-    // time the command deadline exists to cut short, and the only simulated
-    // dwell on the serving path: device *time* is priced analytically
-    // (`crate::model`), the engine spends real CPU time.
-    if !spike.is_zero() {
-        thread::sleep(spike);
-    }
-    let output = worker.serve(command);
-    let busy = t0.elapsed();
-    trace.record_at(
-        trace_started,
-        seq,
-        TraceEventKind::CommandStarted {
-            stage,
-            shard: index,
-        },
-    );
-    trace.record(
-        seq,
-        TraceEventKind::CommandCompleted {
-            stage,
-            shard: index,
-        },
-    );
-    (output, busy)
 }
 
 /// The fault plan's verdict on serving `command`: `Ok(spike)` to serve it
@@ -1061,12 +969,13 @@ fn run_completer(
     events: &Receiver<Event>,
     shared: &Shared,
     producer: QueueProducer,
-) -> CompleterTally {
+) -> Tally {
     let _guard = PanicGuard(shared);
     let mut producer = Some(producer);
     loop {
         let mut delivered = Vec::new();
-        for action in core.settle(Instant::now()) {
+        let now = Instant::now();
+        for action in core.settle(now) {
             match action {
                 Action::Issue(device, command) => {
                     if let Some(producer) = &producer {
@@ -1083,20 +992,13 @@ fn run_completer(
         for (id, outcome) in delivered {
             // A failed job still advances `isp_served`, so the dispatch
             // lookahead gate keeps opening behind it; the rolling window and
-            // the completion counter record only successes.
+            // the completion counter record only successes, at the instant
+            // the round settled.
             state.in_flight -= 1;
             state.isp_served += 1;
-            match outcome.as_ref() {
-                Ok(result) => {
-                    if let Some(breakdown) = &result.breakdown {
-                        state.breakdown_sum.accumulate(breakdown);
-                        state.breakdown_count += 1;
-                    }
-                    state.window.record(result.latency);
-                    state.completed += 1;
-                    state.mapped_reads += result.output.mapped_reads;
-                }
-                Err(_) => state.failed_jobs += 1,
+            if let Ok(result) = outcome.as_ref() {
+                state.window.record_at(now, result.latency);
+                state.completed += 1;
             }
             if let Some(tx) = state.senders.remove(&id.0) {
                 // lint:allow(guard-across-blocking, std mpsc Sender::send never
@@ -1647,7 +1549,8 @@ mod tests {
         for handle in handles {
             assert_eq!(handle.wait().expect("job served").output, expected);
         }
-        let served = |f: fn(&ShardStats) -> u64| -> u64 { report.shard_stats.iter().map(f).sum() };
+        let served =
+            |f: fn(&crate::ShardStats) -> u64| -> u64 { report.shard_stats.iter().map(f).sum() };
         assert_eq!(served(|s| s.step3_items), jobs * read_count);
         assert_eq!(served(|s| s.step3_jobs), jobs, "one command per sample");
         assert_eq!(

@@ -18,15 +18,16 @@
 //!   disabled**: [`TraceSink::disabled`] carries no buffer at all, and
 //!   [`TraceSink::record`] is an inlined `None` check — the repository
 //!   benchmark's `sched.trace.overhead_frac` row measures the whole-engine
-//!   cost of turning it on.
-//! * [`StageBreakdown`] — the analysis layer's per-job answer: the job's
+//!   cost of turning it on. The ring is a pure recorder: only
+//!   [`StragglerReport::from_events`] and [`TraceLog::to_json`] read it.
+//! * [`StageBreakdown`] — the per-job answer: the job's
 //!   submission→delivery wall clock partitioned into consecutive stage
 //!   segments (queue wait, Step 1, per-stage queue wait vs. device service,
-//!   reduce barrier, reduce). The segments are differences of consecutive
-//!   timeline points reconstructed from the job's events, so they
-//!   **telescope**: their sum is exactly the traced admission→delivery span,
-//!   which matches the independently measured [`crate::JobResult::latency`]
-//!   to well under 1% whenever the ring still holds the admission.
+//!   reduce barrier, reduce). The completer folds the device stamps each
+//!   completion carries into the job's timeline and builds the breakdown at
+//!   delivery, never reading the ring. The segments **telescope**: their
+//!   sum matches the independently measured [`crate::JobResult::latency`]
+//!   to well under 1%.
 //! * [`StragglerReport`] — the analysis layer's per-device answer: busy /
 //!   stall / idle fractions per device over the run, and per-device Step 3
 //!   busy time with the max/min skew — the direct evidence of how evenly
@@ -176,7 +177,7 @@ pub struct TraceEvent {
 /// a clock read of the caller's own (`Instant::now()`, `.elapsed()`): that
 /// read would run even with tracing disabled, against the zero-cost
 /// contract of [`TraceSink::disabled`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TraceStamp(Duration);
 
 impl TraceStamp {
@@ -340,25 +341,6 @@ impl TraceSink {
             .map(|inner| inner.ring.lock().events.iter().copied().collect())
             .unwrap_or_default()
     }
-
-    /// Snapshot of one job's events: everything keyed on `seq`, plus the
-    /// admission event keyed on `job` (admission precedes the sequence
-    /// assignment). Record order is preserved.
-    pub fn events_for(&self, seq: usize, job: u64) -> Vec<TraceEvent> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        inner
-            .ring
-            .lock()
-            .events
-            .iter()
-            .filter(|e| {
-                e.seq == seq || matches!(e.kind, TraceEventKind::Admitted { job: j } if j == job)
-            })
-            .copied()
-            .collect()
-    }
 }
 
 /// The full trace of one engine run: the surviving events plus the count the
@@ -449,11 +431,9 @@ impl TraceLog {
 }
 
 /// One job's submission→delivery wall clock, partitioned into consecutive
-/// stage segments reconstructed from its trace events.
-///
-/// The segments are differences of consecutive timeline points, so they
-/// telescope: [`StageBreakdown::total`] equals the traced
-/// admission→delivery span exactly, and matches the independently measured
+/// stage segments: its measured queue wait and Step 1, then the differences
+/// of its timeline points from the Step 1 finish to the delivery. They
+/// telescope: [`StageBreakdown::total`] matches the independently measured
 /// [`crate::JobResult::latency`] to well under 1%.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
@@ -461,107 +441,26 @@ pub struct StageBreakdown {
     pub queue_wait: Duration,
     /// Step 1 start → end: host-side k-mer extraction, sorting, exclusion.
     pub step1: Duration,
-    /// Step 1 end → first intersect command *started*: the dispatch reorder
-    /// wait plus time queued behind other commands on the devices.
+    /// Step 1 end → earliest intersect command *started*: the dispatch
+    /// reorder wait plus time queued behind other commands on the devices.
     pub step2_wait: Duration,
-    /// First intersect started → last intersect completed: the window the
-    /// device array spent serving this job's Step 2 commands.
+    /// Earliest intersect started → latest intersect completed: the window
+    /// the device array spent serving this job's Step 2 commands.
     pub step2_service: Duration,
-    /// Last intersect completed → first Step 3 command started: host-side
-    /// taxID retrieval plus backlog and queue wait for the Step 3 commands.
+    /// Latest intersect completed → Step 3 command started: the presence
+    /// call plus backlog and queue wait for the Step 3 command.
     pub step3_wait: Duration,
-    /// First Step 3 started → last Step 3 completed: the window the device
-    /// array spent generating the unified index and mapping reads.
+    /// Step 3 started → completed: the device generating the unified index
+    /// and mapping the reads.
     pub step3_service: Duration,
-    /// Last Step 3 completed → reduce start: the in-order delivery barrier
+    /// Step 3 completed → reduce start: the in-order delivery barrier
     /// (waiting on earlier sequences still in flight).
     pub reduce_barrier: Duration,
-    /// Reduce start → delivery: count normalization, output assembly,
-    /// handle send.
+    /// Reduce start → delivery: output assembly and handle send.
     pub reduce: Duration,
 }
 
 impl StageBreakdown {
-    /// Reconstructs the breakdown from one job's events ([`TraceSink::events_for`])
-    /// plus the delivery timestamp. Returns `None` when the events are too
-    /// sparse to anchor a timeline (no admission or Step 1 events — e.g. a
-    /// disabled sink, or a ring that evicted the job's early events).
-    pub fn from_events(events: &[TraceEvent], delivered_at: Duration) -> Option<StageBreakdown> {
-        let mut admitted = None;
-        let mut step1_start = None;
-        let mut step1_end = None;
-        let mut first_intersect_start = None;
-        let mut last_intersect_done = None;
-        let mut first_step3_start = None;
-        let mut last_step3_done: Option<Duration> = None;
-        let mut reduce_start = None;
-        for event in events {
-            match event.kind {
-                TraceEventKind::Admitted { .. } => admitted = Some(event.at),
-                TraceEventKind::Step1Started { .. } => step1_start = Some(event.at),
-                TraceEventKind::Step1Finished => step1_end = Some(event.at),
-                TraceEventKind::CommandStarted { stage, .. } => match stage {
-                    TraceStage::Intersect => {
-                        if first_intersect_start.is_none() {
-                            first_intersect_start = Some(event.at);
-                        }
-                    }
-                    TraceStage::Step3 => {
-                        if first_step3_start.is_none() {
-                            first_step3_start = Some(event.at);
-                        }
-                    }
-                },
-                TraceEventKind::CommandCompleted { stage, .. } => match stage {
-                    TraceStage::Intersect => last_intersect_done = Some(event.at),
-                    TraceStage::Step3 => last_step3_done = last_step3_done.max(Some(event.at)),
-                },
-                TraceEventKind::ReduceStarted => reduce_start = Some(event.at),
-                TraceEventKind::CommandIssued { .. }
-                | TraceEventKind::ReduceFinished
-                | TraceEventKind::Delivered { .. }
-                | TraceEventKind::Fault { .. }
-                | TraceEventKind::Retry { .. }
-                | TraceEventKind::Failover { .. } => {}
-            }
-        }
-        // The bounded ring may have evicted the admission by now; anchor on
-        // Step 1 with a zero queue wait in that case.
-        let start = admitted.or(step1_start)?;
-        let step1_start = step1_start?;
-        // Walk a monotone cursor through the timeline; stages the job never
-        // entered (no candidates, empty query list) collapse to zero-width
-        // segments instead of breaking the telescoping sum.
-        let mut cursor = start;
-        let mut advance = |to: Option<Duration>| -> Duration {
-            let Some(to) = to else {
-                return Duration::ZERO;
-            };
-            let to = to.max(cursor);
-            let width = to - cursor;
-            cursor = to;
-            width
-        };
-        let queue_wait = advance(Some(step1_start));
-        let step1 = advance(step1_end);
-        let step2_wait = advance(first_intersect_start);
-        let step2_service = advance(last_intersect_done);
-        let step3_wait = advance(first_step3_start);
-        let step3_service = advance(last_step3_done);
-        let reduce_barrier = advance(reduce_start);
-        let reduce = advance(Some(delivered_at));
-        Some(StageBreakdown {
-            queue_wait,
-            step1,
-            step2_wait,
-            step2_service,
-            step3_wait,
-            step3_service,
-            reduce_barrier,
-            reduce,
-        })
-    }
-
     /// Sum of every segment — the traced admission→delivery span.
     pub fn total(&self) -> Duration {
         self.queue_wait
@@ -587,21 +486,23 @@ impl StageBreakdown {
     }
 
     /// Divides every segment by `count`: the mean of `count` accumulated
-    /// breakdowns. Returns the zero breakdown for `count == 0`.
-    pub fn mean_of(mut self, count: usize) -> StageBreakdown {
+    /// breakdowns, in integer nanoseconds (`Duration / u32` would truncate
+    /// the count). Returns the zero breakdown for `count == 0`.
+    pub fn mean_of(self, count: usize) -> StageBreakdown {
         if count == 0 {
             return StageBreakdown::default();
         }
-        let n = count as u32;
-        self.queue_wait /= n;
-        self.step1 /= n;
-        self.step2_wait /= n;
-        self.step2_service /= n;
-        self.step3_wait /= n;
-        self.step3_service /= n;
-        self.reduce_barrier /= n;
-        self.reduce /= n;
-        self
+        let mean = |d: Duration| Duration::from_nanos((d.as_nanos() / count as u128) as u64);
+        StageBreakdown {
+            queue_wait: mean(self.queue_wait),
+            step1: mean(self.step1),
+            step2_wait: mean(self.step2_wait),
+            step2_service: mean(self.step2_service),
+            step3_wait: mean(self.step3_wait),
+            step3_service: mean(self.step3_service),
+            reduce_barrier: mean(self.reduce_barrier),
+            reduce: mean(self.reduce),
+        }
     }
 
     /// One-line rendering used by both report summaries.
@@ -619,6 +520,69 @@ impl StageBreakdown {
             ms(self.reduce_barrier),
             ms(self.reduce),
         )
+    }
+}
+
+/// The device-side points of one job's timeline, as the serving devices
+/// stamped them: folded from its accepted completions in whatever order
+/// they arrive, and turned into its [`StageBreakdown`] at delivery.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct JobTimeline {
+    /// Earliest intersect start, latest intersect finish.
+    intersect: Option<(TraceStamp, TraceStamp)>,
+    /// The Step 3 command's start and finish.
+    step3: Option<(TraceStamp, TraceStamp)>,
+}
+
+impl JobTimeline {
+    /// Folds one served `stage` command: a stage's window opens at its
+    /// earliest start and closes at its latest finish.
+    pub(crate) fn fold(&mut self, stage: TraceStage, started: TraceStamp, done: TraceStamp) {
+        let window = match stage {
+            TraceStage::Intersect => &mut self.intersect,
+            TraceStage::Step3 => &mut self.step3,
+        };
+        *window = Some(window.map_or((started, done), |(first, last)| {
+            (first.min(started), last.max(done))
+        }));
+    }
+
+    /// The breakdown of a job that queued `queue_wait` and ran Step 1 for
+    /// `step1` until `step1_done`; a stage it never entered (no query
+    /// k-mers, no candidates) is zero-width, so the sum still telescopes.
+    pub(crate) fn breakdown(
+        &self,
+        queue_wait: Duration,
+        step1: Duration,
+        step1_done: TraceStamp,
+        reduce_started: TraceStamp,
+        delivered: TraceStamp,
+    ) -> StageBreakdown {
+        let mut cursor = step1_done;
+        let mut advance = |to: Option<TraceStamp>| -> Duration {
+            let Some(to) = to.map(|to| to.max(cursor)) else {
+                return Duration::ZERO;
+            };
+            let width = to.0 - cursor.0;
+            cursor = to;
+            width
+        };
+        let step2_wait = advance(self.intersect.map(|(first, _)| first));
+        let step2_service = advance(self.intersect.map(|(_, last)| last));
+        let step3_wait = advance(self.step3.map(|(started, _)| started));
+        let step3_service = advance(self.step3.map(|(_, done)| done));
+        let reduce_barrier = advance(Some(reduce_started));
+        let reduce = advance(Some(delivered));
+        StageBreakdown {
+            queue_wait,
+            step1,
+            step2_wait,
+            step2_service,
+            step3_wait,
+            step3_service,
+            reduce_barrier,
+            reduce,
+        }
     }
 }
 
@@ -822,7 +786,6 @@ mod tests {
         assert!(sink.is_empty());
         assert_eq!(sink.dropped(), 0);
         assert!(sink.events().is_empty());
-        assert!(sink.events_for(3, 3).is_empty());
         assert_eq!(sink.now().since_epoch(), Duration::ZERO);
     }
 
@@ -843,22 +806,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_sink_rejected() {
         TraceSink::bounded(0);
-    }
-
-    #[test]
-    fn events_for_joins_seq_events_with_the_admission_by_job_id() {
-        let sink = TraceSink::bounded(64);
-        sink.record_at(stamp(0), NO_SEQ, TraceEventKind::Admitted { job: 7 });
-        sink.record_at(stamp(1), NO_SEQ, TraceEventKind::Admitted { job: 8 });
-        sink.record_at(stamp(2), 0, TraceEventKind::Step1Started { job: 7 });
-        sink.record_at(stamp(3), 1, TraceEventKind::Step1Started { job: 8 });
-        let events = sink.events_for(0, 7);
-        assert_eq!(events.len(), 2);
-        assert!(matches!(
-            events[0].kind,
-            TraceEventKind::Admitted { job: 7 }
-        ));
-        assert_eq!(events[1].seq, 0);
     }
 
     /// A complete single-job timeline across two devices.
@@ -976,9 +923,21 @@ mod tests {
         ]
     }
 
+    /// The fixture's job folded as the completer folds it: queued 2 ms,
+    /// Step 1 for 3 ms until 5, its two intersect commands served 6..9 and
+    /// 7..11 — folded out of start order — its Step 3 command 13..20, the
+    /// reduce from 21 and the delivery at 22.
+    fn fixture_breakdown() -> StageBreakdown {
+        let mut timeline = JobTimeline::default();
+        timeline.fold(TraceStage::Intersect, stamp(7), stamp(11));
+        timeline.fold(TraceStage::Intersect, stamp(6), stamp(9));
+        timeline.fold(TraceStage::Step3, stamp(13), stamp(20));
+        timeline.breakdown(ms(2), ms(3), stamp(5), stamp(21), stamp(22))
+    }
+
     #[test]
     fn breakdown_segments_telescope_to_the_delivery_span() {
-        let breakdown = StageBreakdown::from_events(&fixture_events(), ms(22)).unwrap();
+        let breakdown = fixture_breakdown();
         assert_eq!(breakdown.queue_wait, ms(2));
         assert_eq!(breakdown.step1, ms(3));
         assert_eq!(breakdown.step2_wait, ms(1), "step1 end 5 -> first start 6");
@@ -1000,23 +959,10 @@ mod tests {
 
     #[test]
     fn breakdown_collapses_stages_the_job_never_entered() {
-        use TraceEventKind::*;
-        let e = |at, seq, kind| TraceEvent {
-            at: ms(at),
-            seq,
-            kind,
-        };
-        // No intersect or step3 commands at all (empty query list, no
+        // No intersect or step3 command at all (empty query list, no
         // candidates): the middle segments are zero and the sum still
         // telescopes.
-        let events = vec![
-            e(0, NO_SEQ, Admitted { job: 2 }),
-            e(1, 3, Step1Started { job: 2 }),
-            e(4, 3, Step1Finished),
-            e(6, 3, ReduceStarted),
-            e(7, 3, Delivered { job: 2 }),
-        ];
-        let b = StageBreakdown::from_events(&events, ms(7)).unwrap();
+        let b = JobTimeline::default().breakdown(ms(1), ms(3), stamp(4), stamp(6), stamp(7));
         assert_eq!(b.queue_wait, ms(1));
         assert_eq!(b.step1, ms(3));
         assert_eq!(b.step2_wait + b.step2_service, Duration::ZERO);
@@ -1027,26 +973,8 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_without_admission_anchors_on_step1() {
-        // With the admission evicted from the ring, the breakdown starts at
-        // Step 1 with zero queue wait rather than returning None.
-        let events: Vec<TraceEvent> = fixture_events()
-            .into_iter()
-            .filter(|e| !matches!(e.kind, TraceEventKind::Admitted { .. }))
-            .collect();
-        let b = StageBreakdown::from_events(&events, ms(22)).unwrap();
-        assert_eq!(b.queue_wait, Duration::ZERO);
-        assert_eq!(b.total(), ms(20), "anchored at step1 start (2) -> 22");
-    }
-
-    #[test]
-    fn breakdown_of_no_events_is_none() {
-        assert!(StageBreakdown::from_events(&[], ms(5)).is_none());
-    }
-
-    #[test]
     fn breakdown_aggregation_means_segment_wise() {
-        let b = StageBreakdown::from_events(&fixture_events(), ms(22)).unwrap();
+        let b = fixture_breakdown();
         let mut sum = StageBreakdown::default();
         sum.accumulate(&b);
         sum.accumulate(&b);
@@ -1061,6 +989,21 @@ mod tests {
         let line = mean.summary_line();
         assert!(line.contains("step2 wait"));
         assert!(line.contains("reduce barrier"));
+    }
+
+    #[test]
+    fn the_mean_of_more_than_u32_max_breakdowns_divides_exactly() {
+        // 2^32 jobs: a `u32` count would wrap to zero and panic.
+        let segment = Duration::from_nanos(3 << 32);
+        let sum = StageBreakdown {
+            queue_wait: segment,
+            reduce: segment * 2,
+            ..StageBreakdown::default()
+        };
+        let mean = sum.mean_of(1 << 32);
+        assert_eq!(mean.queue_wait, Duration::from_nanos(3));
+        assert_eq!(mean.reduce, Duration::from_nanos(6));
+        assert_eq!(mean.total(), Duration::from_nanos(9));
     }
 
     #[test]
@@ -1187,14 +1130,10 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
-        // The fault kinds perturb neither a job's stage breakdown nor any
-        // device's busy or stall time (idle follows the span, which the
-        // appended events move).
+        // The fault kinds perturb no device's busy or stall time (idle
+        // follows the span, which the appended events move).
         let mut with_faults = fixture_events();
         with_faults.extend(events);
-        let clean = StageBreakdown::from_events(&fixture_events(), ms(22)).unwrap();
-        let faulted = StageBreakdown::from_events(&with_faults, ms(22)).unwrap();
-        assert_eq!(clean, faulted);
         let accounting = |events: &[TraceEvent]| -> Vec<(u64, Duration, Duration)> {
             StragglerReport::from_events(events, 2)
                 .devices

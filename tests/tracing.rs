@@ -128,8 +128,10 @@ fn traced_streaming_run_reconstructs_breakdowns_and_stragglers() {
 #[test]
 fn an_overflowed_trace_ring_is_flagged_in_the_summary() {
     // A ring far smaller than the run's event count evicts early events, so
-    // every traced figure is computed from a truncated log; the summary must
-    // say so (a clean run prints no such line — asserted above).
+    // the straggler analysis is computed from a truncated log; the summary
+    // must say so (a clean run prints no such line — asserted above). The
+    // breakdowns never read the ring: every job still carries one that
+    // telescopes to its measured latency.
     const CAPACITY: usize = 32;
     let (analyzer, samples) = cohort(4);
     let config = EngineConfig::new()
@@ -138,15 +140,30 @@ fn an_overflowed_trace_ring_is_flagged_in_the_summary() {
         .with_trace_capacity(CAPACITY);
     let engine = StreamingEngine::new(analyzer, config);
     let jobs = samples.iter().enumerate();
-    engine
+    let handles = engine
         .submit_all(jobs.map(|(i, s)| JobSpec::new(format!("s{i}"), s.clone())))
         .expect("admission");
     let report = engine.shutdown();
+    for handle in handles {
+        let result = handle.wait().expect("job served");
+        let breakdown = result
+            .breakdown
+            .expect("an overflowed ring costs no job its breakdown");
+        let total = breakdown.total().as_secs_f64();
+        let latency = result.latency.as_secs_f64().max(1e-9);
+        assert!(
+            (total - latency).abs() / latency < 0.01,
+            "{}: breakdown total {:.3} ms vs measured latency {:.3} ms",
+            result.label,
+            total * 1e3,
+            latency * 1e3,
+        );
+    }
     let trace = report.trace.as_ref().expect("tracing on");
     assert_eq!(trace.events.len(), CAPACITY, "the ring is full");
     assert!(trace.dropped > 0, "the run must overflow the ring");
     let line = format!(
-        "trace: {CAPACITY} events, {} dropped — breakdown and straggler figures are incomplete\n",
+        "trace: {CAPACITY} events, {} dropped — straggler figures are incomplete\n",
         trace.dropped
     );
     let summary = report.summary();
