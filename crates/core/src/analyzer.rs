@@ -164,7 +164,7 @@ impl MegisAnalyzer {
     // ----- step-level entry points -------------------------------------------
     //
     // The batch scheduler (`megis-sched`) runs the pipeline steps out of band:
-    // Step 1 of one sample on host worker threads while Steps 2–3 of another
+    // Step 1 of one sample on a host thread while Steps 2–3 of another
     // sample execute on the (simulated) SSDs, with intersection finding
     // sharded across devices. These entry points expose each step with
     // exactly the semantics `analyze` composes, so any such schedule produces

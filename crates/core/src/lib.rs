@@ -65,9 +65,10 @@
 //! The `megis-sched` crate turns both ideas into a running engine: its
 //! `StreamingEngine` accepts many samples — one at a time while it runs, or
 //! a closed batch at once (FIFO or priority admission) — executes
-//! Step 1 on a pool of host worker threads, runs Step 2's device pass
+//! Step 1 on a pool of host threads, runs Step 2's device pass
 //! ([`step2::sweep`]: intersection finding fused with taxID retrieval) per
-//! database shard on per-SSD workers, and maps Step 3's reads on the same
+//! database shard as per-SSD commands served by the same pool, and maps
+//! Step 3's reads on the same
 //! devices — the step-level entry points on [`MegisAnalyzer`]
 //! ([`MegisAnalyzer::run_step1`], [`MegisAnalyzer::call_presence`],
 //! [`MegisAnalyzer::unified_index`]). Results are byte-identical to calling

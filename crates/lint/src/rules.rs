@@ -466,7 +466,7 @@ fn report_blocking(
 ///
 /// The rule follows the thread across function boundaries within the file:
 /// besides the spawn closure's own body it inspects every function *of the
-/// same file* that the body calls by bare name (`shard_worker(..)`, not
+/// same file* that the body calls by bare name (`pool_thread(..)`, not
 /// `x.method(..)` or `Type::f(..)`), transitively, each one once — moving a
 /// thread body out of its closure keeps it under the rule. Functions of
 /// other files run on the thread too, but their panics are owned by their

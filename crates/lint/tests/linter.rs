@@ -166,7 +166,7 @@ fn workspace_walk_skips_fixtures_and_target() {
 }
 
 /// Holding the state lock while teardown joins the pipeline threads is
-/// the shutdown deadlock: a Step 1 worker cannot see `stopping` without
+/// the shutdown deadlock: a pool thread cannot see `stopping` without
 /// that lock, so the join never returns. Simulated by linting the live
 /// service.rs with teardown's one-statement lock turned into a binding
 /// that stays live across the joins.

@@ -92,11 +92,11 @@ pub(crate) struct ShardCompletion {
 
 /// Everything the completer reacts to.
 pub(crate) enum Event {
-    /// A Step 1 worker prepared a sample for the in-SSD stage.
+    /// A pool thread ran Step 1 and prepared a sample for the in-SSD stage.
     Prepared(PreparedJob),
     /// A device finished (or failed) one command.
     Completed(ShardCompletion),
-    /// A Step 1 worker exited: it will send no further sample.
+    /// A pool thread left the Step 1 role: it will send no further sample.
     WorkerExited,
 }
 
@@ -263,7 +263,7 @@ pub(crate) struct Completer {
     /// Ledger entries per stage (indexed by `TraceStage as usize`), for
     /// stage-overlap observation.
     stage_inflight: [usize; 2],
-    /// Step 1 workers that have not exited; at 0 no further sample can
+    /// Pool threads still in the Step 1 role; at 0 no further sample can
     /// arrive.
     live_workers: usize,
     /// Every count the report carries. Its dead flags — set by a device's
@@ -305,7 +305,7 @@ impl Completer {
 
     /// Books one event at `now`: a prepared sample (opened at once if it is
     /// next in dispatch order, together with every buffered sample it
-    /// unblocks), a completion, or a Step 1 worker's exit.
+    /// unblocks), a completion, or a pool thread's exit from Step 1.
     pub(crate) fn on(&mut self, event: Event, now: Instant) {
         match event {
             Event::Prepared(prepared) => {
@@ -358,13 +358,13 @@ impl Completer {
             .min()
     }
 
-    /// No further command can ever be issued: no Step 1 worker is left, and
-    /// every opened job is delivered.
+    /// No further command can ever be issued: no thread is left in the
+    /// Step 1 role, and every opened job is delivered.
     pub(crate) fn is_done(&self) -> bool {
         self.live_workers == 0 && self.backlog.is_empty() && self.jobs.is_empty()
     }
 
-    /// Some Step 1 worker may still send a sample.
+    /// Some pool thread may still send a sample.
     pub(crate) fn expects_samples(&self) -> bool {
         self.live_workers > 0
     }

@@ -1,7 +1,7 @@
 //! The engine's configuration.
 //!
 //! [`EngineConfig`] is everything a [`crate::StreamingEngine`] is built
-//! from: how many host Step 1 workers and database shards the §4.7
+//! from: how many host threads and database shards the §4.7
 //! inter-sample pipeline runs on, the admission policy and bounds, the
 //! per-shard NVMe-style queue depth, and the optional mechanisms — tracing,
 //! fault injection with its retry policy — each of which is off by default
@@ -25,9 +25,13 @@ use crate::queue::SchedPolicy;
 /// Configuration of a [`crate::StreamingEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Host-side Step 1 worker threads.
+    /// Host threads; each runs Step 1 and serves device commands. The
+    /// engine runs `workers + 1` threads, the completer included, whatever
+    /// the shard count.
     pub workers: usize,
-    /// Simulated SSDs the database is sharded across.
+    /// Simulated SSDs the database is sharded across: logical devices, each
+    /// with its own command queue, depth slots and counters, served by the
+    /// `workers` host threads — one command per device at a time.
     pub shards: usize,
     /// Admission/service-order policy.
     pub policy: SchedPolicy,
@@ -46,7 +50,7 @@ pub struct EngineConfig {
     /// [`crate::trace::TraceSink::disabled`] path.
     pub trace_capacity: Option<usize>,
     /// Deterministic seeded fault-injection schedule applied at the
-    /// shard-worker seam; `None` (the default) injects nothing and the
+    /// serving seam; `None` (the default) injects nothing and the
     /// fault path costs one `Option` check per command.
     pub fault_plan: Option<Arc<FaultPlan>>,
     /// Maximum *retries* per command (re-issues after the initial attempt)
@@ -104,7 +108,8 @@ impl EngineConfig {
         EngineConfig::default()
     }
 
-    /// Sets the Step 1 worker count.
+    /// Sets the host thread count (each runs Step 1 and serves device
+    /// commands).
     ///
     /// # Panics
     ///
@@ -176,10 +181,11 @@ impl EngineConfig {
         self
     }
 
-    /// Installs a deterministic seeded [`FaultPlan`]: the shard workers
-    /// consult it before serving every command and inject the transient
-    /// errors, latency spikes, shard deaths, and worker panics it
-    /// schedules. The engine's recovery machinery (retry, failover, per-job
+    /// Installs a deterministic seeded [`FaultPlan`]: a pool thread
+    /// consults it before serving every command and injects the transient
+    /// errors, latency spikes, shard deaths, and serving panics it
+    /// schedules. A latency spike holds the thread serving it for the whole
+    /// dwell. The engine's recovery machinery (retry, failover, per-job
     /// failure isolation) then runs for real — with a recoverable plan the
     /// output stays byte-identical to the sequential oracle.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> EngineConfig {
@@ -349,7 +355,7 @@ mod tests {
 
     #[test]
     fn isp_service_order_matches_policy_order_with_many_workers() {
-        // Regression: with several Step 1 workers, prepared jobs used to
+        // Regression: with several workers, prepared jobs used to
         // reach the in-SSD stage in Step 1 *completion* order, letting a
         // low-priority job be served Steps 2–3 ahead of a high-priority one.
         // The reorder buffer must keep in-SSD service in dispatch (= policy)

@@ -90,7 +90,7 @@ pub struct JobResult {
     /// commands, and the completer delivers results in dispatch order even
     /// though per-shard completions arrive out of order, so this always
     /// equals [`JobResult::start_position`] — the in-SSD stage follows
-    /// policy order for any Step 1 worker count and command-queue depth
+    /// policy order for any worker count and command-queue depth
     /// (asserted by the regression tests).
     pub isp_position: usize,
     /// End-to-end analysis output — byte-identical to
@@ -132,15 +132,15 @@ pub enum JobError {
         /// Attempts made (initial issue plus retries).
         attempts: u32,
     },
-    /// A shard worker panicked while serving one of the job's commands
-    /// (caught at the worker seam; non-recoverable for this job).
+    /// Serving one of the job's commands panicked (caught at the serving
+    /// seam; non-recoverable for this job).
     WorkerPanicked {
         /// The failed job.
         job: JobId,
         /// Shard-of-record of the command being served.
         shard: usize,
     },
-    /// Every shard worker died before the job's commands could be served —
+    /// Every device died before the job's commands could be served —
     /// there is no survivor to fail over to.
     NoLiveShards {
         /// The failed job.

@@ -17,12 +17,12 @@
 //!   one per simulated SSD ([`ShardSet`]), the range-partitioned query
 //!   dispatch ([`ShardSet::slice_queries`]): each device only ever sees the
 //!   sub-slice of a sample's sorted query list overlapping its key range —
-//!   plus the per-device workers, which serve both command kinds: Step 2
+//!   plus the per-device serving path for both command kinds: Step 2
 //!   intersections and Step 3 — one command per job, which generates the
 //!   job's unified index and maps every read through the same
 //!   `MegisAnalyzer::run_step3` the sequential path runs,
-//! * [`service`] — the streaming executor ([`StreamingEngine`]): a pool of
-//!   host Step 1 worker threads live-popping a shared queue and feeding an
+//! * [`service`] — the streaming executor ([`StreamingEngine`]): one pool
+//!   of host threads that live-pops a shared queue for Step 1 and serves an
 //!   in-SSD stage of NVMe-style bounded per-shard command queues (tagged
 //!   commands, configurable [`EngineConfig::queue_depth`], out-of-order
 //!   completion with in-dispatch-order delivery), built on std threads and
@@ -79,7 +79,7 @@
 //!
 //! **Ordering guarantee:** the in-SSD stage serves samples in dispatch
 //! order — which is policy order over the queue at each dispatch instant —
-//! regardless of the Step 1 worker count. Step 1 completions are reordered
+//! regardless of the worker count. Step 1 completions are reordered
 //! through a buffer keyed on service position before the in-SSD hand-off,
 //! so a low-priority sample can never have its Steps 2–3 served ahead of a
 //! high-priority sample that entered service first ([`JobResult`] records
@@ -160,7 +160,7 @@
 //!   pipeline-thread panic starts poison propagation, so it has to be
 //!   visibly deliberate. The rule follows the thread into every same-file
 //!   function the spawn body calls by bare name, transitively, so a thread
-//!   body moved into a named function (`shard_worker`) stays covered.
+//!   body moved into a named function (`pool_thread`) stays covered.
 //!
 //! * **shardstats-accessor** — a [`ShardStats`] counter is never assigned
 //!   outside `metrics.rs`: the completer's tally fold there is each

@@ -1,66 +1,57 @@
 //! Service mode: the continuously scheduled streaming executor.
 //!
-//! [`StreamingEngine`] keeps the paper's multi-sample pipeline — a pool of
-//! host Step 1 workers feeding a sharded in-SSD stage (§4.7) — running as a
-//! long-lived service. Jobs can be submitted from any thread *while the
-//! engine runs*: admission goes through one shared queue, and each Step 1
-//! worker picks its next job with a live `pop_next` at dispatch time, so a
-//! high-priority sample submitted mid-stream competes under the policy
-//! immediately instead of waiting for a batch boundary. MetaStore and
-//! GenStore frame in-storage genomics accelerators the same way:
-//! continuously fed, not drained once.
+//! [`StreamingEngine`] keeps the paper's multi-sample pipeline — host-side
+//! Step 1 feeding a sharded in-SSD stage (§4.7) — running as a long-lived
+//! service. Jobs can be submitted from any thread *while the engine runs*:
+//! admission goes through one shared queue, and a pool thread picks the
+//! next job with a live `pop_next` at dispatch time, so a high-priority
+//! sample submitted mid-stream competes under the policy immediately
+//! instead of waiting for a batch boundary. MetaStore and GenStore frame
+//! in-storage genomics accelerators the same way: continuously fed, not
+//! drained once.
 //!
 //! **A closed batch** is the same engine fed once:
 //! [`StreamingEngine::submit_all`] admits the whole set in one critical
-//! section — all of it or none — so no worker can pop between two
+//! section — all of it or none — so no pool thread can pop between two
 //! admissions and the assigned service positions follow the policy over the
 //! whole set exactly; [`StreamingEngine::shutdown`] drains it and reports,
 //! and each [`JobHandle::wait`] then returns at once.
 //!
 //! **The in-SSD stage: tagged command queues with bounded depth, serving
-//! both Steps 2 and 3.** The stage is one `ShardWorker` thread (see
-//! [`crate::shard`]) per database shard plus one *completer* thread, the
-//! only code that puts commands on the shard queues. Each worker's queue
-//! carries commands of *two kinds* — Step 2 (intersection finding fused
-//! with taxID retrieval, §4.3) and Step 3 (unified-index generation plus
-//! read mapping, §4.4) — so the whole pipeline after Step 1 is per-device
-//! work and only counts cross back to the host side. Every decision of the
-//! completer lives in a thread-free core, `crate::complete::Completer`;
-//! the completer thread is a shell around it (below). The core:
+//! both Steps 2 and 3.** The stage is one logical device per database
+//! shard — its own command queue, depth slots, fault-plan counters,
+//! [`crate::ShardStats`] and trace `shard`, all keyed by device index —
+//! served by the engine's pool of host threads (below), plus one
+//! *completer* thread, the only code that puts commands on the device
+//! queues. Each queue carries commands of *two kinds* — Step 2
+//! (intersection finding fused with taxID retrieval, §4.3) and Step 3
+//! (unified-index generation plus read mapping, §4.4) — so the whole
+//! pipeline after Step 1 is per-device work and only counts cross back to
+//! the host side. Every decision of the completer lives in a thread-free
+//! core, `crate::complete::Completer`, whose module docs cover its ledger
+//! and folds; the completer thread is a shell around it (below). The core:
 //!
-//! * *opens* prepared samples strictly in dispatch order (reorder buffer,
-//!   below), slicing each sorted query list into per-shard sub-ranges with
-//!   [`ShardSet::slice_queries`] — binary search on the shard key bounds, so
-//!   each simulated SSD only ever sees the slice overlapping its disjoint
-//!   database range, and total query-side work stays O(|Q|) across shards
-//!   instead of the O(N·|Q|) a broadcast would cost. Each non-empty
-//!   sub-range becomes one intersect command tagged `(sequence, shard)`.
+//! * *opens* prepared samples strictly in dispatch order, slicing each
+//!   sorted query list into per-shard sub-ranges with
+//!   [`ShardSet::slice_queries`], so each simulated SSD only ever sees the
+//!   slice overlapping its disjoint database range and total query-side
+//!   work stays O(|Q|) across shards. Each non-empty sub-range becomes one
+//!   intersect command tagged `(sequence, shard)`.
 //! * *issues* every command through **one backlog**: a command takes a
 //!   queue slot when its shard has one and waits in the backlog otherwise.
-//!   Queues are NVMe-style bounded: at most
-//!   [`crate::EngineConfig::queue_depth`] commands may be outstanding per
-//!   shard, so several samples' commands are in flight on every device at
-//!   once while backpressure still bounds memory. Only a resolved command
-//!   frees a slot, and the core that resolves commands is the core that
-//!   issues them, so nothing ever waits for one. A command enters the retry
-//!   ledger before it leaves the core: its completion can never arrive
-//!   unregistered.
-//! * *folds* per-shard completions **out of order** — shard A may finish
-//!   sample 3 before shard B finishes sample 1. A Step 2 completion carries
-//!   the slice's hit count and per-taxon sketch support — the device
-//!   already retrieved the taxIDs through the database-joined KSS
-//!   (`megis::step2::sweep`), so no k-mer list crosses the completion
-//!   channel — and supports over disjoint slices add, so each is folded the
-//!   moment it arrives behind a hard folded-twice check per `(seq, shard)`.
-//!   The fold of a job's last shard calls presence over the sum and appends
-//!   the job's **one** Step 3 command to the backlog, on shard
-//!   `seq % shards` so consecutive samples rotate over the array. The
-//!   device that serves it merges the candidates' per-species indexes into
-//!   the job's unified index (§4.4, Fig. 9) and maps every read through
-//!   `MegisAnalyzer::run_step3` — the function the sequential `analyze`
-//!   runs — so it waits on no other command. Only the abundance estimate
-//!   and the mapped-read count come back, into the job's one Step 3 slot,
-//!   which refuses a second fill.
+//!   At most [`crate::EngineConfig::queue_depth`] commands may be
+//!   outstanding per shard (NVMe-style), so several samples' commands are
+//!   in flight on every device at once while backpressure still bounds
+//!   memory. Only a resolved command frees a slot, and the core that
+//!   resolves commands is the core that issues them.
+//! * *folds* per-shard completions **out of order**. A Step 2 completion
+//!   carries the slice's hit count and per-taxon sketch support (the device
+//!   already retrieved the taxIDs, `megis::step2::sweep`); supports over
+//!   disjoint slices add. The fold of a job's last shard calls presence and
+//!   appends the job's **one** Step 3 command to the backlog, on shard
+//!   `seq % shards`, whose device merges the candidates' unified index
+//!   (§4.4, Fig. 9) and maps every read through `MegisAnalyzer::run_step3`
+//!   — the function the sequential `analyze` runs.
 //! * *delivers* a job once its Step 3 result is in and every earlier
 //!   sequence number has been delivered: delivery order equals dispatch
 //!   order equals policy order no matter how completions interleave.
@@ -69,61 +60,57 @@
 //! Step 3 mapping genuinely overlaps the next sample's Step 2 intersection
 //! on the same device — [`ServiceReport::stage_overlap_events`] counts the
 //! submissions that observed a command of the other stage outstanding.
+//! Every command serves exactly one sample and waits on no other command.
 //!
-//! **Shard-of-record.** A device serves only the back of its own queue
-//! (`CommandQueues`), and the completer alone decides which queue a command
-//! goes on: `Completer::pick_target` picks the command's
+//! **Shard-of-record.** A device serves only its own queue, oldest
+//! dispatch sequence first, and the completer alone decides which queue a
+//! command goes on: `Completer::pick_target` picks the command's
 //! *shard-of-record* while that device lives and the next live shard once it
 //! has died (failover, below). A result stays tagged with the
 //! shard-of-record, which keeps the completer's depth accounting and
 //! exactly-once fold independent of who served it; a completion also names
 //! the *physical* device that answered, which trace events and
-//! [`crate::ShardStats`] credit, so the straggler analyzer sees real
-//! per-device busy time and `stolen_items` counts the reads a device mapped
-//! for another shard-of-record — 0 on a healthy array.
+//! [`crate::ShardStats`] credit — `stolen_items` counts the reads a device
+//! mapped for another shard-of-record, 0 on a healthy array.
 //!
-//! Commands are only issued to shards with work to do: a device whose key
-//! range no query of a sample falls into is skipped for that sample's
-//! Step 2, and a sample with no candidates issues no Step 3 command at all,
-//! rather than no-op work that would burn a queue slot.
+//! **The pool.** [`crate::EngineConfig::workers`] host threads run both
+//! sides of the pipeline, each in one loop (`pool_thread`). Under the state
+//! lock a thread takes the queued command with the smallest dispatch
+//! sequence among the devices no other thread is serving, and serves it as
+//! that device; only when no command is ready does it run Step 1 for the
+//! next job the lookahead gate admits; otherwise it waits on one condvar.
+//! A device serves at most one command at a time, and at most `workers`
+//! units of work — Step 1s and commands together — run at any instant:
+//! the engine runs `workers + 1` threads whatever the shard count. Serving
+//! the oldest sequence first serves the head of delivery order first, and
+//! its delivery is what opens the lookahead gate.
 //!
-//! **The shell.** Prepared samples from the Step 1 workers, completions
-//! from the shard workers and each Step 1 worker's exit all reach the
-//! completer thread on one channel. Each round it books whatever arrived
-//! into the core, settles the core at the current instant, puts the
-//! commands it settled on onto the queues, and — under one lock — mirrors
-//! the core's queue occupancy and sends every delivery. Then it blocks until
-//! the next event or the core's next timer (a retry backoff running out, a
-//! command deadline passing), so a sample that commands no device is
-//! delivered by its own arrival and a retry fires at its due instant. While
+//! **The shell.** Prepared samples and completions from the pool threads,
+//! and each pool thread's exit from Step 1, all reach the completer thread
+//! on one channel. Each round it books whatever arrived into the core,
+//! settles the core at the current instant, and — under one lock — puts the
+//! commands it settled on onto the device queues, mirrors the core's queue
+//! occupancy and sends every delivery. Then it blocks until the next event
+//! or the core's next timer (a retry backoff, a command deadline). While
 //! commands are outstanding the wait is also capped at a 50 ms poison poll,
-//! because a panicked shard worker never answers;
+//! because a pool thread that panicked in a command never answers;
 //! [`ServiceSnapshot::completer_timeouts`] counts the waits that ended on a
 //! timer or on that poll.
 //!
-//! **Memory.** The shard workers hold zero-copy views over the analyzer's
-//! columnar database storage (see [`crate::shard`]): spinning up an N-shard
-//! service does not duplicate the database, and [`ServiceReport`] records
-//! the deduplicated footprint as `resident_database_bytes`.
+//! **Memory.** The pool serves every device through zero-copy views over
+//! the analyzer's database storage ([`crate::shard`]), whose one copy
+//! [`ServiceReport`] records as `resident_database_bytes`.
 //!
 //! **Ordering guarantee.** Dispatch order (the `start_position` assigned in
 //! the same critical section as the pop) *is* policy order at dispatch time.
-//! Step 1 workers may finish out of that order, so the completer holds
-//! early arrivals in a reorder buffer keyed on `start_position` and opens
-//! samples strictly in dispatch order — and its in-order delivery extends
-//! the guarantee through Steps 2–3. A dispatch lookahead gate keeps workers
-//! from running more than `max(2 * workers + 2, queue_depth + workers)`
-//! positions ahead of in-SSD delivery, so the completer's reorder buffer,
-//! its job table and command backlog, and peak prepared-sample
-//! memory all stay O(workers + depth) even when one sample's Step 1 is far
-//! slower than the rest — while still admitting enough samples into the
-//! stage to actually fill a deep queue.
-//!
-//! **One owner per command.** Every command serves exactly one sample and
-//! waits on no other command: the completer builds a sample's intersect
-//! commands the moment the sample is next in dispatch order and its Step 3
-//! command once presence is called, and a completion, a retry or a failure
-//! settles only the job that owns the command.
+//! Step 1 may finish out of that order, so the completer holds early
+//! arrivals in a reorder buffer and opens samples strictly in dispatch
+//! order — and its in-order delivery extends the guarantee through
+//! Steps 2–3. A dispatch lookahead gate keeps the pool from running Step 1
+//! more than `max(2 * workers + 2, queue_depth + workers)` positions ahead
+//! of in-SSD delivery, so the reorder buffer, the job table, the command
+//! backlog and peak prepared-sample memory all stay O(workers + depth)
+//! even when one sample's Step 1 is far slower than the rest.
 //!
 //! **Failure.** Failure handling is layered, mirroring how a real device
 //! array degrades, and every layer is exercised deterministically by an
@@ -134,74 +121,62 @@
 //!    ([`crate::EngineConfig::with_retry_backoff`]) against a per-command
 //!    retry budget ([`crate::EngineConfig::with_retry_budget`]); an optional
 //!    command deadline ([`crate::EngineConfig::with_command_deadline`])
-//!    treats a stuck command as a transient failure of its current attempt,
-//!    so a hung device cannot stall a job forever. A command keeps its NVMe
-//!    queue-depth slot from first issue to final resolution — retries never
-//!    double-count against the depth gate, and stale completions of
-//!    superseded attempts are ignored.
-//! 2. *Failover.* A shard whose worker dies permanently keeps popping its
-//!    own queue and rejects every command with a dead-shard error. The
-//!    completer marks the device dead on the first rejection it reads and
-//!    re-issues each rejected command — against its retry budget, like any
-//!    retry — to a surviving device, where every later command of that
-//!    shard-of-record goes too; failover is this one re-issue path. Every
-//!    worker holds the zero-copy [`ShardSet`], so any device can serve any
-//!    shard's database range and outputs stay byte-identical; results stay
-//!    keyed on the *shard-of-record*, so failover is invisible to the merge
-//!    bookkeeping. With every device dead, the re-issue fails the job.
-//! 3. *Per-job failure.* A worker panic (caught at the serving seam) or an
-//!    exhausted retry budget fails only the owning job: its [`JobHandle`]
-//!    resolves to `Err(`[`JobError`]`)`, delivered in dispatch order like
-//!    any result, and the engine keeps serving every other job.
-//! 4. *Poison.* Only unrecoverable pipeline failures — a Step 1 worker or
-//!    the completer panicking — poison the whole service:
+//!    treats a stuck command as a transient failure of its current attempt.
+//!    An injected latency spike holds the pool thread serving it for its
+//!    whole dwell: while every thread dwells, no other command and no
+//!    Step 1 runs.
+//! 2. *Failover.* A device that dies permanently is still popped, and
+//!    rejects every command with a dead-shard error. The completer marks
+//!    the device dead on the first rejection it reads and re-issues each
+//!    rejected command — against its retry budget — to a surviving device,
+//!    where every later command of that shard-of-record goes too. Every
+//!    pool thread holds the zero-copy [`ShardSet`], so any device can serve
+//!    any shard's range and outputs stay byte-identical. With every device
+//!    dead, the re-issue fails the job.
+//! 3. *Per-job failure.* A panic while serving a command (caught at the
+//!    serving seam) or an exhausted retry budget fails only the owning job:
+//!    its [`JobHandle`] resolves to `Err(`[`JobError`]`)`, delivered in
+//!    dispatch order like any result.
+//! 4. *Poison.* Only unrecoverable pipeline failures — a pool thread or the
+//!    completer panicking — poison the whole service:
 //!    [`StreamingEngine::drain`] and [`StreamingEngine::shutdown`] propagate
 //!    the failure as a panic instead of blocking forever, every outstanding
 //!    [`JobHandle`] resolves to `Err(JobError::EngineStopped)` the moment
-//!    the poison is set — while the engine is still alive — later
-//!    submissions are rejected with [`AdmissionError::ShuttingDown`], and
-//!    dropping the engine joins its threads without panicking.
+//!    the poison is set, later submissions are rejected with
+//!    [`AdmissionError::ShuttingDown`], and dropping the engine joins its
+//!    threads without panicking.
 //!
-//! **Delivery.** Each submission returns a [`JobHandle`]; the result is sent
-//! on the handle's channel the moment the job completes, so clients consume
-//! results incrementally instead of waiting for a closed batch. A rolling
-//! window ([`crate::metrics::RollingWindow`]) over recent completions backs
-//! the live [`ServiceSnapshot`].
-//!
-//! **Shutdown.** [`StreamingEngine::drain`] blocks until the service is
-//! quiescent; [`StreamingEngine::shutdown`] closes admission, drains, joins
-//! every thread, and reports. Dropping the engine performs the same graceful
-//! shutdown.
+//! **Delivery and shutdown.** A [`JobHandle`] receives its job's outcome
+//! the moment the job completes, and a rolling window over recent
+//! completions backs the live [`ServiceSnapshot`]. [`StreamingEngine::drain`]
+//! waits for quiescence; [`StreamingEngine::shutdown`] — or dropping the
+//! engine — closes admission, drains, joins every thread, and reports.
 //!
 //! # Observability
 //!
 //! The completer is the one place that counts: each completion carries the
 //! device that answered, its busy time and its start and finish stamps, and
 //! the completer folds those — with every issue, re-issue and delivery —
-//! into one tally that becomes the [`ServiceReport`]'s counters. Shard
-//! workers keep none.
+//! into one tally that becomes the [`ServiceReport`]'s counters. Pool
+//! threads keep none.
 //!
 //! With [`crate::EngineConfig::with_tracing`] the engine also records every
-//! pipeline lifecycle event into a shared [`crate::trace::TraceSink`]
-//! (bounded ring, multi-producer): admission at `submit`, Step 1 start/end
-//! in the workers, `CommandIssued` per `(seq, shard)` when the completer's
-//! backlog puts a command of either kind on a queue,
-//! `CommandStarted`/`CommandCompleted` in the shard workers (bracketing the
-//! device service), `ReduceStarted`/`ReduceFinished` around the
-//! completer's reduce, and `Delivered` at handle send. Each job's
+//! pipeline lifecycle event into a shared [`crate::trace::TraceSink`]:
+//! admission at `submit`, Step 1 start/end and
+//! `CommandStarted`/`CommandCompleted` (bracketing the device service) in
+//! the pool threads, `CommandIssued` when the completer puts a command on a
+//! queue, `ReduceStarted`/`ReduceFinished` around the completer's reduce,
+//! and `Delivered` at handle send. Each job's
 //! [`crate::trace::StageBreakdown`] is folded from its own timeline and
 //! built at delivery ([`JobResult::breakdown`]); the ring is read only at
-//! shutdown, for the [`crate::trace::StragglerReport`] — per-device
-//! busy/stall/idle — and the exportable [`crate::trace::TraceLog`].
-//!
-//! **Overhead contract:** tracing is off by default and the disabled sink's
-//! record path is a single inlined branch — no lock, no clock read, no
-//! allocation — so the instrumentation points cost the engine nothing when
-//! unused. The repository benchmark reports the traced-vs-untraced wall
-//! clock as `sched.trace.overhead_frac` (`benchmark/README.md`).
+//! shutdown, for the [`crate::trace::StragglerReport`] and the exportable
+//! [`crate::trace::TraceLog`]. Tracing is off by default, and the disabled
+//! sink's record path is a single inlined branch — no lock, no clock read,
+//! no allocation; the repository benchmark reports the traced-vs-untraced
+//! wall clock as `sched.trace.overhead_frac` (`benchmark/README.md`).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -214,104 +189,14 @@ use crate::fault::{FaultDecision, FaultPlan};
 use crate::job::{JobError, JobId, JobResult, JobSpec};
 use crate::lock::Lock;
 use crate::metrics::{LatencyStats, RollingWindow, ServiceReport, Tally};
-use crate::queue::{AdmissionError, JobQueue};
+use crate::queue::{AdmissionError, JobQueue, QueuedJob};
 use crate::shard::{CommandFailure, ShardCommand, ShardSet, ShardWorker};
 use crate::trace::{StragglerReport, TraceEventKind, TraceLog, TraceSink, NO_SEQ};
 
-/// The per-device command queues: one shared deque array under one lock and
-/// one condvar, so a worker wakes on a push to its queue and on the producer
-/// release alike.
-///
-/// Discipline per queue: the producer pushes at the back and the owner pops
-/// from the back (the freshest command); no device ever serves another
-/// device's queue. The back pop is measured, not assumed: popping the
-/// oldest sequence first instead was ahead by ≈ 2 % in 3 of 4 paired
-/// benchmark runs on `stream_closed2` but behind in 4 of 5 on
-/// `cohort_foreign` (up to −24 % throughput, +1–2 MB resident; 2 vCPUs,
-/// results byte-equal).
-///
-/// Producer accounting replaces channel disconnection for shutdown: the one
-/// producing side, the completer, holds a [`QueueProducer`] guard, and a
-/// worker exits when its own queue is empty and no producer guard remains.
-#[derive(Debug)]
-struct CommandQueues {
-    inner: Lock<QueuesInner>,
-    /// Signaled on push and on producer release.
-    ready: Condvar,
-}
-
-#[derive(Debug)]
-struct QueuesInner {
-    queues: Vec<VecDeque<ShardCommand>>,
-    /// Outstanding [`QueueProducer`] guards.
-    producers: usize,
-}
-
-impl CommandQueues {
-    fn new(shard_count: usize) -> Arc<CommandQueues> {
-        Arc::new(CommandQueues {
-            inner: Lock::new(QueuesInner {
-                queues: (0..shard_count).map(|_| VecDeque::new()).collect(),
-                producers: 0,
-            }),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Registers a producing side; commands can be pushed while the guard
-    /// lives, and workers only wind down once every guard is dropped.
-    fn producer(self: &Arc<Self>) -> QueueProducer {
-        self.inner.lock().producers += 1;
-        QueueProducer {
-            queues: Arc::clone(self),
-        }
-    }
-
-    /// Blocks until device `index`'s own queue has a command, and returns
-    /// its back; `None` when no command can ever arrive again (queue
-    /// drained, producers gone).
-    fn pop(&self, index: usize) -> Option<ShardCommand> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(command) = inner.queues[index].pop_back() {
-                return Some(command);
-            }
-            if inner.producers == 0 {
-                return None;
-            }
-            inner = self.inner.wait(&self.ready, inner);
-        }
-    }
-}
-
-/// RAII registration of one producing side on the [`CommandQueues`];
-/// dropping it is the shutdown hand-over that lets idle workers exit.
-#[derive(Debug)]
-struct QueueProducer {
-    queues: Arc<CommandQueues>,
-}
-
-impl QueueProducer {
-    /// Enqueues a command on `shard`'s queue. Infallible: worker liveness
-    /// is reported through the engine's poison flag, not through send
-    /// errors.
-    fn send(&self, shard: usize, command: ShardCommand) {
-        self.queues.inner.lock().queues[shard].push_back(command);
-        self.queues.ready.notify_all();
-    }
-}
-
-impl Drop for QueueProducer {
-    fn drop(&mut self) {
-        self.queues.inner.lock().producers -= 1;
-        // Wake every waiting worker so it can re-check the exit condition.
-        self.queues.ready.notify_all();
-    }
-}
-
-/// A Step 1 worker's end of the completer channel; dropping it — on a clean
-/// exit or while a panic unwinds — tells the completer one fewer worker can
-/// send a sample. A worker's samples all precede its exit on the channel.
+/// A pool thread's Step 1 role: its end of the completer channel for
+/// prepared samples. Dropping it — when the thread leaves the role, or
+/// while a panic unwinds — tells the completer one fewer thread can send a
+/// sample. A thread's samples all precede its exit on the channel.
 struct WorkerTx(Sender<Event>);
 
 impl Drop for WorkerTx {
@@ -320,10 +205,20 @@ impl Drop for WorkerTx {
     }
 }
 
-/// State shared by submitters, Step 1 workers, and the in-SSD stage.
+/// One logical device: the commands the completer put on its queue,
+/// whether a pool thread is serving it, and how many commands it has
+/// popped — the count [`FaultPlan::death_after`] kills it at.
+#[derive(Debug, Default)]
+struct Device {
+    queue: VecDeque<ShardCommand>,
+    busy: bool,
+    popped: u64,
+}
+
+/// State shared by submitters, the pool threads, and the completer.
 #[derive(Debug)]
 struct ServiceState {
-    /// The live admission queue; workers `pop_next` it at dispatch time.
+    /// The live admission queue; pool threads `pop_next` it at dispatch.
     queue: JobQueue,
     /// Per-job result channels, removed at delivery. A failed job's error
     /// travels the same channel as a result would, so handles resolve in
@@ -336,10 +231,14 @@ struct ServiceState {
     /// Positions fully served by the in-SSD stage (the completer's
     /// `next_to_deliver`, mirrored here for the dispatch lookahead gate).
     isp_served: usize,
-    /// Maximum positions workers may dispatch ahead of the in-SSD stage;
+    /// Maximum positions the pool may dispatch ahead of the in-SSD stage;
     /// bounds the reorder buffer and prepared-sample memory at
     /// O(workers + queue depth).
     lookahead: usize,
+    /// The device command queues, indexed by device.
+    devices: Vec<Device>,
+    /// Cleared by the completer once it can issue no further command.
+    producing: bool,
     /// Commands outstanding per shard (both kinds), mirrored from the
     /// completer's core once per round for [`StreamingEngine::snapshot`].
     shard_inflight: Vec<usize>,
@@ -352,7 +251,8 @@ struct ServiceState {
     poisoned: bool,
     /// Cleared when a graceful shutdown begins; submissions then reject.
     accepting: bool,
-    /// Set after the final drain; idle workers exit instead of waiting.
+    /// Set after the final drain; pool threads then leave the Step 1 role
+    /// once the admission queue is empty.
     stopping: bool,
     /// Jobs completed over the service lifetime.
     completed: u64,
@@ -360,15 +260,62 @@ struct ServiceState {
     window: RollingWindow,
 }
 
+/// What a pool thread took from the state under the lock.
+enum Work {
+    /// Serve the command as device `.0`, the `.1`-th popped from it.
+    Command(usize, u64, ShardCommand),
+    /// Run Step 1 for this job at this dispatch position.
+    Step1(QueuedJob, usize),
+    /// Admission is closed and drained: send no further sample.
+    LeaveStep1,
+}
+
+impl ServiceState {
+    /// Pops the queued command with the smallest dispatch sequence among the
+    /// devices no pool thread is serving, and marks its device busy.
+    fn pop_command(&mut self) -> Option<Work> {
+        let (_, index, at) = self
+            .devices
+            .iter()
+            .enumerate()
+            .filter(|(_, device)| !device.busy)
+            .flat_map(|(index, device)| {
+                let queued = device.queue.iter().enumerate();
+                queued.map(move |(at, command)| (command.seq(), index, at))
+            })
+            .min()?;
+        let device = &mut self.devices[index];
+        let command = device.queue.remove(at)?;
+        device.busy = true;
+        device.popped += 1;
+        Some(Work::Command(index, device.popped, command))
+    }
+
+    /// Pops the next job under the policy if the lookahead gate admits its
+    /// position: the policy decision and the position assignment share one
+    /// critical section, so dispatch order is exactly policy order.
+    fn pop_step1(&mut self) -> Option<Work> {
+        if self.next_position >= self.isp_served + self.lookahead {
+            return None;
+        }
+        let job = self.queue.pop_next()?;
+        let position = self.next_position;
+        self.next_position += 1;
+        self.in_flight += 1;
+        Some(Work::Step1(job, position))
+    }
+}
+
 /// The state behind one lock, and the two things a thread waits for on it.
-/// Shard queue slots have no condvar: the completer, the only issuer, is
+/// Device queue slots have no condvar: the completer, the only issuer, is
 /// also the only thread that frees them.
 #[derive(Debug)]
 struct Shared {
     state: Lock<ServiceState>,
-    /// Signaled on submission and on delivery (Step 1 workers wait here for
-    /// a job and for the lookahead gate to open).
-    job_ready: Condvar,
+    /// Wakes the pool: on a submission, an issued command, a delivery, a
+    /// freed device with commands queued, the end of production, a pool
+    /// thread's exit, and shutdown or poison.
+    work: Condvar,
     /// Signaled on completion (drain waits here for quiescence).
     idle: Condvar,
 }
@@ -392,6 +339,8 @@ impl Shared {
                 // unchanged; deep queues widen the gate instead of being
                 // silently capped below the configured depth.
                 lookahead: (2 * config.workers + 2).max(config.queue_depth + config.workers),
+                devices: (0..shard_count).map(|_| Device::default()).collect(),
+                producing: true,
                 shard_inflight: vec![0; shard_count],
                 completer_timeouts: 0,
                 poisoned: false,
@@ -400,7 +349,7 @@ impl Shared {
                 completed: 0,
                 window: RollingWindow::new(config.metrics_window),
             }),
-            job_ready: Condvar::new(),
+            work: Condvar::new(),
             idle: Condvar::new(),
         }
     }
@@ -426,10 +375,11 @@ pub struct ServiceSnapshot {
     pub window_throughput: f64,
     /// Times the completer woke without an event: on one of its timers (a
     /// retry backoff running out, a command deadline passing) or on the
-    /// poison poll it arms while commands are outstanding (a panicked shard
-    /// worker never answers). Prepared samples, completions and worker
-    /// exits all wake it as events, so a healthy engine without deadlines
-    /// or backoffs reads 0 and no sample ever waits on a poll.
+    /// poison poll it arms while commands are outstanding (a pool thread
+    /// that panicked in a command never answers). Prepared samples,
+    /// completions and Step 1 exits all wake it as events, so a healthy
+    /// engine without deadlines or backoffs reads 0 and no sample ever
+    /// waits on a poll.
     pub completer_timeouts: u64,
 }
 
@@ -456,20 +406,27 @@ impl JobHandle {
     /// `Err(JobError::EngineStopped)` if the engine stopped without serving
     /// it.
     pub fn wait(self) -> Result<JobResult, JobError> {
-        self.rx
-            .recv()
-            .unwrap_or(Err(JobError::EngineStopped { job: self.id }))
+        let stopped = JobError::EngineStopped { job: self.id };
+        self.rx.recv().unwrap_or(Err(stopped))
     }
 
     /// Returns the outcome if the job has already settled, without
-    /// blocking.
+    /// blocking: `Some(Err(JobError::EngineStopped))` if the engine stopped
+    /// without serving it, `None` while it is still being served.
     pub fn try_wait(&self) -> Option<Result<JobResult, JobError>> {
-        self.rx.try_recv().ok()
+        match self.rx.try_recv() {
+            Err(TryRecvError::Empty) => None,
+            outcome => Some(outcome.unwrap_or(Err(JobError::EngineStopped { job: self.id }))),
+        }
     }
 
-    /// Blocks up to `timeout` for the outcome.
+    /// Blocks up to `timeout` for the outcome, then answers like
+    /// [`JobHandle::try_wait`].
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<JobResult, JobError>> {
-        self.rx.recv_timeout(timeout).ok()
+        match self.rx.recv_timeout(timeout) {
+            Err(RecvTimeoutError::Timeout) => None,
+            outcome => Some(outcome.unwrap_or(Err(JobError::EngineStopped { job: self.id }))),
+        }
     }
 }
 
@@ -481,10 +438,10 @@ impl JobHandle {
 #[derive(Debug)]
 pub struct StreamingEngine {
     shared: Arc<Shared>,
+    /// The pool threads.
     workers: Vec<JoinHandle<()>>,
     /// The completer returns the report's counts when it exits.
     completer: Option<JoinHandle<Tally>>,
-    shard_handles: Vec<JoinHandle<()>>,
     shards: ShardSet,
     config: EngineConfig,
     started_at: Instant,
@@ -493,8 +450,9 @@ pub struct StreamingEngine {
 
 impl StreamingEngine {
     /// Builds and starts a service around an analyzer, sharding its database
-    /// across the configured number of simulated SSDs. Worker, shard, and
-    /// in-SSD stage threads are running when this returns.
+    /// across the configured number of simulated SSDs. The pool threads and
+    /// the completer are running when this returns: `workers + 1` threads,
+    /// whatever the shard count.
     pub fn new(analyzer: MegisAnalyzer, config: EngineConfig) -> StreamingEngine {
         assert!(config.workers > 0, "at least one worker is required");
         assert!(config.shards > 0, "at least one shard is required");
@@ -506,48 +464,31 @@ impl StreamingEngine {
             None => TraceSink::disabled(),
         };
         let shared = Arc::new(Shared::new(&config, shards.shard_count()));
-        // The completer's producer guard is taken *before* any shard worker
-        // spawns, so no worker can observe a producerless instant and exit
-        // early. Every other thread reports to the completer on one event
-        // channel, whose senders they alone hold: it closes exactly when
-        // both stages have wound down.
-        let queues = CommandQueues::new(shards.shard_count());
-        let producer = queues.producer();
+        // Every pool thread reports to the completer on one event channel,
+        // whose senders they alone hold: it closes exactly when the pool
+        // has wound down.
         let (events_tx, events) = mpsc::channel::<Event>();
-        let shard_handles = (0..shards.shard_count())
-            .map(|index| {
-                let (queues, shared, trace) =
-                    (Arc::clone(&queues), Arc::clone(&shared), trace.clone());
-                let worker = ShardWorker::new(shards.clone(), Arc::clone(&analyzer));
-                let (events, plan) = (events_tx.clone(), config.fault_plan.clone());
-                thread::spawn(move || {
-                    let _guard = PanicGuard(&shared);
-                    shard_worker(index, &queues, &worker, &events, plan.as_deref(), &trace)
-                })
-            })
-            .collect();
         let workers = (0..config.workers)
             .map(|_| {
                 let (shared, analyzer, trace) =
                     (Arc::clone(&shared), Arc::clone(&analyzer), trace.clone());
-                // `tx` outlives the worker's `PanicGuard`: a panicking
-                // worker has poisoned the engine by the time its exit
-                // reaches the completer.
-                let tx = WorkerTx(events_tx.clone());
-                thread::spawn(move || step1_worker(&shared, &analyzer, &tx, &trace))
+                let device = ShardWorker::new(shards.clone(), Arc::clone(&analyzer));
+                let (events, plan) = (events_tx.clone(), config.fault_plan.clone());
+                thread::spawn(move || {
+                    pool_thread(&shared, &analyzer, &device, events, plan.as_deref(), &trace)
+                })
             })
             .collect();
         drop(events_tx);
         let core = Completer::new(analyzer, shards.clone(), &config, trace.clone());
         let completer = {
             let shared = Arc::clone(&shared);
-            thread::spawn(move || run_completer(core, &events, &shared, producer))
+            thread::spawn(move || run_completer(core, &events, &shared))
         };
         StreamingEngine {
             shared,
             workers,
             completer: Some(completer),
-            shard_handles,
             shards,
             config,
             started_at: Instant::now(),
@@ -588,12 +529,12 @@ impl StreamingEngine {
     }
 
     /// Admits a closed set of jobs, from any thread: all of them or none,
-    /// in **one** critical section. No worker can pop between two of the
-    /// admissions, so the service positions the set is assigned follow the
-    /// policy over the whole set exactly — (priority desc, submission asc)
-    /// under [`crate::SchedPolicy::Priority`] — whatever the worker count.
-    /// Ids are dense and in submission order; the handles come back in that
-    /// order too.
+    /// in **one** critical section. No pool thread can pop between two of
+    /// the admissions, so the service positions the set is assigned follow
+    /// the policy over the whole set exactly — (priority desc, submission
+    /// asc) under [`crate::SchedPolicy::Priority`] — whatever the worker
+    /// count. Ids are dense and in submission order; the handles come back
+    /// in that order too.
     ///
     /// Admission is bounded by the configured queue capacity **counting
     /// in-flight work**: a job occupies its slot from admission until its
@@ -637,9 +578,9 @@ impl StreamingEngine {
                 .record(NO_SEQ, TraceEventKind::Admitted { job: handle.id.0 });
         }
         if handles.len() == 1 {
-            self.shared.job_ready.notify_one();
+            self.shared.work.notify_one();
         } else {
-            self.shared.job_ready.notify_all();
+            self.shared.work.notify_all();
         }
         Ok(handles)
     }
@@ -705,23 +646,22 @@ impl StreamingEngine {
     }
 
     /// Stops and joins every pipeline thread of a drained (or poisoned)
-    /// service and assembles the report.
+    /// service and assembles the report. Setting `stopping` ends the pool's
+    /// Step 1 role; the completer then stops producing, the pool threads
+    /// exit as the device queues empty, and their exit closes the
+    /// completer's channel.
     fn join_and_report(&mut self) -> ServiceReport {
         self.shared.state.lock().stopping = true;
-        self.shared.job_ready.notify_all();
+        self.shared.work.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // A panicked completer yields an empty tally. The completer holds the
-        // queues' producer guard, so the shard workers exit after it does.
+        // A panicked completer yields an empty tally.
         let tally = self
             .completer
             .take()
             .and_then(|completer| completer.join().ok())
             .unwrap_or_else(|| Tally::new(self.shards.shard_count()));
-        for handle in self.shard_handles.drain(..) {
-            let _ = handle.join();
-        }
         let trace = self.trace.is_enabled().then(|| TraceLog {
             events: self.trace.events(),
             dropped: self.trace.dropped(),
@@ -778,143 +718,168 @@ impl Drop for PanicGuard<'_> {
             state.accepting = false;
             state.senders.clear();
             drop(state);
-            self.0.job_ready.notify_all();
+            self.0.work.notify_all();
             self.0.idle.notify_all();
         }
     }
 }
 
-/// One Step 1 worker: live-pops the shared queue, runs Step 1, and hands the
-/// prepared sample to the completer.
-fn step1_worker(shared: &Shared, analyzer: &MegisAnalyzer, tx: &WorkerTx, trace: &TraceSink) {
+/// One pool thread: takes the oldest ready device command under the state
+/// lock, else the next Step 1 the gate admits, else waits, and does it
+/// outside the lock. It leaves the Step 1 role once shutdown began and
+/// admission is drained, and exits once production stopped and every device
+/// queue is empty — or at once on poison.
+fn pool_thread(
+    shared: &Shared,
+    analyzer: &MegisAnalyzer,
+    device: &ShardWorker,
+    events: Sender<Event>,
+    plan: Option<&FaultPlan>,
+    trace: &TraceSink,
+) {
+    // `step1` outlives the guard: a thread that panicked has poisoned the
+    // engine by the time its exit from Step 1 reaches the completer.
+    let mut step1 = Some(WorkerTx(events.clone()));
     let _guard = PanicGuard(shared);
+    // The device this thread served last round, freed under the next lock.
+    let mut served: Option<usize> = None;
     loop {
-        // The policy decision and the service-position assignment happen in
-        // one critical section, so dispatch order is exactly policy order
-        // over the jobs queued at this instant. The lookahead gate refuses
-        // to dispatch more than `lookahead` positions ahead of the in-SSD
-        // stage, bounding the completer's reorder buffer even when one
-        // sample's Step 1 is far slower than the rest.
-        let (job, start_position) = {
+        let work = {
             let mut state = shared.state.lock();
+            if let Some(index) = served.take() {
+                state.devices[index].busy = false;
+                if !state.devices[index].queue.is_empty() {
+                    shared.work.notify_one();
+                }
+            }
             loop {
                 if state.poisoned {
                     return;
                 }
-                if state.next_position < state.isp_served + state.lookahead {
-                    if let Some(job) = state.queue.pop_next() {
-                        let position = state.next_position;
-                        state.next_position += 1;
-                        state.in_flight += 1;
-                        break (job, position);
-                    }
+                if let Some(work) = state.pop_command() {
+                    break work;
                 }
-                if state.stopping && state.queue.is_empty() {
+                if step1.is_some() {
+                    if let Some(work) = state.pop_step1() {
+                        break work;
+                    }
+                    if state.stopping && state.queue.is_empty() {
+                        break Work::LeaveStep1;
+                    }
+                } else if !state.producing && state.devices.iter().all(|d| d.queue.is_empty()) {
+                    // Let the threads parked behind this one's last command
+                    // see that nothing is left either.
+                    shared.work.notify_all();
                     return;
                 }
-                // Woken by a submission, by the completer advancing the
-                // gate, or by shutdown/poison.
-                state = shared.state.wait(&shared.job_ready, state);
+                state = shared.state.wait(&shared.work, state);
             }
         };
-        // Step1Started binds the job id to its dispatch sequence — the join
-        // key the analysis layer uses to attach the admission event.
-        trace.record(
-            start_position,
-            TraceEventKind::Step1Started { job: job.id.0 },
-        );
-        let started = Instant::now();
-        let step1 = analyzer.run_step1(&job.spec.sample);
-        let step1_done = trace.now();
-        trace.record_at(step1_done, start_position, TraceEventKind::Step1Finished);
-        let prepared = PreparedJob {
-            id: job.id,
-            label: job.spec.label,
-            priority: job.spec.priority,
-            start_position,
-            sample: Arc::new(job.spec.sample),
-            submitted_at: job.submitted_at,
-            queue_wait: started.duration_since(job.submitted_at),
-            step1_time: started.elapsed(),
-            step1_done,
-            step1,
-        };
-        // Unbounded: the lookahead gate above already bounds the prepared
-        // samples in existence. A gone receiver (the completer panicked)
-        // ends the worker.
-        if tx.0.send(Event::Prepared(prepared)).is_err() {
-            return;
+        match work {
+            Work::Command(index, popped, command) => {
+                let completion = serve(index, popped, command, device, plan, trace);
+                // A gone receiver (the completer panicked) ends the thread.
+                if events.send(Event::Completed(completion)).is_err() {
+                    return;
+                }
+                served = Some(index);
+            }
+            Work::Step1(job, start_position) => {
+                let prepared = prepare(analyzer, job, start_position, trace);
+                // Unbounded: the lookahead gate already bounds the prepared
+                // samples in existence. A gone receiver ends the thread.
+                let event = Event::Prepared(prepared);
+                let sent = step1.as_ref().is_some_and(|tx| tx.0.send(event).is_ok());
+                if !sent {
+                    return;
+                }
+            }
+            Work::LeaveStep1 => step1 = None,
         }
     }
 }
 
-/// One device: pops its own queue until the queues close, serves each
-/// command — or answers it with the failure the fault plan injects, or with
-/// a dead-shard rejection once the plan has killed the device — and reports
-/// every answer, tagged with this device, to the completer, which counts
-/// it. The worker keeps no counter.
-fn shard_worker(
+/// Runs Step 1 for the job dispatched at position `seq`.
+fn prepare(analyzer: &MegisAnalyzer, job: QueuedJob, seq: usize, trace: &TraceSink) -> PreparedJob {
+    // Step1Started binds the job id to its dispatch sequence — the join
+    // key the analysis layer uses to attach the admission event.
+    trace.record(seq, TraceEventKind::Step1Started { job: job.id.0 });
+    let started = Instant::now();
+    let step1 = analyzer.run_step1(&job.spec.sample);
+    let step1_done = trace.now();
+    trace.record_at(step1_done, seq, TraceEventKind::Step1Finished);
+    PreparedJob {
+        id: job.id,
+        label: job.spec.label,
+        priority: job.spec.priority,
+        start_position: seq,
+        sample: Arc::new(job.spec.sample),
+        submitted_at: job.submitted_at,
+        queue_wait: started.duration_since(job.submitted_at),
+        step1_time: started.elapsed(),
+        step1_done,
+        step1,
+    }
+}
+
+/// Serves one command as device `index`, its `popped`-th — or answers it
+/// with the failure the fault plan injects, or a dead-shard rejection once
+/// the plan has killed the device — tagged with this device.
+fn serve(
     index: usize,
-    queues: &CommandQueues,
-    worker: &ShardWorker,
-    events: &Sender<Event>,
+    popped: u64,
+    command: ShardCommand,
+    device: &ShardWorker,
     plan: Option<&FaultPlan>,
     trace: &TraceSink,
-) {
+) -> ShardCompletion {
     use TraceEventKind::{CommandCompleted, CommandStarted, Fault};
-    let death_after = plan.and_then(|p| p.death_after(index));
-    let mut popped = 0u64;
-    while let Some(command) = queues.pop(index) {
-        let (seq, stage) = (command.seq(), command.stage());
-        popped += 1;
-        // Injected permanent shard death: after serving `death_after`
-        // commands the device stops serving, not popping. It rejects every
-        // command it pops from then on until the queues close; the completer
-        // marks it dead on the first rejection it reads and re-issues each
-        // rejected command to a survivor.
-        let verdict = if death_after.is_some_and(|after| popped > after) {
-            Err(CommandFailure::ShardDead)
-        } else {
-            injected(plan, &command)
-        };
-        let started = trace.now();
-        let t0 = Instant::now();
-        // An injected latency spike stalls the device before it serves —
-        // busy time the command deadline exists to cut short, and the only
-        // simulated dwell on the serving path: device *time* is priced
-        // analytically (`crate::model`), the engine spends real CPU time.
-        let result = verdict.map(|spike| {
-            if !spike.is_zero() {
-                thread::sleep(spike);
-            }
-            worker.serve(&command)
-        });
-        let busy = t0.elapsed();
-        let done = trace.now();
-        // The service interval credits the *physical* serving device, so
-        // the straggler analyzer sums real per-device intervals; a failure
-        // names the command's shard-of-record, and the completer decides
-        // between retry, failover and failing the job.
-        if result.is_ok() {
-            let shard = index;
-            trace.record_at(started, seq, CommandStarted { stage, shard });
-            trace.record_at(done, seq, CommandCompleted { stage, shard });
-        } else {
-            let shard = command.record_shard();
-            trace.record_at(started, seq, Fault { stage, shard });
+    let (seq, stage) = (command.seq(), command.stage());
+    // Injected permanent shard death: after serving `death_after` commands
+    // the device stops serving, not being popped. It rejects every command
+    // popped from it from then on; the completer marks it dead on the first
+    // rejection it reads and re-issues each rejected command to a survivor.
+    let dead = plan
+        .and_then(|p| p.death_after(index))
+        .is_some_and(|after| popped > after);
+    let verdict = if dead {
+        Err(CommandFailure::ShardDead)
+    } else {
+        injected(plan, &command)
+    };
+    let started = trace.now();
+    let t0 = Instant::now();
+    // An injected latency spike stalls the device before it serves — busy
+    // time the command deadline exists to cut short, and the only simulated
+    // dwell on the serving path: device *time* is priced analytically
+    // (`crate::model`), the engine spends real CPU time.
+    let result = verdict.map(|spike| {
+        if !spike.is_zero() {
+            thread::sleep(spike);
         }
-        let completion = ShardCompletion {
-            command,
-            device: index,
-            busy,
-            started,
-            done,
-            result,
-        };
-        // A gone receiver (the completer is gone) ends the worker.
-        if events.send(Event::Completed(completion)).is_err() {
-            break;
-        }
+        device.serve(&command)
+    });
+    let busy = t0.elapsed();
+    let done = trace.now();
+    // The service interval credits the *physical* serving device, so the
+    // straggler analyzer sums real per-device intervals; a failure names
+    // the command's shard-of-record, and the completer decides between
+    // retry, failover and failing the job.
+    if result.is_ok() {
+        let shard = index;
+        trace.record_at(started, seq, CommandStarted { stage, shard });
+        trace.record_at(done, seq, CommandCompleted { stage, shard });
+    } else {
+        let shard = command.record_shard();
+        trace.record_at(started, seq, Fault { stage, shard });
+    }
+    ShardCompletion {
+        command,
+        device: index,
+        busy,
+        started,
+        done,
+        result,
     }
 }
 
@@ -938,7 +903,7 @@ fn injected(plan: Option<&FaultPlan>, command: &ShardCommand) -> Result<Duration
         Some(FaultDecision::Transient) => Err(CommandFailure::Transient),
         Some(FaultDecision::Panic) => {
             // Caught right here at the serving seam: the injected panic must
-            // fail only the owning job, never unwind the worker (the
+            // fail only the owning job, never unwind the pool thread (the
             // `PanicGuard` stays un-tripped and the engine keeps serving).
             let caught = std::panic::catch_unwind(|| {
                 // lint:allow(panic-hygiene, the injected worker panic is
@@ -953,79 +918,74 @@ fn injected(plan: Option<&FaultPlan>, command: &ShardCommand) -> Result<Duration
 }
 
 /// Upper bound on the completer's wait while commands are outstanding: a
-/// panicked shard worker never answers, so the completer looks at the
-/// poison flag at least this often.
+/// pool thread that panicked in a command never answers, so the completer
+/// looks at the poison flag at least this often.
 const POISON_POLL: Duration = Duration::from_millis(50);
 
 /// The completer thread: a shell around the [`Completer`] core that moves
-/// events in and actions out. Each round it puts the commands the core
-/// settled on onto the device queues (outside the lock); under one lock it
-/// mirrors the core's queue occupancy for [`StreamingEngine::snapshot`] and
-/// books and sends every delivery; it drops the queue producer once the
-/// core is done; and it waits for the next event, the core's next timer, or
-/// a [`POISON_POLL`], whichever comes first.
-fn run_completer(
-    mut core: Completer,
-    events: &Receiver<Event>,
-    shared: &Shared,
-    producer: QueueProducer,
-) -> Tally {
+/// events in and actions out. Each round, under one lock, it puts the
+/// commands the core settled on onto the device queues, mirrors the core's
+/// queue occupancy for [`StreamingEngine::snapshot`], books and sends every
+/// delivery, and stops production once the core is done; then it waits for
+/// the next event, the core's next timer, or a [`POISON_POLL`], whichever
+/// comes first.
+fn run_completer(mut core: Completer, events: &Receiver<Event>, shared: &Shared) -> Tally {
     let _guard = PanicGuard(shared);
-    let mut producer = Some(producer);
     loop {
-        let mut delivered = Vec::new();
         let now = Instant::now();
-        for action in core.settle(now) {
+        let actions = core.settle(now);
+        let (mut issued, mut delivered) = (false, false);
+        let mut state = shared.state.lock();
+        for action in actions {
             match action {
                 Action::Issue(device, command) => {
-                    if let Some(producer) = &producer {
-                        producer.send(device, command);
+                    if state.producing {
+                        state.devices[device].queue.push_back(command);
+                        issued = true;
                     }
                 }
-                Action::Deliver(id, outcome) => delivered.push((id, outcome)),
+                Action::Deliver(id, outcome) => {
+                    // A failed job still advances `isp_served`, so the
+                    // dispatch lookahead gate keeps opening behind it; the
+                    // rolling window and the completion counter record only
+                    // successes, at the instant the round settled.
+                    delivered = true;
+                    state.in_flight -= 1;
+                    state.isp_served += 1;
+                    if let Ok(result) = outcome.as_ref() {
+                        state.window.record_at(now, result.latency);
+                        state.completed += 1;
+                    }
+                    if let Some(tx) = state.senders.remove(&id.0) {
+                        // lint:allow(guard-across-blocking, std mpsc Sender::send never
+                        // blocks on an unbounded channel, and delivery must happen under
+                        // the lock so a quiescent drain implies every outcome has
+                        // already reached its handle)
+                        let _ = tx.send(*outcome);
+                    }
+                }
             }
         }
-        let any_delivered = !delivered.is_empty();
-        let mut state = shared.state.lock();
         state.shard_inflight.copy_from_slice(core.inflight());
+        // With no thread left in the Step 1 role and every job delivered,
+        // no command can ever be issued again: the pool threads exit as the
+        // device queues empty, which closes the event channel and ends this
+        // loop.
+        let stopped = state.producing && core.is_done();
+        if stopped {
+            state.producing = false;
+        }
         let poisoned = state.poisoned;
-        for (id, outcome) in delivered {
-            // A failed job still advances `isp_served`, so the dispatch
-            // lookahead gate keeps opening behind it; the rolling window and
-            // the completion counter record only successes, at the instant
-            // the round settled.
-            state.in_flight -= 1;
-            state.isp_served += 1;
-            if let Ok(result) = outcome.as_ref() {
-                state.window.record_at(now, result.latency);
-                state.completed += 1;
-            }
-            if let Some(tx) = state.senders.remove(&id.0) {
-                // lint:allow(guard-across-blocking, std mpsc Sender::send never
-                // blocks on an unbounded channel, and delivery must happen under
-                // the lock so a quiescent drain implies every outcome has
-                // already reached its handle)
-                let _ = tx.send(*outcome);
-            }
-        }
         drop(state);
-        if any_delivered {
+        if issued || delivered || stopped {
+            shared.work.notify_all();
+        }
+        if delivered {
             shared.idle.notify_all();
-            // Advancing isp_served reopens the dispatch lookahead gate.
-            shared.job_ready.notify_all();
         }
-        // With no Step 1 worker left and every job delivered, no command can
-        // ever be issued again: releasing the producer lets the shard
-        // workers wind down as their queues empty, which closes the event
-        // channel and ends this loop.
-        if core.is_done() {
-            producer = None;
-        }
-        // Once no Step 1 worker is left on a poisoned service, a position
-        // that never arrived holds every later job back, and no outcome can
-        // be delivered any more (the poison dropped every sender), so the
-        // completer lets go rather than wait: dropping its producer releases
-        // the shard workers, and teardown's joins return.
+        // Once no thread is left in the Step 1 role on a poisoned service,
+        // no outcome can be delivered any more (the poison dropped every
+        // sender), so the completer lets go rather than wait.
         if poisoned && !core.expects_samples() {
             return core.into_tally();
         }
@@ -1048,10 +1008,9 @@ fn run_completer(
                 }
             }
             Err(RecvTimeoutError::Timeout) => shared.state.lock().completer_timeouts += 1,
-            // Every Step 1 worker and every shard worker exited. A shard
-            // worker exits only once the producer is released, which
-            // happens with nothing pending, or on a poison that dropped
-            // every outcome sender: nothing is left to deliver.
+            // Every pool thread exited: production had stopped with
+            // nothing pending, or a poison dropped every outcome sender.
+            // Nothing is left to deliver.
             Err(RecvTimeoutError::Disconnected) => return core.into_tally(),
         }
     }
@@ -1747,10 +1706,24 @@ mod tests {
         );
         let spec = || JobSpec::new("job", c.sample().clone());
         let early = engine.submit(spec()).unwrap();
+        let second = engine.submit(spec()).unwrap();
         poison(&engine);
         assert!(
             matches!(early.wait(), Err(JobError::EngineStopped { job: JobId(0) })),
             "a handle taken before the poison resolves while the engine lives"
+        );
+        // Regression: the non-blocking forms used to read a stopped engine
+        // as a job still being served, forever.
+        let stopped = |outcome: Option<Result<JobResult, JobError>>| {
+            matches!(
+                outcome,
+                Some(Err(JobError::EngineStopped { job: JobId(1) }))
+            )
+        };
+        assert!(stopped(second.try_wait()), "try_wait on a stopped engine");
+        assert!(
+            stopped(second.wait_timeout(Duration::from_secs(1))),
+            "wait_timeout on a stopped engine"
         );
         assert_eq!(
             engine.submit(spec()).unwrap_err(),

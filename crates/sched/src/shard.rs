@@ -17,8 +17,8 @@
 //! analyzer's copy plus a full duplicate spread across the shards).
 //! [`ShardSet::resident_bytes`] reports the deduplicated host footprint —
 //! counting each distinct storage allocation once — and the `hotpath` bench
-//! experiment asserts it stays ≈ 1× the database. Per-shard worker threads
-//! still hold their shard behind an [`std::sync::Arc`] handle.
+//! experiment asserts it stays ≈ 1× the database. Every pool thread that
+//! serves the devices holds the shards behind [`std::sync::Arc`] handles.
 //!
 //! The same sortedness cuts the *query* side: a shard holding keys in
 //! `[lo, hi]` can only match the sub-slice of a sorted query list that
@@ -29,8 +29,8 @@
 //! the whole list instead would make it O(N·|Q|) and flatten the Fig. 15
 //! scaling whenever queries dominate the merge.
 //!
-//! **Two command kinds per device.** Each simulated SSD runs a
-//! `ShardWorker` consuming one tagged command queue. A worker serves both
+//! **Two command kinds per device.** Each simulated SSD has one tagged
+//! command queue, served through a `ShardWorker`. A device serves both
 //! pipeline stages of the in-SSD side: Step 2 `IntersectCommand`s — all of
 //! Step 2, as in the paper (§4.3): one sweep of the device's database slice
 //! against the sample's overlapping query sub-range that counts each hit's
@@ -58,7 +58,7 @@
 //! stays tagged with the shard-of-record so merge accounting is unchanged.
 //!
 //! **Failover serving.** Because the shards are zero-copy views over one
-//! `Arc`-shared columnar storage, every worker holds the *whole*
+//! `Arc`-shared columnar storage, every `ShardWorker` holds the *whole*
 //! [`ShardSet`] and an `IntersectCommand` names the shard range it must
 //! intersect (its `shard` field). A device that dies permanently (fault
 //! injection, see `fault.rs`) rejects every command it pops from then on;
@@ -214,8 +214,8 @@ pub(crate) enum CommandFailure {
 /// normal operation, a dead peer's range under failover) plus a handle on
 /// the analyzer, whose KSS join (indexed by storage position, so valid for
 /// every view) backs Step 2's retrieval and whose memoized per-species
-/// reference indexes back Step 3's unified-index merge. Consumes commands
-/// of either kind from its queue.
+/// reference indexes back Step 3's unified-index merge. A pool thread
+/// serves a command of either kind through it, as the command's device.
 #[derive(Debug)]
 pub(crate) struct ShardWorker {
     shards: ShardSet,

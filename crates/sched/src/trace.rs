@@ -10,9 +10,9 @@
 //! back into answers:
 //!
 //! * [`TraceSink`] — a cheap, bounded, multi-producer ring buffer of
-//!   timestamped [`TraceEvent`]s. Every pipeline thread (submitters, Step 1
-//!   workers, the shard workers, the completer) holds a
-//!   clone and records the events it owns: admission, Step 1 start/end, per
+//!   timestamped [`TraceEvent`]s. Every pipeline thread (submitters, the
+//!   pool threads that run Step 1 and serve the devices, the completer)
+//!   holds a clone and records the events it owns: admission, Step 1 start/end, per
 //!   `(seq, shard)` command issued/started/completed for both command
 //!   kinds, reduce start/end, delivery. The sink is **zero-cost when
 //!   disabled**: [`TraceSink::disabled`] carries no buffer at all, and
@@ -86,7 +86,7 @@ pub enum TraceEventKind {
         /// The admitted job's id ([`crate::JobId`] payload).
         job: u64,
     },
-    /// A Step 1 worker popped the job and started host-side Step 1; binds
+    /// A pool thread popped the job and started host-side Step 1; binds
     /// the job id to its dispatch sequence for the analysis join.
     Step1Started {
         /// The job's id.
@@ -612,6 +612,12 @@ pub struct DeviceUsage {
 ///
 /// Built by [`StragglerReport::from_events`] from a whole-run event
 /// snapshot: each device's busy/stall/idle split over the run.
+///
+/// The devices are logical: one pool of host threads serves them all. A
+/// command queued on a device while every thread is busy elsewhere counts
+/// as that device's stall, and a device whose next command waits on host
+/// work — a Step 1, another device's command — that itself waits for a
+/// free thread counts as idle.
 #[derive(Debug, Clone)]
 pub struct StragglerReport {
     /// Wall-clock span the events cover (first to last event).

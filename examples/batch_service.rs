@@ -58,7 +58,7 @@ fn main() -> ExitCode {
     );
     let config = engine.config().clone();
     println!(
-        "engine: {} step-1 workers, {} database shards ({} entries total), {} policy\n",
+        "engine: {} host threads, {} database shards ({} entries total), {} policy\n",
         config.workers,
         engine.shards().shard_count(),
         engine.shards().total_entries(),

@@ -55,7 +55,7 @@ fn main() {
             .with_tracing(),
     ));
     println!(
-        "service up: {} step-1 workers, {} database shards ({} entries), {} policy, \
+        "service up: {} host threads, {} database shards ({} entries), {} policy, \
          per-shard command queue depth {}\n",
         engine.config().workers,
         engine.shards().shard_count(),
@@ -190,7 +190,7 @@ fn main() {
     }
     println!("\nClinical samples submitted mid-stream overtook the queued cohort work");
     println!("(disp = dispatch position), and the in-SSD stage served samples exactly");
-    println!("in dispatch order (isp = disp), even with 4 racing Step 1 workers.");
+    println!("in dispatch order (isp = disp), even with 4 racing host threads.");
     println!("Each shard saw only its key-range slice of every sample's queries, and");
     println!("a peak QD above 1 means several samples' intersections were genuinely in");
     println!("flight on that device at once (NVMe-style bounded command queues).");

@@ -1,8 +1,10 @@
 //! Integration tests for the `megis-sched` pipeline tracing subsystem:
 //! end-to-end stage breakdowns that telescope to the measured latency,
 //! straggler analysis over the device array, the disabled-by-default
-//! contract, and the report summary pinned line by line.
+//! contract, the engine's thread budget read off the trace, and the report
+//! summary pinned line by line.
 
+use std::collections::HashMap;
 use std::time::Duration;
 
 use megis::config::MegisConfig;
@@ -10,7 +12,7 @@ use megis::MegisAnalyzer;
 use megis_genomics::sample::{CommunityConfig, Diversity, Sample};
 use megis_sched::{
     EngineConfig, FaultPlan, JobSpec, LatencyStats, ServiceReport, ShardStats, StageBreakdown,
-    StreamingEngine,
+    StreamingEngine, TraceEvent, TraceEventKind,
 };
 
 fn cohort(n: usize) -> (MegisAnalyzer, Vec<Sample>) {
@@ -192,6 +194,101 @@ fn tracing_is_disabled_by_default() {
         "{}",
         report.summary()
     );
+}
+
+/// The traced work spans of one run: every Step 1 (`None`) and every
+/// served command (`Some(device)`), as `(start, end, device)`.
+fn work_spans(events: &[TraceEvent]) -> Vec<(Duration, Duration, Option<usize>)> {
+    let mut open = HashMap::new();
+    let mut spans = Vec::new();
+    for event in events {
+        let (key, starts) = match event.kind {
+            TraceEventKind::Step1Started { .. } => ((event.seq, None, None), true),
+            TraceEventKind::Step1Finished => ((event.seq, None, None), false),
+            TraceEventKind::CommandStarted { stage, shard } => {
+                ((event.seq, Some(stage), Some(shard)), true)
+            }
+            TraceEventKind::CommandCompleted { stage, shard } => {
+                ((event.seq, Some(stage), Some(shard)), false)
+            }
+            _ => continue,
+        };
+        if starts {
+            assert!(
+                open.insert(key, event.at).is_none(),
+                "{key:?} started twice"
+            );
+        } else {
+            let start = open.remove(&key).expect("a span ends after it starts");
+            spans.push((start, event.at, key.2));
+        }
+    }
+    assert!(open.is_empty(), "unfinished spans: {open:?}");
+    spans
+}
+
+#[test]
+fn the_pool_runs_at_most_workers_spans_and_one_command_per_device() {
+    // One pool of `workers` host threads runs Step 1 and serves every
+    // device, so the trace must show (a) no two commands of one device in
+    // service at once and (b) never more than `workers` units of work —
+    // Step 1s and commands together — open at one instant. One thread per
+    // device breaks (b): at workers = 1 a Step 1 overlaps device service.
+    // workers = 1 also pins that a single thread serves every stage.
+    const SAMPLES: usize = 6;
+    let (analyzer, samples) = cohort(SAMPLES);
+    let expected: Vec<_> = samples.iter().map(|s| analyzer.analyze(s)).collect();
+    for workers in [1, 3] {
+        for shards in [2, 8] {
+            let config = EngineConfig::new()
+                .with_workers(workers)
+                .with_shards(shards)
+                .with_queue_depth(2)
+                .with_tracing();
+            let engine = StreamingEngine::new(analyzer.clone(), config);
+            let jobs = samples.iter().enumerate();
+            let handles = engine
+                .submit_all(jobs.map(|(i, s)| JobSpec::new(format!("s{i}"), s.clone())))
+                .expect("admission");
+            let report = engine.shutdown();
+            for (handle, expected) in handles.into_iter().zip(&expected) {
+                assert_eq!(&handle.wait().expect("job served").output, expected);
+            }
+            let trace = report.trace.expect("tracing is on");
+            assert_eq!(trace.dropped, 0, "a small run fits the default ring");
+            let mut spans = work_spans(&trace.events);
+            assert!(spans.iter().any(|s| s.2.is_some()), "commands were served");
+
+            spans.sort_unstable();
+            for device in 0..shards {
+                let served: Vec<_> = spans.iter().filter(|s| s.2 == Some(device)).collect();
+                for pair in served.windows(2) {
+                    assert!(
+                        pair[1].0 >= pair[0].1,
+                        "workers {workers}, shards {shards}: device {device} served \
+                         {:?} and {:?} at once",
+                        pair[0],
+                        pair[1]
+                    );
+                }
+            }
+
+            // A span that ends at the instant another starts does not
+            // overlap it: ends sort before starts.
+            let mut edges: Vec<(Duration, i32)> =
+                spans.iter().flat_map(|s| [(s.0, 1), (s.1, -1)]).collect();
+            edges.sort_unstable();
+            let (mut running, mut peak) = (0, 0);
+            for (_, delta) in edges {
+                running += delta;
+                peak = peak.max(running);
+            }
+            assert!(
+                peak <= workers as i32,
+                "workers {workers}, shards {shards}: {peak} spans open at once"
+            );
+        }
+    }
 }
 
 /// A three-shard report; `degraded` adds a dead third shard whose one
