@@ -11,8 +11,8 @@
 //! outcomes to deliver. The clock is an argument of both: the completer
 //! spawns nothing, owns no channel or lock and never reads the time, so a
 //! test drives any schedule step by step with a fake clock.
-//! `crate::service` runs it inside a thin shell that moves events in and
-//! actions out.
+//! `crate::service` keeps it under the engine's state lock: the pool thread
+//! that finished a unit of work books it and settles the core.
 //!
 //! **One ledger.** Every issued command stays in one ordered map, keyed on
 //! `(seq, shard-of-record, stage)`, from its first issue to its final
@@ -96,8 +96,6 @@ pub(crate) enum Event {
     Prepared(PreparedJob),
     /// A device finished (or failed) one command.
     Completed(ShardCompletion),
-    /// A pool thread left the Step 1 role: it will send no further sample.
-    WorkerExited,
 }
 
 /// Everything the completer asks of the world.
@@ -263,13 +261,20 @@ pub(crate) struct Completer {
     /// Ledger entries per stage (indexed by `TraceStage as usize`), for
     /// stage-overlap observation.
     stage_inflight: [usize; 2],
-    /// Pool threads still in the Step 1 role; at 0 no further sample can
-    /// arrive.
-    live_workers: usize,
     /// Every count the report carries. Its dead flags — set by a device's
     /// dead-shard rejection — are what [`Completer::pick_target`] routes
     /// every issue and re-issue away from.
     tally: Tally,
+}
+
+impl std::fmt::Debug for Completer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Completer")
+            .field("opened", &self.opened)
+            .field("delivered", &self.next_to_deliver)
+            .field("inflight", &self.inflight)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Completer {
@@ -298,14 +303,13 @@ impl Completer {
             outstanding: BTreeMap::new(),
             inflight: vec![0; shard_count],
             stage_inflight: [0; 2],
-            live_workers: config.workers,
             tally: Tally::new(shard_count),
         }
     }
 
     /// Books one event at `now`: a prepared sample (opened at once if it is
     /// next in dispatch order, together with every buffered sample it
-    /// unblocks), a completion, or a pool thread's exit from Step 1.
+    /// unblocks) or a completion.
     pub(crate) fn on(&mut self, event: Event, now: Instant) {
         match event {
             Event::Prepared(prepared) => {
@@ -315,7 +319,6 @@ impl Completer {
                 }
             }
             Event::Completed(completion) => self.reap(completion, now),
-            Event::WorkerExited => self.live_workers -= 1,
         }
     }
 
@@ -358,30 +361,19 @@ impl Completer {
             .min()
     }
 
-    /// No further command can ever be issued: no thread is left in the
-    /// Step 1 role, and every opened job is delivered.
-    pub(crate) fn is_done(&self) -> bool {
-        self.live_workers == 0 && self.backlog.is_empty() && self.jobs.is_empty()
-    }
-
-    /// Some pool thread may still send a sample.
-    pub(crate) fn expects_samples(&self) -> bool {
-        self.live_workers > 0
-    }
-
-    /// Some issued command has not been resolved.
-    pub(crate) fn has_outstanding(&self) -> bool {
-        !self.outstanding.is_empty()
-    }
-
     /// Occupied depth slots per shard.
     pub(crate) fn inflight(&self) -> &[usize] {
         &self.inflight
     }
 
-    /// The counts the completer folded over its lifetime.
-    pub(crate) fn into_tally(self) -> Tally {
-        self.tally
+    /// Dispatch positions delivered so far, failed jobs included.
+    pub(crate) fn delivered(&self) -> usize {
+        self.next_to_deliver
+    }
+
+    /// The counts the completer folded so far, leaving an empty tally.
+    pub(crate) fn take_tally(&mut self) -> Tally {
+        std::mem::take(&mut self.tally)
     }
 
     /// Opens one prepared sample: its job record, stamped with the next
@@ -740,6 +732,18 @@ mod tests {
     use super::*;
     use crate::fault::{FaultDecision, FaultPlan};
     use crate::shard::ShardWorker;
+
+    impl Completer {
+        /// Every opened job is delivered and no command waits for a slot.
+        fn is_done(&self) -> bool {
+            self.backlog.is_empty() && self.jobs.is_empty()
+        }
+
+        /// Some issued command has not been resolved.
+        fn has_outstanding(&self) -> bool {
+            !self.outstanding.is_empty()
+        }
+    }
 
     /// The analyzer, the samples the schedules draw from, their Step 1
     /// outputs and the sequential oracle's answers: built once.
@@ -1264,7 +1268,7 @@ mod tests {
             delivered: Vec::new(),
         };
         let mut now = Instant::now();
-        // Step 1 finishes out of dispatch order; every worker exits last.
+        // Step 1 finishes out of dispatch order.
         let mut arrivals: Vec<Event> = jobs
             .iter()
             .enumerate()
@@ -1273,7 +1277,6 @@ mod tests {
         for i in (1..arrivals.len()).rev() {
             arrivals.swap(i, rng.gen_range(0..=i));
         }
-        arrivals.extend((0..config.workers).map(|_| Event::WorkerExited));
         let mut arrivals = arrivals.into_iter().peekable();
         for step in 0.. {
             assert!(step < 100_000, "seed {seed}: the schedule does not end");

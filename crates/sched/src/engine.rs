@@ -25,9 +25,9 @@ use crate::queue::SchedPolicy;
 /// Configuration of a [`crate::StreamingEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Host threads; each runs Step 1 and serves device commands. The
-    /// engine runs `workers + 1` threads, the completer included, whatever
-    /// the shard count.
+    /// Host threads; each runs Step 1, serves device commands and runs the
+    /// completer between them. The engine runs exactly `workers` threads,
+    /// whatever the shard count.
     pub workers: usize,
     /// Simulated SSDs the database is sharded across: logical devices, each
     /// with its own command queue, depth slots and counters, served by the
@@ -63,7 +63,7 @@ pub struct EngineConfig {
     pub retry_backoff: Duration,
     /// Deadline after which an outstanding command is considered stuck and
     /// re-issued (counting against the retry budget); `None` (the default)
-    /// never re-issues on time. Protects the reaping loop against a
+    /// never re-issues on time. Protects the completer against a
     /// latency-spiked or wedged device.
     pub command_deadline: Option<Duration>,
     /// Completions covered by the rolling metrics window.
@@ -185,7 +185,8 @@ impl EngineConfig {
     /// consults it before serving every command and injects the transient
     /// errors, latency spikes, shard deaths, and serving panics it
     /// schedules. A latency spike holds the thread serving it for the whole
-    /// dwell. The engine's recovery machinery (retry, failover, per-job
+    /// dwell, which it spends asleep except to settle the completer's due
+    /// timers. The engine's recovery machinery (retry, failover, per-job
     /// failure isolation) then runs for real — with a recoverable plan the
     /// output stays byte-identical to the sequential oracle.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> EngineConfig {
@@ -206,7 +207,9 @@ impl EngineConfig {
 
     /// Sets the base retry backoff (default zero = immediate re-issue).
     /// The delay before attempt `n + 1` is `backoff × 2^min(n, 3)` —
-    /// capped, deterministic exponential.
+    /// capped, deterministic exponential. A retry fires like a command
+    /// deadline ([`EngineConfig::with_command_deadline`]): late while every
+    /// pool thread is busy with real work.
     pub fn with_retry_backoff(mut self, backoff: Duration) -> EngineConfig {
         self.retry_backoff = backoff;
         self
@@ -214,7 +217,7 @@ impl EngineConfig {
 
     /// Sets the command deadline: an outstanding command unanswered for
     /// this long is re-issued (counting against the retry budget), so a
-    /// stuck device delays its job instead of wedging the reaping loop.
+    /// stuck device delays its job instead of wedging the completer.
     ///
     /// The clock runs from each attempt's issue, queue wait included, and an
     /// attempt superseded by a re-issue is discarded when it answers late.
@@ -222,6 +225,11 @@ impl EngineConfig {
     /// behind queued neighbours therefore supersedes every attempt before
     /// it can answer, and the job fails with
     /// [`crate::JobError::RetriesExhausted`] on a healthy device.
+    ///
+    /// The pool threads fire it: a parked thread wakes for it, and one
+    /// dwelling in an injected latency spike settles between slices of the
+    /// dwell. While every pool thread is busy with real work (Step 1 or a
+    /// command), it fires when the first of those units finishes.
     ///
     /// # Panics
     ///

@@ -116,8 +116,8 @@ pub struct JobResult {
 
 /// Why a job failed while the engine kept serving others. A
 /// [`crate::JobHandle`] resolves to `Err(JobError)` for the affected job
-/// only; whole-engine poison is reserved for unrecoverable coordinator or
-/// completer death (see the failure model in `service.rs`).
+/// only; whole-engine poison is reserved for a pool thread dying outside
+/// the serving seam (see the failure model in `service.rs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobError {
     /// A command kept failing transiently until the per-command retry

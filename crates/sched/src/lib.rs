@@ -21,14 +21,15 @@
 //!   intersections and Step 3 — one command per job, which generates the
 //!   job's unified index and maps every read through the same
 //!   `MegisAnalyzer::run_step3` the sequential path runs,
-//! * [`service`] — the streaming executor ([`StreamingEngine`]): one pool
-//!   of host threads that live-pops a shared queue for Step 1 and serves an
-//!   in-SSD stage of NVMe-style bounded per-shard command queues (tagged
-//!   commands, configurable [`EngineConfig::queue_depth`], out-of-order
-//!   completion with in-dispatch-order delivery), built on std threads and
-//!   channels. One thread, the completer, is the only issuer; it is a thin
-//!   shell that moves events into, and actions out of, the crate-private
-//!   `complete` core,
+//! * [`service`] — the streaming executor ([`StreamingEngine`]): exactly
+//!   [`EngineConfig::workers`] host threads that live-pop a shared queue
+//!   for Step 1 and serve an in-SSD stage of NVMe-style bounded per-shard
+//!   command queues (tagged commands, configurable
+//!   [`EngineConfig::queue_depth`], out-of-order completion with
+//!   in-dispatch-order delivery), built on std threads, one lock and its
+//!   condvars. The crate-private `complete` core, the only issuer, lives in
+//!   the state behind that lock; the pool thread that finished a unit of
+//!   work books it there and settles the core,
 //! * `complete` — the completer's decisions as a thread-free state machine
 //!   with the clock passed in: it reorders prepared samples, slices their
 //!   query lists, and issues Step 2 *and* Step 3 commands through one
@@ -150,9 +151,9 @@
 //!   sharding work (completer parked on a bounded channel while holding
 //!   the state every worker needs to make progress). `Condvar::wait`
 //!   releases the lock while parked and is the sanctioned way to block
-//!   with a guard. One deliberate exception lives in the completer's shell
-//!   (`run_completer`): delivery sends under the state lock, annotated
-//!   in-source with why an unbounded-channel send cannot block.
+//!   with a guard. One deliberate exception lives in the pool's completer
+//!   round (`settle` in `service.rs`): delivery sends under the state lock,
+//!   annotated in-source with why an unbounded-channel send cannot block.
 //!
 //! * **panic-hygiene** — any panic site inside a `thread::spawn` body
 //!   (`unwrap`, `expect`, panicking macros, indexing channel results) must

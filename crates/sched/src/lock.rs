@@ -16,6 +16,7 @@
 )]
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// A mutex whose guard survives poisoning.
 #[derive(Debug)]
@@ -35,6 +36,23 @@ impl<T> Lock<T> {
     /// re-taken, recovered from poisoning like [`Lock::lock`].
     pub(crate) fn wait<'a>(&self, ready: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
         ready.wait(guard).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// [`Lock::wait`], parked no later than `deadline` if there is one.
+    pub(crate) fn wait_until<'a>(
+        &self,
+        ready: &Condvar,
+        guard: MutexGuard<'a, T>,
+        deadline: Option<Instant>,
+    ) -> MutexGuard<'a, T> {
+        let Some(at) = deadline else {
+            return self.wait(ready, guard);
+        };
+        let timeout = at.saturating_duration_since(Instant::now());
+        ready
+            .wait_timeout(guard, timeout)
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
     }
 }
 

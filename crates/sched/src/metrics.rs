@@ -137,17 +137,19 @@ impl RollingWindow {
     /// window — `len - 1` intervals divided by the span from the oldest to
     /// the newest windowed completion. (Dividing `len` events by the span
     /// would overestimate by `len / (len - 1)`.) Zero until the window
-    /// holds at least two completions.
+    /// holds at least two completions, and zero while every windowed
+    /// completion shares one instant — the engine stamps all the jobs one
+    /// settle delivers alike — since no measurable interval has passed.
     pub fn throughput(&self) -> f64 {
         let (Some((oldest, _)), Some((newest, _))) = (self.entries.front(), self.entries.back())
         else {
             return 0.0;
         };
-        if self.entries.len() < 2 {
+        let span = newest.duration_since(*oldest).as_secs_f64();
+        if span == 0.0 {
             return 0.0;
         }
-        let span = newest.duration_since(*oldest).as_secs_f64();
-        (self.entries.len() - 1) as f64 / span.max(1e-9)
+        (self.entries.len() - 1) as f64 / span
     }
 }
 
@@ -603,6 +605,23 @@ mod tests {
         w.record_at(epoch + Duration::from_secs(100), ms(1));
         w.record_at(epoch + Duration::from_secs(101), ms(1));
         assert!((w.throughput() - 1.0).abs() < 1e-9, "1 interval over 1 s");
+    }
+
+    #[test]
+    fn a_burst_at_one_instant_has_no_throughput_yet() {
+        // Every job one settle delivers is stamped with the same instant:
+        // until a later completion arrives the window spans no interval,
+        // and dividing by a clamped span read about 10^9 per second.
+        let mut w = RollingWindow::new(8);
+        let epoch = Instant::now();
+        w.record_at(epoch, ms(10));
+        w.record_at(epoch, ms(12));
+        assert_eq!(w.throughput(), 0.0);
+        w.record_at(epoch + ms(500), ms(11));
+        assert!(
+            (w.throughput() - 4.0).abs() < 1e-9,
+            "2 intervals over 0.5 s"
+        );
     }
 
     #[test]

@@ -21,15 +21,14 @@
 //! both Steps 2 and 3.** The stage is one logical device per database
 //! shard — its own command queue, depth slots, fault-plan counters,
 //! [`crate::ShardStats`] and trace `shard`, all keyed by device index —
-//! served by the engine's pool of host threads (below), plus one
-//! *completer* thread, the only code that puts commands on the device
-//! queues. Each queue carries commands of *two kinds* — Step 2
-//! (intersection finding fused with taxID retrieval, §4.3) and Step 3
-//! (unified-index generation plus read mapping, §4.4) — so the whole
-//! pipeline after Step 1 is per-device work and only counts cross back to
-//! the host side. Every decision of the completer lives in a thread-free
-//! core, `crate::complete::Completer`, whose module docs cover its ledger
-//! and folds; the completer thread is a shell around it (below). The core:
+//! served by the engine's pool of host threads (below). Each queue carries
+//! commands of *two kinds* — Step 2 (intersection finding fused with taxID
+//! retrieval, §4.3) and Step 3 (unified-index generation plus read mapping,
+//! §4.4) — so the whole pipeline after Step 1 is per-device work and only
+//! counts cross back to the host side. Only the *completer* puts commands
+//! on the device queues: a thread-free core, `crate::complete::Completer`,
+//! whose module docs cover its ledger and folds, run by the pool threads
+//! themselves (below). The completer:
 //!
 //! * *opens* prepared samples strictly in dispatch order, slicing each
 //!   sorted query list into per-shard sub-ranges with
@@ -81,21 +80,19 @@
 //! next job the lookahead gate admits; otherwise it waits on one condvar.
 //! A device serves at most one command at a time, and at most `workers`
 //! units of work — Step 1s and commands together — run at any instant:
-//! the engine runs `workers + 1` threads whatever the shard count. Serving
-//! the oldest sequence first serves the head of delivery order first, and
-//! its delivery is what opens the lookahead gate.
+//! the engine runs exactly `workers` threads whatever the shard count.
+//! Serving the oldest sequence first serves the head of delivery order
+//! first, and its delivery is what opens the lookahead gate.
 //!
-//! **The shell.** Prepared samples and completions from the pool threads,
-//! and each pool thread's exit from Step 1, all reach the completer thread
-//! on one channel. Each round it books whatever arrived into the core,
-//! settles the core at the current instant, and — under one lock — puts the
-//! commands it settled on onto the device queues, mirrors the core's queue
-//! occupancy and sends every delivery. Then it blocks until the next event
-//! or the core's next timer (a retry backoff, a command deadline). While
-//! commands are outstanding the wait is also capped at a 50 ms poison poll,
-//! because a pool thread that panicked in a command never answers;
-//! [`ServiceSnapshot::completer_timeouts`] counts the waits that ended on a
-//! timer or on that poll.
+//! **The completer runs on the pool.** The core lives in the state behind
+//! the lock. Before every pick, a pool thread books what it just finished —
+//! a prepared sample or a completion, whose device it frees — settles the
+//! core at the current instant, puts the commands the core settled on onto
+//! the device queues and sends every delivery, all in one critical section
+//! (`settle`). A thread with nothing to pick parks on the condvar until the
+//! core's next timer (a retry backoff, a command deadline) at the latest,
+//! and a settle that arms an earlier timer wakes the parked threads. There
+//! is no other thread and no channel between the pool and the core.
 //!
 //! **Memory.** The pool serves every device through zero-copy views over
 //! the analyzer's database storage ([`crate::shard`]), whose one copy
@@ -124,7 +121,9 @@
 //!    treats a stuck command as a transient failure of its current attempt.
 //!    An injected latency spike holds the pool thread serving it for its
 //!    whole dwell: while every thread dwells, no other command and no
-//!    Step 1 runs.
+//!    Step 1 runs. The dwell sleeps in slices no longer than the core's
+//!    next timer and settles the core between them, so a deadline still
+//!    fires on time.
 //! 2. *Failover.* A device that dies permanently is still popped, and
 //!    rejects every command with a dead-shard error. The completer marks
 //!    the device dead on the first rejection it reads and re-issues each
@@ -137,18 +136,20 @@
 //!    serving seam) or an exhausted retry budget fails only the owning job:
 //!    its [`JobHandle`] resolves to `Err(`[`JobError`]`)`, delivered in
 //!    dispatch order like any result.
-//! 4. *Poison.* Only unrecoverable pipeline failures — a pool thread or the
-//!    completer panicking — poison the whole service:
+//! 4. *Poison.* Only unrecoverable pipeline failures — a pool thread
+//!    panicking outside the serving seam, in Step 1 or in the completer —
+//!    poison the whole service:
 //!    [`StreamingEngine::drain`] and [`StreamingEngine::shutdown`] propagate
 //!    the failure as a panic instead of blocking forever, every outstanding
 //!    [`JobHandle`] resolves to `Err(JobError::EngineStopped)` the moment
 //!    the poison is set, later submissions are rejected with
-//!    [`AdmissionError::ShuttingDown`], and dropping the engine joins its
-//!    threads without panicking.
+//!    [`AdmissionError::ShuttingDown`], every pool thread returns at once,
+//!    and dropping the engine joins them without panicking.
 //!
 //! **Delivery and shutdown.** A [`JobHandle`] receives its job's outcome
-//! the moment the job completes, and a rolling window over recent
-//! completions backs the live [`ServiceSnapshot`]. [`StreamingEngine::drain`]
+//! in the settle that completes the job, under the same lock that counts it
+//! delivered, and a rolling window over recent completions backs the live
+//! [`ServiceSnapshot`]. [`StreamingEngine::drain`]
 //! waits for quiescence; [`StreamingEngine::shutdown`] — or dropping the
 //! engine — closes admission, drains, joins every thread, and reports.
 //!
@@ -176,7 +177,7 @@
 //! wall clock as `sched.trace.overhead_frac` (`benchmark/README.md`).
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -188,22 +189,10 @@ use crate::engine::EngineConfig;
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::job::{JobError, JobId, JobResult, JobSpec};
 use crate::lock::Lock;
-use crate::metrics::{LatencyStats, RollingWindow, ServiceReport, Tally};
+use crate::metrics::{LatencyStats, RollingWindow, ServiceReport};
 use crate::queue::{AdmissionError, JobQueue, QueuedJob};
 use crate::shard::{CommandFailure, ShardCommand, ShardSet, ShardWorker};
 use crate::trace::{StragglerReport, TraceEventKind, TraceLog, TraceSink, NO_SEQ};
-
-/// A pool thread's Step 1 role: its end of the completer channel for
-/// prepared samples. Dropping it — when the thread leaves the role, or
-/// while a panic unwinds — tells the completer one fewer thread can send a
-/// sample. A thread's samples all precede its exit on the channel.
-struct WorkerTx(Sender<Event>);
-
-impl Drop for WorkerTx {
-    fn drop(&mut self) {
-        let _ = self.0.send(Event::WorkerExited);
-    }
-}
 
 /// One logical device: the commands the completer put on its queue,
 /// whether a pool thread is serving it, and how many commands it has
@@ -215,7 +204,7 @@ struct Device {
     popped: u64,
 }
 
-/// State shared by submitters, the pool threads, and the completer.
+/// State shared by submitters and the pool threads.
 #[derive(Debug)]
 struct ServiceState {
     /// The live admission queue; pool threads `pop_next` it at dispatch.
@@ -226,33 +215,21 @@ struct ServiceState {
     senders: HashMap<u64, mpsc::Sender<Result<JobResult, JobError>>>,
     /// Next service position to assign (same critical section as the pop).
     next_position: usize,
-    /// Jobs popped but not yet completed by the in-SSD stage.
-    in_flight: usize,
-    /// Positions fully served by the in-SSD stage (the completer's
-    /// `next_to_deliver`, mirrored here for the dispatch lookahead gate).
-    isp_served: usize,
-    /// Maximum positions the pool may dispatch ahead of the in-SSD stage;
-    /// bounds the reorder buffer and prepared-sample memory at
-    /// O(workers + queue depth).
+    /// Maximum positions the pool may dispatch ahead of delivery; bounds
+    /// the reorder buffer and prepared-sample memory at O(workers + queue
+    /// depth).
     lookahead: usize,
     /// The device command queues, indexed by device.
     devices: Vec<Device>,
-    /// Cleared by the completer once it can issue no further command.
-    producing: bool,
-    /// Commands outstanding per shard (both kinds), mirrored from the
-    /// completer's core once per round for [`StreamingEngine::snapshot`].
-    shard_inflight: Vec<usize>,
-    /// Times the completer's wait ended on a timer or the poison poll
-    /// instead of an event; reported as
-    /// [`ServiceSnapshot::completer_timeouts`].
-    completer_timeouts: u64,
+    /// The completer: every decision of the in-SSD stage, and the tally.
+    core: Completer,
     /// Set when a pipeline thread panics; drain/shutdown propagate it as a
     /// panic instead of waiting forever on work that can never complete.
     poisoned: bool,
     /// Cleared when a graceful shutdown begins; submissions then reject.
     accepting: bool,
-    /// Set after the final drain; pool threads then leave the Step 1 role
-    /// once the admission queue is empty.
+    /// Set after the final drain; pool threads then exit once nothing is
+    /// left to run.
     stopping: bool,
     /// Jobs completed over the service lifetime.
     completed: u64,
@@ -266,11 +243,14 @@ enum Work {
     Command(usize, u64, ShardCommand),
     /// Run Step 1 for this job at this dispatch position.
     Step1(QueuedJob, usize),
-    /// Admission is closed and drained: send no further sample.
-    LeaveStep1,
 }
 
 impl ServiceState {
+    /// Jobs dispatched to Step 1 and not yet delivered.
+    fn in_flight(&self) -> usize {
+        self.next_position - self.core.delivered()
+    }
+
     /// Pops the queued command with the smallest dispatch sequence among the
     /// devices no pool thread is serving, and marks its device busy.
     fn pop_command(&mut self) -> Option<Work> {
@@ -295,41 +275,60 @@ impl ServiceState {
     /// position: the policy decision and the position assignment share one
     /// critical section, so dispatch order is exactly policy order.
     fn pop_step1(&mut self) -> Option<Work> {
-        if self.next_position >= self.isp_served + self.lookahead {
+        if self.in_flight() >= self.lookahead {
             return None;
         }
         let job = self.queue.pop_next()?;
         let position = self.next_position;
         self.next_position += 1;
-        self.in_flight += 1;
         Some(Work::Step1(job, position))
+    }
+
+    /// Shutdown began and nothing is left to run: no job queued or
+    /// undelivered, and no command queued on any device.
+    fn finished(&self) -> bool {
+        self.stopping
+            && self.queue.is_empty()
+            && self.in_flight() == 0
+            && self.devices.iter().all(|device| device.queue.is_empty())
     }
 }
 
-/// The state behind one lock, and the two things a thread waits for on it.
-/// Device queue slots have no condvar: the completer, the only issuer, is
-/// also the only thread that frees them.
+/// What the pool threads share: the state behind one lock, the two things
+/// a thread waits for on it, and what serving reads.
 #[derive(Debug)]
 struct Shared {
     state: Lock<ServiceState>,
     /// Wakes the pool: on a submission, an issued command, a delivery, a
-    /// freed device with commands queued, the end of production, a pool
-    /// thread's exit, and shutdown or poison.
+    /// freed device with commands queued, an earlier timer, a pool thread's
+    /// exit, and shutdown or poison.
     work: Condvar,
-    /// Signaled on completion (drain waits here for quiescence).
+    /// Signaled on delivery (drain waits here for quiescence).
     idle: Condvar,
+    analyzer: Arc<MegisAnalyzer>,
+    /// Serves any device's commands: it holds the whole zero-copy
+    /// [`ShardSet`].
+    device: ShardWorker,
+    plan: Option<Arc<FaultPlan>>,
+    trace: TraceSink,
 }
 
 impl Shared {
-    /// The state of an engine that has served nothing yet.
-    fn new(config: &EngineConfig, shard_count: usize) -> Shared {
+    /// The shared side of an engine over `shards` that has served nothing
+    /// yet.
+    fn new(
+        config: &EngineConfig,
+        analyzer: MegisAnalyzer,
+        shards: &ShardSet,
+        trace: TraceSink,
+    ) -> Shared {
+        let analyzer = Arc::new(analyzer);
+        let core = Completer::new(Arc::clone(&analyzer), shards.clone(), config, trace.clone());
         Shared {
             state: Lock::new(ServiceState {
                 queue: JobQueue::new(config.policy, config.queue_capacity),
                 senders: HashMap::new(),
                 next_position: 0,
-                in_flight: 0,
-                isp_served: 0,
                 // Memory bound and depth headroom: each in-flight sample
                 // contributes at most one outstanding command per shard, so
                 // reaching `queue_depth` outstanding commands needs at least
@@ -339,10 +338,10 @@ impl Shared {
                 // unchanged; deep queues widen the gate instead of being
                 // silently capped below the configured depth.
                 lookahead: (2 * config.workers + 2).max(config.queue_depth + config.workers),
-                devices: (0..shard_count).map(|_| Device::default()).collect(),
-                producing: true,
-                shard_inflight: vec![0; shard_count],
-                completer_timeouts: 0,
+                devices: (0..shards.shard_count())
+                    .map(|_| Device::default())
+                    .collect(),
+                core,
                 poisoned: false,
                 accepting: true,
                 stopping: false,
@@ -351,6 +350,10 @@ impl Shared {
             }),
             work: Condvar::new(),
             idle: Condvar::new(),
+            device: ShardWorker::new(shards.clone(), Arc::clone(&analyzer)),
+            analyzer,
+            plan: config.fault_plan.clone(),
+            trace,
         }
     }
 }
@@ -360,27 +363,19 @@ impl Shared {
 pub struct ServiceSnapshot {
     /// Jobs admitted but not yet dispatched to Step 1.
     pub pending: usize,
-    /// Jobs dispatched but not yet completed.
+    /// Jobs dispatched but not yet delivered.
     pub in_flight: usize,
     /// Jobs completed since the service started.
     pub completed: u64,
     /// Whether submissions are currently accepted.
     pub accepting: bool,
-    /// Commands currently outstanding per shard (submitted, completion not
-    /// yet reaped) — the live NVMe-style queue occupancy.
+    /// Commands currently outstanding per shard (issued, not yet resolved)
+    /// — the live NVMe-style queue occupancy.
     pub shard_inflight: Vec<usize>,
     /// Latency distribution over the rolling completion window.
     pub window: LatencyStats,
     /// Completions per second over the rolling window.
     pub window_throughput: f64,
-    /// Times the completer woke without an event: on one of its timers (a
-    /// retry backoff running out, a command deadline passing) or on the
-    /// poison poll it arms while commands are outstanding (a pool thread
-    /// that panicked in a command never answers). Prepared samples,
-    /// completions and Step 1 exits all wake it as events, so a healthy
-    /// engine without deadlines or backoffs reads 0 and no sample ever
-    /// waits on a poll.
-    pub completer_timeouts: u64,
 }
 
 /// Claim on one submitted job's result.
@@ -438,61 +433,40 @@ impl JobHandle {
 #[derive(Debug)]
 pub struct StreamingEngine {
     shared: Arc<Shared>,
-    /// The pool threads.
+    /// The pool threads; empty once joined.
     workers: Vec<JoinHandle<()>>,
-    /// The completer returns the report's counts when it exits.
-    completer: Option<JoinHandle<Tally>>,
     shards: ShardSet,
     config: EngineConfig,
     started_at: Instant,
-    trace: TraceSink,
 }
 
 impl StreamingEngine {
     /// Builds and starts a service around an analyzer, sharding its database
-    /// across the configured number of simulated SSDs. The pool threads and
-    /// the completer are running when this returns: `workers + 1` threads,
-    /// whatever the shard count.
+    /// across the configured number of simulated SSDs. The pool is running
+    /// when this returns: exactly `workers` threads, whatever the shard
+    /// count.
     pub fn new(analyzer: MegisAnalyzer, config: EngineConfig) -> StreamingEngine {
         assert!(config.workers > 0, "at least one worker is required");
         assert!(config.shards > 0, "at least one shard is required");
         assert!(config.queue_depth > 0, "queue depth must be positive");
         let shards = ShardSet::build(analyzer.database(), config.shards);
-        let analyzer = Arc::new(analyzer);
         let trace = match config.trace_capacity {
             Some(capacity) => TraceSink::bounded(capacity),
             None => TraceSink::disabled(),
         };
-        let shared = Arc::new(Shared::new(&config, shards.shard_count()));
-        // Every pool thread reports to the completer on one event channel,
-        // whose senders they alone hold: it closes exactly when the pool
-        // has wound down.
-        let (events_tx, events) = mpsc::channel::<Event>();
+        let shared = Arc::new(Shared::new(&config, analyzer, &shards, trace));
         let workers = (0..config.workers)
             .map(|_| {
-                let (shared, analyzer, trace) =
-                    (Arc::clone(&shared), Arc::clone(&analyzer), trace.clone());
-                let device = ShardWorker::new(shards.clone(), Arc::clone(&analyzer));
-                let (events, plan) = (events_tx.clone(), config.fault_plan.clone());
-                thread::spawn(move || {
-                    pool_thread(&shared, &analyzer, &device, events, plan.as_deref(), &trace)
-                })
+                let shared = Arc::clone(&shared);
+                thread::spawn(move || pool_thread(&shared))
             })
             .collect();
-        drop(events_tx);
-        let core = Completer::new(analyzer, shards.clone(), &config, trace.clone());
-        let completer = {
-            let shared = Arc::clone(&shared);
-            thread::spawn(move || run_completer(core, &events, &shared))
-        };
         StreamingEngine {
             shared,
             workers,
-            completer: Some(completer),
             shards,
             config,
             started_at: Instant::now(),
-            trace,
         }
     }
 
@@ -511,7 +485,7 @@ impl StreamingEngine {
     /// event log are available while the service runs; the final
     /// [`ServiceReport`] carries the analyzed form.
     pub fn trace(&self) -> &TraceSink {
-        &self.trace
+        &self.shared.trace
     }
 
     /// Jobs admitted but not yet dispatched to Step 1.
@@ -554,7 +528,7 @@ impl StreamingEngine {
                 return Err(AdmissionError::ShuttingDown);
             }
             let capacity = state.queue.capacity();
-            if state.queue.len() + state.in_flight + specs.len() > capacity {
+            if state.queue.len() + state.in_flight() + specs.len() > capacity {
                 return Err(AdmissionError::QueueFull { capacity });
             }
             specs
@@ -574,7 +548,8 @@ impl StreamingEngine {
         // the set's last job must not start late by the wake-ups of the
         // jobs before it.
         for handle in &handles {
-            self.trace
+            self.shared
+                .trace
                 .record(NO_SEQ, TraceEventKind::Admitted { job: handle.id.0 });
         }
         if handles.len() == 1 {
@@ -609,7 +584,7 @@ impl StreamingEngine {
             if state.poisoned {
                 return false;
             }
-            if state.queue.is_empty() && state.in_flight == 0 {
+            if state.queue.is_empty() && state.in_flight() == 0 {
                 return true;
             }
             state = self.shared.state.wait(&self.shared.idle, state);
@@ -622,13 +597,12 @@ impl StreamingEngine {
         let state = self.shared.state.lock();
         ServiceSnapshot {
             pending: state.queue.len(),
-            in_flight: state.in_flight,
+            in_flight: state.in_flight(),
             completed: state.completed,
             accepting: state.accepting,
-            shard_inflight: state.shard_inflight.clone(),
+            shard_inflight: state.core.inflight().to_vec(),
             window: state.window.stats(),
             window_throughput: state.window.throughput(),
-            completer_timeouts: state.completer_timeouts,
         }
     }
 
@@ -645,42 +619,35 @@ impl StreamingEngine {
         self.join_and_report()
     }
 
-    /// Stops and joins every pipeline thread of a drained (or poisoned)
-    /// service and assembles the report. Setting `stopping` ends the pool's
-    /// Step 1 role; the completer then stops producing, the pool threads
-    /// exit as the device queues empty, and their exit closes the
-    /// completer's channel.
+    /// Stops and joins the pool of a drained (or poisoned) service and
+    /// assembles the report from the completer's tally. Setting `stopping`
+    /// lets each pool thread exit once nothing is left to run.
     fn join_and_report(&mut self) -> ServiceReport {
         self.shared.state.lock().stopping = true;
         self.shared.work.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        // A panicked completer yields an empty tally.
-        let tally = self
-            .completer
-            .take()
-            .and_then(|completer| completer.join().ok())
-            .unwrap_or_else(|| Tally::new(self.shards.shard_count()));
-        let trace = self.trace.is_enabled().then(|| TraceLog {
-            events: self.trace.events(),
-            dropped: self.trace.dropped(),
+        let sink = &self.shared.trace;
+        let trace = sink.is_enabled().then(|| TraceLog {
+            events: sink.events(),
+            dropped: sink.dropped(),
         });
         let straggler = trace
             .as_ref()
             .map(|trace| StragglerReport::from_events(&trace.events, self.shards.shard_count()));
-        let state = self.shared.state.lock();
-        let stage_breakdown = tally.stage_breakdown();
+        let mut state = self.shared.state.lock();
+        let tally = state.core.take_tally();
         ServiceReport {
             completed: state.completed,
             uptime: self.started_at.elapsed(),
+            stage_breakdown: tally.stage_breakdown(),
             shard_stats: tally.shards,
             resident_database_bytes: self.shards.resident_bytes(),
             mapped_reads: tally.mapped_reads,
             stage_overlap_events: tally.stage_overlap_events,
             failed_jobs: tally.failed_jobs,
             window: state.window.stats(),
-            stage_breakdown,
             straggler,
             trace,
         }
@@ -694,7 +661,7 @@ impl Drop for StreamingEngine {
         // service — this is also the drop of `self` after `shutdown`'s drain
         // propagated the poison — skips the drain and only joins: its
         // threads exit on the poison flag, and a destructor must not panic.
-        if self.completer.is_some() {
+        if !self.workers.is_empty() {
             self.shared.state.lock().accepting = false;
             let _ = self.wait_quiescent();
             let _ = self.join_and_report();
@@ -724,88 +691,115 @@ impl Drop for PanicGuard<'_> {
     }
 }
 
-/// One pool thread: takes the oldest ready device command under the state
-/// lock, else the next Step 1 the gate admits, else waits, and does it
-/// outside the lock. It leaves the Step 1 role once shutdown began and
-/// admission is drained, and exits once production stopped and every device
-/// queue is empty — or at once on poison.
-fn pool_thread(
-    shared: &Shared,
-    analyzer: &MegisAnalyzer,
-    device: &ShardWorker,
-    events: Sender<Event>,
-    plan: Option<&FaultPlan>,
-    trace: &TraceSink,
-) {
-    // `step1` outlives the guard: a thread that panicked has poisoned the
-    // engine by the time its exit from Step 1 reaches the completer.
-    let mut step1 = Some(WorkerTx(events.clone()));
+/// One pool thread: settles what it finished last into the completer, then
+/// takes the oldest ready device command under the state lock, else the
+/// next Step 1 the gate admits, else parks until woken or the completer's
+/// next timer, and does it outside the lock. It returns once shutdown began
+/// and nothing is left to run — or at once on poison.
+fn pool_thread(shared: &Shared) {
     let _guard = PanicGuard(shared);
-    // The device this thread served last round, freed under the next lock.
-    let mut served: Option<usize> = None;
+    let mut finished = None;
     loop {
+        settle(shared, finished.take());
         let work = {
             let mut state = shared.state.lock();
-            if let Some(index) = served.take() {
-                state.devices[index].busy = false;
-                if !state.devices[index].queue.is_empty() {
-                    shared.work.notify_one();
-                }
+            if state.poisoned {
+                return;
             }
-            loop {
-                if state.poisoned {
-                    return;
-                }
-                if let Some(work) = state.pop_command() {
-                    break work;
-                }
-                if step1.is_some() {
-                    if let Some(work) = state.pop_step1() {
-                        break work;
-                    }
-                    if state.stopping && state.queue.is_empty() {
-                        break Work::LeaveStep1;
-                    }
-                } else if !state.producing && state.devices.iter().all(|d| d.queue.is_empty()) {
-                    // Let the threads parked behind this one's last command
-                    // see that nothing is left either.
+            match state.pop_command().or_else(|| state.pop_step1()) {
+                Some(work) => work,
+                None if state.finished() => {
+                    drop(state);
+                    // Let the parked threads see that nothing is left either.
                     shared.work.notify_all();
                     return;
                 }
-                state = shared.state.wait(&shared.work, state);
+                None => {
+                    let wake = state.core.next_wake();
+                    drop(shared.state.wait_until(&shared.work, state, wake));
+                    // Woken by new work or a due timer: settle first.
+                    continue;
+                }
             }
         };
-        match work {
+        finished = Some(match work {
             Work::Command(index, popped, command) => {
-                let completion = serve(index, popped, command, device, plan, trace);
-                // A gone receiver (the completer panicked) ends the thread.
-                if events.send(Event::Completed(completion)).is_err() {
-                    return;
-                }
-                served = Some(index);
+                Event::Completed(serve(shared, index, popped, command))
             }
-            Work::Step1(job, start_position) => {
-                let prepared = prepare(analyzer, job, start_position, trace);
-                // Unbounded: the lookahead gate already bounds the prepared
-                // samples in existence. A gone receiver ends the thread.
-                let event = Event::Prepared(prepared);
-                let sent = step1.as_ref().is_some_and(|tx| tx.0.send(event).is_ok());
-                if !sent {
-                    return;
-                }
-            }
-            Work::LeaveStep1 => step1 = None,
-        }
+            Work::Step1(job, position) => Event::Prepared(prepare(shared, job, position)),
+        });
     }
 }
 
+/// One completer round, run by a pool thread before every pick: under one
+/// lock it frees the device a completion names, books `finished` into the
+/// core, settles the core at the current instant, puts each command it
+/// settled on onto its device queue and sends each delivery. Returns the
+/// core's next timer.
+fn settle(shared: &Shared, finished: Option<Event>) -> Option<Instant> {
+    let mut state = shared.state.lock();
+    let mut freed = false;
+    if let Some(Event::Completed(completion)) = &finished {
+        let device = &mut state.devices[completion.device];
+        device.busy = false;
+        freed = !device.queue.is_empty();
+    }
+    // Read under the lock, so the rolling window's instants never decrease.
+    let now = Instant::now();
+    let before = state.core.next_wake();
+    if let Some(event) = finished {
+        state.core.on(event, now);
+    }
+    let (mut issued, mut delivered) = (false, false);
+    for action in state.core.settle(now) {
+        match action {
+            Action::Issue(device, command) => {
+                state.devices[device].queue.push_back(command);
+                issued = true;
+            }
+            Action::Deliver(id, outcome) => {
+                // A failed job still counts as delivered, so the lookahead
+                // gate keeps opening behind it; the rolling window and the
+                // completion counter record only successes, at the instant
+                // the round settled.
+                delivered = true;
+                if let Ok(result) = outcome.as_ref() {
+                    state.window.record_at(now, result.latency);
+                    state.completed += 1;
+                }
+                if let Some(tx) = state.senders.remove(&id.0) {
+                    // lint:allow(guard-across-blocking, std mpsc Sender::send never
+                    // blocks on an unbounded channel, and delivery must happen under
+                    // the lock so a quiescent drain implies every outcome has
+                    // already reached its handle)
+                    let _ = tx.send(*outcome);
+                }
+            }
+        }
+    }
+    let wake = state.core.next_wake();
+    drop(state);
+    // Parked threads wake at the timer they read at the latest: only an
+    // earlier one must cut their park short. Waking them for an unchanged
+    // timer would have them wake each other in a loop.
+    let earlier = wake.is_some_and(|at| before.is_none_or(|held| at < held));
+    if issued || delivered || earlier || freed {
+        shared.work.notify_all();
+    }
+    if delivered {
+        shared.idle.notify_all();
+    }
+    wake
+}
+
 /// Runs Step 1 for the job dispatched at position `seq`.
-fn prepare(analyzer: &MegisAnalyzer, job: QueuedJob, seq: usize, trace: &TraceSink) -> PreparedJob {
+fn prepare(shared: &Shared, job: QueuedJob, seq: usize) -> PreparedJob {
+    let trace = &shared.trace;
     // Step1Started binds the job id to its dispatch sequence — the join
     // key the analysis layer uses to attach the admission event.
     trace.record(seq, TraceEventKind::Step1Started { job: job.id.0 });
     let started = Instant::now();
-    let step1 = analyzer.run_step1(&job.spec.sample);
+    let step1 = shared.analyzer.run_step1(&job.spec.sample);
     let step1_done = trace.now();
     trace.record_at(step1_done, seq, TraceEventKind::Step1Finished);
     PreparedJob {
@@ -825,15 +819,9 @@ fn prepare(analyzer: &MegisAnalyzer, job: QueuedJob, seq: usize, trace: &TraceSi
 /// Serves one command as device `index`, its `popped`-th — or answers it
 /// with the failure the fault plan injects, or a dead-shard rejection once
 /// the plan has killed the device — tagged with this device.
-fn serve(
-    index: usize,
-    popped: u64,
-    command: ShardCommand,
-    device: &ShardWorker,
-    plan: Option<&FaultPlan>,
-    trace: &TraceSink,
-) -> ShardCompletion {
+fn serve(shared: &Shared, index: usize, popped: u64, command: ShardCommand) -> ShardCompletion {
     use TraceEventKind::{CommandCompleted, CommandStarted, Fault};
+    let (plan, trace) = (shared.plan.as_deref(), &shared.trace);
     let (seq, stage) = (command.seq(), command.stage());
     // Injected permanent shard death: after serving `death_after` commands
     // the device stops serving, not being popped. It rejects every command
@@ -855,9 +843,9 @@ fn serve(
     // (`crate::model`), the engine spends real CPU time.
     let result = verdict.map(|spike| {
         if !spike.is_zero() {
-            thread::sleep(spike);
+            dwell(shared, spike);
         }
-        device.serve(&command)
+        shared.device.serve(&command)
     });
     let busy = t0.elapsed();
     let done = trace.now();
@@ -880,6 +868,22 @@ fn serve(
         started,
         done,
         result,
+    }
+}
+
+/// Holds this thread for an injected latency spike, in slices no longer
+/// than the completer's next timer, settling the completer between them:
+/// a command deadline fires on time even while every pool thread dwells.
+fn dwell(shared: &Shared, spike: Duration) {
+    let until = Instant::now() + spike;
+    loop {
+        let wake = settle(shared, None);
+        let now = Instant::now();
+        if now >= until {
+            return;
+        }
+        let slice_end = wake.map_or(until, |at| at.min(until));
+        thread::sleep(slice_end.saturating_duration_since(now));
     }
 }
 
@@ -913,105 +917,6 @@ fn injected(plan: Option<&FaultPlan>, command: &ShardCommand) -> Result<Duration
             });
             debug_assert!(caught.is_err());
             Err(CommandFailure::Panicked)
-        }
-    }
-}
-
-/// Upper bound on the completer's wait while commands are outstanding: a
-/// pool thread that panicked in a command never answers, so the completer
-/// looks at the poison flag at least this often.
-const POISON_POLL: Duration = Duration::from_millis(50);
-
-/// The completer thread: a shell around the [`Completer`] core that moves
-/// events in and actions out. Each round, under one lock, it puts the
-/// commands the core settled on onto the device queues, mirrors the core's
-/// queue occupancy for [`StreamingEngine::snapshot`], books and sends every
-/// delivery, and stops production once the core is done; then it waits for
-/// the next event, the core's next timer, or a [`POISON_POLL`], whichever
-/// comes first.
-fn run_completer(mut core: Completer, events: &Receiver<Event>, shared: &Shared) -> Tally {
-    let _guard = PanicGuard(shared);
-    loop {
-        let now = Instant::now();
-        let actions = core.settle(now);
-        let (mut issued, mut delivered) = (false, false);
-        let mut state = shared.state.lock();
-        for action in actions {
-            match action {
-                Action::Issue(device, command) => {
-                    if state.producing {
-                        state.devices[device].queue.push_back(command);
-                        issued = true;
-                    }
-                }
-                Action::Deliver(id, outcome) => {
-                    // A failed job still advances `isp_served`, so the
-                    // dispatch lookahead gate keeps opening behind it; the
-                    // rolling window and the completion counter record only
-                    // successes, at the instant the round settled.
-                    delivered = true;
-                    state.in_flight -= 1;
-                    state.isp_served += 1;
-                    if let Ok(result) = outcome.as_ref() {
-                        state.window.record_at(now, result.latency);
-                        state.completed += 1;
-                    }
-                    if let Some(tx) = state.senders.remove(&id.0) {
-                        // lint:allow(guard-across-blocking, std mpsc Sender::send never
-                        // blocks on an unbounded channel, and delivery must happen under
-                        // the lock so a quiescent drain implies every outcome has
-                        // already reached its handle)
-                        let _ = tx.send(*outcome);
-                    }
-                }
-            }
-        }
-        state.shard_inflight.copy_from_slice(core.inflight());
-        // With no thread left in the Step 1 role and every job delivered,
-        // no command can ever be issued again: the pool threads exit as the
-        // device queues empty, which closes the event channel and ends this
-        // loop.
-        let stopped = state.producing && core.is_done();
-        if stopped {
-            state.producing = false;
-        }
-        let poisoned = state.poisoned;
-        drop(state);
-        if issued || delivered || stopped {
-            shared.work.notify_all();
-        }
-        if delivered {
-            shared.idle.notify_all();
-        }
-        // Once no thread is left in the Step 1 role on a poisoned service,
-        // no outcome can be delivered any more (the poison dropped every
-        // sender), so the completer lets go rather than wait.
-        if poisoned && !core.expects_samples() {
-            return core.into_tally();
-        }
-        let wait = core.has_outstanding().then(|| {
-            core.next_wake().map_or(POISON_POLL, |at| {
-                at.saturating_duration_since(Instant::now())
-                    .min(POISON_POLL)
-            })
-        });
-        let event = match wait {
-            Some(timeout) => events.recv_timeout(timeout),
-            None => events.recv().map_err(|_| RecvTimeoutError::Disconnected),
-        };
-        match event {
-            Ok(event) => {
-                core.on(event, Instant::now());
-                // Whatever else is already queued rides the same round.
-                while let Ok(event) = events.try_recv() {
-                    core.on(event, Instant::now());
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => shared.state.lock().completer_timeouts += 1,
-            // Every pool thread exited: production had stopped with
-            // nothing pending, or a poison dropped every outcome sender.
-            // Nothing is left to deliver.
-            Err(RecvTimeoutError::Disconnected) => return core.into_tally(),
         }
     }
 }
@@ -1412,25 +1317,18 @@ mod tests {
     fn a_sample_without_commands_is_delivered_by_its_own_event() {
         // Regression: a sample that issues no intersect command — Step 1
         // selected nothing — reaches the completer as a bare job record.
-        // That record used to sit on a channel the completer was not
-        // waiting on, until its 50 ms completion poll ran out; now every
-        // record is an event on the one channel it blocks on. Counted, not
-        // timed: delivery on an idle engine must not consume a poll timeout.
+        // That record once waited on a completion poll to run out; now the
+        // pool thread that prepared it settles it, and no completion ever
+        // has to arrive for it to be delivered.
         let c = community();
         let a = analyzer(&c);
         let empty = Sample::from_reads(megis_genomics::read::ReadSet::new());
         let expected = a.analyze(&empty);
         assert_eq!(expected.selected_kmers, 0, "nothing to intersect");
         let engine = StreamingEngine::new(a, EngineConfig::new().with_workers(1).with_shards(2));
-        let before = engine.snapshot().completer_timeouts;
         let handle = engine.submit(JobSpec::new("empty", empty)).unwrap();
         let result = handle.wait().expect("job served");
         assert_eq!(result.output, expected);
-        assert_eq!(
-            engine.snapshot().completer_timeouts,
-            before,
-            "the job record itself must wake the completer"
-        );
         let report = engine.shutdown();
         let commands: u64 = report
             .shard_stats
