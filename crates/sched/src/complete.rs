@@ -1,30 +1,65 @@
-//! The completer's decisions as a pure state machine, with the clock
+//! The engine's one decision core: a pure state machine, with the clock
 //! passed in.
 //!
-//! [`Completer`] holds everything the in-SSD stage decides: it reorders
-//! prepared samples into dispatch order, opens each one (its query list
-//! sliced into per-shard intersect commands), issues both command kinds
-//! through one depth-bounded backlog, folds completions as they arrive,
-//! retries, fails over, fails a job, and delivers in dispatch order.
-//! [`Completer::on`] books one [`Event`]; [`Completer::settle`] returns the
-//! [`Action`]s that are now due — commands to put on a device queue and
-//! outcomes to deliver. The clock is an argument of both: the completer
-//! spawns nothing, owns no channel or lock and never reads the time, so a
-//! test drives any schedule step by step with a fake clock.
-//! `crate::service` keeps it under the engine's state lock: the pool thread
-//! that finished a unit of work books it and settles the core.
+//! [`Core`] makes every decision of the engine, and `crate::service` only
+//! runs what it hands out. The core spawns nothing, owns no channel or lock
+//! and never reads the time, so a test drives any schedule step by step
+//! with a fake clock. It owns:
+//!
+//! * **admission** — the policy's job queue, the next dispatch position and
+//!   the lookahead gate: Step 1 runs at most `max(2·workers + 2,
+//!   queue_depth + workers)` positions ahead of delivery, which bounds the
+//!   reorder buffer, the job table and prepared-sample memory;
+//! * **the devices** — per device, the commands issued onto its queue,
+//!   whether a pool thread is serving it, and how many commands it has
+//!   popped (the count a [`crate::FaultPlan`] kills it at);
+//! * **the pick** and **the wake rule** of the pool (below);
+//! * **the completer** — it reorders prepared samples into dispatch order,
+//!   opens each one (its query list sliced into per-shard intersect
+//!   commands), issues both command kinds through one depth-bounded
+//!   backlog, folds completions as they arrive, retries, fails over, fails
+//!   a job, and delivers in dispatch order.
+//!
+//! **The pool.** Each of the engine's `workers` threads runs one loop.
+//! Under the state lock it hands the unit it just finished to
+//! [`Core::settle`], sends the deliveries, and takes its next unit from
+//! [`Core::pick`]; then it runs the unit outside the lock, or parks until a
+//! notify or the settle's `wake` instant. The pick takes the queued command
+//! with the smallest `(dispatch seq, device, queue position)` among the
+//! devices no thread is serving, and marks its device busy; with no such
+//! command it takes Step 1 for the next job the gate admits. A device thus
+//! serves one command at a time, at most `workers` units run at once, and
+//! the head of delivery order is served first — its delivery is what opens
+//! the gate.
+//!
+//! **The wake rule** ([`Settled::notify`]) keeps the pool work-conserving —
+//! no thread parks while `pick` would hand out work — without waking it in
+//! a loop. A settle wakes the parked threads when it issued a command,
+//! delivered a job (the gate may open), freed a device with queued work, or
+//! armed a timer earlier than the core's previous next timer. Only an
+//! *earlier* timer wakes them: every thread parked without a notify holds a
+//! timer no later than the core's current next timer, so it wakes on time
+//! by itself, while a woken thread's own settle would wake the others for
+//! an unchanged timer, and they it, without end. The wake for a freed
+//! device with queued work is redundant: the thread that freed the device
+//! picks in the same critical section, and while any thread is parked no
+//! other idle device holds a command, so it takes that device's oldest
+//! command itself. The explorer finds no schedule that needs this wake; it
+//! stays until a measured change removes it (ROADMAP).
 //!
 //! **One ledger.** Every issued command stays in one ordered map, keyed on
 //! `(seq, shard-of-record, stage)`, from its first issue to its final
-//! resolution. The entry records the device of its current attempt, when
+//! resolution. The entry records the command at its current attempt, when
 //! that attempt was issued, and — while it waits out a retry backoff — when
 //! it is due again. Both timers are read off this map: a blown command
 //! deadline is a transient failure of the current attempt, a due retry is a
-//! re-issue, and [`Completer::next_wake`] is the earliest of either. The
-//! map is ordered, so timers fire in key order and one schedule always
-//! yields the same actions. A command holds its queue-depth slot on its
+//! re-issue, and the next timer is the earliest of either. The map is
+//! ordered, so timers fire in key order and one schedule always yields the
+//! same decisions. A command holds its queue-depth slot on its
 //! shard-of-record for as long as it is in the ledger, so re-issues never
-//! re-gate and a slot is freed exactly once.
+//! re-gate and a slot is freed exactly once. A command that leaves the
+//! ledger with its job, or whose queued attempt a re-issue supersedes,
+//! leaves its device queue too: a retired command is never served.
 //!
 //! **Per-job progress.** A job's Step 2 supports are folded the moment each
 //! arrives; the fold that brings its outstanding intersect count to zero
@@ -50,8 +85,9 @@ use megis_genomics::profile::PresenceResult;
 use megis_genomics::sample::Sample;
 
 use crate::engine::EngineConfig;
-use crate::job::{JobError, JobId, JobResult, Priority};
+use crate::job::{JobError, JobId, JobResult, JobSpec, Priority};
 use crate::metrics::Tally;
+use crate::queue::{AdmissionError, JobQueue, QueuedJob};
 use crate::shard::{
     CommandFailure, CommandOutput, IntersectCommand, ShardCommand, ShardSet, Step3Command,
 };
@@ -75,7 +111,7 @@ pub(crate) struct PreparedJob {
 }
 
 /// One answer from a device: `Ok(output)` for a served command, or the
-/// `Err(failure)` the completer retries, fails over, or fails the job on.
+/// `Err(failure)` the core retries, fails over, or fails the job on.
 pub(crate) struct ShardCompletion {
     /// The command as popped: its key and attempt find the ledger entry it
     /// settles, and its size is what the tally credits.
@@ -90,21 +126,30 @@ pub(crate) struct ShardCompletion {
     pub(crate) result: Result<CommandOutput, CommandFailure>,
 }
 
-/// Everything the completer reacts to.
+/// A unit of work a pool thread finished.
 pub(crate) enum Event {
-    /// A pool thread ran Step 1 and prepared a sample for the in-SSD stage.
+    /// It ran Step 1 and prepared a sample for the in-SSD stage.
     Prepared(PreparedJob),
-    /// A device finished (or failed) one command.
+    /// It served (or failed) one command as a device.
     Completed(ShardCompletion),
 }
 
-/// Everything the completer asks of the world.
-pub(crate) enum Action {
-    /// Put the command on this device's queue. The command is already in
-    /// the ledger, so its completion can never arrive unregistered.
-    Issue(usize, ShardCommand),
-    /// The job left the in-SSD stage: send its outcome to its handle.
-    Deliver(JobId, Box<Result<JobResult, JobError>>),
+/// A unit of work [`Core::pick`] hands a pool thread.
+pub(crate) enum Work {
+    /// Serve the command as device `.0`, the `.1`-th command popped from it.
+    Command(usize, u64, ShardCommand),
+    /// Run Step 1 for this job at this dispatch position.
+    Step1(QueuedJob, usize),
+}
+
+/// What one [`Core::settle`] asks of the pool.
+pub(crate) struct Settled {
+    /// Outcomes to send to their handles, in dispatch order.
+    pub(crate) deliveries: Vec<(JobId, Result<JobResult, JobError>)>,
+    /// Wake the parked pool threads (the wake rule, see the module docs).
+    pub(crate) notify: bool,
+    /// The core's next timer: a parked thread wakes no later than this.
+    pub(crate) wake: Option<Instant>,
 }
 
 /// Deterministic capped exponential backoff for retry attempt `attempt`
@@ -138,6 +183,15 @@ struct OutstandingCommand {
     /// run out. A command waiting here has no deadline (its entry ages by
     /// design).
     retry_at: Option<Instant>,
+}
+
+/// One logical device: the commands issued onto its queue, whether a pool
+/// thread is serving it, and how many commands it has popped.
+#[derive(Default)]
+struct Device {
+    queue: VecDeque<ShardCommand>,
+    busy: bool,
+    popped: u64,
 }
 
 /// One sample in the in-SSD stage, from its opening to its delivery.
@@ -229,9 +283,8 @@ impl Job {
     }
 }
 
-/// The in-SSD completer, the only issuer of shard commands (see the module
-/// docs).
-pub(crate) struct Completer {
+/// The engine's decision core (see the module docs).
+pub(crate) struct Core {
     analyzer: Arc<MegisAnalyzer>,
     /// The sharded database layout the query lists are sliced against.
     shards: ShardSet,
@@ -240,6 +293,13 @@ pub(crate) struct Completer {
     retry_budget: u32,
     retry_backoff: Duration,
     command_deadline: Option<Duration>,
+    /// The live admission queue, popped at dispatch under the policy.
+    queue: JobQueue,
+    /// The next dispatch position to assign.
+    next_position: usize,
+    /// How far dispatch may run ahead of delivery.
+    lookahead: usize,
+    devices: Vec<Device>,
     /// The reorder buffer behind the ordering guarantee: prepared samples
     /// that arrived ahead of an earlier dispatch position, keyed on
     /// `start_position`.
@@ -262,32 +322,33 @@ pub(crate) struct Completer {
     /// stage-overlap observation.
     stage_inflight: [usize; 2],
     /// Every count the report carries. Its dead flags — set by a device's
-    /// dead-shard rejection — are what [`Completer::pick_target`] routes
-    /// every issue and re-issue away from.
+    /// dead-shard rejection — are what [`Core::pick_target`] routes every
+    /// issue and re-issue away from.
     tally: Tally,
 }
 
-impl std::fmt::Debug for Completer {
+impl std::fmt::Debug for Core {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Completer")
-            .field("opened", &self.opened)
+        f.debug_struct("Core")
+            .field("pending", &self.queue.len())
+            .field("dispatched", &self.next_position)
             .field("delivered", &self.next_to_deliver)
             .field("inflight", &self.inflight)
             .finish_non_exhaustive()
     }
 }
 
-impl Completer {
-    /// A completer for an engine built from `config` over `shards`, with no
-    /// job yet.
+impl Core {
+    /// The core of an engine built from `config` over `shards`, with no job
+    /// yet.
     pub(crate) fn new(
         analyzer: Arc<MegisAnalyzer>,
         shards: ShardSet,
         config: &EngineConfig,
         trace: TraceSink,
-    ) -> Completer {
+    ) -> Core {
         let shard_count = shards.shard_count();
-        Completer {
+        Core {
             analyzer,
             shards,
             trace,
@@ -295,6 +356,14 @@ impl Completer {
             retry_budget: config.retry_budget,
             retry_backoff: config.retry_backoff,
             command_deadline: config.command_deadline,
+            queue: JobQueue::new(config.policy, config.queue_capacity),
+            next_position: 0,
+            // Each in-flight sample holds at most one outstanding command
+            // per shard, so a full `queue_depth` needs that many samples in
+            // the in-SSD stage plus the workers' hands; at the default depth
+            // the classic `2 * workers + 2` is the larger term.
+            lookahead: (2 * config.workers + 2).max(config.queue_depth + config.workers),
+            devices: (0..shard_count).map(|_| Device::default()).collect(),
             reorder: BTreeMap::new(),
             opened: 0,
             jobs: BTreeMap::new(),
@@ -307,28 +376,154 @@ impl Completer {
         }
     }
 
+    /// Admits a closed set of jobs, all of it or none: the set must fit the
+    /// queue capacity *counting in-flight work*, so a job holds its slot
+    /// from admission to delivery. Returns the ids in submission order.
+    pub(crate) fn admit(&mut self, specs: Vec<JobSpec>) -> Result<Vec<JobId>, AdmissionError> {
+        let capacity = self.queue.capacity();
+        if self.queue.len() + self.in_flight() + specs.len() > capacity {
+            return Err(AdmissionError::QueueFull { capacity });
+        }
+        let ids = specs.into_iter().map(|spec| {
+            self.queue
+                .submit(spec)
+                .expect("the whole set fits: checked against the capacity above")
+        });
+        Ok(ids.collect())
+    }
+
+    /// Settles the core at `now` after `finished`, the unit a pool thread
+    /// just ran (`None` for a woken or dwelling thread): books it — freeing
+    /// the device a completion names — fires the due timers, issues every
+    /// backlogged command that has a slot onto its device queue, and
+    /// delivers every finished job at the head of the dispatch order.
+    pub(crate) fn settle(&mut self, finished: Option<Event>, now: Instant) -> Settled {
+        let before = self.next_wake();
+        let freed = finished.is_some_and(|event| self.on(event, now));
+        let issued = self.fire_timers(now) | self.submit_backlog(now);
+        let deliveries = self.deliver(now);
+        let wake = self.next_wake();
+        let earlier = wake.is_some_and(|at| before.is_none_or(|held| at < held));
+        Settled {
+            notify: issued || !deliveries.is_empty() || freed || earlier,
+            deliveries,
+            wake,
+        }
+    }
+
+    /// Hands a pool thread its next unit: the queued command with the
+    /// smallest `(dispatch seq, device, queue position)` among the devices
+    /// no thread is serving, marking its device busy — else Step 1 for the
+    /// next job under the policy, if the lookahead gate admits its
+    /// position. The pop and the position share one critical section, so
+    /// dispatch order is exactly policy order.
+    pub(crate) fn pick(&mut self) -> Option<Work> {
+        if let Some((index, at)) = self.ready_command() {
+            let device = &mut self.devices[index];
+            let command = device.queue.remove(at).expect("a queued command");
+            device.busy = true;
+            device.popped += 1;
+            return Some(Work::Command(index, device.popped, command));
+        }
+        if !self.step1_ready() {
+            return None;
+        }
+        let job = self.queue.pop_next()?;
+        let position = self.next_position;
+        self.next_position += 1;
+        Some(Work::Step1(job, position))
+    }
+
+    /// No job is queued or undelivered: quiescence for `drain`, and — once
+    /// shutdown began — a pool thread's exit. No command waits on a device
+    /// then: a delivered job's commands were all answered or retired.
+    pub(crate) fn idle(&self) -> bool {
+        self.queue.is_empty() && self.in_flight() == 0
+    }
+
+    /// Jobs admitted but not yet dispatched to Step 1.
+    pub(crate) fn pending(&self) -> usize {
+        self.queue.len()
+    }
+
+    /// Jobs dispatched to Step 1 and not yet delivered, failed ones
+    /// included.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.next_position - self.next_to_deliver
+    }
+
+    /// Occupied depth slots per shard.
+    pub(crate) fn inflight(&self) -> &[usize] {
+        &self.inflight
+    }
+
+    /// The counts the core folded so far, leaving an empty tally.
+    pub(crate) fn take_tally(&mut self) -> Tally {
+        std::mem::take(&mut self.tally)
+    }
+
+    /// The `(device, queue position)` of the command [`Core::pick`] would
+    /// take.
+    fn ready_command(&self) -> Option<(usize, usize)> {
+        let (_, index, at) = self
+            .devices
+            .iter()
+            .enumerate()
+            .filter(|(_, device)| !device.busy)
+            .flat_map(|(index, device)| {
+                let queued = device.queue.iter().enumerate();
+                queued.map(move |(at, command)| (command.seq(), index, at))
+            })
+            .min()?;
+        Some((index, at))
+    }
+
+    /// A job is queued and the lookahead gate admits its position.
+    fn step1_ready(&self) -> bool {
+        !self.queue.is_empty() && self.in_flight() < self.lookahead
+    }
+
+    /// The earliest instant a timer of the ledger is due: a retry's backoff
+    /// running out or a command's deadline passing. `None` while no timer is
+    /// armed — then only an event can give the core work.
+    fn next_wake(&self) -> Option<Instant> {
+        self.outstanding
+            .values()
+            .filter_map(|entry| {
+                entry
+                    .retry_at
+                    .or_else(|| Some(entry.issued_at + self.command_deadline?))
+            })
+            .min()
+    }
+
     /// Books one event at `now`: a prepared sample (opened at once if it is
     /// next in dispatch order, together with every buffered sample it
-    /// unblocks) or a completion.
-    pub(crate) fn on(&mut self, event: Event, now: Instant) {
+    /// unblocks) or a completion, whose device it frees. Returns whether
+    /// that device has commands queued.
+    fn on(&mut self, event: Event, now: Instant) -> bool {
         match event {
             Event::Prepared(prepared) => {
                 self.reorder.insert(prepared.start_position, prepared);
                 while let Some(prepared) = self.reorder.remove(&self.opened) {
                     self.open(prepared, now);
                 }
+                false
             }
-            Event::Completed(completion) => self.reap(completion, now),
+            Event::Completed(completion) => {
+                let device = &mut self.devices[completion.device];
+                device.busy = false;
+                let freed = !device.queue.is_empty();
+                self.reap(completion, now);
+                freed
+            }
         }
     }
 
-    /// Everything due at `now`: fires the ledger's timers, issues the
-    /// backlogged commands that have a free slot, and delivers every
-    /// finished job at the head of the dispatch order.
-    pub(crate) fn settle(&mut self, now: Instant) -> Vec<Action> {
-        let mut actions = Vec::new();
-        self.fire_timers(now, &mut actions);
-        self.submit_backlog(now, &mut actions);
+    /// Removes every finished job at the head of the dispatch order, with
+    /// its outcome.
+    fn deliver(&mut self, now: Instant) -> Vec<(JobId, Result<JobResult, JobError>)> {
+        let mut deliveries = Vec::new();
         while self
             .jobs
             .get(&self.next_to_deliver)
@@ -342,38 +537,9 @@ impl Completer {
             let id = job.prepared.id;
             let outcome = self.finalize(job, now);
             self.tally.delivered(&outcome);
-            actions.push(Action::Deliver(id, Box::new(outcome)));
+            deliveries.push((id, outcome));
         }
-        actions
-    }
-
-    /// The earliest instant a timer of the ledger is due: a retry's backoff
-    /// running out or a command's deadline passing. `None` while no timer is
-    /// armed — then only an event can give the completer work.
-    pub(crate) fn next_wake(&self) -> Option<Instant> {
-        self.outstanding
-            .values()
-            .filter_map(|entry| {
-                entry
-                    .retry_at
-                    .or_else(|| Some(entry.issued_at + self.command_deadline?))
-            })
-            .min()
-    }
-
-    /// Occupied depth slots per shard.
-    pub(crate) fn inflight(&self) -> &[usize] {
-        &self.inflight
-    }
-
-    /// Dispatch positions delivered so far, failed jobs included.
-    pub(crate) fn delivered(&self) -> usize {
-        self.next_to_deliver
-    }
-
-    /// The counts the completer folded so far, leaving an empty tally.
-    pub(crate) fn take_tally(&mut self) -> Tally {
-        std::mem::take(&mut self.tally)
+        deliveries
     }
 
     /// Opens one prepared sample: its job record, stamped with the next
@@ -483,8 +649,8 @@ impl Completer {
     /// Fires every timer due at `now`, in key order: a command past its
     /// deadline fails its current attempt transiently, then every command
     /// whose retry is due — one that just failed with a zero backoff
-    /// included — is re-issued.
-    fn fire_timers(&mut self, now: Instant, actions: &mut Vec<Action>) {
+    /// included — is re-issued. Returns whether it issued a command.
+    fn fire_timers(&mut self, now: Instant) -> bool {
         if let Some(deadline) = self.command_deadline {
             let expired: Vec<CommandKey> = self
                 .outstanding
@@ -502,23 +668,26 @@ impl Completer {
             .filter(|(_, entry)| entry.retry_at.is_some_and(|at| at <= now))
             .map(|(key, _)| *key)
             .collect();
+        let mut issued = false;
         for key in due {
-            self.reissue(key, now, actions);
+            issued |= self.reissue(key, now);
         }
+        issued
     }
 
     /// Re-issues one ledgered command with a bumped attempt counter to
-    /// [`Completer::pick_target`]'s device (every worker holds the whole
+    /// [`Core::pick_target`]'s device (every device serves from the whole
     /// `ShardSet`, so any survivor serves the command identically), or
-    /// fails its job when every device is dead.
-    fn reissue(&mut self, key: CommandKey, now: Instant, actions: &mut Vec<Action>) {
+    /// fails its job when every device is dead. The new attempt replaces a
+    /// stale one still queued. Returns whether it issued.
+    fn reissue(&mut self, key: CommandKey, now: Instant) -> bool {
         let (seq, shard, stage) = key;
         if !self.outstanding.contains_key(&key) {
-            return;
+            return false;
         }
         let Some(target) = self.pick_target(shard) else {
             self.fail_job(seq, |job| JobError::NoLiveShards { job });
-            return;
+            return false;
         };
         let entry = self.outstanding.get_mut(&key).expect("checked above");
         entry.command.bump_attempt();
@@ -552,7 +721,9 @@ impl Completer {
                 shard: target,
             },
         );
-        actions.push(Action::Issue(target, command));
+        self.unqueue(|queued| queued == key);
+        self.devices[target].queue.push_back(command);
+        true
     }
 
     /// The device a command of shard-of-record `record` is put on — the
@@ -568,9 +739,9 @@ impl Completer {
 
     /// Marks job `seq` failed in place — the first error sticks, and the job
     /// is delivered at its turn in dispatch order — and retires every
-    /// command of the job still ledgered or backlogged: ledgered ones free
-    /// their depth slots exactly once, and a late completion of one finds
-    /// nothing to settle.
+    /// command of the job still ledgered, backlogged or queued on a device:
+    /// ledgered ones free their depth slots exactly once, a late completion
+    /// of one finds nothing to settle, and a queued one is never served.
     fn fail_job(&mut self, seq: usize, error: impl FnOnce(JobId) -> JobError) {
         let Some(job) = self.jobs.get_mut(&seq) else {
             return;
@@ -587,6 +758,15 @@ impl Completer {
             self.release(shard, stage);
         }
         self.backlog.retain(|command| command.seq() != seq);
+        self.unqueue(|(queued, _, _)| queued == seq);
+    }
+
+    /// Drops every queued command whose key `retired` matches from the
+    /// device queues.
+    fn unqueue(&mut self, retired: impl Fn(CommandKey) -> bool) {
+        for device in &mut self.devices {
+            device.queue.retain(|command| !retired(key(command)));
+        }
     }
 
     /// Finishes one job's Step 2 — the devices already intersected and
@@ -616,11 +796,12 @@ impl Completer {
     /// free depth slot, in backlog order per shard; the rest take slots as
     /// later completions free them. Each issue occupies the record shard's
     /// slot, records `CommandIssued` for the device
-    /// [`Completer::pick_target`] chose and enters the ledger before the
-    /// command leaves as an action. With every device dead the command goes
-    /// to its record shard, which rejects it, and the re-issue fails the
-    /// job.
-    fn submit_backlog(&mut self, now: Instant, actions: &mut Vec<Action>) {
+    /// [`Core::pick_target`] chose and enters the ledger as it joins that
+    /// device's queue. With every device dead the command goes to its
+    /// record shard, which rejects it, and the re-issue fails the job.
+    /// Returns whether it issued a command.
+    fn submit_backlog(&mut self, now: Instant) -> bool {
+        let mut issued = false;
         for command in std::mem::take(&mut self.backlog) {
             let (seq, record, stage) = key(&command);
             if self.inflight[record] >= self.queue_depth {
@@ -644,8 +825,10 @@ impl Completer {
                     retry_at: None,
                 },
             );
-            actions.push(Action::Issue(device, command));
+            self.devices[device].queue.push_back(command);
+            issued = true;
         }
+        issued
     }
 
     /// Takes one depth slot of `shard` for a `stage` command and tallies
@@ -658,7 +841,7 @@ impl Completer {
         self.tally.issued(shard, self.inflight[shard], overlaps);
     }
 
-    /// Frees the slot [`Completer::occupy`] took, exactly once per command:
+    /// Frees the slot [`Core::occupy`] took, exactly once per command:
     /// when it leaves the ledger.
     fn release(&mut self, shard: usize, stage: TraceStage) {
         self.inflight[shard] -= 1;
@@ -730,10 +913,10 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     use super::*;
-    use crate::fault::{FaultDecision, FaultPlan};
+    use crate::fault::FaultPlan;
     use crate::shard::ShardWorker;
 
-    impl Completer {
+    impl Core {
         /// Every opened job is delivered and no command waits for a slot.
         fn is_done(&self) -> bool {
             self.backlog.is_empty() && self.jobs.is_empty()
@@ -742,6 +925,11 @@ mod tests {
         /// Some issued command has not been resolved.
         fn has_outstanding(&self) -> bool {
             !self.outstanding.is_empty()
+        }
+
+        /// Commands waiting on the device queues.
+        fn queued(&self) -> usize {
+            self.devices.iter().map(|device| device.queue.len()).sum()
         }
     }
 
@@ -814,18 +1002,18 @@ mod tests {
         }
     }
 
-    /// A completer on `config.shards` shards recording into `trace`, and a
+    /// A core on `config.shards` shards recording into `trace`, and a
     /// device that serves any of the shards.
-    fn traced_core(config: &EngineConfig, trace: TraceSink) -> (Completer, ShardWorker) {
+    fn traced_core(config: &EngineConfig, trace: TraceSink) -> (Core, ShardWorker) {
         let f = fixture();
         let shards = ShardSet::build(f.analyzer.database(), config.shards);
         let device = ShardWorker::new(shards.clone(), Arc::clone(&f.analyzer));
-        let core = Completer::new(Arc::clone(&f.analyzer), shards, config, trace);
+        let core = Core::new(Arc::clone(&f.analyzer), shards, config, trace);
         (core, device)
     }
 
     /// [`traced_core`] with tracing off.
-    fn core(config: &EngineConfig) -> (Completer, ShardWorker) {
+    fn core(config: &EngineConfig) -> (Core, ShardWorker) {
         traced_core(config, TraceSink::disabled())
     }
 
@@ -853,36 +1041,41 @@ mod tests {
     }
 
     /// Per-shard `f` of the core's tally.
-    fn per_shard<T>(core: &Completer, f: impl Fn(&crate::ShardStats) -> T) -> Vec<T> {
+    fn per_shard<T>(core: &Core, f: impl Fn(&crate::ShardStats) -> T) -> Vec<T> {
         core.tally.shards.iter().map(f).collect()
     }
 
-    /// Splits settled actions into issued commands and delivered outcomes.
-    fn split(actions: Vec<Action>) -> (Vec<ShardCommand>, Vec<Result<JobResult, JobError>>) {
-        let (mut issued, mut delivered) = (Vec::new(), Vec::new());
-        for action in actions {
-            match action {
-                Action::Issue(_, command) => issued.push(command),
-                Action::Deliver(_, outcome) => delivered.push(*outcome),
-            }
+    /// The command `core` picks next; panics on anything else.
+    fn pick_command(core: &mut Core) -> ShardCommand {
+        match core.pick() {
+            Some(Work::Command(_, _, command)) => command,
+            Some(Work::Step1(..)) => panic!("picked a Step 1, not a command"),
+            None => panic!("nothing to pick"),
         }
-        (issued, delivered)
     }
 
-    /// Serves every issued command, and every command that issues in turn,
-    /// until the core delivers; returns the delivered outcomes.
+    /// Settles `event` into `core` at `now`; returns the delivered outcomes.
+    fn settle(core: &mut Core, event: Event, now: Instant) -> Vec<Result<JobResult, JobError>> {
+        let settled = core.settle(Some(event), now);
+        settled.deliveries.into_iter().map(|(_, o)| o).collect()
+    }
+
+    /// Serves `first`, if given, and then every command the core picks,
+    /// until it picks none; returns the delivered outcomes.
     fn serve_until_delivered(
-        core: &mut Completer,
+        core: &mut Core,
         device: &ShardWorker,
-        mut issued: Vec<ShardCommand>,
+        first: Option<ShardCommand>,
         now: Instant,
     ) -> Vec<Result<JobResult, JobError>> {
         let mut delivered = Vec::new();
-        while let Some(command) = issued.pop() {
-            core.on(answer(&command, Ok(device.serve(&command))), now);
-            let (more, outcomes) = split(core.settle(now));
-            issued.extend(more);
-            delivered.extend(outcomes);
+        let mut next = first;
+        while let Some(command) = next.take().or_else(|| match core.pick() {
+            Some(Work::Command(_, _, command)) => Some(command),
+            _ => None,
+        }) {
+            let event = answer(&command, Ok(device.serve(&command)));
+            delivered.extend(settle(core, event, now));
         }
         delivered
     }
@@ -955,8 +1148,8 @@ mod tests {
         );
 
         // And the job delivered through the same core is unchanged.
-        let (issued, _) = split(core.settle(now));
-        let delivered = serve_until_delivered(&mut core, &device, issued, now);
+        core.settle(None, now);
+        let delivered = serve_until_delivered(&mut core, &device, None, now);
         let [Ok(result)] = &delivered[..] else {
             panic!("one job served: {delivered:?}");
         };
@@ -976,23 +1169,24 @@ mod tests {
             .with_retry_backoff(b);
         let (mut core, device) = core(&config);
         let mut now = Instant::now();
-        core.on(Event::Prepared(prepared(0, MAPPED, now)), now);
-        let (mut issued, _) = split(core.settle(now));
+        core.settle(Some(Event::Prepared(prepared(0, MAPPED, now))), now);
+        let mut command = pick_command(&mut core);
         assert_eq!(core.next_wake(), None, "no timer without a deadline");
         for (attempt, factor) in [1u32, 2, 4, 8, 8].into_iter().enumerate() {
-            let command = issued.pop().expect("one command in flight");
             assert_eq!(command.attempt(), attempt as u32);
             now += Duration::from_micros(300);
-            core.on(answer(&command, Err(CommandFailure::Transient)), now);
+            core.settle(Some(answer(&command, Err(CommandFailure::Transient))), now);
             let due = now + b * factor;
             assert_eq!(core.next_wake(), Some(due), "attempt {attempt}");
-            assert!(core.settle(due - Duration::from_micros(1)).is_empty());
+            let early = core.settle(None, due - Duration::from_micros(1));
+            assert!(early.deliveries.is_empty() && core.queued() == 0);
             assert_eq!(core.inflight(), [1], "a retry keeps its slot");
             now = due;
-            (issued, _) = split(core.settle(now));
-            assert_eq!(issued.len(), 1, "attempt {attempt} re-issued when due");
+            core.settle(None, now);
+            assert_eq!(core.queued(), 1, "attempt {attempt} re-issued when due");
+            command = pick_command(&mut core);
         }
-        let delivered = serve_until_delivered(&mut core, &device, issued, now);
+        let delivered = serve_until_delivered(&mut core, &device, Some(command), now);
         let [Ok(result)] = &delivered[..] else {
             panic!("the job survives its retries: {delivered:?}");
         };
@@ -1008,17 +1202,15 @@ mod tests {
             .with_command_deadline(deadline);
         let (mut core, device) = core(&config);
         let start = Instant::now();
-        core.on(Event::Prepared(prepared(0, MAPPED, start)), start);
-        let (mut issued, _) = split(core.settle(start));
-        let stuck = issued.pop().expect("one intersect command");
+        core.settle(Some(Event::Prepared(prepared(0, MAPPED, start))), start);
+        // The device takes the command before its deadline and sits on it.
+        let stuck = pick_command(&mut core);
         assert_eq!(core.next_wake(), Some(start + deadline));
-        assert!(core
-            .settle(start + deadline - Duration::from_micros(1))
-            .is_empty());
+        let early = core.settle(None, start + deadline - Duration::from_micros(1));
+        assert!(early.deliveries.is_empty() && core.queued() == 0);
         let now = start + deadline;
-        let (mut issued, _) = split(core.settle(now));
-        let retry = issued.pop().expect("re-issued at the deadline");
-        assert_eq!(retry.attempt(), stuck.attempt() + 1);
+        core.settle(None, now);
+        assert_eq!(core.queued(), 1, "re-issued at the deadline");
         assert_eq!(
             core.next_wake(),
             Some(now + deadline),
@@ -1041,6 +1233,8 @@ mod tests {
         let items = intersect.range.len() as u64;
         assert_eq!(per_shard(&core, |s| (s.jobs, s.query_items)), [(1, items)]);
         assert_eq!(per_shard(&core, |s| s.busy), [busy(3)]);
+        let retry = pick_command(&mut core);
+        assert_eq!(retry.attempt(), stuck.attempt() + 1);
         let current = ShardCompletion {
             busy: busy(2),
             ..completion(&retry, 0, Ok(device.serve(&retry)))
@@ -1052,13 +1246,63 @@ mod tests {
             [(2, 2 * items, busy(5))],
             "the late answer and the current one both count"
         );
-        let (issued, _) = split(core.settle(now));
-        let delivered = serve_until_delivered(&mut core, &device, issued, now);
+        core.settle(None, now);
+        let delivered = serve_until_delivered(&mut core, &device, None, now);
         let [Ok(result)] = &delivered[..] else {
             panic!("the job survives its deadline: {delivered:?}");
         };
         assert_eq!(result.output, fixture().expected[MAPPED]);
         assert_eq!(per_shard(&core, |s| s.retries), [1]);
+    }
+
+    #[test]
+    fn a_command_that_waits_out_its_deadline_in_its_queue_is_served_once() {
+        // Regression: the re-issue used to queue beside the stale attempt
+        // still waiting, and the device served both.
+        let deadline = Duration::from_millis(5);
+        let config = EngineConfig::new()
+            .with_shards(1)
+            .with_command_deadline(deadline);
+        let (mut core, device) = core(&config);
+        let start = Instant::now();
+        core.settle(Some(Event::Prepared(prepared(0, MAPPED, start))), start);
+        let now = start + deadline;
+        core.settle(None, now);
+        assert_eq!(core.queued(), 1, "the re-issue replaced the stale attempt");
+        let Some(Work::Command(0, 1, command)) = core.pick() else {
+            panic!("the device's first pick");
+        };
+        assert_eq!(command.attempt(), 1, "picked at attempt 1");
+        let delivered = serve_until_delivered(&mut core, &device, Some(command), now);
+        let [Ok(result)] = &delivered[..] else {
+            panic!("the job survives its deadline: {delivered:?}");
+        };
+        assert_eq!(result.output, fixture().expected[MAPPED]);
+        assert_eq!(per_shard(&core, |s| (s.jobs, s.retries)), [(1, 1)]);
+    }
+
+    #[test]
+    fn a_failed_jobs_queued_commands_are_never_served() {
+        // Regression: failing a job retired its commands from the ledger but
+        // not from the device queues, so a pool thread still served them.
+        let config = EngineConfig::new().with_shards(2);
+        let (mut core, _) = core(&config);
+        let now = Instant::now();
+        core.settle(Some(Event::Prepared(prepared(0, MAPPED, now))), now);
+        let first = pick_command(&mut core);
+        assert_eq!(first.record_shard(), 0, "the oldest command, lowest device");
+        assert_eq!(core.queued(), 1, "shard 1's command waits on device 1");
+        let delivered = settle(
+            &mut core,
+            answer(&first, Err(CommandFailure::Panicked)),
+            now,
+        );
+        let [Err(JobError::WorkerPanicked { shard: 0, .. })] = &delivered[..] else {
+            panic!("the job fails on its panic: {delivered:?}");
+        };
+        assert!(core.pick().is_none(), "shard 1's command was retired");
+        assert_eq!(core.devices[1].popped, 0);
+        assert_eq!(per_shard(&core, |s| s.jobs), [0, 0]);
     }
 
     /// Serves `command` on its shard-of-record as a device that started at
@@ -1102,16 +1346,15 @@ mod tests {
             step1_done,
             ..prepared(0, MAPPED, now)
         };
-        core.on(Event::Prepared(job), now);
-        let (issued, _) = split(core.settle(now));
-        let [early, late] = &issued[..] else {
-            panic!("one intersect command per shard: {}", issued.len());
-        };
+        core.settle(Some(Event::Prepared(job)), now);
+        let (early, late) = (pick_command(&mut core), pick_command(&mut core));
         let (early_start, late_start, late_done, early_done) = (tick(), tick(), tick(), tick());
-        core.on(served_at(&device, late, late_start, late_done), now);
-        core.on(served_at(&device, early, early_start, early_done), now);
-        let (issued, _) = split(core.settle(now));
-        let delivered = serve_until_delivered(&mut core, &device, issued, now);
+        core.settle(Some(served_at(&device, &late, late_start, late_done)), now);
+        core.settle(
+            Some(served_at(&device, &early, early_start, early_done)),
+            now,
+        );
+        let delivered = serve_until_delivered(&mut core, &device, None, now);
         let [Ok(result)] = &delivered[..] else {
             panic!("one job served: {delivered:?}");
         };
@@ -1133,24 +1376,19 @@ mod tests {
             step1_done,
             ..prepared(0, MAPPED, now)
         };
-        core.on(Event::Prepared(job), now);
-        let (mut issued, _) = split(core.settle(now));
-        let first = issued.pop().expect("one intersect command");
+        core.settle(Some(Event::Prepared(job)), now);
+        let first = pick_command(&mut core);
         let failed_at = tick();
-        core.on(
-            Event::Completed(ShardCompletion {
-                started: failed_at,
-                done: failed_at,
-                ..completion(&first, 0, Err(CommandFailure::Transient))
-            }),
-            now,
-        );
-        let (mut issued, _) = split(core.settle(now));
-        let retry = issued.pop().expect("re-issued at once");
+        let failed = Event::Completed(ShardCompletion {
+            started: failed_at,
+            done: failed_at,
+            ..completion(&first, 0, Err(CommandFailure::Transient))
+        });
+        core.settle(Some(failed), now);
+        let retry = pick_command(&mut core);
         let (started, done) = (tick(), tick());
-        core.on(served_at(&device, &retry, started, done), now);
-        let (issued, _) = split(core.settle(now));
-        let delivered = serve_until_delivered(&mut core, &device, issued, now);
+        core.settle(Some(served_at(&device, &retry, started, done)), now);
+        let delivered = serve_until_delivered(&mut core, &device, None, now);
         let [Ok(result)] = &delivered[..] else {
             panic!("the job survives its fault: {delivered:?}");
         };
@@ -1161,146 +1399,249 @@ mod tests {
         assert_eq!(per_shard(&core, |s| s.faults), [1]);
     }
 
-    /// One seeded schedule over the core: the devices are
-    /// [`ShardWorker::serve`] on queues this test keeps, the clock is fake,
-    /// and every choice — arrival order, which device answers which queued
-    /// command when, faults, a shard's death — comes from the seed.
+    /// One virtual pool thread of the explorer, modelled on `pool_thread`.
+    enum Thread {
+        /// Runs a round next: just started, notified, or its timer passed.
+        Ready,
+        /// Runs a unit `pick` handed it.
+        Running(Work),
+        /// Parked until a notify, or until the clock passes its timer.
+        Parked(Option<Instant>),
+        /// Returned: shutdown began and the core was idle.
+        Exited,
+    }
+
+    /// One seeded schedule over the core, run by `workers` virtual pool
+    /// threads on a fake clock. Each thread runs the rounds `pool_thread`
+    /// runs — settle, pick, wake the others if told to, park — and the
+    /// units its picks hand it: Step 1 from the fixture, commands through
+    /// [`ShardWorker::serve`] under the fault plan's verdict. Every choice —
+    /// which thread acts next, how long a unit takes, faults, a device's
+    /// death — comes from the seed.
     struct Schedule {
         seed: u64,
-        core: Completer,
+        core: Core,
         device: ShardWorker,
         depth: usize,
         plan: FaultPlan,
-        /// Per device, the commands it answers before it dies, if it does.
-        death_after: Vec<Option<u64>>,
-        queues: Vec<Vec<ShardCommand>>,
-        popped: Vec<u64>,
+        /// The fixture sample of each job, by id.
+        jobs: Vec<usize>,
+        threads: Vec<Thread>,
+        now: Instant,
+        /// Rounds run since the last finished unit or clock jump: how long
+        /// the current notify cascade has run.
+        cascade: usize,
         faults: u64,
         /// Answers that served their command.
         served: u64,
-        /// Per device, whether it answered a command after its death.
+        /// Per device, whether it rejected a command as dead.
         answered_dead: Vec<bool>,
+        /// Per shard, whether a command of that shard-of-record was picked.
+        picked: Vec<bool>,
         failed_attempts: HashSet<(CommandKey, u32)>,
         deadline_expired: bool,
         delivered: Vec<(JobId, Result<JobResult, JobError>)>,
     }
 
     impl Schedule {
-        fn settle(&mut self, now: Instant) {
-            for action in self.core.settle(now) {
-                match action {
-                    Action::Issue(device, command) => {
-                        let attempt = command.attempt();
-                        if attempt > 0
-                            && !self.failed_attempts.contains(&(key(&command), attempt - 1))
-                        {
-                            self.deadline_expired = true;
-                        }
-                        self.queues[device].push(command);
-                    }
-                    Action::Deliver(id, outcome) => self.delivered.push((id, *outcome)),
-                }
+        /// Thread `t`'s round after `finished`: the critical section of
+        /// `pool_thread`.
+        fn round(&mut self, t: usize, finished: Option<Event>) {
+            let settled = self.core.settle(finished, self.now);
+            self.delivered.extend(settled.deliveries);
+            // Shutdown began at admission: the batch is closed.
+            let (next, exit) = match self.core.pick() {
+                Some(work) => (Thread::Running(work), false),
+                None if self.core.idle() => (Thread::Exited, true),
+                None => (Thread::Parked(settled.wake), false),
+            };
+            if settled.notify || exit {
+                self.notify_all();
             }
-            for (shard, &inflight) in self.core.inflight().iter().enumerate() {
-                let ledgered = self.core.outstanding.keys().filter(|k| k.1 == shard);
-                assert_eq!(
-                    inflight,
-                    ledgered.count(),
-                    "seed {}: shard {shard}",
-                    self.seed
-                );
-                assert!(inflight <= self.depth, "seed {}: shard {shard}", self.seed);
+            self.threads[t] = next;
+        }
+
+        /// The condvar's `notify_all`: every parked thread becomes ready.
+        fn notify_all(&mut self) {
+            for thread in &mut self.threads {
+                if matches!(thread, Thread::Parked(_)) {
+                    *thread = Thread::Ready;
+                }
             }
         }
 
-        /// Device `device` answers the `index`-th command of its queue.
-        fn answer(&mut self, device: usize, index: usize) -> Event {
-            let command = self.queues[device].swap_remove(index);
-            self.popped[device] += 1;
-            let dead = self.death_after[device].is_some_and(|after| self.popped[device] > after);
-            let (seq, record, stage) = key(&command);
-            self.answered_dead[device] |= dead;
-            let result = if dead {
-                Err(CommandFailure::ShardDead)
-            } else if self.plan.decide(seq, record, stage, command.attempt())
-                == Some(FaultDecision::Transient)
-            {
-                Err(CommandFailure::Transient)
-            } else {
-                Ok(self.device.serve(&command))
+        /// Wakes every parked thread whose timer the clock has passed.
+        fn wake_due(&mut self) {
+            let now = self.now;
+            for thread in &mut self.threads {
+                if matches!(thread, Thread::Parked(Some(at)) if *at <= now) {
+                    *thread = Thread::Ready;
+                }
+            }
+        }
+
+        /// Runs one unit to its end and returns the event it produced.
+        fn finish(&mut self, work: Work) -> Event {
+            let (device, popped, command) = match work {
+                Work::Step1(job, position) => {
+                    let sample = self.jobs[job.id.0 as usize];
+                    return Event::Prepared(PreparedJob {
+                        id: job.id,
+                        ..prepared(position, sample, self.now)
+                    });
+                }
+                Work::Command(device, popped, command) => (device, popped, command),
             };
-            if result.is_err() {
-                self.faults += 1;
-                self.failed_attempts
-                    .insert((key(&command), command.attempt()));
-            } else {
-                self.served += 1;
+            self.picked[command.record_shard()] = true;
+            let result = match self.plan.verdict(device, popped, &command) {
+                Ok(_) => Ok(self.device.serve(&command)),
+                Err(failure) => Err(failure),
+            };
+            match result {
+                Ok(_) => self.served += 1,
+                Err(failure) => {
+                    self.faults += 1;
+                    self.answered_dead[device] |= failure == CommandFailure::ShardDead;
+                    self.failed_attempts
+                        .insert((key(&command), command.attempt()));
+                }
             }
             Event::Completed(completion(&command, device, result))
         }
+
+        /// One step: a ready thread runs its round, or a running thread
+        /// finishes its unit after a random time and runs its round, or —
+        /// with every thread parked — the clock jumps to the earliest timer.
+        /// Returns `false` once every thread has exited.
+        fn step(&mut self, rng: &mut StdRng) -> bool {
+            let actors: Vec<usize> = (0..self.threads.len())
+                .filter(|&t| matches!(self.threads[t], Thread::Ready | Thread::Running(_)))
+                .collect();
+            if actors.is_empty() {
+                let timers = self.threads.iter().filter_map(|thread| match thread {
+                    Thread::Parked(at) => Some(at.expect("the pool hangs: parked with no timer")),
+                    _ => None,
+                });
+                let Some(at) = timers.min() else {
+                    return false;
+                };
+                self.now = self.now.max(at);
+                self.cascade = 0;
+            } else {
+                let t = actors[rng.gen_range(0..actors.len())];
+                match std::mem::replace(&mut self.threads[t], Thread::Ready) {
+                    Thread::Running(work) => {
+                        self.now += Duration::from_micros(rng.gen_range(0..=2000));
+                        self.cascade = 0;
+                        let event = self.finish(work);
+                        self.round(t, Some(event));
+                    }
+                    _ => {
+                        self.cascade += 1;
+                        self.round(t, None);
+                    }
+                }
+            }
+            self.wake_due();
+            true
+        }
+
+        /// The invariants every step keeps.
+        fn check(&mut self) {
+            let (seed, workers) = (self.seed, self.threads.len());
+            let core = &self.core;
+            // (i) Work conservation.
+            if self.threads.iter().any(|t| matches!(t, Thread::Parked(_))) {
+                assert!(
+                    core.ready_command().is_none() && !core.step1_ready(),
+                    "seed {seed}: a thread is parked while pick would hand out work"
+                );
+            }
+            // (ii) Quiescence: a notify cascade with no new event ends.
+            assert!(
+                self.cascade <= workers,
+                "seed {seed}: {} rounds of notify cascade with no new event",
+                self.cascade
+            );
+            // (iii) One command per device, at most `workers` units.
+            let mut serving = vec![0; core.devices.len()];
+            for thread in &self.threads {
+                if let Thread::Running(Work::Command(device, ..)) = thread {
+                    serving[*device] += 1;
+                }
+            }
+            for (device, state) in core.devices.iter().enumerate() {
+                assert_eq!(
+                    usize::from(state.busy),
+                    serving[device],
+                    "seed {seed}: device {device} serves one command at a time"
+                );
+            }
+            let running = self
+                .threads
+                .iter()
+                .filter(|t| matches!(t, Thread::Running(_)));
+            assert!(running.count() <= workers, "seed {seed}");
+            // (iv) The lookahead gate and the queue depth.
+            assert!(
+                core.in_flight() <= core.lookahead,
+                "seed {seed}: {} jobs in flight, lookahead {}",
+                core.in_flight(),
+                core.lookahead
+            );
+            for (shard, &inflight) in core.inflight().iter().enumerate() {
+                let ledgered = core.outstanding.keys().filter(|k| k.1 == shard);
+                assert_eq!(inflight, ledgered.count(), "seed {seed}: shard {shard}");
+                assert!(inflight <= self.depth, "seed {seed}: shard {shard}");
+            }
+            if core.idle() {
+                assert_eq!(core.queued(), 0, "seed {seed}: idle with a queued command");
+            }
+            // An attempt issued without its predecessor failing: that one
+            // blew its deadline.
+            self.deadline_expired |= core.outstanding.iter().any(|(key, entry)| {
+                let attempt = entry.command.attempt();
+                attempt > 0 && !self.failed_attempts.contains(&(*key, attempt - 1))
+            });
+        }
     }
 
-    /// Runs one schedule of `jobs` (sample indices, in dispatch order) to
-    /// the end and checks the invariants after every step; returns it for
-    /// the caller's end-state assertions.
-    fn explore(
-        seed: u64,
-        config: &EngineConfig,
-        death_after: Vec<Option<u64>>,
-        jobs: &[usize],
-    ) -> Schedule {
+    /// Runs one schedule of `jobs` (sample indices, admitted as one closed
+    /// batch) to the end and checks the invariants after every step;
+    /// returns it for the caller's end-state assertions.
+    fn explore(seed: u64, config: &EngineConfig, jobs: &[usize]) -> Schedule {
+        let f = fixture();
         let mut rng = StdRng::seed_from_u64(seed);
-        let (core, device) = core(config);
+        let (mut core, device) = core(config);
+        let specs = jobs
+            .iter()
+            .enumerate()
+            .map(|(i, &sample)| JobSpec::new(format!("s{i}"), Sample::clone(&f.samples[sample])));
+        core.admit(specs.collect()).expect("the batch fits");
         let mut s = Schedule {
             seed,
             core,
             device,
             depth: config.queue_depth,
             plan: config.fault_plan.as_deref().cloned().unwrap_or_default(),
-            death_after,
-            queues: vec![Vec::new(); config.shards],
-            popped: vec![0; config.shards],
+            jobs: jobs.to_vec(),
+            threads: (0..config.workers).map(|_| Thread::Ready).collect(),
+            now: Instant::now(),
+            cascade: 0,
             faults: 0,
             served: 0,
             answered_dead: vec![false; config.shards],
+            picked: vec![false; config.shards],
             failed_attempts: HashSet::new(),
             deadline_expired: false,
             delivered: Vec::new(),
         };
-        let mut now = Instant::now();
-        // Step 1 finishes out of dispatch order.
-        let mut arrivals: Vec<Event> = jobs
-            .iter()
-            .enumerate()
-            .map(|(position, &sample)| Event::Prepared(prepared(position, sample, now)))
-            .collect();
-        for i in (1..arrivals.len()).rev() {
-            arrivals.swap(i, rng.gen_range(0..=i));
-        }
-        let mut arrivals = arrivals.into_iter().peekable();
         for step in 0.. {
             assert!(step < 100_000, "seed {seed}: the schedule does not end");
-            let busy: Vec<usize> = (0..config.shards)
-                .filter(|&d| !s.queues[d].is_empty())
-                .collect();
-            if arrivals.peek().is_none() && busy.is_empty() {
-                // Nothing can happen but a timer.
-                match s.core.next_wake() {
-                    Some(at) => now = now.max(at),
-                    None => break,
-                }
-            } else {
-                now += Duration::from_micros(rng.gen_range(0..=2000));
-                let event = if busy.is_empty() || (arrivals.peek().is_some() && rng.gen_bool(0.3)) {
-                    arrivals.next().expect("an arrival is left")
-                } else {
-                    let device = busy[rng.gen_range(0..busy.len())];
-                    let index = rng.gen_range(0..s.queues[device].len());
-                    s.answer(device, index)
-                };
-                s.core.on(event, now);
+            if !s.step(&mut rng) {
+                break;
             }
-            s.settle(now);
+            s.check();
         }
         assert!(
             s.core.is_done(),
@@ -1325,6 +1666,12 @@ mod tests {
             s.answered_dead,
             "seed {seed}: dead devices"
         );
+        for (shard, stats) in s.core.tally.shards.iter().enumerate() {
+            assert!(stats.peak_inflight <= s.depth, "seed {seed}: shard {shard}");
+            if s.picked[shard] {
+                assert!(stats.peak_inflight >= 1, "seed {seed}: shard {shard}");
+            }
+        }
         s
     }
 
@@ -1342,10 +1689,16 @@ mod tests {
             with_seed(seed, || {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
                 let shards = 1 + (seed % 3) as usize;
+                let mut plan = FaultPlan::seeded(seed).with_transient_rate(0.15);
+                // Every 4th schedule kills one device of several.
+                if seed % 4 == 3 && shards > 1 {
+                    plan = plan.with_shard_death(rng.gen_range(0..shards), rng.gen_range(0..6u64));
+                }
                 let mut config = EngineConfig::new()
+                    .with_workers(1 + (seed / 6 % 3) as usize)
                     .with_shards(shards)
                     .with_queue_depth(1 + (seed / 3 % 2) as usize)
-                    .with_fault_plan(FaultPlan::seeded(seed).with_transient_rate(0.15));
+                    .with_fault_plan(plan);
                 if seed % 5 == 1 {
                     config = config.with_retry_backoff(Duration::from_millis(1));
                 }
@@ -1354,15 +1707,10 @@ mod tests {
                     // command waits its turn.
                     config = config.with_command_deadline(Duration::from_millis(40));
                 }
-                // Every 4th schedule kills one device of several.
-                let mut death_after = vec![None; shards];
-                if seed % 4 == 3 && shards > 1 {
-                    death_after[rng.gen_range(0..shards)] = Some(rng.gen_range(0..6u64));
-                }
                 let jobs: Vec<usize> = (0..rng.gen_range(3..=6usize))
                     .map(|_| rng.gen_range(0..f.samples.len()))
                     .collect();
-                let s = explore(seed, &config, death_after, &jobs);
+                let s = explore(seed, &config, &jobs);
                 for ((_, outcome), &sample) in s.delivered.iter().zip(&jobs) {
                     match outcome {
                         Ok(result) => {
@@ -1388,12 +1736,17 @@ mod tests {
         for seed in 0..16u64 {
             with_seed(seed, || {
                 let shards = 1 + (seed % 3) as usize;
-                let config = EngineConfig::new()
-                    .with_shards(shards)
-                    .with_queue_depth(1 + (seed % 2) as usize);
                 // Every sample commands a device; every device rejects its
                 // first command and all that follow.
-                let s = explore(seed, &config, vec![Some(0); shards], &[0, 1, 3, 0]);
+                let plan = (0..shards).fold(FaultPlan::seeded(seed), |plan, device| {
+                    plan.with_shard_death(device, 0)
+                });
+                let config = EngineConfig::new()
+                    .with_workers(1 + (seed / 3 % 3) as usize)
+                    .with_shards(shards)
+                    .with_queue_depth(1 + (seed % 2) as usize)
+                    .with_fault_plan(plan);
+                let s = explore(seed, &config, &[0, 1, 3, 0]);
                 for (id, outcome) in &s.delivered {
                     assert!(
                         matches!(outcome, Err(JobError::NoLiveShards { job }) if job == id),

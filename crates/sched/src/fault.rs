@@ -25,6 +25,7 @@
 
 use std::time::Duration;
 
+use crate::shard::{CommandFailure, ShardCommand};
 use crate::trace::TraceStage;
 
 /// What the plan injects for one `(seq, shard, stage, attempt)` service.
@@ -149,6 +150,31 @@ impl FaultPlan {
             .iter()
             .find(|(s, _)| *s == shard)
             .map(|(_, after)| *after)
+    }
+
+    /// What `device` does with `command`, the `popped`-th command it
+    /// popped: `Ok(spike)` to serve it after dwelling for `spike` (zero for
+    /// a clean service), or `Err` with the failure to answer it with —
+    /// `ShardDead` once the plan has killed the device, and `Panicked` when
+    /// the device must panic at the serving seam. Only death keys on the
+    /// device; every other decision keys on the command identity (see
+    /// [`FaultPlan::decide`]), so failover routing never changes it.
+    pub(crate) fn verdict(
+        &self,
+        device: usize,
+        popped: u64,
+        command: &ShardCommand,
+    ) -> Result<Duration, CommandFailure> {
+        if self.death_after(device).is_some_and(|after| popped > after) {
+            return Err(CommandFailure::ShardDead);
+        }
+        let (seq, shard) = (command.seq(), command.record_shard());
+        match self.decide(seq, shard, command.stage(), command.attempt()) {
+            None => Ok(Duration::ZERO),
+            Some(FaultDecision::Spike(extra)) => Ok(extra),
+            Some(FaultDecision::Transient) => Err(CommandFailure::Transient),
+            Some(FaultDecision::Panic) => Err(CommandFailure::Panicked),
+        }
     }
 
     /// A uniform draw in `[0, 1)` keyed on the command identity and a

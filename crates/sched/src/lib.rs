@@ -21,24 +21,27 @@
 //!   intersections and Step 3 — one command per job, which generates the
 //!   job's unified index and maps every read through the same
 //!   `MegisAnalyzer::run_step3` the sequential path runs,
-//! * [`service`] — the streaming executor ([`StreamingEngine`]): exactly
-//!   [`EngineConfig::workers`] host threads that live-pop a shared queue
-//!   for Step 1 and serve an in-SSD stage of NVMe-style bounded per-shard
-//!   command queues (tagged commands, configurable
-//!   [`EngineConfig::queue_depth`], out-of-order completion with
-//!   in-dispatch-order delivery), built on std threads, one lock and its
-//!   condvars. The crate-private `complete` core, the only issuer, lives in
-//!   the state behind that lock; the pool thread that finished a unit of
-//!   work books it there and settles the core,
-//! * `complete` — the completer's decisions as a thread-free state machine
-//!   with the clock passed in: it reorders prepared samples, slices their
-//!   query lists, and issues Step 2 *and* Step 3 commands through one
-//!   backlog, one Step 3 command per sample rotating over the device array,
-//!   so one sample's read mapping overlaps the next sample's intersection
+//! * [`service`] — the streaming executor ([`StreamingEngine`]): the
+//!   threaded shell around the decision core — exactly
+//!   [`EngineConfig::workers`] host threads that run Step 1 and serve an
+//!   in-SSD stage of NVMe-style bounded per-shard command queues (tagged
+//!   commands, configurable [`EngineConfig::queue_depth`], out-of-order
+//!   completion with in-dispatch-order delivery), built on std threads, one
+//!   lock and its two condvars. A pool thread settles the core with the
+//!   unit it just finished and picks its next one in one critical section,
+//!   and runs the unit outside it,
+//! * `complete` — every decision of the engine as a thread-free state
+//!   machine with the clock passed in: admission and the lookahead gate,
+//!   the device queues, the pool's pick and wake rule, and the completer —
+//!   it reorders prepared samples, slices their query lists, and issues
+//!   Step 2 *and* Step 3 commands through one backlog, one Step 3 command
+//!   per sample rotating over the device array, so one sample's read
+//!   mapping overlaps the next sample's intersection
 //!   ([`ServiceReport::stage_overlap_events`] counts the observations); it
 //!   keeps one ledger of outstanding commands whose retry and deadline
 //!   timers it fires when settled, and delivers in dispatch order. Tests
-//!   drive it through seeded schedules on one thread,
+//!   drive it through seeded schedules of virtual pool threads on one
+//!   thread,
 //! * [`engine`] — the engine's configuration ([`EngineConfig`]),
 //! * [`fault`] — deterministic seeded fault injection ([`FaultPlan`]):
 //!   transient command failures, latency spikes, permanent shard death, and
@@ -151,8 +154,8 @@
 //!   sharding work (completer parked on a bounded channel while holding
 //!   the state every worker needs to make progress). `Condvar::wait`
 //!   releases the lock while parked and is the sanctioned way to block
-//!   with a guard. One deliberate exception lives in the pool's completer
-//!   round (`settle` in `service.rs`): delivery sends under the state lock,
+//!   with a guard. One deliberate exception lives in the shell's `settle`
+//!   (`service.rs`): delivery sends under the state lock,
 //!   annotated in-source with why an unbounded-channel send cannot block.
 //!
 //! * **panic-hygiene** — any panic site inside a `thread::spawn` body

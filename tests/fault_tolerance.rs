@@ -618,22 +618,23 @@ fn command_deadline_fails_hopelessly_stuck_jobs_and_keeps_serving() {
         "the failed jobs' queue slots are freed"
     );
 
-    // The devices are still asleep on the abandoned attempts. Every issued
-    // attempt is eventually served, so issue and completion events balance
-    // exactly when the array has gone idle again.
-    let unserved_attempts = || {
-        engine
-            .trace()
-            .events()
-            .iter()
-            .fold(0i64, |open, e| match e.kind {
-                TraceEventKind::CommandIssued { .. } => open + 1,
-                TraceEventKind::CommandCompleted { .. } => open - 1,
-                _ => open,
+    // The devices are still asleep on the abandoned attempts they popped.
+    // The doomed jobs' attempts still queued were retired with them and are
+    // never served, so the array is idle again once each device has
+    // answered the attempt it slept on.
+    let sleeping_devices = || {
+        let events = engine.trace().events();
+        let answered = |device: usize| {
+            events.iter().any(|e| {
+                matches!(e.kind, TraceEventKind::CommandCompleted { shard, .. } if shard == device)
             })
+        };
+        (0..STUCK_SHARDS)
+            .filter(|&device| !answered(device))
+            .count()
     };
     let patience = std::time::Instant::now();
-    while unserved_attempts() != 0 {
+    while sleeping_devices() != 0 {
         assert!(
             patience.elapsed() < Duration::from_secs(30),
             "the spiked devices never woke"
