@@ -1,27 +1,18 @@
 //! `megis-lint` — a dependency-free static-analysis pass enforcing the
-//! pipeline's concurrency invariants.
+//! pipeline's one concurrency invariant no type can express.
 //!
 //! An invariant rustc or clippy can check is checked there; this crate
-//! keeps only the repo-specific rules neither can express. It hand-rolls a
+//! keeps only the repo-specific rule neither can express. It hand-rolls a
 //! small Rust token scanner ([`scan`]) and a rule engine ([`rules`]) that
-//! walks every workspace source file. Three rules:
+//! walks every workspace source file. One rule:
 //!
 //! * **guard-across-blocking** — a `let`-bound `MutexGuard` must not be
 //!   live across `.send(..)`, `.recv(..)`, `.recv_timeout(..)`, `.join(..)`
 //!   or `thread::sleep(..)`. Blocking while holding a pipeline lock is the
-//!   completer-deadlock class from the PR 5 sharding work.
+//!   completer-deadlock class.
 //!   `Condvar::wait` releases the lock while parked and is allow-listed.
 //!
-//! * **panic-hygiene** — `unwrap`/`expect`/panicking macros/indexing of
-//!   channel results inside `thread::spawn` bodies must carry an inline
-//!   annotation: a panic on a pipeline thread starts poison propagation,
-//!   so it has to be visibly deliberate.
-//!
-//! * **shardstats-accessor** — a `ShardStats` counter field is never
-//!   assigned outside `metrics.rs`: the completer's tally fold there is
-//!   each counter's one writer, so a new count is a fact added to the fold.
-//!
-//! Three earlier rules are now checked by the compiler instead:
+//! Five earlier rules are now checked by the compiler instead:
 //!
 //! * *poison-safety* (no `.lock().unwrap()`) — `megis-sched`'s `Lock<T>`
 //!   is the only mutex, and its `lock` returns the guard already recovered
@@ -33,6 +24,14 @@
 //!   `TraceSink::now` makes.
 //! * *bounded-send* (no blocking send on a bounded channel) — clippy's
 //!   `disallowed_methods` rejects `std::sync::mpsc::sync_channel`.
+//! * *panic-hygiene* (no unannotated panic on a pipeline thread) — clippy's
+//!   `unwrap_used`, `expect_used`, `panic`, `unreachable`, `todo` and
+//!   `unimplemented` are denied over all of `megis-sched`'s non-test code,
+//!   so a deliberate panic is an `#[expect(.., reason = "..")]` naming its
+//!   invariant.
+//! * *shardstats-accessor* (no `ShardStats` counter written outside the
+//!   tally fold) — the tally's fields are private to `metrics.rs`, so its
+//!   folds are the only writers the compiler lets through.
 //!
 //! Deliberate exceptions are annotated at the offending line (or the
 //! comment block directly above it):

@@ -21,17 +21,11 @@ use crate::scan::{scan, Comment, ScannedFile, Token, TokenKind};
 /// The guard-across-blocking rule: a `MutexGuard` live across
 /// `send`/`recv`/`join`/`thread::sleep`.
 pub const GUARD_ACROSS_BLOCKING: &str = "guard-across-blocking";
-/// The panic-hygiene rule: unannotated panics inside `thread::spawn` bodies.
-pub const PANIC_HYGIENE: &str = "panic-hygiene";
-/// The shardstats-accessor rule: a `ShardStats` counter field mutated
-/// directly (`stats.retries = n`, `stats.jobs += 1`) outside the tally fold
-/// in `metrics.rs`.
-pub const SHARDSTATS_ACCESSOR: &str = "shardstats-accessor";
 /// Meta-rule for malformed `lint:allow` annotations; not suppressible.
 pub const ALLOW_HYGIENE: &str = "allow-hygiene";
 
 /// Every suppressible rule, in report order.
-pub const RULES: [&str; 3] = [GUARD_ACROSS_BLOCKING, PANIC_HYGIENE, SHARDSTATS_ACCESSOR];
+pub const RULES: [&str; 1] = [GUARD_ACROSS_BLOCKING];
 
 /// One violation: file, line, the invariant violated, and the fix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,16 +65,11 @@ pub struct LintOutcome {
     pub suppressed: Vec<SuppressedDiagnostic>,
 }
 
-/// Lints one source file. `file` is the display path; its basename selects
-/// file-scoped rules (`shardstats-accessor` exempts `metrics.rs`).
+/// Lints one source file; `file` is the display path diagnostics carry.
 pub fn lint_source(file: &str, source: &str) -> LintOutcome {
     let scanned = scan(source);
     let ctx = Ctx::new(file, &scanned);
-    let mut raw = Vec::new();
-    raw.extend(guard_across_blocking(&ctx));
-    raw.extend(panic_hygiene(&ctx));
-    raw.extend(shardstats_accessor(&ctx));
-    raw.sort_by_key(|d| (d.line, d.rule));
+    let raw = guard_across_blocking(&ctx);
 
     let (allows, mut hygiene) = parse_allows(file, &scanned.comments);
     let mut out = LintOutcome::default();
@@ -194,7 +183,6 @@ fn allow_hygiene(file: &str, line: u32, message: &str) -> Diagnostic {
 /// one pass.
 struct Ctx<'a> {
     file: &'a str,
-    basename: &'a str,
     tokens: &'a [Token],
     /// Brace-nesting level *containing* each token (an opening `{` carries
     /// the outer level; so does its matching `}`).
@@ -231,7 +219,6 @@ impl<'a> Ctx<'a> {
         }
         Ctx {
             file,
-            basename: file.rsplit(['/', '\\']).next().unwrap_or(file),
             tokens,
             brace_depth,
             group_depth,
@@ -255,18 +242,6 @@ impl<'a> Ctx<'a> {
 
     fn line(&self, i: usize) -> u32 {
         self.tokens[i].line
-    }
-
-    /// The token range inside the braces of the first `fn name` defined in
-    /// the file; `None` when there is none (or only a bodyless declaration).
-    fn fn_body(&self, name: &str) -> Option<(usize, usize)> {
-        let n = self.tokens.len();
-        let at = (0..n).find(|&i| self.is_i(i, "fn") && self.is_i(i + 1, name))?;
-        let open = (at + 2..n).find(|&i| {
-            self.group_depth[i] == self.group_depth[at] && (self.is_p(i, "{") || self.is_p(i, ";"))
-        })?;
-        self.is_p(open, "{")
-            .then(|| (open + 1, self.close_of_group(open)))
     }
 
     /// Index just past the bracket group opened at `open` (`(`, `[` or `{`).
@@ -458,258 +433,6 @@ fn report_blocking(
     }
 }
 
-/// **panic-hygiene** — inside a `thread::spawn` closure body, `unwrap`,
-/// `expect`, panicking macros, and `[..]`-indexing of channel results must
-/// carry an inline `lint:allow(panic-hygiene, reason)`: a panic on a
-/// pipeline thread is how the engine's poison propagation starts, so every
-/// potential panic site must be visibly deliberate.
-///
-/// The rule follows the thread across function boundaries within the file:
-/// besides the spawn closure's own body it inspects every function *of the
-/// same file* that the body calls by bare name (`pool_thread(..)`, not
-/// `x.method(..)` or `Type::f(..)`), transitively, each one once — moving a
-/// thread body out of its closure keeps it under the rule. Functions of
-/// other files run on the thread too, but their panics are owned by their
-/// own modules.
-fn panic_hygiene(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut followed: Vec<&str> = Vec::new();
-    let n = ctx.tokens.len();
-    for i in 0..n {
-        if !(ctx.is_i(i, "thread")
-            && ctx.is_p(i + 1, ":")
-            && ctx.is_p(i + 2, ":")
-            && ctx.is_i(i + 3, "spawn"))
-        {
-            continue;
-        }
-        if !ctx.is_p(i + 4, "(") {
-            continue;
-        }
-        let call_close = ctx.close_of_group(i + 4);
-        // Locate the closure body: `(move? |args| { body })` — fall back to
-        // the whole argument list when no block follows the closure head.
-        let mut j = i + 5;
-        if ctx.is_i(j, "move") {
-            j += 1;
-        }
-        let (start, end) = if ctx.is_p(j, "|") {
-            let mut params_end = j + 1;
-            while params_end < call_close && !ctx.is_p(params_end, "|") {
-                params_end += 1;
-            }
-            if ctx.is_p(params_end + 1, "{") {
-                let close = ctx.close_of_group(params_end + 1);
-                (params_end + 2, close)
-            } else {
-                (params_end + 1, call_close)
-            }
-        } else {
-            (i + 5, call_close)
-        };
-        let mut bodies = vec![(start, end)];
-        while let Some((start, end)) = bodies.pop() {
-            scan_spawn_body(ctx, start, end, &mut out);
-            for k in start..end {
-                let bare = !ctx.is_p(k.wrapping_sub(1), ".")
-                    && !ctx.is_p(k.wrapping_sub(1), ":")
-                    && !ctx.is_i(k.wrapping_sub(1), "fn");
-                match ctx.ident(k) {
-                    Some(name) if bare && ctx.is_p(k + 1, "(") && !followed.contains(&name) => {
-                        if let Some(body) = ctx.fn_body(name) {
-                            followed.push(name);
-                            bodies.push(body);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-    }
-    out
-}
-
-fn scan_spawn_body(ctx: &Ctx<'_>, start: usize, end: usize, out: &mut Vec<Diagnostic>) {
-    let hint = "handle the failure on the pipeline thread, or mark the panic deliberate with \
-                `// lint:allow(panic-hygiene, why this panic is the intended poison signal)`";
-    for k in start..end {
-        if ctx.is_p(k, ".") && ctx.is_p(k + 2, "(") {
-            match ctx.ident(k + 1) {
-                Some("unwrap") if ctx.is_p(k + 3, ")") => {
-                    out.push(
-                        ctx.diag(
-                            k + 1,
-                            PANIC_HYGIENE,
-                            "`.unwrap()` inside a `thread::spawn` body: an implicit panic here \
-                         poisons the whole pipeline without the intent being visible"
-                                .to_string(),
-                            hint,
-                        ),
-                    );
-                }
-                Some("expect") => {
-                    out.push(
-                        ctx.diag(
-                            k + 1,
-                            PANIC_HYGIENE,
-                            "`.expect(..)` inside a `thread::spawn` body: an implicit panic here \
-                         poisons the whole pipeline without the intent being visible"
-                                .to_string(),
-                            hint,
-                        ),
-                    );
-                }
-                _ => {}
-            }
-        }
-        if ctx.is_p(k + 1, "!") {
-            if let Some(mac) = ctx.ident(k) {
-                if matches!(mac, "panic" | "unreachable" | "todo" | "unimplemented") {
-                    out.push(ctx.diag(
-                        k,
-                        PANIC_HYGIENE,
-                        format!(
-                            "`{mac}!(..)` inside a `thread::spawn` body: an explicit panic must \
-                             be annotated as the deliberate poison signal it is"
-                        ),
-                        hint,
-                    ));
-                }
-            }
-        }
-        // `[..]` indexing into a channel result: scan the current statement
-        // prefix for a recv-family call feeding the indexed expression.
-        if ctx.is_p(k, "[") {
-            let indexable_before = ctx.is_p(k.wrapping_sub(1), ")")
-                || ctx.is_p(k.wrapping_sub(1), "]")
-                || ctx.ident(k.wrapping_sub(1)).is_some();
-            if indexable_before {
-                let mut s = k;
-                while s > start {
-                    if ctx.is_p(s - 1, ";") || ctx.is_p(s - 1, "{") || ctx.is_p(s - 1, "}") {
-                        break;
-                    }
-                    s -= 1;
-                }
-                let mut e = k;
-                while e < end && !ctx.is_p(e, ";") && !ctx.is_p(e, "{") && !ctx.is_p(e, "}") {
-                    e += 1;
-                }
-                let feeds_from_channel = (s..e)
-                    .any(|t| matches!(ctx.ident(t), Some("recv" | "try_recv" | "recv_timeout")));
-                if feeds_from_channel {
-                    out.push(
-                        ctx.diag(
-                            k,
-                            PANIC_HYGIENE,
-                            "`[..]`-indexing a channel result inside a `thread::spawn` body: an \
-                         out-of-range index panics the pipeline thread implicitly"
-                                .to_string(),
-                            hint,
-                        ),
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The `ShardStats` counter fields a mutation may not write. Identity
-/// fields (`shard`, `dead`) are not counters and are out of scope.
-const SHARDSTATS_COUNTERS: [&str; 10] = [
-    "busy",
-    "jobs",
-    "query_items",
-    "step3_jobs",
-    "step3_items",
-    "stolen_items",
-    "peak_inflight",
-    "faults",
-    "retries",
-    "failovers",
-];
-
-/// **shardstats-accessor** — a `ShardStats` counter is written only by the
-/// completer's tally fold in `metrics.rs`: the completer folds every
-/// completion, issue, re-issue and delivery there, so each counter has one
-/// writer. A direct `=`/`+=` (or any other compound assignment) on a
-/// counter field outside `metrics.rs` is a diagnostic, so a new code path
-/// cannot silently skew the `faults == retries` style cross-checks the
-/// fault suite asserts; a new count is a new fact added to the fold.
-///
-/// Receivers are recognized lexically: the identifier (or `[..]`-indexed
-/// identifier) before the field access must contain `stats`
-/// (case-insensitive), so `usage[shard].busy += w` on an unrelated struct
-/// does not fire. Reads (`stats.jobs == 3`, `s.retries`) are untouched.
-fn shardstats_accessor(ctx: &Ctx<'_>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    // metrics.rs owns the type; its tests build fixtures field by field.
-    if ctx.basename == "metrics.rs" {
-        return out;
-    }
-    let n = ctx.tokens.len();
-    for i in 0..n {
-        if !ctx.is_p(i, ".") {
-            continue;
-        }
-        let Some(field) = ctx.ident(i + 1) else {
-            continue;
-        };
-        if !SHARDSTATS_COUNTERS.contains(&field) {
-            continue;
-        }
-        // A mutation is `field =` (but not `field ==`) or a compound
-        // assignment `field op=`; puncts are single-char tokens.
-        let op = if ctx.is_p(i + 2, "=") && !ctx.is_p(i + 3, "=") {
-            "="
-        } else if ["+", "-", "*", "/", "%", "|", "&", "^"]
-            .iter()
-            .any(|op| ctx.is_p(i + 2, op))
-            && ctx.is_p(i + 3, "=")
-        {
-            "op="
-        } else {
-            continue;
-        };
-        // Walk back to the receiver identifier, skipping one `[..]` index
-        // group (`shard_stats[i].retries = ..`).
-        let mut j = i;
-        if j > 0 && ctx.is_p(j - 1, "]") {
-            let mut depth = 0i64;
-            while j > 0 {
-                j -= 1;
-                if ctx.is_p(j, "]") {
-                    depth += 1;
-                } else if ctx.is_p(j, "[") {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-            }
-        }
-        let Some(receiver) = j.checked_sub(1).and_then(|r| ctx.ident(r)) else {
-            continue;
-        };
-        if !receiver.to_ascii_lowercase().contains("stats") {
-            continue;
-        }
-        out.push(ctx.diag(
-            i + 1,
-            SHARDSTATS_ACCESSOR,
-            format!(
-                "direct `{op}` write to `ShardStats` counter field `{field}` (receiver \
-                 `{receiver}`) outside `metrics.rs`: the completer's tally fold there is each \
-                 counter's one writer, so the accounting stays reviewable in one place"
-            ),
-            "add the fact to the fold in `metrics.rs` (a tally method the completer calls), or \
-             annotate a deliberate exception with \
-             `// lint:allow(shardstats-accessor, why this direct write is sound)`",
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,90 +479,24 @@ mod tests {
         assert!(diags(src).is_empty(), "{:?}", diags(src));
     }
 
-    #[test]
-    fn panic_hygiene_fires_inside_spawn_bodies_only() {
-        let src = "fn f() { thread::spawn(move || { let x = rx.recv().unwrap(); }); }";
-        assert_eq!(rules_of(src), vec![PANIC_HYGIENE]);
-        let src = "fn f() { thread::spawn(move || { panic!(\"boom\"); }); }";
-        assert_eq!(rules_of(src), vec![PANIC_HYGIENE]);
-        let src = "fn f() { let x = rx.recv().unwrap(); }";
-        assert!(
-            diags(src).is_empty(),
-            "outside spawn bodies is other rules' business"
-        );
-    }
-
-    #[test]
-    fn panic_hygiene_flags_indexing_channel_results() {
-        let src = "fn f() { thread::spawn(move || { let x = buf[rx.try_recv().unwrap_or(0)]; }); }";
-        assert_eq!(rules_of(src), vec![PANIC_HYGIENE]);
-        let src = "fn f() { thread::spawn(move || { let x = table[i]; }); }";
-        assert!(
-            diags(src).is_empty(),
-            "plain indexing is not channel indexing"
-        );
-    }
-
-    #[test]
-    fn shardstats_accessor_fires_on_direct_counter_writes() {
-        let src = "fn f(stats: &mut ShardStats) { stats.retries = 3; }";
-        assert_eq!(rules_of(src), vec![SHARDSTATS_ACCESSOR]);
-        let src = "fn f(stats: &mut ShardStats) { stats.jobs += 1; }";
-        assert_eq!(rules_of(src), vec![SHARDSTATS_ACCESSOR]);
-        let src = "fn f(shard_stats: &mut [ShardStats]) { shard_stats[i].query_items += 2; }";
-        assert_eq!(rules_of(src), vec![SHARDSTATS_ACCESSOR]);
-    }
-
-    #[test]
-    fn shardstats_accessor_spares_reads_accessors_and_other_structs() {
-        // Comparisons and reads are not writes.
-        let src = "fn f(stats: &ShardStats) { assert!(stats.retries == 3); let j = stats.jobs; }";
-        assert!(diags(src).is_empty(), "{:?}", diags(src));
-        // A struct update at the build site is the required idiom.
-        let src = "fn f(stats: ShardStats) -> ShardStats { ShardStats { retries: 3, ..stats } }";
-        assert!(diags(src).is_empty(), "{:?}", diags(src));
-        // Same field name on a non-stats receiver (e.g. `DeviceUsage`).
-        let src = "fn f(usage: &mut [DeviceUsage]) { usage[shard].busy += width; }";
-        assert!(diags(src).is_empty(), "{:?}", diags(src));
-        // Struct-literal construction is initialization, not mutation.
-        let src = "fn f() -> ShardStats { ShardStats { jobs: served, ..ShardStats::default() } }";
-        assert!(diags(src).is_empty(), "{:?}", diags(src));
-    }
-
-    #[test]
-    fn shardstats_accessor_exempts_metrics_rs_and_honors_allow() {
-        let src = "fn fixture() -> ShardStats { let mut stats = ShardStats::default(); stats.retries = 3; stats }";
-        assert!(
-            lint_source("crates/sched/src/metrics.rs", src)
-                .diagnostics
-                .is_empty(),
-            "the module that owns the type may write its fields"
-        );
-        assert_eq!(
-            rules_of(src),
-            vec![SHARDSTATS_ACCESSOR],
-            "elsewhere it may not"
-        );
-        let src = "fn f() {\n    // lint:allow(shardstats-accessor, teardown aggregation owns these counters)\n    stats.failovers = n;\n}";
-        let out = lint_source("other.rs", src);
-        assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
-        assert_eq!(out.suppressed.len(), 1);
-        assert_eq!(out.suppressed[0].rule, SHARDSTATS_ACCESSOR);
+    /// A guard live across a send on line 3, under `comment` on line 2.
+    fn annotated_send(comment: &str) -> String {
+        format!("fn f() {{ let g = m.lock();\n    {comment}\n    tx.send(x);\n}}")
     }
 
     #[test]
     fn allow_with_reason_suppresses_and_is_recorded() {
-        let src = "fn f() {\n    // lint:allow(shardstats-accessor, the counter under test is written\n    // deliberately)\n    stats.retries = 3;\n}";
+        let src = "fn f() {\n    let g = m.lock();\n    // lint:allow(guard-across-blocking, the channel is unbounded,\n    // so the send never blocks deliberately)\n    tx.send(x);\n}";
         let out = lint_source("test.rs", src);
         assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
         assert_eq!(out.suppressed.len(), 1);
-        assert_eq!(out.suppressed[0].rule, SHARDSTATS_ACCESSOR);
+        assert_eq!(out.suppressed[0].rule, GUARD_ACROSS_BLOCKING);
         assert!(out.suppressed[0].reason.contains("deliberately"));
     }
 
     #[test]
     fn allow_same_line_suppresses() {
-        let src = "fn f() { stats.retries = 3; } // lint:allow(shardstats-accessor, test-only)";
+        let src = "fn f() { let g = m.lock(); tx.send(x); } // lint:allow(guard-across-blocking, test-only)";
         let out = lint_source("test.rs", src);
         assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
         assert_eq!(out.suppressed.len(), 1);
@@ -847,12 +504,14 @@ mod tests {
 
     #[test]
     fn allow_without_reason_is_a_diagnostic() {
-        let src = "fn f() {\n    // lint:allow(shardstats-accessor)\n    stats.retries = 3;\n}";
-        let out = lint_source("test.rs", src);
+        let out = lint_source(
+            "test.rs",
+            &annotated_send("// lint:allow(guard-across-blocking)"),
+        );
         let rules: Vec<&str> = out.diagnostics.iter().map(|d| d.rule).collect();
         assert!(rules.contains(&ALLOW_HYGIENE), "{rules:?}");
         assert!(
-            rules.contains(&SHARDSTATS_ACCESSOR),
+            rules.contains(&GUARD_ACROSS_BLOCKING),
             "a reasonless allow must not suppress: {rules:?}"
         );
     }
@@ -867,14 +526,17 @@ mod tests {
 
     #[test]
     fn allow_does_not_cover_other_rules_or_far_lines() {
-        let src =
-            "fn f() {\n    // lint:allow(panic-hygiene, wrong rule)\n    stats.retries = 3;\n}";
+        // A retired rule's name is an unknown rule now: it suppresses nothing.
+        let out = lint_source(
+            "test.rs",
+            &annotated_send("// lint:allow(panic-hygiene, wrong rule)"),
+        );
+        let rules: Vec<&str> = out.diagnostics.iter().map(|d| d.rule).collect();
+        assert_eq!(rules, [ALLOW_HYGIENE, GUARD_ACROSS_BLOCKING]);
+        let src = "// lint:allow(guard-across-blocking, too far away)\nfn a() {}\nfn f() { let g = m.lock(); tx.send(x); }";
         let out = lint_source("test.rs", src);
         assert_eq!(out.diagnostics.len(), 1);
-        assert_eq!(out.diagnostics[0].rule, SHARDSTATS_ACCESSOR);
-        let src = "// lint:allow(shardstats-accessor, too far away)\nfn a() {}\nfn f() { stats.retries = 3; }";
-        let out = lint_source("test.rs", src);
-        assert_eq!(out.diagnostics.len(), 1);
+        assert_eq!(out.diagnostics[0].rule, GUARD_ACROSS_BLOCKING);
     }
 
     #[test]
@@ -883,10 +545,12 @@ mod tests {
         let src = "//! Write `lint:allow(rule-name, reason)` above the line.\nfn f() {}";
         assert!(diags(src).is_empty(), "{:?}", diags(src));
         // …and must not suppress a real diagnostic either.
-        let src = "fn f() {\n    /// lint:allow(shardstats-accessor, docs are not annotations)\n    stats.retries = 3;\n}";
-        let out = lint_source("test.rs", src);
+        let out = lint_source(
+            "test.rs",
+            &annotated_send("/// lint:allow(guard-across-blocking, docs are not annotations)"),
+        );
         assert_eq!(out.diagnostics.len(), 1);
-        assert_eq!(out.diagnostics[0].rule, SHARDSTATS_ACCESSOR);
+        assert_eq!(out.diagnostics[0].rule, GUARD_ACROSS_BLOCKING);
         assert!(out.suppressed.is_empty());
     }
 
@@ -894,7 +558,7 @@ mod tests {
     fn nested_closures_and_raw_strings_do_not_confuse_the_rules() {
         let src = r##"
 fn f() {
-    let body = r#"thread::spawn(|| { x.unwrap(); })"#;
+    let body = r#"let g = m.lock(); tx.send(x);"#;
     let run = |g: &str| {
         let inner = move || g.len();
         inner()

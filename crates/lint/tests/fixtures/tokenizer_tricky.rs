@@ -1,9 +1,8 @@
 // Fixture: tokenization traps. Every forbidden pattern below is inert —
-// hidden in strings, raw strings, comments, or outside spawn bodies — so
-// this file must lint clean.
+// hidden in strings, raw strings or comments, or blocking with no guard
+// live — so this file must lint clean.
 
 use std::sync::{Mutex, PoisonError};
-use std::thread;
 
 // .lock().unwrap() in a comment is not code.
 /* Neither is thread::spawn(|| { panic!("boom") })
@@ -25,16 +24,14 @@ fn escaped_quotes_do_not_leak(m: &Mutex<u32>) -> u32 {
     label.len() as u32 + *guard
 }
 
-fn nested_closures_are_not_spawn_bodies(rx: std::sync::mpsc::Receiver<u32>) {
-    // The unwrap lives in an inner closure run by the pipeline thread's
-    // *caller*, not in a spawn body; only `outer`'s own body is in scope,
-    // and it contains no panic site.
-    let handle = thread::spawn(move || while rx.recv().is_ok() {});
-    let outer = |h: thread::JoinHandle<()>| {
-        let inner = move || h.join().is_ok();
-        inner()
+fn a_closed_scope_ends_the_guard(m: &Mutex<u32>, rx: std::sync::mpsc::Receiver<u32>) {
+    // The guard dies with the closure body that bound it; the receive in
+    // the outer body runs with no guard live.
+    let read = || {
+        let guard = m.lock().unwrap_or_else(PoisonError::into_inner);
+        *guard
     };
-    let _ = outer(handle);
+    let _ = read() + rx.recv().unwrap_or(0);
 }
 
 fn lifetimes_are_not_chars<'a>(source: &'a str) -> &'a str {

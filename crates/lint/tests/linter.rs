@@ -1,12 +1,9 @@
-//! Integration tests: the fixture corpus (each rule's positive and
+//! Integration tests: the fixture corpus (the rule's positive and
 //! negative cases, tokenization traps, annotation handling) and the
 //! self-check that the live workspace lints clean.
 
 use megis_lint::report::LintReport;
-use megis_lint::rules::{
-    lint_source, LintOutcome, ALLOW_HYGIENE, GUARD_ACROSS_BLOCKING, PANIC_HYGIENE,
-    SHARDSTATS_ACCESSOR,
-};
+use megis_lint::rules::{lint_source, LintOutcome, ALLOW_HYGIENE, GUARD_ACROSS_BLOCKING};
 use std::path::{Path, PathBuf};
 
 fn fixture(rel: &str) -> LintOutcome {
@@ -15,7 +12,6 @@ fn fixture(rel: &str) -> LintOutcome {
         .join(rel);
     let source = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("read fixture {}: {e}", path.display()));
-    // The display label preserves the basename, which file-scoped rules key on.
     lint_source(&format!("tests/fixtures/{rel}"), &source)
 }
 
@@ -48,43 +44,6 @@ fn guard_fixtures() {
 }
 
 #[test]
-fn hygiene_fixtures() {
-    let bad = fixture("hygiene_violation.rs");
-    assert_eq!(rule_counts(&bad, PANIC_HYGIENE), 4, "{:?}", bad.diagnostics);
-    assert_eq!(bad.diagnostics.len(), 4);
-
-    let good = fixture("hygiene_clean.rs");
-    assert!(good.diagnostics.is_empty(), "{:?}", good.diagnostics);
-}
-
-#[test]
-fn hygiene_follows_a_thread_body_into_the_functions_it_calls() {
-    let bad = fixture("hygiene_called_fn_violation.rs");
-    let lines: Vec<u32> = bad.diagnostics.iter().map(|d| d.line).collect();
-    assert_eq!(lines, [13, 18], "{:?}", bad.diagnostics);
-    assert!(bad.diagnostics.iter().all(|d| d.rule == PANIC_HYGIENE));
-}
-
-#[test]
-fn shardstats_fixtures() {
-    let bad = fixture("shardstats_violation.rs");
-    assert_eq!(
-        rule_counts(&bad, SHARDSTATS_ACCESSOR),
-        3,
-        "{:?}",
-        bad.diagnostics
-    );
-    assert_eq!(bad.diagnostics.len(), 3);
-    assert!(bad.diagnostics.iter().all(|d| d.hint.contains("accessor")));
-
-    let good = fixture("shardstats_clean.rs");
-    assert!(good.diagnostics.is_empty(), "{:?}", good.diagnostics);
-    // The reasoned direct-write annotation is recorded, not dropped.
-    assert_eq!(good.suppressed.len(), 1);
-    assert_eq!(good.suppressed[0].rule, SHARDSTATS_ACCESSOR);
-}
-
-#[test]
 fn tokenizer_traps_stay_clean() {
     let out = fixture("tokenizer_tricky.rs");
     assert!(out.diagnostics.is_empty(), "{:?}", out.diagnostics);
@@ -99,12 +58,11 @@ fn allow_fixtures() {
         "{:?}",
         suppressed.diagnostics
     );
-    assert_eq!(suppressed.suppressed.len(), 3);
-    let rules: Vec<&str> = suppressed.suppressed.iter().map(|s| s.rule).collect();
-    assert!(rules.contains(&SHARDSTATS_ACCESSOR));
-    assert!(rules.contains(&GUARD_ACROSS_BLOCKING));
-    assert!(rules.contains(&PANIC_HYGIENE));
-    assert!(suppressed.suppressed.iter().all(|s| !s.reason.is_empty()));
+    assert_eq!(suppressed.suppressed.len(), 2);
+    assert!(suppressed
+        .suppressed
+        .iter()
+        .all(|s| s.rule == GUARD_ACROSS_BLOCKING && !s.reason.is_empty()));
 
     let malformed = fixture("allow_missing_reason.rs");
     assert_eq!(
@@ -114,7 +72,7 @@ fn allow_fixtures() {
         malformed.diagnostics
     );
     assert_eq!(
-        rule_counts(&malformed, SHARDSTATS_ACCESSOR),
+        rule_counts(&malformed, GUARD_ACROSS_BLOCKING),
         1,
         "a reasonless annotation must not suppress: {:?}",
         malformed.diagnostics

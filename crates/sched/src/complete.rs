@@ -6,10 +6,11 @@
 //! and never reads the time, so a test drives any schedule step by step
 //! with a fake clock. It owns:
 //!
-//! * **admission** — the policy's job queue, the next dispatch position and
-//!   the lookahead gate: Step 1 runs at most `max(2·workers + 2,
-//!   queue_depth + workers)` positions ahead of delivery, which bounds the
-//!   reorder buffer, the job table and prepared-sample memory;
+//! * **admission** — the one capacity check (queued plus in-flight jobs),
+//!   the policy's job queue, the next dispatch position and the lookahead
+//!   gate: Step 1 runs at most `max(2·workers + 2, queue_depth + workers)`
+//!   positions ahead of delivery, which bounds the reorder buffer, the job
+//!   table and prepared-sample memory;
 //! * **the devices** — per device, the commands issued onto its queue,
 //!   whether a pool thread is serving it, and how many commands it has
 //!   popped (the count a [`crate::FaultPlan`] kills it at);
@@ -35,17 +36,15 @@
 //! **The wake rule** ([`Settled::notify`]) keeps the pool work-conserving —
 //! no thread parks while `pick` would hand out work — without waking it in
 //! a loop. A settle wakes the parked threads when it issued a command,
-//! delivered a job (the gate may open), freed a device with queued work, or
-//! armed a timer earlier than the core's previous next timer. Only an
-//! *earlier* timer wakes them: every thread parked without a notify holds a
-//! timer no later than the core's current next timer, so it wakes on time
-//! by itself, while a woken thread's own settle would wake the others for
-//! an unchanged timer, and they it, without end. The wake for a freed
-//! device with queued work is redundant: the thread that freed the device
-//! picks in the same critical section, and while any thread is parked no
-//! other idle device holds a command, so it takes that device's oldest
-//! command itself. The explorer finds no schedule that needs this wake; it
-//! stays until a measured change removes it (ROADMAP).
+//! delivered a job (the gate may open), or armed a timer earlier than the
+//! core's previous next timer. Only an *earlier* timer wakes them: every
+//! thread parked without a notify holds a timer no later than the core's
+//! current next timer, so it wakes on time by itself, while a woken
+//! thread's own settle would wake the others for an unchanged timer, and
+//! they it, without end. A device freed with commands still queued needs
+//! no wake: the thread that freed it picks in the same critical section,
+//! and while any thread is parked no other idle device holds a command, so
+//! it takes that device's oldest command itself.
 //!
 //! **One ledger.** Every issued command stays in one ordered map, keyed on
 //! `(seq, shard-of-record, stage)`, from its first issue to its final
@@ -73,6 +72,7 @@
 //! the work — and every issue, re-issue and delivery is folded into the
 //! [`Tally`] that becomes the [`crate::ServiceReport`]'s counters.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -293,6 +293,8 @@ pub(crate) struct Core {
     retry_budget: u32,
     retry_backoff: Duration,
     command_deadline: Option<Duration>,
+    /// How many jobs may be queued or in flight at once.
+    capacity: usize,
     /// The live admission queue, popped at dispatch under the policy.
     queue: JobQueue,
     /// The next dispatch position to assign.
@@ -356,7 +358,8 @@ impl Core {
             retry_budget: config.retry_budget,
             retry_backoff: config.retry_backoff,
             command_deadline: config.command_deadline,
-            queue: JobQueue::new(config.policy, config.queue_capacity),
+            capacity: config.queue_capacity,
+            queue: JobQueue::new(config.policy),
             next_position: 0,
             // Each in-flight sample holds at most one outstanding command
             // per shard, so a full `queue_depth` needs that many samples in
@@ -376,19 +379,20 @@ impl Core {
         }
     }
 
-    /// Admits a closed set of jobs, all of it or none: the set must fit the
-    /// queue capacity *counting in-flight work*, so a job holds its slot
-    /// from admission to delivery. Returns the ids in submission order.
-    pub(crate) fn admit(&mut self, specs: Vec<JobSpec>) -> Result<Vec<JobId>, AdmissionError> {
-        let capacity = self.queue.capacity();
+    /// Admits a closed set of jobs submitted at `now`, all of it or none:
+    /// the set must fit the capacity *counting in-flight work*, so a job
+    /// holds its slot from admission to delivery. Returns the ids in
+    /// submission order.
+    pub(crate) fn admit(
+        &mut self,
+        specs: Vec<JobSpec>,
+        now: Instant,
+    ) -> Result<Vec<JobId>, AdmissionError> {
+        let capacity = self.capacity;
         if self.queue.len() + self.in_flight() + specs.len() > capacity {
             return Err(AdmissionError::QueueFull { capacity });
         }
-        let ids = specs.into_iter().map(|spec| {
-            self.queue
-                .submit(spec)
-                .expect("the whole set fits: checked against the capacity above")
-        });
+        let ids = specs.into_iter().map(|spec| self.queue.submit(spec, now));
         Ok(ids.collect())
     }
 
@@ -399,13 +403,15 @@ impl Core {
     /// delivers every finished job at the head of the dispatch order.
     pub(crate) fn settle(&mut self, finished: Option<Event>, now: Instant) -> Settled {
         let before = self.next_wake();
-        let freed = finished.is_some_and(|event| self.on(event, now));
+        if let Some(event) = finished {
+            self.on(event, now);
+        }
         let issued = self.fire_timers(now) | self.submit_backlog(now);
         let deliveries = self.deliver(now);
         let wake = self.next_wake();
         let earlier = wake.is_some_and(|at| before.is_none_or(|held| at < held));
         Settled {
-            notify: issued || !deliveries.is_empty() || freed || earlier,
+            notify: issued || !deliveries.is_empty() || earlier,
             deliveries,
             wake,
         }
@@ -418,9 +424,12 @@ impl Core {
     /// position. The pop and the position share one critical section, so
     /// dispatch order is exactly policy order.
     pub(crate) fn pick(&mut self) -> Option<Work> {
-        if let Some((index, at)) = self.ready_command() {
+        let ready = self.ready_command().and_then(|(index, at)| {
+            let command = self.devices[index].queue.remove(at)?;
+            Some((index, command))
+        });
+        if let Some((index, command)) = ready {
             let device = &mut self.devices[index];
-            let command = device.queue.remove(at).expect("a queued command");
             device.busy = true;
             device.popped += 1;
             return Some(Work::Command(index, device.popped, command));
@@ -499,23 +508,18 @@ impl Core {
 
     /// Books one event at `now`: a prepared sample (opened at once if it is
     /// next in dispatch order, together with every buffered sample it
-    /// unblocks) or a completion, whose device it frees. Returns whether
-    /// that device has commands queued.
-    fn on(&mut self, event: Event, now: Instant) -> bool {
+    /// unblocks) or a completion, whose device it frees.
+    fn on(&mut self, event: Event, now: Instant) {
         match event {
             Event::Prepared(prepared) => {
                 self.reorder.insert(prepared.start_position, prepared);
                 while let Some(prepared) = self.reorder.remove(&self.opened) {
                     self.open(prepared, now);
                 }
-                false
             }
             Event::Completed(completion) => {
-                let device = &mut self.devices[completion.device];
-                device.busy = false;
-                let freed = !device.queue.is_empty();
+                self.devices[completion.device].busy = false;
                 self.reap(completion, now);
-                freed
             }
         }
     }
@@ -524,15 +528,11 @@ impl Core {
     /// its outcome.
     fn deliver(&mut self, now: Instant) -> Vec<(JobId, Result<JobResult, JobError>)> {
         let mut deliveries = Vec::new();
-        while self
-            .jobs
-            .get(&self.next_to_deliver)
-            .is_some_and(Job::is_complete)
-        {
-            let job = self
-                .jobs
-                .remove(&self.next_to_deliver)
-                .expect("checked above");
+        while let Entry::Occupied(entry) = self.jobs.entry(self.next_to_deliver) {
+            if !entry.get().is_complete() {
+                break;
+            }
+            let job = entry.remove();
             self.next_to_deliver += 1;
             let id = job.prepared.id;
             let outcome = self.finalize(job, now);
@@ -607,8 +607,11 @@ impl Core {
         let (seq, shard, stage) = key;
         self.outstanding.remove(&key);
         self.release(shard, stage);
-        // A ledgered command's job is open and unfailed: failing a job
-        // retires its commands from the ledger.
+        #[expect(
+            clippy::expect_used,
+            reason = "a ledgered command's job is open and unfailed: failing a job retires \
+                      its commands from the ledger"
+        )]
         let job = self.jobs.get_mut(&seq).expect("completion for an open job");
         job.timeline
             .fold(stage, completion.started, completion.done);
@@ -682,14 +685,14 @@ impl Core {
     /// stale one still queued. Returns whether it issued.
     fn reissue(&mut self, key: CommandKey, now: Instant) -> bool {
         let (seq, shard, stage) = key;
-        if !self.outstanding.contains_key(&key) {
+        let target = self.pick_target(shard);
+        let Some(entry) = self.outstanding.get_mut(&key) else {
             return false;
-        }
-        let Some(target) = self.pick_target(shard) else {
+        };
+        let Some(target) = target else {
             self.fail_job(seq, |job| JobError::NoLiveShards { job });
             return false;
         };
-        let entry = self.outstanding.get_mut(&key).expect("checked above");
         entry.command.bump_attempt();
         entry.issued_at = now;
         entry.retry_at = None;
@@ -776,6 +779,11 @@ impl Core {
     /// with no candidates maps nothing: no command, and its Step 3 result is
     /// the empty one.
     fn start_step3(&mut self, seq: usize) {
+        #[expect(
+            clippy::expect_used,
+            reason = "Step 3 starts only for an open job: `open` just inserted it, or its \
+                      last support was folded into it"
+        )]
         let job = self.jobs.get_mut(&seq).expect("an open job");
         let presence = Arc::new(self.analyzer.call_presence(&job.step2));
         job.presence = Some(Arc::clone(&presence));
@@ -862,9 +870,17 @@ impl Core {
         let reduce_started = self.trace.now();
         self.trace
             .record_at(reduce_started, seq, TraceEventKind::ReduceStarted);
-        let step3 = job.step3.expect("complete job has its step 3 result");
+        #[expect(
+            clippy::expect_used,
+            reason = "an unfailed complete job has its Step 3 result, and `start_step3` \
+                      called presence before any Step 3 result could fill the slot"
+        )]
+        let (step3, presence) = (
+            job.step3.expect("complete job has its step 3 result"),
+            job.presence.expect("complete job called presence"),
+        );
         let output = MegisOutput {
-            presence: Arc::unwrap_or_clone(job.presence.expect("complete job called presence")),
+            presence: Arc::unwrap_or_clone(presence),
             abundance: step3.abundance,
             intersecting_kmers: job.step2.hits,
             selected_kmers: job.prepared.step1.selected_kmers,
@@ -1042,7 +1058,7 @@ mod tests {
 
     /// Per-shard `f` of the core's tally.
     fn per_shard<T>(core: &Core, f: impl Fn(&crate::ShardStats) -> T) -> Vec<T> {
-        core.tally.shards.iter().map(f).collect()
+        core.tally.shards().iter().map(f).collect()
     }
 
     /// The command `core` picks next; panics on anything else.
@@ -1115,6 +1131,40 @@ mod tests {
         assert_eq!((job.remaining, job.step2.hits), (0, 6));
         assert_eq!(job.step2.counts, vec![2, 0, 4]);
         job.fold_step2(1, support());
+    }
+
+    #[test]
+    fn admission_counts_in_flight_work_and_rejects_a_set_whole() {
+        let config = EngineConfig::new().with_shards(1).with_queue_capacity(3);
+        let (mut core, _) = core(&config);
+        let now = Instant::now();
+        let specs = |n: usize| {
+            let empty = || Sample::clone(&fixture().samples[2]);
+            (0..n)
+                .map(|i| JobSpec::new(format!("s{i}"), empty()))
+                .collect()
+        };
+        assert_eq!(core.admit(specs(2), now), Ok(vec![JobId(0), JobId(1)]));
+        // The first job leaves the queue for Step 1 and keeps its slot.
+        let Some(Work::Step1(job, 0)) = core.pick() else {
+            panic!("Step 1 of the first job");
+        };
+        assert_eq!(job.submitted_at, now, "stamped with the instant passed in");
+        assert_eq!((core.pending(), core.in_flight()), (1, 1));
+        // One queued and one in flight: two more do not fit a capacity of 3.
+        let full = Err(AdmissionError::QueueFull { capacity: 3 });
+        assert_eq!(core.admit(specs(2), now), full);
+        assert_eq!(
+            core.pending(),
+            1,
+            "nothing of the rejected set was admitted"
+        );
+        assert_eq!(
+            core.admit(specs(1), now),
+            Ok(vec![JobId(2)]),
+            "the rejected set consumed no id"
+        );
+        assert_eq!(core.admit(specs(1), now), full);
     }
 
     #[test]
@@ -1427,6 +1477,8 @@ mod tests {
         /// The fixture sample of each job, by id.
         jobs: Vec<usize>,
         threads: Vec<Thread>,
+        /// When the batch was admitted, on the fake clock.
+        admitted: Instant,
         now: Instant,
         /// Rounds run since the last finished unit or clock jump: how long
         /// the current notify cascade has run.
@@ -1448,6 +1500,18 @@ mod tests {
         /// `pool_thread`.
         fn round(&mut self, t: usize, finished: Option<Event>) {
             let settled = self.core.settle(finished, self.now);
+            // Latency runs from admission to delivery on the fake clock.
+            for (_, outcome) in &settled.deliveries {
+                if let Ok(result) = outcome {
+                    assert_eq!(
+                        result.latency,
+                        self.now - self.admitted,
+                        "seed {}: job {:?}",
+                        self.seed,
+                        result.id
+                    );
+                }
+            }
             self.delivered.extend(settled.deliveries);
             // Shutdown began at admission: the batch is closed.
             let (next, exit) = match self.core.pick() {
@@ -1487,7 +1551,7 @@ mod tests {
                     let sample = self.jobs[job.id.0 as usize];
                     return Event::Prepared(PreparedJob {
                         id: job.id,
-                        ..prepared(position, sample, self.now)
+                        ..prepared(position, sample, job.submitted_at)
                     });
                 }
                 Work::Command(device, popped, command) => (device, popped, command),
@@ -1617,7 +1681,9 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(i, &sample)| JobSpec::new(format!("s{i}"), Sample::clone(&f.samples[sample])));
-        core.admit(specs.collect()).expect("the batch fits");
+        let admitted = Instant::now();
+        core.admit(specs.collect(), admitted)
+            .expect("the batch fits");
         let mut s = Schedule {
             seed,
             core,
@@ -1626,7 +1692,8 @@ mod tests {
             plan: config.fault_plan.as_deref().cloned().unwrap_or_default(),
             jobs: jobs.to_vec(),
             threads: (0..config.workers).map(|_| Thread::Ready).collect(),
-            now: Instant::now(),
+            admitted,
+            now: admitted,
             cascade: 0,
             faults: 0,
             served: 0,
@@ -1666,7 +1733,7 @@ mod tests {
             s.answered_dead,
             "seed {seed}: dead devices"
         );
-        for (shard, stats) in s.core.tally.shards.iter().enumerate() {
+        for (shard, stats) in s.core.tally.shards().iter().enumerate() {
             assert!(stats.peak_inflight <= s.depth, "seed {seed}: shard {shard}");
             if s.picked[shard] {
                 assert!(stats.peak_inflight >= 1, "seed {seed}: shard {shard}");

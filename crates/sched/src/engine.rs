@@ -447,4 +447,10 @@ mod tests {
         }
         assert_eq!(engine.shutdown().completed, 2);
     }
+
+    #[test]
+    #[should_panic(expected = "positive")]
+    fn zero_queue_capacity_rejected() {
+        let _ = EngineConfig::new().with_queue_capacity(0);
+    }
 }

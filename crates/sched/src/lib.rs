@@ -11,8 +11,9 @@
 //! * [`job`] — what clients submit ([`JobSpec`] with a [`Priority`]) and get
 //!   back ([`JobResult`]: the analysis output plus per-job wait/latency
 //!   accounting),
-//! * [`queue`] — bounded admission and deterministic service order
-//!   ([`SchedPolicy::Fifo`] or [`SchedPolicy::Priority`]),
+//! * [`queue`] — deterministic service order ([`SchedPolicy::Fifo`] or
+//!   [`SchedPolicy::Priority`]) and why a submission is refused
+//!   ([`AdmissionError`]),
 //! * [`shard`] — the database partitioned into contiguous sorted ranges,
 //!   one per simulated SSD ([`ShardSet`]), the range-partitioned query
 //!   dispatch ([`ShardSet::slice_queries`]): each device only ever sees the
@@ -144,31 +145,32 @@
 //!   takes a [`TraceStamp`], which only [`TraceSink::now`] makes, so a
 //!   caller cannot stamp an event with an inline `Instant::now()` that
 //!   disabled tracing would still pay for (the overhead contract above).
+//! * **No accidental panic** — the pool threads run the decision core,
+//!   Step 1 and every device command, and a panic on one poisons the whole
+//!   engine. The crate root denies clippy's `unwrap_used`, `expect_used`, `panic`,
+//!   `unreachable`, `todo` and `unimplemented` in all non-test code (the
+//!   root `clippy.toml` exempts tests), and `allow_attributes_without_reason`.
+//!   Where a check and its take can be one operation they are (`let ..
+//!   else`, a map entry); a panic that guards an invariant across
+//!   structures stays, under an `#[expect(.., reason = "..")]` that names
+//!   the invariant. `assert!` is not flagged.
+//! * **One writer per counter** — the tally the core folds every
+//!   [`ShardStats`] counter into keeps its fields private to `metrics.rs`,
+//!   so its folds are the only writers and the `faults == retries`
+//!   cross-checks hold.
 //!
 //! The in-tree `megis-lint` pass (`crates/lint`), which CI runs over every
 //! workspace source file, keeps what no type here can say:
 //!
 //! * **guard-across-blocking** — never hold a `MutexGuard` across
 //!   `send`/`recv`/`recv_timeout`/`join`/`thread::sleep`. Blocking while
-//!   holding a pipeline lock is the completer-deadlock class from the PR 5
-//!   sharding work (completer parked on a bounded channel while holding
-//!   the state every worker needs to make progress). `Condvar::wait`
-//!   releases the lock while parked and is the sanctioned way to block
-//!   with a guard. One deliberate exception lives in the shell's `settle`
-//!   (`service.rs`): delivery sends under the state lock,
-//!   annotated in-source with why an unbounded-channel send cannot block.
-//!
-//! * **panic-hygiene** — any panic site inside a `thread::spawn` body
-//!   (`unwrap`, `expect`, panicking macros, indexing channel results) must
-//!   carry an inline `lint:allow(panic-hygiene, reason)` annotation: a
-//!   pipeline-thread panic starts poison propagation, so it has to be
-//!   visibly deliberate. The rule follows the thread into every same-file
-//!   function the spawn body calls by bare name, transitively, so a thread
-//!   body moved into a named function (`pool_thread`) stays covered.
-//!
-//! * **shardstats-accessor** — a [`ShardStats`] counter is never assigned
-//!   outside `metrics.rs`: the completer's tally fold there is each
-//!   counter's one writer, so the `faults == retries` cross-checks hold.
+//!   holding a pipeline lock is the completer-deadlock class (a completer
+//!   parked on a bounded channel while holding the state every worker
+//!   needs to make progress). `Condvar::wait` releases the lock while
+//!   parked and is the sanctioned way to block with a guard. One
+//!   deliberate exception lives in the shell's `settle` (`service.rs`):
+//!   delivery sends under the state lock, annotated in-source with why an
+//!   unbounded-channel send cannot block.
 //!
 //! Suppressions are never silent: each needs a
 //! `// lint:allow(rule, reason)` with a mandatory reason, and the lint
@@ -207,6 +209,15 @@
 // The whole workspace is safe Rust ([workspace.lints] forbids it too);
 // this attribute keeps the guarantee visible at the crate root.
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes_without_reason
+)]
 mod complete;
 pub mod engine;
 pub mod fault;

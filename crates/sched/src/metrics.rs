@@ -34,11 +34,11 @@ pub struct LatencyStats {
 impl LatencyStats {
     /// Computes the statistics from unordered latencies.
     pub fn from_latencies(latencies: &[Duration]) -> LatencyStats {
-        if latencies.is_empty() {
-            return LatencyStats::default();
-        }
         let mut sorted = latencies.to_vec();
         sorted.sort();
+        let Some(&max) = sorted.last() else {
+            return LatencyStats::default();
+        };
         // Mean via integer nanoseconds: `Duration / u32` would truncate the
         // count (and divide by zero) for batches beyond u32::MAX samples.
         let total: Duration = sorted.iter().sum();
@@ -50,7 +50,7 @@ impl LatencyStats {
             p90: percentile(&sorted, 90.0),
             p99: percentile(&sorted, 99.0),
             p999: percentile(&sorted, 99.9),
-            max: *sorted.last().unwrap(),
+            max,
         }
     }
 }
@@ -79,7 +79,6 @@ pub fn percentile(sorted: &[Duration], pct: f64) -> Duration {
 pub struct RollingWindow {
     capacity: usize,
     entries: VecDeque<(Instant, Duration)>,
-    total: u64,
 }
 
 impl RollingWindow {
@@ -93,7 +92,6 @@ impl RollingWindow {
         RollingWindow {
             capacity,
             entries: VecDeque::with_capacity(capacity),
-            total: 0,
         }
     }
 
@@ -108,23 +106,6 @@ impl RollingWindow {
             self.entries.pop_front();
         }
         self.entries.push_back((at, latency));
-        self.total += 1;
-    }
-
-    /// Number of completions currently inside the window.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Returns `true` if nothing has completed yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Completions recorded over the window's whole lifetime (not just the
-    /// entries still inside it).
-    pub fn total_recorded(&self) -> u64 {
-        self.total
     }
 
     /// Latency distribution of the completions inside the window.
@@ -207,15 +188,15 @@ pub struct ShardStats {
 }
 
 /// The counts a [`ServiceReport`] carries beyond the live ones. The
-/// completer owns the one tally; its folds are the only [`ShardStats`]
-/// writers.
+/// completer owns the one tally; its fields are private to this module, so
+/// its folds are the only [`ShardStats`] writers.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tally {
     /// One per shard, in shard order.
-    pub(crate) shards: Vec<ShardStats>,
-    pub(crate) stage_overlap_events: u64,
-    pub(crate) mapped_reads: u64,
-    pub(crate) failed_jobs: u64,
+    shards: Vec<ShardStats>,
+    stage_overlap_events: u64,
+    mapped_reads: u64,
+    failed_jobs: u64,
     /// Sum and count of the delivered jobs' stage breakdowns.
     breakdown_sum: StageBreakdown,
     breakdown_count: usize,
@@ -267,6 +248,12 @@ impl Tally {
         self.shards[device].dead
     }
 
+    /// The per-shard counts so far, in shard order.
+    #[cfg(test)]
+    pub(crate) fn shards(&self) -> &[ShardStats] {
+        &self.shards
+    }
+
     /// A command took a depth slot of `shard`, now at `inflight`; `overlaps`
     /// when a command of the other stage was outstanding.
     pub(crate) fn issued(&mut self, shard: usize, inflight: usize, overlaps: bool) {
@@ -297,9 +284,25 @@ impl Tally {
         }
     }
 
-    /// The mean breakdown over the delivered jobs that carried one.
-    pub(crate) fn stage_breakdown(&self) -> Option<StageBreakdown> {
-        (self.breakdown_count > 0).then(|| self.breakdown_sum.mean_of(self.breakdown_count))
+    /// A report carrying the tally's counts: the per-shard stats, the
+    /// stage-overlap, mapped-read and failed-job counts and the mean stage
+    /// breakdown over the delivered jobs that carried one. Every fact the
+    /// tally does not hold is zero or empty, for the engine to fill.
+    pub(crate) fn into_report(self) -> ServiceReport {
+        ServiceReport {
+            completed: 0,
+            uptime: Duration::ZERO,
+            stage_breakdown: (self.breakdown_count > 0)
+                .then(|| self.breakdown_sum.mean_of(self.breakdown_count)),
+            shard_stats: self.shards,
+            resident_database_bytes: 0,
+            mapped_reads: self.mapped_reads,
+            stage_overlap_events: self.stage_overlap_events,
+            failed_jobs: self.failed_jobs,
+            window: LatencyStats::default(),
+            straggler: None,
+            trace: None,
+        }
     }
 }
 
@@ -567,17 +570,15 @@ mod tests {
     fn rolling_window_evicts_oldest_and_counts_lifetime() {
         let mut w = RollingWindow::new(3);
         let epoch = Instant::now();
-        assert!(w.is_empty());
+        assert_eq!(w.stats().count, 0);
         assert_eq!(w.throughput(), 0.0);
         w.record_at(epoch, ms(10));
         assert_eq!(w.throughput(), 0.0, "one completion spans no interval");
         for v in [20, 30, 40] {
             w.record_at(epoch + ms(v), ms(v));
         }
-        assert_eq!(w.len(), 3, "window holds only the newest 3");
-        assert_eq!(w.total_recorded(), 4);
         let stats = w.stats();
-        assert_eq!(stats.count, 3);
+        assert_eq!(stats.count, 3, "window holds only the newest 3");
         assert_eq!(stats.max, ms(40), "oldest entry was evicted");
         assert_eq!(stats.p50, ms(30));
         assert!(w.throughput() > 0.0);
@@ -597,7 +598,7 @@ mod tests {
             (throughput - 4.0).abs() < 1e-9,
             "expected exactly 4/s, got {throughput}"
         );
-        assert_eq!(w.total_recorded(), 4);
+        assert_eq!(w.stats().count, 4);
         // Eviction keeps the unbiased estimator anchored on the oldest
         // *windowed* entry, not the all-time oldest.
         let mut w = RollingWindow::new(2);

@@ -71,6 +71,11 @@ impl ModeledAccount {
         let independent = baseline_multi_sample(&single, samples);
         let pipelined = model.multi_sample_breakdown(system, workload, samples);
 
+        #[expect(
+            clippy::expect_used,
+            reason = "the full timing model's presence breakdown always has an intersection \
+                      finding phase"
+        )]
         let intersection_at = |count: usize| -> SimDuration {
             let sys = system.clone().with_ssd_count(count);
             model
@@ -87,6 +92,10 @@ impl ModeledAccount {
         // partition. `ShardSet` builds ceiling-sized contiguous chunks, so
         // the critical-path shard holds ceil(db / shards) bytes — a floor
         // split would under-model it whenever the size doesn't divide evenly.
+        #[expect(
+            clippy::expect_used,
+            reason = "`shards` is positive (asserted above), so the sharded system has a device"
+        )]
         let shard_view = system
             .clone()
             .with_ssd_count(shards)

@@ -1,10 +1,11 @@
 //! Admission queue and scheduling policy.
 //!
-//! The queue decides two things: whether a job is admitted at all (bounded
-//! queue depth, so a saturated service degrades by rejecting instead of
-//! growing without bound) and in what order admitted jobs enter service.
-//! Ordering is deterministic: FIFO follows submission order; the priority
-//! policy orders by (priority desc, submission order asc).
+//! The queue decides in what order admitted jobs enter service. Ordering is
+//! deterministic: FIFO follows submission order; the priority policy orders
+//! by (priority desc, submission order asc). Whether a job is admitted at
+//! all is the engine core's one check (`complete::Core::admit`): the
+//! capacity bounds queued *and* in-flight work, so a saturated service
+//! degrades by rejecting instead of growing without bound.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
@@ -125,37 +126,20 @@ impl Pending {
 /// The admission queue.
 #[derive(Debug)]
 pub(crate) struct JobQueue {
-    capacity: usize,
     next_id: u64,
     pending: Pending,
 }
 
 impl JobQueue {
-    /// Creates a queue with the given policy and capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(policy: SchedPolicy, capacity: usize) -> JobQueue {
-        assert!(capacity > 0, "queue capacity must be positive");
+    /// Creates an empty queue with the given policy.
+    pub fn new(policy: SchedPolicy) -> JobQueue {
         JobQueue {
-            capacity,
             next_id: 0,
             pending: match policy {
                 SchedPolicy::Fifo => Pending::Fifo(VecDeque::new()),
                 SchedPolicy::Priority => Pending::Priority(BinaryHeap::new()),
             },
         }
-    }
-
-    /// The configured admission capacity.
-    ///
-    /// A standalone queue bounds only *queued* jobs; the streaming service
-    /// additionally counts in-flight work against this capacity (see
-    /// [`crate::StreamingEngine::submit`]), so a job occupies its slot from
-    /// admission to delivery.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of jobs waiting.
@@ -168,21 +152,16 @@ impl JobQueue {
         self.pending.len() == 0
     }
 
-    /// Admits a job, or rejects it if the queue is full.
-    pub fn submit(&mut self, spec: JobSpec) -> Result<JobId, AdmissionError> {
-        if self.pending.len() >= self.capacity {
-            return Err(AdmissionError::QueueFull {
-                capacity: self.capacity,
-            });
-        }
+    /// Queues a job submitted at `now` under the next id.
+    pub fn submit(&mut self, spec: JobSpec, now: Instant) -> JobId {
         let id = JobId(self.next_id);
         self.next_id += 1;
         self.pending.push(QueuedJob {
             id,
             spec,
-            submitted_at: Instant::now(),
+            submitted_at: now,
         });
-        Ok(id)
+        id
     }
 
     /// Removes and returns the next job to serve under the policy.
@@ -220,13 +199,13 @@ mod tests {
 
     #[test]
     fn fifo_preserves_submission_order() {
-        let mut q = JobQueue::new(SchedPolicy::Fifo, 8);
+        let mut q = JobQueue::new(SchedPolicy::Fifo);
         for (label, p) in [
             ("a", Priority::Low),
             ("b", Priority::High),
             ("c", Priority::Normal),
         ] {
-            q.submit(spec(label, p)).unwrap();
+            q.submit(spec(label, p), Instant::now());
         }
         let order: Vec<String> = served(&mut q);
         assert_eq!(order, ["a", "b", "c"]);
@@ -234,7 +213,7 @@ mod tests {
 
     #[test]
     fn priority_policy_orders_by_priority_then_submission() {
-        let mut q = JobQueue::new(SchedPolicy::Priority, 8);
+        let mut q = JobQueue::new(SchedPolicy::Priority);
         for (label, p) in [
             ("a", Priority::Low),
             ("b", Priority::Normal),
@@ -242,35 +221,17 @@ mod tests {
             ("d", Priority::Normal),
             ("e", Priority::High),
         ] {
-            q.submit(spec(label, p)).unwrap();
+            q.submit(spec(label, p), Instant::now());
         }
         let order: Vec<String> = served(&mut q);
         assert_eq!(order, ["c", "e", "b", "d", "a"]);
     }
 
     #[test]
-    fn admission_rejects_when_full() {
-        let mut q = JobQueue::new(SchedPolicy::Fifo, 2);
-        q.submit(spec("a", Priority::Normal)).unwrap();
-        q.submit(spec("b", Priority::Normal)).unwrap();
-        let err = q.submit(spec("c", Priority::Normal)).unwrap_err();
-        assert_eq!(err, AdmissionError::QueueFull { capacity: 2 });
-        // Draining frees capacity again.
-        q.pop_next().unwrap();
-        assert!(q.submit(spec("c", Priority::Normal)).is_ok());
-    }
-
-    #[test]
     fn job_ids_are_monotonic_across_policies() {
-        let mut q = JobQueue::new(SchedPolicy::Priority, 8);
-        let a = q.submit(spec("a", Priority::Low)).unwrap();
-        let b = q.submit(spec("b", Priority::High)).unwrap();
+        let mut q = JobQueue::new(SchedPolicy::Priority);
+        let a = q.submit(spec("a", Priority::Low), Instant::now());
+        let b = q.submit(spec("b", Priority::High), Instant::now());
         assert!(a < b, "ids follow submission order, not service order");
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn zero_capacity_rejected() {
-        JobQueue::new(SchedPolicy::Fifo, 0);
     }
 }

@@ -257,6 +257,7 @@ impl StreamingEngine {
         assert!(config.workers > 0, "at least one worker is required");
         assert!(config.shards > 0, "at least one shard is required");
         assert!(config.queue_depth > 0, "queue depth must be positive");
+        assert!(config.queue_capacity > 0, "queue capacity must be positive");
         let shards = ShardSet::build(analyzer.database(), config.shards);
         let trace = match config.trace_capacity {
             Some(capacity) => TraceSink::bounded(capacity),
@@ -305,6 +306,10 @@ impl StreamingEngine {
     /// one-job case of [`StreamingEngine::submit_all`]. On success the
     /// returned [`JobHandle`] delivers the result as soon as the job
     /// completes.
+    #[expect(
+        clippy::expect_used,
+        reason = "`submit_all` returns one handle per job it admits"
+    )]
     pub fn submit(&self, spec: JobSpec) -> Result<JobHandle, AdmissionError> {
         let mut handles = self.submit_all([spec])?;
         Ok(handles.pop().expect("one job admitted, one handle"))
@@ -334,7 +339,10 @@ impl StreamingEngine {
             if !state.accepting {
                 return Err(AdmissionError::ShuttingDown);
             }
-            let ids = state.core.admit(specs.into_iter().collect())?;
+            // Read under the lock, so admission instants follow id order.
+            let ids = state
+                .core
+                .admit(specs.into_iter().collect(), Instant::now())?;
             ids.into_iter()
                 .map(|id| {
                     let (tx, rx) = mpsc::channel();
@@ -436,19 +444,15 @@ impl StreamingEngine {
             .as_ref()
             .map(|trace| StragglerReport::from_events(&trace.events, self.shards.shard_count()));
         let mut state = self.shared.state.lock();
-        let tally = state.core.take_tally();
+        let counts = state.core.take_tally().into_report();
         ServiceReport {
             completed: state.completed,
             uptime: self.started_at.elapsed(),
-            stage_breakdown: tally.stage_breakdown(),
-            shard_stats: tally.shards,
             resident_database_bytes: self.shards.resident_bytes(),
-            mapped_reads: tally.mapped_reads,
-            stage_overlap_events: tally.stage_overlap_events,
-            failed_jobs: tally.failed_jobs,
             window: state.window.stats(),
             straggler,
             trace,
+            ..counts
         }
     }
 }
@@ -656,11 +660,13 @@ fn dwell(shared: &Shared, spike: Duration) {
 /// The injected worker panic, caught right here at the serving seam: it
 /// must fail only the owning job, never unwind the pool thread (the
 /// `PanicGuard` stays un-tripped and the engine keeps serving).
+#[expect(
+    clippy::panic,
+    reason = "the injected worker panic is caught by the enclosing catch_unwind at the \
+              serving seam and surfaces as a per-job error, not a thread death"
+)]
 fn injected_panic() -> CommandFailure {
     let caught = std::panic::catch_unwind(|| {
-        // lint:allow(panic-hygiene, the injected worker panic is
-        // caught by the enclosing catch_unwind at the serving seam
-        // and surfaces as a per-job error, not a thread death)
         panic!("injected worker panic");
     });
     debug_assert!(caught.is_err());

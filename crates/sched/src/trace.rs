@@ -10,11 +10,12 @@
 //! back into answers:
 //!
 //! * [`TraceSink`] — a cheap, bounded, multi-producer ring buffer of
-//!   timestamped [`TraceEvent`]s. Every pipeline thread (submitters, the
-//!   pool threads that run Step 1 and serve the devices, the completer)
-//!   holds a clone and records the events it owns: admission, Step 1 start/end, per
-//!   `(seq, shard)` command issued/started/completed for both command
-//!   kinds, reduce start/end, delivery. The sink is **zero-cost when
+//!   timestamped [`TraceEvent`]s. Every thread that records (submitters,
+//!   and the pool threads that run Step 1, serve the devices and settle the
+//!   decision core) holds a clone and records the events it owns:
+//!   admission, Step 1 start/end, per `(seq, shard)` command
+//!   issued/started/completed for both command kinds, reduce start/end,
+//!   delivery. The sink is **zero-cost when
 //!   disabled**: [`TraceSink::disabled`] carries no buffer at all, and
 //!   [`TraceSink::record`] is an inlined `None` check — the repository
 //!   benchmark's `sched.trace.overhead_frac` row measures the whole-engine
@@ -319,19 +320,6 @@ impl TraceSink {
             .as_ref()
             .map(|inner| inner.ring.lock().dropped)
             .unwrap_or(0)
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.inner
-            .as_ref()
-            .map(|inner| inner.ring.lock().events.len())
-            .unwrap_or(0)
-    }
-
-    /// Returns `true` if no events are held (always true when disabled).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Snapshot of every held event, in record order.
@@ -753,8 +741,7 @@ fn union_len(intervals: &mut [(Duration, Duration)]) -> Duration {
     let mut current: Option<(Duration, Duration)> = None;
     for &(start, end) in intervals.iter() {
         match current {
-            Some((_, cur_end)) if start <= cur_end => {
-                let (cur_start, cur_end) = current.take().unwrap();
+            Some((cur_start, cur_end)) if start <= cur_end => {
                 current = Some((cur_start, cur_end.max(end)));
             }
             Some((cur_start, cur_end)) => {
@@ -789,7 +776,6 @@ mod tests {
         for i in 0..1000 {
             sink.record(i, TraceEventKind::Step1Finished);
         }
-        assert!(sink.is_empty());
         assert_eq!(sink.dropped(), 0);
         assert!(sink.events().is_empty());
         assert_eq!(sink.now().since_epoch(), Duration::ZERO);
@@ -801,9 +787,9 @@ mod tests {
         for seq in 0..6 {
             sink.record_at(stamp(seq as u64), seq, TraceEventKind::ReduceStarted);
         }
-        assert_eq!(sink.len(), 4);
-        assert_eq!(sink.dropped(), 2);
         let events = sink.events();
+        assert_eq!(events.len(), 4);
+        assert_eq!(sink.dropped(), 2);
         assert_eq!(events.first().unwrap().seq, 2, "oldest evicted first");
         assert_eq!(events.last().unwrap().seq, 5);
     }
