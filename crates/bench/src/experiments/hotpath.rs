@@ -34,15 +34,15 @@
 //!   fixture; the join is [`KssJoin::build`] straight from the sketch, and
 //!   every database position must retrieve through it what
 //!   [`KssTables::lookup`] retrieves for the position's k-mer,
-//! * **Step 3** — the flat unified index (one k-way merge of sorted seed
-//!   columns, dense-counter seed voting) against the old ordered map of
-//!   per-seed location lists with an ordered-map vote table per read; the
-//!   reads mapped as 1, 2 and 8 ranges over the one merged index, counts
-//!   added (the mapper's additivity over reads), against the sequential
-//!   `step3::run`; and
-//!   the mapper's batched seed probe (full batches of a read's seeds)
+//! * **Step 3** — the flat unified index (one linear-min k-way merge of
+//!   sorted seed columns, walk-along dense-counter seed voting) against the
+//!   old ordered map of per-seed location lists with an ordered-map vote
+//!   table per read; the reads mapped as 1, 2 and 8 ranges over the one
+//!   merged index, counts added (the mapper's additivity over reads),
+//!   against the sequential `step3::run`; and
+//!   the mapper's walk-along votes ([`UnifiedReferenceIndex::read_votes`])
 //!   against the same seeds resolved one by one through
-//!   [`UnifiedReferenceIndex::locations`], its batch of one,
+//!   [`UnifiedReferenceIndex::locations`],
 //!
 //! plus **shard residency**: [`ShardSet::resident_bytes`] across 1–8 shards
 //! must stay exactly one copy of the columnar storage (zero-copy views),
@@ -52,7 +52,7 @@
 //! `BENCH_hotpath.json`. CI runs it in release mode, greps the exact
 //! verdict lines (kernel parity, sharded-sweep parity, counting parity,
 //! sketch-build parity, KSS stream parity, fused Step 2 parity, join
-//! parity, unified-index parity, read-range parity, batched-probe parity,
+//! parity, unified-index parity, read-range parity, walk-along votes parity,
 //! zero-copy shards) and uploads the JSON, so a PR that breaks a kernel's
 //! equivalence or reintroduces a database copy fails the smoke test. The
 //! directory probe speedup line is wall clock from one run: printed, not
@@ -348,9 +348,9 @@ pub struct HotpathMeasurement {
     /// index, counts added up, equalled the sequential `step3::run`.
     pub read_range_parity: bool,
     /// Whether the per-candidate vote totals of the reads' seeds resolved
-    /// one by one (`locations`, the probe's batch of one) equalled those of
-    /// the mapper's full batches.
-    pub probe_parity: bool,
+    /// one by one (`locations`) equalled those of the mapper's walk
+    /// (`read_votes`).
+    pub walk_parity: bool,
     /// Heap bytes of one columnar database copy.
     pub db_heap_bytes: u64,
     /// `(shard count, ShardSet::resident_bytes)` for each swept count.
@@ -634,8 +634,8 @@ impl HotpathMeasurement {
             }
         ));
         report.line(&format!(
-            "batched seed probe parity with per-seed lookup: {}",
-            if self.probe_parity {
+            "walk-along votes parity with per-seed lookup: {}",
+            if self.walk_parity {
                 "identical"
             } else {
                 "DIVERGED"
@@ -672,11 +672,12 @@ impl HotpathMeasurement {
         report.line("cursor instead of searching it per k-mer, and the engine's Step 2 skips even");
         report.line("that: the tables are joined against the database once, so the sweep that");
         report.line("finds a hit counts its taxa with a bit test and a rank per table and returns");
-        report.line("support, not k-mers; the unified index is one k-way merge of sorted seed");
-        report.line("columns, probed a batch of a read's seeds at a time and mapped with a dense");
-        report.line("counter per candidate; and partitioning returns range views over one Arc-");
-        report.line("shared columnar storage, so an N-shard deployment keeps a single resident");
-        report.line("copy of the database.");
+        report.line("support, not k-mers; the unified index is one linear-min k-way merge of");
+        report.line("sorted seed columns, and each read walks the genome its seeds anchor in,");
+        report.line("comparing the seed stored one position on before any directory lookup and");
+        report.line("voting into a dense counter per candidate; and partitioning returns range");
+        report.line("views over one Arc-shared columnar storage, so an N-shard deployment keeps");
+        report.line("a single resident copy of the database.");
         report.finish()
     }
 
@@ -766,7 +767,7 @@ impl HotpathMeasurement {
              \x20   \"map_speedup\": {:.3},\n\
              \x20   \"parity\": {},\n\
              \x20   \"read_range_parity\": {},\n\
-             \x20   \"batched_probe_parity\": {}\n\
+             \x20   \"walk_parity\": {}\n\
              \x20 }},\n\
              \x20 \"shards\": {{\n\
              \x20   \"db_heap_bytes\": {},\n\
@@ -817,7 +818,7 @@ impl HotpathMeasurement {
             self.map_speedup(),
             self.step3_parity,
             self.read_range_parity,
-            self.probe_parity,
+            self.walk_parity,
             self.db_heap_bytes,
             residents.join(",\n"),
             self.resident_ratio(),
@@ -1021,21 +1022,21 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         }
         merged.into_output(flat_index.clone()) == sequential
     });
-    // Every seed of every read, once through the batch of one and once
-    // through the mapper's full batches: per-candidate vote totals.
+    // Every seed of every read, once looked up on its own and once through
+    // the mapper's walk: per-candidate vote totals.
     let mut per_seed = vec![0u64; candidates.len()];
-    let mut batched = vec![0u64; candidates.len()];
+    let mut walked = vec![0u64; candidates.len()];
     for read in reads.iter() {
         for seed in CanonicalKmerExtractor::new(read.sequence(), SEED_K) {
             for location in flat_index.locations(seed).unwrap_or_default() {
                 per_seed[location.candidate as usize] += 1;
             }
         }
-        for (total, votes) in batched.iter_mut().zip(flat_index.read_votes(read, SEED_K)) {
+        for (total, votes) in walked.iter_mut().zip(flat_index.read_votes(read, SEED_K)) {
             *total += u64::from(votes);
         }
     }
-    let probe_parity = per_seed == batched && per_seed.iter().sum::<u64>() > 0;
+    let walk_parity = per_seed == walked && per_seed.iter().sum::<u64>() > 0;
     let merge_btreemap_s = best_seconds(|| merge_btreemap(&candidates).len());
     let merge_flat_s = best_seconds(|| UnifiedReferenceIndex::merge(&candidates).len());
     let map_btreemap_s = best_seconds(|| {
@@ -1093,7 +1094,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         map_flat_s,
         step3_parity,
         read_range_parity,
-        probe_parity,
+        walk_parity,
         db_heap_bytes,
         resident_by_shards,
         parity,
@@ -1148,8 +1149,8 @@ mod tests {
             "read ranges over one merged index must equal the sequential run"
         );
         assert!(
-            m.probe_parity,
-            "full probe batches must vote like per-seed lookups"
+            m.walk_parity,
+            "the mapper's walk must vote like per-seed lookups"
         );
         // 1 652 023 entries × 16 B + their offsets + 2 046 080 taxa × 4 B,
         // plus the directory's (2^20 + 1) × 4 B.
@@ -1171,7 +1172,7 @@ mod tests {
         assert!(report.contains("kss join parity with per-entry lookup: identical"));
         assert!(report.contains("unified index parity with map-based reference: identical"));
         assert!(report.contains("step 3 read-range parity with sequential run: identical"));
-        assert!(report.contains("batched seed probe parity with per-seed lookup: identical"));
+        assert!(report.contains("walk-along votes parity with per-seed lookup: identical"));
         assert!(report.contains("zero-copy shards: confirmed"));
         let json = m.to_json();
         assert!(json.contains("\"bench\": \"hotpath\""));

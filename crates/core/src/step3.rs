@@ -112,8 +112,9 @@ pub fn read_ranges(reads: usize, parts: usize) -> impl Iterator<Item = Range<usi
     (0..parts).map(move |part| part * reads / parts..(part + 1) * reads / parts)
 }
 
-/// Maps `reads[range]` against the sample's unified index, each read's
-/// seeds probed in batches ([`UnifiedReferenceIndex::count_mapped_reads`]).
+/// Maps `reads[range]` against the sample's unified index, each read
+/// walking the genome its seeds anchor in
+/// ([`UnifiedReferenceIndex::count_mapped_reads`]).
 ///
 /// # Panics
 ///

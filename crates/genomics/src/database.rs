@@ -66,29 +66,32 @@
 //! sorted column of raw `u64` seed words — eight bytes a seed, which caps a
 //! seed at [`MAX_SEED_K`] bases (one seed length per index, so integer order
 //! is lexicographic order) — `u32` offsets into one location arena, and a
-//! bucket directory over the seeds' leading bits. One routine,
-//! a forward k-way merge of sorted seed tables with seed ties broken by
-//! stream position, backs [`UnifiedReferenceIndex::merge`],
-//! [`PartialUnifiedIndex::merge_range`] (per-species streams) and
-//! [`UnifiedReferenceIndex::merge_partials`] (per-range streams), so merging
-//! consecutive candidate ranges separately and recombining them is
-//! byte-identical to one pass over every candidate. Mapping is cut the other
-//! way: the index is merged once and
+//! bucket directory over the seeds' leading bits. One routine backs
+//! [`UnifiedReferenceIndex::merge`], [`PartialUnifiedIndex::merge_range`]
+//! (per-species streams) and [`UnifiedReferenceIndex::merge_partials`]
+//! (per-range streams): a linear-min k-way merge that holds each stream's
+//! head seed in a flat array, takes the smallest by a scan, and breaks seed
+//! ties by stream position. Merging consecutive candidate ranges separately
+//! and recombining them is therefore byte-identical to one pass over every
+//! candidate. Mapping is cut the other way: the index is merged once and
 //! [`UnifiedReferenceIndex::count_mapped_reads`] maps any slice of the
-//! sample's reads against it, so Step 3 shards across the device array that
-//! serves Step 2 with every read mapped exactly once.
+//! sample's reads against it.
 //!
-//! Seeds are looked up a *batch* at a time, in three passes over the batch
-//! — bucket bounds from the directory, position inside the bucket, equality
-//! check and payload range — each a loop of independent loads, so the cache
-//! misses of a read's seeds overlap instead of chaining seed after seed. A
-//! single lookup is the batch of one: no per-seed routine exists beside it.
-//! The first two passes are the k-mer database's probe too: one directory
-//! type and one batched lower-bound routine serve both sorted columns.
+//! The mapper *walks* the anchored genome. Besides its seed column, the
+//! unified index holds one entry number per position of the concatenated
+//! candidate space: the entry whose seed starts there. Once a read's seed
+//! has resolved to position `p` of a candidate, its next seed almost always
+//! starts at `p + 1` (or `p − 1` on the reverse strand), so the mapper first
+//! compares the seed stored there with the read's; only when neither
+//! neighbour inside the candidate matches does it look the seed up through
+//! the directory. Seeds are unique per entry, so the walk resolves exactly
+//! the entry a lookup would. Lookups go through the directory one key at a
+//! time here; only the k-mer database's sweep resolves them a batch at a
+//! time ([`SortedKmerDatabase::hit_positions`], Step 2), and one directory
+//! type and one lower-bound routine serve both sorted columns.
 
 use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -662,9 +665,8 @@ fn seed_words(seq: &PackedSequence, k: usize) -> impl ExactSizeIterator<Item = u
     CanonicalWords::<u64>::new(seq, k).map(move |word| word >> low)
 }
 
-/// Keys one [`Directory::lower_bounds`] call resolves together: a read's
-/// seeds per [`SeedTable::probe`], sorted queries per
-/// [`SortedKmerDatabase::hit_positions`] batch.
+/// Keys one [`Directory::lower_bounds`] call resolves together at most: the
+/// sorted queries of one [`SortedKmerDatabase::hit_positions`] batch.
 const PROBE_BATCH: usize = 16;
 
 /// A key of a sorted column a [`Directory`] indexes: its `u64` directory
@@ -846,26 +848,12 @@ impl<T> SeedTable<T> {
         &self.payload[self.offsets[index] as usize..self.offsets[index + 1] as usize]
     }
 
-    /// Items under each of up to [`PROBE_BATCH`] raw words of length-`k`
-    /// seeds (`None`: no seed here), slot for slot — the table's one lookup
-    /// routine: the directory's lower bounds (passes 1–2), then a third
-    /// pass of independent loads of its own.
-    fn probe(&self, seeds: &[u64]) -> [Option<&[T]>; PROBE_BATCH] {
-        let at = self.directory.lower_bounds(&self.seeds, seeds);
-        // Pass 3: equality check and payload range.
-        let mut found = [None; PROBE_BATCH];
-        for ((found, &at), seed) in found.iter_mut().zip(&at).zip(seeds) {
-            if self.seeds.get(at) == Some(seed) {
-                *found = Some(self.items(at));
-            }
-        }
-        found
-    }
-
-    /// Items under the raw word of a length-`k` seed: the batch of one.
-    /// There is no per-seed routine beside [`SeedTable::probe`].
-    fn get(&self, seed: u64) -> Option<&[T]> {
-        self.probe(&[seed])[0]
+    /// The entry holding the raw word of a length-`k` seed, if any — the
+    /// table's one lookup: the directory's lower bound of a batch of one,
+    /// then an equality check.
+    fn find(&self, seed: u64) -> Option<usize> {
+        let at = self.directory.lower_bounds(&self.seeds, &[seed])[0];
+        (self.seeds.get(at) == Some(&seed)).then_some(at)
     }
 
     /// Items under `kmer`; no k-mer of another length is a seed here,
@@ -875,7 +863,7 @@ impl<T> SeedTable<T> {
             return None;
         }
         // A seed of this table's length: its payload fits the seed word.
-        self.get(kmer.bits() as u64)
+        self.find(kmer.bits() as u64).map(|entry| self.items(entry))
     }
 
     fn entries(&self) -> impl ExactSizeIterator<Item = (Kmer, &[T])> + '_ {
@@ -894,12 +882,20 @@ impl<T> SeedTable<T> {
     }
 }
 
+/// The head of an exhausted stream in [`merge_tables`]. No seed word is all
+/// ones: a seed shorter than [`MAX_SEED_K`] leaves the word's top bits
+/// clear, and the 32-base all-`T` seed is the reverse complement of all-`A`,
+/// whose word (zero) is the canonical one.
+const EXHAUSTED: u64 = u64::MAX;
+
 /// The one merge routine of this module: a forward k-way merge of sorted
-/// seed tables that writes the output columns directly. Stream `s`
-/// contributes `adjust(context_s, item)` per item; on a shared seed the
-/// contributions concatenate in stream order (the head heap breaks seed
-/// ties by stream position) — for streams in candidate order, the order
-/// Fig. 9's sequential merge emits. Panics on mixed seed lengths.
+/// seed tables, appended straight into the output columns. Each stream's head
+/// seed sits in a flat array, and the next entry out is the minimum head,
+/// found by a linear scan that keeps the lowest stream on a tie; stream `s`
+/// contributes `adjust(context_s, item)` per item, so on a shared seed the
+/// contributions concatenate in stream order — for streams in candidate
+/// order, the order Fig. 9's sequential merge emits. Panics on mixed seed
+/// lengths.
 fn merge_tables<T, C: Copy, U>(
     streams: &[(&SeedTable<T>, C)],
     adjust: impl Fn(C, &T) -> U,
@@ -909,26 +905,37 @@ fn merge_tables<T, C: Copy, U>(
         streams.iter().all(|(table, _)| table.k == k),
         "all merged indexes must share the same seed length"
     );
+    debug_assert!(
+        streams
+            .iter()
+            .all(|(t, _)| t.seeds.last() != Some(&EXHAUSTED)),
+        "a seed word collides with the exhausted-stream mark"
+    );
     let mut out = SeedTable::with_capacity(
         k,
         streams.iter().map(|(t, _)| t.seeds.len()).sum(),
         streams.iter().map(|(t, _)| t.payload.len()).sum(),
     );
-    // One head per live stream: (seed, stream, entry within the stream).
-    let mut heads: BinaryHeap<Reverse<(u64, usize, usize)>> = streams
-        .iter()
-        .enumerate()
-        .filter_map(|(s, (table, _))| table.seeds.first().map(|&seed| Reverse((seed, s, 0))))
-        .collect();
-    while let Some(mut head) = heads.peek_mut() {
-        let Reverse((seed, s, entry)) = *head;
-        let (table, context) = streams[s];
-        let items = table.items(entry).iter();
-        out.append(seed, items.map(|item| adjust(context, item)));
-        match table.seeds.get(entry + 1) {
-            Some(&next) => *head = Reverse((next, s, entry + 1)),
-            None => drop(PeekMut::pop(head)),
+    let head =
+        |table: &SeedTable<T>, entry: usize| table.seeds.get(entry).copied().unwrap_or(EXHAUSTED);
+    let mut heads: Vec<u64> = streams.iter().map(|(table, _)| head(table, 0)).collect();
+    // The entry of each stream that its head seed belongs to.
+    let mut entries = vec![0usize; streams.len()];
+    loop {
+        let (mut s, mut seed) = (0, EXHAUSTED);
+        for (stream, &word) in heads.iter().enumerate() {
+            if word < seed {
+                (s, seed) = (stream, word);
+            }
         }
+        if seed == EXHAUSTED {
+            break;
+        }
+        let (table, context) = streams[s];
+        let items = table.items(entries[s]).iter();
+        out.append(seed, items.map(|item| adjust(context, item)));
+        entries[s] += 1;
+        heads[s] = head(table, entries[s]);
     }
     out.seal();
     out
@@ -1062,9 +1069,73 @@ pub struct ReadMapHit {
 pub struct UnifiedReferenceIndex {
     table: SeedTable<UnifiedLocation>,
     offsets: Vec<(TaxId, u64)>,
+    /// One slot per position of the candidates' concatenated space, from
+    /// `offsets[0].1` on: the entry whose seed starts there, tagged with
+    /// [`SINGLE_LOCATION`] when that is the entry's only location, or
+    /// [`NO_ENTRY`] where no seed starts (a genome's last `k − 1` bases).
+    entry_at: Vec<u32>,
+}
+
+/// An [`UnifiedReferenceIndex::entry_at`] slot where no seed starts.
+const NO_ENTRY: u32 = u32::MAX;
+
+/// The tag bit of an [`UnifiedReferenceIndex::entry_at`] slot whose entry
+/// has exactly one location (this one), so it votes for the walk's own
+/// candidate without reading the payload.
+const SINGLE_LOCATION: u32 = 1 << 31;
+
+/// Where a read's walk stands: its last seed starts at `at` (relative to
+/// the index's first offset), inside the positions `span` of `candidate`.
+struct Anchor {
+    candidate: usize,
+    span: Range<usize>,
+    at: usize,
+}
+
+/// One vote per location, for its candidate.
+fn vote(locations: &[UnifiedLocation], votes: &mut [u32]) {
+    for location in locations {
+        votes[location.candidate as usize] += 1;
+    }
 }
 
 impl UnifiedReferenceIndex {
+    /// The index over a sealed merged table and its candidates' offsets,
+    /// whose concatenated space is `span` bases long from the first offset
+    /// on: builds the entry-at-position column in one pass over the
+    /// payload. Every unified index is built here, so two merges of the same
+    /// candidates agree on the column as they do on the table.
+    fn new(
+        table: SeedTable<UnifiedLocation>,
+        offsets: Vec<(TaxId, u64)>,
+        span: u64,
+    ) -> UnifiedReferenceIndex {
+        assert!(
+            table.seeds.len() < SINGLE_LOCATION as usize,
+            "seed column exceeds the entry-at-position tag"
+        );
+        let origin = offsets.first().map_or(0, |(_, offset)| *offset);
+        let span = usize::try_from(span).expect("candidate space exceeds the address space");
+        let mut entry_at = vec![NO_ENTRY; span];
+        for entry in 0..table.seeds.len() {
+            let locations = table.items(entry);
+            let single = if locations.len() == 1 {
+                SINGLE_LOCATION
+            } else {
+                0
+            };
+            let tag = entry as u32 | single;
+            for location in locations {
+                entry_at[(location.position - origin) as usize] = tag;
+            }
+        }
+        UnifiedReferenceIndex {
+            table,
+            offsets,
+            entry_at,
+        }
+    }
+
     /// Merges per-species indexes (each species once) into a unified index:
     /// [`PartialUnifiedIndex::merge_range`] over the whole list at base 0.
     /// Panics if the indexes do not all share the same `k`.
@@ -1128,8 +1199,9 @@ impl UnifiedReferenceIndex {
     /// [`MIN_MAPPING_VOTES`] threshold; ties on votes go to the smallest
     /// taxid. `None` when no seed hits at all, which covers reads shorter
     /// than a seed and any `seed_k` other than [`UnifiedReferenceIndex::k`].
-    /// The read's seeds are canonicalized word-parallel and looked up a
-    /// batch at a time; each location bumps a dense counter array.
+    /// The read's seeds are canonicalized word-parallel and resolved by the
+    /// walk (see [`UnifiedReferenceIndex::count_mapped_reads`]); each
+    /// location bumps a dense counter array.
     /// Against a [`PartialUnifiedIndex`] this is the range's best hit: a
     /// candidate lives in one range, so per-range votes are global votes,
     /// and the maximum of the per-range hits under the same order,
@@ -1146,6 +1218,14 @@ impl UnifiedReferenceIndex {
     /// mapping unit: counts over disjoint slices of a sample's reads add up
     /// to the counts over the whole sample, and one vote scratch serves the
     /// whole slice.
+    ///
+    /// Each read walks the genome its seeds resolve to: once a seed is
+    /// anchored at a position of a candidate, the next seed is compared
+    /// with the seeds starting one position ahead and one behind (in the
+    /// direction the walk last moved first) inside that candidate, and only
+    /// a seed that matches neither is looked up through the directory. A
+    /// lookup that hits re-anchors the walk at the entry's first location;
+    /// one that misses leaves the next seed unanchored.
     pub fn count_mapped_reads(&self, reads: &[crate::read::Read], seed_k: usize) -> Vec<u64> {
         let mut votes = vec![0u32; self.offsets.len()];
         let mut mapped = vec![0u64; self.offsets.len()];
@@ -1166,23 +1246,81 @@ impl UnifiedReferenceIndex {
         votes
     }
 
-    /// Adds one read's seed votes to `votes` (one slot per candidate), a
-    /// batch of seeds at a time: fill it from the extractor, probe it, bump.
+    /// Adds one read's seed votes to `votes` (one slot per candidate),
+    /// walking the anchored genome seed by seed (see
+    /// [`UnifiedReferenceIndex::count_mapped_reads`]). Exact: seeds are
+    /// unique per entry, so an entry whose seed equals the read's is the
+    /// entry a lookup would return, and the walk never leaves its
+    /// candidate's span, so a single-location entry it meets votes for the
+    /// anchored candidate.
     fn tally(&self, read: &Read, seed_k: usize, votes: &mut [u32]) {
         if seed_k != self.table.k || self.is_empty() {
             return;
         }
-        let mut seeds = seed_words(read.sequence(), seed_k);
-        let mut words = [0u64; PROBE_BATCH];
-        while seeds.len() > 0 {
-            let batch = &mut words[..seeds.len().min(PROBE_BATCH)];
-            batch.fill_with(|| seeds.next().expect("sized exactly"));
-            for locations in self.table.probe(batch).into_iter().flatten() {
-                for loc in locations {
-                    votes[loc.candidate as usize] += 1;
+        let mut anchor: Option<Anchor> = None;
+        // The direction the walk last moved: +1 on the forward strand, −1
+        // on the reverse.
+        let mut step = 1isize;
+        for seed in seed_words(read.sequence(), seed_k) {
+            if let Some(walk) = &mut anchor {
+                let ahead = walk.at.wrapping_add_signed(step);
+                let behind = walk.at.wrapping_add_signed(-step);
+                let tag = match self.tag_at(&walk.span, ahead, seed) {
+                    Some(tag) => Some((tag, ahead)),
+                    None => self.tag_at(&walk.span, behind, seed).map(|tag| {
+                        step = -step;
+                        (tag, behind)
+                    }),
+                };
+                if let Some((tag, at)) = tag {
+                    walk.at = at;
+                    match tag & SINGLE_LOCATION {
+                        0 => vote(self.table.items(tag as usize), votes),
+                        _ => votes[walk.candidate] += 1,
+                    }
+                    continue;
                 }
             }
+            anchor = self.table.find(seed).map(|entry| {
+                let locations = self.table.items(entry);
+                vote(locations, votes);
+                let candidate = locations[0].candidate as usize;
+                Anchor {
+                    candidate,
+                    span: self.span_of(candidate),
+                    at: self.relative(locations[0].position),
+                }
+            });
         }
+    }
+
+    /// The [`UnifiedReferenceIndex::entry_at`] slot at relative position
+    /// `at`, if `at` lies in `span` and the entry starting there holds
+    /// `seed`.
+    #[inline]
+    fn tag_at(&self, span: &Range<usize>, at: usize, seed: u64) -> Option<u32> {
+        if !span.contains(&at) {
+            return None;
+        }
+        let tag = self.entry_at[at];
+        let entry = (tag & !SINGLE_LOCATION) as usize;
+        (tag != NO_ENTRY && self.table.seeds[entry] == seed).then_some(tag)
+    }
+
+    /// A concatenated-space position relative to the first offset: its
+    /// slot in [`UnifiedReferenceIndex::entry_at`].
+    fn relative(&self, position: u64) -> usize {
+        (position - self.offsets[0].1) as usize
+    }
+
+    /// The relative positions of `candidate`'s genome (the last one's run
+    /// to the end of the column).
+    fn span_of(&self, candidate: usize) -> Range<usize> {
+        let end = self
+            .offsets
+            .get(candidate + 1)
+            .map_or(self.entry_at.len(), |(_, offset)| self.relative(*offset));
+        self.relative(self.offsets[candidate].1)..end
     }
 
     /// The winning candidate's position and votes for one read. `votes`
@@ -1255,7 +1393,7 @@ impl PartialUnifiedIndex {
             ..origin
         });
         let span = running - base;
-        let index = UnifiedReferenceIndex { table, offsets };
+        let index = UnifiedReferenceIndex::new(table, offsets, span);
         PartialUnifiedIndex { base, span, index }
     }
 
@@ -1283,7 +1421,9 @@ impl PartialUnifiedIndex {
                 candidate: loc.candidate + shift,
                 ..*loc
             });
-            UnifiedReferenceIndex { table, offsets }
+            // Parts without candidates span nothing, so the first live part
+            // starts at `base`.
+            UnifiedReferenceIndex::new(table, offsets, end - base)
         };
         let span = end - base;
         PartialUnifiedIndex { base, span, index }
@@ -1741,6 +1881,33 @@ mod tests {
     }
 
     #[test]
+    fn entry_at_names_the_seed_starting_at_each_position() {
+        let r = refs();
+        let indexes: Vec<ReferenceIndex> = r
+            .genomes()
+            .iter()
+            .map(|g| ReferenceIndex::build(g, 15))
+            .collect();
+        let unified = UnifiedReferenceIndex::merge(&indexes);
+        let total: usize = indexes.iter().map(ReferenceIndex::genome_len).sum();
+        assert_eq!(unified.entry_at.len(), total);
+        let mut tagged = 0;
+        for (position, &tag) in unified.entry_at.iter().enumerate() {
+            if tag == NO_ENTRY {
+                continue;
+            }
+            let locations = unified.table.items((tag & !SINGLE_LOCATION) as usize);
+            assert!(locations.iter().any(|l| l.position == position as u64));
+            assert_eq!(tag & SINGLE_LOCATION != 0, locations.len() == 1);
+            tagged += 1;
+        }
+        // Every location has its slot, and a genome's last k - 1 bases
+        // start no seed.
+        assert_eq!(tagged, unified.table.payload.len());
+        assert_eq!(tagged, total - indexes.len() * 14);
+    }
+
+    #[test]
     fn multi_sweep_edge_shapes_match_independent_calls() {
         let db = SortedKmerDatabase::build(&refs(), 21);
         let all: Vec<Kmer> = db.kmers().collect();
@@ -1918,30 +2085,36 @@ mod tests {
             let (mut hits, mut misses) = (0, 0);
             for &probe in &probes {
                 let expected = map.get(&probe).map(Vec::as_slice);
-                assert_eq!(table.get(probe), expected, "{label}: probe {probe:#x}");
+                let found = table.find(probe).map(|entry| table.items(entry));
+                assert_eq!(found, expected, "{label}: probe {probe:#x}");
                 match expected {
                     Some(_) => hits += 1,
                     None => misses += 1,
                 }
             }
             assert!(hits >= seeds.len() && misses >= 4, "{label}");
-            // The same probes in batches of every length: shuffled, so a
-            // batch mixes hits with misses, runs unsorted and (a tenth of
-            // the list drawn twice) repeats itself; the seeds that sort
-            // last — where the fixed window would run off the column — fall
-            // into every slot. Each slot answers as its own lookup would,
-            // and the slots past a short batch stay empty.
+            // The directory's batched lower bounds, on the same probes in
+            // batches of every length: shuffled, so a batch mixes hits with
+            // misses, runs unsorted and (a tenth of the list drawn twice)
+            // repeats itself; the seeds that sort last — where the fixed
+            // window would run off the column — fall into every slot. Each
+            // slot answers as a binary search of the column would, and the
+            // slots past a short batch hold the column's end.
             probes.extend_from_within(..probes.len() / 10);
             for i in (1..probes.len()).rev() {
                 probes.swap(i, (next() % (i as u64 + 1)) as usize);
             }
-            assert_eq!(table.probe(&[]), [None; PROBE_BATCH], "{label}");
+            let end = seeds.len();
+            let lower_bounds = |batch: &[u64]| table.directory.lower_bounds(&table.seeds, batch);
+            assert_eq!(lower_bounds(&[]), [end; PROBE_BATCH], "{label}");
             for len in 1..=PROBE_BATCH {
                 for batch in probes.chunks(len) {
-                    let found = table.probe(batch);
-                    for (slot, items) in found.iter().enumerate() {
-                        let expected = batch.get(slot).and_then(|probe| map.get(probe));
-                        assert_eq!(*items, expected.map(Vec::as_slice), "{label}: {len}/{slot}");
+                    let found = lower_bounds(batch);
+                    for (slot, at) in found.iter().enumerate() {
+                        let expected = batch
+                            .get(slot)
+                            .map_or(end, |probe| seeds.partition_point(|s| s < probe));
+                        assert_eq!(*at, expected, "{label}: {len}/{slot}");
                     }
                 }
             }
@@ -1951,7 +2124,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one batch per probe")]
     fn probe_rejects_more_than_one_batch() {
-        SeedTable::<u32>::default().probe(&[0; PROBE_BATCH + 1]);
+        Directory::default().lower_bounds::<u64>(&[], &[0; PROBE_BATCH + 1]);
     }
 
     #[test]

@@ -27,10 +27,6 @@ use megis_genomics::taxonomy::{Rank, TaxId, Taxonomy};
 
 const CASES: usize = 48;
 
-/// Seeds the mapper resolves per probe: `database.rs`'s private
-/// `PROBE_BATCH`, restated here to aim reads at its seams.
-const PROBE_BATCH: usize = 16;
-
 fn dna_string(rng: &mut StdRng, len: usize) -> Vec<u8> {
     (0..len)
         .map(|_| b"ACGT"[rng.gen_range(0..4usize)])
@@ -512,14 +508,14 @@ fn flat_merges_equal_the_map_based_reference_builder() {
 #[test]
 fn flat_mapper_equals_the_map_based_voter() {
     let mut rng = StdRng::seed_from_u64(113);
-    let (mut mapped, mut ties, mut unmapped, mut seams) = (0, 0, 0, 0);
+    let (mut mapped, mut ties, mut unmapped, mut fixed) = (0, 0, 0, 0);
     for case in 0..CASES {
         let k = [7usize, 11, 15][case % 3];
         let mut genomes = shared_seed_genomes(&mut rng, 2 + case % 7);
         // A tandem repeat: a handful of distinct seeds, each at dozens of
         // locations of this one candidate, so a read drawn from it holds the
-        // same seed several times in one batch and carries seeds with
-        // several locations across every batch boundary.
+        // same seed several times and the walk meets seeds with several
+        // locations at every step.
         let unit = dna_string(&mut rng, 3 + case % 5);
         let repeat: Vec<u8> = unit.iter().copied().cycle().take(240).collect();
         let repeat = PackedSequence::from_ascii(&repeat).unwrap();
@@ -543,22 +539,15 @@ fn flat_mapper_equals_the_map_based_voter() {
             reads.push(window.reverse_complement());
             reads.push(window);
         }
-        // The batch seams: reads of exactly 1, one batch less one, one
-        // batch, one batch and one, and two batches of seeds (none at all:
-        // the reads shorter than a seed below), drawn from every genome
-        // that is long enough — the repeat always is.
-        let seam_seeds = [
-            1,
-            PROBE_BATCH - 1,
-            PROBE_BATCH,
-            PROBE_BATCH + 1,
-            2 * PROBE_BATCH,
-        ];
-        for genome in genomes.iter().filter(|g| g.len() >= k + 2 * PROBE_BATCH) {
-            for len in seam_seeds.map(|seeds| k + seeds - 1) {
+        // Reads of exactly 1, 2, 15, 16, 17 and 32 seeds (none at all: the
+        // reads shorter than a seed below), drawn from every genome that is
+        // long enough — the repeat always is. A read of one seed is a lone
+        // lookup; a walk starts at its second.
+        for genome in genomes.iter().filter(|g| g.len() >= k + 32) {
+            for len in [1, 2, 15, 16, 17, 32].map(|seeds| k + seeds - 1) {
                 let start = rng.gen_range(0..=genome.len() - len);
                 reads.push(genome.sequence().subsequence(start, len));
-                seams += 1;
+                fixed += 1;
             }
         }
         // Foreign reads, and reads shorter than a seed (one of them empty).
@@ -602,11 +591,9 @@ fn flat_mapper_equals_the_map_based_voter() {
                 "case {case} read {i}"
             );
             // Not the winner alone: every candidate's votes, seed for seed.
-            let per_candidate = flat.offsets().iter().map(|(taxid, _)| votes.get(taxid));
-            let per_candidate: Vec<u32> = per_candidate.map(|v| v.copied().unwrap_or(0)).collect();
             assert_eq!(
                 flat.read_votes(&read, k),
-                per_candidate,
+                per_candidate(&flat, &votes),
                 "case {case} read {i}"
             );
             match expected {
@@ -651,9 +638,202 @@ fn flat_mapper_equals_the_map_based_voter() {
     let short = Kmer::from_ascii(&[b'A'; 14]).unwrap();
     assert!(flat.locations(short).is_none() && index.locations(short).is_none());
     assert!(
-        mapped > 100 && ties > 10 && unmapped > 50 && seams > 10 * CASES,
-        "{mapped} {ties} {unmapped} {seams}"
+        mapped > 100 && ties > 10 && unmapped > 50 && fixed > 10 * CASES,
+        "{mapped} {ties} {unmapped} {fixed}"
     );
+}
+
+/// The map-based voter's votes laid out per candidate of `flat`.
+fn per_candidate(flat: &UnifiedReferenceIndex, votes: &BTreeMap<TaxId, u32>) -> Vec<u32> {
+    let votes = flat.offsets().iter().map(|(taxid, _)| votes.get(taxid));
+    votes.map(|v| v.copied().unwrap_or(0)).collect()
+}
+
+/// `read`'s votes from the walk equal the map-based voter's, candidate for
+/// candidate, and so does its best hit.
+fn assert_walk_matches_map(flat: &UnifiedReferenceIndex, map: &MapIndex, read: &Read, k: usize) {
+    let votes = votes_by_map(map, read, k);
+    let what = String::from_utf8_lossy(&read.sequence().to_ascii()).into_owned();
+    assert_eq!(
+        flat.read_votes(read, k),
+        per_candidate(flat, &votes),
+        "k = {k}, read {what}"
+    );
+    assert_eq!(
+        flat.map_read_hit(read, k),
+        winner(&votes),
+        "k = {k}, read {what}"
+    );
+}
+
+/// A different base at `at`.
+fn substitute(ascii: &mut [u8], at: usize) {
+    ascii[at] = match ascii[at] {
+        b'A' => b'C',
+        b'C' => b'G',
+        b'G' => b'T',
+        _ => b'A',
+    };
+}
+
+#[test]
+fn walk_along_votes_equal_the_map_based_voter() {
+    let mut rng = StdRng::seed_from_u64(114);
+    let (mut substituted, mut junctions) = (0, 0);
+    for case in 0..CASES {
+        let k = [5usize, 11, 15, 21][case % 4];
+        let mut genomes = shared_seed_genomes(&mut rng, 2 + case % 6);
+        // A tandem repeat, so an anchor's entry has many locations.
+        let unit = dna_string(&mut rng, 2 + case % 6);
+        let repeat: Vec<u8> = unit.iter().copied().cycle().take(200).collect();
+        let repeat = PackedSequence::from_ascii(&repeat).unwrap();
+        genomes.insert(
+            case % genomes.len(),
+            ReferenceGenome::new(TaxId(11), "repeat", repeat),
+        );
+        let indexes: Vec<ReferenceIndex> = genomes
+            .iter()
+            .map(|g| ReferenceIndex::build(g, k))
+            .collect();
+        let candidates: Vec<&ReferenceIndex> = indexes.iter().collect();
+        let flat = UnifiedReferenceIndex::merge(&indexes);
+        let (map, _) = merge_by_map(&candidates, 0);
+
+        let mut reads: Vec<PackedSequence> = Vec::new();
+        for genome in genomes.iter().filter(|g| g.len() > 2 * k) {
+            let len = rng.gen_range(2 * k + 1..=genome.len().min(6 * k));
+            let start = rng.gen_range(0..=genome.len() - len);
+            let window = genome.sequence().subsequence(start, len);
+            // One substitution mid-read: the walk breaks for the seeds over
+            // it and re-anchors after them.
+            let mut ascii = window.to_ascii();
+            substitute(&mut ascii, len / 2);
+            let substitution = PackedSequence::from_ascii(&ascii).unwrap();
+            reads.push(substitution.reverse_complement());
+            reads.push(substitution);
+            substituted += 1;
+            // Both strands: the reverse one walks backwards.
+            reads.push(window.reverse_complement());
+            reads.push(window);
+        }
+        // Genome i's tail, then genome i + 1's head: the two abut in the
+        // concatenated space, and the walk must not cross from one into
+        // the other.
+        for pair in genomes.windows(2) {
+            let tail = pair[0].len().min(2 * k);
+            let mut ascii = pair[0]
+                .sequence()
+                .subsequence(pair[0].len() - tail, tail)
+                .to_ascii();
+            let head = pair[1].len().min(2 * k);
+            ascii.extend(pair[1].sequence().subsequence(0, head).to_ascii());
+            let junction = PackedSequence::from_ascii(&ascii).unwrap();
+            reads.push(junction.reverse_complement());
+            reads.push(junction);
+            junctions += 1;
+        }
+        for sequence in reads {
+            assert_walk_matches_map(&flat, &map, &Read::new("r", sequence), k);
+        }
+    }
+    assert!(
+        substituted > 4 * CASES && junctions > 3 * CASES,
+        "{substituted} {junctions}"
+    );
+}
+
+#[test]
+fn walk_stays_inside_its_candidate_on_tiny_genomes() {
+    // One- and two-base genomes abut in the concatenated space, so at
+    // k = 1 a walk from `C` one step on lands on `A`'s seed: the read `CA`
+    // has one vote for each genome, not two for the first.
+    let genome = |taxid: u32, ascii: &str| {
+        let sequence = PackedSequence::from_ascii(ascii.as_bytes()).unwrap();
+        ReferenceGenome::new(TaxId(taxid), ascii, sequence)
+    };
+    let index = |genomes: &[ReferenceGenome], k: usize| -> Vec<ReferenceIndex> {
+        genomes
+            .iter()
+            .map(|g| ReferenceIndex::build(g, k))
+            .collect()
+    };
+    let ca = Read::new("ca", PackedSequence::from_ascii(b"CA").unwrap());
+    let flat = UnifiedReferenceIndex::merge(&index(&[genome(1, "C"), genome(2, "A")], 1));
+    assert_eq!(flat.read_votes(&ca, 1), vec![1, 1]);
+
+    // Every ordered pair and triple of tiny genomes, at k = 1 and 2,
+    // against every read of one to four bases.
+    let tiny = ["A", "C", "G", "T", "AC", "CA", "GT", "TG", "AA", "CC", "AT"];
+    let mut reads: Vec<Read> = Vec::new();
+    for len in 1..=4u32 {
+        for code in 0..4usize.pow(len) {
+            let ascii: Vec<u8> = (0..len).map(|i| b"ACGT"[(code >> (2 * i)) & 3]).collect();
+            reads.push(Read::new("r", PackedSequence::from_ascii(&ascii).unwrap()));
+        }
+    }
+    let mut rng = StdRng::seed_from_u64(116);
+    for k in [1usize, 2] {
+        for (i, a) in tiny.iter().enumerate() {
+            for (j, b) in tiny.iter().enumerate() {
+                let mut genomes = vec![genome(10 + i as u32, a), genome(30 + j as u32, b)];
+                if rng.gen_range(0..2u32) == 0 {
+                    let c = tiny[rng.gen_range(0..tiny.len())];
+                    genomes.push(genome(50, c));
+                }
+                let indexes = index(&genomes, k);
+                let candidates: Vec<&ReferenceIndex> = indexes.iter().collect();
+                let flat = UnifiedReferenceIndex::merge(&indexes);
+                let (map, _) = merge_by_map(&candidates, 0);
+                for read in &reads {
+                    assert_walk_matches_map(&flat, &map, read, k);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn linear_min_merge_equals_the_map_based_merge_at_any_width() {
+    // Every genome carries one common core, so its seeds sit in every
+    // stream at once and only the tie order decides their location order.
+    let mut rng = StdRng::seed_from_u64(115);
+    for count in [1usize, 2, 8, 32] {
+        for k in [7usize, 15] {
+            let core = dna_string(&mut rng, 60);
+            let mut taxids: Vec<u32> = (0..count as u32).map(|i| 100 + 7 * i).collect();
+            for i in (1..taxids.len()).rev() {
+                taxids.swap(i, rng.gen_range(0..=i));
+            }
+            let genomes: Vec<ReferenceGenome> = taxids
+                .into_iter()
+                .map(|taxid| {
+                    let mut ascii = random_len_dna(&mut rng, 200);
+                    ascii.extend(&core);
+                    ascii.extend(random_len_dna(&mut rng, 100));
+                    let sequence = PackedSequence::from_ascii(&ascii).unwrap();
+                    ReferenceGenome::new(TaxId(taxid), format!("g{taxid}"), sequence)
+                })
+                .collect();
+            let indexes: Vec<ReferenceIndex> = genomes
+                .iter()
+                .map(|g| ReferenceIndex::build(g, k))
+                .collect();
+            let candidates: Vec<&ReferenceIndex> = indexes.iter().collect();
+            let flat = UnifiedReferenceIndex::merge(&indexes);
+            let what = format!("{count} streams, k = {k}");
+            assert_matches_map(&flat, &merge_by_map(&candidates, 0), &what);
+            let shared = flat.entries().filter(|(_, locations)| {
+                locations
+                    .iter()
+                    .any(|l| l.candidate != locations[0].candidate)
+            });
+            assert_eq!(
+                shared.count() > 0,
+                count > 1,
+                "{what}: fixture shares seeds"
+            );
+        }
+    }
 }
 
 /// Sorted `(k-mer, sorted taxa)` entries, as the ordered-map builds below

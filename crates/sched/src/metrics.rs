@@ -567,7 +567,7 @@ mod tests {
     }
 
     #[test]
-    fn rolling_window_evicts_oldest_and_counts_lifetime() {
+    fn rolling_window_evicts_oldest() {
         let mut w = RollingWindow::new(3);
         let epoch = Instant::now();
         assert_eq!(w.stats().count, 0);
