@@ -5,8 +5,7 @@
 //! workspace at paper scale and renders the same rows/series the paper
 //! reports. The `megis-bench` binary runs one by name (`cargo run -p
 //! megis-bench -- fig12_presence_speedup`), the whole suite (`all`), or lists
-//! the names (`--list`). Criterion micro-benchmarks over the functional
-//! kernels and the figure models live under `benches/`.
+//! the names (`--list`).
 //!
 //! These reports regenerate the paper's *modeled* figures plus one measured
 //! kernel microbenchmark (`hotpath`); measured end-to-end performance lives

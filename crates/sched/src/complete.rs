@@ -1376,7 +1376,7 @@ mod tests {
         let trace = TraceSink::bounded(1024);
         let clock = trace.clone();
         let tick = move || {
-            std::thread::sleep(Duration::from_millis(1));
+            crate::lock::sleep(&mut crate::lock::test_token(), Duration::from_millis(1));
             clock.now()
         };
         (trace, tick)

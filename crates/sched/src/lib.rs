@@ -128,15 +128,15 @@
 //!
 //! Types and clippy (`cargo clippy --all-targets -- -D warnings` in CI):
 //!
-//! * **Poison-safe locking** — every mutex is a crate-private `Lock<T>`
-//!   whose `lock` (and condvar `wait`) returns the guard recovered from
-//!   poisoning; there is no `Result` to unwrap. A worker panic poisons the
-//!   locks it held; the engine reports that through its own poison flag and
-//!   keeps shutting down, and an `unwrap` on a poisoned lock reached
-//!   *during that unwind* (e.g. `Drop` → teardown) would panic within the
-//!   panic and abort the process instead, as the shutdown path once did.
-//!   Clippy's `disallowed_types` (`clippy.toml`) rejects a bare
-//!   `std::sync::Mutex` or `RwLock` outside `Lock`.
+//! * **Poison-safe locking** — every mutex is a `Lock<T>` (or the trace
+//!   ring's `Leaf<T>`) whose `lock` (and condvar `wait`) returns the guard
+//!   recovered from poisoning; there is no `Result` to unwrap. A worker
+//!   panic poisons the locks it held; the engine reports that through its
+//!   own poison flag and keeps shutting down, and an `unwrap` on a
+//!   poisoned lock reached *during that unwind* (e.g. `Drop` → teardown)
+//!   would panic within the panic and abort the process instead, as the
+//!   shutdown path once did. Clippy's `disallowed_types` (`clippy.toml`)
+//!   rejects a bare `std::sync::Mutex` or `RwLock` outside `lock.rs`.
 //! * **Unbounded pipeline channels** — clippy's `disallowed_methods`
 //!   rejects `mpsc::sync_channel`: a bounded send that blocks forever is
 //!   the stuck-pipeline class; the lookahead gate and the queue depth bound
@@ -158,23 +158,24 @@
 //!   [`ShardStats`] counter into keeps its fields private to `metrics.rs`,
 //!   so its folds are the only writers and the `faults == retries`
 //!   cross-checks hold.
-//!
-//! The in-tree `megis-lint` pass (`crates/lint`), which CI runs over every
-//! workspace source file, keeps what no type here can say:
-//!
-//! * **guard-across-blocking** — never hold a `MutexGuard` across
-//!   `send`/`recv`/`recv_timeout`/`join`/`thread::sleep`. Blocking while
-//!   holding a pipeline lock is the completer-deadlock class (a completer
-//!   parked on a bounded channel while holding the state every worker
-//!   needs to make progress). `Condvar::wait` releases the lock while
-//!   parked and is the sanctioned way to block with a guard. One
-//!   deliberate exception lives in the shell's `settle` (`service.rs`):
-//!   delivery sends under the state lock, annotated in-source with why an
-//!   unbounded-channel send cannot block.
-//!
-//! Suppressions are never silent: each needs a
-//! `// lint:allow(rule, reason)` with a mandatory reason, and the lint
-//! report lists every one in effect.
+//! * **No guard across blocking** — a state-lock guard mutably borrows
+//!   its thread's zero-sized `Unlocked` token for as long as it lives, and
+//!   the only sleep and join (`lock::sleep`, `lock::join_all`) take that
+//!   token too, so a guard alive at either is a borrow error (E0499), even
+//!   when it flows across functions. Blocking while holding the state lock
+//!   is the shutdown-deadlock class: teardown once joined the pool while
+//!   holding the lock every pool thread needed to see `stopping`. A guard
+//!   parks only through `Lock::wait`, which releases the lock while parked.
+//!   `crates/sched/clippy.toml` disallows `thread::sleep`,
+//!   `JoinHandle::join`, `Receiver::recv`/`recv_timeout` (only
+//!   `JobHandle`'s waits, on caller threads, receive) and
+//!   `Unlocked::mint`, which appears at two sites, each under an
+//!   `#[expect(.., reason = "..")]`: a pool thread's start, whose token
+//!   its panic guard owns, and `caller`, the helper every public
+//!   `StreamingEngine` method takes its token from (guards never leave
+//!   the crate). Sends need no token — every channel is unbounded — so
+//!   delivery sends under the state lock. `compile_fail` doctests on
+//!   `Lock::lock`, each with a compiling twin, pin both incidents.
 //!
 //! # Example
 //!
@@ -222,7 +223,8 @@ mod complete;
 pub mod engine;
 pub mod fault;
 pub mod job;
-mod lock;
+#[doc(hidden)]
+pub mod lock;
 pub mod metrics;
 pub mod model;
 pub mod queue;

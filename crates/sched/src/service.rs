@@ -77,7 +77,7 @@
 
 use std::collections::HashMap;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
-use std::sync::{Arc, Condvar, MutexGuard};
+use std::sync::{Arc, Condvar};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -87,7 +87,7 @@ use crate::complete::{Core, Event, PreparedJob, Settled, ShardCompletion, Work};
 use crate::engine::EngineConfig;
 use crate::fault::FaultPlan;
 use crate::job::{JobError, JobId, JobResult, JobSpec};
-use crate::lock::Lock;
+use crate::lock::{self, Guard, Lock, Unlocked};
 use crate::metrics::{LatencyStats, RollingWindow, ServiceReport};
 use crate::queue::{AdmissionError, QueuedJob};
 use crate::shard::{CommandFailure, ShardCommand, ShardSet, ShardWorker};
@@ -208,6 +208,7 @@ impl JobHandle {
     /// Blocks until the job settles and returns its outcome;
     /// `Err(JobError::EngineStopped)` if the engine stopped without serving
     /// it.
+    #[expect(clippy::disallowed_methods, reason = "callers hold no engine guard")]
     pub fn wait(self) -> Result<JobResult, JobError> {
         let stopped = JobError::EngineStopped { job: self.id };
         self.rx.recv().unwrap_or(Err(stopped))
@@ -225,6 +226,7 @@ impl JobHandle {
 
     /// Blocks up to `timeout` for the outcome, then answers like
     /// [`JobHandle::try_wait`].
+    #[expect(clippy::disallowed_methods, reason = "callers hold no engine guard")]
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<JobResult, JobError>> {
         match self.rx.recv_timeout(timeout) {
             Err(RecvTimeoutError::Timeout) => None,
@@ -299,7 +301,7 @@ impl StreamingEngine {
 
     /// Jobs admitted but not yet dispatched to Step 1.
     pub fn pending(&self) -> usize {
-        self.shared.state.lock().core.pending()
+        self.shared.state.lock(&mut caller()).core.pending()
     }
 
     /// Submits one job to the running service, from any thread: the
@@ -335,7 +337,8 @@ impl StreamingEngine {
         specs: I,
     ) -> Result<Vec<JobHandle>, AdmissionError> {
         let handles: Vec<JobHandle> = {
-            let mut state = self.shared.state.lock();
+            let mut token = caller();
+            let mut state = self.shared.state.lock(&mut token);
             if !state.accepting {
                 return Err(AdmissionError::ShuttingDown);
             }
@@ -378,15 +381,15 @@ impl StreamingEngine {
     /// drain forever.
     pub fn drain(&self) {
         assert!(
-            self.wait_quiescent(),
+            self.wait_quiescent(&mut caller()),
             "streaming engine poisoned: a pipeline thread panicked"
         );
     }
 
     /// Blocks until the core is idle; `false` — at once — if the service is
     /// poisoned, whose jobs can never all complete.
-    fn wait_quiescent(&self) -> bool {
-        let mut state = self.shared.state.lock();
+    fn wait_quiescent(&self, token: &mut Unlocked) -> bool {
+        let mut state = self.shared.state.lock(token);
         loop {
             if state.poisoned {
                 return false;
@@ -401,7 +404,8 @@ impl StreamingEngine {
     /// A live snapshot: queue depths, lifetime completions, per-shard
     /// command-queue occupancy, and the rolling latency/throughput window.
     pub fn snapshot(&self) -> ServiceSnapshot {
-        let state = self.shared.state.lock();
+        let mut token = caller();
+        let state = self.shared.state.lock(&mut token);
         ServiceSnapshot {
             pending: state.core.pending(),
             in_flight: state.core.in_flight(),
@@ -421,20 +425,18 @@ impl StreamingEngine {
     /// Panics like [`StreamingEngine::drain`] if the service is poisoned
     /// (the engine's threads are still joined, by its destructor).
     pub fn shutdown(mut self) -> ServiceReport {
-        self.shared.state.lock().accepting = false;
+        self.shared.state.lock(&mut caller()).accepting = false;
         self.drain();
-        self.join_and_report()
+        self.join_and_report(&mut caller())
     }
 
     /// Stops and joins the pool of a drained (or poisoned) service and
     /// assembles the report from the core's tally. Setting `stopping` lets
     /// each pool thread exit once the core is idle.
-    fn join_and_report(&mut self) -> ServiceReport {
-        self.shared.state.lock().stopping = true;
+    fn join_and_report(&mut self, token: &mut Unlocked) -> ServiceReport {
+        self.shared.state.lock(token).stopping = true;
         self.shared.work.notify_all();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
+        let _ = lock::join_all(token, self.workers.drain(..));
         let sink = &self.shared.trace;
         let trace = sink.is_enabled().then(|| TraceLog {
             events: sink.events(),
@@ -443,7 +445,7 @@ impl StreamingEngine {
         let straggler = trace
             .as_ref()
             .map(|trace| StragglerReport::from_events(&trace.events, self.shards.shard_count()));
-        let mut state = self.shared.state.lock();
+        let mut state = self.shared.state.lock(token);
         let counts = state.core.take_tally().into_report();
         ServiceReport {
             completed: state.completed,
@@ -465,11 +467,18 @@ impl Drop for StreamingEngine {
         // propagated the poison — skips the drain and only joins: its
         // threads exit on the poison flag, and a destructor must not panic.
         if !self.workers.is_empty() {
-            self.shared.state.lock().accepting = false;
-            let _ = self.wait_quiescent();
-            let _ = self.join_and_report();
+            let mut token = caller();
+            self.shared.state.lock(&mut token).accepting = false;
+            let _ = self.wait_quiescent(&mut token);
+            let _ = self.join_and_report(&mut token);
         }
     }
+}
+
+/// The token of a thread calling the engine's API.
+#[expect(clippy::disallowed_methods, reason = "guards never leave the crate")]
+fn caller() -> Unlocked {
+    Unlocked::mint()
 }
 
 /// Poisons the service if its thread unwinds: a dispatched position that
@@ -477,13 +486,14 @@ impl Drop for StreamingEngine {
 /// rather than a deadlock. In the same critical section admission closes
 /// and every undelivered job's result sender is dropped, so waiting
 /// [`JobHandle`]s resolve to `EngineStopped` now, not when the engine is
-/// eventually dropped.
-struct PanicGuard<'a>(&'a Shared);
+/// eventually dropped. It owns its thread's token; any guard the thread
+/// held died in the unwind before this drop.
+struct PanicGuard<'a>(&'a Shared, Unlocked);
 
 impl Drop for PanicGuard<'_> {
     fn drop(&mut self) {
         if thread::panicking() {
-            let mut state = self.0.state.lock();
+            let mut state = self.0.state.lock(&mut self.1);
             state.poisoned = true;
             state.accepting = false;
             state.senders.clear();
@@ -499,10 +509,12 @@ impl Drop for PanicGuard<'_> {
 /// lock — or parks until woken or the core's next timer. It returns once
 /// shutdown began and the core is idle, or at once on poison.
 fn pool_thread(shared: &Shared) {
-    let _guard = PanicGuard(shared);
+    #[expect(clippy::disallowed_methods, reason = "a new thread holds no guard")]
+    let mut guard = PanicGuard(shared, Unlocked::mint());
+    let token = &mut guard.1;
     let mut finished = None;
     loop {
-        let (mut state, settled) = settle(shared, finished.take());
+        let (mut state, settled) = settle(shared, token, finished.take());
         if state.poisoned {
             return;
         }
@@ -525,7 +537,7 @@ fn pool_thread(shared: &Shared) {
         }
         finished = Some(match work {
             Work::Command(device, popped, command) => {
-                Event::Completed(serve(shared, device, popped, command))
+                Event::Completed(serve(shared, token, device, popped, command))
             }
             Work::Step1(job, position) => Event::Prepared(prepare(shared, job, position)),
         });
@@ -535,8 +547,12 @@ fn pool_thread(shared: &Shared) {
 /// Locks the state, settles the core with `finished` at the current instant
 /// and sends every delivery, then hands the guard back still held, so the
 /// caller picks in the same critical section.
-fn settle(shared: &Shared, finished: Option<Event>) -> (MutexGuard<'_, ServiceState>, Settled) {
-    let mut state = shared.state.lock();
+fn settle<'a>(
+    shared: &'a Shared,
+    token: &'a mut Unlocked,
+    finished: Option<Event>,
+) -> (Guard<'a, ServiceState>, Settled) {
+    let mut state = shared.state.lock(token);
     // Read under the lock, so the rolling window's instants never decrease.
     let now = Instant::now();
     let mut settled = state.core.settle(finished, now);
@@ -552,10 +568,9 @@ fn settle(shared: &Shared, finished: Option<Event>) -> (MutexGuard<'_, ServiceSt
             state.completed += 1;
         }
         if let Some(tx) = state.senders.remove(&id.0) {
-            // lint:allow(guard-across-blocking, std mpsc Sender::send never
-            // blocks on an unbounded channel, and delivery must happen under
-            // the lock so a quiescent drain implies every outcome has
-            // already reached its handle)
+            // An unbounded mpsc send never blocks, and delivery under the
+            // lock makes a quiescent drain imply every outcome has already
+            // reached its handle.
             let _ = tx.send(outcome);
         }
     }
@@ -589,7 +604,13 @@ fn prepare(shared: &Shared, job: QueuedJob, seq: usize) -> PreparedJob {
 /// Serves one command as `device`, its `popped`-th, under the fault plan's
 /// verdict — after an injected spike, or answered with the injected
 /// failure — tagged with this device.
-fn serve(shared: &Shared, device: usize, popped: u64, command: ShardCommand) -> ShardCompletion {
+fn serve(
+    shared: &Shared,
+    token: &mut Unlocked,
+    device: usize,
+    popped: u64,
+    command: ShardCommand,
+) -> ShardCompletion {
     use TraceEventKind::{CommandCompleted, CommandStarted, Fault};
     let trace = &shared.trace;
     let (seq, stage) = (command.seq(), command.stage());
@@ -606,7 +627,7 @@ fn serve(shared: &Shared, device: usize, popped: u64, command: ShardCommand) -> 
     let result = match verdict {
         Ok(spike) => {
             if !spike.is_zero() {
-                dwell(shared, spike);
+                dwell(shared, token, spike);
             }
             Ok(shared.device.serve(&command))
         }
@@ -640,10 +661,10 @@ fn serve(shared: &Shared, device: usize, popped: u64, command: ShardCommand) -> 
 /// Holds this thread for an injected latency spike, in slices no longer
 /// than the core's next timer, settling the core between them: a command
 /// deadline fires on time even while every pool thread dwells.
-fn dwell(shared: &Shared, spike: Duration) {
+fn dwell(shared: &Shared, token: &mut Unlocked, spike: Duration) {
     let until = Instant::now() + spike;
     loop {
-        let (state, settled) = settle(shared, None);
+        let (state, settled) = settle(shared, token, None);
         drop(state);
         if settled.notify {
             shared.work.notify_all();
@@ -653,7 +674,7 @@ fn dwell(shared: &Shared, spike: Duration) {
             return;
         }
         let slice_end = settled.wake.map_or(until, |at| at.min(until));
-        thread::sleep(slice_end.saturating_duration_since(now));
+        lock::sleep(token, slice_end.saturating_duration_since(now));
     }
 }
 
@@ -826,7 +847,7 @@ mod tests {
                 );
                 break;
             }
-            thread::sleep(Duration::from_micros(100));
+            lock::sleep(&mut lock::test_token(), Duration::from_micros(100));
         }
         assert!(observed_busy, "never observed the drained-but-busy window");
         assert!(first.wait().is_ok());
@@ -1220,7 +1241,7 @@ mod tests {
         let c = community();
         let engine = StreamingEngine::new(analyzer(&c), EngineConfig::new());
         thread::scope(|scope| {
-            scope.spawn(|| engine.shared.state.lock().accepting = false);
+            scope.spawn(|| engine.shared.state.lock(&mut lock::test_token()).accepting = false);
         });
         let jobs = (0..3).map(|i| JobSpec::new(format!("s{i}"), c.sample().clone()));
         assert_eq!(
@@ -1255,7 +1276,7 @@ mod tests {
     /// unwinding through a `PanicGuard`.
     fn poison(engine: &StreamingEngine) {
         let tripped = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = PanicGuard(&engine.shared);
+            let _guard = PanicGuard(&engine.shared, lock::test_token());
             panic!("simulated pipeline panic");
         }));
         assert!(tripped.is_err());

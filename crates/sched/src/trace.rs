@@ -47,7 +47,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::lock::Lock;
+use crate::lock::Leaf;
 
 /// Sequence key used for events recorded before the job has an in-SSD
 /// dispatch position (admission happens before the scheduler assigns one).
@@ -199,7 +199,7 @@ struct Ring {
 #[derive(Debug)]
 struct SinkInner {
     epoch: Instant,
-    ring: Lock<Ring>,
+    ring: Leaf<Ring>,
 }
 
 impl SinkInner {
@@ -237,7 +237,7 @@ impl TraceSink {
         TraceSink {
             inner: Some(Arc::new(SinkInner {
                 epoch: Instant::now(),
-                ring: Lock::new(Ring {
+                ring: Leaf::new(Ring {
                     events: VecDeque::with_capacity(capacity.min(4096)),
                     capacity,
                     dropped: 0,
@@ -306,19 +306,20 @@ impl TraceSink {
     }
 
     fn push(inner: &SinkInner, event: TraceEvent) {
-        let mut ring = inner.ring.lock();
-        if ring.events.len() == ring.capacity {
-            ring.events.pop_front();
-            ring.dropped += 1;
-        }
-        ring.events.push_back(event);
+        inner.ring.with(|ring| {
+            if ring.events.len() == ring.capacity {
+                ring.events.pop_front();
+                ring.dropped += 1;
+            }
+            ring.events.push_back(event);
+        });
     }
 
     /// Events evicted because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.inner
             .as_ref()
-            .map(|inner| inner.ring.lock().dropped)
+            .map(|inner| inner.ring.with(|ring| ring.dropped))
             .unwrap_or(0)
     }
 
@@ -326,7 +327,7 @@ impl TraceSink {
     pub fn events(&self) -> Vec<TraceEvent> {
         self.inner
             .as_ref()
-            .map(|inner| inner.ring.lock().events.iter().copied().collect())
+            .map(|inner| inner.ring.with(|ring| Vec::from(ring.events.clone())))
             .unwrap_or_default()
     }
 }
