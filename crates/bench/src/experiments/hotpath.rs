@@ -19,10 +19,11 @@
 //!   buckets → sort each → run-length group` against the old per-occurrence
 //!   `BTreeMap` insertion, at k = 31 (half-width words) and k = 45
 //!   (full-width words),
-//! * **database build** — the columnar pair-sort build against the old
-//!   `BTreeMap<Kmer, Vec<TaxId>>` + `contains` build,
-//! * **sketch build** — [`SketchDatabase::build`], the same pair-sort build
-//!   per k size over the hash-selected k-mers, against the old per-k
+//! * **database build** — the bare-word sort of the k-mer column against
+//!   one `BTreeSet<Kmer>` insert per occurrence,
+//! * **sketch build** — [`SketchDatabase::build`], a `(word, taxid)`
+//!   pair-sort build per k size over the hash-selected k-mers, against the
+//!   old per-k
 //!   `BTreeMap` + `contains` build with its per-taxon size count,
 //! * **taxID retrieval** — the one-pass cursor merge of
 //!   [`KssTables::stream_retrieve`] against the fold of one random-access
@@ -59,7 +60,7 @@
 //! gated.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::time::{Duration, Instant};
 
 use megis::kss::{KssJoin, KssTables};
@@ -131,24 +132,14 @@ fn best_seconds<R>(mut f: impl FnMut() -> R) -> f64 {
     best
 }
 
-/// The pre-refactor database build (per-entry `BTreeMap` nodes plus an
-/// `O(t)` `contains` scan per occurrence), kept as the measured baseline.
-fn build_btreemap(references: &ReferenceCollection, k: usize) -> Vec<(Kmer, Vec<TaxId>)> {
-    let mut map: BTreeMap<Kmer, Vec<TaxId>> = BTreeMap::new();
+/// The ordered-tree database build (one `BTreeSet` insert per occurrence
+/// of a canonical k-mer), kept as the measured baseline.
+fn build_btreemap(references: &ReferenceCollection, k: usize) -> Vec<Kmer> {
+    let mut set: BTreeSet<Kmer> = BTreeSet::new();
     for genome in references.genomes() {
-        for kmer in KmerExtractor::new(genome.sequence(), k) {
-            let taxa = map.entry(kmer.canonical()).or_default();
-            if !taxa.contains(&genome.taxid()) {
-                taxa.push(genome.taxid());
-            }
-        }
+        set.extend(KmerExtractor::new(genome.sequence(), k).map(|kmer| kmer.canonical()));
     }
-    map.into_iter()
-        .map(|(kmer, mut taxa)| {
-            taxa.sort();
-            (kmer, taxa)
-        })
-        .collect()
+    set.into_iter().collect()
 }
 
 /// One sketch table of the ordered-map build: `(k, sorted entries)`.
@@ -274,8 +265,6 @@ impl CountRow {
 pub struct HotpathMeasurement {
     /// Distinct k-mers in the database fixture.
     pub db_entries: usize,
-    /// k-mer→taxon associations in the database fixture.
-    pub db_associations: usize,
     /// Query k-mers in the skewed intersection workload.
     pub queries: usize,
     /// The counting workload at k = 31 and at k = 45.
@@ -428,9 +417,9 @@ impl HotpathMeasurement {
             "Hot-path analysis: columnar k-mer database, directory-probe intersection, zero-copy shards",
         );
         report.line(&format!(
-            "database: {} entries, {} associations (k = {K}); queries: {} \
+            "database: {} entries (k = {K}); queries: {} \
              (skew |DB|/|Q| = {SKEW}); best of {TRIALS} trials per kernel",
-            self.db_entries, self.db_associations, self.queries,
+            self.db_entries, self.queries,
         ));
 
         let melems = (self.db_entries + self.queries) as f64 / 1e6;
@@ -712,7 +701,6 @@ impl HotpathMeasurement {
              \x20 \"bench\": \"hotpath\",\n\
              \x20 \"kmer_len\": {K},\n\
              \x20 \"db_entries\": {},\n\
-             \x20 \"db_associations\": {},\n\
              \x20 \"queries\": {},\n\
              \x20 \"skew\": {SKEW},\n\
              \x20 \"parity\": {},\n\
@@ -777,7 +765,6 @@ impl HotpathMeasurement {
              \x20 }}\n\
              }}\n",
             self.db_entries,
-            self.db_associations,
             self.queries,
             self.parity,
             self.two_pointer_s * 1e6,
@@ -915,12 +902,7 @@ pub fn hotpath_measure() -> HotpathMeasurement {
         .sum();
     let reference_build = build_btreemap(&build_refs, K);
     let columnar_build = SortedKmerDatabase::build(&build_refs, K);
-    let parity = parity
-        && reference_build.len() == columnar_build.len()
-        && columnar_build
-            .entries()
-            .zip(&reference_build)
-            .all(|(entry, (kmer, taxa))| entry.kmer == *kmer && entry.taxa == taxa.as_slice());
+    let parity = parity && columnar_build.kmer_slice() == reference_build.as_slice();
     let build_btreemap_s = best_seconds(|| build_btreemap(&build_refs, K).len());
     let build_columnar_s = best_seconds(|| SortedKmerDatabase::build(&build_refs, K).len());
 
@@ -1062,7 +1044,6 @@ pub fn hotpath_measure() -> HotpathMeasurement {
 
     HotpathMeasurement {
         db_entries: database.len(),
-        db_associations: database.storage().association_count(),
         queries: queries.len(),
         count_rows,
         count_parity,
@@ -1152,9 +1133,8 @@ mod tests {
             m.walk_parity,
             "the mapper's walk must vote like per-seed lookups"
         );
-        // 1 652 023 entries × 16 B + their offsets + 2 046 080 taxa × 4 B,
-        // plus the directory's (2^20 + 1) × 4 B.
-        assert_eq!(m.db_heap_bytes, 45_419_092, "resident bytes of one copy");
+        // 1 652 023 entries × 16 B, plus the directory's (2^20 + 1) × 4 B.
+        assert_eq!(m.db_heap_bytes, 30_626_676, "resident bytes of one copy");
         assert!(
             m.zero_copy_confirmed(),
             "sharding must keep one resident database copy: {:?} vs {}",

@@ -8,12 +8,15 @@
 //! separately in [`crate::pipeline`].
 //!
 //! What stays resident is only what Steps 1–3 read: the sorted k-mer
-//! database, the sketch's KSS joined against it, each taxon's sketch size
-//! (presence calling), and the per-species mapping indexes. The sketch's
-//! flat tables are dropped once joined, and the KSS tables are never built
-//! on the analysis path; [`MegisAnalyzer::sketches`] and
-//! [`MegisAnalyzer::kss`] rebuild them on first call from a kept copy of the
-//! (small) reference collection, for callers that want the oracles.
+//! column (Step 2's sweep; it holds no taxIDs), the sketch's KSS joined
+//! against it (where Step 2 takes every taxID from), each taxon's sketch
+//! size (presence calling), and the per-species mapping indexes (two flat
+//! columns each, read only by Step 3's merge). The sketch's flat tables are
+//! dropped once joined, and the KSS tables are never built on the analysis
+//! path; [`MegisAnalyzer::sketches`] and [`MegisAnalyzer::kss`] rebuild them
+//! on first call from a kept copy of the (small) reference collection, for
+//! callers that want the oracles. [`MegisAnalyzer::resident_bytes`] accounts
+//! for each of these components.
 //!
 //! The databases are built once and never change, so they sit behind one
 //! [`Arc`]: cloning an analyzer — which is how an engine takes its own
@@ -48,6 +51,27 @@ pub struct MegisOutput {
     pub selected_kmers: u64,
     /// Number of reads that mapped during abundance estimation.
     pub mapped_reads: u64,
+}
+
+/// Heap bytes an analyzer holds resident, per component, each charged on
+/// capacity ([`MegisAnalyzer::resident_bytes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ResidentBytes {
+    /// The sorted k-mer column and its directory.
+    pub database: u64,
+    /// The KSS join: bit words, rank directory and compacted taxa.
+    pub join: u64,
+    /// Every per-species read-mapping index.
+    pub reference_indexes: u64,
+    /// The kept copy of the references' packed sequences.
+    pub references: u64,
+}
+
+impl ResidentBytes {
+    /// The sum of the components.
+    pub fn total(&self) -> u64 {
+        self.database + self.join + self.reference_indexes + self.references
+    }
 }
 
 /// The functional MegIS analyzer.
@@ -143,6 +167,22 @@ impl MegisAnalyzer {
     /// building and analyzing never do.
     pub fn oracle_tables_built(&self) -> bool {
         self.databases.sketches.get().is_some() || self.databases.kss.get().is_some()
+    }
+
+    /// What this analyzer's databases hold resident, per component — shared
+    /// by every clone. The on-demand oracle tables are not counted.
+    pub fn resident_bytes(&self) -> ResidentBytes {
+        let databases = &*self.databases;
+        ResidentBytes {
+            database: databases.database.storage().heap_bytes(),
+            join: databases.join.heap_bytes(),
+            reference_indexes: databases
+                .reference_indexes
+                .iter()
+                .map(ReferenceIndex::heap_bytes)
+                .sum(),
+            references: databases.references.sequence_bytes(),
+        }
     }
 
     /// The per-species read-mapping indexes (one per reference genome, in
@@ -435,6 +475,27 @@ mod tests {
             let sharded = merged.into_output(whole.unified_index.clone());
             assert_eq!(sharded, oracle, "{parts} parts diverged");
         }
+    }
+
+    #[test]
+    fn resident_bytes_are_pinned_per_component() {
+        // The benchmark's 32 x 10 kbp database: a column that creeps back
+        // into a resident structure moves one of these exactly.
+        let refs = ReferenceCollection::synthetic(32, 10_000, 4242);
+        let analyzer = MegisAnalyzer::build(&refs, MegisConfig::small());
+        let resident = analyzer.resident_bytes();
+        // 256 270 k-mers x 16 B, plus a directory of (2^17 + 1) x 4 B.
+        assert_eq!(resident.database, 256_270 * 16 + 524_292);
+        assert_eq!(resident.database, 4_624_612);
+        // Three joined tables (k = 31, 26, 21).
+        assert_eq!(resident.join, 1_329_432);
+        // 8 + 4 B per location: 32 genomes x (10 000 - 15 + 1) seeds.
+        assert_eq!(resident.reference_indexes, 12 * 32 * (10_000 - 15 + 1));
+        // 2 500 B of packed bases a genome.
+        assert_eq!(resident.references, 32 * 2_500);
+        assert_eq!(resident.total(), 9_868_668);
+        // A clone shares the databases, so it reports the same bytes.
+        assert_eq!(analyzer.clone().resident_bytes(), resident);
     }
 
     #[test]

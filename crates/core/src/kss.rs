@@ -51,6 +51,11 @@
 //! found the hit ([`crate::step2::sweep`]) — no cursor, no search, no hit
 //! list.
 //!
+//! The join is also the only place an analyzer holds taxIDs: the k-mer
+//! database is a bare sorted column, and the sketch's flat tables
+//! ([`megis_genomics::sketch::SketchTable`], keys plus a taxa CSR) that the
+//! join's rows are copied from are dropped once it is built.
+//!
 //! The join is the one KSS form an analyzer keeps in memory; it is not
 //! what storage holds. A device derives the same bits from the two sorted
 //! streams it reads anyway: the database and the KSS tables, whose
@@ -330,10 +335,6 @@ struct JoinedTable {
 }
 
 impl JoinedTable {
-    fn rows(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
     /// The resolved taxon indexes the entry at `position` matches in this
     /// table: one bit test, and for a member one rank into the CSR.
     #[inline]
@@ -410,16 +411,14 @@ impl KssJoin {
                 let table = sketches.table(k).expect("k_sizes lists the tables");
                 let keys = table.kmer_slice();
                 let shift = 2 * (database.k() - k);
-                let mut joined = JoinedTable {
-                    words: vec![JoinWord::default(); kmers.len().div_ceil(64)],
-                    offsets: vec![0],
-                    taxa: Vec::new(),
-                };
-                let (mut cursor, mut run_key) = (0, None);
+                let mut words = vec![JoinWord::default(); kmers.len().div_ceil(64)];
+                // The keys some entry reaches, in key order: one per row.
+                let mut reached: Vec<usize> = Vec::new();
+                let mut cursor = 0;
                 for (position, kmer) in kmers.iter().enumerate() {
                     let (word, bit) = (position / 64, 1u64 << (position % 64));
                     if position % 64 == 0 {
-                        joined.words[word].rank = joined.rows() as u32;
+                        words[word].rank = reached.len() as u32;
                     }
                     let prefix = kmer.bits() >> shift;
                     while keys.get(cursor).is_some_and(|key| key.bits() < prefix) {
@@ -428,19 +427,32 @@ impl KssJoin {
                     if keys.get(cursor).map(Kmer::bits) != Some(prefix) {
                         continue;
                     }
-                    joined.words[word].member |= bit;
-                    if run_key != Some(cursor) {
-                        run_key = Some(cursor);
-                        joined.words[word].first |= bit;
-                        joined
-                            .taxa
-                            .extend(table.entry(cursor).taxa.iter().map(index_of));
-                        let end = u32::try_from(joined.taxa.len())
-                            .expect("a KSS table holds under 2^32 taxIDs");
-                        joined.offsets.push(end);
+                    words[word].member |= bit;
+                    if reached.last() != Some(&cursor) {
+                        reached.push(cursor);
+                        words[word].first |= bit;
                     }
                 }
-                joined
+                // The rows' CSR, allocated at its final size: the resident
+                // accounting charges capacity.
+                let row_taxa = |key: usize| table.entry(key).taxa;
+                let total: usize = reached.iter().map(|&key| row_taxa(key).len()).sum();
+                assert!(
+                    u32::try_from(total).is_ok(),
+                    "a KSS table holds under 2^32 taxIDs"
+                );
+                let mut offsets = Vec::with_capacity(reached.len() + 1);
+                offsets.push(0);
+                let mut taxa = Vec::with_capacity(total);
+                for &key in &reached {
+                    taxa.extend(row_taxa(key).iter().map(index_of));
+                    offsets.push(taxa.len() as u32);
+                }
+                JoinedTable {
+                    words,
+                    offsets,
+                    taxa,
+                }
             })
             .collect();
         KssJoin {
@@ -465,10 +477,13 @@ impl KssJoin {
         indexes.iter().map(|&i| self.taxa[i as usize]).collect()
     }
 
-    /// Heap bytes the join holds (bit words, rank directory, compacted taxa).
+    /// Heap bytes the join holds (bit words, rank directory, compacted
+    /// taxa), charged on capacity like
+    /// [`DatabaseStorage::heap_bytes`](megis_genomics::database::DatabaseStorage::heap_bytes).
     pub fn heap_bytes(&self) -> u64 {
         let table_bytes = |t: &JoinedTable| {
-            t.words.len() * std::mem::size_of::<JoinWord>() + 4 * (t.offsets.len() + t.taxa.len())
+            t.words.capacity() * std::mem::size_of::<JoinWord>()
+                + 4 * (t.offsets.capacity() + t.taxa.capacity())
         };
         self.tables.iter().map(table_bytes).sum::<usize>() as u64
     }
@@ -719,6 +734,29 @@ mod tests {
                 expected,
                 "synthetic({species}, {len}, {seed})"
             );
+        }
+    }
+
+    #[test]
+    fn joined_tables_hold_no_growth_slack() {
+        // Every column of every joined table is allocated at its final
+        // length, so charging capacity charges exactly what is held.
+        for (species, len, seed) in [(32, 10_000, 4242), (12, 2_000, 4242), (6, 700, 21)] {
+            let refs = ReferenceCollection::synthetic(species, len, seed);
+            let sketches = SketchDatabase::build(&refs, SketchConfig::small());
+            let database = SortedKmerDatabase::build(&refs, 31);
+            let join = KssJoin::build(&sketches, &database);
+            assert_eq!(join.tables.len(), sketches.k_sizes().len());
+            let mut held = 0;
+            for table in &join.tables {
+                assert_eq!(table.words.capacity(), table.words.len());
+                assert_eq!(table.offsets.capacity(), table.offsets.len());
+                assert_eq!(table.taxa.capacity(), table.taxa.len());
+                assert!(table.offsets.len() > 1, "every table is reached");
+                held += table.words.len() * std::mem::size_of::<JoinWord>()
+                    + 4 * (table.offsets.len() + table.taxa.len());
+            }
+            assert_eq!(join.heap_bytes(), held as u64);
         }
     }
 

@@ -93,7 +93,7 @@ pub mod step2;
 pub mod step3;
 pub mod variants;
 
-pub use analyzer::{MegisAnalyzer, MegisOutput};
+pub use analyzer::{MegisAnalyzer, MegisOutput, ResidentBytes};
 pub use config::MegisConfig;
 pub use kss::{KssJoin, KssTables};
 pub use pipeline::MegisTimingModel;

@@ -13,7 +13,8 @@
 //! — that, per hit, counts the taxa the hit supports
 //! through the database-joined KSS ([`crate::kss::KssJoin`]: a bit test and
 //! a rank per table, no search) and returns per-taxon [`Support`] — never
-//! the intersecting k-mers. Supports over disjoint query slices add, so the
+//! the intersecting k-mers. The database holds k-mers only: every taxID the
+//! sweep counts lives in the join, which the sketch's tables fill. Supports over disjoint query slices add, so the
 //! sharded scheduler in `megis-sched` runs [`sweep`] per shard and sums,
 //! and [`run`] is the one-shard case. Presence calling then reads each
 //! supported taxon's sketch size, counted when the sketch was built:

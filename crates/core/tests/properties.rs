@@ -18,7 +18,7 @@ use megis::ftl::MegisFtl;
 use megis::kss::{KssJoin, KssTables};
 use megis::step3::{self, MappedCounts, Step3Output};
 use megis::MegisAnalyzer;
-use megis_genomics::database::{KmerEntry, ReferenceIndex, SortedKmerDatabase, MIN_MAPPING_VOTES};
+use megis_genomics::database::{ReferenceIndex, SortedKmerDatabase, MIN_MAPPING_VOTES};
 use megis_genomics::dna::PackedSequence;
 use megis_genomics::kmer::Kmer;
 use megis_genomics::profile::AbundanceProfile;
@@ -68,16 +68,12 @@ fn probed_hits(view: &SortedKmerDatabase, queries: &[Kmer]) -> Vec<Kmer> {
     let mut positions = Vec::new();
     view.hit_positions(queries, |p| positions.push(p));
     assert!(positions.windows(2).all(|w| w[0] < w[1]), "{positions:?}");
-    positions.iter().map(|&p| view.entry(p).kmer).collect()
+    positions.iter().map(|&p| view.kmer_slice()[p]).collect()
 }
 
 /// `view.lookup` against a binary search of the view's column.
 fn assert_lookup_is_a_binary_search(view: &SortedKmerDatabase, query: Kmer) {
-    let expected = view
-        .kmer_slice()
-        .binary_search(&query)
-        .ok()
-        .map(|i| view.entry(i));
+    let expected = view.kmer_slice().binary_search(&query).ok();
     assert_eq!(view.lookup(query), expected, "{query:?}");
 }
 
@@ -193,18 +189,13 @@ fn directory_probe_intersection_equals_two_pointer_reference() {
     // directory bucket holds nearly all of them — far wider than the
     // probe's fixed window, so its halving loop runs — while a few outliers
     // spread the directory's width over the whole word.
-    let taxa = |i: usize| vec![TaxId(1 + i as u32 % 3)];
     for case in 0..4 {
         let prefix = random_kmer(&mut rng, 14);
         let mut kmers: Vec<Kmer> = (0..1500).map(|_| extend(&mut rng, prefix, 17)).collect();
         kmers.extend((0..20).map(|_| random_kmer(&mut rng, 31)));
         kmers.sort();
         kmers.dedup();
-        let entries = kmers.iter().enumerate().map(|(i, kmer)| KmerEntry {
-            kmer: *kmer,
-            taxa: taxa(i),
-        });
-        let db = SortedKmerDatabase::from_sorted_entries(31, entries.collect());
+        let db = SortedKmerDatabase::from_sorted_kmers(31, kmers.clone());
         let mut queries: Vec<Kmer> = kmers.iter().step_by(3).copied().collect();
         queries.extend((0..1500).map(|_| extend(&mut rng, prefix, 17)));
         queries.extend(kmers.iter().map(|kmer| mutate_tail(&mut rng, *kmer, 1)));
@@ -232,10 +223,7 @@ fn directory_probe_intersection_equals_two_pointer_reference() {
     for n in 0..=17 {
         let start = rng.gen_range(0..source.len() - n);
         let picked = source.view(start..start + n);
-        let db = SortedKmerDatabase::from_sorted_entries(
-            21,
-            picked.entries().map(|e| e.to_owned()).collect(),
-        );
+        let db = SortedKmerDatabase::from_sorted_kmers(21, picked.kmers().collect());
         assert_eq!(
             probed_hits(&db, &queries),
             db.intersect_sorted_two_pointer(&queries),

@@ -1,49 +1,39 @@
-//! k-mer databases and reference indexes, in a columnar (CSR) layout.
+//! k-mer databases and reference indexes, in flat columnar layouts.
 //!
 //! The streaming-access (S-Qry) analysis flow that MegIS builds on keeps its
-//! database as a *lexicographically sorted* list of k-mers, each associated
-//! with the taxa whose reference genomes contain it (§2.1.1, §4.2). MegIS
-//! stores this database sequentially across SSD channels and streams through
-//! it once per sample, intersecting it with the (also sorted) query k-mers.
+//! database as a *lexicographically sorted* list of k-mers (§2.1.1, §4.2).
+//! MegIS stores this database sequentially across SSD channels and streams
+//! through it once per sample, intersecting it with the (also sorted) query
+//! k-mers; the taxIDs of the intersecting k-mers come from the sketch's KSS
+//! tables (§4.3.2), not from the database.
 //!
 //! # Columnar storage and zero-copy views
 //!
 //! The host-side reproduction mirrors that flat on-flash layout in memory.
-//! [`DatabaseStorage`] holds three dense arrays in CSR
-//! (compressed-sparse-row) form:
+//! [`DatabaseStorage`] holds the sorted k-mer column and the bucket
+//! directory it is probed through — nothing else: the innermost
+//! intersection loop walks a plain `&[Kmer]` exactly like MegIS's
+//! per-channel Intersect units walk the flash stream (§4.3.1). The
+//! k-mer→taxon associations of a flat sketch table live beside its own key
+//! column, in [`crate::sketch::SketchTable`].
 //!
-//! * `kmers` — the sorted k-mer column,
-//! * `taxa_offsets` — one `u32` boundary per k-mer (plus a trailing
-//!   sentinel), indexing into
-//! * `taxa` — every k-mer→taxon association, concatenated in k-mer order.
-//!
-//! Entry `i`'s taxa are `taxa[taxa_offsets[i]..taxa_offsets[i + 1]]`, so the
-//! whole database is three allocations instead of one heap-allocated
-//! `Vec<TaxId>` per entry — the innermost intersection loop walks a plain
-//! `&[Kmer]` exactly like MegIS's per-channel Intersect units walk the flash
-//! stream (§4.3.1).
-//!
-//! One builder fills the columns: [`SortedKmerDatabase::build_selected`]
-//! sorts the `(payload word, taxid)` pairs of the k-mers a predicate selects
-//! and groups them. It has two callers — the k-mer database
-//! ([`SortedKmerDatabase::build`], every k-mer) and each k size's table of
-//! the sketch ([`crate::sketch::SketchDatabase`], the hash-selected k-mers)
-//! — so Fig. 7(a)'s flat sketch tables are this layout too.
+//! [`SortedKmerDatabase::build`] collects the canonical payload words of
+//! every k-mer of the references (8 bytes a word when `2k <= 64`, 16
+//! otherwise), sorts and deduplicates them, and widens only the distinct
+//! words into the [`Kmer`] column, allocated at exactly their count.
+//! [`SortedKmerDatabase::from_sorted_kmers`] takes a finished column.
 //!
 //! A [`SortedKmerDatabase`] is a *view*: an [`Arc`]-shared handle on one
 //! [`DatabaseStorage`] plus a contiguous entry range. Cloning a database or
 //! [partitioning](SortedKmerDatabase::partition) it across simulated SSDs
 //! produces more views over the *same* storage — an N-shard deployment holds
-//! one copy of the database, not two. Borrowed entries are exposed as
-//! [`KmerEntryRef`] (a k-mer plus a `&[TaxId]` slice); the owned
-//! [`KmerEntry`] remains as builder input for
-//! [`SortedKmerDatabase::from_sorted_entries`].
+//! one copy of the database, not two.
 //!
 //! # Intersection
 //!
 //! [`SortedKmerDatabase::intersect_sorted`] does not merge: it *probes*.
 //! Every storage carries a bucket directory over the top bits of its k-mers
-//! (about two entries to a bucket, built with the columns), and the sorted
+//! (about two entries to a bucket, built with the column), and the sorted
 //! queries are looked up a batch at a time — directory bracket, halving
 //! while a bracket is wide, a fixed-window count — each pass a loop of
 //! independent loads. In the realistic regime one shard's database slice is
@@ -62,17 +52,21 @@
 //! a [`ReferenceIndex`] mapping canonical seeds to their genome locations;
 //! MegIS's Step 3 generates a [`UnifiedReferenceIndex`] over the candidate
 //! species inside the SSD *by sequentially merging the sorted per-species
-//! indexes* (§4.4, Fig. 9). Both index types are flat like the database: a
-//! sorted column of raw `u64` seed words — eight bytes a seed, which caps a
-//! seed at [`MAX_SEED_K`] bases (one seed length per index, so integer order
-//! is lexicographic order) — `u32` offsets into one location arena, and a
-//! bucket directory over the seeds' leading bits. One routine backs
-//! [`UnifiedReferenceIndex::merge`], [`PartialUnifiedIndex::merge_range`]
-//! (per-species streams) and [`UnifiedReferenceIndex::merge_partials`]
-//! (per-range streams): a linear-min k-way merge that holds each stream's
-//! head seed in a flat array, takes the smallest by a scan, and breaks seed
-//! ties by stream position. Merging consecutive candidate ranges separately
-//! and recombining them is therefore byte-identical to one pass over every
+//! indexes* (§4.4, Fig. 9). Seeds are raw `u64` words — eight bytes a seed,
+//! which caps a seed at [`MAX_SEED_K`] bases (one seed length per index, so
+//! integer order is lexicographic order). A per-species index is read only
+//! by that merge, front to back, so it is two flat columns in `(seed,
+//! position)` order — a seed word and a `u32` position per location — with
+//! no offsets and no directory. The unified index, which the mapper
+//! searches, is a sorted column of distinct seeds, `u32` offsets into one
+//! location arena, and a bucket directory over the seeds' leading bits.
+//! One routine backs [`UnifiedReferenceIndex::merge`],
+//! [`PartialUnifiedIndex::merge_range`] (per-species streams) and
+//! [`UnifiedReferenceIndex::merge_partials`] (per-range streams): a
+//! linear-min k-way merge that holds each stream's head seed in a flat
+//! array, takes the smallest by a scan, and breaks seed ties by stream
+//! position. Merging consecutive candidate ranges separately and
+//! recombining them is therefore byte-identical to one pass over every
 //! candidate. Mapping is cut the other way: the index is merged once and
 //! [`UnifiedReferenceIndex::count_mapped_reads`] maps any slice of the
 //! sample's reads against it.
@@ -101,117 +95,50 @@ use crate::read::Read;
 use crate::reference::{ReferenceCollection, ReferenceGenome};
 use crate::taxonomy::TaxId;
 
-/// One owned entry of a sorted k-mer database: a k-mer and the taxa it
-/// occurs in. Used as builder input
-/// ([`SortedKmerDatabase::from_sorted_entries`]) and for detached copies
-/// ([`KmerEntryRef::to_owned`]); the database itself stores entries
-/// columnarly, not as a `Vec<KmerEntry>`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KmerEntry {
-    /// The indexed k-mer.
-    pub kmer: Kmer,
-    /// Sorted, deduplicated taxa whose genomes contain the k-mer.
-    pub taxa: Vec<TaxId>,
-}
-
-/// A borrowed view of one database entry: the k-mer plus its taxa slice
-/// inside the shared columnar storage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KmerEntryRef<'a> {
-    /// The indexed k-mer.
-    pub kmer: Kmer,
-    /// Sorted, deduplicated taxa whose genomes contain the k-mer.
-    pub taxa: &'a [TaxId],
-}
-
-impl KmerEntryRef<'_> {
-    /// Detaches the entry from the storage it borrows.
-    pub fn to_owned(&self) -> KmerEntry {
-        KmerEntry {
-            kmer: self.kmer,
-            taxa: self.taxa.to_vec(),
-        }
-    }
-}
-
-/// The shared columnar (CSR) backing store of a [`SortedKmerDatabase`].
-///
-/// Three dense arrays: the sorted k-mer column, the per-entry taxa
-/// boundaries, and the concatenated taxa column — plus the bucket directory
-/// the k-mer column is probed through. All views produced by
-/// [`SortedKmerDatabase::partition`] / [`SortedKmerDatabase::view`] share
-/// one `Arc<DatabaseStorage>`; [`DatabaseStorage::heap_bytes`] is the
-/// resident cost that sharing amortizes.
-#[derive(Debug)]
+/// The shared columnar backing store of a [`SortedKmerDatabase`]: the
+/// sorted k-mer column and the bucket directory it is probed through. All
+/// views produced by [`SortedKmerDatabase::partition`] /
+/// [`SortedKmerDatabase::view`] share one `Arc<DatabaseStorage>`;
+/// [`DatabaseStorage::heap_bytes`] is the resident cost that sharing
+/// amortizes.
+#[derive(Debug, Default)]
 pub struct DatabaseStorage {
     kmers: Vec<Kmer>,
-    /// `kmers.len() + 1` boundaries; entry `i`'s taxa span
-    /// `taxa[taxa_offsets[i] as usize..taxa_offsets[i + 1] as usize]`.
-    taxa_offsets: Vec<u32>,
-    taxa: Vec<TaxId>,
     directory: Directory,
 }
 
-impl Default for DatabaseStorage {
-    fn default() -> DatabaseStorage {
-        DatabaseStorage::new(Vec::new(), vec![0], Vec::new())
-    }
-}
-
 impl DatabaseStorage {
-    /// The storage over finished columns; builds the directory, so no
+    /// The storage over a finished column; builds the directory, so no
     /// storage exists without one.
-    fn new(kmers: Vec<Kmer>, taxa_offsets: Vec<u32>, taxa: Vec<TaxId>) -> DatabaseStorage {
+    fn new(kmers: Vec<Kmer>) -> DatabaseStorage {
         DatabaseStorage {
             directory: Directory::build(&kmers),
             kmers,
-            taxa_offsets,
-            taxa,
         }
     }
 
-    /// [`SortedKmerDatabase::build_selected`] over payload words of type
-    /// `W`, which `2 * k` bits fit: the one CSR build, instantiated at the
-    /// two word widths. Collects every selected `(word, taxid)` association;
-    /// `sort_unstable` + `dedup` leaves, per k-mer, its sorted distinct taxa
-    /// (word order is k-mer order within one k), and one run-length pass
-    /// groups them. Only the distinct words are widened into [`Kmer`]s.
-    fn build<W: KmerWord>(
-        references: &ReferenceCollection,
-        k: usize,
-        keep: impl Fn(Kmer) -> bool,
-    ) -> DatabaseStorage {
-        let mut pairs: Vec<(W, TaxId)> = Vec::new();
-        for genome in references.genomes() {
-            let taxid = genome.taxid();
-            pairs.extend(
-                CanonicalWords::<W>::new(genome.sequence(), k)
-                    .filter(|word| keep(Kmer::from_word(*word, k)))
-                    .map(|word| (word, taxid)),
-            );
+    /// [`SortedKmerDatabase::build`] over payload words of type `W`, which
+    /// `2 * k` bits fit: collect every canonical word into a vector sized to
+    /// the occurrence count, `sort_unstable` + `dedup` it (word order is
+    /// k-mer order within one k), and widen the distinct words into a
+    /// [`Kmer`] column of exactly their count.
+    fn build<W: KmerWord>(references: &ReferenceCollection, k: usize) -> DatabaseStorage {
+        let genomes = || {
+            let genomes = references.genomes().iter();
+            genomes.map(|genome| CanonicalWords::<W>::new(genome.sequence(), k))
+        };
+        let mut column: Vec<W> = Vec::with_capacity(genomes().map(|words| words.len()).sum());
+        for words in genomes() {
+            column.extend(words);
         }
-        pairs.sort_unstable();
-        pairs.dedup();
-        assert!(
-            pairs.len() < u32::MAX as usize,
-            "taxa column exceeds u32 offsets"
-        );
-        let mut kmers: Vec<Kmer> = Vec::new();
-        let mut taxa_offsets: Vec<u32> = vec![0];
-        let mut taxa: Vec<TaxId> = Vec::with_capacity(pairs.len());
-        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
-            kmers.push(Kmer::from_word(run[0].0, k));
-            taxa.extend(run.iter().map(|(_, taxid)| *taxid));
-            taxa_offsets.push(taxa.len() as u32);
-        }
-        // The distinct-k-mer count is unknown up front, so `kmers` and
-        // `taxa_offsets` grew by doubling; release the slack before the
-        // storage is pinned behind a long-lived `Arc` ([`heap_bytes`]
-        // charges capacity, so an overhang would show up in the resident
-        // accounting).
-        kmers.shrink_to_fit();
-        taxa_offsets.shrink_to_fit();
-        DatabaseStorage::new(kmers, taxa_offsets, taxa)
+        column.sort_unstable();
+        column.dedup();
+        DatabaseStorage::new(
+            column
+                .iter()
+                .map(|word| Kmer::from_word(*word, k))
+                .collect(),
+        )
     }
 
     /// Number of entries (distinct k-mers) in the storage.
@@ -219,30 +146,15 @@ impl DatabaseStorage {
         self.kmers.len()
     }
 
-    /// Total number of k-mer→taxon associations.
-    pub fn association_count(&self) -> usize {
-        self.taxa.len()
-    }
-
-    /// Host-resident heap footprint of the three columnar arrays and the
-    /// bucket directory, in bytes. This is the quantity
+    /// Host-resident heap footprint of the k-mer column and the bucket
+    /// directory, in bytes. This is the quantity
     /// [`SortedKmerDatabase::partition`] shares rather than copies. Charged
     /// on *capacity*, not length, so growth slack (were any to survive
     /// construction) cannot hide from the resident accounting the `hotpath`
     /// bench asserts on.
     pub fn heap_bytes(&self) -> u64 {
         (self.kmers.capacity() * std::mem::size_of::<Kmer>()
-            + self.taxa_offsets.capacity() * std::mem::size_of::<u32>()
-            + self.taxa.capacity() * std::mem::size_of::<TaxId>()
             + self.directory.bounds.capacity() * std::mem::size_of::<u32>()) as u64
-    }
-
-    /// Taxa slice of global entry `index`.
-    #[inline]
-    fn entry_taxa(&self, index: usize) -> &[TaxId] {
-        let start = self.taxa_offsets[index] as usize;
-        let end = self.taxa_offsets[index + 1] as usize;
-        &self.taxa[start..end]
     }
 }
 
@@ -270,92 +182,52 @@ pub struct SortedKmerDatabase {
 
 impl Default for SortedKmerDatabase {
     fn default() -> SortedKmerDatabase {
-        SortedKmerDatabase {
-            k: 0,
-            storage: Arc::new(DatabaseStorage::default()),
-            range: 0..0,
-        }
+        SortedKmerDatabase::from_storage(0, DatabaseStorage::default())
     }
 }
 
 impl SortedKmerDatabase {
-    /// Builds the database from a reference collection using k-mers of length
-    /// `k` (canonical form): [`SortedKmerDatabase::build_selected`] keeping
-    /// every k-mer.
+    /// Builds the database of every canonical k-mer of length `k` in a
+    /// reference collection: a sort of bare payload words sized to `k` (8
+    /// bytes when `2k <= 64`, 16 otherwise — [`fits_half_word`]) and one
+    /// deduplication, no per-entry map nodes. The result is identical to
+    /// inserting every k-mer into an ordered set.
     ///
     /// # Panics
     ///
     /// Panics if `k` is zero or exceeds [`crate::kmer::MAX_K`].
     pub fn build(references: &ReferenceCollection, k: usize) -> SortedKmerDatabase {
-        SortedKmerDatabase::build_selected(references, k, |_| true)
-    }
-
-    /// Builds the database of the canonical k-mers of length `k` that `keep`
-    /// selects — every k-mer for the k-mer database, a hash-selected subset
-    /// for each sketch table ([`crate::sketch::SketchDatabase::build`]).
-    ///
-    /// The build is flat end to end: collect every selected `(payload word,
-    /// taxid)` association on words sized to `k` (8 bytes when `2k <= 64`,
-    /// 16 otherwise — [`fits_half_word`]), `sort_unstable` + `dedup` the pair
-    /// list, and run-length group it into the CSR columns — no per-entry map
-    /// nodes, no `O(t)` membership scans per occurrence. The result is
-    /// identical to inserting each association into an ordered map.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k` is zero or exceeds [`crate::kmer::MAX_K`].
-    pub fn build_selected(
-        references: &ReferenceCollection,
-        k: usize,
-        keep: impl Fn(Kmer) -> bool,
-    ) -> SortedKmerDatabase {
         let storage = if fits_half_word(k) {
-            DatabaseStorage::build::<u64>(references, k, keep)
+            DatabaseStorage::build::<u64>(references, k)
         } else {
-            DatabaseStorage::build::<u128>(references, k, keep)
+            DatabaseStorage::build::<u128>(references, k)
         };
-        let range = 0..storage.entry_count();
-        SortedKmerDatabase {
-            k,
-            storage: Arc::new(storage),
-            range,
-        }
+        SortedKmerDatabase::from_storage(k, storage)
     }
 
-    /// Creates a database from pre-sorted entries.
+    /// Creates a database from a pre-sorted k-mer column.
     ///
     /// # Panics
     ///
-    /// Panics if entries are not strictly sorted by k-mer, or if any entry's
-    /// k-mer is not of length `k`.
-    pub fn from_sorted_entries(k: usize, entries: Vec<KmerEntry>) -> SortedKmerDatabase {
-        for w in entries.windows(2) {
-            assert!(w[0].kmer < w[1].kmer, "entries must be strictly sorted");
-        }
+    /// Panics if the k-mers are not strictly sorted, or if any of them is
+    /// not of length `k`.
+    pub fn from_sorted_kmers(k: usize, kmers: Vec<Kmer>) -> SortedKmerDatabase {
         assert!(
-            entries.iter().all(|e| e.kmer.k() == k),
+            kmers.windows(2).all(|w| w[0] < w[1]),
+            "entries must be strictly sorted"
+        );
+        assert!(
+            kmers.iter().all(|kmer| kmer.k() == k),
             "every entry's k-mer must have length k = {k}"
         );
-        let associations: usize = entries.iter().map(|e| e.taxa.len()).sum();
-        assert!(
-            associations < u32::MAX as usize,
-            "taxa column exceeds u32 offsets"
-        );
-        let mut kmers = Vec::with_capacity(entries.len());
-        let mut taxa_offsets = Vec::with_capacity(entries.len() + 1);
-        taxa_offsets.push(0u32);
-        let mut taxa = Vec::with_capacity(associations);
-        for entry in entries {
-            kmers.push(entry.kmer);
-            taxa.extend(entry.taxa);
-            taxa_offsets.push(taxa.len() as u32);
-        }
-        let storage = DatabaseStorage::new(kmers, taxa_offsets, taxa);
-        let range = 0..storage.entry_count();
+        SortedKmerDatabase::from_storage(k, DatabaseStorage::new(kmers))
+    }
+
+    fn from_storage(k: usize, storage: DatabaseStorage) -> SortedKmerDatabase {
         SortedKmerDatabase {
             k,
+            range: 0..storage.entry_count(),
             storage: Arc::new(storage),
-            range,
         }
     }
 
@@ -394,37 +266,10 @@ impl SortedKmerDatabase {
         self.range.start
     }
 
-    /// Borrowed view of entry `index` (relative to this view).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= self.len()`.
-    pub fn entry(&self, index: usize) -> KmerEntryRef<'_> {
-        assert!(index < self.len(), "entry index {index} out of range");
-        let global = self.range.start + index;
-        KmerEntryRef {
-            kmer: self.storage.kmers[global],
-            taxa: self.storage.entry_taxa(global),
-        }
-    }
-
-    /// Iterates over the sorted entries as borrowed views.
-    pub fn entries(&self) -> impl ExactSizeIterator<Item = KmerEntryRef<'_>> + '_ {
-        (0..self.len()).map(move |i| self.entry(i))
-    }
-
     /// The sorted k-mer column of this view, as a contiguous slice — the
     /// stream the intersection units walk.
     pub fn kmer_slice(&self) -> &[Kmer] {
         &self.storage.kmers[self.range.clone()]
-    }
-
-    /// The concatenated taxa column of this view (CSR payload), as a
-    /// contiguous slice.
-    pub(crate) fn taxa_slice(&self) -> &[TaxId] {
-        let start = self.storage.taxa_offsets[self.range.start] as usize;
-        let end = self.storage.taxa_offsets[self.range.end] as usize;
-        &self.storage.taxa[start..end]
     }
 
     /// Iterates over the sorted k-mers.
@@ -473,20 +318,13 @@ impl SortedKmerDatabase {
         start..end
     }
 
-    /// Looks up a single k-mer: [`SortedKmerDatabase::hit_positions`] over
-    /// the batch of one. There is no per-k-mer routine beside the probe.
-    pub fn lookup(&self, kmer: Kmer) -> Option<KmerEntryRef<'_>> {
+    /// Looks up a single k-mer and reports its position in this view:
+    /// [`SortedKmerDatabase::hit_positions`] over the batch of one. There is
+    /// no per-k-mer routine beside the probe.
+    pub fn lookup(&self, kmer: Kmer) -> Option<usize> {
         let mut found = None;
         self.hit_positions(&[kmer], |position| found = Some(position));
-        found.map(|position| self.entry(position))
-    }
-
-    /// All taxa indexed by this view, sorted and deduplicated.
-    pub fn taxa(&self) -> Vec<TaxId> {
-        let mut taxa: Vec<TaxId> = self.taxa_slice().to_vec();
-        taxa.sort();
-        taxa.dedup();
-        taxa
+        found
     }
 
     /// Intersection with a sorted list of query k-mers: the k-mers of the
@@ -592,11 +430,10 @@ impl SortedKmerDatabase {
         out
     }
 
-    /// Size of the database in its 2-bit on-storage encoding, in bytes
-    /// (k-mer payloads plus one 4-byte taxid per association). Used by the
-    /// SSD placement and timing models.
+    /// Size of the view in its 2-bit on-storage encoding, in bytes: the
+    /// k-mer payloads, which is all the store holds.
     pub fn encoded_bytes(&self) -> u64 {
-        (self.len() * (2 * self.k).div_ceil(8) + 4 * self.taxa_slice().len()) as u64
+        (self.len() * (2 * self.k).div_ceil(8)) as u64
     }
 
     /// A zero-copy sub-view of this view (indices relative to `self`): the
@@ -791,11 +628,11 @@ impl Directory {
     }
 }
 
-/// A sorted seed column with a CSR payload — the flat layout both
-/// read-mapping indexes store. `seeds` holds the raw `u64` words of
-/// length-`k` canonical seeds (`k <= MAX_SEED_K`; a cache line holds eight),
-/// so integer order is lexicographic order. Four allocations however many
-/// seeds: a drop frees nothing per seed.
+/// A sorted seed column with a CSR payload — the flat layout of the unified
+/// index. `seeds` holds the raw `u64` words of length-`k` canonical seeds
+/// (`k <= MAX_SEED_K`; a cache line holds eight), so integer order is
+/// lexicographic order. Four allocations however many seeds: a drop frees
+/// nothing per seed.
 #[derive(Debug, Clone, PartialEq)]
 struct SeedTable<T> {
     k: usize,
@@ -882,6 +719,43 @@ impl<T> SeedTable<T> {
     }
 }
 
+/// A sorted stream of seeds with items, as [`merge_tables`] reads it: a
+/// seed column that never descends, with the items of each row. A seed may
+/// repeat over consecutive rows (a per-species index has one row per
+/// location); the merge joins such rows into one entry.
+trait SeedStream {
+    type Item;
+    /// The seed length.
+    fn seed_k(&self) -> usize;
+    /// One seed word per row, ascending.
+    fn seed_column(&self) -> &[u64];
+    /// The items of row `row`.
+    fn row(&self, row: usize) -> &[Self::Item];
+    /// Distinct seeds and items in all: what a merge's output holds.
+    fn counts(&self) -> (usize, usize);
+}
+
+/// A row is an entry.
+impl<T> SeedStream for SeedTable<T> {
+    type Item = T;
+
+    fn seed_k(&self) -> usize {
+        self.k
+    }
+
+    fn seed_column(&self) -> &[u64] {
+        &self.seeds
+    }
+
+    fn row(&self, row: usize) -> &[T] {
+        self.items(row)
+    }
+
+    fn counts(&self) -> (usize, usize) {
+        (self.seeds.len(), self.payload.len())
+    }
+}
+
 /// The head of an exhausted stream in [`merge_tables`]. No seed word is all
 /// ones: a seed shorter than [`MAX_SEED_K`] leaves the word's top bits
 /// clear, and the 32-base all-`T` seed is the reverse complement of all-`A`,
@@ -889,38 +763,38 @@ impl<T> SeedTable<T> {
 const EXHAUSTED: u64 = u64::MAX;
 
 /// The one merge routine of this module: a forward k-way merge of sorted
-/// seed tables, appended straight into the output columns. Each stream's head
-/// seed sits in a flat array, and the next entry out is the minimum head,
+/// seed streams, appended straight into the output columns. Each stream's
+/// head seed sits in a flat array, and the next row out is the minimum head,
 /// found by a linear scan that keeps the lowest stream on a tie; stream `s`
-/// contributes `adjust(context_s, item)` per item, so on a shared seed the
-/// contributions concatenate in stream order — for streams in candidate
-/// order, the order Fig. 9's sequential merge emits. Panics on mixed seed
-/// lengths.
-fn merge_tables<T, C: Copy, U>(
-    streams: &[(&SeedTable<T>, C)],
-    adjust: impl Fn(C, &T) -> U,
+/// contributes `adjust(context_s, item)` per item. A stream that wins a seed
+/// stays the lowest one holding it until its run of that seed ends, so on a
+/// shared seed the contributions concatenate in stream order — for streams
+/// in candidate order, the order Fig. 9's sequential merge emits. Panics on
+/// mixed seed lengths.
+fn merge_tables<S: SeedStream, C: Copy, U>(
+    streams: &[(&S, C)],
+    adjust: impl Fn(C, &S::Item) -> U,
 ) -> SeedTable<U> {
-    let k = streams.first().map_or(0, |(table, _)| table.k);
+    let k = streams.first().map_or(0, |(stream, _)| stream.seed_k());
     assert!(
-        streams.iter().all(|(table, _)| table.k == k),
+        streams.iter().all(|(stream, _)| stream.seed_k() == k),
         "all merged indexes must share the same seed length"
     );
     debug_assert!(
         streams
             .iter()
-            .all(|(t, _)| t.seeds.last() != Some(&EXHAUSTED)),
+            .all(|(s, _)| s.seed_column().last() != Some(&EXHAUSTED)),
         "a seed word collides with the exhausted-stream mark"
     );
-    let mut out = SeedTable::with_capacity(
-        k,
-        streams.iter().map(|(t, _)| t.seeds.len()).sum(),
-        streams.iter().map(|(t, _)| t.payload.len()).sum(),
-    );
-    let head =
-        |table: &SeedTable<T>, entry: usize| table.seeds.get(entry).copied().unwrap_or(EXHAUSTED);
-    let mut heads: Vec<u64> = streams.iter().map(|(table, _)| head(table, 0)).collect();
-    // The entry of each stream that its head seed belongs to.
-    let mut entries = vec![0usize; streams.len()];
+    let (seeds, items) = streams.iter().fold((0, 0), |(seeds, items), (s, _)| {
+        let (more_seeds, more_items) = s.counts();
+        (seeds + more_seeds, items + more_items)
+    });
+    let mut out = SeedTable::with_capacity(k, seeds, items);
+    let head = |stream: &S, row: usize| stream.seed_column().get(row).copied().unwrap_or(EXHAUSTED);
+    let mut heads: Vec<u64> = streams.iter().map(|(stream, _)| head(stream, 0)).collect();
+    // The row of each stream that its head seed belongs to.
+    let mut rows = vec![0usize; streams.len()];
     loop {
         let (mut s, mut seed) = (0, EXHAUSTED);
         for (stream, &word) in heads.iter().enumerate() {
@@ -931,11 +805,11 @@ fn merge_tables<T, C: Copy, U>(
         if seed == EXHAUSTED {
             break;
         }
-        let (table, context) = streams[s];
-        let items = table.items(entries[s]).iter();
+        let (stream, context) = streams[s];
+        let items = stream.row(rows[s]).iter();
         out.append(seed, items.map(|item| adjust(context, item)));
-        entries[s] += 1;
-        heads[s] = head(table, entries[s]);
+        rows[s] += 1;
+        heads[s] = head(stream, rows[s]);
     }
     out.seal();
     out
@@ -946,17 +820,48 @@ thread_local! {
     static REFERENCE_INDEX_BUILDS: Cell<u64> = const { Cell::new(0) };
 }
 
-/// A per-species read-mapping index: canonical seed → ascending locations, stored flat.
+/// A per-species read-mapping index: every `(canonical seed, location)` pair
+/// of one genome, in ascending order, as two flat columns. Only Step 3's
+/// merge reads it, front to back, so it keeps no offsets and no directory;
+/// a seed's locations are the run of rows holding it.
 #[derive(Debug, Clone, Default)]
 pub struct ReferenceIndex {
     taxid: TaxId,
     genome_len: usize,
-    table: SeedTable<u32>,
+    k: usize,
+    /// One seed word per location, ascending.
+    seeds: Vec<u64>,
+    /// The location of each row, ascending within a seed's run.
+    positions: Vec<u32>,
+    /// Number of distinct seeds.
+    distinct: usize,
+}
+
+/// A row is one location.
+impl SeedStream for ReferenceIndex {
+    type Item = u32;
+
+    fn seed_k(&self) -> usize {
+        self.k
+    }
+
+    fn seed_column(&self) -> &[u64] {
+        &self.seeds
+    }
+
+    fn row(&self, row: usize) -> &[u32] {
+        std::slice::from_ref(&self.positions[row])
+    }
+
+    fn counts(&self) -> (usize, usize) {
+        (self.distinct, self.positions.len())
+    }
 }
 
 impl ReferenceIndex {
     /// Builds the index of one reference genome with seeds of length `k`:
-    /// collect `(seed, position)` pairs, `sort_unstable`, run-length group.
+    /// collect `(seed, position)` pairs, `sort_unstable`, split the pairs
+    /// into the two columns.
     ///
     /// # Panics
     ///
@@ -970,15 +875,15 @@ impl ReferenceIndex {
         assert!(u32::try_from(genome.len()).is_ok(), "locations are u32");
         let mut pairs: Vec<(u64, u32)> = seed_words(genome.sequence(), k).zip(0u32..).collect();
         pairs.sort_unstable();
-        let mut table = SeedTable::with_capacity(k, pairs.len(), pairs.len());
-        for (seed, pos) in pairs {
-            table.append(seed, std::iter::once(pos));
-        }
-        table.seal();
+        let (seeds, positions): (Vec<u64>, Vec<u32>) = pairs.into_iter().unzip();
+        let distinct = seeds.chunk_by(|a, b| a == b).count();
         ReferenceIndex {
             taxid: genome.taxid(),
             genome_len: genome.len(),
-            table,
+            k,
+            seeds,
+            positions,
+            distinct,
         }
     }
 
@@ -997,7 +902,7 @@ impl ReferenceIndex {
 
     /// The seed length.
     pub fn k(&self) -> usize {
-        self.table.k
+        self.k
     }
 
     /// Length of the indexed genome in bases.
@@ -1007,28 +912,47 @@ impl ReferenceIndex {
 
     /// Number of distinct seeds.
     pub fn len(&self) -> usize {
-        self.table.seeds.len()
+        self.distinct
     }
 
     /// Returns `true` if the index has no seeds.
     pub fn is_empty(&self) -> bool {
-        self.table.seeds.is_empty()
+        self.seeds.is_empty()
     }
 
     /// The sorted `(seed, locations)` entries, borrowed from the columns.
-    pub fn entries(&self) -> impl ExactSizeIterator<Item = (Kmer, &[u32])> + '_ {
-        self.table.entries()
+    pub fn entries(&self) -> impl Iterator<Item = (Kmer, &[u32])> + '_ {
+        let mut start = 0;
+        self.seeds.chunk_by(|a, b| a == b).map(move |run| {
+            let locations = &self.positions[start..start + run.len()];
+            start += run.len();
+            (Kmer::from_bits(u128::from(run[0]), self.k), locations)
+        })
     }
 
     /// Locations of a seed, if indexed (`None` for a k-mer of any length
-    /// other than [`ReferenceIndex::k`]).
+    /// other than [`ReferenceIndex::k`]): a binary search of the seed column
+    /// for the seed's run.
     pub fn locations(&self, kmer: Kmer) -> Option<&[u32]> {
-        self.table.locations(kmer)
+        if kmer.k() != self.k {
+            return None;
+        }
+        // A seed of this index's length: its payload fits the seed word.
+        let seed = kmer.bits() as u64;
+        let start = self.seeds.partition_point(|s| *s < seed);
+        let len = self.seeds[start..].partition_point(|s| *s == seed);
+        (len > 0).then(|| &self.positions[start..start + len])
     }
 
     /// On-storage size in bytes (2-bit k-mers + 4-byte locations).
     pub fn encoded_bytes(&self) -> u64 {
-        self.table.encoded_bytes(4)
+        (self.distinct * (2 * self.k).div_ceil(8) + 4 * self.positions.len()) as u64
+    }
+
+    /// Host-resident heap bytes of the two columns, charged on capacity.
+    pub fn heap_bytes(&self) -> u64 {
+        (self.seeds.capacity() * std::mem::size_of::<u64>()
+            + self.positions.capacity() * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -1384,7 +1308,7 @@ impl PartialUnifiedIndex {
                 taxid: idx.taxid(),
                 position: running,
             };
-            streams.push((&idx.table, origin));
+            streams.push((*idx, origin));
             running += idx.genome_len() as u64;
         }
         let offsets = streams.iter().map(|(_, o)| (o.taxid, o.position)).collect();
@@ -1459,6 +1383,7 @@ impl PartialUnifiedIndex {
 mod tests {
     use super::*;
     use crate::kmer::KmerExtractor;
+    use crate::sketch::{KmerEntry, SketchTable};
 
     fn refs() -> ReferenceCollection {
         ReferenceCollection::synthetic(6, 600, 42)
@@ -1470,46 +1395,46 @@ mod tests {
         assert!(db.len() > 100);
         assert!(db.is_sorted());
         assert_eq!(db.k(), 21);
-        // CSR invariants: one offset boundary per entry plus the sentinel,
-        // and the kmer column matches the entry iterator.
         assert_eq!(db.storage().entry_count(), db.len());
         assert_eq!(db.kmer_slice().len(), db.len());
-        assert!(db.storage().association_count() >= db.len());
         assert!(db.storage().heap_bytes() > 0);
     }
 
     #[test]
     fn build_matches_from_sorted_entries_roundtrip() {
-        // Rebuilding from owned entries must reproduce the same columnar
-        // content: same kmers, same per-entry taxa.
+        // The database's column rebuilt from its k-mers, and a sketch table
+        // over every k-mer rebuilt from its owned entries, reproduce the
+        // builds: the table's keys are the database's column.
         let db = SortedKmerDatabase::build(&refs(), 21);
-        let owned: Vec<KmerEntry> = db.entries().map(|e| e.to_owned()).collect();
-        let rebuilt = SortedKmerDatabase::from_sorted_entries(db.k(), owned);
-        assert_eq!(rebuilt.len(), db.len());
+        let rebuilt = SortedKmerDatabase::from_sorted_kmers(db.k(), db.kmers().collect());
         assert_eq!(rebuilt.kmer_slice(), db.kmer_slice());
-        for (a, b) in rebuilt.entries().zip(db.entries()) {
-            assert_eq!(a, b);
-        }
         assert_eq!(rebuilt.encoded_bytes(), db.encoded_bytes());
+        assert_eq!(rebuilt.storage().heap_bytes(), db.storage().heap_bytes());
+        let table = SketchTable::build_selected(&refs(), 21, |_| true);
+        assert_eq!(table.kmer_slice(), db.kmer_slice());
+        let owned: Vec<KmerEntry> = table.entries().map(|e| e.to_owned()).collect();
+        let from_entries = SketchTable::from_sorted_entries(table.k(), owned);
+        assert!(from_entries.entries().eq(table.entries()));
+        assert_eq!(from_entries.encoded_bytes(), table.encoded_bytes());
     }
 
     #[test]
     #[should_panic(expected = "must have length k = 21")]
     fn from_sorted_entries_rejects_a_kmer_of_another_length() {
-        let db = SortedKmerDatabase::build(&refs(), 21);
-        let mut owned: Vec<KmerEntry> = db.entries().take(3).map(|e| e.to_owned()).collect();
+        let table = SketchTable::build_selected(&refs(), 21, |_| true);
+        let mut owned: Vec<KmerEntry> = table.entries().take(3).map(|e| e.to_owned()).collect();
         // Still strictly sorted (a proper prefix sorts first), wrong length.
         owned[0].kmer = owned[0].kmer.prefix(20);
-        SortedKmerDatabase::from_sorted_entries(21, owned);
+        SketchTable::from_sorted_entries(21, owned);
     }
 
     #[test]
-    fn entry_taxa_are_sorted_and_deduplicated() {
+    #[should_panic(expected = "strictly sorted")]
+    fn from_sorted_kmers_rejects_an_unsorted_column() {
         let db = SortedKmerDatabase::build(&refs(), 21);
-        for entry in db.entries() {
-            assert!(!entry.taxa.is_empty());
-            assert!(entry.taxa.windows(2).all(|w| w[0] < w[1]));
-        }
+        let mut kmers: Vec<Kmer> = db.kmers().take(3).collect();
+        kmers.swap(0, 2);
+        SortedKmerDatabase::from_sorted_kmers(21, kmers);
     }
 
     #[test]
@@ -1521,16 +1446,11 @@ mod tests {
             .next()
             .unwrap()
             .canonical();
-        let entry = db.lookup(kmer).expect("genome k-mer must be indexed");
-        assert!(entry.taxa.contains(&genome.taxid()));
-    }
-
-    #[test]
-    fn shared_kmers_carry_multiple_taxa() {
-        let r = refs();
-        let db = SortedKmerDatabase::build(&r, 21);
-        let multi = db.entries().filter(|e| e.taxa.len() > 1).count();
-        assert!(multi > 0, "same-genus species should share k-mers");
+        let position = db.lookup(kmer).expect("genome k-mer must be indexed");
+        assert_eq!(db.kmer_slice()[position], kmer);
+        let view = db.view(position - 5..db.len());
+        assert_eq!(view.lookup(kmer), Some(5));
+        assert_eq!(db.view(0..position).lookup(kmer), None);
     }
 
     #[test]
@@ -1653,10 +1573,10 @@ mod tests {
         );
         // Bounds are inclusive: a single-entry database overlaps exactly the
         // run of queries equal to that entry.
-        let single = SortedKmerDatabase::from_sorted_entries(21, vec![db.entry(3).to_owned()]);
+        let single = SortedKmerDatabase::from_sorted_kmers(21, vec![db.kmer_slice()[3]]);
         let range = single.overlapping_query_range(&queries);
         for q in &queries[range] {
-            assert_eq!(*q, db.entry(3).kmer);
+            assert_eq!(*q, db.kmer_slice()[3]);
         }
     }
 
@@ -1701,9 +1621,7 @@ mod tests {
         assert!(mid.shares_storage_with(&db));
         let inner = mid.view(5..10);
         assert_eq!(inner.len(), 5);
-        for i in 0..inner.len() {
-            assert_eq!(inner.entry(i), db.entry(15 + i));
-        }
+        assert_eq!(inner.kmer_slice(), &db.kmer_slice()[15..20]);
         // Independent builds do not share.
         let other = SortedKmerDatabase::build(&refs(), 21);
         assert!(!other.shares_storage_with(&db));
@@ -1715,16 +1633,12 @@ mod tests {
         let queries: Vec<Kmer> = db.kmers().step_by(3).collect();
         let v = db.view(7..db.len() - 7);
         // A view behaves exactly like a standalone database over its range.
-        let standalone = SortedKmerDatabase::from_sorted_entries(
-            db.k(),
-            v.entries().map(|e| e.to_owned()).collect(),
-        );
+        let standalone = SortedKmerDatabase::from_sorted_kmers(db.k(), v.kmers().collect());
         assert_eq!(
             v.intersect_sorted(&queries),
             standalone.intersect_sorted(&queries)
         );
         assert_eq!(v.encoded_bytes(), standalone.encoded_bytes());
-        assert_eq!(v.taxa(), standalone.taxa());
     }
 
     #[test]
@@ -1745,6 +1659,37 @@ mod tests {
         let locs = idx.locations(kmer).expect("indexed seed");
         assert!(!locs.is_empty());
         assert_eq!(idx.taxid(), genome.taxid());
+    }
+
+    #[test]
+    fn reference_index_is_two_exact_columns_in_seed_position_order() {
+        let r = refs();
+        for genome in r.genomes() {
+            let idx = ReferenceIndex::build(genome, 15);
+            let mut pairs: Vec<(u64, u32)> =
+                seed_words(genome.sequence(), 15).zip(0u32..).collect();
+            pairs.sort_unstable();
+            let rows = idx.seeds.iter().copied().zip(idx.positions.iter().copied());
+            assert!(rows.eq(pairs.iter().copied()));
+            // No slack, no offsets, no directory: 8 + 4 bytes a location.
+            assert_eq!(idx.heap_bytes(), 12 * pairs.len() as u64);
+            // A seed's locations are its run, whether walked or searched.
+            let mut located = 0;
+            for (seed, locations) in idx.entries() {
+                assert_eq!(idx.locations(seed), Some(locations));
+                located += locations.len();
+            }
+            assert_eq!(located, pairs.len());
+            assert_eq!(idx.entries().count(), idx.len());
+            assert_eq!(
+                idx.encoded_bytes(),
+                (4 * idx.len() + 4 * pairs.len()) as u64
+            );
+            let missing = pairs.iter().map(|(seed, _)| seed + 1);
+            for seed in missing.filter(|s| pairs.binary_search_by_key(s, |p| p.0).is_err()) {
+                assert_eq!(idx.locations(Kmer::from_bits(u128::from(seed), 15)), None);
+            }
+        }
     }
 
     #[test]

@@ -171,6 +171,11 @@ impl PackedSequence {
         self.len
     }
 
+    /// Heap bytes of the packed bases, charged on capacity.
+    pub fn heap_bytes(&self) -> u64 {
+        self.data.capacity() as u64
+    }
+
     /// Returns `true` if the sequence contains no bases.
     #[inline]
     pub fn is_empty(&self) -> bool {

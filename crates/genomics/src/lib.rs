@@ -55,8 +55,8 @@ pub mod sketch;
 pub mod taxonomy;
 
 pub use database::{
-    DatabaseStorage, KmerEntry, KmerEntryRef, PartialUnifiedIndex, ReadMapHit, ReferenceIndex,
-    SortedKmerDatabase, UnifiedReferenceIndex, MIN_MAPPING_VOTES,
+    DatabaseStorage, PartialUnifiedIndex, ReadMapHit, ReferenceIndex, SortedKmerDatabase,
+    UnifiedReferenceIndex, MIN_MAPPING_VOTES,
 };
 pub use dna::{Base, PackedSequence};
 pub use kmer::{CanonicalKmerExtractor, Kmer, KmerExtractor};
@@ -65,5 +65,5 @@ pub use profile::{AbundanceAccumulator, AbundanceProfile, PresenceResult};
 pub use read::{Read, ReadSet};
 pub use reference::{ReferenceCollection, ReferenceGenome};
 pub use sample::{Community, CommunityConfig, Diversity, Sample};
-pub use sketch::{SketchConfig, SketchDatabase, SketchSizes};
+pub use sketch::{KmerEntry, KmerEntryRef, SketchConfig, SketchDatabase, SketchSizes, SketchTable};
 pub use taxonomy::{TaxId, Taxonomy};

@@ -106,6 +106,12 @@ impl ReferenceCollection {
         self.genomes.iter().map(ReferenceGenome::len).sum()
     }
 
+    /// Heap bytes of the genomes' packed sequences, charged on capacity
+    /// (names and the taxonomy are not counted).
+    pub fn sequence_bytes(&self) -> u64 {
+        self.genomes.iter().map(|g| g.sequence.heap_bytes()).sum()
+    }
+
     /// Returns the genome for a taxid, if present.
     pub fn genome_for(&self, taxid: TaxId) -> Option<&ReferenceGenome> {
         self.genomes.iter().find(|g| g.taxid == taxid)

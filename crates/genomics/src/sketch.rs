@@ -10,10 +10,13 @@
 //!
 //! This module provides the logical sketch content ([`SketchDatabase`]) in the
 //! "flat table" representation of Fig. 7(a): one sorted table per k-mer size,
-//! each k-mer stored explicitly and followed by its taxID list — the layout
-//! of the k-mer database itself. So each table *is* a
-//! [`SortedKmerDatabase`]: the database's CSR columns, built by the same
-//! sort-and-group builder with a hash selection in place of "every k-mer".
+//! each k-mer stored explicitly and followed by its taxID list. Each table
+//! is a [`SketchTable`]: its keys are a [`SortedKmerDatabase`] (the k-mer
+//! database's column and directory, so a key lookup is the database's
+//! probe), and beside them a CSR of taxa — the only taxa of the whole
+//! pipeline's databases, since the k-mer database holds bare k-mers. The
+//! table is built by one `(payload word, taxid)` sort-and-group over the
+//! k-mers a hash selects ([`SketchTable::build_selected`]).
 //! The baselines' ternary-search-tree representation (Fig. 7(b)) lives in
 //! `megis-tools`, and MegIS's K-mer Sketch Streaming representation
 //! (Fig. 7(c)) lives in the `megis` core crate; both are built from these
@@ -25,7 +28,7 @@
 //! retrieval structure, an analyzer keeps the sizes and drops the tables.
 
 use crate::database::SortedKmerDatabase;
-use crate::kmer::Kmer;
+use crate::kmer::{fits_half_word, CanonicalWords, Kmer, KmerWord};
 use crate::reference::ReferenceCollection;
 use crate::taxonomy::TaxId;
 
@@ -98,6 +101,206 @@ pub fn sketch_hash(kmer: Kmer) -> u64 {
     mix64((bits as u64) ^ mix64((bits >> 64) as u64) ^ (kmer.k() as u64).wrapping_mul(0x9e37_79b9))
 }
 
+/// One owned entry of a [`SketchTable`]: a k-mer and the taxa it occurs in.
+/// Used as builder input ([`SketchTable::from_sorted_entries`]) and for
+/// detached copies ([`KmerEntryRef::to_owned`]); the table itself stores
+/// entries columnarly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KmerEntry {
+    /// The indexed k-mer.
+    pub kmer: Kmer,
+    /// Sorted, deduplicated taxa whose genomes contain the k-mer.
+    pub taxa: Vec<TaxId>,
+}
+
+/// A borrowed view of one [`SketchTable`] entry: the k-mer plus its taxa
+/// slice inside the table's columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KmerEntryRef<'a> {
+    /// The indexed k-mer.
+    pub kmer: Kmer,
+    /// Sorted, deduplicated taxa whose genomes contain the k-mer.
+    pub taxa: &'a [TaxId],
+}
+
+impl KmerEntryRef<'_> {
+    /// Detaches the entry from the table it borrows.
+    pub fn to_owned(&self) -> KmerEntry {
+        KmerEntry {
+            kmer: self.kmer,
+            taxa: self.taxa.to_vec(),
+        }
+    }
+}
+
+/// One k size's flat sketch table (Fig. 7(a)): its sorted keys as a
+/// [`SortedKmerDatabase`] (the column and directory the k-mer database
+/// holds) plus their taxa in CSR form — entry `i`'s taxa are
+/// `taxa[taxa_offsets[i]..taxa_offsets[i + 1]]`. The taxa are what the KSS
+/// join, the KSS tables and the ternary tree are built from; the k-mer
+/// database itself holds none.
+#[derive(Debug, Clone)]
+pub struct SketchTable {
+    keys: SortedKmerDatabase,
+    /// `keys.len() + 1` boundaries into `taxa`.
+    taxa_offsets: Vec<u32>,
+    taxa: Vec<TaxId>,
+}
+
+impl SketchTable {
+    /// The table of the canonical k-mers of length `k` that `keep` selects,
+    /// each with the taxa of the genomes holding it. The build is flat end to
+    /// end: collect every selected `(payload word, taxid)` association on
+    /// words sized to `k` (8 bytes when `2k <= 64`, 16 otherwise —
+    /// [`fits_half_word`]), `sort_unstable` + `dedup` the pair list (word
+    /// order is k-mer order within one k), and run-length group it into the
+    /// columns — no per-entry map nodes, no `O(t)` membership scans per
+    /// occurrence. The result is identical to inserting each association
+    /// into an ordered map.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is zero or exceeds [`crate::kmer::MAX_K`].
+    pub fn build_selected(
+        references: &ReferenceCollection,
+        k: usize,
+        keep: impl Fn(Kmer) -> bool,
+    ) -> SketchTable {
+        if fits_half_word(k) {
+            SketchTable::build::<u64>(references, k, keep)
+        } else {
+            SketchTable::build::<u128>(references, k, keep)
+        }
+    }
+
+    /// [`SketchTable::build_selected`] over payload words of type `W`.
+    fn build<W: KmerWord>(
+        references: &ReferenceCollection,
+        k: usize,
+        keep: impl Fn(Kmer) -> bool,
+    ) -> SketchTable {
+        let mut pairs: Vec<(W, TaxId)> = Vec::new();
+        for genome in references.genomes() {
+            let taxid = genome.taxid();
+            pairs.extend(
+                CanonicalWords::<W>::new(genome.sequence(), k)
+                    .filter(|word| keep(Kmer::from_word(*word, k)))
+                    .map(|word| (word, taxid)),
+            );
+        }
+        pairs.sort_unstable();
+        pairs.dedup();
+        assert!(
+            pairs.len() < u32::MAX as usize,
+            "taxa column exceeds u32 offsets"
+        );
+        let runs = pairs.chunk_by(|a, b| a.0 == b.0);
+        let mut kmers: Vec<Kmer> = Vec::with_capacity(runs.clone().count());
+        let mut taxa_offsets: Vec<u32> = Vec::with_capacity(kmers.capacity() + 1);
+        taxa_offsets.push(0);
+        let mut taxa: Vec<TaxId> = Vec::with_capacity(pairs.len());
+        for run in runs {
+            kmers.push(Kmer::from_word(run[0].0, k));
+            taxa.extend(run.iter().map(|(_, taxid)| *taxid));
+            taxa_offsets.push(taxa.len() as u32);
+        }
+        SketchTable {
+            keys: SortedKmerDatabase::from_sorted_kmers(k, kmers),
+            taxa_offsets,
+            taxa,
+        }
+    }
+
+    /// Creates a table from pre-sorted entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if entries are not strictly sorted by k-mer, or if any entry's
+    /// k-mer is not of length `k`.
+    pub fn from_sorted_entries(k: usize, entries: Vec<KmerEntry>) -> SketchTable {
+        let associations: usize = entries.iter().map(|e| e.taxa.len()).sum();
+        assert!(
+            associations < u32::MAX as usize,
+            "taxa column exceeds u32 offsets"
+        );
+        let mut kmers = Vec::with_capacity(entries.len());
+        let mut taxa_offsets = Vec::with_capacity(entries.len() + 1);
+        taxa_offsets.push(0u32);
+        let mut taxa = Vec::with_capacity(associations);
+        for entry in entries {
+            kmers.push(entry.kmer);
+            taxa.extend(entry.taxa);
+            taxa_offsets.push(taxa.len() as u32);
+        }
+        SketchTable {
+            keys: SortedKmerDatabase::from_sorted_kmers(k, kmers),
+            taxa_offsets,
+            taxa,
+        }
+    }
+
+    /// The k-mer length of the table.
+    pub fn k(&self) -> usize {
+        self.keys.k()
+    }
+
+    /// Number of entries (distinct k-mers).
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Returns `true` if the table has no entries.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The sorted key column.
+    pub fn kmer_slice(&self) -> &[Kmer] {
+        self.keys.kmer_slice()
+    }
+
+    /// Iterates over the sorted keys.
+    pub fn kmers(&self) -> impl Iterator<Item = Kmer> + '_ {
+        self.keys.kmers()
+    }
+
+    /// Borrowed view of entry `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= self.len()`.
+    pub fn entry(&self, index: usize) -> KmerEntryRef<'_> {
+        let start = self.taxa_offsets[index] as usize;
+        let end = self.taxa_offsets[index + 1] as usize;
+        KmerEntryRef {
+            kmer: self.kmer_slice()[index],
+            taxa: &self.taxa[start..end],
+        }
+    }
+
+    /// Iterates over the sorted entries as borrowed views.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = KmerEntryRef<'_>> + '_ {
+        (0..self.len()).map(move |i| self.entry(i))
+    }
+
+    /// The entry of `kmer`, if it is a key: [`SortedKmerDatabase::lookup`]
+    /// of the keys.
+    pub fn lookup(&self, kmer: Kmer) -> Option<KmerEntryRef<'_>> {
+        self.keys.lookup(kmer).map(|position| self.entry(position))
+    }
+
+    /// Every k-mer→taxon association, concatenated in key order.
+    pub fn associations(&self) -> &[TaxId] {
+        &self.taxa
+    }
+
+    /// Size in the 2-bit flat-table encoding, in bytes: the key payloads
+    /// plus one 4-byte taxID per association.
+    pub fn encoded_bytes(&self) -> u64 {
+        self.keys.encoded_bytes() + 4 * self.taxa.len() as u64
+    }
+}
+
 /// Every taxon of a sketch, ascending, with the number of sketch k-mers
 /// (across all k sizes) it appears on — all that presence calling reads of
 /// the sketch, so it outlives the tables it was counted from.
@@ -108,10 +311,10 @@ pub struct SketchSizes {
 
 impl SketchSizes {
     /// Counts each taxon's sketch k-mers over `tables`.
-    fn count(tables: &[SortedKmerDatabase]) -> SketchSizes {
+    fn count(tables: &[SketchTable]) -> SketchSizes {
         let mut associations: Vec<TaxId> = tables
             .iter()
-            .flat_map(|table| table.taxa_slice())
+            .flat_map(SketchTable::associations)
             .copied()
             .collect();
         associations.sort_unstable();
@@ -165,12 +368,12 @@ impl SketchSizes {
 }
 
 /// The sketch database in its flat-table (Fig. 7(a)) representation: one
-/// columnar [`SortedKmerDatabase`] per k size.
+/// [`SketchTable`] per k size.
 #[derive(Debug, Clone, Default)]
 pub struct SketchDatabase {
     config: Option<SketchConfig>,
     /// One sorted table per k size (largest k first).
-    tables: Vec<SortedKmerDatabase>,
+    tables: Vec<SketchTable>,
     /// Each taxon's sketch size, counted once at build.
     sizes: SketchSizes,
 }
@@ -181,16 +384,14 @@ impl SketchDatabase {
     /// For every taxon and every configured k size, the k-mers whose
     /// [`sketch_hash`] falls in the bottom `fraction` of the hash space are
     /// selected as that taxon's sketch: each table is
-    /// [`SortedKmerDatabase::build_selected`] with that selection.
+    /// [`SketchTable::build_selected`] with that selection.
     pub fn build(references: &ReferenceCollection, config: SketchConfig) -> SketchDatabase {
         let threshold = (config.fraction.clamp(0.0, 1.0) * u64::MAX as f64) as u64;
-        let tables: Vec<SortedKmerDatabase> = config
+        let tables: Vec<SketchTable> = config
             .k_sizes()
             .into_iter()
             .map(|k| {
-                SortedKmerDatabase::build_selected(references, k, |kmer| {
-                    sketch_hash(kmer) <= threshold
-                })
+                SketchTable::build_selected(references, k, |kmer| sketch_hash(kmer) <= threshold)
             })
             .collect();
         SketchDatabase {
@@ -208,27 +409,27 @@ impl SketchDatabase {
 
     /// The k sizes present, largest first.
     pub fn k_sizes(&self) -> Vec<usize> {
-        self.tables.iter().map(SortedKmerDatabase::k).collect()
+        self.tables.iter().map(SketchTable::k).collect()
     }
 
     /// The largest k size in the database.
     pub fn k_max(&self) -> Option<usize> {
-        self.tables.first().map(SortedKmerDatabase::k)
+        self.tables.first().map(SketchTable::k)
     }
 
     /// The sorted table for a given k size.
-    pub fn table(&self, k: usize) -> Option<&SortedKmerDatabase> {
+    pub fn table(&self, k: usize) -> Option<&SketchTable> {
         self.tables.iter().find(|table| table.k() == k)
     }
 
     /// Total number of (k-mer, taxon) associations across all tables.
     pub fn total_associations(&self) -> usize {
-        self.tables.iter().map(|t| t.taxa_slice().len()).sum()
+        self.tables.iter().map(|t| t.associations().len()).sum()
     }
 
     /// Total number of sketch k-mers across all tables.
     pub fn total_kmers(&self) -> usize {
-        self.tables.iter().map(SortedKmerDatabase::len).sum()
+        self.tables.iter().map(SketchTable::len).sum()
     }
 
     /// Returns `true` if no sketch k-mers were selected.
@@ -259,10 +460,7 @@ impl SketchDatabase {
     /// k-mer stored explicitly in 2-bit encoding plus 4 bytes per taxID
     /// association. This is the baseline KSS is compared against.
     pub fn flat_table_bytes(&self) -> u64 {
-        self.tables
-            .iter()
-            .map(SortedKmerDatabase::encoded_bytes)
-            .sum()
+        self.tables.iter().map(SketchTable::encoded_bytes).sum()
     }
 
     /// Each taxon's sketch size: what presence calling keeps of the sketch
@@ -401,6 +599,23 @@ mod tests {
         let entry = table.entry(table.len() / 2);
         assert_eq!(entry.kmer.k(), table.k());
         assert_eq!(table.lookup(entry.kmer), Some(entry));
+    }
+
+    #[test]
+    fn entry_taxa_are_sorted_and_deduplicated() {
+        let table = SketchTable::build_selected(&refs(), 21, |_| true);
+        assert!(!table.is_empty());
+        for entry in table.entries() {
+            assert!(!entry.taxa.is_empty());
+            assert!(entry.taxa.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+
+    #[test]
+    fn shared_kmers_carry_multiple_taxa() {
+        let table = SketchTable::build_selected(&refs(), 21, |_| true);
+        let multi = table.entries().filter(|e| e.taxa.len() > 1).count();
+        assert!(multi > 0, "same-genus species should share k-mers");
     }
 
     #[test]

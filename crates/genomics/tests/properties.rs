@@ -22,7 +22,7 @@ use megis_genomics::kmer::{
 use megis_genomics::profile::AbundanceProfile;
 use megis_genomics::read::Read;
 use megis_genomics::reference::{ReferenceCollection, ReferenceGenome};
-use megis_genomics::sketch::{sketch_hash, SketchConfig, SketchDatabase};
+use megis_genomics::sketch::{sketch_hash, SketchConfig, SketchDatabase, SketchTable};
 use megis_genomics::taxonomy::{Rank, TaxId, Taxonomy};
 
 const CASES: usize = 48;
@@ -906,9 +906,9 @@ fn sketch_by_map(
     (tables, sizes)
 }
 
-/// A database's entries as owned `(k-mer, taxa)` pairs.
-fn owned_entries(db: &SortedKmerDatabase) -> MapTable {
-    db.entries().map(|e| (e.kmer, e.taxa.to_vec())).collect()
+/// A sketch table's entries as owned `(k-mer, taxa)` pairs.
+fn owned_entries(table: &SketchTable) -> MapTable {
+    table.entries().map(|e| (e.kmer, e.taxa.to_vec())).collect()
 }
 
 /// Genomes for the builder properties: [`shared_seed_genomes`] (taxa sharing
@@ -945,30 +945,36 @@ fn sort_built_database_equals_the_ordered_map_reference() {
         for k in [1usize, 2, 15, 21, 31, 32, 33, 45, 60] {
             let db = SortedKmerDatabase::build(&references, k);
             let expected = database_by_map(&references, k, |_| true);
-            assert_eq!(owned_entries(&db), expected, "case {case}, k = {k}");
-            let associations: usize = expected.iter().map(|(_, taxa)| taxa.len()).sum();
+            let keys: Vec<Kmer> = expected.iter().map(|(kmer, _)| *kmer).collect();
+            assert_eq!(db.kmer_slice(), keys.as_slice(), "case {case}, k = {k}");
             assert_eq!(db.k(), k);
-            assert_eq!(db.storage().association_count(), associations);
-            // The columns are exactly their length: no growth slack is
-            // charged to the resident accounting. The directory has
-            // 2^⌊log₂ n⌋ buckets (capped at the width of the largest k-mer's
-            // top 64 payload bits) plus a sentinel, 4 bytes each.
+            // The column is exactly its length: no growth slack is charged
+            // to the resident accounting. The directory has 2^⌊log₂ n⌋
+            // buckets (capped at the width of the largest k-mer's top 64
+            // payload bits) plus a sentinel, 4 bytes each.
             let buckets = expected.last().map_or(0, |(max, _)| {
                 let width = 64 - ((max.word::<u128>() >> 64) as u64).leading_zeros();
                 (1usize << expected.len().ilog2().min(width)) + 1
             });
-            let heap =
-                16 * expected.len() + 4 * (expected.len() + 1) + 4 * associations + 4 * buckets;
+            let heap = 16 * expected.len() + 4 * buckets;
             assert_eq!(
                 db.storage().heap_bytes(),
                 heap as u64,
                 "case {case}, k = {k}"
             );
+
+            // The associations: a sketch table that selects every k-mer,
+            // keyed by the database's column.
+            let table = SketchTable::build_selected(&references, k, |_| true);
+            assert_eq!(owned_entries(&table), expected, "case {case}, k = {k}");
+            assert_eq!(table.kmer_slice(), db.kmer_slice());
+            let associations: usize = expected.iter().map(|(_, taxa)| taxa.len()).sum();
+            assert_eq!(table.associations().len(), associations);
             shared += expected.iter().filter(|(_, taxa)| taxa.len() > 1).count();
 
             // Any selection: the same build restricted to the kept k-mers.
             let keep = |kmer: Kmer| kmer.bits().is_multiple_of(3);
-            let selected = SortedKmerDatabase::build_selected(&references, k, keep);
+            let selected = SketchTable::build_selected(&references, k, keep);
             assert_eq!(
                 owned_entries(&selected),
                 database_by_map(&references, k, keep),

@@ -12,8 +12,8 @@
 //! columnar storage ([`SortedKmerDatabase::partition`] returns range views
 //! on one `Arc<DatabaseStorage>`), so building an N-shard [`ShardSet`]
 //! allocates nothing beyond N view handles: the analyzer's database and all
-//! of its shards together keep **one** resident copy of the k-mer/taxa
-//! columns, where the old `chunk.to_vec()` partitioning kept two (the
+//! of its shards together keep **one** resident copy of the k-mer column
+//! and its directory, where the old `chunk.to_vec()` partitioning kept two (the
 //! analyzer's copy plus a full duplicate spread across the shards).
 //! [`ShardSet::resident_bytes`] reports the deduplicated host footprint —
 //! counting each distinct storage allocation once — and the `hotpath` bench
@@ -303,7 +303,8 @@ impl ShardSet {
     }
 
     /// Database bytes resident on each shard (the quantity each simulated
-    /// SSD streams during Step 2).
+    /// SSD streams during Step 2): its k-mer payloads
+    /// ([`SortedKmerDatabase::encoded_bytes`]).
     pub fn shard_bytes(&self) -> Vec<u64> {
         self.shards.iter().map(|s| s.encoded_bytes()).collect()
     }
