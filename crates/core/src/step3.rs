@@ -5,14 +5,16 @@
 //! read mapper needs: a *unified* reference index over the candidate species
 //! identified in Step 2, generated inside the SSD by sequentially merging the
 //! candidates' sorted per-species indexes (Fig. 9), then handed — together
-//! with the reads — to a mapping accelerator. Every index here is flat
-//! (sorted seed column, `u32` offsets, one location arena) and the merge is
-//! the one forward k-way merge of [`megis_genomics::database`], so the stage
-//! consumes its inputs at streaming cost. What is left per read is the seed
-//! lookups — latency-bound random accesses that only go fast with many in
-//! flight — so the mapper resolves a read's seeds a batch at a time (three
-//! passes of independent loads over 16 seeds) instead of one dependent
-//! chain per seed; the oracle and [`map_range`] go through that one mapper.
+//! with the reads — to a mapping accelerator. Every index here is flat: a
+//! per-species index is two columns in `(seed, position)` order, the unified
+//! index a sorted seed column with `u32` offsets into one location arena,
+//! and the merge is the one forward k-way merge of
+//! [`megis_genomics::database`], so the stage consumes its inputs at
+//! streaming cost. What is left per read is the seed lookups, and the
+//! mapper skips most of them: once a seed resolves to a genome position,
+//! the read's next seed is checked at the neighbouring position before any
+//! directory lookup. The oracle and [`map_range`] go through that one
+//! mapper.
 //!
 //! [`crate::MegisAnalyzer::run_step3`] is the stage as both the sequential
 //! `analyze` and the scheduler's device command run it: the index merged
@@ -52,9 +54,8 @@ use std::ops::Range;
 use megis_genomics::database::{
     PartialUnifiedIndex, ReferenceIndex, UnifiedReferenceIndex, MIN_MAPPING_VOTES,
 };
-use megis_genomics::profile::{AbundanceAccumulator, AbundanceProfile, PresenceResult};
+use megis_genomics::profile::{AbundanceAccumulator, AbundanceProfile};
 use megis_genomics::read::ReadSet;
-use megis_genomics::reference::ReferenceCollection;
 use megis_genomics::taxonomy::TaxId;
 
 /// Output of Step 3.
@@ -251,26 +252,6 @@ pub fn partition_candidates(candidates: &[&ReferenceIndex], parts: usize) -> Vec
     out
 }
 
-/// Builds per-species reference indexes for the given candidates.
-///
-/// Index construction for individual species is a one-time offline task
-/// (§4.4); this helper exists so tests and examples can produce them from a
-/// synthetic reference collection. The analyzer builds its indexes once at
-/// construction and borrows them per sample (see
-/// [`crate::MegisAnalyzer::candidate_indexes`]).
-pub fn build_candidate_indexes(
-    references: &ReferenceCollection,
-    candidates: &PresenceResult,
-    seed_k: usize,
-) -> Vec<ReferenceIndex> {
-    references
-        .genomes()
-        .iter()
-        .filter(|g| candidates.contains(g.taxid()))
-        .map(|g| ReferenceIndex::build(g, seed_k))
-        .collect()
-}
-
 /// Recombines the parts of a candidate cut (in candidate-range order) into
 /// the full Step 3 output: merge the partial indexes byte-identically,
 /// resolve each read's winner across parts by the same `(votes,
@@ -337,6 +318,15 @@ mod tests {
     use megis_genomics::metrics::AbundanceError;
     use megis_genomics::sample::{CommunityConfig, Diversity};
 
+    /// The per-species index of every candidate `truth` names, at seed
+    /// length 15, in reference order.
+    fn candidate_indexes(c: &megis_genomics::sample::Community) -> Vec<ReferenceIndex> {
+        let truth = c.truth_presence();
+        let genomes = c.references().genomes().iter();
+        let candidates = genomes.filter(|g| truth.contains(g.taxid()));
+        candidates.map(|g| ReferenceIndex::build(g, 15)).collect()
+    }
+
     fn community() -> megis_genomics::sample::Community {
         CommunityConfig::preset(Diversity::Medium)
             .with_reads(400)
@@ -374,7 +364,7 @@ mod tests {
     fn unified_index_covers_all_candidates() {
         let c = community();
         let truth = c.truth_presence();
-        let indexes = build_candidate_indexes(c.references(), &truth, 15);
+        let indexes = candidate_indexes(&c);
         assert_eq!(indexes.len(), truth.len());
         let unified = UnifiedReferenceIndex::merge(&indexes);
         assert_eq!(unified.offsets().len(), truth.len());
@@ -383,8 +373,7 @@ mod tests {
     #[test]
     fn mapping_based_abundance_tracks_truth() {
         let c = community();
-        let truth = c.truth_presence();
-        let indexes = build_candidate_indexes(c.references(), &truth, 15);
+        let indexes = candidate_indexes(&c);
         let out = run(c.sample().reads(), &indexes, 15);
         assert!(out.mapped_reads > (c.sample().len() as u64) / 2);
         let err = AbundanceError::score(&out.abundance, c.truth_profile());
@@ -501,8 +490,7 @@ mod tests {
     #[test]
     fn partition_covers_candidates_and_offsets_compose() {
         let c = community();
-        let truth = c.truth_presence();
-        let indexes = build_candidate_indexes(c.references(), &truth, 15);
+        let indexes = candidate_indexes(&c);
         let refs: Vec<&ReferenceIndex> = indexes.iter().collect();
         for parts in 1..=9usize {
             let partition = partition_candidates(&refs, parts);
@@ -598,13 +586,9 @@ mod tests {
         // the sequential oracle — on the skewed candidates too, since every
         // range maps against all of them.
         let c = community();
-        let truth = c.truth_presence();
         let (skewed, skewed_reads) = skewed_fixture(&[3000, 90, 110, 100, 2800, 120], 5);
         for (indexes, reads) in [
-            (
-                build_candidate_indexes(c.references(), &truth, 15),
-                c.sample().reads(),
-            ),
+            (candidate_indexes(&c), c.sample().reads()),
             (skewed, &skewed_reads),
         ] {
             let oracle = run(reads, &indexes, 15);
@@ -655,8 +639,7 @@ mod tests {
                 .with_species(species)
                 .with_database_species(16)
                 .build(seed);
-            let truth = c.truth_presence();
-            let indexes = build_candidate_indexes(c.references(), &truth, 15);
+            let indexes = candidate_indexes(&c);
             let refs: Vec<&ReferenceIndex> = indexes.iter().collect();
             let oracle = run(c.sample().reads(), &indexes, 15);
             assert!(oracle.mapped_reads > 0, "seed {seed}: fixture maps nothing");

@@ -70,7 +70,8 @@
 //!
 //! **One tally.** Every completion reaped — stale ones too: the device did
 //! the work — and every issue, re-issue and delivery is folded into the
-//! [`Tally`] that becomes the [`crate::ServiceReport`]'s counters.
+//! [`Tally`] that becomes the [`crate::ServiceReport`]'s counters, and every
+//! settle books, at its `now`, which devices it leaves occupied.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -392,6 +393,7 @@ impl Core {
         if self.queue.len() + self.in_flight() + specs.len() > capacity {
             return Err(AdmissionError::QueueFull { capacity });
         }
+        self.tally.admitted(now);
         let ids = specs.into_iter().map(|spec| self.queue.submit(spec, now));
         Ok(ids.collect())
     }
@@ -408,6 +410,8 @@ impl Core {
         }
         let issued = self.fire_timers(now) | self.submit_backlog(now);
         let deliveries = self.deliver(now);
+        let occupied = self.devices.iter().map(|d| d.busy || !d.queue.is_empty());
+        self.tally.settled(occupied, now);
         let wake = self.next_wake();
         let earlier = wake.is_some_and(|at| before.is_none_or(|held| at < held));
         Settled {
@@ -931,6 +935,7 @@ mod tests {
     use super::*;
     use crate::fault::FaultPlan;
     use crate::shard::ShardWorker;
+    use crate::trace::DEFAULT_TRACE_CAPACITY;
 
     impl Core {
         /// Every opened job is delivered and no command waits for a slot.
@@ -1453,8 +1458,8 @@ mod tests {
     enum Thread {
         /// Runs a round next: just started, notified, or its timer passed.
         Ready,
-        /// Runs a unit `pick` handed it.
-        Running(Work),
+        /// Runs a unit `pick` handed it at this instant.
+        Running(Work, Instant),
         /// Parked until a notify, or until the clock passes its timer.
         Parked(Option<Instant>),
         /// Returned: shutdown began and the core was idle.
@@ -1515,7 +1520,7 @@ mod tests {
             self.delivered.extend(settled.deliveries);
             // Shutdown began at admission: the batch is closed.
             let (next, exit) = match self.core.pick() {
-                Some(work) => (Thread::Running(work), false),
+                Some(work) => (Thread::Running(work, self.now), false),
                 None if self.core.idle() => (Thread::Exited, true),
                 None => (Thread::Parked(settled.wake), false),
             };
@@ -1544,8 +1549,9 @@ mod tests {
             }
         }
 
-        /// Runs one unit to its end and returns the event it produced.
-        fn finish(&mut self, work: Work) -> Event {
+        /// Runs one unit picked at `picked` to its end and returns the
+        /// event it produced; a command was busy until now.
+        fn finish(&mut self, work: Work, picked: Instant) -> Event {
             let (device, popped, command) = match work {
                 Work::Step1(job, position) => {
                     let sample = self.jobs[job.id.0 as usize];
@@ -1570,7 +1576,10 @@ mod tests {
                         .insert((key(&command), command.attempt()));
                 }
             }
-            Event::Completed(completion(&command, device, result))
+            Event::Completed(ShardCompletion {
+                busy: self.now - picked,
+                ..completion(&command, device, result)
+            })
         }
 
         /// One step: a ready thread runs its round, or a running thread
@@ -1579,7 +1588,7 @@ mod tests {
         /// Returns `false` once every thread has exited.
         fn step(&mut self, rng: &mut StdRng) -> bool {
             let actors: Vec<usize> = (0..self.threads.len())
-                .filter(|&t| matches!(self.threads[t], Thread::Ready | Thread::Running(_)))
+                .filter(|&t| matches!(self.threads[t], Thread::Ready | Thread::Running(..)))
                 .collect();
             if actors.is_empty() {
                 let timers = self.threads.iter().filter_map(|thread| match thread {
@@ -1594,10 +1603,10 @@ mod tests {
             } else {
                 let t = actors[rng.gen_range(0..actors.len())];
                 match std::mem::replace(&mut self.threads[t], Thread::Ready) {
-                    Thread::Running(work) => {
+                    Thread::Running(work, picked) => {
                         self.now += Duration::from_micros(rng.gen_range(0..=2000));
                         self.cascade = 0;
-                        let event = self.finish(work);
+                        let event = self.finish(work, picked);
                         self.round(t, Some(event));
                     }
                     _ => {
@@ -1630,7 +1639,7 @@ mod tests {
             // (iii) One command per device, at most `workers` units.
             let mut serving = vec![0; core.devices.len()];
             for thread in &self.threads {
-                if let Thread::Running(Work::Command(device, ..)) = thread {
+                if let Thread::Running(Work::Command(device, ..), _) = thread {
                     serving[*device] += 1;
                 }
             }
@@ -1644,7 +1653,7 @@ mod tests {
             let running = self
                 .threads
                 .iter()
-                .filter(|t| matches!(t, Thread::Running(_)));
+                .filter(|t| matches!(t, Thread::Running(..)));
             assert!(running.count() <= workers, "seed {seed}");
             // (iv) The lookahead gate and the queue depth.
             assert!(
@@ -1671,12 +1680,13 @@ mod tests {
     }
 
     /// Runs one schedule of `jobs` (sample indices, admitted as one closed
-    /// batch) to the end and checks the invariants after every step;
-    /// returns it for the caller's end-state assertions.
-    fn explore(seed: u64, config: &EngineConfig, jobs: &[usize]) -> Schedule {
+    /// batch) on a core recording into `trace` to the end and checks the
+    /// invariants after every step; returns it for the caller's end-state
+    /// assertions.
+    fn explore(seed: u64, config: &EngineConfig, jobs: &[usize], trace: TraceSink) -> Schedule {
         let f = fixture();
         let mut rng = StdRng::seed_from_u64(seed);
-        let (mut core, device) = core(config);
+        let (mut core, device) = traced_core(config, trace);
         let specs = jobs
             .iter()
             .enumerate()
@@ -1739,7 +1749,29 @@ mod tests {
                 assert!(stats.peak_inflight >= 1, "seed {seed}: shard {shard}");
             }
         }
+        // The device report closes on the fake clock: it spans admission to
+        // the last settle, and each device's busy time lies inside the time
+        // it was occupied, which lies inside the span.
+        let report = straggler(&s.core);
+        assert_eq!(report.span, s.now - admitted, "seed {seed}: span");
+        for (device, stats) in report.devices.iter().zip(s.core.tally.shards()) {
+            let d = device.device;
+            assert_eq!(
+                device.busy + device.stall + device.idle,
+                report.span,
+                "seed {seed}: device {d} closes"
+            );
+            assert_eq!(device.busy, stats.busy, "seed {seed}: device {d}");
+            assert_eq!(device.step3_busy + device.intersect_busy, stats.busy);
+            assert_eq!(device.commands, stats.jobs + stats.step3_jobs);
+        }
         s
+    }
+
+    /// The straggler report of the counts `core` folded so far.
+    fn straggler(core: &Core) -> crate::StragglerReport {
+        let report = core.tally.clone().into_report();
+        report.straggler.expect("every report has one")
     }
 
     /// Runs `check` for `seed`, naming the seed if it fails.
@@ -1749,35 +1781,43 @@ mod tests {
         }
     }
 
+    /// The engine configuration and job list schedule `seed` explores:
+    /// 1–3 shards, workers and depths, transient faults, and — by seed — a
+    /// device death, a retry backoff or a command deadline.
+    fn seeded_schedule(seed: u64) -> (EngineConfig, Vec<usize>) {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        let shards = 1 + (seed % 3) as usize;
+        let mut plan = FaultPlan::seeded(seed).with_transient_rate(0.15);
+        // Every 4th schedule kills one device of several.
+        if seed % 4 == 3 && shards > 1 {
+            plan = plan.with_shard_death(rng.gen_range(0..shards), rng.gen_range(0..6u64));
+        }
+        let mut config = EngineConfig::new()
+            .with_workers(1 + (seed / 6 % 3) as usize)
+            .with_shards(shards)
+            .with_queue_depth(1 + (seed / 3 % 2) as usize)
+            .with_fault_plan(plan);
+        if seed % 5 == 1 {
+            config = config.with_retry_backoff(Duration::from_millis(1));
+        }
+        if seed % 7 == 2 {
+            // Well above a step (0–2 ms), yet reachable while a command
+            // waits its turn.
+            config = config.with_command_deadline(Duration::from_millis(40));
+        }
+        let jobs = (0..rng.gen_range(3..=6usize))
+            .map(|_| rng.gen_range(0..fixture().samples.len()))
+            .collect();
+        (config, jobs)
+    }
+
     #[test]
     fn seeded_schedules_deliver_the_oracle_in_dispatch_order() {
         let f = fixture();
         for seed in 0..64u64 {
             with_seed(seed, || {
-                let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
-                let shards = 1 + (seed % 3) as usize;
-                let mut plan = FaultPlan::seeded(seed).with_transient_rate(0.15);
-                // Every 4th schedule kills one device of several.
-                if seed % 4 == 3 && shards > 1 {
-                    plan = plan.with_shard_death(rng.gen_range(0..shards), rng.gen_range(0..6u64));
-                }
-                let mut config = EngineConfig::new()
-                    .with_workers(1 + (seed / 6 % 3) as usize)
-                    .with_shards(shards)
-                    .with_queue_depth(1 + (seed / 3 % 2) as usize)
-                    .with_fault_plan(plan);
-                if seed % 5 == 1 {
-                    config = config.with_retry_backoff(Duration::from_millis(1));
-                }
-                if seed % 7 == 2 {
-                    // Well above a step (0–2 ms), yet reachable while a
-                    // command waits its turn.
-                    config = config.with_command_deadline(Duration::from_millis(40));
-                }
-                let jobs: Vec<usize> = (0..rng.gen_range(3..=6usize))
-                    .map(|_| rng.gen_range(0..f.samples.len()))
-                    .collect();
-                let s = explore(seed, &config, &jobs);
+                let (config, jobs) = seeded_schedule(seed);
+                let s = explore(seed, &config, &jobs, TraceSink::disabled());
                 for ((_, outcome), &sample) in s.delivered.iter().zip(&jobs) {
                     match outcome {
                         Ok(result) => {
@@ -1799,6 +1839,28 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowed_trace_ring_changes_no_figure() {
+        // A ring far smaller than the schedule's event count evicts most of
+        // it, and the exported log is incomplete; the device report and the
+        // stage breakdowns are folded by the core and never read the ring.
+        let seed = 7;
+        let (config, jobs) = seeded_schedule(seed);
+        let run = |trace: TraceSink| {
+            let s = explore(seed, &config, &jobs, trace.clone());
+            for (id, outcome) in &s.delivered {
+                let result = outcome.as_ref().expect("seed 7 delivers every job");
+                assert!(result.breakdown.is_some(), "job {id:?} has its breakdown");
+            }
+            (straggler(&s.core), trace.dropped())
+        };
+        let (small, dropped) = run(TraceSink::bounded(32));
+        assert!(dropped > 0, "the schedule overflows a 32-event ring");
+        let (full, dropped) = run(TraceSink::bounded(DEFAULT_TRACE_CAPACITY));
+        assert_eq!(dropped, 0, "the default ring holds the schedule");
+        assert_eq!(small, full);
+    }
+
+    #[test]
     fn with_every_device_dead_every_job_fails_and_none_hangs() {
         for seed in 0..16u64 {
             with_seed(seed, || {
@@ -1813,7 +1875,7 @@ mod tests {
                     .with_shards(shards)
                     .with_queue_depth(1 + (seed % 2) as usize)
                     .with_fault_plan(plan);
-                let s = explore(seed, &config, &[0, 1, 3, 0]);
+                let s = explore(seed, &config, &[0, 1, 3, 0], TraceSink::disabled());
                 for (id, outcome) in &s.delivered {
                     assert!(
                         matches!(outcome, Err(JobError::NoLiveShards { job }) if job == id),

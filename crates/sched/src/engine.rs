@@ -45,10 +45,10 @@ pub struct EngineConfig {
     /// overlap of §4.7 — while depth 1 serializes each device against the
     /// host round trip.
     pub queue_depth: usize,
-    /// Capacity of the pipeline trace ring buffer; `None` (the default)
-    /// disables tracing entirely — the zero-cost
-    /// [`crate::trace::TraceSink::disabled`] path.
-    pub trace_capacity: Option<usize>,
+    /// Whether the engine records its lifecycle events into a ring of
+    /// [`crate::trace::DEFAULT_TRACE_CAPACITY`]; `false` (the default) is
+    /// the zero-cost [`crate::trace::TraceSink::disabled`] path.
+    pub tracing: bool,
     /// Deterministic seeded fault-injection schedule applied at the
     /// serving seam; `None` (the default) injects nothing and the
     /// fault path costs one `Option` check per command.
@@ -84,7 +84,7 @@ impl Default for EngineConfig {
             policy: SchedPolicy::Fifo,
             queue_capacity: 1024,
             queue_depth: 4,
-            trace_capacity: None,
+            tracing: false,
             fault_plan: None,
             retry_budget: 3,
             retry_backoff: Duration::ZERO,
@@ -159,25 +159,11 @@ impl EngineConfig {
         self
     }
 
-    /// Enables pipeline tracing with the default ring capacity
-    /// ([`crate::trace::DEFAULT_TRACE_CAPACITY`] events). The engine then
-    /// records every lifecycle event and its reports carry a
-    /// [`crate::trace::StageBreakdown`], a
-    /// [`crate::trace::StragglerReport`], and the raw
+    /// Enables pipeline tracing: each job's result then carries a
+    /// [`crate::trace::StageBreakdown`], and the report the raw
     /// [`crate::trace::TraceLog`].
-    pub fn with_tracing(self) -> EngineConfig {
-        self.with_trace_capacity(crate::trace::DEFAULT_TRACE_CAPACITY)
-    }
-
-    /// Enables pipeline tracing with an explicit ring capacity (events kept;
-    /// oldest evicted beyond it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_trace_capacity(mut self, capacity: usize) -> EngineConfig {
-        assert!(capacity > 0, "trace capacity must be positive");
-        self.trace_capacity = Some(capacity);
+    pub fn with_tracing(mut self) -> EngineConfig {
+        self.tracing = true;
         self
     }
 

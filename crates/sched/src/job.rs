@@ -107,8 +107,8 @@ pub struct JobResult {
     pub latency: Duration,
     /// Per-stage decomposition of the job's latency, folded by the completer
     /// from the job's own timeline: `None` when tracing was disabled
-    /// ([`crate::EngineConfig::trace_capacity`]); however small the trace
-    /// ring, it never reads it. [`StageBreakdown::total`] matches
+    /// ([`crate::EngineConfig::tracing`]); it never reads the trace ring.
+    /// [`StageBreakdown::total`] matches
     /// [`JobResult::latency`] to well under 1% (the two are measured
     /// independently).
     pub breakdown: Option<StageBreakdown>,

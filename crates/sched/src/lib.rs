@@ -62,7 +62,8 @@
 //!   the engine itself spends real host CPU time and nothing else,
 //! * [`trace`] — the pipeline tracing subsystem ([`TraceSink`],
 //!   [`StageBreakdown`], [`StragglerReport`]): per-command lifecycle events
-//!   and the analyses built on them (see *Observability* below).
+//!   and the analyses the completer folds beside them (see *Observability*
+//!   below).
 //!
 //! # One engine
 //!
@@ -102,16 +103,18 @@
 //! pipeline thread then records timestamped lifecycle events into one
 //! bounded, multi-producer [`TraceSink`]: job admission, Step 1 start/end,
 //! per-`(seq, shard)` command issued/started/completed for both in-SSD
-//! command kinds, reduce start/end, delivery. Two analyses are surfaced on
-//! [`JobResult`] and [`ServiceReport`]:
+//! command kinds, reduce start/end, delivery — a log the report exports
+//! ([`TraceLog`]) and no figure reads. Two analyses are surfaced on
+//! [`JobResult`] and [`ServiceReport`], both folded by the completer:
 //!
 //! * [`StageBreakdown`] — each job's submission→delivery wall clock,
 //!   partitioned into telescoping stage segments (queue wait, Step 1,
 //!   per-stage queue wait vs. device service, reduce barrier, reduce), so
-//!   the segments sum to the job's end-to-end latency. The completer folds
-//!   it from the job's own timeline, never from the ring;
+//!   the segments sum to the job's end-to-end latency. It is folded from
+//!   the job's own timeline and needs tracing;
 //! * [`StragglerReport`] — per-device busy/stall/idle fractions and
-//!   per-device Step 3 busy time with the max/min skew.
+//!   per-device Step 3 busy time with the max/min skew, folded as the core
+//!   settles beside the [`ShardStats`] it extends, tracing on or off.
 //!
 //! **Overhead contract:** tracing is disabled by default;
 //! [`trace::TraceSink::disabled`] records through a single inlined branch

@@ -1,7 +1,7 @@
 //! Operational metrics: latency percentiles, per-shard busy accounting, the
 //! rolling window the service reports while it is live, and the
 //! [`ServiceReport`] it returns at shutdown, whose counts the completer
-//! folds into one `Tally` as it reaps, issues and delivers.
+//! folds into one `Tally` as it admits, reaps, issues, settles and delivers.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use crate::complete::ShardCompletion;
 use crate::job::{JobError, JobResult};
 use crate::shard::{CommandFailure, ShardCommand};
-use crate::trace::{StageBreakdown, StragglerReport, TraceLog};
+use crate::trace::{DeviceUsage, StageBreakdown, StragglerReport, TraceLog};
 
 /// Latency distribution over a set of completed jobs.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -187,6 +187,16 @@ pub struct ShardStats {
     pub dead: bool,
 }
 
+/// What a device's [`DeviceUsage`] needs beyond its [`ShardStats`]: the
+/// Step 3 share of its busy time, and the time it was occupied — closed
+/// spans, plus the start of the open one.
+#[derive(Debug, Clone, Copy, Default)]
+struct Occupancy {
+    step3_busy: Duration,
+    occupied: Duration,
+    since: Option<Instant>,
+}
+
 /// The counts a [`ServiceReport`] carries beyond the live ones. The
 /// completer owns the one tally; its fields are private to this module, so
 /// its folds are the only [`ShardStats`] writers.
@@ -194,6 +204,10 @@ pub struct ShardStats {
 pub(crate) struct Tally {
     /// One per shard, in shard order.
     shards: Vec<ShardStats>,
+    /// One per device, in shard order.
+    occupancy: Vec<Occupancy>,
+    /// The first admission and the last settle: the straggler report's span.
+    span: Option<(Instant, Instant)>,
     stage_overlap_events: u64,
     mapped_reads: u64,
     failed_jobs: u64,
@@ -204,14 +218,35 @@ pub(crate) struct Tally {
 
 impl Tally {
     /// The tally of an engine on `shards` shards that has counted nothing.
-    pub(crate) fn new(shards: usize) -> Tally {
-        let shards = (0..shards).map(|shard| ShardStats {
+    pub(crate) fn new(count: usize) -> Tally {
+        let shards = (0..count).map(|shard| ShardStats {
             shard,
             ..ShardStats::default()
         });
         Tally {
             shards: shards.collect(),
+            occupancy: vec![Occupancy::default(); count],
             ..Tally::default()
+        }
+    }
+
+    /// Jobs were admitted at `now`: the span opens at the first admission.
+    pub(crate) fn admitted(&mut self, now: Instant) {
+        self.span.get_or_insert((now, now));
+    }
+
+    /// The core settled at `now`, leaving each device `occupied` — a command
+    /// queued on it or being served — or not.
+    pub(crate) fn settled(&mut self, occupied: impl Iterator<Item = bool>, now: Instant) {
+        for (device, occupied) in self.occupancy.iter_mut().zip(occupied) {
+            if occupied {
+                device.since.get_or_insert(now);
+            } else if let Some(since) = device.since.take() {
+                device.occupied += now - since;
+            }
+        }
+        if let Some((_, last)) = &mut self.span {
+            *last = now;
         }
     }
 
@@ -235,6 +270,7 @@ impl Tally {
             }
             ShardCommand::Step3(c) => {
                 let reads = c.sample.len() as u64;
+                self.occupancy[device].step3_busy += answer.busy;
                 stats.step3_jobs += 1;
                 stats.step3_items += reads;
                 if c.record_shard != device {
@@ -285,10 +321,25 @@ impl Tally {
     }
 
     /// A report carrying the tally's counts: the per-shard stats, the
-    /// stage-overlap, mapped-read and failed-job counts and the mean stage
-    /// breakdown over the delivered jobs that carried one. Every fact the
-    /// tally does not hold is zero or empty, for the engine to fill.
+    /// stage-overlap, mapped-read and failed-job counts, the mean stage
+    /// breakdown over the delivered jobs that carried one, and the device
+    /// report (stall: occupied but not busy). Every fact the tally does not
+    /// hold is zero or empty, for the engine to fill.
     pub(crate) fn into_report(self) -> ServiceReport {
+        let span = self
+            .span
+            .map_or(Duration::ZERO, |(first, last)| last - first);
+        let devices = self.shards.iter().zip(&self.occupancy);
+        let devices = devices.map(|(stats, device)| DeviceUsage {
+            device: stats.shard,
+            commands: stats.jobs + stats.step3_jobs,
+            busy: stats.busy,
+            step3_busy: device.step3_busy,
+            intersect_busy: stats.busy.saturating_sub(device.step3_busy),
+            stall: device.occupied.saturating_sub(stats.busy),
+            idle: span.saturating_sub(device.occupied),
+        });
+        let devices = devices.collect();
         ServiceReport {
             completed: 0,
             uptime: Duration::ZERO,
@@ -300,7 +351,7 @@ impl Tally {
             stage_overlap_events: self.stage_overlap_events,
             failed_jobs: self.failed_jobs,
             window: LatencyStats::default(),
-            straggler: None,
+            straggler: Some(StragglerReport { span, devices }),
             trace: None,
         }
     }
@@ -337,8 +388,9 @@ pub struct ServiceReport {
     /// the completer from the job's own timeline; `None` when tracing was
     /// disabled or no job was delivered.
     pub stage_breakdown: Option<StageBreakdown>,
-    /// Per-device straggler analysis of the traced run; `None` when tracing
-    /// was disabled.
+    /// Per-device busy/stall/idle accounting over the run, folded by the
+    /// completer as it settles, with or without tracing: `Some` on every
+    /// report the engine returns.
     pub straggler: Option<StragglerReport>,
     /// The raw event log ([`TraceLog::to_json`] exports it); `None` when
     /// tracing was disabled.
@@ -445,13 +497,12 @@ impl ServiceReport {
             }
             None => out.push_str("stage breakdown (mean): n/a (tracing disabled)\n"),
         }
-        // The straggler analysis reads the ring, so it is computed from a
-        // truncated log if the ring evicted events; the breakdowns above are
-        // folded by the completer and never read it.
+        // Only the exported log reads the ring: every figure above is folded
+        // by the completer, whatever the ring evicted.
         if let Some(trace) = self.trace.as_ref().filter(|trace| trace.dropped > 0) {
             let _ = writeln!(
                 out,
-                "trace: {} events, {} dropped — straggler figures are incomplete",
+                "trace: {} events, {} dropped — the exported log is incomplete",
                 trace.events.len(),
                 trace.dropped,
             );
@@ -510,6 +561,34 @@ mod tests {
 
         let failed_only = report(clean, 1).summary();
         assert!(failed_only.contains("dead shards: none"), "{failed_only}");
+    }
+
+    #[test]
+    fn an_overflowed_trace_ring_flags_only_the_exported_log() {
+        // Every figure is folded by the completer, so an evicting ring makes
+        // only the exported log incomplete, and the one line says so.
+        let event = crate::trace::TraceEvent {
+            at: ms(1),
+            seq: 0,
+            kind: crate::trace::TraceEventKind::ReduceStarted,
+        };
+        let traced = |dropped| ServiceReport {
+            trace: Some(TraceLog {
+                events: vec![event; 2],
+                dropped,
+            }),
+            ..report(vec![ShardStats::default()], 0)
+        };
+        assert_eq!(
+            traced(0).summary(),
+            report(vec![ShardStats::default()], 0).summary()
+        );
+        let summary = traced(5).summary();
+        assert!(
+            summary.ends_with("trace: 2 events, 5 dropped — the exported log is incomplete\n"),
+            "{summary}"
+        );
+        assert_eq!(summary.lines().count(), 8, "{summary}");
     }
 
     #[test]

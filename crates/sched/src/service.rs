@@ -60,8 +60,9 @@
 //!
 //! The core is the one place that counts: each completion carries the
 //! device that answered, its busy time and its start and finish stamps, and
-//! the core folds those — with every issue, re-issue and delivery — into
-//! one tally that becomes the [`ServiceReport`]'s counters. With
+//! the core folds those — with every admission, issue, re-issue, settle
+//! and delivery — into one tally that becomes the [`ServiceReport`]'s
+//! counters, its device report among them. With
 //! [`crate::EngineConfig::with_tracing`] the engine also records every
 //! lifecycle event into a shared [`crate::trace::TraceSink`]: admission at
 //! `submit`, Step 1 start/end and `CommandStarted`/`CommandCompleted`
@@ -69,11 +70,10 @@
 //! re-issue, reduce and delivery in the core. Each job's
 //! [`crate::trace::StageBreakdown`] is folded from its own timeline at
 //! delivery ([`JobResult::breakdown`]); the ring is read only at shutdown,
-//! for the [`crate::trace::StragglerReport`] and the exportable
-//! [`crate::trace::TraceLog`]. Tracing is off by default, and the disabled
-//! sink's record path is a single inlined branch; the repository benchmark
-//! reports the traced-vs-untraced wall clock as `sched.trace.overhead_frac`
-//! (`benchmark/README.md`).
+//! for the exportable [`crate::trace::TraceLog`]. Tracing is off by default,
+//! and the disabled sink's record path is a single inlined branch; the
+//! repository benchmark reports the traced-vs-untraced wall clock as
+//! `sched.trace.overhead_frac` (`benchmark/README.md`).
 
 use std::collections::HashMap;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, TryRecvError};
@@ -91,7 +91,7 @@ use crate::lock::{self, Guard, Lock, Unlocked};
 use crate::metrics::{LatencyStats, RollingWindow, ServiceReport};
 use crate::queue::{AdmissionError, QueuedJob};
 use crate::shard::{CommandFailure, ShardCommand, ShardSet, ShardWorker};
-use crate::trace::{StragglerReport, TraceEventKind, TraceLog, TraceSink, NO_SEQ};
+use crate::trace::{TraceEventKind, TraceLog, TraceSink, DEFAULT_TRACE_CAPACITY, NO_SEQ};
 
 /// State shared by submitters and the pool threads.
 #[derive(Debug)]
@@ -261,9 +261,10 @@ impl StreamingEngine {
         assert!(config.queue_depth > 0, "queue depth must be positive");
         assert!(config.queue_capacity > 0, "queue capacity must be positive");
         let shards = ShardSet::build(analyzer.database(), config.shards);
-        let trace = match config.trace_capacity {
-            Some(capacity) => TraceSink::bounded(capacity),
-            None => TraceSink::disabled(),
+        let trace = if config.tracing {
+            TraceSink::bounded(DEFAULT_TRACE_CAPACITY)
+        } else {
+            TraceSink::disabled()
         };
         let shared = Arc::new(Shared::new(&config, analyzer, &shards, trace));
         let workers = (0..config.workers)
@@ -291,10 +292,9 @@ impl StreamingEngine {
         &self.shards
     }
 
-    /// The engine's trace sink (disabled unless
-    /// [`EngineConfig::trace_capacity`] was set). Live snapshots of the
-    /// event log are available while the service runs; the final
-    /// [`ServiceReport`] carries the analyzed form.
+    /// The engine's trace sink (disabled unless [`EngineConfig::tracing`]
+    /// is set). Live snapshots of the event log are available while the
+    /// service runs; the final [`ServiceReport`] carries the whole log.
     pub fn trace(&self) -> &TraceSink {
         &self.shared.trace
     }
@@ -442,9 +442,6 @@ impl StreamingEngine {
             events: sink.events(),
             dropped: sink.dropped(),
         });
-        let straggler = trace
-            .as_ref()
-            .map(|trace| StragglerReport::from_events(&trace.events, self.shards.shard_count()));
         let mut state = self.shared.state.lock(token);
         let counts = state.core.take_tally().into_report();
         ServiceReport {
@@ -452,7 +449,6 @@ impl StreamingEngine {
             uptime: self.started_at.elapsed(),
             resident_database_bytes: self.shards.resident_bytes(),
             window: state.window.stats(),
-            straggler,
             trace,
             ..counts
         }
@@ -636,8 +632,8 @@ fn serve(
     };
     let busy = t0.elapsed();
     let done = trace.now();
-    // The service interval credits the *physical* serving device, so the
-    // straggler analyzer sums real per-device intervals; a failure names
+    // The service interval credits the *physical* serving device, as the
+    // tally credits the busy time; a failure names
     // the command's shard-of-record, and the core decides between retry,
     // failover and failing the job.
     if result.is_ok() {

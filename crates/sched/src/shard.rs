@@ -17,8 +17,9 @@
 //! analyzer's copy plus a full duplicate spread across the shards).
 //! [`ShardSet::resident_bytes`] reports the deduplicated host footprint —
 //! counting each distinct storage allocation once — and the `hotpath` bench
-//! experiment asserts it stays ≈ 1× the database. Every pool thread that
-//! serves the devices holds the shards behind [`std::sync::Arc`] handles.
+//! experiment asserts it stays ≈ 1× the database. The one `ShardWorker`
+//! the pool threads serve every device through holds the shards behind
+//! [`std::sync::Arc`] handles.
 //!
 //! The same sortedness cuts the *query* side: a shard holding keys in
 //! `[lo, hi]` can only match the sub-slice of a sorted query list that
@@ -30,7 +31,9 @@
 //! scaling whenever queries dominate the merge.
 //!
 //! **Two command kinds per device.** Each simulated SSD has one tagged
-//! command queue, served through a `ShardWorker`. A device serves both
+//! command queue, held by the decision core (`complete.rs`), and one
+//! `ShardWorker` serves every device's commands on whichever pool thread
+//! picked them. A device serves both
 //! pipeline stages of the in-SSD side: Step 2 `IntersectCommand`s — all of
 //! Step 2, as in the paper (§4.3): one sweep of the device's database slice
 //! against the sample's overlapping query sub-range that counts each hit's
@@ -58,7 +61,7 @@
 //! stays tagged with the shard-of-record so merge accounting is unchanged.
 //!
 //! **Failover serving.** Because the shards are zero-copy views over one
-//! `Arc`-shared columnar storage, every `ShardWorker` holds the *whole*
+//! `Arc`-shared columnar storage, the one `ShardWorker` holds the *whole*
 //! [`ShardSet`] and an `IntersectCommand` names the shard range it must
 //! intersect (its `shard` field). A device that dies permanently (fault
 //! injection, see `fault.rs`) rejects every command it pops from then on;
@@ -209,7 +212,8 @@ pub(crate) enum CommandFailure {
     ShardDead,
 }
 
-/// One simulated device: the full shard set's zero-copy database views
+/// The serving side of every simulated device: the full shard set's
+/// zero-copy database views
 /// (Step 2 sweeps the command's shard-of-record range — its own in
 /// normal operation, a dead peer's range under failover) plus a handle on
 /// the analyzer, whose KSS join (indexed by storage position, so valid for

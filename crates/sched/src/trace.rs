@@ -1,13 +1,13 @@
 //! Pipeline tracing: per-command lifecycle events, per-job stage-latency
-//! breakdowns, and the straggler analyzer for the device array.
+//! breakdowns, and the straggler report of the device array.
 //!
 //! The engine's aggregate metrics ([`crate::metrics::ShardStats`],
 //! end-to-end latency) say *that* the 8-device Step 3 sweep regresses, not
 //! *why*: they cannot distinguish a command waiting in a queue from a device
 //! mapping a sample's reads from a delivery barriering on one slow command.
 //! This module records what GenStore-style in-storage accounting
-//! records inside the device — the lifecycle of every command — and turns it
-//! back into answers:
+//! records inside the device — the lifecycle of every command — and holds
+//! the answers the completer folds as it goes:
 //!
 //! * [`TraceSink`] — a cheap, bounded, multi-producer ring buffer of
 //!   timestamped [`TraceEvent`]s. Every thread that records (submitters,
@@ -19,8 +19,9 @@
 //!   disabled**: [`TraceSink::disabled`] carries no buffer at all, and
 //!   [`TraceSink::record`] is an inlined `None` check — the repository
 //!   benchmark's `sched.trace.overhead_frac` row measures the whole-engine
-//!   cost of turning it on. The ring is a pure recorder: only
-//!   [`StragglerReport::from_events`] and [`TraceLog::to_json`] read it.
+//!   cost of turning it on. The ring is an export-only recorder of
+//!   [`DEFAULT_TRACE_CAPACITY`] events: only the [`TraceLog`] a report
+//!   carries reads it, and no figure does.
 //! * [`StageBreakdown`] — the per-job answer: the job's
 //!   submission→delivery wall clock partitioned into consecutive stage
 //!   segments (queue wait, Step 1, per-stage queue wait vs. device service,
@@ -29,12 +30,12 @@
 //!   delivery, never reading the ring. The segments **telescope**: their
 //!   sum matches the independently measured [`crate::JobResult::latency`]
 //!   to well under 1%.
-//! * [`StragglerReport`] — the analysis layer's per-device answer: busy /
-//!   stall / idle fractions per device over the run, and per-device Step 3
-//!   busy time with the max/min skew — the direct evidence of how evenly
-//!   the per-job Step 3 commands spread over the array. It keeps only what
-//!   the trace alone knows: fault, retry and failover counts live in
-//!   [`crate::metrics::ShardStats`].
+//! * [`StragglerReport`] — the per-device answer: busy / stall / idle
+//!   fractions per device over the run, and per-device Step 3 busy time
+//!   with the max/min skew — the direct evidence of how evenly the per-job
+//!   Step 3 commands spread over the array. The completer's tally folds it
+//!   beside [`crate::metrics::ShardStats`] as it settles, tracing on or
+//!   off; fault, retry and failover counts stay in `ShardStats`.
 //!
 //! Events are stamped as [`Duration`]s since the sink's epoch (the engine's
 //! start), so a whole trace serializes losslessly with
@@ -42,7 +43,7 @@
 //! [`TraceStamp`], which only [`TraceSink::now`] makes: the sink's epoch is
 //! the one clock an event can be stamped with.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -53,8 +54,8 @@ use crate::lock::Leaf;
 /// dispatch position (admission happens before the scheduler assigns one).
 pub const NO_SEQ: usize = usize::MAX;
 
-/// Default ring-buffer capacity of an enabled sink (events, not bytes; a
-/// `TraceEvent` is a few machine words).
+/// Ring-buffer capacity of the engine's sink when tracing is on (events,
+/// not bytes; a `TraceEvent` is a few machine words).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// Which in-SSD command kind a device-side event belongs to.
@@ -575,117 +576,48 @@ impl JobTimeline {
     }
 }
 
-/// Busy / stall / idle accounting for one device over a traced run.
+/// Busy / stall / idle accounting for one device over a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeviceUsage {
     /// Device (shard) index.
     pub device: usize,
-    /// Commands the device served (both kinds).
+    /// Commands the device served (both kinds): its
+    /// [`crate::ShardStats`] `jobs + step3_jobs`.
     pub commands: u64,
-    /// Time the device spent serving commands, both kinds together.
+    /// Time the device spent serving commands, both kinds together: its
+    /// [`crate::ShardStats::busy`].
     pub busy: Duration,
     /// Busy time attributable to Step 3 commands alone — the quantity whose
     /// per-device skew shows how evenly the per-job Step 3 commands spread.
     pub step3_busy: Duration,
     /// Busy time attributable to intersect commands alone.
     pub intersect_busy: Duration,
-    /// Time at least one command was issued-but-unserved on the device's
-    /// queue while the device was *not* serving anything: head-of-line wait
-    /// the device could not hide.
+    /// Time the device was occupied — a command queued on it or being
+    /// served — without serving: queue wait no thread picked up, and the
+    /// hand-offs between a settle and the service it brackets.
     pub stall: Duration,
-    /// Run span minus (busy-or-pending) time: the device had nothing to do.
+    /// Span minus occupied time: the device had nothing to do.
     pub idle: Duration,
 }
 
-/// Per-device straggler analysis of one traced run.
-///
-/// Built by [`StragglerReport::from_events`] from a whole-run event
-/// snapshot: each device's busy/stall/idle split over the run.
+/// Per-device straggler analysis of one run: each device's busy/stall/idle
+/// split, folded by the completer as it settles (see `complete.rs`), so
+/// `busy + stall + idle == span` for every device.
 ///
 /// The devices are logical: one pool of host threads serves them all. A
 /// command queued on a device while every thread is busy elsewhere counts
 /// as that device's stall, and a device whose next command waits on host
 /// work — a Step 1, another device's command — that itself waits for a
 /// free thread counts as idle.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StragglerReport {
-    /// Wall-clock span the events cover (first to last event).
+    /// Wall-clock span from the first admission to the last settle.
     pub span: Duration,
     /// Per-device accounting, in device order.
     pub devices: Vec<DeviceUsage>,
 }
 
 impl StragglerReport {
-    /// Reconstructs the analysis from a whole-run event snapshot.
-    pub fn from_events(events: &[TraceEvent], devices: usize) -> StragglerReport {
-        let span = match (events.first(), events.last()) {
-            (Some(first), Some(last)) => last.at.saturating_sub(first.at),
-            _ => Duration::ZERO,
-        };
-        // Per-device interval sets. The devices serve serially, so service
-        // intervals never overlap and sum directly; pending intervals
-        // (issued→completed) do overlap and need a union. A command
-        // completes on the device it was issued to — a device serves only
-        // its own queue, and `CommandIssued` names that device — so
-        // commands are matched FIFO per `(seq, stage, device)`. An attempt
-        // that faulted leaves its issue behind, so a re-issued command's
-        // pending interval starts at its first issue on that device; the
-        // `.min(started)` clamp keeps every pending interval covering its
-        // service interval (busy + stall + idle always closes to the span).
-        let mut usage: Vec<DeviceUsage> = (0..devices)
-            .map(|device| DeviceUsage {
-                device,
-                ..DeviceUsage::default()
-            })
-            .collect();
-        let mut service: Vec<Vec<(Duration, Duration)>> = vec![Vec::new(); devices];
-        let mut pending: Vec<Vec<(Duration, Duration)>> = vec![Vec::new(); devices];
-        let mut issued_fifo: HashMap<(usize, TraceStage, usize), VecDeque<Duration>> =
-            HashMap::new();
-        let mut started_at: Vec<Option<Duration>> = vec![None; devices];
-        for event in events {
-            match event.kind {
-                TraceEventKind::CommandIssued { stage, shard } if shard < devices => {
-                    issued_fifo
-                        .entry((event.seq, stage, shard))
-                        .or_default()
-                        .push_back(event.at);
-                }
-                TraceEventKind::CommandStarted { shard, .. } if shard < devices => {
-                    started_at[shard] = Some(event.at);
-                }
-                TraceEventKind::CommandCompleted { stage, shard } if shard < devices => {
-                    let started = started_at[shard].take().unwrap_or(event.at);
-                    service[shard].push((started, event.at));
-                    let issued = issued_fifo
-                        .get_mut(&(event.seq, stage, shard))
-                        .and_then(|q| q.pop_front())
-                        .unwrap_or(started)
-                        .min(started);
-                    pending[shard].push((issued, event.at));
-                    usage[shard].commands += 1;
-                    let width = event.at.saturating_sub(started);
-                    usage[shard].busy += width;
-                    match stage {
-                        TraceStage::Intersect => usage[shard].intersect_busy += width,
-                        TraceStage::Step3 => usage[shard].step3_busy += width,
-                    }
-                }
-                _ => {}
-            }
-        }
-        for device in 0..devices {
-            let occupied = union_len(&mut pending[device]);
-            let busy = union_len(&mut service[device]);
-            usage[device].stall = occupied.saturating_sub(busy);
-            usage[device].idle = span.saturating_sub(occupied);
-        }
-        StragglerReport {
-            span,
-            devices: usage,
-        }
-    }
-
     /// Max over min per-device Step 3 busy time, across devices that served
     /// any Step 3 work — how evenly the per-job Step 3 commands spread over
     /// the array. `1.0` when at most one device served Step 3.
@@ -734,33 +666,12 @@ impl StragglerReport {
     }
 }
 
-/// Total length of a union of (possibly overlapping) intervals; sorts in
-/// place.
-fn union_len(intervals: &mut [(Duration, Duration)]) -> Duration {
-    intervals.sort_unstable();
-    let mut total = Duration::ZERO;
-    let mut current: Option<(Duration, Duration)> = None;
-    for &(start, end) in intervals.iter() {
-        match current {
-            Some((cur_start, cur_end)) if start <= cur_end => {
-                current = Some((cur_start, cur_end.max(end)));
-            }
-            Some((cur_start, cur_end)) => {
-                total += cur_end - cur_start;
-                current = Some((start, end));
-            }
-            None => current = Some((start, end)),
-        }
-    }
-    if let Some((start, end)) = current {
-        total += end - start;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::complete::ShardCompletion;
+    use crate::metrics::Tally;
+    use crate::shard::CommandOutput;
 
     fn ms(v: u64) -> Duration {
         Duration::from_millis(v)
@@ -999,9 +910,66 @@ mod tests {
         assert_eq!(mean.total(), Duration::from_nanos(9));
     }
 
+    /// A served `stage` command's answer from `device`, busy for `busy`.
+    fn served(device: usize, stage: TraceStage, busy: Duration) -> ShardCompletion {
+        use crate::shard::{IntersectCommand, ShardCommand, Step3Command};
+        let command = match stage {
+            TraceStage::Intersect => ShardCommand::Intersect(IntersectCommand {
+                shard: device,
+                attempt: 0,
+                seq: 0,
+                queries: Arc::default(),
+                range: 0..0,
+            }),
+            TraceStage::Step3 => ShardCommand::Step3(Step3Command {
+                seq: 0,
+                record_shard: device,
+                attempt: 0,
+                sample: Arc::default(),
+                presence: Arc::default(),
+            }),
+        };
+        ShardCompletion {
+            command,
+            device,
+            busy,
+            started: stamp(0),
+            done: stamp(0),
+            result: Ok(CommandOutput::Intersection(Default::default())),
+        }
+    }
+
+    /// The report the tally folds from the fixture's job on two devices:
+    /// admitted at 0; both intersect commands queued at 5 and served 6..9
+    /// and 7..11; both Step 3 commands queued at 12 and served 13..16 and
+    /// 13..20; the last settle at 22.
+    fn fixture_report() -> StragglerReport {
+        use TraceStage::*;
+        let epoch = Instant::now();
+        let mut tally = Tally::new(2);
+        tally.admitted(epoch);
+        // Each settle at its instant, after the answer it reaped, if any.
+        let settles = [
+            (5, None, [true, true]),
+            (9, Some(served(0, Intersect, ms(3))), [false, true]),
+            (11, Some(served(1, Intersect, ms(4))), [false, false]),
+            (12, None, [true, true]),
+            (16, Some(served(0, Step3, ms(3))), [false, true]),
+            (20, Some(served(1, Step3, ms(7))), [false, false]),
+            (22, None, [false, false]),
+        ];
+        for (at, answer, occupied) in settles {
+            if let Some(answer) = answer {
+                tally.answered(&answer);
+            }
+            tally.settled(occupied.into_iter(), epoch + ms(at));
+        }
+        tally.into_report().straggler.expect("every report has one")
+    }
+
     #[test]
     fn straggler_report_accounts_busy_stall_and_idle_per_device() {
-        let report = StragglerReport::from_events(&fixture_events(), 2);
+        let report = fixture_report();
         assert_eq!(report.span, ms(22));
         assert_eq!(report.devices.len(), 2);
         // Device 0: intersect 6..9 (3 ms) + step3 13..16 (3 ms).
@@ -1011,11 +979,14 @@ mod tests {
         assert_eq!(report.devices[0].commands, 2);
         // Device 1: intersect 7..11 (4 ms) + step3 13..20 (7 ms).
         assert_eq!(report.devices[1].step3_busy, ms(7));
-        // Device 0 stall: intersect issued at 5, started 6 (1 ms); step3
-        // issued 12, started 13 (1 ms).
+        // Device 0 stall: intersect queued at 5, started 6 (1 ms); step3
+        // queued 12, started 13 (1 ms).
         assert_eq!(report.devices[0].stall, ms(2));
-        // Device 0 idle: span 22 - pending union (5..9 + 12..16 = 8 ms).
+        // Device 0 idle: span 22 - occupied (5..9 + 12..16 = 8 ms).
         assert_eq!(report.devices[0].idle, ms(14));
+        for d in &report.devices {
+            assert_eq!(d.busy + d.stall + d.idle, report.span, "{d:?}");
+        }
         let skew = report.step3_busy_skew();
         assert!((skew - 7.0 / 3.0).abs() < 1e-9, "skew 7/3, got {skew}");
         let text = report.report();
@@ -1026,25 +997,14 @@ mod tests {
 
     #[test]
     fn straggler_report_of_empty_trace_is_empty_but_valid() {
-        let report = StragglerReport::from_events(&[], 3);
+        // A tally that admitted and served nothing.
+        let report = Tally::new(3).into_report().straggler.expect("always");
         assert_eq!(report.span, Duration::ZERO);
         assert_eq!(report.devices.len(), 3);
         assert_eq!(report.step3_busy_skew(), 1.0);
         assert!(report
             .report()
             .contains("skew across devices (max/min): 1.00x"));
-    }
-
-    #[test]
-    fn union_len_merges_overlaps() {
-        let mut intervals = vec![
-            (ms(5), ms(9)),
-            (ms(0), ms(2)),
-            (ms(8), ms(12)),
-            (ms(1), ms(2)),
-        ];
-        assert_eq!(union_len(&mut intervals), ms(9), "2 + 7");
-        assert_eq!(union_len(&mut []), Duration::ZERO);
     }
 
     #[test]
@@ -1073,7 +1033,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_retry_and_failover_events_serialize_and_leave_the_analyses_alone() {
+    fn fault_retry_and_failover_events_serialize() {
         use TraceEventKind::*;
         use TraceStage::*;
         let e = |at, seq, kind| TraceEvent {
@@ -1109,11 +1069,7 @@ mod tests {
                 },
             ),
         ];
-        let json = TraceLog {
-            events: events.clone(),
-            dropped: 0,
-        }
-        .to_json();
+        let json = TraceLog { events, dropped: 0 }.to_json();
         for needle in [
             "\"kind\": \"fault\"",
             "\"kind\": \"retry\"",
@@ -1123,18 +1079,6 @@ mod tests {
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
-        // The fault kinds perturb no device's busy or stall time (idle
-        // follows the span, which the appended events move).
-        let mut with_faults = fixture_events();
-        with_faults.extend(events);
-        let accounting = |events: &[TraceEvent]| -> Vec<(u64, Duration, Duration)> {
-            StragglerReport::from_events(events, 2)
-                .devices
-                .iter()
-                .map(|d| (d.commands, d.busy, d.stall))
-                .collect()
-        };
-        assert_eq!(accounting(&fixture_events()), accounting(&with_faults));
     }
 
     #[test]
@@ -1142,7 +1086,7 @@ mod tests {
         // Fault counts belong to `ShardStats` and the service summary's
         // degraded-mode line: the report is the header, one line per device
         // and the skew line.
-        let text = StragglerReport::from_events(&fixture_events(), 2).report();
+        let text = fixture_report().report();
         assert_eq!(text.lines().count(), 4, "{text}");
         assert!(!text.contains("fault"));
         assert!(!text.contains("failover"));
