@@ -4,15 +4,14 @@
 //! a plain-text report with the same rows/series as the corresponding figure
 //! or table. [`EXPERIMENTS`] is the one list of them: the `megis-bench`
 //! binary looks names up in it, [`all`] concatenates it (what
-//! `cargo run -p megis-bench -- all` prints and what EXPERIMENTS.md
-//! records), and the suite's smoke test iterates it.
+//! `cargo run -p megis-bench -- all` prints), and the suite's smoke test
+//! iterates it.
 
 mod accuracy;
 mod comparison;
 mod energy;
 mod engine;
 mod hardware;
-mod hotpath;
 mod motivation;
 mod presence;
 mod scaling;
@@ -24,7 +23,6 @@ pub use comparison::{
 pub use energy::energy_analysis;
 pub use engine::{fig15_sharded_engine, fig21_batch_engine, streaming_load_analysis};
 pub use hardware::{kss_size_analysis, table1_ssd_configs, table2_area_power};
-pub use hotpath::{hotpath, hotpath_measure, HotpathMeasurement};
 pub use motivation::fig03_io_overhead;
 pub use presence::{fig12_presence_speedup, fig13_time_breakdown, fig14_database_size};
 pub use scaling::{fig15_multi_ssd, fig16_dram_capacity, fig17_internal_bandwidth};
@@ -50,7 +48,6 @@ pub const EXPERIMENTS: &[Experiment] = &[
     ("fig21_multi_sample", fig21_multi_sample),
     ("fig21_engine_batch", fig21_batch_engine),
     ("streaming_load_analysis", streaming_load_analysis),
-    ("hotpath", hotpath),
     ("table2_area_power", table2_area_power),
     ("kss_size_analysis", kss_size_analysis),
     ("energy_analysis", energy_analysis),
@@ -75,13 +72,6 @@ mod tests {
     #[test]
     fn every_experiment_produces_output() {
         for (name, run) in super::EXPERIMENTS {
-            // `hotpath` has its own test module, which already runs (and
-            // asserts on) one measurement over its cache-oversized fixture;
-            // running it here would pay that cost twice per test run for a
-            // non-emptiness check.
-            if *name == "hotpath" {
-                continue;
-            }
             let text = run();
             assert!(text.len() > 200, "{name} report looks empty");
             assert!(

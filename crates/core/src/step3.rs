@@ -30,8 +30,7 @@
 //! disjoint ranges ([`read_ranges`]), each mapped against the one index and
 //! the counts added ([`MappedCounts::merge`]: commutative and associative,
 //! not idempotent), give the same result as one pass. The property suites
-//! and the `hotpath` bench check that property; no engine path cuts the
-//! reads.
+//! check that property; no engine path cuts the reads.
 //!
 //! [`run`] is the sequential oracle (one merge, one per-read mapper):
 //! the seeded property suites assert that [`map_range`] over any cut of

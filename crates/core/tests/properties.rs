@@ -20,7 +20,7 @@ use megis::step3::{self, MappedCounts, Step3Output};
 use megis::MegisAnalyzer;
 use megis_genomics::database::{ReferenceIndex, SortedKmerDatabase, MIN_MAPPING_VOTES};
 use megis_genomics::dna::PackedSequence;
-use megis_genomics::kmer::Kmer;
+use megis_genomics::kmer::{Kmer, KmerExtractor};
 use megis_genomics::profile::AbundanceProfile;
 use megis_genomics::read::{Read, ReadSet};
 use megis_genomics::reference::{ReferenceCollection, ReferenceGenome};
@@ -29,6 +29,7 @@ use megis_genomics::sketch::{SketchConfig, SketchDatabase};
 use megis_genomics::taxonomy::TaxId;
 use megis_ssd::config::SsdConfig;
 use megis_ssd::timing::ByteSize;
+use megis_tools::kmc::{ExclusionPolicy, KmerCounts};
 use megis_tools::ternary::TernarySketchTree;
 
 fn random_kmer(rng: &mut StdRng, k: usize) -> Kmer {
@@ -75,6 +76,27 @@ fn probed_hits(view: &SortedKmerDatabase, queries: &[Kmer]) -> Vec<Kmer> {
 fn assert_lookup_is_a_binary_search(view: &SortedKmerDatabase, query: Kmer) {
     let expected = view.kmer_slice().binary_search(&query).ok();
     assert_eq!(view.lookup(query), expected, "{query:?}");
+}
+
+/// A shard-sized storage (8 genomes x 4 kbp, about 26 000 distinct 31-mers)
+/// under a query list skewed the way a shard sees a sample's: at most one
+/// hit per 64 entries (|DB| >= 64 · |Q|) at random positions, so the gaps
+/// are irregular — about 400 hits, some 25 probe batches. Returned with the
+/// same list mixed with random misses and repeated hits.
+fn skewed_fixture(rng: &mut StdRng) -> (SortedKmerDatabase, Vec<Kmer>, Vec<Kmer>) {
+    let refs = ReferenceCollection::synthetic(8, 4_000, 4242);
+    let db = SortedKmerDatabase::build(&refs, 31);
+    let mut picks: Vec<usize> = (0..db.len() / 64)
+        .map(|_| rng.gen_range(0..db.len()))
+        .collect();
+    picks.sort();
+    picks.dedup();
+    let skewed: Vec<Kmer> = picks.iter().map(|&p| db.kmer_slice()[p]).collect();
+    let mut mixed = skewed.clone();
+    mixed.extend(random_kmers(rng, 400, 31));
+    mixed.extend(skewed.iter().step_by(7).copied());
+    mixed.sort();
+    (db, skewed, mixed)
 }
 
 #[test]
@@ -185,6 +207,16 @@ fn directory_probe_intersection_equals_two_pointer_reference() {
         assert_eq!(db.intersect_sorted(&other_k), sparse, "case {case}");
     }
 
+    // A shard-sized storage under a skew-64 query list: many batches, each
+    // key's bucket far past the last key's.
+    let (db, skewed, mixed) = skewed_fixture(&mut rng);
+    for queries in [&skewed, &mixed] {
+        let expected = db.intersect_sorted_two_pointer(queries);
+        assert_eq!(probed_hits(&db, queries), expected);
+        assert_eq!(db.intersect_sorted(queries), expected);
+    }
+    assert_eq!(db.intersect_sorted(&skewed), skewed);
+
     // A skewed storage: most k-mers share their first 14 bases, so one
     // directory bucket holds nearly all of them — far wider than the
     // probe's fixed window, so its halving loop runs — while a few outliers
@@ -262,6 +294,29 @@ fn database_partition_preserves_intersections() {
         merged.sort();
         merged.dedup();
         assert_eq!(merged, whole, "{parts}-way partition changed the result");
+    }
+
+    // The cut the engine makes: per shard, `hit_positions` over the
+    // overlapping query range only, shifted by the shard's storage offset,
+    // concatenated in shard order — the whole storage's positions, at 1–8
+    // shards, on a skew-64 list and on the same list with misses and repeats.
+    let storage_positions = |view: &SortedKmerDatabase, queries: &[Kmer]| {
+        let mut positions = Vec::new();
+        view.hit_positions(queries, |p| positions.push(view.storage_offset() + p));
+        positions
+    };
+    let (db, skewed, mixed) = skewed_fixture(&mut rng);
+    for queries in [&skewed, &mixed] {
+        let whole = storage_positions(&db, queries);
+        assert_eq!(whole.len(), skewed.len());
+        for shards in 1..=8 {
+            let mut cut = Vec::new();
+            for shard in db.partition(shards) {
+                let overlap = &queries[shard.overlapping_query_range(queries)];
+                cut.extend(storage_positions(&shard, overlap));
+            }
+            assert_eq!(cut, whole, "{shards} shards");
+        }
     }
 }
 
@@ -584,17 +639,13 @@ fn a_view_of_another_database_cannot_be_counted_through_the_join() {
 
 #[test]
 fn kmer_counts_equal_an_ordered_map_counter() {
-    use megis_genomics::kmer::KmerExtractor;
-    use megis_tools::kmc::{ExclusionPolicy, KmerCounts};
     let mut rng = StdRng::seed_from_u64(207);
     for case in 0..40usize {
         let k = rng.gen_range(1..=60usize);
         // Reads are windows of one short genome (either strand), so k-mers
         // repeat across reads; some windows are shorter than k, case 0 has
         // no reads at all.
-        let genome: Vec<u8> = (0..150)
-            .map(|_| b"ACGT"[rng.gen_range(0..4usize)])
-            .collect();
+        let genome = random_dna(&mut rng, 150);
         let reads: Vec<Read> = (0..if case == 0 {
             0
         } else {
@@ -603,37 +654,75 @@ fn kmer_counts_equal_an_ordered_map_counter() {
             .map(|i| {
                 let start = rng.gen_range(0..genome.len());
                 let len = rng.gen_range(0..=(genome.len() - start).min(k + 40));
-                let window = PackedSequence::from_ascii(&genome[start..start + len]).unwrap();
-                let strand = if rng.gen_range(0..2u32) == 0 {
-                    window
-                } else {
-                    window.reverse_complement()
-                };
-                Read::new(format!("r{i}"), strand)
+                either_strand(&mut rng, i, &genome[start..start + len])
             })
             .collect();
-        let mut expected: BTreeMap<Kmer, u32> = BTreeMap::new();
-        for read in &reads {
-            for kmer in KmerExtractor::new(read.sequence(), k) {
-                *expected.entry(kmer.canonical()).or_default() += 1;
-            }
-        }
-        let counts = KmerCounts::count(&ReadSet::from_reads(reads), k);
-        let expected: Vec<(Kmer, u32)> = expected.into_iter().collect();
-        let entries: Vec<(Kmer, u32)> = counts.entries().collect();
-        assert_eq!(entries, expected, "case {case}, k = {k}");
-        // The occurrence total is the arena's length before compaction,
-        // and the in-place selection keeps what the policy keeps.
-        let total: u64 = expected.iter().map(|(_, c)| u64::from(*c)).sum();
-        assert_eq!(counts.total_occurrences(), total, "case {case}");
         let policy = ExclusionPolicy {
             min_count: rng.gen_range(1..=3u32),
             max_count: [None, Some(rng.gen_range(1..=4u32))][case % 2],
         };
-        let kept = expected.iter().filter(|(_, c)| policy.keeps(*c));
-        let kept: Vec<Kmer> = kept.map(|(kmer, _)| *kmer).collect();
-        assert_eq!(counts.apply_exclusion(policy), kept, "case {case}");
+        assert_counts_equal_an_ordered_map(reads, k, policy, &format!("case {case}"));
     }
+
+    // A Step 1 sample's size: 400 reads of 120 k-mers each from a 20 kbp
+    // genome, 48 000 occurrences, so `count_words` buckets by 10 radix
+    // bits — at k = 31 (8-byte words) and k = 45 (16-byte words).
+    let genome = random_dna(&mut rng, 20_000);
+    for k in [31, 45] {
+        let len = k + 119;
+        let reads: Vec<Read> = (0..400)
+            .map(|i| {
+                let start = rng.gen_range(0..=genome.len() - len);
+                either_strand(&mut rng, i, &genome[start..start + len])
+            })
+            .collect();
+        let policy = ExclusionPolicy {
+            min_count: 2,
+            max_count: Some(3),
+        };
+        let total = assert_counts_equal_an_ordered_map(reads, k, policy, "400 reads");
+        assert_eq!(total, 48_000, "k = {k}");
+    }
+}
+
+/// A read of `window` on a random strand.
+fn either_strand(rng: &mut StdRng, i: usize, window: &[u8]) -> Read {
+    let window = PackedSequence::from_ascii(window).unwrap();
+    let strand = if rng.gen_range(0..2u32) == 0 {
+        window
+    } else {
+        window.reverse_complement()
+    };
+    Read::new(format!("r{i}"), strand)
+}
+
+/// `KmerCounts::count` of `reads` at `k` against an ordered map of their
+/// canonical k-mers — the entries, the occurrence total and what `policy`
+/// keeps; returns the total.
+fn assert_counts_equal_an_ordered_map(
+    reads: Vec<Read>,
+    k: usize,
+    policy: ExclusionPolicy,
+    what: &str,
+) -> u64 {
+    let mut expected: BTreeMap<Kmer, u32> = BTreeMap::new();
+    for read in &reads {
+        for kmer in KmerExtractor::new(read.sequence(), k) {
+            *expected.entry(kmer.canonical()).or_default() += 1;
+        }
+    }
+    let counts = KmerCounts::count(&ReadSet::from_reads(reads), k);
+    let expected: Vec<(Kmer, u32)> = expected.into_iter().collect();
+    let entries: Vec<(Kmer, u32)> = counts.entries().collect();
+    assert_eq!(entries, expected, "{what}, k = {k}");
+    // The occurrence total is the arena's length before compaction, and
+    // the in-place selection keeps what the policy keeps.
+    let total: u64 = expected.iter().map(|(_, c)| u64::from(*c)).sum();
+    assert_eq!(counts.total_occurrences(), total, "{what}, k = {k}");
+    let kept = expected.iter().filter(|(_, c)| policy.keeps(*c));
+    let kept: Vec<Kmer> = kept.map(|(kmer, _)| *kmer).collect();
+    assert_eq!(counts.apply_exclusion(policy), kept, "{what}, k = {k}");
+    total
 }
 
 #[test]

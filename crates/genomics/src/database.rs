@@ -42,8 +42,7 @@
 //! data-dependent branches through the gap to the next hit. The
 //! element-at-a-time two-pointer merge is kept as
 //! [`SortedKmerDatabase::intersect_sorted_two_pointer`], the reference
-//! oracle for the property tests, the baseline the `hotpath` bench
-//! experiment measures against, and the literal access pattern of the
+//! oracle for the property tests and the literal access pattern of the
 //! paper's Intersect units.
 //!
 //! # Read-mapping indexes
@@ -150,8 +149,9 @@ impl DatabaseStorage {
     /// directory, in bytes. This is the quantity
     /// [`SortedKmerDatabase::partition`] shares rather than copies. Charged
     /// on *capacity*, not length, so growth slack (were any to survive
-    /// construction) cannot hide from the resident accounting the `hotpath`
-    /// bench asserts on.
+    /// construction) cannot hide from the resident accounting that
+    /// `megis`'s `analyzer::tests::resident_bytes_are_pinned_per_component`
+    /// pins.
     pub fn heap_bytes(&self) -> u64 {
         (self.kmers.capacity() * std::mem::size_of::<Kmer>()
             + self.directory.bounds.capacity() * std::mem::size_of::<u32>()) as u64
@@ -401,8 +401,7 @@ impl SortedKmerDatabase {
     /// MegIS's per-channel Intersect units perform on data arriving from the
     /// flash channels and the internal DRAM (§4.3.1). Kept as the reference
     /// oracle for [`SortedKmerDatabase::intersect_sorted`] in the property
-    /// tests, and as the baseline the `hotpath` bench experiment measures
-    /// the directory probe against.
+    /// tests.
     ///
     /// # Panics
     ///
@@ -706,11 +705,6 @@ impl<T> SeedTable<T> {
     fn entries(&self) -> impl ExactSizeIterator<Item = (Kmer, &[T])> + '_ {
         let kmer = |seed: u64| Kmer::from_bits(u128::from(seed), self.k);
         (0..self.seeds.len()).map(move |i| (kmer(self.seeds[i]), self.items(i)))
-    }
-
-    /// Host bytes of the seed column.
-    fn seed_column_bytes(&self) -> u64 {
-        std::mem::size_of_val(self.seeds.as_slice()) as u64
     }
 
     /// On-storage size: 2-bit seeds plus `item_bytes` per item.
@@ -1267,12 +1261,6 @@ impl UnifiedReferenceIndex {
             .offsets
             .partition_point(|(_, offset)| *offset <= position);
         idx.checked_sub(1).map(|i| self.offsets[i].0)
-    }
-
-    /// Host-memory bytes of the seed column: one `u64` word per distinct
-    /// seed, whatever the seed length.
-    pub fn seed_column_bytes(&self) -> u64 {
-        self.table.seed_column_bytes()
     }
 
     /// On-storage size in bytes (2-bit seeds + 12 bytes of taxid and position per location).

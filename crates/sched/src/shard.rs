@@ -16,8 +16,9 @@
 //! and its directory, where the old `chunk.to_vec()` partitioning kept two (the
 //! analyzer's copy plus a full duplicate spread across the shards).
 //! [`ShardSet::resident_bytes`] reports the deduplicated host footprint —
-//! counting each distinct storage allocation once — and the `hotpath` bench
-//! experiment asserts it stays ≈ 1× the database. The one `ShardWorker`
+//! counting each distinct storage allocation once — and
+//! `shards_are_zero_copy_views_of_one_storage` asserts it stays exactly one
+//! database copy at 1–32 shards. The one `ShardWorker`
 //! the pool threads serve every device through holds the shards behind
 //! [`std::sync::Arc`] handles.
 //!
